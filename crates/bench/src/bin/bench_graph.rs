@@ -14,8 +14,15 @@
 //!   a 64 KiB block fetch + CRC),
 //! * `read/warm` — the same decode loop over a working set that fits in
 //!   the cache (steady-state hits: no I/O, no allocation),
-//! * `train/sequential` — end-to-end SG-MCMC iterations on the
-//!   out-of-core backend, plus one held-out perplexity evaluation.
+//! * `train/sequential`, `train/parallel` — end-to-end SG-MCMC
+//!   iterations on the out-of-core backend through the driver that
+//!   ships (`ParallelSampler`), at one thread (the id every earlier
+//!   line carries; `SequentialSampler` is the same driver on a
+//!   one-thread pool) and at `host_cores`, each with the block-cache
+//!   misses per step from the obs counters and one held-out perplexity
+//!   evaluation.
+//!
+//! Every line carries the `git_rev` of the checkout that built it.
 //!
 //! `--quick` shrinks the graph ~50x for CI smoke runs (tier1 runs it);
 //! the committed `BENCH_graph.json` carries the full-scale figures.
@@ -94,7 +101,20 @@ fn peak_rss_mb() -> Option<f64> {
     Some(kb / 1024.0)
 }
 
-fn append_line(path: &Path, body: &str) {
+/// Short revision of the checkout this binary was built from
+/// (`-dirty` when it has uncommitted changes).
+fn git_rev() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map_or_else(|| "unknown".into(), |s| s.trim().to_string())
+}
+
+fn append_line(path: &Path, body: &str, threads: usize) {
     let mut f = std::fs::OpenOptions::new()
         .create(true)
         .append(true)
@@ -102,9 +122,10 @@ fn append_line(path: &Path, body: &str) {
         .expect("open BENCH_graph.json for append");
     writeln!(
         f,
-        "{{\"schema\":{},\"suite\":\"bench_graph\",{body},\"threads\":1,\"host_cores\":{}}}",
+        "{{\"schema\":{},\"suite\":\"bench_graph\",{body},\"threads\":{threads},\"host_cores\":{},\"git_rev\":\"{}\"}}",
         mmsb_bench::timing::BENCH_SCHEMA,
-        mmsb_bench::timing::host_cores()
+        mmsb_bench::timing::host_cores(),
+        git_rev()
     )
     .expect("append BENCH_graph.json");
 }
@@ -157,6 +178,7 @@ fn main() {
             stats.num_edges as f64 / build_s,
             rss
         ),
+        1,
     );
     assert!(
         bpe <= 4.8,
@@ -189,6 +211,7 @@ fn main() {
     append_line(
         out,
         &format!("\"id\":\"read/cold\",\"edges_per_s\":{cold_eps:.0},\"edges_read\":{edges_read}"),
+        1,
     );
 
     // Warm: a vertex prefix whose encoded lists fill at most half the
@@ -223,6 +246,7 @@ fn main() {
         &format!(
             "\"id\":\"read/warm\",\"edges_per_s\":{warm_eps:.0},\"working_set_vertices\":{warm_end}"
         ),
+        1,
     );
 
     // ---- end-to-end training on the out-of-core backend ------------
@@ -231,37 +255,52 @@ fn main() {
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(0xBEEF);
         HeldOut::sample_observed(OocReader::new(&graph, &mut ho_cache), s.heldout_links, &mut rng)
     };
+    drop(graph); // each sampler opens its own handle; keep one set of resident metadata
     let config = SamplerConfig::new(s.model_k)
         .with_seed(7)
         .with_minibatch(s.minibatch)
         .with_graph_cache_blocks(256);
-    let mut sampler = SequentialSampler::with_backend(GraphBackend::OutOfCore(graph), heldout, config)
+    let metrics = &mmsb::obs::get().expect("obs initialized above").metrics;
+    let misses = || metrics.counter_total(mmsb::obs::id::C_GRAPH_CACHE_MISSES);
+    let host_cores = mmsb_bench::timing::host_cores();
+    for (id, threads) in [("train/sequential", 1), ("train/parallel", host_cores)] {
+        let graph = OocGraph::open(&graph_path).expect("reopen graph");
+        let mut sampler = ParallelSampler::with_backend_threads(
+            GraphBackend::OutOfCore(graph),
+            heldout.clone(),
+            config.clone(),
+            threads,
+        )
         .expect("construct sampler");
-    sampler.run(2); // warm the caches and the workspace
-    let t0 = Instant::now();
-    sampler.run(s.train_iters);
-    let train_s = t0.elapsed().as_secs_f64();
-    let ips = s.train_iters as f64 / train_s;
-    let perplexity = sampler.evaluate_perplexity();
-    assert!(
-        perplexity.is_finite() && perplexity > 0.0,
-        "implausible perplexity {perplexity}"
-    );
-    println!(
-        "train/sequential: {ips:.2} iters/s ({} iters in {}), heldout perplexity {perplexity:.3}",
-        s.train_iters,
-        mmsb_bench::fmt_secs(train_s)
-    );
-    append_line(
-        out,
-        &format!(
-            "\"id\":\"train/sequential\",\"iters_per_s\":{ips:.3},\"iters\":{},\"perplexity\":{perplexity:.4},\"rss_peak_mb\":{:.1}",
+        sampler.run(2); // warm the caches and the workspaces
+        let misses_before = misses();
+        let t0 = Instant::now();
+        sampler.run(s.train_iters);
+        let train_s = t0.elapsed().as_secs_f64();
+        let misses_per_step = (misses() - misses_before) as f64 / s.train_iters as f64;
+        let ips = s.train_iters as f64 / train_s;
+        let perplexity = sampler.evaluate_perplexity();
+        assert!(
+            perplexity.is_finite() && perplexity > 0.0,
+            "implausible perplexity {perplexity}"
+        );
+        println!(
+            "{id}: {ips:.2} iters/s on {threads} thread(s) ({} iters in {}), {misses_per_step:.0} block misses/step, heldout perplexity {perplexity:.3}",
             s.train_iters,
-            peak_rss_mb().unwrap_or(-1.0)
-        ),
-    );
+            mmsb_bench::fmt_secs(train_s)
+        );
+        append_line(
+            out,
+            &format!(
+                "\"id\":\"{id}\",\"iters_per_s\":{ips:.3},\"iters\":{},\"misses_per_step\":{misses_per_step:.1},\"perplexity\":{perplexity:.4},\"rss_peak_mb\":{:.1}",
+                s.train_iters,
+                peak_rss_mb().unwrap_or(-1.0)
+            ),
+            threads,
+        );
+    }
 
-    mmsb_bench::timing::emit_obs_snapshot(out, "bench_graph", 1);
+    mmsb_bench::timing::emit_obs_snapshot(out, "bench_graph", host_cores);
     let _ = std::fs::remove_dir_all(&dir);
     eprintln!("results appended to {}", out.display());
 }

@@ -473,6 +473,15 @@ mod tests {
         assert_eq!(back, ck);
     }
 
+    /// The trailing CRC recorded with the byte-at-a-time `crc32`: a
+    /// faster checksum must not move the checkpoint format.
+    #[test]
+    fn checkpoint_crc_is_golden() {
+        let bytes = sample_checkpoint().to_bytes();
+        assert_eq!(bytes.len(), 225);
+        assert_eq!(bytes[221..], 0x3EA4_2A63u32.to_le_bytes());
+    }
+
     #[test]
     fn every_flipped_byte_is_detected() {
         let bytes = sample_checkpoint().to_bytes();

@@ -28,6 +28,7 @@ use crate::kernels::RowView;
 use crate::{CoreError, ModelState};
 use mmsb_dkv::pipeline::{ChunkedReader, PipelineMode, PrefetchingReader, ReaderScratch};
 use mmsb_dkv::{DkvStore, FaultingStore, Partition, ShardedStore};
+use mmsb_graph::access::mark_links;
 use mmsb_graph::heldout::HeldOut;
 use mmsb_graph::{Graph, GraphAccess, VertexId};
 use mmsb_netsim::{
@@ -505,8 +506,7 @@ impl DistributedSampler {
                     let own = &rows[offset * row_len..(offset + 1) * row_len];
                     let nrows =
                         &rows[(offset + 1) * row_len..(offset + 1 + ns.len()) * row_len];
-                    linked.clear();
-                    linked.extend(ns.iter().map(|&b| reader.has_edge(*a, b)));
+                    mark_links(reader.neighbors(*a), ns, linked);
                     let update = engine.compute_phi_update_from_rows(
                         *a,
                         own,

@@ -8,6 +8,7 @@ use crate::rngs;
 use crate::state::ModelState;
 use crate::workspace::Workspace;
 use crate::CoreError;
+use mmsb_graph::access::mark_links;
 use mmsb_graph::minibatch::{BatchKind, MiniBatch, MinibatchSampler, Strategy};
 use mmsb_graph::heldout::HeldOut;
 use mmsb_graph::neighbor::NeighborSampler;
@@ -216,19 +217,17 @@ impl Engine {
             &mut ws.seen,
         );
 
-        // Gather neighbor pi rows and observations.
+        // Gather neighbor pi rows, then the observations: `a`'s list is
+        // read once and answers every edge test. The reader borrows only
+        // `ws.graph_cache`, disjoint from `ws.neighbors` / `ws.linked`.
         let nn = ws.neighbors.len();
         ws.rows.clear();
         ws.rows.resize(nn * k, 0.0);
-        ws.linked.clear();
-        ws.linked.resize(nn, false);
-        // The reader borrows only `ws.graph_cache`; the loop writes the
-        // disjoint `ws.rows` / `ws.linked` fields.
-        let mut reader = self.graph.reader(ws.graph_cache.as_mut());
         for (i, &b) in ws.neighbors.iter().enumerate() {
             ws.rows[i * k..(i + 1) * k].copy_from_slice(self.state.pi_row(b.0));
-            ws.linked[i] = reader.has_edge(a, b);
         }
+        let mut reader = self.graph.reader(ws.graph_cache.as_mut());
+        mark_links(reader.neighbors(a), &ws.neighbors, &mut ws.linked);
 
         self.state.phi_row(a.0, &mut ws.phi_a);
         let params = PhiParams {

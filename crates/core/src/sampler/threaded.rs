@@ -32,6 +32,7 @@ use mmsb_comm::message::{MessageReader, MessageWriter};
 use mmsb_comm::{collectives, Endpoint, LocalCluster};
 use mmsb_dkv::pipeline::{ChunkedReader, PipelineMode, PrefetchingReader, ReaderScratch};
 use mmsb_dkv::{DkvStore, Partition, ShardedStore};
+use mmsb_graph::access::mark_links;
 use mmsb_graph::heldout::HeldOut;
 use mmsb_graph::neighbor::NeighborSampler;
 use mmsb_graph::{Graph, VertexId};
@@ -312,8 +313,7 @@ fn worker_loop(
                     let own = &rows[offset * row_len..(offset + 1) * row_len];
                     let nrows =
                         &rows[(offset + 1) * row_len..(offset + 1 + ns.len()) * row_len];
-                    linked.clear();
-                    linked.extend(ns.iter().map(|b| adjacency[vi].binary_search(&b.0).is_ok()));
+                    mark_links(&adjacency[vi], ns, linked);
                     let (_, phi) = phi_update_from_dkv_rows(
                         &params,
                         &beta,

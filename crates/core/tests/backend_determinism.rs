@@ -9,12 +9,21 @@
 //! resident reference *bitwise*, for sequential and parallel drivers,
 //! across thread counts, and for a cache small enough that every
 //! mini-batch evicts blocks.
+//!
+//! Training tests each edge against the *anchor's* list
+//! (`mmsb_graph::access::mark_links`) while one-off probes open the
+//! lower-degree endpoint's. On the planted graph's near-uniform degrees
+//! the two sides rarely differ, so a Chung–Lu power-law graph — hubs as
+//! anchors and as mini-batch vertices — runs through the same check
+//! under both mini-batch strategies.
 
 use std::path::PathBuf;
 
 use mmsb_core::{ParallelSampler, SamplerConfig, SequentialSampler};
+use mmsb_graph::generate::chunglu::{generate_chung_lu, ChungLuConfig};
 use mmsb_graph::generate::planted::{generate_planted, PlantedConfig};
 use mmsb_graph::heldout::HeldOut;
+use mmsb_graph::minibatch::Strategy;
 use mmsb_graph::Graph;
 use mmsb_ooc::{write_graph, BuildOptions, GraphBackend, OocGraph};
 use mmsb_rand::Xoshiro256PlusPlus;
@@ -46,12 +55,12 @@ fn temp_file(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("mmsb-backend-det-{}-{tag}.ooc", std::process::id()))
 }
 
-#[test]
-fn out_of_core_chain_matches_resident_bitwise() {
-    let (graph, heldout) = setup(51);
-    let path = temp_file("main");
+/// Run the resident reference chain, then every out-of-core variant,
+/// and require bitwise equality.
+fn assert_chain_matches_resident(graph: &Graph, heldout: &HeldOut, cfg: &SamplerConfig, tag: &str) {
+    let path = temp_file(tag);
     write_graph(
-        &graph,
+        graph,
         &path,
         BuildOptions {
             block_size: 4096,
@@ -59,7 +68,6 @@ fn out_of_core_chain_matches_resident_bitwise() {
         },
     )
     .unwrap();
-    let cfg = SamplerConfig::new(6).with_seed(33);
     let iters = 5;
 
     // Resident reference chain.
@@ -121,6 +129,39 @@ fn out_of_core_chain_matches_resident_bitwise() {
     }
 
     let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn out_of_core_chain_matches_resident_bitwise() {
+    let (graph, heldout) = setup(51);
+    let cfg = SamplerConfig::new(6).with_seed(33);
+    assert_chain_matches_resident(&graph, &heldout, &cfg, "main");
+}
+
+/// Power-law degrees: the top hub is adjacent to a large share of the
+/// graph, so it is a mini-batch vertex of nearly every step and, with
+/// 64 anchors a step, hubs anchor strata too. Anchor-side edge tests
+/// then read the *higher*-degree list where `has_edge` reads the lower.
+#[test]
+fn power_law_chain_matches_resident_bitwise() {
+    let mut rng = Xoshiro256PlusPlus::seed_from_u64(53);
+    let graph = generate_chung_lu(
+        &ChungLuConfig {
+            num_vertices: 2000,
+            num_edges: 16_000,
+            gamma: 2.5,
+        },
+        &mut rng,
+    );
+    assert!(graph.max_degree() > 300, "no hub: max degree {}", graph.max_degree());
+    let (graph, heldout) = HeldOut::split(&graph, 80, &mut rng);
+    for (tag, strategy) in [
+        ("pl-strat", Strategy::StratifiedNode { partitions: 40, anchors: 64 }),
+        ("pl-pairs", Strategy::RandomPair { size: 256 }),
+    ] {
+        let cfg = SamplerConfig::new(6).with_seed(35).with_minibatch(strategy);
+        assert_chain_matches_resident(&graph, &heldout, &cfg, tag);
+    }
 }
 
 /// The block size is a storage knob, not a model knob: refiling the

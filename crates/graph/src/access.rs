@@ -45,6 +45,19 @@ pub trait GraphAccess {
     }
 }
 
+/// Edge tests for one anchor: `linked[i]` is whether `sampled[i]` is in
+/// `anchor_list`, the anchor's sorted neighbor list.
+///
+/// Adjacency is symmetric, so this equals `has_edge(anchor, sampled[i])`
+/// — but where `has_edge` opens the lower-degree endpoint's list (one
+/// random block read per sampled vertex on an out-of-core backend), the
+/// anchor's list is read once and answers every test. All training-path
+/// edge tests go through here.
+pub fn mark_links(anchor_list: &[u32], sampled: &[VertexId], linked: &mut Vec<bool>) {
+    linked.clear();
+    linked.extend(sampled.iter().map(|b| anchor_list.binary_search(&b.0).is_ok()));
+}
+
 impl<G: GraphAccess> GraphAccess for &mut G {
     fn num_vertices(&self) -> u32 {
         (**self).num_vertices()
@@ -111,6 +124,22 @@ mod tests {
             g.has_edge(VertexId(0), VertexId(1)),
             g.has_edge(VertexId(0), VertexId(3)),
         )
+    }
+
+    #[test]
+    fn mark_links_equals_has_edge_from_either_side() {
+        let mut b = GraphBuilder::new(5);
+        for (x, y) in [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2)] {
+            b.add_edge(VertexId(x), VertexId(y)).unwrap();
+        }
+        let g = b.build();
+        let mut linked = vec![true; 9];
+        for a in 0..5 {
+            let sampled: Vec<VertexId> = (0..5).filter(|&v| v != a).map(VertexId).collect();
+            mark_links(g.neighbors(VertexId(a)), &sampled, &mut linked);
+            let expect: Vec<bool> = sampled.iter().map(|&v| g.has_edge(VertexId(a), v)).collect();
+            assert_eq!(linked, expect, "anchor {a}");
+        }
     }
 
     #[test]

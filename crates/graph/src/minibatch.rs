@@ -273,16 +273,18 @@ impl MinibatchSampler {
                 // Stepping through the residue class directly keeps this
                 // O(N/m) — the master draws mini-batches on the critical
                 // path (unless pipelined), so an O(N) scan would dominate
-                // small-K configurations.
+                // small-K configurations. The anchor's own list answers
+                // every edge test (adjacency is symmetric): one list
+                // read per stratum, where `has_edge` would open a
+                // different vertex's list per candidate — on an
+                // out-of-core backend, a random block each.
                 let p = rng.below_usize(m);
+                let anchor_list = graph.neighbors(anchor);
                 let stratum_pairs = (p as u32..n)
                     .step_by(m)
-                    .filter(|&b| b != anchor.0)
+                    .filter(|&b| b != anchor.0 && anchor_list.binary_search(&b).is_err())
                     .map(|b| Edge::new(anchor, VertexId(b)))
-                    .filter(|&e| {
-                        !graph.has_edge(e.lo(), e.hi())
-                            && !heldout.is_some_and(|h| h.contains(e))
-                    })
+                    .filter(|&e| !heldout.is_some_and(|h| h.contains(e)))
                     .map(|e| (e, false));
                 let before = pairs.len();
                 pairs.extend(stratum_pairs);

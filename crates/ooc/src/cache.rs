@@ -202,65 +202,11 @@ impl BlockCache {
         }
         Ok(())
     }
-
-    /// Decode until `target` is found (or passed — lists are sorted), so
-    /// membership tests stop early instead of decoding the full list.
-    fn list_contains(&mut self, graph: &OocGraph, v: u32, target: u32) -> Result<bool, OocError> {
-        let degree = graph.degree(v) as usize;
-        if degree == 0 {
-            return Ok(false);
-        }
-        let (start, end) = graph.list_range(v);
-        let bs = self.block_size as u64;
-        let mut block = (start / bs) as u32;
-        let mut off = (start % bs) as usize;
-        let mut remaining = (end - start) as usize;
-        let mut st = VarintState::default();
-        let mut prev = 0u64;
-        let mut decoded = 0usize;
-        let corrupt = |v: u32| OocError::Corrupt {
-            reason: format!("malformed neighbor list for vertex {v}"),
-        };
-        while remaining > 0 {
-            let slot = self.slot_for(graph, block)?;
-            let take = remaining.min(self.block_size - off);
-            let base = slot * self.block_size + off;
-            for i in 0..take {
-                let byte = self.data[base + i];
-                if let Some(raw) = st.feed(byte).map_err(|_| corrupt(v))? {
-                    let id = if decoded == 0 {
-                        raw
-                    } else {
-                        prev.checked_add(raw)
-                            .and_then(|x| x.checked_add(1))
-                            .ok_or_else(|| corrupt(v))?
-                    };
-                    decoded += 1;
-                    if decoded > degree || id > u32::MAX as u64 {
-                        return Err(corrupt(v));
-                    }
-                    if id as u32 == target {
-                        return Ok(true);
-                    }
-                    if id as u32 > target {
-                        return Ok(false);
-                    }
-                    prev = id;
-                }
-            }
-            remaining -= take;
-            block += 1;
-            off = 0;
-        }
-        if st.mid_varint() || decoded != degree {
-            return Err(corrupt(v));
-        }
-        Ok(false)
-    }
 }
 
 /// A [`GraphAccess`] view over an [`OocGraph`] and a caller-owned
-/// [`BlockCache`].
+/// [`BlockCache`]. Every read decodes one whole list (the blocks it
+/// spans, usually one); `has_edge` is such a read plus a binary search.
 ///
 /// I/O or corruption failures on the trait's infallible methods are
 /// fatal (panic): the file was fully validated at open, every block is
@@ -300,15 +246,17 @@ impl<'a> OocReader<'a> {
         }
     }
 
-    /// Fallible membership test (decodes the smaller-degree endpoint's
-    /// list with early exit).
+    /// Fallible membership test on the lower-degree endpoint's list.
+    /// For one-off probes (held-out sampling, `RandomPair`, stats): the
+    /// training path reads the *anchor's* list once and tests a whole
+    /// sampled set against it (`mmsb_graph::access::mark_links`).
     pub fn try_has_edge(&mut self, a: VertexId, b: VertexId) -> Result<bool, OocError> {
         let (v, target) = if self.graph.degree(a.0) <= self.graph.degree(b.0) {
-            (a.0, b.0)
+            (a, b.0)
         } else {
-            (b.0, a.0)
+            (b, a.0)
         };
-        self.cache.list_contains(self.graph, v, target)
+        Ok(self.try_neighbors(v)?.binary_search(&target).is_ok())
     }
 }
 
@@ -330,16 +278,12 @@ impl GraphAccess for OocReader<'_> {
     }
 
     fn neighbors(&mut self, v: VertexId) -> &[u32] {
-        match self.cache.decode_list(self.graph, v.0) {
-            Ok(()) => &self.cache.list,
-            Err(e) => panic!("out-of-core neighbor read failed: {e}"),
-        }
+        self.try_neighbors(v)
+            .unwrap_or_else(|e| panic!("out-of-core neighbor read failed: {e}"))
     }
 
     fn has_edge(&mut self, a: VertexId, b: VertexId) -> bool {
-        match self.try_has_edge(a, b) {
-            Ok(y) => y,
-            Err(e) => panic!("out-of-core edge probe failed: {e}"),
-        }
+        self.try_has_edge(a, b)
+            .unwrap_or_else(|e| panic!("out-of-core edge probe failed: {e}"))
     }
 }

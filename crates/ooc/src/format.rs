@@ -216,6 +216,12 @@ mod tests {
         assert_eq!(h.block_len(0), 31);
     }
 
+    /// Recorded with the byte-at-a-time `crc32`: the format must not move.
+    #[test]
+    fn header_crc_is_golden() {
+        assert_eq!(header().encode()[56..60], 0xC18D_843Fu32.to_le_bytes());
+    }
+
     #[test]
     fn header_rejects_bad_magic_version_crc_truncation() {
         let h = header();

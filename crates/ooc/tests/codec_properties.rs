@@ -8,6 +8,9 @@
 //!   self-loops, trailing isolated vertices, hub vertices, run spills
 //!   small enough to force real k-way merges), read back through a
 //!   minimum-size cache so evictions happen constantly,
+//! * converter symmetry: every list of a converted SNAP file contains
+//!   the reverse of each of its entries — what lets training test
+//!   `{a, b}` against `a`'s list alone,
 //! * every-flipped-byte corruption: for each byte of a multi-block file
 //!   and two flip patterns, opening + fully scanning the flipped file
 //!   must error — except in the index's documented-diagnostic
@@ -19,7 +22,9 @@ use std::path::{Path, PathBuf};
 
 use mmsb_graph::VertexId;
 use mmsb_ooc::varint::{decode_list, encode_list, encoded_len, VarintState};
-use mmsb_ooc::{BlockCache, BuildOptions, OocError, OocGraph, OocReader, StreamingBuilder};
+use mmsb_ooc::{
+    convert_edge_list, BlockCache, BuildOptions, OocError, OocGraph, OocReader, StreamingBuilder,
+};
 use mmsb_rand::{Rng, Xoshiro256PlusPlus};
 
 /// A strictly increasing adversarial list, shaped by the seed.
@@ -292,6 +297,65 @@ fn full_scan(path: &Path) -> Result<Vec<Vec<u32>>, OocError> {
         out.push(reader.try_neighbors(VertexId(v))?.to_vec());
     }
     Ok(out)
+}
+
+/// The training path tests an edge `{a, b}` against `a`'s list only
+/// (`mark_links`), which is right only if adjacency is symmetric in the
+/// file: for every `u` in `list(v)`, `v` is in `list(u)` — here on files
+/// the SNAP converter wrote from one-directional, duplicated, looped
+/// input with a hub, through forced merge spills.
+#[test]
+fn converted_file_adjacency_is_symmetric() {
+    for seed in 0..12u64 {
+        let mut rng = Xoshiro256PlusPlus::seed_from_u64(0x5E11 + seed);
+        let n = 20 + rng.below(300);
+        let mut text = String::from("# a\tb, each edge in one arbitrary direction\n");
+        let mut lines = 0u64;
+        let mut emit = |a: u64, b: u64| {
+            // Sparse original ids: the converter densifies them.
+            text.push_str(&format!("{}\t{}\n", a * 7 + 3, b * 7 + 3));
+            lines += 1;
+        };
+        for v in 1..n {
+            if seed % 2 == 0 || v % 5 == 0 {
+                emit(v, 0); // hub, always named second
+            }
+        }
+        for _ in 0..rng.below(1500) {
+            let (a, b) = (rng.below(n), rng.below(n));
+            emit(a, b);
+            if rng.below(8) == 0 {
+                emit(b, a);
+            }
+        }
+        let input = temp_path(&format!("sym-{seed}")).with_extension("txt");
+        let output = temp_path(&format!("sym-{seed}"));
+        std::fs::write(&input, text).unwrap();
+        let opts = BuildOptions {
+            block_size: 4096,
+            run_entries: 256,
+            ..BuildOptions::default()
+        };
+        let (stats, _ids) = convert_edge_list(&input, &output, opts).unwrap();
+        assert!(stats.num_edges <= lines, "seed {seed}");
+
+        let lists = full_scan(&output).unwrap();
+        let mut directed = 0u64;
+        for (v, list) in lists.iter().enumerate() {
+            assert!(list.windows(2).all(|w| w[0] < w[1]), "seed {seed}: list {v} unsorted");
+            for &u in list {
+                assert_ne!(u as usize, v, "seed {seed}: self-loop at {v}");
+                assert!(
+                    lists[u as usize].binary_search(&(v as u32)).is_ok(),
+                    "seed {seed}: {u} in list({v}) but {v} not in list({u})"
+                );
+            }
+            directed += list.len() as u64;
+        }
+        assert_eq!(directed, 2 * stats.num_edges, "seed {seed}");
+        let _ = std::fs::remove_file(&input);
+        let _ = std::fs::remove_file(&output);
+    }
 }
 
 #[test]

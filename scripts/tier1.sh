@@ -100,11 +100,15 @@ cargo test -q --offline -p mmsb-serve --test http_prop
 # every-flipped-byte corruption sweep proving each byte is either
 # CRC/invariant-detected or provably harmless), cross-backend bitwise
 # determinism (resident vs out-of-core chains identical across
-# eviction-heavy cache sizes, thread counts, and block sizes), the
+# eviction-heavy cache sizes, thread counts, and block sizes, on
+# near-uniform and power-law degrees), the block-read budget of one
+# training step (each mini-batch vertex's and each anchor's list opened
+# once: anchor-side edge tests, not one foreign list per probe), the
 # zero-allocation warmed cache read loop (inside zero_alloc above,
 # named here for locality), and the quick bench gate (streamed build →
 # bytes/edge <= 4.8 → cold/warm reads → end-to-end ooc training; the
 # committed BENCH_graph.json carries the full-run 100M-edge figures).
 cargo test -q --offline -p mmsb-ooc
 cargo test -q --offline -p mmsb-core --test backend_determinism
+cargo test -q --offline -p mmsb-core --test ooc_read_count
 (cd "$(mktemp -d)" && "$repo/target/release/bench_graph" --quick)
