@@ -185,11 +185,17 @@ impl ServerShared {
 
     fn reload_inner(&self) -> Result<usize, ServeError> {
         let path = self.model_path.lock().expect("model path lock").clone();
-        let ckpt = Checkpoint::load(&path).map_err(|e| ServeError::Checkpoint(e.to_string()))?;
-        let snap = ModelSnapshot::from_checkpoint(&ckpt, self.delta, self.backend)
-            .map_err(ServeError::Snapshot)?;
+        let snap = load_snapshot(&path, self.delta, self.backend)?;
         Ok(self.cell.publish(Arc::new(snap)))
     }
+}
+
+/// Load and verify the checkpoint at `path` and build its snapshot.
+/// The checkpoint is dropped before this returns, so its planes are
+/// never resident beside a published snapshot.
+fn load_snapshot(path: &Path, delta: f64, backend: Backend) -> Result<ModelSnapshot, ServeError> {
+    let ckpt = Checkpoint::load(path).map_err(|e| ServeError::Checkpoint(e.to_string()))?;
+    ModelSnapshot::from_checkpoint(&ckpt, delta, backend).map_err(ServeError::Snapshot)
 }
 
 /// Exact accounting from a two-phase drain.
@@ -235,10 +241,7 @@ impl ServeHandle {
     /// serving. Returns once the socket is bound and the first
     /// snapshot is published — queries may be sent immediately.
     pub fn start(model_path: &Path, cfg: &ServeConfig) -> Result<Self, ServeError> {
-        let ckpt =
-            Checkpoint::load(model_path).map_err(|e| ServeError::Checkpoint(e.to_string()))?;
-        let snap = ModelSnapshot::from_checkpoint(&ckpt, cfg.delta, cfg.backend)
-            .map_err(ServeError::Snapshot)?;
+        let snap = load_snapshot(model_path, cfg.delta, cfg.backend)?;
         let listener = TcpListener::bind(&cfg.addr)?;
         // Permanently non-blocking: workers poll accept when idle, so
         // no thread is ever parked in an unbounded syscall and drain

@@ -6,46 +6,18 @@
 //! One `#[test]` function: obs is process-global and the deadline
 //! counter assertions only make sense when this test owns all traffic.
 
-use mmsb_core::{SamplerConfig, SequentialSampler};
-use mmsb_graph::generate::planted::{generate_planted, PlantedConfig};
-use mmsb_graph::heldout::HeldOut;
 use mmsb_obs::id as obs_id;
 use mmsb_obs::{ObsConfig, ObsLevel};
-use mmsb_rand::Xoshiro256PlusPlus;
 use mmsb_serve::loadgen::{self, ChaosKind, ALL_CHAOS};
 use mmsb_serve::{ServeConfig, ServeHandle};
-use std::path::PathBuf;
 
-const K: usize = 4;
-
-fn train_checkpoint(seed: u64, iters: u64) -> mmsb_core::Checkpoint {
-    let mut rng = Xoshiro256PlusPlus::seed_from_u64(seed);
-    let gen = generate_planted(
-        &PlantedConfig {
-            num_vertices: 40,
-            num_communities: K,
-            mean_community_size: 12.0,
-            memberships_per_vertex: 1.2,
-            internal_degree: 8.0,
-            background_degree: 0.5,
-        },
-        &mut rng,
-    );
-    let (graph, heldout) = HeldOut::split(&gen.graph, 20, &mut rng);
-    let mut s =
-        SequentialSampler::new(graph, heldout, SamplerConfig::new(K).with_seed(seed)).unwrap();
-    s.run(iters);
-    s.checkpoint()
-}
-
-fn tmp_model_path() -> PathBuf {
-    std::env::temp_dir().join(format!("mmsb-serve-chaos-{}.ckpt", std::process::id()))
-}
+mod common;
+use common::{tmp_model, train_checkpoint, wait_until};
 
 #[test]
 fn misbehaving_clients_cannot_pin_workers() {
     mmsb_obs::init(ObsConfig::at(ObsLevel::Metrics));
-    let model_path = tmp_model_path();
+    let model_path = tmp_model("chaos");
     train_checkpoint(7, 8).save(&model_path).unwrap();
 
     // Short deadline so each chaos client is resolved quickly; two
@@ -99,11 +71,11 @@ fn misbehaving_clients_cannot_pin_workers() {
     // probe's slot releases asynchronously (the client has closed; the
     // worker may still be waking to the EOF), so allow a bounded
     // settle — a *leaked* slot stays charged forever and still fails.
-    let sw = mmsb_obs::clock::Stopwatch::start();
-    while handle.conns_open() != 0 && sw.elapsed_ns() < 2_000_000_000 {
-        std::thread::sleep(std::time::Duration::from_millis(5));
-    }
-    assert_eq!(handle.conns_open(), 0, "all chaos conns released");
+    wait_until(
+        "all chaos conns are released",
+        || handle.overload_stats(),
+        || handle.conns_open() == 0,
+    );
     let stats = handle.overload_stats();
     handle.shutdown();
     std::fs::remove_file(&model_path).ok();
@@ -116,8 +88,7 @@ fn misbehaving_clients_cannot_pin_workers() {
 /// poll must shut down promptly under a connect flood.
 #[test]
 fn shutdown_completes_under_connect_flood() {
-    let model_path =
-        std::env::temp_dir().join(format!("mmsb-serve-flood-{}.ckpt", std::process::id()));
+    let model_path = tmp_model("flood");
     train_checkpoint(11, 6).save(&model_path).unwrap();
     let handle = ServeHandle::start(
         &model_path,
@@ -138,7 +109,15 @@ fn shutdown_completes_under_connect_flood() {
         }
         connected
     });
-    std::thread::sleep(std::time::Duration::from_millis(20));
+    // Mid-flood: the server has met the first of the 384 connections.
+    wait_until(
+        "the flood reaches the server",
+        || handle.overload_stats(),
+        || {
+            let stats = handle.overload_stats();
+            stats.admitted + stats.shed_conns > 0
+        },
+    );
 
     let sw = mmsb_obs::clock::Stopwatch::start();
     let report = handle.drain(500);
@@ -156,8 +135,7 @@ fn shutdown_completes_under_connect_flood() {
 /// total verdict (pinned again, property-style, in `http_prop.rs`).
 #[test]
 fn garbage_storm_then_healthy() {
-    let model_path =
-        std::env::temp_dir().join(format!("mmsb-serve-garbage-{}.ckpt", std::process::id()));
+    let model_path = tmp_model("garbage");
     train_checkpoint(13, 6).save(&model_path).unwrap();
     let handle = ServeHandle::start(
         &model_path,

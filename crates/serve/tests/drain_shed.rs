@@ -1,43 +1,17 @@
 //! Admission + drain against a live server: over-cap connections get
-//! the fast-path 503, graceful drain answers everything in flight with
-//! zero client-visible errors, and force-close accounts its stragglers
-//! exactly.
+//! the fast-path 503 and graceful drain answers everything in flight
+//! with zero client-visible errors. (`drain_forced.rs` covers the
+//! expired budget.)
 
-use mmsb_core::{SamplerConfig, SequentialSampler};
-use mmsb_graph::generate::planted::{generate_planted, PlantedConfig};
-use mmsb_graph::heldout::HeldOut;
-use mmsb_rand::Xoshiro256PlusPlus;
-use mmsb_serve::{http, loadgen, ChaosKind, ServeConfig, ServeHandle};
+use mmsb_serve::{http, ServeConfig, ServeHandle};
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
-use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
-const K: usize = 4;
-
-fn train_checkpoint(seed: u64, iters: u64) -> mmsb_core::Checkpoint {
-    let mut rng = Xoshiro256PlusPlus::seed_from_u64(seed);
-    let gen = generate_planted(
-        &PlantedConfig {
-            num_vertices: 40,
-            num_communities: K,
-            mean_community_size: 12.0,
-            memberships_per_vertex: 1.2,
-            internal_degree: 8.0,
-            background_degree: 0.5,
-        },
-        &mut rng,
-    );
-    let (graph, heldout) = HeldOut::split(&gen.graph, 20, &mut rng);
-    let mut s =
-        SequentialSampler::new(graph, heldout, SamplerConfig::new(K).with_seed(seed)).unwrap();
-    s.run(iters);
-    s.checkpoint()
-}
-
-fn tmp_model(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("mmsb-serve-{tag}-{}.ckpt", std::process::id()))
-}
+mod common;
+use common::{tmp_model, train_checkpoint, wait_until};
 
 /// Read exactly one full response; panics on anything unparseable.
 fn read_response(stream: &mut TcpStream) -> (u16, usize) {
@@ -116,8 +90,11 @@ fn graceful_drain_answers_everything_in_flight() {
     // followed by close, or a clean EOF *between* exchanges. A partial
     // response or a reset is a client-visible error.
     let stop_after = 10_000; // safety bound, drain ends the loop first
-    let clients: Vec<_> = (0..2)
-        .map(|_| {
+    let served: [Arc<AtomicU64>; 2] = Default::default();
+    let clients: Vec<_> = served
+        .iter()
+        .map(|served| {
+            let served = Arc::clone(served);
             std::thread::spawn(move || {
                 let mut stream = TcpStream::connect(addr).unwrap();
                 stream.set_nodelay(true).unwrap();
@@ -141,6 +118,7 @@ fn graceful_drain_answers_everything_in_flight() {
                             assert_eq!(status, 200);
                             assert_eq!(total, buf.len());
                             completed += 1;
+                            served.store(completed, Ordering::Relaxed);
                             break;
                         }
                         match stream.read(&mut chunk) {
@@ -176,8 +154,12 @@ fn graceful_drain_answers_everything_in_flight() {
         })
         .collect();
 
-    // Let the clients get into a steady rhythm, then drain.
-    std::thread::sleep(Duration::from_millis(100));
+    // Drain mid-traffic: once both clients are admitted and in a
+    // steady rhythm.
+    let progress = || served.each_ref().map(|s| s.load(Ordering::Relaxed));
+    wait_until("both clients have been served 10 times", progress, || {
+        progress().iter().all(|&done| done >= 10)
+    });
     let report = handle.drain(2_000);
 
     let mut total_completed = 0;
@@ -191,42 +173,5 @@ fn graceful_drain_answers_everything_in_flight() {
     assert_eq!(report.aborted, 0, "graceful drain must not abort: {report:?}");
     assert_eq!(report.completed, 2, "both conns closed at a boundary: {report:?}");
     assert!(!report.forced, "{report:?}");
-    std::fs::remove_file(&model_path).ok();
-}
-
-#[test]
-fn expired_drain_budget_force_closes_and_counts_aborts() {
-    let model_path = tmp_model("force");
-    train_checkpoint(23, 6).save(&model_path).unwrap();
-    let handle = ServeHandle::start(
-        &model_path,
-        &ServeConfig {
-            threads: 1,
-            // Long enough that the drain budget expires first, short
-            // enough that the worker's blocked write resolves and the
-            // drain's join returns quickly.
-            deadline_ms: 400,
-            ..ServeConfig::default()
-        },
-    )
-    .unwrap();
-    let addr = handle.addr();
-
-    // A never-read client wedges the worker in a response write (its
-    // receive buffer fills and it never drains it).
-    let wedge = std::thread::spawn(move || {
-        loadgen::chaos(addr, ChaosKind::NeverRead, 1, 99, 3_000)
-    });
-    std::thread::sleep(Duration::from_millis(100));
-
-    // The 50ms budget expires while the worker is still stuck.
-    let report = handle.drain(50);
-    assert!(report.forced, "budget must have expired: {report:?}");
-    assert_eq!(
-        report.completed + report.aborted,
-        1,
-        "the one connection must be accounted exactly once: {report:?}"
-    );
-    let _ = wedge.join();
     std::fs::remove_file(&model_path).ok();
 }

@@ -76,6 +76,15 @@ bash scripts/sanitize.sh
 # committed BENCH_serve.json carries the full-run >= 100k q/s figure).
 cargo test -q --offline -p mmsb-serve
 cargo test -q --offline -p mmsb-check --test model_snapshot_cell
+# The snapshot build, named for locality (all inside the suite above):
+# the served orders against a full sort (topk_property), the
+# packed-key + radix build against its comparator oracle bit for bit at
+# forced range counts, the key order itself, and the fan-out from
+# inside a pool chunk (snapshot::tests); a reload over the socket
+# serving byte for byte what a main-thread build serves (reload_stress).
+cargo test -q --offline -p mmsb-serve --test topk_property
+cargo test -q --offline -p mmsb-serve --lib snapshot::tests
+cargo test -q --offline -p mmsb-serve --test reload_stress
 (cd "$(mktemp -d)" && "$repo/target/release/bench_serve" --quick)
 
 # Overload-robustness contracts (DESIGN.md §13): the admission/drain
@@ -84,13 +93,16 @@ cargo test -q --offline -p mmsb-check --test model_snapshot_cell
 # and double-decrement negative controls the checker must catch), the
 # adversarial chaos suite (slow-loris, half-close, never-read, garbage,
 # oversized heads, idle — none may pin a worker), shed/drain against a
-# live server, every-flipped-byte reload corruption, and the
+# live server (the expired-budget force-close in a process of its own,
+# drain_forced: it waits on the process-global request counter),
+# every-flipped-byte reload corruption, and the
 # generator-as-oracle property suite for the request parser. The quick
 # bench_serve run above already gates the 4x-overload shed scenario and
 # the zero-client-visible-error drain.
 cargo test -q --offline -p mmsb-check --test model_admission
 cargo test -q --offline -p mmsb-serve --test chaos
 cargo test -q --offline -p mmsb-serve --test drain_shed
+cargo test -q --offline -p mmsb-serve --test drain_forced
 cargo test -q --offline -p mmsb-serve --test reload_corrupt
 cargo test -q --offline -p mmsb-serve --test http_prop
 
