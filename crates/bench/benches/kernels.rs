@@ -2,11 +2,10 @@
 //! of the per-phase numbers in Figure 1 and Table III. Runs on the
 //! in-tree timing harness (`mmsb_bench::timing`).
 
-use mmsb::core::kernels::phi::{update_phi_row, PhiParams};
-use mmsb::core::kernels::theta::{theta_gradient_pair, update_theta};
-use mmsb::core::kernels::RowView;
 use mmsb::prelude::*;
+use mmsb::rand::dist::Normal;
 use mmsb_bench::timing::{black_box, Suite};
+use mmsb_simd::{PhiScratch, ThetaScratch};
 
 fn simplex_row(rng: &mut Xoshiro256PlusPlus, k: usize) -> Vec<f32> {
     let raw: Vec<f64> = (0..k).map(|_| 0.05 + rng.next_f64()).collect();
@@ -14,7 +13,11 @@ fn simplex_row(rng: &mut Xoshiro256PlusPlus, k: usize) -> Vec<f32> {
     raw.iter().map(|&x| (x / s) as f32).collect()
 }
 
+/// One vertex's `update_phi` as `mmsb_core` composes it from the
+/// `mmsb_simd` entry points: gradient, `K` polar draws, vectorized normal
+/// finish, SGRLD step — on the detected backend.
 fn bench_update_phi(suite: &mut Suite) {
+    let backend = Backend::detect();
     for k in [16usize, 64, 256] {
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(1);
         let n_neighbors = 32;
@@ -24,23 +27,36 @@ fn bench_update_phi(suite: &mut Suite) {
             .flat_map(|_| simplex_row(&mut rng, k))
             .collect();
         let linked: Vec<bool> = (0..n_neighbors).map(|_| rng.coin()).collect();
-        let params = PhiParams {
-            alpha: 1.0 / k as f64,
-            delta: 1e-5,
-            eps: 0.01,
-            grad_scale: 100.0,
-        };
-        let mut f = vec![0.0f64; 2 * k];
+        let (alpha, delta, eps, grad_scale) = (1.0 / k as f64, 1e-5, 0.01f64, 100.0);
+        let mut scratch = PhiScratch::new(k);
+        let (mut u, mut s) = (vec![0.0f64; k], vec![0.0f64; k]);
+        let mut noise = vec![0.0f64; k];
         let mut out = vec![0.0f64; k];
         suite.bench(&format!("update_phi_row/{k}"), || {
-            update_phi_row(
+            mmsb_simd::phi_gradient(
+                backend,
                 black_box(&phi_a),
                 black_box(&beta),
-                &RowView::new(&rows, k),
+                &rows,
+                k,
                 &linked,
-                &params,
-                &mut rng,
-                &mut f,
+                delta,
+                &mut scratch,
+                &mut out,
+            );
+            for (u, s) in u.iter_mut().zip(&mut s) {
+                (*u, *s) = Normal::standard_accept(&mut rng);
+            }
+            mmsb_simd::polar_normal(backend, &u, &s, &mut noise);
+            mmsb_simd::sgrld_step(
+                backend,
+                &phi_a,
+                &noise,
+                alpha,
+                0.5 * eps,
+                grad_scale,
+                eps.sqrt(),
+                mmsb::core::PHI_MIN,
                 &mut out,
             );
             black_box(&out);
@@ -49,6 +65,7 @@ fn bench_update_phi(suite: &mut Suite) {
 }
 
 fn bench_theta(suite: &mut Suite) {
+    let backend = Backend::detect();
     for k in [16usize, 64, 256] {
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(2);
         let pi_a = simplex_row(&mut rng, k);
@@ -57,27 +74,21 @@ fn bench_theta(suite: &mut Suite) {
         let beta: Vec<f64> = (0..k)
             .map(|c| theta[2 * c + 1] / (theta[2 * c] + theta[2 * c + 1]))
             .collect();
-        let mut f_diag = vec![0.0f64; k];
-        let mut grad = vec![0.0f64; 2 * k];
+        let mut scratch = ThetaScratch::new(k);
+        mmsb_simd::theta_chunk_begin(&beta, &theta, 1e-5, &mut scratch);
         suite.bench(&format!("theta/gradient_pair/{k}"), || {
-            theta_gradient_pair(
+            mmsb_simd::theta_accumulate_pair(
+                backend,
+                &mut scratch,
                 black_box(&pi_a),
                 black_box(&pi_b),
                 true,
                 100.0,
-                &beta,
-                &theta,
-                1e-5,
-                &mut f_diag,
-                &mut grad,
             );
-            black_box(&grad);
         });
-        let mut theta_mut = theta.clone();
-        suite.bench(&format!("theta/update/{k}"), || {
-            update_theta(&mut theta_mut, &grad, 1.0, (1.0, 1.0), 0.001, &mut rng);
-            black_box(&theta_mut);
-        });
+        let mut grad = vec![0.0f64; 2 * k];
+        mmsb_simd::theta_chunk_finish(&scratch, &mut grad);
+        black_box(&grad);
     }
 }
 

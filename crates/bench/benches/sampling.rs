@@ -59,14 +59,14 @@ fn bench_sampler_step(suite: &mut Suite, graph: &Graph, heldout: &HeldOut) {
                 partitions: 32,
                 anchors: 16,
             });
-        let mut sampler = SequentialSampler::new(graph.clone(), heldout.clone(), config).unwrap();
+        let mut sampler = ParallelSampler::with_threads(graph.clone(), heldout.clone(), config, 1).unwrap();
         suite.bench(&format!("sampler_step/sequential/{k}"), || sampler.step());
     }
 }
 
 fn bench_perplexity_eval(suite: &mut Suite, graph: &Graph, heldout: &HeldOut) {
     let config = SamplerConfig::new(64).with_seed(6);
-    let mut sampler = SequentialSampler::new(graph.clone(), heldout.clone(), config).unwrap();
+    let mut sampler = ParallelSampler::with_threads(graph.clone(), heldout.clone(), config, 1).unwrap();
     sampler.run(5);
     suite.bench("perplexity_eval/heldout_800_pairs_k64", || {
         black_box(sampler.evaluate_perplexity())

@@ -47,7 +47,7 @@ fn main() {
                 partitions: 16,
                 anchors: 16,
             });
-        let mut s = SequentialSampler::new(train.clone(), heldout.clone(), config).unwrap();
+        let mut s = ParallelSampler::with_threads(train.clone(), heldout.clone(), config, 1).unwrap();
         s.run(iters);
         let perp = s.evaluate_perplexity();
         table.row(&[
@@ -79,7 +79,7 @@ fn main() {
         ("random pairs (512)", Strategy::RandomPair { size: 512 }),
     ] {
         let config = SamplerConfig::new(12).with_seed(9).with_minibatch(strategy);
-        let mut s = SequentialSampler::new(train.clone(), heldout.clone(), config).unwrap();
+        let mut s = ParallelSampler::with_threads(train.clone(), heldout.clone(), config, 1).unwrap();
         s.run(iters);
         table.row(&[name.to_string(), format!("{:.4}", s.evaluate_perplexity())]);
     }

@@ -17,8 +17,7 @@
 //! * `train/sequential`, `train/parallel` — end-to-end SG-MCMC
 //!   iterations on the out-of-core backend through the driver that
 //!   ships (`ParallelSampler`), at one thread (the id every earlier
-//!   line carries; `SequentialSampler` is the same driver on a
-//!   one-thread pool) and at `host_cores`, each with the block-cache
+//!   line carries) and at `host_cores`, each with the block-cache
 //!   misses per step from the obs counters and one held-out perplexity
 //!   evaluation.
 //!

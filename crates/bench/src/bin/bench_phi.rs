@@ -11,9 +11,11 @@
 //! mode, and `samples > 1` timed batches feed a real median — so lines
 //! sharing an `id` are directly comparable across runs and modes.
 //!
-//! Backends: `phi_step/...` lines force the scalar kernels (the
-//! pre-SIMD baseline, comparable with the full history of this file);
-//! `phi_step_simd/backend=<b>/...` lines force the widest backend
+//! Backends: `phi_step/...` lines force `Backend::Scalar` — since PR 20
+//! the `mmsb-simd` kernels at one unfused lane; earlier lines under the
+//! same ids measured the deleted scalar kernel stack, and the line that
+//! records the break carries a `note`. `phi_step_simd/backend=<b>/...`
+//! lines force the widest backend
 //! runtime detection finds. The `phi_simd_speedup/threads=1` line
 //! records the single-thread scalar-to-SIMD step speedup.
 

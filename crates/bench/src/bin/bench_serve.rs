@@ -56,7 +56,7 @@ fn train_model(path: &Path, quick: bool) {
         &mut rng,
     );
     let (graph, heldout) = HeldOut::split(&gen.graph, 200, &mut rng);
-    let mut s = SequentialSampler::new(graph, heldout, SamplerConfig::new(K).with_seed(7))
+    let mut s = ParallelSampler::with_threads(graph, heldout, SamplerConfig::new(K).with_seed(7), 1)
         .expect("sampler");
     s.run(if quick { 5 } else { 30 });
     s.checkpoint().save(path).expect("save checkpoint");

@@ -213,7 +213,7 @@ mod tests {
     #[test]
     fn arch_confinement() {
         let uses = "use core::arch::x86_64::*;";
-        let vs = lint_file("crates/core/src/kernels/phi.rs", uses);
+        let vs = lint_file("crates/core/src/sampler/stage.rs", uses);
         assert!(vs.iter().any(|v| v.rule == "arch-confinement"), "{vs:?}");
         let detect = "if std::arch::is_x86_feature_detected!(\"avx2\") {}";
         let vs = lint_file("crates/bench/src/bin/bench_phi.rs", detect);

@@ -68,16 +68,18 @@ pub const FS_ALLOWED: &[&str] = &[
 pub const TIME_TOKENS: &[&str] = &["Instant", "SystemTime"];
 
 /// The designated hot-path modules: the request path of the serving
-/// layer, the sampler's inner step driver, the SIMD kernels, and the
-/// pool's worker loop. These are the files whose steady state the
-/// counting-allocator tests (`zero_alloc.rs`, `zero_alloc_serve.rs`)
-/// pin dynamically; the hot-path rules pin the same property
-/// statically, on every line, on every build.
+/// layer, the sampler's inner step driver and its per-vertex / per-pair
+/// stage functions, the SIMD kernels, and the pool's worker loop. These
+/// are the files whose steady state the counting-allocator tests
+/// (`zero_alloc.rs`, `zero_alloc_serve.rs`) pin dynamically; the
+/// hot-path rules pin the same property statically, on every line, on
+/// every build.
 pub const HOT_PATHS: &[&str] = &[
     "crates/serve/src/handlers.rs",
     "crates/serve/src/http.rs",
     "crates/serve/src/shed.rs",
     "crates/core/src/sampler/driver.rs",
+    "crates/core/src/sampler/stage.rs",
     "crates/simd/src/phi.rs",
     "crates/simd/src/theta.rs",
     "crates/simd/src/edge.rs",

@@ -87,12 +87,12 @@ pub struct SamplerConfig {
     /// Kernel backend selection for the phi/theta hot path.
     ///
     /// `Auto` (the default) picks the widest SIMD backend the host
-    /// supports; `Force(Backend::Scalar)` routes every kernel through
-    /// the legacy scalar code, reproducing pre-SIMD chains bit for bit.
-    /// Chains are bitwise-reproducible per backend (same backend, seed,
-    /// and thread count ⇒ identical bytes), but different backends
-    /// round differently in the last ulps — force one for cross-host
-    /// reproducibility.
+    /// supports; `Force(Backend::Scalar)` runs the same `mmsb-simd`
+    /// kernels at one unfused lane — the portable choice every host can
+    /// reproduce. Chains are bitwise-reproducible per backend (same
+    /// backend and seed ⇒ identical bytes at any thread count), but
+    /// different backends round differently in the last ulps — force one
+    /// for cross-host reproducibility.
     pub simd: SimdPolicy,
     /// Per-reader block-cache capacity (in blocks) for out-of-core
     /// graphs; ignored by resident backends. Cache size is pure scratch
@@ -224,6 +224,16 @@ impl SamplerConfig {
         }
         Ok(())
     }
+}
+
+/// Every backend this host can run, `Scalar` first — what the
+/// backend-generic unit tests iterate over.
+#[cfg(test)]
+pub(crate) fn available_backends() -> Vec<Backend> {
+    [Backend::Scalar, Backend::Sse2, Backend::Avx2, Backend::Neon]
+        .into_iter()
+        .filter(|b| b.available())
+        .collect()
 }
 
 #[cfg(test)]

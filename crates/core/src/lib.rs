@@ -10,30 +10,30 @@
 //! expanded-mean parameterizations `phi` (for `pi`) and `theta` (for
 //! `beta`), processing one mini-batch of vertex pairs per iteration.
 //!
-//! Three drivers share the same numerical kernels:
+//! Three drivers run the same per-stage code (`sampler/stage.rs`: one
+//! `phi_update`, one `theta_gradient`, both on the `mmsb-simd` kernels):
 //!
-//! * [`SequentialSampler`] — Algorithm 1 verbatim; the reference.
 //! * [`ParallelSampler`] — node-level parallelism over mini-batch vertices
 //!   (the paper's OpenMP layer, here a from-scratch `mmsb-pool` fork-join
-//!   pool). Bitwise-identical chains to the sequential sampler: all
-//!   per-vertex randomness is derived from `(seed, iteration, vertex)`,
-//!   never from thread schedule, and reductions use fixed chunk
-//!   boundaries combined by a fixed binary tree.
+//!   pool). At one thread it is Algorithm 1 verbatim, the reference; at
+//!   any other pool size the chain is bitwise-identical: all per-vertex
+//!   randomness is derived from `(seed, iteration, vertex)`, never from
+//!   thread schedule, and reductions use fixed chunk boundaries combined
+//!   by a fixed binary tree.
 //! * [`DistributedSampler`] — the master–worker cluster execution
 //!   (paper §III) over the `mmsb-dkv` sharded store, run in lockstep
 //!   simulation: per-rank compute is executed for real and measured,
 //!   communication and RDMA time are charged to virtual clocks from the
 //!   `mmsb-netsim` cost models, and pipelining (double-buffered `pi`
 //!   loads) can be toggled — reproducing Figures 1–4 and Table III.
-//!
-//! A fourth driver, [`train_threaded`], runs the same master–worker
-//! protocol with real OS threads and `mmsb-comm` message passing (for
-//! functional/concurrency validation; it produces the identical chain).
+//! * [`train_threaded`] — the same master–worker protocol with real OS
+//!   threads and `mmsb-comm` message passing (for functional/concurrency
+//!   validation; it produces the identical chain).
 //!
 //! # Quickstart
 //!
 //! ```
-//! use mmsb_core::{SamplerConfig, SequentialSampler};
+//! use mmsb_core::{ParallelSampler, SamplerConfig};
 //! use mmsb_graph::generate::planted::{generate_planted, PlantedConfig};
 //! use mmsb_graph::heldout::HeldOut;
 //! use mmsb_rand::Xoshiro256PlusPlus;
@@ -46,7 +46,7 @@
 //! let (train, heldout) = HeldOut::split(&gen.graph, 40, &mut rng);
 //!
 //! let config = SamplerConfig::new(4).with_seed(1);
-//! let mut sampler = SequentialSampler::new(train, heldout, config).unwrap();
+//! let mut sampler = ParallelSampler::with_threads(train, heldout, config, 1).unwrap();
 //! sampler.run(50);
 //! let perplexity = sampler.evaluate_perplexity();
 //! assert!(perplexity.is_finite() && perplexity > 1.0);
@@ -58,11 +58,12 @@ pub mod communities;
 pub mod convergence;
 pub mod diagnostics;
 pub mod eval;
-pub mod kernels;
 
 mod checkpoint;
 mod compute_model;
 mod config;
+#[cfg(test)]
+mod kernels;
 mod perplexity;
 mod posterior;
 mod rngs;
@@ -77,7 +78,6 @@ pub use perplexity::{link_probability, PerplexityAccumulator};
 pub use posterior::PosteriorMean;
 pub use sampler::distributed::{DistributedConfig, DistributedSampler};
 pub use sampler::parallel::ParallelSampler;
-pub use sampler::sequential::SequentialSampler;
 pub use sampler::threaded::{train_threaded, ThreadedOutcome};
 pub use state::{ModelState, PHI_MIN};
 

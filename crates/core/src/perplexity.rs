@@ -97,16 +97,12 @@ impl PerplexityAccumulator {
     }
 
     /// [`Self::value`] with the per-pair log taken by the vectorized
-    /// `mmsb-simd` log on `backend` (`Scalar` delegates to [`Self::value`],
-    /// keeping legacy chains bit-identical). Each log is within the
-    /// documented ulp bound of `f64::ln`, so the metric agrees with the
-    /// scalar form to ~1e-15 relative. `scratch` must hold at least
-    /// `2 * num_pairs` slots; it is pure scratch, letting hot loops avoid
-    /// per-call allocation.
+    /// `mmsb-simd` log on `backend`. Each log is within the documented
+    /// ulp bound of `f64::ln`, so the metric agrees with [`Self::value`]
+    /// to ~1e-15 relative. `scratch` must hold at least `2 * num_pairs`
+    /// slots; it is pure scratch, letting hot loops avoid per-call
+    /// allocation.
     pub fn value_with(&self, backend: mmsb_simd::Backend, scratch: &mut [f64]) -> Option<f64> {
-        if backend == mmsb_simd::Backend::Scalar {
-            return self.value();
-        }
         if self.samples == 0 || self.prob_sums.is_empty() {
             return None;
         }
@@ -115,8 +111,8 @@ impl PerplexityAccumulator {
         let t = self.samples as f64;
         let (ratios, logs) = scratch[..2 * n].split_at_mut(n);
         for (r, &s) in ratios.iter_mut().zip(&self.prob_sums) {
-            // Same clamp as the scalar path: no pair may poison the
-            // metric with -inf.
+            // Same clamp as `value`: no pair may poison the metric with
+            // -inf.
             *r = (s / t).max(1e-300);
         }
         mmsb_simd::vln(backend, ratios, logs);
@@ -209,27 +205,13 @@ mod tests {
         acc.record(&probs.iter().map(|p| 1.0 - p * 0.5).collect::<Vec<_>>());
         let scalar = acc.value().unwrap();
         let mut scratch = vec![0.0; 128];
-        for b in [
-            mmsb_simd::Backend::Scalar,
-            mmsb_simd::Backend::Sse2,
-            mmsb_simd::Backend::Avx2,
-            mmsb_simd::Backend::Neon,
-        ] {
-            if !b.available() {
-                continue;
-            }
+        for b in crate::config::available_backends() {
             let got = acc.value_with(b, &mut scratch).unwrap();
             assert!(
                 (got - scalar).abs() <= 1e-12 * scalar,
                 "{b}: {got} vs {scalar}"
             );
         }
-        // Scalar delegation is exact.
-        assert_eq!(
-            acc.value_with(mmsb_simd::Backend::Scalar, &mut scratch)
-                .unwrap(),
-            scalar
-        );
     }
 
     #[test]

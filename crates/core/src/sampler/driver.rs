@@ -1,14 +1,13 @@
-//! The shared chunked step executed by the sequential and parallel
-//! drivers.
+//! The chunked step of [`crate::ParallelSampler`].
 //!
-//! Both drivers run the *same* code over the *same* fixed chunk
+//! Every pool size runs the *same* code over the *same* fixed chunk
 //! boundaries; the only difference is whether the chunks of an iteration
-//! execute on one thread or on a [`ThreadPool`]. Because every chunk
-//! writes only to the buffer region owned by its chunk index, and the
-//! theta chunks are combined by a fixed binary tree, the resulting chain
-//! is bitwise-identical for any thread count — including one.
+//! execute inline (one thread) or on a [`ThreadPool`]. Because every
+//! chunk writes only to the buffer region owned by its chunk index, and
+//! the theta chunks are combined by a fixed binary tree, the resulting
+//! chain is bitwise-identical for any thread count — including one.
 
-use crate::sampler::engine::{Engine, PHI_CHUNK};
+use crate::sampler::engine::{Engine, PHI_CHUNK, THETA_CHUNK};
 use crate::workspace::Workspace;
 use mmsb_netsim::obs_bridge;
 use mmsb_netsim::Phase;
@@ -113,7 +112,7 @@ pub(crate) fn step(
             // SAFETY: chunk ranges [lo*k, hi*k) are pairwise disjoint.
             let chunk_out = unsafe { out.range(lo * k, hi * k) };
             for (j, idx) in (lo..hi).enumerate() {
-                eng.compute_phi_update_into(
+                eng.update_phi_local(
                     eng.mb_vertices[idx],
                     ws,
                     &mut chunk_out[j * k..(j + 1) * k],
@@ -131,6 +130,7 @@ pub(crate) fn step(
     // Stage 4: theta update against the fresh pi.
     let _p_theta = PhaseObs::open(Phase::UpdateBetaTheta);
     let n_chunks = engine.theta_chunk_count();
+    let n_pairs = engine.mb.pairs.len();
     ensure_len(&mut bufs.chunk_grads, n_chunks * 2 * k);
     {
         let eng = &*engine;
@@ -138,7 +138,9 @@ pub(crate) fn step(
         pool.run_with(workspaces, n_chunks, |ws, chunk| {
             // SAFETY: one disjoint 2K row per chunk.
             let grad = unsafe { out.range(chunk * 2 * k, (chunk + 1) * 2 * k) };
-            eng.theta_gradient_chunk(chunk, ws, grad);
+            let lo = chunk * THETA_CHUNK;
+            let hi = ((chunk + 1) * THETA_CHUNK).min(n_pairs);
+            eng.theta_gradient(lo, hi, &mut ws.stage, grad);
         });
     }
     tree_combine_f64(&mut bufs.chunk_grads[..n_chunks * 2 * k], 2 * k, n_chunks);

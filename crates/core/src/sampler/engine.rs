@@ -1,11 +1,10 @@
 //! Shared iteration machinery.
 
+use super::stage::{self, PhiParams, StageScratch};
 use crate::config::SamplerConfig;
-use crate::kernels::phi::{update_phi_row, PhiParams};
-use crate::kernels::theta::{theta_gradient_pair, update_theta};
 use crate::perplexity::{link_probability, PerplexityAccumulator};
 use crate::rngs;
-use crate::state::ModelState;
+use crate::state::{ModelState, PHI_MIN};
 use crate::workspace::Workspace;
 use crate::CoreError;
 use mmsb_graph::access::mark_links;
@@ -15,7 +14,7 @@ use mmsb_graph::neighbor::NeighborSampler;
 use mmsb_graph::{Graph, GraphAccess, VertexId};
 use mmsb_ooc::{BlockCache, GraphBackend};
 use mmsb_rand::dist::Normal;
-use mmsb_rand::Xoshiro256PlusPlus;
+use mmsb_rand::{RngCore, Xoshiro256PlusPlus};
 use mmsb_simd::Backend;
 
 /// Pairs per theta-gradient chunk. One chunk accumulates its pairs
@@ -45,11 +44,10 @@ pub(crate) struct Engine {
     pub neighbors: NeighborSampler,
     pub perplexity: PerplexityAccumulator,
     /// Kernel backend resolved from [`SamplerConfig::simd`] at
-    /// construction. `Scalar` routes through the legacy kernels
-    /// (bitwise-identical to pre-SIMD chains); everything else runs the
-    /// `mmsb-simd` kernels under their per-backend numeric contract.
+    /// construction; every stage runs the `mmsb-simd` kernels on it
+    /// under their per-backend numeric contract.
     pub backend: Backend,
-    /// Scratch for the SIMD perplexity log (2 x held-out pairs).
+    /// Scratch for the vectorized perplexity log (2 x held-out pairs).
     perp_scratch: Vec<f64>,
     pub iteration: u64,
     /// Current mini-batch, reused across iterations by
@@ -59,14 +57,7 @@ pub(crate) struct Engine {
     pub mb_vertices: Vec<VertexId>,
 }
 
-/// One vertex's pending `phi` update.
-pub(crate) type PhiUpdate = (VertexId, Vec<f64>);
-
 impl Engine {
-    pub fn new(graph: Graph, heldout: HeldOut, config: SamplerConfig) -> Result<Self, CoreError> {
-        Self::with_backend(GraphBackend::Resident(graph), heldout, config)
-    }
-
     /// Build an engine over either graph backend. The chain is bitwise
     /// identical across backends: adjacency reads return the same values
     /// whether they come from the resident CSR or CRC-verified disk
@@ -166,16 +157,9 @@ impl Engine {
         Ok(())
     }
 
-    /// Stage 1: the master draws a mini-batch (consumes master RNG).
-    pub fn draw_minibatch(&mut self) -> MiniBatch {
-        let reader = self.graph.reader(self.master_cache.as_mut());
-        self.minibatch
-            .sample(reader, Some(&self.heldout), &mut self.master_rng)
-    }
-
-    /// Stage 1, allocation-free variant: draw the next mini-batch into the
-    /// engine's reusable [`Engine::mb`]/[`Engine::mb_vertices`] buffers.
-    /// Consumes the master RNG exactly like [`Engine::draw_minibatch`].
+    /// Stage 1: the master draws the next mini-batch (consumes the master
+    /// RNG) into the engine's reusable [`Engine::mb`] /
+    /// [`Engine::mb_vertices`] buffers.
     pub fn refresh_minibatch(&mut self) {
         let reader = self.graph.reader(self.master_cache.as_mut());
         self.minibatch.sample_into(
@@ -198,15 +182,27 @@ impl Engine {
         self.config.step.at(self.iteration)
     }
 
-    /// Stage 2 (per mini-batch vertex, pure): sample the neighbor set and
-    /// compute the vertex's `phi` update against the *current* state,
-    /// writing the new row into `out` (length `K`). All scratch comes from
-    /// `ws`, so the steady state performs no heap allocation.
+    /// The `phi`-stage scalars of the current iteration.
+    pub fn phi_params(&self) -> PhiParams {
+        PhiParams {
+            backend: self.backend,
+            n: self.graph.num_vertices(),
+            alpha: self.config.alpha,
+            delta: self.config.delta,
+            eps: self.eps(),
+        }
+    }
+
+    /// Stage 2 against the resident state (per mini-batch vertex, pure):
+    /// sample the neighbor set, gather its `pi` rows and run
+    /// [`stage::phi_update`] against the *current* state, writing the new
+    /// row into `out` (length `K`). All scratch comes from `ws`, so the
+    /// steady state performs no heap allocation.
     ///
     /// All randomness comes from the `(seed, iteration, vertex)` stream —
     /// the result is independent of which thread (and which workspace)
     /// performs the computation.
-    pub fn compute_phi_update_into(&self, a: VertexId, ws: &mut Workspace, out: &mut [f64]) {
+    pub fn update_phi_local(&self, a: VertexId, ws: &mut Workspace, out: &mut [f64]) {
         let k = self.config.k;
         let mut rng = rngs::vertex_rng(self.config.seed, self.iteration, a.0);
         self.neighbors.sample_into(
@@ -230,107 +226,22 @@ impl Engine {
         mark_links(reader.neighbors(a), &ws.neighbors, &mut ws.linked);
 
         self.state.phi_row(a.0, &mut ws.phi_a);
-        let params = PhiParams {
-            alpha: self.config.alpha,
-            delta: self.config.delta,
-            eps: self.eps(),
-            grad_scale: self.graph.num_vertices() as f64 / nn.max(1) as f64,
-        };
-        if self.backend == Backend::Scalar {
-            update_phi_row(
-                &ws.phi_a,
-                self.state.beta(),
-                &crate::kernels::RowView::new(&ws.rows, k),
-                &ws.linked,
-                &params,
-                &mut rng,
-                &mut ws.f,
-                out,
-            );
-        } else {
-            // SIMD path: same gradient-then-noise order as the scalar
-            // kernel — the K accepted polar pairs are drawn in
-            // coordinate order, so the per-vertex RNG stream is
-            // consumed identically; the transcendental finish then runs
-            // vectorized over the whole batch.
-            mmsb_simd::phi_gradient(
-                self.backend,
-                &ws.phi_a,
-                self.state.beta(),
-                &ws.rows,
-                k,
-                &ws.linked,
-                params.delta,
-                &mut ws.phi_scratch,
-                out,
-            );
-            ws.noise_u.clear();
-            ws.noise_s.clear();
-            for _ in 0..k {
-                let (u, s) = Normal::standard_accept(&mut rng);
-                ws.noise_u.push(u);
-                ws.noise_s.push(s);
-            }
-            ws.noise.clear();
-            ws.noise.resize(k, 0.0);
-            mmsb_simd::polar_normal(self.backend, &ws.noise_u, &ws.noise_s, &mut ws.noise);
-            mmsb_simd::sgrld_step(
-                self.backend,
-                &ws.phi_a,
-                &ws.noise,
-                params.alpha,
-                0.5 * params.eps,
-                params.grad_scale,
-                params.eps.sqrt(),
-                crate::state::PHI_MIN,
-                out,
-            );
-        }
-    }
-
-    /// Distributed variant of [`Engine::compute_phi_update`]: the vertex's
-    /// own DKV row and its neighbors' rows were already loaded from the
-    /// store (stride `k + 1`: `pi ++ sum(phi)`), and the neighbor set was
-    /// sampled earlier from `rng` (which must be passed back in so the
-    /// noise draws continue the same per-vertex stream).
-    ///
-    /// Produces bit-identical results to the local variant because the
-    /// store rows are the same f32 values held in [`ModelState`].
-    pub fn compute_phi_update_from_rows(
-        &self,
-        a: VertexId,
-        own_row: &[f32],
-        neighbor_rows: &crate::kernels::RowView<'_>,
-        linked: &[bool],
-        rng: &mut Xoshiro256PlusPlus,
-    ) -> PhiUpdate {
-        phi_update_from_dkv_rows(
-            &WorkerParams {
-                k: self.config.k,
-                n: self.graph.num_vertices(),
-                alpha: self.config.alpha,
-                delta: self.config.delta,
-                eps: self.eps(),
-                backend: self.backend,
-            },
+        stage::phi_update(
+            &self.phi_params(),
             self.state.beta(),
-            a,
-            own_row,
-            neighbor_rows,
-            linked,
-            rng,
-        )
+            &ws.phi_a,
+            &ws.rows,
+            k,
+            &ws.linked,
+            &mut rng,
+            &mut ws.stage,
+            out,
+        );
     }
 
     /// Stage 3: apply all `phi` updates (the `update_pi` barrier stage).
-    pub fn apply_phi_updates(&mut self, updates: &[PhiUpdate]) {
-        for (a, phi) in updates {
-            self.state.set_phi_row(a.0, phi);
-        }
-    }
-
-    /// Stage 3, allocation-free variant: `updates` holds one `K`-row per
-    /// entry of [`Engine::mb_vertices`], in order.
+    /// `updates` holds one `K`-row per entry of [`Engine::mb_vertices`],
+    /// in order.
     pub fn apply_phi_updates_flat(&mut self, updates: &[f64]) {
         let k = self.config.k;
         assert_eq!(
@@ -349,97 +260,27 @@ impl Engine {
         self.mb.pairs.len().div_ceil(THETA_CHUNK).max(1)
     }
 
-    /// Accumulate chunk `chunk` of the current mini-batch's weighted theta
-    /// gradient into `out` (length `2K`, overwritten). Pairs within a
-    /// chunk are accumulated serially in batch order; chunk boundaries are
-    /// fixed multiples of `THETA_CHUNK`, so the result depends only on the
-    /// batch, never on thread count.
-    pub fn theta_gradient_chunk(&self, chunk: usize, ws: &mut Workspace, out: &mut [f64]) {
-        let lo = chunk * THETA_CHUNK;
-        let hi = ((chunk + 1) * THETA_CHUNK).min(self.mb.pairs.len());
-        let pairs = self.mb.pairs[lo..hi].iter().zip(&self.mb.weights[lo..hi]);
-        if self.backend == Backend::Scalar {
-            out.fill(0.0);
-            for (&(e, y), &w) in pairs {
-                theta_gradient_pair(
-                    self.state.pi_row(e.lo().0),
-                    self.state.pi_row(e.hi().0),
-                    y,
-                    w,
-                    self.state.beta(),
-                    self.state.theta(),
-                    self.config.delta,
-                    &mut ws.grad,
-                    out,
-                );
-            }
-        } else {
-            mmsb_simd::theta_chunk_begin(
-                self.state.beta(),
-                self.state.theta(),
-                self.config.delta,
-                &mut ws.theta_scratch,
-            );
-            for (&(e, y), &w) in pairs {
-                mmsb_simd::theta_accumulate_pair(
-                    self.backend,
-                    &mut ws.theta_scratch,
-                    self.state.pi_row(e.lo().0),
-                    self.state.pi_row(e.hi().0),
-                    y,
-                    w,
-                );
-            }
-            mmsb_simd::theta_chunk_finish(&ws.theta_scratch, out);
-        }
-    }
-
-    /// Compute the weighted `theta` gradient contribution of a slice of
-    /// mini-batch pairs against the current (fresh) `pi`. Pure; used by
-    /// workers. `weights` must align with `pairs`.
-    pub fn theta_gradient_slice(
-        &self,
-        pairs: &[(mmsb_graph::Edge, bool)],
-        weights: &[f64],
-    ) -> Vec<f64> {
-        assert_eq!(pairs.len(), weights.len(), "weights must align with pairs");
-        let mut grad = vec![0.0f64; 2 * self.config.k];
-        if self.backend == Backend::Scalar {
-            let mut f_diag = vec![0.0f64; self.config.k];
-            for (&(e, y), &w) in pairs.iter().zip(weights) {
-                theta_gradient_pair(
-                    self.state.pi_row(e.lo().0),
-                    self.state.pi_row(e.hi().0),
-                    y,
-                    w,
-                    self.state.beta(),
-                    self.state.theta(),
-                    self.config.delta,
-                    &mut f_diag,
-                    &mut grad,
-                );
-            }
-        } else {
-            let mut scratch = mmsb_simd::ThetaScratch::new(self.config.k);
-            mmsb_simd::theta_chunk_begin(
-                self.state.beta(),
-                self.state.theta(),
-                self.config.delta,
-                &mut scratch,
-            );
-            for (&(e, y), &w) in pairs.iter().zip(weights) {
-                mmsb_simd::theta_accumulate_pair(
-                    self.backend,
-                    &mut scratch,
-                    self.state.pi_row(e.lo().0),
-                    self.state.pi_row(e.hi().0),
-                    y,
-                    w,
-                );
-            }
-            mmsb_simd::theta_chunk_finish(&scratch, &mut grad);
-        }
-        grad
+    /// Accumulate the weighted theta gradient of the current mini-batch's
+    /// pairs `[lo, hi)` against the current (fresh) `pi` into `out`
+    /// (length `2K`, overwritten). Pairs are accumulated serially in batch
+    /// order, so the result depends only on the batch and the range —
+    /// the pool driver passes fixed `THETA_CHUNK` ranges, the distributed
+    /// driver each rank's pair share.
+    pub fn theta_gradient(&self, lo: usize, hi: usize, scratch: &mut StageScratch, out: &mut [f64]) {
+        let state = &self.state;
+        let pairs = self.mb.pairs[lo..hi]
+            .iter()
+            .zip(&self.mb.weights[lo..hi])
+            .map(|(&(e, y), &w)| (state.pi_row(e.lo().0), state.pi_row(e.hi().0), y, w));
+        stage::theta_gradient(
+            self.backend,
+            state.beta(),
+            state.theta(),
+            self.config.delta,
+            pairs,
+            scratch,
+            out,
+        );
     }
 
     /// Stage 4 (master): apply the `theta` SGRLD step from an accumulated
@@ -451,7 +292,6 @@ impl Engine {
         update_theta(
             self.state.theta_mut(),
             grad,
-            1.0,
             self.config.eta,
             eps,
             &mut self.theta_rng,
@@ -459,16 +299,8 @@ impl Engine {
         self.state.recompute_beta();
     }
 
-    /// Per-pair probabilities for a contiguous held-out range (pure).
-    pub fn perplexity_probs(&self, lo: usize, hi: usize) -> Vec<f64> {
-        let mut out = vec![0.0f64; hi - lo];
-        self.perplexity_probs_into(lo, hi, &mut out);
-        out
-    }
-
-    /// Allocation-free variant of [`Engine::perplexity_probs`]: fill `out`
-    /// (length `hi - lo`) with the per-pair probabilities of the held-out
-    /// range `[lo, hi)`.
+    /// Fill `out` (length `hi - lo`) with the per-pair probabilities of
+    /// the held-out range `[lo, hi)` (pure).
     pub fn perplexity_probs_into(&self, lo: usize, hi: usize, out: &mut [f64]) {
         assert_eq!(out.len(), hi - lo, "output must match the held-out range");
         for (slot, &(e, y)) in out.iter_mut().zip(&self.heldout.pairs()[lo..hi]) {
@@ -497,92 +329,29 @@ impl Engine {
     }
 }
 
-/// Per-iteration scalar parameters a worker needs for its `phi` updates.
-pub(crate) struct WorkerParams {
-    pub k: usize,
-    pub n: u32,
-    pub alpha: f64,
-    pub delta: f64,
-    pub eps: f64,
-    pub backend: Backend,
-}
-
-/// Worker-side `phi` update from DKV rows — shared by the lockstep and
-/// threaded distributed drivers so their numerics are identical by
-/// construction.
-pub(crate) fn phi_update_from_dkv_rows(
-    params: &WorkerParams,
-    beta: &[f64],
-    a: VertexId,
-    own_row: &[f32],
-    neighbor_rows: &crate::kernels::RowView<'_>,
-    linked: &[bool],
-    rng: &mut Xoshiro256PlusPlus,
-) -> PhiUpdate {
-    let k = params.k;
-    assert_eq!(own_row.len(), k + 1, "own DKV row must be K + 1 floats");
-    let sum = own_row[k] as f64;
-    let phi_a: Vec<f64> = own_row[..k]
-        .iter()
-        .map(|&p| (p as f64 * sum).max(crate::state::PHI_MIN))
-        .collect();
-    let kernel_params = PhiParams {
-        alpha: params.alpha,
-        delta: params.delta,
-        eps: params.eps,
-        grad_scale: params.n as f64 / linked.len().max(1) as f64,
-    };
-    let mut out = vec![0.0f64; k];
-    if params.backend == Backend::Scalar {
-        let mut f = vec![0.0f64; 2 * k];
-        update_phi_row(
-            &phi_a,
-            beta,
-            neighbor_rows,
-            linked,
-            &kernel_params,
-            rng,
-            &mut f,
-            &mut out,
-        );
-    } else {
-        // The strided SIMD kernel reads K floats per DKV row directly
-        // (stride `k + 1`), so the numbers — and the coordinate-order
-        // noise draws — match the local in-memory variant exactly.
-        let mut scratch = mmsb_simd::PhiScratch::new(k);
-        mmsb_simd::phi_gradient(
-            params.backend,
-            &phi_a,
-            beta,
-            neighbor_rows.flat(),
-            neighbor_rows.stride(),
-            linked,
-            kernel_params.delta,
-            &mut scratch,
-            &mut out,
-        );
-        let mut noise_u = Vec::with_capacity(k);
-        let mut noise_s = Vec::with_capacity(k);
-        for _ in 0..k {
-            let (u, s) = Normal::standard_accept(rng);
-            noise_u.push(u);
-            noise_s.push(s);
-        }
-        let mut noise = vec![0.0; k];
-        mmsb_simd::polar_normal(params.backend, &noise_u, &noise_s, &mut noise);
-        mmsb_simd::sgrld_step(
-            params.backend,
-            &phi_a,
-            &noise,
-            kernel_params.alpha,
-            0.5 * kernel_params.eps,
-            kernel_params.grad_scale,
-            kernel_params.eps.sqrt(),
-            crate::state::PHI_MIN,
-            &mut out,
-        );
+/// One full SGRLD step (Eq. 3) on `theta` given the accumulated weighted
+/// mini-batch gradient. Updates `theta` in place; the caller recomputes
+/// `beta` afterwards. `theta` is `K x 2` and tiny, so this runs plain
+/// scalar arithmetic on every backend.
+pub(crate) fn update_theta<R: RngCore>(
+    theta: &mut [f64],
+    grad: &[f64],
+    eta: (f64, f64),
+    eps: f64,
+    rng: &mut R,
+) {
+    assert_eq!(theta.len(), grad.len(), "gradient/theta length mismatch");
+    assert_eq!(theta.len() % 2, 0, "theta must be K x 2");
+    let half_eps = 0.5 * eps;
+    let noise_scale = eps.sqrt();
+    for (j, t) in theta.iter_mut().enumerate() {
+        let prior = if j % 2 == 0 { eta.0 } else { eta.1 };
+        let drift = half_eps * (prior - *t + grad[j]);
+        let noise = t.sqrt() * noise_scale * Normal::standard_sample(rng);
+        let next = (*t + drift + noise).abs();
+        debug_assert!(next.is_finite(), "theta update produced {next}");
+        *t = next.max(PHI_MIN);
     }
-    (a, out)
 }
 
 /// Worst-case pair count of one mini-batch under `strategy` on a graph

@@ -5,9 +5,11 @@
 //! from-scratch `mmsb-pool` fork-join pool. Every random draw is keyed by
 //! `(seed, iteration, vertex)`, chunk boundaries are fixed, and the theta
 //! reduction is a fixed binary tree over chunk partials — so the chain is
-//! **bitwise identical** to [`crate::SequentialSampler`] regardless of the
-//! number of threads or the scheduler — the property the equivalence tests
-//! pin down.
+//! **bitwise identical** regardless of the number of threads or the
+//! scheduler — the property the equivalence tests pin down. At one thread
+//! every chunk runs inline on the caller in chunk order: that is the
+//! sequential reference (Algorithm 1 verbatim) every other driver is
+//! tested against.
 
 use super::driver::{self, StepBuffers};
 use super::Engine;
@@ -20,7 +22,7 @@ use mmsb_graph::Graph;
 use mmsb_ooc::GraphBackend;
 use mmsb_pool::ThreadPool;
 
-/// Multi-threaded SG-MCMC sampler.
+/// SG-MCMC sampler over an `mmsb-pool` of any size, one thread included.
 pub struct ParallelSampler {
     engine: Engine,
     pool: ThreadPool,
@@ -74,8 +76,7 @@ impl ParallelSampler {
                     engine.config.graph_cache_blocks,
                     engine.config.seed ^ (w as u64 + 1),
                 );
-                Workspace::new(engine.config.k, engine.config.neighbor_sample)
-                    .with_graph_cache(cache)
+                Workspace::new(engine.config.k, engine.config.neighbor_sample, cache)
             })
             .collect();
         Ok(Self {
@@ -159,7 +160,6 @@ impl ParallelSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SequentialSampler;
     use mmsb_graph::generate::planted::{generate_planted, PlantedConfig};
     use mmsb_rand::Xoshiro256PlusPlus;
 
@@ -183,13 +183,20 @@ mod tests {
     fn matches_sequential_chain_bitwise() {
         let (g, h) = setup(1);
         let cfg = SamplerConfig::new(3).with_seed(9);
-        let mut seq = SequentialSampler::new(g.clone(), h.clone(), cfg.clone()).unwrap();
-        let mut par = ParallelSampler::new(g, h, cfg).unwrap();
+        let mut seq = ParallelSampler::with_threads(g.clone(), h.clone(), cfg.clone(), 1).unwrap();
         seq.run(12);
-        par.run(12);
-        assert_eq!(seq.state().theta(), par.state().theta());
-        for a in 0..seq.state().n() {
-            assert_eq!(seq.state().pi_row(a), par.state().pi_row(a), "vertex {a}");
+        for threads in [2, 4] {
+            let mut par =
+                ParallelSampler::with_threads(g.clone(), h.clone(), cfg.clone(), threads).unwrap();
+            par.run(12);
+            assert_eq!(seq.state().theta(), par.state().theta(), "{threads} threads");
+            for a in 0..seq.state().n() {
+                assert_eq!(
+                    seq.state().pi_row(a),
+                    par.state().pi_row(a),
+                    "{threads} threads, vertex {a}"
+                );
+            }
         }
     }
 
@@ -197,8 +204,8 @@ mod tests {
     fn perplexity_matches_sequential() {
         let (g, h) = setup(2);
         let cfg = SamplerConfig::new(3).with_seed(4);
-        let mut seq = SequentialSampler::new(g.clone(), h.clone(), cfg.clone()).unwrap();
-        let mut par = ParallelSampler::new(g, h, cfg).unwrap();
+        let mut seq = ParallelSampler::with_threads(g.clone(), h.clone(), cfg.clone(), 1).unwrap();
+        let mut par = ParallelSampler::with_threads(g, h, cfg, 4).unwrap();
         seq.run(5);
         par.run(5);
         let ps = seq.evaluate_perplexity();

@@ -22,10 +22,10 @@
 //! assert. Use this driver for functional/concurrency validation; use the
 //! lockstep driver when you need cluster timing.
 
-use super::engine::{phi_update_from_dkv_rows, Engine, WorkerParams};
+use super::stage::{theta_gradient, PhiParams};
+use super::worker::{share, PhiWorker};
+use super::Engine;
 use crate::config::{SamplerConfig, StateLayout};
-use crate::kernels::theta::theta_gradient_pair;
-use crate::kernels::RowView;
 use crate::perplexity::link_probability;
 use crate::{CoreError, ModelState};
 use mmsb_comm::message::{MessageReader, MessageWriter};
@@ -37,7 +37,6 @@ use mmsb_graph::heldout::HeldOut;
 use mmsb_graph::neighbor::NeighborSampler;
 use mmsb_graph::{Graph, VertexId};
 use mmsb_netsim::NetworkModel;
-use mmsb_rand::Xoshiro256PlusPlus;
 use std::sync::{Arc, RwLock};
 
 /// Mini-batch vertices per load/compute chunk in the worker threads —
@@ -88,7 +87,7 @@ pub fn train_threaded(
             reason: "threaded sampler requires the PiSumPhi layout".into(),
         });
     }
-    let mut engine = Engine::new(graph, heldout, config)?;
+    let mut engine = Engine::with_backend(graph.into(), heldout, config)?;
     let n = engine.graph.num_vertices();
     let k = engine.config.k;
 
@@ -120,31 +119,34 @@ pub fn train_threaded(
 
     // ---------------- master loop ----------------
     let mut trace = Vec::new();
+    let mut probs = Vec::with_capacity(engine.heldout.len());
     for t in 0..iterations {
-        let mb = engine.draw_minibatch();
-        let vertices = mb.vertices();
+        engine.refresh_minibatch();
+        let nv = engine.mb_vertices.len();
+        let n_pairs = engine.mb.pairs.len();
         let do_perplexity = perplexity_every > 0 && (t + 1) % perplexity_every == 0;
 
         // Scatter shares: vertex ids + adjacency rows + pair share +
         // weights + the current global parameters.
-        let v_shares = split(&vertices, workers);
-        let p_shares = split(&mb.pairs, workers);
-        let w_shares = split(&mb.weights, workers);
         for w in 0..workers {
             let mut msg = MessageWriter::new();
             msg.put_f64_slice(engine.state.beta());
             msg.put_f64_slice(engine.state.theta());
-            let ids: Vec<u32> = v_shares[w].iter().map(|v| v.0).collect();
+            let ids: Vec<u32> = engine.mb_vertices[share(nv, workers, w)]
+                .iter()
+                .map(|v| v.0)
+                .collect();
             msg.put_u32_slice(&ids);
-            for &v in v_shares[w] {
-                msg.put_u32_slice(engine.neighbors_master(v));
+            for &v in &ids {
+                msg.put_u32_slice(engine.neighbors_master(VertexId(v)));
             }
-            let pair_words: Vec<u32> = p_shares[w]
+            let ps = share(n_pairs, workers, w);
+            let pair_words: Vec<u32> = engine.mb.pairs[ps.clone()]
                 .iter()
                 .flat_map(|&(e, y)| [e.lo().0, e.hi().0, u32::from(y)])
                 .collect();
             msg.put_u32_slice(&pair_words);
-            msg.put_f64_slice(w_shares[w]);
+            msg.put_f64_slice(&engine.mb.weights[ps]);
             msg.put_u32(u32::from(do_perplexity));
             master_ep
                 .send(w + 1, msg.finish())
@@ -166,7 +168,7 @@ pub fn train_threaded(
             let gathered = collectives::gather_bytes(&master_ep, 0, Vec::new())
                 .map_err(comm_error)?
                 .expect("master is the gather root");
-            let mut probs = Vec::with_capacity(engine.heldout.len());
+            probs.clear();
             for payload in gathered.into_iter().skip(1) {
                 let mut r = MessageReader::new(&payload);
                 probs.extend(r.get_f64_slice().map_err(comm_error)?);
@@ -203,21 +205,6 @@ fn comm_error(e: mmsb_comm::CommError) -> CoreError {
     }
 }
 
-/// Evenly split `items` into `parts` contiguous chunks.
-fn split<T>(items: &[T], parts: usize) -> Vec<&[T]> {
-    let nitems = items.len();
-    let base = nitems / parts;
-    let extra = nitems % parts;
-    let mut out = Vec::with_capacity(parts);
-    let mut lo = 0;
-    for p in 0..parts {
-        let len = base + usize::from(p < extra);
-        out.push(&items[lo..lo + len]);
-        lo += len;
-    }
-    out
-}
-
 #[allow(clippy::too_many_arguments)]
 fn worker_loop(
     ep: Endpoint,
@@ -249,7 +236,10 @@ fn worker_loop(
     };
     let mut keys_buf: Vec<u32> = Vec::new();
     let mut seg_lens: Vec<usize> = Vec::new();
-    let mut linked_buf: Vec<bool> = Vec::new();
+    let mut worker = PhiWorker::new(k);
+    let mut updates: Vec<f64> = Vec::new();
+    let mut pair_rows: Vec<f32> = Vec::new();
+    let mut grad = vec![0.0f64; 2 * k];
 
     for t in 0..iterations {
         // ---- receive this iteration's share ----
@@ -257,7 +247,8 @@ fn worker_loop(
         let mut r = MessageReader::new(&payload);
         let beta = r.get_f64_slice().map_err(comm_error)?;
         let theta = r.get_f64_slice().map_err(comm_error)?;
-        let ids = r.get_u32_slice().map_err(comm_error)?;
+        let keys = r.get_u32_slice().map_err(comm_error)?;
+        let ids: Vec<VertexId> = keys.iter().copied().map(VertexId).collect();
         let adjacency: Vec<Vec<u32>> = (0..ids.len())
             .map(|_| r.get_u32_slice())
             .collect::<Result<_, _>>()
@@ -267,13 +258,12 @@ fn worker_loop(
         let do_perplexity = r.get_u32().map_err(comm_error)? != 0;
         r.finish().map_err(comm_error)?;
 
-        let params = WorkerParams {
-            k,
+        let params = PhiParams {
+            backend: config.backend(),
             n,
             alpha: config.alpha,
             delta: config.delta,
             eps: config.step.at(t),
-            backend: config.backend(),
         };
 
         // ---- update_phi: one-sided chunked reads, local compute ----
@@ -281,52 +271,20 @@ fn worker_loop(
         // stream, so sampling order is immaterial); the rows for a whole
         // vertex chunk are then loaded in one batched read, optionally
         // prefetched a chunk ahead of the compute.
-        let mut updates: Vec<(u32, Vec<f64>)> = Vec::with_capacity(ids.len());
+        worker.sample(&ids, &neighbor_sampler, &heldout, config.seed, t);
+        worker.stage_keys(CHUNK_VERTICES, &mut keys_buf, &mut seg_lens);
+        updates.clear();
+        updates.resize(ids.len() * k, 0.0);
         {
-            let mut per_vertex: Vec<(u32, Vec<VertexId>, Xoshiro256PlusPlus)> = ids
-                .iter()
-                .map(|&v| {
-                    let mut rng = crate::rngs::vertex_rng(config.seed, t, v);
-                    let ns = neighbor_sampler.sample(VertexId(v), Some(&heldout), &mut rng);
-                    (v, ns, rng)
-                })
-                .collect();
-            keys_buf.clear();
-            seg_lens.clear();
-            for chunk in per_vertex.chunks(CHUNK_VERTICES) {
-                // Keys: own row then neighbor rows, per vertex.
-                let before = keys_buf.len();
-                for (v, ns, _) in chunk.iter() {
-                    keys_buf.push(*v);
-                    keys_buf.extend(ns.iter().map(|b| b.0));
-                }
-                seg_lens.push(keys_buf.len() - before);
-            }
             let store = store.read().expect("store lock poisoned");
-            let mut vi = 0usize;
-            let adjacency = &adjacency;
-            let linked = &mut linked_buf;
-            let on_chunk = |_start: usize, chunk_keys: &[u32], rows: &[f32]| {
-                let mut offset = 0usize;
-                while offset < chunk_keys.len() {
-                    let (v, ns, rng) = &mut per_vertex[vi];
-                    let own = &rows[offset * row_len..(offset + 1) * row_len];
-                    let nrows =
-                        &rows[(offset + 1) * row_len..(offset + 1 + ns.len()) * row_len];
-                    mark_links(&adjacency[vi], ns, linked);
-                    let (_, phi) = phi_update_from_dkv_rows(
-                        &params,
-                        &beta,
-                        VertexId(*v),
-                        own,
-                        &RowView::new(nrows, row_len),
-                        linked,
-                        rng,
-                    );
-                    updates.push((*v, phi));
-                    offset += 1 + ns.len();
-                    vi += 1;
-                }
+            let on_chunk = |_start: usize, _keys: &[u32], rows: &[f32]| {
+                worker.on_chunk(
+                    &params,
+                    &beta,
+                    rows,
+                    |i, _, set, linked| mark_links(&adjacency[i], set, linked),
+                    &mut updates,
+                );
             };
             match &mut prefetch {
                 Some(reader) => {
@@ -342,12 +300,10 @@ fn worker_loop(
 
         // ---- update_pi: write fresh rows through the store ----
         {
-            let keys: Vec<u32> = updates.iter().map(|(v, _)| *v).collect();
             let mut vals = vec![0.0f32; keys.len() * row_len];
-            for (i, (_, phi)) in updates.iter().enumerate() {
+            for (phi, out) in updates.chunks_exact(k).zip(vals.chunks_exact_mut(row_len)) {
                 let sum: f64 = phi.iter().sum();
-                let out = &mut vals[i * row_len..(i + 1) * row_len];
-                for (o, &x) in out[..k].iter_mut().zip(phi) {
+                for (o, &x) in out.iter_mut().zip(phi) {
                     *o = (x / sum) as f32;
                 }
                 out[k] = sum as f32;
@@ -358,50 +314,28 @@ fn worker_loop(
         ep.barrier(); // fresh pi everywhere before update_beta
 
         // ---- update_beta_theta: local gradient, global reduce ----
-        let mut grad = vec![0.0f64; 2 * k];
+        // One batched read of the pair share's endpoint rows, then the
+        // same begin/accumulate/finish sequence as every other driver.
         {
             let store = store.read().expect("store lock poisoned");
-            let mut row_a = vec![0.0f32; row_len];
-            let mut row_b = vec![0.0f32; row_len];
-            if params.backend == mmsb_simd::Backend::Scalar {
-                let mut f_diag = vec![0.0f64; k];
-                for (chunk, &weight) in pair_words.chunks_exact(3).zip(weights.iter()) {
-                    let (lo, hi, y) = (chunk[0], chunk[1], chunk[2] != 0);
-                    store.read_batch(&[lo], &mut row_a)?;
-                    store.read_batch(&[hi], &mut row_b)?;
-                    theta_gradient_pair(
-                        &row_a[..k],
-                        &row_b[..k],
-                        y,
-                        weight,
-                        &beta,
-                        &theta,
-                        config.delta,
-                        &mut f_diag,
-                        &mut grad,
-                    );
-                }
-            } else {
-                // Same begin/accumulate/finish sequence as the lockstep
-                // driver's `theta_gradient_slice`, so both drivers produce
-                // identical bytes under any backend.
-                let mut scratch = mmsb_simd::ThetaScratch::new(k);
-                mmsb_simd::theta_chunk_begin(&beta, &theta, config.delta, &mut scratch);
-                for (chunk, &weight) in pair_words.chunks_exact(3).zip(weights.iter()) {
-                    let (lo, hi, y) = (chunk[0], chunk[1], chunk[2] != 0);
-                    store.read_batch(&[lo], &mut row_a)?;
-                    store.read_batch(&[hi], &mut row_b)?;
-                    mmsb_simd::theta_accumulate_pair(
-                        params.backend,
-                        &mut scratch,
-                        &row_a[..k],
-                        &row_b[..k],
-                        y,
-                        weight,
-                    );
-                }
-                mmsb_simd::theta_chunk_finish(&scratch, &mut grad);
-            }
+            keys_buf.clear();
+            keys_buf.extend(pair_words.chunks_exact(3).flat_map(|p| [p[0], p[1]]));
+            pair_rows.resize(keys_buf.len() * row_len, 0.0);
+            store.read_batch(&keys_buf, &mut pair_rows)?;
+            let pairs = pair_words
+                .chunks_exact(3)
+                .zip(&weights)
+                .zip(pair_rows.chunks_exact(2 * row_len))
+                .map(|((p, &w), rows)| (&rows[..k], &rows[row_len..row_len + k], p[2] != 0, w));
+            theta_gradient(
+                params.backend,
+                &beta,
+                &theta,
+                config.delta,
+                pairs,
+                &mut worker.scratch,
+                &mut grad,
+            );
         }
         collectives::reduce_sum_f64(&ep, 0, &grad).map_err(comm_error)?;
 

@@ -6,9 +6,9 @@
 //! contents are pure scratch — they never influence results, which is why
 //! dynamic chunk-to-worker assignment cannot perturb the chain.
 
+use crate::sampler::stage::StageScratch;
 use mmsb_graph::{FxHashSet, VertexId};
 use mmsb_ooc::BlockCache;
-use mmsb_simd::{PhiScratch, ThetaScratch};
 
 /// Reusable scratch for one worker thread.
 pub(crate) struct Workspace {
@@ -18,22 +18,8 @@ pub(crate) struct Workspace {
     pub rows: Vec<f32>,
     /// Per-neighbor observations `y_ab`.
     pub linked: Vec<bool>,
-    /// `f_diag` scratch of the theta kernel (`K` f64s).
-    pub grad: Vec<f64>,
-    /// Ping-pong `f` scratch of the phi kernel (`2K` f64s).
-    pub f: Vec<f64>,
-    /// Pre-drawn standard-normal variates for the SIMD SGRLD step
-    /// (`K` f64s, drawn in coordinate order).
-    pub noise: Vec<f64>,
-    /// Accepted polar `u` components feeding the vectorized normal
-    /// finish (`K` f64s, coordinate order).
-    pub noise_u: Vec<f64>,
-    /// Accepted polar `s = u² + v²` components paired with `noise_u`.
-    pub noise_s: Vec<f64>,
-    /// Plane scratch of the SIMD phi-gradient kernel.
-    pub phi_scratch: PhiScratch,
-    /// Context + accumulator planes of the SIMD theta kernel.
-    pub theta_scratch: ThetaScratch,
+    /// Noise and plane scratch of the phi/theta kernels.
+    pub stage: StageScratch,
     /// Sampled neighbor set.
     pub neighbors: Vec<VertexId>,
     /// Dedup set for neighbor rejection sampling.
@@ -46,8 +32,10 @@ pub(crate) struct Workspace {
 
 impl Workspace {
     /// Create a workspace sized for `k` communities and neighbor sets of
-    /// up to `neighbor_sample` vertices.
-    pub fn new(k: usize, neighbor_sample: usize) -> Self {
+    /// up to `neighbor_sample` vertices, reading out-of-core adjacency
+    /// through `graph_cache` (drivers create one per workspace via
+    /// `GraphBackend::new_cache`).
+    pub fn new(k: usize, neighbor_sample: usize, graph_cache: Option<BlockCache>) -> Self {
         let mut seen = FxHashSet::default();
         // Rejection sampling can insert more candidates than it keeps
         // (held-out exclusions); over-reserve so the set never regrows.
@@ -56,23 +44,10 @@ impl Workspace {
             phi_a: vec![0.0; k],
             rows: Vec::with_capacity(neighbor_sample * k),
             linked: Vec::with_capacity(neighbor_sample),
-            grad: vec![0.0; k],
-            f: vec![0.0; 2 * k],
-            noise: Vec::with_capacity(k),
-            noise_u: Vec::with_capacity(k),
-            noise_s: Vec::with_capacity(k),
-            phi_scratch: PhiScratch::new(k),
-            theta_scratch: ThetaScratch::new(k),
+            stage: StageScratch::new(k),
             neighbors: Vec::with_capacity(neighbor_sample),
             seen,
-            graph_cache: None,
+            graph_cache,
         }
-    }
-
-    /// Attach an out-of-core block cache (builder style; drivers create
-    /// one per workspace via `GraphBackend::new_cache`).
-    pub fn with_graph_cache(mut self, cache: Option<BlockCache>) -> Self {
-        self.graph_cache = cache;
-        self
     }
 }

@@ -19,7 +19,7 @@
 
 use std::path::PathBuf;
 
-use mmsb_core::{ParallelSampler, SamplerConfig, SequentialSampler};
+use mmsb_core::{ParallelSampler, SamplerConfig};
 use mmsb_graph::generate::chunglu::{generate_chung_lu, ChungLuConfig};
 use mmsb_graph::generate::planted::{generate_planted, PlantedConfig};
 use mmsb_graph::heldout::HeldOut;
@@ -71,7 +71,7 @@ fn assert_chain_matches_resident(graph: &Graph, heldout: &HeldOut, cfg: &Sampler
     let iters = 5;
 
     // Resident reference chain.
-    let mut seq = SequentialSampler::new(graph.clone(), heldout.clone(), cfg.clone()).unwrap();
+    let mut seq = ParallelSampler::with_threads(graph.clone(), heldout.clone(), cfg.clone(), 1).unwrap();
     seq.run(iters);
     let (ref_pi, ref_theta) = snapshot(seq.state());
     let ref_ppx = seq.evaluate_perplexity();
@@ -89,10 +89,11 @@ fn assert_chain_matches_resident(graph: &Graph, heldout: &HeldOut, cfg: &Sampler
                 ooc.header().num_blocks
             );
         }
-        let mut s = SequentialSampler::with_backend(
+        let mut s = ParallelSampler::with_backend_threads(
             GraphBackend::OutOfCore(ooc),
             heldout.clone(),
             cfg.clone().with_graph_cache_blocks(cache_blocks),
+            1,
         )
         .unwrap();
         s.run(iters);
@@ -184,7 +185,7 @@ fn block_size_never_reaches_the_chain() {
         .unwrap();
         let ooc = OocGraph::open(&path).unwrap();
         let mut s =
-            SequentialSampler::with_backend(GraphBackend::OutOfCore(ooc), heldout.clone(), cfg.clone())
+            ParallelSampler::with_backend_threads(GraphBackend::OutOfCore(ooc), heldout.clone(), cfg.clone(), 1)
                 .unwrap();
         s.run(4);
         runs.push((snapshot(s.state()), s.evaluate_perplexity().to_bits()));

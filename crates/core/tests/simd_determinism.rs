@@ -9,7 +9,7 @@
 //! rounding, but one backend at one seed is one chain everywhere.
 
 use mmsb_core::{
-    Backend, ParallelSampler, SamplerConfig, SequentialSampler, SimdPolicy,
+    Backend, ParallelSampler, SamplerConfig, SimdPolicy,
 };
 use mmsb_graph::generate::planted::{generate_planted, PlantedConfig};
 use mmsb_graph::heldout::HeldOut;
@@ -57,7 +57,7 @@ fn forced_backend_chain_is_thread_count_invariant() {
             .with_seed(23)
             .with_simd(SimdPolicy::Force(backend));
 
-        let mut seq = SequentialSampler::new(g.clone(), h.clone(), cfg.clone()).unwrap();
+        let mut seq = ParallelSampler::with_threads(g.clone(), h.clone(), cfg.clone(), 1).unwrap();
         seq.run(6);
         let (ref_pi, ref_theta) = snapshot(seq.state());
         let ref_ppx = seq.evaluate_perplexity();

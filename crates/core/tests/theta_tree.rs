@@ -5,7 +5,7 @@
 //! the tree shape depends only on the chunk count, never on which
 //! worker finished first.
 
-use mmsb_core::{ParallelSampler, SamplerConfig, SequentialSampler};
+use mmsb_core::{ParallelSampler, SamplerConfig};
 use mmsb_graph::generate::planted::{generate_planted, PlantedConfig};
 use mmsb_graph::heldout::HeldOut;
 use mmsb_graph::minibatch::Strategy;
@@ -43,7 +43,7 @@ fn tree_reduced_theta_matches_sequential_for_any_pool_size() {
         // posterior samples, so the reference must have recorded exactly
         // as many as the sampler it is compared against.
         let mut seq =
-            SequentialSampler::new(graph.clone(), heldout.clone(), config.clone()).unwrap();
+            ParallelSampler::with_threads(graph.clone(), heldout.clone(), config.clone(), 1).unwrap();
         seq.run(6);
         let mut par =
             ParallelSampler::with_threads(graph.clone(), heldout.clone(), config.clone(), threads)

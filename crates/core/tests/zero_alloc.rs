@@ -4,7 +4,7 @@
 //! `pi` load path of the distributed samplers) nor a warmed out-of-core
 //! [`mmsb_ooc::BlockCache`] read loop (the graph path of the ooc
 //! backend). Every per-iteration buffer is pre-reserved at its hard
-//! upper bound (`Engine::new`, `StepBuffers::new`, `Workspace::new`,
+//! upper bound (`Engine::with_backend`, `StepBuffers::new`, `Workspace::new`,
 //! `ReaderScratch`, the cache's block storage and decode scratch), the
 //! pool and the background worker publish tasks as unboxed pointer
 //! pairs, and the mini-batch/neighbor machinery reuses its vectors — so
@@ -104,11 +104,11 @@ fn steady_state_step_is_allocation_free() {
     // The default config uses stratified-node mini-batches, the strategy
     // the zero-allocation contract covers (random-pair dedup keeps a
     // rebuild-per-draw hash set and is exempt). Both kernel backends must
-    // uphold the contract: the scalar path uses the legacy kernels, the
-    // SIMD path additionally exercises the pre-reserved `PhiScratch` /
+    // uphold the contract: each exercises the pre-reserved `PhiScratch` /
     // `ThetaScratch` planes and the pre-drawn noise buffer in
-    // `Workspace` — forcing the widest detected backend pins that even on
-    // hosts where `Auto` would pick it anyway.
+    // `Workspace` through its own dispatch arm — forcing the widest
+    // detected backend pins that even on hosts where `Auto` would pick
+    // it anyway.
     let backends = [Backend::Scalar, Backend::detect()];
     for (i, &backend) in backends.iter().enumerate() {
         if i > 0 && backend == Backend::Scalar {

@@ -396,24 +396,15 @@ fn cmd_train(args: &Args) -> Result<(), String> {
     // perplexity trace printed along the way.
     let state: ModelState = match driver {
         "sequential" | "parallel" => {
-            enum Either {
-                Seq(Box<SequentialSampler>),
-                Par(Box<ParallelSampler>),
-            }
-            let mut s = if driver == "sequential" {
-                Either::Seq(Box::new(
-                    SequentialSampler::with_backend(backend, heldout, config)
-                        .map_err(|e| e.to_string())?,
-                ))
+            // One driver: `sequential` is its one-thread spelling (inline
+            // execution, no pool threads) and yields the same chain.
+            let threads = if driver == "sequential" {
+                1
             } else {
-                let threads = std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1);
-                Either::Par(Box::new(
-                    ParallelSampler::with_backend_threads(backend, heldout, config, threads)
-                        .map_err(|e| e.to_string())?,
-                ))
+                mmsb::obs::export::host_cores()
             };
+            let mut s = ParallelSampler::with_backend_threads(backend, heldout, config, threads)
+                .map_err(|e| e.to_string())?;
             // Step to whichever boundary comes first — evaluation or
             // checkpoint — so both cadences hold without overshooting.
             let mut done = 0u64;
@@ -426,40 +417,23 @@ fn cmd_train(args: &Args) -> Result<(), String> {
             let mut last_saved: Option<u64> = None;
             while done < iters {
                 let stop = iters.min(next_eval).min(next_ckpt);
-                match &mut s {
-                    Either::Seq(x) => x.run(stop - done),
-                    Either::Par(x) => x.run(stop - done),
-                }
+                s.run(stop - done);
                 done = stop;
                 if done == next_eval || done == iters {
-                    let perplexity = match &mut s {
-                        Either::Seq(x) => x.evaluate_perplexity(),
-                        Either::Par(x) => x.evaluate_perplexity(),
-                    };
+                    let perplexity = s.evaluate_perplexity();
                     println!("iter {done:>7}  perplexity {perplexity:.4}");
                     next_eval = done + eval_every.max(1);
                 }
                 if done == next_ckpt {
-                    let ckpt = match &s {
-                        Either::Seq(x) => x.checkpoint(),
-                        Either::Par(x) => x.checkpoint(),
-                    };
-                    save_checkpoint(&ckpt, done)?;
+                    save_checkpoint(&s.checkpoint(), done)?;
                     last_saved = Some(done);
                     next_ckpt = done + checkpoint_every;
                 }
             }
             if checkpoint_path.is_some() && last_saved != Some(done) {
-                let ckpt = match &s {
-                    Either::Seq(x) => x.checkpoint(),
-                    Either::Par(x) => x.checkpoint(),
-                };
-                save_checkpoint(&ckpt, done)?;
+                save_checkpoint(&s.checkpoint(), done)?;
             }
-            match s {
-                Either::Seq(x) => x.state().clone(),
-                Either::Par(x) => x.state().clone(),
-            }
+            s.state().clone()
         }
         "threaded" => {
             let GraphBackend::Resident(train) = backend else {

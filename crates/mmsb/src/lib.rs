@@ -4,8 +4,9 @@
 //! SG-MCMC samplers (`mmsb-core`), the graph substrate (`mmsb-graph`), the
 //! deterministic RNG (`mmsb-rand`), the simulated cluster fabric
 //! (`mmsb-netsim`), the message-passing layer (`mmsb-comm`), the
-//! distributed key-value store (`mmsb-dkv`) and the variational baseline
-//! (`mmsb-svi`).
+//! distributed key-value store (`mmsb-dkv`). The variational baseline
+//! (`mmsb-svi`) is re-exported as [`svi`] but stays out of the prelude:
+//! it is the oracle the tests compare against, not part of the sampler.
 //!
 //! See the repository README for a tour and `examples/` for runnable
 //! entry points:
@@ -38,7 +39,7 @@ pub mod prelude {
         communities::Communities, convergence::PlateauDetector, eval, link_probability,
         train_threaded, Backend, Checkpoint, CheckpointError, DistributedConfig,
         DistributedSampler, ModelState, NodeComputeModel, ParallelSampler,
-        PerplexityAccumulator, SamplerConfig, SequentialSampler, SimdPolicy, StateLayout,
+        PerplexityAccumulator, SamplerConfig, SimdPolicy, StateLayout,
         StepSize,
     };
     pub use mmsb_dkv::pipeline::PipelineMode;
@@ -53,7 +54,6 @@ pub mod prelude {
     pub use mmsb_ooc::{BlockCache, GraphBackend, OocGraph};
     pub use mmsb_rand::{Rng, RngCore, Xoshiro256PlusPlus};
     pub use mmsb_serve::{ModelSnapshot, ServeConfig, ServeHandle, SnapshotCell};
-    pub use mmsb_svi::SviSampler;
 }
 
 #[cfg(test)]

@@ -408,7 +408,7 @@ impl std::fmt::Debug for ModelSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mmsb_core::{SamplerConfig, SequentialSampler};
+    use mmsb_core::{ParallelSampler, SamplerConfig};
     use mmsb_graph::generate::planted::{generate_planted, PlantedConfig};
     use mmsb_graph::heldout::HeldOut;
     use mmsb_pool::ThreadPool;
@@ -432,7 +432,7 @@ mod tests {
         );
         let (graph, heldout) = HeldOut::split(&gen.graph, 30, &mut rng);
         let mut s =
-            SequentialSampler::new(graph, heldout, SamplerConfig::new(k).with_seed(seed)).unwrap();
+            ParallelSampler::with_threads(graph, heldout, SamplerConfig::new(k).with_seed(seed), 1).unwrap();
         s.run(15);
         s.checkpoint()
     }

@@ -2,7 +2,7 @@
 //! model they serve, and synchronisation on state the test can observe
 //! instead of on a fixed sleep.
 
-use mmsb_core::{Checkpoint, SamplerConfig, SequentialSampler};
+use mmsb_core::{Checkpoint, ParallelSampler, SamplerConfig};
 use mmsb_graph::generate::planted::{generate_planted, PlantedConfig};
 use mmsb_graph::heldout::HeldOut;
 use mmsb_obs::clock::Stopwatch;
@@ -27,7 +27,7 @@ pub fn train_checkpoint(seed: u64, iters: u64) -> Checkpoint {
     );
     let (graph, heldout) = HeldOut::split(&gen.graph, 20, &mut rng);
     let mut s =
-        SequentialSampler::new(graph, heldout, SamplerConfig::new(K).with_seed(seed)).unwrap();
+        ParallelSampler::with_threads(graph, heldout, SamplerConfig::new(K).with_seed(seed), 1).unwrap();
     s.run(iters);
     s.checkpoint()
 }

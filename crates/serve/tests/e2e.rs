@@ -5,7 +5,7 @@
 //! One `#[test]` function: obs is process-global and the assertions on
 //! counters only make sense when this test owns all traffic.
 
-use mmsb_core::{SamplerConfig, SequentialSampler};
+use mmsb_core::{ParallelSampler, SamplerConfig};
 use mmsb_graph::generate::planted::{generate_planted, PlantedConfig};
 use mmsb_graph::heldout::HeldOut;
 use mmsb_obs::id as obs_id;
@@ -34,7 +34,7 @@ fn train_checkpoint(seed: u64, iters: u64) -> mmsb_core::Checkpoint {
     );
     let (graph, heldout) = HeldOut::split(&gen.graph, 25, &mut rng);
     let mut s =
-        SequentialSampler::new(graph, heldout, SamplerConfig::new(K).with_seed(seed)).unwrap();
+        ParallelSampler::with_threads(graph, heldout, SamplerConfig::new(K).with_seed(seed), 1).unwrap();
     s.run(iters);
     s.checkpoint()
 }

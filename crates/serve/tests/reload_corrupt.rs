@@ -7,7 +7,7 @@
 //! One `#[test]` function: obs is process-global and the
 //! `serve_reload_errors` accounting below assumes this test owns it.
 
-use mmsb_core::{SamplerConfig, SequentialSampler};
+use mmsb_core::{ParallelSampler, SamplerConfig};
 use mmsb_graph::generate::planted::{generate_planted, PlantedConfig};
 use mmsb_graph::heldout::HeldOut;
 use mmsb_obs::id as obs_id;
@@ -35,7 +35,7 @@ fn train_checkpoint(seed: u64, iters: u64) -> mmsb_core::Checkpoint {
     );
     let (graph, heldout) = HeldOut::split(&gen.graph, 20, &mut rng);
     let mut s =
-        SequentialSampler::new(graph, heldout, SamplerConfig::new(K).with_seed(seed)).unwrap();
+        ParallelSampler::with_threads(graph, heldout, SamplerConfig::new(K).with_seed(seed), 1).unwrap();
     s.run(iters);
     s.checkpoint()
 }

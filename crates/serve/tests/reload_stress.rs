@@ -11,7 +11,7 @@
 //! (built inside a serving worker, fanned out over scoped threads) is
 //! served byte for byte like the same model built on the main thread.
 
-use mmsb_core::{Checkpoint, SamplerConfig, SequentialSampler};
+use mmsb_core::{Checkpoint, ParallelSampler, SamplerConfig};
 use mmsb_graph::generate::planted::{generate_planted, PlantedConfig};
 use mmsb_graph::heldout::HeldOut;
 use mmsb_rand::{Rng, Xoshiro256PlusPlus};
@@ -44,7 +44,7 @@ fn train(n: u32, k: usize, iters: u64, seed: u64) -> Checkpoint {
     );
     let (graph, heldout) = HeldOut::split(&gen.graph, 20, &mut rng);
     let mut s =
-        SequentialSampler::new(graph, heldout, SamplerConfig::new(k).with_seed(seed)).unwrap();
+        ParallelSampler::with_threads(graph, heldout, SamplerConfig::new(k).with_seed(seed), 1).unwrap();
     s.run(iters);
     s.checkpoint()
 }

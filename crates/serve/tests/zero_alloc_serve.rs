@@ -17,7 +17,7 @@ use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-use mmsb_core::{SamplerConfig, SequentialSampler};
+use mmsb_core::{ParallelSampler, SamplerConfig};
 use mmsb_graph::generate::planted::{generate_planted, PlantedConfig};
 use mmsb_graph::heldout::HeldOut;
 use mmsb_obs::{ObsConfig, ObsLevel};
@@ -113,7 +113,7 @@ fn steady_state_queries_are_allocation_free() {
     );
     let (graph, heldout) = HeldOut::split(&gen.graph, 20, &mut rng);
     let mut sampler =
-        SequentialSampler::new(graph, heldout, SamplerConfig::new(k).with_seed(5)).unwrap();
+        ParallelSampler::with_threads(graph, heldout, SamplerConfig::new(k).with_seed(5), 1).unwrap();
     sampler.run(8);
     let model_path =
         std::env::temp_dir().join(format!("mmsb-serve-zeroalloc-{}.ckpt", std::process::id()));

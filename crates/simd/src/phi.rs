@@ -1,11 +1,13 @@
 //! Vectorized phi kernels: the fused f/Z/out gradient pass (Eq. 6) and
 //! the SGRLD row update (Eq. 5).
 //!
-//! # Relationship to the scalar kernels
+//! # Numeric contract
 //!
-//! These kernels compute the same quantities as
-//! `mmsb_core::kernels::phi_gradient` / `update_phi_row` but under the
-//! *SIMD numeric contract*: the inner factor is evaluated in the
+//! These are the only phi kernels in the workspace: `mmsb-core` runs them
+//! on every backend, `Backend::Scalar` being the one-lane unfused
+//! instantiation. They compute Eq. 5/6 in a rearranged form (the
+//! textbook two-pass evaluation order survives as the `legacy_gradient`
+//! test reference below): the inner factor is evaluated in the
 //! algebraically rearranged form `r_c = fma(coef_c, pi_bc, p_ne)` with
 //! `coef_c = ±(beta_c - delta)` precomputed per sign (one fma instead
 //! of two multiplies and two adds); the pair normalizer accumulates
@@ -16,11 +18,11 @@
 //! and applies `(acc_c - n) / S` once at the end instead of dividing
 //! by `phi_ac` in the inner loop. Per-pair normalizers reduce in the
 //! butterfly order documented in [`crate::lanes`]. Results therefore
-//! differ from the scalar kernels in the last ulps but are
-//! bitwise-deterministic **per backend**: the same backend, inputs,
-//! and seed reproduce identical bytes at any thread count, and each
-//! intrinsic backend is pinned bitwise against its matching
-//! [`Lanes`](crate::lanes::Lanes) emulation.
+//! differ from the textbook form — and between lane widths — in the
+//! last ulps but are bitwise-deterministic **per backend**: the same
+//! backend, inputs, and seed reproduce identical bytes at any thread
+//! count, and each intrinsic backend is pinned bitwise against its
+//! matching [`Lanes`](crate::lanes::Lanes) emulation.
 //!
 //! The rearrangement is exact algebra on the pair likelihood:
 //! `p_eq * pi_b + p_ne * (1 - pi_b) = p_ne + (p_eq - p_ne) * pi_b`,
@@ -67,9 +69,8 @@ impl PhiScratch {
 
 /// Width-generic fused f/Z/out pass; see the module docs for the
 /// numeric contract. `rows` holds `linked.len()` neighbor `pi_b` rows
-/// of `stride >= K` f32s each (SoA `RowView` layout); `out` is
-/// overwritten with the gradient.
-// xlint: allow(hot-path-panic) — scratch planes are sized to k by PhiScratch::ensure, rows are stride >= k apart (RowView contract), and every loop stops before k
+/// of `stride >= K` f32s each; `out` is overwritten with the gradient.
+// xlint: allow(hot-path-panic) — scratch planes are sized to k by PhiScratch::ensure, rows are stride >= k apart (asserted on entry), and every loop stops before k
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 pub fn phi_gradient_with<L: LaneF64>(
@@ -381,8 +382,9 @@ mod tests {
     use super::*;
     use crate::lanes::Lanes;
 
-    /// Naive two-pass scalar reference in the *legacy* evaluation order
-    /// (matches `mmsb_core::kernels::phi_gradient` numerics).
+    /// Naive two-pass scalar reference in the textbook evaluation order
+    /// of Eq. 6 (the numerics of the scalar kernel `mmsb-core` carried
+    /// until the stacks were merged).
     fn legacy_gradient(
         phi_a: &[f64],
         beta: &[f64],

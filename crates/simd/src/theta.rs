@@ -2,8 +2,8 @@
 //! coefficient context.
 //!
 //! `theta` and `beta` are constant within a mini-batch chunk, so
-//! [`theta_chunk_begin`] precomputes everything that legacy
-//! `theta_gradient_pair` re-derived per pair: the per-community
+//! [`theta_chunk_begin`] precomputes everything the textbook per-pair
+//! form of Eq. 4 re-derives per pair: the per-community
 //! reciprocals `1/theta_k0`, `1/theta_k1`, `1/(theta_k0 + theta_k1)`
 //! folded into four coefficient planes (link/non-link × component
 //! 0/1 — two of which coincide at `-1/sum`, so three planes are
@@ -16,8 +16,9 @@
 //!
 //! Numeric contract: the per-pair weight is associated as
 //! `(weight * (1/Z)) * f_kk` and applied with one fma per component,
-//! so values differ from the scalar kernel in the last ulps; the
-//! legacy `w == 0` skip is dropped because adding an exact `±0`
+//! so values differ from the textbook form (the `legacy_pair` test
+//! reference) in the last ulps; its `w == 0` skip is dropped because
+//! adding an exact `±0`
 //! product is a rounding no-op. Pair-accumulation order across a chunk
 //! is the caller's serial batch order, unchanged.
 
@@ -86,8 +87,8 @@ pub fn theta_chunk_begin(beta: &[f64], theta: &[f64], delta: f64, scratch: &mut 
     for c in 0..k {
         let t0 = theta[2 * c];
         let t1 = theta[2 * c + 1];
-        // Identical expressions to the scalar kernel's per-pair
-        // recomputation, hoisted: values are bitwise the same.
+        // The textbook form's per-pair expressions, hoisted: values are
+        // bitwise the same.
         let inv_sum = 1.0 / (t0 + t1);
         peq_link[c] = beta[c];
         peq_non[c] = 1.0 - beta[c];
@@ -222,7 +223,7 @@ mod tests {
     use super::*;
     use crate::lanes::Lanes;
 
-    /// Scalar reference in the legacy kernel's evaluation order.
+    /// Scalar reference in the textbook evaluation order of Eq. 4.
     #[allow(clippy::too_many_arguments)]
     fn legacy_pair(
         pi_a: &[f32],

@@ -12,7 +12,7 @@
 
 use mmsb::core::PosteriorMean;
 use mmsb::prelude::*;
-use mmsb::svi::SviConfig;
+use mmsb::svi::{SviConfig, SviSampler};
 
 fn f1_of<M: AsRef<[Vec<VertexId>]>>(members: M, truth: &GroundTruth) -> f64 {
     eval::best_match_f1(members.as_ref(), truth)

@@ -44,7 +44,7 @@ fn main() {
         },
     );
     let mut sampler =
-        SequentialSampler::new(train, heldout, config).expect("valid configuration");
+        ParallelSampler::with_threads(train, heldout, config, 1).expect("valid configuration");
 
     println!("\n{:>6}  {:>10}", "iter", "perplexity");
     for _ in 0..8 {

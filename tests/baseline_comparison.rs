@@ -3,7 +3,7 @@
 //! accurate than stochastic variational Bayes on a-MMSB).
 
 use mmsb::prelude::*;
-use mmsb::svi::SviConfig;
+use mmsb::svi::{SviConfig, SviSampler};
 
 fn setup(seed: u64) -> (Graph, HeldOut, GroundTruth) {
     let mut rng = Xoshiro256PlusPlus::seed_from_u64(seed);

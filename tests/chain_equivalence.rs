@@ -1,6 +1,7 @@
 //! Cross-driver chain equivalence: the paper's parallelization must not
-//! change the algorithm. The sequential driver is the reference; parallel
-//! must match bitwise, distributed up to the reduction association order.
+//! change the algorithm. The pool driver at one thread is the sequential
+//! reference; more threads must match bitwise, distributed up to the
+//! reduction association order.
 
 use mmsb::prelude::*;
 
@@ -31,8 +32,8 @@ fn config() -> SamplerConfig {
 #[test]
 fn parallel_equals_sequential_bitwise() {
     let (g, h, _) = setup(1);
-    let mut seq = SequentialSampler::new(g.clone(), h.clone(), config()).unwrap();
-    let mut par = ParallelSampler::new(g, h, config()).unwrap();
+    let mut seq = ParallelSampler::with_threads(g.clone(), h.clone(), config(), 1).unwrap();
+    let mut par = ParallelSampler::with_threads(g, h, config(), 4).unwrap();
     for round in 0..4 {
         seq.run(10);
         par.run(10);
@@ -55,7 +56,7 @@ fn parallel_equals_sequential_bitwise() {
 #[test]
 fn distributed_matches_sequential_pi_bitwise() {
     let (g, h, _) = setup(2);
-    let mut seq = SequentialSampler::new(g.clone(), h.clone(), config()).unwrap();
+    let mut seq = ParallelSampler::with_threads(g.clone(), h.clone(), config(), 1).unwrap();
     let mut dist =
         DistributedSampler::new(g, h, config(), DistributedConfig::das5(5)).unwrap();
     seq.run(25);
@@ -74,7 +75,7 @@ fn distributed_matches_sequential_pi_bitwise() {
 #[test]
 fn distributed_perplexity_matches_sequential_within_tolerance() {
     let (g, h, _) = setup(3);
-    let mut seq = SequentialSampler::new(g.clone(), h.clone(), config()).unwrap();
+    let mut seq = ParallelSampler::with_threads(g.clone(), h.clone(), config(), 1).unwrap();
     let mut dist =
         DistributedSampler::new(g, h, config(), DistributedConfig::das5(3)).unwrap();
     seq.run(12);
@@ -116,8 +117,8 @@ fn full_phi_layout_tracks_pisum_layout_loosely() {
     let (g, h, _) = setup(5);
     let slim = config();
     let fat = config().with_layout(StateLayout::FullPhi);
-    let mut a = SequentialSampler::new(g.clone(), h.clone(), slim).unwrap();
-    let mut b = SequentialSampler::new(g, h, fat).unwrap();
+    let mut a = ParallelSampler::with_threads(g.clone(), h.clone(), slim, 1).unwrap();
+    let mut b = ParallelSampler::with_threads(g, h, fat, 1).unwrap();
     a.run(5);
     b.run(5);
     let pa = a.evaluate_perplexity();

@@ -102,7 +102,7 @@ fn sampler_construction_rejects_inconsistent_setups() {
 
     // Neighbor sample larger than the graph.
     let bad = SamplerConfig::new(3).with_neighbor_sample(60);
-    assert!(SequentialSampler::new(train.clone(), heldout.clone(), bad).is_err());
+    assert!(ParallelSampler::with_threads(train.clone(), heldout.clone(), bad, 1).is_err());
 
     // Distributed sampler with FullPhi layout (no DKV row format).
     let full = SamplerConfig::new(3).with_layout(StateLayout::FullPhi);

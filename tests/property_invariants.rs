@@ -35,7 +35,7 @@ fn sampler_state_stays_on_simplex() {
                 anchors: 2,
             })
             .with_neighbor_sample(8);
-        let mut s = SequentialSampler::new(train, heldout, cfg).unwrap();
+        let mut s = ParallelSampler::with_threads(train, heldout, cfg, 1).unwrap();
         s.run(iters);
         for a in 0..s.state().n() {
             let row = s.state().pi_row(a);

@@ -1,9 +1,9 @@
 //! Scalar-vs-SIMD end-to-end smoke train.
 //!
-//! The SIMD backends are a different *rounding* of the same algorithm —
+//! The SIMD backends are a different *rounding* of the same kernels —
 //! fused multiply-adds and a lane-strided reduction order instead of the
-//! legacy left-to-right scalar chain — so their chains diverge from the
-//! scalar chain in final digits, not in behavior. This test pins the
+//! scalar backend's one unfused lane summing left to right — so their
+//! chains diverge from the scalar chain in final digits, not in behavior. This test pins the
 //! statistical contract the bitwise suites can't: a short train under
 //! the widest detected backend must learn the same model, with held-out
 //! perplexity landing within a tight tolerance of the scalar run.
