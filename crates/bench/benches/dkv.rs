@@ -1,8 +1,15 @@
 //! Benches for the DKV store: the software path whose overhead shapes
 //! the small-payload region of Figure 5. Runs on the in-tree timing
 //! harness (`mmsb_bench::timing`).
+//!
+//! The two reader id families are the two modes of the one
+//! `ChunkReader`: `chunked_reader/*` is a `PipelineMode::Single` pass
+//! (the same synchronous execution those ids always timed — the sync
+//! reader's Double mode only changed the *modeled* makespan),
+//! `prefetching_reader/*` a real double-buffered `PipelineMode::Double`
+//! pass.
 
-use mmsb::dkv::pipeline::{schedule, ChunkedReader, PrefetchingReader, ReaderScratch};
+use mmsb::dkv::pipeline::{schedule, ChunkReader, ReaderScratch};
 use mmsb::dkv::{DkvStore, LocalStore, Partition, ShardedStore};
 use mmsb::prelude::*;
 use mmsb_bench::timing::{black_box, Suite};
@@ -58,29 +65,22 @@ fn bench_chunked_reader(suite: &mut Suite) {
     let vals = vec![1.0f32; keys.len() * row_len];
     store.write_batch(&keys, &vals).unwrap();
     let mut scratch = ReaderScratch::new();
-    for chunk in [16usize, 128] {
-        let reader = ChunkedReader::new(chunk, PipelineMode::Double);
-        suite.bench(&format!("chunked_reader/{chunk}"), || {
-            let mut acc = 0.0f64;
-            reader
-                .run(&store, 0, &keys, &net, &mut scratch, |_, _, rows| {
-                    acc += rows[0] as f64;
-                })
-                .unwrap();
-            black_box(acc);
-        });
-    }
-    for chunk in [16usize, 128] {
-        let mut reader = PrefetchingReader::new(chunk);
-        suite.bench(&format!("prefetching_reader/{chunk}"), || {
-            let mut acc = 0.0f64;
-            reader
-                .run(&store, 0, &keys, &net, &mut scratch, |_, _, rows| {
-                    acc += rows[0] as f64;
-                })
-                .unwrap();
-            black_box(acc);
-        });
+    for (id, mode) in [
+        ("chunked_reader", PipelineMode::Single),
+        ("prefetching_reader", PipelineMode::Double),
+    ] {
+        for chunk in [16usize, 128] {
+            let mut reader = ChunkReader::new(chunk, mode);
+            suite.bench(&format!("{id}/{chunk}"), || {
+                let mut acc = 0.0f64;
+                reader
+                    .run(&store, 0, &keys, &net, &mut scratch, |_, _, rows| {
+                        acc += rows[0] as f64;
+                    })
+                    .unwrap();
+                black_box(acc);
+            });
+        }
     }
 }
 

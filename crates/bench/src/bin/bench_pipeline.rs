@@ -1,8 +1,9 @@
-//! Measured (not modeled) load/compute overlap of the DKV readers.
+//! Measured (not modeled) load/compute overlap of the DKV reader.
 //!
-//! Runs the *same* chunked read+compute workload twice — synchronously
-//! (`ChunkedReader`, `PipelineMode::Single`) and with the real
-//! double-buffered prefetch (`PrefetchingReader`) — and appends one
+//! Runs the *same* chunked read+compute workload through one
+//! `ChunkReader` per mode — synchronously (`PipelineMode::Single`) and
+//! with the real double-buffered prefetch (`PipelineMode::Double`),
+//! timing both by the pass's measured `wall` — and appends one
 //! `{single_ns, double_ns, overlap_ratio}` JSON line per configuration to
 //! `BENCH_pipeline.json`. `overlap_ratio = single_ns / double_ns`: above
 //! 1.0 means the background prefetch genuinely hid load time behind
@@ -17,13 +18,12 @@
 //! a blocked reader occupies no CPU, the prefetch thread overlaps
 //! genuinely even on a single-core host.
 
-use mmsb::dkv::pipeline::{ChunkedReader, PipelineMode, PrefetchingReader, ReaderScratch};
+use mmsb::dkv::pipeline::{ChunkReader, PipelineMode, ReaderScratch};
 use mmsb::dkv::{DkvStore, Partition, ShardedStore};
 use mmsb::prelude::*;
 use mmsb_bench::timing::fmt_ns;
 use std::io::Write;
 use std::path::Path;
-use std::time::Instant;
 
 struct Config {
     row_len: usize,
@@ -73,22 +73,23 @@ fn run_config(cfg: &Config, reps: usize) -> Row {
     let net = NetworkModel::fdr_infiniband();
     let keys: Vec<u32> = (0..cfg.keys as u32).collect();
     let mut scratch = ReaderScratch::new();
-    let sync_reader = ChunkedReader::new(cfg.chunk, PipelineMode::Single);
-    let mut prefetch_reader = PrefetchingReader::new(cfg.chunk);
+    let mut single = ChunkReader::new(cfg.chunk, PipelineMode::Single);
+    let mut double = ChunkReader::new(cfg.chunk, PipelineMode::Double);
     let mut acc = 0.0f64;
+    // One pass through `reader`; its measured wall-clock in ns.
+    let mut pass = |reader: &mut ChunkReader| {
+        let run = reader
+            .run(&store, 0, &keys, &net, &mut scratch, |_, _, rows| {
+                compute_pass(rows, &mut acc)
+            })
+            .unwrap();
+        run.wall * 1e9
+    };
 
-    // Warm both paths (buffer growth, thread start) before timing.
+    // Warm both modes (buffer growth, thread start) before timing.
     for _ in 0..2 {
-        sync_reader
-            .run(&store, 0, &keys, &net, &mut scratch, |_, _, rows| {
-                compute_pass(rows, &mut acc)
-            })
-            .unwrap();
-        prefetch_reader
-            .run(&store, 0, &keys, &net, &mut scratch, |_, _, rows| {
-                compute_pass(rows, &mut acc)
-            })
-            .unwrap();
+        pass(&mut single);
+        pass(&mut double);
     }
 
     // Interleave the modes so drift (frequency scaling, cache state)
@@ -96,20 +97,8 @@ fn run_config(cfg: &Config, reps: usize) -> Row {
     let mut single_samples = Vec::with_capacity(reps);
     let mut double_samples = Vec::with_capacity(reps);
     for _ in 0..reps {
-        let t0 = Instant::now();
-        sync_reader
-            .run(&store, 0, &keys, &net, &mut scratch, |_, _, rows| {
-                compute_pass(rows, &mut acc)
-            })
-            .unwrap();
-        single_samples.push(t0.elapsed().as_secs_f64() * 1e9);
-
-        let run = prefetch_reader
-            .run(&store, 0, &keys, &net, &mut scratch, |_, _, rows| {
-                compute_pass(rows, &mut acc)
-            })
-            .unwrap();
-        double_samples.push(run.wall * 1e9);
+        single_samples.push(pass(&mut single));
+        double_samples.push(pass(&mut double));
     }
     std::hint::black_box(acc);
 

@@ -114,14 +114,15 @@ pub fn lex_full(src: &str) -> (Vec<Tok>, Vec<Comment>) {
             } else if at(i + 2) == '\'' && at(i + 1) != '\'' {
                 i += 3; // plain char literal like 'x'
             } else {
-                // Lifetime: skip the tick but keep the identifier as a
-                // token (it is real code, unlike literal contents).
-                i += 1;
+                // Lifetime: one token, tick included (it is real code,
+                // unlike literal contents, and the tick is what tells
+                // `&'a [T]` from the indexing `a[T]`).
                 let start = i;
+                i += 1;
                 while i < n && (b[i].is_alphanumeric() || b[i] == '_') {
                     i += 1;
                 }
-                if i > start {
+                if i > start + 1 {
                     toks.push(Tok {
                         line,
                         text: b[start..i].iter().collect(),
@@ -244,7 +245,14 @@ fn real() { }
         let t = texts(src);
         assert!(!t.contains(&"unsafe".to_string()), "{t:?}");
         assert!(t.contains(&"real".to_string()));
-        assert!(t.contains(&"static".to_string()), "lifetime ident survives");
+        assert!(
+            t.contains(&"'static".to_string()),
+            "lifetime survives, tick and all"
+        );
+        assert!(
+            !t.contains(&"static".to_string()),
+            "a lifetime is not a keyword"
+        );
     }
 
     #[test]

@@ -291,11 +291,11 @@ mod tests {
 
     #[test]
     fn fault_layer_stays_inside_the_sync_fence() {
-        // The retry handshake and the faulting store must stay generic
+        // The background worker and the faulting store must stay generic
         // over `SyncBackend`: a direct `std::sync` import in either
         // would silently drop them out of the model-checked set.
         let src = "use std::sync::Condvar;";
-        for rel in ["crates/pool/src/retry.rs", "crates/dkv/src/faults.rs"] {
+        for rel in ["crates/pool/src/background.rs", "crates/dkv/src/faults.rs"] {
             let vs = lint_file(rel, src);
             assert!(
                 vs.iter().any(|v| v.rule == "std-sync-confinement"),
@@ -339,9 +339,11 @@ fn f() -> [f64; 4] {
     if let [y] = &b[..1] { return [*y; 4]; }
     a
 }
+fn g<'a, T>(v: &'a [T], w: &'static [u8]) -> impl Iterator<Item = (&'a [T], bool)> {}
 ";
         let vs = lint_file("crates/simd/src/phi.rs", src);
-        // Only `b[..1]` is a real index expression here.
+        // Only `b[..1]` is a real index expression here: a lifetime
+        // before `[` is a slice type, not an indexed variable.
         let panics: Vec<_> = vs.iter().filter(|v| v.rule == "hot-path-panic").collect();
         assert_eq!(panics.len(), 1, "{vs:?}");
         assert_eq!(panics[0].line, 5);

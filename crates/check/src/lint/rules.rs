@@ -258,8 +258,8 @@ compile error rather than a silent scope creep.",
         explain: "Inside crates/pool/src and crates/dkv/src, `std::sync` may be named only in the \
 sync module (crates/pool/src/sync/): all other code must go through the `SyncBackend` layer so \
 `mmsb-check` can model it. The failure layer is deliberately inside this fence — the \
-retry/timeout handshake and the faulting store wrapper stay generic over the backend, which is \
-what lets the model tests explore their races.",
+faulting store wrapper may synchronize only through the backend, which is what would let the \
+model tests explore its races.",
         scope: Scope::Under(SYNC_CONFINED),
         suppressible: false,
         check: Check::File(check_sync_confinement),
@@ -750,7 +750,9 @@ fn check_hot_path_panic(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
             );
         } else if t.text == "[" && k > 0 {
             let prev = toks[k - 1].text.as_str();
+            // A lifetime before `[` is a slice type (`&'a [T]`).
             let indexes = (ident_like(prev) || prev == ")" || prev == "]")
+                && !prev.starts_with('\'')
                 && !NON_INDEX_PRECEDERS.contains(&prev);
             if indexes {
                 push(

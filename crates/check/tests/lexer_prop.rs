@@ -159,16 +159,19 @@ impl Gen {
         self.src.push(' ');
     }
 
-    fn lifetime(&mut self) {
-        self.src.push_str("&'alive ");
-        self.toks.push(Tok {
-            line: self.line,
-            text: "&".to_string(),
-        });
-        self.toks.push(Tok {
-            line: self.line,
-            text: "alive".to_string(),
-        });
+    /// A reference with a lifetime; half the time the lifetime is
+    /// immediately followed by `[` (a slice type, `&'alive [`), the shape
+    /// `hot-path-panic` must not read as indexing.
+    fn lifetime(&mut self, r: &mut impl RngCore) {
+        let slice = r.below(2) == 1;
+        self.src
+            .push_str(if slice { "&'alive [" } else { "&'alive " });
+        for text in ["&", "'alive"].into_iter().chain(slice.then_some("[")) {
+            self.toks.push(Tok {
+                line: self.line,
+                text: text.to_string(),
+            });
+        }
     }
 }
 
@@ -186,7 +189,7 @@ fn generate(seed: u64, segments: usize) -> Gen {
             6 => g.raw_string(&mut r),
             7 => g.byte_string(&mut r),
             8 => g.char_lit(&mut r),
-            _ => g.lifetime(),
+            _ => g.lifetime(&mut r),
         }
     }
     g

@@ -1,5 +1,5 @@
-//! Model checking of the `PrefetchingReader` ping-pong handoff
-//! (mmsb-dkv `pipeline.rs`), distilled onto the sync layer: a
+//! Model checking of the `ChunkReader` ping-pong handoff under
+//! `PipelineMode::Double` (mmsb-dkv `pipeline.rs`), distilled onto the sync layer: a
 //! `BackgroundWorkerIn` fills the *back* buffer while the main thread
 //! consumes the *front* one, then the buffers swap roles after `join`.
 //!

@@ -1,11 +1,14 @@
 //! Collective operations layered over point-to-point messages.
 //!
-//! Every collective here is *root-centric* (the root exchanges with each
+//! Both collectives are *root-centric* (the root exchanges with each
 //! peer directly). That is the simplest correct dataflow; the latency an
 //! MPI library's tree algorithms would achieve is what `mmsb-netsim`
 //! models for the simulated cluster, so there is no reason to complicate
-//! the functional layer. All collectives must be called by **every** rank
-//! of the cluster with consistent arguments, like their MPI counterparts.
+//! the functional layer. They must be called by **every** rank of the
+//! cluster with consistent arguments, like their MPI counterparts. A
+//! rank that died first surfaces at the root as
+//! [`CommError::Disconnected`] naming it; the other contributors learn
+//! of the failure at their next `recv` from the root.
 
 use crate::message::{MessageReader, MessageWriter};
 use crate::{CommError, Endpoint};
@@ -34,26 +37,6 @@ impl Drop for CollectiveObs {
         if let Some(sw) = self.sw {
             mmsb_obs::hist_record_ns(obs_id::H_COMM_COLLECTIVE_NS, sw.elapsed_ns());
         }
-    }
-}
-
-/// Broadcast `data` from `root` to all ranks; every rank returns the
-/// root's payload.
-pub fn broadcast_bytes(
-    ep: &Endpoint,
-    root: usize,
-    data: Vec<u8>,
-) -> Result<Vec<u8>, CommError> {
-    let _obs = CollectiveObs::open();
-    if ep.rank() == root {
-        for r in 0..ep.size() {
-            if r != root {
-                ep.send(r, data.clone())?;
-            }
-        }
-        Ok(data)
-    } else {
-        ep.recv(root)
     }
 }
 
@@ -94,135 +77,6 @@ pub fn reduce_sum_f64(
         w.put_f64_slice(data);
         ep.send(root, w.finish())?;
         Ok(None)
-    }
-}
-
-/// First byte of an all-reduce result frame: the payload is the sum.
-const TAG_DATA: u8 = 0;
-/// First byte of an all-reduce result frame: a contributor died; the
-/// payload is its rank as a little-endian `u64`.
-const TAG_ABORT: u8 = 1;
-
-/// All-reduce: every rank returns the element-wise sum.
-///
-/// Partial-failure contract: if a contributor's endpoint is gone, the
-/// root detects it, broadcasts an abort frame naming the dead rank to
-/// the remaining live ranks, and *every* survivor (root included)
-/// returns `CommError::Disconnected { peer: dead }` — no rank hangs.
-pub fn allreduce_sum_f64(ep: &Endpoint, data: &[f64]) -> Result<Vec<f64>, CommError> {
-    let _obs = CollectiveObs::open();
-    let root = 0;
-    if ep.rank() == root {
-        let mut acc = data.to_vec();
-        let mut dead: Option<usize> = None;
-        for r in 1..ep.size() {
-            match ep.recv(r) {
-                Ok(bytes) => {
-                    let mut reader = MessageReader::new(&bytes);
-                    let contrib = reader.get_f64_slice()?;
-                    reader.finish()?;
-                    if contrib.len() != acc.len() {
-                        return Err(CommError::Malformed {
-                            reason: format!(
-                                "allreduce length mismatch: root has {}, rank {r} sent {}",
-                                acc.len(),
-                                contrib.len()
-                            ),
-                        });
-                    }
-                    for (a, c) in acc.iter_mut().zip(&contrib) {
-                        *a += c;
-                    }
-                }
-                Err(CommError::Disconnected { peer }) => {
-                    dead = Some(peer);
-                    break;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        let frame = match dead {
-            None => {
-                let mut w = MessageWriter::with_capacity(1 + 8 + acc.len() * 8);
-                let mut bytes = vec![TAG_DATA];
-                w.put_f64_slice(&acc);
-                bytes.extend_from_slice(&w.finish());
-                bytes
-            }
-            Some(d) => {
-                mmsb_obs::counter_add(obs_id::C_COMM_ABORTS, 1);
-                let mut bytes = vec![TAG_ABORT];
-                bytes.extend_from_slice(&(d as u64).to_le_bytes());
-                bytes
-            }
-        };
-        // Best-effort delivery to whoever is still there: a rank that
-        // died mid-collective must not strand the others.
-        for r in 1..ep.size() {
-            if ep.is_alive(r) {
-                let _ = ep.send(r, frame.clone());
-            }
-        }
-        match dead {
-            None => Ok(acc),
-            Some(d) => Err(CommError::Disconnected { peer: d }),
-        }
-    } else {
-        let mut w = MessageWriter::with_capacity(8 + data.len() * 8);
-        w.put_f64_slice(data);
-        ep.send(root, w.finish())?;
-        let bytes = ep.recv(root)?;
-        match bytes.split_first() {
-            Some((&TAG_DATA, rest)) => {
-                let mut reader = MessageReader::new(rest);
-                let out = reader.get_f64_slice()?;
-                reader.finish()?;
-                Ok(out)
-            }
-            Some((&TAG_ABORT, rest)) => {
-                let d: [u8; 8] = rest.try_into().map_err(|_| CommError::Malformed {
-                    reason: "short abort frame".into(),
-                })?;
-                Err(CommError::Disconnected {
-                    peer: u64::from_le_bytes(d) as usize,
-                })
-            }
-            _ => Err(CommError::Malformed {
-                reason: "allreduce frame missing tag".into(),
-            }),
-        }
-    }
-}
-
-/// Scatter per-rank byte payloads from `root`; every rank (including the
-/// root) returns its own slice. `parts` is only inspected at the root and
-/// must contain exactly `size` entries there.
-pub fn scatter_bytes(
-    ep: &Endpoint,
-    root: usize,
-    parts: Option<Vec<Vec<u8>>>,
-) -> Result<Vec<u8>, CommError> {
-    let _obs = CollectiveObs::open();
-    if ep.rank() == root {
-        let parts = parts.ok_or_else(|| CommError::Malformed {
-            reason: "scatter root called without parts".into(),
-        })?;
-        if parts.len() != ep.size() {
-            return Err(CommError::Malformed {
-                reason: format!("scatter needs {} parts, got {}", ep.size(), parts.len()),
-            });
-        }
-        let mut mine = Vec::new();
-        for (r, part) in parts.into_iter().enumerate() {
-            if r == root {
-                mine = part;
-            } else {
-                ep.send(r, part)?;
-            }
-        }
-        Ok(mine)
-    } else {
-        ep.recv(root)
     }
 }
 
@@ -272,17 +126,6 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_delivers_to_all() {
-        let results = run_spmd(4, |ep| {
-            let data = if ep.rank() == 1 { vec![9, 9, 9] } else { vec![] };
-            broadcast_bytes(ep, 1, data).unwrap()
-        });
-        for r in results {
-            assert_eq!(r, vec![9, 9, 9]);
-        }
-    }
-
-    #[test]
     fn reduce_sums_elementwise() {
         let results = run_spmd(5, |ep| {
             let mine = vec![ep.rank() as f64, 1.0];
@@ -291,31 +134,6 @@ mod tests {
         assert_eq!(results[0], Some(vec![0.0 + 1.0 + 2.0 + 3.0 + 4.0, 5.0]));
         for r in &results[1..] {
             assert!(r.is_none());
-        }
-    }
-
-    #[test]
-    fn allreduce_gives_everyone_the_sum() {
-        let results = run_spmd(3, |ep| {
-            allreduce_sum_f64(ep, &[(ep.rank() + 1) as f64]).unwrap()
-        });
-        for r in results {
-            assert_eq!(r, vec![6.0]);
-        }
-    }
-
-    #[test]
-    fn scatter_routes_parts() {
-        let results = run_spmd(3, |ep| {
-            let parts = if ep.rank() == 0 {
-                Some(vec![vec![0], vec![1], vec![2]])
-            } else {
-                None
-            };
-            scatter_bytes(ep, 0, parts).unwrap()
-        });
-        for (rank, part) in results.into_iter().enumerate() {
-            assert_eq!(part, vec![rank as u8]);
         }
     }
 
@@ -346,16 +164,12 @@ mod tests {
     #[test]
     fn single_rank_collectives_degenerate() {
         let results = run_spmd(1, |ep| {
-            let b = broadcast_bytes(ep, 0, vec![1]).unwrap();
             let r = reduce_sum_f64(ep, 0, &[2.0]).unwrap().unwrap();
-            let a = allreduce_sum_f64(ep, &[3.0]).unwrap();
-            let s = scatter_bytes(ep, 0, Some(vec![vec![4]])).unwrap();
-            (b, r, a, s)
+            let g = gather_bytes(ep, 0, vec![4]).unwrap().unwrap();
+            (r, g)
         });
-        let (b, r, a, s) = &results[0];
-        assert_eq!(b, &vec![1]);
+        let (r, g) = &results[0];
         assert_eq!(r, &vec![2.0]);
-        assert_eq!(a, &vec![3.0]);
-        assert_eq!(s, &vec![4]);
+        assert_eq!(g, &vec![vec![4]]);
     }
 }

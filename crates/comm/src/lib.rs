@@ -1,23 +1,23 @@
 //! In-process message-passing: the workspace's MPI analogue.
 //!
 //! The paper composes its distributed runtime from MPI point-to-point
-//! messages, barriers, reduce, broadcast and scatter (§III). This crate
-//! provides the same primitives with identical semantics, implemented over
-//! OS threads and lock-free channels:
+//! messages, barriers, reduce and gather (§III). This crate provides the
+//! primitives its one consumer, `mmsb_core::train_threaded`, calls —
+//! with MPI semantics, over OS threads and `std::sync::mpsc` channels:
 //!
 //! * [`LocalCluster::spawn`] creates `R` connected [`Endpoint`]s, one per
-//!   rank, that can be moved into worker threads,
-//! * [`collectives`] implements broadcast / reduce / all-reduce / scatter /
-//!   gather over the point-to-point layer, mirroring how MPI libraries are
-//!   layered internally (root-centric dataflow; [`tree`] provides the
-//!   binomial-tree variants with `ceil(log2 P)` rounds),
+//!   rank, that can be moved into worker threads (`send`, source-matched
+//!   `recv` that turns a dead peer into [`CommError::Disconnected`]
+//!   instead of a hang, `barrier`),
+//! * [`collectives`] implements the root-centric reduce and gather over
+//!   the point-to-point layer,
 //! * [`message`] provides a compact, alignment-safe wire encoding for the
 //!   float and index vectors the sampler exchanges.
 //!
-//! Timing of these operations on the *simulated* cluster is modeled
-//! separately by `mmsb-netsim`; this crate is about transport semantics
-//! and is fully functional (the integration tests run real multi-threaded
-//! exchanges).
+//! The lockstep `DistributedSampler` never sends a message: it prices
+//! its collectives through `mmsb-netsim`. This crate is about transport
+//! semantics and is fully functional (the integration tests run real
+//! multi-threaded exchanges).
 //!
 //! # Example
 //!
@@ -30,26 +30,23 @@
 //!     .map(|ep| {
 //!         std::thread::spawn(move || {
 //!             let mine = vec![ep.rank() as f64];
-//!             collectives::allreduce_sum_f64(&ep, &mine).unwrap()[0]
+//!             collectives::reduce_sum_f64(&ep, 0, &mine).unwrap()
 //!         })
 //!     })
 //!     .collect();
-//! for h in handles {
-//!     assert_eq!(h.join().unwrap(), 0.0 + 1.0 + 2.0);
-//! }
+//! let sums: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+//! assert_eq!(sums[0], Some(vec![0.0 + 1.0 + 2.0]));
+//! assert_eq!(sums[1], None);
 //! ```
 
 #![forbid(unsafe_code)]
 
 pub mod collectives;
 pub mod message;
-pub mod tree;
 
 mod local;
-mod reliable;
 
 pub use local::{Endpoint, LocalCluster};
-pub use reliable::{ReliableEndpoint, SendReport};
 
 /// Errors surfaced by communicator operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -71,12 +68,6 @@ pub enum CommError {
         /// Explanation of the mismatch.
         reason: String,
     },
-    /// A `recv` with a per-stage deadline elapsed while the peer was
-    /// still alive but silent.
-    Timeout {
-        /// The rank that failed to deliver in time.
-        peer: usize,
-    },
 }
 
 impl std::fmt::Display for CommError {
@@ -87,9 +78,6 @@ impl std::fmt::Display for CommError {
                 write!(f, "rank {rank} out of range for cluster of {size}")
             }
             CommError::Malformed { reason } => write!(f, "malformed message: {reason}"),
-            CommError::Timeout { peer } => {
-                write!(f, "timed out waiting for rank {peer}")
-            }
         }
     }
 }

@@ -1,19 +1,18 @@
 //! Threaded in-process communicator.
 //!
 //! [`LocalCluster::spawn`] wires up `R` endpoints with a full mesh of
-//! unbounded channels plus a shared barrier — the transport the distributed
-//! sampler's *functional* tests run on. Each endpoint is `Send` and is
-//! meant to be moved into its rank's thread.
+//! unbounded channels plus a shared barrier — the transport
+//! `train_threaded` runs on. Each endpoint is `Send` and is meant to be
+//! moved into its rank's thread.
 
 use crate::CommError;
-use mmsb_obs::clock::Stopwatch;
 use mmsb_obs::id as obs_id;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
-/// How often a blocked `recv` re-checks peer liveness and its deadline.
+/// How often a blocked `recv` re-checks peer liveness.
 const LIVENESS_POLL: Duration = Duration::from_millis(1);
 
 /// One rank's handle to the cluster.
@@ -33,9 +32,6 @@ pub struct Endpoint {
     /// channel never disconnects on its own — this registry is how a
     /// blocked `recv` learns its peer is gone instead of hanging forever.
     alive: Arc<Vec<AtomicBool>>,
-    /// Optional per-`recv` deadline (a collective's per-stage timeout).
-    /// `None` waits until the peer delivers or dies.
-    deadline: std::cell::Cell<Option<Duration>>,
 }
 
 impl Drop for Endpoint {
@@ -85,7 +81,6 @@ impl LocalCluster {
                 barrier: Arc::clone(&barrier),
                 pending: std::cell::RefCell::new(Vec::new()),
                 alive: Arc::clone(&alive),
-                deadline: std::cell::Cell::new(None),
             })
             .collect()
     }
@@ -118,27 +113,13 @@ impl Endpoint {
         Ok(())
     }
 
-    /// Whether rank `r`'s endpoint is still alive (not yet dropped).
-    pub fn is_alive(&self, r: usize) -> bool {
-        r < self.size && self.alive[r].load(Ordering::Acquire)
-    }
-
-    /// Set the per-`recv` deadline. `Some(d)`: a `recv` that waits longer
-    /// than `d` on a *live* peer fails with [`CommError::Timeout`] (the
-    /// collective layer's per-stage timeout). `None` (the default): wait
-    /// until the peer delivers or dies.
-    pub fn set_timeout(&self, deadline: Option<Duration>) {
-        self.deadline.set(deadline);
-    }
-
     /// Receive the next message *from rank `from`*, blocking. Messages from
     /// other ranks that arrive first are buffered for later matching
     /// `recv` calls (MPI source-matching semantics).
     ///
     /// A wait on a dead peer fails with [`CommError::Disconnected`] once
     /// everything the peer sent before dying has been consumed — it never
-    /// hangs. With a deadline set ([`Endpoint::set_timeout`]), a wait on a
-    /// live-but-silent peer fails with [`CommError::Timeout`].
+    /// hangs.
     pub fn recv(&self, from: usize) -> Result<Vec<u8>, CommError> {
         if from >= self.size {
             return Err(CommError::RankOutOfRange {
@@ -156,7 +137,6 @@ impl Endpoint {
                 return Ok(pending.remove(i).1);
             }
         }
-        let start = Stopwatch::start();
         loop {
             match self.receiver.recv_timeout(LIVENESS_POLL) {
                 Ok((src, payload)) => {
@@ -183,28 +163,9 @@ impl Endpoint {
                         }
                         return Err(CommError::Disconnected { peer: from });
                     }
-                    if let Some(d) = self.deadline.get() {
-                        if start.elapsed_secs() >= d.as_secs_f64() {
-                            mmsb_obs::counter_add(obs_id::C_COMM_TIMEOUTS, 1);
-                            return Err(CommError::Timeout { peer: from });
-                        }
-                    }
                 }
             }
         }
-    }
-
-    /// Receive from any rank, returning `(source, payload)`.
-    pub fn recv_any(&self) -> Result<(usize, Vec<u8>), CommError> {
-        {
-            let mut pending = self.pending.borrow_mut();
-            if let Some(item) = pending.pop() {
-                return Ok(item);
-            }
-        }
-        self.receiver
-            .recv()
-            .map_err(|_| CommError::Disconnected { peer: self.size })
     }
 
     /// Block until every rank has entered the barrier.
@@ -312,18 +273,5 @@ mod tests {
         for i in 0..5u8 {
             assert_eq!(c.recv(0).unwrap(), vec![i], "message {i} out of order");
         }
-    }
-
-    #[test]
-    fn recv_any_returns_something() {
-        let mut eps = LocalCluster::spawn(2);
-        let b = eps.pop().unwrap();
-        let a = eps.pop().unwrap();
-        thread::spawn(move || a.send(1, vec![9]).unwrap())
-            .join()
-            .unwrap();
-        let (src, payload) = b.recv_any().unwrap();
-        assert_eq!(src, 0);
-        assert_eq!(payload, vec![9]);
     }
 }

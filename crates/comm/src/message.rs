@@ -33,30 +33,14 @@ impl MessageWriter {
         self
     }
 
-    /// Append one `u64`.
-    pub fn put_u64(&mut self, v: u64) -> &mut Self {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-        self
-    }
-
-    /// Append one `f64`.
-    pub fn put_f64(&mut self, v: f64) -> &mut Self {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-        self
+    /// Append a slice length prefix.
+    fn put_len(&mut self, len: usize) {
+        self.buf.extend_from_slice(&(len as u64).to_le_bytes());
     }
 
     /// Append a length-prefixed `u32` slice.
     pub fn put_u32_slice(&mut self, vs: &[u32]) -> &mut Self {
-        self.put_u64(vs.len() as u64);
-        for &v in vs {
-            self.buf.extend_from_slice(&v.to_le_bytes());
-        }
-        self
-    }
-
-    /// Append a length-prefixed `f32` slice.
-    pub fn put_f32_slice(&mut self, vs: &[f32]) -> &mut Self {
-        self.put_u64(vs.len() as u64);
+        self.put_len(vs.len());
         for &v in vs {
             self.buf.extend_from_slice(&v.to_le_bytes());
         }
@@ -65,7 +49,7 @@ impl MessageWriter {
 
     /// Append a length-prefixed `f64` slice.
     pub fn put_f64_slice(&mut self, vs: &[f64]) -> &mut Self {
-        self.put_u64(vs.len() as u64);
+        self.put_len(vs.len());
         for &v in vs {
             self.buf.extend_from_slice(&v.to_le_bytes());
         }
@@ -75,16 +59,6 @@ impl MessageWriter {
     /// Finish, yielding the wire bytes.
     pub fn finish(self) -> Vec<u8> {
         self.buf
-    }
-
-    /// Current encoded size in bytes.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing has been appended.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
     }
 }
 
@@ -121,18 +95,8 @@ impl<'a> MessageReader<'a> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 
-    /// Read one `u64`.
-    pub fn get_u64(&mut self) -> Result<u64, CommError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// Read one `f64`.
-    pub fn get_f64(&mut self) -> Result<f64, CommError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
     fn get_len(&mut self) -> Result<usize, CommError> {
-        let len = self.get_u64()?;
+        let len = u64::from_le_bytes(self.take(8)?.try_into().unwrap());
         usize::try_from(len).map_err(|_| CommError::Malformed {
             reason: format!("slice length {len} exceeds usize"),
         })
@@ -145,16 +109,6 @@ impl<'a> MessageReader<'a> {
         Ok(bytes
             .chunks_exact(4)
             .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-            .collect())
-    }
-
-    /// Read a length-prefixed `f32` slice.
-    pub fn get_f32_slice(&mut self) -> Result<Vec<f32>, CommError> {
-        let len = self.get_len()?;
-        let bytes = self.take(len * 4)?;
-        Ok(bytes
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
             .collect())
     }
 
@@ -188,30 +142,27 @@ mod tests {
     fn roundtrip_all_types() {
         let mut w = MessageWriter::new();
         w.put_u32(7)
-            .put_u64(1 << 40)
-            .put_f64(std::f64::consts::PI)
             .put_u32_slice(&[1, 2, 3])
-            .put_f32_slice(&[0.5, -0.25])
-            .put_f64_slice(&[1e300]);
+            .put_f64_slice(&[1e300, std::f64::consts::PI]);
         let bytes = w.finish();
 
         let mut r = MessageReader::new(&bytes);
         assert_eq!(r.get_u32().unwrap(), 7);
-        assert_eq!(r.get_u64().unwrap(), 1 << 40);
-        assert_eq!(r.get_f64().unwrap(), std::f64::consts::PI);
         assert_eq!(r.get_u32_slice().unwrap(), vec![1, 2, 3]);
-        assert_eq!(r.get_f32_slice().unwrap(), vec![0.5, -0.25]);
-        assert_eq!(r.get_f64_slice().unwrap(), vec![1e300]);
+        assert_eq!(
+            r.get_f64_slice().unwrap(),
+            vec![1e300, std::f64::consts::PI]
+        );
         r.finish().unwrap();
     }
 
     #[test]
     fn empty_slices_roundtrip() {
         let mut w = MessageWriter::new();
-        w.put_f32_slice(&[]);
+        w.put_u32_slice(&[]);
         let bytes = w.finish();
         let mut r = MessageReader::new(&bytes);
-        assert!(r.get_f32_slice().unwrap().is_empty());
+        assert!(r.get_u32_slice().unwrap().is_empty());
         r.finish().unwrap();
     }
 
@@ -246,9 +197,9 @@ mod tests {
 
     #[test]
     fn capacity_and_len() {
+        // The capacity is a hint only: the encoded size is what was put.
         let mut w = MessageWriter::with_capacity(64);
-        assert!(w.is_empty());
         w.put_u32(5);
-        assert_eq!(w.len(), 4);
+        assert_eq!(w.finish().len(), 4);
     }
 }

@@ -25,10 +25,16 @@
 //!   simulation: per-rank compute is executed for real and measured,
 //!   communication and RDMA time are charged to virtual clocks from the
 //!   `mmsb-netsim` cost models, and pipelining (double-buffered `pi`
-//!   loads) can be toggled — reproducing Figures 1–4 and Table III.
+//!   loads) can be toggled — reproducing Figures 1–4 and Table III. It
+//!   never sends a message.
 //! * [`train_threaded`] — the same master–worker protocol with real OS
-//!   threads and `mmsb-comm` message passing (for functional/concurrency
-//!   validation; it produces the identical chain).
+//!   threads and `mmsb-comm` message passing, whose only consumer it is
+//!   (for functional/concurrency validation; it produces the identical
+//!   chain and perplexity trace).
+//!
+//! Both master–worker drivers share `sampler/worker.rs` (one worker's
+//! `update_phi` routine and stage buffers) and load `pi` through the one
+//! `mmsb_dkv::pipeline::ChunkReader`, `Single` or `Double`.
 //!
 //! # Quickstart
 //!
@@ -56,7 +62,6 @@
 
 pub mod communities;
 pub mod convergence;
-pub mod diagnostics;
 pub mod eval;
 
 mod checkpoint;

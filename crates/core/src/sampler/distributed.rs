@@ -26,7 +26,7 @@ use crate::communities::Communities;
 use crate::compute_model::NodeComputeModel;
 use crate::config::{SamplerConfig, StateLayout};
 use crate::{CoreError, ModelState};
-use mmsb_dkv::pipeline::{ChunkedReader, PipelineMode, PrefetchingReader, ReaderScratch};
+use mmsb_dkv::pipeline::{ChunkReader, PipelineMode, ReaderScratch};
 use mmsb_dkv::{DkvStore, FaultingStore, Partition, ShardedStore};
 use mmsb_graph::access::mark_links;
 use mmsb_graph::heldout::HeldOut;
@@ -53,11 +53,6 @@ pub struct DistributedConfig {
     pub pipeline: PipelineMode,
     /// Mini-batch vertices per load/compute chunk.
     pub chunk_vertices: usize,
-    /// Read combining: issue one RDMA read per *distinct* key in a chunk
-    /// instead of one per occurrence (neighbor sets of different
-    /// mini-batch vertices overlap). Affects modeled wire time only — the
-    /// data delivered is identical either way.
-    pub dedup_reads: bool,
     /// Seeded fault schedule, or `None` for a fault-free cluster.
     ///
     /// Transient faults (failed/slow DKV operations, lost/duplicated/
@@ -81,7 +76,6 @@ impl DistributedConfig {
             node: NodeComputeModel::das5_node(),
             pipeline: PipelineMode::Double,
             chunk_vertices: 16,
-            dedup_reads: false,
             faults: None,
             recovery: RecoveryPolicy::default(),
         }
@@ -96,12 +90,6 @@ impl DistributedConfig {
     /// Override the recovery policy.
     pub fn with_recovery(mut self, recovery: RecoveryPolicy) -> Self {
         self.recovery = recovery;
-        self
-    }
-
-    /// Toggle read combining.
-    pub fn with_dedup_reads(mut self, dedup: bool) -> Self {
-        self.dedup_reads = dedup;
         self
     }
 
@@ -178,18 +166,20 @@ pub struct DistributedSampler {
     /// Index 0 is the master; worker `w` is rank `w + 1`.
     clocks: ClusterClocks,
     trace: PhaseTimes,
-    /// Reader buffers (ping-pong row buffers, per-chunk timings, dedup
-    /// scratch) — persistent so the steady state allocates nothing.
+    /// Reader buffers (ping-pong row buffers, per-chunk timings) —
+    /// persistent so the steady state allocates nothing.
     scratch: ReaderScratch,
-    /// The real double-buffered loader ([`PipelineMode::Double`]); its
-    /// background worker persists across iterations.
-    prefetch: PrefetchingReader,
+    /// The `pi` loader in the configured [`PipelineMode`]; under `Double`
+    /// its background worker persists across iterations.
+    reader: ChunkReader,
     /// Reusable per-worker key/segment staging for the chunked loads.
     keys_buf: Vec<u32>,
     seg_lens: Vec<usize>,
-    /// The `update_phi` routine of whichever rank is executing (ranks run
-    /// one at a time, so one set of buffers serves them all).
+    /// The worker-side routine and buffers of whichever rank is executing
+    /// (ranks run one at a time, so one set of buffers serves them all).
     worker: PhiWorker,
+    /// The master's rank-order sum of the per-worker `theta` gradients.
+    grad_total: Vec<f64>,
     /// Flat phi updates: one `K`-row per mini-batch vertex.
     updates: Vec<f64>,
     /// Per-pair held-out probabilities, gathered in pair order.
@@ -237,8 +227,7 @@ impl DistributedSampler {
         let n = engine.graph.num_vertices();
         let k = engine.config.k;
         let store = ShardedStore::new(Partition::new(n, dcfg.workers), k + 1);
-        let prefetch = PrefetchingReader::new(dcfg.chunk_vertices)
-            .with_dedup_reads(dcfg.dedup_reads)
+        let reader = ChunkReader::new(dcfg.chunk_vertices, dcfg.pipeline)
             .with_compute_scale(dcfg.node.scale(1.0));
         let plan = FaultPlan::new(dcfg.faults.unwrap_or_else(|| FaultConfig::none(0)));
         // A fault-configured run always holds a rollback point, even
@@ -259,10 +248,11 @@ impl DistributedSampler {
             clocks: ClusterClocks::new(dcfg.workers + 1),
             trace: PhaseTimes::new(),
             scratch: ReaderScratch::new(),
-            prefetch,
+            reader,
             keys_buf: Vec::new(),
             seg_lens: Vec::new(),
             worker: PhiWorker::new(k),
+            grad_total: vec![0.0; 2 * k],
             updates: vec![0.0; engine.max_batch_vertices() * k],
             probs: vec![0.0; engine.heldout.len()],
             graph_cache,
@@ -456,9 +446,9 @@ impl DistributedSampler {
             max_neigh = max_neigh.max(neigh);
 
             // Chunked load + compute over this worker's vertices, routed
-            // through the dkv readers. Every buffer involved (keys,
-            // segments, row ping-pong, timings, dedup scratch, the flat
-            // update rows) persists on `self`.
+            // through the dkv reader. Every buffer involved (keys,
+            // segments, row ping-pong, timings, the flat update rows)
+            // persists on `self`.
             self.worker
                 .stage_keys(self.dcfg.chunk_vertices, &mut self.keys_buf, &mut self.seg_lens);
             let keys = &self.keys_buf;
@@ -469,7 +459,7 @@ impl DistributedSampler {
             // The adjacency reader borrows only `self.graph_cache`,
             // disjoint from the engine and buffer borrows above.
             let mut reader = engine.graph.reader(self.graph_cache.as_mut());
-            let mut on_chunk = |_start: usize, _keys: &[u32], rows: &[f32]| {
+            let on_chunk = |_start: usize, _keys: &[u32], rows: &[f32]| {
                 worker.on_chunk(
                     &params,
                     engine.state.beta(),
@@ -483,43 +473,22 @@ impl DistributedSampler {
             // differs. The clocks always advance by the *modeled* makespan
             // so netsim figures stay comparable; Double additionally
             // records the measured overlapped wall-clock.
-            let (stage, load_sum, compute_sum) = match self.dcfg.pipeline {
-                PipelineMode::Single => {
-                    let run = ChunkedReader::new(self.dcfg.chunk_vertices, PipelineMode::Single)
-                        .with_dedup_reads(self.dcfg.dedup_reads)
-                        .with_compute_scale(node.scale(1.0))
-                        .run_segments(
-                            self.store.inner(),
-                            w,
-                            keys,
-                            seg_lens,
-                            &net,
-                            &mut self.scratch,
-                            &mut on_chunk,
-                        )
-                        .expect("keys are valid vertex ids");
-                    (run.total, run.load, run.compute)
-                }
-                PipelineMode::Double => {
-                    let run = self
-                        .prefetch
-                        .run_segments(
-                            self.store.inner(),
-                            w,
-                            keys,
-                            seg_lens,
-                            &net,
-                            &mut self.scratch,
-                            &mut on_chunk,
-                        )
-                        .expect("keys are valid vertex ids");
-                    max_wall = max_wall.max(run.wall);
-                    (run.modeled.total, run.modeled.load, run.modeled.compute)
-                }
-            };
-            self.clocks.advance(rank, stage);
-            max_load = max_load.max(load_sum);
-            max_compute = max_compute.max(compute_sum);
+            let run = self
+                .reader
+                .run_segments(
+                    self.store.inner(),
+                    w,
+                    keys,
+                    seg_lens,
+                    &net,
+                    &mut self.scratch,
+                    on_chunk,
+                )
+                .expect("keys are valid vertex ids");
+            self.clocks.advance(rank, run.total);
+            max_load = max_load.max(run.load);
+            max_compute = max_compute.max(run.compute);
+            max_wall = max_wall.max(run.wall);
 
             // Transient faults on this worker's load/compute stage:
             // retried chunk reads plus a possible straggle. Decisions come
@@ -530,13 +499,13 @@ impl DistributedSampler {
             if self.dcfg.faults.is_some() {
                 let chunks = self.seg_lens.len();
                 let per_chunk = if chunks > 0 {
-                    load_sum / chunks as f64
+                    run.load / chunks as f64
                 } else {
                     0.0
                 };
                 let mut worker_recovery = self.read_retry_cost(w, chunks, per_chunk);
                 if let Some(factor) = self.plan.straggler(self.engine.iteration, w) {
-                    worker_recovery += self.policy.straggler_overhead(neigh + stage, factor);
+                    worker_recovery += self.policy.straggler_overhead(neigh + run.total, factor);
                 }
                 self.clocks.advance(rank, worker_recovery);
                 max_stage_recovery = max_stage_recovery.max(worker_recovery);
@@ -564,25 +533,22 @@ impl DistributedSampler {
         for w in 0..r {
             let rank = w + 1;
             let t0 = Stopwatch::start();
-            let keys: Vec<u32> = self.engine.mb_vertices[share(nv, r, w)]
-                .iter()
-                .map(|a| a.0)
-                .collect();
-            let mut vals = vec![0.0f32; keys.len() * (k + 1)];
-            for (i, &key) in keys.iter().enumerate() {
-                self.engine
-                    .state
-                    .encode_dkv_row(key, &mut vals[i * (k + 1)..(i + 1) * (k + 1)]);
+            let PhiWorker { keys, rows, .. } = &mut self.worker;
+            keys.clear();
+            keys.extend(self.engine.mb_vertices[share(nv, r, w)].iter().map(|a| a.0));
+            rows.resize(keys.len() * (k + 1), 0.0);
+            for (&key, row) in keys.iter().zip(rows.chunks_exact_mut(k + 1)) {
+                self.engine.state.encode_dkv_row(key, row);
             }
             let compute = node.scale(t0.elapsed_secs());
-            let wire = self.store.inner().write_cost(w, &keys, &net);
+            let wire = self.store.inner().write_cost(w, keys, &net);
             // The real write goes through the fault layer: a failed
             // attempt really applies a partial prefix, and the retry's
             // idempotent full rewrite converges to the same bytes — only
             // the modeled recovery time differs from the clean run.
             let outcome = self
                 .store
-                .write_batch_recovered(w, &keys, &vals, wire)
+                .write_batch_recovered(w, keys, rows, wire)
                 .expect("retry budget covers transient write faults");
             self.clocks
                 .advance(rank, compute + wire + outcome.recovery_seconds);
@@ -598,23 +564,29 @@ impl DistributedSampler {
 
         // --------------------------------- update_beta_theta (4 steps)
         let mut beta_stage = 0.0f64;
-        let mut grad_total = vec![0.0f64; 2 * k];
-        let mut grad = vec![0.0f64; 2 * k];
+        self.grad_total.fill(0.0);
         let mut max_grad_time = 0.0f64;
         for w in 0..r {
             let rank = w + 1;
             let ps = share(n_pairs, r, w);
             // Load pi for the endpoints of this worker's pair share.
-            let keys: Vec<u32> = self.engine.mb.pairs[ps.clone()]
-                .iter()
-                .flat_map(|&(e, _)| [e.lo().0, e.hi().0])
-                .collect();
-            let wire = self.store.inner().read_cost(w, &keys, &net);
+            let PhiWorker {
+                keys,
+                grad,
+                scratch,
+                ..
+            } = &mut self.worker;
+            keys.clear();
+            keys.extend(
+                self.engine.mb.pairs[ps.clone()]
+                    .iter()
+                    .flat_map(|&(e, _)| [e.lo().0, e.hi().0]),
+            );
+            let wire = self.store.inner().read_cost(w, keys, &net);
             let t0 = Stopwatch::start();
-            self.engine
-                .theta_gradient(ps.start, ps.end, &mut self.worker.scratch, &mut grad);
+            self.engine.theta_gradient(ps.start, ps.end, scratch, grad);
             let compute = node.scale(t0.elapsed_secs());
-            for (g, c) in grad_total.iter_mut().zip(&grad) {
+            for (g, c) in self.grad_total.iter_mut().zip(grad.iter()) {
                 *g += c;
             }
             self.clocks.advance(rank, wire + compute);
@@ -631,7 +603,7 @@ impl DistributedSampler {
         let _ = t_reduce;
         // Master: theta step + beta broadcast.
         let t0 = Stopwatch::start();
-        self.engine.apply_theta_update(&grad_total);
+        self.engine.apply_theta_update(&self.grad_total);
         let master_compute = t0.elapsed_secs();
         let bcast = collective::broadcast(&net, r + 1, k * 8)
             + self.collective_retry_cost(STAGE_BROADCAST, &mut recovery_t);
@@ -783,11 +755,10 @@ impl DistributedSampler {
         for w in 0..r {
             let rank = w + 1;
             let share = self.engine.heldout.partition(w, r);
-            let keys: Vec<u32> = share
-                .iter()
-                .flat_map(|&(e, _)| [e.lo().0, e.hi().0])
-                .collect();
-            let wire = self.store.inner().read_cost(w, &keys, &net);
+            let keys = &mut self.worker.keys;
+            keys.clear();
+            keys.extend(share.iter().flat_map(|&(e, _)| [e.lo().0, e.hi().0]));
+            let wire = self.store.inner().read_cost(w, keys, &net);
             let (lo, hi) = (offset, offset + share.len());
             let t0 = Stopwatch::start();
             self.engine
@@ -984,34 +955,6 @@ mod tests {
         let mut bad = DistributedConfig::das5(2);
         bad.chunk_vertices = 0;
         assert!(DistributedSampler::new(g, h, cfg, bad).is_err());
-    }
-
-    #[test]
-    fn dedup_reads_cannot_be_slower_and_do_not_change_values() {
-        let (g, h) = setup(7);
-        let cfg = SamplerConfig::new(4).with_seed(6);
-        let mut plain = DistributedSampler::new(
-            g.clone(),
-            h.clone(),
-            cfg.clone(),
-            DistributedConfig::das5(4),
-        )
-        .unwrap();
-        let mut dedup = DistributedSampler::new(
-            g,
-            h,
-            cfg,
-            DistributedConfig::das5(4).with_dedup_reads(true),
-        )
-        .unwrap();
-        plain.run(6);
-        dedup.run(6);
-        for a in 0..plain.state().n() {
-            assert_eq!(plain.state().pi_row(a), dedup.state().pi_row(a));
-        }
-        let lp = plain.report().phases.total(mmsb_netsim::Phase::LoadPi);
-        let ld = dedup.report().phases.total(mmsb_netsim::Phase::LoadPi);
-        assert!(ld <= lp + 1e-12, "dedup load {ld} > plain {lp}");
     }
 
     #[test]

@@ -120,25 +120,18 @@ pub(crate) fn phi_update(
 /// accumulated serially in iteration order into `out` (flat `K x 2`,
 /// overwritten). Each item is `(pi_a, pi_b, y, weight)`; the caller's
 /// iterator is the row lookup.
-pub(crate) fn theta_gradient<R: AsRef<[f32]>>(
+pub(crate) fn theta_gradient<'r>(
     backend: Backend,
     beta: &[f64],
     theta: &[f64],
     delta: f64,
-    pairs: impl Iterator<Item = (R, R, bool, f64)>,
+    pairs: impl Iterator<Item = (&'r [f32], &'r [f32], bool, f64)>,
     scratch: &mut StageScratch,
     out: &mut [f64],
 ) {
     mmsb_simd::theta_chunk_begin(beta, theta, delta, &mut scratch.theta);
     for (pi_a, pi_b, y, weight) in pairs {
-        mmsb_simd::theta_accumulate_pair(
-            backend,
-            &mut scratch.theta,
-            pi_a.as_ref(),
-            pi_b.as_ref(),
-            y,
-            weight,
-        );
+        mmsb_simd::theta_accumulate_pair(backend, &mut scratch.theta, pi_a, pi_b, y, weight);
     }
     mmsb_simd::theta_chunk_finish(&scratch.theta, out);
 }

@@ -14,7 +14,9 @@
 //!   (shared memory standing in for RDMA: one-sided access, no remote
 //!   CPU),
 //! * stages are separated by real barriers; the `theta` gradient is
-//!   combined with a real reduce; held-out probabilities are gathered.
+//!   combined with a real reduce; on evaluation iterations the master
+//!   sends the updated `beta` back and the held-out probabilities are
+//!   gathered.
 //!
 //! The chain it produces is **bit-identical** to the lockstep driver —
 //! both are built from the same worker-side kernels and the same
@@ -30,7 +32,7 @@ use crate::perplexity::link_probability;
 use crate::{CoreError, ModelState};
 use mmsb_comm::message::{MessageReader, MessageWriter};
 use mmsb_comm::{collectives, Endpoint, LocalCluster};
-use mmsb_dkv::pipeline::{ChunkedReader, PipelineMode, PrefetchingReader, ReaderScratch};
+use mmsb_dkv::pipeline::{ChunkReader, PipelineMode, ReaderScratch};
 use mmsb_dkv::{DkvStore, Partition, ShardedStore};
 use mmsb_graph::access::mark_links;
 use mmsb_graph::heldout::HeldOut;
@@ -40,8 +42,8 @@ use mmsb_netsim::NetworkModel;
 use std::sync::{Arc, RwLock};
 
 /// Mini-batch vertices per load/compute chunk in the worker threads —
-/// the granularity at which the prefetching reader overlaps store reads
-/// with `update_phi` compute.
+/// the granularity at which a double-buffered reader overlaps store
+/// reads with `update_phi` compute.
 const CHUNK_VERTICES: usize = 16;
 
 /// Result of a threaded training run.
@@ -120,6 +122,8 @@ pub fn train_threaded(
     // ---------------- master loop ----------------
     let mut trace = Vec::new();
     let mut probs = Vec::with_capacity(engine.heldout.len());
+    // The master's contribution to the theta reduce.
+    let zeros = vec![0.0f64; 2 * k];
     for t in 0..iterations {
         engine.refresh_minibatch();
         let nv = engine.mb_vertices.len();
@@ -158,13 +162,20 @@ pub fn train_threaded(
         master_ep.barrier(); // after pi write-back
 
         // Reduce theta gradients (master contributes zeros).
-        let zeros = vec![0.0f64; 2 * k];
         let grad = collectives::reduce_sum_f64(&master_ep, 0, &zeros)
             .map_err(comm_error)?
             .expect("master is the reduce root");
         engine.apply_theta_update(&grad);
 
         if do_perplexity {
+            // Broadcast the fresh beta: held-out probabilities are those
+            // of the state *after* the whole iteration, as in every other
+            // driver.
+            for w in 0..workers {
+                let mut msg = MessageWriter::with_capacity(8 + k * 8);
+                msg.put_f64_slice(engine.state.beta());
+                master_ep.send(w + 1, msg.finish()).map_err(comm_error)?;
+            }
             let gathered = collectives::gather_bytes(&master_ep, 0, Vec::new())
                 .map_err(comm_error)?
                 .expect("master is the gather root");
@@ -222,24 +233,19 @@ fn worker_loop(
     let neighbor_sampler = NeighborSampler::new(n, config.neighbor_sample);
 
     // Chunked-load machinery, persistent across iterations: the reader
-    // scratch (row ping-pong buffers, timing vectors), the key/segment
-    // staging, and — in Double mode — the prefetching reader whose
-    // background thread lives as long as this worker. The cost model fed
-    // to the readers only prices the modeled makespan, which this driver
-    // ignores (it measures real wall-clock); any model works.
+    // (in Double mode its background thread lives as long as this
+    // worker), its scratch (row ping-pong buffers, timing vectors) and
+    // the key/segment staging. The cost model fed to the reader only
+    // prices the modeled makespan, which this driver ignores (it runs on
+    // real wall-clock); any model works.
     let net = NetworkModel::fdr_infiniband();
     let mut scratch = ReaderScratch::new();
-    let sync_reader = ChunkedReader::new(CHUNK_VERTICES, PipelineMode::Single);
-    let mut prefetch = match pipeline {
-        PipelineMode::Single => None,
-        PipelineMode::Double => Some(PrefetchingReader::new(CHUNK_VERTICES)),
-    };
+    let mut reader = ChunkReader::new(CHUNK_VERTICES, pipeline);
     let mut keys_buf: Vec<u32> = Vec::new();
     let mut seg_lens: Vec<usize> = Vec::new();
     let mut worker = PhiWorker::new(k);
     let mut updates: Vec<f64> = Vec::new();
-    let mut pair_rows: Vec<f32> = Vec::new();
-    let mut grad = vec![0.0f64; 2 * k];
+    let mut probs: Vec<f64> = Vec::new();
 
     for t in 0..iterations {
         // ---- receive this iteration's share ----
@@ -269,8 +275,8 @@ fn worker_loop(
         // ---- update_phi: one-sided chunked reads, local compute ----
         // Neighbor sets are sampled up front (each vertex owns its RNG
         // stream, so sampling order is immaterial); the rows for a whole
-        // vertex chunk are then loaded in one batched read, optionally
-        // prefetched a chunk ahead of the compute.
+        // vertex chunk are then loaded in one batched read, in Double
+        // mode prefetched a chunk ahead of the compute.
         worker.sample(&ids, &neighbor_sampler, &heldout, config.seed, t);
         worker.stage_keys(CHUNK_VERTICES, &mut keys_buf, &mut seg_lens);
         updates.clear();
@@ -286,22 +292,25 @@ fn worker_loop(
                     &mut updates,
                 );
             };
-            match &mut prefetch {
-                Some(reader) => {
-                    reader.run_segments(&store, w, &keys_buf, &seg_lens, &net, &mut scratch, on_chunk)?;
-                }
-                None => {
-                    sync_reader
-                        .run_segments(&store, w, &keys_buf, &seg_lens, &net, &mut scratch, on_chunk)?;
-                }
-            }
+            reader.run_segments(
+                &store,
+                w,
+                &keys_buf,
+                &seg_lens,
+                &net,
+                &mut scratch,
+                on_chunk,
+            )?;
         }
         ep.barrier(); // memory-consistency barrier before update_pi
 
         // ---- update_pi: write fresh rows through the store ----
         {
-            let mut vals = vec![0.0f32; keys.len() * row_len];
-            for (phi, out) in updates.chunks_exact(k).zip(vals.chunks_exact_mut(row_len)) {
+            worker.rows.resize(keys.len() * row_len, 0.0);
+            for (phi, out) in updates
+                .chunks_exact(k)
+                .zip(worker.rows.chunks_exact_mut(row_len))
+            {
                 let sum: f64 = phi.iter().sum();
                 for (o, &x) in out.iter_mut().zip(phi) {
                     *o = (x / sum) as f32;
@@ -309,7 +318,7 @@ fn worker_loop(
                 out[k] = sum as f32;
             }
             let mut store = store.write().expect("store lock poisoned");
-            store.write_batch(&keys, &vals)?;
+            store.write_batch(&keys, &worker.rows)?;
         }
         ep.barrier(); // fresh pi everywhere before update_beta
 
@@ -318,14 +327,21 @@ fn worker_loop(
         // same begin/accumulate/finish sequence as every other driver.
         {
             let store = store.read().expect("store lock poisoned");
-            keys_buf.clear();
-            keys_buf.extend(pair_words.chunks_exact(3).flat_map(|p| [p[0], p[1]]));
-            pair_rows.resize(keys_buf.len() * row_len, 0.0);
-            store.read_batch(&keys_buf, &mut pair_rows)?;
+            let PhiWorker {
+                keys,
+                rows,
+                grad,
+                scratch,
+                ..
+            } = &mut worker;
+            keys.clear();
+            keys.extend(pair_words.chunks_exact(3).flat_map(|p| [p[0], p[1]]));
+            rows.resize(keys.len() * row_len, 0.0);
+            store.read_batch(keys, rows)?;
             let pairs = pair_words
                 .chunks_exact(3)
                 .zip(&weights)
-                .zip(pair_rows.chunks_exact(2 * row_len))
+                .zip(rows.chunks_exact(2 * row_len))
                 .map(|((p, &w), rows)| (&rows[..k], &rows[row_len..row_len + k], p[2] != 0, w));
             theta_gradient(
                 params.backend,
@@ -333,32 +349,41 @@ fn worker_loop(
                 &theta,
                 config.delta,
                 pairs,
-                &mut worker.scratch,
-                &mut grad,
+                scratch,
+                grad,
             );
         }
-        collectives::reduce_sum_f64(&ep, 0, &grad).map_err(comm_error)?;
+        collectives::reduce_sum_f64(&ep, 0, &worker.grad).map_err(comm_error)?;
 
         // ---- perplexity (gathered at the master) ----
         if do_perplexity {
+            let payload = ep.recv(0).map_err(comm_error)?;
+            let mut r = MessageReader::new(&payload);
+            let beta = r.get_f64_slice().map_err(comm_error)?;
+            r.finish().map_err(comm_error)?;
+            // One batched read of the share's endpoint rows, like the
+            // theta stage.
             let share = heldout.partition(w, workers);
-            let mut probs = Vec::with_capacity(share.len());
-            {
-                let store = store.read().expect("store lock poisoned");
-                let mut row_a = vec![0.0f32; row_len];
-                let mut row_b = vec![0.0f32; row_len];
-                for &(e, y) in share {
-                    store.read_batch(&[e.lo().0], &mut row_a)?;
-                    store.read_batch(&[e.hi().0], &mut row_b)?;
-                    probs.push(link_probability(
-                        &row_a[..k],
-                        &row_b[..k],
+            let PhiWorker { keys, rows, .. } = &mut worker;
+            keys.clear();
+            keys.extend(share.iter().flat_map(|&(e, _)| [e.lo().0, e.hi().0]));
+            rows.resize(keys.len() * row_len, 0.0);
+            store
+                .read()
+                .expect("store lock poisoned")
+                .read_batch(keys, rows)?;
+            probs.clear();
+            probs.extend(share.iter().zip(rows.chunks_exact(2 * row_len)).map(
+                |(&(_, y), rows)| {
+                    link_probability(
+                        &rows[..k],
+                        &rows[row_len..row_len + k],
                         &beta,
                         config.delta,
                         y,
-                    ));
-                }
-            }
+                    )
+                },
+            ));
             let mut msg = MessageWriter::with_capacity(8 + probs.len() * 8);
             msg.put_f64_slice(&probs);
             collectives::gather_bytes(&ep, 0, msg.finish()).map_err(comm_error)?;
@@ -405,8 +430,26 @@ mod tests {
         let mut lockstep =
             DistributedSampler::new(g.clone(), h.clone(), config(), DistributedConfig::das5(3))
                 .unwrap();
-        lockstep.run(8);
-        let threaded = train_threaded(g, h, config(), 3, 8, 0, PipelineMode::Double).unwrap();
+        // Held-out perplexity every second iteration on both sides: the
+        // posterior-averaged traces must agree bit for bit too.
+        let mut lockstep_trace = Vec::new();
+        for t in 1..=8u64 {
+            lockstep.step();
+            if t % 2 == 0 {
+                lockstep_trace.push((t, lockstep.evaluate_perplexity()));
+            }
+        }
+        let threaded = train_threaded(g, h, config(), 3, 8, 2, PipelineMode::Double).unwrap();
+        let bits = |trace: &[(u64, f64)]| -> Vec<(u64, u64)> {
+            trace.iter().map(|&(t, p)| (t, p.to_bits())).collect()
+        };
+        assert_eq!(lockstep_trace.len(), 4);
+        assert_eq!(
+            bits(&lockstep_trace),
+            bits(&threaded.perplexity_trace),
+            "perplexity traces diverged: {lockstep_trace:?} vs {:?}",
+            threaded.perplexity_trace
+        );
         for a in 0..threaded.state.n() {
             assert_eq!(
                 lockstep.state().pi_row(a),

@@ -1,11 +1,12 @@
 //! One worker's `update_phi` stage over DKV rows — the routine both
-//! master–worker drivers run.
+//! master–worker drivers run — and the worker-side buffers of the other
+//! stages.
 //!
 //! The lockstep [`crate::DistributedSampler`] calls it once per rank on
 //! the master's thread; each [`crate::train_threaded`] worker owns one.
 //! They differ only in who hands over the adjacency (the graph backend
-//! vs. the scattered message) and which reader delivers the chunks, so
-//! their numerics are identical by construction.
+//! vs. the scattered message), so their numerics are identical by
+//! construction.
 
 use super::stage::{phi_update, PhiParams, StageScratch};
 use crate::rngs;
@@ -25,8 +26,10 @@ pub(crate) fn share(len: usize, parts: usize, p: usize) -> Range<usize> {
     lo..lo + base + usize::from(p < extra)
 }
 
-/// Per-worker state of the `update_phi` stage; every buffer persists
-/// across iterations.
+/// Per-worker state: the `update_phi` stage plus the staging buffers of
+/// the write-back, `theta` and perplexity stages. Every buffer persists
+/// across iterations, so a warmed worker allocates nothing (pinned for
+/// the lockstep driver by `crates/core/tests/zero_alloc.rs`).
 pub(crate) struct PhiWorker {
     /// The share: this worker's mini-batch vertices.
     ids: Vec<VertexId>,
@@ -46,6 +49,13 @@ pub(crate) struct PhiWorker {
     phi_a: Vec<f64>,
     /// Kernel scratch; the worker's `theta` stage borrows it too.
     pub scratch: StageScratch,
+    /// DKV keys of the stage at hand: the share's vertices (write-back),
+    /// its pairs' endpoints (`theta`) or its held-out pairs' endpoints.
+    pub keys: Vec<u32>,
+    /// DKV rows (`K + 1` floats each) read or written for `keys`.
+    pub rows: Vec<f32>,
+    /// This worker's `theta` gradient (`2K`).
+    pub grad: Vec<f64>,
 }
 
 impl PhiWorker {
@@ -61,6 +71,9 @@ impl PhiWorker {
             linked: Vec::new(),
             phi_a: vec![0.0; k],
             scratch: StageScratch::new(k),
+            keys: Vec::new(),
+            rows: Vec::new(),
+            grad: vec![0.0; 2 * k],
         }
     }
 

@@ -1,11 +1,14 @@
 //! Pins the zero-allocation steady-state contract: after warmup, a
 //! [`ParallelSampler`] `step()` must never touch the heap — and neither
-//! may a warmed double-buffered [`PrefetchingReader`] pass (the pipelined
-//! `pi` load path of the distributed samplers) nor a warmed out-of-core
+//! may a warmed lockstep [`DistributedSampler`] `step()` +
+//! `evaluate_perplexity()` in either pipeline mode, a warmed
+//! double-buffered [`ChunkReader`] pass (the pipelined `pi` load path of
+//! the distributed samplers) nor a warmed out-of-core
 //! [`mmsb_ooc::BlockCache`] read loop (the graph path of the ooc
 //! backend). Every per-iteration buffer is pre-reserved at its hard
 //! upper bound (`Engine::with_backend`, `StepBuffers::new`, `Workspace::new`,
-//! `ReaderScratch`, the cache's block storage and decode scratch), the
+//! `ReaderScratch`, the cache's block storage and decode scratch) or
+//! grows to its high-water mark during warm-up (`PhiWorker`), the
 //! pool and the background worker publish tasks as unboxed pointer
 //! pairs, and the mini-batch/neighbor machinery reuses its vectors — so
 //! the counter below must stay at exactly zero.
@@ -19,8 +22,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-use mmsb_core::{Backend, ParallelSampler, SamplerConfig, SimdPolicy};
-use mmsb_dkv::pipeline::{PrefetchingReader, ReaderScratch};
+use mmsb_core::{
+    Backend, DistributedConfig, DistributedSampler, ParallelSampler, SamplerConfig, SimdPolicy,
+};
+use mmsb_dkv::pipeline::{ChunkReader, PipelineMode, ReaderScratch};
 use mmsb_dkv::{DkvStore, Partition, ShardedStore};
 use mmsb_graph::generate::planted::{generate_planted, PlantedConfig};
 use mmsb_graph::heldout::HeldOut;
@@ -135,7 +140,43 @@ fn steady_state_step_is_allocation_free() {
         );
     }
 
-    // ---- pipelined path: a warmed PrefetchingReader pass ----
+    // ---- lockstep master–worker driver, both pipeline modes ----
+    // Every per-rank buffer of `step()` and `evaluate_perplexity()` (the
+    // write-back keys and rows, the pair and held-out endpoint keys, the
+    // theta gradients) lives in the shared worker state, and the reader
+    // owns its scratch — so once each has seen its largest share the
+    // whole iteration, perplexity gather included, stays off the heap.
+    for mode in [PipelineMode::Single, PipelineMode::Double] {
+        let mut sampler = DistributedSampler::new(
+            graph.clone(),
+            heldout.clone(),
+            SamplerConfig::new(8).with_seed(7),
+            DistributedConfig::das5(3).with_pipeline(mode),
+        )
+        .unwrap();
+        for _ in 0..60 {
+            sampler.step();
+            sampler.evaluate_perplexity();
+        }
+
+        COUNTING.store(true, Ordering::SeqCst);
+        let mut perplexity = 0.0;
+        for _ in 0..40 {
+            sampler.step();
+            perplexity = sampler.evaluate_perplexity();
+        }
+        COUNTING.store(false, Ordering::SeqCst);
+        assert!(perplexity.is_finite());
+
+        let n = ALLOCS.swap(0, Ordering::SeqCst);
+        assert_eq!(
+            n, 0,
+            "warmed lockstep step() + evaluate_perplexity() under {mode:?} hit the allocator \
+             {n} times over 40 iterations"
+        );
+    }
+
+    // ---- pipelined path: a warmed double-buffered reader pass ----
     // The real double-buffered loader must also be allocation-free once
     // warm: the ping-pong row buffers, timing vectors, and chunk table
     // live in the ReaderScratch, and the background worker receives its
@@ -147,7 +188,7 @@ fn steady_state_step_is_allocation_free() {
     let vals = vec![1.0f32; keys.len() * row_len];
     store.write_batch(&keys, &vals).unwrap();
     let net = NetworkModel::fdr_infiniband();
-    let mut reader = PrefetchingReader::new(64);
+    let mut reader = ChunkReader::new(64, PipelineMode::Double);
     let mut scratch = ReaderScratch::new();
     let mut acc = 0.0f64;
     for _ in 0..5 {
@@ -172,7 +213,7 @@ fn steady_state_step_is_allocation_free() {
     let n = ALLOCS.load(Ordering::SeqCst);
     assert_eq!(
         n, 0,
-        "warmed prefetching reader hit the allocator {n} times over 20 passes"
+        "warmed double-buffered reader hit the allocator {n} times over 20 passes"
     );
 
     // ---- write path: warmed write_batch calls ----

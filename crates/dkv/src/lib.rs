@@ -15,11 +15,16 @@
 //! * [`LocalStore`] — single-node backing (the vertical-scaling baseline),
 //! * [`ShardedStore`] — per-rank shards with modeled RDMA cost accounting
 //!   ([`ShardedStore::read_cost`]), the distributed configuration,
-//! * [`pipeline`] — chunked readers that overlap loading `pi` with
-//!   compute (paper §III-D, Figure 3, Table III): the synchronous
-//!   [`pipeline::ChunkedReader`] (overlap *modeled* by
-//!   [`pipeline::schedule`]) and the real [`pipeline::PrefetchingReader`]
-//!   (overlap *measured*, double-buffered on a background worker).
+//! * [`pipeline`] — the chunked loader that overlaps loading `pi` with
+//!   compute (paper §III-D, Figure 3, Table III): one
+//!   [`pipeline::ChunkReader`] whose [`pipeline::PipelineMode`] selects
+//!   synchronous reads or real double buffering on a background worker;
+//!   either way a pass reports its makespan *modeled* by
+//!   [`pipeline::schedule`] next to its *measured* wall-clock.
+//!
+//! Callers: the lockstep `DistributedSampler` (behind [`FaultingStore`])
+//! and each `train_threaded` worker read and write `pi` through
+//! [`ShardedStore`] and load it through the [`pipeline`] reader.
 //!
 //! Data movement is performed for real (rows are copied through the store
 //! on every access); only the *wire time* is modeled, by `mmsb-netsim`.

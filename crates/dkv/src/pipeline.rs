@@ -7,19 +7,20 @@
 //!
 //! * [`schedule`] — the pure timing algebra of a two-stage pipeline, used
 //!   by the simulator and verified against hand-computed cases,
-//! * [`ChunkedReader`] — the synchronous executor: real chunked reads and
-//!   compute calls, loads priced with the store's cost model, computes
-//!   measured, makespan reported under the configured [`PipelineMode`],
-//! * [`PrefetchingReader`] — the real pipeline: two pre-sized row buffers
-//!   ping-pong, and while the compute callback runs on buffer A's chunk a
-//!   [`BackgroundWorker`] fills buffer B from the store. It returns the
-//!   *measured* overlapped wall-clock alongside the modeled makespan, so
-//!   netsim figures stay comparable.
+//! * [`ChunkReader`] — the one loader, constructed from a
+//!   [`PipelineMode`]. `Single` reads each chunk, then computes on it.
+//!   `Double` is the real pipeline: two pre-sized row buffers ping-pong,
+//!   and while the compute callback runs on buffer A's chunk a
+//!   [`BackgroundWorker`] fills buffer B from the store. Either way a
+//!   pass returns one [`PipelineRun`]: loads priced with the store's cost
+//!   model, computes measured, the makespan *modeled* under the reader's
+//!   mode (so netsim figures stay comparable) next to the *measured*
+//!   wall-clock of the pass.
 //!
-//! Numerics are identical across every reader and mode: chunk boundaries
-//! and delivery order never change, only *when* the bytes are copied.
-//! Both readers borrow their buffers from a caller-owned [`ReaderScratch`]
-//! so steady-state operation performs no heap allocation (pinned by
+//! Numerics are identical across modes: chunk boundaries and delivery
+//! order never change, only *when* the bytes are copied. The reader
+//! borrows its buffers from a caller-owned [`ReaderScratch`] so
+//! steady-state operation performs no heap allocation (pinned by
 //! `crates/core/tests/zero_alloc.rs`).
 
 use crate::{DkvError, DkvStore, ShardedStore};
@@ -70,7 +71,7 @@ pub fn schedule(loads: &[f64], computes: &[f64], mode: PipelineMode) -> f64 {
 /// Result of one chunked, cost-accounted read-compute pass.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PipelineRun {
-    /// Modeled makespan in seconds under the chosen mode.
+    /// Modeled makespan in seconds under the reader's mode.
     pub total: f64,
     /// Sum of modeled load (DKV read) times.
     pub load: f64,
@@ -78,43 +79,26 @@ pub struct PipelineRun {
     pub compute: f64,
     /// Number of chunks executed.
     pub chunks: usize,
-}
-
-const EMPTY_RUN: PipelineRun = PipelineRun {
-    total: 0.0,
-    load: 0.0,
-    compute: 0.0,
-    chunks: 0,
-};
-
-/// Result of one *real* prefetched pass ([`PrefetchingReader`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PrefetchRun {
-    /// The modeled double-buffered makespan (same algebra as
-    /// [`ChunkedReader`] under [`PipelineMode::Double`]), kept so netsim
-    /// figures remain comparable across modes.
-    pub modeled: PipelineRun,
-    /// Measured overlapped wall-clock of the whole pass, in seconds —
-    /// loads genuinely hidden behind computes.
+    /// Measured wall-clock of the whole pass, in seconds — under
+    /// [`PipelineMode::Double`] with the loads genuinely hidden behind
+    /// the computes.
     pub wall: f64,
 }
 
-/// Reusable buffers for [`ChunkedReader`] and [`PrefetchingReader`].
+/// Reusable buffers for [`ChunkReader`].
 ///
-/// Owns the ping-pong row buffers, the per-chunk timing vectors, the
-/// dedup scratch, and the chunk-boundary table. All storage grows to the
-/// high-water mark on first use and is reused afterwards, so a warmed
-/// reader performs zero heap allocations per pass.
+/// Owns the ping-pong row buffers, the per-chunk timing vectors and the
+/// chunk-boundary table. All storage grows to the high-water mark on
+/// first use and is reused afterwards, so a warmed reader performs zero
+/// heap allocations per pass.
 #[derive(Debug, Default)]
 pub struct ReaderScratch {
-    /// Ping-pong row buffers; the synchronous reader uses only `bufs[0]`.
+    /// Ping-pong row buffers; [`PipelineMode::Single`] uses only `bufs[0]`.
     bufs: [Vec<f32>; 2],
     /// Modeled per-chunk load times (seconds).
     loads: Vec<f64>,
     /// Measured per-chunk compute times (seconds).
     computes: Vec<f64>,
-    /// Sorted-deduplicated chunk keys, for `dedup_reads` cost pricing.
-    unique: Vec<u32>,
     /// Exclusive end offset (into the key slice) of each chunk.
     ends: Vec<usize>,
 }
@@ -159,172 +143,6 @@ impl ReaderScratch {
     }
 }
 
-/// Modeled RDMA cost of reading `chunk` as `rank`, optionally priced per
-/// *distinct* key (the `dedup_reads` optimization: a chunk that needs the
-/// same row twice issues one read and reuses the bytes).
-fn chunk_cost(
-    store: &ShardedStore,
-    rank: usize,
-    chunk: &[u32],
-    net: &NetworkModel,
-    dedup: bool,
-    unique: &mut Vec<u32>,
-) -> f64 {
-    if dedup {
-        unique.clear();
-        unique.extend_from_slice(chunk);
-        unique.sort_unstable();
-        unique.dedup();
-        store.read_cost(rank, unique, net)
-    } else {
-        store.read_cost(rank, chunk, net)
-    }
-}
-
-/// Synchronous chunked reader over a [`ShardedStore`].
-///
-/// Executes loads and computes back-to-back; the pipelined makespan under
-/// [`PipelineMode::Double`] is *modeled* after the fact with [`schedule`].
-/// For a real overlapped execution use [`PrefetchingReader`].
-#[derive(Debug, Clone, Copy)]
-pub struct ChunkedReader {
-    chunk_size: usize,
-    mode: PipelineMode,
-    dedup: bool,
-    compute_scale: f64,
-}
-
-impl ChunkedReader {
-    /// Create a reader with the given chunk size and mode.
-    ///
-    /// # Panics
-    /// Panics if `chunk_size == 0`.
-    pub fn new(chunk_size: usize, mode: PipelineMode) -> Self {
-        assert!(chunk_size > 0, "chunk size must be positive");
-        Self {
-            chunk_size,
-            mode,
-            dedup: false,
-            compute_scale: 1.0,
-        }
-    }
-
-    /// Price each chunk per distinct key (`dedup_reads`) when `true`.
-    pub fn with_dedup_reads(mut self, dedup: bool) -> Self {
-        self.dedup = dedup;
-        self
-    }
-
-    /// Multiply measured per-chunk compute times by `scale` before they
-    /// enter the makespan model — the hook for per-node thread-parallelism
-    /// models that shrink the serial measurement.
-    pub fn with_compute_scale(mut self, scale: f64) -> Self {
-        self.compute_scale = scale;
-        self
-    }
-
-    /// The configured mode.
-    pub fn mode(&self) -> PipelineMode {
-        self.mode
-    }
-
-    /// The configured chunk size (keys per chunk).
-    pub fn chunk_size(&self) -> usize {
-        self.chunk_size
-    }
-
-    /// Read `keys` chunk-by-chunk from `store` as rank `rank`, invoking
-    /// `compute(chunk_start, chunk_keys, rows)` on each chunk's rows.
-    ///
-    /// Loads are priced with [`ShardedStore::read_cost`]; computes are
-    /// measured with a monotonic clock. The returned [`PipelineRun`]
-    /// contains the makespan under the configured mode.
-    pub fn run<F>(
-        &self,
-        store: &ShardedStore,
-        rank: usize,
-        keys: &[u32],
-        net: &NetworkModel,
-        scratch: &mut ReaderScratch,
-        compute: F,
-    ) -> Result<PipelineRun, DkvError>
-    where
-        F: FnMut(usize, &[u32], &[f32]),
-    {
-        scratch.fill_ends_fixed(keys.len(), self.chunk_size);
-        self.run_inner(store, rank, keys, net, scratch, compute)
-    }
-
-    /// Like [`ChunkedReader::run`], but with caller-defined chunk
-    /// boundaries: `seg_lens[i]` keys in chunk `i` (summing to
-    /// `keys.len()`). Used by the samplers, which chunk by *vertices* and
-    /// therefore produce a variable number of keys per chunk.
-    #[allow(clippy::too_many_arguments)] // mirrors `run` plus the boundary table
-    pub fn run_segments<F>(
-        &self,
-        store: &ShardedStore,
-        rank: usize,
-        keys: &[u32],
-        seg_lens: &[usize],
-        net: &NetworkModel,
-        scratch: &mut ReaderScratch,
-        compute: F,
-    ) -> Result<PipelineRun, DkvError>
-    where
-        F: FnMut(usize, &[u32], &[f32]),
-    {
-        scratch.fill_ends_segments(seg_lens, keys.len());
-        self.run_inner(store, rank, keys, net, scratch, compute)
-    }
-
-    fn run_inner<F>(
-        &self,
-        store: &ShardedStore,
-        rank: usize,
-        keys: &[u32],
-        net: &NetworkModel,
-        scratch: &mut ReaderScratch,
-        mut compute: F,
-    ) -> Result<PipelineRun, DkvError>
-    where
-        F: FnMut(usize, &[u32], &[f32]),
-    {
-        let row_len = store.row_len();
-        let max_chunk = scratch.max_chunk_keys();
-        let ReaderScratch {
-            bufs,
-            loads,
-            computes,
-            unique,
-            ends,
-            ..
-        } = scratch;
-        let buf = &mut bufs[0];
-        if buf.len() < max_chunk * row_len {
-            buf.resize(max_chunk * row_len, 0.0);
-        }
-        loads.clear();
-        computes.clear();
-        let mut start = 0;
-        for &end in ends.iter() {
-            let chunk = &keys[start..end];
-            let rows = &mut buf[..chunk.len() * row_len];
-            store.read_batch(chunk, rows)?;
-            loads.push(chunk_cost(store, rank, chunk, net, self.dedup, unique));
-            let t0 = Stopwatch::start();
-            compute(start, chunk, rows);
-            computes.push(t0.elapsed_secs() * self.compute_scale);
-            start = end;
-        }
-        Ok(PipelineRun {
-            total: schedule(loads, computes, self.mode),
-            load: loads.iter().sum(),
-            compute: computes.iter().sum(),
-            chunks: loads.len(),
-        })
-    }
-}
-
 /// Waits out an in-flight background load if the compute callback panics,
 /// so the task's borrows (the back buffer, the key slice) are never
 /// outlived. Disarmed with `mem::forget` on the normal path, where
@@ -339,61 +157,67 @@ impl Drop for WaitGuard<'_> {
     }
 }
 
-/// The real two-stage prefetch pipeline over a [`ShardedStore`].
+/// The chunked `pi` loader over a [`ShardedStore`].
 ///
-/// Two pre-sized row buffers ping-pong: while the compute callback runs
-/// on the front buffer's chunk, a persistent [`BackgroundWorker`] fills
-/// the back buffer with chunk `i + 1`'s rows. The handoff protocol is
-/// strict `spawn`/`join` alternation — exactly one load in flight, the
-/// buffers swap only after the join — so delivery order, chunk contents,
-/// and therefore all downstream numerics are identical to
-/// [`ChunkedReader`]'s.
+/// Under [`PipelineMode::Single`] each chunk is read, then computed on.
+/// Under [`PipelineMode::Double`] two pre-sized row buffers ping-pong:
+/// while the compute callback runs on the front buffer's chunk, a
+/// persistent [`BackgroundWorker`] (owned by the reader, spawned at
+/// construction) fills the back buffer with chunk `i + 1`'s rows. The
+/// handoff protocol is strict `spawn`/`join` alternation — exactly one
+/// load in flight, the buffers swap only after the join — so delivery
+/// order, chunk contents, and therefore all downstream numerics are
+/// identical in both modes.
 #[derive(Debug)]
-pub struct PrefetchingReader {
+pub struct ChunkReader {
     chunk_size: usize,
-    dedup: bool,
     compute_scale: f64,
-    worker: BackgroundWorker,
+    /// The prefetch thread; `Some` exactly in [`PipelineMode::Double`].
+    worker: Option<BackgroundWorker>,
 }
 
-impl PrefetchingReader {
-    /// Create a reader with the given chunk size, spawning its worker.
+impl ChunkReader {
+    /// Create a reader with the given chunk size and mode (spawning the
+    /// prefetch worker under [`PipelineMode::Double`]).
     ///
     /// # Panics
     /// Panics if `chunk_size == 0`.
-    pub fn new(chunk_size: usize) -> Self {
+    pub fn new(chunk_size: usize, mode: PipelineMode) -> Self {
         assert!(chunk_size > 0, "chunk size must be positive");
         Self {
             chunk_size,
-            dedup: false,
             compute_scale: 1.0,
-            worker: BackgroundWorker::new("dkv-prefetch"),
+            worker: match mode {
+                PipelineMode::Single => None,
+                PipelineMode::Double => Some(BackgroundWorker::new("dkv-prefetch")),
+            },
         }
     }
 
-    /// Price each chunk per distinct key (`dedup_reads`) when `true`.
-    pub fn with_dedup_reads(mut self, dedup: bool) -> Self {
-        self.dedup = dedup;
-        self
-    }
-
     /// Multiply measured per-chunk compute times by `scale` before they
-    /// enter the *modeled* makespan (the measured wall-clock is reported
-    /// unscaled).
+    /// enter the *modeled* makespan — the hook for per-node
+    /// thread-parallelism models that shrink the serial measurement (the
+    /// measured wall-clock is reported unscaled).
     pub fn with_compute_scale(mut self, scale: f64) -> Self {
         self.compute_scale = scale;
         self
     }
 
-    /// The configured chunk size (keys per chunk).
-    pub fn chunk_size(&self) -> usize {
-        self.chunk_size
+    /// The mode the reader was constructed in.
+    fn mode(&self) -> PipelineMode {
+        match self.worker {
+            None => PipelineMode::Single,
+            Some(_) => PipelineMode::Double,
+        }
     }
 
-    /// Read `keys` chunk-by-chunk with real load/compute overlap,
-    /// invoking `compute(chunk_start, chunk_keys, rows)` on each chunk.
+    /// Read `keys` in chunks of the configured size from `store` as rank
+    /// `rank`, invoking `compute(chunk_start, chunk_keys, rows)` on each
+    /// chunk's rows.
     ///
-    /// Chunk `0` is loaded synchronously; from then on chunk `i + 1`
+    /// Loads are priced with [`ShardedStore::read_cost`]; computes are
+    /// measured with a monotonic clock. Under [`PipelineMode::Double`]
+    /// chunk `0` is loaded synchronously; from then on chunk `i + 1`
     /// loads on the background worker while `compute` runs on chunk `i`.
     pub fn run<F>(
         &mut self,
@@ -403,7 +227,7 @@ impl PrefetchingReader {
         net: &NetworkModel,
         scratch: &mut ReaderScratch,
         compute: F,
-    ) -> Result<PrefetchRun, DkvError>
+    ) -> Result<PipelineRun, DkvError>
     where
         F: FnMut(usize, &[u32], &[f32]),
     {
@@ -411,8 +235,10 @@ impl PrefetchingReader {
         self.run_inner(store, rank, keys, net, scratch, compute)
     }
 
-    /// Like [`PrefetchingReader::run`], but with caller-defined chunk
-    /// boundaries (see [`ChunkedReader::run_segments`]).
+    /// Like [`ChunkReader::run`], but with caller-defined chunk
+    /// boundaries: `seg_lens[i]` keys in chunk `i` (summing to
+    /// `keys.len()`). Used by the samplers, which chunk by *vertices* and
+    /// therefore produce a variable number of keys per chunk.
     #[allow(clippy::too_many_arguments)] // mirrors `run` plus the boundary table
     pub fn run_segments<F>(
         &mut self,
@@ -423,7 +249,7 @@ impl PrefetchingReader {
         net: &NetworkModel,
         scratch: &mut ReaderScratch,
         compute: F,
-    ) -> Result<PrefetchRun, DkvError>
+    ) -> Result<PipelineRun, DkvError>
     where
         F: FnMut(usize, &[u32], &[f32]),
     {
@@ -439,7 +265,7 @@ impl PrefetchingReader {
         net: &NetworkModel,
         scratch: &mut ReaderScratch,
         mut compute: F,
-    ) -> Result<PrefetchRun, DkvError>
+    ) -> Result<PipelineRun, DkvError>
     where
         F: FnMut(usize, &[u32], &[f32]),
     {
@@ -449,81 +275,89 @@ impl PrefetchingReader {
             bufs,
             loads,
             computes,
-            unique,
             ends,
-            ..
         } = scratch;
         loads.clear();
         computes.clear();
-        let n = ends.len();
-        if n == 0 {
-            return Ok(PrefetchRun {
-                modeled: EMPTY_RUN,
-                wall: 0.0,
-            });
-        }
         let (front_buf, back_buf) = bufs.split_at_mut(1);
         let mut front: &mut Vec<f32> = &mut front_buf[0];
         let mut back: &mut Vec<f32> = &mut back_buf[0];
         if front.len() < max_chunk * row_len {
             front.resize(max_chunk * row_len, 0.0);
         }
-        if back.len() < max_chunk * row_len {
-            back.resize(max_chunk * row_len, 0.0);
-        }
 
         let wall0 = Stopwatch::start();
-        // Chunk 0 has nothing to hide behind: load it synchronously.
-        let first = &keys[..ends[0]];
-        store.read_batch(first, &mut front[..first.len() * row_len])?;
-        loads.push(chunk_cost(store, rank, first, net, self.dedup, unique));
-
         let mut start = 0;
-        for ci in 0..n {
-            let end = ends[ci];
-            let chunk = &keys[start..end];
-            let mut prefetch_result: Result<(), DkvError> = Ok(());
-            {
-                // Publish the next chunk's load before computing on the
-                // current one. The closure borrows `back`, `keys`, and
-                // `prefetch_result`; all outlive the join below (and the
-                // WaitGuard covers a panicking compute callback).
-                let mut slot = if ci + 1 < n {
-                    let next_chunk = &keys[end..ends[ci + 1]];
-                    loads.push(chunk_cost(store, rank, next_chunk, net, self.dedup, unique));
-                    let dst = &mut back[..next_chunk.len() * row_len];
-                    let result = &mut prefetch_result;
-                    Some(move || {
-                        *result = store.read_batch(next_chunk, dst);
-                    })
-                } else {
-                    None
-                };
-                if slot.is_some() {
-                    // SAFETY: `slot` and everything the closure borrows
-                    // live until `join()` below returns; the WaitGuard
-                    // waits out the task if `compute` unwinds first.
-                    unsafe { self.worker.spawn(&mut slot) };
+        match &self.worker {
+            None => {
+                for &end in ends.iter() {
+                    let chunk = &keys[start..end];
+                    let rows = &mut front[..chunk.len() * row_len];
+                    store.read_batch(chunk, rows)?;
+                    loads.push(store.read_cost(rank, chunk, net));
+                    let t0 = Stopwatch::start();
+                    compute(start, chunk, rows);
+                    computes.push(t0.elapsed_secs() * self.compute_scale);
+                    start = end;
                 }
-                let guard = WaitGuard(&self.worker);
-                let t0 = Stopwatch::start();
-                compute(start, chunk, &front[..chunk.len() * row_len]);
-                computes.push(t0.elapsed_secs() * self.compute_scale);
-                std::mem::forget(guard);
-                self.worker.join();
             }
-            prefetch_result?;
-            std::mem::swap(&mut front, &mut back);
-            start = end;
+            Some(worker) => {
+                if back.len() < max_chunk * row_len {
+                    back.resize(max_chunk * row_len, 0.0);
+                }
+                // Chunk 0 has nothing to hide behind: load it
+                // synchronously.
+                if let Some(&first_end) = ends.first() {
+                    let first = &keys[..first_end];
+                    store.read_batch(first, &mut front[..first.len() * row_len])?;
+                    loads.push(store.read_cost(rank, first, net));
+                }
+                for (ci, &end) in ends.iter().enumerate() {
+                    let chunk = &keys[start..end];
+                    let mut prefetch_result: Result<(), DkvError> = Ok(());
+                    {
+                        // Publish the next chunk's load before computing
+                        // on the current one. The closure borrows `back`,
+                        // `keys`, and `prefetch_result`; all outlive the
+                        // join below (and the WaitGuard covers a
+                        // panicking compute callback).
+                        let mut slot = if let Some(&next_end) = ends.get(ci + 1) {
+                            let next_chunk = &keys[end..next_end];
+                            loads.push(store.read_cost(rank, next_chunk, net));
+                            let dst = &mut back[..next_chunk.len() * row_len];
+                            let result = &mut prefetch_result;
+                            Some(move || {
+                                *result = store.read_batch(next_chunk, dst);
+                            })
+                        } else {
+                            None
+                        };
+                        if slot.is_some() {
+                            // SAFETY: `slot` and everything the closure
+                            // borrows live until `join()` below returns;
+                            // the WaitGuard waits out the task if
+                            // `compute` unwinds first.
+                            unsafe { worker.spawn(&mut slot) };
+                        }
+                        let guard = WaitGuard(worker);
+                        let t0 = Stopwatch::start();
+                        compute(start, chunk, &front[..chunk.len() * row_len]);
+                        computes.push(t0.elapsed_secs() * self.compute_scale);
+                        std::mem::forget(guard);
+                        worker.join();
+                    }
+                    prefetch_result?;
+                    std::mem::swap(&mut front, &mut back);
+                    start = end;
+                }
+            }
         }
         let wall = wall0.elapsed_secs();
-        Ok(PrefetchRun {
-            modeled: PipelineRun {
-                total: schedule(loads, computes, PipelineMode::Double),
-                load: loads.iter().sum(),
-                compute: computes.iter().sum(),
-                chunks: n,
-            },
+        Ok(PipelineRun {
+            total: schedule(loads, computes, self.mode()),
+            load: loads.iter().sum(),
+            compute: computes.iter().sum(),
+            chunks: loads.len(),
             wall,
         })
     }
@@ -616,7 +450,7 @@ mod tests {
         let store = test_store(4);
         let net = NetworkModel::fdr_infiniband();
         let keys: Vec<u32> = (0..10).collect();
-        let reader = ChunkedReader::new(4, PipelineMode::Double);
+        let mut reader = ChunkReader::new(4, PipelineMode::Double);
         let mut scratch = ReaderScratch::new();
         let mut seen: Vec<(usize, Vec<u32>, Vec<f32>)> = Vec::new();
         let run = reader
@@ -642,7 +476,8 @@ mod tests {
         let mut scratch = ReaderScratch::new();
         let mut sums = Vec::new();
         for mode in [PipelineMode::Single, PipelineMode::Double] {
-            let reader = ChunkedReader::new(8, mode);
+            let mut reader = ChunkReader::new(8, mode);
+            assert_eq!(reader.mode(), mode);
             let mut sum = 0.0f64;
             let run = reader
                 .run(&store, 0, &keys, &net, &mut scratch, |_, _, rows| {
@@ -658,6 +493,7 @@ mod tests {
             assert!(run.total > 0.0);
             assert!(run.load > 0.0);
             assert!(run.compute > 0.0);
+            assert!(run.wall > 0.0);
         }
         assert_eq!(sums[0], sums[1], "pipelining changed the numerics");
     }
@@ -666,12 +502,13 @@ mod tests {
     fn reader_propagates_store_errors() {
         let store = test_store(2);
         let net = NetworkModel::fdr_infiniband();
-        let reader = ChunkedReader::new(4, PipelineMode::Single);
         let mut scratch = ReaderScratch::new();
-        let err = reader
-            .run(&store, 0, &[1000], &net, &mut scratch, |_, _, _| {})
-            .unwrap_err();
-        assert!(matches!(err, DkvError::KeyOutOfRange { .. }));
+        for mode in [PipelineMode::Single, PipelineMode::Double] {
+            let err = ChunkReader::new(4, mode)
+                .run(&store, 0, &[1000], &net, &mut scratch, |_, _, _| {})
+                .unwrap_err();
+            assert!(matches!(err, DkvError::KeyOutOfRange { .. }), "{mode:?}");
+        }
     }
 
     #[test]
@@ -679,7 +516,7 @@ mod tests {
         let store = test_store(4);
         let net = NetworkModel::fdr_infiniband();
         let keys: Vec<u32> = (0..10).collect();
-        let reader = ChunkedReader::new(4, PipelineMode::Single);
+        let mut reader = ChunkReader::new(4, PipelineMode::Single);
         let mut scratch = ReaderScratch::new();
         let mut seen: Vec<(usize, Vec<u32>)> = Vec::new();
         let run = reader
@@ -706,7 +543,7 @@ mod tests {
     fn reader_segments_must_cover_keys() {
         let store = test_store(4);
         let net = NetworkModel::fdr_infiniband();
-        let reader = ChunkedReader::new(4, PipelineMode::Single);
+        let mut reader = ChunkReader::new(4, PipelineMode::Single);
         let mut scratch = ReaderScratch::new();
         let _ = reader.run_segments(
             &store,
@@ -719,70 +556,44 @@ mod tests {
         );
     }
 
-    /// `dedup_reads` cost pinning: duplicate keys in a chunk are priced
-    /// as one RDMA read per *distinct* key when enabled, per occurrence
-    /// when disabled — and the delivered rows are identical either way.
-    #[test]
-    fn dedup_reads_prices_distinct_keys_and_delivers_identical_rows() {
-        let store = test_store(4);
+    /// Run `keys` through a fresh reader in `mode`, recording every
+    /// delivery.
+    #[allow(clippy::type_complexity)]
+    fn deliveries(
+        store: &ShardedStore,
+        mode: PipelineMode,
+        keys: &[u32],
+        segs: Option<&[usize]>,
+    ) -> (PipelineRun, Vec<(usize, Vec<u32>, Vec<f32>)>) {
         let net = NetworkModel::fdr_infiniband();
-        // 8 occurrences, 4 distinct keys, one chunk.
-        let keys: Vec<u32> = vec![5, 7, 5, 9, 7, 11, 9, 5];
-        let distinct: Vec<u32> = vec![5, 7, 9, 11];
+        let mut reader = ChunkReader::new(8, mode);
         let mut scratch = ReaderScratch::new();
-        let mut rows_by_mode: Vec<Vec<f32>> = Vec::new();
-        let mut load_by_mode: Vec<f64> = Vec::new();
-        for dedup in [false, true] {
-            let reader =
-                ChunkedReader::new(keys.len(), PipelineMode::Single).with_dedup_reads(dedup);
-            let mut rows_seen = Vec::new();
-            let run = reader
-                .run(&store, 0, &keys, &net, &mut scratch, |_, _, rows| {
-                    rows_seen.extend_from_slice(rows);
-                })
-                .unwrap();
-            rows_by_mode.push(rows_seen);
-            load_by_mode.push(run.load);
+        let mut seen = Vec::new();
+        let record = |start: usize, ks: &[u32], rows: &[f32]| {
+            seen.push((start, ks.to_vec(), rows.to_vec()));
+        };
+        let run = match segs {
+            None => reader.run(store, 0, keys, &net, &mut scratch, record),
+            Some(segs) => reader.run_segments(store, 0, keys, segs, &net, &mut scratch, record),
         }
-        assert_eq!(
-            rows_by_mode[0], rows_by_mode[1],
-            "dedup pricing must not change delivered rows"
-        );
-        // Every occurrence is still delivered (8 rows of 2 floats).
-        assert_eq!(rows_by_mode[0].len(), keys.len() * 2);
-        // Cost pinning: disabled prices per occurrence, enabled per
-        // distinct key — exactly the cost model evaluated on those sets.
-        assert_eq!(load_by_mode[0], store.read_cost(0, &keys, &net));
-        assert_eq!(load_by_mode[1], store.read_cost(0, &distinct, &net));
-        assert!(load_by_mode[1] < load_by_mode[0]);
+        .unwrap();
+        (run, seen)
     }
 
     #[test]
     fn prefetching_reader_matches_synchronous_reader() {
         let store = test_store(8);
-        let net = NetworkModel::fdr_infiniband();
         let keys: Vec<u32> = (0..64).rev().collect();
-        let mut scratch = ReaderScratch::new();
-
-        let mut sync_seen: Vec<(usize, Vec<u32>, Vec<f32>)> = Vec::new();
-        let sync_run = ChunkedReader::new(8, PipelineMode::Double)
-            .run(&store, 0, &keys, &net, &mut scratch, |start, ks, rows| {
-                sync_seen.push((start, ks.to_vec(), rows.to_vec()));
-            })
-            .unwrap();
-
-        let mut reader = PrefetchingReader::new(8);
-        let mut pre_seen: Vec<(usize, Vec<u32>, Vec<f32>)> = Vec::new();
-        let pre_run = reader
-            .run(&store, 0, &keys, &net, &mut scratch, |start, ks, rows| {
-                pre_seen.push((start, ks.to_vec(), rows.to_vec()));
-            })
-            .unwrap();
-
+        let (sync_run, sync_seen) = deliveries(&store, PipelineMode::Single, &keys, None);
+        let (pre_run, pre_seen) = deliveries(&store, PipelineMode::Double, &keys, None);
         assert_eq!(sync_seen, pre_seen, "prefetching changed delivered data");
-        assert_eq!(pre_run.modeled.chunks, sync_run.chunks);
-        assert_eq!(pre_run.modeled.load, sync_run.load);
-        assert!(pre_run.wall > 0.0);
+        assert_eq!(pre_run.chunks, sync_run.chunks);
+        assert_eq!(pre_run.load, sync_run.load);
+        // One result shape: both modes report a measured wall-clock and
+        // a makespan modeled under their own mode.
+        assert!(pre_run.wall > 0.0 && sync_run.wall > 0.0);
+        assert_eq!(sync_run.total, sync_run.load + sync_run.compute);
+        assert!(pre_run.total <= pre_run.load + pre_run.compute + 1e-12);
     }
 
     #[test]
@@ -790,7 +601,7 @@ mod tests {
         let store = test_store(4);
         let net = NetworkModel::fdr_infiniband();
         let keys: Vec<u32> = (0..32).collect();
-        let mut reader = PrefetchingReader::new(4);
+        let mut reader = ChunkReader::new(4, PipelineMode::Double);
         let mut scratch = ReaderScratch::new();
         let mut sums = Vec::new();
         for _ in 0..5 {
@@ -808,40 +619,13 @@ mod tests {
     #[test]
     fn prefetching_reader_segments_match_synchronous() {
         let store = test_store(4);
-        let net = NetworkModel::fdr_infiniband();
         let keys: Vec<u32> = (0..20).collect();
         let segs = [7usize, 2, 5, 6];
-        let mut scratch = ReaderScratch::new();
-        let mut sync_seen = Vec::new();
-        ChunkedReader::new(8, PipelineMode::Double)
-            .run_segments(
-                &store,
-                0,
-                &keys,
-                &segs,
-                &net,
-                &mut scratch,
-                |start, ks, rows| {
-                    sync_seen.push((start, ks.to_vec(), rows.to_vec()));
-                },
-            )
-            .unwrap();
-        let mut reader = PrefetchingReader::new(8);
-        let mut pre_seen = Vec::new();
-        reader
-            .run_segments(
-                &store,
-                0,
-                &keys,
-                &segs,
-                &net,
-                &mut scratch,
-                |start, ks, rows| {
-                    pre_seen.push((start, ks.to_vec(), rows.to_vec()));
-                },
-            )
-            .unwrap();
+        let (sync_run, sync_seen) = deliveries(&store, PipelineMode::Single, &keys, Some(&segs));
+        let (pre_run, pre_seen) = deliveries(&store, PipelineMode::Double, &keys, Some(&segs));
         assert_eq!(sync_seen, pre_seen);
+        assert_eq!((sync_run.chunks, pre_run.chunks), (4, 4));
+        assert_eq!(pre_run.load, sync_run.load);
     }
 
     #[test]
@@ -851,7 +635,7 @@ mod tests {
         // Chunk 0 is valid; chunk 1 (prefetched in the background)
         // contains an out-of-range key.
         let keys: Vec<u32> = vec![0, 1, 1000, 1001];
-        let mut reader = PrefetchingReader::new(2);
+        let mut reader = ChunkReader::new(2, PipelineMode::Double);
         let mut scratch = ReaderScratch::new();
         let err = reader
             .run(&store, 0, &keys, &net, &mut scratch, |_, _, _| {})
@@ -869,7 +653,7 @@ mod tests {
         let store = test_store(2);
         let net = NetworkModel::fdr_infiniband();
         let keys: Vec<u32> = (0..16).collect();
-        let mut reader = PrefetchingReader::new(4);
+        let mut reader = ChunkReader::new(4, PipelineMode::Double);
         let mut scratch = ReaderScratch::new();
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _ = reader.run(&store, 0, &keys, &net, &mut scratch, |start, _, _| {
@@ -891,12 +675,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "chunk size")]
     fn zero_chunk_panics() {
-        ChunkedReader::new(0, PipelineMode::Single);
+        ChunkReader::new(0, PipelineMode::Single);
     }
 
     #[test]
     #[should_panic(expected = "chunk size")]
     fn zero_chunk_prefetch_panics() {
-        PrefetchingReader::new(0);
+        ChunkReader::new(0, PipelineMode::Double);
     }
 }

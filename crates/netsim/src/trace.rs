@@ -27,7 +27,8 @@ pub enum Phase {
     /// Barrier / synchronization waiting time.
     Barrier,
     /// Measured wall-clock of the real double-buffered load/compute
-    /// overlap (`PrefetchingReader`) — the *measured* counterpart of the
+    /// overlap (`ChunkReader` under `PipelineMode::Double`) — the
+    /// *measured* counterpart of the
     /// modeled `LoadPi` + `UpdatePhi` pair.
     Prefetch,
     /// Fault-recovery overhead: retry backoff, re-issued loads/stores,

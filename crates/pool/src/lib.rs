@@ -30,8 +30,9 @@
 //!
 //! The crate also provides [`BackgroundWorker`], the fork-join pool's
 //! detached sibling: a persistent one-task-at-a-time worker for real
-//! load/compute overlap (double-buffered prefetch), with the same
-//! zero-allocation publication protocol.
+//! load/compute overlap (the prefetch thread of
+//! `mmsb_dkv::pipeline::ChunkReader` under `PipelineMode::Double`), with
+//! the same zero-allocation publication protocol.
 //!
 //! Every synchronization operation goes through the [`sync::SyncBackend`]
 //! layer: production code runs on [`sync::RealSync`] (plain `std::sync`,
@@ -44,12 +45,10 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 mod background;
-pub mod retry;
 pub mod sync;
 mod worker;
 
 pub use background::{BackgroundWorker, BackgroundWorkerIn};
-pub use retry::{AckOutcome, LossShim, ReliableLink, ReliableLinkIn, SendOutcome};
 pub use sync::{RealSync, SyncBackend};
 
 use crate::sync::real::{Arc, Ordering};
