@@ -11,7 +11,7 @@
 //! `BENCH_faults.json`.
 
 use mmsb::prelude::*;
-use std::io::Write;
+use mmsb_bench::timing::append_json;
 use std::path::Path;
 
 struct Scenario {
@@ -85,33 +85,21 @@ fn run_scenario(s: &Scenario) -> Row {
 }
 
 fn append_rows(path: &Path, rows: &[Row]) {
-    let mut f = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .expect("open BENCH_faults.json for append");
     for r in rows {
-        writeln!(
-            f,
-            "{{\"schema\":{},\"suite\":\"bench_faults\",\"id\":\"{}\",\"clean_vt_s\":{:.6},\"faulty_vt_s\":{:.6},\"recovery_s\":{:.6},\"recovery_events\":{},\"overhead_ratio\":{:.4},\"threads\":1,\"host_cores\":{}}}",
-            mmsb_bench::timing::BENCH_SCHEMA,
-            r.id,
-            r.clean_vt,
-            r.faulty_vt,
-            r.recovery_s,
-            r.recovery_events,
-            r.overhead_ratio,
-            mmsb_bench::timing::host_cores()
-        )
-        .expect("append BENCH_faults.json");
+        append_json(
+            path,
+            "bench_faults",
+            &format!(
+                "\"id\":\"{}\",\"clean_vt_s\":{:.6},\"faulty_vt_s\":{:.6},\"recovery_s\":{:.6},\"recovery_events\":{},\"overhead_ratio\":{:.4}",
+                r.id, r.clean_vt, r.faulty_vt, r.recovery_s, r.recovery_events, r.overhead_ratio
+            ),
+            1,
+        );
     }
 }
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    // Metrics-level obs: the scenarios' retry counters, recovery count,
-    // and per-phase histograms land in the snapshot this run points at.
-    mmsb::obs::init(ObsConfig::at(ObsLevel::Metrics));
     let iters = if quick { 10 } else { 40 };
     let scenarios = [
         Scenario {
@@ -155,6 +143,5 @@ fn main() {
     }
     let out = Path::new("BENCH_faults.json");
     append_rows(out, &rows);
-    mmsb_bench::timing::emit_obs_snapshot(out, "bench_faults", 1);
-    eprintln!("appended {} rows to {}", rows.len() + 1, out.display());
+    eprintln!("appended {} rows to {}", rows.len(), out.display());
 }

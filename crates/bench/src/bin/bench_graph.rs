@@ -2,18 +2,13 @@
 //!
 //! Builds a community-contiguous synthetic graph through the bounded-
 //! memory streaming builder (100M edges at full scale — deliberately
-//! larger than any resident CSR this container should hold), opens it,
-//! and appends one JSON line per measurement to `BENCH_graph.json`:
+//! larger than any resident CSR this container should hold), trains on
+//! it, and appends one JSON line per measurement to `BENCH_graph.json`:
 //!
 //! * `build/*` — streaming build rate, output bytes per edge (**gated**:
 //!   ≤ 4.8, i.e. 60% of the raw 8-byte `(u32, u32)` pair baseline), and
 //!   the process peak RSS at the end of the build — the bounded-memory
 //!   claim made measurable,
-//! * `read/cold` — neighbor-decode throughput over uniformly random
-//!   vertices through a 256-block cache (mostly misses: every read pays
-//!   a 64 KiB block fetch + CRC),
-//! * `read/warm` — the same decode loop over a working set that fits in
-//!   the cache (steady-state hits: no I/O, no allocation),
 //! * `train/sequential`, `train/parallel` — end-to-end SG-MCMC
 //!   iterations on the out-of-core backend through the driver that
 //!   ships (`ParallelSampler`), at one thread (the id every earlier
@@ -21,16 +16,17 @@
 //!   misses per step from the obs counters and one held-out perplexity
 //!   evaluation.
 //!
-//! Every line carries the `git_rev` of the checkout that built it.
+//! Block-read and cache-hit costs are not measured here: they are
+//! `ooc.block_read_us` and `ooc.neighbors_hit_ns` of
+//! `bash benchmark/run.sh --workload train_ooc --trace 1`.
 //!
 //! `--quick` shrinks the graph ~50x for CI smoke runs (tier1 runs it);
 //! the committed `BENCH_graph.json` carries the full-scale figures.
 
 use mmsb::prelude::*;
 use mmsb::graph::generate::stream::{for_each_edge, StreamConfig};
-use mmsb::graph::GraphAccess;
+use mmsb_bench::timing::{append_json, host_cores};
 use mmsb_ooc::{BuildOptions, OocReader, StreamingBuilder};
-use std::io::Write;
 use std::path::Path;
 use std::time::Instant;
 
@@ -43,7 +39,6 @@ struct Scale {
     minibatch: Strategy,
     train_iters: u64,
     heldout_links: usize,
-    cold_vertices: u64,
 }
 
 fn scale(quick: bool) -> Scale {
@@ -64,7 +59,6 @@ fn scale(quick: bool) -> Scale {
             },
             train_iters: 10,
             heldout_links: 2_000,
-            cold_vertices: 20_000,
         }
     } else {
         Scale {
@@ -87,7 +81,6 @@ fn scale(quick: bool) -> Scale {
             },
             train_iters: 20,
             heldout_links: 10_000,
-            cold_vertices: 100_000,
         }
     }
 }
@@ -98,35 +91,6 @@ fn peak_rss_mb() -> Option<f64> {
     let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
     let kb: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
     Some(kb / 1024.0)
-}
-
-/// Short revision of the checkout this binary was built from
-/// (`-dirty` when it has uncommitted changes).
-fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["describe", "--always", "--dirty"])
-        .current_dir(env!("CARGO_MANIFEST_DIR"))
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map_or_else(|| "unknown".into(), |s| s.trim().to_string())
-}
-
-fn append_line(path: &Path, body: &str, threads: usize) {
-    let mut f = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .expect("open BENCH_graph.json for append");
-    writeln!(
-        f,
-        "{{\"schema\":{},\"suite\":\"bench_graph\",{body},\"threads\":{threads},\"host_cores\":{},\"git_rev\":\"{}\"}}",
-        mmsb_bench::timing::BENCH_SCHEMA,
-        mmsb_bench::timing::host_cores(),
-        git_rev()
-    )
-    .expect("append BENCH_graph.json");
 }
 
 fn main() {
@@ -164,8 +128,9 @@ fn main() {
         mmsb_bench::fmt_secs(build_s),
         bpe
     );
-    append_line(
+    append_json(
         out,
+        "bench_graph",
         &format!(
             "\"id\":\"build/{}\",\"vertices\":{},\"edges\":{},\"file_bytes\":{},\"bytes_per_edge\":{:.4},\"build_s\":{:.3},\"edges_per_s\":{:.0},\"rss_peak_mb\":{:.1}",
             s.mode,
@@ -185,70 +150,8 @@ fn main() {
     );
     println!("bytes/edge gate: {bpe:.3} <= 4.8  PASS");
 
-    // ---- open + read throughput ------------------------------------
-    let graph = OocGraph::open(&graph_path).expect("open graph");
-    let n = graph.num_vertices();
-    let mut cache = BlockCache::for_graph(&graph, 256, 1);
-    let block_size = graph.header().block_size as u64;
-    let cache_bytes = cache.capacity_blocks() as u64 * block_size;
-
-    // Cold: uniformly random vertices across a file far larger than the
-    // cache — most reads fetch (and CRC-check) a fresh block.
-    let mut rng = Xoshiro256PlusPlus::seed_from_u64(99);
-    let mut edges_read = 0u64;
-    cache.clear();
-    let t0 = Instant::now();
-    {
-        let mut reader = OocReader::new(&graph, &mut cache);
-        for _ in 0..s.cold_vertices {
-            let v = VertexId(rng.below(n as u64) as u32);
-            edges_read += std::hint::black_box(reader.neighbors(v)).len() as u64;
-        }
-    }
-    let cold_eps = edges_read as f64 / t0.elapsed().as_secs_f64();
-    println!("read/cold: {cold_eps:.0} edges/s over {edges_read} neighbor entries");
-    append_line(
-        out,
-        &format!("\"id\":\"read/cold\",\"edges_per_s\":{cold_eps:.0},\"edges_read\":{edges_read}"),
-        1,
-    );
-
-    // Warm: a vertex prefix whose encoded lists fill at most half the
-    // cache, scanned repeatedly — pass 1 faults the blocks in, the timed
-    // passes run hit-only.
-    let mut warm_end = 0u32;
-    while warm_end < n && graph.list_range(warm_end).1 < cache_bytes / 2 {
-        warm_end += 1;
-    }
-    let warm_end = warm_end.max(1);
-    let warm_passes = 5u32;
-    let mut warm_edges = 0u64;
-    let mut warm_secs = 0.0f64;
-    {
-        let mut reader = OocReader::new(&graph, &mut cache);
-        for pass in 0..warm_passes {
-            let t0 = Instant::now();
-            let mut pass_edges = 0u64;
-            for v in 0..warm_end {
-                pass_edges += std::hint::black_box(reader.neighbors(VertexId(v))).len() as u64;
-            }
-            if pass > 0 {
-                warm_edges += pass_edges;
-                warm_secs += t0.elapsed().as_secs_f64();
-            }
-        }
-    }
-    let warm_eps = warm_edges as f64 / warm_secs;
-    println!("read/warm: {warm_eps:.0} edges/s over {warm_end} cached vertices");
-    append_line(
-        out,
-        &format!(
-            "\"id\":\"read/warm\",\"edges_per_s\":{warm_eps:.0},\"working_set_vertices\":{warm_end}"
-        ),
-        1,
-    );
-
     // ---- end-to-end training on the out-of-core backend ------------
+    let graph = OocGraph::open(&graph_path).expect("open graph");
     let heldout = {
         let mut ho_cache = BlockCache::for_graph(&graph, 256, 2);
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(0xBEEF);
@@ -261,8 +164,7 @@ fn main() {
         .with_graph_cache_blocks(256);
     let metrics = &mmsb::obs::get().expect("obs initialized above").metrics;
     let misses = || metrics.counter_total(mmsb::obs::id::C_GRAPH_CACHE_MISSES);
-    let host_cores = mmsb_bench::timing::host_cores();
-    for (id, threads) in [("train/sequential", 1), ("train/parallel", host_cores)] {
+    for (id, threads) in [("train/sequential", 1), ("train/parallel", host_cores())] {
         let graph = OocGraph::open(&graph_path).expect("reopen graph");
         let mut sampler = ParallelSampler::with_backend_threads(
             GraphBackend::OutOfCore(graph),
@@ -288,8 +190,9 @@ fn main() {
             s.train_iters,
             mmsb_bench::fmt_secs(train_s)
         );
-        append_line(
+        append_json(
             out,
+            "bench_graph",
             &format!(
                 "\"id\":\"{id}\",\"iters_per_s\":{ips:.3},\"iters\":{},\"misses_per_step\":{misses_per_step:.1},\"perplexity\":{perplexity:.4},\"rss_peak_mb\":{:.1}",
                 s.train_iters,
@@ -299,7 +202,6 @@ fn main() {
         );
     }
 
-    mmsb_bench::timing::emit_obs_snapshot(out, "bench_graph", host_cores);
     let _ = std::fs::remove_dir_all(&dir);
     eprintln!("results appended to {}", out.display());
 }

@@ -21,8 +21,7 @@
 use mmsb::dkv::pipeline::{ChunkReader, PipelineMode, ReaderScratch};
 use mmsb::dkv::{DkvStore, Partition, ShardedStore};
 use mmsb::prelude::*;
-use mmsb_bench::timing::fmt_ns;
-use std::io::Write;
+use mmsb_bench::timing::{append_json, fmt_ns};
 use std::path::Path;
 
 struct Config {
@@ -116,35 +115,23 @@ fn run_config(cfg: &Config, reps: usize) -> Row {
 }
 
 fn append_rows(path: &Path, rows: &[Row]) {
-    let mut f = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .expect("open BENCH_pipeline.json for append");
     for r in rows {
         // `threads` is structurally 2 here: the caller plus the one
         // background prefetch thread of the double-buffered reader.
-        writeln!(
-            f,
-            "{{\"schema\":{},\"suite\":\"bench_pipeline\",\"id\":\"{}\",\"single_ns\":{:.1},\"double_ns\":{:.1},\"overlap_ratio\":{:.4},\"threads\":2,\"host_cores\":{}}}",
-            mmsb_bench::timing::BENCH_SCHEMA,
-            r.id,
-            r.single_ns,
-            r.double_ns,
-            r.overlap_ratio,
-            mmsb_bench::timing::host_cores()
-        )
-        .expect("append BENCH_pipeline.json");
+        append_json(
+            path,
+            "bench_pipeline",
+            &format!(
+                "\"id\":\"{}\",\"single_ns\":{:.1},\"double_ns\":{:.1},\"overlap_ratio\":{:.4}",
+                r.id, r.single_ns, r.double_ns, r.overlap_ratio
+            ),
+            2,
+        );
     }
 }
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    // Metrics-level obs: the DKV read/write counters and latency
-    // histograms of the measured workload land in the snapshot this run
-    // points at. (Metrics recording is atomics-only; both modes pay the
-    // same sub-noise cost, so the overlap ratio is undisturbed.)
-    mmsb::obs::init(ObsConfig::at(ObsLevel::Metrics));
     let reps = if quick { 5 } else { 21 };
     // Latencies chosen so per-chunk load (chunk * latency + copy) is the
     // same order as per-chunk compute — the balanced regime where double
@@ -177,6 +164,5 @@ fn main() {
     }
     let out = Path::new("BENCH_pipeline.json");
     append_rows(out, &rows);
-    mmsb_bench::timing::emit_obs_snapshot(out, "bench_pipeline", 2);
-    eprintln!("appended {} lines to {}", rows.len() + 1, out.display());
+    eprintln!("appended {} lines to {}", rows.len(), out.display());
 }

@@ -1,10 +1,11 @@
-//! Shared plumbing for the per-figure benchmark binaries.
+//! Shared plumbing for the paper's table/figure binaries and the tier-1
+//! gate binaries (`bench_*`, see [`timing`]).
 //!
-//! Every binary accepts `--quick` (shrink the workload ~10x for smoke
-//! runs) and `--csv <path>` (also write machine-readable series). The
-//! default parameters are the scaled-down equivalents of the paper's
-//! configurations documented in DESIGN.md §4; `EXPERIMENTS.md` records
-//! paper-vs-measured for each.
+//! Every table/figure binary accepts `--quick` (shrink the workload
+//! ~10x for smoke runs) and `--csv <path>` (also write machine-readable
+//! series). The default parameters are the scaled-down equivalents of
+//! the paper's configurations documented in DESIGN.md §4;
+//! `EXPERIMENTS.md` records paper-vs-measured for each.
 
 #![forbid(unsafe_code)]
 
@@ -148,166 +149,21 @@ pub fn friendster_standin(quick: bool) -> (Graph, HeldOut, u32) {
 }
 
 pub mod timing {
-    //! In-tree micro-benchmark harness (no external dependencies).
-    //!
-    //! Each measurement auto-calibrates a batch size, runs a warmup, then
-    //! takes `samples` timed batches and reports the **median** per-call
-    //! time — the estimator least disturbed by scheduler noise. Results
-    //! print as an aligned table and can be written as JSON lines with
-    //! `--json <path>` for machine consumption.
-    //!
-    //! Invoke through `cargo bench` (the bench targets set
-    //! `harness = false`) or directly; `--quick` shrinks warmup and sample
-    //! counts for smoke runs.
+    //! The `BENCH_*.json` line store of the `bench_*` gate binaries: one
+    //! JSON object per line, appended in the working directory, every
+    //! line stamped with the schema version, thread count, host core
+    //! count and the git revision of the checkout that built the binary.
+    //! (Per-kernel and per-layer timings are not recorded here: they are
+    //! the per-layer probes of `bash benchmark/run.sh --trace 1`.)
 
     use std::io::Write;
-    use std::path::PathBuf;
-    use std::time::Instant;
-
-    pub use std::hint::black_box;
-
-    /// One completed measurement.
-    #[derive(Debug, Clone)]
-    pub struct Measurement {
-        /// Benchmark id, `group/name` style.
-        pub id: String,
-        /// Median per-call time in nanoseconds.
-        pub median_ns: f64,
-        /// Minimum per-call time in nanoseconds.
-        pub min_ns: f64,
-        /// Timed batches taken.
-        pub samples: usize,
-        /// Calls per batch.
-        pub iters_per_sample: u64,
-        /// Worker threads the measured code ran on (1 for inline
-        /// micro-benches; sweep value for pool-scaling harnesses).
-        pub threads: usize,
-    }
-
-    /// A named suite of measurements (one per bench target).
-    pub struct Suite {
-        name: String,
-        quick: bool,
-        json: Option<PathBuf>,
-        results: Vec<Measurement>,
-    }
-
-    impl Suite {
-        /// Create a suite, parsing harness flags from `std::env::args`.
-        ///
-        /// Recognized flags: `--quick`, `--json <path>`. A trailing filter
-        /// string (as `cargo bench <filter>` passes) and the `--bench`
-        /// flag cargo inserts are accepted and ignored.
-        pub fn from_args(name: &str) -> Self {
-            let mut quick = false;
-            let mut json = None;
-            let mut args = std::env::args().skip(1);
-            while let Some(a) = args.next() {
-                match a.as_str() {
-                    "--quick" => quick = true,
-                    // A flag-shaped "path" means the value was omitted and we
-                    // grabbed the next option (e.g. cargo's own --bench).
-                    "--json" => {
-                        json = args
-                            .next()
-                            .filter(|p| !p.starts_with('-'))
-                            .map(PathBuf::from);
-                    }
-                    _ => {} // cargo passes --bench and filter strings
-                }
-            }
-            Self {
-                name: name.to_string(),
-                quick,
-                json,
-                results: Vec::new(),
-            }
-        }
-
-        /// Whether `--quick` was passed (callers may shrink workloads).
-        pub fn quick(&self) -> bool {
-            self.quick
-        }
-
-        /// Measure `f`, recording the median per-call time under `id`.
-        /// Returns the median in nanoseconds.
-        pub fn bench<R>(&mut self, id: &str, mut f: impl FnMut() -> R) -> f64 {
-            // Calibrate: grow the batch until one batch costs >= target.
-            let target_batch = if self.quick { 1e-3 } else { 5e-3 };
-            let mut iters: u64 = 1;
-            loop {
-                let t = Instant::now();
-                for _ in 0..iters {
-                    black_box(f());
-                }
-                let secs = t.elapsed().as_secs_f64();
-                if secs >= target_batch || iters >= 1 << 24 {
-                    break;
-                }
-                // Aim past the target so the loop usually exits next round.
-                let guess = (target_batch * 1.5 / secs.max(1e-9)) as u64;
-                iters = (iters * 2).max(guess).min(1 << 24);
-            }
-            let (warmup, samples) = if self.quick { (1, 5) } else { (3, 11) };
-            for _ in 0..warmup {
-                for _ in 0..iters {
-                    black_box(f());
-                }
-            }
-            let mut per_call: Vec<f64> = (0..samples)
-                .map(|_| {
-                    let t = Instant::now();
-                    for _ in 0..iters {
-                        black_box(f());
-                    }
-                    t.elapsed().as_secs_f64() * 1e9 / iters as f64
-                })
-                .collect();
-            per_call.sort_by(|a, b| a.total_cmp(b));
-            let median = per_call[per_call.len() / 2];
-            let m = Measurement {
-                id: id.to_string(),
-                median_ns: median,
-                min_ns: per_call[0],
-                samples,
-                iters_per_sample: iters,
-                threads: 1,
-            };
-            println!(
-                "{:<40} {:>14} /call   ({} samples x {} calls)",
-                m.id,
-                fmt_ns(m.median_ns),
-                m.samples,
-                m.iters_per_sample
-            );
-            self.results.push(m);
-            median
-        }
-
-        /// Print the closing summary and write the JSON file if requested.
-        pub fn finish(self) {
-            println!(
-                "\n{}: {} benchmarks measured",
-                self.name,
-                self.results.len()
-            );
-            if let Some(path) = &self.json {
-                let mut out = String::new();
-                for m in &self.results {
-                    out.push_str(&json_line(&self.name, m));
-                    out.push('\n');
-                }
-                std::fs::write(path, out).expect("write bench json");
-                eprintln!("json written to {}", path.display());
-            }
-        }
-    }
+    use std::path::Path;
 
     /// Version tag stamped into every JSON line so trajectory tooling can
     /// filter comparable runs. Bump when the line shape changes; schema 1
     /// was the untagged `{suite,id,median_ns,min_ns,samples,
     /// iters_per_sample}` shape without thread/host fields.
-    pub const BENCH_SCHEMA: u32 = 2;
+    const BENCH_SCHEMA: u32 = 2;
 
     /// Logical cores of the host, for the `host_cores` field.
     pub fn host_cores() -> usize {
@@ -316,65 +172,36 @@ pub mod timing {
             .unwrap_or(1)
     }
 
-    /// One JSON object (single line) for a measurement.
-    pub fn json_line(suite: &str, m: &Measurement) -> String {
-        format!(
-            "{{\"schema\":{},\"suite\":\"{}\",\"id\":\"{}\",\"median_ns\":{:.1},\"min_ns\":{:.1},\"samples\":{},\"iters_per_sample\":{},\"threads\":{},\"host_cores\":{}}}",
-            BENCH_SCHEMA,
-            suite,
-            m.id,
-            m.median_ns,
-            m.min_ns,
-            m.samples,
-            m.iters_per_sample,
-            m.threads,
-            host_cores()
-        )
+    /// Short revision of the checkout this binary was built from
+    /// (`-dirty` when it has uncommitted changes).
+    fn git_rev() -> String {
+        std::process::Command::new("git")
+            .args(["describe", "--always", "--dirty"])
+            .current_dir(env!("CARGO_MANIFEST_DIR"))
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .and_then(|o| String::from_utf8(o.stdout).ok())
+            .map_or_else(|| "unknown".into(), |s| s.trim().to_string())
     }
 
-    /// Append JSON lines for `results` to `path` (creating it if absent).
-    pub fn append_json(path: &std::path::Path, suite: &str, results: &[Measurement]) {
+    /// Append one JSON line to `path` (creating it if absent). `body` is
+    /// the caller's already-formatted fields, `"id":"…"` first; the
+    /// schema and suite go in front of it and `threads`, `host_cores`,
+    /// `git_rev` behind.
+    pub fn append_json(path: &Path, suite: &str, body: &str, threads: usize) {
         let mut f = std::fs::OpenOptions::new()
             .create(true)
             .append(true)
             .open(path)
             .expect("open bench json for append");
-        for m in results {
-            writeln!(f, "{}", json_line(suite, m)).expect("append bench json");
-        }
-    }
-
-    /// Write the global obs metrics snapshot to `<bench stem>.obs.json`
-    /// next to `bench_path` and append a pointer line to the bench
-    /// output, so every bench run records which snapshot it produced.
-    /// Returns the snapshot path, or `None` when obs was never
-    /// initialized (nothing to export).
-    pub fn emit_obs_snapshot(
-        bench_path: &std::path::Path,
-        suite: &str,
-        threads: usize,
-    ) -> Option<PathBuf> {
-        let obs = mmsb_obs::get()?;
-        let snapshot = bench_path.with_extension("obs.json");
-        let json = mmsb_obs::export::metrics_json(&obs.metrics, Some(&obs.spans), threads);
-        std::fs::write(&snapshot, json).expect("write obs snapshot");
-        let mut f = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(bench_path)
-            .expect("open bench json for append");
         writeln!(
             f,
-            "{{\"schema\":{},\"suite\":\"{}\",\"id\":\"obs_snapshot\",\"path\":\"{}\",\"threads\":{},\"host_cores\":{}}}",
-            BENCH_SCHEMA,
-            suite,
-            snapshot.display(),
-            threads,
-            host_cores()
+            "{{\"schema\":{BENCH_SCHEMA},\"suite\":\"{suite}\",{body},\"threads\":{threads},\"host_cores\":{},\"git_rev\":\"{}\"}}",
+            host_cores(),
+            git_rev()
         )
-        .expect("append obs snapshot line");
-        eprintln!("obs metrics snapshot written to {}", snapshot.display());
-        Some(snapshot)
+        .expect("append bench json");
     }
 
     /// Format nanoseconds with adaptive units.
@@ -396,49 +223,18 @@ mod timing_tests {
     use super::timing::*;
 
     #[test]
-    fn bench_measures_something_positive() {
-        let mut suite = Suite::from_args("selftest");
-        let ns = suite.bench("noop/add", || black_box(1u64) + black_box(2u64));
-        assert!(ns > 0.0 && ns < 1e7, "implausible per-call time {ns}");
-    }
-
-    #[test]
-    fn json_line_is_wellformed() {
-        let m = Measurement {
-            id: "g/n".into(),
-            median_ns: 12.25,
-            min_ns: 11.0,
-            samples: 5,
-            iters_per_sample: 100,
-            threads: 4,
-        };
-        let line = json_line("kernels", &m);
-        assert!(line.starts_with('{') && line.ends_with('}'));
-        assert!(line.contains("\"id\":\"g/n\""));
-        assert!(line.contains("\"median_ns\":12.2"));
-        assert!(line.contains("\"schema\":2"));
-        assert!(line.contains("\"threads\":4"));
-        assert!(line.contains("\"host_cores\":"));
-    }
-
-    #[test]
     fn append_json_accumulates_lines() {
         let dir = std::env::temp_dir().join("mmsb_bench_json_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("out.json");
         let _ = std::fs::remove_file(&path);
-        let m = Measurement {
-            id: "a/b".into(),
-            median_ns: 1.0,
-            min_ns: 1.0,
-            samples: 1,
-            iters_per_sample: 1,
-            threads: 1,
-        };
-        append_json(&path, "s", std::slice::from_ref(&m));
-        append_json(&path, "s", &[m]);
+        append_json(&path, "s", "\"id\":\"a/b\",\"x\":1.5", 4);
+        append_json(&path, "s", "\"id\":\"a/c\"", 1);
         let content = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(content.lines().count(), 2);
+        let lines: Vec<&str> = content.lines().collect();
+        assert_eq!(lines.len(), 2);
+        assert!(lines[0].starts_with("{\"schema\":2,\"suite\":\"s\",\"id\":\"a/b\",\"x\":1.5,\"threads\":4,\"host_cores\":"));
+        assert!(lines[0].contains(",\"git_rev\":\"") && lines[0].ends_with("\"}"));
     }
 
     #[test]

@@ -62,8 +62,6 @@ pub struct DistributedConfig {
     /// permanent: the sampler rewinds to its last checkpoint and continues
     /// on `R - 1` workers.
     pub faults: Option<FaultConfig>,
-    /// Retry/backoff/timeout parameters used when faults are injected.
-    pub recovery: RecoveryPolicy,
 }
 
 impl DistributedConfig {
@@ -77,19 +75,12 @@ impl DistributedConfig {
             pipeline: PipelineMode::Double,
             chunk_vertices: 16,
             faults: None,
-            recovery: RecoveryPolicy::default(),
         }
     }
 
     /// Inject the given fault schedule.
     pub fn with_faults(mut self, faults: FaultConfig) -> Self {
         self.faults = Some(faults);
-        self
-    }
-
-    /// Override the recovery policy.
-    pub fn with_recovery(mut self, recovery: RecoveryPolicy) -> Self {
-        self.recovery = recovery;
         self
     }
 
@@ -239,9 +230,9 @@ impl DistributedSampler {
             .new_cache(engine.config.graph_cache_blocks, engine.config.seed ^ 0xD15);
         let mut sampler = Self {
             dcfg,
-            store: FaultingStore::new(store, plan, dcfg.recovery),
+            store: FaultingStore::new(store, plan, RecoveryPolicy::default()),
             plan,
-            policy: dcfg.recovery,
+            policy: RecoveryPolicy::default(),
             lost_worker: None,
             last_checkpoint,
             checkpoint_every: None,
@@ -804,11 +795,6 @@ impl DistributedSampler {
             iterations: self.engine.iteration,
             total_seconds: self.clocks.max(),
         }
-    }
-
-    /// The cluster configuration.
-    pub fn cluster_config(&self) -> &DistributedConfig {
-        &self.dcfg
     }
 }
 

@@ -189,13 +189,6 @@ impl ModelState {
         &self.beta
     }
 
-    /// Overwrite `beta` directly (used by distributed workers receiving a
-    /// broadcast; the master keeps theta).
-    pub fn set_beta(&mut self, beta: &[f64]) {
-        assert_eq!(beta.len(), self.k, "beta has wrong length");
-        self.beta.copy_from_slice(beta);
-    }
-
     /// Recompute `beta_k = theta_k1 / (theta_k0 + theta_k1)`.
     pub fn recompute_beta(&mut self) {
         for c in 0..self.k {
@@ -203,11 +196,6 @@ impl ModelState {
             let t1 = self.theta[2 * c + 1];
             self.beta[c] = t1 / (t0 + t1);
         }
-    }
-
-    /// Number of f32 elements in one DKV row: `pi` plus `sum(phi)`.
-    pub fn dkv_row_len(&self) -> usize {
-        self.k + 1
     }
 
     /// Encode vertex `a`'s DKV row (`pi ++ sum(phi)`) into `out`.

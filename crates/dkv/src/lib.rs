@@ -12,7 +12,6 @@
 //!
 //! * [`Partition`] — the static key-to-owner mapping,
 //! * [`DkvStore`] — the read/write-batch interface,
-//! * [`LocalStore`] — single-node backing (the vertical-scaling baseline),
 //! * [`ShardedStore`] — per-rank shards with modeled RDMA cost accounting
 //!   ([`ShardedStore::read_cost`]), the distributed configuration,
 //! * [`pipeline`] — the chunked loader that overlaps loading `pi` with
@@ -39,7 +38,7 @@ mod store;
 
 pub use faults::{FaultingStore, OpOutcome};
 pub use partition::Partition;
-pub use store::{DkvStore, LocalStore, ShardedStore};
+pub use store::{DkvStore, ShardedStore};
 
 /// Errors from store operations.
 #[derive(Debug, Clone, PartialEq, Eq)]

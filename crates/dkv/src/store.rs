@@ -111,74 +111,6 @@ fn check_no_duplicates(keys: &[u32], scratch: &mut Vec<u32>) -> Result<(), DkvEr
     Ok(())
 }
 
-/// Single-node store: one contiguous array. The backing for the
-/// sequential and multithreaded (vertical-scaling) samplers.
-#[derive(Debug, Clone)]
-pub struct LocalStore {
-    rows: Vec<f32>,
-    num_keys: u32,
-    row_len: usize,
-    dup_scratch: Vec<u32>,
-}
-
-impl LocalStore {
-    /// Create a zero-initialized store.
-    pub fn new(num_keys: u32, row_len: usize) -> Self {
-        assert!(row_len > 0, "rows must have at least one element");
-        Self {
-            rows: vec![0.0; num_keys as usize * row_len],
-            num_keys,
-            row_len,
-            dup_scratch: Vec::new(),
-        }
-    }
-
-    /// Borrow one row immutably (zero-copy fast path for local access).
-    pub fn row(&self, key: u32) -> &[f32] {
-        let i = key as usize * self.row_len;
-        &self.rows[i..i + self.row_len]
-    }
-
-    /// Borrow one row mutably.
-    pub fn row_mut(&mut self, key: u32) -> &mut [f32] {
-        let i = key as usize * self.row_len;
-        &mut self.rows[i..i + self.row_len]
-    }
-}
-
-impl DkvStore for LocalStore {
-    fn num_keys(&self) -> u32 {
-        self.num_keys
-    }
-
-    fn row_len(&self) -> usize {
-        self.row_len
-    }
-
-    fn read_batch(&self, keys: &[u32], out: &mut [f32]) -> Result<(), DkvError> {
-        let _obs = OpObs::read(keys);
-        validate_batch(self.num_keys, self.row_len, keys, out.len())?;
-        for (i, &k) in keys.iter().enumerate() {
-            let src = k as usize * self.row_len;
-            out[i * self.row_len..(i + 1) * self.row_len]
-                .copy_from_slice(&self.rows[src..src + self.row_len]);
-        }
-        Ok(())
-    }
-
-    fn write_batch(&mut self, keys: &[u32], vals: &[f32]) -> Result<(), DkvError> {
-        let _obs = OpObs::write(keys);
-        validate_batch(self.num_keys, self.row_len, keys, vals.len())?;
-        check_no_duplicates(keys, &mut self.dup_scratch)?;
-        for (i, &k) in keys.iter().enumerate() {
-            let dst = k as usize * self.row_len;
-            self.rows[dst..dst + self.row_len]
-                .copy_from_slice(&vals[i * self.row_len..(i + 1) * self.row_len]);
-        }
-        Ok(())
-    }
-}
-
 /// Sharded store: rows live in per-rank shards according to a static
 /// [`Partition`]. Reads and writes move real bytes; the RDMA wire time a
 /// physical cluster would spend is *modeled* by [`ShardedStore::read_cost`]
@@ -189,9 +121,6 @@ pub struct ShardedStore {
     shards: Vec<Vec<f32>>,
     partition: Partition,
     row_len: usize,
-    /// Local (same-rank) memory bandwidth in bytes/s, used to price the
-    /// `1/C` of accesses that do not cross the wire.
-    local_bandwidth: f64,
     /// Optional *real* (wall-clock) per-key read latency in seconds.
     /// Zero by default: `read_batch` returns at memcpy speed and wire
     /// time is modeled only. When set, `read_batch` blocks for
@@ -205,9 +134,10 @@ pub struct ShardedStore {
 }
 
 impl ShardedStore {
-    /// Default per-core streaming memory bandwidth (bytes/s) used to price
-    /// same-rank accesses: ~12 GB/s, a Xeon E5-2630v3-era figure.
-    pub const DEFAULT_LOCAL_BANDWIDTH: f64 = 12e9;
+    /// Per-core streaming memory bandwidth (bytes/s) used to price the
+    /// `1/C` of accesses that do not cross the wire: ~12 GB/s, a Xeon
+    /// E5-2630v3-era figure.
+    const LOCAL_BANDWIDTH: f64 = 12e9;
 
     /// Create a zero-initialized sharded store.
     pub fn new(partition: Partition, row_len: usize) -> Self {
@@ -219,17 +149,9 @@ impl ShardedStore {
             shards,
             partition,
             row_len,
-            local_bandwidth: Self::DEFAULT_LOCAL_BANDWIDTH,
             read_latency_per_key: 0.0,
             dup_scratch: Vec::new(),
         }
-    }
-
-    /// Override the local-access bandwidth model.
-    pub fn with_local_bandwidth(mut self, bytes_per_sec: f64) -> Self {
-        assert!(bytes_per_sec > 0.0, "bandwidth must be positive");
-        self.local_bandwidth = bytes_per_sec;
-        self
     }
 
     /// Make `read_batch` *really* block for `secs` of wall-clock per key
@@ -287,7 +209,7 @@ impl ShardedStore {
                 remote += 1;
             }
         }
-        let mut t = local as f64 * bytes as f64 / self.local_bandwidth;
+        let mut t = local as f64 * bytes as f64 / Self::LOCAL_BANDWIDTH;
         if remote > 0 {
             // One latency (round trip for reads) for the batch; the
             // requests are posted back-to-back, and work-request posting
@@ -346,6 +268,74 @@ impl DkvStore for ShardedStore {
 mod tests {
     use super::*;
     use mmsb_rand::{Rng, Xoshiro256PlusPlus};
+
+    /// Single-node store: one contiguous array — the reference
+    /// [`ShardedStore`] is compared against (`sharded_matches_local`).
+    #[derive(Debug, Clone)]
+    struct LocalStore {
+        rows: Vec<f32>,
+        num_keys: u32,
+        row_len: usize,
+        dup_scratch: Vec<u32>,
+    }
+
+    impl LocalStore {
+        /// Create a zero-initialized store.
+        fn new(num_keys: u32, row_len: usize) -> Self {
+            assert!(row_len > 0, "rows must have at least one element");
+            Self {
+                rows: vec![0.0; num_keys as usize * row_len],
+                num_keys,
+                row_len,
+                dup_scratch: Vec::new(),
+            }
+        }
+
+        /// Borrow one row immutably (zero-copy fast path for local access).
+        fn row(&self, key: u32) -> &[f32] {
+            let i = key as usize * self.row_len;
+            &self.rows[i..i + self.row_len]
+        }
+
+        /// Borrow one row mutably.
+        fn row_mut(&mut self, key: u32) -> &mut [f32] {
+            let i = key as usize * self.row_len;
+            &mut self.rows[i..i + self.row_len]
+        }
+    }
+
+    impl DkvStore for LocalStore {
+        fn num_keys(&self) -> u32 {
+            self.num_keys
+        }
+
+        fn row_len(&self) -> usize {
+            self.row_len
+        }
+
+        fn read_batch(&self, keys: &[u32], out: &mut [f32]) -> Result<(), DkvError> {
+            let _obs = OpObs::read(keys);
+            validate_batch(self.num_keys, self.row_len, keys, out.len())?;
+            for (i, &k) in keys.iter().enumerate() {
+                let src = k as usize * self.row_len;
+                out[i * self.row_len..(i + 1) * self.row_len]
+                    .copy_from_slice(&self.rows[src..src + self.row_len]);
+            }
+            Ok(())
+        }
+
+        fn write_batch(&mut self, keys: &[u32], vals: &[f32]) -> Result<(), DkvError> {
+            let _obs = OpObs::write(keys);
+            validate_batch(self.num_keys, self.row_len, keys, vals.len())?;
+            check_no_duplicates(keys, &mut self.dup_scratch)?;
+            for (i, &k) in keys.iter().enumerate() {
+                let dst = k as usize * self.row_len;
+                self.rows[dst..dst + self.row_len]
+                    .copy_from_slice(&vals[i * self.row_len..(i + 1) * self.row_len]);
+            }
+            Ok(())
+        }
+    }
 
     fn write_rows<S: DkvStore>(store: &mut S, keys: &[u32]) {
         let row_len = store.row_len();
@@ -473,7 +463,7 @@ mod tests {
     #[test]
     fn cost_zero_on_ideal_network_except_local_copies() {
         let net = NetworkModel::ideal();
-        let s = ShardedStore::new(Partition::new(16, 4), 8).with_local_bandwidth(1e12);
+        let s = ShardedStore::new(Partition::new(16, 4), 8);
         let keys: Vec<u32> = (0..16).collect();
         let c = s.read_cost(0, &keys, &net);
         assert!(c < 1e-6, "cost {c}");

@@ -44,7 +44,6 @@ pub struct EdgeListLines<R> {
     reader: BufReader<R>,
     line: String,
     line_no: usize,
-    self_loops: u64,
 }
 
 impl<R: Read> EdgeListLines<R> {
@@ -54,18 +53,7 @@ impl<R: Read> EdgeListLines<R> {
             reader: BufReader::new(reader),
             line: String::new(),
             line_no: 0,
-            self_loops: 0,
         }
-    }
-
-    /// The 1-based line number of the most recently parsed line.
-    pub fn line_number(&self) -> usize {
-        self.line_no
-    }
-
-    /// Self-loop rows skipped so far.
-    pub fn self_loops_skipped(&self) -> u64 {
-        self.self_loops
     }
 
     /// Parse the next edge; `Ok(None)` at end of input.
@@ -102,7 +90,6 @@ impl<R: Read> EdgeListLines<R> {
                 });
             }
             if a == b {
-                self.self_loops += 1;
                 continue; // drop self-loops
             }
             return Ok(Some((a, b)));

@@ -528,7 +528,7 @@ mod tests {
         assert!(text.contains("gauge workers 4"));
         assert!(text.contains("hist step_ns count=1 sum=1500"));
         // Zero-valued ids still present.
-        assert!(text.contains("counter comm_aborts 0"));
+        assert!(text.contains("counter comm_collectives 0"));
 
         let sink = SpanSink::new(1, 4);
         sink.record(0, 0, 0, 1);

@@ -32,56 +32,52 @@ pub mod id {
     pub const C_COMM_SENDS: usize = 6;
     /// comm: point-to-point receives.
     pub const C_COMM_RECVS: usize = 7;
-    /// comm: receive deadlines that expired.
-    pub const C_COMM_TIMEOUTS: usize = 8;
-    /// comm: collectives torn down by an abort frame.
-    pub const C_COMM_ABORTS: usize = 9;
     /// comm: collective operations started.
-    pub const C_COMM_COLLECTIVES: usize = 10;
+    pub const C_COMM_COLLECTIVES: usize = 8;
     /// pool: fork-join jobs run.
-    pub const C_POOL_JOBS: usize = 11;
+    pub const C_POOL_JOBS: usize = 9;
     /// pool: chunks claimed by workers.
-    pub const C_POOL_CHUNKS: usize = 12;
+    pub const C_POOL_CHUNKS: usize = 10;
     /// core: sampler steps completed.
-    pub const C_SAMPLER_STEPS: usize = 13;
+    pub const C_SAMPLER_STEPS: usize = 11;
     /// core: checkpoints captured.
-    pub const C_CHECKPOINTS: usize = 14;
+    pub const C_CHECKPOINTS: usize = 12;
     /// core: recoveries performed after a kill.
-    pub const C_RECOVERIES: usize = 15;
+    pub const C_RECOVERIES: usize = 13;
     /// serve: HTTP requests handled (all endpoints).
-    pub const C_SERVE_REQUESTS: usize = 16;
+    pub const C_SERVE_REQUESTS: usize = 14;
     /// serve: requests answered with a 4xx/5xx status.
-    pub const C_SERVE_ERRORS: usize = 17;
+    pub const C_SERVE_ERRORS: usize = 15;
     /// serve: model snapshots published via `POST /v1/reload`.
-    pub const C_SERVE_RELOADS: usize = 18;
+    pub const C_SERVE_RELOADS: usize = 16;
     /// serve: TCP connections accepted.
-    pub const C_SERVE_CONNS: usize = 19;
+    pub const C_SERVE_CONNS: usize = 17;
     /// serve: connections refused with a fast-path 503 (over the
     /// admitted-connection cap, or pending behind saturated workers).
-    pub const C_SERVE_SHED_CONNS: usize = 20;
+    pub const C_SERVE_SHED_CONNS: usize = 18;
     /// serve: requests answered 503 because the in-flight cap was hit.
-    pub const C_SERVE_SHED_REQUESTS: usize = 21;
+    pub const C_SERVE_SHED_REQUESTS: usize = 19;
     /// serve: requests answered 429 by the per-worker token bucket.
-    pub const C_SERVE_RATE_LIMITED: usize = 22;
+    pub const C_SERVE_RATE_LIMITED: usize = 20;
     /// serve: connections closed by a deadline (slow-loris partial
     /// head, never-sent first request, or a response write timeout).
-    pub const C_SERVE_DEADLINE_CLOSES: usize = 23;
+    pub const C_SERVE_DEADLINE_CLOSES: usize = 21;
     /// serve: connections that completed cleanly during a drain (all
     /// buffered requests answered, closed at a request boundary).
-    pub const C_SERVE_DRAIN_COMPLETED: usize = 24;
+    pub const C_SERVE_DRAIN_COMPLETED: usize = 22;
     /// serve: connections force-closed after the drain deadline.
-    pub const C_SERVE_DRAIN_ABORTED: usize = 25;
+    pub const C_SERVE_DRAIN_ABORTED: usize = 23;
     /// serve: reload attempts that failed (corrupt/unreadable
     /// checkpoint); the old generation keeps serving.
-    pub const C_SERVE_RELOAD_ERRORS: usize = 26;
+    pub const C_SERVE_RELOAD_ERRORS: usize = 24;
     /// ooc: graph block-cache lookups served from a resident block.
-    pub const C_GRAPH_CACHE_HITS: usize = 27;
+    pub const C_GRAPH_CACHE_HITS: usize = 25;
     /// ooc: graph block-cache lookups that had to read from disk.
-    pub const C_GRAPH_CACHE_MISSES: usize = 28;
+    pub const C_GRAPH_CACHE_MISSES: usize = 26;
     /// ooc: block-cache loads that displaced a resident block.
-    pub const C_GRAPH_CACHE_EVICTIONS: usize = 29;
+    pub const C_GRAPH_CACHE_EVICTIONS: usize = 27;
     /// Number of counters.
-    pub const COUNTER_COUNT: usize = 30;
+    pub const COUNTER_COUNT: usize = 28;
 
     /// Counter names, indexed by counter id (export order).
     pub const COUNTER_NAMES: [&str; COUNTER_COUNT] = [
@@ -93,8 +89,6 @@ pub mod id {
         "dkv_write_retries",
         "comm_sends",
         "comm_recvs",
-        "comm_timeouts",
-        "comm_aborts",
         "comm_collectives",
         "pool_jobs",
         "pool_chunks",

@@ -63,16 +63,6 @@ impl GraphBackend {
         }
     }
 
-    /// The resident graph, if this backend is resident (drivers that
-    /// still require in-RAM adjacency — e.g. held-out splitting — take
-    /// this path).
-    pub fn as_resident(&self) -> Option<&Graph> {
-        match self {
-            GraphBackend::Resident(g) => Some(g),
-            GraphBackend::OutOfCore(_) => None,
-        }
-    }
-
     /// A fresh cache for this backend: `None` for resident (no scratch
     /// needed), a [`BlockCache`] of `capacity_blocks` for out-of-core.
     /// `seed` parameterizes the set hash (pure scratch — any seed yields

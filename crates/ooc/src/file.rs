@@ -196,13 +196,6 @@ impl OocGraph {
         (self.offsets[v as usize], self.offsets[v as usize + 1])
     }
 
-    /// Resident metadata bytes (degrees + offsets + index) — what this
-    /// handle costs in RAM, the number the bench reports against the
-    /// resident CSR's `memory_bytes`.
-    pub fn resident_bytes(&self) -> usize {
-        self.degrees.len() * 4 + self.offsets.len() * 8 + self.index.len() * INDEX_ENTRY_LEN
-    }
-
     /// Read block `b` into `out` (which must hold at least
     /// [`Header::block_len`] bytes) and verify its CRC-32 against the
     /// index. Returns the block's byte length.

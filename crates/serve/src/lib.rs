@@ -56,9 +56,7 @@ pub use cell::{ReaderCache, SnapshotCell, SnapshotCellIn};
 /// addresses without touching `std::net` themselves — the
 /// `net-confinement` lint keeps socket types to this crate.
 pub use std::net::SocketAddr;
-pub use loadgen::{
-    ChaosKind, ChaosReport, DrainTrafficReport, LatencyReport, OverloadReport, ThroughputReport,
-};
+pub use loadgen::{ChaosKind, ChaosReport, LatencyReport, OverloadReport, ThroughputReport};
 pub use server::{DrainReport, OverloadStats, ServeConfig, ServeError, ServeHandle};
 pub use shed::{Admission, AdmissionIn, Admit, ConnClose, Lifecycle, TokenBucket};
 pub use snapshot::{ModelSnapshot, SnapshotError};

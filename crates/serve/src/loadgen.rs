@@ -29,10 +29,6 @@
 //!   4× capacity and gates on bounded accepted-p99.
 //! * [`connect_flood`] — open-and-hold raw connections, for the
 //!   shutdown-under-flood regression test.
-//! * [`drain_traffic`] — serial keep-alive clients that run until the
-//!   server closes on them, with a mid-traffic trigger hook for drain
-//!   scenarios; distinguishes clean closes from client-visible
-//!   truncation.
 
 use crate::http;
 use mmsb_obs::clock::Stopwatch;
@@ -547,100 +543,4 @@ pub fn overload(
         merged.p99_ns = q(0.99);
     }
     merged
-}
-
-/// Outcome of a [`drain_traffic`] run.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct DrainTrafficReport {
-    /// Exchanges that completed with a full HTTP 200.
-    pub completed: u64,
-    /// Clients whose connection ended cleanly: EOF or a write/read
-    /// failure *between* exchanges (the inherent keep-alive close
-    /// race — idempotent-retry territory, not an error).
-    pub clean_closes: u64,
-    /// Clients that received a partial response before the close —
-    /// client-visible truncation, which a graceful drain must never
-    /// produce.
-    pub truncated: u64,
-}
-
-/// Drive `clients` serial keep-alive clients against `addr` until the
-/// server closes each connection; after `warmup_ms`, invoke `trigger`
-/// (typically `ServeHandle::drain`) while the traffic is still
-/// flowing. Returns the exchange accounting plus `trigger`'s result —
-/// the zero-client-visible-errors drain scenario `bench_serve` records
-/// as `serve_drain` lines.
-pub fn drain_traffic<R>(
-    addr: SocketAddr,
-    clients: usize,
-    warmup_ms: u64,
-    trigger: impl FnOnce() -> R,
-) -> (DrainTrafficReport, R) {
-    let request = get_request("/healthz");
-    let mut merged = DrainTrafficReport::default();
-    let mut out = None;
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(clients);
-        for _ in 0..clients {
-            let request = &request;
-            handles.push(scope.spawn(move || {
-                let mut report = DrainTrafficReport::default();
-                let stream = match TcpStream::connect(addr) {
-                    Ok(s) => s,
-                    Err(_) => return report,
-                };
-                let mut stream = stream;
-                let _ = stream.set_nodelay(true);
-                let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
-                let mut buf = Vec::new();
-                let mut chunk = [0u8; 8192];
-                // Safety bound only; the drain ends the loop first.
-                'conn: for _ in 0..1_000_000 {
-                    if stream.write_all(request).is_err() {
-                        report.clean_closes += 1;
-                        break;
-                    }
-                    buf.clear();
-                    loop {
-                        if let Some((status, total)) = http::parse_response(&buf) {
-                            if status == 200 && total == buf.len() {
-                                report.completed += 1;
-                            } else {
-                                report.truncated += 1;
-                                break 'conn;
-                            }
-                            break;
-                        }
-                        match stream.read(&mut chunk) {
-                            Ok(0) | Err(_) if buf.is_empty() => {
-                                report.clean_closes += 1;
-                                break 'conn;
-                            }
-                            Ok(0) | Err(_) => {
-                                report.truncated += 1;
-                                break 'conn;
-                            }
-                            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-                        }
-                    }
-                }
-                report
-            }));
-        }
-        std::thread::sleep(Duration::from_millis(warmup_ms));
-        out = Some(trigger());
-        for handle in handles {
-            if let Ok(report) = handle.join() {
-                merged.completed += report.completed;
-                merged.clean_closes += report.clean_closes;
-                merged.truncated += report.truncated;
-            }
-        }
-    });
-    let r = match out {
-        Some(r) => r,
-        // Unreachable: the scope body above always sets `out`.
-        None => unreachable!("drain trigger did not run"),
-    };
-    (merged, r)
 }

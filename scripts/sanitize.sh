@@ -10,14 +10,6 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# The xlint self-test suite always runs, TSan or not: the analyzer's
-# own layers (lexer property suite, parser, rules, suppression engine,
-# JSON schema) plus the workspace-clean and fixture gates. A lint-layer
-# regression must not hide behind a missing nightly toolchain.
-echo "sanitize: running the xlint self-test suite"
-cargo test -q --offline -p mmsb-check --lib \
-    --test lexer_prop --test xlint_gate --test xlint_fixtures
-
 host="$(rustc -vV | sed -n 's/^host: //p')"
 
 if ! rustup toolchain list 2>/dev/null | grep -q '^nightly'; then

@@ -2,7 +2,7 @@
 //! misconfigurations must fail loudly and precisely, never corrupt state.
 
 use mmsb::comm::{collectives, CommError, LocalCluster};
-use mmsb::dkv::{DkvError, DkvStore, LocalStore, Partition, ShardedStore};
+use mmsb::dkv::{DkvError, DkvStore, Partition, ShardedStore};
 use mmsb::graph::{io, GraphError};
 use mmsb::prelude::*;
 
@@ -40,20 +40,6 @@ fn dkv_store_rejects_bad_batches_without_mutation() {
     // Duplicate keys violate the no-hazard contract.
     let err = store.write_batch(&[2, 2], &[0.0; 4]).unwrap_err();
     assert!(matches!(err, DkvError::DuplicateKeyInWrite { key: 2 }));
-}
-
-#[test]
-fn local_store_matches_sharded_error_behavior() {
-    let mut store = LocalStore::new(4, 3);
-    assert!(matches!(
-        store.write_batch(&[4], &[0.0; 3]),
-        Err(DkvError::KeyOutOfRange { .. })
-    ));
-    let mut out = vec![0.0; 2];
-    assert!(matches!(
-        store.read_batch(&[0], &mut out),
-        Err(DkvError::BufferSizeMismatch { .. })
-    ));
 }
 
 #[test]
