@@ -69,7 +69,8 @@ pub const TIME_TOKENS: &[&str] = &["Instant", "SystemTime"];
 
 /// The designated hot-path modules: the request path of the serving
 /// layer, the sampler's inner step driver and its per-vertex / per-pair
-/// stage functions, the SIMD kernels, and the pool's worker loop. These
+/// stage functions, the SIMD kernels (the CRC-32 every out-of-core block
+/// load runs included), and the pool's worker loop. These
 /// are the files whose steady state the counting-allocator tests
 /// (`zero_alloc.rs`, `zero_alloc_serve.rs`) pin dynamically; the
 /// hot-path rules pin the same property statically, on every line, on
@@ -80,6 +81,7 @@ pub const HOT_PATHS: &[&str] = &[
     "crates/serve/src/shed.rs",
     "crates/core/src/sampler/driver.rs",
     "crates/core/src/sampler/stage.rs",
+    "crates/simd/src/crc.rs",
     "crates/simd/src/phi.rs",
     "crates/simd/src/theta.rs",
     "crates/simd/src/edge.rs",

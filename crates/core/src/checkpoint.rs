@@ -99,9 +99,8 @@ impl std::error::Error for CheckpointError {}
 
 // ---------------------------------------------------------------- CRC-32
 
-// The checkpoint checksum now lives in `mmsb-ooc` (the on-disk graph
-// format shares it); re-exported here so `mmsb_core::checkpoint::crc32`
-// keeps working.
+// The checkpoint checksum is `mmsb-simd`'s CRC-32 kernel, the one the
+// on-disk graph format uses too (re-exported by `mmsb-ooc`).
 pub use mmsb_ooc::crc32;
 
 // ------------------------------------------------------------ serializer

@@ -5,7 +5,8 @@
 //! double-buffered [`ChunkReader`] pass (the pipelined `pi` load path of
 //! the distributed samplers) nor a warmed out-of-core
 //! [`mmsb_ooc::BlockCache`] read loop (the graph path of the ooc
-//! backend). Every per-iteration buffer is pre-reserved at its hard
+//! backend), whether every read hits or every read evicts, reads, CRCs
+//! and decodes a block. Every per-iteration buffer is pre-reserved at its hard
 //! upper bound (`Engine::with_backend`, `StepBuffers::new`, `Workspace::new`,
 //! `ReaderScratch`, the cache's block storage and decode scratch) or
 //! grows to its high-water mark during warm-up (`PhiWorker`), the
@@ -284,6 +285,89 @@ fn steady_state_step_is_allocation_free() {
     assert_eq!(
         n, 0,
         "warmed out-of-core read loop hit the allocator {n} times over 10 passes"
+    );
+
+    // ---- out-of-core graph path: every read a miss ----
+    // The pass above never evicts. `train_ooc` misses ~440 times a step,
+    // so the miss path is pinned too: a 4-block cache is one 4-way set,
+    // and reading lists from more than four distinct blocks round-robin
+    // makes every read evict, `pread` a block, CRC it and decode it.
+    let big = generate_planted(
+        &PlantedConfig {
+            num_vertices: 3000,
+            num_communities: 30,
+            mean_community_size: 110.0,
+            memberships_per_vertex: 1.1,
+            internal_degree: 10.0,
+            background_degree: 0.5,
+        },
+        &mut rng,
+    )
+    .graph;
+    let path = dir.join("misses.ooc");
+    mmsb_ooc::write_graph(
+        &big,
+        &path,
+        mmsb_ooc::BuildOptions {
+            block_size: 4096,
+            ..mmsb_ooc::BuildOptions::default()
+        },
+    )
+    .unwrap();
+    let ooc = mmsb_ooc::OocGraph::open(&path).unwrap();
+    // One vertex per block, each with its whole list inside that block,
+    // so a read touches exactly one block.
+    let block_size = u64::from(ooc.header().block_size);
+    let mut picks: Vec<mmsb_graph::VertexId> = Vec::new();
+    let mut last_block = None;
+    for v in 0..ooc.num_vertices() {
+        let (start, end) = ooc.list_range(v);
+        let block = start / block_size;
+        if end > start && (end - 1) / block_size == block && last_block != Some(block) {
+            last_block = Some(block);
+            picks.push(mmsb_graph::VertexId(v));
+        }
+    }
+    assert!(
+        picks.len() > 4,
+        "need more distinct blocks than ways, got {}",
+        picks.len()
+    );
+    let mut cache = mmsb_ooc::BlockCache::for_graph(&ooc, 4, 5);
+    assert_eq!(cache.capacity_blocks(), 4);
+    let obs = mmsb_obs::get().unwrap();
+    let misses_before;
+    {
+        let mut reader = mmsb_ooc::OocReader::new(&ooc, &mut cache);
+        for &v in &picks {
+            edges_seen += reader.try_neighbors(v).unwrap().len() as u64;
+        }
+        misses_before = obs
+            .metrics
+            .counter_total(mmsb_obs::id::C_GRAPH_CACHE_MISSES);
+
+        COUNTING.store(true, Ordering::SeqCst);
+        for _ in 0..10 {
+            for &v in &picks {
+                edges_seen += reader.try_neighbors(v).unwrap().len() as u64;
+            }
+        }
+        COUNTING.store(false, Ordering::SeqCst);
+    }
+    assert!(edges_seen > 0);
+    assert_eq!(
+        obs.metrics
+            .counter_total(mmsb_obs::id::C_GRAPH_CACHE_MISSES)
+            - misses_before,
+        10 * picks.len() as u64,
+        "every read of the miss pass must miss"
+    );
+
+    let n = ALLOCS.load(Ordering::SeqCst);
+    assert_eq!(
+        n, 0,
+        "evicting out-of-core read loop hit the allocator {n} times over {} misses",
+        10 * picks.len()
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -24,10 +24,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use mmsb_graph::io::EdgeListLines;
 use mmsb_graph::{FxHashMap, Graph};
 
-use crate::checksum::crc32;
 use crate::format::{BlockEntry, Header, DEFAULT_BLOCK_SIZE};
 use crate::varint::{encode_list, write_varint};
-use crate::OocError;
+use crate::{crc32, OocError};
 
 /// Options for [`StreamingBuilder`].
 #[derive(Debug, Clone)]

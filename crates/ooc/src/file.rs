@@ -3,10 +3,9 @@
 use std::fs::File;
 use std::path::Path;
 
-use crate::checksum::crc32;
 use crate::format::{BlockEntry, Header, HEADER_LEN, INDEX_ENTRY_LEN};
 use crate::varint::read_varint;
-use crate::OocError;
+use crate::{crc32, OocError};
 
 /// A graph opened from the [`crate::format`] file layout.
 ///

@@ -19,8 +19,7 @@
 //! load, so a flipped byte anywhere in the data region is detected the
 //! first time the block is touched.
 
-use crate::checksum::crc32;
-use crate::OocError;
+use crate::{crc32, OocError};
 
 /// File magic, versioned like the checkpoint's `MMSBCKP1`.
 pub const MAGIC: [u8; 8] = *b"MMSBOOC1";

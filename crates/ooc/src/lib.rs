@@ -37,14 +37,15 @@ pub mod varint;
 
 mod backend;
 mod cache;
-mod checksum;
 mod file;
 
 pub use backend::{BackendReader, GraphBackend, DEFAULT_CACHE_BLOCKS};
 pub use build::{convert_edge_list, write_graph, BuildOptions, BuildStats, StreamingBuilder};
 pub use cache::{BlockCache, OocReader};
-pub use checksum::crc32;
 pub use file::OocGraph;
+/// CRC-32 (IEEE) — `mmsb-simd`'s kernel, behind every header, block and
+/// checkpoint check of both on-disk formats.
+pub use mmsb_simd::crc32;
 
 /// Errors produced while building, opening or reading an on-disk graph.
 #[derive(Debug)]

@@ -1,6 +1,12 @@
 //! `mmsb-simd`: a safe, dependency-free lane-width abstraction over
 //! `core::arch` intrinsics plus the vectorized phi/theta hot-path
-//! kernels built on it.
+//! kernels built on it, and [`crc32`], the checksum behind every
+//! out-of-core block and checkpoint check.
+//!
+//! [`crc32`] takes no [`Backend`]: its result is an exact integer, so
+//! it picks its own path (a carry-less-multiply fold where the CPU has
+//! `pclmulqdq` + `sse4.1`, slice-by-8 otherwise) without any
+//! determinism contract to pin.
 //!
 //! # Backends
 //!
@@ -47,6 +53,7 @@
 #![deny(missing_docs)]
 
 mod backend;
+mod crc;
 pub mod edge;
 pub mod lanes;
 pub mod math;
@@ -56,6 +63,7 @@ pub mod theta;
 mod x86;
 
 pub use backend::{Backend, PolicyError, SimdPolicy};
+pub use crc::crc32;
 pub use edge::edge_dots;
 pub use math::{polar_normal, ulp_distance, vexp, vln};
 pub use phi::{phi_gradient, sgrld_step, PhiScratch};
