@@ -6,7 +6,10 @@ use crate::{Edge, FxHashSet, Graph, GraphError, VertexId};
 ///
 /// Duplicate edges (in either orientation) are silently dropped; self-loops
 /// and out-of-range endpoints are rejected with an error. The builder keys
-/// a hash set with packed edges, so construction is `O(|E|)` expected.
+/// a hash set with packed edges so that [`GraphBuilder::add_edge`] can say
+/// whether an edge was new (the generators draw until they have enough
+/// distinct edges); [`GraphBuilder::build`] sorts the set once and lays out
+/// the CSR from the sorted pairs.
 #[derive(Debug, Clone)]
 pub struct GraphBuilder {
     num_vertices: u32,
@@ -36,13 +39,6 @@ impl GraphBuilder {
     /// Number of vertices the final graph will have.
     pub fn num_vertices(&self) -> u32 {
         self.num_vertices
-    }
-
-    /// Raise the vertex count to `num_vertices` (no-op if already at
-    /// least that). Streaming loaders discover the vertex universe as
-    /// they intern ids, so they grow the builder as edges arrive.
-    pub fn grow_to(&mut self, num_vertices: u32) {
-        self.num_vertices = self.num_vertices.max(num_vertices);
     }
 
     /// Number of distinct edges added so far.
@@ -85,7 +81,9 @@ impl GraphBuilder {
 
     /// Finalize into an immutable CSR [`Graph`].
     pub fn build(self) -> Graph {
-        Graph::from_packed_edges(self.num_vertices, self.edges)
+        let mut edges: Vec<u64> = self.edges.into_iter().collect();
+        edges.sort_unstable();
+        Graph::from_sorted_edges(self.num_vertices, &edges)
     }
 }
 
@@ -93,6 +91,7 @@ impl GraphBuilder {
 mod tests {
     use super::*;
     use mmsb_rand::{Rng, Xoshiro256PlusPlus};
+    use std::collections::HashSet;
 
     #[test]
     fn dedup_both_orientations() {
@@ -144,16 +143,15 @@ mod tests {
         assert_eq!(g.num_edges(), 0);
     }
 
-    /// Whatever mix of duplicates we feed in, the built graph's edge
-    /// count equals the number of *distinct* canonical pairs. Checked
-    /// over 64 random edge multisets.
-    #[test]
-    fn edge_count_matches_distinct_pairs() {
+    /// The 64 random edge multisets the tests below share: a builder fed
+    /// 0–299 pairs over 50 vertices (duplicates in both orientations
+    /// included) and the set of distinct canonical pairs it should hold.
+    fn random_multisets() -> impl Iterator<Item = (GraphBuilder, HashSet<(u32, u32)>)> {
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(0xB7);
-        for case in 0..64 {
+        (0..64).map(move |_| {
             let n_pairs = rng.below(300) as usize;
             let mut b = GraphBuilder::new(50);
-            let mut reference = std::collections::HashSet::new();
+            let mut reference = HashSet::new();
             for _ in 0..n_pairs {
                 let x = rng.below(50) as u32;
                 let y = rng.below(50) as u32;
@@ -163,12 +161,68 @@ mod tests {
                 let _ = b.add_edge(VertexId(x), VertexId(y));
                 reference.insert((x.min(y), x.max(y)));
             }
+            (b, reference)
+        })
+    }
+
+    /// Whatever mix of duplicates we feed in, the built graph's edge
+    /// count equals the number of *distinct* canonical pairs. Checked
+    /// over 64 random edge multisets.
+    #[test]
+    fn edge_count_matches_distinct_pairs() {
+        for (case, (b, reference)) in random_multisets().enumerate() {
             assert_eq!(b.num_edges(), reference.len(), "case {case}");
             let g = b.build();
             assert_eq!(g.num_edges(), reference.len() as u64, "case {case}");
             for &(x, y) in &reference {
                 assert!(g.has_edge(VertexId(x), VertexId(y)), "case {case}");
             }
+        }
+    }
+
+    /// The CSR layout the builder had before it sorted its pairs: scatter
+    /// the hash set in iteration order, then sort every list.
+    fn hash_set_layout(num_vertices: u32, edges: &FxHashSet<u64>) -> (Vec<u64>, Vec<u32>) {
+        let n = num_vertices as usize;
+        let mut offsets = vec![0u64; n + 1];
+        for &key in edges {
+            let e = Edge::unpack(key);
+            offsets[e.lo().index() + 1] += 1;
+            offsets[e.hi().index() + 1] += 1;
+        }
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut neighbors = vec![0u32; offsets[n] as usize];
+        let mut cursor = offsets.clone();
+        for &key in edges {
+            let (a, b) = Edge::unpack(key).endpoints();
+            neighbors[cursor[a.index()] as usize] = b.0;
+            cursor[a.index()] += 1;
+            neighbors[cursor[b.index()] as usize] = a.0;
+            cursor[b.index()] += 1;
+        }
+        for i in 0..n {
+            neighbors[offsets[i] as usize..offsets[i + 1] as usize].sort_unstable();
+        }
+        (offsets, neighbors)
+    }
+
+    /// `build` through the sorted constructor lays out exactly the CSR the
+    /// hash-set path did, on the same 64 multisets.
+    #[test]
+    fn sorted_constructor_equals_hash_set_path() {
+        for (case, (b, _)) in random_multisets().enumerate() {
+            let (offsets, neighbors) = hash_set_layout(b.num_vertices(), &b.edges);
+            let g = b.build();
+            let mut got_offsets = vec![0u64];
+            let mut got_neighbors = Vec::new();
+            for v in 0..g.num_vertices() {
+                got_neighbors.extend_from_slice(g.neighbors(VertexId(v)));
+                got_offsets.push(got_neighbors.len() as u64);
+            }
+            assert_eq!(got_offsets, offsets, "case {case}");
+            assert_eq!(got_neighbors, neighbors, "case {case}");
         }
     }
 }

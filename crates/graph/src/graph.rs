@@ -1,6 +1,6 @@
 //! Immutable CSR graph representation.
 
-use crate::{Edge, FxHashSet, VertexId};
+use crate::{Edge, VertexId};
 
 /// An immutable undirected graph in compressed-sparse-row form.
 ///
@@ -9,7 +9,7 @@ use crate::{Edge, FxHashSet, VertexId};
 /// contiguous slice scan. This is the layout the paper keeps at the master
 /// (13.5 GB for com-Friendster's 1.8G directed edges); scaled-down graphs
 /// here use the same structure.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Graph {
     /// CSR row offsets, length `N + 1`.
     offsets: Vec<u64>,
@@ -19,35 +19,39 @@ pub struct Graph {
 }
 
 impl Graph {
-    /// Build from a set of packed canonical edges (see [`Edge::pack`]).
+    /// Build from packed canonical edges (see [`Edge::pack`]) in strictly
+    /// ascending order — every construction path ends here.
     ///
-    /// Intended to be called through
-    /// [`GraphBuilder::build`](crate::GraphBuilder::build), which guarantees
-    /// canonical packing, no self-loops and in-range endpoints.
-    pub(crate) fn from_packed_edges(num_vertices: u32, edges: FxHashSet<u64>) -> Self {
+    /// Degrees are counted, then each pair `(lo, hi)` is appended to both
+    /// lists in input order. Ascending pairs append to a vertex `v` first
+    /// every `lo < v` of the pairs `(lo, v)`, in ascending `lo`, and then
+    /// every `hi > v` of the pairs `(v, hi)`, in ascending `hi` — so every
+    /// list comes out sorted with no per-vertex sort. Callers guarantee no
+    /// self-loops and in-range endpoints.
+    pub(crate) fn from_sorted_edges(num_vertices: u32, edges: &[u64]) -> Self {
+        debug_assert!(
+            edges.windows(2).all(|w| w[0] < w[1]),
+            "edges not sorted and unique"
+        );
         let n = num_vertices as usize;
-        let mut degree = vec![0u64; n];
-        for &key in &edges {
-            let e = Edge::unpack(key);
-            degree[e.lo().index()] += 1;
-            degree[e.hi().index()] += 1;
-        }
         let mut offsets = vec![0u64; n + 1];
+        for &key in edges {
+            let e = Edge::unpack(key);
+            offsets[e.lo().index() + 1] += 1;
+            offsets[e.hi().index() + 1] += 1;
+        }
         for i in 0..n {
-            offsets[i + 1] = offsets[i] + degree[i];
+            offsets[i + 1] += offsets[i];
         }
         let mut neighbors = vec![0u32; offsets[n] as usize];
         let mut cursor = offsets.clone();
-        for &key in &edges {
+        for &key in edges {
             let e = Edge::unpack(key);
             let (a, b) = (e.lo(), e.hi());
             neighbors[cursor[a.index()] as usize] = b.0;
             cursor[a.index()] += 1;
             neighbors[cursor[b.index()] as usize] = a.0;
             cursor[b.index()] += 1;
-        }
-        for i in 0..n {
-            neighbors[offsets[i] as usize..offsets[i + 1] as usize].sort_unstable();
         }
         Self {
             offsets,

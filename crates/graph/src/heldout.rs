@@ -5,8 +5,13 @@
 //! graph) and *non-linked* pairs, so perplexity measures both link
 //! prediction and non-link prediction. `E_h` is statically partitioned
 //! across machines for the parallel perplexity phase.
+//!
+//! [`HeldOut::split`] draws links by index into the graph's edges in CSR
+//! order, which is ascending packed-edge order, so the training graph is
+//! that sorted sequence with the drawn indices dropped, laid out by the one
+//! sorted-pairs CSR constructor.
 
-use crate::{access::GraphAccess, Edge, FxHashSet, Graph, GraphBuilder, VertexId};
+use crate::{access::GraphAccess, Edge, FxHashSet, Graph, VertexId};
 use mmsb_rand::{Rng, RngCore};
 
 /// A held-out evaluation set: pairs with their true link observation.
@@ -36,16 +41,16 @@ impl HeldOut {
             "graph too dense to sample {num_links} held-out non-links"
         );
 
-        let all_edges: Vec<Edge> = graph.edges().collect();
-        let link_idx = rng.sample_distinct(all_edges.len(), num_links);
+        // `edges()` walks the CSR in ascending packed order, so after the
+        // held-out links are dropped the rest is still sorted and unique.
+        let mut edges: Vec<u64> = graph.edges().map(Edge::pack).collect();
+        let mut held = vec![false; edges.len()];
         let mut index = FxHashSet::default();
-        let mut removed_links = FxHashSet::default();
         let mut pairs = Vec::with_capacity(num_links * 2);
-        for i in link_idx {
-            let e = all_edges[i];
-            index.insert(e.pack());
-            removed_links.insert(e.pack());
-            pairs.push((e, true));
+        for i in rng.sample_distinct(edges.len(), num_links) {
+            held[i] = true;
+            index.insert(edges[i]);
+            pairs.push((Edge::unpack(edges[i]), true));
         }
 
         let n = graph.num_vertices();
@@ -65,16 +70,17 @@ impl HeldOut {
             non_links += 1;
         }
 
-        // Rebuild the training graph without the held-out links.
-        let mut builder = GraphBuilder::with_edge_capacity(n, all_edges.len() - num_links);
-        for e in &all_edges {
-            if !removed_links.contains(&e.pack()) {
-                builder
-                    .add_edge(e.lo(), e.hi())
-                    .expect("edge from valid graph");
-            }
-        }
-        (builder.build(), HeldOut { pairs, index })
+        // The training graph: the same sorted sequence minus the held-out
+        // links (`retain` visits the elements in order).
+        let mut i = 0;
+        edges.retain(|_| {
+            i += 1;
+            !held[i - 1]
+        });
+        (
+            Graph::from_sorted_edges(n, &edges),
+            HeldOut { pairs, index },
+        )
     }
 
     /// Build a held-out set through any [`GraphAccess`] backend *without*
@@ -193,6 +199,7 @@ impl HeldOut {
 mod tests {
     use super::*;
     use crate::generate::planted::{PlantedConfig, generate_planted};
+    use crate::GraphBuilder;
     use mmsb_rand::Xoshiro256PlusPlus;
 
     fn test_graph() -> Graph {
@@ -259,6 +266,87 @@ mod tests {
         }
     }
 
+    /// `split` as it was before it filtered the sorted edge sequence: the
+    /// same draws, then the training graph rebuilt through a hash set of
+    /// the removed links and a [`GraphBuilder`].
+    fn split_through_hash_sets<R: RngCore>(
+        graph: &Graph,
+        num_links: usize,
+        rng: &mut R,
+    ) -> (Graph, Vec<(Edge, bool)>) {
+        let all_edges: Vec<Edge> = graph.edges().collect();
+        let link_idx = rng.sample_distinct(all_edges.len(), num_links);
+        let mut index = FxHashSet::default();
+        let mut removed_links = FxHashSet::default();
+        let mut pairs = Vec::with_capacity(num_links * 2);
+        for i in link_idx {
+            let e = all_edges[i];
+            index.insert(e.pack());
+            removed_links.insert(e.pack());
+            pairs.push((e, true));
+        }
+        let n = graph.num_vertices();
+        let mut non_links = 0usize;
+        while non_links < num_links {
+            let a = VertexId(rng.below(n as u64) as u32);
+            let b = VertexId(rng.below(n as u64) as u32);
+            if a == b {
+                continue;
+            }
+            let e = Edge::new(a, b);
+            if graph.has_edge(a, b) || !index.insert(e.pack()) {
+                continue;
+            }
+            pairs.push((e, false));
+            non_links += 1;
+        }
+        let mut builder = GraphBuilder::with_edge_capacity(n, all_edges.len() - num_links);
+        for e in &all_edges {
+            if !removed_links.contains(&e.pack()) {
+                builder.add_edge(e.lo(), e.hi()).unwrap();
+            }
+        }
+        (builder.build(), pairs)
+    }
+
+    /// Same held-out pairs, in the same order, and the same training CSR
+    /// as the hash-set construction, on planted graphs of several sizes
+    /// and densities across 12 seeds — including holding out every edge.
+    #[test]
+    fn split_equals_hash_set_split_on_planted_graphs() {
+        for seed in 0..12u64 {
+            let mut rng = Xoshiro256PlusPlus::seed_from_u64(100 + seed);
+            let g = generate_planted(
+                &PlantedConfig {
+                    num_vertices: 60 + 40 * seed as u32,
+                    num_communities: 2 + seed as usize % 5,
+                    mean_community_size: 25.0 + 5.0 * seed as f64,
+                    memberships_per_vertex: 1.0 + 0.1 * seed as f64,
+                    internal_degree: 3.0 + seed as f64,
+                    background_degree: 0.5 + 0.25 * seed as f64,
+                },
+                &mut rng,
+            )
+            .graph;
+            let links = match seed {
+                0 => 0,
+                1 => g.num_edges() as usize,
+                _ => 1 + rng.below(g.num_edges() / 3) as usize,
+            };
+            let (train, h) =
+                HeldOut::split(&g, links, &mut Xoshiro256PlusPlus::seed_from_u64(seed));
+            let (want_train, want_pairs) =
+                split_through_hash_sets(&g, links, &mut Xoshiro256PlusPlus::seed_from_u64(seed));
+            assert_eq!(h.pairs(), want_pairs.as_slice(), "seed {seed}");
+            assert_eq!(train, want_train, "seed {seed}");
+            assert_eq!(
+                train.num_edges(),
+                g.num_edges() - links as u64,
+                "seed {seed}"
+            );
+        }
+    }
+
     #[test]
     #[should_panic(expected = "cannot hold out")]
     fn too_many_links_panics() {
@@ -266,6 +354,19 @@ mod tests {
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(6);
         let want = g.num_edges() as usize + 1;
         HeldOut::split(&g, want, &mut rng);
+    }
+
+    #[test]
+    #[should_panic(expected = "too dense")]
+    fn too_dense_graph_panics() {
+        // K4 has every one of its 6 pairs linked: no non-link to draw.
+        let mut b = GraphBuilder::new(4);
+        for x in 0..4 {
+            for y in x + 1..4 {
+                b.add_edge(VertexId(x), VertexId(y)).unwrap();
+            }
+        }
+        HeldOut::split(&b.build(), 1, &mut Xoshiro256PlusPlus::seed_from_u64(8));
     }
 
     #[test]

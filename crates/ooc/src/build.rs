@@ -2,13 +2,15 @@
 //!
 //! The builder never holds the edge set in RAM. Incoming edges are
 //! emitted as *both* directed entries packed into `u64`s
-//! (`src << 32 | dst`), accumulated in a fixed-capacity buffer, sorted,
-//! and spilled to a temp run file whenever the buffer fills. `finish`
-//! k-way-merges the sorted runs (a binary heap over one buffered cursor
+//! (`src << 32 | dst`) and accumulated in a fixed-capacity buffer; when
+//! an edge would overflow it, the buffer is sorted and spilled to a temp
+//! run file. `finish` sorts what is still buffered and k-way-merges it,
+//! as the last run, with the spilled ones (a binary heap over one cursor
 //! per run), deduplicates adjacent equal entries, and streams each
 //! vertex's gap-coded list straight into fixed-size data blocks — so peak
-//! memory is `O(run buffer + N)` regardless of edge count, and peak disk
-//! is roughly `16 bytes × E` of temp runs plus the final file.
+//! memory is `O(run buffer + N)` regardless of edge count, peak disk is
+//! roughly `16 bytes × E` of temp runs plus the final file, and a build
+//! whose entries fit in one buffer writes no run file at all.
 //!
 //! Determinism: entries are totally ordered `u64`s and ties (duplicate
 //! edges across runs) are broken by run index in the heap key, so the
@@ -17,12 +19,12 @@
 
 use std::collections::BinaryHeap;
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use mmsb_graph::io::EdgeListLines;
-use mmsb_graph::{FxHashMap, Graph};
+use mmsb_graph::io::{EdgeListLines, IdInterner};
+use mmsb_graph::Graph;
 
 use crate::format::{BlockEntry, Header, DEFAULT_BLOCK_SIZE};
 use crate::varint::{encode_list, write_varint};
@@ -93,7 +95,6 @@ pub struct StreamingBuilder {
     max_id: u32,
     any_edge: bool,
     self_loops: u64,
-    entries_in: u64,
 }
 
 impl StreamingBuilder {
@@ -123,7 +124,6 @@ impl StreamingBuilder {
             max_id: 0,
             any_edge: false,
             self_loops: 0,
-            entries_in: 0,
         })
     }
 
@@ -156,14 +156,10 @@ impl StreamingBuilder {
         self.buf.push((b as u64) << 32 | a as u64);
         self.max_id = self.max_id.max(a).max(b);
         self.any_edge = true;
-        self.entries_in += 2;
         Ok(())
     }
 
     fn flush_run(&mut self) -> Result<(), OocError> {
-        if self.buf.is_empty() {
-            return Ok(());
-        }
         self.buf.sort_unstable();
         let path = self.temp_root.join(format!("run-{}.bin", self.runs.len()));
         let mut w = BufWriter::with_capacity(1 << 20, File::create(&path)?);
@@ -178,7 +174,6 @@ impl StreamingBuilder {
 
     /// Merge the runs, encode, and write the final file to `out_path`.
     pub fn finish<P: AsRef<Path>>(mut self, out_path: P) -> Result<BuildStats, OocError> {
-        self.flush_run()?;
         let num_vertices = match self.opts.num_vertices {
             Some(n) => n,
             None if self.any_edge => self.max_id + 1,
@@ -187,11 +182,16 @@ impl StreamingBuilder {
         let block_size = self.opts.block_size as usize;
 
         // ---- merge + encode into the data temp file -----------------
+        // The spilled runs, then the entries still in RAM as the last run:
+        // the same entries in the same run order as if the buffer had been
+        // spilled too, without the round trip through a file.
         let mut readers: Vec<RunCursor> = self
             .runs
             .iter()
             .map(|p| RunCursor::open(p))
             .collect::<Result<_, _>>()?;
+        self.buf.sort_unstable();
+        readers.push(RunCursor::in_memory(std::mem::take(&mut self.buf)));
         let mut heap: BinaryHeap<std::cmp::Reverse<(u64, usize)>> = BinaryHeap::new();
         for (i, r) in readers.iter_mut().enumerate() {
             if let Some(e) = r.next()? {
@@ -337,10 +337,18 @@ impl Drop for StreamingBuilder {
     }
 }
 
-/// Buffered cursor over one sorted run file.
+/// Entries per cursor refill (64 KiB of run file).
+const CURSOR_ENTRIES: usize = 8192;
+
+/// Cursor over one sorted run: a spilled run file read in
+/// [`CURSOR_ENTRIES`]-entry chunks, or the final run still in RAM (one
+/// chunk, no file). `next` is the merge loop's per-entry call, so it only
+/// indexes the chunk; the refill, with its read buffer, is out of line.
 #[derive(Debug)]
 struct RunCursor {
-    reader: BufReader<File>,
+    /// `None` once the run file is drained, and for the in-RAM run.
+    file: Option<File>,
+    raw: Vec<u8>,
     chunk: Vec<u64>,
     pos: usize,
 }
@@ -348,41 +356,61 @@ struct RunCursor {
 impl RunCursor {
     fn open(path: &Path) -> Result<Self, OocError> {
         Ok(Self {
-            reader: BufReader::with_capacity(1 << 20, File::open(path)?),
-            chunk: Vec::with_capacity(8192),
+            file: Some(File::open(path)?),
+            raw: vec![0; 8 * CURSOR_ENTRIES],
+            chunk: Vec::with_capacity(CURSOR_ENTRIES),
             pos: 0,
         })
     }
 
+    fn in_memory(sorted: Vec<u64>) -> Self {
+        Self {
+            file: None,
+            raw: Vec::new(),
+            chunk: sorted,
+            pos: 0,
+        }
+    }
+
+    #[inline]
     fn next(&mut self) -> Result<Option<u64>, OocError> {
-        if self.pos == self.chunk.len() {
-            self.chunk.clear();
-            self.pos = 0;
-            let mut raw = [0u8; 8 * 8192];
-            let mut filled = 0usize;
-            loop {
-                let n = self.reader.read(&mut raw[filled..])?;
-                if n == 0 {
-                    break;
-                }
-                filled += n;
-                if filled == raw.len() {
-                    break;
-                }
-            }
-            if !filled.is_multiple_of(8) {
-                return Err(OocError::Truncated);
-            }
-            for c in raw[..filled].chunks_exact(8) {
-                self.chunk.push(u64::from_le_bytes(c.try_into().unwrap()));
-            }
-            if self.chunk.is_empty() {
-                return Ok(None);
-            }
+        if self.pos == self.chunk.len() && !self.refill()? {
+            return Ok(None);
         }
         let v = self.chunk[self.pos];
         self.pos += 1;
         Ok(Some(v))
+    }
+
+    /// Load the next chunk of the run file; `false` once the run is done.
+    #[inline(never)]
+    fn refill(&mut self) -> Result<bool, OocError> {
+        self.chunk.clear();
+        self.pos = 0;
+        let Some(file) = self.file.as_mut() else {
+            return Ok(false);
+        };
+        let mut filled = 0usize;
+        while filled < self.raw.len() {
+            let n = file.read(&mut self.raw[filled..])?;
+            if n == 0 {
+                break;
+            }
+            filled += n;
+        }
+        if !filled.is_multiple_of(8) {
+            return Err(OocError::Truncated);
+        }
+        if filled == 0 {
+            self.file = None;
+            return Ok(false);
+        }
+        self.chunk.extend(
+            self.raw[..filled]
+                .chunks_exact(8)
+                .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk"))),
+        );
+        Ok(true)
     }
 }
 
@@ -469,7 +497,7 @@ pub fn write_graph<P: AsRef<Path>>(
 }
 
 /// Convert a SNAP edge-list text file into the on-disk graph format,
-/// streaming: the text is parsed line by line, ids are densified to
+/// streaming: the text is parsed by [`EdgeListLines`], ids are densified to
 /// `[0, N)` through an interning table (the only `O(N)` RAM besides the
 /// builder's own metadata), and edges flow straight into the external
 /// sort. Returns the build stats and the dense→original id mapping.
@@ -481,8 +509,7 @@ pub fn convert_edge_list<P: AsRef<Path>, Q: AsRef<Path>>(
     let file = File::open(input.as_ref())?;
     let mut lines = EdgeListLines::new(file);
     let mut builder = StreamingBuilder::new(opts)?;
-    let mut ids: FxHashMap<u64, u32> = FxHashMap::default();
-    let mut original_ids: Vec<u64> = Vec::new();
+    let mut ids = IdInterner::default();
     loop {
         let next = lines.next_edge().map_err(|e| match e {
             mmsb_graph::GraphError::Io(io) => OocError::Io(io),
@@ -491,17 +518,8 @@ pub fn convert_edge_list<P: AsRef<Path>, Q: AsRef<Path>>(
             },
         })?;
         let Some((a, b)) = next else { break };
-        let mut intern = |raw: u64| -> u32 {
-            *ids.entry(raw).or_insert_with(|| {
-                let dense = original_ids.len() as u32;
-                original_ids.push(raw);
-                dense
-            })
-        };
-        let da = intern(a);
-        let db = intern(b);
-        builder.add_edge(da, db)?;
+        builder.add_edge(ids.intern(a), ids.intern(b))?;
     }
     let stats = builder.finish(output)?;
-    Ok((stats, original_ids))
+    Ok((stats, ids.into_original_ids()))
 }

@@ -234,6 +234,41 @@ fn builder_roundtrip_adversarial_graphs() {
     }
 }
 
+/// The file is a function of the edge multiset alone: the same 6,000
+/// edges (duplicates and self-loops included) spilled as 12 runs, as 3, or
+/// kept in RAM as the only run write the same bytes.
+#[test]
+fn run_boundaries_do_not_change_the_file() {
+    let mut rng = Xoshiro256PlusPlus::seed_from_u64(0x5B11);
+    let edges: Vec<(u32, u32)> = (0..6000)
+        .map(|_| (rng.below(700) as u32, rng.below(700) as u32))
+        .collect();
+    let build = |run_entries: usize| {
+        let path = temp_path(&format!("runs-{run_entries}"));
+        let mut builder = StreamingBuilder::new(BuildOptions {
+            block_size: 4096,
+            run_entries,
+            ..BuildOptions::default()
+        })
+        .unwrap();
+        for &(a, b) in &edges {
+            builder.add_edge(a, b).unwrap();
+        }
+        builder.finish(&path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        bytes
+    };
+    let one_run = build(BuildOptions::default().run_entries);
+    assert!(one_run.len() > 3 * 4096, "fixture must span several blocks");
+    for run_entries in [1024, 4096] {
+        assert!(
+            build(run_entries) == one_run,
+            "run_entries {run_entries} changed the file"
+        );
+    }
+}
+
 #[test]
 fn builder_rejects_reserved_and_out_of_range_ids() {
     let mut b = StreamingBuilder::new(BuildOptions::default()).unwrap();

@@ -44,6 +44,18 @@ for doc in README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md; do
     done < <(grep -oE -e '--(bin|bench) [A-Za-z0-9_]+|target/release/[A-Za-z0-9_]+' "$doc" \
         | sed -E 's|^target/release/|--bin |' | sort -u)
 done
+# (3) Every back-ticked path rooted at a workspace crate (`graph::io::x`,
+# `mmsb_graph::io::x`, `mmsb::…`; std's `core::arch` excepted) must end
+# in a name some `fn`/`struct`/`enum`/`trait`/`const`/`mod`/`type` under
+# crates/ defines.
+crate_roots="mmsb|(mmsb_)?($(ls crates | paste -sd '|'))"
+for doc in README.md DESIGN.md; do
+    while read -r path; do
+        git grep -qwE "(fn|struct|enum|trait|const|mod|type) ${path##*::}" -- crates \
+            || { echo "$doc names an item that does not exist: $path"; stale=1; }
+    done < <(grep -oE '`[A-Za-z_][A-Za-z0-9_]*(::[A-Za-z_][A-Za-z0-9_]*)+' "$doc" \
+        | tr -d '`' | grep -E "^($crate_roots)::" | grep -v '^core::arch' | sort -u)
+done
 [ "$stale" -eq 0 ]
 
 cargo build --release --offline
