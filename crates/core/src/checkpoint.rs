@@ -41,7 +41,6 @@
 use crate::config::StateLayout;
 use crate::perplexity::PerplexityAccumulator;
 use crate::sampler::Engine;
-use crate::state::ModelState;
 use crate::CoreError;
 use mmsb_rand::Xoshiro256PlusPlus;
 use std::path::Path;
@@ -256,15 +255,12 @@ impl Checkpoint {
                 ),
             }));
         }
-        engine.state = ModelState::from_flat_arrays(
-            self.n,
-            self.k,
-            self.layout,
-            self.pi.clone(),
-            self.phi_sum.clone(),
-            self.phi.clone(),
-            self.theta.clone(),
-            self.beta.clone(),
+        engine.state.copy_from_flat_arrays(
+            &self.pi,
+            &self.phi_sum,
+            &self.phi,
+            &self.theta,
+            &self.beta,
         )?;
         engine.master_rng = Xoshiro256PlusPlus::from_state(self.master_rng);
         engine.theta_rng = Xoshiro256PlusPlus::from_state(self.theta_rng);

@@ -821,6 +821,41 @@ mod tests {
         HeldOut::split(&gen.graph, 40, &mut rng)
     }
 
+    /// `Checkpoint::install` and `DistributedSampler::restore` copy into
+    /// the live `pi` plane — no second model is allocated, and every row
+    /// keeps its cache-line alignment — for `K = 16` and `K = 64`.
+    #[test]
+    fn install_and_restore_keep_the_aligned_plane() {
+        let (graph, heldout) = setup(21);
+        for k in [16, 64] {
+            let mut s = DistributedSampler::new(
+                graph.clone(),
+                heldout.clone(),
+                SamplerConfig::new(k).with_seed(3),
+                DistributedConfig::das5(2),
+            )
+            .unwrap();
+            s.run(2);
+            let ckpt = s.checkpoint();
+            s.run(2);
+            let plane = s.state().flat_arrays().0.as_ptr();
+            let check = |s: &DistributedSampler, what: &str| {
+                let pi = s.state().flat_arrays().0;
+                assert_eq!(pi.as_ptr(), plane, "k={k}: {what} reallocated");
+                assert_eq!(pi, ckpt.pi(), "k={k}: {what}");
+                for a in 0..s.state().n() {
+                    let addr = s.state().pi_row(a).as_ptr() as usize;
+                    assert_eq!(addr % 64, 0, "k={k}: {what}: row {a}");
+                }
+            };
+            ckpt.install(&mut s.engine).unwrap();
+            check(&s, "install");
+            s.run(1);
+            s.restore(&ckpt).unwrap();
+            check(&s, "restore");
+        }
+    }
+
     #[test]
     fn split_contiguous_covers_everything() {
         for parts in [1, 2, 3, 7, 10, 15] {

@@ -111,13 +111,7 @@ pub(crate) fn step(
             let hi = ((chunk + 1) * PHI_CHUNK).min(nv);
             // SAFETY: chunk ranges [lo*k, hi*k) are pairwise disjoint.
             let chunk_out = unsafe { out.range(lo * k, hi * k) };
-            for (j, idx) in (lo..hi).enumerate() {
-                eng.update_phi_local(
-                    eng.mb_vertices[idx],
-                    ws,
-                    &mut chunk_out[j * k..(j + 1) * k],
-                );
-            }
+            eng.update_phi_chunk(&eng.mb_vertices[lo..hi], ws, chunk_out);
         });
     }
 

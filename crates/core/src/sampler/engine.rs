@@ -193,50 +193,60 @@ impl Engine {
         }
     }
 
-    /// Stage 2 against the resident state (per mini-batch vertex, pure):
-    /// sample the neighbor set, gather its `pi` rows and run
-    /// [`stage::phi_update`] against the *current* state, writing the new
-    /// row into `out` (length `K`). All scratch comes from `ws`, so the
-    /// steady state performs no heap allocation.
+    /// Stage 2 against the resident state for one chunk of mini-batch
+    /// vertices (pure), in two passes, writing vertex `j`'s new `phi` row
+    /// to row `j` of `out` (`ids.len() x K`). All scratch comes from `ws`,
+    /// so the steady state performs no heap allocation.
     ///
-    /// All randomness comes from the `(seed, iteration, vertex)` stream —
+    /// Pass 1 prefetches each vertex's own `pi` row and, on the resident
+    /// backend, its adjacency list, then samples every vertex's neighbor
+    /// set and keeps its stream. Pass 2 gathers each vertex's neighbor
+    /// rows, marks its links against its list (read once) and runs
+    /// [`stage::phi_update`].
+    ///
+    /// All randomness comes from the `(seed, iteration, vertex)` streams —
     /// the result is independent of which thread (and which workspace)
     /// performs the computation.
-    pub fn update_phi_local(&self, a: VertexId, ws: &mut Workspace, out: &mut [f64]) {
+    pub fn update_phi_chunk(&self, ids: &[VertexId], ws: &mut Workspace, out: &mut [f64]) {
         let k = self.config.k;
-        let mut rng = rngs::vertex_rng(self.config.seed, self.iteration, a.0);
-        self.neighbors.sample_into(
-            a,
-            Some(&self.heldout),
-            &mut rng,
-            &mut ws.neighbors,
-            &mut ws.seen,
-        );
-
-        // Gather neighbor pi rows, then the observations: `a`'s list is
-        // read once and answers every edge test. The reader borrows only
-        // `ws.graph_cache`, disjoint from `ws.neighbors` / `ws.linked`.
-        let nn = ws.neighbors.len();
-        ws.rows.clear();
-        ws.rows.resize(nn * k, 0.0);
-        for (i, &b) in ws.neighbors.iter().enumerate() {
-            ws.rows[i * k..(i + 1) * k].copy_from_slice(self.state.pi_row(b.0));
+        for &a in ids {
+            mmsb_simd::prefetch(self.state.pi_row(a.0));
+            if let GraphBackend::Resident(g) = &self.graph {
+                mmsb_simd::prefetch(g.neighbors(a));
+            }
         }
-        let mut reader = self.graph.reader(ws.graph_cache.as_mut());
-        mark_links(reader.neighbors(a), &ws.neighbors, &mut ws.linked);
-
-        self.state.phi_row(a.0, &mut ws.phi_a);
-        stage::phi_update(
-            &self.phi_params(),
-            self.state.beta(),
-            &ws.phi_a,
-            &ws.rows,
-            k,
-            &ws.linked,
-            &mut rng,
-            &mut ws.stage,
-            out,
+        ws.sampled.sample(
+            ids,
+            &self.neighbors,
+            &self.heldout,
+            self.config.seed,
+            self.iteration,
         );
+
+        let params = self.phi_params();
+        // The reader borrows only `ws.graph_cache`, disjoint from the
+        // sampled sets and the gather buffers.
+        let mut reader = self.graph.reader(ws.graph_cache.as_mut());
+        for (j, row_out) in out.chunks_exact_mut(k).enumerate() {
+            let (a, set, rng) = ws.sampled.vertex(j);
+            ws.rows.clear();
+            for &b in set {
+                ws.rows.extend_from_slice(self.state.pi_row(b.0));
+            }
+            mark_links(reader.neighbors(a), set, &mut ws.linked);
+            self.state.phi_row(a.0, &mut ws.phi_a);
+            stage::phi_update(
+                &params,
+                self.state.beta(),
+                &ws.phi_a,
+                &ws.rows,
+                k,
+                &ws.linked,
+                rng,
+                &mut ws.stage,
+                row_out,
+            );
+        }
     }
 
     /// Stage 3: apply all `phi` updates (the `update_pi` barrier stage).

@@ -15,7 +15,7 @@ pub mod threaded;
 mod driver;
 pub(crate) mod engine;
 pub(crate) mod stage;
-mod worker;
+pub(crate) mod worker;
 
 pub(crate) use engine::Engine;
 

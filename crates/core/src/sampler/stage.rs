@@ -88,14 +88,9 @@ pub(crate) fn phi_update(
         &mut scratch.phi,
         out,
     );
-    scratch.noise_u.clear();
-    scratch.noise_s.clear();
-    for _ in 0..k {
-        let (u, s) = Normal::standard_accept(rng);
-        scratch.noise_u.push(u);
-        scratch.noise_s.push(s);
-    }
-    scratch.noise.clear();
+    scratch.noise_u.resize(k, 0.0);
+    scratch.noise_s.resize(k, 0.0);
+    Normal::standard_accept_batch(rng, &mut scratch.noise_u, &mut scratch.noise_s);
     scratch.noise.resize(k, 0.0);
     mmsb_simd::polar_normal(
         params.backend,

@@ -26,25 +26,84 @@ pub(crate) fn share(len: usize, parts: usize, p: usize) -> Range<usize> {
     lo..lo + base + usize::from(p < extra)
 }
 
-/// Per-worker state: the `update_phi` stage plus the staging buffers of
-/// the write-back, `theta` and perplexity stages. Every buffer persists
-/// across iterations, so a warmed worker allocates nothing (pinned for
-/// the lockstep driver by `crates/core/tests/zero_alloc.rs`).
-pub(crate) struct PhiWorker {
-    /// The share: this worker's mini-batch vertices.
+/// Mini-batch vertices with their sampled neighbor sets and streams —
+/// the first pass of every `update_phi`. The pool driver's
+/// [`crate::workspace::Workspace`] holds one `PHI_CHUNK` of them, a
+/// [`PhiWorker`] its whole share.
+pub(crate) struct SampledSets {
     ids: Vec<VertexId>,
-    /// Their sampled neighbor sets, concatenated: vertex `i`'s set is
+    /// The sampled neighbor sets, concatenated: vertex `i`'s set is
     /// `sets[ends[i - 1]..ends[i]]`.
     sets: Vec<VertexId>,
     ends: Vec<usize>,
     /// Each vertex's `(seed, iteration, vertex)` stream, left where its
     /// neighbor draws ended so the noise draws continue it.
     rngs: Vec<Xoshiro256PlusPlus>,
+    /// One vertex's set and the rejection loop's dedup set.
+    set: Vec<VertexId>,
+    seen: FxHashSet<u32>,
+}
+
+impl SampledSets {
+    /// Buffers for `vertices` vertices of up to `neighbor_sample`
+    /// neighbors each, reserved up front.
+    pub fn with_capacity(vertices: usize, neighbor_sample: usize) -> Self {
+        let mut seen = FxHashSet::default();
+        // Rejection sampling can insert more candidates than it keeps
+        // (held-out exclusions); over-reserve so the set never regrows.
+        seen.reserve((neighbor_sample * 4).max(64));
+        Self {
+            ids: Vec::with_capacity(vertices),
+            sets: Vec::with_capacity(vertices * neighbor_sample),
+            ends: Vec::with_capacity(vertices),
+            rngs: Vec::with_capacity(vertices),
+            set: Vec::with_capacity(neighbor_sample),
+            seen,
+        }
+    }
+
+    /// Take `share` as the vertices at hand and sample each one's
+    /// neighbor set from its own stream (so sampling order is
+    /// immaterial).
+    pub fn sample(
+        &mut self,
+        share: &[VertexId],
+        sampler: &NeighborSampler,
+        heldout: &HeldOut,
+        seed: u64,
+        iteration: u64,
+    ) {
+        self.ids.clear();
+        self.ids.extend_from_slice(share);
+        self.sets.clear();
+        self.ends.clear();
+        self.rngs.clear();
+        for &a in share {
+            let mut rng = rngs::vertex_rng(seed, iteration, a.0);
+            sampler.sample_into(a, Some(heldout), &mut rng, &mut self.set, &mut self.seen);
+            self.sets.extend_from_slice(&self.set);
+            self.ends.push(self.sets.len());
+            self.rngs.push(rng);
+        }
+    }
+
+    /// Vertex `i`: its id, its sampled set and its stream.
+    pub fn vertex(&mut self, i: usize) -> (VertexId, &[VertexId], &mut Xoshiro256PlusPlus) {
+        let lo = if i == 0 { 0 } else { self.ends[i - 1] };
+        (self.ids[i], &self.sets[lo..self.ends[i]], &mut self.rngs[i])
+    }
+}
+
+/// Per-worker state: the `update_phi` stage plus the staging buffers of
+/// the write-back, `theta` and perplexity stages. Every buffer persists
+/// across iterations, so a warmed worker allocates nothing (pinned for
+/// the lockstep driver by `crates/core/tests/zero_alloc.rs`).
+pub(crate) struct PhiWorker {
+    /// The share: this worker's mini-batch vertices and their sets.
+    sampled: SampledSets,
     /// Vertices consumed by [`PhiWorker::on_chunk`] since the last
     /// [`PhiWorker::sample`].
     done: usize,
-    set: Vec<VertexId>,
-    seen: FxHashSet<u32>,
     linked: Vec<bool>,
     phi_a: Vec<f64>,
     /// Kernel scratch; the worker's `theta` stage borrows it too.
@@ -61,13 +120,8 @@ pub(crate) struct PhiWorker {
 impl PhiWorker {
     pub fn new(k: usize) -> Self {
         Self {
-            ids: Vec::new(),
-            sets: Vec::new(),
-            ends: Vec::new(),
-            rngs: Vec::new(),
+            sampled: SampledSets::with_capacity(0, 0),
             done: 0,
-            set: Vec::new(),
-            seen: FxHashSet::default(),
             linked: Vec::new(),
             phi_a: vec![0.0; k],
             scratch: StageScratch::new(k),
@@ -77,9 +131,8 @@ impl PhiWorker {
         }
     }
 
-    /// Take `share` as this iteration's vertices and sample each one's
-    /// neighbor set from its own stream (so sampling order is
-    /// immaterial).
+    /// Take `share` as this iteration's vertices and sample their
+    /// neighbor sets ([`SampledSets::sample`]).
     pub fn sample(
         &mut self,
         share: &[VertexId],
@@ -88,19 +141,9 @@ impl PhiWorker {
         seed: u64,
         iteration: u64,
     ) {
-        self.ids.clear();
-        self.ids.extend_from_slice(share);
-        self.sets.clear();
-        self.ends.clear();
-        self.rngs.clear();
+        self.sampled
+            .sample(share, sampler, heldout, seed, iteration);
         self.done = 0;
-        for &a in share {
-            let mut rng = rngs::vertex_rng(seed, iteration, a.0);
-            sampler.sample_into(a, Some(heldout), &mut rng, &mut self.set, &mut self.seen);
-            self.sets.extend_from_slice(&self.set);
-            self.ends.push(self.sets.len());
-            self.rngs.push(rng);
-        }
     }
 
     /// Stage the DKV keys of the sampled share — per vertex its own row,
@@ -115,16 +158,15 @@ impl PhiWorker {
     ) {
         keys.clear();
         seg_lens.clear();
+        let SampledSets {
+            ids, sets, ends, ..
+        } = &self.sampled;
         let mut lo = 0;
-        for (chunk, ends) in self
-            .ids
-            .chunks(chunk_vertices)
-            .zip(self.ends.chunks(chunk_vertices))
-        {
+        for (chunk, ends) in ids.chunks(chunk_vertices).zip(ends.chunks(chunk_vertices)) {
             let before = keys.len();
             for (&a, &hi) in chunk.iter().zip(ends) {
                 keys.push(a.0);
-                keys.extend(self.sets[lo..hi].iter().map(|b| b.0));
+                keys.extend(sets[lo..hi].iter().map(|b| b.0));
                 lo = hi;
             }
             seg_lens.push(keys.len() - before);
@@ -137,7 +179,7 @@ impl PhiWorker {
     /// observations of vertex `i` of the share against its sampled set,
     /// and the new `phi` row goes to row `i` of `out` (stride `K`).
     ///
-    /// Bit-identical to [`super::Engine::update_phi_local`]: the store
+    /// Bit-identical to [`super::Engine::update_phi_chunk`]: the store
     /// rows are the same f32 values [`crate::ModelState`] holds, and
     /// `phi_a` is decoded exactly as `ModelState::phi_row` decodes it.
     pub fn on_chunk(
@@ -153,11 +195,10 @@ impl PhiWorker {
         let mut offset = 0;
         while offset * row_len < rows.len() {
             let i = self.done;
-            let lo = if i == 0 { 0 } else { self.ends[i - 1] };
-            let set = &self.sets[lo..self.ends[i]];
+            let (a, set, rng) = self.sampled.vertex(i);
             let own = &rows[offset * row_len..(offset + 1) * row_len];
             let neighbor_rows = &rows[(offset + 1) * row_len..(offset + 1 + set.len()) * row_len];
-            mark(i, self.ids[i], set, &mut self.linked);
+            mark(i, a, set, &mut self.linked);
             let sum = own[k] as f64;
             for (phi, &pi) in self.phi_a.iter_mut().zip(own) {
                 *phi = (pi as f64 * sum).max(PHI_MIN);
@@ -169,7 +210,7 @@ impl PhiWorker {
                 neighbor_rows,
                 row_len,
                 &self.linked,
-                &mut self.rngs[i],
+                rng,
                 &mut self.scratch,
                 &mut out[i * k..(i + 1) * k],
             );

@@ -11,11 +11,60 @@ use crate::config::StateLayout;
 use crate::CoreError;
 use mmsb_rand::dist::{Gamma, Sample};
 use mmsb_rand::RngCore;
+use std::ops::{Deref, DerefMut};
 
 /// Smallest admissible `phi` entry; SGRLD's mirror trick (`|.|`) keeps
 /// values positive, the clamp keeps them away from denormal/zero where the
 /// `1/phi` gradient blows up.
 pub const PHI_MIN: f64 = 1e-10;
+
+/// `f32`s per 64-byte cache line.
+const LINE_F32: usize = 64 / std::mem::size_of::<f32>();
+
+/// An `f32` plane whose first element sits on a 64-byte boundary, so a
+/// `K = 16` or `K = 64` row spans whole cache lines instead of straddling
+/// one more. The buffer is over-allocated by one line and viewed from its
+/// first aligned element; the offset comes from the address, so this
+/// stays safe code. It never reallocates, and `Clone` re-derives the
+/// offset for the copy's own buffer.
+#[derive(Debug)]
+struct AlignedPlane {
+    buf: Vec<f32>,
+    off: usize,
+    len: usize,
+}
+
+impl AlignedPlane {
+    fn zeroed(len: usize) -> Self {
+        let buf = vec![0.0f32; len + LINE_F32 - 1];
+        // `Vec<f32>` is at least 4-byte aligned, so the distance to the
+        // next line is a whole number of `f32`s below `LINE_F32`.
+        let off = (64 - buf.as_ptr() as usize % 64) % 64 / std::mem::size_of::<f32>();
+        Self { buf, off, len }
+    }
+}
+
+impl Deref for AlignedPlane {
+    type Target = [f32];
+
+    fn deref(&self) -> &[f32] {
+        &self.buf[self.off..self.off + self.len]
+    }
+}
+
+impl DerefMut for AlignedPlane {
+    fn deref_mut(&mut self) -> &mut [f32] {
+        &mut self.buf[self.off..self.off + self.len]
+    }
+}
+
+impl Clone for AlignedPlane {
+    fn clone(&self) -> Self {
+        let mut plane = Self::zeroed(self.len);
+        plane.copy_from_slice(self);
+        plane
+    }
+}
 
 /// Full parameter state of the a-MMSB sampler.
 #[derive(Debug, Clone)]
@@ -23,8 +72,9 @@ pub struct ModelState {
     n: u32,
     k: usize,
     layout: StateLayout,
-    /// `N x K` row-major, rows sum to 1 (f32, as in the paper's DKV rows).
-    pi: Vec<f32>,
+    /// `N x K` row-major, rows sum to 1 (f32, as in the paper's DKV
+    /// rows), starting on a cache-line boundary.
+    pi: AlignedPlane,
     /// `N` row sums of `phi` (PiSumPhi layout).
     phi_sum: Vec<f32>,
     /// `N x K` full phi (FullPhi layout; empty otherwise).
@@ -66,7 +116,7 @@ impl ModelState {
         })?;
 
         let nk = n as usize * k;
-        let mut pi = vec![0.0f32; nk];
+        let mut pi = AlignedPlane::zeroed(nk);
         let mut phi_sum = vec![0.0f32; n as usize];
         let mut phi = match layout {
             StateLayout::FullPhi => vec![0.0f64; nk],
@@ -227,48 +277,38 @@ impl ModelState {
         (&self.pi, &self.phi_sum, &self.phi)
     }
 
-    /// Rebuild a state from checkpointed arrays. Dimensions are validated;
-    /// values are trusted (the checkpoint layer checksums them).
-    #[allow(clippy::too_many_arguments)] // mirrors the checkpoint record
-    pub(crate) fn from_flat_arrays(
-        n: u32,
-        k: usize,
-        layout: StateLayout,
-        pi: Vec<f32>,
-        phi_sum: Vec<f32>,
-        phi: Vec<f64>,
-        theta: Vec<f64>,
-        beta: Vec<f64>,
-    ) -> Result<Self, CoreError> {
-        let nk = n as usize * k;
-        let phi_expected = match layout {
-            StateLayout::FullPhi => nk,
-            StateLayout::PiSumPhi => 0,
-        };
-        if n == 0
-            || k == 0
-            || pi.len() != nk
-            || phi_sum.len() != n as usize
-            || phi.len() != phi_expected
-            || theta.len() != 2 * k
-            || beta.len() != k
+    /// Overwrite this state with checkpointed arrays, copying into the
+    /// existing planes, so `pi` keeps its alignment and a restore never
+    /// holds a second model. Lengths are validated against this state's
+    /// dimensions; values are trusted (the checkpoint layer checksums
+    /// them).
+    pub(crate) fn copy_from_flat_arrays(
+        &mut self,
+        pi: &[f32],
+        phi_sum: &[f32],
+        phi: &[f64],
+        theta: &[f64],
+        beta: &[f64],
+    ) -> Result<(), CoreError> {
+        if pi.len() != self.pi.len()
+            || phi_sum.len() != self.phi_sum.len()
+            || phi.len() != self.phi.len()
+            || theta.len() != self.theta.len()
+            || beta.len() != self.beta.len()
         {
             return Err(CoreError::InvalidConfig {
                 reason: format!(
-                    "checkpoint arrays do not match n={n} k={k} layout={layout:?}"
+                    "checkpoint arrays do not match n={} k={} layout={:?}",
+                    self.n, self.k, self.layout
                 ),
             });
         }
-        Ok(Self {
-            n,
-            k,
-            layout,
-            pi,
-            phi_sum,
-            phi,
-            theta,
-            beta,
-        })
+        self.pi.copy_from_slice(pi);
+        self.phi_sum.copy_from_slice(phi_sum);
+        self.phi.copy_from_slice(phi);
+        self.theta.copy_from_slice(theta);
+        self.beta.copy_from_slice(beta);
+        Ok(())
     }
 }
 
@@ -366,6 +406,44 @@ mod tests {
         assert!(ModelState::init(5, 0, StateLayout::PiSumPhi, 0.5, (1.0, 1.0), &mut rng).is_err());
         assert!(ModelState::init(5, 4, StateLayout::PiSumPhi, 0.5, (0.0, 1.0), &mut rng).is_err());
         assert!(ModelState::init(5, 4, StateLayout::PiSumPhi, 0.0, (1.0, 1.0), &mut rng).is_err());
+    }
+
+    fn assert_rows_aligned(s: &ModelState, tag: &str) {
+        for a in 0..s.n() {
+            let addr = s.pi_row(a).as_ptr() as usize;
+            assert_eq!(addr % 64, 0, "{tag}: row {a} at {addr:#x}");
+        }
+    }
+
+    /// `K = 16` and `K = 64` rows start on cache lines after `init` and
+    /// `clone`, and a clone holds the same values in its own plane.
+    #[test]
+    fn pi_rows_are_cache_line_aligned() {
+        for k in [16, 64] {
+            for layout in [StateLayout::PiSumPhi, StateLayout::FullPhi] {
+                let mut rng = Xoshiro256PlusPlus::seed_from_u64(k as u64);
+                let s = ModelState::init(37, k, layout, 0.5, (1.0, 1.0), &mut rng).unwrap();
+                assert_rows_aligned(&s, &format!("init k={k} {layout:?}"));
+                let c = s.clone();
+                assert_rows_aligned(&c, &format!("clone k={k} {layout:?}"));
+                assert_ne!(c.flat_arrays().0.as_ptr(), s.flat_arrays().0.as_ptr());
+                assert_eq!(c.flat_arrays(), s.flat_arrays());
+            }
+        }
+    }
+
+    #[test]
+    fn copy_from_flat_arrays_rejects_wrong_lengths() {
+        let mut s = state(StateLayout::PiSumPhi);
+        let other = state(StateLayout::PiSumPhi);
+        let (pi, phi_sum, phi) = other.flat_arrays();
+        let (theta, beta) = (other.theta().to_vec(), other.beta().to_vec());
+        assert!(s
+            .copy_from_flat_arrays(&pi[1..], phi_sum, phi, &theta, &beta)
+            .is_err());
+        s.copy_from_flat_arrays(pi, phi_sum, phi, &theta, &beta)
+            .unwrap();
+        assert_eq!(s.flat_arrays(), other.flat_arrays());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! gradient by `N / |V_n|`. Held-out pairs must be excluded so that the
 //! evaluation set never influences training.
 
-use crate::{heldout::HeldOut, Edge, VertexId};
+use crate::{heldout::HeldOut, VertexId};
 use mmsb_rand::{Rng, RngCore};
 
 /// Sampler for per-vertex neighbor sets.
@@ -40,28 +40,18 @@ impl NeighborSampler {
         self.sample_size
     }
 
-    /// Sample a neighbor set for `center`: distinct vertices, excluding
-    /// `center` itself and any pair present in `heldout`.
+    /// Sample a neighbor set for `center` into `out`: distinct vertices,
+    /// excluding `center` itself and any pair present in `heldout`.
+    /// `seen` is the rejection loop's dedup set; both buffers are the
+    /// caller's, so a warmed call allocates nothing.
     ///
     /// When the exclusions leave fewer than `sample_size` candidates
     /// (possible for near-exhaustive samples on small graphs), the full
     /// remaining candidate set is returned instead — callers scale the
     /// gradient by the *actual* `|V_n|`, so a short set stays unbiased.
-    pub fn sample<R: RngCore>(
-        &self,
-        center: VertexId,
-        heldout: Option<&HeldOut>,
-        rng: &mut R,
-    ) -> Vec<VertexId> {
-        let mut out = Vec::with_capacity(self.sample_size);
-        let mut seen = crate::FxHashSet::default();
-        self.sample_into(center, heldout, rng, &mut out, &mut seen);
-        out
-    }
-
-    /// Like [`NeighborSampler::sample`], but reusing a caller-owned output
-    /// vector and dedup set — allocation-free once their capacities have
-    /// warmed up. The RNG draw sequence is identical to `sample`.
+    ///
+    /// The held-out test reads `center`'s partner list once
+    /// ([`HeldOut::partners_of`]) and scans it per candidate.
     pub fn sample_into<R: RngCore>(
         &self,
         center: VertexId,
@@ -73,6 +63,7 @@ impl NeighborSampler {
         out.clear();
         seen.clear();
         seen.reserve(self.sample_size * 2);
+        let held: &[u32] = heldout.map_or(&[], |h| h.partners_of(center));
         // Rejection sampling: for the sparse regimes we care about
         // (n << N), collisions are rare and this is O(n) expected. The
         // attempt budget guards the dense regime, where exclusions can
@@ -82,13 +73,8 @@ impl NeighborSampler {
         while out.len() < self.sample_size && attempts < max_attempts {
             attempts += 1;
             let b = VertexId(rng.below(self.num_vertices as u64) as u32);
-            if b == center || !seen.insert(b.0) {
+            if b == center || !seen.insert(b.0) || held.contains(&b.0) {
                 continue;
-            }
-            if let Some(h) = heldout {
-                if h.contains(Edge::new(center, b)) {
-                    continue;
-                }
             }
             out.push(b);
         }
@@ -98,29 +84,12 @@ impl NeighborSampler {
                 if out.len() == self.sample_size {
                     break;
                 }
-                let b = VertexId(v);
-                if b == center || seen.contains(&v) {
+                if v == center.0 || seen.contains(&v) || held.contains(&v) {
                     continue;
                 }
-                if heldout.is_some_and(|h| h.contains(Edge::new(center, b))) {
-                    continue;
-                }
-                out.push(b);
+                out.push(VertexId(v));
             }
         }
-    }
-
-    /// Sample neighbor sets for a whole mini-batch of vertices.
-    pub fn sample_many<R: RngCore>(
-        &self,
-        centers: &[VertexId],
-        heldout: Option<&HeldOut>,
-        rng: &mut R,
-    ) -> Vec<Vec<VertexId>> {
-        centers
-            .iter()
-            .map(|&c| self.sample(c, heldout, rng))
-            .collect()
     }
 }
 
@@ -129,14 +98,136 @@ mod tests {
     use super::*;
     use crate::generate::planted::{generate_planted, PlantedConfig};
     use crate::heldout::HeldOut;
+    use crate::{Edge, FxHashSet, GraphBuilder};
     use mmsb_rand::Xoshiro256PlusPlus;
+
+    /// One call of `sample_into` into fresh buffers.
+    fn sample<R: RngCore>(
+        s: &NeighborSampler,
+        center: VertexId,
+        heldout: Option<&HeldOut>,
+        rng: &mut R,
+    ) -> Vec<VertexId> {
+        let mut out = Vec::new();
+        s.sample_into(center, heldout, rng, &mut out, &mut FxHashSet::default());
+        out
+    }
+
+    /// `sample_into` as it was before the partner lists: one probe of a
+    /// packed-pair hash set per candidate.
+    fn sample_by_hash_probe<R: RngCore>(
+        s: &NeighborSampler,
+        center: VertexId,
+        heldout: &FxHashSet<u64>,
+        rng: &mut R,
+    ) -> Vec<VertexId> {
+        let mut out = Vec::new();
+        let mut seen = FxHashSet::default();
+        let max_attempts = (s.sample_size as u64 + 8) * 16;
+        let mut attempts = 0u64;
+        while out.len() < s.sample_size && attempts < max_attempts {
+            attempts += 1;
+            let b = VertexId(rng.below(s.num_vertices as u64) as u32);
+            if b == center || !seen.insert(b.0) {
+                continue;
+            }
+            if heldout.contains(&Edge::new(center, b).pack()) {
+                continue;
+            }
+            out.push(b);
+        }
+        if out.len() < s.sample_size {
+            for v in 0..s.num_vertices {
+                if out.len() == s.sample_size {
+                    break;
+                }
+                let b = VertexId(v);
+                if b == center || seen.contains(&v) {
+                    continue;
+                }
+                if heldout.contains(&Edge::new(center, b).pack()) {
+                    continue;
+                }
+                out.push(b);
+            }
+        }
+        out
+    }
+
+    fn packed(h: &HeldOut) -> FxHashSet<u64> {
+        h.pairs().iter().map(|&(e, _)| e.pack()).collect()
+    }
+
+    /// Same sets in the same order, and the stream left at the same
+    /// place, as the hash-probe version on planted graphs with held-out
+    /// sets over 12 seeds.
+    #[test]
+    fn sample_into_matches_hash_probe_reference() {
+        for seed in 0..12u64 {
+            let mut rng = Xoshiro256PlusPlus::seed_from_u64(500 + seed);
+            let n = 40 + 30 * seed as u32;
+            let g = generate_planted(
+                &PlantedConfig {
+                    num_vertices: n,
+                    num_communities: 2 + seed as usize % 4,
+                    mean_community_size: 20.0 + 4.0 * seed as f64,
+                    memberships_per_vertex: 1.2,
+                    internal_degree: 6.0,
+                    background_degree: 1.0,
+                },
+                &mut rng,
+            )
+            .graph;
+            let (_, h) = HeldOut::split(&g, (g.num_edges() / 4) as usize, &mut rng);
+            let set = packed(&h);
+            let s = NeighborSampler::new(n, (n as usize / 3).min(32));
+            let mut fresh = Xoshiro256PlusPlus::seed_from_u64(seed);
+            let mut old = fresh.clone();
+            let (mut out, mut seen) = (Vec::new(), FxHashSet::default());
+            for v in 0..n {
+                s.sample_into(VertexId(v), Some(&h), &mut fresh, &mut out, &mut seen);
+                let want = sample_by_hash_probe(&s, VertexId(v), &set, &mut old);
+                assert_eq!(out, want, "seed {seed} center {v}");
+                assert_eq!(fresh, old, "seed {seed} center {v}");
+            }
+        }
+    }
+
+    /// The dense fallback (N = 10, n = 9) with held-out pairs at the
+    /// center: same sets as the hash-probe version, never a held-out pair.
+    #[test]
+    fn dense_fallback_matches_hash_probe_reference() {
+        let mut b = GraphBuilder::new(10);
+        for v in 0..10u32 {
+            b.add_edge(VertexId(v), VertexId((v + 1) % 10)).unwrap();
+            b.add_edge(VertexId(v), VertexId((v + 3) % 10)).unwrap();
+        }
+        let g = b.build();
+        let s = NeighborSampler::new(10, 9);
+        let mut centers_with_pairs = 0;
+        for seed in 0..12u64 {
+            let (_, h) = HeldOut::split(&g, 3, &mut Xoshiro256PlusPlus::seed_from_u64(seed));
+            let set = packed(&h);
+            for v in 0..10 {
+                let center = VertexId(v);
+                centers_with_pairs += usize::from(!h.partners_of(center).is_empty());
+                let mut fresh = Xoshiro256PlusPlus::seed_from_u64(seed * 10 + v as u64);
+                let mut old = fresh.clone();
+                let got = sample(&s, center, Some(&h), &mut fresh);
+                assert_eq!(got, sample_by_hash_probe(&s, center, &set, &mut old));
+                assert_eq!(got.len(), 9 - h.partners_of(center).len());
+                assert!(got.iter().all(|&b| !h.contains(Edge::new(center, b))));
+            }
+        }
+        assert!(centers_with_pairs > 0);
+    }
 
     #[test]
     fn sample_has_right_size_and_no_center() {
         let s = NeighborSampler::new(100, 10);
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(1);
         for v in 0..20 {
-            let ns = s.sample(VertexId(v), None, &mut rng);
+            let ns = sample(&s, VertexId(v), None, &mut rng);
             assert_eq!(ns.len(), 10);
             assert!(!ns.contains(&VertexId(v)));
             let set: std::collections::HashSet<_> = ns.iter().collect();
@@ -162,7 +253,7 @@ mod tests {
         let (_, heldout) = HeldOut::split(&g, 40, &mut rng);
         let s = NeighborSampler::new(60, 30);
         for v in 0..60 {
-            let ns = s.sample(VertexId(v), Some(&heldout), &mut rng);
+            let ns = sample(&s, VertexId(v), Some(&heldout), &mut rng);
             for b in ns {
                 assert!(
                     !heldout.contains(Edge::new(VertexId(v), b)),
@@ -177,7 +268,7 @@ mod tests {
     fn nearly_exhaustive_sample_still_terminates() {
         let s = NeighborSampler::new(10, 9);
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(3);
-        let ns = s.sample(VertexId(0), None, &mut rng);
+        let ns = sample(&s, VertexId(0), None, &mut rng);
         let mut ids: Vec<u32> = ns.iter().map(|v| v.0).collect();
         ids.sort_unstable();
         assert_eq!(ids, (1..10).collect::<Vec<_>>());
@@ -189,14 +280,18 @@ mod tests {
         NeighborSampler::new(10, 10);
     }
 
+    /// Reused buffers across several centers drawn from one stream: each
+    /// call clears and refills them.
     #[test]
     fn sample_many_matches_centers() {
         let s = NeighborSampler::new(50, 5);
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(4);
-        let centers = vec![VertexId(1), VertexId(2), VertexId(3)];
-        let all = s.sample_many(&centers, None, &mut rng);
-        assert_eq!(all.len(), 3);
-        assert!(all.iter().all(|ns| ns.len() == 5));
+        let (mut out, mut seen) = (Vec::new(), FxHashSet::default());
+        for c in [1, 2, 3] {
+            s.sample_into(VertexId(c), None, &mut rng, &mut out, &mut seen);
+            assert_eq!(out.len(), 5);
+            assert!(!out.contains(&VertexId(c)));
+        }
     }
 
     #[test]
@@ -205,8 +300,8 @@ mod tests {
         let mut r1 = Xoshiro256PlusPlus::seed_from_u64(9);
         let mut r2 = Xoshiro256PlusPlus::seed_from_u64(9);
         assert_eq!(
-            s.sample(VertexId(5), None, &mut r1),
-            s.sample(VertexId(5), None, &mut r2)
+            sample(&s, VertexId(5), None, &mut r1),
+            sample(&s, VertexId(5), None, &mut r2)
         );
     }
 }

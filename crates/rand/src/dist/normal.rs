@@ -75,6 +75,31 @@ impl Normal {
             }
         }
     }
+
+    /// [`standard_accept`](Normal::standard_accept) `u.len()` times,
+    /// writing the `i`-th accepted pair to `(u[i], s[i])` — draw for draw
+    /// the same stream consumption and the same values.
+    ///
+    /// The loop is write-then-advance: every candidate is stored in the
+    /// next free slot and the slot index moves on by the acceptance test
+    /// (0 or 1), so a rejection costs an overwrite, not a mispredicted
+    /// branch.
+    ///
+    /// # Panics
+    /// Panics if `u` and `s` differ in length.
+    #[inline]
+    pub fn standard_accept_batch<R: RngCore + ?Sized>(rng: &mut R, u: &mut [f64], s: &mut [f64]) {
+        assert_eq!(u.len(), s.len(), "polar batch planes differ in length");
+        let mut i = 0;
+        while i < u.len() {
+            let x = 2.0 * rng.next_f64() - 1.0;
+            let y = 2.0 * rng.next_f64() - 1.0;
+            let r = x * x + y * y;
+            u[i] = x;
+            s[i] = r;
+            i += usize::from((r > 0.0) & (r < 1.0));
+        }
+    }
 }
 
 impl Sample for Normal {
@@ -128,6 +153,24 @@ mod tests {
             let (u, s) = Normal::standard_accept(&mut r2);
             let finished = u * (-2.0 * s.ln() / s).sqrt();
             assert_eq!(direct.to_bits(), finished.to_bits());
+        }
+    }
+
+    #[test]
+    fn batch_accept_matches_repeated_accept() {
+        for seed in 0..200u64 {
+            for k in [0usize, 1, 3, 16, 63, 64, 65] {
+                let mut one = crate::Xoshiro256PlusPlus::seed_from_u64(seed);
+                let mut batch = one.clone();
+                let (mut u, mut s) = (vec![0.0; k], vec![0.0; k]);
+                Normal::standard_accept_batch(&mut batch, &mut u, &mut s);
+                for i in 0..k {
+                    let (want_u, want_s) = Normal::standard_accept(&mut one);
+                    assert_eq!(u[i].to_bits(), want_u.to_bits(), "seed {seed} k {k} u[{i}]");
+                    assert_eq!(s[i].to_bits(), want_s.to_bits(), "seed {seed} k {k} s[{i}]");
+                }
+                assert_eq!(batch, one, "seed {seed} k {k}: stream left elsewhere");
+            }
         }
     }
 

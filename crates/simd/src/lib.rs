@@ -1,7 +1,8 @@
 //! `mmsb-simd`: a safe, dependency-free lane-width abstraction over
 //! `core::arch` intrinsics plus the vectorized phi/theta hot-path
-//! kernels built on it, and [`crc32`], the checksum behind every
-//! out-of-core block and checkpoint check.
+//! kernels built on it, [`crc32`], the checksum behind every
+//! out-of-core block and checkpoint check, and [`prefetch`], the cache
+//! hint the pool driver gives for rows it is about to read.
 //!
 //! [`crc32`] takes no [`Backend`]: its result is an exact integer, so
 //! it picks its own path (a carry-less-multiply fold where the CPU has
@@ -59,6 +60,7 @@ pub mod lanes;
 pub mod math;
 mod neon;
 pub mod phi;
+mod prefetch;
 pub mod theta;
 mod x86;
 
@@ -67,6 +69,7 @@ pub use crc::crc32;
 pub use edge::edge_dots;
 pub use math::{polar_normal, ulp_distance, vexp, vln};
 pub use phi::{phi_gradient, sgrld_step, PhiScratch};
+pub use prefetch::prefetch;
 pub use theta::{
     theta_accumulate_pair, theta_chunk_begin, theta_chunk_finish, ThetaScratch,
 };

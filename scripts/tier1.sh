@@ -56,6 +56,18 @@ for doc in README.md DESIGN.md; do
     done < <(grep -oE '`[A-Za-z_][A-Za-z0-9_]*(::[A-Za-z_][A-Za-z0-9_]*)+' "$doc" \
         | tr -d '`' | grep -E "^($crate_roots)::" | grep -v '^core::arch' | sort -u)
 done
+# (4) Every back-ticked `Type::item` whose `Type` is a struct, enum,
+# trait or type alias defined under crates/, and whose `item` reads as a
+# function (lower case) or a constant (upper case) rather than a
+# variant, must name a `fn`/`const` some file under crates/ defines.
+for doc in README.md DESIGN.md; do
+    while read -r path; do
+        git grep -qwE "(struct|enum|trait|type) ${path%%::*}" -- crates || continue
+        git grep -qwE "(fn|const) ${path#*::}" -- crates \
+            || { echo "$doc names an item that does not exist: $path"; stale=1; }
+    done < <(grep -oE '`[A-Z][A-Za-z0-9_]*::[A-Za-z_][A-Za-z0-9_]*' "$doc" | tr -d '`' \
+        | grep -E '::([a-z_][a-z0-9_]*|[A-Z][A-Z0-9_]*)$' | sort -u)
+done
 [ "$stale" -eq 0 ]
 
 cargo build --release --offline
