@@ -20,7 +20,7 @@ use super::Violation;
 
 /// Crates that must carry `#![forbid(unsafe_code)]` in their lib root.
 pub const FORBID_CRATES: &[&str] = &[
-    "rand", "graph", "svi", "comm", "netsim", "bench", "mmsb", "serve",
+    "rand", "graph", "svi", "netsim", "bench", "mmsb", "serve",
 ];
 
 /// Path prefixes (relative to the repo root, `/`-separated) where
@@ -98,7 +98,6 @@ pub const HOT_PATHS: &[&str] = &[
 pub const HASH_ITER_SCOPE: &[&str] = &[
     "crates/core/src",
     "crates/dkv/src",
-    "crates/comm/src",
     "crates/netsim/src",
     "crates/simd/src",
     "crates/svi/src",
@@ -247,8 +246,8 @@ root) using `unsafe` must carry it too. This keeps each unsafe operation inside 
     Rule {
         id: "forbid-attr",
         summary: "no-unsafe crates pin that with #![forbid(unsafe_code)]",
-        explain: "The crates that need no unsafe at all (rand, graph, svi, comm, netsim, bench, \
-mmsb, serve) must pin that with `#![forbid(unsafe_code)]`, so a future `unsafe` block is a \
+        explain: "The crates that need no unsafe at all (rand, graph, svi, netsim, bench, mmsb, \
+serve) must pin that with `#![forbid(unsafe_code)]`, so a future `unsafe` block is a \
 compile error rather than a silent scope creep.",
         scope: Scope::All,
         suppressible: false,
@@ -363,7 +362,7 @@ explaining the drop. Code under `#[cfg(test)]` is exempt.",
         summary: "no std HashMap/HashSet in result-affecting crates",
         explain: "std's HashMap/HashSet seed their hasher per process (RandomState), so iteration \
 order differs run to run. In the crates whose outputs feed trained state or published artifacts \
-(core, dkv, comm, netsim, simd, svi) that order can leak into float accumulation and break the \
+(core, dkv, netsim, simd, svi) that order can leak into float accumulation and break the \
 bitwise-determinism guarantees the seeded-rerun tests pin. Use BTreeMap/BTreeSet (ordered) or \
 `mmsb_graph::FxHashMap`/`FxHashSet` (fixed-seed, reproducible iteration). Code under \
 `#[cfg(test)]` is exempt — test assertions on membership don't feed results.",

@@ -10,31 +10,27 @@
 //! expanded-mean parameterizations `phi` (for `pi`) and `theta` (for
 //! `beta`), processing one mini-batch of vertex pairs per iteration.
 //!
-//! Three drivers run the same per-stage code (`sampler/stage.rs`: one
+//! Two drivers run the same per-stage code (`sampler/stage.rs`: one
 //! `phi_update`, one `theta_gradient`, both on the `mmsb-simd` kernels):
 //!
-//! * [`ParallelSampler`] — node-level parallelism over mini-batch vertices
-//!   (the paper's OpenMP layer, here a from-scratch `mmsb-pool` fork-join
-//!   pool). At one thread it is Algorithm 1 verbatim, the reference; at
-//!   any other pool size the chain is bitwise-identical: all per-vertex
-//!   randomness is derived from `(seed, iteration, vertex)`, never from
-//!   thread schedule, and reductions use fixed chunk boundaries combined
-//!   by a fixed binary tree.
-//! * [`DistributedSampler`] — the master–worker cluster execution
-//!   (paper §III) over the `mmsb-dkv` sharded store, run in lockstep
-//!   simulation: per-rank compute is executed for real and measured,
-//!   communication and RDMA time are charged to virtual clocks from the
-//!   `mmsb-netsim` cost models, and pipelining (double-buffered `pi`
-//!   loads) can be toggled — reproducing Figures 1–4 and Table III. It
-//!   never sends a message.
-//! * [`train_threaded`] — the same master–worker protocol with real OS
-//!   threads and `mmsb-comm` message passing, whose only consumer it is
-//!   (for functional/concurrency validation; it produces the identical
-//!   chain and perplexity trace).
-//!
-//! Both master–worker drivers share `sampler/worker.rs` (one worker's
-//! `update_phi` routine and stage buffers) and load `pi` through the one
-//! `mmsb_dkv::pipeline::ChunkReader`, `Single` or `Double`.
+//! * [`ParallelSampler`] — runs the chain on real cores: node-level
+//!   parallelism over mini-batch vertices (the paper's OpenMP layer, here
+//!   a from-scratch `mmsb-pool` fork-join pool). At one thread it is
+//!   Algorithm 1 verbatim, the reference; at any other pool size the
+//!   chain is bitwise-identical: all per-vertex randomness is derived
+//!   from `(seed, iteration, vertex)`, never from thread schedule, and
+//!   reductions use fixed chunk boundaries combined by a fixed binary
+//!   tree.
+//! * [`DistributedSampler`] — models the paper's cluster: the
+//!   master–worker execution (paper §III) over the `mmsb-dkv` sharded
+//!   store, run in lockstep simulation: per-rank compute is executed for
+//!   real and measured, communication and RDMA time are charged to
+//!   virtual clocks from the `mmsb-netsim` cost models, and pipelining
+//!   (double-buffered `pi` loads) can be toggled — reproducing Figures
+//!   1–4 and Table III. It never sends a message. Each rank runs
+//!   `sampler/worker.rs` (one worker's `update_phi` routine and stage
+//!   buffers) and loads `pi` through the one
+//!   `mmsb_dkv::pipeline::ChunkReader`, `Single` or `Double`.
 //!
 //! # Quickstart
 //!
@@ -83,7 +79,6 @@ pub use perplexity::{link_probability, PerplexityAccumulator};
 pub use posterior::PosteriorMean;
 pub use sampler::distributed::{DistributedConfig, DistributedSampler};
 pub use sampler::parallel::ParallelSampler;
-pub use sampler::threaded::{train_threaded, ThreadedOutcome};
 pub use state::{ModelState, PHI_MIN};
 
 // Re-exported so downstream crates (CLI, benches) can name the kernel

@@ -28,9 +28,8 @@ use crate::config::{SamplerConfig, StateLayout};
 use crate::{CoreError, ModelState};
 use mmsb_dkv::pipeline::{ChunkReader, PipelineMode, ReaderScratch};
 use mmsb_dkv::{DkvStore, FaultingStore, Partition, ShardedStore};
-use mmsb_graph::access::mark_links;
 use mmsb_graph::heldout::HeldOut;
-use mmsb_graph::{Graph, GraphAccess};
+use mmsb_graph::Graph;
 use mmsb_netsim::{
     collective, ClusterClocks, DkvFault, FaultConfig, FaultPlan, MsgFault, NetworkModel, Phase,
     PhaseTimes, RecoveryPolicy, TraceReport,
@@ -329,9 +328,8 @@ impl DistributedSampler {
         mmsb_obs::hist_record_secs(obs_bridge::phase_hist_id(phase), seconds);
     }
 
-    /// Record one modeled collective. The simulate path never touches
-    /// `mmsb-comm` (collectives are priced by the netsim formulas), so
-    /// the comm-collective metrics are mirrored here at the model sites.
+    /// Record one modeled collective (priced by the netsim formulas; no
+    /// message is sent) in the comm-collective metrics.
     fn obs_collective(seconds: f64) {
         mmsb_obs::counter_add(obs_id::C_COMM_COLLECTIVES, 1);
         mmsb_obs::hist_record_secs(obs_id::H_COMM_COLLECTIVE_NS, seconds);
@@ -451,13 +449,7 @@ impl DistributedSampler {
             // disjoint from the engine and buffer borrows above.
             let mut reader = engine.graph.reader(self.graph_cache.as_mut());
             let on_chunk = |_start: usize, _keys: &[u32], rows: &[f32]| {
-                worker.on_chunk(
-                    &params,
-                    engine.state.beta(),
-                    rows,
-                    |_, a, set, linked| mark_links(reader.neighbors(a), set, linked),
-                    out,
-                );
+                worker.on_chunk(&params, engine.state.beta(), rows, &mut reader, out);
             };
             // Both modes deliver identical chunks in identical order to
             // `on_chunk` — only the load execution (and hence time)
@@ -706,7 +698,7 @@ impl DistributedSampler {
         let mut worst = 0.0f64;
         for w in 0..self.dcfg.workers {
             // One logical message per link per stage; retries fold into
-            // the coordinate exactly like the wire protocol in mmsb-comm.
+            // the coordinate.
             let coord = (iteration * STAGE_COUNT + stage) * 64;
             let site = coord ^ ((w as u64) << 48);
             let mut extra = 0.0;

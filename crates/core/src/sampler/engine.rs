@@ -32,8 +32,7 @@ pub(crate) const PHI_CHUNK: usize = 8;
 pub(crate) struct Engine {
     pub graph: GraphBackend,
     /// The master's block cache for out-of-core adjacency reads (`None`
-    /// for resident backends). Mini-batch drawing and the threaded
-    /// master's neighbor scatter read through it.
+    /// for resident backends). Mini-batch drawing reads through it.
     pub master_cache: Option<BlockCache>,
     pub heldout: HeldOut,
     pub config: SamplerConfig,
@@ -169,12 +168,6 @@ impl Engine {
             &mut self.mb,
         );
         self.mb.vertices_into(&mut self.mb_vertices);
-    }
-
-    /// The neighbor list of `v`, read through the master's cache — the
-    /// threaded master scatters adjacency to workers with this.
-    pub fn neighbors_master(&mut self, v: VertexId) -> &[u32] {
-        self.graph.reader(self.master_cache.as_mut()).into_neighbors(v)
     }
 
     /// The step size for the current iteration.

@@ -4,13 +4,12 @@
 //! `phi` update reads the state as of the iteration's start, updates are
 //! applied together at the stage boundary, and the `theta` update then
 //! reads the fresh `pi` (the barrier structure of paper §III-C). The pool
-//! driver at one thread is the reference; more threads and the two
-//! master–worker drivers must reproduce its chain. Each stage has one
+//! driver at one thread is the reference; more threads and the lockstep
+//! master–worker driver must reproduce its chain. Each stage has one
 //! implementation ([`stage`]), whatever the driver.
 
 pub mod distributed;
 pub mod parallel;
-pub mod threaded;
 
 mod driver;
 pub(crate) mod engine;

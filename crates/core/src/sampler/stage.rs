@@ -1,6 +1,6 @@
 //! The two data-parallel stages of an iteration, implemented once.
 //!
-//! Every driver — pool-parallel, lockstep distributed, threaded — calls
+//! Both drivers — pool-parallel and lockstep distributed — call
 //! [`phi_update`] per mini-batch vertex and [`theta_gradient`] per pair
 //! range; they differ only in where the `pi` rows come from (the
 //! resident [`crate::ModelState`] at stride `K`, or DKV rows at stride

@@ -1,19 +1,15 @@
-//! One worker's `update_phi` stage over DKV rows — the routine both
-//! master–worker drivers run — and the worker-side buffers of the other
-//! stages.
-//!
-//! The lockstep [`crate::DistributedSampler`] calls it once per rank on
-//! the master's thread; each [`crate::train_threaded`] worker owns one.
-//! They differ only in who hands over the adjacency (the graph backend
-//! vs. the scattered message), so their numerics are identical by
-//! construction.
+//! One worker's `update_phi` stage over DKV rows and the worker-side
+//! buffers of the other stages. The lockstep
+//! [`crate::DistributedSampler`] runs it once per rank on the master's
+//! thread.
 
 use super::stage::{phi_update, PhiParams, StageScratch};
 use crate::rngs;
 use crate::state::PHI_MIN;
+use mmsb_graph::access::mark_links;
 use mmsb_graph::heldout::HeldOut;
 use mmsb_graph::neighbor::NeighborSampler;
-use mmsb_graph::{FxHashSet, VertexId};
+use mmsb_graph::{FxHashSet, GraphAccess, VertexId};
 use mmsb_rand::Xoshiro256PlusPlus;
 use std::ops::Range;
 
@@ -174,10 +170,10 @@ impl PhiWorker {
     }
 
     /// Consume one loaded chunk: `rows` holds the staged keys' DKV rows
-    /// (`K + 1` floats each, `pi ++ sum(phi)`) in key order. For each
-    /// vertex of the chunk, `mark(i, a, set, linked)` fills the
-    /// observations of vertex `i` of the share against its sampled set,
-    /// and the new `phi` row goes to row `i` of `out` (stride `K`).
+    /// (`K + 1` floats each, `pi ++ sum(phi)`) in key order. Each vertex
+    /// of the chunk has its links marked against its list in `graph`,
+    /// and the new `phi` row of vertex `i` of the share goes to row `i`
+    /// of `out` (stride `K`).
     ///
     /// Bit-identical to [`super::Engine::update_phi_chunk`]: the store
     /// rows are the same f32 values [`crate::ModelState`] holds, and
@@ -187,7 +183,7 @@ impl PhiWorker {
         params: &PhiParams,
         beta: &[f64],
         rows: &[f32],
-        mut mark: impl FnMut(usize, VertexId, &[VertexId], &mut Vec<bool>),
+        graph: &mut impl GraphAccess,
         out: &mut [f64],
     ) {
         let k = self.phi_a.len();
@@ -198,7 +194,7 @@ impl PhiWorker {
             let (a, set, rng) = self.sampled.vertex(i);
             let own = &rows[offset * row_len..(offset + 1) * row_len];
             let neighbor_rows = &rows[(offset + 1) * row_len..(offset + 1 + set.len()) * row_len];
-            mark(i, a, set, &mut self.linked);
+            mark_links(graph.neighbors(a), set, &mut self.linked);
             let sum = own[k] as f64;
             for (phi, &pi) in self.phi_a.iter_mut().zip(own) {
                 *phi = (pi as f64 * sum).max(PHI_MIN);

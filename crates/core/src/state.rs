@@ -258,14 +258,6 @@ impl ModelState {
         out[self.k] = self.phi_sum[a as usize];
     }
 
-    /// Decode a DKV row into vertex `a`'s state.
-    pub fn apply_dkv_row(&mut self, a: u32, row: &[f32]) {
-        assert_eq!(row.len(), self.k + 1, "DKV row has wrong length");
-        let i = a as usize * self.k;
-        self.pi[i..i + self.k].copy_from_slice(&row[..self.k]);
-        self.phi_sum[a as usize] = row[self.k];
-    }
-
     /// Approximate heap footprint of the per-vertex state in bytes.
     pub fn memory_bytes(&self) -> usize {
         self.pi.len() * 4 + self.phi_sum.len() * 4 + self.phi.len() * 8
@@ -374,15 +366,19 @@ mod tests {
 
     #[test]
     fn dkv_row_roundtrip() {
-        let mut s = state(StateLayout::PiSumPhi);
+        // The row is `pi ++ sum(phi)`; a worker decodes `phi` from it
+        // exactly as `phi_row` decodes the state.
+        let s = state(StateLayout::PiSumPhi);
         let mut row = vec![0.0f32; 5];
         s.encode_dkv_row(3, &mut row);
-        let before: Vec<f32> = s.pi_row(3).to_vec();
-        // Wipe and restore.
-        s.apply_dkv_row(3, &[0.25f32, 0.25, 0.25, 0.25, 8.0]);
-        assert_eq!(s.pi_row(3), &[0.25, 0.25, 0.25, 0.25]);
-        s.apply_dkv_row(3, &row);
-        assert_eq!(s.pi_row(3), &before[..]);
+        assert_eq!(&row[..4], s.pi_row(3));
+        let mut phi = vec![0.0; 4];
+        s.phi_row(3, &mut phi);
+        let decoded: Vec<f64> = row[..4]
+            .iter()
+            .map(|&p| (p as f64 * row[4] as f64).max(PHI_MIN))
+            .collect();
+        assert_eq!(decoded, phi);
     }
 
     #[test]

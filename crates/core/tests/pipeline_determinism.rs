@@ -7,9 +7,7 @@
 //! modes — only *when* bytes are copied changes — so after any number of
 //! iterations the sampler state must match bit for bit.
 
-use mmsb_core::{
-    train_threaded, DistributedConfig, DistributedSampler, SamplerConfig,
-};
+use mmsb_core::{DistributedConfig, DistributedSampler, SamplerConfig};
 use mmsb_dkv::pipeline::PipelineMode;
 use mmsb_graph::generate::planted::{generate_planted, PlantedConfig};
 use mmsb_graph::heldout::HeldOut;
@@ -71,39 +69,6 @@ fn distributed_single_vs_double_is_bitwise_identical() {
         ps.to_bits(),
         pd.to_bits(),
         "perplexity diverged at the bit level"
-    );
-}
-
-/// Same contract for the genuinely concurrent threaded driver, where
-/// Double mode overlaps store reads with compute on a per-worker
-/// background thread.
-#[test]
-fn threaded_single_vs_double_is_bitwise_identical() {
-    let (g, h) = setup(12);
-    let cfg = SamplerConfig::new(4).with_seed(17);
-    let single = train_threaded(
-        g.clone(),
-        h.clone(),
-        cfg.clone(),
-        3,
-        5,
-        5,
-        PipelineMode::Single,
-    )
-    .unwrap();
-    let double = train_threaded(g, h, cfg, 3, 5, 5, PipelineMode::Double).unwrap();
-
-    for a in 0..single.state.n() {
-        assert_eq!(
-            single.state.pi_row(a),
-            double.state.pi_row(a),
-            "pi diverged at vertex {a}"
-        );
-    }
-    assert_eq!(single.state.theta(), double.state.theta(), "theta diverged");
-    assert_eq!(
-        single.perplexity_trace, double.perplexity_trace,
-        "perplexity traces diverged"
     );
 }
 

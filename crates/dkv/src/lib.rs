@@ -21,9 +21,9 @@
 //!   either way a pass reports its makespan *modeled* by
 //!   [`pipeline::schedule`] next to its *measured* wall-clock.
 //!
-//! Callers: the lockstep `DistributedSampler` (behind [`FaultingStore`])
-//! and each `train_threaded` worker read and write `pi` through
-//! [`ShardedStore`] and load it through the [`pipeline`] reader.
+//! Caller: the lockstep `DistributedSampler` reads and writes `pi`
+//! through [`ShardedStore`] (behind [`FaultingStore`]) and loads it
+//! through the [`pipeline`] reader.
 //!
 //! Data movement is performed for real (rows are copied through the store
 //! on every access); only the *wire time* is modeled, by `mmsb-netsim`.

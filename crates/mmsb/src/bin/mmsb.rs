@@ -288,25 +288,32 @@ fn cmd_train(args: &Args) -> Result<(), String> {
         println!(
             "mmsb train [--input FILE | --dataset NAME | generator flags] \
              [--graph-format edges|ooc] [--cache-blocks N] \
-             [--k K] [--iters N] [--driver sequential|parallel|threaded] \
-             [--workers R] [--pipeline on|off] [--eval-every N] \
+             [--k K] [--iters N] [--driver sequential|parallel] [--eval-every N] \
              [--heldout L] [--seed S] [--threshold T] [--out FILE] \
              [--checkpoint FILE] [--checkpoint-every N] \
              [--simd auto|scalar|sse2|avx2|neon] \
              [--obs-level off|metrics|spans] [--metrics-out FILE] [--trace-out FILE]\n\
              --graph-format ooc trains out-of-core: --input names a file \
              from `mmsb convert`, adjacency stays on disk behind a \
-             --cache-blocks block cache per worker (sequential/parallel \
-             drivers; held-out pairs are sampled by access, links stay \
-             in the training graph)\n\
+             --cache-blocks block cache per worker (held-out pairs are \
+             sampled by access, links stay in the training graph)\n\
+             --driver sequential is --driver parallel at one thread: the \
+             same chain; `mmsb simulate` runs the master-worker cluster\n\
              --checkpoint writes the final model as a servable checkpoint \
              (`mmsb serve --model FILE`); --checkpoint-every also saves \
-             every N iterations (sequential/parallel drivers; the \
-             threaded driver checkpoints once, at the end)"
+             every N iterations"
         );
         return Ok(());
     }
     let obs_out = obs_setup(args)?;
+    let driver = args.get("driver").unwrap_or("parallel");
+    // One driver: `sequential` is its one-thread spelling (inline
+    // execution, no pool threads) and yields the same chain.
+    let threads = match driver {
+        "sequential" => 1,
+        "parallel" => mmsb::obs::export::host_cores(),
+        other => return Err(format!("unknown driver {other:?} (sequential, parallel)")),
+    };
     let seed: u64 = args.parsed("seed", 42)?;
     let cache_blocks: usize = args.parsed("cache-blocks", mmsb::ooc::DEFAULT_CACHE_BLOCKS)?;
     let (backend, heldout, truth) = match args.get("graph-format").unwrap_or("edges") {
@@ -353,13 +360,6 @@ fn cmd_train(args: &Args) -> Result<(), String> {
     let iters: u64 = args.parsed("iters", 2000)?;
     let eval_every: u64 = args.parsed("eval-every", 250)?;
     let threshold: f32 = args.parsed("threshold", (0.5 / k as f64) as f32)?;
-    let driver = args.get("driver").unwrap_or("parallel");
-    let workers: usize = args.parsed("workers", 4)?;
-    let pipeline = match args.get("pipeline").unwrap_or("on") {
-        "on" => PipelineMode::Double,
-        "off" => PipelineMode::Single,
-        other => return Err(format!("--pipeline expects on/off, got {other:?}")),
-    };
     let checkpoint_path = args.get("checkpoint").map(str::to_string);
     let checkpoint_every: u64 = args.parsed("checkpoint-every", 0)?;
     if checkpoint_every > 0 && checkpoint_path.is_none() {
@@ -392,76 +392,38 @@ fn cmd_train(args: &Args) -> Result<(), String> {
         config.backend()
     );
 
-    // Train with the chosen driver; collect the final state plus the
-    // perplexity trace printed along the way.
-    let state: ModelState = match driver {
-        "sequential" | "parallel" => {
-            // One driver: `sequential` is its one-thread spelling (inline
-            // execution, no pool threads) and yields the same chain.
-            let threads = if driver == "sequential" {
-                1
-            } else {
-                mmsb::obs::export::host_cores()
-            };
-            let mut s = ParallelSampler::with_backend_threads(backend, heldout, config, threads)
-                .map_err(|e| e.to_string())?;
-            // Step to whichever boundary comes first — evaluation or
-            // checkpoint — so both cadences hold without overshooting.
-            let mut done = 0u64;
-            let mut next_eval = eval_every.max(1);
-            let mut next_ckpt = if checkpoint_every > 0 {
-                checkpoint_every
-            } else {
-                u64::MAX
-            };
-            let mut last_saved: Option<u64> = None;
-            while done < iters {
-                let stop = iters.min(next_eval).min(next_ckpt);
-                s.run(stop - done);
-                done = stop;
-                if done == next_eval || done == iters {
-                    let perplexity = s.evaluate_perplexity();
-                    println!("iter {done:>7}  perplexity {perplexity:.4}");
-                    next_eval = done + eval_every.max(1);
-                }
-                if done == next_ckpt {
-                    save_checkpoint(&s.checkpoint(), done)?;
-                    last_saved = Some(done);
-                    next_ckpt = done + checkpoint_every;
-                }
-            }
-            if checkpoint_path.is_some() && last_saved != Some(done) {
-                save_checkpoint(&s.checkpoint(), done)?;
-            }
-            s.state().clone()
-        }
-        "threaded" => {
-            let GraphBackend::Resident(train) = backend else {
-                return Err(
-                    "--driver threaded requires a resident graph (--graph-format edges); \
-                     use sequential or parallel for out-of-core training"
-                        .to_string(),
-                );
-            };
-            let outcome =
-                train_threaded(train, heldout, config, workers, iters, eval_every, pipeline)
-                    .map_err(|e| e.to_string())?;
-            for (it, perplexity) in &outcome.perplexity_trace {
-                println!("iter {it:>7}  perplexity {perplexity:.4}");
-            }
-            if checkpoint_path.is_some() {
-                save_checkpoint(&outcome.checkpoint, iters)?;
-            }
-            outcome.state
-        }
-        other => {
-            return Err(format!(
-                "unknown driver {other:?} (sequential, parallel, threaded)"
-            ))
-        }
+    let mut s = ParallelSampler::with_backend_threads(backend, heldout, config, threads)
+        .map_err(|e| e.to_string())?;
+    // Step to whichever boundary comes first — evaluation or checkpoint —
+    // so both cadences hold without overshooting.
+    let mut done = 0u64;
+    let mut next_eval = eval_every.max(1);
+    let mut next_ckpt = if checkpoint_every > 0 {
+        checkpoint_every
+    } else {
+        u64::MAX
     };
+    let mut last_saved: Option<u64> = None;
+    while done < iters {
+        let stop = iters.min(next_eval).min(next_ckpt);
+        s.run(stop - done);
+        done = stop;
+        if done == next_eval || done == iters {
+            let perplexity = s.evaluate_perplexity();
+            println!("iter {done:>7}  perplexity {perplexity:.4}");
+            next_eval = done + eval_every.max(1);
+        }
+        if done == next_ckpt {
+            save_checkpoint(&s.checkpoint(), done)?;
+            last_saved = Some(done);
+            next_ckpt = done + checkpoint_every;
+        }
+    }
+    if checkpoint_path.is_some() && last_saved != Some(done) {
+        save_checkpoint(&s.checkpoint(), done)?;
+    }
 
-    let communities = Communities::from_state(&state, threshold);
+    let communities = Communities::from_state(s.state(), threshold);
     println!(
         "detected {} non-empty communities (threshold {threshold})",
         communities.num_nonempty()
@@ -483,12 +445,7 @@ fn cmd_train(args: &Args) -> Result<(), String> {
         }
         println!("communities written to {out}");
     }
-    let threads = if driver == "threaded" {
-        workers
-    } else {
-        mmsb::obs::export::host_cores()
-    };
-    obs_finish(&obs_out, threads)
+    obs_finish(&obs_out, mmsb::obs::export::host_cores())
 }
 
 fn cmd_simulate(args: &Args) -> Result<(), String> {

@@ -3,8 +3,8 @@
 //! One `use mmsb::prelude::*` away from the whole workspace: the a-MMSB
 //! SG-MCMC samplers (`mmsb-core`), the graph substrate (`mmsb-graph`), the
 //! deterministic RNG (`mmsb-rand`), the simulated cluster fabric
-//! (`mmsb-netsim`), the message-passing layer (`mmsb-comm`), the
-//! distributed key-value store (`mmsb-dkv`). The variational baseline
+//! (`mmsb-netsim`), the distributed key-value store (`mmsb-dkv`). The
+//! variational baseline
 //! (`mmsb-svi`) is re-exported as [`svi`] but stays out of the prelude:
 //! it is the oracle the tests compare against, not part of the sampler.
 //!
@@ -21,7 +21,6 @@
 
 #![forbid(unsafe_code)]
 
-pub use mmsb_comm as comm;
 pub use mmsb_core as core;
 pub use mmsb_dkv as dkv;
 pub use mmsb_graph as graph;
@@ -37,10 +36,9 @@ pub use mmsb_svi as svi;
 pub mod prelude {
     pub use mmsb_core::{
         communities::Communities, convergence::PlateauDetector, eval, link_probability,
-        train_threaded, Backend, Checkpoint, CheckpointError, DistributedConfig,
-        DistributedSampler, ModelState, NodeComputeModel, ParallelSampler,
-        PerplexityAccumulator, SamplerConfig, SimdPolicy, StateLayout,
-        StepSize,
+        Backend, Checkpoint, CheckpointError, DistributedConfig, DistributedSampler,
+        ModelState, NodeComputeModel, ParallelSampler, PerplexityAccumulator, SamplerConfig,
+        SimdPolicy, StateLayout, StepSize,
     };
     pub use mmsb_dkv::pipeline::PipelineMode;
     pub use mmsb_graph::generate::datasets::{by_name, standins, DatasetSpec};

@@ -40,6 +40,19 @@ fn perplexity_trace(driver: &str) -> Vec<String> {
         .collect()
 }
 
+/// Any other `--driver` (the master–worker protocol runs under
+/// `mmsb simulate`) fails before a graph is generated or trained on.
+#[test]
+fn unknown_driver_is_rejected_before_training() {
+    let out = Command::new(env!("CARGO_BIN_EXE_mmsb"))
+        .args(["train", "--vertices", "300", "--driver", "threaded"])
+        .output()
+        .expect("run mmsb binary");
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown driver \"threaded\""));
+    assert!(out.stdout.is_empty(), "nothing may be trained");
+}
+
 #[test]
 fn sequential_and_parallel_print_identical_perplexity_traces() {
     let sequential = perplexity_trace("sequential");

@@ -28,56 +28,53 @@ pub mod id {
     pub const C_DKV_READ_RETRIES: usize = 4;
     /// dkv: write attempts retried after a fault.
     pub const C_DKV_WRITE_RETRIES: usize = 5;
-    /// comm: point-to-point sends.
-    pub const C_COMM_SENDS: usize = 6;
-    /// comm: point-to-point receives.
-    pub const C_COMM_RECVS: usize = 7;
-    /// comm: collective operations started.
-    pub const C_COMM_COLLECTIVES: usize = 8;
+    /// comm: collectives of the simulated cluster (priced by netsim; no
+    /// message is sent).
+    pub const C_COMM_COLLECTIVES: usize = 6;
     /// pool: fork-join jobs run.
-    pub const C_POOL_JOBS: usize = 9;
+    pub const C_POOL_JOBS: usize = 7;
     /// pool: chunks claimed by workers.
-    pub const C_POOL_CHUNKS: usize = 10;
+    pub const C_POOL_CHUNKS: usize = 8;
     /// core: sampler steps completed.
-    pub const C_SAMPLER_STEPS: usize = 11;
+    pub const C_SAMPLER_STEPS: usize = 9;
     /// core: checkpoints captured.
-    pub const C_CHECKPOINTS: usize = 12;
+    pub const C_CHECKPOINTS: usize = 10;
     /// core: recoveries performed after a kill.
-    pub const C_RECOVERIES: usize = 13;
+    pub const C_RECOVERIES: usize = 11;
     /// serve: HTTP requests handled (all endpoints).
-    pub const C_SERVE_REQUESTS: usize = 14;
+    pub const C_SERVE_REQUESTS: usize = 12;
     /// serve: requests answered with a 4xx/5xx status.
-    pub const C_SERVE_ERRORS: usize = 15;
+    pub const C_SERVE_ERRORS: usize = 13;
     /// serve: model snapshots published via `POST /v1/reload`.
-    pub const C_SERVE_RELOADS: usize = 16;
+    pub const C_SERVE_RELOADS: usize = 14;
     /// serve: TCP connections accepted.
-    pub const C_SERVE_CONNS: usize = 17;
+    pub const C_SERVE_CONNS: usize = 15;
     /// serve: connections refused with a fast-path 503 (over the
     /// admitted-connection cap, or pending behind saturated workers).
-    pub const C_SERVE_SHED_CONNS: usize = 18;
+    pub const C_SERVE_SHED_CONNS: usize = 16;
     /// serve: requests answered 503 because the in-flight cap was hit.
-    pub const C_SERVE_SHED_REQUESTS: usize = 19;
+    pub const C_SERVE_SHED_REQUESTS: usize = 17;
     /// serve: requests answered 429 by the per-worker token bucket.
-    pub const C_SERVE_RATE_LIMITED: usize = 20;
+    pub const C_SERVE_RATE_LIMITED: usize = 18;
     /// serve: connections closed by a deadline (slow-loris partial
     /// head, never-sent first request, or a response write timeout).
-    pub const C_SERVE_DEADLINE_CLOSES: usize = 21;
+    pub const C_SERVE_DEADLINE_CLOSES: usize = 19;
     /// serve: connections that completed cleanly during a drain (all
     /// buffered requests answered, closed at a request boundary).
-    pub const C_SERVE_DRAIN_COMPLETED: usize = 22;
+    pub const C_SERVE_DRAIN_COMPLETED: usize = 20;
     /// serve: connections force-closed after the drain deadline.
-    pub const C_SERVE_DRAIN_ABORTED: usize = 23;
+    pub const C_SERVE_DRAIN_ABORTED: usize = 21;
     /// serve: reload attempts that failed (corrupt/unreadable
     /// checkpoint); the old generation keeps serving.
-    pub const C_SERVE_RELOAD_ERRORS: usize = 24;
+    pub const C_SERVE_RELOAD_ERRORS: usize = 22;
     /// ooc: graph block-cache lookups served from a resident block.
-    pub const C_GRAPH_CACHE_HITS: usize = 25;
+    pub const C_GRAPH_CACHE_HITS: usize = 23;
     /// ooc: graph block-cache lookups that had to read from disk.
-    pub const C_GRAPH_CACHE_MISSES: usize = 26;
+    pub const C_GRAPH_CACHE_MISSES: usize = 24;
     /// ooc: block-cache loads that displaced a resident block.
-    pub const C_GRAPH_CACHE_EVICTIONS: usize = 27;
+    pub const C_GRAPH_CACHE_EVICTIONS: usize = 25;
     /// Number of counters.
-    pub const COUNTER_COUNT: usize = 28;
+    pub const COUNTER_COUNT: usize = 26;
 
     /// Counter names, indexed by counter id (export order).
     pub const COUNTER_NAMES: [&str; COUNTER_COUNT] = [
@@ -87,8 +84,6 @@ pub mod id {
         "dkv_write_keys",
         "dkv_read_retries",
         "dkv_write_retries",
-        "comm_sends",
-        "comm_recvs",
         "comm_collectives",
         "pool_jobs",
         "pool_chunks",
@@ -137,7 +132,7 @@ pub mod id {
     pub const H_DKV_READ_NS: usize = H_PHASE_BASE + HIST_PHASES;
     /// dkv: per-batch write latency (ns).
     pub const H_DKV_WRITE_NS: usize = H_DKV_READ_NS + 1;
-    /// comm: per-collective wall time (ns).
+    /// comm: per-collective modeled time of the simulated cluster (ns).
     pub const H_COMM_COLLECTIVE_NS: usize = H_DKV_WRITE_NS + 1;
     /// pool: per-job busy time of the claiming worker (ns).
     pub const H_POOL_BUSY_NS: usize = H_COMM_COLLECTIVE_NS + 1;
@@ -195,10 +190,8 @@ pub mod id {
     pub const S_DKV_READ: usize = S_STEP + 1;
     /// One dkv batched write.
     pub const S_DKV_WRITE: usize = S_DKV_READ + 1;
-    /// One comm collective.
-    pub const S_COMM_COLLECTIVE: usize = S_DKV_WRITE + 1;
     /// One pool fork-join job (leader-side).
-    pub const S_POOL_JOB: usize = S_COMM_COLLECTIVE + 1;
+    pub const S_POOL_JOB: usize = S_DKV_WRITE + 1;
     /// One checkpoint capture.
     pub const S_CHECKPOINT: usize = S_POOL_JOB + 1;
     /// One serve request (parse + handle + respond).
@@ -226,7 +219,6 @@ pub mod id {
         "step",
         "dkv_read",
         "dkv_write",
-        "comm_collective",
         "pool_job",
         "checkpoint",
         "serve_request",
@@ -432,7 +424,7 @@ mod tests {
                 let r2 = r2.clone();
                 std::thread::spawn(move || {
                     for _ in 0..100 {
-                        r2.counter_add(id::C_COMM_SENDS, 1);
+                        r2.counter_add(id::C_DKV_READ_KEYS, 1);
                     }
                 })
             })
@@ -440,7 +432,7 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(r2.counter_total(id::C_COMM_SENDS), 400);
+        assert_eq!(r2.counter_total(id::C_DKV_READ_KEYS), 400);
     }
 
     #[test]

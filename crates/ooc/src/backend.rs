@@ -113,21 +113,6 @@ pub enum BackendReader<'a> {
     OutOfCore(OocReader<'a>),
 }
 
-impl<'a> BackendReader<'a> {
-    /// Like [`GraphAccess::neighbors`], but consuming the reader so the
-    /// returned slice borrows the backend (and cache) directly rather
-    /// than the reader temporary.
-    ///
-    /// # Panics
-    /// Panics on I/O or corruption, like the trait method.
-    pub fn into_neighbors(self, v: VertexId) -> &'a [u32] {
-        match self {
-            BackendReader::Resident(g) => g.neighbors(v),
-            BackendReader::OutOfCore(r) => r.into_neighbors(v),
-        }
-    }
-}
-
 impl GraphAccess for BackendReader<'_> {
     fn num_vertices(&self) -> u32 {
         match self {

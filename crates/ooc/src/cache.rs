@@ -232,20 +232,6 @@ impl<'a> OocReader<'a> {
         Ok(&self.cache.list)
     }
 
-    /// Like [`GraphAccess::neighbors`], but consuming the reader so the
-    /// slice borrows the underlying cache directly — callers that need
-    /// the list to outlive a temporary reader (the threaded master's
-    /// scatter loop) use this.
-    ///
-    /// # Panics
-    /// Panics on I/O or corruption, like the trait method.
-    pub fn into_neighbors(self, v: VertexId) -> &'a [u32] {
-        match self.cache.decode_list(self.graph, v.0) {
-            Ok(()) => &self.cache.list,
-            Err(e) => panic!("out-of-core neighbor read failed: {e}"),
-        }
-    }
-
     /// Fallible membership test on the lower-degree endpoint's list.
     /// For one-off probes (held-out sampling, `RandomPair`, stats): the
     /// training path reads the *anchor's* list once and tests a whole

@@ -81,8 +81,7 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 #   pipelining    mmsb-core: pipeline_determinism (Single vs Double
 #                 bitwise), zero_alloc (steady-state prefetch, lockstep
 #                 step, warmed ooc cache reads)
-#   failures      mmsb-core: fault_determinism, checkpoint_resume;
-#                 mmsb-comm: partial_failure (dead peer -> Disconnected)
+#   failures      mmsb-core: fault_determinism, checkpoint_resume
 #   SIMD          mmsb-simd (lane parity, exp/log/polar ULP bounds);
 #                 mmsb-core: simd_determinism; mmsb: simd_smoke
 #   obs           mmsb-obs (registry, clock, rings, exporters, trace
