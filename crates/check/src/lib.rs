@@ -5,9 +5,9 @@
 //!
 //! * [`model`] — a loom/shuttle-style deterministic model checker.
 //!   Protocols generic over `mmsb_pool::sync::SyncBackend` (the
-//!   fork-join pool, `BackgroundWorker`, the prefetch ping-pong) are
-//!   compiled against the [`model::ModelSync`] backend and explored
-//!   under bounded-exhaustive interleavings. See the `tests/` suite for
+//!   fork-join pool, the serving layer's snapshot cell and admission
+//!   control) are compiled against the [`model::ModelSync`] backend and
+//!   explored under bounded-exhaustive interleavings. See the `tests/` suite for
 //!   the ported protocols and the seeded-bug self-tests.
 //! * [`lint`] — `xlint`, a token-level (no `syn`, offline) source lint
 //!   enforcing the repo's unsafe-code invariants: `// SAFETY:` comments

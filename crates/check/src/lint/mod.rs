@@ -291,11 +291,11 @@ mod tests {
 
     #[test]
     fn fault_layer_stays_inside_the_sync_fence() {
-        // The background worker and the faulting store must stay generic
+        // The pool's worker loop and the faulting store must stay generic
         // over `SyncBackend`: a direct `std::sync` import in either
         // would silently drop them out of the model-checked set.
         let src = "use std::sync::Condvar;";
-        for rel in ["crates/pool/src/background.rs", "crates/dkv/src/faults.rs"] {
+        for rel in ["crates/pool/src/worker.rs", "crates/dkv/src/faults.rs"] {
             let vs = lint_file(rel, src);
             assert!(
                 vs.iter().any(|v| v.rule == "std-sync-confinement"),

@@ -20,14 +20,13 @@ use super::Violation;
 
 /// Crates that must carry `#![forbid(unsafe_code)]` in their lib root.
 pub const FORBID_CRATES: &[&str] = &[
-    "rand", "graph", "svi", "netsim", "bench", "mmsb", "serve",
+    "rand", "graph", "svi", "netsim", "dkv", "bench", "mmsb", "serve",
 ];
 
 /// Path prefixes (relative to the repo root, `/`-separated) where
 /// `unsafe` is permitted.
 pub const UNSAFE_ALLOWLIST: &[&str] = &[
     "crates/pool/src",
-    "crates/dkv/src",
     "crates/simd/src",
     "crates/core/src/sampler/driver.rs",
     "crates/core/tests/zero_alloc.rs",
@@ -223,7 +222,7 @@ reviewer's proof obligation: it must say which invariant makes the operation sou
         id: "unsafe-allowlist",
         summary: "unsafe code only in the documented, model-checked modules",
         explain: "`unsafe` may appear only in the modules whose invariants are documented and \
-model-checked: crates/pool/src, crates/dkv/src, crates/simd/src (intrinsics behind proof tokens), \
+model-checked: crates/pool/src, crates/simd/src (intrinsics behind proof tokens), \
 crates/core/src/sampler/driver.rs, the counting-allocator tests, and the checker's own model \
 backend + protocol ports. Extending the allowlist is a reviewed table edit in \
 crates/check/src/lint/rules.rs, never an inline waiver — which is why this rule is not \
@@ -246,8 +245,8 @@ root) using `unsafe` must carry it too. This keeps each unsafe operation inside 
     Rule {
         id: "forbid-attr",
         summary: "no-unsafe crates pin that with #![forbid(unsafe_code)]",
-        explain: "The crates that need no unsafe at all (rand, graph, svi, netsim, bench, mmsb, \
-serve) must pin that with `#![forbid(unsafe_code)]`, so a future `unsafe` block is a \
+        explain: "The crates that need no unsafe at all (rand, graph, svi, netsim, dkv, bench, \
+mmsb, serve) must pin that with `#![forbid(unsafe_code)]`, so a future `unsafe` block is a \
 compile error rather than a silent scope creep.",
         scope: Scope::All,
         suppressible: false,

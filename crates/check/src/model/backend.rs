@@ -145,11 +145,6 @@ impl SyncBackend for ModelSync {
         Guard { mutex, tid }
     }
 
-    fn notify_one(cv: &Condvar) {
-        let (_, tid) = current();
-        cv.exec.op_notify_one(tid, cv.id);
-    }
-
     fn notify_all(cv: &Condvar) {
         let (_, tid) = current();
         cv.exec.op_notify_all(tid, cv.id);
@@ -215,9 +210,8 @@ pub fn join(handle: JoinHandle) {
 /// A plain, intentionally lock-free memory cell whose every access is
 /// race-checked by the scheduler's vector clocks. This is the model
 /// stand-in for memory that real protocols protect by *protocol*
-/// (publication order) rather than by a lock — e.g. the prefetch
-/// buffers handed between the pipeline's reader and its background
-/// worker.
+/// (publication order) rather than by a lock — e.g. the output ranges
+/// pool chunks write and the caller reads after the join.
 pub struct RaceCell<T> {
     exec: Arc<Execution>,
     id: usize,
@@ -265,9 +259,8 @@ impl<T: Copy + Send + 'static> RaceCell<T> {
 /// A single-slot publish/consume channel with protocol checking: a
 /// second publish before a consume is a `DoublePublish` violation, a
 /// consume of an empty slot is `EmptyConsume`, and the publish/consume
-/// pair forms a release/acquire edge. This is the model analogue of the
-/// raw task-pointer slot the `BackgroundWorker` hands its payload
-/// through.
+/// pair forms a release/acquire edge — the model of a one-slot task
+/// handoff, such as the job the pool publishes to its workers.
 pub struct PublishSlot<T> {
     exec: Arc<Execution>,
     id: usize,

@@ -616,14 +616,13 @@ impl Execution {
         self.op_lock(tid, mid);
     }
 
-    fn notify(&self, tid: usize, cvid: usize, all: bool) {
+    pub(crate) fn op_notify_all(&self, tid: usize, cvid: usize) {
         let mut s = self.sched.lock().unwrap();
         if self.abort_check(&s) {
             drop(s);
             self.freeze();
         }
-        let what = if all { "notify_all" } else { "notify_one" };
-        if !self.step(&mut s, tid, &format!("{what} cv#{cvid}")) {
+        if !self.step(&mut s, tid, &format!("notify_all cv#{cvid}")) {
             drop(s);
             self.freeze();
         }
@@ -631,36 +630,15 @@ impl Execution {
         let tc = s.threads[tid].clock.clone();
         s.condvars[cvid].join(&tc);
         s.threads[tid].clock.tick(tid);
-        let waiters: Vec<usize> = s
-            .threads
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.state == TState::BlockedCv(cvid))
-            .map(|(i, _)| i)
-            .collect();
-        if !waiters.is_empty() {
-            if all {
-                for &w in &waiters {
-                    s.threads[w].state = TState::Runnable;
-                }
-            } else {
-                // Which waiter wakes is itself a scheduling choice.
-                let idx = self.choose(&mut s, waiters.len());
-                s.threads[waiters[idx]].state = TState::Runnable;
+        for t in &mut s.threads {
+            if t.state == TState::BlockedCv(cvid) {
+                t.state = TState::Runnable;
             }
         }
         // A notify with no waiters is legal; if the intended waiter has
         // not blocked yet the signal is lost, and the resulting hang is
         // caught as a Deadlock.
         self.yield_point(s, tid);
-    }
-
-    pub(crate) fn op_notify_one(&self, tid: usize, cvid: usize) {
-        self.notify(tid, cvid, false);
-    }
-
-    pub(crate) fn op_notify_all(&self, tid: usize, cvid: usize) {
-        self.notify(tid, cvid, true);
     }
 
     /// All atomics are modeled as sequentially consistent: the access

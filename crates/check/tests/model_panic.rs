@@ -4,78 +4,12 @@
 //! panics from flooding the output. Violations in these tests would
 //! still surface through the returned `Report`, not through the hook.
 
-#![deny(unsafe_op_in_unsafe_fn)]
-
 use std::sync::Arc;
 
 use mmsb_check::model::{explore, Config, ModelSync, RaceCell, ViolationKind};
-use mmsb_pool::BackgroundWorkerIn;
-
-type Worker = BackgroundWorkerIn<ModelSync>;
 
 fn quiet_panics() {
     std::panic::set_hook(Box::new(|_| {}));
-}
-
-fn cfg() -> Config {
-    Config {
-        preemption_bound: 2,
-        max_executions: 20_000,
-        ..Config::default()
-    }
-}
-
-/// The satellite regression, model-checked: a task that panics before
-/// the caller collects it must leave the worker idle in EVERY
-/// interleaving — publish → panic → wait (captures payload) →
-/// re-publish on the same worker, and the second task's write must be
-/// ordered before the caller's read.
-#[test]
-fn panic_in_task_then_republish_is_clean_everywhere() {
-    quiet_panics();
-    let report = explore(&cfg(), || {
-        let worker = Worker::new("bg-boom");
-        let mut boom = Some(|| panic!("model boom"));
-        // SAFETY: `boom` outlives the `wait` below and is untouched in
-        // between.
-        unsafe { worker.spawn(&mut boom) };
-        let payload = worker.wait();
-        assert!(payload.is_some(), "panicked task must yield its payload");
-        assert!(worker.is_idle(), "panicked task left the slot in-flight");
-        let _ = boom; // slot may be touched again only after the wait above
-        // Re-publish on the same worker: the panic path must have fully
-        // reset the slot state machine.
-        let cell = Arc::new(RaceCell::new("after-boom", 0u64));
-        let c2 = Arc::clone(&cell);
-        let mut slot = Some(move || c2.set(3));
-        // SAFETY: `slot` outlives the `join` below and is untouched in
-        // between.
-        unsafe { worker.spawn(&mut slot) };
-        worker.join();
-        drop(slot);
-        assert_eq!(cell.get(), 3);
-        assert!(worker.wait().is_none(), "stale panic payload survived");
-    });
-    report.assert_ok();
-}
-
-/// Dropping the worker while a *panicking* task is in flight: the drop
-/// must wait the task out and swallow the payload, with no deadlock in
-/// any interleaving.
-#[test]
-fn drop_with_in_flight_panicking_task_is_clean() {
-    quiet_panics();
-    let report = explore(&cfg(), || {
-        let worker = Worker::new("bg-boom-drop");
-        let mut boom = Some(|| panic!("in-flight boom"));
-        // SAFETY: `boom` outlives the drop of `worker`, which waits out
-        // the in-flight task.
-        unsafe { worker.spawn(&mut boom) };
-        drop(worker);
-        let _ = boom; // slot outlives the waiting drop above
-    });
-    report.assert_ok();
-    assert!(report.complete);
 }
 
 /// Pool chunk panic: `run` must re-throw after all workers drain and
@@ -114,7 +48,12 @@ fn pool_chunk_panic_drains_and_pool_survives() {
 #[test]
 fn escaped_thread_panic_is_reported() {
     quiet_panics();
-    let report = explore(&cfg(), || {
+    let cfg = Config {
+        preemption_bound: 2,
+        max_executions: 20_000,
+        ..Config::default()
+    };
+    let report = explore(&cfg, || {
         let h = mmsb_check::model::spawn("doomed", || panic!("escaped"));
         mmsb_check::model::join(h);
     });

@@ -27,7 +27,7 @@ fn missing_notify_is_reported_as_deadlock() {
             }
         });
         *ModelSync::lock(&m) = true;
-        // BUG: no ModelSync::notify_one(&cv) — the wakeup is lost.
+        // BUG: no ModelSync::notify_all(&cv) — the wakeup is lost.
         model::join(consumer);
     });
     let v = report.violation.expect("lost wakeup must be caught");
@@ -64,8 +64,8 @@ fn torn_publish_is_reported_as_data_race() {
 }
 
 /// Buggy shim #3 — double publish: publishing into a slot that was
-/// never consumed. This is the model analogue of `BackgroundWorker`
-/// publishing a task while one is still in flight.
+/// never consumed: a one-slot handoff publishing a task while one is
+/// still in flight.
 #[test]
 fn double_publish_is_reported() {
     let report = explore(&Config::default(), || {

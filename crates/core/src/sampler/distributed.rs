@@ -156,11 +156,11 @@ pub struct DistributedSampler {
     /// Index 0 is the master; worker `w` is rank `w + 1`.
     clocks: ClusterClocks,
     trace: PhaseTimes,
-    /// Reader buffers (ping-pong row buffers, per-chunk timings) —
-    /// persistent so the steady state allocates nothing.
+    /// Reader buffers (row buffer, per-chunk timings) — persistent so
+    /// the steady state allocates nothing.
     scratch: ReaderScratch,
-    /// The `pi` loader in the configured [`PipelineMode`]; under `Double`
-    /// its background worker persists across iterations.
+    /// The `pi` loader, pricing its passes under the configured
+    /// [`PipelineMode`].
     reader: ChunkReader,
     /// Reusable per-worker key/segment staging for the chunked loads.
     keys_buf: Vec<u32>,
@@ -415,7 +415,7 @@ impl DistributedSampler {
         let mut max_neigh = 0.0f64;
         let mut max_load = 0.0f64;
         let mut max_compute = 0.0f64;
-        let mut max_wall = 0.0f64;
+        let mut max_hidden = 0.0f64;
         let mut max_stage_recovery = 0.0f64;
         for w in 0..r {
             let rank = w + 1;
@@ -436,8 +436,8 @@ impl DistributedSampler {
 
             // Chunked load + compute over this worker's vertices, routed
             // through the dkv reader. Every buffer involved (keys,
-            // segments, row ping-pong, timings, the flat update rows)
-            // persists on `self`.
+            // segments, rows, timings, the flat update rows) persists on
+            // `self`.
             self.worker
                 .stage_keys(self.dcfg.chunk_vertices, &mut self.keys_buf, &mut self.seg_lens);
             let keys = &self.keys_buf;
@@ -452,10 +452,10 @@ impl DistributedSampler {
                 worker.on_chunk(&params, engine.state.beta(), rows, &mut reader, out);
             };
             // Both modes deliver identical chunks in identical order to
-            // `on_chunk` — only the load execution (and hence time)
-            // differs. The clocks always advance by the *modeled* makespan
-            // so netsim figures stay comparable; Double additionally
-            // records the measured overlapped wall-clock.
+            // `on_chunk`; the mode only prices the pass. The clock
+            // advances by the makespan `schedule` models: every load under
+            // Single, under Double each load less the previous chunk's
+            // compute it hides behind.
             let run = self
                 .reader
                 .run_segments(
@@ -471,7 +471,7 @@ impl DistributedSampler {
             self.clocks.advance(rank, run.total);
             max_load = max_load.max(run.load);
             max_compute = max_compute.max(run.compute);
-            max_wall = max_wall.max(run.wall);
+            max_hidden = max_hidden.max(run.hidden());
 
             // Transient faults on this worker's load/compute stage:
             // retried chunk reads plus a possible straggle. Decisions come
@@ -499,7 +499,7 @@ impl DistributedSampler {
         self.trace_add(Phase::LoadPi, max_load);
         self.trace_add(Phase::UpdatePhi, max_compute);
         if self.dcfg.pipeline == PipelineMode::Double {
-            self.trace_add(Phase::Prefetch, max_wall);
+            self.trace_add(Phase::Prefetch, max_hidden);
         }
 
         // Barrier before update_pi (memory consistency, paper §III-C).
@@ -927,7 +927,7 @@ mod tests {
         // measured compute, so ordering the two runs by it follows host
         // load): pipelining hides the same loads behind compute — it
         // neither adds nor removes wire time — and only the pipelined run
-        // has an overlapped wall-clock to report. That the double-buffered
+        // records the load time it hid. That the double-buffered
         // makespan never exceeds the serial one for equal chunk profiles
         // is `mmsb_dkv::pipeline`'s `schedule_bounds`.
         let (s, d) = (single.report().phases, double.report().phases);

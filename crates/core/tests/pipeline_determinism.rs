@@ -1,11 +1,10 @@
 //! Bitwise determinism across pipeline modes.
 //!
-//! `PipelineMode::Double` executes the `pi` loads for real on the
-//! reader's background thread, overlapped with compute;
-//! `PipelineMode::Single` loads synchronously. The contract: chunk
-//! boundaries, RNG streams, and reduction order are identical in both
-//! modes — only *when* bytes are copied changes — so after any number of
-//! iterations the sampler state must match bit for bit.
+//! `PipelineMode::Double` prices each `pi` load as hidden behind the
+//! previous chunk's compute; `PipelineMode::Single` pays every load. The
+//! contract: chunk boundaries, RNG streams, and reduction order are
+//! identical in both modes — only the modeled time changes — so after
+//! any number of iterations the sampler state must match bit for bit.
 
 use mmsb_core::{DistributedConfig, DistributedSampler, SamplerConfig};
 use mmsb_dkv::pipeline::PipelineMode;
@@ -31,8 +30,7 @@ fn setup(seed: u64) -> (Graph, HeldOut) {
 }
 
 /// The lockstep distributed sampler: 5 iterations under Single vs Double
-/// (real overlap) must produce identical `pi`/`theta` state and identical
-/// perplexity.
+/// must produce identical `pi`/`theta` state and identical perplexity.
 #[test]
 fn distributed_single_vs_double_is_bitwise_identical() {
     let (g, h) = setup(11);

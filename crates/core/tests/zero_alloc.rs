@@ -2,16 +2,16 @@
 //! [`ParallelSampler`] `step()` must never touch the heap — and neither
 //! may a warmed lockstep [`DistributedSampler`] `step()` +
 //! `evaluate_perplexity()` in either pipeline mode, a warmed
-//! double-buffered [`ChunkReader`] pass (the pipelined `pi` load path of
-//! the distributed samplers) nor a warmed out-of-core
+//! [`ChunkReader`] pass (the chunked `pi` load path of the distributed
+//! sampler) nor a warmed out-of-core
 //! [`mmsb_ooc::BlockCache`] read loop (the graph path of the ooc
 //! backend), whether every read hits or every read evicts, reads, CRCs
 //! and decodes a block. Every per-iteration buffer is pre-reserved at its hard
 //! upper bound (`Engine::with_backend`, `StepBuffers::new`, `Workspace::new`,
 //! `ReaderScratch`, the cache's block storage and decode scratch) or
 //! grows to its high-water mark during warm-up (`PhiWorker`), the
-//! pool and the background worker publish tasks as unboxed pointer
-//! pairs, and the mini-batch/neighbor machinery reuses its vectors — so
+//! pool publishes jobs as unboxed pointer pairs, and the
+//! mini-batch/neighbor machinery reuses its vectors — so
 //! the counter below must stay at exactly zero.
 //!
 //! This file holds a single test on purpose: the counting allocator is
@@ -177,19 +177,16 @@ fn steady_state_step_is_allocation_free() {
         );
     }
 
-    // ---- pipelined path: a warmed double-buffered reader pass ----
-    // The real double-buffered loader must also be allocation-free once
-    // warm: the ping-pong row buffers, timing vectors, and chunk table
-    // live in the ReaderScratch, and the background worker receives its
-    // task as an unboxed pointer pair. The counter is process-global, so
-    // any allocation on the prefetch thread would be caught too.
+    // ---- pipelined path: a warmed reader pass ----
+    // The chunked loader must also be allocation-free once warm: the row
+    // buffer, timing vectors, and chunk table live in the ReaderScratch.
     let row_len = 9;
     let mut store = ShardedStore::new(Partition::new(512, 4), row_len);
     let keys: Vec<u32> = (0..512).collect();
     let vals = vec![1.0f32; keys.len() * row_len];
     store.write_batch(&keys, &vals).unwrap();
     let net = NetworkModel::fdr_infiniband();
-    let mut reader = ChunkReader::new(64, PipelineMode::Double);
+    let reader = ChunkReader::new(64, PipelineMode::Double);
     let mut scratch = ReaderScratch::new();
     let mut acc = 0.0f64;
     for _ in 0..5 {
@@ -214,7 +211,7 @@ fn steady_state_step_is_allocation_free() {
     let n = ALLOCS.load(Ordering::SeqCst);
     assert_eq!(
         n, 0,
-        "warmed double-buffered reader hit the allocator {n} times over 20 passes"
+        "warmed chunk reader hit the allocator {n} times over 20 passes"
     );
 
     // ---- write path: warmed write_batch calls ----

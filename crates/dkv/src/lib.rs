@@ -14,12 +14,12 @@
 //! * [`DkvStore`] — the read/write-batch interface,
 //! * [`ShardedStore`] — per-rank shards with modeled RDMA cost accounting
 //!   ([`ShardedStore::read_cost`]), the distributed configuration,
-//! * [`pipeline`] — the chunked loader that overlaps loading `pi` with
-//!   compute (paper §III-D, Figure 3, Table III): one
-//!   [`pipeline::ChunkReader`] whose [`pipeline::PipelineMode`] selects
-//!   synchronous reads or real double buffering on a background worker;
-//!   either way a pass reports its makespan *modeled* by
-//!   [`pipeline::schedule`] next to its *measured* wall-clock.
+//! * [`pipeline`] — the chunked `pi` loader and the timing model of
+//!   overlapping its loads with compute (paper §III-D, Figure 3, Table
+//!   III): one [`pipeline::ChunkReader`] reads and computes chunk by
+//!   chunk on the caller's thread, and its [`pipeline::PipelineMode`]
+//!   selects how [`pipeline::schedule`] prices the pass — every load
+//!   paid, or each load hidden behind the previous chunk's compute.
 //!
 //! Caller: the lockstep `DistributedSampler` reads and writes `pi`
 //! through [`ShardedStore`] (behind [`FaultingStore`]) and loads it
@@ -28,7 +28,7 @@
 //! Data movement is performed for real (rows are copied through the store
 //! on every access); only the *wire time* is modeled, by `mmsb-netsim`.
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 pub mod pipeline;
 

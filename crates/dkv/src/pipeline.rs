@@ -1,31 +1,28 @@
-//! Double-buffered (pipelined) chunked reads.
+//! Chunked `pi` reads and the timing model of pipelining them.
 //!
 //! Loading `pi` from the DKV store dominates `update_phi` (Table III: 205
 //! of 285 ms). The paper hides that latency by splitting the load into
 //! chunks and fetching chunk `i+1` while computing on chunk `i` (§III-D).
-//! This module provides both the *model* and the *mechanism*:
+//! The simulated cluster runs on one thread, so this module *models* the
+//! overlap rather than executing it:
 //!
-//! * [`schedule`] — the pure timing algebra of a two-stage pipeline, used
-//!   by the simulator and verified against hand-computed cases,
-//! * [`ChunkReader`] — the one loader, constructed from a
-//!   [`PipelineMode`]. `Single` reads each chunk, then computes on it.
-//!   `Double` is the real pipeline: two pre-sized row buffers ping-pong,
-//!   and while the compute callback runs on buffer A's chunk a
-//!   [`BackgroundWorker`] fills buffer B from the store. Either way a
-//!   pass returns one [`PipelineRun`]: loads priced with the store's cost
-//!   model, computes measured, the makespan *modeled* under the reader's
-//!   mode (so netsim figures stay comparable) next to the *measured*
-//!   wall-clock of the pass.
+//! * [`schedule`] — the pure timing algebra of a two-stage pipeline,
+//!   verified against hand-computed cases,
+//! * [`ChunkReader`] — the one loader. Every chunk is read, then computed
+//!   on; loads are priced with the store's cost model, computes are
+//!   measured, and the pass returns one [`PipelineRun`] whose makespan is
+//!   [`schedule`] under the reader's [`PipelineMode`]: `Single` pays every
+//!   load, `Double` only the part the previous chunk's compute cannot
+//!   hide.
 //!
-//! Numerics are identical across modes: chunk boundaries and delivery
-//! order never change, only *when* the bytes are copied. The reader
-//! borrows its buffers from a caller-owned [`ReaderScratch`] so
-//! steady-state operation performs no heap allocation (pinned by
+//! The mode changes nothing but that price: chunk boundaries, delivery
+//! order and bytes are the same, so the chain is too. The reader borrows
+//! its buffers from a caller-owned [`ReaderScratch`] so steady-state
+//! operation performs no heap allocation (pinned by
 //! `crates/core/tests/zero_alloc.rs`).
 
 use crate::{DkvError, DkvStore, ShardedStore};
 use mmsb_netsim::NetworkModel;
-use mmsb_pool::BackgroundWorker;
 use mmsb_obs::clock::Stopwatch;
 
 /// Buffering mode for the `pi` loader.
@@ -79,22 +76,27 @@ pub struct PipelineRun {
     pub compute: f64,
     /// Number of chunks executed.
     pub chunks: usize,
-    /// Measured wall-clock of the whole pass, in seconds — under
-    /// [`PipelineMode::Double`] with the loads genuinely hidden behind
-    /// the computes.
-    pub wall: f64,
+}
+
+impl PipelineRun {
+    /// Load time the schedule hid behind compute: `load + compute -
+    /// total`. Zero under [`PipelineMode::Single`]; never more than
+    /// `load` or `compute` under [`PipelineMode::Double`].
+    pub fn hidden(&self) -> f64 {
+        (self.load + self.compute - self.total).max(0.0)
+    }
 }
 
 /// Reusable buffers for [`ChunkReader`].
 ///
-/// Owns the ping-pong row buffers, the per-chunk timing vectors and the
+/// Owns the row buffer, the per-chunk timing vectors and the
 /// chunk-boundary table. All storage grows to the high-water mark on
 /// first use and is reused afterwards, so a warmed reader performs zero
 /// heap allocations per pass.
 #[derive(Debug, Default)]
 pub struct ReaderScratch {
-    /// Ping-pong row buffers; [`PipelineMode::Single`] uses only `bufs[0]`.
-    bufs: [Vec<f32>; 2],
+    /// Rows of the chunk being computed on.
+    rows: Vec<f32>,
     /// Modeled per-chunk load times (seconds).
     loads: Vec<f64>,
     /// Measured per-chunk compute times (seconds).
@@ -143,42 +145,21 @@ impl ReaderScratch {
     }
 }
 
-/// Waits out an in-flight background load if the compute callback panics,
-/// so the task's borrows (the back buffer, the key slice) are never
-/// outlived. Disarmed with `mem::forget` on the normal path, where
-/// [`BackgroundWorker::join`] is called explicitly to re-throw worker
-/// panics.
-struct WaitGuard<'a>(&'a BackgroundWorker);
-
-impl Drop for WaitGuard<'_> {
-    fn drop(&mut self) {
-        // `wait`, not `join`: re-throwing here would double-panic.
-        let _ = self.0.wait();
-    }
-}
-
 /// The chunked `pi` loader over a [`ShardedStore`].
 ///
-/// Under [`PipelineMode::Single`] each chunk is read, then computed on.
-/// Under [`PipelineMode::Double`] two pre-sized row buffers ping-pong:
-/// while the compute callback runs on the front buffer's chunk, a
-/// persistent [`BackgroundWorker`] (owned by the reader, spawned at
-/// construction) fills the back buffer with chunk `i + 1`'s rows. The
-/// handoff protocol is strict `spawn`/`join` alternation — exactly one
-/// load in flight, the buffers swap only after the join — so delivery
-/// order, chunk contents, and therefore all downstream numerics are
-/// identical in both modes.
-#[derive(Debug)]
+/// Each chunk is read into the scratch row buffer, then handed to the
+/// compute callback, in key order. The [`PipelineMode`] decides only how
+/// the pass is priced (see [`schedule`]), so both modes deliver identical
+/// chunks in identical order and all downstream numerics agree.
+#[derive(Debug, Clone, Copy)]
 pub struct ChunkReader {
     chunk_size: usize,
     compute_scale: f64,
-    /// The prefetch thread; `Some` exactly in [`PipelineMode::Double`].
-    worker: Option<BackgroundWorker>,
+    mode: PipelineMode,
 }
 
 impl ChunkReader {
-    /// Create a reader with the given chunk size and mode (spawning the
-    /// prefetch worker under [`PipelineMode::Double`]).
+    /// Create a reader with the given chunk size and mode.
     ///
     /// # Panics
     /// Panics if `chunk_size == 0`.
@@ -187,28 +168,16 @@ impl ChunkReader {
         Self {
             chunk_size,
             compute_scale: 1.0,
-            worker: match mode {
-                PipelineMode::Single => None,
-                PipelineMode::Double => Some(BackgroundWorker::new("dkv-prefetch")),
-            },
+            mode,
         }
     }
 
     /// Multiply measured per-chunk compute times by `scale` before they
-    /// enter the *modeled* makespan — the hook for per-node
-    /// thread-parallelism models that shrink the serial measurement (the
-    /// measured wall-clock is reported unscaled).
+    /// enter the modeled makespan — the hook for per-node
+    /// thread-parallelism models that shrink the serial measurement.
     pub fn with_compute_scale(mut self, scale: f64) -> Self {
         self.compute_scale = scale;
         self
-    }
-
-    /// The mode the reader was constructed in.
-    fn mode(&self) -> PipelineMode {
-        match self.worker {
-            None => PipelineMode::Single,
-            Some(_) => PipelineMode::Double,
-        }
     }
 
     /// Read `keys` in chunks of the configured size from `store` as rank
@@ -216,11 +185,9 @@ impl ChunkReader {
     /// chunk's rows.
     ///
     /// Loads are priced with [`ShardedStore::read_cost`]; computes are
-    /// measured with a monotonic clock. Under [`PipelineMode::Double`]
-    /// chunk `0` is loaded synchronously; from then on chunk `i + 1`
-    /// loads on the background worker while `compute` runs on chunk `i`.
+    /// measured with a monotonic clock and scaled by the compute scale.
     pub fn run<F>(
-        &mut self,
+        &self,
         store: &ShardedStore,
         rank: usize,
         keys: &[u32],
@@ -241,7 +208,7 @@ impl ChunkReader {
     /// therefore produce a variable number of keys per chunk.
     #[allow(clippy::too_many_arguments)] // mirrors `run` plus the boundary table
     pub fn run_segments<F>(
-        &mut self,
+        &self,
         store: &ShardedStore,
         rank: usize,
         keys: &[u32],
@@ -258,7 +225,7 @@ impl ChunkReader {
     }
 
     fn run_inner<F>(
-        &mut self,
+        &self,
         store: &ShardedStore,
         rank: usize,
         keys: &[u32],
@@ -270,95 +237,34 @@ impl ChunkReader {
         F: FnMut(usize, &[u32], &[f32]),
     {
         let row_len = store.row_len();
-        let max_chunk = scratch.max_chunk_keys();
+        let max_rows = scratch.max_chunk_keys() * row_len;
         let ReaderScratch {
-            bufs,
+            rows,
             loads,
             computes,
             ends,
         } = scratch;
         loads.clear();
         computes.clear();
-        let (front_buf, back_buf) = bufs.split_at_mut(1);
-        let mut front: &mut Vec<f32> = &mut front_buf[0];
-        let mut back: &mut Vec<f32> = &mut back_buf[0];
-        if front.len() < max_chunk * row_len {
-            front.resize(max_chunk * row_len, 0.0);
+        if rows.len() < max_rows {
+            rows.resize(max_rows, 0.0);
         }
-
-        let wall0 = Stopwatch::start();
         let mut start = 0;
-        match &self.worker {
-            None => {
-                for &end in ends.iter() {
-                    let chunk = &keys[start..end];
-                    let rows = &mut front[..chunk.len() * row_len];
-                    store.read_batch(chunk, rows)?;
-                    loads.push(store.read_cost(rank, chunk, net));
-                    let t0 = Stopwatch::start();
-                    compute(start, chunk, rows);
-                    computes.push(t0.elapsed_secs() * self.compute_scale);
-                    start = end;
-                }
-            }
-            Some(worker) => {
-                if back.len() < max_chunk * row_len {
-                    back.resize(max_chunk * row_len, 0.0);
-                }
-                // Chunk 0 has nothing to hide behind: load it
-                // synchronously.
-                if let Some(&first_end) = ends.first() {
-                    let first = &keys[..first_end];
-                    store.read_batch(first, &mut front[..first.len() * row_len])?;
-                    loads.push(store.read_cost(rank, first, net));
-                }
-                for (ci, &end) in ends.iter().enumerate() {
-                    let chunk = &keys[start..end];
-                    let mut prefetch_result: Result<(), DkvError> = Ok(());
-                    {
-                        // Publish the next chunk's load before computing
-                        // on the current one. The closure borrows `back`,
-                        // `keys`, and `prefetch_result`; all outlive the
-                        // join below (and the WaitGuard covers a
-                        // panicking compute callback).
-                        let mut slot = if let Some(&next_end) = ends.get(ci + 1) {
-                            let next_chunk = &keys[end..next_end];
-                            loads.push(store.read_cost(rank, next_chunk, net));
-                            let dst = &mut back[..next_chunk.len() * row_len];
-                            let result = &mut prefetch_result;
-                            Some(move || {
-                                *result = store.read_batch(next_chunk, dst);
-                            })
-                        } else {
-                            None
-                        };
-                        if slot.is_some() {
-                            // SAFETY: `slot` and everything the closure
-                            // borrows live until `join()` below returns;
-                            // the WaitGuard waits out the task if
-                            // `compute` unwinds first.
-                            unsafe { worker.spawn(&mut slot) };
-                        }
-                        let guard = WaitGuard(worker);
-                        let t0 = Stopwatch::start();
-                        compute(start, chunk, &front[..chunk.len() * row_len]);
-                        computes.push(t0.elapsed_secs() * self.compute_scale);
-                        std::mem::forget(guard);
-                        worker.join();
-                    }
-                    prefetch_result?;
-                    std::mem::swap(&mut front, &mut back);
-                    start = end;
-                }
-            }
+        for &end in ends.iter() {
+            let chunk = &keys[start..end];
+            let chunk_rows = &mut rows[..chunk.len() * row_len];
+            store.read_batch(chunk, chunk_rows)?;
+            loads.push(store.read_cost(rank, chunk, net));
+            let t0 = Stopwatch::start();
+            compute(start, chunk, chunk_rows);
+            computes.push(t0.elapsed_secs() * self.compute_scale);
+            start = end;
         }
-        let wall = wall0.elapsed_secs();
         Ok(PipelineRun {
-            total: schedule(loads, computes, self.mode()),
+            total: schedule(loads, computes, self.mode),
             load: loads.iter().sum(),
             compute: computes.iter().sum(),
             chunks: loads.len(),
-            wall,
         })
     }
 }
@@ -450,7 +356,7 @@ mod tests {
         let store = test_store(4);
         let net = NetworkModel::fdr_infiniband();
         let keys: Vec<u32> = (0..10).collect();
-        let mut reader = ChunkReader::new(4, PipelineMode::Double);
+        let reader = ChunkReader::new(4, PipelineMode::Double);
         let mut scratch = ReaderScratch::new();
         let mut seen: Vec<(usize, Vec<u32>, Vec<f32>)> = Vec::new();
         let run = reader
@@ -476,8 +382,8 @@ mod tests {
         let mut scratch = ReaderScratch::new();
         let mut sums = Vec::new();
         for mode in [PipelineMode::Single, PipelineMode::Double] {
-            let mut reader = ChunkReader::new(8, mode);
-            assert_eq!(reader.mode(), mode);
+            let reader = ChunkReader::new(8, mode);
+            assert_eq!(reader.mode, mode);
             let mut sum = 0.0f64;
             let run = reader
                 .run(&store, 0, &keys, &net, &mut scratch, |_, _, rows| {
@@ -493,7 +399,8 @@ mod tests {
             assert!(run.total > 0.0);
             assert!(run.load > 0.0);
             assert!(run.compute > 0.0);
-            assert!(run.wall > 0.0);
+            // Only Double hides load time behind compute.
+            assert_eq!(run.hidden() > 0.0, mode == PipelineMode::Double, "{mode:?}");
         }
         assert_eq!(sums[0], sums[1], "pipelining changed the numerics");
     }
@@ -516,7 +423,7 @@ mod tests {
         let store = test_store(4);
         let net = NetworkModel::fdr_infiniband();
         let keys: Vec<u32> = (0..10).collect();
-        let mut reader = ChunkReader::new(4, PipelineMode::Single);
+        let reader = ChunkReader::new(4, PipelineMode::Single);
         let mut scratch = ReaderScratch::new();
         let mut seen: Vec<(usize, Vec<u32>)> = Vec::new();
         let run = reader
@@ -543,7 +450,7 @@ mod tests {
     fn reader_segments_must_cover_keys() {
         let store = test_store(4);
         let net = NetworkModel::fdr_infiniband();
-        let mut reader = ChunkReader::new(4, PipelineMode::Single);
+        let reader = ChunkReader::new(4, PipelineMode::Single);
         let mut scratch = ReaderScratch::new();
         let _ = reader.run_segments(
             &store,
@@ -566,7 +473,7 @@ mod tests {
         segs: Option<&[usize]>,
     ) -> (PipelineRun, Vec<(usize, Vec<u32>, Vec<f32>)>) {
         let net = NetworkModel::fdr_infiniband();
-        let mut reader = ChunkReader::new(8, mode);
+        let reader = ChunkReader::new(8, mode);
         let mut scratch = ReaderScratch::new();
         let mut seen = Vec::new();
         let record = |start: usize, ks: &[u32], rows: &[f32]| {
@@ -580,6 +487,8 @@ mod tests {
         (run, seen)
     }
 
+    /// A `Double` reader delivers exactly what a `Single` one does and
+    /// prices the same loads; only the makespan differs.
     #[test]
     fn prefetching_reader_matches_synchronous_reader() {
         let store = test_store(8);
@@ -589,11 +498,10 @@ mod tests {
         assert_eq!(sync_seen, pre_seen, "prefetching changed delivered data");
         assert_eq!(pre_run.chunks, sync_run.chunks);
         assert_eq!(pre_run.load, sync_run.load);
-        // One result shape: both modes report a measured wall-clock and
-        // a makespan modeled under their own mode.
-        assert!(pre_run.wall > 0.0 && sync_run.wall > 0.0);
         assert_eq!(sync_run.total, sync_run.load + sync_run.compute);
+        assert_eq!(sync_run.hidden(), 0.0);
         assert!(pre_run.total <= pre_run.load + pre_run.compute + 1e-12);
+        assert!(pre_run.hidden() <= pre_run.load.min(pre_run.compute) + 1e-12);
     }
 
     #[test]
@@ -601,7 +509,7 @@ mod tests {
         let store = test_store(4);
         let net = NetworkModel::fdr_infiniband();
         let keys: Vec<u32> = (0..32).collect();
-        let mut reader = ChunkReader::new(4, PipelineMode::Double);
+        let reader = ChunkReader::new(4, PipelineMode::Double);
         let mut scratch = ReaderScratch::new();
         let mut sums = Vec::new();
         for _ in 0..5 {
@@ -628,20 +536,24 @@ mod tests {
         assert_eq!(pre_run.load, sync_run.load);
     }
 
+    /// A bad key in a later chunk fails the pass after the earlier chunks
+    /// were computed on, and the reader works on the next pass.
     #[test]
     fn prefetching_reader_propagates_background_load_errors() {
         let store = test_store(2);
         let net = NetworkModel::fdr_infiniband();
-        // Chunk 0 is valid; chunk 1 (prefetched in the background)
-        // contains an out-of-range key.
+        // Chunk 0 is valid; chunk 1 contains an out-of-range key.
         let keys: Vec<u32> = vec![0, 1, 1000, 1001];
-        let mut reader = ChunkReader::new(2, PipelineMode::Double);
+        let reader = ChunkReader::new(2, PipelineMode::Double);
         let mut scratch = ReaderScratch::new();
+        let mut computed = Vec::new();
         let err = reader
-            .run(&store, 0, &keys, &net, &mut scratch, |_, _, _| {})
+            .run(&store, 0, &keys, &net, &mut scratch, |start, _, _| {
+                computed.push(start)
+            })
             .unwrap_err();
         assert!(matches!(err, DkvError::KeyOutOfRange { .. }));
-        // The reader survives the error and works on the next pass.
+        assert_eq!(computed, vec![0]);
         let ok_keys: Vec<u32> = (0..8).collect();
         reader
             .run(&store, 0, &ok_keys, &net, &mut scratch, |_, _, _| {})
@@ -653,7 +565,7 @@ mod tests {
         let store = test_store(2);
         let net = NetworkModel::fdr_infiniband();
         let keys: Vec<u32> = (0..16).collect();
-        let mut reader = ChunkReader::new(4, PipelineMode::Double);
+        let reader = ChunkReader::new(4, PipelineMode::Double);
         let mut scratch = ReaderScratch::new();
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _ = reader.run(&store, 0, &keys, &net, &mut scratch, |start, _, _| {
@@ -664,7 +576,7 @@ mod tests {
         }))
         .expect_err("compute panic must propagate");
         assert_eq!(err.downcast_ref::<&str>(), Some(&"compute boom"));
-        // The worker was waited out by the guard; the reader still works.
+        // The reader and its scratch still work after the unwind.
         let mut count = 0;
         reader
             .run(&store, 0, &keys, &net, &mut scratch, |_, _, _| count += 1)

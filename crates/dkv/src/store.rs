@@ -121,15 +121,6 @@ pub struct ShardedStore {
     shards: Vec<Vec<f32>>,
     partition: Partition,
     row_len: usize,
-    /// Optional *real* (wall-clock) per-key read latency in seconds.
-    /// Zero by default: `read_batch` returns at memcpy speed and wire
-    /// time is modeled only. When set, `read_batch` blocks for
-    /// `keys.len() * read_latency_per_key` before delivering the rows —
-    /// emulating a remote store whose batched reads are bound by
-    /// per-request network time rather than memory bandwidth. Blocking
-    /// (not spinning) is deliberate: it occupies no CPU, exactly like a
-    /// NIC DMA, so a prefetch thread genuinely overlaps with compute.
-    read_latency_per_key: f64,
     dup_scratch: Vec<u32>,
 }
 
@@ -149,20 +140,8 @@ impl ShardedStore {
             shards,
             partition,
             row_len,
-            read_latency_per_key: 0.0,
             dup_scratch: Vec::new(),
         }
-    }
-
-    /// Make `read_batch` *really* block for `secs` of wall-clock per key
-    /// before delivering the rows, emulating a latency-bound remote
-    /// store. Delivered bytes are unchanged, so training chains are
-    /// unaffected; only wall-clock timing moves. Used by the pipeline
-    /// benchmark to measure genuine load/compute overlap.
-    pub fn with_read_latency_per_key(mut self, secs: f64) -> Self {
-        assert!(secs >= 0.0, "latency must be non-negative");
-        self.read_latency_per_key = secs;
-        self
     }
 
     /// The store's partition.
@@ -236,11 +215,6 @@ impl DkvStore for ShardedStore {
     fn read_batch(&self, keys: &[u32], out: &mut [f32]) -> Result<(), DkvError> {
         let _obs = OpObs::read(keys);
         validate_batch(self.num_keys(), self.row_len, keys, out.len())?;
-        if self.read_latency_per_key > 0.0 && !keys.is_empty() {
-            std::thread::sleep(std::time::Duration::from_secs_f64(
-                keys.len() as f64 * self.read_latency_per_key,
-            ));
-        }
         for (i, &k) in keys.iter().enumerate() {
             let shard = &self.shards[self.partition.owner(k)];
             let src = self.partition.local_index(k) * self.row_len;
@@ -400,26 +374,6 @@ mod tests {
         // Duplicate *reads* are fine (two neighbors of the same vertex).
         let mut out = vec![0.0; 2];
         s.read_batch(&[1, 1], &mut out).unwrap();
-    }
-
-    /// The simulated-latency knob blocks for real wall-clock but must
-    /// deliver byte-identical rows, so training chains cannot move.
-    #[test]
-    fn read_latency_blocks_but_delivers_identical_rows() {
-        let mut fast = ShardedStore::new(Partition::new(20, 4), 3);
-        let keys: Vec<u32> = (0..20).collect();
-        write_rows(&mut fast, &keys);
-        let slow = fast.clone().with_read_latency_per_key(100e-6);
-
-        let mut a = vec![0.0; 20 * 3];
-        let mut b = vec![0.0; 20 * 3];
-        fast.read_batch(&keys, &mut a).unwrap();
-        let t0 = mmsb_obs::clock::Stopwatch::start();
-        slow.read_batch(&keys, &mut b).unwrap();
-        let elapsed = t0.elapsed_secs();
-        assert_eq!(a, b, "latency changed delivered bytes");
-        // 20 keys * 100us = 2ms floor (sleep may overshoot, never under).
-        assert!(elapsed >= 1.9e-3, "read returned too fast: {elapsed}s");
     }
 
     #[test]

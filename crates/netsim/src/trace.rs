@@ -26,10 +26,10 @@ pub enum Phase {
     Perplexity,
     /// Barrier / synchronization waiting time.
     Barrier,
-    /// Measured wall-clock of the real double-buffered load/compute
-    /// overlap (`ChunkReader` under `PipelineMode::Double`) — the
-    /// *measured* counterpart of the
-    /// modeled `LoadPi` + `UpdatePhi` pair.
+    /// `pi` load time the double-buffered schedule hid behind compute
+    /// (`ChunkReader` under `PipelineMode::Double`): `LoadPi` +
+    /// `UpdatePhi` minus the pass's modeled makespan. Recorded only when
+    /// pipelined; not part of any rank's clock.
     Prefetch,
     /// Fault-recovery overhead: retry backoff, re-issued loads/stores,
     /// straggler re-execution, and re-partitioning after a worker loss.
@@ -65,7 +65,7 @@ impl Phase {
             Phase::UpdateBetaTheta => "update beta/theta",
             Phase::Perplexity => "perplexity",
             Phase::Barrier => "barrier",
-            Phase::Prefetch => "prefetch (measured)",
+            Phase::Prefetch => "prefetch (hidden)",
             Phase::Recovery => "recovery",
         }
     }

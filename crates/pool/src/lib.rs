@@ -28,27 +28,18 @@
 //!   worker, so library code may use the pool without knowing whether it
 //!   is already running on it.
 //!
-//! The crate also provides [`BackgroundWorker`], the fork-join pool's
-//! detached sibling: a persistent one-task-at-a-time worker for real
-//! load/compute overlap (the prefetch thread of
-//! `mmsb_dkv::pipeline::ChunkReader` under `PipelineMode::Double`), with
-//! the same zero-allocation publication protocol.
-//!
 //! Every synchronization operation goes through the [`sync::SyncBackend`]
 //! layer: production code runs on [`sync::RealSync`] (plain `std::sync`,
 //! zero cost), and `mmsb-check` instantiates the *same* protocol code on
 //! its model backend to exhaustively explore thread interleavings. The
-//! concrete [`ThreadPool`] and [`BackgroundWorker`] types are aliases of
-//! the generic [`ThreadPoolIn`] / [`BackgroundWorkerIn`] on the real
-//! backend.
+//! concrete [`ThreadPool`] type is an alias of the generic
+//! [`ThreadPoolIn`] on the real backend.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
-mod background;
 pub mod sync;
 mod worker;
 
-pub use background::{BackgroundWorker, BackgroundWorkerIn};
 pub use sync::{RealSync, SyncBackend};
 
 use crate::sync::real::{Arc, Ordering};

@@ -82,8 +82,6 @@ pub trait SyncBackend: Sized + 'static {
     ) -> Self::Guard<'a, T>
     where
         T: 'a;
-    /// Wake one waiter.
-    fn notify_one(cv: &Self::Condvar);
     /// Wake all waiters.
     fn notify_all(cv: &Self::Condvar);
     /// Create an atomic cell holding `value`.

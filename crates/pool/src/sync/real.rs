@@ -56,11 +56,6 @@ impl SyncBackend for RealSync {
     }
 
     #[inline]
-    fn notify_one(cv: &Condvar) {
-        cv.notify_one();
-    }
-
-    #[inline]
     fn notify_all(cv: &Condvar) {
         cv.notify_all();
     }

@@ -22,12 +22,12 @@ if ! rustup component list --toolchain nightly 2>/dev/null \
     exit 0
 fi
 
-echo "sanitize: running ThreadSanitizer on pool/dkv/core tests (host: ${host})"
+echo "sanitize: running ThreadSanitizer on pool/core tests (host: ${host})"
 export RUSTFLAGS="-Zsanitizer=thread"
 # TSan misreports intentionally-racy perf counters unless the whole std
 # is instrumented, hence -Zbuild-std.
 cargo +nightly test -q --offline \
     -Zbuild-std --target "${host}" \
-    -p mmsb-pool -p mmsb-dkv \
-    -p mmsb-core --test pipeline_determinism
+    -p mmsb-pool \
+    -p mmsb-core --test theta_tree
 echo "sanitize: TSan pass clean"

@@ -74,12 +74,12 @@ cargo build --release --offline
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
 # The whole workspace, once. Which suite pins which contract:
-#   concurrency   mmsb-check: tests/model_*.rs (pool/worker/prefetch,
-#                 snapshot cell, admission/drain protocols across
-#                 bounded-exhaustive interleavings + seeded-bug shims),
-#                 xlint self-tests (lexer_prop, xlint_gate, xlint_fixtures)
+#   concurrency   mmsb-check: tests/model_*.rs (pool, snapshot cell,
+#                 admission/drain protocols across bounded-exhaustive
+#                 interleavings + seeded-bug shims), xlint self-tests
+#                 (lexer_prop, xlint_gate, xlint_fixtures)
 #   pipelining    mmsb-core: pipeline_determinism (Single vs Double
-#                 bitwise), zero_alloc (steady-state prefetch, lockstep
+#                 bitwise), zero_alloc (chunked pi reader, lockstep
 #                 step, warmed ooc cache reads)
 #   failures      mmsb-core: fault_determinism, checkpoint_resume
 #   SIMD          mmsb-simd (lane parity, exp/log/polar ULP bounds);
