@@ -1,7 +1,7 @@
 //! `ModelSync`: the model-checking implementation of
-//! [`mmsb_pool::sync::SyncBackend`], plus the tracked-memory primitives
-//! ([`RaceCell`], [`PublishSlot`]) that model code uses to make the
-//! checker's race/protocol detection bite on plain memory.
+//! [`mmsb_pool::sync::SyncBackend`], plus the tracked-memory primitive
+//! [`RaceCell`] that model code uses to make the checker's race
+//! detection bite on plain memory.
 //!
 //! All objects may only be created and used inside an
 //! [`explore`](super::explore) body; they look up the current execution
@@ -253,57 +253,5 @@ impl<T: Copy + Send + 'static> RaceCell<T> {
         self.exec.op_cell_write(tid, self.id);
         // SAFETY: as in `get` — single running thread, clock-checked.
         unsafe { *self.value.get() = value }
-    }
-}
-
-/// A single-slot publish/consume channel with protocol checking: a
-/// second publish before a consume is a `DoublePublish` violation, a
-/// consume of an empty slot is `EmptyConsume`, and the publish/consume
-/// pair forms a release/acquire edge — the model of a one-slot task
-/// handoff, such as the job the pool publishes to its workers.
-pub struct PublishSlot<T> {
-    exec: Arc<Execution>,
-    id: usize,
-    value: UnsafeCell<Option<T>>,
-}
-
-// SAFETY: scheduler-serialized; all accesses gated by
-// `op_slot_publish`/`op_slot_consume`, which freeze violating
-// executions before the physical access.
-unsafe impl<T: Send> Send for PublishSlot<T> {}
-// SAFETY: as above.
-unsafe impl<T: Send> Sync for PublishSlot<T> {}
-
-impl<T: Send + 'static> PublishSlot<T> {
-    /// Create an empty slot. `label` names it in violation reports.
-    pub fn new(label: &str) -> Self {
-        let (exec, _) = current();
-        let id = exec.register_slot(label);
-        Self {
-            exec,
-            id,
-            value: UnsafeCell::new(None),
-        }
-    }
-
-    /// Publish a payload; a full slot is a `DoublePublish` violation.
-    pub fn publish(&self, value: T) {
-        let (_, tid) = current();
-        self.exec.op_slot_publish(tid, self.id);
-        // SAFETY: the publish was granted (slot was empty) and this is
-        // the single running thread, so the slot storage is exclusively
-        // ours until the next scheduler operation.
-        unsafe { *self.value.get() = Some(value) }
-    }
-
-    /// Consume the payload; an empty slot is an `EmptyConsume`
-    /// violation.
-    pub fn consume(&self) -> T {
-        let (_, tid) = current();
-        self.exec.op_slot_consume(tid, self.id);
-        // SAFETY: the consume was granted (slot was full) and this is
-        // the single running thread.
-        let taken = unsafe { (*self.value.get()).take() };
-        taken.expect("scheduler granted consume of a full slot")
     }
 }

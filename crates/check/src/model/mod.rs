@@ -5,8 +5,7 @@
 //! compiled against [`ModelSync`] and run under [`explore`], which
 //! executes them under bounded-exhaustive thread interleavings and
 //! checks for data races (on [`RaceCell`]s), deadlocks and lost
-//! wakeups, double publishes / empty consumes (on [`PublishSlot`]s),
-//! escaped panics, and livelock (step budget).
+//! wakeups, escaped panics, and livelock (step budget).
 //!
 //! ```
 //! use mmsb_check::model::{self, explore, Config, ModelSync, RaceCell};
@@ -43,5 +42,5 @@ mod backend;
 mod clock;
 mod sched;
 
-pub use backend::{join, spawn, AtomicUsize, Condvar, Guard, JoinHandle, ModelSync, Mutex, PublishSlot, RaceCell};
+pub use backend::{join, spawn, AtomicUsize, Condvar, Guard, JoinHandle, ModelSync, Mutex, RaceCell};
 pub use sched::{explore, Config, Report, Violation, ViolationKind};

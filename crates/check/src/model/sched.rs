@@ -72,10 +72,6 @@ pub enum ViolationKind {
     Deadlock,
     /// Two accesses to a tracked cell unordered by happens-before.
     DataRace,
-    /// A publish into a slot that was already full.
-    DoublePublish,
-    /// A consume from a slot that was empty.
-    EmptyConsume,
     /// A panic escaped a model thread's closure.
     ThreadPanic,
     /// The execution exceeded [`Config::max_steps`].
@@ -198,12 +194,6 @@ struct CellRec {
     reads: Vec<Access>,
 }
 
-struct SlotRec {
-    label: String,
-    full: bool,
-    clock: VClock,
-}
-
 struct Sched {
     threads: Vec<ThreadRec>,
     steps: usize,
@@ -217,7 +207,6 @@ struct Sched {
     condvars: Vec<VClock>,
     atomics: Vec<AtomicRec>,
     cells: Vec<CellRec>,
-    slots: Vec<SlotRec>,
     preemption_bound: usize,
     max_steps: usize,
     seed: u64,
@@ -282,7 +271,6 @@ impl Execution {
                 condvars: Vec::new(),
                 atomics: Vec::new(),
                 cells: Vec::new(),
-                slots: Vec::new(),
                 preemption_bound: cfg.preemption_bound,
                 max_steps: cfg.max_steps,
                 seed: cfg.seed,
@@ -325,16 +313,6 @@ impl Execution {
             reads: Vec::new(),
         });
         s.cells.len() - 1
-    }
-
-    pub(crate) fn register_slot(&self, label: &str) -> usize {
-        let mut s = self.sched.lock().unwrap();
-        s.slots.push(SlotRec {
-            label: label.to_string(),
-            full: false,
-            clock: VClock::default(),
-        });
-        s.slots.len() - 1
     }
 
     // ---- scheduler internals ----
@@ -748,66 +726,6 @@ impl Execution {
         }
         s.cells[cid].last_write = Some(access);
         s.cells[cid].reads.clear();
-        self.yield_point(s, tid);
-    }
-
-    /// Publish into a slot. Full slot => DoublePublish violation.
-    /// Returns only if the publish is legal; the caller then moves the
-    /// payload in while it is the single running thread.
-    pub(crate) fn op_slot_publish(&self, tid: usize, sid: usize) {
-        let mut s = self.sched.lock().unwrap();
-        if self.abort_check(&s) {
-            drop(s);
-            self.freeze();
-        }
-        let label = s.slots[sid].label.clone();
-        if !self.step(&mut s, tid, &format!("publish slot `{label}`")) {
-            drop(s);
-            self.freeze();
-        }
-        if s.slots[sid].full {
-            let msg = format!(
-                "double publish into slot `{label}` by [{}]: slot already full",
-                s.threads[tid].name
-            );
-            self.record_violation(&mut s, ViolationKind::DoublePublish, msg);
-            drop(s);
-            self.freeze();
-        }
-        s.slots[sid].full = true;
-        // Release edge: the consumer acquires this clock.
-        let tc = s.threads[tid].clock.clone();
-        s.slots[sid].clock.join(&tc);
-        s.threads[tid].clock.tick(tid);
-        self.yield_point(s, tid);
-    }
-
-    /// Consume from a slot. Empty slot => EmptyConsume violation.
-    pub(crate) fn op_slot_consume(&self, tid: usize, sid: usize) {
-        let mut s = self.sched.lock().unwrap();
-        if self.abort_check(&s) {
-            drop(s);
-            self.freeze();
-        }
-        let label = s.slots[sid].label.clone();
-        if !self.step(&mut s, tid, &format!("consume slot `{label}`")) {
-            drop(s);
-            self.freeze();
-        }
-        if !s.slots[sid].full {
-            let msg = format!(
-                "consume from empty slot `{label}` by [{}]",
-                s.threads[tid].name
-            );
-            self.record_violation(&mut s, ViolationKind::EmptyConsume, msg);
-            drop(s);
-            self.freeze();
-        }
-        s.slots[sid].full = false;
-        // Acquire edge from the publisher.
-        let sc = s.slots[sid].clock.clone();
-        s.threads[tid].clock.join(&sc);
-        s.threads[tid].clock.tick(tid);
         self.yield_point(s, tid);
     }
 

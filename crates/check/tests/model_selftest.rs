@@ -5,9 +5,7 @@
 
 use std::sync::Arc;
 
-use mmsb_check::model::{
-    self, explore, Config, ModelSync, PublishSlot, RaceCell, ViolationKind,
-};
+use mmsb_check::model::{self, explore, Config, ModelSync, RaceCell, ViolationKind};
 use mmsb_pool::sync::SyncBackend;
 
 /// Buggy shim #1 — missing notify (lost wakeup): a consumer waits on a
@@ -61,33 +59,6 @@ fn torn_publish_is_reported_as_data_race() {
     });
     let v = report.violation.expect("torn publish must be caught");
     assert_eq!(v.kind, ViolationKind::DataRace);
-}
-
-/// Buggy shim #3 — double publish: publishing into a slot that was
-/// never consumed: a one-slot handoff publishing a task while one is
-/// still in flight.
-#[test]
-fn double_publish_is_reported() {
-    let report = explore(&Config::default(), || {
-        let slot = PublishSlot::new("task-slot");
-        slot.publish(1u64);
-        slot.publish(2u64); // BUG: previous payload never consumed
-    });
-    let v = report.violation.expect("double publish must be caught");
-    assert_eq!(v.kind, ViolationKind::DoublePublish);
-    assert!(v.message.contains("task-slot"));
-}
-
-/// Buggy shim #4 — consume of an empty slot (the mirror-image protocol
-/// violation: collecting a result that was never published).
-#[test]
-fn empty_consume_is_reported() {
-    let report = explore(&Config::default(), || {
-        let slot = PublishSlot::<u64>::new("result-slot");
-        let _ = slot.consume(); // BUG: nothing was published
-    });
-    let v = report.violation.expect("empty consume must be caught");
-    assert_eq!(v.kind, ViolationKind::EmptyConsume);
 }
 
 /// A racy-but-rare interleaving: the race only exists when the spawned

@@ -307,6 +307,14 @@ impl Checkpoint {
         &self.beta
     }
 
+    /// Consume the checkpoint, keeping only [`Self::pi`] and
+    /// [`Self::beta`] — their allocations move out, nothing is copied.
+    /// A model server takes the planes this way so the decoded model is
+    /// never resident twice.
+    pub fn into_planes(self) -> (Vec<f32>, Vec<f64>) {
+        (self.pi, self.beta)
+    }
+
     /// Serialize to the versioned, checksummed wire format.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(

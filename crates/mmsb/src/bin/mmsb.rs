@@ -566,8 +566,8 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
              overload protection: --max-conns / --max-inflight cap \
              admitted connections / in-flight requests (0 = auto = \
              threads; excess traffic gets fast-path 503 + Retry-After), \
-             --deadline-ms bounds response writes and half-received \
-             requests (default 5000), --drain-ms is the graceful-drain \
+             --deadline-ms bounds each response (across all its partial \
+             writes) and half-received requests (default 5000), --drain-ms is the graceful-drain \
              budget on shutdown (default 2000), --keepalive-budget \
              closes a connection after N requests so queued peers get a \
              turn (0 = unlimited), --rate-limit answers 429 over QPS \

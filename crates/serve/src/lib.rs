@@ -11,7 +11,8 @@
 //! * `GET /v1/membership/{vertex}?k=` — the vertex's top-k communities
 //!   by membership weight (precomputed at snapshot build).
 //! * `GET /v1/edge/{i}/{j}` — Eq. 7 link probability, two SIMD dot
-//!   products over the snapshot's widened rows.
+//!   products over the snapshot's f32 rows, `pi·beta` formed in
+//!   registers.
 //! * `GET /v1/community/{c}?min_weight=` — the community's members
 //!   above a weight threshold, strongest first.
 //! * `GET /metricsz` — plain-text `mmsb-obs` metrics snapshot.
@@ -37,7 +38,7 @@
 //! `BENCH_serve.json`): per-connection reusable scratch keeps the
 //! query path allocation-free in steady state
 //! (`tests/zero_alloc_serve.rs` pins this with a counting allocator),
-//! and Eq. 7 runs on `mmsb_simd::edge_dots`.
+//! and Eq. 7 runs on `mmsb_simd::edge_dots_f32`.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

@@ -77,8 +77,10 @@ pub struct ServeConfig {
     /// (= `threads`). Requests over the cap are answered 503 +
     /// `Retry-After` without closing the connection.
     pub max_inflight: usize,
-    /// Per-connection I/O deadline in milliseconds: bounds every
-    /// response write, and bounds how long a *partially received*
+    /// Per-connection I/O deadline in milliseconds: bounds each
+    /// response (one budget across all the partial writes it takes, so
+    /// a peer reading a few bytes at a time cannot stretch it), and
+    /// bounds how long a *partially received*
     /// request (or a fresh connection that has not completed its first
     /// request) may dawdle before the connection is closed with 408.
     /// Idle established keep-alive connections are exempt.
@@ -191,11 +193,12 @@ impl ServerShared {
 }
 
 /// Load and verify the checkpoint at `path` and build its snapshot.
-/// The checkpoint is dropped before this returns, so its planes are
-/// never resident beside a published snapshot.
+/// The decoded `pi` plane moves into the snapshot and the rest of the
+/// checkpoint is dropped first, so the model is resident once.
 fn load_snapshot(path: &Path, delta: f64, backend: Backend) -> Result<ModelSnapshot, ServeError> {
     let ckpt = Checkpoint::load(path).map_err(|e| ServeError::Checkpoint(e.to_string()))?;
-    ModelSnapshot::from_checkpoint(&ckpt, delta, backend).map_err(ServeError::Snapshot)
+    let (pi, beta) = ckpt.into_planes();
+    ModelSnapshot::from_planes(pi, beta, delta, backend).map_err(ServeError::Snapshot)
 }
 
 /// Exact accounting from a two-phase drain.
@@ -460,6 +463,37 @@ fn graceful_close(stream: &TcpStream) {
     }
 }
 
+/// Write all of `out` within `deadline` in total; false if the
+/// deadline expires first or the connection breaks. The socket's write
+/// timeout (set to `deadline` at accept) bounds each `write`, but any
+/// progress restarts it; so after a short write the timeout is cut to
+/// what is left of the budget, and restored once the response is out.
+/// A write that takes `out` whole — the steady state — costs no extra
+/// syscall.
+fn write_within(stream: &mut TcpStream, out: &[u8], deadline: Duration) -> bool {
+    let sw = Stopwatch::start();
+    let mut rest = out;
+    let mut shortened = false;
+    let written = loop {
+        match stream.write(rest) {
+            Ok(n) if n == rest.len() => break true,
+            Ok(0) => break false,
+            Ok(n) => rest = &rest[n..],
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(_) => break false,
+        }
+        let left = deadline.saturating_sub(Duration::from_nanos(sw.elapsed_ns()));
+        if left.is_zero() || stream.set_write_timeout(Some(left)).is_err() {
+            break false;
+        }
+        shortened = true;
+    };
+    if shortened && written {
+        return stream.set_write_timeout(Some(deadline)).is_ok();
+    }
+    written
+}
+
 /// Outcome for a connection ending on an error/EOF path right now:
 /// normally a plain close, but once phase two of a drain has begun
 /// every straggler counts as drain-aborted.
@@ -632,9 +666,9 @@ fn serve_connection(
             // if responses are staged — the budget already expired.
             return close_conn(shared, permit, ConnClose::DrainAborted);
         }
-        if !out.is_empty() && stream.write_all(&out).is_err() {
-            // Slow/never-reading peer or dead socket: the write
-            // deadline fired (or the connection broke).
+        if !out.is_empty() && !write_within(&mut stream, &out, shared.deadline) {
+            // Slow/never-reading peer or dead socket: the response's
+            // deadline expired (or the connection broke).
             mmsb_obs::counter_add(obs_id::C_SERVE_DEADLINE_CLOSES, 1);
             return close_conn(shared, permit, end_outcome(shared));
         }

@@ -5,9 +5,10 @@
 //! model out for what serving needs, paying all per-query work once at
 //! build time:
 //!
-//! * `pi` widened to f64 and a second plane `pib[c] = pi[c] * beta[c]`,
-//!   so Eq. 7 is exactly two f64 dot products per edge query —
-//!   [`mmsb_simd::edge_dots`] computes both in one fused pass.
+//! * `pi` held once, as the checkpoint's f32 plane (moved in, not
+//!   copied): Eq. 7 is two f64 dot products per edge query, and
+//!   [`mmsb_simd::edge_dots_f32`] computes both in one fused pass,
+//!   widening the rows and forming `pi[c] * beta[c]` in registers.
 //! * Per vertex, the community ids pre-sorted by descending membership
 //!   weight (ties by ascending community id), so a top-k query is a
 //!   slice of the first `k` entries — no per-request selection.
@@ -64,10 +65,8 @@ pub struct ModelSnapshot {
     k: usize,
     delta: f64,
     backend: Backend,
-    /// `n x k` membership rows, widened to f64.
-    pi: Vec<f64>,
-    /// `n x k` rows of `pi[c] * beta[c]`.
-    pib: Vec<f64>,
+    /// `n x k` membership rows, the checkpoint's f32 plane.
+    pi: Vec<f32>,
     /// Community strengths, length `k`.
     beta: Vec<f64>,
     /// `n x k`: per vertex, every community id sorted by descending
@@ -83,92 +82,89 @@ impl ModelSnapshot {
     /// inter-community link probability for Eq. 7 (it is a sampler
     /// hyperparameter, not part of the checkpoint artifact); `backend`
     /// picks the SIMD backend for edge queries.
+    ///
+    /// This copies the checkpoint's planes; a caller that owns the
+    /// checkpoint moves them instead (`Checkpoint::into_planes`, then
+    /// [`Self::from_planes`]), as the server does.
     pub fn from_checkpoint(
         ckpt: &Checkpoint,
         delta: f64,
         backend: Backend,
     ) -> Result<Self, SnapshotError> {
-        Self::from_planes(ckpt.pi(), ckpt.beta(), delta, backend)
+        Self::from_planes(ckpt.pi().to_vec(), ckpt.beta().to_vec(), delta, backend)
     }
 
     /// Build a snapshot from raw model planes: `pi` flat row-major
     /// `n x k` (with `k = beta.len()` and `n = pi.len() / k`) and the
-    /// community strengths `beta`. [`Self::from_checkpoint`] is this
-    /// applied to a checkpoint's planes; callers with models from
-    /// elsewhere (or tests constructing exact tie cases) use it
-    /// directly.
+    /// community strengths `beta`. Both are taken by value and kept:
+    /// the snapshot serves from `pi`'s own allocation. Callers with
+    /// models from elsewhere (or tests constructing exact tie cases)
+    /// use it directly.
     ///
     /// Large models are built on [`std::thread::available_parallelism`]
     /// scoped threads; the planes are identical at any thread count
     /// (see [`Self::from_planes_in`]).
     pub fn from_planes(
-        src: &[f32],
-        beta_src: &[f64],
+        pi: Vec<f32>,
+        beta: Vec<f64>,
         delta: f64,
         backend: Backend,
     ) -> Result<Self, SnapshotError> {
-        let ranges = if src.len() < INLINE_BELOW {
+        let ranges = if pi.len() < INLINE_BELOW {
             1
         } else {
             std::thread::available_parallelism().map_or(1, |p| p.get())
         };
-        Self::from_planes_in(src, beta_src, delta, backend, ranges)
+        Self::from_planes_in(pi, beta, delta, backend, ranges)
     }
 
     /// [`Self::from_planes`] over an explicit number of ranges. Vertex
     /// rows and communities are each cut into `ranges` contiguous
-    /// fixed ranges; range `r` fills its rows of `pi`/`pib`/`topk` and
-    /// its communities' rows of `members`, the first range on the
-    /// calling thread and every other on a scoped thread of its own.
-    /// Each row and each column is computed from `src` and `beta`
-    /// alone, so the output does not depend on `ranges`.
+    /// fixed ranges; range `r` checks its rows of `pi`, fills their rows
+    /// of `topk` and its communities' rows of `members`, the first range
+    /// on the calling thread and every other on a scoped thread of its
+    /// own. Each row and each column is computed from `pi` alone, so the
+    /// output does not depend on `ranges`.
     ///
     /// Scoped threads and not `mmsb_pool::ThreadPool`: `POST
     /// /v1/reload` reaches this from inside a pool worker, where a
     /// nested `ThreadPool::run` executes its chunks inline.
     pub(crate) fn from_planes_in(
-        src: &[f32],
-        beta_src: &[f64],
+        pi: Vec<f32>,
+        beta: Vec<f64>,
         delta: f64,
         backend: Backend,
         ranges: usize,
     ) -> Result<Self, SnapshotError> {
-        let k = beta_src.len();
-        if k == 0 || src.is_empty() || !src.len().is_multiple_of(k) {
+        let k = beta.len();
+        if k == 0 || pi.is_empty() || !pi.len().is_multiple_of(k) {
             return Err(SnapshotError::EmptyModel);
         }
-        let n = src.len() / k;
-        let beta = beta_src.to_vec();
+        let n = pi.len() / k;
         if beta.iter().any(|b| !b.is_finite()) {
             return Err(SnapshotError::NonFinite { what: "beta" });
         }
-        let mut pi = vec![0.0f64; n * k];
-        let mut pib = vec![0.0f64; n * k];
         let mut topk = vec![0u32; n * k];
         let mut members = vec![0u32; k * n];
 
         let ranges = ranges.max(1);
         let (rows_per, cols_per) = (n.div_ceil(ranges), k.div_ceil(ranges));
-        let mut pi_parts = pi.chunks_mut(rows_per * k);
-        let mut pib_parts = pib.chunks_mut(rows_per * k);
         let mut topk_parts = topk.chunks_mut(rows_per * k);
         let mut member_parts = members.chunks_mut(cols_per * n);
         // A range past the last row (or community) gets empty slices.
         let mut jobs = (0..ranges).map(|r| RangeJob {
             first_row: r * rows_per,
-            pi: pi_parts.next().unwrap_or_default(),
-            pib: pib_parts.next().unwrap_or_default(),
             topk: topk_parts.next().unwrap_or_default(),
             first_col: r * cols_per,
             members: member_parts.next().unwrap_or_default(),
         });
         let finite = std::thread::scope(|scope| {
             let mine = jobs.next().expect("ranges >= 1");
-            let beta = &beta[..];
+            let src = &pi[..];
             let spawned: Vec<_> = jobs
-                .map(|job| scope.spawn(move || job.run(src, beta)))
+                .map(|job| scope.spawn(move || job.run(src, k)))
                 .collect();
-            let mut finite = mine.run(src, beta);
+            let mut finite = mine.run(src, k);
             for handle in spawned {
                 finite &= handle.join().expect("snapshot build range panicked");
             }
@@ -184,7 +180,6 @@ impl ModelSnapshot {
             delta,
             backend,
             pi,
-            pib,
             beta,
             topk,
             members,
@@ -218,7 +213,7 @@ impl ModelSnapshot {
     /// Panics if `v` or `c` is out of range.
     pub fn weight(&self, v: usize, c: usize) -> f64 {
         assert!(v < self.n && c < self.k);
-        self.pi[v * self.k + c]
+        self.pi[v * self.k + c] as f64
     }
 
     /// Every community id, sorted by descending membership weight of
@@ -245,18 +240,18 @@ impl ModelSnapshot {
     /// Eq. 7 link probability for the pair `(a, b)`:
     /// `sum_c pi_a pi_b beta_c + (1 - sum_c pi_a pi_b) * delta`, with
     /// the same-community mass clamped to 1 against f32 rounding. The
-    /// two sums run as one fused [`mmsb_simd::edge_dots`] pass over the
-    /// precomputed `pi`/`pib` planes.
+    /// two sums run as one fused [`mmsb_simd::edge_dots_f32`] pass over
+    /// the two f32 rows and `beta`.
     ///
     /// # Panics
     /// Panics if `a` or `b` is out of range.
     pub fn edge_likelihood(&self, a: usize, b: usize) -> f64 {
         assert!(a < self.n && b < self.n, "vertex out of range");
         let k = self.k;
-        let (same, linked) = mmsb_simd::edge_dots(
+        let (same, linked) = mmsb_simd::edge_dots_f32(
             self.backend,
             &self.pi[a * k..(a + 1) * k],
-            &self.pib[a * k..(a + 1) * k],
+            &self.beta,
             &self.pi[b * k..(b + 1) * k],
         );
         linked + (1.0 - same.min(1.0)) * self.delta
@@ -270,8 +265,9 @@ const INLINE_BELOW: usize = 1 << 16;
 /// Map a weight to a `u32` whose *ascending* order is `total_cmp`
 /// *descending*: flip every bit of a negative and only the sign of a
 /// non-negative (which makes unsigned order equal `total_cmp` order,
-/// `-0.0 < +0.0` included), then complement. The f64 planes are exact
-/// widenings of the f32 source, so this is also their order.
+/// `-0.0 < +0.0` included), then complement. [`ModelSnapshot::weight`]
+/// widens the f32 `pi` plane exactly, so this is also the order of the
+/// weights it serves.
 fn desc_key(w: f32) -> u32 {
     let bits = w.to_bits();
     let negative = ((bits as i32) >> 31) as u32;
@@ -284,29 +280,26 @@ fn packed_key(w: f32, id: u32) -> u64 {
     (desc_key(w) as u64) << 32 | id as u64
 }
 
-/// One range's share of the four output planes (see
+/// One range's share of the two order planes (see
 /// [`ModelSnapshot::from_planes_in`]).
 struct RangeJob<'a> {
     first_row: usize,
-    pi: &'a mut [f64],
-    pib: &'a mut [f64],
     topk: &'a mut [u32],
     first_col: usize,
     members: &'a mut [u32],
 }
 
 impl RangeJob<'_> {
-    /// Fill this range's planes; false iff one of its `pi` rows holds
-    /// a non-finite weight.
-    fn run(self, src: &[f32], beta: &[f64]) -> bool {
-        let k = beta.len();
+    /// Fill this range's planes from the `n x k` plane `src`; false iff
+    /// one of its rows holds a non-finite weight.
+    fn run(self, src: &[f32], k: usize) -> bool {
         let n = src.len() / k;
         #[cfg(test)]
         tests::note_range_thread(n);
 
         // Communities first: their scratch is freed again before this
-        // range touches its share of the three larger planes, so it
-        // never counts towards the peak. Radix-sort each column of `src`.
+        // range touches its share of `topk`, so it never counts towards
+        // the peak. Radix-sort each column of `src`.
         if !self.members.is_empty() {
             let (mut a, mut b) = (vec![0u64; n], vec![0u64; n]);
             for (j, out) in self.members.chunks_exact_mut(n).enumerate() {
@@ -315,20 +308,13 @@ impl RangeJob<'_> {
             }
         }
 
-        // Rows: widen, scale by beta and sort the K packed keys.
+        // Rows: check finiteness and sort the K packed keys.
         let mut finite = true;
         let mut keys = vec![0u64; k];
         let rows = src.chunks_exact(k).skip(self.first_row);
-        let planes = self
-            .pi
-            .chunks_exact_mut(k)
-            .zip(self.pib.chunks_exact_mut(k))
-            .zip(self.topk.chunks_exact_mut(k));
-        for (row, ((pi, pib), order)) in rows.zip(planes) {
+        for (row, order) in rows.zip(self.topk.chunks_exact_mut(k)) {
             for (c, &p) in row.iter().enumerate() {
                 finite &= p.is_finite();
-                pi[c] = p as f64;
-                pib[c] = pi[c] * beta[c];
                 keys[c] = packed_key(p, c as u32);
             }
             keys.sort_unstable();
@@ -544,89 +530,109 @@ mod tests {
         log.iter().filter(|e| e.0 == n).map(|e| e.1).collect()
     }
 
-    impl ModelSnapshot {
-        /// `from_planes` as it was before the packed-key pipeline: two
-        /// finiteness scans, then one indirect-comparator sort per vertex
-        /// and per community, on the calling thread.
-        fn from_planes_reference(
-            src: &[f32],
-            beta_src: &[f64],
-            delta: f64,
-            backend: Backend,
-        ) -> Result<Self, SnapshotError> {
-            let k = beta_src.len();
-            if k == 0 || src.is_empty() || !src.len().is_multiple_of(k) {
-                return Err(SnapshotError::EmptyModel);
-            }
-            let n = src.len() / k;
-            let beta = beta_src.to_vec();
-            if beta.iter().any(|b| !b.is_finite()) {
-                return Err(SnapshotError::NonFinite { what: "beta" });
-            }
-            if src.iter().any(|p| !p.is_finite()) {
-                return Err(SnapshotError::NonFinite { what: "pi" });
-            }
-            let pi: Vec<f64> = src.iter().map(|&p| p as f64).collect();
-            let mut pib = vec![0.0f64; n * k];
-            for a in 0..n {
-                for c in 0..k {
-                    pib[a * k + c] = pi[a * k + c] * beta[c];
-                }
-            }
+    /// The planes `from_planes` built before the packed-key pipeline and
+    /// before the snapshot held `pi` once in f32: `pi` widened to f64, a
+    /// second plane `pib = pi * beta`, and the two order planes.
+    struct ReferencePlanes {
+        n: usize,
+        k: usize,
+        pi: Vec<f64>,
+        pib: Vec<f64>,
+        topk: Vec<u32>,
+        members: Vec<u32>,
+    }
 
-            // Per-vertex community order: descending weight, ties ascending id.
-            let mut topk = vec![0u32; n * k];
-            let mut order: Vec<u32> = Vec::with_capacity(k);
-            for a in 0..n {
-                let row = &pi[a * k..(a + 1) * k];
-                order.clear();
-                order.extend(0..k as u32);
-                order.sort_unstable_by(|&x, &y| {
-                    row[y as usize].total_cmp(&row[x as usize]).then(x.cmp(&y))
-                });
-                topk[a * k..(a + 1) * k].copy_from_slice(&order);
-            }
-
-            // Per-community member order: descending weight, ties ascending id.
-            let mut members = vec![0u32; k * n];
-            let mut vorder: Vec<u32> = Vec::with_capacity(n);
+    /// The widened planes, then one indirect-comparator sort per vertex
+    /// and per community, on the calling thread. Takes a finite model.
+    fn from_planes_reference(src: &[f32], beta: &[f64]) -> ReferencePlanes {
+        let k = beta.len();
+        let n = src.len() / k;
+        assert!(n > 0 && n * k == src.len(), "not an n x k plane");
+        let pi: Vec<f64> = src.iter().map(|&p| p as f64).collect();
+        let mut pib = vec![0.0f64; n * k];
+        for a in 0..n {
             for c in 0..k {
-                vorder.clear();
-                vorder.extend(0..n as u32);
-                vorder.sort_unstable_by(|&x, &y| {
-                    pi[x as usize * k + c]
-                        .total_cmp(&pi[y as usize * k + c])
-                        .reverse()
-                        .then(x.cmp(&y))
-                });
-                members[c * n..(c + 1) * n].copy_from_slice(&vorder);
+                pib[a * k + c] = pi[a * k + c] * beta[c];
             }
+        }
 
-            Ok(Self {
-                n,
-                k,
-                delta,
-                backend,
-                pi,
-                pib,
-                beta,
-                topk,
-                members,
-            })
+        // Per-vertex community order: descending weight, ties ascending id.
+        let mut topk = vec![0u32; n * k];
+        let mut order: Vec<u32> = Vec::with_capacity(k);
+        for a in 0..n {
+            let row = &pi[a * k..(a + 1) * k];
+            order.clear();
+            order.extend(0..k as u32);
+            order.sort_unstable_by(|&x, &y| {
+                row[y as usize].total_cmp(&row[x as usize]).then(x.cmp(&y))
+            });
+            topk[a * k..(a + 1) * k].copy_from_slice(&order);
+        }
+
+        // Per-community member order: descending weight, ties ascending id.
+        let mut members = vec![0u32; k * n];
+        let mut vorder: Vec<u32> = Vec::with_capacity(n);
+        for c in 0..k {
+            vorder.clear();
+            vorder.extend(0..n as u32);
+            vorder.sort_unstable_by(|&x, &y| {
+                pi[x as usize * k + c]
+                    .total_cmp(&pi[y as usize * k + c])
+                    .reverse()
+                    .then(x.cmp(&y))
+            });
+            members[c * n..(c + 1) * n].copy_from_slice(&vorder);
+        }
+        ReferencePlanes {
+            n,
+            k,
+            pi,
+            pib,
+            topk,
+            members,
         }
     }
 
-    /// All four planes equal bit for bit (`-0.0` and `+0.0` differ).
-    fn assert_same_planes(got: &ModelSnapshot, want: &ModelSnapshot, case: &str) {
-        let bits = |plane: &[f64]| plane.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
-        assert_eq!((got.n, got.k), (want.n, want.k), "{case}: shape");
-        assert!(bits(&got.pi) == bits(&want.pi), "{case}: pi plane differs");
-        assert!(
-            bits(&got.pib) == bits(&want.pib),
-            "{case}: pib plane differs"
-        );
+    /// The snapshot serves what the reference planes hold, bit for bit
+    /// (`-0.0` and `+0.0` differ): both order planes, every weight, and
+    /// Eq. 7 for `pairs` pairs drawn from `seed` equal to
+    /// [`mmsb_simd::edge_dots`] over the reference's f64 `pi`/`pib`.
+    fn assert_same_planes(
+        got: &ModelSnapshot,
+        want: &ReferencePlanes,
+        pairs: usize,
+        seed: u64,
+        case: &str,
+    ) {
+        let (n, k) = (want.n, want.k);
+        assert_eq!((got.n, got.k), (n, k), "{case}: shape");
         assert!(got.topk == want.topk, "{case}: topk plane differs");
         assert!(got.members == want.members, "{case}: members plane differs");
+        for v in 0..n {
+            for c in 0..k {
+                assert_eq!(
+                    got.weight(v, c).to_bits(),
+                    want.pi[v * k + c].to_bits(),
+                    "{case}: weight({v}, {c})"
+                );
+            }
+        }
+        let mut rng = Xoshiro256PlusPlus::seed_from_u64(seed);
+        for _ in 0..pairs {
+            let (a, b) = (rng.below_usize(n), rng.below_usize(n));
+            let (same, linked) = mmsb_simd::edge_dots(
+                got.backend,
+                &want.pi[a * k..(a + 1) * k],
+                &want.pib[a * k..(a + 1) * k],
+                &want.pi[b * k..(b + 1) * k],
+            );
+            let p = linked + (1.0 - same.min(1.0)) * got.delta;
+            assert_eq!(
+                got.edge_likelihood(a, b).to_bits(),
+                p.to_bits(),
+                "{case}: edge_likelihood({a}, {b})"
+            );
+        }
     }
 
     /// Finite weights a sort can get wrong: both zeros, subnormals of both
@@ -681,31 +687,66 @@ mod tests {
     #[test]
     fn every_plane_matches_the_comparator_build_at_every_range_count() {
         let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
+        let backends: Vec<Backend> = [Backend::Scalar, Backend::Sse2, Backend::Avx2, Backend::Neon]
+            .into_iter()
+            .filter(|b| b.available())
+            .collect();
         let mut cases = 0;
         for k in [1usize, 2, 63, 64, 65] {
             for n in [1usize, 2, (threads - 1).max(1), threads + 1, 4_099] {
                 for seed in 0..3u64 {
                     let (pi, beta) = plane(n, k, seed * 7_919 + (n * 131 + k) as u64);
-                    let want =
-                        ModelSnapshot::from_planes_reference(&pi, &beta, 1e-5, Backend::Scalar)
-                            .unwrap();
+                    let want = from_planes_reference(&pi, &beta);
                     for ranges in [1usize, 2, 3, 8] {
+                        let backend = backends[cases % backends.len()];
                         let got = ModelSnapshot::from_planes_in(
-                            &pi,
-                            &beta,
+                            pi.clone(),
+                            beta.clone(),
                             1e-5,
-                            Backend::Scalar,
+                            backend,
                             ranges,
                         )
                         .unwrap();
-                        let case = format!("n={n} k={k} seed={seed} ranges={ranges}");
-                        assert_same_planes(&got, &want, &case);
+                        let case = format!("n={n} k={k} seed={seed} ranges={ranges} {backend}");
+                        assert_same_planes(&got, &want, 50, cases as u64, &case);
                         cases += 1;
                     }
                 }
             }
         }
         assert!(cases >= 300, "{cases} cases");
+    }
+
+    /// The snapshot serves from the checkpoint's own `pi` allocation and
+    /// holds nothing beyond `pi` (f32), `topk` and `members` (u32) and
+    /// `beta` (f64): `12·n·k + 8·k` bytes of heap.
+    #[test]
+    fn the_model_is_held_once_in_the_checkpoints_allocation() {
+        let ckpt = trained_checkpoint(5, 17);
+        let (n, k) = (ckpt.n() as usize, ckpt.k());
+        let plane = ckpt.pi().as_ptr();
+        let (pi, beta) = ckpt.into_planes();
+        assert_eq!(pi.as_ptr(), plane, "into_planes moves, not copies");
+        let snap = ModelSnapshot::from_planes(pi, beta, 1e-5, Backend::detect()).unwrap();
+        assert_eq!(
+            snap.pi.as_ptr(),
+            plane,
+            "the build keeps the plane it was given"
+        );
+        // Exhaustive: a new field must be added to the count.
+        let ModelSnapshot {
+            n: _,
+            k: _,
+            delta: _,
+            backend: _,
+            pi,
+            beta,
+            topk,
+            members,
+        } = &snap;
+        let heap =
+            pi.capacity() * 4 + topk.capacity() * 4 + members.capacity() * 4 + beta.capacity() * 8;
+        assert_eq!(heap, 12 * n * k + 8 * k, "n={n} k={k}");
     }
 
     #[test]
@@ -747,15 +788,20 @@ mod tests {
                 for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
                     let mut pi = pi.clone();
                     pi[at] = bad;
-                    let err =
-                        ModelSnapshot::from_planes_in(&pi, &beta, 1e-5, Backend::Scalar, ranges)
-                            .unwrap_err();
+                    let err = ModelSnapshot::from_planes_in(
+                        pi.clone(),
+                        beta.clone(),
+                        1e-5,
+                        Backend::Scalar,
+                        ranges,
+                    )
+                    .unwrap_err();
                     assert_eq!(err, SnapshotError::NonFinite { what: "pi" }, "at {at}");
                     // A bad beta is reported first, as before.
                     let mut beta = beta.clone();
                     beta[k - 1] = f64::NAN;
                     let err =
-                        ModelSnapshot::from_planes_in(&pi, &beta, 1e-5, Backend::Scalar, ranges)
+                        ModelSnapshot::from_planes_in(pi, beta, 1e-5, Backend::Scalar, ranges)
                             .unwrap_err();
                     assert_eq!(err, SnapshotError::NonFinite { what: "beta" });
                 }
@@ -779,15 +825,17 @@ mod tests {
         let pool = ThreadPool::new(2);
         pool.run(2, |_worker, chunk| {
             if chunk == 0 {
-                let snap = ModelSnapshot::from_planes(&big, &beta, 1e-5, Backend::Scalar).unwrap();
-                ModelSnapshot::from_planes(&small, &beta, 1e-5, Backend::Scalar).unwrap();
+                let snap =
+                    ModelSnapshot::from_planes(big.clone(), beta.clone(), 1e-5, Backend::Scalar)
+                        .unwrap();
+                ModelSnapshot::from_planes(small.clone(), beta.clone(), 1e-5, Backend::Scalar)
+                    .unwrap();
                 *built.lock().unwrap() = Some((snap, std::thread::current().id()));
             }
         });
         let (snap, caller) = built.into_inner().unwrap().expect("chunk 0 ran");
-        let want =
-            ModelSnapshot::from_planes_reference(&big, &beta, 1e-5, Backend::Scalar).unwrap();
-        assert_same_planes(&snap, &want, "built inside a pool chunk");
+        let want = from_planes_reference(&big, &beta);
+        assert_same_planes(&snap, &want, 50, 1, "built inside a pool chunk");
 
         let ran_on = range_threads(big_n);
         assert_eq!(ran_on.len(), threads, "one range per available core");

@@ -87,7 +87,7 @@ fn topk_matches_full_sort_for_all_prefixes() {
             let pi = plane(n, cap_k, 0x9e37 + seed * 1031 + cap_k as u64);
             let beta = vec![0.5f64; cap_k];
             let snap =
-                ModelSnapshot::from_planes(&pi, &beta, 1e-5, Backend::Scalar).unwrap();
+                ModelSnapshot::from_planes(pi.clone(), beta, 1e-5, Backend::Scalar).unwrap();
             assert_eq!((snap.n(), snap.k()), (n, cap_k));
 
             for v in 0..n {
@@ -115,7 +115,7 @@ fn exact_ties_break_by_ascending_community_id() {
     for &k in &[1usize, 3, 8, 33] {
         let pi = vec![0.125f32; 2 * k];
         let beta = vec![0.5f64; k];
-        let snap = ModelSnapshot::from_planes(&pi, &beta, 1e-5, Backend::Scalar).unwrap();
+        let snap = ModelSnapshot::from_planes(pi.clone(), beta, 1e-5, Backend::Scalar).unwrap();
         let want: Vec<u32> = (0..k as u32).collect();
         for v in 0..2 {
             assert_eq!(snap.communities_by_weight(v), &want[..], "K={k}");
@@ -130,7 +130,7 @@ fn member_lists_match_full_sort_with_vertex_tiebreak() {
     let (n, k) = (30usize, 8usize);
     let pi = plane(n, k, 0xabcdef);
     let beta = vec![0.5f64; k];
-    let snap = ModelSnapshot::from_planes(&pi, &beta, 1e-5, Backend::Scalar).unwrap();
+    let snap = ModelSnapshot::from_planes(pi.clone(), beta, 1e-5, Backend::Scalar).unwrap();
     for c in 0..k {
         let col: Vec<f32> = (0..n).map(|v| pi[v * k + c]).collect();
         let mut want: Vec<u32> = (0..n as u32).collect();

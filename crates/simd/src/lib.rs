@@ -66,7 +66,7 @@ mod x86;
 
 pub use backend::{Backend, PolicyError, SimdPolicy};
 pub use crc::crc32;
-pub use edge::edge_dots;
+pub use edge::{edge_dots, edge_dots_f32};
 pub use math::{polar_normal, ulp_distance, vexp, vln};
 pub use phi::{phi_gradient, sgrld_step, PhiScratch};
 pub use prefetch::prefetch;

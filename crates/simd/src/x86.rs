@@ -473,10 +473,18 @@ pub fn theta_accumulate_pair_avx2(
     crate::theta::theta_accumulate_pair_with(avx2_token!(), scratch, pi_a, pi_b, y, weight)
 }
 
-/// AVX2 instantiation of [`crate::edge::edge_dots_with`].
+/// AVX2 instantiation of [`crate::edge::edge_dots_with`] over
+/// [`crate::edge::WideRows`].
 #[target_feature(enable = "avx2", enable = "fma")]
 pub fn edge_dots_avx2(pi_a: &[f64], pib_a: &[f64], pi_b: &[f64]) -> (f64, f64) {
-    crate::edge::edge_dots_with(avx2_token!(), pi_a, pib_a, pi_b)
+    crate::edge::edge_dots_with(avx2_token!(), crate::edge::WideRows { pi_a, pib_a, pi_b })
+}
+
+/// AVX2 instantiation of [`crate::edge::edge_dots_with`] over
+/// [`crate::edge::F32Rows`].
+#[target_feature(enable = "avx2", enable = "fma")]
+pub fn edge_dots_f32_avx2(pi_a: &[f32], beta: &[f64], pi_b: &[f32]) -> (f64, f64) {
+    crate::edge::edge_dots_with(avx2_token!(), crate::edge::F32Rows { pi_a, beta, pi_b })
 }
 
 /// AVX2 instantiation of [`crate::math::vexp_with`].

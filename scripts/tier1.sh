@@ -87,8 +87,10 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 #   obs           mmsb-obs (registry, clock, rings, exporters, trace
 #                 round-trip); mmsb: obs_cli
 #   serving       mmsb-serve: e2e, reload_stress, zero_alloc_serve,
-#                 topk_property + snapshot::tests (snapshot build vs its
-#                 oracles), reload_corrupt, http_prop
+#                 reload_footprint (a reload holds at most one more
+#                 snapshot + the file), topk_property + snapshot::tests
+#                 (snapshot build vs its oracles), reload_corrupt,
+#                 http_prop, write_deadline (one budget per response)
 #   overload      mmsb-serve: chaos, drain_shed (fast-path 503, graceful
 #                 drain with zero truncation/abort), drain_forced (a
 #                 process of its own: it waits on the global counter)
