@@ -148,12 +148,6 @@ impl SamplerConfig {
         self
     }
 
-    /// Set the step-size schedule.
-    pub fn with_step(mut self, step: StepSize) -> Self {
-        self.step = step;
-        self
-    }
-
     /// Set the SIMD backend policy.
     pub fn with_simd(mut self, simd: SimdPolicy) -> Self {
         self.simd = simd;

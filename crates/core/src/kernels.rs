@@ -184,7 +184,14 @@ mod phi {
                 let mut out = vec![0.0; 6];
                 for _ in 0..200 {
                     phi_update(
-                        &p, &beta, &phi_a, &rows, 6, &linked, &mut rng, &mut scratch, &mut out,
+                        &p,
+                        &beta,
+                        &phi_a,
+                        &rows,
+                        &linked,
+                        &mut rng,
+                        &mut scratch,
+                        &mut out,
                     );
                     assert!(
                         out.iter().all(|&x| x >= PHI_MIN && x.is_finite()),
@@ -203,7 +210,16 @@ mod phi {
                 let mut outs = [vec![0.0; 4], vec![0.0; 4]];
                 for out in &mut outs {
                     let mut rng = Xoshiro256PlusPlus::seed_from_u64(5);
-                    phi_update(&p, &beta, &phi_a, &rows, 4, &linked, &mut rng, &mut scratch, out);
+                    phi_update(
+                        &p,
+                        &beta,
+                        &phi_a,
+                        &rows,
+                        &linked,
+                        &mut rng,
+                        &mut scratch,
+                        out,
+                    );
                 }
                 assert_eq!(outs[0], outs[1], "{backend}");
             }
@@ -221,7 +237,6 @@ mod phi {
                     &beta,
                     &phi_a,
                     &rows,
-                    4,
                     &linked,
                     &mut rng,
                     &mut StageScratch::new(4),

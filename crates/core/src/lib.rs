@@ -22,14 +22,15 @@
 //!   reductions use fixed chunk boundaries combined by a fixed binary
 //!   tree.
 //! * [`DistributedSampler`] — models the paper's cluster: the
-//!   master–worker execution (paper §III) over the `mmsb-dkv` sharded
-//!   store, run in lockstep simulation: per-rank compute is executed for
-//!   real and measured, communication and RDMA time are charged to
-//!   virtual clocks from the `mmsb-netsim` cost models, and pipelining
-//!   (double-buffered `pi` loads) can be toggled — reproducing Figures
-//!   1–4 and Table III. It never sends a message. Each rank runs
-//!   `sampler/worker.rs` (one worker's `update_phi` routine and stage
-//!   buffers) and loads `pi` through the one
+//!   master–worker execution (paper §III) in lockstep simulation:
+//!   per-rank compute is executed for real and measured, communication
+//!   and RDMA time are charged to virtual clocks from the `mmsb-netsim`
+//!   and `mmsb-dkv` cost models, and pipelining (double-buffered `pi`
+//!   loads) can be toggled — reproducing Figures 1–4 and Table III. It
+//!   never sends a message and keeps one copy of `pi`, the master's
+//!   state: every DKV access reads or writes it in place and is priced.
+//!   Each rank runs the pool driver's `update_phi` passes on its share,
+//!   pass 2 once per load chunk of the one
 //!   `mmsb_dkv::pipeline::ChunkReader`, `Single` or `Double`.
 //!
 //! # Quickstart

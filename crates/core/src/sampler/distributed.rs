@@ -2,9 +2,9 @@
 //! simulation.
 //!
 //! One master plus `R` workers. The mini-batch and its adjacency rows are
-//! scattered by the master; `pi` lives in an `mmsb-dkv` sharded store
-//! partitioned over the workers; `theta`/`beta` live at the master and
-//! `beta` is broadcast each iteration.
+//! scattered by the master; `pi` lives in the DKV store partitioned over
+//! the workers; `theta`/`beta` live at the master and `beta` is broadcast
+//! each iteration.
 //!
 //! **Execution model** (DESIGN.md §3/§6): every rank's compute runs for
 //! real, single-threaded, one rank at a time — so measurements are free of
@@ -14,20 +14,29 @@
 //! an `mmsb-netsim` cost; barriers synchronize clocks to the max. The
 //! virtual makespan is what Figures 1–4 plot.
 //!
+//! **One copy of `pi`**: stages are barrier-separated, so between two
+//! barriers the paper's store holds exactly the master's state. Every DKV
+//! access therefore reads or writes [`ModelState`] in place and is only
+//! *priced*: the rank's clock is charged the [`CostModel`]'s RDMA time
+//! for the same keys at `K + 1` floats per row. A rank's `update_phi` is
+//! the pool driver's two passes — `Engine::sample_neighbors` over its
+//! share, then `Engine::update_phi_range` per priced load chunk.
+//!
 //! **Chain fidelity**: the numerical trajectory is identical to the
 //! sequential and parallel drivers up to the floating-point association
 //! order of the distributed `theta`-gradient reduction (each worker sums
 //! its pair share, then shares are summed in rank order).
 
-use super::worker::{share, PhiWorker};
+use super::worker::share;
 use super::Engine;
 use crate::checkpoint::Checkpoint;
 use crate::communities::Communities;
 use crate::compute_model::NodeComputeModel;
 use crate::config::{SamplerConfig, StateLayout};
+use crate::workspace::Workspace;
 use crate::{CoreError, ModelState};
-use mmsb_dkv::pipeline::{ChunkReader, PipelineMode, ReaderScratch};
-use mmsb_dkv::{DkvStore, FaultingStore, Partition, ShardedStore};
+use mmsb_dkv::pipeline::{ChunkReader, PipelineMode};
+use mmsb_dkv::{CostModel, DkvError, OpObs, Partition};
 use mmsb_graph::heldout::HeldOut;
 use mmsb_graph::Graph;
 use mmsb_netsim::{
@@ -55,8 +64,8 @@ pub struct DistributedConfig {
     /// Seeded fault schedule, or `None` for a fault-free cluster.
     ///
     /// Transient faults (failed/slow DKV operations, lost/duplicated/
-    /// delayed messages, stragglers) change only the *modeled time*: every
-    /// retry re-executes to the same bytes, so the chain stays
+    /// delayed messages, stragglers) change only the *modeled time*: a
+    /// retry is priced, never re-executed, so the chain stays
     /// bitwise-identical to the fault-free run. A `kill_worker` entry is
     /// permanent: the sampler rewinds to its last checkpoint and continues
     /// on `R - 1` workers.
@@ -137,10 +146,9 @@ impl DistributedConfig {
 pub struct DistributedSampler {
     engine: Engine,
     dcfg: DistributedConfig,
-    /// The sharded `pi` store behind the fault-injection layer. With no
-    /// faults configured the layer passes every operation straight
-    /// through at zero cost.
-    store: FaultingStore,
+    /// The price of DKV access to `pi` partitioned over the current
+    /// workers.
+    cost: CostModel,
     /// The fault schedule (a no-op plan when `dcfg.faults` is `None`).
     plan: FaultPlan,
     policy: RecoveryPolicy,
@@ -156,27 +164,29 @@ pub struct DistributedSampler {
     /// Index 0 is the master; worker `w` is rank `w + 1`.
     clocks: ClusterClocks,
     trace: PhaseTimes,
-    /// Reader buffers (row buffer, per-chunk timings) — persistent so
-    /// the steady state allocates nothing.
-    scratch: ReaderScratch,
     /// The `pi` loader, pricing its passes under the configured
     /// [`PipelineMode`].
     reader: ChunkReader,
-    /// Reusable per-worker key/segment staging for the chunked loads.
-    keys_buf: Vec<u32>,
-    seg_lens: Vec<usize>,
-    /// The worker-side routine and buffers of whichever rank is executing
-    /// (ranks run one at a time, so one set of buffers serves them all).
-    worker: PhiWorker,
+    /// DKV keys of the stage at hand: the share's vertices, each followed
+    /// by its sampled neighbors (`update_phi`), the share's vertices
+    /// (write-back), its pairs' endpoints (`theta`) or its held-out
+    /// pairs' endpoints.
+    keys: Vec<u32>,
+    /// Each share vertex's end offset in `keys` during `update_phi`.
+    key_ends: Vec<usize>,
+    /// The scratch of whichever rank is executing (ranks run one at a
+    /// time, so one workspace serves them all): the share's sampled sets,
+    /// the gather and kernel buffers, and the block cache for
+    /// out-of-core adjacency probes.
+    ws: Workspace,
+    /// The executing worker's `theta` gradient (`2K`).
+    grad: Vec<f64>,
     /// The master's rank-order sum of the per-worker `theta` gradients.
     grad_total: Vec<f64>,
     /// Flat phi updates: one `K`-row per mini-batch vertex.
     updates: Vec<f64>,
     /// Per-pair held-out probabilities, gathered in pair order.
     probs: Vec<f64>,
-    /// Block cache for out-of-core adjacency probes in the worker
-    /// `update_phi` stage (`None` for resident backends). Pure scratch.
-    graph_cache: Option<mmsb_ooc::BlockCache>,
 }
 
 /// Logical message-stage ids folded into the fabric fault coordinate so
@@ -216,7 +226,6 @@ impl DistributedSampler {
         let engine = Engine::with_backend(graph, heldout, config)?;
         let n = engine.graph.num_vertices();
         let k = engine.config.k;
-        let store = ShardedStore::new(Partition::new(n, dcfg.workers), k + 1);
         let reader = ChunkReader::new(dcfg.chunk_vertices, dcfg.pipeline)
             .with_compute_scale(dcfg.node.scale(1.0));
         let plan = FaultPlan::new(dcfg.faults.unwrap_or_else(|| FaultConfig::none(0)));
@@ -227,9 +236,9 @@ impl DistributedSampler {
         let graph_cache = engine
             .graph
             .new_cache(engine.config.graph_cache_blocks, engine.config.seed ^ 0xD15);
-        let mut sampler = Self {
+        Ok(Self {
             dcfg,
-            store: FaultingStore::new(store, plan, RecoveryPolicy::default()),
+            cost: CostModel::new(Partition::new(n, dcfg.workers), k + 1, dcfg.net),
             plan,
             policy: RecoveryPolicy::default(),
             lost_worker: None,
@@ -237,21 +246,16 @@ impl DistributedSampler {
             checkpoint_every: None,
             clocks: ClusterClocks::new(dcfg.workers + 1),
             trace: PhaseTimes::new(),
-            scratch: ReaderScratch::new(),
             reader,
-            keys_buf: Vec::new(),
-            seg_lens: Vec::new(),
-            worker: PhiWorker::new(k),
+            keys: Vec::new(),
+            key_ends: Vec::new(),
+            ws: Workspace::new(k, engine.config.neighbor_sample, graph_cache),
+            grad: vec![0.0; 2 * k],
             grad_total: vec![0.0; 2 * k],
             updates: vec![0.0; engine.max_batch_vertices() * k],
             probs: vec![0.0; engine.heldout.len()],
-            graph_cache,
             engine,
-        };
-        // Initial population of the collective memory (not charged to the
-        // clocks: the paper's measurements likewise start after loading).
-        sampler.reload_store()?;
-        Ok(sampler)
+        })
     }
 
     /// Build a sampler whose chain continues from `ckpt` instead of the
@@ -299,24 +303,11 @@ impl DistributedSampler {
     }
 
     /// Install `ckpt`, rewinding (or fast-forwarding) the chain to the
-    /// captured iteration and reloading every DKV row from it. Virtual
-    /// time is *not* rewound — restoring is part of the run's history.
+    /// captured iteration. Virtual time is *not* rewound — restoring is
+    /// part of the run's history.
     pub fn restore(&mut self, ckpt: &Checkpoint) -> Result<(), CoreError> {
         ckpt.install(&mut self.engine)?;
-        self.reload_store()?;
         self.last_checkpoint = Some(ckpt.clone());
-        Ok(())
-    }
-
-    /// Re-encode every vertex row from the engine state into the store.
-    fn reload_store(&mut self) -> Result<(), CoreError> {
-        let n = self.engine.graph.num_vertices();
-        let k = self.engine.config.k;
-        let mut row = vec![0.0f32; k + 1];
-        for a in 0..n {
-            self.engine.state.encode_dkv_row(a, &mut row);
-            self.store.inner_mut().write_batch(&[a], &row)?;
-        }
         Ok(())
     }
 
@@ -357,7 +348,7 @@ impl DistributedSampler {
                 self.degrade(dead);
             }
         }
-        self.store.set_iteration(self.engine.iteration);
+        let iteration = self.engine.iteration;
         let mut recovery_t = 0.0f64;
 
         let r = self.dcfg.workers;
@@ -411,7 +402,6 @@ impl DistributedSampler {
         // barrier.
 
         // -------------------------------------- workers: update_phi
-        let params = self.engine.phi_params();
         let mut max_neigh = 0.0f64;
         let mut max_load = 0.0f64;
         let mut max_compute = 0.0f64;
@@ -420,53 +410,35 @@ impl DistributedSampler {
         for w in 0..r {
             let rank = w + 1;
             let vs = share(nv, r, w);
-            // Sample neighbor sets (worker compute, thread-parallel on the
-            // node).
+            // Pass 1: sample the share's neighbor sets (worker compute,
+            // thread-parallel on the node).
             let t0 = Stopwatch::start();
-            self.worker.sample(
-                &self.engine.mb_vertices[vs.clone()],
-                &self.engine.neighbors,
-                &self.engine.heldout,
-                self.engine.config.seed,
-                self.engine.iteration,
-            );
+            self.engine
+                .sample_neighbors(&self.engine.mb_vertices[vs.clone()], &mut self.ws);
             let neigh = node.scale(t0.elapsed_secs());
             self.clocks.advance(rank, neigh);
             max_neigh = max_neigh.max(neigh);
 
-            // Chunked load + compute over this worker's vertices, routed
-            // through the dkv reader. Every buffer involved (keys,
-            // segments, rows, timings, the flat update rows) persists on
-            // `self`.
-            self.worker
-                .stage_keys(self.dcfg.chunk_vertices, &mut self.keys_buf, &mut self.seg_lens);
-            let keys = &self.keys_buf;
-            let seg_lens = &self.seg_lens;
+            // Pass 2, one load chunk at a time: the reader prices the
+            // chunk's DKV reads — per vertex its own row, then its
+            // neighbors' rows — and times the chunk's compute on the
+            // state those reads would return. Every buffer involved
+            // persists on `self`.
+            self.ws.sampled.dkv_keys(&mut self.keys, &mut self.key_ends);
             let engine = &self.engine;
-            let worker = &mut self.worker;
+            let ws = &mut self.ws;
             let out = &mut self.updates[vs.start * k..vs.end * k];
-            // The adjacency reader borrows only `self.graph_cache`,
-            // disjoint from the engine and buffer borrows above.
-            let mut reader = engine.graph.reader(self.graph_cache.as_mut());
-            let on_chunk = |_start: usize, _keys: &[u32], rows: &[f32]| {
-                worker.on_chunk(&params, engine.state.beta(), rows, &mut reader, out);
-            };
-            // Both modes deliver identical chunks in identical order to
-            // `on_chunk`; the mode only prices the pass. The clock
-            // advances by the makespan `schedule` models: every load under
-            // Single, under Double each load less the previous chunk's
-            // compute it hides behind.
+            // Both modes compute identical chunks in identical order; the
+            // mode only prices the pass. The clock advances by the
+            // makespan `schedule` models: every load under Single, under
+            // Double each load less the previous chunk's compute it hides
+            // behind.
             let run = self
                 .reader
-                .run_segments(
-                    self.store.inner(),
-                    w,
-                    keys,
-                    seg_lens,
-                    &net,
-                    &mut self.scratch,
-                    on_chunk,
-                )
+                .run(&self.cost, w, &self.keys, &self.key_ends, |items, _| {
+                    let rows = &mut out[items.start * k..items.end * k];
+                    engine.update_phi_range(items, ws, rows);
+                })
                 .expect("keys are valid vertex ids");
             self.clocks.advance(rank, run.total);
             max_load = max_load.max(run.load);
@@ -474,20 +446,16 @@ impl DistributedSampler {
             max_hidden = max_hidden.max(run.hidden());
 
             // Transient faults on this worker's load/compute stage:
-            // retried chunk reads plus a possible straggle. Decisions come
-            // from the plan alone — the data the pipeline delivered above
-            // is already final, so only modeled time changes (the faulty
-            // read-retry *data* path is what `FaultingStore`'s own tests
-            // pin down).
+            // retried chunk reads plus a possible straggle. They change
+            // only modeled time.
             if self.dcfg.faults.is_some() {
-                let chunks = self.seg_lens.len();
-                let per_chunk = if chunks > 0 {
-                    run.load / chunks as f64
+                let per_chunk = if run.chunks > 0 {
+                    run.load / run.chunks as f64
                 } else {
                     0.0
                 };
-                let mut worker_recovery = self.read_retry_cost(w, chunks, per_chunk);
-                if let Some(factor) = self.plan.straggler(self.engine.iteration, w) {
+                let mut worker_recovery = self.read_retry_cost(w, run.chunks, per_chunk);
+                if let Some(factor) = self.plan.straggler(iteration, w) {
                     worker_recovery += self.policy.straggler_overhead(neigh + run.total, factor);
                 }
                 self.clocks.advance(rank, worker_recovery);
@@ -508,35 +476,38 @@ impl DistributedSampler {
         self.trace_add(Phase::Barrier, barrier_cost);
 
         // ------------------------------------------ workers: update_pi
-        // Apply updates to the authoritative state, then write the fresh
-        // rows through the store (per owning worker's share).
-        self.engine.apply_phi_updates_flat(&self.updates[..nv * k]);
+        // Each worker applies its share's updates to the state and pays
+        // the write-back of those rows.
         let mut max_pi = 0.0f64;
         let mut max_write_recovery = 0.0f64;
         for w in 0..r {
             let rank = w + 1;
+            let vs = share(nv, r, w);
             let t0 = Stopwatch::start();
-            let PhiWorker { keys, rows, .. } = &mut self.worker;
-            keys.clear();
-            keys.extend(self.engine.mb_vertices[share(nv, r, w)].iter().map(|a| a.0));
-            rows.resize(keys.len() * (k + 1), 0.0);
-            for (&key, row) in keys.iter().zip(rows.chunks_exact_mut(k + 1)) {
-                self.engine.state.encode_dkv_row(key, row);
-            }
+            self.engine
+                .apply_phi_updates(vs.clone(), &self.updates[vs.start * k..vs.end * k]);
             let compute = node.scale(t0.elapsed_secs());
-            let wire = self.store.inner().write_cost(w, keys, &net);
-            // The real write goes through the fault layer: a failed
-            // attempt really applies a partial prefix, and the retry's
-            // idempotent full rewrite converges to the same bytes — only
-            // the modeled recovery time differs from the clean run.
-            let outcome = self
-                .store
-                .write_batch_recovered(w, keys, rows, wire)
+            self.keys.clear();
+            self.keys
+                .extend(self.engine.mb_vertices[vs].iter().map(|a| a.0));
+            let wire = {
+                let _obs = OpObs::write(&self.keys);
+                self.cost.write_cost(w, &self.keys)
+            };
+            // A failed write is re-issued whole (writes are idempotent row
+            // overwrites); only its modeled time is paid.
+            let site = site_hash(w as u64, u64::MAX, iteration);
+            let recovery = self
+                .dkv_retry_cost(site, wire, obs_id::C_DKV_WRITE_RETRIES, |attempt| {
+                    self.plan.write_fault(w, iteration, attempt)
+                })
+                .map_err(|_| DkvError::RetriesExhausted {
+                    attempts: self.policy.max_retries + 1,
+                })
                 .expect("retry budget covers transient write faults");
-            self.clocks
-                .advance(rank, compute + wire + outcome.recovery_seconds);
+            self.clocks.advance(rank, compute + wire + recovery);
             max_pi = max_pi.max(compute + wire);
-            max_write_recovery = max_write_recovery.max(outcome.recovery_seconds);
+            max_write_recovery = max_write_recovery.max(recovery);
         }
         recovery_t += max_write_recovery;
         self.trace_add(Phase::UpdatePi, max_pi);
@@ -553,23 +524,18 @@ impl DistributedSampler {
             let rank = w + 1;
             let ps = share(n_pairs, r, w);
             // Load pi for the endpoints of this worker's pair share.
-            let PhiWorker {
-                keys,
-                grad,
-                scratch,
-                ..
-            } = &mut self.worker;
-            keys.clear();
-            keys.extend(
+            self.keys.clear();
+            self.keys.extend(
                 self.engine.mb.pairs[ps.clone()]
                     .iter()
                     .flat_map(|&(e, _)| [e.lo().0, e.hi().0]),
             );
-            let wire = self.store.inner().read_cost(w, keys, &net);
+            let wire = self.cost.read_cost(w, &self.keys);
             let t0 = Stopwatch::start();
-            self.engine.theta_gradient(ps.start, ps.end, scratch, grad);
+            self.engine
+                .theta_gradient(ps.start, ps.end, &mut self.ws.stage, &mut self.grad);
             let compute = node.scale(t0.elapsed_secs());
-            for (g, c) in self.grad_total.iter_mut().zip(grad.iter()) {
+            for (g, c) in self.grad_total.iter_mut().zip(&self.grad) {
                 *g += c;
             }
             self.clocks.advance(rank, wire + compute);
@@ -627,7 +593,7 @@ impl DistributedSampler {
 
     /// Absorb the permanent loss of worker `dead`: rewind the chain to
     /// the last checkpoint, re-partition the store over the `R - 1`
-    /// survivors, and charge the modeled detection + re-load cost as
+    /// survivors, and charge the modeled detection + re-scatter cost as
     /// recovery time. Worker count never changes the numerics, so the
     /// degraded run still reproduces the fault-free chain bit-for-bit.
     fn degrade(&mut self, dead: usize) {
@@ -642,10 +608,7 @@ impl DistributedSampler {
         self.dcfg.workers -= 1;
         let n = self.engine.graph.num_vertices();
         let k = self.engine.config.k;
-        let store = ShardedStore::new(Partition::new(n, self.dcfg.workers), k + 1);
-        self.store = FaultingStore::new(store, self.plan, self.policy);
-        self.reload_store()
-            .expect("fresh partition accepts every vertex");
+        self.cost = CostModel::new(Partition::new(n, self.dcfg.workers), k + 1, self.dcfg.net);
         // Model the recovery: the survivors wait out the stage timeout
         // that detects the loss, then the master re-scatters the full
         // checkpointed state over the new partition.
@@ -660,28 +623,48 @@ impl DistributedSampler {
     }
 
     /// Modeled seconds `rank`'s chunked read stage spends on transient
-    /// DKV faults this iteration: each failed attempt re-issues one
-    /// chunk's load after a backoff; a slow replica stretches its chunk
-    /// by the plan's factor.
+    /// DKV faults this iteration, at `per_chunk` seconds per clean chunk
+    /// load.
     fn read_retry_cost(&self, rank: usize, chunks: usize, per_chunk: f64) -> f64 {
         let iteration = self.engine.iteration;
         let mut extra = 0.0;
         for chunk in 0..chunks {
             let site = ((rank as u64) << 32) ^ (chunk as u64) ^ (iteration << 16);
-            for attempt in 0..=self.policy.max_retries {
-                match self.plan.read_fault(rank, iteration, chunk, attempt) {
-                    Some(DkvFault::Fail) => {
-                        extra += per_chunk + self.policy.backoff(&self.plan, site, attempt);
-                    }
-                    Some(DkvFault::Slow(factor)) => {
-                        extra += per_chunk * (factor - 1.0);
-                        break;
-                    }
-                    None => break,
-                }
-            }
+            let retry =
+                self.dkv_retry_cost(site, per_chunk, obs_id::C_DKV_READ_RETRIES, |attempt| {
+                    self.plan.read_fault(rank, iteration, chunk, attempt)
+                });
+            extra += retry.unwrap_or_else(|spent| spent);
         }
         extra
+    }
+
+    /// The retry loop of every DKV operation: modeled recovery seconds of
+    /// one operation whose clean attempt costs `healthy`, under the
+    /// plan's `fault(attempt)` decisions. Each failed attempt is counted
+    /// on the `retries` counter and re-issued after a backoff jittered at
+    /// `site`; a slow attempt stretches the operation by the plan's
+    /// factor. `Err` carries the seconds spent when every attempt the
+    /// policy allows failed.
+    fn dkv_retry_cost(
+        &self,
+        site: u64,
+        healthy: f64,
+        retries: usize,
+        fault: impl Fn(u32) -> Option<DkvFault>,
+    ) -> Result<f64, f64> {
+        let mut extra = 0.0;
+        for attempt in 0..=self.policy.max_retries {
+            match fault(attempt) {
+                Some(DkvFault::Fail) => {
+                    mmsb_obs::counter_add(retries, 1);
+                    extra += healthy + self.policy.backoff(&self.plan, site, attempt);
+                }
+                Some(DkvFault::Slow(factor)) => return Ok(extra + healthy * (factor - 1.0)),
+                None => return Ok(extra),
+            }
+        }
+        Err(extra)
     }
 
     /// Modeled extra seconds of the slowest link in a master-rooted
@@ -738,10 +721,10 @@ impl DistributedSampler {
         for w in 0..r {
             let rank = w + 1;
             let share = self.engine.heldout.partition(w, r);
-            let keys = &mut self.worker.keys;
-            keys.clear();
-            keys.extend(share.iter().flat_map(|&(e, _)| [e.lo().0, e.hi().0]));
-            let wire = self.store.inner().read_cost(w, keys, &net);
+            self.keys.clear();
+            self.keys
+                .extend(share.iter().flat_map(|&(e, _)| [e.lo().0, e.hi().0]));
+            let wire = self.cost.read_cost(w, &self.keys);
             let (lo, hi) = (offset, offset + share.len());
             let t0 = Stopwatch::start();
             self.engine
@@ -788,6 +771,11 @@ impl DistributedSampler {
             total_seconds: self.clocks.max(),
         }
     }
+}
+
+/// Mix three coordinates into one jitter-site hash.
+fn site_hash(a: u64, b: u64, c: u64) -> u64 {
+    a.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ b.rotate_left(21) ^ c.rotate_left(42)
 }
 
 #[cfg(test)]
@@ -949,6 +937,59 @@ mod tests {
         assert!(r.phases.total(Phase::LoadPi) > 0.0);
         assert!(r.phases.total(Phase::UpdatePhi) > 0.0);
         assert!(r.phases.count(Phase::Barrier) >= 10);
+    }
+
+    /// With a clean plan every DKV operation succeeds on its first
+    /// attempt, and the retry loop charges nothing.
+    #[test]
+    fn clean_plan_charges_nothing() {
+        let (g, h) = setup(7);
+        let dcfg = DistributedConfig::das5(2).with_faults(FaultConfig::none(1));
+        let s = DistributedSampler::new(g, h, SamplerConfig::new(3), dcfg).unwrap();
+        for it in 0..64 {
+            let read = s.dkv_retry_cost(it, 1e-3, obs_id::C_DKV_READ_RETRIES, |attempt| {
+                s.plan.read_fault(1, it, 0, attempt)
+            });
+            let write = s.dkv_retry_cost(it, 1e-3, obs_id::C_DKV_WRITE_RETRIES, |attempt| {
+                s.plan.write_fault(1, it, attempt)
+            });
+            assert_eq!((read, write), (Ok(0.0), Ok(0.0)), "iteration {it}");
+        }
+    }
+
+    /// A failed attempt costs a re-issue plus its backoff, a slow one
+    /// the extra wire time, and a budget spent on failures is an error
+    /// carrying everything it cost.
+    #[test]
+    fn retry_loop_prices_failures_backoff_and_slowness() {
+        let (g, h) = setup(8);
+        let dcfg = DistributedConfig::das5(2).with_faults(FaultConfig::transient(3));
+        let s = DistributedSampler::new(g, h, SamplerConfig::new(3), dcfg).unwrap();
+        let (site, healthy) = (99, 1e-3);
+        let backoff = |attempt| s.policy.backoff(&s.plan, site, attempt);
+        let retries = obs_id::C_DKV_READ_RETRIES;
+        let twice = s.dkv_retry_cost(site, healthy, retries, |attempt| {
+            (attempt < 2).then_some(DkvFault::Fail)
+        });
+        assert_eq!(twice, Ok((healthy + backoff(0)) + (healthy + backoff(1))));
+        let slow = s.dkv_retry_cost(site, healthy, retries, |_| Some(DkvFault::Slow(4.0)));
+        assert_eq!(slow, Ok(healthy * 3.0));
+        let spent = (0..=s.policy.max_retries).fold(0.0, |t, a| t + (healthy + backoff(a)));
+        let never = s.dkv_retry_cost(site, healthy, retries, |_| Some(DkvFault::Fail));
+        assert_eq!(never, Err(spent));
+    }
+
+    /// A write that fails on every attempt the policy allows stops the
+    /// run.
+    #[test]
+    #[should_panic(expected = "retry budget covers transient write faults")]
+    fn certain_failure_exhausts_retries() {
+        let (g, h) = setup(9);
+        let mut faults = FaultConfig::none(3);
+        faults.write_fail = 1.0;
+        let dcfg = DistributedConfig::das5(2).with_faults(faults);
+        let mut s = DistributedSampler::new(g, h, SamplerConfig::new(3), dcfg).unwrap();
+        s.step();
     }
 
     #[test]

@@ -111,14 +111,15 @@ pub(crate) fn step(
             let hi = ((chunk + 1) * PHI_CHUNK).min(nv);
             // SAFETY: chunk ranges [lo*k, hi*k) are pairwise disjoint.
             let chunk_out = unsafe { out.range(lo * k, hi * k) };
-            eng.update_phi_chunk(&eng.mb_vertices[lo..hi], ws, chunk_out);
+            eng.sample_neighbors(&eng.mb_vertices[lo..hi], ws);
+            eng.update_phi_range(0..hi - lo, ws, chunk_out);
         });
     }
 
     // Stage 3: barrier, then apply.
     {
         let _p = PhaseObs::open(Phase::UpdatePi);
-        engine.apply_phi_updates_flat(&bufs.updates[..nv * k]);
+        engine.apply_phi_updates(0..nv, &bufs.updates[..nv * k]);
     }
 
     // Stage 4: theta update against the fresh pi.

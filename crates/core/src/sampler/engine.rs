@@ -16,6 +16,7 @@ use mmsb_ooc::{BlockCache, GraphBackend};
 use mmsb_rand::dist::Normal;
 use mmsb_rand::{RngCore, Xoshiro256PlusPlus};
 use mmsb_simd::Backend;
+use std::ops::Range;
 
 /// Pairs per theta-gradient chunk. One chunk accumulates its pairs
 /// serially (matching the historical serial sum for batches that fit in a
@@ -186,22 +187,12 @@ impl Engine {
         }
     }
 
-    /// Stage 2 against the resident state for one chunk of mini-batch
-    /// vertices (pure), in two passes, writing vertex `j`'s new `phi` row
-    /// to row `j` of `out` (`ids.len() x K`). All scratch comes from `ws`,
-    /// so the steady state performs no heap allocation.
-    ///
-    /// Pass 1 prefetches each vertex's own `pi` row and, on the resident
-    /// backend, its adjacency list, then samples every vertex's neighbor
-    /// set and keeps its stream. Pass 2 gathers each vertex's neighbor
-    /// rows, marks its links against its list (read once) and runs
-    /// [`stage::phi_update`].
-    ///
-    /// All randomness comes from the `(seed, iteration, vertex)` streams —
-    /// the result is independent of which thread (and which workspace)
-    /// performs the computation.
-    pub fn update_phi_chunk(&self, ids: &[VertexId], ws: &mut Workspace, out: &mut [f64]) {
-        let k = self.config.k;
+    /// Stage 2, pass 1 (pure in the state): take `ids` as the vertices at
+    /// hand in `ws.sampled` and sample every vertex's neighbor set, keeping
+    /// its stream. Each vertex's own `pi` row and, on the resident
+    /// backend, its adjacency list are prefetched first, so the loads
+    /// overlap the sampling.
+    pub fn sample_neighbors(&self, ids: &[VertexId], ws: &mut Workspace) {
         for &a in ids {
             mmsb_simd::prefetch(self.state.pi_row(a.0));
             if let GraphBackend::Resident(g) = &self.graph {
@@ -215,13 +206,27 @@ impl Engine {
             self.config.seed,
             self.iteration,
         );
+    }
 
+    /// Stage 2, pass 2 (pure): the new `phi` rows of sampled vertices
+    /// `range` of `ws.sampled`, vertex `range.start + j` to row `j` of
+    /// `out` (`range.len() x K`). Each vertex gathers its neighbors' `pi`
+    /// rows from the state, marks its links against its list (read once)
+    /// and runs [`stage::phi_update`]. Both drivers compute every `phi`
+    /// row here; all scratch comes from `ws`, so the steady state
+    /// performs no heap allocation.
+    ///
+    /// All randomness comes from the `(seed, iteration, vertex)` streams —
+    /// the result is independent of which thread (and which workspace)
+    /// performs the computation, and of how the vertices are split.
+    pub fn update_phi_range(&self, range: Range<usize>, ws: &mut Workspace, out: &mut [f64]) {
+        let k = self.config.k;
         let params = self.phi_params();
         // The reader borrows only `ws.graph_cache`, disjoint from the
         // sampled sets and the gather buffers.
         let mut reader = self.graph.reader(ws.graph_cache.as_mut());
-        for (j, row_out) in out.chunks_exact_mut(k).enumerate() {
-            let (a, set, rng) = ws.sampled.vertex(j);
+        for (i, row_out) in range.zip(out.chunks_exact_mut(k)) {
+            let (a, set, rng) = ws.sampled.vertex(i);
             ws.rows.clear();
             for &b in set {
                 ws.rows.extend_from_slice(self.state.pi_row(b.0));
@@ -233,7 +238,6 @@ impl Engine {
                 self.state.beta(),
                 &ws.phi_a,
                 &ws.rows,
-                k,
                 &ws.linked,
                 rng,
                 &mut ws.stage,
@@ -242,18 +246,18 @@ impl Engine {
         }
     }
 
-    /// Stage 3: apply all `phi` updates (the `update_pi` barrier stage).
-    /// `updates` holds one `K`-row per entry of [`Engine::mb_vertices`],
-    /// in order.
-    pub fn apply_phi_updates_flat(&mut self, updates: &[f64]) {
+    /// Stage 3: apply the `phi` updates of mini-batch vertices `range`
+    /// (the `update_pi` barrier stage). `updates` holds one `K`-row per
+    /// entry of [`Engine::mb_vertices`]`[range]`, in order.
+    pub fn apply_phi_updates(&mut self, range: Range<usize>, updates: &[f64]) {
         let k = self.config.k;
         assert_eq!(
             updates.len(),
-            self.mb_vertices.len() * k,
-            "flat update buffer must hold one row per mini-batch vertex"
+            range.len() * k,
+            "update buffer must hold one row per vertex of the range"
         );
-        for (i, &a) in self.mb_vertices.iter().enumerate() {
-            self.state.set_phi_row(a.0, &updates[i * k..(i + 1) * k]);
+        for (&a, row) in self.mb_vertices[range].iter().zip(updates.chunks_exact(k)) {
+            self.state.set_phi_row(a.0, row);
         }
     }
 

@@ -1,12 +1,13 @@
 //! The two data-parallel stages of an iteration, implemented once.
 //!
 //! Both drivers — pool-parallel and lockstep distributed — call
-//! [`phi_update`] per mini-batch vertex and [`theta_gradient`] per pair
-//! range; they differ only in where the `pi` rows come from (the
-//! resident [`crate::ModelState`] at stride `K`, or DKV rows at stride
-//! `K + 1`). Both functions run the `mmsb-simd` kernels on the
-//! configured backend, so the scalar backend is those kernels at one
-//! unfused lane, not a second implementation.
+//! [`phi_update`] per mini-batch vertex (through
+//! `Engine::update_phi_range`) and [`theta_gradient`] per pair range,
+//! on `pi` rows of the one [`crate::ModelState`]; they differ only in
+//! how they split the work (pool chunks or ranks) and whether they price
+//! it. Both functions run the `mmsb-simd` kernels on the configured
+//! backend, so the scalar backend is those kernels at one unfused lane,
+//! not a second implementation.
 //!
 //! This file is on xlint's hot-path list: outside the scratch
 //! constructor nothing here allocates, indexes or unwraps.
@@ -58,9 +59,9 @@ impl StageScratch {
 /// `phi* = | phi + eps/2 * (alpha - phi + N/|V_n| * grad) + sqrt(phi) * xi |`
 /// with `xi ~ N(0, eps)`, clamped to [`PHI_MIN`].
 ///
-/// `rows` holds one `pi_b` row per entry of `linked`, `stride >= K`
-/// floats apart. The `K` noise variates are drawn from `rng` in
-/// coordinate order *after* the gradient — callers pass the vertex's
+/// `rows` holds one `pi_b` row of `K` floats per entry of `linked`. The
+/// `K` noise variates are drawn from `rng` in coordinate order *after*
+/// the gradient — callers pass the vertex's
 /// `(seed, iteration, vertex)` stream, already advanced past its
 /// neighbor draws, which is what makes the result independent of the
 /// driver.
@@ -70,7 +71,6 @@ pub(crate) fn phi_update(
     beta: &[f64],
     phi_a: &[f64],
     rows: &[f32],
-    stride: usize,
     linked: &[bool],
     rng: &mut Xoshiro256PlusPlus,
     scratch: &mut StageScratch,
@@ -82,7 +82,7 @@ pub(crate) fn phi_update(
         phi_a,
         beta,
         rows,
-        stride,
+        k,
         linked,
         params.delta,
         &mut scratch.phi,

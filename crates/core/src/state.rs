@@ -248,16 +248,6 @@ impl ModelState {
         }
     }
 
-    /// Encode vertex `a`'s DKV row (`pi ++ sum(phi)`) into `out`.
-    ///
-    /// # Panics
-    /// Panics if `out.len() != k + 1`.
-    pub fn encode_dkv_row(&self, a: u32, out: &mut [f32]) {
-        assert_eq!(out.len(), self.k + 1, "DKV row buffer has wrong length");
-        out[..self.k].copy_from_slice(self.pi_row(a));
-        out[self.k] = self.phi_sum[a as usize];
-    }
-
     /// Approximate heap footprint of the per-vertex state in bytes.
     pub fn memory_bytes(&self) -> usize {
         self.pi.len() * 4 + self.phi_sum.len() * 4 + self.phi.len() * 8
@@ -362,23 +352,6 @@ mod tests {
         for (g, e) in got.iter().zip(&new_phi) {
             assert!((g - e).abs() / e < 1e-5, "got {g} expected {e}");
         }
-    }
-
-    #[test]
-    fn dkv_row_roundtrip() {
-        // The row is `pi ++ sum(phi)`; a worker decodes `phi` from it
-        // exactly as `phi_row` decodes the state.
-        let s = state(StateLayout::PiSumPhi);
-        let mut row = vec![0.0f32; 5];
-        s.encode_dkv_row(3, &mut row);
-        assert_eq!(&row[..4], s.pi_row(3));
-        let mut phi = vec![0.0; 4];
-        s.phi_row(3, &mut phi);
-        let decoded: Vec<f64> = row[..4]
-            .iter()
-            .map(|&p| (p as f64 * row[4] as f64).max(PHI_MIN))
-            .collect();
-        assert_eq!(decoded, phi);
     }
 
     #[test]

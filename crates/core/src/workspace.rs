@@ -1,8 +1,9 @@
-//! Per-thread scratch buffers for the zero-allocation hot path.
+//! Per-worker scratch buffers for the zero-allocation hot path.
 //!
-//! Each pool worker owns one [`Workspace`]; every buffer the per-chunk
-//! `phi` update and the per-chunk `theta` gradient need lives here, so the
-//! steady-state iteration loop performs no heap allocation. Workspace
+//! Each pool worker owns one [`Workspace`], and the lockstep driver one
+//! for whichever rank is executing; every buffer the two-pass `phi`
+//! update and the `theta` gradient need lives here, so the steady-state
+//! iteration loop performs no heap allocation. Workspace
 //! contents are pure scratch — they never influence results, which is why
 //! dynamic chunk-to-worker assignment cannot perturb the chain.
 
@@ -21,8 +22,10 @@ pub(crate) struct Workspace {
     pub linked: Vec<bool>,
     /// Noise and plane scratch of the phi/theta kernels.
     pub stage: StageScratch,
-    /// One chunk's vertices with their sampled neighbor sets and streams
-    /// (the chunk's first pass).
+    /// The vertices at hand with their sampled neighbor sets and streams
+    /// (the first `phi` pass): one `PHI_CHUNK` in a pool worker, a
+    /// rank's whole share in the lockstep driver, which grows it to its
+    /// high-water mark.
     pub sampled: SampledSets,
     /// This worker's block cache for out-of-core adjacency reads
     /// (`None` for resident graphs). Pure scratch, like everything else

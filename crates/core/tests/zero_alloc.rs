@@ -2,17 +2,17 @@
 //! [`ParallelSampler`] `step()` must never touch the heap — and neither
 //! may a warmed lockstep [`DistributedSampler`] `step()` +
 //! `evaluate_perplexity()` in either pipeline mode, a warmed
-//! [`ChunkReader`] pass (the chunked `pi` load path of the distributed
-//! sampler) nor a warmed out-of-core
+//! [`ChunkReader`] pass (the chunked, priced `pi` load of the distributed
+//! sampler), warmed `ShardedStore` writes, nor a warmed out-of-core
 //! [`mmsb_ooc::BlockCache`] read loop (the graph path of the ooc
 //! backend), whether every read hits or every read evicts, reads, CRCs
 //! and decodes a block. Every per-iteration buffer is pre-reserved at its hard
 //! upper bound (`Engine::with_backend`, `StepBuffers::new`, `Workspace::new`,
-//! `ReaderScratch`, the cache's block storage and decode scratch) or
-//! grows to its high-water mark during warm-up (`PhiWorker`), the
-//! pool publishes jobs as unboxed pointer pairs, and the
-//! mini-batch/neighbor machinery reuses its vectors — so
-//! the counter below must stay at exactly zero.
+//! the cache's block storage and decode scratch) or grows to its
+//! high-water mark during warm-up (the lockstep driver's workspace and
+//! key buffers, the reader's per-chunk timings), the pool publishes jobs
+//! as unboxed pointer pairs, and the mini-batch/neighbor machinery
+//! reuses its vectors — so the counter below must stay at exactly zero.
 //!
 //! This file holds a single test on purpose: the counting allocator is
 //! process-global, and a concurrently running test would pollute the
@@ -26,8 +26,8 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use mmsb_core::{
     Backend, DistributedConfig, DistributedSampler, ParallelSampler, SamplerConfig, SimdPolicy,
 };
-use mmsb_dkv::pipeline::{ChunkReader, PipelineMode, ReaderScratch};
-use mmsb_dkv::{DkvStore, Partition, ShardedStore};
+use mmsb_dkv::pipeline::{ChunkReader, PipelineMode};
+use mmsb_dkv::{CostModel, DkvStore, Partition, ShardedStore};
 use mmsb_graph::generate::planted::{generate_planted, PlantedConfig};
 use mmsb_graph::heldout::HeldOut;
 use mmsb_netsim::NetworkModel;
@@ -143,10 +143,11 @@ fn steady_state_step_is_allocation_free() {
 
     // ---- lockstep master–worker driver, both pipeline modes ----
     // Every per-rank buffer of `step()` and `evaluate_perplexity()` (the
-    // write-back keys and rows, the pair and held-out endpoint keys, the
-    // theta gradients) lives in the shared worker state, and the reader
-    // owns its scratch — so once each has seen its largest share the
-    // whole iteration, perplexity gather included, stays off the heap.
+    // sampled sets, the DKV keys of each stage, the theta gradients)
+    // lives in the sampler's one workspace and key buffers, and the
+    // reader keeps its timings — so once each has seen its largest share
+    // the whole iteration, perplexity gather included, stays off the
+    // heap.
     for mode in [PipelineMode::Single, PipelineMode::Double] {
         let mut sampler = DistributedSampler::new(
             graph.clone(),
@@ -178,35 +179,32 @@ fn steady_state_step_is_allocation_free() {
     }
 
     // ---- pipelined path: a warmed reader pass ----
-    // The chunked loader must also be allocation-free once warm: the row
-    // buffer, timing vectors, and chunk table live in the ReaderScratch.
+    // The chunked loader must also be allocation-free once warm: its
+    // per-chunk timing vectors persist across passes.
     let row_len = 9;
-    let mut store = ShardedStore::new(Partition::new(512, 4), row_len);
     let keys: Vec<u32> = (0..512).collect();
-    let vals = vec![1.0f32; keys.len() * row_len];
-    store.write_batch(&keys, &vals).unwrap();
-    let net = NetworkModel::fdr_infiniband();
-    let reader = ChunkReader::new(64, PipelineMode::Double);
-    let mut scratch = ReaderScratch::new();
-    let mut acc = 0.0f64;
+    let ends: Vec<usize> = (1..=keys.len()).collect();
+    let cost = CostModel::new(
+        Partition::new(512, 4),
+        row_len,
+        NetworkModel::fdr_infiniband(),
+    );
+    let mut reader = ChunkReader::new(64, PipelineMode::Double);
+    let mut acc = 0u64;
     for _ in 0..5 {
         reader
-            .run(&store, 0, &keys, &net, &mut scratch, |_, _, rows| {
-                acc += rows[0] as f64;
-            })
+            .run(&cost, 0, &keys, &ends, |_, ks| acc += u64::from(ks[0]))
             .unwrap();
     }
 
     COUNTING.store(true, Ordering::SeqCst);
     for _ in 0..20 {
         reader
-            .run(&store, 0, &keys, &net, &mut scratch, |_, _, rows| {
-                acc += rows[0] as f64;
-            })
+            .run(&cost, 0, &keys, &ends, |_, ks| acc += u64::from(ks[0]))
             .unwrap();
     }
     COUNTING.store(false, Ordering::SeqCst);
-    assert!(acc > 0.0);
+    assert!(acc > 0);
 
     let n = ALLOCS.load(Ordering::SeqCst);
     assert_eq!(
@@ -217,9 +215,12 @@ fn steady_state_step_is_allocation_free() {
     // ---- write path: warmed write_batch calls ----
     // The duplicate-key check sorts a copy of the batch in a store-owned
     // scratch vector; once that scratch has grown to the largest batch
-    // seen, repeated writes (the per-iteration `pi` publish) must not
-    // allocate either. The first call above already warmed it with the
-    // full 512-key batch, so both full and partial rewrites stay clean.
+    // seen, repeated writes must not allocate either. The first call
+    // below warms it with the full 512-key batch, so both full and
+    // partial rewrites stay clean.
+    let mut store = ShardedStore::new(Partition::new(512, 4), row_len);
+    let vals = vec![1.0f32; keys.len() * row_len];
+    store.write_batch(&keys, &vals).unwrap();
     let half: Vec<u32> = (0..256).collect();
     let half_vals = vec![2.0f32; half.len() * row_len];
     COUNTING.store(true, Ordering::SeqCst);

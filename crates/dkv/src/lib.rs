@@ -8,37 +8,39 @@
 //! is exactly one RDMA read or one RDMA write, with no concurrency
 //! control.
 //!
-//! This crate reproduces that store for the simulated cluster:
+//! This crate reproduces that store's layout and prices:
 //!
 //! * [`Partition`] — the static key-to-owner mapping,
-//! * [`DkvStore`] — the read/write-batch interface,
-//! * [`ShardedStore`] — per-rank shards with modeled RDMA cost accounting
-//!   ([`ShardedStore::read_cost`]), the distributed configuration,
-//! * [`pipeline`] — the chunked `pi` loader and the timing model of
+//! * [`CostModel`] — the modeled RDMA time of a batched read or write
+//!   from a given rank ([`CostModel::read_cost`]); it needs no populated
+//!   store,
+//! * [`OpObs`] — the per-batch counters, latency histogram and span of
+//!   one DKV access,
+//! * [`pipeline`] — the chunked `pi` load and the timing model of
 //!   overlapping its loads with compute (paper §III-D, Figure 3, Table
-//!   III): one [`pipeline::ChunkReader`] reads and computes chunk by
+//!   III): one [`pipeline::ChunkReader`] prices and computes chunk by
 //!   chunk on the caller's thread, and its [`pipeline::PipelineMode`]
 //!   selects how [`pipeline::schedule`] prices the pass — every load
-//!   paid, or each load hidden behind the previous chunk's compute.
+//!   paid, or each load hidden behind the previous chunk's compute,
+//! * [`ShardedStore`] behind [`DkvStore`] — per-rank shards that move
+//!   real bytes: the store's request path.
 //!
-//! Caller: the lockstep `DistributedSampler` reads and writes `pi`
-//! through [`ShardedStore`] (behind [`FaultingStore`]) and loads it
-//! through the [`pipeline`] reader.
-//!
-//! Data movement is performed for real (rows are copied through the store
-//! on every access); only the *wire time* is modeled, by `mmsb-netsim`.
+//! Callers: the lockstep `DistributedSampler` keeps one copy of `pi`,
+//! the master's state. Between two barriers the paper's store holds
+//! exactly that state, so every DKV access reads or writes it in place
+//! and is charged to the rank's virtual clock at the [`CostModel`]'s
+//! price. [`ShardedStore`]'s data plane is what `fig5_dkv_bandwidth`
+//! and the benchmark's `dkv.read_batch_us` probe measure.
 
 #![forbid(unsafe_code)]
 
 pub mod pipeline;
 
-mod faults;
 mod partition;
 mod store;
 
-pub use faults::{FaultingStore, OpOutcome};
 pub use partition::Partition;
-pub use store::{DkvStore, ShardedStore};
+pub use store::{CostModel, DkvStore, OpObs, ShardedStore};
 
 /// Errors from store operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -64,8 +66,8 @@ pub enum DkvError {
         /// The duplicated key.
         key: u32,
     },
-    /// A fault-injected operation failed on every attempt the recovery
-    /// policy allowed.
+    /// An operation under injected faults failed on every attempt the
+    /// recovery policy allowed.
     RetriesExhausted {
         /// Attempts performed before giving up.
         attempts: u32,

@@ -51,12 +51,6 @@ impl Partition {
         let n = self.num_keys as usize;
         n / self.ranks + usize::from(rank < n % self.ranks)
     }
-
-    /// Fraction of uniform-random reads that are remote for a reader on
-    /// `rank` — the `(C-1)/C` of paper §IV-C.
-    pub fn remote_fraction(&self) -> f64 {
-        (self.ranks as f64 - 1.0) / self.ranks as f64
-    }
 }
 
 #[cfg(test)]
@@ -91,12 +85,6 @@ mod tests {
         let min = *sizes.iter().min().unwrap();
         let max = *sizes.iter().max().unwrap();
         assert!(max - min <= 1, "{sizes:?}");
-    }
-
-    #[test]
-    fn remote_fraction_matches_paper() {
-        assert_eq!(Partition::new(100, 1).remote_fraction(), 0.0);
-        assert!((Partition::new(100, 64).remote_fraction() - 63.0 / 64.0).abs() < 1e-12);
     }
 
     #[test]

@@ -3,27 +3,28 @@
 //! Loading `pi` from the DKV store dominates `update_phi` (Table III: 205
 //! of 285 ms). The paper hides that latency by splitting the load into
 //! chunks and fetching chunk `i+1` while computing on chunk `i` (§III-D).
-//! The simulated cluster runs on one thread, so this module *models* the
-//! overlap rather than executing it:
+//! The simulated cluster runs on one thread and reads `pi` from the
+//! master's state, so this module *models* the load and the overlap
+//! rather than executing them:
 //!
 //! * [`schedule`] — the pure timing algebra of a two-stage pipeline,
 //!   verified against hand-computed cases,
-//! * [`ChunkReader`] — the one loader. Every chunk is read, then computed
-//!   on; loads are priced with the store's cost model, computes are
-//!   measured, and the pass returns one [`PipelineRun`] whose makespan is
-//!   [`schedule`] under the reader's [`PipelineMode`]: `Single` pays every
-//!   load, `Double` only the part the previous chunk's compute cannot
-//!   hide.
+//! * [`ChunkReader`] — the one loader. It groups the caller's items
+//!   (mini-batch vertices) into chunks, prices each chunk's keys with
+//!   the [`CostModel`], then measures the caller's compute on the chunk;
+//!   the pass returns one [`PipelineRun`] whose makespan is [`schedule`]
+//!   under the reader's [`PipelineMode`]: `Single` pays every load,
+//!   `Double` only the part the previous chunk's compute cannot hide.
 //!
-//! The mode changes nothing but that price: chunk boundaries, delivery
-//! order and bytes are the same, so the chain is too. The reader borrows
-//! its buffers from a caller-owned [`ReaderScratch`] so steady-state
-//! operation performs no heap allocation (pinned by
-//! `crates/core/tests/zero_alloc.rs`).
+//! The mode changes nothing but that price: chunk boundaries and compute
+//! order are the same, so the chain is too. The reader keeps its
+//! per-chunk timings across passes, so steady-state operation performs
+//! no heap allocation (pinned by `crates/core/tests/zero_alloc.rs`).
 
-use crate::{DkvError, DkvStore, ShardedStore};
-use mmsb_netsim::NetworkModel;
+use crate::store::check_keys;
+use crate::{CostModel, DkvError, OpObs};
 use mmsb_obs::clock::Stopwatch;
+use std::ops::Range;
 
 /// Buffering mode for the `pi` loader.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,79 +88,28 @@ impl PipelineRun {
     }
 }
 
-/// Reusable buffers for [`ChunkReader`].
+/// The chunked `pi` loader.
 ///
-/// Owns the row buffer, the per-chunk timing vectors and the
-/// chunk-boundary table. All storage grows to the high-water mark on
-/// first use and is reused afterwards, so a warmed reader performs zero
-/// heap allocations per pass.
-#[derive(Debug, Default)]
-pub struct ReaderScratch {
-    /// Rows of the chunk being computed on.
-    rows: Vec<f32>,
-    /// Modeled per-chunk load times (seconds).
-    loads: Vec<f64>,
-    /// Measured per-chunk compute times (seconds).
-    computes: Vec<f64>,
-    /// Exclusive end offset (into the key slice) of each chunk.
-    ends: Vec<usize>,
-}
-
-impl ReaderScratch {
-    /// An empty scratch; buffers grow on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Chunk boundaries for fixed-size chunking of `n_keys` keys.
-    fn fill_ends_fixed(&mut self, n_keys: usize, chunk_size: usize) {
-        self.ends.clear();
-        let mut pos = 0;
-        while pos < n_keys {
-            pos = (pos + chunk_size).min(n_keys);
-            self.ends.push(pos);
-        }
-    }
-
-    /// Chunk boundaries from caller-provided per-chunk key counts.
-    fn fill_ends_segments(&mut self, seg_lens: &[usize], n_keys: usize) {
-        self.ends.clear();
-        let mut pos = 0;
-        for &len in seg_lens {
-            assert!(len > 0, "empty segment");
-            pos += len;
-            self.ends.push(pos);
-        }
-        assert_eq!(pos, n_keys, "segments must cover the key slice exactly");
-    }
-
-    /// Largest chunk, in keys, of the current boundary table.
-    fn max_chunk_keys(&self) -> usize {
-        let mut max = 0;
-        let mut start = 0;
-        for &end in &self.ends {
-            max = max.max(end - start);
-            start = end;
-        }
-        max
-    }
-}
-
-/// The chunked `pi` loader over a [`ShardedStore`].
-///
-/// Each chunk is read into the scratch row buffer, then handed to the
-/// compute callback, in key order. The [`PipelineMode`] decides only how
-/// the pass is priced (see [`schedule`]), so both modes deliver identical
-/// chunks in identical order and all downstream numerics agree.
-#[derive(Debug, Clone, Copy)]
+/// Items `[0, n)` — each owning a run of keys — are grouped into chunks
+/// of `chunk_size` items. Each chunk's keys are priced, then the compute
+/// callback runs on the chunk, in item order. The [`PipelineMode`]
+/// decides only how the pass is priced (see [`schedule`]), so both modes
+/// compute identical chunks in identical order and all downstream
+/// numerics agree. The per-chunk timings persist across passes: a warmed
+/// reader allocates nothing.
+#[derive(Debug, Clone)]
 pub struct ChunkReader {
     chunk_size: usize,
     compute_scale: f64,
     mode: PipelineMode,
+    /// Modeled per-chunk load times of the last pass (seconds).
+    loads: Vec<f64>,
+    /// Measured per-chunk compute times of the last pass (seconds).
+    computes: Vec<f64>,
 }
 
 impl ChunkReader {
-    /// Create a reader with the given chunk size and mode.
+    /// Create a reader with the given chunk size (in items) and mode.
     ///
     /// # Panics
     /// Panics if `chunk_size == 0`.
@@ -169,6 +119,8 @@ impl ChunkReader {
             chunk_size,
             compute_scale: 1.0,
             mode,
+            loads: Vec::new(),
+            computes: Vec::new(),
         }
     }
 
@@ -180,91 +132,58 @@ impl ChunkReader {
         self
     }
 
-    /// Read `keys` in chunks of the configured size from `store` as rank
-    /// `rank`, invoking `compute(chunk_start, chunk_keys, rows)` on each
-    /// chunk's rows.
+    /// One pass as rank `rank`: item `i` owns `keys[ends[i - 1]..ends[i]]`
+    /// (`ends` is non-decreasing and ends at `keys.len()`). For each
+    /// chunk of items, the chunk's keys are priced with
+    /// [`CostModel::read_cost`] and recorded as one DKV read ([`OpObs`]),
+    /// then `compute(items, chunk_keys)` runs and is measured with a
+    /// monotonic clock, scaled by the compute scale.
     ///
-    /// Loads are priced with [`ShardedStore::read_cost`]; computes are
-    /// measured with a monotonic clock and scaled by the compute scale.
+    /// A key outside the partition fails the pass at its chunk, after
+    /// the earlier chunks were computed on.
+    ///
+    /// # Panics
+    /// Panics if `ends` does not end at `keys.len()`.
     pub fn run<F>(
-        &self,
-        store: &ShardedStore,
+        &mut self,
+        cost: &CostModel,
         rank: usize,
         keys: &[u32],
-        net: &NetworkModel,
-        scratch: &mut ReaderScratch,
-        compute: F,
-    ) -> Result<PipelineRun, DkvError>
-    where
-        F: FnMut(usize, &[u32], &[f32]),
-    {
-        scratch.fill_ends_fixed(keys.len(), self.chunk_size);
-        self.run_inner(store, rank, keys, net, scratch, compute)
-    }
-
-    /// Like [`ChunkReader::run`], but with caller-defined chunk
-    /// boundaries: `seg_lens[i]` keys in chunk `i` (summing to
-    /// `keys.len()`). Used by the samplers, which chunk by *vertices* and
-    /// therefore produce a variable number of keys per chunk.
-    #[allow(clippy::too_many_arguments)] // mirrors `run` plus the boundary table
-    pub fn run_segments<F>(
-        &self,
-        store: &ShardedStore,
-        rank: usize,
-        keys: &[u32],
-        seg_lens: &[usize],
-        net: &NetworkModel,
-        scratch: &mut ReaderScratch,
-        compute: F,
-    ) -> Result<PipelineRun, DkvError>
-    where
-        F: FnMut(usize, &[u32], &[f32]),
-    {
-        scratch.fill_ends_segments(seg_lens, keys.len());
-        self.run_inner(store, rank, keys, net, scratch, compute)
-    }
-
-    fn run_inner<F>(
-        &self,
-        store: &ShardedStore,
-        rank: usize,
-        keys: &[u32],
-        net: &NetworkModel,
-        scratch: &mut ReaderScratch,
+        ends: &[usize],
         mut compute: F,
     ) -> Result<PipelineRun, DkvError>
     where
-        F: FnMut(usize, &[u32], &[f32]),
+        F: FnMut(Range<usize>, &[u32]),
     {
-        let row_len = store.row_len();
-        let max_rows = scratch.max_chunk_keys() * row_len;
-        let ReaderScratch {
-            rows,
-            loads,
-            computes,
-            ends,
-        } = scratch;
-        loads.clear();
-        computes.clear();
-        if rows.len() < max_rows {
-            rows.resize(max_rows, 0.0);
-        }
+        assert_eq!(
+            ends.last().copied().unwrap_or(0),
+            keys.len(),
+            "item ends must cover the key slice exactly"
+        );
+        self.loads.clear();
+        self.computes.clear();
         let mut start = 0;
-        for &end in ends.iter() {
+        let mut first = 0;
+        for chunk_ends in ends.chunks(self.chunk_size) {
+            let items = first..first + chunk_ends.len();
+            let end = chunk_ends[chunk_ends.len() - 1];
             let chunk = &keys[start..end];
-            let chunk_rows = &mut rows[..chunk.len() * row_len];
-            store.read_batch(chunk, chunk_rows)?;
-            loads.push(store.read_cost(rank, chunk, net));
+            check_keys(cost.partition().num_keys(), chunk)?;
+            {
+                let _obs = OpObs::read(chunk);
+                self.loads.push(cost.read_cost(rank, chunk));
+            }
             let t0 = Stopwatch::start();
-            compute(start, chunk, chunk_rows);
-            computes.push(t0.elapsed_secs() * self.compute_scale);
+            compute(items, chunk);
+            self.computes.push(t0.elapsed_secs() * self.compute_scale);
+            first += chunk_ends.len();
             start = end;
         }
         Ok(PipelineRun {
-            total: schedule(loads, computes, self.mode),
-            load: loads.iter().sum(),
-            compute: computes.iter().sum(),
-            chunks: loads.len(),
+            total: schedule(&self.loads, &self.computes, self.mode),
+            load: self.loads.iter().sum(),
+            compute: self.computes.iter().sum(),
+            chunks: self.loads.len(),
         })
     }
 }
@@ -273,6 +192,7 @@ impl ChunkReader {
 mod tests {
     use super::*;
     use crate::Partition;
+    use mmsb_netsim::NetworkModel;
     use mmsb_rand::{Rng, Xoshiro256PlusPlus};
 
     #[test]
@@ -343,51 +263,44 @@ mod tests {
         }
     }
 
-    fn test_store(ranks: usize) -> ShardedStore {
-        let mut s = ShardedStore::new(Partition::new(64, ranks), 2);
-        let keys: Vec<u32> = (0..64).collect();
-        let vals: Vec<f32> = keys.iter().flat_map(|&k| [k as f32, -(k as f32)]).collect();
-        s.write_batch(&keys, &vals).unwrap();
-        s
+    fn test_cost(ranks: usize) -> CostModel {
+        CostModel::new(Partition::new(64, ranks), 2, NetworkModel::fdr_infiniband())
+    }
+
+    /// Item ends of one key per item.
+    fn unit_ends(n: usize) -> Vec<usize> {
+        (1..=n).collect()
     }
 
     #[test]
     fn reader_visits_all_chunks_in_order() {
-        let store = test_store(4);
-        let net = NetworkModel::fdr_infiniband();
+        let cost = test_cost(4);
         let keys: Vec<u32> = (0..10).collect();
-        let reader = ChunkReader::new(4, PipelineMode::Double);
-        let mut scratch = ReaderScratch::new();
-        let mut seen: Vec<(usize, Vec<u32>, Vec<f32>)> = Vec::new();
+        let mut reader = ChunkReader::new(4, PipelineMode::Double);
+        let mut seen: Vec<(Range<usize>, Vec<u32>)> = Vec::new();
         let run = reader
-            .run(&store, 0, &keys, &net, &mut scratch, |start, ks, rows| {
-                seen.push((start, ks.to_vec(), rows.to_vec()));
+            .run(&cost, 0, &keys, &unit_ends(10), |items, ks| {
+                seen.push((items, ks.to_vec()));
             })
             .unwrap();
         assert_eq!(run.chunks, 3); // 4 + 4 + 2
-        assert_eq!(seen[0].0, 0);
-        assert_eq!(seen[1].0, 4);
-        assert_eq!(seen[2].0, 8);
-        assert_eq!(seen[2].1, vec![8, 9]);
-        // Row contents delivered intact.
-        assert_eq!(seen[0].2[0..2], [0.0, -0.0]);
-        assert_eq!(seen[1].2[0..2], [4.0, -4.0]);
+        assert_eq!(seen[0], (0..4, vec![0, 1, 2, 3]));
+        assert_eq!(seen[1], (4..8, vec![4, 5, 6, 7]));
+        assert_eq!(seen[2], (8..10, vec![8, 9]));
     }
 
     #[test]
     fn reader_modes_have_identical_data_different_time() {
-        let store = test_store(8);
-        let net = NetworkModel::fdr_infiniband();
+        let cost = test_cost(8);
         let keys: Vec<u32> = (0..64).collect();
-        let mut scratch = ReaderScratch::new();
         let mut sums = Vec::new();
         for mode in [PipelineMode::Single, PipelineMode::Double] {
-            let reader = ChunkReader::new(8, mode);
+            let mut reader = ChunkReader::new(8, mode);
             assert_eq!(reader.mode, mode);
-            let mut sum = 0.0f64;
+            let mut sum = 0u64;
             let run = reader
-                .run(&store, 0, &keys, &net, &mut scratch, |_, _, rows| {
-                    sum += rows.iter().map(|&x| x as f64).sum::<f64>();
+                .run(&cost, 0, &keys, &unit_ends(64), |_, ks| {
+                    sum += ks.iter().map(|&k| u64::from(k)).sum::<u64>();
                     // Busy work so compute time is non-trivial relative to
                     // the modeled load times.
                     for _ in 0..2000 {
@@ -407,12 +320,10 @@ mod tests {
 
     #[test]
     fn reader_propagates_store_errors() {
-        let store = test_store(2);
-        let net = NetworkModel::fdr_infiniband();
-        let mut scratch = ReaderScratch::new();
+        let cost = test_cost(2);
         for mode in [PipelineMode::Single, PipelineMode::Double] {
             let err = ChunkReader::new(4, mode)
-                .run(&store, 0, &[1000], &net, &mut scratch, |_, _, _| {})
+                .run(&cost, 0, &[1000], &[1], |_, _| {})
                 .unwrap_err();
             assert!(matches!(err, DkvError::KeyOutOfRange { .. }), "{mode:?}");
         }
@@ -420,82 +331,58 @@ mod tests {
 
     #[test]
     fn reader_segments_follow_caller_boundaries() {
-        let store = test_store(4);
-        let net = NetworkModel::fdr_infiniband();
+        // Items own 3, 1 and 6 keys; one item per chunk.
+        let cost = test_cost(4);
         let keys: Vec<u32> = (0..10).collect();
-        let reader = ChunkReader::new(4, PipelineMode::Single);
-        let mut scratch = ReaderScratch::new();
-        let mut seen: Vec<(usize, Vec<u32>)> = Vec::new();
+        let mut reader = ChunkReader::new(1, PipelineMode::Single);
+        let mut seen: Vec<(Range<usize>, Vec<u32>)> = Vec::new();
         let run = reader
-            .run_segments(
-                &store,
-                0,
-                &keys,
-                &[3, 1, 6],
-                &net,
-                &mut scratch,
-                |start, ks, _| {
-                    seen.push((start, ks.to_vec()));
-                },
-            )
+            .run(&cost, 0, &keys, &[3, 4, 10], |items, ks| {
+                seen.push((items, ks.to_vec()));
+            })
             .unwrap();
         assert_eq!(run.chunks, 3);
-        assert_eq!(seen[0], (0, vec![0, 1, 2]));
-        assert_eq!(seen[1], (3, vec![3]));
-        assert_eq!(seen[2], (4, vec![4, 5, 6, 7, 8, 9]));
+        assert_eq!(seen[0], (0..1, vec![0, 1, 2]));
+        assert_eq!(seen[1], (1..2, vec![3]));
+        assert_eq!(seen[2], (2..3, vec![4, 5, 6, 7, 8, 9]));
     }
 
     #[test]
     #[should_panic(expected = "cover the key slice")]
     fn reader_segments_must_cover_keys() {
-        let store = test_store(4);
-        let net = NetworkModel::fdr_infiniband();
-        let reader = ChunkReader::new(4, PipelineMode::Single);
-        let mut scratch = ReaderScratch::new();
-        let _ = reader.run_segments(
-            &store,
-            0,
-            &[0, 1, 2],
-            &[2],
-            &net,
-            &mut scratch,
-            |_, _, _| {},
-        );
+        let cost = test_cost(4);
+        let mut reader = ChunkReader::new(4, PipelineMode::Single);
+        let _ = reader.run(&cost, 0, &[0, 1, 2], &[2], |_, _| {});
     }
 
-    /// Run `keys` through a fresh reader in `mode`, recording every
-    /// delivery.
+    /// Run `keys` (items ending at `ends`) through a fresh reader of
+    /// `chunk` items in `mode`, recording every chunk.
     #[allow(clippy::type_complexity)]
     fn deliveries(
-        store: &ShardedStore,
         mode: PipelineMode,
+        chunk: usize,
         keys: &[u32],
-        segs: Option<&[usize]>,
-    ) -> (PipelineRun, Vec<(usize, Vec<u32>, Vec<f32>)>) {
-        let net = NetworkModel::fdr_infiniband();
-        let reader = ChunkReader::new(8, mode);
-        let mut scratch = ReaderScratch::new();
+        ends: &[usize],
+    ) -> (PipelineRun, Vec<(Range<usize>, Vec<u32>)>) {
+        let mut reader = ChunkReader::new(chunk, mode);
         let mut seen = Vec::new();
-        let record = |start: usize, ks: &[u32], rows: &[f32]| {
-            seen.push((start, ks.to_vec(), rows.to_vec()));
-        };
-        let run = match segs {
-            None => reader.run(store, 0, keys, &net, &mut scratch, record),
-            Some(segs) => reader.run_segments(store, 0, keys, segs, &net, &mut scratch, record),
-        }
-        .unwrap();
+        let run = reader
+            .run(&test_cost(8), 0, keys, ends, |items, ks| {
+                seen.push((items, ks.to_vec()));
+            })
+            .unwrap();
         (run, seen)
     }
 
-    /// A `Double` reader delivers exactly what a `Single` one does and
-    /// prices the same loads; only the makespan differs.
+    /// A `Double` reader computes exactly the chunks a `Single` one does
+    /// and prices the same loads; only the makespan differs.
     #[test]
     fn prefetching_reader_matches_synchronous_reader() {
-        let store = test_store(8);
         let keys: Vec<u32> = (0..64).rev().collect();
-        let (sync_run, sync_seen) = deliveries(&store, PipelineMode::Single, &keys, None);
-        let (pre_run, pre_seen) = deliveries(&store, PipelineMode::Double, &keys, None);
-        assert_eq!(sync_seen, pre_seen, "prefetching changed delivered data");
+        let ends = unit_ends(64);
+        let (sync_run, sync_seen) = deliveries(PipelineMode::Single, 8, &keys, &ends);
+        let (pre_run, pre_seen) = deliveries(PipelineMode::Double, 8, &keys, &ends);
+        assert_eq!(sync_seen, pre_seen, "prefetching changed the chunks");
         assert_eq!(pre_run.chunks, sync_run.chunks);
         assert_eq!(pre_run.load, sync_run.load);
         assert_eq!(sync_run.total, sync_run.load + sync_run.compute);
@@ -506,31 +393,28 @@ mod tests {
 
     #[test]
     fn prefetching_reader_is_reusable_across_passes() {
-        let store = test_store(4);
-        let net = NetworkModel::fdr_infiniband();
+        let cost = test_cost(4);
         let keys: Vec<u32> = (0..32).collect();
-        let reader = ChunkReader::new(4, PipelineMode::Double);
-        let mut scratch = ReaderScratch::new();
-        let mut sums = Vec::new();
+        let mut reader = ChunkReader::new(4, PipelineMode::Double);
+        let mut runs = Vec::new();
         for _ in 0..5 {
-            let mut sum = 0.0f64;
-            reader
-                .run(&store, 0, &keys, &net, &mut scratch, |_, _, rows| {
-                    sum += rows.iter().map(|&x| x as f64).sum::<f64>();
+            let mut sum = 0u64;
+            let run = reader
+                .run(&cost, 0, &keys, &unit_ends(32), |_, ks| {
+                    sum += ks.iter().map(|&k| u64::from(k)).sum::<u64>();
                 })
                 .unwrap();
-            sums.push(sum);
+            runs.push((sum, run.chunks, run.load));
         }
-        assert!(sums.windows(2).all(|w| w[0] == w[1]));
+        assert!(runs.windows(2).all(|w| w[0] == w[1]));
     }
 
     #[test]
     fn prefetching_reader_segments_match_synchronous() {
-        let store = test_store(4);
         let keys: Vec<u32> = (0..20).collect();
-        let segs = [7usize, 2, 5, 6];
-        let (sync_run, sync_seen) = deliveries(&store, PipelineMode::Single, &keys, Some(&segs));
-        let (pre_run, pre_seen) = deliveries(&store, PipelineMode::Double, &keys, Some(&segs));
+        let ends = [7usize, 9, 14, 20];
+        let (sync_run, sync_seen) = deliveries(PipelineMode::Single, 1, &keys, &ends);
+        let (pre_run, pre_seen) = deliveries(PipelineMode::Double, 1, &keys, &ends);
         assert_eq!(sync_seen, pre_seen);
         assert_eq!((sync_run.chunks, pre_run.chunks), (4, 4));
         assert_eq!(pre_run.load, sync_run.load);
@@ -540,46 +424,43 @@ mod tests {
     /// were computed on, and the reader works on the next pass.
     #[test]
     fn prefetching_reader_propagates_background_load_errors() {
-        let store = test_store(2);
-        let net = NetworkModel::fdr_infiniband();
+        let cost = test_cost(2);
         // Chunk 0 is valid; chunk 1 contains an out-of-range key.
         let keys: Vec<u32> = vec![0, 1, 1000, 1001];
-        let reader = ChunkReader::new(2, PipelineMode::Double);
-        let mut scratch = ReaderScratch::new();
+        let mut reader = ChunkReader::new(2, PipelineMode::Double);
         let mut computed = Vec::new();
         let err = reader
-            .run(&store, 0, &keys, &net, &mut scratch, |start, _, _| {
-                computed.push(start)
+            .run(&cost, 0, &keys, &unit_ends(4), |items, _| {
+                computed.push(items.start)
             })
             .unwrap_err();
         assert!(matches!(err, DkvError::KeyOutOfRange { .. }));
         assert_eq!(computed, vec![0]);
         let ok_keys: Vec<u32> = (0..8).collect();
         reader
-            .run(&store, 0, &ok_keys, &net, &mut scratch, |_, _, _| {})
+            .run(&cost, 0, &ok_keys, &unit_ends(8), |_, _| {})
             .unwrap();
     }
 
     #[test]
     fn prefetching_reader_survives_compute_panic() {
-        let store = test_store(2);
-        let net = NetworkModel::fdr_infiniband();
+        let cost = test_cost(2);
         let keys: Vec<u32> = (0..16).collect();
-        let reader = ChunkReader::new(4, PipelineMode::Double);
-        let mut scratch = ReaderScratch::new();
+        let ends = unit_ends(16);
+        let mut reader = ChunkReader::new(4, PipelineMode::Double);
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = reader.run(&store, 0, &keys, &net, &mut scratch, |start, _, _| {
-                if start >= 4 {
+            let _ = reader.run(&cost, 0, &keys, &ends, |items, _| {
+                if items.start >= 4 {
                     panic!("compute boom");
                 }
             });
         }))
         .expect_err("compute panic must propagate");
         assert_eq!(err.downcast_ref::<&str>(), Some(&"compute boom"));
-        // The reader and its scratch still work after the unwind.
+        // The reader still works after the unwind.
         let mut count = 0;
         reader
-            .run(&store, 0, &keys, &net, &mut scratch, |_, _, _| count += 1)
+            .run(&cost, 0, &keys, &ends, |_, _| count += 1)
             .unwrap();
         assert_eq!(count, 4);
     }

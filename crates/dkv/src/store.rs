@@ -1,28 +1,33 @@
-//! Store implementations: single-node and sharded.
+//! The sharded store, the cost model that prices access to it, and the
+//! per-batch instrumentation both share.
 
 use crate::{DkvError, Partition};
 use mmsb_netsim::NetworkModel;
 use mmsb_obs::id as obs_id;
 
-/// Per-batch instrumentation shared by the store implementations: bumps
-/// the batch/key counters at open and records the latency histogram (and
-/// a span at spans level) when dropped, covering every return path.
-/// Pure atomics — keeps the instrumented `read_batch`/`write_batch`
-/// allocation-free, as `crates/core/tests/zero_alloc.rs` verifies.
-pub(crate) struct OpObs {
+/// Per-batch instrumentation of one DKV read or write: bumps the
+/// batch/key counters at open and records the latency histogram (and a
+/// span at spans level) when dropped, covering every return path. The
+/// store's `read_batch`/`write_batch` hold one across the copy; the
+/// simulated cluster holds one across each access it prices. Pure
+/// atomics — allocation-free, as `crates/core/tests/zero_alloc.rs`
+/// verifies.
+pub struct OpObs {
     sw: Option<mmsb_obs::clock::Stopwatch>,
     hist: usize,
     _span: mmsb_obs::Span,
 }
 
 impl OpObs {
-    pub(crate) fn read(keys: &[u32]) -> Self {
+    /// Open the record of a read of `keys`.
+    pub fn read(keys: &[u32]) -> Self {
         mmsb_obs::counter_add(obs_id::C_DKV_READ_BATCHES, 1);
         mmsb_obs::counter_add(obs_id::C_DKV_READ_KEYS, keys.len() as u64);
         Self::open(obs_id::S_DKV_READ, obs_id::H_DKV_READ_NS)
     }
 
-    pub(crate) fn write(keys: &[u32]) -> Self {
+    /// Open the record of a write of `keys`.
+    pub fn write(keys: &[u32]) -> Self {
         mmsb_obs::counter_add(obs_id::C_DKV_WRITE_BATCHES, 1);
         mmsb_obs::counter_add(obs_id::C_DKV_WRITE_KEYS, keys.len() as u64);
         Self::open(obs_id::S_DKV_WRITE, obs_id::H_DKV_WRITE_NS)
@@ -74,17 +79,21 @@ pub trait DkvStore {
     }
 }
 
+/// Reject the first key outside `[0, num_keys)`.
+pub(crate) fn check_keys(num_keys: u32, keys: &[u32]) -> Result<(), DkvError> {
+    match keys.iter().find(|&&k| k >= num_keys) {
+        Some(&key) => Err(DkvError::KeyOutOfRange { key, num_keys }),
+        None => Ok(()),
+    }
+}
+
 fn validate_batch(
     num_keys: u32,
     row_len: usize,
     keys: &[u32],
     buf_len: usize,
 ) -> Result<(), DkvError> {
-    for &k in keys {
-        if k >= num_keys {
-            return Err(DkvError::KeyOutOfRange { key: k, num_keys });
-        }
-    }
+    check_keys(num_keys, keys)?;
     let expected = keys.len() * row_len;
     if buf_len != expected {
         return Err(DkvError::BufferSizeMismatch {
@@ -111,55 +120,37 @@ fn check_no_duplicates(keys: &[u32], scratch: &mut Vec<u32>) -> Result<(), DkvEr
     Ok(())
 }
 
-/// Sharded store: rows live in per-rank shards according to a static
-/// [`Partition`]. Reads and writes move real bytes; the RDMA wire time a
-/// physical cluster would spend is *modeled* by [`ShardedStore::read_cost`]
-/// / [`ShardedStore::write_cost`] and charged to the caller's virtual
-/// clock by the distributed sampler.
-#[derive(Debug, Clone)]
-pub struct ShardedStore {
-    shards: Vec<Vec<f32>>,
+/// The modeled RDMA time of batched access to rows of `row_len` floats
+/// spread over a [`Partition`]: what a physical cluster would spend on
+/// the wire. It needs no populated store — the simulated cluster reads
+/// and writes the master's state and charges each access to the rank's
+/// virtual clock at this price.
+#[derive(Debug, Clone, Copy)]
+pub struct CostModel {
     partition: Partition,
-    row_len: usize,
-    dup_scratch: Vec<u32>,
+    row_bytes: usize,
+    net: NetworkModel,
 }
 
-impl ShardedStore {
+impl CostModel {
     /// Per-core streaming memory bandwidth (bytes/s) used to price the
     /// `1/C` of accesses that do not cross the wire: ~12 GB/s, a Xeon
     /// E5-2630v3-era figure.
     const LOCAL_BANDWIDTH: f64 = 12e9;
 
-    /// Create a zero-initialized sharded store.
-    pub fn new(partition: Partition, row_len: usize) -> Self {
-        assert!(row_len > 0, "rows must have at least one element");
-        let shards = (0..partition.ranks())
-            .map(|r| vec![0.0; partition.shard_size(r) * row_len])
-            .collect();
+    /// Price rows of `row_len` floats partitioned by `partition` on
+    /// `net`.
+    pub fn new(partition: Partition, row_len: usize, net: NetworkModel) -> Self {
         Self {
-            shards,
             partition,
-            row_len,
-            dup_scratch: Vec::new(),
+            row_bytes: row_len * std::mem::size_of::<f32>(),
+            net,
         }
     }
 
-    /// The store's partition.
+    /// The key partition being priced.
     pub fn partition(&self) -> Partition {
         self.partition
-    }
-
-    /// Simulate the permanent loss of `rank`'s shard: its rows are
-    /// zeroed, exactly as if the hosting node's memory vanished. The
-    /// recovery path re-populates the shard from the last checkpoint.
-    pub fn wipe_shard(&mut self, rank: usize) {
-        assert!(rank < self.shards.len(), "rank {rank} has no shard");
-        self.shards[rank].fill(0.0);
-    }
-
-    /// Bytes per row on the wire.
-    pub fn row_bytes(&self) -> usize {
-        self.row_len * std::mem::size_of::<f32>()
     }
 
     /// Modeled time for `reader_rank` to read the given keys in one
@@ -167,18 +158,19 @@ impl ShardedStore {
     /// (requests are posted back-to-back on the NIC), plus per-request
     /// setup and payload time for remote rows, plus memory-copy time for
     /// local rows.
-    pub fn read_cost(&self, reader_rank: usize, keys: &[u32], net: &NetworkModel) -> f64 {
-        self.batch_cost(reader_rank, keys, net, /*is_read=*/ true)
+    pub fn read_cost(&self, reader_rank: usize, keys: &[u32]) -> f64 {
+        self.batch_cost(reader_rank, keys, /*is_read=*/ true)
     }
 
     /// Modeled time for `writer_rank` to write the given keys in one
     /// batched stage (posted writes: no response round trip).
-    pub fn write_cost(&self, writer_rank: usize, keys: &[u32], net: &NetworkModel) -> f64 {
-        self.batch_cost(writer_rank, keys, net, /*is_read=*/ false)
+    pub fn write_cost(&self, writer_rank: usize, keys: &[u32]) -> f64 {
+        self.batch_cost(writer_rank, keys, /*is_read=*/ false)
     }
 
-    fn batch_cost(&self, rank: usize, keys: &[u32], net: &NetworkModel, is_read: bool) -> f64 {
-        let bytes = self.row_bytes();
+    fn batch_cost(&self, rank: usize, keys: &[u32], is_read: bool) -> f64 {
+        let bytes = self.row_bytes;
+        let net = &self.net;
         let mut remote = 0usize;
         let mut local = 0usize;
         for &k in keys {
@@ -200,6 +192,35 @@ impl ShardedStore {
             t += lat + posting.max(wire);
         }
         t
+    }
+}
+
+/// Sharded store: rows live in per-rank shards according to a static
+/// [`Partition`], and reads and writes move real bytes. The sampler does
+/// not hold one — it prices access to its own state with [`CostModel`];
+/// the store's request path is what `fig5_dkv_bandwidth` and the
+/// benchmark's `dkv.read_batch_us` probe measure.
+#[derive(Debug, Clone)]
+pub struct ShardedStore {
+    shards: Vec<Vec<f32>>,
+    partition: Partition,
+    row_len: usize,
+    dup_scratch: Vec<u32>,
+}
+
+impl ShardedStore {
+    /// Create a zero-initialized sharded store.
+    pub fn new(partition: Partition, row_len: usize) -> Self {
+        assert!(row_len > 0, "rows must have at least one element");
+        let shards = (0..partition.ranks())
+            .map(|r| vec![0.0; partition.shard_size(r) * row_len])
+            .collect();
+        Self {
+            shards,
+            partition,
+            row_len,
+            dup_scratch: Vec::new(),
+        }
     }
 }
 
@@ -377,49 +398,30 @@ mod tests {
     }
 
     #[test]
-    fn wipe_shard_zeroes_only_that_shard() {
-        let mut s = ShardedStore::new(Partition::new(20, 4), 2);
-        let keys: Vec<u32> = (0..20).collect();
-        write_rows(&mut s, &keys);
-        let victim = 1usize;
-        s.wipe_shard(victim);
-        for k in 0..20u32 {
-            let row = s.read_row(k).unwrap();
-            if s.partition().owner(k) == victim {
-                assert_eq!(row, vec![0.0, 0.0], "key {k} not wiped");
-            } else {
-                assert_eq!(row[0], (k * 100) as f32, "key {k} damaged");
-            }
-        }
-    }
-
-    #[test]
     fn read_cost_scales_with_remote_fraction() {
         let net = NetworkModel::fdr_infiniband();
         let keys: Vec<u32> = (0..64).collect();
-        let single = ShardedStore::new(Partition::new(64, 1), 16);
-        let spread = ShardedStore::new(Partition::new(64, 64), 16);
+        let single = CostModel::new(Partition::new(64, 1), 16, net);
+        let spread = CostModel::new(Partition::new(64, 64), 16, net);
         // With one rank everything is local; with 64 ranks, 63/64 remote.
-        let c1 = single.read_cost(0, &keys, &net);
-        let c64 = spread.read_cost(0, &keys, &net);
+        let c1 = single.read_cost(0, &keys);
+        let c64 = spread.read_cost(0, &keys);
         assert!(c64 > 5.0 * c1, "local {c1} vs spread {c64}");
     }
 
     #[test]
     fn write_cost_cheaper_than_read_cost() {
         // Posted writes skip the response round trip.
-        let net = NetworkModel::fdr_infiniband();
-        let s = ShardedStore::new(Partition::new(64, 8), 16);
+        let s = CostModel::new(Partition::new(64, 8), 16, NetworkModel::fdr_infiniband());
         let keys: Vec<u32> = (0..8).collect();
-        assert!(s.write_cost(0, &keys, &net) < s.read_cost(0, &keys, &net));
+        assert!(s.write_cost(0, &keys) < s.read_cost(0, &keys));
     }
 
     #[test]
     fn cost_zero_on_ideal_network_except_local_copies() {
-        let net = NetworkModel::ideal();
-        let s = ShardedStore::new(Partition::new(16, 4), 8);
+        let s = CostModel::new(Partition::new(16, 4), 8, NetworkModel::ideal());
         let keys: Vec<u32> = (0..16).collect();
-        let c = s.read_cost(0, &keys, &net);
+        let c = s.read_cost(0, &keys);
         assert!(c < 1e-6, "cost {c}");
     }
 

@@ -108,11 +108,6 @@ impl PhaseTimes {
         self.counts[phase.index()]
     }
 
-    /// Sum of all phase times.
-    pub fn grand_total(&self) -> f64 {
-        self.seconds.iter().sum()
-    }
-
     /// Merge another accumulator into this one.
     pub fn merge(&mut self, other: &PhaseTimes) {
         for i in 0..Phase::ALL.len() {
@@ -191,7 +186,6 @@ mod tests {
         assert!((t.total(Phase::LoadPi) - 0.5).abs() < 1e-12);
         assert_eq!(t.count(Phase::LoadPi), 2);
         assert_eq!(t.count(Phase::Barrier), 0);
-        assert!((t.grand_total() - 0.6).abs() < 1e-12);
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Drain against a wedged worker: when the budget expires the
-//! straggler is force-closed and accounted exactly once.
+//! straggler is force-closed and accounted exactly once, and the drain
+//! returns within its budget plus one response deadline.
 //!
 //! One `#[test]` function: the test waits on the obs request counter,
 //! which is process-global, so it must own all traffic.
@@ -66,9 +67,17 @@ fn expired_drain_budget_force_closes_and_counts_aborts() {
         },
     );
 
-    // The 50ms budget expires while the worker is still stuck.
+    // The 50ms budget expires while the worker is still stuck. The drain
+    // still returns promptly: within the budget, plus one response
+    // deadline for the parked write to give up, plus slack.
+    let drain_sw = Stopwatch::start();
     let report = handle.drain(50);
+    let drain_ms = drain_sw.elapsed_ns() / 1_000_000;
     assert!(report.forced, "budget must have expired: {report:?}");
+    assert!(
+        drain_ms <= 50 + 500 + 500,
+        "drain(50) took {drain_ms} ms, over budget + deadline_ms + slack"
+    );
     assert_eq!(
         report.completed + report.aborted,
         1,

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 gate: the workspace must build, lint clean, and test fully
 # offline — no registry dependencies, no network. Each step runs once:
-# xlint -> doc check -> build -> clippy -> the whole test suite -> the
+# xlint -> doc check (five reference checks) -> build -> clippy -> the whole test suite -> the
 # three --quick gate binaries -> sanitize.sh.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -67,6 +67,16 @@ for doc in README.md DESIGN.md; do
             || { echo "$doc names an item that does not exist: $path"; stale=1; }
     done < <(grep -oE '`[A-Z][A-Za-z0-9_]*::[A-Za-z_][A-Za-z0-9_]*' "$doc" | tr -d '`' \
         | grep -E '::([a-z_][a-z0-9_]*|[A-Z][A-Z0-9_]*)$' | sort -u)
+done
+# (5) Every back-ticked CamelCase identifier (`FooBar`: two or more
+# capitalised humps, the whole back-ticked span) in README.md and
+# DESIGN.md must occur as a word in some crates/**/*.rs — a type the
+# docs name is a type the code still has.
+for doc in README.md DESIGN.md; do
+    while read -r name; do
+        git grep -qw "$name" -- 'crates/*.rs' \
+            || { echo "$doc names an identifier no crate has: $name"; stale=1; }
+    done < <(grep -oE '`[A-Z][a-z0-9]+[A-Z][A-Za-z0-9]*`' "$doc" | tr -d '`' | sort -u)
 done
 [ "$stale" -eq 0 ]
 
