@@ -39,14 +39,9 @@ fn main() {
                 anchors: args.pick_usize(8, 4),
             })
             .with_neighbor_sample(32);
-        // Min of three repetitions per mode: the virtual time contains
-        // *measured* compute segments, and min-of-reps is robust to host
-        // noise spikes.
-        let reps = if args.quick { 1 } else { 3 };
-        let mut times = Vec::new();
-        for mode in [PipelineMode::Single, PipelineMode::Double] {
-            let mut best = f64::INFINITY;
-            for _ in 0..reps {
+        let times: Vec<f64> = [PipelineMode::Single, PipelineMode::Double]
+            .into_iter()
+            .map(|mode| {
                 let mut sampler = DistributedSampler::new(
                     train.clone(),
                     heldout.clone(),
@@ -55,10 +50,9 @@ fn main() {
                 )
                 .expect("valid configuration");
                 sampler.run(iters);
-                best = best.min(sampler.virtual_time());
-            }
-            times.push(best);
-        }
+                sampler.virtual_time()
+            })
+            .collect();
         let saved = times[0] - times[1];
         table.row(&[
             k.to_string(),

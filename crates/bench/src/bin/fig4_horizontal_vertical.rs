@@ -7,8 +7,8 @@
 //! version wins and the gap widens with K.
 //!
 //! Ours: same comparison on the syn-dblp / syn-friendster stand-ins; the
-//! "machines" are the node compute models of DESIGN.md §3 driving the same
-//! measured kernels.
+//! "machines" are the node compute models of DESIGN.md §3 pricing the same
+//! counted kernel work.
 
 use mmsb::prelude::*;
 use mmsb_bench::{HarnessArgs, TableWriter};

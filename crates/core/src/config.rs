@@ -169,12 +169,6 @@ impl SamplerConfig {
         self
     }
 
-    /// Set `delta`.
-    pub fn with_delta(mut self, delta: f64) -> Self {
-        self.delta = delta;
-        self
-    }
-
     /// Validate against a graph of `num_vertices` vertices.
     pub fn validate(&self, num_vertices: u32) -> Result<(), CoreError> {
         if self.k == 0 {
@@ -264,14 +258,11 @@ mod tests {
     #[test]
     fn rejects_bad_configs() {
         assert!(SamplerConfig::new(0).validate(100).is_err());
-        assert!(SamplerConfig::new(4)
-            .with_delta(0.0)
-            .validate(100)
-            .is_err());
-        assert!(SamplerConfig::new(4)
-            .with_delta(1.0)
-            .validate(100)
-            .is_err());
+        for delta in [0.0, 1.0] {
+            let mut c = SamplerConfig::new(4);
+            c.delta = delta;
+            assert!(c.validate(100).is_err(), "delta = {delta}");
+        }
         let mut c = SamplerConfig::new(4);
         c.alpha = -1.0;
         assert!(c.validate(100).is_err());
@@ -298,12 +289,10 @@ mod tests {
             .with_seed(9)
             .with_neighbor_sample(16)
             .with_layout(StateLayout::FullPhi)
-            .with_delta(0.001)
             .with_simd(SimdPolicy::Force(Backend::Scalar));
         assert_eq!(c.seed, 9);
         assert_eq!(c.neighbor_sample, 16);
         assert_eq!(c.layout, StateLayout::FullPhi);
-        assert_eq!(c.delta, 0.001);
         assert_eq!(c.simd, SimdPolicy::Force(Backend::Scalar));
         assert_eq!(c.backend(), Backend::Scalar);
     }

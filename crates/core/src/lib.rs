@@ -23,15 +23,18 @@
 //!   tree.
 //! * [`DistributedSampler`] — models the paper's cluster: the
 //!   master–worker execution (paper §III) in lockstep simulation:
-//!   per-rank compute is executed for real and measured, communication
-//!   and RDMA time are charged to virtual clocks from the `mmsb-netsim`
-//!   and `mmsb-dkv` cost models, and pipelining (double-buffered `pi`
-//!   loads) can be toggled — reproducing Figures 1–4 and Table III. It
-//!   never sends a message and keeps one copy of `pi`, the master's
-//!   state: every DKV access reads or writes it in place and is priced.
-//!   Each rank runs the pool driver's `update_phi` passes on its share,
-//!   pass 2 once per load chunk of the one
-//!   `mmsb_dkv::pipeline::ChunkReader`, `Single` or `Double`.
+//!   per-rank compute is executed for real — the ranks' `update_phi` on
+//!   an `mmsb-pool` pool, one rank per chunk — and charged to virtual
+//!   clocks as counted work at per-operation prices; communication and
+//!   RDMA time come from the `mmsb-netsim` and `mmsb-dkv` cost models,
+//!   and pipelining (double-buffered `pi` loads) can be toggled —
+//!   reproducing Figures 1–4 and Table III. No clock is read, so the
+//!   virtual time is a function of (config, seed). It never sends a
+//!   message and keeps one copy of `pi`, the master's state: every DKV
+//!   access reads or writes it in place and is priced. Each rank runs
+//!   the pool driver's `update_phi` passes on its share, pass 2 once per
+//!   load chunk of its `mmsb_dkv::pipeline::ChunkReader`, `Single` or
+//!   `Double`.
 //!
 //! # Quickstart
 //!
@@ -74,7 +77,7 @@ mod state;
 mod workspace;
 
 pub use checkpoint::{Checkpoint, CheckpointError, CHECKPOINT_MAGIC, CHECKPOINT_VERSION};
-pub use compute_model::NodeComputeModel;
+pub use compute_model::{NodeComputeModel, OpPrices};
 pub use config::{SamplerConfig, StateLayout, StepSize};
 pub use perplexity::{link_probability, PerplexityAccumulator};
 pub use posterior::PosteriorMean;

@@ -6,13 +6,18 @@
 //! the workers; `theta`/`beta` live at the master and `beta` is broadcast
 //! each iteration.
 //!
-//! **Execution model** (DESIGN.md §3/§6): every rank's compute runs for
-//! real, single-threaded, one rank at a time — so measurements are free of
-//! host contention — and is then scaled by the configured
-//! [`NodeComputeModel`] (the per-node OpenMP layer). Every communication
-//! and DKV operation advances the owning rank's [`ClusterClocks`] entry by
-//! an `mmsb-netsim` cost; barriers synchronize clocks to the max. The
-//! virtual makespan is what Figures 1–4 plot.
+//! **Execution model** (DESIGN.md §3/§7): every rank's compute runs for
+//! real — the ranks' `update_phi` concurrently, one rank per chunk of an
+//! `mmsb-pool` pool — but no stage reads a clock. A stage counts its work
+//! (pairs drawn, neighbours sampled, `pi` rows gathered × K, vertices ×
+//! K, pairs × K) and charges the owning rank's [`ClusterClocks`] entry
+//! the count at [`NodeComputeModel::PRICES`], Amdahl-scaled by the
+//! configured [`NodeComputeModel`] (the per-node OpenMP layer). Every
+//! communication and DKV operation advances the clock by an
+//! `mmsb-netsim` cost; barriers synchronize clocks to the max. The
+//! virtual makespan is what Figures 1–4 plot, and it is a function of
+//! the configuration and seed alone: neither the pool's size, its
+//! schedule nor the load on the host changes it.
 //!
 //! **One copy of `pi`**: stages are barrier-separated, so between two
 //! barriers the paper's store holds exactly the master's state. Every DKV
@@ -25,8 +30,10 @@
 //! **Chain fidelity**: the numerical trajectory is identical to the
 //! sequential and parallel drivers up to the floating-point association
 //! order of the distributed `theta`-gradient reduction (each worker sums
-//! its pair share, then shares are summed in rank order).
+//! its pair share, then shares are summed in rank order). `phi` rows are
+//! per-vertex pure, so running the ranks concurrently changes nothing.
 
+use super::driver;
 use super::worker::share;
 use super::Engine;
 use crate::checkpoint::Checkpoint;
@@ -35,7 +42,7 @@ use crate::compute_model::NodeComputeModel;
 use crate::config::{SamplerConfig, StateLayout};
 use crate::workspace::Workspace;
 use crate::{CoreError, ModelState};
-use mmsb_dkv::pipeline::{ChunkReader, PipelineMode};
+use mmsb_dkv::pipeline::{ChunkReader, PipelineMode, PipelineRun};
 use mmsb_dkv::{CostModel, DkvError, OpObs, Partition};
 use mmsb_graph::heldout::HeldOut;
 use mmsb_graph::Graph;
@@ -46,6 +53,8 @@ use mmsb_netsim::{
 use mmsb_netsim::obs_bridge;
 use mmsb_obs::clock::Stopwatch;
 use mmsb_obs::id as obs_id;
+use mmsb_pool::ThreadPool;
+use std::ops::Range;
 
 /// Cluster-level configuration of the distributed sampler.
 #[derive(Debug, Clone, Copy)]
@@ -55,7 +64,7 @@ pub struct DistributedConfig {
     pub workers: usize,
     /// Network cost model.
     pub net: NetworkModel,
-    /// Per-node thread-parallelism model applied to measured compute.
+    /// Per-node thread-parallelism model applied to counted compute.
     pub node: NodeComputeModel,
     /// Single- or double-buffered `pi` loads (Figure 3 / Table III).
     pub pipeline: PipelineMode,
@@ -164,21 +173,17 @@ pub struct DistributedSampler {
     /// Index 0 is the master; worker `w` is rank `w + 1`.
     clocks: ClusterClocks,
     trace: PhaseTimes,
-    /// The `pi` loader, pricing its passes under the configured
-    /// [`PipelineMode`].
-    reader: ChunkReader,
-    /// DKV keys of the stage at hand: the share's vertices, each followed
-    /// by its sampled neighbors (`update_phi`), the share's vertices
+    /// The pool the ranks' `update_phi` runs on, one rank per chunk.
+    pool: ThreadPool,
+    /// One per pool thread: the scratch of the ranks that thread runs.
+    /// The caller's (index 0) also serves the `theta` stage.
+    ranks: Vec<RankScratch>,
+    /// What each rank's `update_phi` charges this iteration, by rank.
+    phi: Vec<RankPhi>,
+    /// DKV keys of the caller's stage at hand: the share's vertices
     /// (write-back), its pairs' endpoints (`theta`) or its held-out
     /// pairs' endpoints.
     keys: Vec<u32>,
-    /// Each share vertex's end offset in `keys` during `update_phi`.
-    key_ends: Vec<usize>,
-    /// The scratch of whichever rank is executing (ranks run one at a
-    /// time, so one workspace serves them all): the share's sampled sets,
-    /// the gather and kernel buffers, and the block cache for
-    /// out-of-core adjacency probes.
-    ws: Workspace,
     /// The executing worker's `theta` gradient (`2K`).
     grad: Vec<f64>,
     /// The master's rank-order sum of the per-worker `theta` gradients.
@@ -187,6 +192,67 @@ pub struct DistributedSampler {
     updates: Vec<f64>,
     /// Per-pair held-out probabilities, gathered in pair order.
     probs: Vec<f64>,
+}
+
+/// One pool thread's scratch for the ranks it runs in `update_phi`.
+struct RankScratch {
+    /// The rank's sampled sets, the gather and kernel buffers, and the
+    /// block cache for out-of-core adjacency probes.
+    ws: Workspace,
+    /// The rank's DKV keys: each share vertex, followed by its sampled
+    /// neighbours.
+    keys: Vec<u32>,
+    /// Each share vertex's end offset in `keys`.
+    key_ends: Vec<usize>,
+    /// The `pi` loader, pricing its passes under the configured
+    /// [`PipelineMode`].
+    reader: ChunkReader,
+    /// The ranks this thread ran this iteration, with their charges.
+    done: Vec<(usize, RankPhi)>,
+}
+
+/// What one rank's `update_phi` charges its clock.
+#[derive(Clone, Copy, Default)]
+struct RankPhi {
+    /// Pass 1: sampling the share's neighbour sets.
+    sample: f64,
+    /// Pass 2: the priced load–compute pass over the share.
+    run: PipelineRun,
+}
+
+impl RankScratch {
+    /// Rank `w`'s `update_phi` over the mini-batch vertices `vs`: sample
+    /// their neighbour sets, then compute their `phi` rows into `out`
+    /// one priced load chunk at a time — per vertex its own row, then its
+    /// neighbours' rows. Returns the charges; reads no clock.
+    fn update_phi(
+        &mut self,
+        engine: &Engine,
+        cost: &CostModel,
+        node: &NodeComputeModel,
+        w: usize,
+        vs: Range<usize>,
+        out: &mut [f64],
+    ) -> RankPhi {
+        let k = engine.config.k;
+        engine.sample_neighbors(&engine.mb_vertices[vs.clone()], &mut self.ws);
+        self.ws.sampled.dkv_keys(&mut self.keys, &mut self.key_ends);
+        let sampled = self.keys.len() - vs.len();
+        let sample = node.worker_secs(NodeComputeModel::PRICES.sample_neighbor, sampled);
+        // Both modes compute identical chunks in identical order; the
+        // mode only prices the pass: every load under Single, under
+        // Double each load less the previous chunk's compute it hides
+        // behind.
+        let ws = &mut self.ws;
+        let run = self
+            .reader
+            .run(cost, w, &self.keys, &self.key_ends, |items, _| {
+                let rows = &mut out[items.start * k..items.end * k];
+                engine.update_phi_range(items, ws, rows);
+            })
+            .expect("keys are valid vertex ids");
+        RankPhi { sample, run }
+    }
 }
 
 /// Logical message-stage ids folded into the fabric fault coordinate so
@@ -217,6 +283,19 @@ impl DistributedSampler {
         config: SamplerConfig,
         dcfg: DistributedConfig,
     ) -> Result<Self, CoreError> {
+        Self::with_threads(graph, heldout, config, dcfg, driver::available_threads())
+    }
+
+    /// [`DistributedSampler::with_backend`] with an explicit pool size
+    /// (at least 1). The pool size changes how fast the ranks run, never
+    /// what they compute or the virtual time they are charged.
+    pub(crate) fn with_threads(
+        graph: mmsb_ooc::GraphBackend,
+        heldout: HeldOut,
+        config: SamplerConfig,
+        dcfg: DistributedConfig,
+        threads: usize,
+    ) -> Result<Self, CoreError> {
         dcfg.validate()?;
         if config.layout != StateLayout::PiSumPhi {
             return Err(CoreError::InvalidConfig {
@@ -226,16 +305,29 @@ impl DistributedSampler {
         let engine = Engine::with_backend(graph, heldout, config)?;
         let n = engine.graph.num_vertices();
         let k = engine.config.k;
-        let reader = ChunkReader::new(dcfg.chunk_vertices, dcfg.pipeline)
-            .with_compute_scale(dcfg.node.scale(1.0));
+        let key_compute = dcfg.node.worker_secs(NodeComputeModel::PRICES.phi_row_k, k);
+        let ranks = (0..threads)
+            .map(|t| RankScratch {
+                ws: Workspace::new(
+                    k,
+                    engine.config.neighbor_sample,
+                    engine.graph.new_cache(
+                        engine.config.graph_cache_blocks,
+                        engine.config.seed ^ (0xD15 + t as u64),
+                    ),
+                ),
+                keys: Vec::new(),
+                key_ends: Vec::new(),
+                reader: ChunkReader::new(dcfg.chunk_vertices, dcfg.pipeline)
+                    .with_key_compute(key_compute),
+                done: Vec::with_capacity(dcfg.workers),
+            })
+            .collect();
         let plan = FaultPlan::new(dcfg.faults.unwrap_or_else(|| FaultConfig::none(0)));
         // A fault-configured run always holds a rollback point, even
         // before the first explicit checkpoint: a kill at iteration 0
         // must be recoverable.
         let last_checkpoint = dcfg.faults.map(|_| Checkpoint::capture(&engine));
-        let graph_cache = engine
-            .graph
-            .new_cache(engine.config.graph_cache_blocks, engine.config.seed ^ 0xD15);
         Ok(Self {
             dcfg,
             cost: CostModel::new(Partition::new(n, dcfg.workers), k + 1, dcfg.net),
@@ -246,10 +338,10 @@ impl DistributedSampler {
             checkpoint_every: None,
             clocks: ClusterClocks::new(dcfg.workers + 1),
             trace: PhaseTimes::new(),
-            reader,
+            pool: ThreadPool::new(threads),
+            ranks,
+            phi: vec![RankPhi::default(); dcfg.workers],
             keys: Vec::new(),
-            key_ends: Vec::new(),
-            ws: Workspace::new(k, engine.config.neighbor_sample, graph_cache),
             grad: vec![0.0; 2 * k],
             grad_total: vec![0.0; 2 * k],
             updates: vec![0.0; engine.max_batch_vertices() * k],
@@ -274,9 +366,8 @@ impl DistributedSampler {
         Ok(s)
     }
 
-    /// Refresh the in-memory rollback checkpoint every `every` iterations
-    /// (used both by kill recovery and as the snapshot
-    /// [`DistributedSampler::last_checkpoint`] exposes for persistence).
+    /// Refresh the in-memory rollback checkpoint — the state kill
+    /// recovery rewinds to — every `every` iterations.
     ///
     /// # Panics
     /// Panics if `every` is zero.
@@ -295,11 +386,6 @@ impl DistributedSampler {
         let _ckpt_span = mmsb_obs::span(obs_id::S_CHECKPOINT);
         mmsb_obs::counter_add(obs_id::C_CHECKPOINTS, 1);
         Checkpoint::capture(&self.engine)
-    }
-
-    /// The most recent automatic checkpoint, if any.
-    pub fn last_checkpoint(&self) -> Option<&Checkpoint> {
-        self.last_checkpoint.as_ref()
     }
 
     /// Install `ckpt`, rewinding (or fast-forwarding) the chain to the
@@ -355,17 +441,16 @@ impl DistributedSampler {
         let k = self.engine.config.k;
         let net = self.dcfg.net;
         let node = self.dcfg.node;
+        let prices = NodeComputeModel::PRICES;
 
         // ------------------------------------------------- master: draw
-        let t0 = Stopwatch::start();
         self.engine.refresh_minibatch();
-        let draw = t0.elapsed_secs();
-        self.trace_add(Phase::DrawMinibatch, draw);
-
         // Rank `w` owns part `w` of the contiguous split of the batch's
         // vertices and of its pairs.
         let nv = self.engine.mb_vertices.len();
         let n_pairs = self.engine.mb.pairs.len();
+        let draw = prices.draw_pair * n_pairs as f64;
+        self.trace_add(Phase::DrawMinibatch, draw);
 
         // Deploy: per-worker bytes = vertex ids + their adjacency rows +
         // the worker's pair share (9 bytes: two ids + observation).
@@ -402,44 +487,38 @@ impl DistributedSampler {
         // barrier.
 
         // -------------------------------------- workers: update_phi
-        let mut max_neigh = 0.0f64;
+        // The ranks run concurrently on the pool, each into its own rows
+        // of `updates`. What a rank is charged is counted work, so the
+        // pool's size and schedule cannot change it; the clocks then
+        // advance in rank order.
+        let (engine, cost) = (&self.engine, &self.cost);
+        driver::run_shares(
+            &self.pool,
+            &mut self.ranks,
+            &mut self.updates[..nv * k],
+            k,
+            r,
+            |ctx, w, vs, rows| {
+                let phi = ctx.update_phi(engine, cost, &node, w, vs, rows);
+                ctx.done.push((w, phi));
+            },
+        );
+        for ctx in &mut self.ranks {
+            for &(w, phi) in &ctx.done {
+                self.phi[w] = phi;
+            }
+            ctx.done.clear();
+        }
+        let mut max_sample = 0.0f64;
         let mut max_load = 0.0f64;
         let mut max_compute = 0.0f64;
         let mut max_hidden = 0.0f64;
         let mut max_stage_recovery = 0.0f64;
         for w in 0..r {
             let rank = w + 1;
-            let vs = share(nv, r, w);
-            // Pass 1: sample the share's neighbor sets (worker compute,
-            // thread-parallel on the node).
-            let t0 = Stopwatch::start();
-            self.engine
-                .sample_neighbors(&self.engine.mb_vertices[vs.clone()], &mut self.ws);
-            let neigh = node.scale(t0.elapsed_secs());
-            self.clocks.advance(rank, neigh);
-            max_neigh = max_neigh.max(neigh);
-
-            // Pass 2, one load chunk at a time: the reader prices the
-            // chunk's DKV reads — per vertex its own row, then its
-            // neighbors' rows — and times the chunk's compute on the
-            // state those reads would return. Every buffer involved
-            // persists on `self`.
-            self.ws.sampled.dkv_keys(&mut self.keys, &mut self.key_ends);
-            let engine = &self.engine;
-            let ws = &mut self.ws;
-            let out = &mut self.updates[vs.start * k..vs.end * k];
-            // Both modes compute identical chunks in identical order; the
-            // mode only prices the pass. The clock advances by the
-            // makespan `schedule` models: every load under Single, under
-            // Double each load less the previous chunk's compute it hides
-            // behind.
-            let run = self
-                .reader
-                .run(&self.cost, w, &self.keys, &self.key_ends, |items, _| {
-                    let rows = &mut out[items.start * k..items.end * k];
-                    engine.update_phi_range(items, ws, rows);
-                })
-                .expect("keys are valid vertex ids");
+            let RankPhi { sample, run } = self.phi[w];
+            self.clocks.advance(rank, sample);
+            max_sample = max_sample.max(sample);
             self.clocks.advance(rank, run.total);
             max_load = max_load.max(run.load);
             max_compute = max_compute.max(run.compute);
@@ -456,14 +535,14 @@ impl DistributedSampler {
                 };
                 let mut worker_recovery = self.read_retry_cost(w, run.chunks, per_chunk);
                 if let Some(factor) = self.plan.straggler(iteration, w) {
-                    worker_recovery += self.policy.straggler_overhead(neigh + run.total, factor);
+                    worker_recovery += self.policy.straggler_overhead(sample + run.total, factor);
                 }
                 self.clocks.advance(rank, worker_recovery);
                 max_stage_recovery = max_stage_recovery.max(worker_recovery);
             }
         }
         recovery_t += max_stage_recovery;
-        self.trace_add(Phase::SampleNeighbors, max_neigh);
+        self.trace_add(Phase::SampleNeighbors, max_sample);
         self.trace_add(Phase::LoadPi, max_load);
         self.trace_add(Phase::UpdatePhi, max_compute);
         if self.dcfg.pipeline == PipelineMode::Double {
@@ -483,10 +562,9 @@ impl DistributedSampler {
         for w in 0..r {
             let rank = w + 1;
             let vs = share(nv, r, w);
-            let t0 = Stopwatch::start();
             self.engine
                 .apply_phi_updates(vs.clone(), &self.updates[vs.start * k..vs.end * k]);
-            let compute = node.scale(t0.elapsed_secs());
+            let compute = node.worker_secs(prices.apply_vertex_k, vs.len() * k);
             self.keys.clear();
             self.keys
                 .extend(self.engine.mb_vertices[vs].iter().map(|a| a.0));
@@ -531,10 +609,13 @@ impl DistributedSampler {
                     .flat_map(|&(e, _)| [e.lo().0, e.hi().0]),
             );
             let wire = self.cost.read_cost(w, &self.keys);
-            let t0 = Stopwatch::start();
-            self.engine
-                .theta_gradient(ps.start, ps.end, &mut self.ws.stage, &mut self.grad);
-            let compute = node.scale(t0.elapsed_secs());
+            self.engine.theta_gradient(
+                ps.start,
+                ps.end,
+                &mut self.ranks[0].ws.stage,
+                &mut self.grad,
+            );
+            let compute = node.worker_secs(prices.theta_pair_k, ps.len() * k);
             for (g, c) in self.grad_total.iter_mut().zip(&self.grad) {
                 *g += c;
             }
@@ -547,13 +628,11 @@ impl DistributedSampler {
         let reduce = collective::reduce(&net, r + 1, 2 * k * 8)
             + self.collective_retry_cost(STAGE_REDUCE, &mut recovery_t);
         Self::obs_collective(reduce);
-        let t_reduce = self.clocks.barrier(reduce); // reduce is a sync point
+        self.clocks.barrier(reduce); // reduce is a sync point
         beta_stage += reduce;
-        let _ = t_reduce;
         // Master: theta step + beta broadcast.
-        let t0 = Stopwatch::start();
         self.engine.apply_theta_update(&self.grad_total);
-        let master_compute = t0.elapsed_secs();
+        let master_compute = prices.theta_step_k * k as f64;
         let bcast = collective::broadcast(&net, r + 1, k * 8)
             + self.collective_retry_cost(STAGE_BROADCAST, &mut recovery_t);
         Self::obs_collective(bcast);
@@ -705,36 +784,39 @@ impl DistributedSampler {
     }
 
     /// Distributed held-out perplexity: each worker loads the `pi` rows of
-    /// its static `E_h` partition, computes its probabilities, and the
-    /// per-pair probabilities are gathered at the master, which folds them
-    /// into the running posterior average (Eq. 7). (The paper reduces
-    /// partial log-sums; gathering the probability vectors instead keeps
-    /// the posterior averaging bit-identical to the single-node drivers —
-    /// the wire cost of the gather is modeled either way.)
+    /// its static share of `E_h` (the same contiguous [`share`] split as
+    /// the mini-batch), computes its probabilities, and the per-pair
+    /// probabilities are gathered at the master, which folds them into
+    /// the running posterior average (Eq. 7). (The paper reduces partial
+    /// log-sums; gathering the probability vectors instead keeps the
+    /// posterior averaging bit-identical to the single-node drivers — the
+    /// wire cost of the gather is modeled either way.)
     pub fn evaluate_perplexity(&mut self) -> f64 {
         let r = self.dcfg.workers;
         let net = self.dcfg.net;
         let node = self.dcfg.node;
+        let k = self.engine.config.k;
         let total = self.engine.heldout.len();
         let mut max_t = 0.0f64;
-        let mut offset = 0usize;
         for w in 0..r {
             let rank = w + 1;
-            let share = self.engine.heldout.partition(w, r);
+            let ps = share(total, r, w);
             self.keys.clear();
-            self.keys
-                .extend(share.iter().flat_map(|&(e, _)| [e.lo().0, e.hi().0]));
+            self.keys.extend(
+                self.engine.heldout.pairs()[ps.clone()]
+                    .iter()
+                    .flat_map(|&(e, _)| [e.lo().0, e.hi().0]),
+            );
             let wire = self.cost.read_cost(w, &self.keys);
-            let (lo, hi) = (offset, offset + share.len());
-            let t0 = Stopwatch::start();
             self.engine
-                .perplexity_probs_into(lo, hi, &mut self.probs[lo..hi]);
-            let compute = node.scale(t0.elapsed_secs());
-            offset = hi;
+                .perplexity_probs_into(ps.start, ps.end, &mut self.probs[ps.clone()]);
+            let compute =
+                node.worker_secs(NodeComputeModel::PRICES.perplexity_pair_k, ps.len() * k);
             self.clocks.advance(rank, wire + compute);
             max_t = max_t.max(wire + compute);
         }
-        let gather = collective::gather(&net, r + 1, (total / r.max(1)) * 8);
+        // The gather waits for the largest share; part 0 is one.
+        let gather = collective::gather(&net, r + 1, share(total, r, 0).len() * 8);
         Self::obs_collective(gather);
         self.clocks.advance(0, gather);
         self.clocks.barrier(0.0);
@@ -911,17 +993,103 @@ mod tests {
         for a in 0..single.state().n() {
             assert_eq!(single.state().pi_row(a), double.state().pi_row(a));
         }
-        // Time, on modelled quantities only (`virtual_time()` also holds
-        // measured compute, so ordering the two runs by it follows host
-        // load): pipelining hides the same loads behind compute — it
-        // neither adds nor removes wire time — and only the pipelined run
-        // records the load time it hid. That the double-buffered
-        // makespan never exceeds the serial one for equal chunk profiles
-        // is `mmsb_dkv::pipeline`'s `schedule_bounds`.
+        // Time: both runs are charged the same counted work, and
+        // double buffering hides loads behind it, so the pipelined
+        // makespan never exceeds the serial one (per rank, that is
+        // `mmsb_dkv::pipeline`'s `schedule_bounds`). It neither adds nor
+        // removes wire time, and only the pipelined run records the load
+        // time it hid.
+        assert!(
+            double.virtual_time() <= single.virtual_time(),
+            "double {} > single {}",
+            double.virtual_time(),
+            single.virtual_time()
+        );
         let (s, d) = (single.report().phases, double.report().phases);
         assert_eq!(s.total(Phase::LoadPi), d.total(Phase::LoadPi));
+        assert_eq!(s.total(Phase::UpdatePhi), d.total(Phase::UpdatePhi));
         assert_eq!(s.count(Phase::Prefetch), 0);
         assert_eq!(d.count(Phase::Prefetch), 6);
+        assert!(d.total(Phase::Prefetch) > 0.0);
+    }
+
+    /// The virtual clock reads no clock: at pool sizes 1, 2 and 4 the
+    /// same run — faults included — reports bit-identical virtual time
+    /// and phase totals, and the same chain.
+    #[test]
+    fn virtual_time_is_independent_of_pool_size() {
+        let (g, h) = setup(10);
+        let cfg = SamplerConfig::new(8).with_seed(4);
+        let dcfg = DistributedConfig::das5(5).with_faults(FaultConfig::transient(3));
+        let runs: Vec<_> = [1, 2, 4]
+            .into_iter()
+            .map(|threads| {
+                let mut d = DistributedSampler::with_threads(
+                    g.clone().into(),
+                    h.clone(),
+                    cfg.clone(),
+                    dcfg,
+                    threads,
+                )
+                .unwrap();
+                assert_eq!(d.pool.threads(), threads);
+                d.run(6);
+                let perplexity = d.evaluate_perplexity();
+                let pi = d.state().flat_arrays().0.to_vec();
+                (
+                    d.virtual_time().to_bits(),
+                    d.report(),
+                    perplexity.to_bits(),
+                    pi,
+                )
+            })
+            .collect();
+        assert!(runs[0].1.phases.total(Phase::Recovery) > 0.0);
+        for (threads, run) in [(2, &runs[1]), (4, &runs[2])] {
+            assert_eq!(run.0, runs[0].0, "virtual time at {threads} threads");
+            assert_eq!(run.1, runs[0].1, "report at {threads} threads");
+            assert_eq!(run.2, runs[0].2, "perplexity at {threads} threads");
+            assert!(run.3 == runs[0].3, "pi at {threads} threads");
+        }
+    }
+
+    /// Held-out pairs split like the mini-batch (`share`), and the gather
+    /// is priced at the largest share: with 80 pairs over 6 workers the
+    /// shares are 14, 14, 13, 13, 13 and 13 (a `div_ceil` split would give
+    /// 14 × 5 + 10), and the gather carries 14 probabilities per rank, not
+    /// `80 / 6 = 13`.
+    #[test]
+    fn perplexity_gather_is_priced_at_the_largest_share() {
+        let (g, h) = setup(11);
+        let (r, k) = (6, 4);
+        let total = h.len();
+        assert_eq!((total, total % r), (80, 2));
+        let mut d = DistributedSampler::new(
+            g,
+            h,
+            SamplerConfig::new(k).with_seed(2),
+            DistributedConfig::das5(r),
+        )
+        .unwrap();
+        d.evaluate_perplexity();
+        let charged = d.report().phases.total(Phase::Perplexity);
+
+        let node = d.dcfg.node;
+        let lens: Vec<usize> = (0..r).map(|w| share(total, r, w).len()).collect();
+        assert_eq!(lens, [14, 14, 13, 13, 13, 13]);
+        let slowest = (0..r)
+            .map(|w| {
+                let keys: Vec<u32> = d.engine.heldout.pairs()[share(total, r, w)]
+                    .iter()
+                    .flat_map(|&(e, _)| [e.lo().0, e.hi().0])
+                    .collect();
+                d.cost.read_cost(w, &keys)
+                    + node.worker_secs(NodeComputeModel::PRICES.perplexity_pair_k, lens[w] * k)
+            })
+            .fold(0.0f64, f64::max);
+        let gather = collective::gather(&d.dcfg.net, r + 1, 14 * 8);
+        assert_eq!(charged, slowest + gather);
+        assert!(gather > collective::gather(&d.dcfg.net, r + 1, 13 * 8));
     }
 
     #[test]
@@ -1013,11 +1181,9 @@ mod tests {
 
     #[test]
     fn more_workers_is_faster_for_fixed_problem() {
-        // The strong-scaling sanity check behind Figure 1, on modelled
-        // time only: with the same chain split over 8 workers instead of
-        // 2, the most loaded rank's `pi` loads (pure cost-model output —
-        // `virtual_time()` also holds *measured* compute, which follows
-        // host load) must take less wire time.
+        // The strong-scaling sanity check behind Figure 1: with the same
+        // chain split over 8 workers instead of 2, the whole makespan
+        // shrinks.
         let (g, h) = setup(6);
         let cfg = SamplerConfig::new(8)
             .with_seed(2)
@@ -1029,11 +1195,7 @@ mod tests {
         let mut d8 = DistributedSampler::new(g, h, cfg, DistributedConfig::das5(8)).unwrap();
         d2.run(6);
         d8.run(6);
-        let load2 = d2.report().phases.total(Phase::LoadPi);
-        let load8 = d8.report().phases.total(Phase::LoadPi);
-        assert!(
-            load8 < load2,
-            "load_pi of the max-loaded rank: 8 workers {load8} vs 2 workers {load2}"
-        );
+        let (t2, t8) = (d2.virtual_time(), d8.virtual_time());
+        assert!(t8 < t2, "makespan: 8 workers {t8} vs 2 workers {t2}");
     }
 }

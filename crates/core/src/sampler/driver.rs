@@ -1,4 +1,5 @@
-//! The chunked step of [`crate::ParallelSampler`].
+//! The chunked step of [`crate::ParallelSampler`], and the rank fan-out
+//! of the lockstep driver ([`run_shares`]).
 //!
 //! Every pool size runs the *same* code over the *same* fixed chunk
 //! boundaries; the only difference is whether the chunks of an iteration
@@ -8,11 +9,13 @@
 //! chain is bitwise-identical for any thread count — including one.
 
 use crate::sampler::engine::{Engine, PHI_CHUNK, THETA_CHUNK};
+use crate::sampler::worker::share;
 use crate::workspace::Workspace;
 use mmsb_netsim::obs_bridge;
 use mmsb_netsim::Phase;
 use mmsb_obs::id as obs_id;
 use mmsb_pool::{tree_combine_f64, SharedSlice, ThreadPool};
+use std::ops::Range;
 
 /// Held-out pairs per perplexity chunk.
 const PERPLEXITY_CHUNK: usize = 1024;
@@ -74,6 +77,43 @@ fn ensure_len(buf: &mut Vec<f64>, len: usize) {
     if buf.len() < len {
         buf.resize(len, 0.0);
     }
+}
+
+/// One pool thread per CPU the host makes available (at least one): the
+/// default pool size of both samplers.
+pub(crate) fn available_threads() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+}
+
+/// Run `f(ctx, part, items, rows)` for every `part in 0..parts` on `pool`,
+/// with `ctxs` as the per-thread scratch. Part `p` owns the items
+/// [`share`]`(n, parts, p)` of the `n = out.len() / width` rows of `out`
+/// (`width > 0`), and `rows` is exclusive access to those rows. Shares
+/// are disjoint, so each part writes only its own rows however the pool
+/// schedules the parts. The lockstep driver runs its ranks through this.
+pub(crate) fn run_shares<C, T, F>(
+    pool: &ThreadPool,
+    ctxs: &mut [C],
+    out: &mut [T],
+    width: usize,
+    parts: usize,
+    f: F,
+) where
+    C: Send,
+    T: Send,
+    F: Fn(&mut C, usize, Range<usize>, &mut [T]) + Sync,
+{
+    let n = out.len() / width;
+    let out = SharedSlice::new(out);
+    pool.run_with(ctxs, parts, |ctx, part| {
+        let items = share(n, parts, part);
+        // SAFETY: the shares of distinct parts are disjoint item ranges
+        // within `0..n`, so their row ranges are disjoint too.
+        let rows = unsafe { out.range(items.start * width, items.end * width) };
+        f(ctx, part, items, rows);
+    });
 }
 
 /// One SG-MCMC iteration (Algorithm 1), chunked:

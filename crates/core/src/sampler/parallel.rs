@@ -34,10 +34,7 @@ impl ParallelSampler {
     /// Build a sampler over a training graph and held-out set, using one
     /// pool thread per available CPU.
     pub fn new(graph: Graph, heldout: HeldOut, config: SamplerConfig) -> Result<Self, CoreError> {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        Self::with_threads(graph, heldout, config, threads)
+        Self::with_threads(graph, heldout, config, driver::available_threads())
     }
 
     /// Build a sampler with an explicit pool size. `threads == 1` degrades

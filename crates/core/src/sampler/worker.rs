@@ -1,7 +1,7 @@
 //! What a worker holds between the two passes of `update_phi`: its
 //! vertices' sampled neighbor sets ([`SampledSets`]), and how the
-//! lockstep [`crate::DistributedSampler`] splits a mini-batch over its
-//! ranks ([`share`]).
+//! lockstep [`crate::DistributedSampler`] splits a mini-batch and the
+//! held-out pairs over its ranks ([`share`]).
 
 use crate::rngs;
 use mmsb_graph::heldout::HeldOut;

@@ -1,9 +1,10 @@
 //! Per-worker scratch buffers for the zero-allocation hot path.
 //!
-//! Each pool worker owns one [`Workspace`], and the lockstep driver one
-//! for whichever rank is executing; every buffer the two-pass `phi`
-//! update and the `theta` gradient need lives here, so the steady-state
-//! iteration loop performs no heap allocation. Workspace
+//! Each pool worker owns one [`Workspace`] — in either driver: the
+//! lockstep driver's pool threads each hold one for the ranks they run;
+//! every buffer the two-pass `phi` update and the `theta` gradient need
+//! lives here, so the steady-state iteration loop performs no heap
+//! allocation. Workspace
 //! contents are pure scratch — they never influence results, which is why
 //! dynamic chunk-to-worker assignment cannot perturb the chain.
 

@@ -9,10 +9,11 @@
 //! and decodes a block. Every per-iteration buffer is pre-reserved at its hard
 //! upper bound (`Engine::with_backend`, `StepBuffers::new`, `Workspace::new`,
 //! the cache's block storage and decode scratch) or grows to its
-//! high-water mark during warm-up (the lockstep driver's workspace and
-//! key buffers, the reader's per-chunk timings), the pool publishes jobs
-//! as unboxed pointer pairs, and the mini-batch/neighbor machinery
-//! reuses its vectors — so the counter below must stay at exactly zero.
+//! high-water mark during warm-up (the lockstep driver's per-thread
+//! workspaces and key buffers, the readers' per-chunk prices), the pool
+//! publishes jobs as unboxed pointer pairs, and the mini-batch/neighbor
+//! machinery reuses its vectors — so the counter below must stay at
+//! exactly zero.
 //!
 //! This file holds a single test on purpose: the counting allocator is
 //! process-global, and a concurrently running test would pollute the
@@ -142,12 +143,12 @@ fn steady_state_step_is_allocation_free() {
     }
 
     // ---- lockstep master–worker driver, both pipeline modes ----
-    // Every per-rank buffer of `step()` and `evaluate_perplexity()` (the
-    // sampled sets, the DKV keys of each stage, the theta gradients)
-    // lives in the sampler's one workspace and key buffers, and the
-    // reader keeps its timings — so once each has seen its largest share
-    // the whole iteration, perplexity gather included, stays off the
-    // heap.
+    // The ranks' `update_phi` runs on the sampler's pool, and every
+    // per-rank buffer (the sampled sets, the DKV keys, the reader's
+    // per-chunk prices) lives in the scratch of the pool thread running
+    // the rank; the other stages' keys and theta gradients live on the
+    // sampler. Once each has seen its largest share the whole iteration,
+    // pool fan-out and perplexity gather included, stays off the heap.
     for mode in [PipelineMode::Single, PipelineMode::Double] {
         let mut sampler = DistributedSampler::new(
             graph.clone(),

@@ -18,8 +18,9 @@
 //!   one DKV access,
 //! * [`pipeline`] — the chunked `pi` load and the timing model of
 //!   overlapping its loads with compute (paper §III-D, Figure 3, Table
-//!   III): one [`pipeline::ChunkReader`] prices and computes chunk by
-//!   chunk on the caller's thread, and its [`pipeline::PipelineMode`]
+//!   III): a [`pipeline::ChunkReader`] prices and computes chunk by
+//!   chunk on its caller's thread — loads by the [`CostModel`], compute
+//!   per key delivered, no clock read — and its [`pipeline::PipelineMode`]
 //!   selects how [`pipeline::schedule`] prices the pass — every load
 //!   paid, or each load hidden behind the previous chunk's compute,
 //! * [`ShardedStore`] behind [`DkvStore`] — per-rank shards that move

@@ -3,27 +3,29 @@
 //! Loading `pi` from the DKV store dominates `update_phi` (Table III: 205
 //! of 285 ms). The paper hides that latency by splitting the load into
 //! chunks and fetching chunk `i+1` while computing on chunk `i` (§III-D).
-//! The simulated cluster runs on one thread and reads `pi` from the
-//! master's state, so this module *models* the load and the overlap
-//! rather than executing them:
+//! The simulated cluster reads `pi` from the master's state, so this
+//! module *models* the load and the overlap rather than executing them:
 //!
 //! * [`schedule`] — the pure timing algebra of a two-stage pipeline,
 //!   verified against hand-computed cases,
 //! * [`ChunkReader`] — the one loader. It groups the caller's items
 //!   (mini-batch vertices) into chunks, prices each chunk's keys with
-//!   the [`CostModel`], then measures the caller's compute on the chunk;
-//!   the pass returns one [`PipelineRun`] whose makespan is [`schedule`]
-//!   under the reader's [`PipelineMode`]: `Single` pays every load,
-//!   `Double` only the part the previous chunk's compute cannot hide.
+//!   the [`CostModel`], runs the caller's compute on the chunk and prices
+//!   that compute by the rows the chunk delivered; the pass returns one
+//!   [`PipelineRun`] whose makespan is [`schedule`] under the reader's
+//!   [`PipelineMode`]: `Single` pays every load, `Double` only the part
+//!   the previous chunk's compute cannot hide.
 //!
 //! The mode changes nothing but that price: chunk boundaries and compute
-//! order are the same, so the chain is too. The reader keeps its
-//! per-chunk timings across passes, so steady-state operation performs
-//! no heap allocation (pinned by `crates/core/tests/zero_alloc.rs`).
+//! order are the same, so the chain is too. No clock is read, so a pass's
+//! price depends on its keys alone — not on the host or on what else runs
+//! beside it — and a reader per thread may run passes concurrently. The
+//! reader keeps its per-chunk prices across passes, so steady-state
+//! operation performs no heap allocation (pinned by
+//! `crates/core/tests/zero_alloc.rs`).
 
 use crate::store::check_keys;
 use crate::{CostModel, DkvError, OpObs};
-use mmsb_obs::clock::Stopwatch;
 use std::ops::Range;
 
 /// Buffering mode for the `pi` loader.
@@ -67,13 +69,13 @@ pub fn schedule(loads: &[f64], computes: &[f64], mode: PipelineMode) -> f64 {
 }
 
 /// Result of one chunked, cost-accounted read-compute pass.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PipelineRun {
     /// Modeled makespan in seconds under the reader's mode.
     pub total: f64,
     /// Sum of modeled load (DKV read) times.
     pub load: f64,
-    /// Sum of measured compute times.
+    /// Sum of priced compute times.
     pub compute: f64,
     /// Number of chunks executed.
     pub chunks: usize,
@@ -92,24 +94,28 @@ impl PipelineRun {
 ///
 /// Items `[0, n)` — each owning a run of keys — are grouped into chunks
 /// of `chunk_size` items. Each chunk's keys are priced, then the compute
-/// callback runs on the chunk, in item order. The [`PipelineMode`]
-/// decides only how the pass is priced (see [`schedule`]), so both modes
-/// compute identical chunks in identical order and all downstream
-/// numerics agree. The per-chunk timings persist across passes: a warmed
-/// reader allocates nothing.
+/// callback runs on the chunk, in item order, and is charged the
+/// reader's compute price per key. The [`PipelineMode`] decides only how
+/// the pass is priced (see [`schedule`]), so both modes compute identical
+/// chunks in identical order and all downstream numerics agree. The
+/// per-chunk prices persist across passes: a warmed reader allocates
+/// nothing.
 #[derive(Debug, Clone)]
 pub struct ChunkReader {
     chunk_size: usize,
-    compute_scale: f64,
+    /// Modeled compute seconds per key a chunk delivers.
+    key_compute: f64,
     mode: PipelineMode,
     /// Modeled per-chunk load times of the last pass (seconds).
     loads: Vec<f64>,
-    /// Measured per-chunk compute times of the last pass (seconds).
+    /// Modeled per-chunk compute times of the last pass (seconds).
     computes: Vec<f64>,
 }
 
 impl ChunkReader {
-    /// Create a reader with the given chunk size (in items) and mode.
+    /// Create a reader with the given chunk size (in items) and mode,
+    /// whose compute is free until [`ChunkReader::with_key_compute`]
+    /// prices it.
     ///
     /// # Panics
     /// Panics if `chunk_size == 0`.
@@ -117,18 +123,18 @@ impl ChunkReader {
         assert!(chunk_size > 0, "chunk size must be positive");
         Self {
             chunk_size,
-            compute_scale: 1.0,
+            key_compute: 0.0,
             mode,
             loads: Vec::new(),
             computes: Vec::new(),
         }
     }
 
-    /// Multiply measured per-chunk compute times by `scale` before they
-    /// enter the modeled makespan — the hook for per-node
-    /// thread-parallelism models that shrink the serial measurement.
-    pub fn with_compute_scale(mut self, scale: f64) -> Self {
-        self.compute_scale = scale;
+    /// Charge each chunk's compute `seconds` per key it delivered — the
+    /// caller's per-row work, already scaled by whatever node model it
+    /// runs under.
+    pub fn with_key_compute(mut self, seconds: f64) -> Self {
+        self.key_compute = seconds;
         self
     }
 
@@ -136,8 +142,8 @@ impl ChunkReader {
     /// (`ends` is non-decreasing and ends at `keys.len()`). For each
     /// chunk of items, the chunk's keys are priced with
     /// [`CostModel::read_cost`] and recorded as one DKV read ([`OpObs`]),
-    /// then `compute(items, chunk_keys)` runs and is measured with a
-    /// monotonic clock, scaled by the compute scale.
+    /// then `compute(items, chunk_keys)` runs and is charged the compute
+    /// price of the chunk's keys.
     ///
     /// A key outside the partition fails the pass at its chunk, after
     /// the earlier chunks were computed on.
@@ -173,9 +179,8 @@ impl ChunkReader {
                 let _obs = OpObs::read(chunk);
                 self.loads.push(cost.read_cost(rank, chunk));
             }
-            let t0 = Stopwatch::start();
             compute(items, chunk);
-            self.computes.push(t0.elapsed_secs() * self.compute_scale);
+            self.computes.push(chunk.len() as f64 * self.key_compute);
             first += chunk_ends.len();
             start = end;
         }
@@ -295,23 +300,18 @@ mod tests {
         let keys: Vec<u32> = (0..64).collect();
         let mut sums = Vec::new();
         for mode in [PipelineMode::Single, PipelineMode::Double] {
-            let mut reader = ChunkReader::new(8, mode);
+            let mut reader = ChunkReader::new(8, mode).with_key_compute(1e-6);
             assert_eq!(reader.mode, mode);
             let mut sum = 0u64;
             let run = reader
                 .run(&cost, 0, &keys, &unit_ends(64), |_, ks| {
                     sum += ks.iter().map(|&k| u64::from(k)).sum::<u64>();
-                    // Busy work so compute time is non-trivial relative to
-                    // the modeled load times.
-                    for _ in 0..2000 {
-                        std::hint::black_box(sum);
-                    }
                 })
                 .unwrap();
             sums.push(sum);
             assert!(run.total > 0.0);
             assert!(run.load > 0.0);
-            assert!(run.compute > 0.0);
+            assert!((run.compute - 64e-6).abs() < 1e-15, "{}", run.compute);
             // Only Double hides load time behind compute.
             assert_eq!(run.hidden() > 0.0, mode == PipelineMode::Double, "{mode:?}");
         }
@@ -347,6 +347,25 @@ mod tests {
         assert_eq!(seen[2], (2..3, vec![4, 5, 6, 7, 8, 9]));
     }
 
+    /// Each chunk's compute is charged per key it delivered: chunks of 3,
+    /// 1 and 6 keys cost 3, 1 and 6 key prices, whatever the closure
+    /// does.
+    #[test]
+    fn reader_prices_compute_by_delivered_keys() {
+        let cost = test_cost(4);
+        let keys: Vec<u32> = (0..10).collect();
+        let price = 0.25;
+        let mut reader = ChunkReader::new(1, PipelineMode::Single).with_key_compute(price);
+        let run = reader.run(&cost, 0, &keys, &[3, 4, 10], |_, _| {}).unwrap();
+        assert_eq!(reader.computes, [3.0 * price, price, 6.0 * price]);
+        assert_eq!(run.compute, 10.0 * price);
+        assert_eq!(run.total, run.load + run.compute);
+        let free = ChunkReader::new(1, PipelineMode::Single)
+            .run(&cost, 0, &keys, &[3, 4, 10], |_, _| {})
+            .unwrap();
+        assert_eq!((free.compute, free.load), (0.0, run.load));
+    }
+
     #[test]
     #[should_panic(expected = "cover the key slice")]
     fn reader_segments_must_cover_keys() {
@@ -364,7 +383,7 @@ mod tests {
         keys: &[u32],
         ends: &[usize],
     ) -> (PipelineRun, Vec<(Range<usize>, Vec<u32>)>) {
-        let mut reader = ChunkReader::new(chunk, mode);
+        let mut reader = ChunkReader::new(chunk, mode).with_key_compute(2e-7);
         let mut seen = Vec::new();
         let run = reader
             .run(&test_cost(8), 0, keys, ends, |items, ks| {

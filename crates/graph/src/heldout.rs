@@ -232,20 +232,6 @@ impl HeldOut {
             _ => &[],
         }
     }
-
-    /// Contiguous partition of the pair list for rank `rank` of `ranks` —
-    /// the static partitioning the paper uses for the distributed
-    /// perplexity computation.
-    ///
-    /// # Panics
-    /// Panics if `rank >= ranks` or `ranks == 0`.
-    pub fn partition(&self, rank: usize, ranks: usize) -> &[(Edge, bool)] {
-        assert!(ranks > 0 && rank < ranks, "bad partition {rank}/{ranks}");
-        let per = self.pairs.len().div_ceil(ranks);
-        let lo = (rank * per).min(self.pairs.len());
-        let hi = ((rank + 1) * per).min(self.pairs.len());
-        &self.pairs[lo..hi]
-    }
 }
 
 #[cfg(test)]
@@ -306,17 +292,6 @@ mod tests {
             assert!(h.contains(e));
         }
         assert_eq!(h.pairs().len(), 60);
-    }
-
-    #[test]
-    fn partition_covers_everything_disjointly() {
-        let g = test_graph();
-        let mut rng = Xoshiro256PlusPlus::seed_from_u64(5);
-        let (_, h) = HeldOut::split(&g, 33, &mut rng);
-        for ranks in [1, 2, 3, 7, 64, 200] {
-            let total: usize = (0..ranks).map(|r| h.partition(r, ranks).len()).sum();
-            assert_eq!(total, h.len(), "ranks={ranks}");
-        }
     }
 
     /// `split` as it was before it filtered the sorted edge sequence: the

@@ -1,7 +1,8 @@
 //! Per-rank virtual clocks.
 //!
 //! Each simulated rank owns a [`VirtualClock`] that accumulates *modeled*
-//! communication time and *measured* compute time. A barrier synchronizes
+//! communication time and *counted* compute time (work done × a
+//! per-operation price). A barrier synchronizes
 //! all clocks to the maximum (every rank waits for the slowest) plus the
 //! modeled cost of the barrier itself — exactly the timing semantics of a
 //! bulk-synchronous MPI program.

@@ -29,7 +29,7 @@ pub fn broadcast(net: &NetworkModel, ranks: usize, bytes: usize) -> f64 {
 }
 
 /// Reduce `bytes` from all ranks to the root (payload moves every level;
-/// the combine computation itself is measured, not modeled).
+/// the combine computation itself is charged by the caller).
 pub fn reduce(net: &NetworkModel, ranks: usize, bytes: usize) -> f64 {
     tree_depth(ranks) as f64 * net.message_time(bytes)
 }

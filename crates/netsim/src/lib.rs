@@ -5,9 +5,10 @@
 //! one machine and models only the wire: every communication or RDMA
 //! operation advances a per-rank [`VirtualClock`] by a cost computed from a
 //! [`NetworkModel`], and collectives use tree-based [`collective`]
-//! formulas. Because the compute side is measured (not modeled), the
-//! compute/communication ratio — which determines the scaling curves of
-//! Figures 1–4 — is preserved. See DESIGN.md §3 and §6.
+//! formulas. The compute side is counted work priced per operation at
+//! rates calibrated on the real kernels, so the compute/communication
+//! ratio — which determines the scaling curves of Figures 1–4 — is
+//! preserved. See DESIGN.md §3 and §7.
 //!
 //! # Example
 //!

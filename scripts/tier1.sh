@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 gate: the workspace must build, lint clean, and test fully
 # offline — no registry dependencies, no network. Each step runs once:
-# xlint -> doc check (five reference checks) -> build -> clippy -> the whole test suite -> the
-# three --quick gate binaries -> sanitize.sh.
+# xlint -> doc check (five reference checks, then the no-clock check) ->
+# build -> clippy -> the whole test suite -> the three --quick gate
+# binaries -> sanitize.sh.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -77,6 +78,19 @@ for doc in README.md DESIGN.md; do
         git grep -qw "$name" -- 'crates/*.rs' \
             || { echo "$doc names an identifier no crate has: $name"; stale=1; }
     done < <(grep -oE '`[A-Z][a-z0-9]+[A-Z][A-Za-z0-9]*`' "$doc" | tr -d '`' | sort -u)
+done
+# (6) No clock read in the simulated cluster's step: the lockstep driver
+# and the chunked `pi` loader charge compute as counted work, so a
+# clock read (`Stopwatch::start`, `elapsed_secs`, `Instant`, `SystemTime`,
+# `now_ns`) outside the obs guard `metrics_on().then(Stopwatch::start)`
+# would put host time back into the virtual clock. Comment lines are
+# skipped.
+for src in crates/core/src/sampler/distributed.rs crates/dkv/src/pipeline.rs; do
+    while read -r hit; do
+        echo "$src reads a clock outside the obs guard: $hit"; stale=1
+    done < <(grep -nE 'Stopwatch::start|elapsed_secs|Instant|SystemTime|now_ns' "$src" \
+        | grep -vE '^[0-9]+:[[:space:]]*//' \
+        | grep -vE 'metrics_on\(\)\.then\((mmsb_obs::clock::)?Stopwatch::start\)')
 done
 [ "$stale" -eq 0 ]
 

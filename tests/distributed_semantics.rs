@@ -1,9 +1,11 @@
 //! Distributed-execution semantics: worker counts, pipelining and network
 //! models must affect *time*, never *values*; timing must respond to the
-//! knobs the way the paper's measurements do.
+//! knobs the way the paper's measurements do — and to nothing else: the
+//! virtual clock counts work, so the load on the host cannot move it.
 
 use mmsb::netsim::Phase;
 use mmsb::prelude::*;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 fn setup(seed: u64, n: u32) -> (Graph, HeldOut) {
     let mut rng = Xoshiro256PlusPlus::seed_from_u64(seed);
@@ -28,17 +30,6 @@ fn config(k: usize) -> SamplerConfig {
             partitions: 16,
             anchors: 32,
         })
-}
-
-/// Seconds charged by the cost model alone: `pi` loads, barriers and the
-/// mini-batch deployment. Two samplers are only ever ordered by this —
-/// `virtual_time()` also holds *measured* compute, which follows the
-/// load on the host running the test.
-fn modelled_wire(d: &DistributedSampler) -> f64 {
-    let phases = d.report().phases;
-    phases.total(Phase::LoadPi)
-        + phases.total(Phase::Barrier)
-        + phases.total(Phase::DeployMinibatch)
 }
 
 #[test]
@@ -71,7 +62,7 @@ fn slower_network_costs_more_virtual_time() {
         let dcfg = DistributedConfig::das5(4).with_net(net);
         let mut d = DistributedSampler::new(g.clone(), h.clone(), config(8), dcfg).unwrap();
         d.run(6);
-        times.push(modelled_wire(&d));
+        times.push(d.virtual_time());
     }
     assert!(
         times[1] > times[0],
@@ -164,7 +155,7 @@ fn weak_scaling_keeps_per_iteration_time_roughly_flat() {
         )
         .unwrap();
         d.run(6);
-        times.push(modelled_wire(&d) / 6.0);
+        times.push(d.virtual_time() / 6.0);
     }
     let max = times.iter().cloned().fold(0.0, f64::max);
     let min = times.iter().cloned().fold(f64::INFINITY, f64::min);
@@ -172,4 +163,38 @@ fn weak_scaling_keeps_per_iteration_time_roughly_flat() {
         max / min < 4.0,
         "weak scaling blew up: per-iteration times {times:?}"
     );
+}
+
+#[test]
+fn busy_host_does_not_move_the_virtual_clock() {
+    let (g, h) = setup(7, 400);
+    let run = || {
+        let mut d =
+            DistributedSampler::new(g.clone(), h.clone(), config(8), DistributedConfig::das5(4))
+                .unwrap();
+        d.run(6);
+        d.evaluate_perplexity();
+        (d.virtual_time().to_bits(), d.report())
+    };
+    /// Stops the busy loop however the second run ends, a panic
+    /// included.
+    struct StopOnDrop<'a>(&'a AtomicBool);
+    impl Drop for StopOnDrop<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::Relaxed);
+        }
+    }
+    let quiet = run();
+    let stop = AtomicBool::new(false);
+    let busy = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            while !stop.load(Ordering::Relaxed) {
+                std::hint::spin_loop();
+            }
+        });
+        let _stop = StopOnDrop(&stop);
+        run()
+    });
+    assert_eq!(quiet.0, busy.0, "virtual time moved with host load");
+    assert_eq!(quiet.1, busy.1, "phase totals moved with host load");
 }
