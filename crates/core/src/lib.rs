@@ -32,9 +32,9 @@
 //!   virtual time is a function of (config, seed). It never sends a
 //!   message and keeps one copy of `pi`, the master's state: every DKV
 //!   access reads or writes it in place and is priced. Each rank runs
-//!   the pool driver's `update_phi` passes on its share, pass 2 once per
-//!   load chunk of its `mmsb_dkv::pipeline::ChunkReader`, `Single` or
-//!   `Double`.
+//!   the pool driver's `update_phi` on its share, and
+//!   `mmsb_dkv::pipeline::price` charges the share's chunked `pi` load,
+//!   `Single` or `Double`.
 //!
 //! # Quickstart
 //!
@@ -102,8 +102,6 @@ pub enum CoreError {
         /// Explanation of the failure.
         reason: String,
     },
-    /// A distributed-store failure (propagated from `mmsb-dkv`).
-    Store(mmsb_dkv::DkvError),
     /// A checkpoint failed to encode, decode, or match the sampler.
     Checkpoint(checkpoint::CheckpointError),
 }
@@ -113,7 +111,6 @@ impl std::fmt::Display for CoreError {
         match self {
             CoreError::InvalidConfig { reason } => write!(f, "invalid config: {reason}"),
             CoreError::GraphTooSmall { reason } => write!(f, "graph too small: {reason}"),
-            CoreError::Store(e) => write!(f, "store error: {e}"),
             CoreError::Checkpoint(e) => write!(f, "checkpoint error: {e}"),
         }
     }
@@ -122,16 +119,9 @@ impl std::fmt::Display for CoreError {
 impl std::error::Error for CoreError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            CoreError::Store(e) => Some(e),
             CoreError::Checkpoint(e) => Some(e),
             _ => None,
         }
-    }
-}
-
-impl From<mmsb_dkv::DkvError> for CoreError {
-    fn from(e: mmsb_dkv::DkvError) -> Self {
-        CoreError::Store(e)
     }
 }
 
@@ -151,10 +141,5 @@ mod tests {
             reason: "k = 0".into(),
         };
         assert!(e.to_string().contains("k = 0"));
-        let e = CoreError::Store(mmsb_dkv::DkvError::KeyOutOfRange {
-            key: 1,
-            num_keys: 1,
-        });
-        assert!(e.to_string().contains("store"));
     }
 }

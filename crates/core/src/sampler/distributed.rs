@@ -24,8 +24,9 @@
 //! access therefore reads or writes [`ModelState`] in place and is only
 //! *priced*: the rank's clock is charged the [`CostModel`]'s RDMA time
 //! for the same keys at `K + 1` floats per row. A rank's `update_phi` is
-//! the pool driver's two passes — `Engine::sample_neighbors` over its
-//! share, then `Engine::update_phi_range` per priced load chunk.
+//! the pool driver's: one `Engine::update_phi` over its share, after
+//! which [`pipeline::price`] charges the share's `pi` load, chunk by
+//! chunk, under the configured [`PipelineMode`].
 //!
 //! **Chain fidelity**: the numerical trajectory is identical to the
 //! sequential and parallel drivers up to the floating-point association
@@ -33,7 +34,7 @@
 //! its pair share, then shares are summed in rank order). `phi` rows are
 //! per-vertex pure, so running the ranks concurrently changes nothing.
 
-use super::driver;
+use super::driver::{self, Split};
 use super::worker::share;
 use super::Engine;
 use crate::checkpoint::Checkpoint;
@@ -42,8 +43,8 @@ use crate::compute_model::NodeComputeModel;
 use crate::config::{SamplerConfig, StateLayout};
 use crate::workspace::Workspace;
 use crate::{CoreError, ModelState};
-use mmsb_dkv::pipeline::{ChunkReader, PipelineMode, PipelineRun};
-use mmsb_dkv::{CostModel, DkvError, OpObs, Partition};
+use mmsb_dkv::pipeline::{self, PipelineMode, PipelineRun};
+use mmsb_dkv::{CostModel, OpObs, Partition};
 use mmsb_graph::heldout::HeldOut;
 use mmsb_graph::Graph;
 use mmsb_netsim::{
@@ -204,9 +205,6 @@ struct RankScratch {
     keys: Vec<u32>,
     /// Each share vertex's end offset in `keys`.
     key_ends: Vec<usize>,
-    /// The `pi` loader, pricing its passes under the configured
-    /// [`PipelineMode`].
-    reader: ChunkReader,
     /// The ranks this thread ran this iteration, with their charges.
     done: Vec<(usize, RankPhi)>,
 }
@@ -221,36 +219,36 @@ struct RankPhi {
 }
 
 impl RankScratch {
-    /// Rank `w`'s `update_phi` over the mini-batch vertices `vs`: sample
-    /// their neighbour sets, then compute their `phi` rows into `out`
-    /// one priced load chunk at a time — per vertex its own row, then its
-    /// neighbours' rows. Returns the charges; reads no clock.
+    /// Rank `w`'s `update_phi` over the mini-batch vertices `vs`: the
+    /// pool driver's `Engine::update_phi` over the share into `out`, then
+    /// the price of its two passes — sampling the neighbour sets, and the
+    /// chunked load of the share's `pi` rows (per vertex its own row,
+    /// then its neighbours' rows) with the compute on them. Reads no
+    /// clock.
     fn update_phi(
         &mut self,
         engine: &Engine,
         cost: &CostModel,
-        node: &NodeComputeModel,
+        dcfg: &DistributedConfig,
         w: usize,
         vs: Range<usize>,
         out: &mut [f64],
     ) -> RankPhi {
-        let k = engine.config.k;
-        engine.sample_neighbors(&engine.mb_vertices[vs.clone()], &mut self.ws);
+        let prices = NodeComputeModel::PRICES;
+        engine.update_phi(&engine.mb_vertices[vs.clone()], &mut self.ws, out);
         self.ws.sampled.dkv_keys(&mut self.keys, &mut self.key_ends);
         let sampled = self.keys.len() - vs.len();
-        let sample = node.worker_secs(NodeComputeModel::PRICES.sample_neighbor, sampled);
-        // Both modes compute identical chunks in identical order; the
-        // mode only prices the pass: every load under Single, under
-        // Double each load less the previous chunk's compute it hides
-        // behind.
-        let ws = &mut self.ws;
-        let run = self
-            .reader
-            .run(cost, w, &self.keys, &self.key_ends, |items, _| {
-                let rows = &mut out[items.start * k..items.end * k];
-                engine.update_phi_range(items, ws, rows);
-            })
-            .expect("keys are valid vertex ids");
+        let sample = dcfg.node.worker_secs(prices.sample_neighbor, sampled);
+        let key_secs = dcfg.node.worker_secs(prices.phi_row_k, engine.config.k);
+        let run = pipeline::price(
+            cost,
+            w,
+            &self.keys,
+            &self.key_ends,
+            dcfg.chunk_vertices,
+            dcfg.pipeline,
+            key_secs,
+        );
         RankPhi { sample, run }
     }
 }
@@ -305,7 +303,6 @@ impl DistributedSampler {
         let engine = Engine::with_backend(graph, heldout, config)?;
         let n = engine.graph.num_vertices();
         let k = engine.config.k;
-        let key_compute = dcfg.node.worker_secs(NodeComputeModel::PRICES.phi_row_k, k);
         let ranks = (0..threads)
             .map(|t| RankScratch {
                 ws: Workspace::new(
@@ -318,8 +315,6 @@ impl DistributedSampler {
                 ),
                 keys: Vec::new(),
                 key_ends: Vec::new(),
-                reader: ChunkReader::new(dcfg.chunk_vertices, dcfg.pipeline)
-                    .with_key_compute(key_compute),
                 done: Vec::with_capacity(dcfg.workers),
             })
             .collect();
@@ -474,7 +469,6 @@ impl DistributedSampler {
             // Non-pipelined: workers wait for the deployment.
             let ready = self.clocks.now(0);
             for w in 0..r {
-                self.clocks.advance(w + 1, 0.0);
                 if self.clocks.now(w + 1) < ready {
                     let wait = ready - self.clocks.now(w + 1);
                     self.clocks.advance(w + 1, wait);
@@ -491,15 +485,15 @@ impl DistributedSampler {
         // of `updates`. What a rank is charged is counted work, so the
         // pool's size and schedule cannot change it; the clocks then
         // advance in rank order.
-        let (engine, cost) = (&self.engine, &self.cost);
-        driver::run_shares(
+        let (engine, cost, dcfg) = (&self.engine, &self.cost, &self.dcfg);
+        driver::fan_out(
             &self.pool,
             &mut self.ranks,
             &mut self.updates[..nv * k],
             k,
-            r,
+            Split::Shares(r),
             |ctx, w, vs, rows| {
-                let phi = ctx.update_phi(engine, cost, &node, w, vs, rows);
+                let phi = ctx.update_phi(engine, cost, dcfg, w, vs, rows);
                 ctx.done.push((w, phi));
             },
         );
@@ -578,9 +572,6 @@ impl DistributedSampler {
             let recovery = self
                 .dkv_retry_cost(site, wire, obs_id::C_DKV_WRITE_RETRIES, |attempt| {
                     self.plan.write_fault(w, iteration, attempt)
-                })
-                .map_err(|_| DkvError::RetriesExhausted {
-                    attempts: self.policy.max_retries + 1,
                 })
                 .expect("retry budget covers transient write faults");
             self.clocks.advance(rank, compute + wire + recovery);

@@ -1,5 +1,5 @@
-//! The chunked step of [`crate::ParallelSampler`], and the rank fan-out
-//! of the lockstep driver ([`run_shares`]).
+//! The chunked step of [`crate::ParallelSampler`], and the one pool
+//! fan-out ([`fan_out`]) both drivers split their work with.
 //!
 //! Every pool size runs the *same* code over the *same* fixed chunk
 //! boundaries; the only difference is whether the chunks of an iteration
@@ -87,19 +87,46 @@ pub(crate) fn available_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Run `f(ctx, part, items, rows)` for every `part in 0..parts` on `pool`,
-/// with `ctxs` as the per-thread scratch. Part `p` owns the items
-/// [`share`]`(n, parts, p)` of the `n = out.len() / width` rows of `out`
-/// (`width > 0`), and `rows` is exclusive access to those rows. Shares
-/// are disjoint, so each part writes only its own rows however the pool
-/// schedules the parts. The lockstep driver runs its ranks through this.
-pub(crate) fn run_shares<C, T, F>(
+/// How [`fan_out`] splits `n` rows into parts: part `p` owns rows
+/// `start(p)..start(p + 1)`.
+#[derive(Clone, Copy)]
+pub(crate) enum Split {
+    /// Parts of this many rows each, the last one possibly shorter.
+    Chunks(usize),
+    /// This many near-equal contiguous parts ([`share`]).
+    Shares(usize),
+}
+
+impl Split {
+    fn parts(self, n: usize) -> usize {
+        match self {
+            Split::Chunks(size) => n.div_ceil(size),
+            Split::Shares(parts) => parts,
+        }
+    }
+
+    fn start(self, n: usize, p: usize) -> usize {
+        match self {
+            Split::Chunks(size) => p.saturating_mul(size).min(n),
+            Split::Shares(parts) => share(n, parts, p).start,
+        }
+    }
+}
+
+/// Run `body(ctx, part, rows, out_rows)` for every part of `split` on
+/// `pool`, with `ctxs` as the per-thread scratch: `out` holds `n =
+/// out.len() / width` rows of `width > 0` elements, and `out_rows` is
+/// exclusive access to the part's `rows`. Every fan-out of both drivers
+/// runs through here — fixed-size chunks, one theta row per chunk, a
+/// lockstep rank's share — so each part writes only its own rows however
+/// the pool schedules the parts.
+pub(crate) fn fan_out<C, T, F>(
     pool: &ThreadPool,
     ctxs: &mut [C],
     out: &mut [T],
     width: usize,
-    parts: usize,
-    f: F,
+    split: Split,
+    body: F,
 ) where
     C: Send,
     T: Send,
@@ -107,12 +134,17 @@ pub(crate) fn run_shares<C, T, F>(
 {
     let n = out.len() / width;
     let out = SharedSlice::new(out);
-    pool.run_with(ctxs, parts, |ctx, part| {
-        let items = share(n, parts, part);
-        // SAFETY: the shares of distinct parts are disjoint item ranges
-        // within `0..n`, so their row ranges are disjoint too.
-        let rows = unsafe { out.range(items.start * width, items.end * width) };
-        f(ctx, part, items, rows);
+    pool.run_with(ctxs, split.parts(n), |ctx, part| {
+        let (lo, hi) = (split.start(n, part), split.start(n, part + 1));
+        assert!(
+            lo <= hi && hi <= n,
+            "part {part} claims rows {lo}..{hi} of {n}"
+        );
+        // SAFETY: `split.start` is non-decreasing in the part by
+        // construction (fixed-size chunks or `share`), so distinct parts
+        // own disjoint row ranges, which the assert keeps within `out`.
+        let rows = unsafe { out.range(lo * width, hi * width) };
+        body(ctx, part, lo..hi, rows);
     });
 }
 
@@ -145,15 +177,14 @@ pub(crate) fn step(
     {
         let _p = PhaseObs::open(Phase::UpdatePhi);
         let eng = &*engine;
-        let out = SharedSlice::new(&mut bufs.updates[..nv * k]);
-        pool.run_with(workspaces, nv.div_ceil(PHI_CHUNK), |ws, chunk| {
-            let lo = chunk * PHI_CHUNK;
-            let hi = ((chunk + 1) * PHI_CHUNK).min(nv);
-            // SAFETY: chunk ranges [lo*k, hi*k) are pairwise disjoint.
-            let chunk_out = unsafe { out.range(lo * k, hi * k) };
-            eng.sample_neighbors(&eng.mb_vertices[lo..hi], ws);
-            eng.update_phi_range(0..hi - lo, ws, chunk_out);
-        });
+        fan_out(
+            pool,
+            workspaces,
+            &mut bufs.updates[..nv * k],
+            k,
+            Split::Chunks(PHI_CHUNK),
+            |ws, _, vs, rows| eng.update_phi(&eng.mb_vertices[vs], ws, rows),
+        );
     }
 
     // Stage 3: barrier, then apply.
@@ -169,14 +200,18 @@ pub(crate) fn step(
     ensure_len(&mut bufs.chunk_grads, n_chunks * 2 * k);
     {
         let eng = &*engine;
-        let out = SharedSlice::new(&mut bufs.chunk_grads[..n_chunks * 2 * k]);
-        pool.run_with(workspaces, n_chunks, |ws, chunk| {
-            // SAFETY: one disjoint 2K row per chunk.
-            let grad = unsafe { out.range(chunk * 2 * k, (chunk + 1) * 2 * k) };
-            let lo = chunk * THETA_CHUNK;
-            let hi = ((chunk + 1) * THETA_CHUNK).min(n_pairs);
-            eng.theta_gradient(lo, hi, &mut ws.stage, grad);
-        });
+        fan_out(
+            pool,
+            workspaces,
+            &mut bufs.chunk_grads[..n_chunks * 2 * k],
+            2 * k,
+            Split::Chunks(1),
+            |ws, chunk, _, grad| {
+                let lo = chunk * THETA_CHUNK;
+                let hi = ((chunk + 1) * THETA_CHUNK).min(n_pairs);
+                eng.theta_gradient(lo, hi, &mut ws.stage, grad);
+            },
+        );
     }
     tree_combine_f64(&mut bufs.chunk_grads[..n_chunks * 2 * k], 2 * k, n_chunks);
     engine.apply_theta_update(&bufs.chunk_grads[..2 * k]);
@@ -204,14 +239,14 @@ pub(crate) fn evaluate_perplexity(
     ensure_len(&mut bufs.probs, n);
     {
         let eng = &*engine;
-        let out = SharedSlice::new(&mut bufs.probs[..n]);
-        pool.run_with(workspaces, n.div_ceil(PERPLEXITY_CHUNK), |_ws, chunk| {
-            let lo = chunk * PERPLEXITY_CHUNK;
-            let hi = ((chunk + 1) * PERPLEXITY_CHUNK).min(n);
-            // SAFETY: chunk ranges are pairwise disjoint.
-            let slice = unsafe { out.range(lo, hi) };
-            eng.perplexity_probs_into(lo, hi, slice);
-        });
+        fan_out(
+            pool,
+            workspaces,
+            &mut bufs.probs[..n],
+            1,
+            Split::Chunks(PERPLEXITY_CHUNK),
+            |_, _, pairs, probs| eng.perplexity_probs_into(pairs.start, pairs.end, probs),
+        );
     }
     engine.record_perplexity_sample(&bufs.probs[..n])
 }

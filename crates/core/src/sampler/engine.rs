@@ -187,45 +187,40 @@ impl Engine {
         }
     }
 
-    /// Stage 2, pass 1 (pure in the state): take `ids` as the vertices at
-    /// hand in `ws.sampled` and sample every vertex's neighbor set, keeping
-    /// its stream. Each vertex's own `pi` row and, on the resident
-    /// backend, its adjacency list are prefetched first, so the loads
-    /// overlap the sampling.
-    pub fn sample_neighbors(&self, ids: &[VertexId], ws: &mut Workspace) {
-        for &a in ids {
+    /// Stage 2 (pure): the new `phi` rows of `vertices`, vertex `j` to row
+    /// `j` of `out` (`vertices.len() x K`). Two passes over `ws`: first
+    /// every vertex's neighbor set is sampled into `ws.sampled` (its own
+    /// `pi` row and, on the resident backend, its adjacency list
+    /// prefetched first, so the loads overlap the sampling); then each
+    /// vertex gathers its neighbors' `pi` rows from the state, marks its
+    /// links against its list (read once) and runs [`stage::phi_update`].
+    /// Both drivers compute every `phi` row here — the pool driver per
+    /// [`PHI_CHUNK`], a lockstep rank over its share; all scratch comes
+    /// from `ws`, so the steady state performs no heap allocation.
+    ///
+    /// All randomness comes from the `(seed, iteration, vertex)` streams —
+    /// the result is independent of which thread (and which workspace)
+    /// performs the computation, and of how the vertices are split.
+    pub fn update_phi(&self, vertices: &[VertexId], ws: &mut Workspace, out: &mut [f64]) {
+        for &a in vertices {
             mmsb_simd::prefetch(self.state.pi_row(a.0));
             if let GraphBackend::Resident(g) = &self.graph {
                 mmsb_simd::prefetch(g.neighbors(a));
             }
         }
         ws.sampled.sample(
-            ids,
+            vertices,
             &self.neighbors,
             &self.heldout,
             self.config.seed,
             self.iteration,
         );
-    }
-
-    /// Stage 2, pass 2 (pure): the new `phi` rows of sampled vertices
-    /// `range` of `ws.sampled`, vertex `range.start + j` to row `j` of
-    /// `out` (`range.len() x K`). Each vertex gathers its neighbors' `pi`
-    /// rows from the state, marks its links against its list (read once)
-    /// and runs [`stage::phi_update`]. Both drivers compute every `phi`
-    /// row here; all scratch comes from `ws`, so the steady state
-    /// performs no heap allocation.
-    ///
-    /// All randomness comes from the `(seed, iteration, vertex)` streams —
-    /// the result is independent of which thread (and which workspace)
-    /// performs the computation, and of how the vertices are split.
-    pub fn update_phi_range(&self, range: Range<usize>, ws: &mut Workspace, out: &mut [f64]) {
         let k = self.config.k;
         let params = self.phi_params();
         // The reader borrows only `ws.graph_cache`, disjoint from the
         // sampled sets and the gather buffers.
         let mut reader = self.graph.reader(ws.graph_cache.as_mut());
-        for (i, row_out) in range.zip(out.chunks_exact_mut(k)) {
+        for (i, row_out) in out.chunks_exact_mut(k).enumerate() {
             let (a, set, rng) = ws.sampled.vertex(i);
             ws.rows.clear();
             for &b in set {

@@ -1,8 +1,8 @@
 //! The two data-parallel stages of an iteration, implemented once.
 //!
 //! Both drivers — pool-parallel and lockstep distributed — call
-//! [`phi_update`] per mini-batch vertex (through
-//! `Engine::update_phi_range`) and [`theta_gradient`] per pair range,
+//! [`phi_update`] per mini-batch vertex (through `Engine::update_phi`)
+//! and [`theta_gradient`] per pair range,
 //! on `pi` rows of the one [`crate::ModelState`]; they differ only in
 //! how they split the work (pool chunks or ranks) and whether they price
 //! it. Both functions run the `mmsb-simd` kernels on the configured

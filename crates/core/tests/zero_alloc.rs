@@ -1,18 +1,18 @@
 //! Pins the zero-allocation steady-state contract: after warmup, a
 //! [`ParallelSampler`] `step()` must never touch the heap — and neither
 //! may a warmed lockstep [`DistributedSampler`] `step()` +
-//! `evaluate_perplexity()` in either pipeline mode, a warmed
-//! [`ChunkReader`] pass (the chunked, priced `pi` load of the distributed
-//! sampler), warmed `ShardedStore` writes, nor a warmed out-of-core
+//! `evaluate_perplexity()` in either pipeline mode (the ranks'
+//! `update_phi` and the priced, chunked `pi` load included), warmed
+//! `ShardedStore` writes, nor a warmed out-of-core
 //! [`mmsb_ooc::BlockCache`] read loop (the graph path of the ooc
 //! backend), whether every read hits or every read evicts, reads, CRCs
 //! and decodes a block. Every per-iteration buffer is pre-reserved at its hard
 //! upper bound (`Engine::with_backend`, `StepBuffers::new`, `Workspace::new`,
 //! the cache's block storage and decode scratch) or grows to its
 //! high-water mark during warm-up (the lockstep driver's per-thread
-//! workspaces and key buffers, the readers' per-chunk prices), the pool
-//! publishes jobs as unboxed pointer pairs, and the mini-batch/neighbor
-//! machinery reuses its vectors — so the counter below must stay at
+//! workspaces and key buffers), the pool publishes jobs as unboxed
+//! pointer pairs, and the mini-batch/neighbor machinery reuses its
+//! vectors — so the counter below must stay at
 //! exactly zero.
 //!
 //! This file holds a single test on purpose: the counting allocator is
@@ -27,11 +27,10 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use mmsb_core::{
     Backend, DistributedConfig, DistributedSampler, ParallelSampler, SamplerConfig, SimdPolicy,
 };
-use mmsb_dkv::pipeline::{ChunkReader, PipelineMode};
-use mmsb_dkv::{CostModel, DkvStore, Partition, ShardedStore};
+use mmsb_dkv::pipeline::PipelineMode;
+use mmsb_dkv::{DkvStore, Partition, ShardedStore};
 use mmsb_graph::generate::planted::{generate_planted, PlantedConfig};
 use mmsb_graph::heldout::HeldOut;
-use mmsb_netsim::NetworkModel;
 use mmsb_obs::{ObsConfig, ObsLevel};
 use mmsb_rand::Xoshiro256PlusPlus;
 
@@ -144,10 +143,9 @@ fn steady_state_step_is_allocation_free() {
 
     // ---- lockstep master–worker driver, both pipeline modes ----
     // The ranks' `update_phi` runs on the sampler's pool, and every
-    // per-rank buffer (the sampled sets, the DKV keys, the reader's
-    // per-chunk prices) lives in the scratch of the pool thread running
-    // the rank; the other stages' keys and theta gradients live on the
-    // sampler. Once each has seen its largest share the whole iteration,
+    // per-rank buffer (the sampled sets, the DKV keys and their item
+    // ends) lives in the scratch of the pool thread running the rank;
+    // the other stages' keys and theta gradients live on the sampler. Once each has seen its largest share the whole iteration,
     // pool fan-out and perplexity gather included, stays off the heap.
     for mode in [PipelineMode::Single, PipelineMode::Double] {
         let mut sampler = DistributedSampler::new(
@@ -179,39 +177,8 @@ fn steady_state_step_is_allocation_free() {
         );
     }
 
-    // ---- pipelined path: a warmed reader pass ----
-    // The chunked loader must also be allocation-free once warm: its
-    // per-chunk timing vectors persist across passes.
     let row_len = 9;
     let keys: Vec<u32> = (0..512).collect();
-    let ends: Vec<usize> = (1..=keys.len()).collect();
-    let cost = CostModel::new(
-        Partition::new(512, 4),
-        row_len,
-        NetworkModel::fdr_infiniband(),
-    );
-    let mut reader = ChunkReader::new(64, PipelineMode::Double);
-    let mut acc = 0u64;
-    for _ in 0..5 {
-        reader
-            .run(&cost, 0, &keys, &ends, |_, ks| acc += u64::from(ks[0]))
-            .unwrap();
-    }
-
-    COUNTING.store(true, Ordering::SeqCst);
-    for _ in 0..20 {
-        reader
-            .run(&cost, 0, &keys, &ends, |_, ks| acc += u64::from(ks[0]))
-            .unwrap();
-    }
-    COUNTING.store(false, Ordering::SeqCst);
-    assert!(acc > 0);
-
-    let n = ALLOCS.load(Ordering::SeqCst);
-    assert_eq!(
-        n, 0,
-        "warmed chunk reader hit the allocator {n} times over 20 passes"
-    );
 
     // ---- write path: warmed write_batch calls ----
     // The duplicate-key check sorts a copy of the batch in a store-owned

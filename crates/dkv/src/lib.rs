@@ -16,13 +16,13 @@
 //!   store,
 //! * [`OpObs`] — the per-batch counters, latency histogram and span of
 //!   one DKV access,
-//! * [`pipeline`] — the chunked `pi` load and the timing model of
+//! * [`pipeline`] — the price of the chunked `pi` load and of
 //!   overlapping its loads with compute (paper §III-D, Figure 3, Table
-//!   III): a [`pipeline::ChunkReader`] prices and computes chunk by
-//!   chunk on its caller's thread — loads by the [`CostModel`], compute
-//!   per key delivered, no clock read — and its [`pipeline::PipelineMode`]
-//!   selects how [`pipeline::schedule`] prices the pass — every load
-//!   paid, or each load hidden behind the previous chunk's compute,
+//!   III): [`pipeline::price`] charges each chunk's load by the
+//!   [`CostModel`] and its compute per key delivered, with no clock read
+//!   and nothing run inside it, and folds the pass's makespan under a
+//!   [`pipeline::PipelineMode`] — every load paid, or each load hidden
+//!   behind the previous chunk's compute,
 //! * [`ShardedStore`] behind [`DkvStore`] — per-rank shards that move
 //!   real bytes: the store's request path.
 //!
@@ -67,12 +67,6 @@ pub enum DkvError {
         /// The duplicated key.
         key: u32,
     },
-    /// An operation under injected faults failed on every attempt the
-    /// recovery policy allowed.
-    RetriesExhausted {
-        /// Attempts performed before giving up.
-        attempts: u32,
-    },
 }
 
 impl std::fmt::Display for DkvError {
@@ -86,9 +80,6 @@ impl std::fmt::Display for DkvError {
             }
             DkvError::DuplicateKeyInWrite { key } => {
                 write!(f, "key {key} appears twice in one write batch")
-            }
-            DkvError::RetriesExhausted { attempts } => {
-                write!(f, "operation failed on all {attempts} attempts")
             }
         }
     }

@@ -1,34 +1,24 @@
-//! Chunked `pi` reads and the timing model of pipelining them.
+//! The price of a chunked, pipelined `pi` load.
 //!
 //! Loading `pi` from the DKV store dominates `update_phi` (Table III: 205
 //! of 285 ms). The paper hides that latency by splitting the load into
 //! chunks and fetching chunk `i+1` while computing on chunk `i` (§III-D).
-//! The simulated cluster reads `pi` from the master's state, so this
-//! module *models* the load and the overlap rather than executing them:
+//! The simulated cluster reads `pi` from the master's state and computes
+//! its `phi` rows before it prices them, so this module *models* the
+//! load and the overlap rather than executing them: [`price`] walks the
+//! chunks of a rank's keys, charges each chunk's load by the
+//! [`CostModel`] and its compute per key it delivers, and folds the
+//! makespan of the pass under a [`PipelineMode`] — `Single` pays every
+//! load, `Double` only the part the previous chunk's compute cannot hide.
 //!
-//! * [`schedule`] — the pure timing algebra of a two-stage pipeline,
-//!   verified against hand-computed cases,
-//! * [`ChunkReader`] — the one loader. It groups the caller's items
-//!   (mini-batch vertices) into chunks, prices each chunk's keys with
-//!   the [`CostModel`], runs the caller's compute on the chunk and prices
-//!   that compute by the rows the chunk delivered; the pass returns one
-//!   [`PipelineRun`] whose makespan is [`schedule`] under the reader's
-//!   [`PipelineMode`]: `Single` pays every load, `Double` only the part
-//!   the previous chunk's compute cannot hide.
-//!
-//! The mode changes nothing but that price: chunk boundaries and compute
-//! order are the same, so the chain is too. No clock is read, so a pass's
-//! price depends on its keys alone — not on the host or on what else runs
-//! beside it — and a reader per thread may run passes concurrently. The
-//! reader keeps its per-chunk prices across passes, so steady-state
-//! operation performs no heap allocation (pinned by
-//! `crates/core/tests/zero_alloc.rs`).
+//! Nothing runs inside it. The mode changes nothing but the price, so the
+//! chain is the same in both; no clock is read, so a pass's price depends
+//! on its keys alone — not on the host or on what else runs beside it;
+//! and it owns no buffers, so it allocates nothing.
 
-use crate::store::check_keys;
-use crate::{CostModel, DkvError, OpObs};
-use std::ops::Range;
+use crate::{CostModel, OpObs};
 
-/// Buffering mode for the `pi` loader.
+/// Buffering mode of the modelled `pi` load.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PipelineMode {
     /// Load a chunk, compute on it, repeat — no overlap.
@@ -37,47 +27,16 @@ pub enum PipelineMode {
     Double,
 }
 
-/// Makespan of a two-stage pipeline with per-chunk `loads` and `computes`.
-///
-/// * `Single`: `Σ (load_i + compute_i)`.
-/// * `Double`: `load_0 + Σ_{i=1..n-1} max(load_i, compute_{i-1}) +
-///   compute_{n-1}` — each subsequent load hides behind the previous
-///   compute (or vice versa).
-///
-/// # Panics
-/// Panics if the slices have different lengths.
-pub fn schedule(loads: &[f64], computes: &[f64], mode: PipelineMode) -> f64 {
-    assert_eq!(
-        loads.len(),
-        computes.len(),
-        "every chunk needs a load and a compute time"
-    );
-    let n = loads.len();
-    if n == 0 {
-        return 0.0;
-    }
-    match mode {
-        PipelineMode::Single => loads.iter().sum::<f64>() + computes.iter().sum::<f64>(),
-        PipelineMode::Double => {
-            let mut t = loads[0];
-            for i in 1..n {
-                t += loads[i].max(computes[i - 1]);
-            }
-            t + computes[n - 1]
-        }
-    }
-}
-
-/// Result of one chunked, cost-accounted read-compute pass.
+/// The price of one chunked load–compute pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PipelineRun {
-    /// Modeled makespan in seconds under the reader's mode.
+    /// Modeled makespan in seconds under the pass's mode.
     pub total: f64,
     /// Sum of modeled load (DKV read) times.
     pub load: f64,
     /// Sum of priced compute times.
     pub compute: f64,
-    /// Number of chunks executed.
+    /// Number of chunks priced.
     pub chunks: usize,
 }
 
@@ -90,107 +49,72 @@ impl PipelineRun {
     }
 }
 
-/// The chunked `pi` loader.
+/// Price rank `rank`'s pass over `keys`, where item `i` owns
+/// `keys[ends[i - 1]..ends[i]]` (`ends` is non-decreasing and ends at
+/// `keys.len()`). Items are grouped into chunks of `chunk_items`; each
+/// chunk's keys are recorded as one DKV read ([`OpObs`]) and priced with
+/// [`CostModel::read_cost`], and its compute is `key_secs` per key. The
+/// makespan is, with `compute_{-1} = 0`:
 ///
-/// Items `[0, n)` — each owning a run of keys — are grouped into chunks
-/// of `chunk_size` items. Each chunk's keys are priced, then the compute
-/// callback runs on the chunk, in item order, and is charged the
-/// reader's compute price per key. The [`PipelineMode`] decides only how
-/// the pass is priced (see [`schedule`]), so both modes compute identical
-/// chunks in identical order and all downstream numerics agree. The
-/// per-chunk prices persist across passes: a warmed reader allocates
-/// nothing.
-#[derive(Debug, Clone)]
-pub struct ChunkReader {
-    chunk_size: usize,
-    /// Modeled compute seconds per key a chunk delivers.
-    key_compute: f64,
+/// * `Single`: `Σ (load_i + compute_i)`;
+/// * `Double`: `Σ max(load_i, compute_{i-1}) + compute_{n-1}` — each
+///   load after the first hides behind the previous chunk's compute (or
+///   vice versa).
+///
+/// # Panics
+/// Panics if `chunk_items == 0` or `ends` does not end at `keys.len()`.
+pub fn price(
+    cost: &CostModel,
+    rank: usize,
+    keys: &[u32],
+    ends: &[usize],
+    chunk_items: usize,
     mode: PipelineMode,
-    /// Modeled per-chunk load times of the last pass (seconds).
-    loads: Vec<f64>,
-    /// Modeled per-chunk compute times of the last pass (seconds).
-    computes: Vec<f64>,
+    key_secs: f64,
+) -> PipelineRun {
+    let mut run = PipelineRun::default();
+    let mut overlapped = 0.0;
+    let mut last_compute = 0.0;
+    for (load, compute) in chunk_prices(cost, rank, keys, ends, chunk_items, key_secs) {
+        run.load += load;
+        run.compute += compute;
+        run.chunks += 1;
+        overlapped += load.max(last_compute);
+        last_compute = compute;
+    }
+    run.total = match mode {
+        PipelineMode::Single => run.load + run.compute,
+        PipelineMode::Double => overlapped + last_compute,
+    };
+    run
 }
 
-impl ChunkReader {
-    /// Create a reader with the given chunk size (in items) and mode,
-    /// whose compute is free until [`ChunkReader::with_key_compute`]
-    /// prices it.
-    ///
-    /// # Panics
-    /// Panics if `chunk_size == 0`.
-    pub fn new(chunk_size: usize, mode: PipelineMode) -> Self {
-        assert!(chunk_size > 0, "chunk size must be positive");
-        Self {
-            chunk_size,
-            key_compute: 0.0,
-            mode,
-            loads: Vec::new(),
-            computes: Vec::new(),
-        }
-    }
-
-    /// Charge each chunk's compute `seconds` per key it delivered — the
-    /// caller's per-row work, already scaled by whatever node model it
-    /// runs under.
-    pub fn with_key_compute(mut self, seconds: f64) -> Self {
-        self.key_compute = seconds;
-        self
-    }
-
-    /// One pass as rank `rank`: item `i` owns `keys[ends[i - 1]..ends[i]]`
-    /// (`ends` is non-decreasing and ends at `keys.len()`). For each
-    /// chunk of items, the chunk's keys are priced with
-    /// [`CostModel::read_cost`] and recorded as one DKV read ([`OpObs`]),
-    /// then `compute(items, chunk_keys)` runs and is charged the compute
-    /// price of the chunk's keys.
-    ///
-    /// A key outside the partition fails the pass at its chunk, after
-    /// the earlier chunks were computed on.
-    ///
-    /// # Panics
-    /// Panics if `ends` does not end at `keys.len()`.
-    pub fn run<F>(
-        &mut self,
-        cost: &CostModel,
-        rank: usize,
-        keys: &[u32],
-        ends: &[usize],
-        mut compute: F,
-    ) -> Result<PipelineRun, DkvError>
-    where
-        F: FnMut(Range<usize>, &[u32]),
-    {
-        assert_eq!(
-            ends.last().copied().unwrap_or(0),
-            keys.len(),
-            "item ends must cover the key slice exactly"
-        );
-        self.loads.clear();
-        self.computes.clear();
-        let mut start = 0;
-        let mut first = 0;
-        for chunk_ends in ends.chunks(self.chunk_size) {
-            let items = first..first + chunk_ends.len();
-            let end = chunk_ends[chunk_ends.len() - 1];
-            let chunk = &keys[start..end];
-            check_keys(cost.partition().num_keys(), chunk)?;
-            {
-                let _obs = OpObs::read(chunk);
-                self.loads.push(cost.read_cost(rank, chunk));
-            }
-            compute(items, chunk);
-            self.computes.push(chunk.len() as f64 * self.key_compute);
-            first += chunk_ends.len();
-            start = end;
-        }
-        Ok(PipelineRun {
-            total: schedule(&self.loads, &self.computes, self.mode),
-            load: self.loads.iter().sum(),
-            compute: self.computes.iter().sum(),
-            chunks: self.loads.len(),
-        })
-    }
+/// Each chunk's `(load, compute)` price, in chunk order (see [`price`]).
+fn chunk_prices<'a>(
+    cost: &'a CostModel,
+    rank: usize,
+    keys: &'a [u32],
+    ends: &'a [usize],
+    chunk_items: usize,
+    key_secs: f64,
+) -> impl Iterator<Item = (f64, f64)> + 'a {
+    assert!(chunk_items > 0, "chunk size must be positive");
+    assert_eq!(
+        ends.last().copied().unwrap_or(0),
+        keys.len(),
+        "item ends must cover the key slice exactly"
+    );
+    let mut start = 0;
+    ends.chunks(chunk_items).map(move |chunk_ends| {
+        let end = chunk_ends[chunk_ends.len() - 1];
+        let chunk = &keys[start..end];
+        start = end;
+        let load = {
+            let _obs = OpObs::read(chunk);
+            cost.read_cost(rank, chunk)
+        };
+        (load, chunk.len() as f64 * key_secs)
+    })
 }
 
 #[cfg(test)]
@@ -199,6 +123,34 @@ mod tests {
     use crate::Partition;
     use mmsb_netsim::NetworkModel;
     use mmsb_rand::{Rng, Xoshiro256PlusPlus};
+
+    /// Makespan of a two-stage pipeline with per-chunk `loads` and
+    /// `computes`, from whole vectors — the oracle [`price`] folds:
+    /// `Single` = `Σ (load_i + compute_i)`, `Double` = `load_0 +
+    /// Σ_{i=1..n-1} max(load_i, compute_{i-1}) + compute_{n-1}`.
+    fn schedule(loads: &[f64], computes: &[f64], mode: PipelineMode) -> f64 {
+        assert_eq!(
+            loads.len(),
+            computes.len(),
+            "every chunk needs a load and a compute time"
+        );
+        let n = loads.len();
+        if n == 0 {
+            return 0.0;
+        }
+        match mode {
+            PipelineMode::Single => loads.iter().sum::<f64>() + computes.iter().sum::<f64>(),
+            PipelineMode::Double => {
+                let mut t = loads[0];
+                for i in 1..n {
+                    t += loads[i].max(computes[i - 1]);
+                }
+                t + computes[n - 1]
+            }
+        }
+    }
+
+    const MODES: [PipelineMode; 2] = [PipelineMode::Single, PipelineMode::Double];
 
     #[test]
     fn schedule_empty_is_zero() {
@@ -277,56 +229,41 @@ mod tests {
         (1..=n).collect()
     }
 
+    /// The per-chunk loads of a pass, as [`price`] charges them.
+    fn loads(cost: &CostModel, keys: &[u32], ends: &[usize], chunk: usize) -> Vec<f64> {
+        chunk_prices(cost, 0, keys, ends, chunk, 0.0)
+            .map(|(load, _)| load)
+            .collect()
+    }
+
     #[test]
     fn reader_visits_all_chunks_in_order() {
         let cost = test_cost(4);
         let keys: Vec<u32> = (0..10).collect();
-        let mut reader = ChunkReader::new(4, PipelineMode::Double);
-        let mut seen: Vec<(Range<usize>, Vec<u32>)> = Vec::new();
-        let run = reader
-            .run(&cost, 0, &keys, &unit_ends(10), |items, ks| {
-                seen.push((items, ks.to_vec()));
-            })
-            .unwrap();
-        assert_eq!(run.chunks, 3); // 4 + 4 + 2
-        assert_eq!(seen[0], (0..4, vec![0, 1, 2, 3]));
-        assert_eq!(seen[1], (4..8, vec![4, 5, 6, 7]));
-        assert_eq!(seen[2], (8..10, vec![8, 9]));
+        // 4 + 4 + 2 items.
+        let expected: Vec<f64> = [&keys[0..4], &keys[4..8], &keys[8..10]]
+            .iter()
+            .map(|chunk| cost.read_cost(0, chunk))
+            .collect();
+        assert_eq!(loads(&cost, &keys, &unit_ends(10), 4), expected);
     }
 
     #[test]
     fn reader_modes_have_identical_data_different_time() {
         let cost = test_cost(8);
         let keys: Vec<u32> = (0..64).collect();
-        let mut sums = Vec::new();
-        for mode in [PipelineMode::Single, PipelineMode::Double] {
-            let mut reader = ChunkReader::new(8, mode).with_key_compute(1e-6);
-            assert_eq!(reader.mode, mode);
-            let mut sum = 0u64;
-            let run = reader
-                .run(&cost, 0, &keys, &unit_ends(64), |_, ks| {
-                    sum += ks.iter().map(|&k| u64::from(k)).sum::<u64>();
-                })
-                .unwrap();
-            sums.push(sum);
+        let runs = MODES.map(|mode| price(&cost, 0, &keys, &unit_ends(64), 8, mode, 1e-6));
+        for (run, mode) in runs.iter().zip(MODES) {
             assert!(run.total > 0.0);
             assert!(run.load > 0.0);
             assert!((run.compute - 64e-6).abs() < 1e-15, "{}", run.compute);
             // Only Double hides load time behind compute.
             assert_eq!(run.hidden() > 0.0, mode == PipelineMode::Double, "{mode:?}");
         }
-        assert_eq!(sums[0], sums[1], "pipelining changed the numerics");
-    }
-
-    #[test]
-    fn reader_propagates_store_errors() {
-        let cost = test_cost(2);
-        for mode in [PipelineMode::Single, PipelineMode::Double] {
-            let err = ChunkReader::new(4, mode)
-                .run(&cost, 0, &[1000], &[1], |_, _| {})
-                .unwrap_err();
-            assert!(matches!(err, DkvError::KeyOutOfRange { .. }), "{mode:?}");
-        }
+        assert_eq!(
+            (runs[0].load, runs[0].chunks),
+            (runs[1].load, runs[1].chunks)
+        );
     }
 
     #[test]
@@ -334,35 +271,29 @@ mod tests {
         // Items own 3, 1 and 6 keys; one item per chunk.
         let cost = test_cost(4);
         let keys: Vec<u32> = (0..10).collect();
-        let mut reader = ChunkReader::new(1, PipelineMode::Single);
-        let mut seen: Vec<(Range<usize>, Vec<u32>)> = Vec::new();
-        let run = reader
-            .run(&cost, 0, &keys, &[3, 4, 10], |items, ks| {
-                seen.push((items, ks.to_vec()));
-            })
-            .unwrap();
-        assert_eq!(run.chunks, 3);
-        assert_eq!(seen[0], (0..1, vec![0, 1, 2]));
-        assert_eq!(seen[1], (1..2, vec![3]));
-        assert_eq!(seen[2], (2..3, vec![4, 5, 6, 7, 8, 9]));
+        let expected: Vec<f64> = [&keys[0..3], &keys[3..4], &keys[4..10]]
+            .iter()
+            .map(|chunk| cost.read_cost(0, chunk))
+            .collect();
+        assert_eq!(loads(&cost, &keys, &[3, 4, 10], 1), expected);
     }
 
     /// Each chunk's compute is charged per key it delivered: chunks of 3,
-    /// 1 and 6 keys cost 3, 1 and 6 key prices, whatever the closure
-    /// does.
+    /// 1 and 6 keys cost 3, 1 and 6 key prices.
     #[test]
     fn reader_prices_compute_by_delivered_keys() {
         let cost = test_cost(4);
         let keys: Vec<u32> = (0..10).collect();
-        let price = 0.25;
-        let mut reader = ChunkReader::new(1, PipelineMode::Single).with_key_compute(price);
-        let run = reader.run(&cost, 0, &keys, &[3, 4, 10], |_, _| {}).unwrap();
-        assert_eq!(reader.computes, [3.0 * price, price, 6.0 * price]);
-        assert_eq!(run.compute, 10.0 * price);
+        let ends = [3, 4, 10];
+        let key_secs = 0.25;
+        let computes: Vec<f64> = chunk_prices(&cost, 0, &keys, &ends, 1, key_secs)
+            .map(|(_, compute)| compute)
+            .collect();
+        assert_eq!(computes, [3.0 * key_secs, key_secs, 6.0 * key_secs]);
+        let run = price(&cost, 0, &keys, &ends, 1, PipelineMode::Single, key_secs);
+        assert_eq!(run.compute, 10.0 * key_secs);
         assert_eq!(run.total, run.load + run.compute);
-        let free = ChunkReader::new(1, PipelineMode::Single)
-            .run(&cost, 0, &keys, &[3, 4, 10], |_, _| {})
-            .unwrap();
+        let free = price(&cost, 0, &keys, &ends, 1, PipelineMode::Single, 0.0);
         assert_eq!((free.compute, free.load), (0.0, run.load));
     }
 
@@ -370,38 +301,17 @@ mod tests {
     #[should_panic(expected = "cover the key slice")]
     fn reader_segments_must_cover_keys() {
         let cost = test_cost(4);
-        let mut reader = ChunkReader::new(4, PipelineMode::Single);
-        let _ = reader.run(&cost, 0, &[0, 1, 2], &[2], |_, _| {});
+        price(&cost, 0, &[0, 1, 2], &[2], 4, PipelineMode::Single, 0.0);
     }
 
-    /// Run `keys` (items ending at `ends`) through a fresh reader of
-    /// `chunk` items in `mode`, recording every chunk.
-    #[allow(clippy::type_complexity)]
-    fn deliveries(
-        mode: PipelineMode,
-        chunk: usize,
-        keys: &[u32],
-        ends: &[usize],
-    ) -> (PipelineRun, Vec<(Range<usize>, Vec<u32>)>) {
-        let mut reader = ChunkReader::new(chunk, mode).with_key_compute(2e-7);
-        let mut seen = Vec::new();
-        let run = reader
-            .run(&test_cost(8), 0, keys, ends, |items, ks| {
-                seen.push((items, ks.to_vec()));
-            })
-            .unwrap();
-        (run, seen)
-    }
-
-    /// A `Double` reader computes exactly the chunks a `Single` one does
-    /// and prices the same loads; only the makespan differs.
+    /// `Double` prices exactly the loads `Single` does; only the makespan
+    /// differs.
     #[test]
     fn prefetching_reader_matches_synchronous_reader() {
+        let cost = test_cost(8);
         let keys: Vec<u32> = (0..64).rev().collect();
         let ends = unit_ends(64);
-        let (sync_run, sync_seen) = deliveries(PipelineMode::Single, 8, &keys, &ends);
-        let (pre_run, pre_seen) = deliveries(PipelineMode::Double, 8, &keys, &ends);
-        assert_eq!(sync_seen, pre_seen, "prefetching changed the chunks");
+        let [sync_run, pre_run] = MODES.map(|mode| price(&cost, 0, &keys, &ends, 8, mode, 2e-7));
         assert_eq!(pre_run.chunks, sync_run.chunks);
         assert_eq!(pre_run.load, sync_run.load);
         assert_eq!(sync_run.total, sync_run.load + sync_run.compute);
@@ -410,89 +320,99 @@ mod tests {
         assert!(pre_run.hidden() <= pre_run.load.min(pre_run.compute) + 1e-12);
     }
 
+    /// `price` keeps no state between passes: the same pass priced five
+    /// times gives bit-identical runs.
     #[test]
     fn prefetching_reader_is_reusable_across_passes() {
         let cost = test_cost(4);
         let keys: Vec<u32> = (0..32).collect();
-        let mut reader = ChunkReader::new(4, PipelineMode::Double);
-        let mut runs = Vec::new();
-        for _ in 0..5 {
-            let mut sum = 0u64;
-            let run = reader
-                .run(&cost, 0, &keys, &unit_ends(32), |_, ks| {
-                    sum += ks.iter().map(|&k| u64::from(k)).sum::<u64>();
-                })
-                .unwrap();
-            runs.push((sum, run.chunks, run.load));
-        }
-        assert!(runs.windows(2).all(|w| w[0] == w[1]));
+        let ends = unit_ends(32);
+        let pass = || price(&cost, 0, &keys, &ends, 4, PipelineMode::Double, 1e-7);
+        let first = pass();
+        assert!((0..4).all(|_| pass() == first));
     }
 
     #[test]
     fn prefetching_reader_segments_match_synchronous() {
+        let cost = test_cost(8);
         let keys: Vec<u32> = (0..20).collect();
         let ends = [7usize, 9, 14, 20];
-        let (sync_run, sync_seen) = deliveries(PipelineMode::Single, 1, &keys, &ends);
-        let (pre_run, pre_seen) = deliveries(PipelineMode::Double, 1, &keys, &ends);
-        assert_eq!(sync_seen, pre_seen);
+        let [sync_run, pre_run] = MODES.map(|mode| price(&cost, 0, &keys, &ends, 1, mode, 2e-7));
         assert_eq!((sync_run.chunks, pre_run.chunks), (4, 4));
         assert_eq!(pre_run.load, sync_run.load);
     }
 
-    /// A bad key in a later chunk fails the pass after the earlier chunks
-    /// were computed on, and the reader works on the next pass.
+    /// Over 128 random profiles — item key counts, keys spread over 1–8
+    /// ranks, chunk sizes — in both modes: each chunk's load is the read
+    /// price of exactly that chunk's keys and its compute its key count
+    /// × the price; `total` is bit-equal to the [`schedule`] oracle, and
+    /// `load` / `compute` / `chunks` to their sums and count, equal in
+    /// both modes.
     #[test]
-    fn prefetching_reader_propagates_background_load_errors() {
-        let cost = test_cost(2);
-        // Chunk 0 is valid; chunk 1 contains an out-of-range key.
-        let keys: Vec<u32> = vec![0, 1, 1000, 1001];
-        let mut reader = ChunkReader::new(2, PipelineMode::Double);
-        let mut computed = Vec::new();
-        let err = reader
-            .run(&cost, 0, &keys, &unit_ends(4), |items, _| {
-                computed.push(items.start)
-            })
-            .unwrap_err();
-        assert!(matches!(err, DkvError::KeyOutOfRange { .. }));
-        assert_eq!(computed, vec![0]);
-        let ok_keys: Vec<u32> = (0..8).collect();
-        reader
-            .run(&cost, 0, &ok_keys, &unit_ends(8), |_, _| {})
-            .unwrap();
-    }
-
-    #[test]
-    fn prefetching_reader_survives_compute_panic() {
-        let cost = test_cost(2);
-        let keys: Vec<u32> = (0..16).collect();
-        let ends = unit_ends(16);
-        let mut reader = ChunkReader::new(4, PipelineMode::Double);
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = reader.run(&cost, 0, &keys, &ends, |items, _| {
-                if items.start >= 4 {
-                    panic!("compute boom");
+    fn price_matches_the_schedule_oracle() {
+        let mut rng = Xoshiro256PlusPlus::seed_from_u64(0x9E1);
+        for case in 0..128 {
+            let ranks = 1 + rng.below(8) as usize;
+            let cost = test_cost(ranks);
+            let rank = rng.below(ranks as u64) as usize;
+            let items = rng.below(25) as usize;
+            let mut keys = Vec::new();
+            let mut ends = Vec::new();
+            for _ in 0..items {
+                for _ in 0..1 + rng.below(12) {
+                    keys.push(rng.below(64) as u32);
                 }
-            });
-        }))
-        .expect_err("compute panic must propagate");
-        assert_eq!(err.downcast_ref::<&str>(), Some(&"compute boom"));
-        // The reader still works after the unwind.
-        let mut count = 0;
-        reader
-            .run(&cost, 0, &keys, &ends, |_, _| count += 1)
-            .unwrap();
-        assert_eq!(count, 4);
+                ends.push(keys.len());
+            }
+            let key_secs = rng.next_f64() * 1e-6;
+            for chunk in [1, 2, 3, 8, 1 + rng.below(30) as usize] {
+                // The chunks, segmented independently of `price`.
+                let expected: Vec<(f64, f64)> = (0..items)
+                    .step_by(chunk)
+                    .map(|lo| {
+                        let hi = (lo + chunk).min(items);
+                        let first = if lo == 0 { 0 } else { ends[lo - 1] };
+                        let chunk_keys = &keys[first..ends[hi - 1]];
+                        let compute = chunk_keys.len() as f64 * key_secs;
+                        (cost.read_cost(rank, chunk_keys), compute)
+                    })
+                    .collect();
+                let priced: Vec<(f64, f64)> =
+                    chunk_prices(&cost, rank, &keys, &ends, chunk, key_secs).collect();
+                assert_eq!(priced, expected, "case {case}, chunk {chunk}");
+                let (loads, computes): (Vec<f64>, Vec<f64>) = expected.into_iter().unzip();
+                let runs = MODES.map(|mode| {
+                    let run = price(&cost, rank, &keys, &ends, chunk, mode, key_secs);
+                    let oracle = schedule(&loads, &computes, mode);
+                    assert_eq!(
+                        run.total.to_bits(),
+                        oracle.to_bits(),
+                        "case {case} {mode:?}"
+                    );
+                    assert_eq!(run.load, loads.iter().sum::<f64>(), "case {case} {mode:?}");
+                    assert_eq!(run.compute, computes.iter().sum::<f64>(), "case {case}");
+                    assert_eq!(run.chunks, loads.len(), "case {case} {mode:?}");
+                    run
+                });
+                assert_eq!(
+                    runs[0].load.to_bits(),
+                    runs[1].load.to_bits(),
+                    "case {case}"
+                );
+                assert_eq!(runs[0].compute.to_bits(), runs[1].compute.to_bits());
+            }
+        }
     }
 
     #[test]
     #[should_panic(expected = "chunk size")]
     fn zero_chunk_panics() {
-        ChunkReader::new(0, PipelineMode::Single);
+        price(&test_cost(4), 0, &[0], &[1], 0, PipelineMode::Single, 0.0);
     }
 
     #[test]
     #[should_panic(expected = "chunk size")]
     fn zero_chunk_prefetch_panics() {
-        ChunkReader::new(0, PipelineMode::Double);
+        price(&test_cost(4), 0, &[0], &[1], 0, PipelineMode::Double, 0.0);
     }
 }

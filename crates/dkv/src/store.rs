@@ -148,11 +148,6 @@ impl CostModel {
         }
     }
 
-    /// The key partition being priced.
-    pub fn partition(&self) -> Partition {
-        self.partition
-    }
-
     /// Modeled time for `reader_rank` to read the given keys in one
     /// batched stage: one round-trip of latency amortized over the batch
     /// (requests are posted back-to-back on the NIC), plus per-request

@@ -100,15 +100,6 @@ impl ClusterClocks {
         }
         t
     }
-
-    /// Model a message from `from` to `to` taking `cost` seconds: the
-    /// receiver cannot proceed before the sender sent it (sender's clock)
-    /// plus the wire time, nor before its own current time.
-    pub fn send(&mut self, from: usize, to: usize, cost: f64) {
-        let arrival = self.clocks[from].now() + cost;
-        self.clocks[from].advance(cost); // sender-side occupancy
-        self.clocks[to].advance_to(arrival);
-    }
 }
 
 #[cfg(test)]
@@ -151,20 +142,6 @@ mod tests {
         for r in 0..3 {
             assert!((cc.now(r) - 5.1).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn send_delays_receiver() {
-        let mut cc = ClusterClocks::new(2);
-        cc.advance(0, 2.0);
-        cc.send(0, 1, 0.5);
-        assert!((cc.now(1) - 2.5).abs() < 1e-12);
-        assert!((cc.now(0) - 2.5).abs() < 1e-12);
-        // A receiver already past the arrival time is unaffected.
-        let mut cc = ClusterClocks::new(2);
-        cc.advance(1, 10.0);
-        cc.send(0, 1, 0.5);
-        assert_eq!(cc.now(1), 10.0);
     }
 
     #[test]

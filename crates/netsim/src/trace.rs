@@ -27,9 +27,9 @@ pub enum Phase {
     /// Barrier / synchronization waiting time.
     Barrier,
     /// `pi` load time the double-buffered schedule hid behind compute
-    /// (`ChunkReader` under `PipelineMode::Double`): `LoadPi` +
-    /// `UpdatePhi` minus the pass's modeled makespan. Recorded only when
-    /// pipelined; not part of any rank's clock.
+    /// (`mmsb_dkv::pipeline::price` under `PipelineMode::Double`):
+    /// `LoadPi` + `UpdatePhi` minus the pass's modeled makespan. Recorded
+    /// only when pipelined; not part of any rank's clock.
     Prefetch,
     /// Fault-recovery overhead: retry backoff, re-issued loads/stores,
     /// straggler re-execution, and re-partitioning after a worker loss.
@@ -107,14 +107,6 @@ impl PhaseTimes {
     pub fn count(&self, phase: Phase) -> u64 {
         self.counts[phase.index()]
     }
-
-    /// Merge another accumulator into this one.
-    pub fn merge(&mut self, other: &PhaseTimes) {
-        for i in 0..Phase::ALL.len() {
-            self.seconds[i] += other.seconds[i];
-            self.counts[i] += other.counts[i];
-        }
-    }
 }
 
 /// A finished trace: phase totals plus the iteration count and the
@@ -186,19 +178,6 @@ mod tests {
         assert!((t.total(Phase::LoadPi) - 0.5).abs() < 1e-12);
         assert_eq!(t.count(Phase::LoadPi), 2);
         assert_eq!(t.count(Phase::Barrier), 0);
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let mut a = PhaseTimes::new();
-        a.add(Phase::UpdatePi, 1.0);
-        let mut b = PhaseTimes::new();
-        b.add(Phase::UpdatePi, 2.0);
-        b.add(Phase::Barrier, 0.5);
-        a.merge(&b);
-        assert!((a.total(Phase::UpdatePi) - 3.0).abs() < 1e-12);
-        assert_eq!(a.count(Phase::UpdatePi), 2);
-        assert!((a.total(Phase::Barrier) - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -20,21 +20,24 @@ cargo run -q --offline -p mmsb-check --bin xlint -- --json \
     || { cargo run -q --offline -p mmsb-check --bin xlint; exit 1; }
 
 # Doc-reference check, before the build: a doc that points at deleted
-# code fails here. (1) Every back-ticked `crates/…/*.rs` or
-# `tests/*.rs` path (an optional `:line` suffix stripped) in the
-# top-level docs must name a file that exists. (2) Every `--bin NAME`,
+# code fails here. The verify skill (.claude/skills/verify/SKILL.md)
+# tells a builder what to run, so every check reads it too.
+# (1) Every back-ticked `crates/…/*.rs` or `tests/*.rs` path (an
+# optional `:line` suffix stripped) in the top-level docs must name a
+# file that exists. (2) Every `--bin NAME`,
 # `target/release/NAME` and `--bench NAME` in the docs that tell people
 # what to run must be a target cargo builds: `crates/*/src/bin/NAME.rs`
 # (every `[[bin]]` of crates/bench, crates/check and the `mmsb` CLI) or
 # `crates/*/benches/NAME.rs`.
 stale=0
-for doc in README.md DESIGN.md PAPER.md EXPERIMENTS.md; do
+skill=.claude/skills/verify/SKILL.md
+for doc in README.md DESIGN.md PAPER.md EXPERIMENTS.md "$skill"; do
     while read -r path; do
         test -e "$path" || { echo "$doc names a file that does not exist: $path"; stale=1; }
     done < <(grep -oE '`(crates|tests)/[A-Za-z0-9_./-]+\.rs(:[0-9]+)?`' "$doc" \
         | tr -d '`' | sed -E 's/:[0-9]+$//' | sort -u)
 done
-for doc in README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md; do
+for doc in README.md DESIGN.md EXPERIMENTS.md "$skill"; do
     while read -r kind name; do
         case "$kind" in
             --bench) dir=benches ;;
@@ -50,7 +53,7 @@ done
 # in a name some `fn`/`struct`/`enum`/`trait`/`const`/`mod`/`type` under
 # crates/ defines.
 crate_roots="mmsb|(mmsb_)?($(ls crates | paste -sd '|'))"
-for doc in README.md DESIGN.md; do
+for doc in README.md DESIGN.md "$skill"; do
     while read -r path; do
         git grep -qwE "(fn|struct|enum|trait|const|mod|type) ${path##*::}" -- crates \
             || { echo "$doc names an item that does not exist: $path"; stale=1; }
@@ -60,27 +63,31 @@ done
 # (4) Every back-ticked `Type::item` whose `Type` is a struct, enum,
 # trait or type alias defined under crates/, and whose `item` reads as a
 # function (lower case) or a constant (upper case) rather than a
-# variant, must name a `fn`/`const` some file under crates/ defines.
-for doc in README.md DESIGN.md; do
+# variant, must name a `fn`/`const` some file under crates/ defines —
+# or, for a lower-case item, a `pub item:` field (`Type::field` is how
+# the docs name a public field, e.g. `BuildOptions::run_entries`).
+for doc in README.md DESIGN.md "$skill"; do
     while read -r path; do
         git grep -qwE "(struct|enum|trait|type) ${path%%::*}" -- crates || continue
-        git grep -qwE "(fn|const) ${path#*::}" -- crates \
+        item=${path#*::}
+        git grep -qwE "(fn|const) $item" -- crates \
+            || { [[ $item =~ ^[a-z_] ]] && git grep -qE "pub $item:" -- crates; } \
             || { echo "$doc names an item that does not exist: $path"; stale=1; }
     done < <(grep -oE '`[A-Z][A-Za-z0-9_]*::[A-Za-z_][A-Za-z0-9_]*' "$doc" | tr -d '`' \
         | grep -E '::([a-z_][a-z0-9_]*|[A-Z][A-Z0-9_]*)$' | sort -u)
 done
 # (5) Every back-ticked CamelCase identifier (`FooBar`: two or more
-# capitalised humps, the whole back-ticked span) in README.md and
-# DESIGN.md must occur as a word in some crates/**/*.rs — a type the
-# docs name is a type the code still has.
-for doc in README.md DESIGN.md; do
+# capitalised humps, the whole back-ticked span) in README.md,
+# DESIGN.md and the verify skill must occur as a word in some
+# crates/**/*.rs — a type the docs name is a type the code still has.
+for doc in README.md DESIGN.md "$skill"; do
     while read -r name; do
         git grep -qw "$name" -- 'crates/*.rs' \
             || { echo "$doc names an identifier no crate has: $name"; stale=1; }
     done < <(grep -oE '`[A-Z][a-z0-9]+[A-Z][A-Za-z0-9]*`' "$doc" | tr -d '`' | sort -u)
 done
 # (6) No clock read in the simulated cluster's step: the lockstep driver
-# and the chunked `pi` loader charge compute as counted work, so a
+# and the price of its chunked `pi` load charge compute as counted work, so a
 # clock read (`Stopwatch::start`, `elapsed_secs`, `Instant`, `SystemTime`,
 # `now_ns`) outside the obs guard `metrics_on().then(Stopwatch::start)`
 # would put host time back into the virtual clock. Comment lines are
@@ -102,9 +109,10 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 #                 admission/drain protocols across bounded-exhaustive
 #                 interleavings + seeded-bug shims), xlint self-tests
 #                 (lexer_prop, xlint_gate, xlint_fixtures)
-#   pipelining    mmsb-core: pipeline_determinism (Single vs Double
-#                 bitwise), zero_alloc (chunked pi reader, lockstep
-#                 step, warmed ooc cache reads)
+#   pipelining    mmsb-dkv: pipeline::tests (price vs its oracle);
+#                 mmsb-core: pipeline_determinism (Single vs Double
+#                 bitwise), zero_alloc (lockstep step, warmed ooc
+#                 cache reads)
 #   failures      mmsb-core: fault_determinism, checkpoint_resume
 #   SIMD          mmsb-simd (lane parity, exp/log/polar ULP bounds);
 #                 mmsb-core: simd_determinism; mmsb: simd_smoke
