@@ -560,7 +560,9 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
              [--obs-level off|metrics|spans]\n\
              serves a checkpoint (from `mmsb train --checkpoint` or \
              `mmsb simulate --checkpoint`) over HTTP until killed; \
-             --k is the default top-k for /v1/membership, --delta the \
+             --k is the default top-k for /v1/membership (1..={cap}: a \
+             snapshot ranks each vertex's {cap} heaviest communities, and \
+             a ?k= above min(K, {cap}) is clamped to it), --delta the \
              Eq. 7 inter-community link probability, --threads the \
              number of concurrently served connections.\n\
              overload protection: --max-conns / --max-inflight cap \
@@ -574,7 +576,8 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
              requests/second per worker (0 = off).\n\
              endpoints: GET /healthz | GET /metricsz | \
              GET /v1/membership/VERTEX?k=N | GET /v1/edge/I/J | \
-             GET /v1/community/C?min_weight=W | POST /v1/reload"
+             GET /v1/community/C?min_weight=W | POST /v1/reload",
+            cap = mmsb::serve::TOP_K_CAP
         );
         return Ok(());
     }

@@ -124,7 +124,7 @@ fn route(
     }
 }
 
-// xlint: allow(hot-path-panic) — k is clamped to snap.k() before the slice and communities_by_weight returns exactly snap.k() entries
+// xlint: allow(hot-path-panic) — k is clamped to snap.ranked() before the slice and communities_by_weight returns exactly snap.ranked() entries
 fn membership(
     shared: &ServerShared,
     snap: &ModelSnapshot,
@@ -155,7 +155,7 @@ fn membership(
             }
         },
     }
-    .min(snap.k());
+    .min(snap.ranked());
     let _ = write!(body, "{{\"vertex\":{vertex},\"k\":{k},\"generation\":{generation},\"communities\":[");
     for (i, &c) in snap.communities_by_weight(vertex)[..k].iter().enumerate() {
         let sep = if i == 0 { "" } else { "," };

@@ -9,7 +9,10 @@
 //!
 //! * `GET /healthz` — liveness plus the served model's shape.
 //! * `GET /v1/membership/{vertex}?k=` — the vertex's top-k communities
-//!   by membership weight (precomputed at snapshot build).
+//!   by membership weight (precomputed at snapshot build). A snapshot
+//!   ranks each vertex's [`TOP_K_CAP`] (16) heaviest communities, so `k`
+//!   is clamped to `min(K, 16)` and the body reports the `k` it used;
+//!   [`ServeHandle::start`] refuses a `default_k` of 0 or above 16.
 //! * `GET /v1/edge/{i}/{j}` — Eq. 7 link probability, two SIMD dot
 //!   products over the snapshot's f32 rows, `pi·beta` formed in
 //!   registers.
@@ -60,4 +63,4 @@ pub use std::net::SocketAddr;
 pub use loadgen::{ChaosKind, ChaosReport, LatencyReport, OverloadReport, ThroughputReport};
 pub use server::{DrainReport, OverloadStats, ServeConfig, ServeError, ServeHandle};
 pub use shed::{Admission, AdmissionIn, Admit, ConnClose, Lifecycle, TokenBucket};
-pub use snapshot::{ModelSnapshot, SnapshotError};
+pub use snapshot::{ModelSnapshot, SnapshotError, TOP_K_CAP};

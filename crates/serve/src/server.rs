@@ -42,7 +42,7 @@ use crate::cell::SnapshotCell;
 use crate::handlers;
 use crate::http::{self, Parsed};
 use crate::shed::{Admission, Admit, ConnClose, ConnPermit, Lifecycle, TokenBucket};
-use crate::snapshot::{ModelSnapshot, SnapshotError};
+use crate::snapshot::{ModelSnapshot, SnapshotError, TOP_K_CAP};
 use mmsb_core::Checkpoint;
 use mmsb_obs::clock::Stopwatch;
 use mmsb_obs::id as obs_id;
@@ -67,7 +67,8 @@ pub struct ServeConfig {
     pub delta: f64,
     /// SIMD backend for edge queries.
     pub backend: Backend,
-    /// `k` used by membership queries that omit `?k=`.
+    /// `k` used by membership queries that omit `?k=`; must lie in
+    /// `1..=TOP_K_CAP` ([`ServeHandle::start`] refuses it otherwise).
     pub default_k: usize,
     /// Maximum concurrently admitted connections; `0` = auto
     /// (= `threads`, one per serving slot). Connections over the cap
@@ -126,6 +127,10 @@ pub enum ServeError {
     Checkpoint(String),
     /// The checkpoint loaded but is not servable.
     Snapshot(SnapshotError),
+    /// [`ServeConfig::default_k`] is 0 or above [`TOP_K_CAP`]: a
+    /// snapshot ranks at most that many communities per vertex, so
+    /// the default would silently serve fewer (or none).
+    DefaultK(usize),
 }
 
 impl std::fmt::Display for ServeError {
@@ -134,6 +139,9 @@ impl std::fmt::Display for ServeError {
             ServeError::Io(e) => write!(f, "io: {e}"),
             ServeError::Checkpoint(e) => write!(f, "checkpoint: {e}"),
             ServeError::Snapshot(e) => write!(f, "snapshot: {e}"),
+            ServeError::DefaultK(k) => {
+                write!(f, "default top-k {k} is outside 1..={TOP_K_CAP}")
+            }
         }
     }
 }
@@ -243,7 +251,12 @@ impl ServeHandle {
     /// Load the checkpoint at `model_path`, bind `cfg.addr`, and start
     /// serving. Returns once the socket is bound and the first
     /// snapshot is published — queries may be sent immediately.
+    /// A `cfg.default_k` outside `1..=TOP_K_CAP` is refused with
+    /// [`ServeError::DefaultK`] before the model is read.
     pub fn start(model_path: &Path, cfg: &ServeConfig) -> Result<Self, ServeError> {
+        if !(1..=TOP_K_CAP).contains(&cfg.default_k) {
+            return Err(ServeError::DefaultK(cfg.default_k));
+        }
         let snap = load_snapshot(model_path, cfg.delta, cfg.backend)?;
         let listener = TcpListener::bind(&cfg.addr)?;
         // Permanently non-blocking: workers poll accept when idle, so

@@ -9,17 +9,21 @@
 //!   copied): Eq. 7 is two f64 dot products per edge query, and
 //!   [`mmsb_simd::edge_dots_f32`] computes both in one fused pass,
 //!   widening the rows and forming `pi[c] * beta[c]` in registers.
-//! * Per vertex, the community ids pre-sorted by descending membership
-//!   weight (ties by ascending community id), so a top-k query is a
-//!   slice of the first `k` entries — no per-request selection.
+//! * Per vertex, its [`TOP_K_CAP`] (16) heaviest community ids — all K
+//!   when K is smaller — by descending membership weight (ties by
+//!   ascending community id), so a top-k query is a slice of the first
+//!   `k` entries — no per-request selection. With the a-MMSB prior
+//!   α = 1/K a row's mass sits on a few communities; a query for more
+//!   than [`ModelSnapshot::ranked`] gets that many.
 //! * Per community, all vertex ids pre-sorted by descending weight
 //!   (ties by ascending vertex id), so a community listing walks the
 //!   prefix above its weight threshold and stops.
 //!
-//! Both orders are integer sorts of packed `(inverted weight bits, id)`
-//! keys — no comparator: K keys per vertex row, and per community a
-//! stable radix sort in which ascending arrival order is the id
-//! tie-break. Large models are built over scoped threads, one
+//! Both orders are integer orders of packed `(inverted weight bits, id)`
+//! keys — no comparator: per vertex row a top-16 selection of its K
+//! keys, and per community a stable radix sort in which ascending
+//! arrival order is the id tie-break, its keys staged from row tiles of
+//! a few communities. Large models are built over scoped threads, one
 //! contiguous range of rows and of communities each; the planes do not
 //! depend on the thread count (DESIGN.md §13 "Snapshot build").
 //!
@@ -69,13 +73,18 @@ pub struct ModelSnapshot {
     pi: Vec<f32>,
     /// Community strengths, length `k`.
     beta: Vec<f64>,
-    /// `n x k`: per vertex, every community id sorted by descending
-    /// weight, ties by ascending community id.
+    /// `n x min(k, TOP_K_CAP)`: per vertex, its heaviest community ids
+    /// by descending weight, ties by ascending community id.
     topk: Vec<u32>,
     /// `k x n`: per community, every vertex id sorted by descending
     /// weight, ties by ascending vertex id.
     members: Vec<u32>,
 }
+
+/// How many communities a snapshot ranks per vertex: `topk` holds each
+/// vertex's `min(K, TOP_K_CAP)` heaviest, and `/v1/membership` clamps
+/// its `k` to that.
+pub const TOP_K_CAP: usize = 16;
 
 impl ModelSnapshot {
     /// Build a snapshot from a checkpoint. `delta` is the
@@ -120,8 +129,8 @@ impl ModelSnapshot {
 
     /// [`Self::from_planes`] over an explicit number of ranges. Vertex
     /// rows and communities are each cut into `ranges` contiguous
-    /// fixed ranges; range `r` checks its rows of `pi`, fills their rows
-    /// of `topk` and its communities' rows of `members`, the first range
+    /// fixed ranges; range `r` fills its communities' rows of `members`,
+    /// then checks its rows of `pi` and fills their rows of `topk`, the first range
     /// on the calling thread and every other on a scoped thread of its
     /// own. Each row and each column is computed from `pi` alone, so the
     /// output does not depend on `ranges`.
@@ -144,12 +153,13 @@ impl ModelSnapshot {
         if beta.iter().any(|b| !b.is_finite()) {
             return Err(SnapshotError::NonFinite { what: "beta" });
         }
-        let mut topk = vec![0u32; n * k];
+        let ranked = k.min(TOP_K_CAP);
+        let mut topk = vec![0u32; n * ranked];
         let mut members = vec![0u32; k * n];
 
         let ranges = ranges.max(1);
         let (rows_per, cols_per) = (n.div_ceil(ranges), k.div_ceil(ranges));
-        let mut topk_parts = topk.chunks_mut(rows_per * k);
+        let mut topk_parts = topk.chunks_mut(rows_per * ranked);
         let mut member_parts = members.chunks_mut(cols_per * n);
         // A range past the last row (or community) gets empty slices.
         let mut jobs = (0..ranges).map(|r| RangeJob {
@@ -216,15 +226,24 @@ impl ModelSnapshot {
         self.pi[v * self.k + c] as f64
     }
 
-    /// Every community id, sorted by descending membership weight of
-    /// vertex `v` (ties by ascending community id). A top-k query is
+    /// Number of communities ranked per vertex: `min(K, TOP_K_CAP)`, the
+    /// length of every [`Self::communities_by_weight`] slice and the
+    /// largest `k` a membership query is answered with.
+    pub fn ranked(&self) -> usize {
+        self.k.min(TOP_K_CAP)
+    }
+
+    /// The [`Self::ranked`] heaviest community ids of vertex `v`, by
+    /// descending membership weight (ties by ascending community id):
+    /// the first `ranked()` entries of the full order. A top-k query is
     /// the first `k` entries.
     ///
     /// # Panics
     /// Panics if `v` is out of range.
     pub fn communities_by_weight(&self, v: usize) -> &[u32] {
         assert!(v < self.n, "vertex {v} out of range");
-        &self.topk[v * self.k..(v + 1) * self.k]
+        let ranked = self.ranked();
+        &self.topk[v * ranked..(v + 1) * ranked]
     }
 
     /// Every vertex id, sorted by descending membership weight in
@@ -297,27 +316,33 @@ impl RangeJob<'_> {
         #[cfg(test)]
         tests::note_range_thread(n);
 
-        // Communities first: their scratch is freed again before this
-        // range touches its share of `topk`, so it never counts towards
-        // the peak. Radix-sort each column of `src`.
+        // Communities first: their scratch (16n bytes) is freed again
+        // before this range touches its share of `topk`, so it never
+        // counts towards the peak. Stage each tile's keys in its own
+        // rows of `members`, then radix-sort them there.
         if !self.members.is_empty() {
             let (mut a, mut b) = (vec![0u64; n], vec![0u64; n]);
-            for (j, out) in self.members.chunks_exact_mut(n).enumerate() {
-                let column = src[self.first_col + j..].iter().step_by(k);
-                sort_column(column, &mut a, &mut b, out);
+            for (t, tile) in self.members.chunks_mut(TILE * n).enumerate() {
+                stage_keys(src, k, self.first_col + t * TILE, tile);
+                for out in tile.chunks_exact_mut(n) {
+                    sort_column(out, &mut a, &mut b);
+                }
             }
         }
 
-        // Rows: check finiteness and sort the K packed keys.
+        // Rows: check finiteness, pack the K keys, select the `ranked`
+        // smallest and sort those.
+        let ranked = k.min(TOP_K_CAP);
         let mut finite = true;
         let mut keys = vec![0u64; k];
         let rows = src.chunks_exact(k).skip(self.first_row);
-        for (row, order) in rows.zip(self.topk.chunks_exact_mut(k)) {
+        for (row, order) in rows.zip(self.topk.chunks_exact_mut(ranked)) {
             for (c, &p) in row.iter().enumerate() {
                 finite &= p.is_finite();
                 keys[c] = packed_key(p, c as u32);
             }
-            keys.sort_unstable();
+            keys.select_nth_unstable(ranked - 1);
+            keys[..ranked].sort_unstable();
             for (slot, &key) in order.iter_mut().zip(&keys) {
                 *slot = key as u32;
             }
@@ -326,26 +351,39 @@ impl RangeJob<'_> {
     }
 }
 
+/// Communities per row tile: 16 f32 weights are one 64-byte line, so a
+/// tile reads each line of its rows once.
+const TILE: usize = 16;
+
+/// Write [`desc_key`] of communities `first..` of every row of `src`
+/// to `tile`, whose `n`-long rows are those communities' rows of
+/// `members`: one sequential pass over `pi`, reading a tile's adjacent
+/// weights together instead of one strided pass per community.
+fn stage_keys(src: &[f32], k: usize, first: usize, tile: &mut [u32]) {
+    let n = src.len() / k;
+    let cols = tile.len() / n;
+    for (v, row) in src.chunks_exact(k).enumerate() {
+        for (j, &w) in row[first..first + cols].iter().enumerate() {
+            tile[j * n + v] = desc_key(w);
+        }
+    }
+}
+
 /// Low, middle and high radix digit of a packed key's weight half:
 /// 11 + 11 + 10 bits.
 const DIGITS: [(u32, usize); 3] = [(32, 0x7ff), (43, 0x7ff), (54, 0x3ff)];
 
-/// Write the vertex ids `0..n` to `out` by descending `column` weight,
-/// ties by ascending id. A stable least-significant-digit radix sort
-/// over the 32 [`desc_key`] bits: ids enter ascending and every pass
-/// keeps equal digits in arrival order, so stability is the tie-break
-/// and the id half of a key is carried, never compared. `a` and `b`
-/// are `n`-element scratch.
-fn sort_column<'a>(
-    column: impl Iterator<Item = &'a f32>,
-    a: &mut [u64],
-    b: &mut [u64],
-    out: &mut [u32],
-) {
-    // Gather the column once, counting all three digits on the way.
+/// Replace the [`desc_key`]s of vertices `0..n` staged in `out` with
+/// the vertex ids by descending weight, ties by ascending id. A stable
+/// least-significant-digit radix sort over the 32 key bits: ids enter
+/// ascending and every pass keeps equal digits in arrival order, so
+/// stability is the tie-break and the id half of a key is carried,
+/// never compared. `a` and `b` are `n`-element scratch.
+fn sort_column(out: &mut [u32], a: &mut [u64], b: &mut [u64]) {
+    // Pack the staged keys once, counting all three digits on the way.
     let mut counts = [[0u32; 0x800]; 3];
-    for (id, (slot, &w)) in a.iter_mut().zip(column).enumerate() {
-        let key = packed_key(w, id as u32);
+    for (id, (slot, &key)) in a.iter_mut().zip(out.iter()).enumerate() {
+        let key = (key as u64) << 32 | id as u64;
         for (count, (shift, mask)) in counts.iter_mut().zip(DIGITS) {
             count[(key >> shift) as usize & mask] += 1;
         }
@@ -594,7 +632,8 @@ mod tests {
     }
 
     /// The snapshot serves what the reference planes hold, bit for bit
-    /// (`-0.0` and `+0.0` differ): both order planes, every weight, and
+    /// (`-0.0` and `+0.0` differ): the `min(k, TOP_K_CAP)` prefix of
+    /// every reference row order, the member order, every weight, and
     /// Eq. 7 for `pairs` pairs drawn from `seed` equal to
     /// [`mmsb_simd::edge_dots`] over the reference's f64 `pi`/`pib`.
     fn assert_same_planes(
@@ -606,7 +645,14 @@ mod tests {
     ) {
         let (n, k) = (want.n, want.k);
         assert_eq!((got.n, got.k), (n, k), "{case}: shape");
-        assert!(got.topk == want.topk, "{case}: topk plane differs");
+        let ranked = k.min(TOP_K_CAP);
+        let prefixes: Vec<u32> = want
+            .topk
+            .chunks_exact(k)
+            .flat_map(|order| &order[..ranked])
+            .copied()
+            .collect();
+        assert!(got.topk == prefixes, "{case}: topk plane differs");
         assert!(got.members == want.members, "{case}: members plane differs");
         for v in 0..n {
             for c in 0..k {
@@ -692,7 +738,7 @@ mod tests {
             .filter(|b| b.available())
             .collect();
         let mut cases = 0;
-        for k in [1usize, 2, 63, 64, 65] {
+        for k in [1usize, 3, 8, 15, 16, 17, 33, 63, 64, 65] {
             for n in [1usize, 2, (threads - 1).max(1), threads + 1, 4_099] {
                 for seed in 0..3u64 {
                     let (pi, beta) = plane(n, k, seed * 7_919 + (n * 131 + k) as u64);
@@ -717,23 +763,9 @@ mod tests {
         assert!(cases >= 300, "{cases} cases");
     }
 
-    /// The snapshot serves from the checkpoint's own `pi` allocation and
-    /// holds nothing beyond `pi` (f32), `topk` and `members` (u32) and
-    /// `beta` (f64): `12·n·k + 8·k` bytes of heap.
-    #[test]
-    fn the_model_is_held_once_in_the_checkpoints_allocation() {
-        let ckpt = trained_checkpoint(5, 17);
-        let (n, k) = (ckpt.n() as usize, ckpt.k());
-        let plane = ckpt.pi().as_ptr();
-        let (pi, beta) = ckpt.into_planes();
-        assert_eq!(pi.as_ptr(), plane, "into_planes moves, not copies");
-        let snap = ModelSnapshot::from_planes(pi, beta, 1e-5, Backend::detect()).unwrap();
-        assert_eq!(
-            snap.pi.as_ptr(),
-            plane,
-            "the build keeps the plane it was given"
-        );
-        // Exhaustive: a new field must be added to the count.
+    /// Heap bytes a snapshot holds: exhaustive, so a new field must be
+    /// added to the count.
+    fn heap_bytes(snap: &ModelSnapshot) -> usize {
         let ModelSnapshot {
             n: _,
             k: _,
@@ -743,10 +775,35 @@ mod tests {
             beta,
             topk,
             members,
-        } = &snap;
-        let heap =
-            pi.capacity() * 4 + topk.capacity() * 4 + members.capacity() * 4 + beta.capacity() * 8;
-        assert_eq!(heap, 12 * n * k + 8 * k, "n={n} k={k}");
+        } = snap;
+        pi.capacity() * 4 + topk.capacity() * 4 + members.capacity() * 4 + beta.capacity() * 8
+    }
+
+    /// The snapshot serves from the checkpoint's own `pi` allocation and
+    /// holds nothing beyond `pi` and `members` (f32, u32: `n·k` each),
+    /// `topk` (u32, `n·min(k, 16)`) and `beta` (f64):
+    /// `8·n·k + 4·n·min(k, 16) + 8·k` bytes of heap.
+    #[test]
+    fn the_model_is_held_once_in_the_checkpoints_allocation() {
+        let ckpt = trained_checkpoint(5, 17);
+        let (n, k) = (ckpt.n() as usize, ckpt.k());
+        let held = ckpt.pi().as_ptr();
+        let (pi, beta) = ckpt.into_planes();
+        assert_eq!(pi.as_ptr(), held, "into_planes moves, not copies");
+        let snap = ModelSnapshot::from_planes(pi, beta, 1e-5, Backend::detect()).unwrap();
+        assert_eq!(
+            snap.pi.as_ptr(),
+            held,
+            "the build keeps the plane it was given"
+        );
+        let footprint = |n: usize, k: usize| 8 * n * k + 4 * n * k.min(TOP_K_CAP) + 8 * k;
+        assert_eq!(heap_bytes(&snap), footprint(n, k), "n={n} k={k}");
+        // Above the cap only `topk` stops growing with k.
+        for (n, k) in [(300usize, 16usize), (300, 17), (200, 64)] {
+            let (pi, beta) = plane(n, k, 41);
+            let snap = ModelSnapshot::from_planes(pi, beta, 1e-5, Backend::Scalar).unwrap();
+            assert_eq!(heap_bytes(&snap), footprint(n, k), "n={n} k={k}");
+        }
     }
 
     #[test]

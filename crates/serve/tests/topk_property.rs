@@ -1,13 +1,14 @@
 //! Property test: the snapshot's precomputed per-vertex community
 //! order must agree with a full sort by (weight descending, community
-//! id ascending) for every prefix length a query can ask for.
+//! id ascending) for every prefix length a query can ask for — the
+//! first `min(K, TOP_K_CAP)` entries, which is all a snapshot ranks.
 //!
 //! Models are built through [`ModelSnapshot::from_planes`] so the test
 //! controls the raw f32 plane exactly — including rows engineered to
 //! hold exact ties, where only the id tie-break distinguishes a
 //! correct order from a merely plausible one.
 
-use mmsb_serve::ModelSnapshot;
+use mmsb_serve::{ModelSnapshot, TOP_K_CAP};
 use mmsb_simd::Backend;
 
 /// Deterministic xorshift64*, seeded per case; no shared state with
@@ -79,9 +80,12 @@ fn reference_order(row: &[f32]) -> Vec<u32> {
     order
 }
 
+/// Model widths around the cap: below, at, one over, and K = 64 ± 1.
+const KS: [usize; 10] = [1, 3, 8, 15, 16, 17, 33, 63, 64, 65];
+
 #[test]
 fn topk_matches_full_sort_for_all_prefixes() {
-    for &cap_k in &[1usize, 3, 8, 33] {
+    for &cap_k in &KS {
         for seed in 0..4u64 {
             let n = 24;
             let pi = plane(n, cap_k, 0x9e37 + seed * 1031 + cap_k as u64);
@@ -89,15 +93,18 @@ fn topk_matches_full_sort_for_all_prefixes() {
             let snap =
                 ModelSnapshot::from_planes(pi.clone(), beta, 1e-5, Backend::Scalar).unwrap();
             assert_eq!((snap.n(), snap.k()), (n, cap_k));
+            let ranked = cap_k.min(TOP_K_CAP);
+            assert_eq!(snap.ranked(), ranked);
 
             for v in 0..n {
                 let row = &pi[v * cap_k..(v + 1) * cap_k];
                 let want = reference_order(row);
                 let got = snap.communities_by_weight(v);
+                assert_eq!(got.len(), ranked, "K={cap_k} vertex={v}");
                 // Prefix lengths a query can ask for: 1, everything,
-                // and an over-ask (the server clamps k to snap.k()).
+                // and an over-ask (the server clamps k to snap.ranked()).
                 for req in [1usize, cap_k, cap_k + 5] {
-                    let k = req.min(cap_k);
+                    let k = req.min(ranked);
                     assert_eq!(
                         &got[..k],
                         &want[..k],
@@ -111,12 +118,13 @@ fn topk_matches_full_sort_for_all_prefixes() {
 
 #[test]
 fn exact_ties_break_by_ascending_community_id() {
-    // Every weight identical: the only valid order is 0, 1, .., k-1.
-    for &k in &[1usize, 3, 8, 33] {
+    // Every weight identical: the only valid order is 0, 1, .., k-1,
+    // of which the snapshot ranks the first min(k, TOP_K_CAP).
+    for &k in &KS {
         let pi = vec![0.125f32; 2 * k];
         let beta = vec![0.5f64; k];
         let snap = ModelSnapshot::from_planes(pi.clone(), beta, 1e-5, Backend::Scalar).unwrap();
-        let want: Vec<u32> = (0..k as u32).collect();
+        let want: Vec<u32> = (0..k.min(TOP_K_CAP) as u32).collect();
         for v in 0..2 {
             assert_eq!(snap.communities_by_weight(v), &want[..], "K={k}");
         }
