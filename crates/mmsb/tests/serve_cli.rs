@@ -20,7 +20,15 @@ fn mmsb() -> Command {
 fn serve_refuses_a_default_k_the_snapshot_cannot_serve() {
     let model = model_path();
     let out = mmsb()
-        .args(["train", "--vertices", "200", "--communities", "20", "--k", "20"])
+        .args([
+            "train",
+            "--vertices",
+            "200",
+            "--communities",
+            "20",
+            "--k",
+            "20",
+        ])
         .args(["--iters", "2", "--seed", "3", "--checkpoint"])
         .arg(&model)
         .output()

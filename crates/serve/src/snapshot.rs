@@ -129,10 +129,10 @@ impl ModelSnapshot {
 
     /// [`Self::from_planes`] over an explicit number of ranges. Vertex
     /// rows and communities are each cut into `ranges` contiguous
-    /// fixed ranges; range `r` fills its communities' rows of `members`,
-    /// then checks its rows of `pi` and fills their rows of `topk`, the first range
-    /// on the calling thread and every other on a scoped thread of its
-    /// own. Each row and each column is computed from `pi` alone, so the
+    /// fixed ranges; range `r` fills its communities' rows of
+    /// `members`, then checks its rows of `pi` and fills their rows of
+    /// `topk`, the first range on the calling thread and every other on
+    /// a scoped thread of its own. Each row and each column is computed from `pi` alone, so the
     /// output does not depend on `ranges`.
     ///
     /// Scoped threads and not `mmsb_pool::ThreadPool`: `POST
@@ -317,9 +317,11 @@ impl RangeJob<'_> {
         tests::note_range_thread(n);
 
         // Communities first: their scratch (16n bytes) is freed again
-        // before this range touches its share of `topk`, so it never
-        // counts towards the peak. Stage each tile's keys in its own
-        // rows of `members`, then radix-sort them there.
+        // before this range touches its share of `topk`, so it adds
+        // nothing to the peak while it is no larger than that untouched
+        // share (4n * ranked / ranges bytes: up to four ranges at
+        // K >= 16). Stage each tile's keys in its own rows of
+        // `members`, then radix-sort them there.
         if !self.members.is_empty() {
             let (mut a, mut b) = (vec![0u64; n], vec![0u64; n]);
             for (t, tile) in self.members.chunks_mut(TILE * n).enumerate() {

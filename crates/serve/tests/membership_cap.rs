@@ -45,7 +45,10 @@ fn get(stream: &mut TcpStream, path: &str) -> (u16, String) {
         if let Some((status, total)) = http::parse_response(&buf) {
             assert_eq!(total, buf.len(), "trailing bytes after response");
             let body_start = buf.windows(4).position(|w| w == b"\r\n\r\n").unwrap() + 4;
-            return (status, String::from_utf8(buf[body_start..].to_vec()).unwrap());
+            return (
+                status,
+                String::from_utf8(buf[body_start..].to_vec()).unwrap(),
+            );
         }
         let n = stream.read(&mut chunk).unwrap();
         assert!(n > 0, "server closed mid-response");

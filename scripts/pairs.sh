@@ -19,7 +19,8 @@
 #   within      the change's median is no worse than the bound allows;
 #   outside     it is worse by more than the bound;
 #   unresolved  either side's interquartile range exceeds the bound, so
-#               the runs spread too widely to tell.
+#               the runs spread too widely to tell — unless every run of
+#               the change reads better than every run of the parent.
 # A `gain` column says whether the change is better on at least nine
 # tenths of the pairs and its median better by more than the parent's
 # interquartile range. `final_perplexity` also says whether every run
@@ -31,7 +32,7 @@ cd "$(dirname "$0")/.."
 root="$PWD"
 
 usage() {
-    sed -n '4,5p' "$0" | sed 's/^# \{0,1\}//' >&2
+    sed -n '5,6p' "$0" | sed 's/^# \{0,1\}//' >&2
     exit 2
 }
 
@@ -147,7 +148,11 @@ for m in spec["end_to_end"]:
     wins = sum((b < a) if lower else (b > a) for a, b in zip(pv, cv))
     worse = ((cq[1] - pq[1]) if lower else (pq[1] - cq[1])) / pq[1] if pq[1] else 0.0
     spread = max((pq[2] - pq[0]) / pq[1] if pq[1] else 0.0, (cq[2] - cq[0]) / cq[1] if cq[1] else 0.0)
-    verdict = "unresolved" if spread > bound else ("outside" if worse > bound else "within")
+    apart = max(cv) < min(pv) if lower else min(cv) > max(pv)
+    if spread > bound and not apart:
+        verdict = "unresolved"
+    else:
+        verdict = "outside" if worse > bound else "within"
     gain = wins * 10 >= 9 * len(both) and -worse * pq[1] > pq[2] - pq[0]
     print(f"  median  parent {pq[1]:.6g}  change {cq[1]:.6g}  ({-worse:+.2%} better)")
     print(f"  quartiles  parent [{pq[0]:.6g}, {pq[2]:.6g}]  change [{cq[0]:.6g}, {cq[2]:.6g}]")

@@ -121,7 +121,8 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 #   serving       mmsb-serve: e2e, reload_stress, zero_alloc_serve,
 #                 reload_footprint (a reload holds at most one more
 #                 snapshot + the file), topk_property + snapshot::tests
-#                 (snapshot build vs its oracles), reload_corrupt,
+#                 (snapshot build vs its oracles), membership_cap (the
+#                 16-community cap over the socket), reload_corrupt,
 #                 http_prop, write_deadline (one budget per response)
 #   overload      mmsb-serve: chaos, drain_shed (fast-path 503, graceful
 #                 drain with zero truncation/abort), drain_forced (a
