@@ -111,8 +111,9 @@ impl ModelSnapshot {
     /// use it directly.
     ///
     /// Large models are built on [`std::thread::available_parallelism`]
-    /// scoped threads; the planes are identical at any thread count
-    /// (see [`Self::from_planes_in`]).
+    /// scoped threads, but on no more than the build's radix scratch
+    /// allows (four at K >= 16, see `max_ranges`); the planes are
+    /// identical at any thread count (see [`Self::from_planes_in`]).
     pub fn from_planes(
         pi: Vec<f32>,
         beta: Vec<f64>,
@@ -122,7 +123,8 @@ impl ModelSnapshot {
         let ranges = if pi.len() < INLINE_BELOW {
             1
         } else {
-            std::thread::available_parallelism().map_or(1, |p| p.get())
+            let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+            cores.min(max_ranges(beta.len().min(TOP_K_CAP)))
         };
         Self::from_planes_in(pi, beta, delta, backend, ranges)
     }
@@ -296,7 +298,27 @@ fn desc_key(w: f32) -> u32 {
 /// [`desc_key`] above the id: ascending packed order is "descending
 /// weight, ties by ascending id".
 fn packed_key(w: f32, id: u32) -> u64 {
-    (desc_key(w) as u64) << 32 | id as u64
+    pack(desc_key(w), id)
+}
+
+/// The packed key of a [`desc_key`] and an id: the key in the high
+/// half, the id in the low half.
+fn pack(desc: u32, id: u32) -> u64 {
+    (desc as u64) << 32 | id as u64
+}
+
+/// Bytes of radix scratch a range holds per vertex while it sorts its
+/// communities' member lists: two `n`-element `u64` buffers.
+const SCRATCH_PER_VERTEX: usize = 2 * std::mem::size_of::<u64>();
+
+/// The most ranges a build of `ranked` communities per vertex fans out
+/// over: each range's scratch is then no larger than its share of
+/// `topk` (`4 · ranked` bytes per vertex over the ranges), which it has
+/// not written yet, so the scratch adds nothing to the peak. Four
+/// ranges at K >= 16; one below K = 8, where at K < 4 the whole `topk`
+/// plane is smaller than one range's scratch.
+fn max_ranges(ranked: usize) -> usize {
+    (ranked * std::mem::size_of::<u32>() / SCRATCH_PER_VERTEX).max(1)
 }
 
 /// One range's share of the two order planes (see
@@ -317,11 +339,10 @@ impl RangeJob<'_> {
         tests::note_range_thread(n);
 
         // Communities first: their scratch (16n bytes) is freed again
-        // before this range touches its share of `topk`, so it adds
-        // nothing to the peak while it is no larger than that untouched
-        // share (4n * ranked / ranges bytes: up to four ranges at
-        // K >= 16). Stage each tile's keys in its own rows of
-        // `members`, then radix-sort them there.
+        // before this range touches its share of `topk`, which
+        // `from_planes` keeps at least as large (see `max_ranges`), so
+        // the scratch adds nothing to the peak. Stage each tile's keys
+        // in its own rows of `members`, then radix-sort them there.
         if !self.members.is_empty() {
             let (mut a, mut b) = (vec![0u64; n], vec![0u64; n]);
             for (t, tile) in self.members.chunks_mut(TILE * n).enumerate() {
@@ -385,7 +406,7 @@ fn sort_column(out: &mut [u32], a: &mut [u64], b: &mut [u64]) {
     // Pack the staged keys once, counting all three digits on the way.
     let mut counts = [[0u32; 0x800]; 3];
     for (id, (slot, &key)) in a.iter_mut().zip(out.iter()).enumerate() {
-        let key = (key as u64) << 32 | id as u64;
+        let key = pack(key, id as u32);
         for (count, (shift, mask)) in counts.iter_mut().zip(DIGITS) {
             count[(key >> shift) as usize & mask] += 1;
         }
@@ -808,6 +829,21 @@ mod tests {
         }
     }
 
+    /// At the cap's range count every range's scratch fits in its
+    /// share of `topk`, and one more range would not (K >= 4).
+    #[test]
+    fn the_build_scratch_fits_in_each_ranges_share_of_topk() {
+        assert_eq!(max_ranges(TOP_K_CAP), 4);
+        for k in 4..=70usize {
+            let ranked = k.min(TOP_K_CAP);
+            let ranges = max_ranges(ranked);
+            let share = |ranges: usize| 4 * ranked / ranges;
+            assert!(SCRATCH_PER_VERTEX <= share(ranges), "k={k}");
+            assert!(SCRATCH_PER_VERTEX > share(ranges + 1), "k={k}");
+        }
+        assert_eq!(max_ranges(1), 1);
+    }
+
     #[test]
     fn packed_key_order_is_descending_weight_then_ascending_id() {
         let mut weights = EDGE_WEIGHTS.to_vec();
@@ -896,9 +932,10 @@ mod tests {
         let want = from_planes_reference(&big, &beta);
         assert_same_planes(&snap, &want, 50, 1, "built inside a pool chunk");
 
+        let ranges = threads.min(max_ranges(k));
         let ran_on = range_threads(big_n);
-        assert_eq!(ran_on.len(), threads, "one range per available core");
-        assert_eq!(ran_on.iter().collect::<HashSet<_>>().len(), threads);
+        assert_eq!(ran_on.len(), ranges, "one range per available core, up to the cap");
+        assert_eq!(ran_on.iter().collect::<HashSet<_>>().len(), ranges);
         assert!(ran_on.contains(&caller), "the caller runs a range itself");
         assert_eq!(range_threads(small_n), [caller], "small models run inline");
     }

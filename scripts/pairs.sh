@@ -3,15 +3,16 @@
 # workload, in alternating pairs of runs.
 #
 #   scripts/pairs.sh <parent-rev> --workload W --seed N [--pairs 10]
-#                    [--seconds 10] [--scratch DIR]
+#                    [--scratch DIR]
 #
 # The parent is exported with `git archive` into DIR (default: a fresh
 # `mktemp -d`); the parent and the working tree each build the unchanged
 # `benchmark/` package into a target directory of their own
 # (DIR/target-parent, DIR/target-change). Pair i runs `bash
-# benchmark/run.sh --workload W --seed N --seconds S --trace 0` once in
-# each tree, the parent first in even pairs and the change first in odd
-# ones, so a drift in the host's speed falls on both sides.
+# benchmark/run.sh --workload W --seed N --trace 0` once in each tree,
+# the parent first in even pairs and the change first in odd ones, so a
+# drift in the host's speed falls on both sides. Each run lasts the
+# benchmark's own window (`run_seconds` of its BENCHMARK.json).
 #
 # Printed: every pair's values of the four end-to-end metrics, then per
 # metric the medians and quartiles of both sides, the pairs the change
@@ -25,8 +26,8 @@
 # tenths of the pairs and its median better by more than the parent's
 # interquartile range. `final_perplexity` also says whether every run
 # printed the same bits. One JSON line with both revisions, the seed,
-# the host core count and these figures is appended to BENCH_pairs.json
-# at the repository root.
+# the run window, the host core count and these figures is appended to
+# BENCH_pairs.json at the repository root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 root="$PWD"
@@ -39,13 +40,12 @@ usage() {
 [ $# -ge 1 ] || usage
 parent_arg="$1"
 shift
-workload="" seed="" pairs=10 seconds=10 scratch=""
+workload="" seed="" pairs=10 scratch=""
 while [ $# -gt 0 ]; do
     case "$1" in
         --workload) workload="$2"; shift 2 ;;
         --seed) seed="$2"; shift 2 ;;
         --pairs) pairs="$2"; shift 2 ;;
-        --seconds) seconds="$2"; shift 2 ;;
         --scratch) scratch="$2"; shift 2 ;;
         *) usage ;;
     esac
@@ -76,7 +76,7 @@ run() {
     local pair="$1" side="$2" tree="$3" target="$4" out status
     status=0
     out=$(cd "$tree" && CARGO_TARGET_DIR="$target" bash benchmark/run.sh \
-        --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 \
+        --workload "$workload" --seed "$seed" --trace 0 \
         2>"$scratch/$side-$pair.err") || status=$?
     printf '%s\t%s\texit\t%s\n' "$pair" "$side" "$status" >> "$results"
     awk -v p="$pair" -v s="$side" -v w="$workload" \
@@ -105,11 +105,12 @@ for ((i = 0; i < pairs; i++)); do
 done
 
 python3 - "$results" "$root/BENCHMARK.json" "$root/BENCH_pairs.json" \
-    "$workload" "$seed" "$pairs" "$seconds" "$parent_rev" "$change_rev" "$(nproc)" <<'PY'
+    "$workload" "$seed" "$pairs" "$parent_rev" "$change_rev" "$(nproc)" <<'PY'
 import json, statistics, sys, time
 
-results, spec_path, out_path, workload, seed, pairs, seconds, parent_rev, change_rev, cores = sys.argv[1:]
+results, spec_path, out_path, workload, seed, pairs, parent_rev, change_rev, cores = sys.argv[1:]
 spec = json.load(open(spec_path))
+seconds = spec["run_seconds"]
 runs = {}  # (side, metric) -> {pair: value}
 for line in open(results):
     pair, side, metric, value = line.rstrip("\n").split("\t")
