@@ -43,6 +43,8 @@ use crate::perplexity::PerplexityAccumulator;
 use crate::sampler::Engine;
 use crate::CoreError;
 use mmsb_rand::Xoshiro256PlusPlus;
+use std::fs::File;
+use std::io::{BufWriter, Write};
 use std::path::Path;
 
 /// File magic: "MMSB" + "CKP" + format generation.
@@ -101,27 +103,44 @@ impl std::error::Error for CheckpointError {}
 // The checkpoint checksum is `mmsb-simd`'s CRC-32 kernel, the one the
 // on-disk graph format uses too (re-exported by `mmsb-ooc`).
 pub use mmsb_ooc::crc32;
+use mmsb_simd::crc32_update;
 
 // ------------------------------------------------------------ serializer
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// Forwards writes to `inner`, folding every byte it accepts into a
+/// running CRC-32 — the checksum of the stream so far, with nothing held.
+struct CrcWriter<W> {
+    inner: W,
+    crc: u32,
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
+impl<W: Write> Write for CrcWriter<W> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let n = self.inner.write(buf)?;
+        self.crc = crc32_update(self.crc, &buf[..n]);
+        Ok(n)
+    }
 
-fn put_f32s(out: &mut Vec<u8>, vs: &[f32]) {
-    for v in vs {
-        out.extend_from_slice(&v.to_le_bytes());
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.inner.flush()
     }
 }
 
-fn put_f64s(out: &mut Vec<u8>, vs: &[f64]) {
-    for v in vs {
-        out.extend_from_slice(&v.to_le_bytes());
+/// Encode `vs` little-endian through a stack buffer, so the writer and
+/// its CRC see a few KiB per call instead of one value.
+fn put_le<W: Write, const B: usize, T: Copy>(
+    out: &mut W,
+    vs: &[T],
+    to_le: impl Fn(T) -> [u8; B],
+) -> std::io::Result<()> {
+    let mut buf = [0u8; 4096];
+    for chunk in vs.chunks(buf.len() / B) {
+        for (dst, &v) in buf.chunks_exact_mut(B).zip(chunk) {
+            dst.copy_from_slice(&to_le(v));
+        }
+        out.write_all(&buf[..chunk.len() * B])?;
     }
+    Ok(())
 }
 
 /// Byte reader with truncation checking.
@@ -315,37 +334,53 @@ impl Checkpoint {
         (self.pi, self.beta)
     }
 
-    /// Serialize to the versioned, checksummed wire format.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(
-            64 + self.pi.len() * 4
-                + self.phi_sum.len() * 4
-                + self.phi.len() * 8
-                + (self.theta.len() + self.beta.len() + self.prob_sums.len()) * 8,
-        );
-        out.extend_from_slice(&CHECKPOINT_MAGIC);
-        put_u32(&mut out, CHECKPOINT_VERSION);
-        out.push(match self.layout {
+    /// Length of the serialized checkpoint in bytes.
+    fn encoded_len(&self) -> usize {
+        // magic, version, layout, n, then k..samples and both RNG states.
+        8 + 4 + 1 + 4 + 8 * (5 + 8)
+            + 4 * (self.pi.len() + self.phi_sum.len())
+            + 8 * (self.phi.len() + self.theta.len() + self.beta.len() + self.prob_sums.len())
+            + 4
+    }
+
+    /// Stream the versioned, checksummed wire format into `out`: the one
+    /// serializer behind [`Self::to_bytes`] and [`Self::save`]. The CRC
+    /// runs beside the writes, so nothing but `out`'s own buffer is held.
+    pub fn write_to<W: Write>(&self, out: W) -> std::io::Result<()> {
+        let mut w = CrcWriter { inner: out, crc: 0 };
+        w.write_all(&CHECKPOINT_MAGIC)?;
+        w.write_all(&CHECKPOINT_VERSION.to_le_bytes())?;
+        w.write_all(&[match self.layout {
             StateLayout::PiSumPhi => 0,
             StateLayout::FullPhi => 1,
-        });
-        put_u32(&mut out, self.n);
-        put_u64(&mut out, self.k as u64);
-        put_u64(&mut out, self.seed);
-        put_u64(&mut out, self.iteration);
-        put_u64(&mut out, self.prob_sums.len() as u64);
-        put_u64(&mut out, self.samples);
-        for w in self.master_rng.iter().chain(&self.theta_rng) {
-            put_u64(&mut out, *w);
+        }])?;
+        w.write_all(&self.n.to_le_bytes())?;
+        let header = [
+            self.k as u64,
+            self.seed,
+            self.iteration,
+            self.prob_sums.len() as u64,
+            self.samples,
+        ];
+        put_le(&mut w, &header, u64::to_le_bytes)?;
+        put_le(&mut w, &self.master_rng, u64::to_le_bytes)?;
+        put_le(&mut w, &self.theta_rng, u64::to_le_bytes)?;
+        put_le(&mut w, &self.pi, f32::to_le_bytes)?;
+        put_le(&mut w, &self.phi_sum, f32::to_le_bytes)?;
+        for plane in [&self.phi, &self.theta, &self.beta, &self.prob_sums] {
+            put_le(&mut w, plane, f64::to_le_bytes)?;
         }
-        put_f32s(&mut out, &self.pi);
-        put_f32s(&mut out, &self.phi_sum);
-        put_f64s(&mut out, &self.phi);
-        put_f64s(&mut out, &self.theta);
-        put_f64s(&mut out, &self.beta);
-        put_f64s(&mut out, &self.prob_sums);
-        let crc = crc32(&out);
-        put_u32(&mut out, crc);
+        let CrcWriter { mut inner, crc } = w;
+        inner.write_all(&crc.to_le_bytes())?;
+        inner.flush()
+    }
+
+    /// Serialize to the versioned, checksummed wire format — the bytes
+    /// [`Self::save`] writes.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.encoded_len());
+        self.write_to(&mut out).expect("writing into a Vec cannot fail");
+        debug_assert_eq!(out.len(), self.encoded_len());
         out
     }
 
@@ -425,10 +460,14 @@ impl Checkpoint {
     /// Write the serialized checkpoint to `path` (atomically: a temp file
     /// in the same directory renamed over the target, so a crash mid-write
     /// never leaves a half-written checkpoint under the real name).
+    /// The file is streamed through a 64 KiB buffer: the serialized
+    /// bytes are never resident beside the checkpoint itself.
     pub fn save(&self, path: &Path) -> Result<(), CheckpointError> {
+        let io = |e: std::io::Error| CheckpointError::Io(e.to_string());
         let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, self.to_bytes()).map_err(|e| CheckpointError::Io(e.to_string()))?;
-        std::fs::rename(&tmp, path).map_err(|e| CheckpointError::Io(e.to_string()))
+        let file = File::create(&tmp).map_err(io)?;
+        self.write_to(BufWriter::with_capacity(64 << 10, file)).map_err(io)?;
+        std::fs::rename(&tmp, path).map_err(io)
     }
 
     /// Load and verify a checkpoint from `path`.
@@ -483,6 +522,55 @@ mod tests {
         let bytes = sample_checkpoint().to_bytes();
         assert_eq!(bytes.len(), 225);
         assert_eq!(bytes[221..], 0x3EA4_2A63u32.to_le_bytes());
+    }
+
+    /// A checkpoint of `n` vertices and `k` communities in `layout`, every
+    /// plane filled with distinct values and perplexity sums present.
+    fn filled_checkpoint(layout: StateLayout, n: u32, k: usize) -> Checkpoint {
+        let nk = n as usize * k;
+        let ramp = |len: usize, scale: f64| -> Vec<f64> {
+            (0..len).map(|i| (i as f64 + 0.5) * scale).collect()
+        };
+        Checkpoint {
+            layout,
+            n,
+            k,
+            seed: 11,
+            iteration: 900,
+            master_rng: [9, 8, 7, 6],
+            theta_rng: [5, 4, 3, 2],
+            pi: ramp(nk, 1e-3).into_iter().map(|v| v as f32).collect(),
+            phi_sum: ramp(n as usize, 0.25).into_iter().map(|v| v as f32).collect(),
+            phi: match layout {
+                StateLayout::FullPhi => ramp(nk, 1e-4),
+                StateLayout::PiSumPhi => Vec::new(),
+            },
+            theta: ramp(2 * k, 0.5),
+            beta: ramp(k, 0.01),
+            prob_sums: ramp(123, 0.003),
+            samples: 17,
+        }
+    }
+
+    /// `save` streams the file through a buffer with a running CRC; it
+    /// must hold exactly `to_bytes()`, for both layouts and at sizes whose
+    /// planes span many encode chunks.
+    #[test]
+    fn saved_file_equals_to_bytes() {
+        let dir = std::env::temp_dir().join(format!("mmsb-ckpt-save-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        for layout in [StateLayout::PiSumPhi, StateLayout::FullPhi] {
+            for k in [1, 16, 64] {
+                let ck = filled_checkpoint(layout, 301, k);
+                let path = dir.join(format!("{layout:?}-{k}.ckpt"));
+                ck.save(&path).unwrap();
+                let bytes = ck.to_bytes();
+                assert_eq!(bytes.len(), ck.encoded_len(), "{layout:?} k={k}");
+                assert!(std::fs::read(&path).unwrap() == bytes, "{layout:?} k={k}");
+                assert_eq!(Checkpoint::load(&path).unwrap(), ck, "{layout:?} k={k}");
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

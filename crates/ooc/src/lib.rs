@@ -21,8 +21,9 @@
 //! * [`OocReader`] — an [`mmsb_graph::access::GraphAccess`] view over
 //!   `(&OocGraph, &mut BlockCache)` — the trait the samplers consume,
 //! * [`GraphBackend`] — `Resident | OutOfCore` dispatch for the drivers,
-//! * [`build`] — the bounded-memory streaming builder (external sort into
-//!   runs + k-way merge) and the SNAP edge-list converter.
+//! * [`build`] — the streaming builder, inside a fixed memory budget
+//!   (double-buffered external sort into runs + loser-tree merge), and
+//!   the SNAP edge-list converter.
 //!
 //! Determinism: decoded neighbor lists are byte-identical to the resident
 //! CSR's (same sorted, deduplicated adjacency), and cache hits/misses only

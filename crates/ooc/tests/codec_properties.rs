@@ -235,8 +235,9 @@ fn builder_roundtrip_adversarial_graphs() {
 }
 
 /// The file is a function of the edge multiset alone: the same 6,000
-/// edges (duplicates and self-loops included) spilled as 12 runs, as 3, or
-/// kept in RAM as the only run write the same bytes.
+/// edges (duplicates and self-loops included) spilled as 23 runs beside
+/// the one left in RAM, as 5 beside it, or kept in RAM as the only run
+/// write the same bytes.
 #[test]
 fn run_boundaries_do_not_change_the_file() {
     let mut rng = Xoshiro256PlusPlus::seed_from_u64(0x5B11);

@@ -62,14 +62,21 @@ const FOLD_MIN: usize = 64;
 
 /// CRC-32 (IEEE) of `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    crc32_update(0, bytes)
+}
+
+/// Extend `crc`, the CRC-32 of some prefix, by `bytes`:
+/// `crc32_update(crc32(a), b) == crc32(a ++ b)`, so a writer can checksum
+/// a stream piece by piece without holding it.
+pub fn crc32_update(crc: u32, bytes: &[u8]) -> u32 {
     #[cfg(target_arch = "x86_64")]
     if takes_fold(bytes.len()) {
         // SAFETY: `takes_fold` detected pclmulqdq and sse4.1 on the
         // running CPU during this call, which is `clmul::fold`'s
         // target-feature contract.
-        return !unsafe { clmul::fold(!0, bytes) };
+        return !unsafe { clmul::fold(!crc, bytes) };
     }
-    !slice_by_8(!0, bytes)
+    !slice_by_8(!crc, bytes)
 }
 
 /// Whether [`crc32`] runs the fold on an input of `len` bytes. Detection
@@ -293,6 +300,31 @@ mod tests {
                     "flip at byte {byte} bit {bit} went unseen"
                 );
                 block[byte] ^= 1 << bit;
+            }
+        }
+    }
+
+    /// Every split of random inputs whose lengths straddle the fold
+    /// threshold: `crc32_update` continues a prefix's checksum exactly,
+    /// whichever path each piece takes.
+    #[test]
+    fn crc32_update_continues_every_split_near_the_fold_threshold() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next_byte = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 32) as u8
+        };
+        for len in 0..=FOLD_MIN + 128 {
+            for _ in 0..4 {
+                let bytes: Vec<u8> = (0..len).map(|_| next_byte()).collect();
+                let whole = bytewise(&bytes);
+                for split in 0..=len {
+                    let (a, b) = bytes.split_at(split);
+                    assert_eq!(crc32_update(crc32(a), b), whole, "len={len} split={split}");
+                }
+                assert_eq!(crc32_update(0, &bytes), whole, "len={len} from the empty prefix");
             }
         }
     }

@@ -65,7 +65,7 @@ pub mod theta;
 mod x86;
 
 pub use backend::{Backend, PolicyError, SimdPolicy};
-pub use crc::crc32;
+pub use crc::{crc32, crc32_update};
 pub use edge::{edge_dots, edge_dots_f32};
 pub use math::{polar_normal, ulp_distance, vexp, vln};
 pub use phi::{phi_gradient, sgrld_step, PhiScratch};
