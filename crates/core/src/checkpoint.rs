@@ -337,7 +337,10 @@ impl Checkpoint {
     /// Length of the serialized checkpoint in bytes.
     fn encoded_len(&self) -> usize {
         // magic, version, layout, n, then k..samples and both RNG states.
-        8 + 4 + 1 + 4 + 8 * (5 + 8)
+        8 + 4
+            + 1
+            + 4
+            + 8 * (5 + 8)
             + 4 * (self.pi.len() + self.phi_sum.len())
             + 8 * (self.phi.len() + self.theta.len() + self.beta.len() + self.prob_sums.len())
             + 4
@@ -379,7 +382,8 @@ impl Checkpoint {
     /// [`Self::save`] writes.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.encoded_len());
-        self.write_to(&mut out).expect("writing into a Vec cannot fail");
+        self.write_to(&mut out)
+            .expect("writing into a Vec cannot fail");
         debug_assert_eq!(out.len(), self.encoded_len());
         out
     }
@@ -466,7 +470,8 @@ impl Checkpoint {
         let io = |e: std::io::Error| CheckpointError::Io(e.to_string());
         let tmp = path.with_extension("tmp");
         let file = File::create(&tmp).map_err(io)?;
-        self.write_to(BufWriter::with_capacity(64 << 10, file)).map_err(io)?;
+        self.write_to(BufWriter::with_capacity(64 << 10, file))
+            .map_err(io)?;
         std::fs::rename(&tmp, path).map_err(io)
     }
 
@@ -540,7 +545,10 @@ mod tests {
             master_rng: [9, 8, 7, 6],
             theta_rng: [5, 4, 3, 2],
             pi: ramp(nk, 1e-3).into_iter().map(|v| v as f32).collect(),
-            phi_sum: ramp(n as usize, 0.25).into_iter().map(|v| v as f32).collect(),
+            phi_sum: ramp(n as usize, 0.25)
+                .into_iter()
+                .map(|v| v as f32)
+                .collect(),
             phi: match layout {
                 StateLayout::FullPhi => ramp(nk, 1e-4),
                 StateLayout::PiSumPhi => Vec::new(),

@@ -35,7 +35,7 @@ use mmsb_graph::io::{EdgeListLines, IdInterner};
 use mmsb_graph::Graph;
 
 use crate::format::{BlockEntry, Header, DEFAULT_BLOCK_SIZE};
-use crate::varint::{varint_len, write_varint, MAX_VARINT_BYTES};
+use crate::varint::{gap_code, varint_len, write_varint, MAX_VARINT_BYTES};
 use crate::{crc32, OocError};
 
 /// Options for [`StreamingBuilder`].
@@ -301,9 +301,8 @@ impl StreamingBuilder {
             let (src, dst) = ((entry >> 32) as u32, entry as u32);
             // `EXHAUSTED`'s source half is the reserved id, so the first
             // entry opens a list too.
-            let code = if last >> 32 == src as u64 {
-                dst - last as u32 - 1
-            } else {
+            let prev = (last >> 32 == src as u64).then_some(last as u32);
+            if prev.is_none() {
                 if last != EXHAUSTED {
                     degrees.push(degree);
                     lens.push(pages.len() - list_start);
@@ -312,9 +311,8 @@ impl StreamingBuilder {
                 lens.resize(src as usize, 0);
                 degree = 0;
                 list_start = pages.len();
-                dst
-            };
-            pages.push_varint(src, code as u64)?;
+            }
+            pages.push_varint(src, gap_code(prev, dst))?;
             degree += 1;
             last = entry;
         }
@@ -352,7 +350,10 @@ impl StreamingBuilder {
             out.write_all(&e.encode())?;
         }
         let mut varint = Vec::with_capacity(MAX_VARINT_BYTES);
-        let values = degrees.iter().map(|&d| d as u64).chain(lens.iter().copied());
+        let values = degrees
+            .iter()
+            .map(|&d| d as u64)
+            .chain(lens.iter().copied());
         for v in values {
             varint.clear();
             write_varint(&mut varint, v);

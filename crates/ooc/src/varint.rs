@@ -97,22 +97,29 @@ pub fn read_varint(bytes: &[u8], mut pos: usize) -> Option<(u64, usize)> {
     None
 }
 
-/// Append the gap-coded encoding of a strictly increasing list.
+/// The value a list stores for id `v`: the id itself when it opens the
+/// list (`prev` is `None`), else its gap minus one to the previous id.
 ///
 /// # Panics
 /// Debug-asserts strict monotonicity; release builds encode whatever they
 /// are given (the decoder's degree check catches corruption).
-pub fn encode_list(buf: &mut Vec<u8>, list: &[u32]) {
-    let mut prev = 0u64;
-    for (i, &v) in list.iter().enumerate() {
-        let v = v as u64;
-        if i == 0 {
-            write_varint(buf, v);
-        } else {
-            debug_assert!(v > prev, "neighbor list must be strictly increasing");
-            write_varint(buf, v - prev - 1);
+#[inline]
+pub fn gap_code(prev: Option<u32>, v: u32) -> u64 {
+    match prev {
+        None => v as u64,
+        Some(p) => {
+            debug_assert!(v > p, "neighbor list must be strictly increasing");
+            v as u64 - p as u64 - 1
         }
-        prev = v;
+    }
+}
+
+/// Append the gap-coded encoding of a strictly increasing list.
+pub fn encode_list(buf: &mut Vec<u8>, list: &[u32]) {
+    let mut prev = None;
+    for &v in list {
+        write_varint(buf, gap_code(prev, v));
+        prev = Some(v);
     }
 }
 
@@ -135,18 +142,12 @@ pub fn decode_list(bytes: &[u8], degree: u32, out: &mut Vec<u32>) -> Option<usiz
     Some(pos)
 }
 
-/// Exact encoded byte length of a list without materializing the bytes —
-/// the builder uses this to assemble the per-vertex length section.
+/// Exact encoded byte length of a list without materializing the bytes.
 pub fn encoded_len(list: &[u32]) -> u64 {
-    let mut total = 0u64;
-    let mut prev = 0u64;
-    for (i, &v) in list.iter().enumerate() {
-        let v = v as u64;
-        let raw = if i == 0 { v } else { v - prev - 1 };
-        total += varint_len(raw);
-        prev = v;
-    }
-    total
+    let mut prev = None;
+    list.iter()
+        .map(|&v| varint_len(gap_code(prev.replace(v), v)))
+        .sum()
 }
 
 /// Encoded byte length of one varint.

@@ -89,7 +89,9 @@ static GLOBAL: PeakAlloc = PeakAlloc;
 static SERIAL: Mutex<()> = Mutex::new(());
 
 fn serial() -> MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 /// Heap a conversion may hold per vertex beyond the sort budget. The id
@@ -124,10 +126,7 @@ const GRAPH: StreamConfig = StreamConfig {
 const GOLDEN_CRC: u32 = 0x5850_CB54;
 
 fn scratch_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "mmsb-ooc-budget-{name}-{}",
-        std::process::id()
-    ));
+    let dir = std::env::temp_dir().join(format!("mmsb-ooc-budget-{name}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
@@ -182,7 +181,10 @@ fn conversion_stays_inside_its_budget_and_writes_the_one_run_bytes() {
             "run_entries {run_entries}: live heap rose {rise} bytes > \
              8 x {run_entries} + {PER_VERTEX} x {n} + {FIXED} = {bound}"
         );
-        assert!(bytes == one_run, "run_entries {run_entries} changed the file");
+        assert!(
+            bytes == one_run,
+            "run_entries {run_entries} changed the file"
+        );
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -284,12 +286,15 @@ fn drop_joins_the_spill_thread() {
     let _serial = serial();
     let dir = scratch_dir("drop");
     let before = LIVE.load(Ordering::SeqCst);
-    let mut builder = StreamingBuilder::new(options(BuildOptions::default().run_entries, &dir)).unwrap();
+    let mut builder =
+        StreamingBuilder::new(options(BuildOptions::default().run_entries, &dir)).unwrap();
     // One more edge than a half holds: the first half goes to the spill
     // thread, whose sort of 512 Ki entries takes milliseconds.
     let half_edges = BuildOptions::default().run_entries / 4;
     for i in 0..=half_edges as u32 {
-        builder.add_edge(i % 40_000, (i * 13 + 1) % 40_000 + 40_000).unwrap();
+        builder
+            .add_edge(i % 40_000, (i * 13 + 1) % 40_000 + 40_000)
+            .unwrap();
     }
     let root = temp_root(&dir);
     drop(builder);

@@ -324,7 +324,11 @@ mod tests {
                     let (a, b) = bytes.split_at(split);
                     assert_eq!(crc32_update(crc32(a), b), whole, "len={len} split={split}");
                 }
-                assert_eq!(crc32_update(0, &bytes), whole, "len={len} from the empty prefix");
+                assert_eq!(
+                    crc32_update(0, &bytes),
+                    whole,
+                    "len={len} from the empty prefix"
+                );
             }
         }
     }
