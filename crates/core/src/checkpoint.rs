@@ -36,7 +36,9 @@
 //! The trailing CRC-32 (IEEE 802.3 polynomial, implemented in-tree) makes
 //! a flipped byte anywhere in the file a load-time
 //! [`CheckpointError::ChecksumMismatch`] instead of a silently corrupted
-//! chain.
+//! chain. It is computed as the bytes are written, so [`Checkpoint::save`]
+//! streams the file and [`Checkpoint::to_bytes`] fills a `Vec` through the
+//! same serializer.
 
 use crate::config::StateLayout;
 use crate::perplexity::PerplexityAccumulator;
@@ -349,7 +351,7 @@ impl Checkpoint {
     /// Stream the versioned, checksummed wire format into `out`: the one
     /// serializer behind [`Self::to_bytes`] and [`Self::save`]. The CRC
     /// runs beside the writes, so nothing but `out`'s own buffer is held.
-    pub fn write_to<W: Write>(&self, out: W) -> std::io::Result<()> {
+    fn write_to<W: Write>(&self, out: W) -> std::io::Result<()> {
         let mut w = CrcWriter { inner: out, crc: 0 };
         w.write_all(&CHECKPOINT_MAGIC)?;
         w.write_all(&CHECKPOINT_VERSION.to_le_bytes())?;
