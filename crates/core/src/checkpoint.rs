@@ -39,9 +39,21 @@
 //! chain. It is computed as the bytes are written, so [`Checkpoint::save`]
 //! streams the file and [`Checkpoint::to_bytes`] fills a `Vec` through the
 //! same serializer.
+//!
+//! # Memory
+//!
+//! A checkpoint holds no copy of the model. Capturing one shares the
+//! live `pi`, `sum(phi)` and `phi` [`Plane`]s (a reference-count bump
+//! each) and copies only the small state (`theta`, `beta`, the
+//! perplexity sums). The sampler's next write to a plane copies it if
+//! the checkpoint is still alive then; a checkpoint that is saved and
+//! dropped before the next step costs no copy at all. Saving streams
+//! through a 64 KiB buffer, so a capture-and-save of an `N x K` model
+//! allocates a few KiB plus the buffer, not `4·N·(K+1)` bytes.
 
 use crate::config::StateLayout;
 use crate::perplexity::PerplexityAccumulator;
+use crate::plane::Plane;
 use crate::sampler::Engine;
 use crate::CoreError;
 use mmsb_rand::Xoshiro256PlusPlus;
@@ -208,9 +220,9 @@ pub struct Checkpoint {
     iteration: u64,
     master_rng: [u64; 4],
     theta_rng: [u64; 4],
-    pi: Vec<f32>,
-    phi_sum: Vec<f32>,
-    phi: Vec<f64>,
+    pi: Plane<f32>,
+    phi_sum: Plane<f32>,
+    phi: Plane<f64>,
     theta: Vec<f64>,
     beta: Vec<f64>,
     prob_sums: Vec<f64>,
@@ -218,9 +230,9 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
-    /// Snapshot `engine`'s full chain state.
+    /// Snapshot `engine`'s full chain state, sharing its planes.
     pub(crate) fn capture(engine: &Engine) -> Self {
-        let (pi, phi_sum, phi) = engine.state.flat_arrays();
+        let (pi, phi_sum, phi) = engine.state.planes();
         let (prob_sums, samples) = engine.perplexity.snapshot();
         Self {
             layout: engine.state.layout(),
@@ -230,9 +242,9 @@ impl Checkpoint {
             iteration: engine.iteration,
             master_rng: engine.master_rng.state(),
             theta_rng: engine.theta_rng.state(),
-            pi: pi.to_vec(),
-            phi_sum: phi_sum.to_vec(),
-            phi: phi.to_vec(),
+            pi: pi.clone(),
+            phi_sum: phi_sum.clone(),
+            phi: phi.clone(),
             theta: engine.state.theta().to_vec(),
             beta: engine.state.beta().to_vec(),
             prob_sums: prob_sums.to_vec(),
@@ -323,6 +335,12 @@ impl Checkpoint {
         &self.pi
     }
 
+    /// The plane behind [`Self::pi`], for a reader that keeps it beyond
+    /// the checkpoint's life: cloning it shares the allocation.
+    pub fn pi_plane(&self) -> &Plane<f32> {
+        &self.pi
+    }
+
     /// The captured community strengths `beta`, length `k`.
     pub fn beta(&self) -> &[f64] {
         &self.beta
@@ -332,7 +350,7 @@ impl Checkpoint {
     /// [`Self::beta`] — their allocations move out, nothing is copied.
     /// A model server takes the planes this way so the decoded model is
     /// never resident twice.
-    pub fn into_planes(self) -> (Vec<f32>, Vec<f64>) {
+    pub fn into_planes(self) -> (Plane<f32>, Vec<f64>) {
         (self.pi, self.beta)
     }
 
@@ -372,7 +390,7 @@ impl Checkpoint {
         put_le(&mut w, &self.theta_rng, u64::to_le_bytes)?;
         put_le(&mut w, &self.pi, f32::to_le_bytes)?;
         put_le(&mut w, &self.phi_sum, f32::to_le_bytes)?;
-        for plane in [&self.phi, &self.theta, &self.beta, &self.prob_sums] {
+        for plane in [&self.phi[..], &self.theta, &self.beta, &self.prob_sums] {
             put_le(&mut w, plane, f64::to_le_bytes)?;
         }
         let CrcWriter { mut inner, crc } = w;
@@ -431,12 +449,12 @@ impl Checkpoint {
         let nk = (n as usize)
             .checked_mul(k)
             .ok_or(CheckpointError::Truncated)?;
-        let pi = c.f32s(nk)?;
-        let phi_sum = c.f32s(n as usize)?;
-        let phi = match layout {
+        let pi = Plane::from(c.f32s(nk)?);
+        let phi_sum = Plane::from(c.f32s(n as usize)?);
+        let phi = Plane::from(match layout {
             StateLayout::FullPhi => c.f64s(nk)?,
             StateLayout::PiSumPhi => Vec::new(),
-        };
+        });
         let theta = c.f64s(2 * k)?;
         let beta = c.f64s(k)?;
         let prob_sums = c.f64s(pairs)?;
@@ -464,17 +482,27 @@ impl Checkpoint {
     }
 
     /// Write the serialized checkpoint to `path` (atomically: a temp file
-    /// in the same directory renamed over the target, so a crash mid-write
-    /// never leaves a half-written checkpoint under the real name).
-    /// The file is streamed through a 64 KiB buffer: the serialized
-    /// bytes are never resident beside the checkpoint itself.
+    /// in the same directory, synced to disk, then renamed over the
+    /// target, so a crash mid-write never leaves a half-written
+    /// checkpoint under the real name). The file is streamed through a
+    /// 64 KiB buffer: the serialized bytes are never resident beside the
+    /// checkpoint itself. If any step fails the temp file is removed.
     pub fn save(&self, path: &Path) -> Result<(), CheckpointError> {
-        let io = |e: std::io::Error| CheckpointError::Io(e.to_string());
         let tmp = path.with_extension("tmp");
-        let file = File::create(&tmp).map_err(io)?;
-        self.write_to(BufWriter::with_capacity(64 << 10, file))
-            .map_err(io)?;
-        std::fs::rename(&tmp, path).map_err(io)
+        let written = File::create(&tmp).and_then(|file| {
+            let mut out = BufWriter::with_capacity(64 << 10, file);
+            self.write_to(&mut out)?;
+            out.into_inner()
+                .map_err(std::io::IntoInnerError::into_error)?
+                .sync_all()?;
+            std::fs::rename(&tmp, path)
+        });
+        written.map_err(|e| {
+            // Best effort: the save already failed, and a temp file that
+            // was never created has nothing to remove.
+            let _ = std::fs::remove_file(&tmp);
+            CheckpointError::Io(e.to_string())
+        })
     }
 
     /// Load and verify a checkpoint from `path`.
@@ -504,9 +532,9 @@ mod tests {
             iteration: 42,
             master_rng: [1, 2, 3, 4],
             theta_rng: [5, 6, 7, 8],
-            pi: vec![0.5, 0.5, 0.25, 0.75, 1.0, 0.0],
-            phi_sum: vec![1.5, 2.5, 3.5],
-            phi: Vec::new(),
+            pi: vec![0.5, 0.5, 0.25, 0.75, 1.0, 0.0].into(),
+            phi_sum: vec![1.5, 2.5, 3.5].into(),
+            phi: Vec::new().into(),
             theta: vec![1.0, 2.0, 3.0, 4.0],
             beta: vec![0.5, 0.25],
             prob_sums: vec![0.9, 0.8],
@@ -546,15 +574,22 @@ mod tests {
             iteration: 900,
             master_rng: [9, 8, 7, 6],
             theta_rng: [5, 4, 3, 2],
-            pi: ramp(nk, 1e-3).into_iter().map(|v| v as f32).collect(),
-            phi_sum: ramp(n as usize, 0.25)
-                .into_iter()
-                .map(|v| v as f32)
-                .collect(),
-            phi: match layout {
+            pi: Plane::from(
+                ramp(nk, 1e-3)
+                    .into_iter()
+                    .map(|v| v as f32)
+                    .collect::<Vec<_>>(),
+            ),
+            phi_sum: Plane::from(
+                ramp(n as usize, 0.25)
+                    .into_iter()
+                    .map(|v| v as f32)
+                    .collect::<Vec<_>>(),
+            ),
+            phi: Plane::from(match layout {
                 StateLayout::FullPhi => ramp(nk, 1e-4),
                 StateLayout::PiSumPhi => Vec::new(),
-            },
+            }),
             theta: ramp(2 * k, 0.5),
             beta: ramp(k, 0.01),
             prob_sums: ramp(123, 0.003),
@@ -580,6 +615,20 @@ mod tests {
                 assert_eq!(Checkpoint::load(&path).unwrap(), ck, "{layout:?} k={k}");
             }
         }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A save whose rename fails (the target is a non-empty directory)
+    /// returns the error and leaves no `.tmp` file behind.
+    #[test]
+    fn a_failed_save_removes_its_temp_file() {
+        let dir = std::env::temp_dir().join(format!("mmsb-ckpt-fail-{}", std::process::id()));
+        let target = dir.join("model.ckpt");
+        std::fs::create_dir_all(target.join("occupied")).unwrap();
+        let err = sample_checkpoint().save(&target).unwrap_err();
+        assert!(matches!(err, CheckpointError::Io(_)), "{err}");
+        assert!(!dir.join("model.tmp").exists(), "temp file left behind");
+        assert!(target.join("occupied").is_dir(), "the target is untouched");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

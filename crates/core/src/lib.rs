@@ -70,6 +70,7 @@ mod config;
 #[cfg(test)]
 mod kernels;
 mod perplexity;
+mod plane;
 mod posterior;
 mod rngs;
 mod sampler;
@@ -80,6 +81,7 @@ pub use checkpoint::{Checkpoint, CheckpointError, CHECKPOINT_MAGIC, CHECKPOINT_V
 pub use compute_model::{NodeComputeModel, OpPrices};
 pub use config::{SamplerConfig, StateLayout, StepSize};
 pub use perplexity::{link_probability, PerplexityAccumulator};
+pub use plane::Plane;
 pub use posterior::PosteriorMean;
 pub use sampler::distributed::{DistributedConfig, DistributedSampler};
 pub use sampler::parallel::ParallelSampler;

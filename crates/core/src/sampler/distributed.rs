@@ -168,6 +168,8 @@ pub struct DistributedSampler {
     /// The most recent chain snapshot; the rollback point for permanent
     /// worker loss. Captured at construction when faults are configured,
     /// and refreshed per [`DistributedSampler::with_checkpoint_every`].
+    /// It shares the model planes, so the first step after each capture
+    /// copies them (see [`DistributedSampler::with_checkpoint_every`]).
     last_checkpoint: Option<Checkpoint>,
     /// Refresh `last_checkpoint` every this many iterations.
     checkpoint_every: Option<u64>,
@@ -364,6 +366,13 @@ impl DistributedSampler {
     /// Refresh the in-memory rollback checkpoint — the state kill
     /// recovery rewinds to — every `every` iterations.
     ///
+    /// A capture shares the live `pi`/`sum(phi)` planes instead of
+    /// copying them, but this checkpoint stays alive while the chain
+    /// moves on, so the first step after each capture copies each plane
+    /// once (copy on write) and the rest of the interval writes in
+    /// place. A fault-armed sampler without an interval makes that one
+    /// copy at its first step. The chain is the same either way.
+    ///
     /// # Panics
     /// Panics if `every` is zero.
     pub fn with_checkpoint_every(mut self, every: u64) -> Self {
@@ -376,7 +385,8 @@ impl DistributedSampler {
     }
 
     /// Snapshot the full chain state (state arrays, theta/beta, RNG
-    /// streams, iteration, perplexity accumulator).
+    /// streams, iteration, perplexity accumulator). The state arrays are
+    /// shared, not copied; see [`Checkpoint`].
     pub fn checkpoint(&self) -> Checkpoint {
         let _ckpt_span = mmsb_obs::span(obs_id::S_CHECKPOINT);
         mmsb_obs::counter_add(obs_id::C_CHECKPOINTS, 1);
@@ -891,11 +901,11 @@ mod tests {
             s.run(2);
             let ckpt = s.checkpoint();
             s.run(2);
-            let plane = s.state().flat_arrays().0.as_ptr();
+            let plane = s.state().planes().0.as_ptr();
             let check = |s: &DistributedSampler, what: &str| {
-                let pi = s.state().flat_arrays().0;
+                let pi = s.state().planes().0;
                 assert_eq!(pi.as_ptr(), plane, "k={k}: {what} reallocated");
-                assert_eq!(pi, ckpt.pi(), "k={k}: {what}");
+                assert_eq!(&pi[..], ckpt.pi(), "k={k}: {what}");
                 for a in 0..s.state().n() {
                     let addr = s.state().pi_row(a).as_ptr() as usize;
                     assert_eq!(addr % 64, 0, "k={k}: {what}: row {a}");
@@ -1026,7 +1036,7 @@ mod tests {
                 assert_eq!(d.pool.threads(), threads);
                 d.run(6);
                 let perplexity = d.evaluate_perplexity();
-                let pi = d.state().flat_arrays().0.to_vec();
+                let pi = d.state().planes().0.to_vec();
                 (
                     d.virtual_time().to_bits(),
                     d.report(),

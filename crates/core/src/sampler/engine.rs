@@ -251,9 +251,8 @@ impl Engine {
             range.len() * k,
             "update buffer must hold one row per vertex of the range"
         );
-        for (&a, row) in self.mb_vertices[range].iter().zip(updates.chunks_exact(k)) {
-            self.state.set_phi_row(a.0, row);
-        }
+        let rows = self.mb_vertices[range].iter().map(|a| a.0);
+        self.state.set_phi_rows(rows.zip(updates.chunks_exact(k)));
     }
 
     /// Number of theta-gradient chunks the current mini-batch splits into

@@ -148,7 +148,9 @@ impl ParallelSampler {
     }
 
     /// Capture the full chain state as a restorable, servable
-    /// [`crate::Checkpoint`] (the PR 4 format v1 artifact).
+    /// [`crate::Checkpoint`] (format version 1). The state planes are
+    /// shared, not copied: the next step copies a plane only if the
+    /// checkpoint is still alive then.
     pub fn checkpoint(&self) -> crate::Checkpoint {
         crate::Checkpoint::capture(&self.engine)
     }

@@ -8,82 +8,54 @@
 //! behind one accessor pair so the trade-off is benchmarkable.
 
 use crate::config::StateLayout;
+use crate::plane::Plane;
 use crate::CoreError;
 use mmsb_rand::dist::{Gamma, Sample};
 use mmsb_rand::RngCore;
-use std::ops::{Deref, DerefMut};
 
 /// Smallest admissible `phi` entry; SGRLD's mirror trick (`|.|`) keeps
 /// values positive, the clamp keeps them away from denormal/zero where the
 /// `1/phi` gradient blows up.
 pub const PHI_MIN: f64 = 1e-10;
 
-/// `f32`s per 64-byte cache line.
-const LINE_F32: usize = 64 / std::mem::size_of::<f32>();
-
-/// An `f32` plane whose first element sits on a 64-byte boundary, so a
-/// `K = 16` or `K = 64` row spans whole cache lines instead of straddling
-/// one more. The buffer is over-allocated by one line and viewed from its
-/// first aligned element; the offset comes from the address, so this
-/// stays safe code. It never reallocates, and `Clone` re-derives the
-/// offset for the copy's own buffer.
-#[derive(Debug)]
-struct AlignedPlane {
-    buf: Vec<f32>,
-    off: usize,
-    len: usize,
-}
-
-impl AlignedPlane {
-    fn zeroed(len: usize) -> Self {
-        let buf = vec![0.0f32; len + LINE_F32 - 1];
-        // `Vec<f32>` is at least 4-byte aligned, so the distance to the
-        // next line is a whole number of `f32`s below `LINE_F32`.
-        let off = (64 - buf.as_ptr() as usize % 64) % 64 / std::mem::size_of::<f32>();
-        Self { buf, off, len }
-    }
-}
-
-impl Deref for AlignedPlane {
-    type Target = [f32];
-
-    fn deref(&self) -> &[f32] {
-        &self.buf[self.off..self.off + self.len]
-    }
-}
-
-impl DerefMut for AlignedPlane {
-    fn deref_mut(&mut self) -> &mut [f32] {
-        &mut self.buf[self.off..self.off + self.len]
-    }
-}
-
-impl Clone for AlignedPlane {
-    fn clone(&self) -> Self {
-        let mut plane = Self::zeroed(self.len);
-        plane.copy_from_slice(self);
-        plane
-    }
-}
-
 /// Full parameter state of the a-MMSB sampler.
-#[derive(Debug, Clone)]
+///
+/// The three per-vertex planes are [`Plane`]s: a [`crate::Checkpoint`]
+/// shares them, and the first write after a capture copies a plane only
+/// while that checkpoint is alive. `Clone` is a deep copy.
+#[derive(Debug)]
 pub struct ModelState {
     n: u32,
     k: usize,
     layout: StateLayout,
     /// `N x K` row-major, rows sum to 1 (f32, as in the paper's DKV
     /// rows), starting on a cache-line boundary.
-    pi: AlignedPlane,
+    pi: Plane<f32>,
     /// `N` row sums of `phi` (PiSumPhi layout).
-    phi_sum: Vec<f32>,
+    phi_sum: Plane<f32>,
     /// `N x K` full phi (FullPhi layout; empty otherwise).
-    phi: Vec<f64>,
+    phi: Plane<f64>,
     /// `K x 2` flat: `theta[2k]` is the non-link mass, `theta[2k + 1]` the
     /// link mass, so `beta_k = theta[2k+1] / (theta[2k] + theta[2k+1])`.
     theta: Vec<f64>,
     /// `K` community strengths, always kept consistent with `theta`.
     beta: Vec<f64>,
+}
+
+impl Clone for ModelState {
+    /// A deep copy: the clone's planes are its own, `pi` on a cache line.
+    fn clone(&self) -> Self {
+        Self {
+            n: self.n,
+            k: self.k,
+            layout: self.layout,
+            pi: self.pi.deep_clone(),
+            phi_sum: self.phi_sum.deep_clone(),
+            phi: self.phi.deep_clone(),
+            theta: self.theta.clone(),
+            beta: self.beta.clone(),
+        }
+    }
 }
 
 impl ModelState {
@@ -116,12 +88,13 @@ impl ModelState {
         })?;
 
         let nk = n as usize * k;
-        let mut pi = AlignedPlane::zeroed(nk);
-        let mut phi_sum = vec![0.0f32; n as usize];
-        let mut phi = match layout {
-            StateLayout::FullPhi => vec![0.0f64; nk],
-            StateLayout::PiSumPhi => Vec::new(),
-        };
+        let mut pi = Plane::zeroed(nk);
+        let mut phi_sum = Plane::zeroed(n as usize);
+        let mut phi = Plane::zeroed(match layout {
+            StateLayout::FullPhi => nk,
+            StateLayout::PiSumPhi => 0,
+        });
+        let (pi_mut, phi_sum_mut, phi_mut) = (pi.make_mut(), phi_sum.make_mut(), phi.make_mut());
         let mut row = vec![0.0f64; k];
         for a in 0..n as usize {
             let mut sum = 0.0f64;
@@ -130,12 +103,12 @@ impl ModelState {
                 *slot = x;
                 sum += x;
             }
-            phi_sum[a] = sum as f32;
+            phi_sum_mut[a] = sum as f32;
             for (j, &x) in row.iter().enumerate() {
-                pi[a * k + j] = (x / sum) as f32;
+                pi_mut[a * k + j] = (x / sum) as f32;
             }
             if layout == StateLayout::FullPhi {
-                phi[a * k..(a + 1) * k].copy_from_slice(&row);
+                phi_mut[a * k..(a + 1) * k].copy_from_slice(&row);
             }
         }
 
@@ -206,20 +179,40 @@ impl ModelState {
     /// # Panics
     /// Panics if `new_phi.len() != k` or any entry is non-positive/NaN.
     pub fn set_phi_row(&mut self, a: u32, new_phi: &[f64]) {
-        assert_eq!(new_phi.len(), self.k, "phi row has wrong length");
-        let sum: f64 = new_phi.iter().sum();
-        assert!(
-            sum > 0.0 && sum.is_finite(),
-            "phi row for vertex {a} has invalid sum {sum}"
+        self.set_phi_rows([(a, new_phi)]);
+    }
+
+    /// [`ModelState::set_phi_row`] for each `(vertex, phi row)` of
+    /// `rows`. The planes are made writable once for the whole batch:
+    /// while a checkpoint shares them this copies each plane once, and
+    /// otherwise it writes in place and allocates nothing.
+    ///
+    /// # Panics
+    /// Panics if a row's length is not `k` or any entry is
+    /// non-positive/NaN.
+    pub fn set_phi_rows<'r>(&mut self, rows: impl IntoIterator<Item = (u32, &'r [f64])>) {
+        let (k, layout) = (self.k, self.layout);
+        let (pi, phi_sum, phi) = (
+            self.pi.make_mut(),
+            self.phi_sum.make_mut(),
+            self.phi.make_mut(),
         );
-        let i = a as usize * self.k;
-        for (j, &x) in new_phi.iter().enumerate() {
-            debug_assert!(x > 0.0, "phi[{a}][{j}] = {x} not positive");
-            self.pi[i + j] = (x / sum) as f32;
-        }
-        self.phi_sum[a as usize] = sum as f32;
-        if self.layout == StateLayout::FullPhi {
-            self.phi[i..i + self.k].copy_from_slice(new_phi);
+        for (a, new_phi) in rows {
+            assert_eq!(new_phi.len(), k, "phi row has wrong length");
+            let sum: f64 = new_phi.iter().sum();
+            assert!(
+                sum > 0.0 && sum.is_finite(),
+                "phi row for vertex {a} has invalid sum {sum}"
+            );
+            let i = a as usize * k;
+            for (j, &x) in new_phi.iter().enumerate() {
+                debug_assert!(x > 0.0, "phi[{a}][{j}] = {x} not positive");
+                pi[i + j] = (x / sum) as f32;
+            }
+            phi_sum[a as usize] = sum as f32;
+            if layout == StateLayout::FullPhi {
+                phi[i..i + k].copy_from_slice(new_phi);
+            }
         }
     }
 
@@ -253,15 +246,17 @@ impl ModelState {
         self.pi.len() * 4 + self.phi_sum.len() * 4 + self.phi.len() * 8
     }
 
-    /// Flat views of the state arrays, in checkpoint order:
-    /// `(pi, phi_sum, phi)`. `phi` is empty for [`StateLayout::PiSumPhi`].
-    pub(crate) fn flat_arrays(&self) -> (&[f32], &[f32], &[f64]) {
+    /// The state planes, in checkpoint order: `(pi, phi_sum, phi)`.
+    /// `phi` is empty for [`StateLayout::PiSumPhi`]. A checkpoint clones
+    /// them to share them.
+    pub(crate) fn planes(&self) -> (&Plane<f32>, &Plane<f32>, &Plane<f64>) {
         (&self.pi, &self.phi_sum, &self.phi)
     }
 
     /// Overwrite this state with checkpointed arrays, copying into the
-    /// existing planes, so `pi` keeps its alignment and a restore never
-    /// holds a second model. Lengths are validated against this state's
+    /// live planes, so `pi` keeps its alignment and a restore never
+    /// holds a second model (unless a checkpoint still shares the live
+    /// planes: then each is copied once, as on any write). Lengths are validated against this state's
     /// dimensions; values are trusted (the checkpoint layer checksums
     /// them).
     pub(crate) fn copy_from_flat_arrays(
@@ -285,9 +280,9 @@ impl ModelState {
                 ),
             });
         }
-        self.pi.copy_from_slice(pi);
-        self.phi_sum.copy_from_slice(phi_sum);
-        self.phi.copy_from_slice(phi);
+        self.pi.make_mut().copy_from_slice(pi);
+        self.phi_sum.make_mut().copy_from_slice(phi_sum);
+        self.phi.make_mut().copy_from_slice(phi);
         self.theta.copy_from_slice(theta);
         self.beta.copy_from_slice(beta);
         Ok(())
@@ -395,8 +390,8 @@ mod tests {
                 assert_rows_aligned(&s, &format!("init k={k} {layout:?}"));
                 let c = s.clone();
                 assert_rows_aligned(&c, &format!("clone k={k} {layout:?}"));
-                assert_ne!(c.flat_arrays().0.as_ptr(), s.flat_arrays().0.as_ptr());
-                assert_eq!(c.flat_arrays(), s.flat_arrays());
+                assert_ne!(c.planes().0.as_ptr(), s.planes().0.as_ptr());
+                assert_eq!(c.planes(), s.planes());
             }
         }
     }
@@ -405,14 +400,14 @@ mod tests {
     fn copy_from_flat_arrays_rejects_wrong_lengths() {
         let mut s = state(StateLayout::PiSumPhi);
         let other = state(StateLayout::PiSumPhi);
-        let (pi, phi_sum, phi) = other.flat_arrays();
+        let (pi, phi_sum, phi) = other.planes();
         let (theta, beta) = (other.theta().to_vec(), other.beta().to_vec());
         assert!(s
             .copy_from_flat_arrays(&pi[1..], phi_sum, phi, &theta, &beta)
             .is_err());
         s.copy_from_flat_arrays(pi, phi_sum, phi, &theta, &beta)
             .unwrap();
-        assert_eq!(s.flat_arrays(), other.flat_arrays());
+        assert_eq!(s.planes(), other.planes());
     }
 
     #[test]

@@ -6,7 +6,11 @@
 //! `ShardedStore` writes, nor a warmed out-of-core
 //! [`mmsb_ooc::BlockCache`] read loop (the graph path of the ooc
 //! backend), whether every read hits or every read evicts, reads, CRCs
-//! and decodes a block. Every per-iteration buffer is pre-reserved at its hard
+//! and decodes a block. A checkpoint shares the model planes instead of
+//! copying them: capturing and saving one on a 20 000-vertex, K = 16
+//! sampler stays under a fixed byte budget, the step after it is dropped
+//! allocates nothing, and a live checkpoint keeps its bytes while the
+//! chain moves on. Every per-iteration buffer is pre-reserved at its hard
 //! upper bound (`Engine::with_backend`, `StepBuffers::new`, `Workspace::new`,
 //! the cache's block storage and decode scratch) or grows to its
 //! high-water mark during warm-up (the lockstep driver's per-thread
@@ -31,16 +35,36 @@ use mmsb_dkv::pipeline::PipelineMode;
 use mmsb_dkv::{DkvStore, Partition, ShardedStore};
 use mmsb_graph::generate::planted::{generate_planted, PlantedConfig};
 use mmsb_graph::heldout::HeldOut;
+use mmsb_graph::minibatch::Strategy;
 use mmsb_obs::{ObsConfig, ObsLevel};
 use mmsb_rand::Xoshiro256PlusPlus;
 
 /// Wraps [`System`], counting allocations and reallocations (not frees:
 /// a free without a matching alloc is impossible, and counting both
-/// would double-report) while the gate is up.
+/// would double-report) and the bytes they request while the gate is up.
 struct CountingAlloc;
 
 static COUNTING: AtomicBool = AtomicBool::new(false);
 static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+static ALLOC_BYTES: AtomicUsize = AtomicUsize::new(0);
+
+/// Record one allocation of `bytes` if the gate is up.
+fn count(bytes: usize) {
+    if COUNTING.load(Ordering::Relaxed) {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOC_BYTES.fetch_add(bytes, Ordering::Relaxed);
+    }
+}
+
+/// Run `f` with the gate up; returns its result and the bytes it
+/// requested from the allocator.
+fn bytes_allocated<R>(f: impl FnOnce() -> R) -> (R, usize) {
+    ALLOC_BYTES.store(0, Ordering::SeqCst);
+    COUNTING.store(true, Ordering::SeqCst);
+    let out = f();
+    COUNTING.store(false, Ordering::SeqCst);
+    (out, ALLOC_BYTES.swap(0, Ordering::SeqCst))
+}
 
 // SAFETY: every method forwards its arguments verbatim to `System`, so
 // the `GlobalAlloc` contract holds exactly as `System` upholds it; the
@@ -50,27 +74,21 @@ unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: (applies to all four methods) the caller's obligations are passed
     // through unchanged to `System`, which imposes identical ones.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count(layout.size());
         // SAFETY: forwarded verbatim; see the impl-level comment.
         unsafe { System.alloc(layout) }
     }
 
     // SAFETY: forwards verbatim; see the impl-level comment.
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count(layout.size());
         // SAFETY: forwarded verbatim; see the impl-level comment.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     // SAFETY: forwards verbatim; see the impl-level comment.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count(new_size);
         // SAFETY: forwarded verbatim; see the impl-level comment.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -140,6 +158,77 @@ fn steady_state_step_is_allocation_free() {
             "steady-state step() on {backend} hit the allocator {n} times over 40 iterations"
         );
     }
+
+    // ---- checkpoints share the model planes ----
+    // One copy of `pi` and `sum(phi)` here is 4·n·(K + 1) ≈ 1.3 MB; a
+    // capture shares both and copies only theta, beta and the held-out
+    // perplexity sums, and a save adds its 64 KiB write buffer. Fine
+    // non-link strata keep the mini-batches (and the test) small.
+    let big = generate_planted(
+        &PlantedConfig {
+            num_vertices: 20_000,
+            num_communities: 200,
+            mean_community_size: 110.0,
+            memberships_per_vertex: 1.1,
+            internal_degree: 6.0,
+            background_degree: 0.5,
+        },
+        &mut rng,
+    )
+    .graph;
+    assert!(big.num_vertices() >= 20_000);
+    let (big_graph, big_heldout) = HeldOut::split(&big, 200, &mut rng);
+    let sampler = |graph, heldout| {
+        let config = SamplerConfig::new(16)
+            .with_seed(5)
+            .with_minibatch(Strategy::StratifiedNode {
+                partitions: 1000,
+                anchors: 8,
+            });
+        ParallelSampler::with_threads(graph, heldout, config, 2).unwrap()
+    };
+    let mut live = sampler(big_graph.clone(), big_heldout.clone());
+    let mut twin = sampler(big_graph, big_heldout);
+    live.run(30);
+    twin.run(30);
+
+    let (ckpt, bytes) = bytes_allocated(|| live.checkpoint());
+    assert!(bytes < 64 << 10, "checkpoint() allocated {bytes} bytes");
+    let taken = ckpt.to_bytes();
+    live.run(3);
+    assert!(
+        ckpt.to_bytes() == taken,
+        "steps after a capture changed the live checkpoint"
+    );
+    drop(ckpt);
+
+    let ckpt_dir =
+        std::env::temp_dir().join(format!("mmsb-zero-alloc-ckpt-{}", std::process::id()));
+    std::fs::create_dir_all(&ckpt_dir).unwrap();
+    let ckpt_path = ckpt_dir.join("live.ckpt");
+    let (saved, bytes) = bytes_allocated(|| live.checkpoint().save(&ckpt_path));
+    saved.unwrap();
+    assert!(
+        bytes < 128 << 10,
+        "checkpoint().save() allocated {bytes} bytes"
+    );
+    std::fs::remove_dir_all(&ckpt_dir).unwrap();
+
+    ALLOCS.store(0, Ordering::SeqCst);
+    COUNTING.store(true, Ordering::SeqCst);
+    live.step();
+    COUNTING.store(false, Ordering::SeqCst);
+    let n = ALLOCS.swap(0, Ordering::SeqCst);
+    assert_eq!(
+        n, 0,
+        "the step after a dropped checkpoint hit the allocator {n} times"
+    );
+
+    twin.run(4);
+    assert!(
+        live.checkpoint().to_bytes() == twin.checkpoint().to_bytes(),
+        "checkpointing moved the chain"
+    );
 
     // ---- lockstep master–worker driver, both pipeline modes ----
     // The ranks' `update_phi` runs on the sampler's pool, and every

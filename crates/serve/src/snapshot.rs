@@ -5,8 +5,8 @@
 //! model out for what serving needs, paying all per-query work once at
 //! build time:
 //!
-//! * `pi` held once, as the checkpoint's f32 plane (moved in, not
-//!   copied): Eq. 7 is two f64 dot products per edge query, and
+//! * `pi` held once, as the checkpoint's f32 plane (shared or moved
+//!   in, never copied): Eq. 7 is two f64 dot products per edge query, and
 //!   [`mmsb_simd::edge_dots_f32`] computes both in one fused pass,
 //!   widening the rows and forming `pi[c] * beta[c]` in registers.
 //! * Per vertex, its [`TOP_K_CAP`] (16) heaviest community ids — all K
@@ -31,7 +31,7 @@
 //! `Arc<ModelSnapshot>` through [`crate::SnapshotCell`]; every accessor
 //! takes `&self` and allocates nothing.
 
-use mmsb_core::Checkpoint;
+use mmsb_core::{Checkpoint, Plane};
 use mmsb_simd::Backend;
 
 /// Why a checkpoint could not be turned into a servable snapshot.
@@ -70,7 +70,7 @@ pub struct ModelSnapshot {
     delta: f64,
     backend: Backend,
     /// `n x k` membership rows, the checkpoint's f32 plane.
-    pi: Vec<f32>,
+    pi: Plane<f32>,
     /// Community strengths, length `k`.
     beta: Vec<f64>,
     /// `n x min(k, TOP_K_CAP)`: per vertex, its heaviest community ids
@@ -92,21 +92,29 @@ impl ModelSnapshot {
     /// hyperparameter, not part of the checkpoint artifact); `backend`
     /// picks the SIMD backend for edge queries.
     ///
-    /// This copies the checkpoint's planes; a caller that owns the
-    /// checkpoint moves them instead (`Checkpoint::into_planes`, then
-    /// [`Self::from_planes`]), as the server does.
+    /// The snapshot shares the checkpoint's `pi` plane (a reference
+    /// count, no copy) and copies only `beta`; a caller that owns the
+    /// checkpoint can move both instead (`Checkpoint::into_planes`, then
+    /// [`Self::from_planes`]), as the server does, so the rest of the
+    /// checkpoint is freed before the build.
     pub fn from_checkpoint(
         ckpt: &Checkpoint,
         delta: f64,
         backend: Backend,
     ) -> Result<Self, SnapshotError> {
-        Self::from_planes(ckpt.pi().to_vec(), ckpt.beta().to_vec(), delta, backend)
+        Self::from_planes(
+            ckpt.pi_plane().clone(),
+            ckpt.beta().to_vec(),
+            delta,
+            backend,
+        )
     }
 
     /// Build a snapshot from raw model planes: `pi` flat row-major
     /// `n x k` (with `k = beta.len()` and `n = pi.len() / k`) and the
     /// community strengths `beta`. Both are taken by value and kept:
-    /// the snapshot serves from `pi`'s own allocation. Callers with
+    /// the snapshot serves from `pi`'s own allocation (a `Vec` is taken
+    /// over as a [`Plane`], not copied). Callers with
     /// models from elsewhere (or tests constructing exact tie cases)
     /// use it directly.
     ///
@@ -115,11 +123,12 @@ impl ModelSnapshot {
     /// allows (four at K >= 16, see `max_ranges`); the planes are
     /// identical at any thread count (see [`Self::from_planes_in`]).
     pub fn from_planes(
-        pi: Vec<f32>,
+        pi: impl Into<Plane<f32>>,
         beta: Vec<f64>,
         delta: f64,
         backend: Backend,
     ) -> Result<Self, SnapshotError> {
+        let pi = pi.into();
         let ranges = if pi.len() < INLINE_BELOW {
             1
         } else {
@@ -141,12 +150,13 @@ impl ModelSnapshot {
     /// /v1/reload` reaches this from inside a pool worker, where a
     /// nested `ThreadPool::run` executes its chunks inline.
     pub(crate) fn from_planes_in(
-        pi: Vec<f32>,
+        pi: impl Into<Plane<f32>>,
         beta: Vec<f64>,
         delta: f64,
         backend: Backend,
         ranges: usize,
     ) -> Result<Self, SnapshotError> {
+        let pi = pi.into();
         let k = beta.len();
         if k == 0 || pi.is_empty() || !pi.len().is_multiple_of(k) {
             return Err(SnapshotError::EmptyModel);
@@ -808,9 +818,14 @@ mod tests {
     /// `8·n·k + 4·n·min(k, 16) + 8·k` bytes of heap.
     #[test]
     fn the_model_is_held_once_in_the_checkpoints_allocation() {
-        let ckpt = trained_checkpoint(5, 17);
+        // Decoded, as the server loads it: a captured checkpoint shares
+        // the sampler's line-aligned plane, slack included.
+        let ckpt = Checkpoint::from_bytes(&trained_checkpoint(5, 17).to_bytes()).unwrap();
         let (n, k) = (ckpt.n() as usize, ckpt.k());
         let held = ckpt.pi().as_ptr();
+        let shared = ModelSnapshot::from_checkpoint(&ckpt, 1e-5, Backend::detect()).unwrap();
+        assert_eq!(shared.pi.as_ptr(), held, "from_checkpoint shares, not copies");
+        drop(shared);
         let (pi, beta) = ckpt.into_planes();
         assert_eq!(pi.as_ptr(), held, "into_planes moves, not copies");
         let snap = ModelSnapshot::from_planes(pi, beta, 1e-5, Backend::detect()).unwrap();
