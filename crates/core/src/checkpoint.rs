@@ -483,19 +483,25 @@ impl Checkpoint {
 
     /// Write the serialized checkpoint to `path` (atomically: a temp file
     /// in the same directory, synced to disk, then renamed over the
-    /// target, so a crash mid-write never leaves a half-written
-    /// checkpoint under the real name). The file is streamed through a
-    /// 64 KiB buffer: the serialized bytes are never resident beside the
-    /// checkpoint itself. If any step fails the temp file is removed.
+    /// target and the directory synced, so a crash mid-write never leaves
+    /// a half-written checkpoint under the real name). The file is
+    /// streamed through a 64 KiB buffer: the serialized bytes are never
+    /// resident beside the checkpoint itself. If any step fails the temp
+    /// file is removed.
     pub fn save(&self, path: &Path) -> Result<(), CheckpointError> {
         let tmp = path.with_extension("tmp");
+        let dir = match path.parent() {
+            Some(d) if !d.as_os_str().is_empty() => d,
+            _ => Path::new("."),
+        };
         let written = File::create(&tmp).and_then(|file| {
             let mut out = BufWriter::with_capacity(64 << 10, file);
             self.write_to(&mut out)?;
             out.into_inner()
                 .map_err(std::io::IntoInnerError::into_error)?
                 .sync_all()?;
-            std::fs::rename(&tmp, path)
+            std::fs::rename(&tmp, path)?;
+            File::open(dir)?.sync_all()
         });
         written.map_err(|e| {
             // Best effort: the save already failed, and a temp file that

@@ -85,11 +85,6 @@ impl<T> Plane<T> {
     pub fn capacity(&self) -> usize {
         self.buf.capacity()
     }
-
-    /// Whether `self` and `other` are handles to the same allocation.
-    pub fn shares_with(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.buf, &other.buf)
-    }
 }
 
 impl<T> From<Vec<T>> for Plane<T> {
@@ -156,11 +151,10 @@ mod tests {
         assert_eq!(live.as_ptr(), at, "a unique plane is written in place");
 
         let held = live.clone();
-        assert!(held.shares_with(&live));
         assert_eq!(held.as_ptr(), at, "a clone shares the allocation");
         live.make_mut()[1] = -2.0;
-        assert!(!held.shares_with(&live));
-        assert_ne!(live.as_ptr(), at);
+        assert_eq!(held.as_ptr(), at);
+        assert_ne!(live.as_ptr(), at, "a write to a shared plane copies it");
         assert_eq!(live.as_ptr() as usize % 64, 0);
         assert_eq!(held[..3], [-1.0, 1.0, 2.0]);
         assert_eq!(live[..3], [-1.0, -2.0, 2.0]);
@@ -180,12 +174,16 @@ mod tests {
         assert_eq!(p.as_ptr(), at);
         assert_eq!(p.capacity(), 3);
         let c = p.deep_clone();
-        assert!(!c.shares_with(&p));
+        assert_ne!(c.as_ptr(), p.as_ptr());
         assert_eq!(c, p);
         assert_eq!(c.as_ptr() as usize % 64, 0);
         let mut empty = Plane::<f64>::from(Vec::new());
         let other = empty.clone();
         assert!(empty.make_mut().is_empty());
-        assert!(empty.shares_with(&other), "an empty plane is never copied");
+        assert_eq!(
+            empty.as_ptr(),
+            other.as_ptr(),
+            "an empty plane is never copied"
+        );
     }
 }

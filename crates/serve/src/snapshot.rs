@@ -114,9 +114,8 @@ impl ModelSnapshot {
     /// `n x k` (with `k = beta.len()` and `n = pi.len() / k`) and the
     /// community strengths `beta`. Both are taken by value and kept:
     /// the snapshot serves from `pi`'s own allocation (a `Vec` is taken
-    /// over as a [`Plane`], not copied). Callers with
-    /// models from elsewhere (or tests constructing exact tie cases)
-    /// use it directly.
+    /// over as a [`Plane`], not copied). Callers with models from
+    /// elsewhere (or tests constructing exact tie cases) use it directly.
     ///
     /// Large models are built on [`std::thread::available_parallelism`]
     /// scoped threads, but on no more than the build's radix scratch
