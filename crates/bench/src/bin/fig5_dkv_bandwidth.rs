@@ -7,44 +7,36 @@
 //! top (values spread over a larger memory area than qperf's fixed
 //! buffer).
 //!
-//! Ours: the same sweep against the modeled FDR fabric. The wire time is
-//! the netsim model (which already covers the byte transfer); on top the
-//! DKV line pays the *measured* per-request software cost of the store's
-//! request path, calibrated from reads with negligible payload — the
-//! same decomposition the paper uses to explain the small-payload gap.
+//! Ours: the same sweep against the modeled FDR fabric, priced exactly
+//! as the simulator charges a DKV read: [`CostModel::read_cost`] of one
+//! batch of [`BATCH`] remote rows of the payload — a round trip of
+//! latency for the batch, plus per-request posting or transfer, whichever
+//! is larger. qperf keeps enough requests outstanding to hide the round
+//! trip, which is the small-payload gap. No clock is read: the table is
+//! the same on every run.
 
-use mmsb::dkv::{DkvStore, Partition, ShardedStore};
+use mmsb::dkv::{CostModel, Partition};
 use mmsb::prelude::*;
 use mmsb_bench::{HarnessArgs, TableWriter};
-use std::time::Instant;
 
-/// Measure the store's per-request software overhead using tiny rows, so
-/// the copy itself is negligible and what remains is lookup + dispatch.
-fn measure_request_overhead(quick: bool) -> f64 {
-    let row_len = 2; // 8-byte payload: copy time is noise
-    let keys: Vec<u32> = (0..4096).collect();
-    let mut store = ShardedStore::new(Partition::new(4096, 2), row_len);
-    let vals = vec![1.0f32; keys.len() * row_len];
-    store.write_batch(&keys, &vals).unwrap();
-    let mut buf = vec![0.0f32; keys.len() * row_len];
-    let reps = if quick { 20 } else { 200 };
-    // Warm up, then measure.
-    store.read_batch(&keys, &mut buf).unwrap();
-    let t0 = Instant::now();
-    for _ in 0..reps {
-        store.read_batch(&keys, &mut buf).unwrap();
-    }
-    t0.elapsed().as_secs_f64() / (reps * keys.len()) as f64
+/// Rows per read batch: the requests posted back-to-back behind one round
+/// trip.
+const BATCH: u32 = 64;
+
+/// Modeled bandwidth (bytes/s) of rank 0 reading one batch of [`BATCH`]
+/// rows of `payload` bytes, all owned by rank 1.
+fn dkv_read_bandwidth(net: NetworkModel, payload: usize) -> f64 {
+    let cost = CostModel::new(Partition::new(2 * BATCH, 2), payload / 4, net);
+    let keys: Vec<u32> = (0..BATCH).map(|i| 2 * i + 1).collect();
+    (BATCH as usize * payload) as f64 / cost.read_cost(0, &keys)
 }
 
 fn main() {
     let args = HarnessArgs::parse();
     let net = NetworkModel::fdr_infiniband();
-    let overhead = measure_request_overhead(args.quick);
     println!(
-        "Figure 5 — DKV read bandwidth vs qperf (GB/s); measured per-request \
-         software overhead: {:.0} ns\n",
-        overhead * 1e9
+        "Figure 5 — DKV read bandwidth vs qperf (GB/s); DKV priced by \
+         CostModel::read_cost, {BATCH} remote rows per batch\n"
     );
 
     let mut table = TableWriter::new(
@@ -52,18 +44,11 @@ fn main() {
         args.csv.clone(),
     );
 
-    let batch = 64.0; // outstanding requests per batch: amortizes latency
     let mut payload = 256usize;
     while payload <= (1 << 20) {
-        // Per-key time: the pipelined fabric cost (same steady state as
-        // the qperf ceiling) plus the amortized round trip plus the
-        // store's measured per-request software path — the part qperf
-        // does not pay.
-        let wire_per_key = 2.0 * net.latency / batch + net.pipelined_op_time(payload);
-        let dkv_bw = payload as f64 / (wire_per_key + overhead);
         table.row(&[
             payload.to_string(),
-            format!("{:.2}", dkv_bw / 1e9),
+            format!("{:.2}", dkv_read_bandwidth(net, payload) / 1e9),
             format!("{:.2}", net.qperf_read_bandwidth(payload) / 1e9),
             format!("{:.2}", net.qperf_write_bandwidth(payload) / 1e9),
         ]);

@@ -1,7 +1,6 @@
 //! Extracting overlapping communities from the inferred memberships.
 
 use crate::ModelState;
-use mmsb_graph::generate::GroundTruth;
 use mmsb_graph::VertexId;
 
 /// An overlapping community assignment: for each community, its members.
@@ -50,14 +49,6 @@ impl Communities {
             }
         }
         out
-    }
-
-    /// Convert to the graph crate's ground-truth representation (for
-    /// symmetric evaluation calls).
-    pub fn to_ground_truth(&self) -> GroundTruth {
-        GroundTruth {
-            communities: self.members.clone(),
-        }
     }
 }
 
@@ -116,13 +107,5 @@ mod tests {
     fn bad_threshold_panics() {
         let s = state_with_rows(&[[1.0, 1.0, 1.0]]);
         Communities::from_state(&s, 1.5);
-    }
-
-    #[test]
-    fn ground_truth_conversion_preserves_members() {
-        let s = state_with_rows(&[[8.0, 1.0, 1.0], [1.0, 8.0, 1.0]]);
-        let c = Communities::from_state(&s, 0.5);
-        let gt = c.to_ground_truth();
-        assert_eq!(gt.communities, c.members);
     }
 }

@@ -34,7 +34,9 @@
 //!   access reads or writes it in place and is priced. Each rank runs
 //!   the pool driver's `update_phi` on its share, and
 //!   `mmsb_dkv::pipeline::price` charges the share's chunked `pi` load,
-//!   `Single` or `Double`.
+//!   `Single` or `Double`; the later stages are the pool driver's, run
+//!   once and priced per rank, so the chain is the pool driver's, bit
+//!   for bit, at every worker count.
 //!
 //! # Quickstart
 //!

@@ -6,9 +6,13 @@
 //! the workers; `theta`/`beta` live at the master and `beta` is broadcast
 //! each iteration.
 //!
-//! **Execution model** (DESIGN.md §3/§7): every rank's compute runs for
-//! real — the ranks' `update_phi` concurrently, one rank per chunk of an
-//! `mmsb-pool` pool — but no stage reads a clock. A stage counts its work
+//! **Execution model** (DESIGN.md §3/§7): the chain is the pool driver's.
+//! The ranks' `update_phi` runs for real, one rank per part of an
+//! `mmsb-pool` fan-out; every later stage — applying the `phi` updates,
+//! the chunked `theta` gradient and step, the held-out probabilities — is
+//! the pool driver's own stage code, run once on the same pool. The
+//! per-rank loops after it compute nothing: they price what each rank of
+//! the paper's cluster would do. No stage reads a clock. A stage counts its work
 //! (pairs drawn, neighbours sampled, `pi` rows gathered × K, vertices ×
 //! K, pairs × K) and charges the owning rank's [`ClusterClocks`] entry
 //! the count at [`NodeComputeModel::PRICES`], Amdahl-scaled by the
@@ -28,13 +32,14 @@
 //! which [`pipeline::price`] charges the share's `pi` load, chunk by
 //! chunk, under the configured [`PipelineMode`].
 //!
-//! **Chain fidelity**: the numerical trajectory is identical to the
-//! sequential and parallel drivers up to the floating-point association
-//! order of the distributed `theta`-gradient reduction (each worker sums
-//! its pair share, then shares are summed in rank order). `phi` rows are
-//! per-vertex pure, so running the ranks concurrently changes nothing.
+//! **Chain fidelity**: `phi` rows are per-vertex pure, so splitting the
+//! batch over ranks changes nothing, and the `theta` gradient is summed
+//! over the pool driver's fixed chunks and combining tree, whatever `R`.
+//! The chain is therefore bitwise that of the pool driver at every worker
+//! count, in both pipeline modes, under every fault schedule and across a
+//! worker loss.
 
-use super::driver::{self, Split};
+use super::driver::{self, Split, StepBuffers};
 use super::worker::share;
 use super::Engine;
 use crate::checkpoint::Checkpoint;
@@ -176,25 +181,20 @@ pub struct DistributedSampler {
     /// Index 0 is the master; worker `w` is rank `w + 1`.
     clocks: ClusterClocks,
     trace: PhaseTimes,
-    /// The pool the ranks' `update_phi` runs on, one rank per chunk.
+    /// The pool the ranks' `update_phi` runs on, one rank per chunk, and
+    /// the pool driver's later stages after it.
     pool: ThreadPool,
-    /// One per pool thread: the scratch of the ranks that thread runs.
-    /// The caller's (index 0) also serves the `theta` stage.
+    /// One per pool thread: the scratch of the ranks that thread runs,
+    /// and of the pool driver's stages after `update_phi`.
     ranks: Vec<RankScratch>,
     /// What each rank's `update_phi` charges this iteration, by rank.
     phi: Vec<RankPhi>,
-    /// DKV keys of the caller's stage at hand: the share's vertices
+    /// DKV keys of the rank being priced: the share's vertices
     /// (write-back), its pairs' endpoints (`theta`) or its held-out
     /// pairs' endpoints.
     keys: Vec<u32>,
-    /// The executing worker's `theta` gradient (`2K`).
-    grad: Vec<f64>,
-    /// The master's rank-order sum of the per-worker `theta` gradients.
-    grad_total: Vec<f64>,
-    /// Flat phi updates: one `K`-row per mini-batch vertex.
-    updates: Vec<f64>,
-    /// Per-pair held-out probabilities, gathered in pair order.
-    probs: Vec<f64>,
+    /// The pool driver's per-iteration buffers.
+    bufs: StepBuffers,
 }
 
 /// One pool thread's scratch for the ranks it runs in `update_phi`.
@@ -218,6 +218,12 @@ struct RankPhi {
     sample: f64,
     /// Pass 2: the priced load–compute pass over the share.
     run: PipelineRun,
+}
+
+impl AsMut<Workspace> for RankScratch {
+    fn as_mut(&mut self) -> &mut Workspace {
+        &mut self.ws
+    }
 }
 
 impl RankScratch {
@@ -339,10 +345,7 @@ impl DistributedSampler {
             ranks,
             phi: vec![RankPhi::default(); dcfg.workers],
             keys: Vec::new(),
-            grad: vec![0.0; 2 * k],
-            grad_total: vec![0.0; 2 * k],
-            updates: vec![0.0; engine.max_batch_vertices() * k],
-            probs: vec![0.0; engine.heldout.len()],
+            bufs: StepBuffers::new(&engine),
             engine,
         })
     }
@@ -492,15 +495,15 @@ impl DistributedSampler {
 
         // -------------------------------------- workers: update_phi
         // The ranks run concurrently on the pool, each into its own rows
-        // of `updates`. What a rank is charged is counted work, so the
-        // pool's size and schedule cannot change it; the clocks then
-        // advance in rank order.
+        // of the update buffer. What a rank is charged is counted work,
+        // so the pool's size and schedule cannot change it; the clocks
+        // then advance in rank order.
         let (engine, cost, dcfg) = (&self.engine, &self.cost, &self.dcfg);
-        driver::fan_out(
+        driver::phi_stage(
+            engine,
             &self.pool,
             &mut self.ranks,
-            &mut self.updates[..nv * k],
-            k,
+            &mut self.bufs,
             Split::Shares(r),
             |ctx, w, vs, rows| {
                 let phi = ctx.update_phi(engine, cost, dcfg, w, vs, rows);
@@ -559,15 +562,14 @@ impl DistributedSampler {
         self.trace_add(Phase::Barrier, barrier_cost);
 
         // ------------------------------------------ workers: update_pi
-        // Each worker applies its share's updates to the state and pays
-        // the write-back of those rows.
+        // The updates are applied once; each worker pays for applying its
+        // share and for the write-back of those rows.
+        driver::apply_phi_stage(&mut self.engine, &mut self.bufs);
         let mut max_pi = 0.0f64;
         let mut max_write_recovery = 0.0f64;
         for w in 0..r {
             let rank = w + 1;
             let vs = share(nv, r, w);
-            self.engine
-                .apply_phi_updates(vs.clone(), &self.updates[vs.start * k..vs.end * k]);
             let compute = node.worker_secs(prices.apply_vertex_k, vs.len() * k);
             self.keys.clear();
             self.keys
@@ -596,13 +598,17 @@ impl DistributedSampler {
         self.trace_add(Phase::Barrier, barrier_cost);
 
         // --------------------------------- update_beta_theta (4 steps)
+        // The pool driver's theta stage runs once; the paper's cluster
+        // splits it as below — each worker loads the `pi` rows of its pair
+        // share and sums their gradient, an MPI reduce brings the sums to
+        // the master, and the master steps theta and broadcasts beta —
+        // and that split is what is priced.
+        driver::theta_stage(&mut self.engine, &self.pool, &mut self.ranks, &mut self.bufs);
         let mut beta_stage = 0.0f64;
-        self.grad_total.fill(0.0);
         let mut max_grad_time = 0.0f64;
         for w in 0..r {
             let rank = w + 1;
             let ps = share(n_pairs, r, w);
-            // Load pi for the endpoints of this worker's pair share.
             self.keys.clear();
             self.keys.extend(
                 self.engine.mb.pairs[ps.clone()]
@@ -610,16 +616,7 @@ impl DistributedSampler {
                     .flat_map(|&(e, _)| [e.lo().0, e.hi().0]),
             );
             let wire = self.cost.read_cost(w, &self.keys);
-            self.engine.theta_gradient(
-                ps.start,
-                ps.end,
-                &mut self.ranks[0].ws.stage,
-                &mut self.grad,
-            );
             let compute = node.worker_secs(prices.theta_pair_k, ps.len() * k);
-            for (g, c) in self.grad_total.iter_mut().zip(&self.grad) {
-                *g += c;
-            }
             self.clocks.advance(rank, wire + compute);
             max_grad_time = max_grad_time.max(wire + compute);
         }
@@ -632,7 +629,6 @@ impl DistributedSampler {
         self.clocks.barrier(reduce); // reduce is a sync point
         beta_stage += reduce;
         // Master: theta step + beta broadcast.
-        self.engine.apply_theta_update(&self.grad_total);
         let master_compute = prices.theta_step_k * k as f64;
         let bcast = collective::broadcast(&net, r + 1, k * 8)
             + self.collective_retry_cost(STAGE_BROADCAST, &mut recovery_t);
@@ -674,8 +670,9 @@ impl DistributedSampler {
     /// Absorb the permanent loss of worker `dead`: rewind the chain to
     /// the last checkpoint, re-partition the store over the `R - 1`
     /// survivors, and charge the modeled detection + re-scatter cost as
-    /// recovery time. Worker count never changes the numerics, so the
-    /// degraded run still reproduces the fault-free chain bit-for-bit.
+    /// recovery time. The worker count only decides how the stages are
+    /// priced, never what they compute, so the degraded run reproduces
+    /// the fault-free chain bit for bit.
     fn degrade(&mut self, dead: usize) {
         mmsb_obs::counter_add(obs_id::C_RECOVERIES, 1);
         let ckpt = self
@@ -784,14 +781,14 @@ impl DistributedSampler {
         worst
     }
 
-    /// Distributed held-out perplexity: each worker loads the `pi` rows of
-    /// its static share of `E_h` (the same contiguous [`share`] split as
-    /// the mini-batch), computes its probabilities, and the per-pair
-    /// probabilities are gathered at the master, which folds them into
-    /// the running posterior average (Eq. 7). (The paper reduces partial
-    /// log-sums; gathering the probability vectors instead keeps the
-    /// posterior averaging bit-identical to the single-node drivers — the
-    /// wire cost of the gather is modeled either way.)
+    /// Distributed held-out perplexity: the pool driver's perplexity
+    /// stage, priced as the paper's cluster runs it — each worker loads
+    /// the `pi` rows of its static share of `E_h` (the same contiguous
+    /// [`share`] split as the mini-batch) and computes its probabilities,
+    /// and the per-pair probabilities are gathered at the master, which
+    /// folds them into the running posterior average (Eq. 7). (The paper
+    /// reduces partial log-sums; the gather of the probability vectors is
+    /// priced instead, matching the averaging the chain performs.)
     pub fn evaluate_perplexity(&mut self) -> f64 {
         let r = self.dcfg.workers;
         let net = self.dcfg.net;
@@ -809,8 +806,6 @@ impl DistributedSampler {
                     .flat_map(|&(e, _)| [e.lo().0, e.hi().0]),
             );
             let wire = self.cost.read_cost(w, &self.keys);
-            self.engine
-                .perplexity_probs_into(ps.start, ps.end, &mut self.probs[ps.clone()]);
             let compute =
                 node.worker_secs(NodeComputeModel::PRICES.perplexity_pair_k, ps.len() * k);
             self.clocks.advance(rank, wire + compute);
@@ -822,7 +817,7 @@ impl DistributedSampler {
         self.clocks.advance(0, gather);
         self.clocks.barrier(0.0);
         self.trace_add(Phase::Perplexity, max_t + gather);
-        self.engine.record_perplexity_sample(&self.probs[..total])
+        driver::perplexity_stage(&mut self.engine, &self.pool, &mut self.ranks, &mut self.bufs)
     }
 
     /// The virtual (modeled cluster) time elapsed so far, in seconds.
@@ -864,7 +859,6 @@ fn site_hash(a: u64, b: u64, c: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ParallelSampler;
     use mmsb_graph::generate::planted::{generate_planted, PlantedConfig};
     use mmsb_rand::Xoshiro256PlusPlus;
 
@@ -932,43 +926,6 @@ mod tests {
             }
             assert_eq!(next, 10, "parts={parts}");
         }
-    }
-
-    #[test]
-    fn matches_sequential_chain_closely() {
-        let (g, h) = setup(1);
-        let cfg = SamplerConfig::new(3).with_seed(7);
-        let mut seq = ParallelSampler::with_threads(g.clone(), h.clone(), cfg.clone(), 1).unwrap();
-        let mut dist = DistributedSampler::new(g, h, cfg, DistributedConfig::das5(4)).unwrap();
-        seq.run(10);
-        dist.run(10);
-        // pi rows must match bitwise (phi updates are per-vertex pure).
-        for a in 0..seq.state().n() {
-            assert_eq!(seq.state().pi_row(a), dist.state().pi_row(a), "vertex {a}");
-        }
-        // theta matches up to the reduction association order.
-        for (s, d) in seq.state().theta().iter().zip(dist.state().theta()) {
-            let rel = (s - d).abs() / s.abs().max(1e-12);
-            assert!(rel < 1e-6, "theta diverged: {s} vs {d}");
-        }
-    }
-
-    #[test]
-    fn worker_count_does_not_change_numerics() {
-        let (g, h) = setup(2);
-        let cfg = SamplerConfig::new(3).with_seed(3);
-        let mut d2 =
-            DistributedSampler::new(g.clone(), h.clone(), cfg.clone(), DistributedConfig::das5(2))
-                .unwrap();
-        let mut d8 = DistributedSampler::new(g, h, cfg, DistributedConfig::das5(8)).unwrap();
-        d2.run(8);
-        d8.run(8);
-        for a in 0..d2.state().n() {
-            assert_eq!(d2.state().pi_row(a), d8.state().pi_row(a), "vertex {a}");
-        }
-        let p2 = d2.evaluate_perplexity();
-        let p8 = d8.evaluate_perplexity();
-        assert!((p2 - p8).abs() / p2 < 1e-9, "{p2} vs {p8}");
     }
 
     #[test]

@@ -7,8 +7,14 @@
 //! chunk writes only to the buffer region owned by its chunk index, and
 //! the theta chunks are combined by a fixed binary tree, the resulting
 //! chain is bitwise-identical for any thread count — including one.
+//!
+//! The stages ([`phi_stage`], [`apply_phi_stage`], [`theta_stage`],
+//! [`perplexity_stage`]) open no wall-clock phase of their own: [`step`]
+//! and [`evaluate_perplexity`] time them, while the lockstep
+//! [`crate::DistributedSampler`] runs the very same stages and only
+//! prices them, so both drivers walk one chain.
 
-use crate::sampler::engine::{Engine, PHI_CHUNK, THETA_CHUNK};
+use crate::sampler::engine::{Engine, PHI_CHUNK};
 use crate::sampler::worker::share;
 use crate::workspace::Workspace;
 use mmsb_netsim::obs_bridge;
@@ -70,13 +76,16 @@ impl StepBuffers {
     }
 }
 
-/// Grow `buf` to at least `len` elements. A no-op in the steady state —
-/// the buffers are pre-sized from worst-case bounds — but keeps the
-/// drivers correct if `replace_graph` raises those bounds.
-fn ensure_len(buf: &mut Vec<f64>, len: usize) {
+/// The first `len` elements of `buf`, grown to hold them first. Growing
+/// is a no-op in the steady state — the buffers are pre-sized from
+/// worst-case bounds — but keeps the drivers correct if `replace_graph`
+/// raises those bounds.
+// xlint: allow(hot-path-panic) — `buf` has just been grown to at least `len` elements
+fn prefix(buf: &mut Vec<f64>, len: usize) -> &mut [f64] {
     if buf.len() < len {
         buf.resize(len, 0.0);
     }
+    &mut buf[..len]
 }
 
 /// One pool thread per CPU the host makes available (at least one): the
@@ -148,15 +157,84 @@ pub(crate) fn fan_out<C, T, F>(
     });
 }
 
-/// One SG-MCMC iteration (Algorithm 1), chunked:
-///
-/// 1. draw the mini-batch (master RNG),
-/// 2. per-vertex phi updates in [`PHI_CHUNK`]-vertex chunks, each chunk
-///    writing its rows of the flat update buffer,
-/// 3. apply the updates at the stage barrier,
-/// 4. per-chunk theta gradients (`THETA_CHUNK` pairs each), combined by
-///    a fixed binary tree, then the theta SGRLD step (theta RNG).
-// xlint: allow(hot-path-panic) — updates/chunk_grads are sized in StepBuffers::new from the same engine maxima that bound every chunk range, so the disjoint per-chunk windows stay in bounds
+/// Stage 2: every mini-batch vertex's new `phi` row, one `K`-row of the
+/// step's update buffer each, computed by `body` over the parts of
+/// `split` on `pool` (see [`fan_out`]).
+pub(crate) fn phi_stage<C, F>(
+    engine: &Engine,
+    pool: &ThreadPool,
+    ctxs: &mut [C],
+    bufs: &mut StepBuffers,
+    split: Split,
+    body: F,
+) where
+    C: Send,
+    F: Fn(&mut C, usize, Range<usize>, &mut [f64]) + Sync,
+{
+    let (nv, k) = (engine.mb_vertices.len(), engine.config.k);
+    fan_out(pool, ctxs, prefix(&mut bufs.updates, nv * k), k, split, body);
+}
+
+/// Stage 3: the barrier, then every `phi` update [`phi_stage`] computed
+/// is applied.
+pub(crate) fn apply_phi_stage(engine: &mut Engine, bufs: &mut StepBuffers) {
+    let n = engine.mb_vertices.len() * engine.config.k;
+    engine.apply_phi_updates(prefix(&mut bufs.updates, n));
+}
+
+/// Stage 4: per-chunk theta gradients (`THETA_CHUNK` pairs each) against
+/// the fresh `pi`, combined by a fixed binary tree, then the theta SGRLD
+/// step (theta RNG). The chunks, not the pool or the caller's split of
+/// the work, fix the summation order.
+// xlint: allow(hot-path-panic) — `grads` holds `n_chunks >= 1` rows of `k2`, so its first row is in bounds
+pub(crate) fn theta_stage<C: AsMut<Workspace> + Send>(
+    engine: &mut Engine,
+    pool: &ThreadPool,
+    ctxs: &mut [C],
+    bufs: &mut StepBuffers,
+) {
+    let k2 = 2 * engine.config.k;
+    let n_chunks = engine.theta_chunk_count();
+    let grads = prefix(&mut bufs.chunk_grads, n_chunks * k2);
+    {
+        let eng = &*engine;
+        fan_out(pool, ctxs, grads, k2, Split::Chunks(1), |ctx, chunk, _, grad| {
+            eng.theta_gradient(chunk, &mut ctx.as_mut().stage, grad)
+        });
+    }
+    tree_combine_f64(grads, k2, n_chunks);
+    engine.apply_theta_update(&grads[..k2]);
+}
+
+/// The held-out perplexity: each [`PERPLEXITY_CHUNK`] fills its disjoint
+/// slice of one flat probability buffer (no per-chunk vectors), then the
+/// sample is recorded in pair order.
+pub(crate) fn perplexity_stage<C: Send>(
+    engine: &mut Engine,
+    pool: &ThreadPool,
+    ctxs: &mut [C],
+    bufs: &mut StepBuffers,
+) -> f64 {
+    let probs = prefix(&mut bufs.probs, engine.heldout.len());
+    {
+        let eng = &*engine;
+        fan_out(
+            pool,
+            ctxs,
+            probs,
+            1,
+            Split::Chunks(PERPLEXITY_CHUNK),
+            |_, _, pairs, probs| eng.perplexity_probs_into(pairs.start, pairs.end, probs),
+        );
+    }
+    engine.record_perplexity_sample(probs)
+}
+
+/// One SG-MCMC iteration (Algorithm 1), chunked: the master draws the
+/// mini-batch (master RNG), then [`phi_stage`] in [`PHI_CHUNK`]-vertex
+/// chunks, [`apply_phi_stage`] and [`theta_stage`], each timed as its
+/// phase.
+// xlint: allow(hot-path-panic) — fan_out hands each chunk a row range within the `mb_vertices.len()` rows of the update buffer
 pub(crate) fn step(
     engine: &mut Engine,
     pool: &ThreadPool,
@@ -169,54 +247,26 @@ pub(crate) fn step(
         let _p = PhaseObs::open(Phase::DrawMinibatch);
         engine.refresh_minibatch();
     }
-    let k = engine.config.k;
-
-    // Stage 2: phi updates.
-    let nv = engine.mb_vertices.len();
-    ensure_len(&mut bufs.updates, nv * k);
     {
         let _p = PhaseObs::open(Phase::UpdatePhi);
         let eng = &*engine;
-        fan_out(
+        phi_stage(
+            eng,
             pool,
             workspaces,
-            &mut bufs.updates[..nv * k],
-            k,
+            bufs,
             Split::Chunks(PHI_CHUNK),
             |ws, _, vs, rows| eng.update_phi(&eng.mb_vertices[vs], ws, rows),
         );
     }
-
-    // Stage 3: barrier, then apply.
     {
         let _p = PhaseObs::open(Phase::UpdatePi);
-        engine.apply_phi_updates(0..nv, &bufs.updates[..nv * k]);
+        apply_phi_stage(engine, bufs);
     }
-
-    // Stage 4: theta update against the fresh pi.
-    let _p_theta = PhaseObs::open(Phase::UpdateBetaTheta);
-    let n_chunks = engine.theta_chunk_count();
-    let n_pairs = engine.mb.pairs.len();
-    ensure_len(&mut bufs.chunk_grads, n_chunks * 2 * k);
     {
-        let eng = &*engine;
-        fan_out(
-            pool,
-            workspaces,
-            &mut bufs.chunk_grads[..n_chunks * 2 * k],
-            2 * k,
-            Split::Chunks(1),
-            |ws, chunk, _, grad| {
-                let lo = chunk * THETA_CHUNK;
-                let hi = ((chunk + 1) * THETA_CHUNK).min(n_pairs);
-                eng.theta_gradient(lo, hi, &mut ws.stage, grad);
-            },
-        );
+        let _p = PhaseObs::open(Phase::UpdateBetaTheta);
+        theta_stage(engine, pool, workspaces, bufs);
     }
-    tree_combine_f64(&mut bufs.chunk_grads[..n_chunks * 2 * k], 2 * k, n_chunks);
-    engine.apply_theta_update(&bufs.chunk_grads[..2 * k]);
-    drop(_p_theta);
-
     engine.bump_iteration();
     mmsb_obs::counter_add(obs_id::C_SAMPLER_STEPS, 1);
     if let Some(sw) = step_sw {
@@ -224,10 +274,8 @@ pub(crate) fn step(
     }
 }
 
-/// Evaluate held-out perplexity: each chunk fills its disjoint slice of
-/// one flat probability buffer (no per-chunk vectors), then the sample is
-/// recorded in pair order.
-// xlint: allow(hot-path-panic) — probs is sized to heldout.len() in StepBuffers::new and each chunk writes only its disjoint pair-range slice of it
+/// Evaluate held-out perplexity ([`perplexity_stage`]), timed as its
+/// phase.
 pub(crate) fn evaluate_perplexity(
     engine: &mut Engine,
     pool: &ThreadPool,
@@ -235,18 +283,5 @@ pub(crate) fn evaluate_perplexity(
     bufs: &mut StepBuffers,
 ) -> f64 {
     let _p = PhaseObs::open(Phase::Perplexity);
-    let n = engine.heldout.len();
-    ensure_len(&mut bufs.probs, n);
-    {
-        let eng = &*engine;
-        fan_out(
-            pool,
-            workspaces,
-            &mut bufs.probs[..n],
-            1,
-            Split::Chunks(PERPLEXITY_CHUNK),
-            |_, _, pairs, probs| eng.perplexity_probs_into(pairs.start, pairs.end, probs),
-        );
-    }
-    engine.record_perplexity_sample(&bufs.probs[..n])
+    perplexity_stage(engine, pool, workspaces, bufs)
 }

@@ -16,7 +16,6 @@ use mmsb_ooc::{BlockCache, GraphBackend};
 use mmsb_rand::dist::Normal;
 use mmsb_rand::{RngCore, Xoshiro256PlusPlus};
 use mmsb_simd::Backend;
-use std::ops::Range;
 
 /// Pairs per theta-gradient chunk. One chunk accumulates its pairs
 /// serially (matching the historical serial sum for batches that fit in a
@@ -241,17 +240,17 @@ impl Engine {
         }
     }
 
-    /// Stage 3: apply the `phi` updates of mini-batch vertices `range`
-    /// (the `update_pi` barrier stage). `updates` holds one `K`-row per
-    /// entry of [`Engine::mb_vertices`]`[range]`, in order.
-    pub fn apply_phi_updates(&mut self, range: Range<usize>, updates: &[f64]) {
+    /// Stage 3: apply the `phi` updates of the mini-batch (the
+    /// `update_pi` barrier stage). `updates` holds one `K`-row per entry
+    /// of [`Engine::mb_vertices`], in order.
+    pub fn apply_phi_updates(&mut self, updates: &[f64]) {
         let k = self.config.k;
         assert_eq!(
             updates.len(),
-            range.len() * k,
-            "update buffer must hold one row per vertex of the range"
+            self.mb_vertices.len() * k,
+            "update buffer must hold one row per mini-batch vertex"
         );
-        let rows = self.mb_vertices[range].iter().map(|a| a.0);
+        let rows = self.mb_vertices.iter().map(|a| a.0);
         self.state.set_phi_rows(rows.zip(updates.chunks_exact(k)));
     }
 
@@ -261,13 +260,17 @@ impl Engine {
         self.mb.pairs.len().div_ceil(THETA_CHUNK).max(1)
     }
 
-    /// Accumulate the weighted theta gradient of the current mini-batch's
-    /// pairs `[lo, hi)` against the current (fresh) `pi` into `out`
-    /// (length `2K`, overwritten). Pairs are accumulated serially in batch
-    /// order, so the result depends only on the batch and the range —
-    /// the pool driver passes fixed `THETA_CHUNK` ranges, the distributed
-    /// driver each rank's pair share.
-    pub fn theta_gradient(&self, lo: usize, hi: usize, scratch: &mut StageScratch, out: &mut [f64]) {
+    /// Accumulate the weighted theta gradient of theta chunk `chunk` —
+    /// the current mini-batch's [`THETA_CHUNK`] pairs from
+    /// `chunk * THETA_CHUNK` on, clipped to the batch — against the
+    /// current (fresh) `pi` into `out` (length `2K`, overwritten). Pairs
+    /// are accumulated serially in batch order, so the result depends
+    /// only on the batch and the chunk; every driver sums the same fixed
+    /// chunks.
+    pub fn theta_gradient(&self, chunk: usize, scratch: &mut StageScratch, out: &mut [f64]) {
+        let n_pairs = self.mb.pairs.len();
+        let lo = (chunk * THETA_CHUNK).min(n_pairs);
+        let hi = ((chunk + 1) * THETA_CHUNK).min(n_pairs);
         let state = &self.state;
         let pairs = self.mb.pairs[lo..hi]
             .iter()

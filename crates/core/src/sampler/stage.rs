@@ -2,10 +2,10 @@
 //!
 //! Both drivers — pool-parallel and lockstep distributed — call
 //! [`phi_update`] per mini-batch vertex (through `Engine::update_phi`)
-//! and [`theta_gradient`] per pair range,
-//! on `pi` rows of the one [`crate::ModelState`]; they differ only in
-//! how they split the work (pool chunks or ranks) and whether they price
-//! it. Both functions run the `mmsb-simd` kernels on the configured
+//! and [`theta_gradient`] per fixed `THETA_CHUNK` of pairs (through
+//! `Engine::theta_gradient`), on `pi` rows of the one
+//! [`crate::ModelState`]; they differ only in how they split the `phi`
+//! work (pool chunks or ranks) and whether they price it. Both functions run the `mmsb-simd` kernels on the configured
 //! backend, so the scalar backend is those kernels at one unfused lane,
 //! not a second implementation.
 //!

@@ -51,3 +51,11 @@ impl Workspace {
         }
     }
 }
+
+/// The pool driver's contexts are bare workspaces; the stages that need
+/// only a workspace take any context that holds one.
+impl AsMut<Workspace> for Workspace {
+    fn as_mut(&mut self) -> &mut Workspace {
+        self
+    }
+}

@@ -234,8 +234,10 @@ fn steady_state_step_is_allocation_free() {
     // The ranks' `update_phi` runs on the sampler's pool, and every
     // per-rank buffer (the sampled sets, the DKV keys and their item
     // ends) lives in the scratch of the pool thread running the rank;
-    // the other stages' keys and theta gradients live on the sampler. Once each has seen its largest share the whole iteration,
-    // pool fan-out and perplexity gather included, stays off the heap.
+    // the later stages are the pool driver's, on its `StepBuffers`, and
+    // their pricing keys live on the sampler. Once each has seen its
+    // largest share the whole iteration, pool fan-out and perplexity
+    // included, stays off the heap.
     for mode in [PipelineMode::Single, PipelineMode::Double] {
         let mut sampler = DistributedSampler::new(
             graph.clone(),

@@ -30,8 +30,9 @@
 //! the master's state. Between two barriers the paper's store holds
 //! exactly that state, so every DKV access reads or writes it in place
 //! and is charged to the rank's virtual clock at the [`CostModel`]'s
-//! price. [`ShardedStore`]'s data plane is what `fig5_dkv_bandwidth`
-//! and the benchmark's `dkv.read_batch_us` probe measure.
+//! price, and `fig5_dkv_bandwidth` prices its reads the same way.
+//! [`ShardedStore`]'s data plane is what the benchmark's
+//! `dkv.read_batch_us` probe measures; nothing else but tests calls it.
 
 #![forbid(unsafe_code)]
 

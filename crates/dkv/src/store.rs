@@ -193,8 +193,8 @@ impl CostModel {
 /// Sharded store: rows live in per-rank shards according to a static
 /// [`Partition`], and reads and writes move real bytes. The sampler does
 /// not hold one — it prices access to its own state with [`CostModel`];
-/// the store's request path is what `fig5_dkv_bandwidth` and the
-/// benchmark's `dkv.read_batch_us` probe measure.
+/// the store's request path is what the benchmark's `dkv.read_batch_us`
+/// probe measures, and tests are its only other callers.
 #[derive(Debug, Clone)]
 pub struct ShardedStore {
     shards: Vec<Vec<f32>>,

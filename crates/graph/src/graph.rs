@@ -146,16 +146,6 @@ impl Graph {
         self.offsets.len() * std::mem::size_of::<u64>()
             + self.neighbors.len() * std::mem::size_of::<u32>()
     }
-
-    /// Extract the adjacency rows for a subset of vertices — the slice of
-    /// `E` the master scatters to workers alongside a mini-batch
-    /// (paper §III-A: workers never hold all of `E`).
-    pub fn adjacency_subset(&self, vertices: &[VertexId]) -> Vec<(VertexId, Vec<u32>)> {
-        vertices
-            .iter()
-            .map(|&v| (v, self.neighbors(v).to_vec()))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -210,15 +200,6 @@ mod tests {
         assert_eq!(edges.len(), 3);
         let set: std::collections::HashSet<u64> = edges.iter().map(|e| e.pack()).collect();
         assert_eq!(set.len(), 3);
-    }
-
-    #[test]
-    fn adjacency_subset_matches_neighbors() {
-        let g = triangle_plus_isolated();
-        let sub = g.adjacency_subset(&[VertexId(1), VertexId(3)]);
-        assert_eq!(sub.len(), 2);
-        assert_eq!(sub[0], (VertexId(1), vec![0, 2]));
-        assert_eq!(sub[1], (VertexId(3), vec![]));
     }
 
     #[test]

@@ -109,16 +109,6 @@ impl MiniBatch {
     pub fn is_empty(&self) -> bool {
         self.pairs.is_empty()
     }
-
-    /// The average stratum scale — informational; the estimator itself
-    /// uses the per-pair [`MiniBatch::weights`].
-    pub fn mean_weight(&self) -> f64 {
-        if self.weights.is_empty() {
-            0.0
-        } else {
-            self.weights.iter().sum::<f64>() / self.weights.len() as f64
-        }
-    }
 }
 
 /// Mini-batch sampler bound to a strategy.
@@ -483,18 +473,16 @@ mod tests {
     }
 
     #[test]
-    fn mean_weight_is_defined() {
+    fn batches_report_emptiness() {
         let g = graph();
         let s = MinibatchSampler::new(Strategy::RandomPair { size: 16 });
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(8);
-        let mb = s.sample(&g, None, &mut rng);
-        assert!(mb.mean_weight() > 0.0);
+        assert!(!s.sample(&g, None, &mut rng).is_empty());
         let empty = MiniBatch {
             pairs: vec![],
             weights: vec![],
             kind: BatchKind::RandomPairs,
         };
-        assert_eq!(empty.mean_weight(), 0.0);
         assert!(empty.is_empty());
     }
 

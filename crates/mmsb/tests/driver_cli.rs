@@ -1,37 +1,36 @@
 //! `mmsb train --driver sequential` is the one-thread spelling of
 //! `--driver parallel`: on the same planted graph and seed the two must
-//! print byte-identical perplexity traces.
+//! print byte-identical perplexity traces. `mmsb simulate` runs the same
+//! chain on a simulated cluster: its checkpoint is byte-identical to
+//! `train`'s, across a worker loss too.
 
-use std::process::Command;
+use std::process::{Command, Output};
 
-/// The `iter ... perplexity ...` lines `mmsb train --driver <driver>`
-/// prints on a small planted graph.
-fn perplexity_trace(driver: &str) -> Vec<String> {
+/// The small planted graph, model and chain every run here trains.
+const RUN: [&str; 10] = [
+    "--vertices", "300", "--communities", "6", "--k", "6", "--iters", "60", "--seed", "9",
+];
+
+/// Run `mmsb <command> RUN.. <extra..>`, which must succeed.
+fn mmsb(command: &str, extra: &[&str]) -> Output {
     let out = Command::new(env!("CARGO_BIN_EXE_mmsb"))
-        .args([
-            "train",
-            "--vertices",
-            "300",
-            "--communities",
-            "6",
-            "--k",
-            "6",
-            "--iters",
-            "60",
-            "--eval-every",
-            "15",
-            "--seed",
-            "9",
-            "--driver",
-            driver,
-        ])
+        .arg(command)
+        .args(RUN)
+        .args(extra)
         .output()
         .expect("run mmsb binary");
     assert!(
         out.status.success(),
-        "mmsb train --driver {driver} failed:\n{}",
+        "mmsb {command} {extra:?} failed:\n{}",
         String::from_utf8_lossy(&out.stderr)
     );
+    out
+}
+
+/// The `iter ... perplexity ...` lines `mmsb train --driver <driver>`
+/// prints on a small planted graph.
+fn perplexity_trace(driver: &str) -> Vec<String> {
+    let out = mmsb("train", &["--eval-every", "15", "--driver", driver]);
     String::from_utf8(out.stdout)
         .expect("utf-8 output")
         .lines()
@@ -58,4 +57,32 @@ fn sequential_and_parallel_print_identical_perplexity_traces() {
     let sequential = perplexity_trace("sequential");
     assert_eq!(sequential.len(), 4, "one line per evaluation: {sequential:?}");
     assert_eq!(sequential, perplexity_trace("parallel"));
+}
+
+/// The checkpoint `mmsb <command> RUN.. <extra..> --checkpoint F` writes.
+fn checkpoint_bytes(command: &str, extra: &[&str]) -> Vec<u8> {
+    let path = std::env::temp_dir().join(format!(
+        "mmsb-driver-cli-{}-{command}-{}.ckpt",
+        std::process::id(),
+        extra.join("_").replace(':', "-")
+    ));
+    let file = path.to_str().expect("utf-8 temp path");
+    mmsb(command, &[extra, &["--checkpoint", file]].concat());
+    let bytes = std::fs::read(&path).expect("read checkpoint");
+    std::fs::remove_file(&path).ok();
+    bytes
+}
+
+#[test]
+fn simulated_cluster_writes_the_pool_drivers_checkpoint() {
+    let trained = checkpoint_bytes("train", &[]);
+    for extra in [
+        &["--workers", "3"][..],
+        &["--workers", "3", "--faults", "7", "--kill", "20:1", "--checkpoint-every", "5"],
+    ] {
+        assert!(
+            checkpoint_bytes("simulate", extra) == trained,
+            "mmsb simulate {extra:?} left the pool driver's chain"
+        );
+    }
 }

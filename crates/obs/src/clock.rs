@@ -41,12 +41,6 @@ impl Stopwatch {
         }
     }
 
-    /// Seconds elapsed since [`Stopwatch::start`].
-    #[inline]
-    pub fn elapsed_secs(&self) -> f64 {
-        self.start.elapsed().as_secs_f64()
-    }
-
     /// Whole nanoseconds elapsed since [`Stopwatch::start`].
     #[inline]
     pub fn elapsed_ns(&self) -> u64 {
@@ -74,7 +68,6 @@ mod tests {
             x = x.wrapping_add(std::hint::black_box(i));
         }
         std::hint::black_box(x);
-        assert!(sw.elapsed_secs() >= 0.0);
         let ns1 = sw.elapsed_ns();
         let ns2 = sw.elapsed_ns();
         assert!(ns2 >= ns1);

@@ -217,18 +217,6 @@ pub fn hist_record_secs(h: usize, secs: f64) {
     }
 }
 
-/// Record a span with explicit coordinates — the entry point for
-/// *virtual-time* spans (the netsim `Phase` re-emission), where the
-/// timeline is modeled seconds rather than the process clock.
-#[inline]
-pub fn record_span_at(span_id: usize, tid: u64, start_ns: u64, dur_ns: u64) {
-    if spans_on() {
-        if let Some(o) = OBS.get() {
-            o.spans.record(span_id as u64, tid, start_ns, dur_ns);
-        }
-    }
-}
-
 /// Open a caller-owned span guard on the process clock; the record is
 /// stamped when the guard drops. Disarmed (no clock read) below
 /// [`ObsLevel::Spans`].
@@ -273,14 +261,13 @@ mod tests {
         assert_eq!(obs.metrics.gauge(id::G_WORKERS), 7);
         // Spans stay disarmed at Metrics.
         drop(span(id::S_STEP));
-        record_span_at(id::S_STEP, 0, 0, 10);
         assert_eq!(obs.spans.len(), 0);
 
         set_level(ObsLevel::Spans);
         {
             let _g = span(id::S_UPDATE_PHI);
         }
-        record_span_at(id::S_STEP, 3, 100, 50);
+        drop(span(id::S_STEP));
         assert_eq!(obs.spans.len(), 2);
 
         // Re-init keeps the same storage but may change the level.

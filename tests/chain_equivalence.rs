@@ -1,7 +1,7 @@
 //! Cross-driver chain equivalence: the paper's parallelization must not
 //! change the algorithm. The pool driver at one thread is the sequential
-//! reference; more threads must match bitwise, distributed up to the
-//! reduction association order.
+//! reference; more threads and the lockstep distributed driver at any
+//! worker count must match it bitwise.
 
 use mmsb::prelude::*;
 
@@ -53,39 +53,44 @@ fn parallel_equals_sequential_bitwise() {
     }
 }
 
-#[test]
-fn distributed_matches_sequential_pi_bitwise() {
-    let (g, h, _) = setup(2);
-    let mut seq = ParallelSampler::with_threads(g.clone(), h.clone(), config(), 1).unwrap();
-    let mut dist =
-        DistributedSampler::new(g, h, config(), DistributedConfig::das5(5)).unwrap();
-    seq.run(25);
-    dist.run(25);
-    for a in 0..seq.state().n() {
-        assert_eq!(seq.state().pi_row(a), dist.state().pi_row(a), "vertex {a}");
-    }
-    for (s, d) in seq.state().theta().iter().zip(dist.state().theta()) {
-        assert!(
-            (s - d).abs() / s.abs().max(1e-12) < 1e-6,
-            "theta diverged beyond reduction tolerance: {s} vs {d}"
-        );
-    }
+/// The chain after `STEPS` iterations and one perplexity evaluation:
+/// the checkpoint bytes (state, theta, RNG streams, perplexity average)
+/// and the perplexity's bits.
+fn chain(perplexity: f64, ckpt: Checkpoint) -> (Vec<u8>, u64) {
+    (ckpt.to_bytes(), perplexity.to_bits())
 }
 
+const STEPS: u64 = 25;
+
+/// One chain across both drivers: the pool driver at 1 and 2 threads and
+/// the lockstep driver at 1, 3 and 8 workers under both pipeline modes,
+/// for a batch of one theta chunk and for one of three.
 #[test]
-fn distributed_perplexity_matches_sequential_within_tolerance() {
-    let (g, h, _) = setup(3);
-    let mut seq = ParallelSampler::with_threads(g.clone(), h.clone(), config(), 1).unwrap();
-    let mut dist =
-        DistributedSampler::new(g, h, config(), DistributedConfig::das5(3)).unwrap();
-    seq.run(12);
-    dist.run(12);
-    let ps = seq.evaluate_perplexity();
-    let pd = dist.evaluate_perplexity();
-    assert!(
-        (ps - pd).abs() / ps < 1e-6,
-        "perplexity diverged: {ps} vs {pd}"
-    );
+fn one_chain_across_drivers_worker_counts_and_pipeline_modes() {
+    let (g, h, _) = setup(2);
+    let wide = config().with_minibatch(Strategy::RandomPair { size: 2500 });
+    for cfg in [config(), wide] {
+        let pool = |threads| {
+            let mut s =
+                ParallelSampler::with_threads(g.clone(), h.clone(), cfg.clone(), threads).unwrap();
+            s.run(STEPS);
+            chain(s.evaluate_perplexity(), s.checkpoint())
+        };
+        let reference = pool(1);
+        assert!(pool(2) == reference, "pool driver at 2 threads, {:?}", cfg.minibatch);
+        for mode in [PipelineMode::Single, PipelineMode::Double] {
+            for workers in [1, 3, 8] {
+                let dcfg = DistributedConfig::das5(workers).with_pipeline(mode);
+                let mut d = DistributedSampler::new(g.clone(), h.clone(), cfg.clone(), dcfg).unwrap();
+                d.run(STEPS);
+                assert!(
+                    chain(d.evaluate_perplexity(), d.checkpoint()) == reference,
+                    "lockstep driver at {workers} workers, {mode:?}, {:?}",
+                    cfg.minibatch
+                );
+            }
+        }
+    }
 }
 
 #[test]

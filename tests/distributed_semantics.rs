@@ -45,13 +45,11 @@ fn worker_count_changes_time_not_state() {
         )
         .unwrap();
         d.run(8);
-        let pis: Vec<f32> = (0..d.state().n())
-            .flat_map(|a| d.state().pi_row(a).to_vec())
-            .collect();
-        results.push((pis, d.virtual_time()));
+        results.push((d.checkpoint().to_bytes(), d.virtual_time()));
     }
-    assert_eq!(results[0].0, results[1].0);
-    assert_eq!(results[0].0, results[2].0);
+    assert!(results[0].0 == results[1].0, "3 workers moved the chain");
+    assert!(results[0].0 == results[2].0, "8 workers moved the chain");
+    assert_ne!(results[0].1, results[2].1, "8 workers cost the time of 1");
 }
 
 #[test]
