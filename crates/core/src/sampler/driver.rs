@@ -129,7 +129,7 @@ impl Split {
 /// runs through here — fixed-size chunks, one theta row per chunk, a
 /// lockstep rank's share — so each part writes only its own rows however
 /// the pool schedules the parts.
-pub(crate) fn fan_out<C, T, F>(
+fn fan_out<C, T, F>(
     pool: &ThreadPool,
     ctxs: &mut [C],
     out: &mut [T],
