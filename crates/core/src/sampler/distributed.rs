@@ -859,6 +859,7 @@ fn site_hash(a: u64, b: u64, c: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ParallelSampler;
     use mmsb_graph::generate::planted::{generate_planted, PlantedConfig};
     use mmsb_rand::Xoshiro256PlusPlus;
 
@@ -911,6 +912,32 @@ mod tests {
             s.restore(&ckpt).unwrap();
             check(&s, "restore");
         }
+    }
+
+    /// The lockstep driver runs the pool driver's stages: after the same
+    /// steps its checkpoint is the sequential chain's, byte for byte.
+    #[test]
+    fn matches_sequential_chain_closely() {
+        let (g, h) = setup(1);
+        let cfg = SamplerConfig::new(3).with_seed(7);
+        let mut seq = ParallelSampler::with_threads(g.clone(), h.clone(), cfg.clone(), 1).unwrap();
+        let mut dist = DistributedSampler::new(g, h, cfg, DistributedConfig::das5(4)).unwrap();
+        seq.run(10);
+        dist.run(10);
+        assert!(seq.checkpoint().to_bytes() == dist.checkpoint().to_bytes());
+    }
+
+    #[test]
+    fn worker_count_does_not_change_numerics() {
+        let (g, h) = setup(2);
+        let cfg = SamplerConfig::new(3).with_seed(3);
+        let run = |workers| {
+            let dcfg = DistributedConfig::das5(workers);
+            let mut d = DistributedSampler::new(g.clone(), h.clone(), cfg.clone(), dcfg).unwrap();
+            d.run(8);
+            (d.evaluate_perplexity().to_bits(), d.checkpoint().to_bytes())
+        };
+        assert!(run(2) == run(8), "2 and 8 workers ran different chains");
     }
 
     #[test]

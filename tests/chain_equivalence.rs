@@ -53,6 +53,30 @@ fn parallel_equals_sequential_bitwise() {
     }
 }
 
+/// `pi` and `theta` (inside the checkpoint bytes) match bitwise: both
+/// drivers sum the theta gradient over the same chunks with the same tree.
+#[test]
+fn distributed_matches_sequential_pi_bitwise() {
+    let (g, h, _) = setup(2);
+    let mut seq = ParallelSampler::with_threads(g.clone(), h.clone(), config(), 1).unwrap();
+    let mut dist = DistributedSampler::new(g, h, config(), DistributedConfig::das5(5)).unwrap();
+    seq.run(25);
+    dist.run(25);
+    assert!(seq.checkpoint().to_bytes() == dist.checkpoint().to_bytes());
+}
+
+/// The tolerance is zero: both drivers run one held-out stage.
+#[test]
+fn distributed_perplexity_matches_sequential_within_tolerance() {
+    let (g, h, _) = setup(3);
+    let mut seq = ParallelSampler::with_threads(g.clone(), h.clone(), config(), 1).unwrap();
+    let mut dist = DistributedSampler::new(g, h, config(), DistributedConfig::das5(3)).unwrap();
+    seq.run(12);
+    dist.run(12);
+    let (ps, pd) = (seq.evaluate_perplexity(), dist.evaluate_perplexity());
+    assert_eq!(ps.to_bits(), pd.to_bits(), "perplexity diverged: {ps} vs {pd}");
+}
+
 /// The chain after `STEPS` iterations and one perplexity evaluation:
 /// the checkpoint bytes (state, theta, RNG streams, perplexity average)
 /// and the perplexity's bits.
