@@ -10,8 +10,9 @@
 //! expanded-mean parameterizations `phi` (for `pi`) and `theta` (for
 //! `beta`), processing one mini-batch of vertex pairs per iteration.
 //!
-//! Two drivers run the same per-stage code (`sampler/stage.rs`: one
-//! `phi_update`, one `theta_gradient`, both on the `mmsb-simd` kernels):
+//! One sampler runs one per-stage code path (`sampler/stage.rs`: one
+//! `phi_update`, one `theta_gradient`, both on the `mmsb-simd` kernels),
+//! under two names:
 //!
 //! * [`ParallelSampler`] — runs the chain on real cores: node-level
 //!   parallelism over mini-batch vertices (the paper's OpenMP layer, here
@@ -22,21 +23,18 @@
 //!   reductions use fixed chunk boundaries combined by a fixed binary
 //!   tree.
 //! * [`DistributedSampler`] — models the paper's cluster: the
-//!   master–worker execution (paper §III) in lockstep simulation:
-//!   per-rank compute is executed for real — the ranks' `update_phi` on
-//!   an `mmsb-pool` pool, one rank per chunk — and charged to virtual
-//!   clocks as counted work at per-operation prices; communication and
-//!   RDMA time come from the `mmsb-netsim` and `mmsb-dkv` cost models,
-//!   and pipelining (double-buffered `pi` loads) can be toggled —
-//!   reproducing Figures 1–4 and Table III. No clock is read, so the
-//!   virtual time is a function of (config, seed). It never sends a
-//!   message and keeps one copy of `pi`, the master's state: every DKV
-//!   access reads or writes it in place and is priced. Each rank runs
-//!   the pool driver's `update_phi` on its share, and
-//!   `mmsb_dkv::pipeline::price` charges the share's chunked `pi` load,
-//!   `Single` or `Double`; the later stages are the pool driver's, run
-//!   once and priced per rank, so the chain is the pool driver's, bit
-//!   for bit, at every worker count.
+//!   master–worker execution (paper §III) in lockstep simulation. It is
+//!   a [`ParallelSampler`] plus the price of its steps: each step is the
+//!   pool driver's, which also records every batch vertex's DKV keys,
+//!   and each rank's share of it is then charged to virtual clocks as
+//!   counted work at per-operation prices; communication and RDMA time
+//!   come from the `mmsb-netsim` and `mmsb-dkv` cost models, and
+//!   pipelining (double-buffered `pi` loads, priced by
+//!   `mmsb_dkv::pipeline::price`) can be toggled — reproducing Figures
+//!   1–4 and Table III. No clock is read, so the virtual time is a
+//!   function of (config, seed). It never sends a message and keeps one
+//!   copy of `pi`, the master's state, so the chain is the pool
+//!   driver's, bit for bit, at every worker count.
 //!
 //! # Quickstart
 //!

@@ -7,60 +7,51 @@
 //! each iteration.
 //!
 //! **Execution model** (DESIGN.md §3/§7): the chain is the pool driver's.
-//! The ranks' `update_phi` runs for real, one rank per part of an
-//! `mmsb-pool` fan-out; every later stage — applying the `phi` updates,
-//! the chunked `theta` gradient and step, the held-out probabilities — is
-//! the pool driver's own stage code, run once on the same pool. The
-//! per-rank loops after it compute nothing: they price what each rank of
-//! the paper's cluster would do. No stage reads a clock. A stage counts its work
-//! (pairs drawn, neighbours sampled, `pi` rows gathered × K, vertices ×
-//! K, pairs × K) and charges the owning rank's [`ClusterClocks`] entry
-//! the count at [`NodeComputeModel::PRICES`], Amdahl-scaled by the
-//! configured [`NodeComputeModel`] (the per-node OpenMP layer). Every
-//! communication and DKV operation advances the clock by an
-//! `mmsb-netsim` cost; barriers synchronize clocks to the max. The
-//! virtual makespan is what Figures 1–4 plot, and it is a function of
-//! the configuration and seed alone: neither the pool's size, its
-//! schedule nor the load on the host changes it.
+//! A [`DistributedSampler`] is a [`ParallelSampler`] plus the price of
+//! its steps: each step runs the pool driver's own step — which also
+//! records every batch vertex's DKV keys ([`KeyRecord`]) — and then the
+//! per-rank loops price what each rank of the paper's cluster would do
+//! with that step. They compute nothing, and no price reads a clock. A
+//! stage counts its work (pairs drawn, neighbours sampled, `pi` rows
+//! gathered × K, vertices × K, pairs × K) and charges the owning rank's
+//! [`ClusterClocks`] entry the count at [`NodeComputeModel::PRICES`],
+//! Amdahl-scaled by the configured [`NodeComputeModel`] (the per-node
+//! OpenMP layer). Every communication and DKV operation advances the
+//! clock by an `mmsb-netsim` cost; barriers synchronize clocks to the
+//! max. The virtual makespan is what Figures 1–4 plot, and it is a
+//! function of the configuration and seed alone: neither the pool's
+//! size, its schedule nor the load on the host changes it.
 //!
 //! **One copy of `pi`**: stages are barrier-separated, so between two
 //! barriers the paper's store holds exactly the master's state. Every DKV
-//! access therefore reads or writes [`ModelState`] in place and is only
-//! *priced*: the rank's clock is charged the [`CostModel`]'s RDMA time
-//! for the same keys at `K + 1` floats per row. A rank's `update_phi` is
-//! the pool driver's: one `Engine::update_phi` over its share, after
-//! which [`pipeline::price`] charges the share's `pi` load, chunk by
-//! chunk, under the configured [`PipelineMode`].
+//! access is therefore only *priced*: the rank's clock is charged the
+//! [`CostModel`]'s RDMA time for the same keys at `K + 1` floats per row.
+//! A rank's `update_phi` is priced from the recorded keys of its share:
+//! [`pipeline::price`] charges the share's `pi` load, chunk by chunk,
+//! under the configured [`PipelineMode`].
 //!
-//! **Chain fidelity**: `phi` rows are per-vertex pure, so splitting the
-//! batch over ranks changes nothing, and the `theta` gradient is summed
-//! over the pool driver's fixed chunks and combining tree, whatever `R`.
-//! The chain is therefore bitwise that of the pool driver at every worker
-//! count, in both pipeline modes, under every fault schedule and across a
-//! worker loss.
+//! **Chain fidelity**: the chain is the pool driver's step, so it is
+//! bitwise that of the pool driver at every worker count, in both
+//! pipeline modes, under every fault schedule and across a worker loss.
 
-use super::driver::{self, Split, StepBuffers};
-use super::worker::share;
+use super::driver;
+use super::parallel::ParallelSampler;
+use super::worker::{share, KeyRecord};
 use super::Engine;
 use crate::checkpoint::Checkpoint;
 use crate::communities::Communities;
 use crate::compute_model::NodeComputeModel;
 use crate::config::{SamplerConfig, StateLayout};
-use crate::workspace::Workspace;
 use crate::{CoreError, ModelState};
-use mmsb_dkv::pipeline::{self, PipelineMode, PipelineRun};
+use mmsb_dkv::pipeline::{self, PipelineMode};
 use mmsb_dkv::{CostModel, OpObs, Partition};
 use mmsb_graph::heldout::HeldOut;
-use mmsb_graph::Graph;
+use mmsb_graph::{Edge, Graph};
 use mmsb_netsim::{
     collective, ClusterClocks, DkvFault, FaultConfig, FaultPlan, MsgFault, NetworkModel, Phase,
     PhaseTimes, RecoveryPolicy, TraceReport,
 };
-use mmsb_netsim::obs_bridge;
-use mmsb_obs::clock::Stopwatch;
 use mmsb_obs::id as obs_id;
-use mmsb_pool::ThreadPool;
-use std::ops::Range;
 
 /// Cluster-level configuration of the distributed sampler.
 #[derive(Debug, Clone, Copy)]
@@ -157,9 +148,13 @@ impl DistributedConfig {
     }
 }
 
-/// The distributed SG-MCMC sampler over a simulated cluster.
+/// The distributed SG-MCMC sampler over a simulated cluster: the pool
+/// driver's [`ParallelSampler`] plus the price of its steps.
 pub struct DistributedSampler {
-    engine: Engine,
+    /// The chain.
+    sampler: ParallelSampler,
+    /// Each batch vertex's DKV keys, written by the last step.
+    record: KeyRecord,
     dcfg: DistributedConfig,
     /// The price of DKV access to `pi` partitioned over the current
     /// workers.
@@ -181,84 +176,12 @@ pub struct DistributedSampler {
     /// Index 0 is the master; worker `w` is rank `w + 1`.
     clocks: ClusterClocks,
     trace: PhaseTimes,
-    /// The pool the ranks' `update_phi` runs on, one rank per chunk, and
-    /// the pool driver's later stages after it.
-    pool: ThreadPool,
-    /// One per pool thread: the scratch of the ranks that thread runs,
-    /// and of the pool driver's stages after `update_phi`.
-    ranks: Vec<RankScratch>,
-    /// What each rank's `update_phi` charges this iteration, by rank.
-    phi: Vec<RankPhi>,
-    /// DKV keys of the rank being priced: the share's vertices
-    /// (write-back), its pairs' endpoints (`theta`) or its held-out
-    /// pairs' endpoints.
+    /// DKV keys of the rank being priced: its share's keys from the
+    /// record (with each vertex's end offset in `key_ends`), the share's
+    /// vertices (write-back), its pairs' endpoints (`theta`) or its
+    /// held-out pairs' endpoints.
     keys: Vec<u32>,
-    /// The pool driver's per-iteration buffers.
-    bufs: StepBuffers,
-}
-
-/// One pool thread's scratch for the ranks it runs in `update_phi`.
-struct RankScratch {
-    /// The rank's sampled sets, the gather and kernel buffers, and the
-    /// block cache for out-of-core adjacency probes.
-    ws: Workspace,
-    /// The rank's DKV keys: each share vertex, followed by its sampled
-    /// neighbours.
-    keys: Vec<u32>,
-    /// Each share vertex's end offset in `keys`.
     key_ends: Vec<usize>,
-    /// The ranks this thread ran this iteration, with their charges.
-    done: Vec<(usize, RankPhi)>,
-}
-
-/// What one rank's `update_phi` charges its clock.
-#[derive(Clone, Copy, Default)]
-struct RankPhi {
-    /// Pass 1: sampling the share's neighbour sets.
-    sample: f64,
-    /// Pass 2: the priced load–compute pass over the share.
-    run: PipelineRun,
-}
-
-impl AsMut<Workspace> for RankScratch {
-    fn as_mut(&mut self) -> &mut Workspace {
-        &mut self.ws
-    }
-}
-
-impl RankScratch {
-    /// Rank `w`'s `update_phi` over the mini-batch vertices `vs`: the
-    /// pool driver's `Engine::update_phi` over the share into `out`, then
-    /// the price of its two passes — sampling the neighbour sets, and the
-    /// chunked load of the share's `pi` rows (per vertex its own row,
-    /// then its neighbours' rows) with the compute on them. Reads no
-    /// clock.
-    fn update_phi(
-        &mut self,
-        engine: &Engine,
-        cost: &CostModel,
-        dcfg: &DistributedConfig,
-        w: usize,
-        vs: Range<usize>,
-        out: &mut [f64],
-    ) -> RankPhi {
-        let prices = NodeComputeModel::PRICES;
-        engine.update_phi(&engine.mb_vertices[vs.clone()], &mut self.ws, out);
-        self.ws.sampled.dkv_keys(&mut self.keys, &mut self.key_ends);
-        let sampled = self.keys.len() - vs.len();
-        let sample = dcfg.node.worker_secs(prices.sample_neighbor, sampled);
-        let key_secs = dcfg.node.worker_secs(prices.phi_row_k, engine.config.k);
-        let run = pipeline::price(
-            cost,
-            w,
-            &self.keys,
-            &self.key_ends,
-            dcfg.chunk_vertices,
-            dcfg.pipeline,
-            key_secs,
-        );
-        RankPhi { sample, run }
-    }
 }
 
 /// Logical message-stage ids folded into the fabric fault coordinate so
@@ -293,8 +216,8 @@ impl DistributedSampler {
     }
 
     /// [`DistributedSampler::with_backend`] with an explicit pool size
-    /// (at least 1). The pool size changes how fast the ranks run, never
-    /// what they compute or the virtual time they are charged.
+    /// (at least 1). The pool size changes how fast the step runs, never
+    /// what it computes or the virtual time it is charged.
     pub(crate) fn with_threads(
         graph: mmsb_ooc::GraphBackend,
         heldout: HeldOut,
@@ -308,45 +231,28 @@ impl DistributedSampler {
                 reason: "distributed sampler requires the PiSumPhi layout".into(),
             });
         }
-        let engine = Engine::with_backend(graph, heldout, config)?;
+        let sampler = ParallelSampler::with_backend_threads(graph, heldout, config, threads)?;
+        let engine = &sampler.engine;
         let n = engine.graph.num_vertices();
         let k = engine.config.k;
-        let ranks = (0..threads)
-            .map(|t| RankScratch {
-                ws: Workspace::new(
-                    k,
-                    engine.config.neighbor_sample,
-                    engine.graph.new_cache(
-                        engine.config.graph_cache_blocks,
-                        engine.config.seed ^ (0xD15 + t as u64),
-                    ),
-                ),
-                keys: Vec::new(),
-                key_ends: Vec::new(),
-                done: Vec::with_capacity(dcfg.workers),
-            })
-            .collect();
-        let plan = FaultPlan::new(dcfg.faults.unwrap_or_else(|| FaultConfig::none(0)));
         // A fault-configured run always holds a rollback point, even
         // before the first explicit checkpoint: a kill at iteration 0
         // must be recoverable.
-        let last_checkpoint = dcfg.faults.map(|_| Checkpoint::capture(&engine));
+        let last_checkpoint = dcfg.faults.map(|_| Checkpoint::capture(engine));
         Ok(Self {
+            record: KeyRecord::new(engine),
             dcfg,
             cost: CostModel::new(Partition::new(n, dcfg.workers), k + 1, dcfg.net),
-            plan,
+            plan: FaultPlan::new(dcfg.faults.unwrap_or_else(|| FaultConfig::none(0))),
             policy: RecoveryPolicy::default(),
             lost_worker: None,
             last_checkpoint,
             checkpoint_every: None,
             clocks: ClusterClocks::new(dcfg.workers + 1),
             trace: PhaseTimes::new(),
-            pool: ThreadPool::new(threads),
-            ranks,
-            phi: vec![RankPhi::default(); dcfg.workers],
             keys: Vec::new(),
-            bufs: StepBuffers::new(&engine),
-            engine,
+            key_ends: Vec::new(),
+            sampler,
         })
     }
 
@@ -382,35 +288,26 @@ impl DistributedSampler {
         assert!(every > 0, "checkpoint interval must be positive");
         self.checkpoint_every = Some(every);
         if self.last_checkpoint.is_none() {
-            self.last_checkpoint = Some(Checkpoint::capture(&self.engine));
+            self.last_checkpoint = Some(Checkpoint::capture(&self.sampler.engine));
         }
         self
     }
 
     /// Snapshot the full chain state (state arrays, theta/beta, RNG
-    /// streams, iteration, perplexity accumulator). The state arrays are
-    /// shared, not copied; see [`Checkpoint`].
+    /// streams, iteration, perplexity accumulator): the pool driver's
+    /// [`ParallelSampler::checkpoint`]. The state arrays are shared, not
+    /// copied; see [`Checkpoint`].
     pub fn checkpoint(&self) -> Checkpoint {
-        let _ckpt_span = mmsb_obs::span(obs_id::S_CHECKPOINT);
-        mmsb_obs::counter_add(obs_id::C_CHECKPOINTS, 1);
-        Checkpoint::capture(&self.engine)
+        self.sampler.checkpoint()
     }
 
     /// Install `ckpt`, rewinding (or fast-forwarding) the chain to the
     /// captured iteration. Virtual time is *not* rewound — restoring is
     /// part of the run's history.
     pub fn restore(&mut self, ckpt: &Checkpoint) -> Result<(), CoreError> {
-        ckpt.install(&mut self.engine)?;
+        self.sampler.restore(ckpt)?;
         self.last_checkpoint = Some(ckpt.clone());
         Ok(())
-    }
-
-    /// Record a phase time in the virtual-time trace and mirror it into
-    /// the obs per-phase histogram, so the printed breakdown and an
-    /// exported metrics snapshot share one accounting.
-    fn trace_add(&mut self, phase: Phase, seconds: f64) {
-        self.trace.add(phase, seconds);
-        mmsb_obs::hist_record_secs(obs_bridge::phase_hist_id(phase), seconds);
     }
 
     /// Record one modeled collective (priced by the netsim formulas; no
@@ -430,53 +327,62 @@ impl DistributedSampler {
         self.lost_worker
     }
 
-    /// Run one full iteration.
+    /// Run one full iteration: absorb a worker loss due now, run the pool
+    /// driver's step (recording the batch's DKV keys), then price it.
     pub fn step(&mut self) {
-        let _step_span = mmsb_obs::span(obs_id::S_STEP);
-        let step_sw = mmsb_obs::metrics_on().then(Stopwatch::start);
         // Permanent worker loss fires at the start of its iteration: the
         // master detects the dead rank, rewinds to the last checkpoint,
         // and re-partitions over the survivors before drawing anything.
         if self.lost_worker.is_none() {
-            if let Some(dead) = self.plan.kill_at(self.engine.iteration) {
+            if let Some(dead) = self.plan.kill_at(self.sampler.iteration()) {
                 self.degrade(dead);
             }
         }
-        let iteration = self.engine.iteration;
-        let mut recovery_t = 0.0f64;
+        let iteration = self.sampler.iteration();
+        self.sampler.step_recording(Some(&mut self.record));
+        self.price_step(iteration);
+        if let Some(every) = self.checkpoint_every {
+            if self.sampler.iteration().is_multiple_of(every) {
+                self.last_checkpoint = Some(self.sampler.checkpoint());
+            }
+        }
+    }
 
+    /// Charge the clocks what iteration `iteration` — the step just run —
+    /// costs the paper's cluster. Rank `w` owns part `w` of the
+    /// contiguous split of the batch's vertices and of its pairs.
+    fn price_step(&mut self, iteration: u64) {
+        let mut recovery_t = 0.0f64;
         let r = self.dcfg.workers;
-        let k = self.engine.config.k;
         let net = self.dcfg.net;
         let node = self.dcfg.node;
         let prices = NodeComputeModel::PRICES;
+        let engine = &self.sampler.engine;
+        let k = engine.config.k;
 
         // ------------------------------------------------- master: draw
-        self.engine.refresh_minibatch();
-        // Rank `w` owns part `w` of the contiguous split of the batch's
-        // vertices and of its pairs.
-        let nv = self.engine.mb_vertices.len();
-        let n_pairs = self.engine.mb.pairs.len();
+        let nv = engine.mb_vertices.len();
+        let n_pairs = engine.mb.pairs.len();
         let draw = prices.draw_pair * n_pairs as f64;
-        self.trace_add(Phase::DrawMinibatch, draw);
+        self.trace.add(Phase::DrawMinibatch, draw);
 
         // Deploy: per-worker bytes = vertex ids + their adjacency rows +
         // the worker's pair share (9 bytes: two ids + observation).
         let deploy_bytes = (0..r)
             .map(|w| {
-                let vs = &self.engine.mb_vertices[share(nv, r, w)];
+                let vs = &engine.mb_vertices[share(nv, r, w)];
                 let adjacency: usize = vs
                     .iter()
-                    .map(|&a| self.engine.graph.degree(a) as usize * 4)
+                    .map(|&a| engine.graph.degree(a) as usize * 4)
                     .sum();
                 vs.len() * 4 + adjacency + share(n_pairs, r, w).len() * 9
             })
             .max()
             .unwrap_or(0);
         let deploy = collective::scatter(&net, r + 1, deploy_bytes)
-            + self.collective_retry_cost(STAGE_DEPLOY, &mut recovery_t);
+            + self.collective_retry_cost(STAGE_DEPLOY, iteration, &mut recovery_t);
         Self::obs_collective(deploy);
-        self.trace_add(Phase::DeployMinibatch, deploy);
+        self.trace.add(Phase::DeployMinibatch, deploy);
         self.clocks.advance(0, draw + deploy);
         if self.dcfg.pipeline == PipelineMode::Single {
             // Non-pipelined: workers wait for the deployment.
@@ -494,28 +400,11 @@ impl DistributedSampler {
         // barrier.
 
         // -------------------------------------- workers: update_phi
-        // The ranks run concurrently on the pool, each into its own rows
-        // of the update buffer. What a rank is charged is counted work,
-        // so the pool's size and schedule cannot change it; the clocks
-        // then advance in rank order.
-        let (engine, cost, dcfg) = (&self.engine, &self.cost, &self.dcfg);
-        driver::phi_stage(
-            engine,
-            &self.pool,
-            &mut self.ranks,
-            &mut self.bufs,
-            Split::Shares(r),
-            |ctx, w, vs, rows| {
-                let phi = ctx.update_phi(engine, cost, dcfg, w, vs, rows);
-                ctx.done.push((w, phi));
-            },
-        );
-        for ctx in &mut self.ranks {
-            for &(w, phi) in &ctx.done {
-                self.phi[w] = phi;
-            }
-            ctx.done.clear();
-        }
+        // Each rank samples its share's neighbour sets, then loads the
+        // share's `pi` rows (per vertex its own row, then its neighbours'
+        // rows, as the step recorded them) chunk by chunk and computes on
+        // them.
+        let key_secs = node.worker_secs(prices.phi_row_k, k);
         let mut max_sample = 0.0f64;
         let mut max_load = 0.0f64;
         let mut max_compute = 0.0f64;
@@ -523,7 +412,23 @@ impl DistributedSampler {
         let mut max_stage_recovery = 0.0f64;
         for w in 0..r {
             let rank = w + 1;
-            let RankPhi { sample, run } = self.phi[w];
+            let vs = share(nv, r, w);
+            self.keys.clear();
+            self.key_ends.clear();
+            for i in vs.clone() {
+                self.keys.extend_from_slice(self.record.keys(i));
+                self.key_ends.push(self.keys.len());
+            }
+            let sample = node.worker_secs(prices.sample_neighbor, self.keys.len() - vs.len());
+            let run = pipeline::price(
+                &self.cost,
+                w,
+                &self.keys,
+                &self.key_ends,
+                self.dcfg.chunk_vertices,
+                self.dcfg.pipeline,
+                key_secs,
+            );
             self.clocks.advance(rank, sample);
             max_sample = max_sample.max(sample);
             self.clocks.advance(rank, run.total);
@@ -540,7 +445,7 @@ impl DistributedSampler {
                 } else {
                     0.0
                 };
-                let mut worker_recovery = self.read_retry_cost(w, run.chunks, per_chunk);
+                let mut worker_recovery = self.read_retry_cost(w, iteration, run.chunks, per_chunk);
                 if let Some(factor) = self.plan.straggler(iteration, w) {
                     worker_recovery += self.policy.straggler_overhead(sample + run.total, factor);
                 }
@@ -549,22 +454,21 @@ impl DistributedSampler {
             }
         }
         recovery_t += max_stage_recovery;
-        self.trace_add(Phase::SampleNeighbors, max_sample);
-        self.trace_add(Phase::LoadPi, max_load);
-        self.trace_add(Phase::UpdatePhi, max_compute);
+        self.trace.add(Phase::SampleNeighbors, max_sample);
+        self.trace.add(Phase::LoadPi, max_load);
+        self.trace.add(Phase::UpdatePhi, max_compute);
         if self.dcfg.pipeline == PipelineMode::Double {
-            self.trace_add(Phase::Prefetch, max_hidden);
+            self.trace.add(Phase::Prefetch, max_hidden);
         }
 
         // Barrier before update_pi (memory consistency, paper §III-C).
         let barrier_cost = net.barrier_time(r + 1);
         self.clocks.barrier(barrier_cost);
-        self.trace_add(Phase::Barrier, barrier_cost);
+        self.trace.add(Phase::Barrier, barrier_cost);
 
         // ------------------------------------------ workers: update_pi
-        // The updates are applied once; each worker pays for applying its
-        // share and for the write-back of those rows.
-        driver::apply_phi_stage(&mut self.engine, &mut self.bufs);
+        // Each worker pays for applying its share's updates and for the
+        // write-back of those rows.
         let mut max_pi = 0.0f64;
         let mut max_write_recovery = 0.0f64;
         for w in 0..r {
@@ -572,8 +476,7 @@ impl DistributedSampler {
             let vs = share(nv, r, w);
             let compute = node.worker_secs(prices.apply_vertex_k, vs.len() * k);
             self.keys.clear();
-            self.keys
-                .extend(self.engine.mb_vertices[vs].iter().map(|a| a.0));
+            self.keys.extend(engine.mb_vertices[vs].iter().map(|a| a.0));
             let wire = {
                 let _obs = OpObs::write(&self.keys);
                 self.cost.write_cost(w, &self.keys)
@@ -591,69 +494,57 @@ impl DistributedSampler {
             max_write_recovery = max_write_recovery.max(recovery);
         }
         recovery_t += max_write_recovery;
-        self.trace_add(Phase::UpdatePi, max_pi);
+        self.trace.add(Phase::UpdatePi, max_pi);
 
         // Barrier before update_beta (fresh pi everywhere).
         self.clocks.barrier(barrier_cost);
-        self.trace_add(Phase::Barrier, barrier_cost);
+        self.trace.add(Phase::Barrier, barrier_cost);
 
         // --------------------------------- update_beta_theta (4 steps)
-        // The pool driver's theta stage runs once; the paper's cluster
-        // splits it as below — each worker loads the `pi` rows of its pair
-        // share and sums their gradient, an MPI reduce brings the sums to
-        // the master, and the master steps theta and broadcasts beta —
-        // and that split is what is priced.
-        driver::theta_stage(&mut self.engine, &self.pool, &mut self.ranks, &mut self.bufs);
-        let mut beta_stage = 0.0f64;
-        let mut max_grad_time = 0.0f64;
-        for w in 0..r {
-            let rank = w + 1;
-            let ps = share(n_pairs, r, w);
-            self.keys.clear();
-            self.keys.extend(
-                self.engine.mb.pairs[ps.clone()]
-                    .iter()
-                    .flat_map(|&(e, _)| [e.lo().0, e.hi().0]),
-            );
-            let wire = self.cost.read_cost(w, &self.keys);
-            let compute = node.worker_secs(prices.theta_pair_k, ps.len() * k);
-            self.clocks.advance(rank, wire + compute);
-            max_grad_time = max_grad_time.max(wire + compute);
-        }
-        beta_stage += max_grad_time;
+        // Each worker loads the `pi` rows of its pair share and sums their
+        // gradient, an MPI reduce brings the sums to the master, and the
+        // master steps theta and broadcasts beta.
+        let mut beta_stage = self.price_pair_shares(|e| &e.mb.pairs, prices.theta_pair_k);
         // MPI reduce of the per-worker gradients to the master. A dropped
         // contribution stalls the sync point for its timeout + retransmit.
         let reduce = collective::reduce(&net, r + 1, 2 * k * 8)
-            + self.collective_retry_cost(STAGE_REDUCE, &mut recovery_t);
+            + self.collective_retry_cost(STAGE_REDUCE, iteration, &mut recovery_t);
         Self::obs_collective(reduce);
         self.clocks.barrier(reduce); // reduce is a sync point
         beta_stage += reduce;
         // Master: theta step + beta broadcast.
         let master_compute = prices.theta_step_k * k as f64;
         let bcast = collective::broadcast(&net, r + 1, k * 8)
-            + self.collective_retry_cost(STAGE_BROADCAST, &mut recovery_t);
+            + self.collective_retry_cost(STAGE_BROADCAST, iteration, &mut recovery_t);
         Self::obs_collective(bcast);
         self.clocks.advance(0, master_compute + bcast);
         self.clocks.barrier(0.0);
         beta_stage += master_compute + bcast;
-        self.trace_add(Phase::UpdateBetaTheta, beta_stage);
+        self.trace.add(Phase::UpdateBetaTheta, beta_stage);
 
         if recovery_t > 0.0 {
-            self.trace_add(Phase::Recovery, recovery_t);
+            self.trace.add(Phase::Recovery, recovery_t);
         }
+    }
 
-        self.engine.bump_iteration();
-        if let Some(every) = self.checkpoint_every {
-            if self.engine.iteration.is_multiple_of(every) {
-                let _ckpt_span = mmsb_obs::span(obs_id::S_CHECKPOINT);
-                mmsb_obs::counter_add(obs_id::C_CHECKPOINTS, 1);
-                self.last_checkpoint = Some(Checkpoint::capture(&self.engine));
-            }
+    /// Charge each rank the read of the endpoint rows of its share of
+    /// `pairs` (the batch's or the held-out pairs) and `price_k` per pair
+    /// and community; the slowest rank's seconds.
+    fn price_pair_shares(&mut self, pairs: fn(&Engine) -> &[(Edge, bool)], price_k: f64) -> f64 {
+        let (r, k) = (self.dcfg.workers, self.sampler.engine.config.k);
+        let pairs = pairs(&self.sampler.engine);
+        let mut slowest = 0.0f64;
+        for w in 0..r {
+            let ps = &pairs[share(pairs.len(), r, w)];
+            self.keys.clear();
+            let endpoints = ps.iter().flat_map(|&(e, _)| [e.lo().0, e.hi().0]);
+            self.keys.extend(endpoints);
+            let wire = self.cost.read_cost(w, &self.keys);
+            let compute = self.dcfg.node.worker_secs(price_k, ps.len() * k);
+            self.clocks.advance(w + 1, wire + compute);
+            slowest = slowest.max(wire + compute);
         }
-        mmsb_obs::counter_add(obs_id::C_SAMPLER_STEPS, 1);
-        if let Some(sw) = step_sw {
-            mmsb_obs::hist_record_ns(obs_id::H_STEP_NS, sw.elapsed_ns());
-        }
+        slowest
     }
 
     /// Run until `iterations` *more* iterations have completed. (A
@@ -661,8 +552,8 @@ impl DistributedSampler {
     /// rewound iterations are re-executed, so the target is still
     /// reached.)
     pub fn run(&mut self, iterations: u64) {
-        let target = self.engine.iteration + iterations;
-        while self.engine.iteration < target {
+        let target = self.sampler.iteration() + iterations;
+        while self.sampler.iteration() < target {
             self.step();
         }
     }
@@ -670,21 +561,22 @@ impl DistributedSampler {
     /// Absorb the permanent loss of worker `dead`: rewind the chain to
     /// the last checkpoint, re-partition the store over the `R - 1`
     /// survivors, and charge the modeled detection + re-scatter cost as
-    /// recovery time. The worker count only decides how the stages are
+    /// recovery time. The worker count only decides how the steps are
     /// priced, never what they compute, so the degraded run reproduces
     /// the fault-free chain bit for bit.
     fn degrade(&mut self, dead: usize) {
         mmsb_obs::counter_add(obs_id::C_RECOVERIES, 1);
         let ckpt = self
             .last_checkpoint
-            .clone()
+            .as_ref()
             .expect("fault-configured samplers always hold a rollback checkpoint");
-        ckpt.install(&mut self.engine)
+        self.sampler
+            .restore(ckpt)
             .expect("self-captured checkpoint always matches its sampler");
         self.lost_worker = Some(dead);
         self.dcfg.workers -= 1;
-        let n = self.engine.graph.num_vertices();
-        let k = self.engine.config.k;
+        let n = self.sampler.engine.graph.num_vertices();
+        let k = self.sampler.engine.config.k;
         self.cost = CostModel::new(Partition::new(n, self.dcfg.workers), k + 1, self.dcfg.net);
         // Model the recovery: the survivors wait out the stage timeout
         // that detects the loss, then the master re-scatters the full
@@ -696,14 +588,13 @@ impl DistributedSampler {
         let resume_at = self.clocks.max() + cost;
         self.clocks = ClusterClocks::new(self.dcfg.workers + 1);
         self.clocks.barrier(resume_at);
-        self.trace_add(Phase::Recovery, cost);
+        self.trace.add(Phase::Recovery, cost);
     }
 
     /// Modeled seconds `rank`'s chunked read stage spends on transient
-    /// DKV faults this iteration, at `per_chunk` seconds per clean chunk
+    /// DKV faults in `iteration`, at `per_chunk` seconds per clean chunk
     /// load.
-    fn read_retry_cost(&self, rank: usize, chunks: usize, per_chunk: f64) -> f64 {
-        let iteration = self.engine.iteration;
+    fn read_retry_cost(&self, rank: usize, iteration: u64, chunks: usize, per_chunk: f64) -> f64 {
         let mut extra = 0.0;
         for chunk in 0..chunks {
             let site = ((rank as u64) << 32) ^ (chunk as u64) ^ (iteration << 16);
@@ -715,7 +606,6 @@ impl DistributedSampler {
         }
         extra
     }
-
     /// The retry loop of every DKV operation: modeled recovery seconds of
     /// one operation whose clean attempt costs `healthy`, under the
     /// plan's `fault(attempt)` decisions. Each failed attempt is counted
@@ -745,16 +635,15 @@ impl DistributedSampler {
     }
 
     /// Modeled extra seconds of the slowest link in a master-rooted
-    /// collective under the plan's fabric faults. A dropped frame costs
+    /// collective of `iteration` under the plan's fabric faults. A dropped frame costs
     /// its link the stage timeout plus a backoff before the retransmit
     /// (which draws a fresh fate); a delayed frame costs its extra
     /// in-flight time; a duplicated frame is dropped free of charge by
     /// the receiver's de-duplication. Accumulates into `recovery_t`.
-    fn collective_retry_cost(&self, stage: u64, recovery_t: &mut f64) -> f64 {
+    fn collective_retry_cost(&self, stage: u64, iteration: u64, recovery_t: &mut f64) -> f64 {
         if self.dcfg.faults.is_none() {
             return 0.0;
         }
-        let iteration = self.engine.iteration;
         let mut worst = 0.0f64;
         for w in 0..self.dcfg.workers {
             // One logical message per link per stage; retries fold into
@@ -781,43 +670,27 @@ impl DistributedSampler {
         worst
     }
 
-    /// Distributed held-out perplexity: the pool driver's perplexity
-    /// stage, priced as the paper's cluster runs it — each worker loads
-    /// the `pi` rows of its static share of `E_h` (the same contiguous
-    /// [`share`] split as the mini-batch) and computes its probabilities,
-    /// and the per-pair probabilities are gathered at the master, which
-    /// folds them into the running posterior average (Eq. 7). (The paper
-    /// reduces partial log-sums; the gather of the probability vectors is
-    /// priced instead, matching the averaging the chain performs.)
+    /// Distributed held-out perplexity: the pool driver's
+    /// [`ParallelSampler::evaluate_perplexity`], priced as the paper's
+    /// cluster runs it — each worker loads the `pi` rows of its static
+    /// share of `E_h` (the same contiguous [`share`] split as the
+    /// mini-batch) and computes its probabilities, and the per-pair
+    /// probabilities are gathered at the master, which folds them into
+    /// the running posterior average (Eq. 7). (The paper reduces partial
+    /// log-sums; the gather of the probability vectors is priced instead,
+    /// matching the averaging the chain performs.)
     pub fn evaluate_perplexity(&mut self) -> f64 {
         let r = self.dcfg.workers;
-        let net = self.dcfg.net;
-        let node = self.dcfg.node;
-        let k = self.engine.config.k;
-        let total = self.engine.heldout.len();
-        let mut max_t = 0.0f64;
-        for w in 0..r {
-            let rank = w + 1;
-            let ps = share(total, r, w);
-            self.keys.clear();
-            self.keys.extend(
-                self.engine.heldout.pairs()[ps.clone()]
-                    .iter()
-                    .flat_map(|&(e, _)| [e.lo().0, e.hi().0]),
-            );
-            let wire = self.cost.read_cost(w, &self.keys);
-            let compute =
-                node.worker_secs(NodeComputeModel::PRICES.perplexity_pair_k, ps.len() * k);
-            self.clocks.advance(rank, wire + compute);
-            max_t = max_t.max(wire + compute);
-        }
+        let price_k = NodeComputeModel::PRICES.perplexity_pair_k;
+        let max_t = self.price_pair_shares(|e| e.heldout.pairs(), price_k);
         // The gather waits for the largest share; part 0 is one.
-        let gather = collective::gather(&net, r + 1, share(total, r, 0).len() * 8);
+        let total = self.sampler.engine.heldout.len();
+        let gather = collective::gather(&self.dcfg.net, r + 1, share(total, r, 0).len() * 8);
         Self::obs_collective(gather);
         self.clocks.advance(0, gather);
         self.clocks.barrier(0.0);
-        self.trace_add(Phase::Perplexity, max_t + gather);
-        driver::perplexity_stage(&mut self.engine, &self.pool, &mut self.ranks, &mut self.bufs)
+        self.trace.add(Phase::Perplexity, max_t + gather);
+        self.sampler.evaluate_perplexity()
     }
 
     /// The virtual (modeled cluster) time elapsed so far, in seconds.
@@ -827,17 +700,17 @@ impl DistributedSampler {
 
     /// Completed iterations.
     pub fn iteration(&self) -> u64 {
-        self.engine.iteration
+        self.sampler.iteration()
     }
 
     /// The current model state.
     pub fn state(&self) -> &ModelState {
-        &self.engine.state
+        self.sampler.state()
     }
 
     /// Threshold-extract the inferred communities.
     pub fn communities(&self, threshold: f32) -> Communities {
-        Communities::from_state(&self.engine.state, threshold)
+        self.sampler.communities(threshold)
     }
 
     /// The timing report over everything run so far (Figure 1 / Table III
@@ -845,7 +718,7 @@ impl DistributedSampler {
     pub fn report(&self) -> TraceReport {
         TraceReport {
             phases: self.trace.clone(),
-            iterations: self.engine.iteration,
+            iterations: self.sampler.iteration(),
             total_seconds: self.clocks.max(),
         }
     }
@@ -906,7 +779,7 @@ mod tests {
                     assert_eq!(addr % 64, 0, "k={k}: {what}: row {a}");
                 }
             };
-            ckpt.install(&mut s.engine).unwrap();
+            ckpt.install(&mut s.sampler.engine).unwrap();
             check(&s, "install");
             s.run(1);
             s.restore(&ckpt).unwrap();
@@ -1017,7 +890,7 @@ mod tests {
                     threads,
                 )
                 .unwrap();
-                assert_eq!(d.pool.threads(), threads);
+                assert_eq!(d.sampler.threads(), threads);
                 d.run(6);
                 let perplexity = d.evaluate_perplexity();
                 let pi = d.state().planes().0.to_vec();
@@ -1064,7 +937,7 @@ mod tests {
         assert_eq!(lens, [14, 14, 13, 13, 13, 13]);
         let slowest = (0..r)
             .map(|w| {
-                let keys: Vec<u32> = d.engine.heldout.pairs()[share(total, r, w)]
+                let keys: Vec<u32> = d.sampler.engine.heldout.pairs()[share(total, r, w)]
                     .iter()
                     .flat_map(|&(e, _)| [e.lo().0, e.hi().0])
                     .collect();

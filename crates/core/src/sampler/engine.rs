@@ -193,9 +193,9 @@ impl Engine {
     /// prefetched first, so the loads overlap the sampling); then each
     /// vertex gathers its neighbors' `pi` rows from the state, marks its
     /// links against its list (read once) and runs [`stage::phi_update`].
-    /// Both drivers compute every `phi` row here — the pool driver per
-    /// [`PHI_CHUNK`], a lockstep rank over its share; all scratch comes
-    /// from `ws`, so the steady state performs no heap allocation.
+    /// The step computes every `phi` row here, one [`PHI_CHUNK`] per
+    /// call (the simulated cluster runs that same step); all scratch
+    /// comes from `ws`, so the steady state performs no heap allocation.
     ///
     /// All randomness comes from the `(seed, iteration, vertex)` streams —
     /// the result is independent of which thread (and which workspace)

@@ -1,12 +1,13 @@
-//! The sampler drivers and their shared engine.
+//! The sampler, its engine, and the simulated cluster that prices it.
 //!
-//! All drivers execute the *staged* algorithm: within one iteration, every
-//! `phi` update reads the state as of the iteration's start, updates are
-//! applied together at the stage boundary, and the `theta` update then
-//! reads the fresh `pi` (the barrier structure of paper §III-C). The pool
-//! driver at one thread is the reference; more threads and the lockstep
-//! master–worker driver must reproduce its chain. Each stage has one
-//! implementation ([`stage`]), whatever the driver.
+//! There is one step: the *staged* algorithm of [`parallel`]'s pool
+//! driver. Within one iteration, every `phi` update reads the state as of
+//! the iteration's start, updates are applied together at the stage
+//! boundary, and the `theta` update then reads the fresh `pi` (the
+//! barrier structure of paper §III-C). The pool driver at one thread is
+//! the reference, and more threads must reproduce its chain. The lockstep
+//! master–worker driver ([`distributed`]) runs the same step and only
+//! prices it. Each stage has one implementation ([`stage`]).
 
 pub mod distributed;
 pub mod parallel;

@@ -12,19 +12,23 @@
 //! tested against.
 
 use super::driver::{self, StepBuffers};
+use super::worker::KeyRecord;
 use super::Engine;
+use crate::checkpoint::Checkpoint;
 use crate::communities::Communities;
 use crate::config::SamplerConfig;
 use crate::workspace::Workspace;
 use crate::{CoreError, ModelState};
 use mmsb_graph::heldout::HeldOut;
 use mmsb_graph::Graph;
+use mmsb_obs::id as obs_id;
 use mmsb_ooc::GraphBackend;
 use mmsb_pool::ThreadPool;
 
 /// SG-MCMC sampler over an `mmsb-pool` of any size, one thread included.
 pub struct ParallelSampler {
-    engine: Engine,
+    /// The chain; the simulated cluster reads the step it prices here.
+    pub(super) engine: Engine,
     pool: ThreadPool,
     workspaces: Vec<Workspace>,
     bufs: StepBuffers,
@@ -91,11 +95,18 @@ impl ParallelSampler {
 
     /// Run one full iteration.
     pub fn step(&mut self) {
+        self.step_recording(None);
+    }
+
+    /// Run one full iteration, writing each batch vertex's DKV keys into
+    /// `record` when one is given.
+    pub(super) fn step_recording(&mut self, record: Option<&mut KeyRecord>) {
         driver::step(
             &mut self.engine,
             &self.pool,
             &mut self.workspaces,
             &mut self.bufs,
+            record,
         );
     }
 
@@ -148,11 +159,21 @@ impl ParallelSampler {
     }
 
     /// Capture the full chain state as a restorable, servable
-    /// [`crate::Checkpoint`] (format version 1). The state planes are
-    /// shared, not copied: the next step copies a plane only if the
-    /// checkpoint is still alive then.
-    pub fn checkpoint(&self) -> crate::Checkpoint {
-        crate::Checkpoint::capture(&self.engine)
+    /// [`Checkpoint`] (format version 1), counted as one checkpoint. The
+    /// state planes are shared, not copied: the next step copies a plane
+    /// only if the checkpoint is still alive then.
+    pub fn checkpoint(&self) -> Checkpoint {
+        let _ckpt_span = mmsb_obs::span(obs_id::S_CHECKPOINT);
+        mmsb_obs::counter_add(obs_id::C_CHECKPOINTS, 1);
+        Checkpoint::capture(&self.engine)
+    }
+
+    /// Install `ckpt`, rewinding (or fast-forwarding) the chain to the
+    /// captured iteration. The graph, held-out set and configuration must
+    /// be the ones the checkpointed run used; the chain then continues
+    /// bit for bit as the uninterrupted run would have.
+    pub fn restore(&mut self, ckpt: &Checkpoint) -> Result<(), CoreError> {
+        ckpt.install(&mut self.engine)
     }
 }
 

@@ -1,13 +1,12 @@
 //! The two data-parallel stages of an iteration, implemented once.
 //!
-//! Both drivers — pool-parallel and lockstep distributed — call
-//! [`phi_update`] per mini-batch vertex (through `Engine::update_phi`)
-//! and [`theta_gradient`] per fixed `THETA_CHUNK` of pairs (through
-//! `Engine::theta_gradient`), on `pi` rows of the one
-//! [`crate::ModelState`]; they differ only in how they split the `phi`
-//! work (pool chunks or ranks) and whether they price it. Both functions run the `mmsb-simd` kernels on the configured
-//! backend, so the scalar backend is those kernels at one unfused lane,
-//! not a second implementation.
+//! The one step — the pool driver's, which the simulated cluster runs
+//! and prices — calls [`phi_update`] per mini-batch vertex (through
+//! `Engine::update_phi`) and [`theta_gradient`] per fixed `THETA_CHUNK`
+//! of pairs (through `Engine::theta_gradient`), on `pi` rows of the one
+//! [`crate::ModelState`]. Both functions run the `mmsb-simd` kernels on
+//! the configured backend, so the scalar backend is those kernels at one
+//! unfused lane, not a second implementation.
 //!
 //! This file is on xlint's hot-path list: outside the scratch
 //! constructor nothing here allocates, indexes or unwraps.

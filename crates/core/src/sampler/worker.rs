@@ -1,8 +1,12 @@
 //! What a worker holds between the two passes of `update_phi`: its
-//! vertices' sampled neighbor sets ([`SampledSets`]), and how the
-//! lockstep [`crate::DistributedSampler`] splits a mini-batch and the
-//! held-out pairs over its ranks ([`share`]).
+//! vertices' sampled neighbor sets ([`SampledSets`]), and what the
+//! simulated cluster ([`crate::DistributedSampler`]) reads back from a
+//! step to price it: every batch vertex's DKV keys ([`KeyRecord`]) and
+//! how the batch and the held-out pairs split over its ranks
+//! ([`share`]).
 
+use super::driver::prefix;
+use super::Engine;
 use crate::rngs;
 use mmsb_graph::heldout::HeldOut;
 use mmsb_graph::neighbor::NeighborSampler;
@@ -22,7 +26,7 @@ pub(crate) fn share(len: usize, parts: usize, p: usize) -> Range<usize> {
 /// Mini-batch vertices with their sampled neighbor sets and streams —
 /// the first pass of every `update_phi`, kept in a
 /// [`crate::workspace::Workspace`]. A pool worker samples one
-/// `PHI_CHUNK` of them at a time, a lockstep rank its whole share.
+/// `PHI_CHUNK` of them at a time.
 pub(crate) struct SampledSets {
     ids: Vec<VertexId>,
     /// The sampled neighbor sets, concatenated: vertex `i`'s set is
@@ -80,17 +84,19 @@ impl SampledSets {
         }
     }
 
-    /// The DKV keys a worker reads for the sampled vertices — per vertex
-    /// its own row, then its neighbors' rows — with each vertex's
-    /// exclusive end offset in `keys`.
-    pub fn dkv_keys(&self, keys: &mut Vec<u32>, ends: &mut Vec<usize>) {
-        keys.clear();
-        ends.clear();
+    /// Write each sampled vertex's DKV keys — its key count, then its own
+    /// row, then its neighbors' rows — into its `stride` slots of `out`
+    /// (one [`KeyRecord`] slot range per vertex, in order).
+    pub fn record_keys(&self, out: &mut [u32], stride: usize) {
         let mut lo = 0;
-        for (&a, &hi) in self.ids.iter().zip(&self.ends) {
-            keys.push(a.0);
-            keys.extend(self.sets[lo..hi].iter().map(|b| b.0));
-            ends.push(keys.len());
+        let slots = out.chunks_exact_mut(stride);
+        for ((&a, &hi), slot) in self.ids.iter().zip(&self.ends).zip(slots) {
+            let set = &self.sets[lo..hi];
+            slot[0] = set.len() as u32 + 1;
+            slot[1] = a.0;
+            for (key, b) in slot[2..].iter_mut().zip(set) {
+                *key = b.0;
+            }
             lo = hi;
         }
     }
@@ -99,5 +105,43 @@ impl SampledSets {
     pub fn vertex(&mut self, i: usize) -> (VertexId, &[VertexId], &mut Xoshiro256PlusPlus) {
         let lo = if i == 0 { 0 } else { self.ends[i - 1] };
         (self.ids[i], &self.sets[lo..self.ends[i]], &mut self.rngs[i])
+    }
+}
+
+/// Every mini-batch vertex's DKV keys — its own row, then its sampled
+/// neighbors' — as [`super::driver::step`] writes them when a caller
+/// asks: batch vertex `i` owns the `stride` slots from `i * stride`, the
+/// first holding its key count. Sized for the largest batch up front,
+/// so the steady state writes it in place.
+pub(crate) struct KeyRecord {
+    slots: Vec<u32>,
+    /// `neighbor_sample + 2`: the count, the vertex, its neighbors.
+    stride: usize,
+}
+
+impl KeyRecord {
+    /// A record for any mini-batch `engine` can draw.
+    pub fn new(engine: &Engine) -> Self {
+        let stride = engine.config.neighbor_sample + 2;
+        Self {
+            slots: vec![0; engine.max_batch_vertices() * stride],
+            stride,
+        }
+    }
+
+    /// Slots per vertex.
+    pub fn stride(&self) -> usize {
+        self.stride
+    }
+
+    /// The slots of the first `vertices` batch vertices.
+    pub fn slots(&mut self, vertices: usize) -> &mut [u32] {
+        prefix(&mut self.slots, vertices * self.stride)
+    }
+
+    /// Batch vertex `i`'s keys, as the last step recorded them.
+    pub fn keys(&self, i: usize) -> &[u32] {
+        let slot = &self.slots[i * self.stride..(i + 1) * self.stride];
+        &slot[1..=slot[0] as usize]
     }
 }

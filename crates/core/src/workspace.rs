@@ -1,10 +1,8 @@
 //! Per-worker scratch buffers for the zero-allocation hot path.
 //!
-//! Each pool worker owns one [`Workspace`] — in either driver: the
-//! lockstep driver's pool threads each hold one for the ranks they run;
-//! every buffer the two-pass `phi` update and the `theta` gradient need
-//! lives here, so the steady-state iteration loop performs no heap
-//! allocation. Workspace
+//! Each pool worker owns one [`Workspace`]: every buffer the two-pass
+//! `phi` update and the `theta` gradient need lives here, so the
+//! steady-state iteration loop performs no heap allocation. Workspace
 //! contents are pure scratch — they never influence results, which is why
 //! dynamic chunk-to-worker assignment cannot perturb the chain.
 
@@ -24,9 +22,7 @@ pub(crate) struct Workspace {
     /// Noise and plane scratch of the phi/theta kernels.
     pub stage: StageScratch,
     /// The vertices at hand with their sampled neighbor sets and streams
-    /// (the first `phi` pass): one `PHI_CHUNK` in a pool worker, a
-    /// rank's whole share in the lockstep driver, which grows it to its
-    /// high-water mark.
+    /// (the first `phi` pass): one `PHI_CHUNK`.
     pub sampled: SampledSets,
     /// This worker's block cache for out-of-core adjacency reads
     /// (`None` for resident graphs). Pure scratch, like everything else
@@ -49,13 +45,5 @@ impl Workspace {
             sampled: SampledSets::with_capacity(PHI_CHUNK, neighbor_sample),
             graph_cache,
         }
-    }
-}
-
-/// The pool driver's contexts are bare workspaces; the stages that need
-/// only a workspace take any context that holds one.
-impl AsMut<Workspace> for Workspace {
-    fn as_mut(&mut self) -> &mut Workspace {
-        self
     }
 }

@@ -1,10 +1,11 @@
 //! Kill-and-resume: a run restored from an on-disk checkpoint must
-//! continue the *bitwise-identical* chain the uninterrupted run produced,
-//! and the checkpoint format must reject corruption and stay stable.
+//! continue the *bitwise-identical* chain the uninterrupted run produced
+//! (on the simulated cluster and on the pool driver alike), and the
+//! checkpoint format must reject corruption and stay stable.
 
 use mmsb_core::{
-    Checkpoint, CheckpointError, CoreError, DistributedConfig, DistributedSampler, SamplerConfig,
-    CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+    Checkpoint, CheckpointError, CoreError, DistributedConfig, DistributedSampler, ParallelSampler,
+    SamplerConfig, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
 };
 use mmsb_graph::generate::planted::{generate_planted, PlantedConfig};
 use mmsb_graph::heldout::HeldOut;
@@ -58,7 +59,8 @@ fn kill_and_resume_is_bitwise_identical() {
     // The resumed run continues from disk.
     let loaded = Checkpoint::load(&path).unwrap();
     assert_eq!(loaded.iteration(), 6);
-    let mut resumed = DistributedSampler::resume(g, h, cfg, dcfg, &loaded).unwrap();
+    let mut resumed =
+        DistributedSampler::resume(g.clone(), h.clone(), cfg.clone(), dcfg, &loaded).unwrap();
     assert_eq!(resumed.iteration(), 6);
     resumed.run(6);
     let p_resumed = resumed.evaluate_perplexity();
@@ -76,6 +78,18 @@ fn kill_and_resume_is_bitwise_identical() {
         p_resumed.to_bits(),
         "perplexity diverged: {p_full} vs {p_resumed}"
     );
+
+    // The pool driver restored from the same file continues the same
+    // bytes: the simulated cluster's chain is the pool driver's.
+    let mut pool = ParallelSampler::with_threads(g, h, cfg, 2).unwrap();
+    pool.restore(&loaded).unwrap();
+    pool.run(6);
+    let p_pool = pool.evaluate_perplexity();
+    assert!(
+        pool.checkpoint().to_bytes() == full.checkpoint().to_bytes(),
+        "the restored pool driver left the chain"
+    );
+    assert_eq!(p_full.to_bits(), p_pool.to_bits(), "perplexity diverged");
     std::fs::remove_file(&path).ok();
 }
 

@@ -1,9 +1,9 @@
 //! Pins the zero-allocation steady-state contract: after warmup, a
 //! [`ParallelSampler`] `step()` must never touch the heap — and neither
 //! may a warmed lockstep [`DistributedSampler`] `step()` +
-//! `evaluate_perplexity()` in either pipeline mode (the ranks'
-//! `update_phi` and the priced, chunked `pi` load included), warmed
-//! `ShardedStore` writes, nor a warmed out-of-core
+//! `evaluate_perplexity()` in either pipeline mode (the same pool step,
+//! writing its DKV key record, then the priced, chunked `pi` load),
+//! warmed `ShardedStore` writes, nor a warmed out-of-core
 //! [`mmsb_ooc::BlockCache`] read loop (the graph path of the ooc
 //! backend), whether every read hits or every read evicts, reads, CRCs
 //! and decodes a block. A checkpoint shares the model planes instead of
@@ -12,9 +12,9 @@
 //! allocates nothing, and a live checkpoint keeps its bytes while the
 //! chain moves on. Every per-iteration buffer is pre-reserved at its hard
 //! upper bound (`Engine::with_backend`, `StepBuffers::new`, `Workspace::new`,
-//! the cache's block storage and decode scratch) or grows to its
-//! high-water mark during warm-up (the lockstep driver's per-thread
-//! workspaces and key buffers), the pool publishes jobs as unboxed
+//! `KeyRecord::new`, the cache's block storage and decode scratch) or
+//! grows to its high-water mark during warm-up (the lockstep driver's
+//! pricing key buffers), the pool publishes jobs as unboxed
 //! pointer pairs, and the mini-batch/neighbor machinery reuses its
 //! vectors — so the counter below must stay at
 //! exactly zero.
@@ -231,13 +231,12 @@ fn steady_state_step_is_allocation_free() {
     );
 
     // ---- lockstep master–worker driver, both pipeline modes ----
-    // The ranks' `update_phi` runs on the sampler's pool, and every
-    // per-rank buffer (the sampled sets, the DKV keys and their item
-    // ends) lives in the scratch of the pool thread running the rank;
-    // the later stages are the pool driver's, on its `StepBuffers`, and
-    // their pricing keys live on the sampler. Once each has seen its
-    // largest share the whole iteration, pool fan-out and perplexity
-    // included, stays off the heap.
+    // The step is the pool driver's, on its workspaces and `StepBuffers`,
+    // and its `phi` fan-out also writes every batch vertex's DKV keys
+    // into the sampler's pre-sized key record. Pricing copies each rank's
+    // share of the record into one key buffer on the sampler; once that
+    // has seen its largest share the whole iteration, pool fan-out,
+    // pricing and perplexity included, stays off the heap.
     for mode in [PipelineMode::Single, PipelineMode::Double] {
         let mut sampler = DistributedSampler::new(
             graph.clone(),

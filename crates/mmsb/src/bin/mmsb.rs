@@ -515,6 +515,17 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
         None => DistributedSampler::new(train, heldout, config, dcfg)
             .map_err(|e| e.to_string())?,
     };
+    // A kill fires at the start of its iteration, so one this run never
+    // steps would leave the run fault-free without a word.
+    let start = sampler.iteration();
+    let end = start.saturating_add(iters);
+    if let Some((it, _)) = faults.and_then(|f| f.kill_worker) {
+        if !(start..end).contains(&it) {
+            return Err(format!(
+                "--kill iteration {it} never runs: this run steps iterations {start}..{end}"
+            ));
+        }
+    }
     if checkpoint_every > 0 {
         sampler = sampler.with_checkpoint_every(checkpoint_every);
     }

@@ -86,3 +86,24 @@ fn simulated_cluster_writes_the_pool_drivers_checkpoint() {
         );
     }
 }
+
+/// A `--kill` at an iteration the run never steps is refused before
+/// training: `RUN` steps iterations 0..60, so a kill at 60 could never
+/// fire and the run would finish fault-free without a word.
+#[test]
+fn a_kill_the_run_never_reaches_is_rejected() {
+    let out = Command::new(env!("CARGO_BIN_EXE_mmsb"))
+        .arg("simulate")
+        .args(RUN)
+        .args(["--workers", "3", "--faults", "7", "--kill", "60:1"])
+        .output()
+        .expect("run mmsb binary");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("iteration 60 never runs"), "{stderr}");
+    assert!(out.stdout.is_empty(), "nothing may be trained");
+    // The last iteration the run steps still loses its worker.
+    let kill_last = ["--workers", "3", "--faults", "7", "--kill", "59:1"];
+    let out = mmsb("simulate", &kill_last);
+    assert!(String::from_utf8_lossy(&out.stdout).contains("worker 1 was lost"));
+}

@@ -1,7 +1,8 @@
 //! End-to-end observability round-trip through the `mmsb` binary:
 //! `simulate --obs-level spans --trace-out --metrics-out` must produce a
 //! chrome-trace file the in-tree parser validates and a metrics snapshot
-//! covering every sampler phase, the DKV ops, and the collectives.
+//! covering every sampler phase, the DKV ops, and the collectives; and
+//! `train --metrics-out` counts every checkpoint it saves.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -100,5 +101,34 @@ fn simulate_exports_valid_trace_and_metrics() {
     );
 
     let _ = std::fs::remove_file(&trace);
+    let _ = std::fs::remove_file(&metrics);
+}
+
+/// `mmsb train --checkpoint-every 30` over 60 iterations saves twice, and
+/// the metrics snapshot counts both saves.
+#[test]
+fn train_counts_its_checkpoints() {
+    let ckpt = out_path("train.ckpt");
+    let metrics = out_path("train-m.json");
+    let out = Command::new(env!("CARGO_BIN_EXE_mmsb"))
+        .args(["train", "--vertices", "300", "--k", "6", "--iters", "60"])
+        .args(["--checkpoint-every", "30", "--obs-level", "metrics"])
+        .arg("--checkpoint")
+        .arg(&ckpt)
+        .arg("--metrics-out")
+        .arg(&metrics)
+        .output()
+        .expect("run mmsb binary");
+    assert!(
+        out.status.success(),
+        "mmsb train failed:\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let saves = stdout.matches("checkpoint (iteration").count();
+    assert_eq!(saves, 2, "{stdout}");
+    let m = std::fs::read_to_string(&metrics).expect("metrics file written");
+    assert!(m.contains("\"checkpoints\": 2"), "{m}");
+    let _ = std::fs::remove_file(&ckpt);
     let _ = std::fs::remove_file(&metrics);
 }

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 gate: the workspace must build, lint clean, and test fully
 # offline — no registry dependencies, no network. Each step runs once:
-# xlint -> doc check (five reference checks, then the no-clock check) ->
+# xlint -> doc check (five reference checks, then the no-clock and
+# no-compute checks) ->
 # build -> clippy -> the whole test suite -> the three --quick gate
 # binaries -> sanitize.sh.
 set -euo pipefail
@@ -99,6 +100,16 @@ for src in crates/core/src/sampler/distributed.rs crates/dkv/src/pipeline.rs; do
         | grep -vE '^[0-9]+:[[:space:]]*//' \
         | grep -vE 'metrics_on\(\)\.then\((mmsb_obs::clock::)?Stopwatch::start\)')
 done
+# (7) No compute in the simulated cluster: `distributed.rs` runs the pool
+# driver's step and only prices it, so a call to a stage of the chain
+# (the `phi` update, the theta gradient or step, the held-out
+# probabilities, the mini-batch draw) or to the pool fan-out there would
+# be a second sampler. Comment lines are skipped.
+src=crates/core/src/sampler/distributed.rs
+while read -r hit; do
+    echo "$src computes a stage of the chain: $hit"; stale=1
+done < <(grep -nwE 'update_phi|theta_gradient|perplexity_probs_into|apply_phi_updates|apply_theta_update|refresh_minibatch|fan_out' "$src" \
+    | grep -vE '^[0-9]+:[[:space:]]*//')
 [ "$stale" -eq 0 ]
 
 cargo build --release --offline
@@ -111,8 +122,8 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 #                 (lexer_prop, xlint_gate, xlint_fixtures)
 #   pipelining    mmsb-dkv: pipeline::tests (price vs its oracle);
 #                 mmsb-core: pipeline_determinism (Single vs Double
-#                 bitwise), zero_alloc (lockstep step, warmed ooc
-#                 cache reads)
+#                 bitwise), zero_alloc (pool step with and without
+#                 the DKV key record, pricing, warmed ooc cache reads)
 #   failures      mmsb-core: fault_determinism, checkpoint_resume
 #   SIMD          mmsb-simd (lane parity, exp/log/polar ULP bounds);
 #                 mmsb-core: simd_determinism; mmsb: simd_smoke
