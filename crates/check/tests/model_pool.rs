@@ -65,19 +65,24 @@ fn theta_tree_reduction_over_pool_partials_is_clean() {
 
 /// Back-to-back jobs on one pool: the epoch protocol must not let a
 /// helper re-run a stale job or miss a new one (which would show up as
-/// a deadlock or a wrong value here).
+/// a deadlock or a wrong value here). Each job has two chunks: a
+/// one-chunk job runs on the caller and publishes nothing.
 #[test]
 fn consecutive_jobs_reuse_the_pool_cleanly() {
     let report = explore(&cfg(), || {
         let pool = Pool::new(2);
-        let cell = Arc::new(RaceCell::new("acc", 0u64));
+        let cells = [
+            Arc::new(RaceCell::new("acc0", 0u64)),
+            Arc::new(RaceCell::new("acc1", 0u64)),
+        ];
         for _ in 0..2 {
-            let prev = cell.get();
-            pool.run(1, |_worker, _chunk| {
-                cell.set(prev + 1);
+            let prev = [cells[0].get(), cells[1].get()];
+            pool.run(2, |_worker, chunk| {
+                cells[chunk].set(prev[chunk] + 1);
             });
         }
-        assert_eq!(cell.get(), 2);
+        assert_eq!(cells[0].get(), 2);
+        assert_eq!(cells[1].get(), 2);
     });
     report.assert_ok();
 }

@@ -94,10 +94,12 @@ pub struct SamplerConfig {
     /// different backends round differently in the last ulps — force one
     /// for cross-host reproducibility.
     pub simd: SimdPolicy,
-    /// Per-reader block-cache capacity (in blocks) for out-of-core
-    /// graphs; ignored by resident backends. Cache size is pure scratch
-    /// — any value yields the same chain — so this only trades memory
-    /// for disk reads.
+    /// Out-of-core block-cache share (in blocks) per pool thread;
+    /// ignored by resident backends. A sampler on `T` threads caches
+    /// `(T + 1) x graph_cache_blocks` blocks in total, split evenly over
+    /// the regions of the file (one cache each). Cache size is pure
+    /// scratch — any value yields the same chain — so this only trades
+    /// memory for disk reads.
     pub graph_cache_blocks: usize,
 }
 
@@ -163,7 +165,8 @@ impl SamplerConfig {
         self.simd.resolve().unwrap_or(Backend::Scalar)
     }
 
-    /// Set the out-of-core block-cache capacity (blocks per reader).
+    /// Set the out-of-core block-cache share (blocks per pool thread,
+    /// see [`SamplerConfig::graph_cache_blocks`]).
     pub fn with_graph_cache_blocks(mut self, blocks: usize) -> Self {
         self.graph_cache_blocks = blocks.max(1);
         self

@@ -106,6 +106,8 @@ pub enum CoreError {
     },
     /// A checkpoint failed to encode, decode, or match the sampler.
     Checkpoint(checkpoint::CheckpointError),
+    /// An out-of-core adjacency read failed in the middle of training.
+    Graph(mmsb_ooc::OocError),
 }
 
 impl std::fmt::Display for CoreError {
@@ -114,6 +116,7 @@ impl std::fmt::Display for CoreError {
             CoreError::InvalidConfig { reason } => write!(f, "invalid config: {reason}"),
             CoreError::GraphTooSmall { reason } => write!(f, "graph too small: {reason}"),
             CoreError::Checkpoint(e) => write!(f, "checkpoint error: {e}"),
+            CoreError::Graph(e) => write!(f, "out-of-core read failed: {e}"),
         }
     }
 }
@@ -122,6 +125,7 @@ impl std::error::Error for CoreError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             CoreError::Checkpoint(e) => Some(e),
+            CoreError::Graph(e) => Some(e),
             _ => None,
         }
     }
@@ -130,6 +134,12 @@ impl std::error::Error for CoreError {
 impl From<checkpoint::CheckpointError> for CoreError {
     fn from(e: checkpoint::CheckpointError) -> Self {
         CoreError::Checkpoint(e)
+    }
+}
+
+impl From<mmsb_ooc::OocError> for CoreError {
+    fn from(e: mmsb_ooc::OocError) -> Self {
+        CoreError::Graph(e)
     }
 }
 

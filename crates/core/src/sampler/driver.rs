@@ -8,6 +8,10 @@
 //! the theta chunks are combined by a fixed binary tree, the resulting
 //! chain is bitwise-identical for any thread count — including one.
 //!
+//! On an out-of-core graph the step also stages the batch's adjacency
+//! ([`stage_adjacency`]): one part per region of the file, each on that
+//! region's block cache, so `update_phi` reads no block itself.
+//!
 //! [`step`] and [`evaluate_perplexity`] time each stage as its phase.
 //! The simulated cluster ([`crate::DistributedSampler`]) runs the very
 //! same [`step`], asking it for each batch vertex's DKV keys
@@ -16,9 +20,11 @@
 use crate::sampler::engine::{Engine, PHI_CHUNK};
 use crate::sampler::worker::KeyRecord;
 use crate::workspace::Workspace;
+use crate::CoreError;
 use mmsb_netsim::obs_bridge;
 use mmsb_netsim::Phase;
 use mmsb_obs::id as obs_id;
+use mmsb_ooc::{GraphBackend, OocError};
 use mmsb_pool::{tree_combine_f64, SharedSlice, ThreadPool};
 use std::ops::Range;
 
@@ -61,6 +67,23 @@ pub(crate) struct StepBuffers {
     chunk_grads: Vec<f64>,
     /// Per-pair held-out probabilities.
     probs: Vec<f64>,
+    /// Per region of an out-of-core file: its batch vertices `lo..hi`,
+    /// of which `lo..end` lie inside the region (`end < hi` when the last
+    /// one's list runs on into a later region).
+    spans: Vec<Span>,
+    /// Per region: the read error its staging part hit, if any.
+    stage_errors: Vec<Option<OocError>>,
+    /// Per batch vertex: whether its list was cached when its region's
+    /// staging began.
+    held: Vec<bool>,
+}
+
+/// One region's share of the staged batch (see [`StepBuffers::spans`]).
+#[derive(Clone, Copy)]
+struct Span {
+    lo: usize,
+    end: usize,
+    hi: usize,
 }
 
 impl StepBuffers {
@@ -71,6 +94,9 @@ impl StepBuffers {
             updates: vec![0.0; engine.max_batch_vertices() * k],
             chunk_grads: vec![0.0; engine.max_theta_chunks() * 2 * k],
             probs: vec![0.0; engine.heldout.len()],
+            spans: Vec::with_capacity(engine.regions.regions()),
+            stage_errors: Vec::with_capacity(engine.regions.regions()),
+            held: vec![false; engine.max_batch_vertices()],
         }
     }
 }
@@ -126,14 +152,115 @@ fn fan_out<T, F>(
     });
 }
 
+/// Stage the lists of the drawn batch's vertices into
+/// `engine.adjacency`, each decoded once. The batch is sorted, and
+/// vertex order is file order, so each region's vertices are a run of
+/// it: one part per region decodes its run through the region's own
+/// cache, in two passes — first the lists whose blocks the cache still
+/// holds from earlier steps, before any load can evict them, then the
+/// rest. Each pass runs up the run on even iterations and down it on
+/// odd ones, so the blocks one sweep ends on, still in the LRU, are the
+/// ones the next begins with. A list that runs on into a later region is
+/// decoded after the fan-out, each block through its own region's cache,
+/// so no block is cached twice. The first failed read, in region order,
+/// is returned.
+// xlint: allow(hot-path-panic) — `spans` holds one entry per region with `lo <= end <= hi <= mb_vertices.len()`, `offsets` one more entry than the batch has vertices, `held` at least one per batch vertex, and parts index only their own region's slots
+fn stage_adjacency(
+    engine: &mut Engine,
+    pool: &ThreadPool,
+    bufs: &mut StepBuffers,
+) -> Result<(), OocError> {
+    let Engine {
+        graph,
+        regions,
+        adjacency,
+        mb_vertices,
+        iteration,
+        ..
+    } = engine;
+    let GraphBackend::OutOfCore(file) = &*graph else {
+        return Ok(());
+    };
+    let StepBuffers {
+        spans,
+        stage_errors: errors,
+        held,
+        ..
+    } = bufs;
+    let vs = &mb_vertices[..];
+    adjacency.layout(vs.iter().map(|a| file.degree(a.0)));
+    spans.clear();
+    let mut lo = 0;
+    for r in 0..regions.regions() {
+        let hi = lo + vs[lo..].partition_point(|a| regions.region_of(file, a.0) <= r);
+        let crosses = hi > lo && regions.crosses(file, vs[hi - 1].0);
+        let end = if crosses { hi - 1 } else { hi };
+        spans.push(Span { lo, end, hi });
+        lo = hi;
+    }
+    errors.clear();
+    errors.resize_with(spans.len(), || None);
+    let descending = *iteration % 2 == 1;
+    let (offsets, ids) = adjacency.parts();
+    {
+        let caches = SharedSlice::new(regions.caches_mut());
+        let slots = SharedSlice::new(&mut errors[..]);
+        let out = SharedSlice::new(&mut *ids);
+        let held = SharedSlice::new(prefix(held, vs.len()));
+        let spans = &spans[..];
+        pool.run(spans.len(), |_, r| {
+            let Span { lo, end, .. } = spans[r];
+            let base = offsets[lo];
+            // SAFETY: part `r` alone touches cache `r`, error slot `r`,
+            // and the ids and flags of its region's vertices `lo..end` —
+            // disjoint ranges, since the regions' runs of the batch are.
+            let (cache, slot, ids, held) = unsafe {
+                (
+                    &mut caches.range(r, r + 1)[0],
+                    &mut slots.range(r, r + 1)[0],
+                    out.range(base, offsets[end]),
+                    held.range(lo, end),
+                )
+            };
+            let sweep = || (0..end - lo).map(|k| if descending { end - 1 - k } else { lo + k });
+            for i in sweep() {
+                held[i - lo] = cache.holds(file, vs[i].0);
+            }
+            let res = [true, false].into_iter().try_for_each(|cached| {
+                sweep()
+                    .filter(|&i| held[i - lo] == cached)
+                    .try_for_each(|i| {
+                        let list = &mut ids[offsets[i] - base..offsets[i + 1] - base];
+                        cache.decode_into(file, vs[i].0, list)
+                    })
+            });
+            if let Err(e) = res {
+                *slot = Some(e);
+            }
+        });
+    }
+    if let Some(e) = errors.iter_mut().find_map(Option::take) {
+        return Err(e);
+    }
+    for span in spans.iter().filter(|s| s.end < s.hi) {
+        let i = span.end;
+        let list = &mut ids[offsets[i]..offsets[i + 1]];
+        regions.decode_routed(file, vs[i].0, list)?;
+    }
+    Ok(())
+}
+
 /// One SG-MCMC iteration (Algorithm 1), chunked and each stage timed as
-/// its phase: the master draws the mini-batch (master RNG); every batch
-/// vertex's new `phi` row is computed per [`PHI_CHUNK`] into the update
-/// buffer and, when `record` is given, its DKV keys into the record;
-/// the barrier, and every update is applied; per-chunk theta gradients
-/// (`THETA_CHUNK` pairs each) against the fresh `pi`, combined by a fixed
-/// binary tree, then the theta SGRLD step (theta RNG). The chunks, not
-/// the pool, fix the summation order.
+/// its phase: the master draws the mini-batch (master RNG); on an
+/// out-of-core graph the batch's adjacency is staged
+/// ([`stage_adjacency`]); every batch vertex's new `phi` row is computed
+/// per [`PHI_CHUNK`] into the update buffer and, when `record` is given,
+/// its DKV keys into the record; the barrier, and every update is
+/// applied; per-chunk theta gradients (`THETA_CHUNK` pairs each) against
+/// the fresh `pi`, combined by a fixed binary tree, then the theta SGRLD
+/// step (theta RNG). The chunks, not the pool, fix the summation order.
+/// A failed out-of-core read ends the step before any state changes,
+/// with the error.
 // xlint: allow(hot-path-panic) — fan_out hands each chunk a row range within the `mb_vertices.len()` rows of the update buffer and the record, and `grads` holds `n_chunks >= 1` rows of `k2`
 pub(crate) fn step(
     engine: &mut Engine,
@@ -141,12 +268,16 @@ pub(crate) fn step(
     scratch: &mut [Workspace],
     bufs: &mut StepBuffers,
     record: Option<&mut KeyRecord>,
-) {
+) -> Result<(), CoreError> {
     let _step_span = mmsb_obs::span(obs_id::S_STEP);
     let step_sw = mmsb_obs::metrics_on().then(mmsb_obs::clock::Stopwatch::start);
     {
         let _p = PhaseObs::open(Phase::DrawMinibatch);
-        engine.refresh_minibatch();
+        engine.refresh_minibatch()?;
+    }
+    if matches!(engine.graph, GraphBackend::OutOfCore(_)) {
+        let _p = PhaseObs::open(Phase::DeployMinibatch);
+        stage_adjacency(engine, pool, bufs)?;
     }
     let (nv, k) = (engine.mb_vertices.len(), engine.config.k);
     {
@@ -155,7 +286,7 @@ pub(crate) fn step(
         let record = record.map(|r| (r.stride(), SharedSlice::new(r.slots(nv))));
         let updates = prefix(&mut bufs.updates, nv * k);
         fan_out(pool, scratch, updates, k, PHI_CHUNK, |ws, _, vs, rows| {
-            eng.update_phi(&eng.mb_vertices[vs.clone()], ws, rows);
+            eng.update_phi(vs.clone(), ws, rows);
             if let Some((stride, slots)) = &record {
                 // SAFETY: as in `fan_out` — a chunk's vertices own their
                 // disjoint `stride`-slot range of the record.
@@ -185,6 +316,7 @@ pub(crate) fn step(
     if let Some(sw) = step_sw {
         mmsb_obs::hist_record_ns(obs_id::H_STEP_NS, sw.elapsed_ns());
     }
+    Ok(())
 }
 
 /// Evaluate held-out perplexity, timed as its phase: each

@@ -1,5 +1,6 @@
 //! Shared iteration machinery.
 
+use super::adjacency::BatchAdjacency;
 use super::stage::{self, PhiParams, StageScratch};
 use crate::config::SamplerConfig;
 use crate::perplexity::{link_probability, PerplexityAccumulator};
@@ -11,11 +12,12 @@ use mmsb_graph::access::mark_links;
 use mmsb_graph::minibatch::{BatchKind, MiniBatch, MinibatchSampler, Strategy};
 use mmsb_graph::heldout::HeldOut;
 use mmsb_graph::neighbor::NeighborSampler;
-use mmsb_graph::{Graph, GraphAccess, VertexId};
-use mmsb_ooc::{BlockCache, GraphBackend};
+use mmsb_graph::{Graph, VertexId};
+use mmsb_ooc::{GraphBackend, RegionCaches};
 use mmsb_rand::dist::Normal;
 use mmsb_rand::{RngCore, Xoshiro256PlusPlus};
 use mmsb_simd::Backend;
+use std::ops::Range;
 
 /// Pairs per theta-gradient chunk. One chunk accumulates its pairs
 /// serially (matching the historical serial sum for batches that fit in a
@@ -25,15 +27,20 @@ pub(crate) const THETA_CHUNK: usize = 1024;
 /// Mini-batch vertices per phi-update chunk.
 pub(crate) const PHI_CHUNK: usize = 8;
 
+/// Regions of an out-of-core file per pool thread: one block cache each,
+/// and one part each of the staging fan-out.
+pub(crate) const REGIONS_PER_THREAD: usize = 6;
+
 /// Shared sampler state and per-stage operations.
 ///
 /// Drivers compose these operations; none of them consults thread or rank
 /// identity, which is what keeps chains identical across drivers.
 pub(crate) struct Engine {
     pub graph: GraphBackend,
-    /// The master's block cache for out-of-core adjacency reads (`None`
-    /// for resident backends). Mini-batch drawing reads through it.
-    pub master_cache: Option<BlockCache>,
+    /// The out-of-core block caches, one per region of the file (none
+    /// for resident backends): the draw and the staging read through
+    /// them.
+    pub regions: RegionCaches,
     pub heldout: HeldOut,
     pub config: SamplerConfig,
     pub state: ModelState,
@@ -54,18 +61,26 @@ pub(crate) struct Engine {
     pub mb: MiniBatch,
     /// Distinct vertices of `mb`, kept alongside it.
     pub mb_vertices: Vec<VertexId>,
+    /// The lists of `mb_vertices`, staged by the driver (out-of-core
+    /// only).
+    pub adjacency: BatchAdjacency,
 }
 
 impl Engine {
-    /// Build an engine over either graph backend. The chain is bitwise
-    /// identical across backends: adjacency reads return the same values
-    /// whether they come from the resident CSR or CRC-verified disk
-    /// blocks, and every random draw is keyed independently of the read
-    /// path.
+    /// Build an engine over either graph backend for a pool of `threads`
+    /// threads. The chain is bitwise identical across backends and
+    /// thread counts: adjacency reads return the same values whether they
+    /// come from the resident CSR or CRC-verified disk blocks, and every
+    /// random draw is keyed independently of the read path.
+    ///
+    /// An out-of-core file is split into [`REGIONS_PER_THREAD`] regions
+    /// per thread, which share `(threads + 1) x graph_cache_blocks`
+    /// blocks of cache.
     pub fn with_backend(
         graph: GraphBackend,
         heldout: HeldOut,
         config: SamplerConfig,
+        threads: usize,
     ) -> Result<Self, CoreError> {
         config.validate(graph.num_vertices())?;
         let mut init = rngs::init_rng(config.seed);
@@ -78,7 +93,13 @@ impl Engine {
             &mut init,
         )?;
         let max_pairs = max_batch_pairs(graph.num_vertices(), graph.max_degree(), config.minibatch);
-        let master_cache = graph.new_cache(config.graph_cache_blocks, config.seed);
+        let regions = graph.region_caches(
+            REGIONS_PER_THREAD * threads,
+            (threads + 1) * config.graph_cache_blocks,
+            config.seed,
+        );
+        let max_vertices = (2 * max_pairs).min(graph.num_vertices() as usize);
+        let adjacency = BatchAdjacency::for_batches(&graph, max_vertices);
         let strata_cap = match config.minibatch {
             Strategy::StratifiedNode { anchors, .. } => anchors,
             Strategy::RandomPair { .. } => 0,
@@ -100,13 +121,14 @@ impl Engine {
             backend: config.backend(),
             perp_scratch: vec![0.0; 2 * heldout.len()],
             graph,
-            master_cache,
+            regions,
             heldout,
             config,
             state,
             iteration: 0,
             mb,
             mb_vertices,
+            adjacency,
         })
     }
 
@@ -151,23 +173,36 @@ impl Engine {
         self.perplexity = PerplexityAccumulator::new(heldout.len());
         self.perp_scratch = vec![0.0; 2 * heldout.len()];
         self.graph = GraphBackend::Resident(graph);
-        self.master_cache = None;
+        self.regions = RegionCaches::default();
         self.heldout = heldout;
         Ok(())
     }
 
     /// Stage 1: the master draws the next mini-batch (consumes the master
     /// RNG) into the engine's reusable [`Engine::mb`] /
-    /// [`Engine::mb_vertices`] buffers.
-    pub fn refresh_minibatch(&mut self) {
-        let reader = self.graph.reader(self.master_cache.as_mut());
+    /// [`Engine::mb_vertices`] buffers, reading out-of-core lists through
+    /// the region caches. A failed read is returned, and the batch is
+    /// then void.
+    pub fn refresh_minibatch(&mut self) -> Result<(), CoreError> {
+        let mut reader = self.graph.reader(&mut self.regions);
         self.minibatch.sample_into(
-            reader,
+            &mut reader,
             Some(&self.heldout),
             &mut self.master_rng,
             &mut self.mb,
         );
+        reader.finish()?;
         self.mb.vertices_into(&mut self.mb_vertices);
+        Ok(())
+    }
+
+    /// Batch vertex `i` (vertex `a`)'s neighbor list: the resident CSR
+    /// row, or the staged list.
+    fn batch_list(&self, i: usize, a: VertexId) -> &[u32] {
+        match &self.graph {
+            GraphBackend::Resident(g) => g.neighbors(a),
+            GraphBackend::OutOfCore(_) => self.adjacency.list(i),
+        }
     }
 
     /// The step size for the current iteration.
@@ -186,13 +221,17 @@ impl Engine {
         }
     }
 
-    /// Stage 2 (pure): the new `phi` rows of `vertices`, vertex `j` to row
-    /// `j` of `out` (`vertices.len() x K`). Two passes over `ws`: first
-    /// every vertex's neighbor set is sampled into `ws.sampled` (its own
-    /// `pi` row and, on the resident backend, its adjacency list
-    /// prefetched first, so the loads overlap the sampling); then each
+    /// Stage 2 (pure): the new `phi` rows of the batch vertices `batch`
+    /// (indices into [`Engine::mb_vertices`]), vertex `batch.start + j`
+    /// to row `j` of `out` (`batch.len() x K`). Two passes over `ws`:
+    /// first every vertex's neighbor set is sampled into `ws.sampled`
+    /// (its own `pi` row and its adjacency list prefetched first, so the
+    /// loads overlap the sampling); then each
     /// vertex gathers its neighbors' `pi` rows from the state, marks its
-    /// links against its list (read once) and runs [`stage::phi_update`].
+    /// links against its list (the CSR row, or the list the driver
+    /// staged) and runs [`stage::phi_update`]. Before each vertex the
+    /// next one's neighbor rows are prefetched, so their loads overlap
+    /// this vertex's kernel.
     /// The step computes every `phi` row here, one [`PHI_CHUNK`] per
     /// call (the simulated cluster runs that same step); all scratch
     /// comes from `ws`, so the steady state performs no heap allocation.
@@ -200,12 +239,11 @@ impl Engine {
     /// All randomness comes from the `(seed, iteration, vertex)` streams —
     /// the result is independent of which thread (and which workspace)
     /// performs the computation, and of how the vertices are split.
-    pub fn update_phi(&self, vertices: &[VertexId], ws: &mut Workspace, out: &mut [f64]) {
-        for &a in vertices {
+    pub fn update_phi(&self, batch: Range<usize>, ws: &mut Workspace, out: &mut [f64]) {
+        let vertices = &self.mb_vertices[batch.clone()];
+        for (i, &a) in batch.clone().zip(vertices) {
             mmsb_simd::prefetch(self.state.pi_row(a.0));
-            if let GraphBackend::Resident(g) = &self.graph {
-                mmsb_simd::prefetch(g.neighbors(a));
-            }
+            mmsb_simd::prefetch(self.batch_list(i, a));
         }
         ws.sampled.sample(
             vertices,
@@ -216,16 +254,20 @@ impl Engine {
         );
         let k = self.config.k;
         let params = self.phi_params();
-        // The reader borrows only `ws.graph_cache`, disjoint from the
-        // sampled sets and the gather buffers.
-        let mut reader = self.graph.reader(ws.graph_cache.as_mut());
+        let prefetch_rows = |set: &[VertexId]| {
+            for &b in set {
+                mmsb_simd::prefetch(self.state.pi_row(b.0));
+            }
+        };
+        prefetch_rows(ws.sampled.set(0));
         for (i, row_out) in out.chunks_exact_mut(k).enumerate() {
+            prefetch_rows(ws.sampled.set(i + 1));
             let (a, set, rng) = ws.sampled.vertex(i);
             ws.rows.clear();
             for &b in set {
                 ws.rows.extend_from_slice(self.state.pi_row(b.0));
             }
-            mark_links(reader.neighbors(a), set, &mut ws.linked);
+            mark_links(self.batch_list(batch.start + i, a), set, &mut ws.linked);
             self.state.phi_row(a.0, &mut ws.phi_a);
             stage::phi_update(
                 &params,

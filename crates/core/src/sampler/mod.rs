@@ -12,6 +12,7 @@
 pub mod distributed;
 pub mod parallel;
 
+mod adjacency;
 mod driver;
 pub(crate) mod engine;
 pub(crate) mod stage;

@@ -54,8 +54,10 @@ impl ParallelSampler {
     }
 
     /// Build a sampler over either graph backend (resident CSR or the
-    /// out-of-core block-cached format) with an explicit pool size. Each
-    /// worker owns its own block cache; cache state is pure scratch, so
+    /// out-of-core block-cached format) with an explicit pool size. An
+    /// out-of-core file is read through one block cache per region of the
+    /// file ([`mmsb_ooc::RegionCaches`]), `(threads + 1) x
+    /// graph_cache_blocks` blocks in all; cache state is pure scratch, so
     /// the chain is bitwise identical across backends, cache sizes, and
     /// thread counts.
     pub fn with_backend_threads(
@@ -69,16 +71,10 @@ impl ParallelSampler {
                 reason: "thread count must be at least 1".into(),
             });
         }
-        let engine = Engine::with_backend(graph, heldout, config)?;
+        let engine = Engine::with_backend(graph, heldout, config, threads)?;
         let bufs = StepBuffers::new(&engine);
         let workspaces = (0..threads)
-            .map(|w| {
-                let cache = engine.graph.new_cache(
-                    engine.config.graph_cache_blocks,
-                    engine.config.seed ^ (w as u64 + 1),
-                );
-                Workspace::new(engine.config.k, engine.config.neighbor_sample, cache)
-            })
+            .map(|_| Workspace::new(engine.config.k, engine.config.neighbor_sample))
             .collect();
         Ok(Self {
             engine,
@@ -94,23 +90,44 @@ impl ParallelSampler {
     }
 
     /// Run one full iteration.
+    ///
+    /// # Panics
+    /// Panics if an out-of-core block read fails;
+    /// [`ParallelSampler::try_step`] returns the error instead.
     pub fn step(&mut self) {
         self.step_recording(None);
     }
 
-    /// Run one full iteration, writing each batch vertex's DKV keys into
-    /// `record` when one is given.
+    /// Run one full iteration, or return the out-of-core read error
+    /// ([`CoreError::Graph`]) that stopped it before it changed any
+    /// state. The draw has consumed master random numbers by then, so
+    /// the chain cannot go on from there; restore a checkpoint instead.
+    pub fn try_step(&mut self) -> Result<(), CoreError> {
+        self.try_step_recording(None)
+    }
+
+    /// [`ParallelSampler::step`], writing each batch vertex's DKV keys
+    /// into `record` when one is given.
     pub(super) fn step_recording(&mut self, record: Option<&mut KeyRecord>) {
+        if let Err(e) = self.try_step_recording(record) {
+            panic!("{e}");
+        }
+    }
+
+    fn try_step_recording(&mut self, record: Option<&mut KeyRecord>) -> Result<(), CoreError> {
         driver::step(
             &mut self.engine,
             &self.pool,
             &mut self.workspaces,
             &mut self.bufs,
             record,
-        );
+        )
     }
 
     /// Run `iterations` steps.
+    ///
+    /// # Panics
+    /// As [`ParallelSampler::step`].
     pub fn run(&mut self, iterations: u64) {
         for _ in 0..iterations {
             self.step();

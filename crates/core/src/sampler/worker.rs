@@ -101,6 +101,14 @@ impl SampledSets {
         }
     }
 
+    /// Vertex `i`'s sampled set (empty past the last vertex).
+    pub fn set(&self, i: usize) -> &[VertexId] {
+        match self.ends.get(i) {
+            Some(&hi) => &self.sets[if i == 0 { 0 } else { self.ends[i - 1] }..hi],
+            None => &[],
+        }
+    }
+
     /// Vertex `i`: its id, its sampled set and its stream.
     pub fn vertex(&mut self, i: usize) -> (VertexId, &[VertexId], &mut Xoshiro256PlusPlus) {
         let lo = if i == 0 { 0 } else { self.ends[i - 1] };

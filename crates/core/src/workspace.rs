@@ -9,7 +9,6 @@
 use crate::sampler::engine::PHI_CHUNK;
 use crate::sampler::stage::StageScratch;
 use crate::sampler::worker::SampledSets;
-use mmsb_ooc::BlockCache;
 
 /// Reusable scratch for one worker thread.
 pub(crate) struct Workspace {
@@ -24,26 +23,19 @@ pub(crate) struct Workspace {
     /// The vertices at hand with their sampled neighbor sets and streams
     /// (the first `phi` pass): one `PHI_CHUNK`.
     pub sampled: SampledSets,
-    /// This worker's block cache for out-of-core adjacency reads
-    /// (`None` for resident graphs). Pure scratch, like everything else
-    /// here — cache contents never influence results.
-    pub graph_cache: Option<BlockCache>,
 }
 
 impl Workspace {
     /// Create a workspace sized for `k` communities and chunks of
     /// [`PHI_CHUNK`] vertices with neighbor sets of up to
-    /// `neighbor_sample` vertices, reading out-of-core adjacency through
-    /// `graph_cache` (drivers create one per workspace via
-    /// `GraphBackend::new_cache`).
-    pub fn new(k: usize, neighbor_sample: usize, graph_cache: Option<BlockCache>) -> Self {
+    /// `neighbor_sample` vertices.
+    pub fn new(k: usize, neighbor_sample: usize) -> Self {
         Self {
             phi_a: vec![0.0; k],
             rows: Vec::with_capacity(neighbor_sample * k),
             linked: Vec::with_capacity(neighbor_sample),
             stage: StageScratch::new(k),
             sampled: SampledSets::with_capacity(PHI_CHUNK, neighbor_sample),
-            graph_cache,
         }
     }
 }

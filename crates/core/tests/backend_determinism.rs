@@ -193,3 +193,73 @@ fn block_size_never_reaches_the_chain() {
     }
     assert_eq!(runs[0], runs[1], "block size leaked into the chain");
 }
+
+/// A block that goes bad on disk after the file was opened (and
+/// verified) is found by the CRC check of the load that reads it: with a
+/// one-block budget every step reloads blocks, so `try_step` soon
+/// returns the read error instead of panicking, and before it changes
+/// the model.
+#[test]
+fn a_block_corrupted_mid_training_is_an_error() {
+    use std::io::{Seek, SeekFrom, Write};
+
+    let (graph, heldout) = setup(54);
+    let path = temp_file("corrupt");
+    write_graph(
+        &graph,
+        &path,
+        BuildOptions {
+            block_size: 4096,
+            ..BuildOptions::default()
+        },
+    )
+    .unwrap();
+    let ooc = OocGraph::open(&path).unwrap();
+    ooc.verify_blocks().unwrap();
+    let (data_off, block_size, blocks) = (
+        ooc.header().data_off(),
+        u64::from(ooc.header().block_size),
+        u64::from(ooc.header().num_blocks),
+    );
+    let cfg = SamplerConfig::new(5).with_seed(39).with_graph_cache_blocks(1);
+    let mut s =
+        ParallelSampler::with_backend_threads(GraphBackend::OutOfCore(ooc), heldout, cfg, 2).unwrap();
+    s.try_step().unwrap();
+
+    // Flip one byte of every data block in place: the open handle reads
+    // the new bytes.
+    let mut file = std::fs::OpenOptions::new().read(true).write(true).open(&path).unwrap();
+    for b in 0..blocks {
+        let at = data_off + b * block_size;
+        let mut byte = [0u8];
+        file.seek(SeekFrom::Start(at)).unwrap();
+        std::io::Read::read_exact(&mut file, &mut byte).unwrap();
+        file.seek(SeekFrom::Start(at)).unwrap();
+        file.write_all(&[byte[0] ^ 0x5A]).unwrap();
+    }
+    file.sync_all().unwrap();
+
+    let err = (0..20)
+        .find_map(|_| {
+            let before = (s.iteration(), s.state().theta().to_vec());
+            let res = s.try_step();
+            if res.is_err() {
+                assert_eq!(
+                    before,
+                    (s.iteration(), s.state().theta().to_vec()),
+                    "a failed step changed the model"
+                );
+            }
+            res.err()
+        })
+        .expect("no step read a corrupted block");
+    assert!(
+        matches!(
+            err,
+            mmsb_core::CoreError::Graph(mmsb_ooc::OocError::ChecksumMismatch { what: "block", .. })
+        ),
+        "{err:?}"
+    );
+    assert!(err.to_string().starts_with("out-of-core read failed: checksum mismatch in block"), "{err}");
+    let _ = std::fs::remove_file(&path);
+}

@@ -3,12 +3,18 @@
 //!
 //! Every edge test on the training path is a lookup in the *anchor's*
 //! decoded list, so a step may open each mini-batch vertex's list once
-//! (the phi update) and each stratum anchor's list once (the draw) —
+//! (the staging) and each stratum anchor's list once (the draw) —
 //! nothing else. The test counts the cache lookups of one cold step
 //! through the obs counters and holds them to exactly that budget.
 //! Testing `has_edge(a, b)` per sampled neighbour instead (up to 32
 //! foreign lists per vertex, ~N/m per non-link stratum) overshoots it
 //! roughly 30-fold.
+//!
+//! Each block is cached by one region cache only, so a cold step also
+//! loads each block it needs at most once, at one thread and at two:
+//! its misses are at most the distinct blocks its lists span. (With a
+//! cache per thread and one for the master, a block the draw loaded was
+//! loaded again by whichever worker staged the vertex.)
 //!
 //! One test, in a file of its own: the obs registry is process-global,
 //! and any other out-of-core test running beside it would count too.
@@ -22,14 +28,15 @@ use mmsb_obs::{id, ObsConfig, ObsLevel};
 use mmsb_ooc::{write_graph, BuildOptions, GraphBackend, OocGraph};
 use mmsb_rand::Xoshiro256PlusPlus;
 
-/// Blocks the encoded list of `v` touches (0 for an isolated vertex).
-fn blocks_spanned(file: &OocGraph, v: VertexId) -> u64 {
+/// The blocks the encoded list of `v` touches (none for an isolated
+/// vertex).
+fn blocks_of(file: &OocGraph, v: VertexId) -> std::ops::Range<u64> {
     let (start, end) = file.list_range(v.0);
     let bs = u64::from(file.header().block_size);
     if start == end {
-        0
+        0..0
     } else {
-        (end - 1) / bs - start / bs + 1
+        start / bs..(end - 1) / bs + 1
     }
 }
 
@@ -64,13 +71,6 @@ fn a_step_opens_each_minibatch_list_once() {
         .with_seed(33)
         .with_graph_cache_blocks(8);
     let minibatch = MinibatchSampler::new(cfg.minibatch);
-    let mut sampler = ParallelSampler::with_backend_threads(
-        GraphBackend::OutOfCore(OocGraph::open(&path).unwrap()),
-        heldout.clone(),
-        cfg.clone(),
-        1,
-    )
-    .unwrap();
 
     // Replay the draw the first step makes: the master stream is stream
     // 0 of the seed, and the resident graph holds the same adjacency as
@@ -84,39 +84,60 @@ fn a_step_opens_each_minibatch_list_once() {
         Stratum::LinkSet { anchor } | Stratum::NonLinkSet { anchor, .. } => anchor,
     });
     let vertices = mb.vertices();
-    let budget: u64 = anchors
-        .chain(vertices.iter().copied())
-        .map(|v| blocks_spanned(&file, v))
+    let lists: Vec<VertexId> = anchors.chain(vertices.iter().copied()).collect();
+    let budget: u64 = lists
+        .iter()
+        .map(|&v| blocks_of(&file, v).end - blocks_of(&file, v).start)
         .sum();
+    let distinct = lists
+        .iter()
+        .flat_map(|&v| blocks_of(&file, v))
+        .collect::<std::collections::BTreeSet<u64>>()
+        .len() as u64;
 
-    // Cold caches (nothing has read yet), counters armed for one step.
     let obs = mmsb_obs::init(ObsConfig::at(ObsLevel::Metrics));
-    let lookups = || {
-        obs.metrics.counter_total(id::C_GRAPH_CACHE_HITS)
-            + obs.metrics.counter_total(id::C_GRAPH_CACHE_MISSES)
-    };
+    let hits = || obs.metrics.counter_total(id::C_GRAPH_CACHE_HITS);
+    let misses = || obs.metrics.counter_total(id::C_GRAPH_CACHE_MISSES);
     let n = graph.num_vertices();
-    let pi_before: Vec<Vec<f32>> = (0..n).map(|v| sampler.state().pi_row(v).to_vec()).collect();
-    let before = lookups();
-    sampler.step();
-    let used = lookups() - before;
+    for threads in [1, 2] {
+        // Cold caches (nothing has read yet), counters read around one
+        // step.
+        let mut sampler = ParallelSampler::with_backend_threads(
+            GraphBackend::OutOfCore(OocGraph::open(&path).unwrap()),
+            heldout.clone(),
+            cfg.clone(),
+            threads,
+        )
+        .unwrap();
+        let pi_before: Vec<Vec<f32>> =
+            (0..n).map(|v| sampler.state().pi_row(v).to_vec()).collect();
+        let (hits_before, misses_before) = (hits(), misses());
+        sampler.step();
+        let missed = misses() - misses_before;
+        let used = hits() - hits_before + missed;
+
+        let rewritten: Vec<VertexId> = (0..n)
+            .filter(|&v| sampler.state().pi_row(v) != pi_before[v as usize].as_slice())
+            .map(VertexId)
+            .collect();
+        assert_eq!(
+            rewritten, vertices,
+            "replayed a different draw than the step made"
+        );
+        assert!(used > 0, "the step read nothing through the cache");
+        assert!(
+            used <= budget,
+            "{threads} threads: step made {used} block lookups; one read per mini-batch \
+             vertex list ({} vertices) and per anchor ({}) allows {budget}",
+            vertices.len(),
+            strata.len()
+        );
+        assert!(
+            missed <= distinct,
+            "{threads} threads: a cold step missed {missed} times; its lists span \
+             {distinct} distinct blocks"
+        );
+    }
     mmsb_obs::set_level(ObsLevel::Off);
     let _ = std::fs::remove_file(&path);
-
-    let rewritten: Vec<VertexId> = (0..n)
-        .filter(|&v| sampler.state().pi_row(v) != pi_before[v as usize].as_slice())
-        .map(VertexId)
-        .collect();
-    assert_eq!(
-        rewritten, vertices,
-        "replayed a different draw than the step made"
-    );
-    assert!(used > 0, "the step read nothing through the cache");
-    assert!(
-        used <= budget,
-        "step made {used} block lookups; one read per mini-batch vertex list \
-         ({} vertices) and per anchor ({}) allows {budget}",
-        vertices.len(),
-        strata.len()
-    );
 }

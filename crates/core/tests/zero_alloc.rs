@@ -3,16 +3,18 @@
 //! may a warmed lockstep [`DistributedSampler`] `step()` +
 //! `evaluate_perplexity()` in either pipeline mode (the same pool step,
 //! writing its DKV key record, then the priced, chunked `pi` load),
-//! warmed `ShardedStore` writes, nor a warmed out-of-core
-//! [`mmsb_ooc::BlockCache`] read loop (the graph path of the ooc
-//! backend), whether every read hits or every read evicts, reads, CRCs
-//! and decodes a block. A checkpoint shares the model planes instead of
+//! warmed `ShardedStore` writes, a warmed out-of-core
+//! [`mmsb_ooc::BlockCache`] read loop, whether every read hits or every
+//! read evicts, reads, CRCs and decodes a block, nor a warmed
+//! out-of-core `step()` at two threads (the draw through the region
+//! caches, the staging fan-out, the phi stage on the staged lists). A checkpoint shares the model planes instead of
 //! copying them: capturing and saving one on a 20 000-vertex, K = 16
 //! sampler stays under a fixed byte budget, the step after it is dropped
 //! allocates nothing, and a live checkpoint keeps its bytes while the
 //! chain moves on. Every per-iteration buffer is pre-reserved at its hard
 //! upper bound (`Engine::with_backend`, `StepBuffers::new`, `Workspace::new`,
-//! `KeyRecord::new`, the cache's block storage and decode scratch) or
+//! `KeyRecord::new`, the cache's block storage and decode scratch, the
+//! staged adjacency: the batch's largest possible lists) or
 //! grows to its high-water mark during warm-up (the lockstep driver's
 //! pricing key buffers), the pool publishes jobs as unboxed
 //! pointer pairs, and the mini-batch/neighbor machinery reuses its
@@ -424,6 +426,31 @@ fn steady_state_step_is_allocation_free() {
         n, 0,
         "evicting out-of-core read loop hit the allocator {n} times over {} misses",
         10 * picks.len()
+    );
+
+    // ---- out-of-core sampler: the draw, the staging, the phi stage ----
+    // Two pool threads over `misses.ooc`: a 4-block share per thread
+    // gives three regions of one 4-way set each, fewer slots than the
+    // file has blocks, so the steps keep evicting. The staged adjacency
+    // was reserved at construction for the largest batch's lists, so
+    // once warm a step allocates nothing.
+    let (_, big_heldout) = HeldOut::split(&big, 100, &mut rng);
+    let mut sampler = ParallelSampler::with_backend_threads(
+        mmsb_ooc::GraphBackend::OutOfCore(mmsb_ooc::OocGraph::open(&path).unwrap()),
+        big_heldout,
+        SamplerConfig::new(8).with_seed(7).with_graph_cache_blocks(4),
+        2,
+    )
+    .unwrap();
+    sampler.run(60);
+    ALLOCS.store(0, Ordering::SeqCst);
+    COUNTING.store(true, Ordering::SeqCst);
+    sampler.run(40);
+    COUNTING.store(false, Ordering::SeqCst);
+    let n = ALLOCS.swap(0, Ordering::SeqCst);
+    assert_eq!(
+        n, 0,
+        "warmed out-of-core step() at 2 threads hit the allocator {n} times over 40 iterations"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

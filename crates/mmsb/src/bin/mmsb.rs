@@ -294,9 +294,11 @@ fn cmd_train(args: &Args) -> Result<(), String> {
              [--simd auto|scalar|sse2|avx2|neon] \
              [--obs-level off|metrics|spans] [--metrics-out FILE] [--trace-out FILE]\n\
              --graph-format ooc trains out-of-core: --input names a file \
-             from `mmsb convert`, adjacency stays on disk behind a \
-             --cache-blocks block cache per worker (held-out pairs are \
-             sampled by access, links stay in the training graph)\n\
+             from `mmsb convert`, adjacency stays on disk behind block \
+             caches of --cache-blocks blocks per pool thread plus one \
+             share more, split over regions of the file (held-out pairs \
+             are sampled by access, links stay in the training graph); a \
+             block read that fails mid-training exits 1\n\
              --driver sequential is --driver parallel at one thread: the \
              same chain; `mmsb simulate` runs the master-worker cluster\n\
              --checkpoint writes the final model as a servable checkpoint \
@@ -336,9 +338,10 @@ fn cmd_train(args: &Args) -> Result<(), String> {
                 .get("input")
                 .ok_or("--graph-format ooc needs --input FILE (from `mmsb convert`)")?;
             let graph = OocGraph::open(path).map_err(|e| format!("{path}: {e}"))?;
-            // Block CRCs are normally checked lazily on cache load;
-            // front-load the scan so a corrupt file is a clean startup
-            // error, not a panic deep in the first mini-batch.
+            // Block CRCs are checked on every cache load; front-load the
+            // scan so a corrupt file is a startup error, not one after
+            // the set-up. A block that goes bad later still ends
+            // training with an error (`try_step`).
             graph.verify_blocks().map_err(|e| format!("{path}: {e}"))?;
             let heldout_links: usize =
                 args.parsed("heldout", ((graph.num_edges() / 50).max(16)) as usize)?;
@@ -406,7 +409,9 @@ fn cmd_train(args: &Args) -> Result<(), String> {
     let mut last_saved: Option<u64> = None;
     while done < iters {
         let stop = iters.min(next_eval).min(next_ckpt);
-        s.run(stop - done);
+        for _ in done..stop {
+            s.try_step().map_err(|e| e.to_string())?;
+        }
         done = stop;
         if done == next_eval || done == iters {
             let perplexity = s.evaluate_perplexity();

@@ -2,9 +2,12 @@
 //! `--driver parallel`: on the same planted graph and seed the two must
 //! print byte-identical perplexity traces. `mmsb simulate` runs the same
 //! chain on a simulated cluster: its checkpoint is byte-identical to
-//! `train`'s, across a worker loss too.
+//! `train`'s, across a worker loss too. Out-of-core training that meets
+//! a bad block mid-run exits 1 with the read error.
 
-use std::process::{Command, Output};
+use std::io::{BufRead, BufReader, Read, Seek, SeekFrom, Write};
+use std::process::{Command, Output, Stdio};
+use std::time::Duration;
 
 /// The small planted graph, model and chain every run here trains.
 const RUN: [&str; 10] = [
@@ -106,4 +109,74 @@ fn a_kill_the_run_never_reaches_is_rejected() {
     let kill_last = ["--workers", "3", "--faults", "7", "--kill", "59:1"];
     let out = mmsb("simulate", &kill_last);
     assert!(String::from_utf8_lossy(&out.stdout).contains("worker 1 was lost"));
+}
+
+/// A block of the `.ooc` file that goes bad after `mmsb train` opened
+/// and verified it ends training with exit code 1 and the read error —
+/// not a panic. The run is long and reads through a one-block share, so
+/// it keeps loading blocks after the file is corrupted under it.
+#[test]
+fn a_block_corrupted_mid_training_exits_1_with_the_read_error() {
+    let dir = std::env::temp_dir().join(format!("mmsb-driver-cli-ooc-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (edges, ooc) = (dir.join("g.txt"), dir.join("g.ooc"));
+    let run = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_mmsb"))
+            .args(args)
+            .output()
+            .expect("run mmsb binary");
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    };
+    let (edges_s, ooc_s) = (edges.to_str().unwrap(), ooc.to_str().unwrap());
+    run(&["generate", "--vertices", "2000", "--communities", "20", "--out", edges_s]);
+    run(&["convert", "--input", edges_s, "--out", ooc_s, "--block-size", "4096"]);
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_mmsb"))
+        .args(["train", "--graph-format", "ooc", "--input", ooc_s, "--cache-blocks", "1"])
+        .args(["--k", "4", "--iters", "100000000", "--eval-every", "100000000"])
+        .args(["--driver", "sequential"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn mmsb train");
+    // `training on ...` is printed after the start-up verification.
+    let mut stdout = BufReader::new(child.stdout.take().unwrap());
+    let mut line = String::new();
+    stdout.read_line(&mut line).unwrap();
+    assert!(line.starts_with("training on"), "{line}");
+
+    let header = *mmsb::ooc::OocGraph::open(&ooc).unwrap().header();
+    let mut file = std::fs::OpenOptions::new().read(true).write(true).open(&ooc).unwrap();
+    for b in 0..u64::from(header.num_blocks) {
+        let at = header.data_off() + b * u64::from(header.block_size);
+        let mut byte = [0u8];
+        file.seek(SeekFrom::Start(at)).unwrap();
+        file.read_exact(&mut byte).unwrap();
+        file.seek(SeekFrom::Start(at)).unwrap();
+        file.write_all(&[byte[0] ^ 0x5A]).unwrap();
+    }
+    file.sync_all().unwrap();
+
+    // Poll for up to a minute.
+    let mut polls = 0;
+    let status = loop {
+        if let Some(status) = child.try_wait().unwrap() {
+            break status;
+        }
+        polls += 1;
+        if polls > 3000 {
+            child.kill().ok();
+            panic!("training went on over a corrupted file");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    let mut stderr = String::new();
+    child.stderr.take().unwrap().read_to_string(&mut stderr).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("error: out-of-core read failed: checksum mismatch in block"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }

@@ -3,19 +3,21 @@
 use mmsb_graph::access::GraphAccess;
 use mmsb_graph::{Graph, VertexId};
 
-use crate::cache::{BlockCache, OocReader};
 use crate::file::OocGraph;
+use crate::region::{RegionCaches, RoutedReader};
+use crate::OocError;
 
-/// Default per-reader cache capacity in blocks (16 MiB at the default
-/// 64 KiB block size). Each worker thread owns one cache this size.
+/// Default cache share in blocks (16 MiB at the default 64 KiB block
+/// size). A sampler on `T` pool threads caches `(T + 1)` shares in
+/// total, split over the regions of the file.
 pub const DEFAULT_CACHE_BLOCKS: usize = 256;
 
 /// Where a training graph's adjacency lives.
 ///
 /// Metadata queries (`N`, `|E|`, degrees, max degree) are `&self` on both
 /// variants — the out-of-core format keeps them resident. Adjacency reads
-/// go through [`GraphBackend::reader`], which binds per-thread
-/// [`BlockCache`] scratch for the out-of-core case.
+/// go through [`GraphBackend::reader`], which routes the out-of-core
+/// case's blocks through [`RegionCaches`].
 #[derive(Debug)]
 pub enum GraphBackend {
     /// The fully RAM-resident CSR.
@@ -63,31 +65,23 @@ impl GraphBackend {
         }
     }
 
-    /// A fresh cache for this backend: `None` for resident (no scratch
-    /// needed), a [`BlockCache`] of `capacity_blocks` for out-of-core.
-    /// `seed` parameterizes the set hash (pure scratch — any seed yields
-    /// the same chain).
-    pub fn new_cache(&self, capacity_blocks: usize, seed: u64) -> Option<BlockCache> {
+    /// The region caches for this backend: none for resident, and for
+    /// out-of-core `regions` regions sharing `budget_blocks` blocks
+    /// ([`RegionCaches::new`]). `seed` parameterizes the set hashes
+    /// (pure scratch — any seed yields the same chain).
+    pub fn region_caches(&self, regions: usize, budget_blocks: usize, seed: u64) -> RegionCaches {
         match self {
-            GraphBackend::Resident(_) => None,
-            GraphBackend::OutOfCore(g) => {
-                Some(BlockCache::for_graph(g, capacity_blocks.max(1), seed))
-            }
+            GraphBackend::Resident(_) => RegionCaches::default(),
+            GraphBackend::OutOfCore(g) => RegionCaches::new(g, regions, budget_blocks, seed),
         }
     }
 
-    /// Bind per-call scratch into a [`GraphAccess`] reader.
-    ///
-    /// # Panics
-    /// Panics if the backend is out-of-core and `cache` is `None` — the
-    /// drivers allocate caches up front via [`GraphBackend::new_cache`].
-    pub fn reader<'a>(&'a self, cache: Option<&'a mut BlockCache>) -> BackendReader<'a> {
+    /// A [`GraphAccess`] reader: the resident CSR, or the file through
+    /// `caches` (made by [`GraphBackend::region_caches`]).
+    pub fn reader<'a>(&'a self, caches: &'a mut RegionCaches) -> BackendReader<'a> {
         match self {
             GraphBackend::Resident(g) => BackendReader::Resident(g),
-            GraphBackend::OutOfCore(g) => {
-                let cache = cache.expect("out-of-core reads need a block cache");
-                BackendReader::OutOfCore(OocReader::new(g, cache))
-            }
+            GraphBackend::OutOfCore(g) => BackendReader::OutOfCore(caches.reader(g)),
         }
     }
 }
@@ -109,8 +103,18 @@ impl From<OocGraph> for GraphBackend {
 pub enum BackendReader<'a> {
     /// Reads straight from the resident CSR.
     Resident(&'a Graph),
-    /// Reads through a block cache.
-    OutOfCore(OocReader<'a>),
+    /// Reads through the region caches.
+    OutOfCore(RoutedReader<'a>),
+}
+
+impl BackendReader<'_> {
+    /// The first read error, if any read failed (see [`RoutedReader`]).
+    pub fn finish(self) -> Result<(), OocError> {
+        match self {
+            BackendReader::Resident(_) => Ok(()),
+            BackendReader::OutOfCore(r) => r.finish(),
+        }
+    }
 }
 
 impl GraphAccess for BackendReader<'_> {

@@ -1,12 +1,13 @@
 //! The fixed-capacity block cache and the sampler-facing reader.
 //!
-//! A [`BlockCache`] is *caller-owned scratch*: each worker thread (and the
-//! master) owns one, sized at construction and never reallocated — the
-//! warmed read path performs no heap allocation (pinned by the
-//! `zero_alloc` counting test). It is set-associative with seeded-LRU
-//! eviction: a seeded multiplicative hash spreads blocks over sets (the
-//! seed decorrelates set indices from the sequential block ids a CSR
-//! produces), and within a set the least-recently-used way is evicted.
+//! A [`BlockCache`] is *caller-owned scratch*, sized at construction and
+//! never reallocated — the warmed read path performs no heap allocation
+//! (pinned by the `zero_alloc` counting test). The sampler owns one per
+//! region of the file ([`crate::RegionCaches`]); one-off readers own
+//! their own. It is set-associative with seeded-LRU eviction: a seeded
+//! multiplicative hash spreads blocks over sets (the seed decorrelates
+//! set indices from the sequential block ids a CSR produces), and within
+//! a set the least-recently-used way is evicted.
 //!
 //! Cache state is pure scratch. A hit and a miss return the same bytes —
 //! blocks are immutable and CRC-verified on load — so cache size,
@@ -24,19 +25,17 @@ use crate::OocError;
 const EMPTY: u32 = u32::MAX;
 
 /// Associativity: ways per set.
-const WAYS: usize = 4;
+pub(crate) const WAYS: usize = 4;
 
 /// A fixed-capacity, set-associative block cache with seeded-LRU
 /// eviction.
 #[derive(Debug)]
 pub struct BlockCache {
     block_size: usize,
-    /// Number of sets (power of two).
+    /// Number of sets.
     sets: usize,
     /// Multiplicative hash constant derived from the seed (odd).
     hash_mul: u64,
-    /// `log2(sets)` high bits select the set.
-    set_shift: u32,
     /// Block tags, `sets * WAYS`, [`EMPTY`] when vacant.
     tags: Vec<u32>,
     /// LRU stamps aligned with `tags`.
@@ -50,15 +49,15 @@ pub struct BlockCache {
 }
 
 impl BlockCache {
-    /// A cache holding (at least) `capacity_blocks` blocks of
-    /// `block_size` bytes. The seed parameterizes the set hash.
+    /// A cache holding `capacity_blocks` blocks of `block_size` bytes,
+    /// rounded up to whole sets of [`WAYS`]. The seed parameterizes the
+    /// set hash.
     ///
-    /// `max_degree` sizes the decode scratch so steady-state reads never
-    /// reallocate.
+    /// `max_degree` sizes the decode scratch of [`OocReader`] so its
+    /// steady-state reads never reallocate.
     pub fn new(capacity_blocks: usize, block_size: usize, seed: u64, max_degree: u32) -> Self {
         assert!(block_size > 0, "block size must be positive");
-        let sets = capacity_blocks.div_ceil(WAYS).next_power_of_two();
-        let set_shift = 64 - sets.trailing_zeros();
+        let sets = capacity_blocks.div_ceil(WAYS).max(1);
         Self {
             block_size,
             sets,
@@ -69,7 +68,6 @@ impl BlockCache {
                 .wrapping_mul(0x9E37_79B9_7F4A_7C15)
                 .wrapping_add(0xBF58_476D_1CE4_E5B9))
                 | 1,
-            set_shift,
             tags: vec![EMPTY; sets * WAYS],
             stamps: vec![0; sets * WAYS],
             tick: 0,
@@ -101,13 +99,25 @@ impl BlockCache {
         self.tick = 0;
     }
 
+    /// The set `block` maps to: the hash scaled into `0..sets` by its
+    /// high bits (for a power-of-two set count, its top `log2(sets)`
+    /// bits).
     #[inline]
     fn set_of(&self, block: u32) -> usize {
-        if self.sets == 1 {
-            0
-        } else {
-            ((block as u64).wrapping_mul(self.hash_mul) >> self.set_shift) as usize
-        }
+        let hash = (block as u64).wrapping_mul(self.hash_mul);
+        ((u128::from(hash) * self.sets as u128) >> 64) as usize
+    }
+
+    /// Whether every block of `v`'s list is cached now, so decoding it
+    /// would load nothing (and evict nothing).
+    pub fn holds(&self, graph: &OocGraph, v: u32) -> bool {
+        let (start, end) = graph.list_range(v);
+        let bs = u64::from(graph.header().block_size);
+        start == end
+            || (start / bs..=(end - 1) / bs).all(|b| {
+                let base = self.set_of(b as u32) * WAYS;
+                self.tags[base..base + WAYS].contains(&(b as u32))
+            })
     }
 
     /// Return the slot index holding `block`, loading (and CRC-checking)
@@ -150,58 +160,90 @@ impl BlockCache {
         Ok(victim)
     }
 
-    /// Decode `v`'s neighbor list into the internal scratch, walking the
-    /// byte range block by block (lists and even single varints may
-    /// straddle block boundaries; [`VarintState`] carries the partial
-    /// accumulator across them).
-    fn decode_list(&mut self, graph: &OocGraph, v: u32) -> Result<(), OocError> {
-        self.list.clear();
-        let degree = graph.degree(v) as usize;
-        if degree == 0 {
-            return Ok(());
-        }
-        let (start, end) = graph.list_range(v);
-        let bs = self.block_size as u64;
-        let mut block = (start / bs) as u32;
-        let mut off = (start % bs) as usize;
-        let mut remaining = (end - start) as usize;
-        let mut st = VarintState::default();
-        let mut prev = 0u64;
-        let corrupt = |v: u32| OocError::Corrupt {
-            reason: format!("malformed neighbor list for vertex {v}"),
-        };
-        while remaining > 0 {
-            let slot = self.slot_for(graph, block)?;
-            let take = remaining.min(self.block_size - off);
-            // Disjoint field borrows: bytes from `data`, appends to `list`.
-            let data = &self.data;
-            let list = &mut self.list;
-            let bytes = &data[slot * self.block_size + off..slot * self.block_size + off + take];
-            for &byte in bytes {
-                if let Some(raw) = st.feed(byte).map_err(|_| corrupt(v))? {
-                    let id = if list.is_empty() {
-                        raw
-                    } else {
-                        prev.checked_add(raw)
-                            .and_then(|x| x.checked_add(1))
-                            .ok_or_else(|| corrupt(v))?
-                    };
-                    if id > u32::MAX as u64 || list.len() >= degree {
-                        return Err(corrupt(v));
-                    }
-                    list.push(id as u32);
-                    prev = id;
-                }
-            }
-            remaining -= take;
-            block += 1;
-            off = 0;
-        }
-        if st.mid_varint() || self.list.len() != degree {
-            return Err(corrupt(v));
-        }
-        Ok(())
+    /// The bytes of `block`, loaded on a miss.
+    fn block(&mut self, graph: &OocGraph, block: u32) -> Result<&[u8], OocError> {
+        let slot = self.slot_for(graph, block)?;
+        Ok(&self.data[slot * self.block_size..(slot + 1) * self.block_size])
     }
+
+    /// Decode `v`'s neighbor list into `out`, which must hold exactly
+    /// `graph.degree(v)` entries, reading every block it spans through
+    /// this cache.
+    pub fn decode_into(
+        &mut self,
+        graph: &OocGraph,
+        v: u32,
+        out: &mut [u32],
+    ) -> Result<(), OocError> {
+        decode_list(self, graph, v, out)
+    }
+}
+
+/// Where [`decode_list`] gets a block's bytes from.
+pub(crate) trait BlockSource {
+    /// The verified bytes of block `b` of `graph`.
+    fn block(&mut self, graph: &OocGraph, b: u32) -> Result<&[u8], OocError>;
+}
+
+impl BlockSource for BlockCache {
+    fn block(&mut self, graph: &OocGraph, b: u32) -> Result<&[u8], OocError> {
+        BlockCache::block(self, graph, b)
+    }
+}
+
+/// Decode `v`'s neighbor list into `out` (exactly `graph.degree(v)`
+/// entries), walking its byte range block by block from `src` (lists
+/// and even single varints may straddle block boundaries;
+/// [`VarintState`] carries the partial accumulator across them).
+pub(crate) fn decode_list<S: BlockSource>(
+    src: &mut S,
+    graph: &OocGraph,
+    v: u32,
+    out: &mut [u32],
+) -> Result<(), OocError> {
+    let corrupt = || OocError::Corrupt {
+        reason: format!("malformed neighbor list for vertex {v}"),
+    };
+    if out.len() != graph.degree(v) as usize {
+        return Err(corrupt());
+    }
+    if out.is_empty() {
+        return Ok(());
+    }
+    let (start, end) = graph.list_range(v);
+    let bs = u64::from(graph.header().block_size);
+    let mut block = (start / bs) as u32;
+    let mut off = (start % bs) as usize;
+    let mut remaining = (end - start) as usize;
+    let mut st = VarintState::default();
+    let mut prev = 0u64;
+    let mut n = 0;
+    while remaining > 0 {
+        let bytes = src.block(graph, block)?;
+        let take = remaining.min(bytes.len() - off);
+        for &byte in &bytes[off..off + take] {
+            if let Some(raw) = st.feed(byte).map_err(|_| corrupt())? {
+                let id = if n == 0 {
+                    raw
+                } else {
+                    prev.checked_add(raw)
+                        .and_then(|x| x.checked_add(1))
+                        .ok_or_else(corrupt)?
+                };
+                let slot = out.get_mut(n).ok_or_else(corrupt)?;
+                *slot = u32::try_from(id).map_err(|_| corrupt())?;
+                n += 1;
+                prev = id;
+            }
+        }
+        remaining -= take;
+        block += 1;
+        off = 0;
+    }
+    if st.mid_varint() || n != out.len() {
+        return Err(corrupt());
+    }
+    Ok(())
 }
 
 /// A [`GraphAccess`] view over an [`OocGraph`] and a caller-owned
@@ -228,7 +270,13 @@ impl<'a> OocReader<'a> {
 
     /// Fallible neighbor read.
     pub fn try_neighbors(&mut self, v: VertexId) -> Result<&[u32], OocError> {
-        self.cache.decode_list(self.graph, v.0)?;
+        // The scratch leaves the cache for the decode (a move, no
+        // allocation) so the cache can lend blocks while it fills.
+        let mut list = std::mem::take(&mut self.cache.list);
+        list.resize(self.graph.degree(v.0) as usize, 0);
+        let res = decode_list(self.cache, self.graph, v.0, &mut list);
+        self.cache.list = list;
+        res?;
         Ok(&self.cache.list)
     }
 

@@ -217,11 +217,11 @@ impl OocGraph {
 
     /// Verify every data block's CRC-32 in one sequential pass. `open`
     /// already validates the header, index, and meta; blocks are
-    /// normally checked lazily as the cache loads them — which turns
-    /// data-region corruption into a mid-training panic (the sampler's
-    /// neighbor access is infallible by design). Front-loading the scan
-    /// makes corruption a clean startup error instead, at the cost of
-    /// one full read of the file (which also warms the page cache).
+    /// normally checked lazily as the caches load them — which turns
+    /// data-region corruption into an error in the middle of training
+    /// (`ParallelSampler::try_step`). Front-loading the scan makes it a
+    /// startup error instead, at the cost of one full read of the file
+    /// (which also warms the page cache).
     pub fn verify_blocks(&self) -> Result<(), OocError> {
         let mut buf = vec![0u8; self.header.block_size as usize];
         for b in 0..self.header.num_blocks {

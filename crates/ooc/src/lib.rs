@@ -19,7 +19,10 @@
 //! * [`BlockCache`] — caller-owned scratch: a set-associative, seeded-LRU
 //!   block cache with zero steady-state allocation,
 //! * [`OocReader`] — an [`mmsb_graph::access::GraphAccess`] view over
-//!   `(&OocGraph, &mut BlockCache)` — the trait the samplers consume,
+//!   `(&OocGraph, &mut BlockCache)`, for one-off probes,
+//! * [`RegionCaches`] — the sampler's caches: one [`BlockCache`] per
+//!   region of the file, each block cached only by its region, and
+//!   [`RoutedReader`], the master's view through them,
 //! * [`GraphBackend`] — `Resident | OutOfCore` dispatch for the drivers,
 //! * [`build`] — the streaming builder, inside a fixed memory budget
 //!   (double-buffered external sort into runs + loser-tree merge), and
@@ -39,11 +42,13 @@ pub mod varint;
 mod backend;
 mod cache;
 mod file;
+mod region;
 
 pub use backend::{BackendReader, GraphBackend, DEFAULT_CACHE_BLOCKS};
 pub use build::{convert_edge_list, write_graph, BuildOptions, BuildStats, StreamingBuilder};
 pub use cache::{BlockCache, OocReader};
 pub use file::OocGraph;
+pub use region::{RegionCaches, RoutedReader};
 /// CRC-32 (IEEE) — `mmsb-simd`'s kernel, behind every header, block and
 /// checkpoint check of both on-disk formats.
 pub use mmsb_simd::crc32;

@@ -8,6 +8,10 @@
 //!   self-loops, trailing isolated vertices, hub vertices, run spills
 //!   small enough to force real k-way merges), read back through a
 //!   minimum-size cache so evictions happen constantly,
+//! * region caches: every list decodes the same through its region's
+//!   cache, block by block through each block's region, and through the
+//!   routed reader, at every region count and budget; regions follow
+//!   vertex order and share the budget,
 //! * converter symmetry: every list of a converted SNAP file contains
 //!   the reverse of each of its entries — what lets training test
 //!   `{a, b}` against `a`'s list alone,
@@ -20,10 +24,11 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
-use mmsb_graph::VertexId;
+use mmsb_graph::{GraphAccess, VertexId};
 use mmsb_ooc::varint::{decode_list, encode_list, encoded_len, VarintState};
 use mmsb_ooc::{
-    convert_edge_list, BlockCache, BuildOptions, OocError, OocGraph, OocReader, StreamingBuilder,
+    convert_edge_list, BlockCache, BuildOptions, OocError, OocGraph, OocReader, RegionCaches,
+    StreamingBuilder,
 };
 use mmsb_rand::{Rng, Xoshiro256PlusPlus};
 
@@ -238,6 +243,73 @@ fn builder_roundtrip_adversarial_graphs() {
 /// edges (duplicates and self-loops included) spilled as 23 runs beside
 /// the one left in RAM, as 5 beside it, or kept in RAM as the only run
 /// write the same bytes.
+#[test]
+fn region_caches_decode_every_list_like_one_cache() {
+    let mut rng = Xoshiro256PlusPlus::seed_from_u64(71);
+    let n = 3000u32;
+    // A hub on every third vertex, then uniform pairs: lists of every
+    // length, and one spanning several blocks.
+    let mut edges: Vec<(u32, u32)> = (1..n).step_by(3).map(|v| (0, v)).collect();
+    for _ in 0..20_000 {
+        edges.push((rng.below(n as u64) as u32, rng.below(n as u64) as u32));
+    }
+    let path = temp_path("regions");
+    let mut builder = StreamingBuilder::new(BuildOptions {
+        block_size: 4096,
+        num_vertices: Some(n + 3),
+        ..BuildOptions::default()
+    })
+    .unwrap();
+    for &(a, b) in &edges {
+        builder.add_edge(a, b).unwrap();
+    }
+    builder.finish(&path).unwrap();
+    let graph = OocGraph::open(&path).unwrap();
+    let want = reference(&edges, n + 3);
+    let blocks = graph.header().num_blocks as usize;
+    assert!(blocks > 12, "fixture spans only {blocks} blocks");
+
+    for (regions, budget) in [(1, 1), (3, 12), (6, 24), (12, 24), (64, 400)] {
+        let mut caches = RegionCaches::new(&graph, regions, budget, 5);
+        let r_max = caches.regions();
+        assert!((1..=regions.min(blocks)).contains(&r_max), "{regions} regions: {r_max}");
+        assert!(
+            caches.capacity_blocks() <= budget.max(4),
+            "{regions} regions share {} slots of a {budget}-block budget",
+            caches.capacity_blocks()
+        );
+        let (mut last, mut crossing) = (0, 0);
+        for v in 0..n + 3 {
+            let r = caches.region_of(&graph, v);
+            assert!(r >= last && r < r_max, "region of {v}: {r} after {last}");
+            last = r;
+            let list = &want[v as usize];
+            let mut out = vec![0; list.len()];
+            caches.decode_routed(&graph, v, &mut out).unwrap();
+            assert_eq!(&out, list, "routed: vertex {v}");
+            if caches.crosses(&graph, v) {
+                crossing += 1;
+            } else {
+                out.fill(0);
+                caches.caches_mut()[r].decode_into(&graph, v, &mut out).unwrap();
+                assert_eq!(&out, list, "region {r}: vertex {v}");
+            }
+        }
+        assert!(crossing < r_max, "{crossing} lists cross {} boundaries", r_max - 1);
+        let mut reader = caches.reader(&graph);
+        for v in (0..n).step_by(7) {
+            assert_eq!(reader.neighbors(VertexId(v)), want[v as usize].as_slice());
+            let b = VertexId((v * 13 + 1) % n);
+            assert_eq!(
+                reader.has_edge(VertexId(v), b),
+                want[v as usize].binary_search(&b.0).is_ok()
+            );
+        }
+        reader.finish().unwrap();
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
 #[test]
 fn run_boundaries_do_not_change_the_file() {
     let mut rng = Xoshiro256PlusPlus::seed_from_u64(0x5B11);

@@ -20,7 +20,9 @@
 //!   closures are boxed and nothing is heap-allocated per call.
 //! * The calling thread participates as worker 0, so a pool of `n`
 //!   threads spawns only `n - 1` OS threads and `ThreadPool::new(1)` is a
-//!   pure inline executor.
+//!   pure inline executor. A one-chunk job runs inline too: there is
+//!   nothing to share, and waking a helper would only make the caller
+//!   wait for it.
 //! * Panics in any chunk are caught, the remaining chunks are drained, and
 //!   the first payload is re-thrown on the calling thread. The pool stays
 //!   usable afterwards.
@@ -130,7 +132,9 @@ impl<S: SyncBackend> ThreadPoolIn<S> {
         }
         mmsb_obs::counter_add(obs_id::C_POOL_JOBS, 1);
         let _job_span = mmsb_obs::span(obs_id::S_POOL_JOB);
-        if self.threads == 1 {
+        // One chunk has nothing to share: waking the helpers would only
+        // make the caller wait for them to see that.
+        if self.threads == 1 || n_chunks == 1 {
             let _guard = enter_worker(0);
             mmsb_obs::counter_add(obs_id::C_POOL_CHUNKS, n_chunks as u64);
             for chunk in 0..n_chunks {
@@ -366,6 +370,16 @@ mod tests {
         for (c, count) in counts.iter().enumerate() {
             assert_eq!(count.load(Ordering::Relaxed), 1, "chunk {c}");
         }
+    }
+
+    #[test]
+    fn one_chunk_runs_on_the_caller() {
+        let pool = ThreadPool::new(3);
+        let caller = std::thread::current().id();
+        pool.run(1, |w, c| {
+            assert_eq!((w, c), (0, 0));
+            assert_eq!(std::thread::current().id(), caller);
+        });
     }
 
     #[test]

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 gate: the workspace must build, lint clean, and test fully
 # offline — no registry dependencies, no network. Each step runs once:
-# xlint -> doc check (five reference checks, then the no-clock and
-# no-compute checks) ->
+# xlint -> doc check (five reference checks, then the no-clock,
+# no-compute and one-cache checks) ->
 # build -> clippy -> the whole test suite -> the three --quick gate
 # binaries -> sanitize.sh.
 set -euo pipefail
@@ -110,6 +110,20 @@ while read -r hit; do
     echo "$src computes a stage of the chain: $hit"; stale=1
 done < <(grep -nwE 'update_phi|theta_gradient|perplexity_probs_into|apply_phi_updates|apply_theta_update|refresh_minibatch|fan_out' "$src" \
     | grep -vE '^[0-9]+:[[:space:]]*//')
+# (8) One set of block caches: the engine caches an out-of-core file's
+# blocks by region (`mmsb_ooc::RegionCaches`), each block in one cache,
+# so `workspace.rs` names no `BlockCache` and no file under
+# crates/core/src has a `graph_cache` field — a cache per thread beside
+# the region caches would load the blocks a step needs twice. Comment
+# lines are skipped.
+src=crates/core/src/workspace.rs
+while read -r hit; do
+    echo "$src names a block cache: $hit"; stale=1
+done < <(grep -nw 'BlockCache' "$src" | grep -vE '^[0-9]+:[[:space:]]*//')
+while read -r hit; do
+    echo "a per-thread graph cache field: $hit"; stale=1
+done < <(grep -rnE '\bgraph_cache[[:space:]]*:' crates/core/src \
+    | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//')
 [ "$stale" -eq 0 ]
 
 cargo build --release --offline
