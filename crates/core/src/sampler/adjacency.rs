@@ -9,6 +9,7 @@ use mmsb_ooc::{GraphBackend, OocGraph};
 
 /// Every batch vertex's neighbor list, flat: batch vertex `i`'s list is
 /// `ids[offsets[i]..offsets[i + 1]]`.
+#[derive(Default)]
 pub(crate) struct BatchAdjacency {
     offsets: Vec<usize>,
     ids: Vec<u32>,
@@ -21,10 +22,7 @@ impl BatchAdjacency {
     /// reach becomes resident. Empty on a resident graph.
     pub fn for_batches(graph: &GraphBackend, max_vertices: usize) -> Self {
         match graph {
-            GraphBackend::Resident(_) => Self {
-                offsets: Vec::new(),
-                ids: Vec::new(),
-            },
+            GraphBackend::Resident(_) => Self::default(),
             GraphBackend::OutOfCore(file) => Self {
                 offsets: Vec::with_capacity(max_vertices + 1),
                 ids: Vec::with_capacity(largest_degrees(file, max_vertices)),

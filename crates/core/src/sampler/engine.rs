@@ -98,8 +98,6 @@ impl Engine {
             (threads + 1) * config.graph_cache_blocks,
             config.seed,
         );
-        let max_vertices = (2 * max_pairs).min(graph.num_vertices() as usize);
-        let adjacency = BatchAdjacency::for_batches(&graph, max_vertices);
         let strata_cap = match config.minibatch {
             Strategy::StratifiedNode { anchors, .. } => anchors,
             Strategy::RandomPair { .. } => 0,
@@ -112,7 +110,7 @@ impl Engine {
         // Sized for the pre-dedup extend in `vertices_into` (2 entries per
         // pair), not the post-dedup bound `max_batch_vertices` returns.
         let mb_vertices = Vec::with_capacity(2 * max_pairs);
-        Ok(Self {
+        let mut engine = Self {
             master_rng: rngs::master_rng(config.seed),
             theta_rng: rngs::theta_rng(config.seed),
             minibatch: MinibatchSampler::new(config.minibatch),
@@ -128,8 +126,10 @@ impl Engine {
             iteration: 0,
             mb,
             mb_vertices,
-            adjacency,
-        })
+            adjacency: BatchAdjacency::default(),
+        };
+        engine.adjacency = BatchAdjacency::for_batches(&engine.graph, engine.max_batch_vertices());
+        Ok(engine)
     }
 
     /// Hard upper bound on the number of vertices any mini-batch can touch
@@ -226,12 +226,11 @@ impl Engine {
     /// to row `j` of `out` (`batch.len() x K`). Two passes over `ws`:
     /// first every vertex's neighbor set is sampled into `ws.sampled`
     /// (its own `pi` row and its adjacency list prefetched first, so the
-    /// loads overlap the sampling); then each
-    /// vertex gathers its neighbors' `pi` rows from the state, marks its
-    /// links against its list (the CSR row, or the list the driver
-    /// staged) and runs [`stage::phi_update`]. Before each vertex the
-    /// next one's neighbor rows are prefetched, so their loads overlap
-    /// this vertex's kernel.
+    /// loads overlap the sampling); then each vertex gathers its
+    /// neighbors' `pi` rows from the state, marks its links against its
+    /// list (the CSR row, or the list the driver staged) and runs
+    /// [`stage::phi_update`]. Before each vertex the next one's neighbor
+    /// rows are prefetched, so their loads overlap this vertex's kernel.
     /// The step computes every `phi` row here, one [`PHI_CHUNK`] per
     /// call (the simulated cluster runs that same step); all scratch
     /// comes from `ws`, so the steady state performs no heap allocation.

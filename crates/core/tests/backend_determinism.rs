@@ -108,8 +108,8 @@ fn assert_chain_matches_resident(graph: &Graph, heldout: &HeldOut, cfg: &Sampler
     }
 
     // Parallel out-of-core across thread counts, still on the tiny
-    // eviction-heavy cache: per-worker caches are scratch too.
-    for threads in [2usize, 3] {
+    // eviction-heavy cache: the region caches are scratch too.
+    for threads in [2usize, 3, 4] {
         let ooc = OocGraph::open(&path).unwrap();
         let mut p = ParallelSampler::with_backend_threads(
             GraphBackend::OutOfCore(ooc),
