@@ -50,8 +50,8 @@ pub struct BlockCache {
 
 impl BlockCache {
     /// A cache holding `capacity_blocks` blocks of `block_size` bytes,
-    /// rounded up to whole sets of [`WAYS`]. The seed parameterizes the
-    /// set hash.
+    /// rounded up to whole 4-way sets. The seed parameterizes the set
+    /// hash.
     ///
     /// `max_degree` sizes the decode scratch of [`OocReader`] so its
     /// steady-state reads never reallocate.
