@@ -166,11 +166,7 @@ pub mod timing {
     const BENCH_SCHEMA: u32 = 2;
 
     /// Logical cores of the host, for the `host_cores` field.
-    pub fn host_cores() -> usize {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    }
+    pub use mmsb::obs::export::host_cores;
 
     /// Short revision of the checkout this binary was built from
     /// (`-dirty` when it has uncommitted changes).

@@ -1,5 +1,5 @@
-//! Machine-readable diagnostics: `--json` rendering and the tiny JSON
-//! reader behind `--validate-schema`.
+//! Machine-readable diagnostics: `--json` rendering and the schema check
+//! behind `--validate-schema`.
 //!
 //! The schema is deliberately small and versioned:
 //!
@@ -16,11 +16,13 @@
 //!
 //! `count` duplicates `violations.len()` on purpose: a consumer that
 //! truncates the stream (broken pipe, partial read) fails the cross
-//! check instead of silently under-reporting. The in-tree parser exists
-//! so `scripts/tier1.sh` can pipe `xlint --json | xlint
-//! --validate-schema` with zero external tooling (no jq, no serde).
+//! check instead of silently under-reporting. The reader is the
+//! workspace's one JSON parser, [`mmsb_obs::json`], re-exported here so
+//! `scripts/tier1.sh` can pipe `xlint --json | xlint --validate-schema`
+//! with zero external tooling (no jq, no serde).
 
 use super::Violation;
+pub use mmsb_obs::json::{parse, Json};
 use std::fmt::Write as _;
 
 /// Current schema version.
@@ -71,196 +73,11 @@ fn escape(s: &str) -> String {
     out
 }
 
-/// A parsed JSON value — only what the schema check needs.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    /// Key order preserved; duplicate keys keep the last value.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(pairs) => pairs.iter().rev().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-/// Parse a JSON document. Strict enough for round-tripping [`render`]
-/// output; errors carry a byte offset for debugging.
-pub fn parse(src: &str) -> Result<Json, String> {
-    let b: Vec<char> = src.chars().collect();
-    let mut i = 0;
-    let v = parse_value(&b, &mut i)?;
-    skip_ws(&b, &mut i);
-    if i != b.len() {
-        return Err(format!("trailing data at offset {i}"));
-    }
-    Ok(v)
-}
-
-fn skip_ws(b: &[char], i: &mut usize) {
-    while *i < b.len() && b[*i].is_ascii_whitespace() {
-        *i += 1;
-    }
-}
-
-fn expect(b: &[char], i: &mut usize, c: char) -> Result<(), String> {
-    skip_ws(b, i);
-    if *i < b.len() && b[*i] == c {
-        *i += 1;
-        Ok(())
-    } else {
-        Err(format!("expected `{c}` at offset {i}", i = *i))
-    }
-}
-
-fn parse_value(b: &[char], i: &mut usize) -> Result<Json, String> {
-    skip_ws(b, i);
-    match b.get(*i) {
-        Some('{') => {
-            *i += 1;
-            let mut pairs = Vec::new();
-            skip_ws(b, i);
-            if b.get(*i) == Some(&'}') {
-                *i += 1;
-                return Ok(Json::Obj(pairs));
-            }
-            loop {
-                skip_ws(b, i);
-                let key = match parse_value(b, i)? {
-                    Json::Str(s) => s,
-                    _ => return Err(format!("object key must be a string at offset {i}", i = *i)),
-                };
-                expect(b, i, ':')?;
-                let val = parse_value(b, i)?;
-                pairs.push((key, val));
-                skip_ws(b, i);
-                match b.get(*i) {
-                    Some(',') => *i += 1,
-                    Some('}') => {
-                        *i += 1;
-                        return Ok(Json::Obj(pairs));
-                    }
-                    _ => return Err(format!("expected `,` or `}}` at offset {i}", i = *i)),
-                }
-            }
-        }
-        Some('[') => {
-            *i += 1;
-            let mut items = Vec::new();
-            skip_ws(b, i);
-            if b.get(*i) == Some(&']') {
-                *i += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(b, i)?);
-                skip_ws(b, i);
-                match b.get(*i) {
-                    Some(',') => *i += 1,
-                    Some(']') => {
-                        *i += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(format!("expected `,` or `]` at offset {i}", i = *i)),
-                }
-            }
-        }
-        Some('"') => {
-            *i += 1;
-            let mut s = String::new();
-            while *i < b.len() {
-                match b[*i] {
-                    '"' => {
-                        *i += 1;
-                        return Ok(Json::Str(s));
-                    }
-                    '\\' => {
-                        *i += 1;
-                        match b.get(*i) {
-                            Some('"') => s.push('"'),
-                            Some('\\') => s.push('\\'),
-                            Some('/') => s.push('/'),
-                            Some('n') => s.push('\n'),
-                            Some('r') => s.push('\r'),
-                            Some('t') => s.push('\t'),
-                            Some('b') => s.push('\u{8}'),
-                            Some('f') => s.push('\u{c}'),
-                            Some('u') => {
-                                let hex: String = b
-                                    .get(*i + 1..*i + 5)
-                                    .ok_or("truncated \\u escape")?
-                                    .iter()
-                                    .collect();
-                                let code = u32::from_str_radix(&hex, 16)
-                                    .map_err(|_| format!("bad \\u escape `{hex}`"))?;
-                                s.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                                *i += 4;
-                            }
-                            _ => return Err(format!("bad escape at offset {i}", i = *i)),
-                        }
-                        *i += 1;
-                    }
-                    c => {
-                        s.push(c);
-                        *i += 1;
-                    }
-                }
-            }
-            Err("unterminated string".to_string())
-        }
-        Some(c) if *c == '-' || c.is_ascii_digit() => {
-            let start = *i;
-            *i += 1;
-            while *i < b.len()
-                && (b[*i].is_ascii_digit()
-                    || b[*i] == '.'
-                    || b[*i] == 'e'
-                    || b[*i] == 'E'
-                    || b[*i] == '+'
-                    || b[*i] == '-')
-            {
-                *i += 1;
-            }
-            let text: String = b[start..*i].iter().collect();
-            text.parse::<f64>()
-                .map(Json::Num)
-                .map_err(|_| format!("bad number `{text}`"))
-        }
-        Some('t') if b.get(*i..*i + 4).map(|s| s.iter().collect::<String>()) == Some("true".into()) => {
-            *i += 4;
-            Ok(Json::Bool(true))
-        }
-        Some('f') if b.get(*i..*i + 5).map(|s| s.iter().collect::<String>()) == Some("false".into()) => {
-            *i += 5;
-            Ok(Json::Bool(false))
-        }
-        Some('n') if b.get(*i..*i + 4).map(|s| s.iter().collect::<String>()) == Some("null".into()) => {
-            *i += 4;
-            Ok(Json::Null)
-        }
-        _ => Err(format!("unexpected character at offset {i}", i = *i)),
+/// Non-negative integral `v`, as an integer.
+fn as_u64(v: &Json) -> Option<u64> {
+    match v {
+        Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
+        _ => None,
     }
 }
 
@@ -269,8 +86,8 @@ fn parse_value(b: &[char], i: &mut usize) -> Result<Json, String> {
 pub fn validate_schema(src: &str) -> Result<usize, String> {
     let doc = parse(src)?;
     let version = doc
-        .get("version")
-        .and_then(Json::as_u64)
+        .member("version")
+        .and_then(as_u64)
         .ok_or("missing or non-integer `version`")?;
     if version != SCHEMA_VERSION {
         return Err(format!(
@@ -278,10 +95,10 @@ pub fn validate_schema(src: &str) -> Result<usize, String> {
         ));
     }
     let count = doc
-        .get("count")
-        .and_then(Json::as_u64)
+        .member("count")
+        .and_then(as_u64)
         .ok_or("missing or non-integer `count`")?;
-    let Some(Json::Arr(items)) = doc.get("violations") else {
+    let Some(Json::Arr(items)) = doc.member("violations") else {
         return Err("missing `violations` array".to_string());
     };
     if count as usize != items.len() {
@@ -292,11 +109,11 @@ pub fn validate_schema(src: &str) -> Result<usize, String> {
     }
     for (k, item) in items.iter().enumerate() {
         for key in ["file", "rule", "message"] {
-            if item.get(key).and_then(Json::as_str).is_none() {
+            if !matches!(item.member(key), Some(Json::Str(_))) {
                 return Err(format!("violations[{k}].{key} missing or not a string"));
             }
         }
-        if item.get("line").and_then(Json::as_u64).is_none() {
+        if item.member("line").and_then(as_u64).is_none() {
             return Err(format!("violations[{k}].line missing or not an integer"));
         }
     }
@@ -325,12 +142,12 @@ mod tests {
         let doc = render(&vs);
         assert_eq!(validate_schema(&doc), Ok(2));
         let parsed = parse(&doc).unwrap();
-        let Some(Json::Arr(items)) = parsed.get("violations") else {
+        let Some(Json::Arr(items)) = parsed.member("violations") else {
             panic!("violations not an array");
         };
         assert_eq!(
-            items[1].get("message").and_then(Json::as_str),
-            Some("quote \" backslash \\ tab\t")
+            items[1].member("message"),
+            Some(&Json::Str("quote \" backslash \\ tab\t".into()))
         );
     }
 

@@ -34,7 +34,6 @@
 //! bitwise that of the pool driver at every worker count, in both
 //! pipeline modes, under every fault schedule and across a worker loss.
 
-use super::driver;
 use super::parallel::ParallelSampler;
 use super::worker::{share, KeyRecord};
 use super::Engine;
@@ -212,7 +211,7 @@ impl DistributedSampler {
         config: SamplerConfig,
         dcfg: DistributedConfig,
     ) -> Result<Self, CoreError> {
-        Self::with_threads(graph, heldout, config, dcfg, driver::available_threads())
+        Self::with_threads(graph, heldout, config, dcfg, mmsb_obs::export::host_cores())
     }
 
     /// [`DistributedSampler::with_backend`] with an explicit pool size

@@ -21,43 +21,14 @@ use crate::sampler::engine::{Engine, PHI_CHUNK};
 use crate::sampler::worker::KeyRecord;
 use crate::workspace::Workspace;
 use crate::CoreError;
-use mmsb_netsim::obs_bridge;
-use mmsb_netsim::Phase;
 use mmsb_obs::id as obs_id;
+use mmsb_obs::{phase_span, Phase};
 use mmsb_ooc::{GraphBackend, OocError};
 use mmsb_pool::{tree_combine_f64, SharedSlice, ThreadPool};
 use std::ops::Range;
 
 /// Held-out pairs per perplexity chunk.
 const PERPLEXITY_CHUNK: usize = 1024;
-
-/// Phase-scoped instrumentation: opens the phase's span and (when metrics
-/// are on) a stopwatch, and records the per-phase latency histogram on
-/// drop. Everything it touches is a pre-sized atomic slot, so it is safe
-/// on the zero-allocation hot path that `tests/zero_alloc.rs` gates.
-struct PhaseObs {
-    hist: usize,
-    sw: Option<mmsb_obs::clock::Stopwatch>,
-    _span: mmsb_obs::Span,
-}
-
-impl PhaseObs {
-    fn open(phase: Phase) -> Self {
-        Self {
-            hist: obs_bridge::phase_hist_id(phase),
-            sw: mmsb_obs::metrics_on().then(mmsb_obs::clock::Stopwatch::start),
-            _span: mmsb_obs::span(obs_bridge::phase_span_id(phase)),
-        }
-    }
-}
-
-impl Drop for PhaseObs {
-    fn drop(&mut self) {
-        if let Some(sw) = self.sw {
-            mmsb_obs::hist_record_ns(self.hist, sw.elapsed_ns());
-        }
-    }
-}
 
 /// Driver-owned per-iteration buffers, allocated once and reused.
 pub(crate) struct StepBuffers {
@@ -111,14 +82,6 @@ pub(crate) fn prefix<T: Copy + Default>(buf: &mut Vec<T>, len: usize) -> &mut [T
         buf.resize(len, T::default());
     }
     &mut buf[..len]
-}
-
-/// One pool thread per CPU the host makes available (at least one): the
-/// default pool size.
-pub(crate) fn available_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }
 
 /// Run `body(ctx, part, rows, out_rows)` for every part of `out` on
@@ -269,19 +232,18 @@ pub(crate) fn step(
     bufs: &mut StepBuffers,
     record: Option<&mut KeyRecord>,
 ) -> Result<(), CoreError> {
-    let _step_span = mmsb_obs::span(obs_id::S_STEP);
-    let step_sw = mmsb_obs::metrics_on().then(mmsb_obs::clock::Stopwatch::start);
+    let _step_span = mmsb_obs::timed_span(obs_id::S_STEP, obs_id::H_STEP_NS);
     {
-        let _p = PhaseObs::open(Phase::DrawMinibatch);
+        let _p = phase_span(Phase::DrawMinibatch);
         engine.refresh_minibatch()?;
     }
     if matches!(engine.graph, GraphBackend::OutOfCore(_)) {
-        let _p = PhaseObs::open(Phase::DeployMinibatch);
+        let _p = phase_span(Phase::DeployMinibatch);
         stage_adjacency(engine, pool, bufs)?;
     }
     let (nv, k) = (engine.mb_vertices.len(), engine.config.k);
     {
-        let _p = PhaseObs::open(Phase::UpdatePhi);
+        let _p = phase_span(Phase::UpdatePhi);
         let eng = &*engine;
         let record = record.map(|r| (r.stride(), SharedSlice::new(r.slots(nv))));
         let updates = prefix(&mut bufs.updates, nv * k);
@@ -296,11 +258,11 @@ pub(crate) fn step(
         });
     }
     {
-        let _p = PhaseObs::open(Phase::UpdatePi);
+        let _p = phase_span(Phase::UpdatePi);
         engine.apply_phi_updates(prefix(&mut bufs.updates, nv * k));
     }
     {
-        let _p = PhaseObs::open(Phase::UpdateBetaTheta);
+        let _p = phase_span(Phase::UpdateBetaTheta);
         let k2 = 2 * k;
         let n_chunks = engine.theta_chunk_count();
         let grads = prefix(&mut bufs.chunk_grads, n_chunks * k2);
@@ -313,9 +275,6 @@ pub(crate) fn step(
     }
     engine.bump_iteration();
     mmsb_obs::counter_add(obs_id::C_SAMPLER_STEPS, 1);
-    if let Some(sw) = step_sw {
-        mmsb_obs::hist_record_ns(obs_id::H_STEP_NS, sw.elapsed_ns());
-    }
     Ok(())
 }
 
@@ -329,7 +288,7 @@ pub(crate) fn evaluate_perplexity(
     scratch: &mut [Workspace],
     bufs: &mut StepBuffers,
 ) -> f64 {
-    let _p = PhaseObs::open(Phase::Perplexity);
+    let _p = phase_span(Phase::Perplexity);
     let probs = prefix(&mut bufs.probs, engine.heldout.len());
     let eng = &*engine;
     fan_out(pool, scratch, probs, 1, PERPLEXITY_CHUNK, |_, _, ps, p| {

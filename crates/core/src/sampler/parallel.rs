@@ -38,7 +38,7 @@ impl ParallelSampler {
     /// Build a sampler over a training graph and held-out set, using one
     /// pool thread per available CPU.
     pub fn new(graph: Graph, heldout: HeldOut, config: SamplerConfig) -> Result<Self, CoreError> {
-        Self::with_threads(graph, heldout, config, driver::available_threads())
+        Self::with_threads(graph, heldout, config, mmsb_obs::export::host_cores())
     }
 
     /// Build a sampler with an explicit pool size. `threads == 1` degrades

@@ -6,15 +6,13 @@ use mmsb_netsim::NetworkModel;
 use mmsb_obs::id as obs_id;
 
 /// Per-batch instrumentation of one DKV read or write: bumps the
-/// batch/key counters at open and records the latency histogram (and a
-/// span at spans level) when dropped, covering every return path. The
-/// store's `read_batch`/`write_batch` hold one across the copy; the
-/// simulated cluster holds one across each access it prices. Pure
-/// atomics — allocation-free, as `crates/core/tests/zero_alloc.rs`
-/// verifies.
+/// batch/key counters at open and, when dropped, records the latency
+/// histogram (and a span at spans level) from its one span guard,
+/// covering every return path. The store's `read_batch`/`write_batch`
+/// hold one across the copy; the simulated cluster holds one across each
+/// access it prices. Pure atomics — allocation-free, as
+/// `crates/core/tests/zero_alloc.rs` verifies.
 pub struct OpObs {
-    sw: Option<mmsb_obs::clock::Stopwatch>,
-    hist: usize,
     _span: mmsb_obs::Span,
 }
 
@@ -23,29 +21,17 @@ impl OpObs {
     pub fn read(keys: &[u32]) -> Self {
         mmsb_obs::counter_add(obs_id::C_DKV_READ_BATCHES, 1);
         mmsb_obs::counter_add(obs_id::C_DKV_READ_KEYS, keys.len() as u64);
-        Self::open(obs_id::S_DKV_READ, obs_id::H_DKV_READ_NS)
+        Self {
+            _span: mmsb_obs::timed_span(obs_id::S_DKV_READ, obs_id::H_DKV_READ_NS),
+        }
     }
 
     /// Open the record of a write of `keys`.
     pub fn write(keys: &[u32]) -> Self {
         mmsb_obs::counter_add(obs_id::C_DKV_WRITE_BATCHES, 1);
         mmsb_obs::counter_add(obs_id::C_DKV_WRITE_KEYS, keys.len() as u64);
-        Self::open(obs_id::S_DKV_WRITE, obs_id::H_DKV_WRITE_NS)
-    }
-
-    fn open(span: usize, hist: usize) -> Self {
         Self {
-            sw: mmsb_obs::metrics_on().then(mmsb_obs::clock::Stopwatch::start),
-            hist,
-            _span: mmsb_obs::span(span),
-        }
-    }
-}
-
-impl Drop for OpObs {
-    fn drop(&mut self) {
-        if let Some(sw) = self.sw {
-            mmsb_obs::hist_record_ns(self.hist, sw.elapsed_ns());
+            _span: mmsb_obs::timed_span(obs_id::S_DKV_WRITE, obs_id::H_DKV_WRITE_NS),
         }
     }
 }

@@ -2,29 +2,13 @@
 //! span/metric pipeline.
 //!
 //! The simulator accounts time per [`Phase`] on a virtual clock; the obs
-//! subsystem accounts real time per span. This module is the one place
-//! that maps between the two, so `bench_faults`' recovery breakdown and
-//! a chrome-trace export of the same run show identical stage
+//! subsystem accounts real time per span, and a phase's span is span id
+//! `phase as usize` in both. This module lays a finished virtual-time
+//! trace onto the obs span sink, so `bench_faults`' recovery breakdown
+//! and a chrome-trace export of the same run show identical stage
 //! boundaries.
 
 use crate::trace::{Phase, TraceReport};
-use mmsb_obs::id;
-
-/// Obs histogram id for a phase (`id::H_PHASE_BASE` block, `Phase::ALL`
-/// order).
-pub fn phase_hist_id(phase: Phase) -> usize {
-    id::H_PHASE_BASE + phase_index(phase)
-}
-
-/// Obs span id for a phase (`id::S_PHASE_BASE` block, `Phase::ALL`
-/// order).
-pub fn phase_span_id(phase: Phase) -> usize {
-    id::S_PHASE_BASE + phase_index(phase)
-}
-
-fn phase_index(phase: Phase) -> usize {
-    Phase::ALL.iter().position(|&p| p == phase).expect("phase in ALL")
-}
 
 /// Re-emit a finished virtual-time trace into the global obs span sink
 /// (no-op below `ObsLevel::Spans`). See [`emit_trace_into`].
@@ -36,9 +20,9 @@ pub fn emit_trace_as_spans(report: &TraceReport) {
     }
 }
 
-/// Lay one span per active phase on the reserved virtual-timeline tid
-/// ([`mmsb_obs::VIRTUAL_TID`], so the modeled timeline never interleaves
-/// with wall-clock worker spans), contiguously in `Phase::ALL` order,
+/// Lay one span per active phase (span id `p as usize`) on the reserved
+/// virtual-timeline tid ([`mmsb_obs::VIRTUAL_TID`], so the modeled
+/// timeline never interleaves with wall-clock worker spans), contiguously in `Phase::ALL` order,
 /// with virtual seconds converted to nanoseconds. The per-phase
 /// durations equal `report.phases.total(p)` exactly, so the chrome
 /// trace shows the same stage boundaries as the printed breakdown.
@@ -49,7 +33,7 @@ pub fn emit_trace_into(report: &TraceReport, sink: &mmsb_obs::SpanSink) {
             continue;
         }
         let dur_ns = (report.phases.total(p).max(0.0) * 1e9) as u64;
-        sink.record(phase_span_id(p) as u64, mmsb_obs::VIRTUAL_TID, cursor_ns, dur_ns);
+        sink.record(p as u64, mmsb_obs::VIRTUAL_TID, cursor_ns, dur_ns);
         cursor_ns += dur_ns;
     }
 }
@@ -58,20 +42,6 @@ pub fn emit_trace_into(report: &TraceReport, sink: &mmsb_obs::SpanSink) {
 mod tests {
     use super::*;
     use crate::trace::PhaseTimes;
-
-    #[test]
-    fn phase_ids_line_up_with_obs_tables() {
-        // The obs id tables hard-code the phase count and order; this is
-        // the test that pins the correspondence.
-        assert_eq!(Phase::ALL.len(), id::HIST_PHASES);
-        assert_eq!(phase_span_id(Phase::DrawMinibatch), id::S_PHASE_BASE);
-        assert_eq!(phase_span_id(Phase::UpdatePhi), id::S_UPDATE_PHI);
-        assert_eq!(phase_hist_id(Phase::Recovery), id::H_PHASE_BASE + 10);
-        for (i, p) in Phase::ALL.iter().enumerate() {
-            assert_eq!(phase_hist_id(*p), id::H_PHASE_BASE + i);
-            assert_eq!(phase_span_id(*p), id::S_PHASE_BASE + i);
-        }
-    }
 
     #[test]
     fn emitted_spans_match_breakdown_and_are_contiguous() {
@@ -90,9 +60,9 @@ mod tests {
         let spans = sink.snapshot();
         // One span per *active* phase, in pipeline order.
         assert_eq!(spans.len(), 3);
-        assert_eq!(spans[0].span_id, phase_span_id(Phase::DrawMinibatch) as u64);
-        assert_eq!(spans[1].span_id, phase_span_id(Phase::UpdatePhi) as u64);
-        assert_eq!(spans[2].span_id, phase_span_id(Phase::Recovery) as u64);
+        assert_eq!(spans[0].span_id, Phase::DrawMinibatch as u64);
+        assert_eq!(spans[1].span_id, Phase::UpdatePhi as u64);
+        assert_eq!(spans[2].span_id, Phase::Recovery as u64);
         // Durations equal the breakdown totals (virtual secs -> ns).
         assert_eq!(spans[0].dur_ns, 500_000_000);
         assert_eq!(spans[1].dur_ns, 2_000_000_000);

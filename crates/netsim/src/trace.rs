@@ -5,75 +5,9 @@
 //! the samplers feed, and [`TraceReport`] renders the same row set as
 //! Table III.
 
-/// The stages of one distributed SG-MCMC iteration (paper §III-C/D).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum Phase {
-    /// Master draws the mini-batch (and samples strata).
-    DrawMinibatch,
-    /// Master scatters mini-batch vertices + adjacency rows to workers.
-    DeployMinibatch,
-    /// Workers sample neighbor sets `V_n`.
-    SampleNeighbors,
-    /// Workers load `pi` rows from the DKV store (sub-stage of update_phi).
-    LoadPi,
-    /// Workers compute the `phi` updates (sub-stage of update_phi).
-    UpdatePhi,
-    /// Workers normalize and write back `pi` (+ sum of phi).
-    UpdatePi,
-    /// Gradient + reduce + broadcast for the global parameters.
-    UpdateBetaTheta,
-    /// Held-out perplexity evaluation.
-    Perplexity,
-    /// Barrier / synchronization waiting time.
-    Barrier,
-    /// `pi` load time the double-buffered schedule hid behind compute
-    /// (`mmsb_dkv::pipeline::price` under `PipelineMode::Double`):
-    /// `LoadPi` + `UpdatePhi` minus the pass's modeled makespan. Recorded
-    /// only when pipelined; not part of any rank's clock.
-    Prefetch,
-    /// Fault-recovery overhead: retry backoff, re-issued loads/stores,
-    /// straggler re-execution, and re-partitioning after a worker loss.
-    /// Zero on a healthy run.
-    Recovery,
-}
-
-impl Phase {
-    /// Every phase, in pipeline order.
-    pub const ALL: [Phase; 11] = [
-        Phase::DrawMinibatch,
-        Phase::DeployMinibatch,
-        Phase::SampleNeighbors,
-        Phase::LoadPi,
-        Phase::UpdatePhi,
-        Phase::UpdatePi,
-        Phase::UpdateBetaTheta,
-        Phase::Perplexity,
-        Phase::Barrier,
-        Phase::Prefetch,
-        Phase::Recovery,
-    ];
-
-    /// Human-readable stage name matching the paper's terminology.
-    pub fn name(self) -> &'static str {
-        match self {
-            Phase::DrawMinibatch => "draw mini-batch",
-            Phase::DeployMinibatch => "deploy mini-batch",
-            Phase::SampleNeighbors => "sample neighbors",
-            Phase::LoadPi => "load pi",
-            Phase::UpdatePhi => "update phi",
-            Phase::UpdatePi => "update pi",
-            Phase::UpdateBetaTheta => "update beta/theta",
-            Phase::Perplexity => "perplexity",
-            Phase::Barrier => "barrier",
-            Phase::Prefetch => "prefetch (hidden)",
-            Phase::Recovery => "recovery",
-        }
-    }
-
-    fn index(self) -> usize {
-        Phase::ALL.iter().position(|&p| p == self).expect("phase in ALL")
-    }
-}
+/// The stages of one distributed SG-MCMC iteration: the one phase list,
+/// defined beside the obs id tables it indexes.
+pub use mmsb_obs::Phase;
 
 /// Accumulated wall/virtual time and invocation counts per phase.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -94,18 +28,18 @@ impl PhaseTimes {
             seconds >= 0.0 && !seconds.is_nan(),
             "invalid phase time {seconds} for {phase:?}"
         );
-        self.seconds[phase.index()] += seconds;
-        self.counts[phase.index()] += 1;
+        self.seconds[phase as usize] += seconds;
+        self.counts[phase as usize] += 1;
     }
 
     /// Total seconds recorded for a phase.
     pub fn total(&self, phase: Phase) -> f64 {
-        self.seconds[phase.index()]
+        self.seconds[phase as usize]
     }
 
     /// Number of `add` calls for a phase.
     pub fn count(&self, phase: Phase) -> u64 {
-        self.counts[phase.index()]
+        self.counts[phase as usize]
     }
 }
 

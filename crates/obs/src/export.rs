@@ -2,10 +2,11 @@
 //!
 //! None of this runs on the hot path — exporters read the atomic slots
 //! after the fact and may allocate freely. The chrome trace writer has a
-//! matching in-tree parser and validator so tier-1 can round-trip a
-//! trace (emit → parse → check nesting and monotonic timestamps)
-//! without any external tooling.
+//! matching reader (on [`crate::json`]) and validator so tier-1 can
+//! round-trip a trace (emit → parse → check nesting and monotonic
+//! timestamps) without any external tooling.
 
+use crate::json::{self, Json};
 use crate::metrics::{id, Registry};
 use crate::spans::{SpanRecord, SpanSink};
 use std::fmt::Write as _;
@@ -15,11 +16,10 @@ use std::path::Path;
 /// Schema tag shared with the bench JSON lines (`BENCH_SCHEMA`).
 pub const OBS_SCHEMA: u32 = 2;
 
-/// Logical CPUs on this host (mirrors `bench::timing::host_cores`).
+/// Logical CPUs on this host (at least one): the workspace's one count
+/// of host cores.
 pub fn host_cores() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 fn span_name(span_id: u64) -> &'static str {
@@ -104,226 +104,45 @@ pub struct TraceEvent {
     pub tid: u64,
 }
 
-/// Minimal JSON value — just enough to round-trip trace files.
-#[derive(Debug)]
-enum Json {
-    Null,
-    Bool,
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn get<'a>(&'a self, key: &str) -> Option<&'a Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(s: &'a str) -> Self {
-        Self { b: s.as_bytes(), i: 0 }
-    }
-
-    fn err(&self, msg: &str) -> String {
-        format!("trace json: {msg} at byte {}", self.i)
-    }
-
-    fn skip_ws(&mut self) {
-        while self.i < self.b.len() && self.b[self.i].is_ascii_whitespace() {
-            self.i += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.b.get(self.i).copied()
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), String> {
-        if self.peek() == Some(c) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected {:?}", c as char)))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek().ok_or_else(|| self.err("unexpected end"))? {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => Ok(Json::Str(self.string()?)),
-            b't' => self.lit("true", Json::Bool),
-            b'f' => self.lit("false", Json::Bool),
-            b'n' => self.lit("null", Json::Null),
-            _ => self.number(),
-        }
-    }
-
-    fn lit(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.b[self.i..].starts_with(word.as_bytes()) {
-            self.i += word.len();
-            Ok(v)
-        } else {
-            Err(self.err(&format!("expected {word}")))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.i;
-        while self.i < self.b.len()
-            && matches!(self.b[self.i], b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
-        {
-            self.i += 1;
-        }
-        std::str::from_utf8(&self.b[start..self.i])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Json::Num)
-            .ok_or_else(|| self.err("bad number"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut s = String::new();
-        while let Some(&c) = self.b.get(self.i) {
-            self.i += 1;
-            match c {
-                b'"' => return Ok(s),
-                b'\\' => {
-                    let esc = *self.b.get(self.i).ok_or_else(|| self.err("bad escape"))?;
-                    self.i += 1;
-                    match esc {
-                        b'"' => s.push('"'),
-                        b'\\' => s.push('\\'),
-                        b'/' => s.push('/'),
-                        b'n' => s.push('\n'),
-                        b't' => s.push('\t'),
-                        b'r' => s.push('\r'),
-                        b'u' => {
-                            if self.i + 4 > self.b.len() {
-                                return Err(self.err("bad \\u escape"));
-                            }
-                            let hex = std::str::from_utf8(&self.b[self.i..self.i + 4])
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            s.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.i += 4;
-                        }
-                        _ => return Err(self.err("unknown escape")),
-                    }
-                }
-                _ => s.push(c as char),
-            }
-        }
-        Err(self.err("unterminated string"))
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.i += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b']') => {
-                    self.i += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected , or ] in array")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.i += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.expect(b':')?;
-            fields.push((key, self.value()?));
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(self.err("expected , or } in object")),
-            }
-        }
-    }
-}
-
 /// Parse a chrome trace file: either a bare event array or the
 /// `{"traceEvents": [...]}` wrapper form.
 pub fn parse_chrome_trace(text: &str) -> Result<Vec<TraceEvent>, String> {
-    let mut p = Parser::new(text);
-    let root = p.value()?;
-    p.skip_ws();
-    if p.i != p.b.len() {
-        return Err(p.err("trailing data"));
-    }
+    let root = json::parse(text).map_err(|e| format!("trace json: {e}"))?;
     let events = match &root {
         Json::Arr(items) => items,
-        Json::Obj(_) => match root.get("traceEvents") {
+        Json::Obj(_) => match root.member("traceEvents") {
             Some(Json::Arr(items)) => items,
             _ => return Err("trace json: no traceEvents array".into()),
         },
         _ => return Err("trace json: root must be array or object".into()),
     };
+    fn num_at(ev: &Json, key: &str) -> f64 {
+        match ev.member(key) {
+            Some(Json::Num(n)) => *n,
+            _ => 0.0,
+        }
+    }
+    fn str_at<'a>(ev: &'a Json, key: &str) -> Option<&'a str> {
+        match ev.member(key) {
+            Some(Json::Str(s)) => Some(s),
+            _ => None,
+        }
+    }
     let mut out = Vec::with_capacity(events.len());
     for (i, ev) in events.iter().enumerate() {
-        let name = ev
-            .get("name")
-            .and_then(Json::as_str)
+        let name = str_at(ev, "name")
             .ok_or_else(|| format!("trace json: event {i} missing name"))?
             .to_string();
-        let ph = ev
-            .get("ph")
-            .and_then(Json::as_str)
+        let ph = str_at(ev, "ph")
             .and_then(|s| s.chars().next())
             .ok_or_else(|| format!("trace json: event {i} missing ph"))?;
         out.push(TraceEvent {
             name,
             ph,
-            ts_us: ev.get("ts").and_then(Json::as_f64).unwrap_or(0.0),
-            dur_us: ev.get("dur").and_then(Json::as_f64).unwrap_or(0.0),
-            pid: ev.get("pid").and_then(Json::as_f64).unwrap_or(0.0) as u64,
-            tid: ev.get("tid").and_then(Json::as_f64).unwrap_or(0.0) as u64,
+            ts_us: num_at(ev, "ts"),
+            dur_us: num_at(ev, "dur"),
+            pid: num_at(ev, "pid") as u64,
+            tid: num_at(ev, "tid") as u64,
         });
     }
     Ok(out)
@@ -455,14 +274,15 @@ pub fn metrics_json(reg: &Registry, spans: Option<&SpanSink>, threads: usize) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Phase;
 
     #[test]
     fn chrome_trace_round_trips_and_validates() {
         let sink = SpanSink::new(1, 16);
         // A step span enclosing two stage spans on tid 0, one on tid 1.
         sink.record(id::S_STEP as u64, 0, 1_000, 10_000);
-        sink.record(id::S_UPDATE_PHI as u64, 0, 1_500, 3_000);
-        sink.record(id::S_PHASE_BASE as u64 + 6, 0, 5_000, 2_000);
+        sink.record(Phase::UpdatePhi as u64, 0, 1_500, 3_000);
+        sink.record(Phase::UpdateBetaTheta as u64, 0, 5_000, 2_000);
         sink.record(id::S_POOL_JOB as u64, 1, 2_000, 1_000);
         let json = chrome_trace_json(&sink.snapshot());
         let events = parse_chrome_trace(&json).unwrap();
@@ -485,6 +305,13 @@ mod tests {
         assert!(parse_chrome_trace("[{\"name\":").is_err());
         assert!(parse_chrome_trace("42").is_err());
         assert!(parse_chrome_trace("[] trailing").is_err());
+    }
+
+    #[test]
+    fn non_ascii_event_names_round_trip() {
+        let trace = "[{\"name\":\"été\",\"ph\":\"X\",\"ts\":1,\"dur\":2,\"pid\":1,\"tid\":0}]";
+        let events = parse_chrome_trace(trace).unwrap();
+        assert_eq!(events[0].name, "été");
     }
 
     #[test]
@@ -540,8 +367,7 @@ mod tests {
         assert!(json.contains("\"comm_collective_ns\": {\"count\": 0"));
         assert!(json.contains("\"spans\": {\"recorded\": 1, \"dropped\": 0, \"capacity\": 4}"));
         // Well-formed per our own parser (it is plain JSON).
-        let mut p = Parser::new(&json);
-        let root = p.value().unwrap();
-        assert!(root.get("histograms").is_some());
+        let root = json::parse(&json).unwrap();
+        assert!(root.member("histograms").is_some());
     }
 }

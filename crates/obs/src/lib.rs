@@ -13,14 +13,20 @@
 //!   recorded through per-thread sharded `AtomicU64` slots. No locks, no
 //!   allocation on the hot path: every slot is pre-sized at [`init`], so
 //!   the zero-allocation steady state `crates/core/tests/zero_alloc.rs`
-//!   pins holds with instrumentation enabled.
+//!   pins holds with instrumentation enabled. The id tables start with
+//!   the workspace's one phase list, [`Phase`].
 //! * [`spans`] — span tracing into per-thread ring buffers of fixed
 //!   capacity. Overflow is counted, never reallocated; a caller-owned
-//!   [`spans::Span`] guard stamps `(span, tid, start, duration)` on drop.
+//!   [`spans::Span`] guard stamps `(span, tid, start, duration)` on drop
+//!   and, given a histogram, records the same duration there — the one
+//!   timer of a region that has both.
 //! * [`export`] — chrome://tracing JSON (load the file in
 //!   `chrome://tracing` or <https://ui.perfetto.dev>), a plain-text
 //!   snapshot, and a machine-readable `metrics.json` sharing the
 //!   `schema`/`threads`/`host_cores` conventions of the bench JSON lines.
+//!
+//! [`json`] is the workspace's one JSON reader: the trace parser's,
+//! `xlint`'s and the repository benchmark's.
 //!
 //! The global pipeline is gated by an [`ObsLevel`] stored in one atomic:
 //! at [`ObsLevel::Off`] (the default) every recording call is a relaxed
@@ -32,10 +38,11 @@
 
 pub mod clock;
 pub mod export;
+pub mod json;
 pub mod metrics;
 pub mod spans;
 
-pub use metrics::{id, Registry};
+pub use metrics::{id, Phase, Registry};
 pub use spans::{Span, SpanRecord, SpanSink, VIRTUAL_TID};
 
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -222,7 +229,22 @@ pub fn hist_record_secs(h: usize, secs: f64) {
 /// [`ObsLevel::Spans`].
 #[inline]
 pub fn span(span_id: usize) -> Span {
-    Span::open(span_id, spans_on())
+    Span::open(span_id, spans_on(), None)
+}
+
+/// Open a span guard that also records its duration into histogram
+/// `hist` from [`ObsLevel::Metrics`] on: one clock-read pair times both
+/// the ring record and the histogram. Disarmed at [`ObsLevel::Off`].
+#[inline]
+pub fn timed_span(span_id: usize, hist: usize) -> Span {
+    Span::open(span_id, spans_on(), metrics_on().then_some(hist))
+}
+
+/// [`timed_span`] of a phase: its span and its histogram, both at id
+/// `phase as usize`.
+#[inline]
+pub fn phase_span(phase: Phase) -> Span {
+    timed_span(phase as usize, phase as usize)
 }
 
 #[cfg(test)]
@@ -265,7 +287,7 @@ mod tests {
 
         set_level(ObsLevel::Spans);
         {
-            let _g = span(id::S_UPDATE_PHI);
+            let _g = span(Phase::UpdatePhi as usize);
         }
         drop(span(id::S_STEP));
         assert_eq!(obs.spans.len(), 2);

@@ -9,12 +9,87 @@
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
+/// The stages of one SG-MCMC iteration (paper §III-C/D), in pipeline
+/// order. The workspace's one phase list: the samplers time each stage
+/// under its phase span, `mmsb-netsim` accounts virtual time per phase
+/// (and re-exports this enum), and the phase spans and histograms come
+/// first in [`id`]'s tables, so a phase's span id and histogram id are
+/// both `phase as usize`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub enum Phase {
+    /// Master draws the mini-batch (and samples strata).
+    DrawMinibatch,
+    /// Master scatters mini-batch vertices + adjacency rows to workers.
+    DeployMinibatch,
+    /// Workers sample neighbor sets `V_n`.
+    SampleNeighbors,
+    /// Workers load `pi` rows from the DKV store (sub-stage of update_phi).
+    LoadPi,
+    /// Workers compute the `phi` updates (sub-stage of update_phi).
+    UpdatePhi,
+    /// Workers normalize and write back `pi` (+ sum of phi).
+    UpdatePi,
+    /// Gradient + reduce + broadcast for the global parameters.
+    UpdateBetaTheta,
+    /// Held-out perplexity evaluation.
+    Perplexity,
+    /// Barrier / synchronization waiting time.
+    Barrier,
+    /// `pi` load time the double-buffered schedule hid behind compute
+    /// (`mmsb_dkv::pipeline::price` under `PipelineMode::Double`):
+    /// `LoadPi` + `UpdatePhi` minus the pass's modeled makespan. Recorded
+    /// only when pipelined; not part of any rank's clock.
+    Prefetch,
+    /// Fault-recovery overhead: retry backoff, re-issued loads/stores,
+    /// straggler re-execution, and re-partitioning after a worker loss.
+    /// Zero on a healthy run.
+    Recovery,
+}
+
+impl Phase {
+    /// Every phase, in pipeline order (`ALL[p as usize] == p`).
+    pub const ALL: [Phase; 11] = [
+        Phase::DrawMinibatch,
+        Phase::DeployMinibatch,
+        Phase::SampleNeighbors,
+        Phase::LoadPi,
+        Phase::UpdatePhi,
+        Phase::UpdatePi,
+        Phase::UpdateBetaTheta,
+        Phase::Perplexity,
+        Phase::Barrier,
+        Phase::Prefetch,
+        Phase::Recovery,
+    ];
+
+    /// Human-readable stage name matching the paper's terminology.
+    pub fn name(self) -> &'static str {
+        match self {
+            Phase::DrawMinibatch => "draw mini-batch",
+            Phase::DeployMinibatch => "deploy mini-batch",
+            Phase::SampleNeighbors => "sample neighbors",
+            Phase::LoadPi => "load pi",
+            Phase::UpdatePhi => "update phi",
+            Phase::UpdatePi => "update pi",
+            Phase::UpdateBetaTheta => "update beta/theta",
+            Phase::Perplexity => "perplexity",
+            Phase::Barrier => "barrier",
+            Phase::Prefetch => "prefetch (hidden)",
+            Phase::Recovery => "recovery",
+        }
+    }
+}
+
 /// Metric identifiers. Fixed at compile time: the registry is a flat
 /// array, not a name-keyed map, so the hot path never hashes or
-/// allocates. The first [`id::HIST_PHASES`] histograms mirror
-/// `mmsb-netsim`'s `Phase::ALL` order — `netsim::obs_bridge` relies on
-/// that correspondence.
+/// allocates. The first `Phase::ALL.len()` histograms and spans are the
+/// phases', in [`Phase`] order.
 pub mod id {
+    use super::Phase;
+
+    /// Phase histograms (and phase spans) before the first other one.
+    const PHASES: usize = Phase::ALL.len();
+
     // --- counters ---------------------------------------------------
     /// dkv: batched read calls.
     pub const C_DKV_READ_BATCHES: usize = 0;
@@ -123,13 +198,9 @@ pub mod id {
         ["workers", "obs_level", "serve_inflight", "serve_conns_open"];
 
     // --- histograms -------------------------------------------------
-    /// First of [`HIST_PHASES`] per-phase histograms, one per netsim
-    /// `Phase` in `Phase::ALL` order (`H_PHASE_BASE + phase index`).
-    pub const H_PHASE_BASE: usize = 0;
-    /// Number of netsim phases (mirrors `Phase::ALL.len()`).
-    pub const HIST_PHASES: usize = 11;
+    // Histogram `phase as usize` is the phase's wall time (ns).
     /// dkv: per-batch read latency (ns).
-    pub const H_DKV_READ_NS: usize = H_PHASE_BASE + HIST_PHASES;
+    pub const H_DKV_READ_NS: usize = PHASES;
     /// dkv: per-batch write latency (ns).
     pub const H_DKV_WRITE_NS: usize = H_DKV_READ_NS + 1;
     /// comm: per-collective modeled time of the simulated cluster (ns).
@@ -154,8 +225,8 @@ pub mod id {
     /// Number of histograms.
     pub const HIST_COUNT: usize = H_GRAPH_READ_NS + 1;
 
-    /// Histogram names, indexed by histogram id. The phase entries use
-    /// the same strings as `Phase::name()` prefixed with `phase_`.
+    /// Histogram names, indexed by histogram id; the phase entries first,
+    /// in [`Phase`] order.
     pub const HIST_NAMES: [&str; HIST_COUNT] = [
         "phase_draw_minibatch_ns",
         "phase_deploy_minibatch_ns",
@@ -182,10 +253,9 @@ pub mod id {
     ];
 
     // --- spans (ids shared with `crate::spans`) ----------------------
-    /// First of [`HIST_PHASES`] phase spans, in `Phase::ALL` order.
-    pub const S_PHASE_BASE: usize = 0;
+    // Span `phase as usize` is the phase's.
     /// Whole sampler step.
-    pub const S_STEP: usize = S_PHASE_BASE + HIST_PHASES;
+    pub const S_STEP: usize = PHASES;
     /// One dkv batched read.
     pub const S_DKV_READ: usize = S_STEP + 1;
     /// One dkv batched write.
@@ -196,14 +266,13 @@ pub mod id {
     pub const S_CHECKPOINT: usize = S_POOL_JOB + 1;
     /// One serve request (parse + handle + respond).
     pub const S_SERVE_REQUEST: usize = S_CHECKPOINT + 1;
-    /// The phi-update stage of a step.
-    pub const S_UPDATE_PHI: usize = S_PHASE_BASE + 4;
     /// Number of span ids.
     pub const SPAN_COUNT: usize = S_SERVE_REQUEST + 1;
 
-    /// Span names, indexed by span id. Phase spans reuse the netsim
-    /// `Phase::name()` strings so virtual-time and real-time views read
-    /// identically in a trace viewer.
+    /// Span names, indexed by span id; the phase entries first, in
+    /// [`Phase`] order. The virtual-time track (`mmsb-netsim`'s
+    /// `obs_bridge`) uses the same phase spans, so virtual-time and
+    /// real-time views read identically in a trace viewer.
     pub const SPAN_NAMES: [&str; SPAN_COUNT] = [
         "draw_minibatch",
         "deploy_minibatch",
@@ -481,7 +550,11 @@ mod tests {
         assert_eq!(id::HIST_NAMES.len(), id::HIST_COUNT);
         assert_eq!(id::SPAN_NAMES.len(), id::SPAN_COUNT);
         assert_eq!(id::HIST_NAMES[id::H_STEP_NS], "step_ns");
-        assert_eq!(id::SPAN_NAMES[id::S_UPDATE_PHI], "update_phi");
+        assert_eq!(id::SPAN_NAMES[Phase::UpdatePhi as usize], "update_phi");
+        assert_eq!(id::HIST_NAMES[Phase::Recovery as usize], "phase_recovery_ns");
         assert_eq!(id::SPAN_NAMES[id::S_STEP], "step");
+        for (i, p) in Phase::ALL.into_iter().enumerate() {
+            assert_eq!(p as usize, i);
+        }
     }
 }

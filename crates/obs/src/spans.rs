@@ -169,25 +169,48 @@ impl SpanSink {
     }
 }
 
-/// Caller-owned span guard: reads the clock at open and stamps a record
-/// into the *global* sink on drop. Construct through [`crate::span`],
-/// which arms it only at `ObsLevel::Spans` — disarmed guards never read
-/// the clock.
+/// Caller-owned span guard, and the one timer of a region that has both
+/// a span and a histogram. It reads the clock at open and at drop; from
+/// that one pair it stamps a record into the *global* sink and, when it
+/// has a histogram, records the same duration there. Construct through
+/// [`crate::span`], [`crate::timed_span`] or [`crate::phase_span`], which
+/// arm the record only at `ObsLevel::Spans` and the histogram from
+/// `ObsLevel::Metrics` — a guard with neither armed never reads the
+/// clock.
 #[derive(Debug)]
 pub struct Span {
     span_id: usize,
+    hist: Option<usize>,
     start_ns: u64,
-    armed: bool,
+    ring: bool,
 }
 
 impl Span {
-    /// An open span; `armed: false` is a free no-op guard.
+    /// An open span that stamps a ring record on drop when `ring` is set
+    /// and records its duration into histogram `hist` when that is
+    /// `Some`; with neither it is a free no-op guard.
     #[inline]
-    pub fn open(span_id: usize, armed: bool) -> Self {
+    pub fn open(span_id: usize, ring: bool, hist: Option<usize>) -> Self {
         Self {
             span_id,
-            start_ns: if armed { clock::now_ns() } else { 0 },
-            armed,
+            hist,
+            start_ns: if ring || hist.is_some() {
+                clock::now_ns()
+            } else {
+                0
+            },
+            ring,
+        }
+    }
+
+    /// Record into histogram `hist` instead of the one given at open —
+    /// for a region whose histogram is known only part-way through (a
+    /// request's endpoint, once routed). No-op on a guard that records no
+    /// histogram.
+    #[inline]
+    pub fn set_hist(&mut self, hist: usize) {
+        if let Some(h) = &mut self.hist {
+            *h = hist;
         }
     }
 }
@@ -195,13 +218,18 @@ impl Span {
 impl Drop for Span {
     #[inline]
     fn drop(&mut self) {
-        if !self.armed {
+        if !self.ring && self.hist.is_none() {
             return;
         }
         if let Some(o) = crate::get() {
             let dur = clock::now_ns().saturating_sub(self.start_ns);
-            o.spans
-                .record(self.span_id as u64, current_tid(), self.start_ns, dur);
+            if self.ring {
+                o.spans
+                    .record(self.span_id as u64, current_tid(), self.start_ns, dur);
+            }
+            if let Some(h) = self.hist {
+                o.metrics.hist_record(h, dur);
+            }
         }
     }
 }
@@ -257,7 +285,7 @@ mod tests {
         // No global init in this test; an armed guard would still find
         // OBS unset and skip, but a disarmed one must not even read the
         // clock — we can only assert it drops cleanly.
-        let g = Span::open(3, false);
+        let g = Span::open(3, false, None);
         drop(g);
     }
 }

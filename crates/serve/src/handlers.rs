@@ -44,21 +44,18 @@ pub(crate) fn handle(
     body: &mut Vec<u8>,
     out: &mut Vec<u8>,
 ) -> bool {
-    let _span = mmsb_obs::span(obs_id::S_SERVE_REQUEST);
-    let timer = mmsb_obs::metrics_on().then(mmsb_obs::clock::Stopwatch::start);
+    let mut span = mmsb_obs::timed_span(obs_id::S_SERVE_REQUEST, Endpoint::Other.hist());
     mmsb_obs::gauge_set(obs_id::G_SERVE_INFLIGHT, shared.adm.inflight() as u64);
 
     shared.cell.refresh(cache);
     body.clear();
     let (endpoint, status) = route(shared, cache, req, body);
+    span.set_hist(endpoint.hist());
     http::write_response(out, status, "application/json", body);
 
     mmsb_obs::counter_add(obs_id::C_SERVE_REQUESTS, 1);
     if status >= 400 {
         mmsb_obs::counter_add(obs_id::C_SERVE_ERRORS, 1);
-    }
-    if let Some(sw) = timer {
-        mmsb_obs::hist_record_ns(endpoint.hist(), sw.elapsed_ns());
     }
     req.keep_alive
 }

@@ -117,7 +117,7 @@ impl ModelSnapshot {
     /// over as a [`Plane`], not copied). Callers with models from
     /// elsewhere (or tests constructing exact tie cases) use it directly.
     ///
-    /// Large models are built on [`std::thread::available_parallelism`]
+    /// Large models are built on [`mmsb_obs::export::host_cores`]
     /// scoped threads, but on no more than the build's radix scratch
     /// allows (four at K >= 16, see `max_ranges`); the planes are
     /// identical at any thread count (see [`Self::from_planes_in`]).
@@ -131,8 +131,7 @@ impl ModelSnapshot {
         let ranges = if pi.len() < INLINE_BELOW {
             1
         } else {
-            let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-            cores.min(max_ranges(beta.len().min(TOP_K_CAP)))
+            mmsb_obs::export::host_cores().min(max_ranges(beta.len().min(TOP_K_CAP)))
         };
         Self::from_planes_in(pi, beta, delta, backend, ranges)
     }
@@ -764,7 +763,7 @@ mod tests {
 
     #[test]
     fn every_plane_matches_the_comparator_build_at_every_range_count() {
-        let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
+        let threads = mmsb_obs::export::host_cores();
         let backends: Vec<Backend> = [Backend::Scalar, Backend::Sse2, Backend::Avx2, Backend::Neon]
             .into_iter()
             .filter(|b| b.available())
@@ -923,7 +922,7 @@ mod tests {
     /// still fan out there.
     #[test]
     fn build_inside_a_pool_chunk_still_fans_out() {
-        let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
+        let threads = mmsb_obs::export::host_cores();
         // Shapes no other test in this crate builds.
         let (big_n, small_n, k) = (4_111usize, 37usize, 16usize);
         assert!(big_n * k >= INLINE_BELOW && small_n * k < INLINE_BELOW);
