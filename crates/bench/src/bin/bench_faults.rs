@@ -1,14 +1,14 @@
 //! Cost of the failure layer: modeled virtual time of a clean run vs the
 //! same chain under an injected transient-fault plan, and vs a permanent
-//! worker kill with checkpoint rollback.
+//! worker kill with a modelled checkpoint rollback.
 //!
 //! The faulty runs produce the *bitwise-identical* chain (that is the
 //! failure layer's contract, pinned by `fault_determinism.rs`); what this
 //! suite measures is the price: `recovery_s` (the trace's recovery
 //! phase), `overhead_ratio` (faulty virtual time / clean virtual time),
-//! and for the kill scenario the re-run cost of rewinding to the last
-//! checkpoint. One JSON line per scenario is appended to
-//! `BENCH_faults.json`.
+//! and for the kill scenario the price of the steps since the rollback
+//! point, re-priced on the surviving workers (no step runs twice). One
+//! JSON line per scenario is appended to `BENCH_faults.json`.
 
 use mmsb::prelude::*;
 use mmsb_bench::timing::append_json;

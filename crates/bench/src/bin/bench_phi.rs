@@ -31,29 +31,53 @@ fn build(quick: bool) -> (Graph, HeldOut) {
     HeldOut::split(&gen.graph, 500 / scale as usize, &mut rng)
 }
 
-/// Measured per-step cost of one warmed sampler at each obs level,
-/// interleaved (off, metrics, spans, off, metrics, spans, ...) so drift
-/// hits all three equally. Returns median ns/step per level.
-fn measure_obs_levels(g: &Graph, h: &HeldOut, quick: bool) -> [f64; 3] {
+/// One obs level's per-step cost over the measured rounds, ns/step: the
+/// median and the quartiles around it (nearest rank).
+#[derive(Clone, Copy)]
+struct Spread {
+    q1: f64,
+    median: f64,
+    q3: f64,
+}
+
+impl Spread {
+    fn of(mut v: Vec<f64>) -> Self {
+        v.sort_by(|a, b| a.total_cmp(b));
+        let n = v.len();
+        Spread {
+            q1: v[n / 4],
+            median: v[n / 2],
+            q3: v[3 * n / 4],
+        }
+    }
+}
+
+/// Measured per-step cost of one sampler at each obs level. Every round
+/// runs each level once, and the level that starts a round rotates round
+/// by round (a Latin square over the three positions; the round counts
+/// are multiples of three), so each level runs first, second and third
+/// equally often on the one continuing chain. A first round warms the
+/// sampler up and is discarded.
+fn measure_obs_levels(g: &Graph, h: &HeldOut, quick: bool) -> [Spread; 3] {
     let cfg = SamplerConfig::new(32).with_seed(7);
     let mut s = ParallelSampler::with_threads(g.clone(), h.clone(), cfg, 1).unwrap();
-    s.run(if quick { 5 } else { 20 });
     let (rounds, steps) = if quick { (3, 5u64) } else { (9, 20u64) };
     let levels = [ObsLevel::Off, ObsLevel::Metrics, ObsLevel::Spans];
     let mut samples: [Vec<f64>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-    for _ in 0..rounds {
-        for (i, level) in levels.iter().enumerate() {
-            mmsb::obs::set_level(*level);
+    // Round 0 is the warm-up.
+    for round in 0..=rounds {
+        for slot in 0..levels.len() {
+            let i = (round + slot) % levels.len();
+            mmsb::obs::set_level(levels[i]);
             let t0 = Instant::now();
             s.run(steps);
-            samples[i].push(t0.elapsed().as_secs_f64() * 1e9 / steps as f64);
+            if round > 0 {
+                samples[i].push(t0.elapsed().as_secs_f64() * 1e9 / steps as f64);
+            }
         }
     }
     mmsb::obs::set_level(ObsLevel::Off);
-    samples.map(|mut v| {
-        v.sort_by(|a, b| a.total_cmp(b));
-        v[v.len() / 2]
-    })
+    samples.map(Spread::of)
 }
 
 fn main() {
@@ -64,7 +88,8 @@ fn main() {
     mmsb::obs::init(ObsConfig::at(ObsLevel::Off));
     let (g, h) = build(quick);
 
-    let [off_ns, metrics_ns, spans_ns] = measure_obs_levels(&g, &h, quick);
+    let [off, metrics, spans] = measure_obs_levels(&g, &h, quick);
+    let (off_ns, metrics_ns, spans_ns) = (off.median, metrics.median, spans.median);
     let overhead_metrics = metrics_ns / off_ns - 1.0;
     let overhead_spans = spans_ns / off_ns - 1.0;
     println!(
@@ -75,11 +100,21 @@ fn main() {
         fmt_ns(spans_ns),
         overhead_spans * 100.0
     );
+    let spread = |name: &str, l: Spread| {
+        println!(
+            "  {name:<7} quartiles {} .. {} (spread {:.2}% of the median)",
+            fmt_ns(l.q1),
+            fmt_ns(l.q3),
+            (l.q3 - l.q1) / l.median * 100.0
+        );
+        format!(",\"{name}_q1_ns\":{:.1},\"{name}_q3_ns\":{:.1}", l.q1, l.q3)
+    };
+    let spreads = spread("off", off) + &spread("metrics", metrics) + &spread("spans", spans);
     append_json(
         out,
         "bench_phi",
         &format!(
-            "\"id\":\"obs_overhead/threads=1\",\"off_ns\":{off_ns:.1},\"metrics_ns\":{metrics_ns:.1},\"spans_ns\":{spans_ns:.1},\"overhead_metrics\":{overhead_metrics:.4},\"overhead_spans\":{overhead_spans:.4}"
+            "\"id\":\"obs_overhead/threads=1\",\"off_ns\":{off_ns:.1},\"metrics_ns\":{metrics_ns:.1},\"spans_ns\":{spans_ns:.1},\"overhead_metrics\":{overhead_metrics:.4},\"overhead_spans\":{overhead_spans:.4}{spreads}"
         ),
         1,
     );

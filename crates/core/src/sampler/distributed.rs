@@ -7,14 +7,14 @@
 //! each iteration.
 //!
 //! **Execution model** (DESIGN.md §3/§7): the chain is the pool driver's.
-//! A [`DistributedSampler`] is a [`ParallelSampler`] plus the price of
-//! its steps: each step runs the pool driver's own step — which also
-//! records every batch vertex's DKV keys ([`KeyRecord`]) — and then the
-//! per-rank loops price what each rank of the paper's cluster would do
-//! with that step. They compute nothing, and no price reads a clock. A
-//! stage counts its work (pairs drawn, neighbours sampled, `pi` rows
-//! gathered × K, vertices × K, pairs × K) and charges the owning rank's
-//! [`ClusterClocks`] entry the count at [`NodeComputeModel::PRICES`],
+//! A [`DistributedSampler`] is a [`ParallelSampler`] plus a
+//! [`ClusterModel`]: each step runs the pool driver's own step, which
+//! also records its batch and DKV keys ([`StepRecord`]), and then
+//! [`ClusterModel::price`] charges what each rank of the paper's cluster
+//! would do with that record. It computes nothing, and no price reads a
+//! clock. A stage counts its work (pairs drawn, neighbours sampled, `pi`
+//! rows gathered × K, vertices × K, pairs × K) and charges the owning
+//! rank's [`ClusterClocks`] entry the count at [`NodeComputeModel::PRICES`],
 //! Amdahl-scaled by the configured [`NodeComputeModel`] (the per-node
 //! OpenMP layer). Every communication and DKV operation advances the
 //! clock by an `mmsb-netsim` cost; barriers synchronize clocks to the
@@ -32,11 +32,11 @@
 //!
 //! **Chain fidelity**: the chain is the pool driver's step, so it is
 //! bitwise that of the pool driver at every worker count, in both
-//! pipeline modes, under every fault schedule and across a worker loss.
+//! pipeline modes, under every fault schedule and across a worker loss,
+//! which re-prices the steps since the rollback point at `R - 1` workers.
 
 use super::parallel::ParallelSampler;
-use super::worker::{share, KeyRecord};
-use super::Engine;
+use super::worker::{share, StepRecord};
 use crate::checkpoint::Checkpoint;
 use crate::communities::Communities;
 use crate::compute_model::NodeComputeModel;
@@ -51,6 +51,8 @@ use mmsb_netsim::{
     PhaseTimes, RecoveryPolicy, TraceReport,
 };
 use mmsb_obs::id as obs_id;
+use mmsb_ooc::GraphBackend;
+use std::ops::Range;
 
 /// Cluster-level configuration of the distributed sampler.
 #[derive(Debug, Clone, Copy)]
@@ -72,8 +74,8 @@ pub struct DistributedConfig {
     /// delayed messages, stragglers) change only the *modeled time*: a
     /// retry is priced, never re-executed, so the chain stays
     /// bitwise-identical to the fault-free run. A `kill_worker` entry is
-    /// permanent: the sampler rewinds to its last checkpoint and continues
-    /// on `R - 1` workers.
+    /// permanent: the steps since the modelled rollback point are
+    /// re-priced on `R - 1` workers, and the run continues there.
     pub faults: Option<FaultConfig>,
 }
 
@@ -126,21 +128,19 @@ impl DistributedConfig {
                 reason: "chunk_vertices must be positive".into(),
             });
         }
-        if let Some(f) = &self.faults {
-            if let Some((_, rank)) = f.kill_worker {
-                if rank >= self.workers {
-                    return Err(CoreError::InvalidConfig {
-                        reason: format!(
-                            "kill_worker rank {rank} out of range for {} workers",
-                            self.workers
-                        ),
-                    });
-                }
-                if self.workers < 2 {
-                    return Err(CoreError::InvalidConfig {
-                        reason: "cannot lose the only worker".into(),
-                    });
-                }
+        if let Some((_, rank)) = self.faults.and_then(|f| f.kill_worker) {
+            if rank >= self.workers {
+                return Err(CoreError::InvalidConfig {
+                    reason: format!(
+                        "kill_worker rank {rank} out of range for {} workers",
+                        self.workers
+                    ),
+                });
+            }
+            if self.workers < 2 {
+                return Err(CoreError::InvalidConfig {
+                    reason: "cannot lose the only worker".into(),
+                });
             }
         }
         Ok(())
@@ -148,30 +148,39 @@ impl DistributedConfig {
 }
 
 /// The distributed SG-MCMC sampler over a simulated cluster: the pool
-/// driver's [`ParallelSampler`] plus the price of its steps.
+/// driver's [`ParallelSampler`] plus a [`ClusterModel`] that prices its
+/// steps.
 pub struct DistributedSampler {
     /// The chain.
     sampler: ParallelSampler,
-    /// Each batch vertex's DKV keys, written by the last step.
-    record: KeyRecord,
+    /// The price of its steps.
+    cluster: ClusterModel,
+    /// `records[..held]` are the steps a kill still to come re-prices,
+    /// those of the iterations in `reprice`; the next step writes
+    /// `records[held]`.
+    records: Vec<StepRecord>,
+    held: usize,
+    /// From the kill's rollback point to the kill (empty without a kill;
+    /// see [`DistributedSampler::with_checkpoint_every`]).
+    reprice: Range<u64>,
+    /// Set once a permanent worker loss has been absorbed (at most one
+    /// kill per schedule).
+    lost_worker: Option<usize>,
+}
+
+/// The paper's cluster as a price: what a recorded step costs each rank,
+/// charged to the ranks' clocks and the phase times. It reads a
+/// [`StepRecord`] and the graph's degrees, never the chain.
+struct ClusterModel {
     dcfg: DistributedConfig,
+    /// Communities: a `pi` row is `k + 1` floats.
+    k: usize,
     /// The price of DKV access to `pi` partitioned over the current
     /// workers.
     cost: CostModel,
     /// The fault schedule (a no-op plan when `dcfg.faults` is `None`).
     plan: FaultPlan,
     policy: RecoveryPolicy,
-    /// Set once a permanent worker loss has been absorbed (at most one
-    /// kill per schedule).
-    lost_worker: Option<usize>,
-    /// The most recent chain snapshot; the rollback point for permanent
-    /// worker loss. Captured at construction when faults are configured,
-    /// and refreshed per [`DistributedSampler::with_checkpoint_every`].
-    /// It shares the model planes, so the first step after each capture
-    /// copies them (see [`DistributedSampler::with_checkpoint_every`]).
-    last_checkpoint: Option<Checkpoint>,
-    /// Refresh `last_checkpoint` every this many iterations.
-    checkpoint_every: Option<u64>,
     /// Index 0 is the master; worker `w` is rank `w + 1`.
     clocks: ClusterClocks,
     trace: PhaseTimes,
@@ -206,7 +215,7 @@ impl DistributedSampler {
     /// CSR or the out-of-core block-cached format). The chain is bitwise
     /// identical across backends.
     pub fn with_backend(
-        graph: mmsb_ooc::GraphBackend,
+        graph: GraphBackend,
         heldout: HeldOut,
         config: SamplerConfig,
         dcfg: DistributedConfig,
@@ -218,7 +227,7 @@ impl DistributedSampler {
     /// (at least 1). The pool size changes how fast the step runs, never
     /// what it computes or the virtual time it is charged.
     pub(crate) fn with_threads(
-        graph: mmsb_ooc::GraphBackend,
+        graph: GraphBackend,
         heldout: HeldOut,
         config: SamplerConfig,
         dcfg: DistributedConfig,
@@ -232,25 +241,12 @@ impl DistributedSampler {
         }
         let sampler = ParallelSampler::with_backend_threads(graph, heldout, config, threads)?;
         let engine = &sampler.engine;
-        let n = engine.graph.num_vertices();
-        let k = engine.config.k;
-        // A fault-configured run always holds a rollback point, even
-        // before the first explicit checkpoint: a kill at iteration 0
-        // must be recoverable.
-        let last_checkpoint = dcfg.faults.map(|_| Checkpoint::capture(engine));
         Ok(Self {
-            record: KeyRecord::new(engine),
-            dcfg,
-            cost: CostModel::new(Partition::new(n, dcfg.workers), k + 1, dcfg.net),
-            plan: FaultPlan::new(dcfg.faults.unwrap_or_else(|| FaultConfig::none(0))),
-            policy: RecoveryPolicy::default(),
+            cluster: ClusterModel::new(dcfg, engine.graph.num_vertices(), engine.config.k),
+            records: vec![StepRecord::new(engine)],
+            held: 0,
+            reprice: dcfg.faults.and_then(|f| f.kill_worker).map_or(0..0, |(kill, _)| 0..kill),
             lost_worker: None,
-            last_checkpoint,
-            checkpoint_every: None,
-            clocks: ClusterClocks::new(dcfg.workers + 1),
-            trace: PhaseTimes::new(),
-            keys: Vec::new(),
-            key_ends: Vec::new(),
             sampler,
         })
     }
@@ -267,28 +263,22 @@ impl DistributedSampler {
         ckpt: &Checkpoint,
     ) -> Result<Self, CoreError> {
         let mut s = Self::new(graph, heldout, config, dcfg)?;
-        s.restore(ckpt)?;
+        s.sampler.restore(ckpt)?;
         Ok(s)
     }
 
-    /// Refresh the in-memory rollback checkpoint — the state kill
-    /// recovery rewinds to — every `every` iterations.
-    ///
-    /// A capture shares the live `pi`/`sum(phi)` planes instead of
-    /// copying them, but this checkpoint stays alive while the chain
-    /// moves on, so the first step after each capture copies each plane
-    /// once (copy on write) and the rest of the interval writes in
-    /// place. A fault-armed sampler without an interval makes that one
-    /// copy at its first step. The chain is the same either way.
+    /// Set the modelled rollback cadence to `every` iterations. A kill
+    /// re-prices at `R - 1` workers the steps since its rollback point,
+    /// the later of the run's start and the last multiple of `every` at
+    /// or before the kill (the run's start without a cadence), holding
+    /// their records until then: at most `min(every, kill - start)`, and
+    /// none without a kill. Nothing is captured; the chain is the same.
     ///
     /// # Panics
     /// Panics if `every` is zero.
     pub fn with_checkpoint_every(mut self, every: u64) -> Self {
         assert!(every > 0, "checkpoint interval must be positive");
-        self.checkpoint_every = Some(every);
-        if self.last_checkpoint.is_none() {
-            self.last_checkpoint = Some(Checkpoint::capture(&self.sampler.engine));
-        }
+        self.reprice.start = self.reprice.end / every * every;
         self
     }
 
@@ -300,13 +290,123 @@ impl DistributedSampler {
         self.sampler.checkpoint()
     }
 
-    /// Install `ckpt`, rewinding (or fast-forwarding) the chain to the
-    /// captured iteration. Virtual time is *not* rewound — restoring is
-    /// part of the run's history.
-    pub fn restore(&mut self, ckpt: &Checkpoint) -> Result<(), CoreError> {
-        self.sampler.restore(ckpt)?;
-        self.last_checkpoint = Some(ckpt.clone());
-        Ok(())
+    /// Number of worker ranks (reflects degradation after a worker loss).
+    pub fn workers(&self) -> usize {
+        self.cluster.dcfg.workers
+    }
+
+    /// The worker permanently lost to a kill fault, if any.
+    pub fn lost_worker(&self) -> Option<usize> {
+        self.lost_worker
+    }
+
+    /// Run one full iteration: absorb a worker loss due now, run the pool
+    /// driver's step (recording it), then price it.
+    pub fn step(&mut self) {
+        // Permanent worker loss fires at the start of its iteration: the
+        // master detects the dead rank and re-partitions over the
+        // survivors before drawing anything.
+        let iteration = self.sampler.iteration();
+        if self.lost_worker.is_none() {
+            if let Some(dead) = self.cluster.plan.kill_at(iteration) {
+                self.degrade(dead);
+            }
+        }
+        if self.held == self.records.len() {
+            self.records.push(StepRecord::new(&self.sampler.engine));
+        }
+        let record = &mut self.records[self.held];
+        self.sampler.step_recording(Some(record));
+        self.cluster.price(record, &self.sampler.engine.graph);
+        if self.reprice.contains(&iteration) {
+            self.held += 1;
+        }
+    }
+
+    /// Run `iterations` more iterations.
+    pub fn run(&mut self, iterations: u64) {
+        for _ in 0..iterations {
+            self.step();
+        }
+    }
+
+    /// Absorb the permanent loss of worker `dead`: re-partition, charge
+    /// the detection + re-scatter as recovery time, then re-price the
+    /// held steps at `R - 1`, in order, under their own iterations. No
+    /// step re-runs: the worker count decides a step's price, never what
+    /// it computes, so the chain is already what a replay would compute.
+    fn degrade(&mut self, dead: usize) {
+        mmsb_obs::counter_add(obs_id::C_RECOVERIES, 1);
+        self.lost_worker = Some(dead);
+        let graph = &self.sampler.engine.graph;
+        self.cluster.lose_worker(graph.num_vertices());
+        for record in &self.records[..self.held] {
+            self.cluster.price(record, graph);
+        }
+        self.held = 0;
+        self.records.truncate(1);
+    }
+
+    /// Distributed held-out perplexity: the pool driver's
+    /// [`ParallelSampler::evaluate_perplexity`], priced as the paper's
+    /// cluster runs it — each worker loads the `pi` rows of its static
+    /// share of `E_h` (the same contiguous [`share`] split as the
+    /// mini-batch) and computes its probabilities, and the per-pair
+    /// probabilities are gathered at the master, which folds them into
+    /// the running posterior average (Eq. 7). (The paper reduces partial
+    /// log-sums; the gather of the probability vectors is priced instead,
+    /// matching the averaging the chain performs.)
+    pub fn evaluate_perplexity(&mut self) -> f64 {
+        self.cluster.price_perplexity(self.sampler.engine.heldout.pairs());
+        self.sampler.evaluate_perplexity()
+    }
+
+    /// The virtual (modeled cluster) time elapsed so far, in seconds.
+    pub fn virtual_time(&self) -> f64 {
+        self.cluster.clocks.max()
+    }
+
+    /// Completed iterations.
+    pub fn iteration(&self) -> u64 {
+        self.sampler.iteration()
+    }
+
+    /// The current model state.
+    pub fn state(&self) -> &ModelState {
+        self.sampler.state()
+    }
+
+    /// Threshold-extract the inferred communities.
+    pub fn communities(&self, threshold: f32) -> Communities {
+        self.sampler.communities(threshold)
+    }
+
+    /// The timing report over everything run so far (Figure 1 / Table III
+    /// rows).
+    pub fn report(&self) -> TraceReport {
+        TraceReport {
+            phases: self.cluster.trace.clone(),
+            iterations: self.sampler.iteration(),
+            total_seconds: self.cluster.clocks.max(),
+        }
+    }
+}
+
+impl ClusterModel {
+    /// A healthy cluster of `dcfg.workers` workers over `n` vertices of
+    /// `k` communities, every clock at zero.
+    fn new(dcfg: DistributedConfig, n: u32, k: usize) -> Self {
+        Self {
+            dcfg,
+            k,
+            cost: CostModel::new(Partition::new(n, dcfg.workers), k + 1, dcfg.net),
+            plan: FaultPlan::new(dcfg.faults.unwrap_or_else(|| FaultConfig::none(0))),
+            policy: RecoveryPolicy::default(),
+            clocks: ClusterClocks::new(dcfg.workers + 1),
+            trace: PhaseTimes::new(),
+            keys: Vec::new(),
+            key_ends: Vec::new(),
+        }
     }
 
     /// Record one modeled collective (priced by the netsim formulas; no
@@ -316,52 +416,34 @@ impl DistributedSampler {
         mmsb_obs::hist_record_secs(obs_id::H_COMM_COLLECTIVE_NS, seconds);
     }
 
-    /// Number of worker ranks (reflects degradation after a worker loss).
-    pub fn workers(&self) -> usize {
-        self.dcfg.workers
+    /// Lose a worker of a cluster over `n` vertices: the survivors wait
+    /// out the stage timeout that detects the loss, then the master
+    /// re-scatters the full state over their new partition.
+    fn lose_worker(&mut self, n: u32) {
+        self.dcfg.workers -= 1;
+        let (r, net) = (self.dcfg.workers, self.dcfg.net);
+        self.cost = CostModel::new(Partition::new(n, r), self.k + 1, net);
+        let bytes = n as usize * (self.k + 1) * 4;
+        let cost = self.policy.stage_timeout + collective::scatter(&net, r + 1, bytes);
+        Self::obs_collective(cost);
+        let resume_at = self.clocks.max() + cost;
+        self.clocks = ClusterClocks::new(r + 1);
+        self.clocks.barrier(resume_at);
+        self.trace.add(Phase::Recovery, cost);
     }
 
-    /// The worker permanently lost to a kill fault, if any.
-    pub fn lost_worker(&self) -> Option<usize> {
-        self.lost_worker
-    }
-
-    /// Run one full iteration: absorb a worker loss due now, run the pool
-    /// driver's step (recording the batch's DKV keys), then price it.
-    pub fn step(&mut self) {
-        // Permanent worker loss fires at the start of its iteration: the
-        // master detects the dead rank, rewinds to the last checkpoint,
-        // and re-partitions over the survivors before drawing anything.
-        if self.lost_worker.is_none() {
-            if let Some(dead) = self.plan.kill_at(self.sampler.iteration()) {
-                self.degrade(dead);
-            }
-        }
-        let iteration = self.sampler.iteration();
-        self.sampler.step_recording(Some(&mut self.record));
-        self.price_step(iteration);
-        if let Some(every) = self.checkpoint_every {
-            if self.sampler.iteration().is_multiple_of(every) {
-                self.last_checkpoint = Some(self.sampler.checkpoint());
-            }
-        }
-    }
-
-    /// Charge the clocks what iteration `iteration` — the step just run —
-    /// costs the paper's cluster. Rank `w` owns part `w` of the
-    /// contiguous split of the batch's vertices and of its pairs.
-    fn price_step(&mut self, iteration: u64) {
+    /// Charge the clocks what `step` costs the paper's cluster, at the
+    /// step's own iteration (its fault coordinates). Rank `w` owns part
+    /// `w` of the contiguous split of the batch's vertices and of its
+    /// pairs; `graph` gives the degrees of the adjacency rows it is sent.
+    fn price(&mut self, step: &StepRecord, graph: &GraphBackend) {
+        let (iteration, k) = (step.iteration, self.k);
         let mut recovery_t = 0.0f64;
-        let r = self.dcfg.workers;
-        let net = self.dcfg.net;
-        let node = self.dcfg.node;
+        let (r, net, node) = (self.dcfg.workers, self.dcfg.net, self.dcfg.node);
         let prices = NodeComputeModel::PRICES;
-        let engine = &self.sampler.engine;
-        let k = engine.config.k;
 
         // ------------------------------------------------- master: draw
-        let nv = engine.mb_vertices.len();
-        let n_pairs = engine.mb.pairs.len();
+        let (nv, n_pairs) = (step.vertices.len(), step.pairs.len());
         let draw = prices.draw_pair * n_pairs as f64;
         self.trace.add(Phase::DrawMinibatch, draw);
 
@@ -369,11 +451,8 @@ impl DistributedSampler {
         // the worker's pair share (9 bytes: two ids + observation).
         let deploy_bytes = (0..r)
             .map(|w| {
-                let vs = &engine.mb_vertices[share(nv, r, w)];
-                let adjacency: usize = vs
-                    .iter()
-                    .map(|&a| engine.graph.degree(a) as usize * 4)
-                    .sum();
+                let vs = &step.vertices[share(nv, r, w)];
+                let adjacency: usize = vs.iter().map(|&a| graph.degree(a) as usize * 4).sum();
                 vs.len() * 4 + adjacency + share(n_pairs, r, w).len() * 9
             })
             .max()
@@ -387,10 +466,8 @@ impl DistributedSampler {
             // Non-pipelined: workers wait for the deployment.
             let ready = self.clocks.now(0);
             for w in 0..r {
-                if self.clocks.now(w + 1) < ready {
-                    let wait = ready - self.clocks.now(w + 1);
-                    self.clocks.advance(w + 1, wait);
-                }
+                let wait = ready - self.clocks.now(w + 1);
+                self.clocks.advance(w + 1, wait.max(0.0));
             }
         }
         // Pipelined: the batch was prefetched during the previous
@@ -415,7 +492,7 @@ impl DistributedSampler {
             self.keys.clear();
             self.key_ends.clear();
             for i in vs.clone() {
-                self.keys.extend_from_slice(self.record.keys(i));
+                self.keys.extend_from_slice(step.keys(i));
                 self.key_ends.push(self.keys.len());
             }
             let sample = node.worker_secs(prices.sample_neighbor, self.keys.len() - vs.len());
@@ -475,7 +552,7 @@ impl DistributedSampler {
             let vs = share(nv, r, w);
             let compute = node.worker_secs(prices.apply_vertex_k, vs.len() * k);
             self.keys.clear();
-            self.keys.extend(engine.mb_vertices[vs].iter().map(|a| a.0));
+            self.keys.extend(step.vertices[vs].iter().map(|a| a.0));
             let wire = {
                 let _obs = OpObs::write(&self.keys);
                 self.cost.write_cost(w, &self.keys)
@@ -503,7 +580,7 @@ impl DistributedSampler {
         // Each worker loads the `pi` rows of its pair share and sums their
         // gradient, an MPI reduce brings the sums to the master, and the
         // master steps theta and broadcasts beta.
-        let mut beta_stage = self.price_pair_shares(|e| &e.mb.pairs, prices.theta_pair_k);
+        let mut beta_stage = self.price_pair_shares(&step.pairs, |&e| e, prices.theta_pair_k);
         // MPI reduce of the per-worker gradients to the master. A dropped
         // contribution stalls the sync point for its timeout + retransmit.
         let reduce = collective::reduce(&net, r + 1, 2 * k * 8)
@@ -527,17 +604,16 @@ impl DistributedSampler {
     }
 
     /// Charge each rank the read of the endpoint rows of its share of
-    /// `pairs` (the batch's or the held-out pairs) and `price_k` per pair
-    /// and community; the slowest rank's seconds.
-    fn price_pair_shares(&mut self, pairs: fn(&Engine) -> &[(Edge, bool)], price_k: f64) -> f64 {
-        let (r, k) = (self.dcfg.workers, self.sampler.engine.config.k);
-        let pairs = pairs(&self.sampler.engine);
+    /// `pairs` (the batch's or the held-out pairs, whose `Edge` `edge`
+    /// reads) and `price_k` per pair and community; the slowest rank's
+    /// seconds.
+    fn price_pair_shares<P>(&mut self, pairs: &[P], edge: fn(&P) -> Edge, price_k: f64) -> f64 {
+        let (r, k) = (self.dcfg.workers, self.k);
         let mut slowest = 0.0f64;
         for w in 0..r {
             let ps = &pairs[share(pairs.len(), r, w)];
             self.keys.clear();
-            let endpoints = ps.iter().flat_map(|&(e, _)| [e.lo().0, e.hi().0]);
-            self.keys.extend(endpoints);
+            self.keys.extend(ps.iter().map(edge).flat_map(|e| [e.lo().0, e.hi().0]));
             let wire = self.cost.read_cost(w, &self.keys);
             let compute = self.dcfg.node.worker_secs(price_k, ps.len() * k);
             self.clocks.advance(w + 1, wire + compute);
@@ -546,48 +622,17 @@ impl DistributedSampler {
         slowest
     }
 
-    /// Run until `iterations` *more* iterations have completed. (A
-    /// permanent worker loss rewinds the chain to its checkpoint; the
-    /// rewound iterations are re-executed, so the target is still
-    /// reached.)
-    pub fn run(&mut self, iterations: u64) {
-        let target = self.sampler.iteration() + iterations;
-        while self.sampler.iteration() < target {
-            self.step();
-        }
-    }
-
-    /// Absorb the permanent loss of worker `dead`: rewind the chain to
-    /// the last checkpoint, re-partition the store over the `R - 1`
-    /// survivors, and charge the modeled detection + re-scatter cost as
-    /// recovery time. The worker count only decides how the steps are
-    /// priced, never what they compute, so the degraded run reproduces
-    /// the fault-free chain bit for bit.
-    fn degrade(&mut self, dead: usize) {
-        mmsb_obs::counter_add(obs_id::C_RECOVERIES, 1);
-        let ckpt = self
-            .last_checkpoint
-            .as_ref()
-            .expect("fault-configured samplers always hold a rollback checkpoint");
-        self.sampler
-            .restore(ckpt)
-            .expect("self-captured checkpoint always matches its sampler");
-        self.lost_worker = Some(dead);
-        self.dcfg.workers -= 1;
-        let n = self.sampler.engine.graph.num_vertices();
-        let k = self.sampler.engine.config.k;
-        self.cost = CostModel::new(Partition::new(n, self.dcfg.workers), k + 1, self.dcfg.net);
-        // Model the recovery: the survivors wait out the stage timeout
-        // that detects the loss, then the master re-scatters the full
-        // checkpointed state over the new partition.
-        let bytes = n as usize * (k + 1) * 4;
-        let cost = self.policy.stage_timeout
-            + collective::scatter(&self.dcfg.net, self.dcfg.workers + 1, bytes);
-        Self::obs_collective(cost);
-        let resume_at = self.clocks.max() + cost;
-        self.clocks = ClusterClocks::new(self.dcfg.workers + 1);
-        self.clocks.barrier(resume_at);
-        self.trace.add(Phase::Recovery, cost);
+    /// Charge a held-out perplexity evaluation over `pairs`.
+    fn price_perplexity(&mut self, pairs: &[(Edge, bool)]) {
+        let r = self.dcfg.workers;
+        let price_k = NodeComputeModel::PRICES.perplexity_pair_k;
+        let max_t = self.price_pair_shares(pairs, |&(e, _)| e, price_k);
+        // The gather waits for the largest share; part 0 is one.
+        let gather = collective::gather(&self.dcfg.net, r + 1, share(pairs.len(), r, 0).len() * 8);
+        Self::obs_collective(gather);
+        self.clocks.advance(0, gather);
+        self.clocks.barrier(0.0);
+        self.trace.add(Phase::Perplexity, max_t + gather);
     }
 
     /// Modeled seconds `rank`'s chunked read stage spends on transient
@@ -668,59 +713,6 @@ impl DistributedSampler {
         *recovery_t += worst;
         worst
     }
-
-    /// Distributed held-out perplexity: the pool driver's
-    /// [`ParallelSampler::evaluate_perplexity`], priced as the paper's
-    /// cluster runs it — each worker loads the `pi` rows of its static
-    /// share of `E_h` (the same contiguous [`share`] split as the
-    /// mini-batch) and computes its probabilities, and the per-pair
-    /// probabilities are gathered at the master, which folds them into
-    /// the running posterior average (Eq. 7). (The paper reduces partial
-    /// log-sums; the gather of the probability vectors is priced instead,
-    /// matching the averaging the chain performs.)
-    pub fn evaluate_perplexity(&mut self) -> f64 {
-        let r = self.dcfg.workers;
-        let price_k = NodeComputeModel::PRICES.perplexity_pair_k;
-        let max_t = self.price_pair_shares(|e| e.heldout.pairs(), price_k);
-        // The gather waits for the largest share; part 0 is one.
-        let total = self.sampler.engine.heldout.len();
-        let gather = collective::gather(&self.dcfg.net, r + 1, share(total, r, 0).len() * 8);
-        Self::obs_collective(gather);
-        self.clocks.advance(0, gather);
-        self.clocks.barrier(0.0);
-        self.trace.add(Phase::Perplexity, max_t + gather);
-        self.sampler.evaluate_perplexity()
-    }
-
-    /// The virtual (modeled cluster) time elapsed so far, in seconds.
-    pub fn virtual_time(&self) -> f64 {
-        self.clocks.max()
-    }
-
-    /// Completed iterations.
-    pub fn iteration(&self) -> u64 {
-        self.sampler.iteration()
-    }
-
-    /// The current model state.
-    pub fn state(&self) -> &ModelState {
-        self.sampler.state()
-    }
-
-    /// Threshold-extract the inferred communities.
-    pub fn communities(&self, threshold: f32) -> Communities {
-        self.sampler.communities(threshold)
-    }
-
-    /// The timing report over everything run so far (Figure 1 / Table III
-    /// rows).
-    pub fn report(&self) -> TraceReport {
-        TraceReport {
-            phases: self.trace.clone(),
-            iterations: self.sampler.iteration(),
-            total_seconds: self.clocks.max(),
-        }
-    }
 }
 
 /// Mix three coordinates into one jitter-site hash.
@@ -751,7 +743,7 @@ mod tests {
         HeldOut::split(&gen.graph, 40, &mut rng)
     }
 
-    /// `Checkpoint::install` and `DistributedSampler::restore` copy into
+    /// `Checkpoint::install` and `ParallelSampler::restore` copy into
     /// the live `pi` plane — no second model is allocated, and every row
     /// keeps its cache-line alignment — for `K = 16` and `K = 64`.
     #[test]
@@ -781,8 +773,61 @@ mod tests {
             ckpt.install(&mut s.sampler.engine).unwrap();
             check(&s, "install");
             s.run(1);
-            s.restore(&ckpt).unwrap();
+            s.sampler.restore(&ckpt).unwrap();
             check(&s, "restore");
+        }
+    }
+
+    /// A scheduled kill holds the records of the steps since its rollback
+    /// point — the later of the run's start and the last multiple of the
+    /// cadence at or before the kill — so never more than
+    /// `min(cadence, kill - start)`; it holds none once the kill has
+    /// fired, and a run without a kill holds none.
+    #[test]
+    fn held_records_are_bounded_by_the_rollback_interval() {
+        let (g, h) = setup(12);
+        let cfg = SamplerConfig::new(3).with_seed(6);
+        let mut clean =
+            DistributedSampler::new(g.clone(), h.clone(), cfg.clone(), DistributedConfig::das5(3))
+                .unwrap();
+        clean.run(5);
+        let at_5 = clean.checkpoint();
+        // (kill, cadence, start)
+        for (kill, every, start) in [
+            (7, None, 0),
+            (7, Some(3), 0),
+            (9, Some(3), 0),
+            (2, Some(5), 0),
+            (7, Some(4), 5),
+            (7, None, 5),
+        ] {
+            let faults = FaultConfig::transient(2).with_kill(kill, 1);
+            let dcfg = DistributedConfig::das5(3).with_faults(faults);
+            let mut s = match start {
+                0 => DistributedSampler::new(g.clone(), h.clone(), cfg.clone(), dcfg),
+                _ => DistributedSampler::resume(g.clone(), h.clone(), cfg.clone(), dcfg, &at_5),
+            }
+            .unwrap();
+            if let Some(every) = every {
+                s = s.with_checkpoint_every(every);
+            }
+            let case = format!("kill {kill}, cadence {every:?}, start {start}");
+            let bound = every.unwrap_or(u64::MAX).min(kill - start);
+            let rollback = every.map_or(0, |e| kill / e * e).max(start);
+            while s.iteration() < kill {
+                s.step();
+                assert!(s.held as u64 <= bound, "{case}: {} held", s.held);
+            }
+            assert_eq!(s.held as u64, kill - rollback, "{case}");
+            s.run(3);
+            assert_eq!((s.held, s.records.len()), (0, 1), "{case}: after the kill");
+            assert_eq!(s.lost_worker(), Some(1), "{case}");
+        }
+        let dcfg = DistributedConfig::das5(3).with_faults(FaultConfig::transient(2));
+        let mut s = DistributedSampler::new(g, h, cfg, dcfg).unwrap().with_checkpoint_every(2);
+        for _ in 0..6 {
+            s.step();
+            assert_eq!((s.held, s.records.len()), (0, 1), "without a kill");
         }
     }
 
@@ -931,7 +976,7 @@ mod tests {
         d.evaluate_perplexity();
         let charged = d.report().phases.total(Phase::Perplexity);
 
-        let node = d.dcfg.node;
+        let node = d.cluster.dcfg.node;
         let lens: Vec<usize> = (0..r).map(|w| share(total, r, w).len()).collect();
         assert_eq!(lens, [14, 14, 13, 13, 13, 13]);
         let slowest = (0..r)
@@ -940,13 +985,13 @@ mod tests {
                     .iter()
                     .flat_map(|&(e, _)| [e.lo().0, e.hi().0])
                     .collect();
-                d.cost.read_cost(w, &keys)
+                d.cluster.cost.read_cost(w, &keys)
                     + node.worker_secs(NodeComputeModel::PRICES.perplexity_pair_k, lens[w] * k)
             })
             .fold(0.0f64, f64::max);
-        let gather = collective::gather(&d.dcfg.net, r + 1, 14 * 8);
+        let gather = collective::gather(&d.cluster.dcfg.net, r + 1, 14 * 8);
         assert_eq!(charged, slowest + gather);
-        assert!(gather > collective::gather(&d.dcfg.net, r + 1, 13 * 8));
+        assert!(gather > collective::gather(&d.cluster.dcfg.net, r + 1, 13 * 8));
     }
 
     #[test]
@@ -972,11 +1017,11 @@ mod tests {
         let dcfg = DistributedConfig::das5(2).with_faults(FaultConfig::none(1));
         let s = DistributedSampler::new(g, h, SamplerConfig::new(3), dcfg).unwrap();
         for it in 0..64 {
-            let read = s.dkv_retry_cost(it, 1e-3, obs_id::C_DKV_READ_RETRIES, |attempt| {
-                s.plan.read_fault(1, it, 0, attempt)
+            let read = s.cluster.dkv_retry_cost(it, 1e-3, obs_id::C_DKV_READ_RETRIES, |attempt| {
+                s.cluster.plan.read_fault(1, it, 0, attempt)
             });
-            let write = s.dkv_retry_cost(it, 1e-3, obs_id::C_DKV_WRITE_RETRIES, |attempt| {
-                s.plan.write_fault(1, it, attempt)
+            let write = s.cluster.dkv_retry_cost(it, 1e-3, obs_id::C_DKV_WRITE_RETRIES, |attempt| {
+                s.cluster.plan.write_fault(1, it, attempt)
             });
             assert_eq!((read, write), (Ok(0.0), Ok(0.0)), "iteration {it}");
         }
@@ -991,16 +1036,16 @@ mod tests {
         let dcfg = DistributedConfig::das5(2).with_faults(FaultConfig::transient(3));
         let s = DistributedSampler::new(g, h, SamplerConfig::new(3), dcfg).unwrap();
         let (site, healthy) = (99, 1e-3);
-        let backoff = |attempt| s.policy.backoff(&s.plan, site, attempt);
+        let backoff = |attempt| s.cluster.policy.backoff(&s.cluster.plan, site, attempt);
         let retries = obs_id::C_DKV_READ_RETRIES;
-        let twice = s.dkv_retry_cost(site, healthy, retries, |attempt| {
+        let twice = s.cluster.dkv_retry_cost(site, healthy, retries, |attempt| {
             (attempt < 2).then_some(DkvFault::Fail)
         });
         assert_eq!(twice, Ok((healthy + backoff(0)) + (healthy + backoff(1))));
-        let slow = s.dkv_retry_cost(site, healthy, retries, |_| Some(DkvFault::Slow(4.0)));
+        let slow = s.cluster.dkv_retry_cost(site, healthy, retries, |_| Some(DkvFault::Slow(4.0)));
         assert_eq!(slow, Ok(healthy * 3.0));
-        let spent = (0..=s.policy.max_retries).fold(0.0, |t, a| t + (healthy + backoff(a)));
-        let never = s.dkv_retry_cost(site, healthy, retries, |_| Some(DkvFault::Fail));
+        let spent = (0..=s.cluster.policy.max_retries).fold(0.0, |t, a| t + (healthy + backoff(a)));
+        let never = s.cluster.dkv_retry_cost(site, healthy, retries, |_| Some(DkvFault::Fail));
         assert_eq!(never, Err(spent));
     }
 

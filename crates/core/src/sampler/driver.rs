@@ -14,11 +14,11 @@
 //!
 //! [`step`] and [`evaluate_perplexity`] time each stage as its phase.
 //! The simulated cluster ([`crate::DistributedSampler`]) runs the very
-//! same [`step`], asking it for each batch vertex's DKV keys
-//! ([`KeyRecord`]), and prices it afterwards, so there is one chain.
+//! same [`step`], asking it for a [`StepRecord`] (its batch and DKV
+//! keys), and prices the record afterwards, so there is one chain.
 
 use crate::sampler::engine::{Engine, PHI_CHUNK};
-use crate::sampler::worker::KeyRecord;
+use crate::sampler::worker::StepRecord;
 use crate::workspace::Workspace;
 use crate::CoreError;
 use mmsb_obs::id as obs_id;
@@ -217,8 +217,8 @@ fn stage_adjacency(
 /// its phase: the master draws the mini-batch (master RNG); on an
 /// out-of-core graph the batch's adjacency is staged
 /// ([`stage_adjacency`]); every batch vertex's new `phi` row is computed
-/// per [`PHI_CHUNK`] into the update buffer and, when `record` is given,
-/// its DKV keys into the record; the barrier, and every update is
+/// per [`PHI_CHUNK`] into the update buffer and, given a `record`, the
+/// batch and its DKV keys into it; the barrier, and every update is
 /// applied; per-chunk theta gradients (`THETA_CHUNK` pairs each) against
 /// the fresh `pi`, combined by a fixed binary tree, then the theta SGRLD
 /// step (theta RNG). The chunks, not the pool, fix the summation order.
@@ -230,7 +230,7 @@ pub(crate) fn step(
     pool: &ThreadPool,
     scratch: &mut [Workspace],
     bufs: &mut StepBuffers,
-    record: Option<&mut KeyRecord>,
+    record: Option<&mut StepRecord>,
 ) -> Result<(), CoreError> {
     let _step_span = mmsb_obs::timed_span(obs_id::S_STEP, obs_id::H_STEP_NS);
     {
@@ -245,7 +245,7 @@ pub(crate) fn step(
     {
         let _p = phase_span(Phase::UpdatePhi);
         let eng = &*engine;
-        let record = record.map(|r| (r.stride(), SharedSlice::new(r.slots(nv))));
+        let record = record.map(|r| r.begin(eng));
         let updates = prefix(&mut bufs.updates, nv * k);
         fan_out(pool, scratch, updates, k, PHI_CHUNK, |ws, _, vs, rows| {
             eng.update_phi(vs.clone(), ws, rows);

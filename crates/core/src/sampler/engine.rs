@@ -132,26 +132,21 @@ impl Engine {
         Ok(engine)
     }
 
+    /// Hard upper bound on the number of pairs any mini-batch holds.
+    pub fn max_batch_pairs(&self) -> usize {
+        let graph = &self.graph;
+        max_batch_pairs(graph.num_vertices(), graph.max_degree(), self.config.minibatch)
+    }
+
     /// Hard upper bound on the number of vertices any mini-batch can touch
     /// — sizes the drivers' flat update buffer once, up front.
     pub fn max_batch_vertices(&self) -> usize {
-        let pairs = max_batch_pairs(
-            self.graph.num_vertices(),
-            self.graph.max_degree(),
-            self.config.minibatch,
-        );
-        (2 * pairs).min(self.graph.num_vertices() as usize)
+        (2 * self.max_batch_pairs()).min(self.graph.num_vertices() as usize)
     }
 
     /// Hard upper bound on theta chunks per iteration.
     pub fn max_theta_chunks(&self) -> usize {
-        max_batch_pairs(
-            self.graph.num_vertices(),
-            self.graph.max_degree(),
-            self.config.minibatch,
-        )
-        .div_ceil(THETA_CHUNK)
-        .max(1)
+        self.max_batch_pairs().div_ceil(THETA_CHUNK).max(1)
     }
 
     /// Swap in a new training snapshot (same vertex set, evolved edges)

@@ -12,7 +12,7 @@
 //! tested against.
 
 use super::driver::{self, StepBuffers};
-use super::worker::KeyRecord;
+use super::worker::StepRecord;
 use super::Engine;
 use crate::checkpoint::Checkpoint;
 use crate::communities::Communities;
@@ -106,15 +106,15 @@ impl ParallelSampler {
         self.try_step_recording(None)
     }
 
-    /// [`ParallelSampler::step`], writing each batch vertex's DKV keys
-    /// into `record` when one is given.
-    pub(super) fn step_recording(&mut self, record: Option<&mut KeyRecord>) {
+    /// [`ParallelSampler::step`], writing the batch and each batch
+    /// vertex's DKV keys into `record` when one is given.
+    pub(super) fn step_recording(&mut self, record: Option<&mut StepRecord>) {
         if let Err(e) = self.try_step_recording(record) {
             panic!("{e}");
         }
     }
 
-    fn try_step_recording(&mut self, record: Option<&mut KeyRecord>) -> Result<(), CoreError> {
+    fn try_step_recording(&mut self, record: Option<&mut StepRecord>) -> Result<(), CoreError> {
         driver::step(
             &mut self.engine,
             &self.pool,

@@ -1,16 +1,17 @@
 //! What a worker holds between the two passes of `update_phi`: its
 //! vertices' sampled neighbor sets ([`SampledSets`]), and what the
 //! simulated cluster ([`crate::DistributedSampler`]) reads back from a
-//! step to price it: every batch vertex's DKV keys ([`KeyRecord`]) and
-//! how the batch and the held-out pairs split over its ranks
-//! ([`share`]).
+//! step to price it: the step's batch and every batch vertex's DKV keys
+//! ([`StepRecord`]) and how the batch and the held-out pairs split over
+//! its ranks ([`share`]).
 
 use super::driver::prefix;
 use super::Engine;
 use crate::rngs;
 use mmsb_graph::heldout::HeldOut;
 use mmsb_graph::neighbor::NeighborSampler;
-use mmsb_graph::{FxHashSet, VertexId};
+use mmsb_graph::{Edge, FxHashSet, VertexId};
+use mmsb_pool::SharedSlice;
 use mmsb_rand::Xoshiro256PlusPlus;
 use std::ops::Range;
 
@@ -86,7 +87,7 @@ impl SampledSets {
 
     /// Write each sampled vertex's DKV keys — its key count, then its own
     /// row, then its neighbors' rows — into its `stride` slots of `out`
-    /// (one [`KeyRecord`] slot range per vertex, in order).
+    /// (one [`StepRecord`] slot range per vertex, in order).
     pub fn record_keys(&self, out: &mut [u32], stride: usize) {
         let mut lo = 0;
         let slots = out.chunks_exact_mut(stride);
@@ -116,38 +117,50 @@ impl SampledSets {
     }
 }
 
-/// Every mini-batch vertex's DKV keys — its own row, then its sampled
-/// neighbors' — as [`super::driver::step`] writes them when a caller
-/// asks: batch vertex `i` owns the `stride` slots from `i * stride`, the
-/// first holding its key count. Sized for the largest batch up front,
-/// so the steady state writes it in place.
-pub(crate) struct KeyRecord {
+/// One step as the simulated cluster prices it, written by
+/// [`super::driver::step`] when a caller asks: its iteration, batch and
+/// every batch vertex's DKV keys (own row, then sampled neighbors'),
+/// vertex `i`'s in the `stride` slots from `i * stride`, the first its
+/// key count. Sized for the largest batch up front, so it is rewritten
+/// in place.
+pub(crate) struct StepRecord {
+    /// The iteration the step ran.
+    pub iteration: u64,
+    /// The batch's distinct vertices, in [`Engine::mb_vertices`] order.
+    pub vertices: Vec<VertexId>,
+    /// The batch's pairs.
+    pub pairs: Vec<Edge>,
     slots: Vec<u32>,
     /// `neighbor_sample + 2`: the count, the vertex, its neighbors.
     stride: usize,
 }
 
-impl KeyRecord {
+impl StepRecord {
     /// A record for any mini-batch `engine` can draw.
     pub fn new(engine: &Engine) -> Self {
         let stride = engine.config.neighbor_sample + 2;
         Self {
+            iteration: 0,
+            vertices: Vec::with_capacity(engine.max_batch_vertices()),
+            pairs: Vec::with_capacity(engine.max_batch_pairs()),
             slots: vec![0; engine.max_batch_vertices() * stride],
             stride,
         }
     }
 
-    /// Slots per vertex.
-    pub fn stride(&self) -> usize {
-        self.stride
+    /// Take `engine`'s iteration and freshly drawn batch as the step's;
+    /// the stride and key slots of the batch's vertices, for the phi
+    /// fan-out to fill.
+    pub fn begin(&mut self, engine: &Engine) -> (usize, SharedSlice<'_, u32>) {
+        self.iteration = engine.iteration;
+        self.vertices.clone_from(&engine.mb_vertices);
+        self.pairs.clear();
+        self.pairs.extend(engine.mb.pairs.iter().map(|&(e, _)| e));
+        let slots = prefix(&mut self.slots, self.vertices.len() * self.stride);
+        (self.stride, SharedSlice::new(slots))
     }
 
-    /// The slots of the first `vertices` batch vertices.
-    pub fn slots(&mut self, vertices: usize) -> &mut [u32] {
-        prefix(&mut self.slots, vertices * self.stride)
-    }
-
-    /// Batch vertex `i`'s keys, as the last step recorded them.
+    /// Batch vertex `i`'s keys, as the step recorded them.
     pub fn keys(&self, i: usize) -> &[u32] {
         let slot = &self.slots[i * self.stride..(i + 1) * self.stride];
         &slot[1..=slot[0] as usize]

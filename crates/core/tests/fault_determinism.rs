@@ -7,7 +7,9 @@
 //! bitwise-identical to the fault-free run under the same sampler seed,
 //! and a permanent worker kill must degrade to `R - 1` workers while
 //! still reproducing the same chain bit for bit: the worker count decides
-//! how the stages are priced, never what they compute.
+//! how the stages are priced, never what they compute. A kill re-prices
+//! the steps since its rollback point at `R - 1` workers; it re-runs
+//! none, so the `pi` plane is never copied or moved.
 
 use mmsb_core::{DistributedConfig, DistributedSampler, SamplerConfig};
 use mmsb_graph::generate::planted::{generate_planted, PlantedConfig};
@@ -30,6 +32,13 @@ fn setup(seed: u64) -> (Graph, HeldOut) {
         &mut rng,
     );
     HeldOut::split(&gen.graph, 36, &mut rng)
+}
+
+/// The virtual clock and every phase total of `s`, as bits.
+fn price_bits(s: &DistributedSampler) -> (u64, Vec<u64>) {
+    let phases = s.report().phases;
+    let totals = Phase::ALL.iter().map(|&p| phases.total(p).to_bits());
+    (s.virtual_time().to_bits(), totals.collect())
 }
 
 fn assert_same_chain(a: &DistributedSampler, b: &DistributedSampler) {
@@ -103,8 +112,9 @@ fn killed_worker_degrades_to_survivors_with_the_same_chain() {
     let mut clean =
         DistributedSampler::new(g.clone(), h.clone(), cfg.clone(), DistributedConfig::das5(4))
             .unwrap();
-    // Worker 2 dies permanently at the start of iteration 5; the run
-    // rewinds to the iteration-4 checkpoint and continues on 3 workers.
+    // Worker 2 dies permanently at the start of iteration 5; the step
+    // since the iteration-4 rollback point is re-priced on 3 workers,
+    // and the run continues there.
     let faults = FaultConfig::none(5).with_kill(5, 2);
     let mut killed = DistributedSampler::new(
         g,
@@ -114,14 +124,32 @@ fn killed_worker_degrades_to_survivors_with_the_same_chain() {
     )
     .unwrap()
     .with_checkpoint_every(2);
+    let plane = killed.state().pi_row(0).as_ptr();
 
     clean.run(10);
     killed.run(10);
 
     assert_eq!(killed.workers(), 3, "did not degrade to R - 1 workers");
     assert_eq!(killed.lost_worker(), Some(2));
-    assert_eq!(killed.iteration(), 10, "rewound iterations must be re-run");
+    assert_eq!(killed.iteration(), 10, "a kill must not change the step count");
     assert_same_chain(&clean, &killed);
+    assert_eq!(killed.state().pi_row(0).as_ptr(), plane, "the pi plane moved");
+    // The price of the replay the cluster models, recorded at commit
+    // 53714e8, whose sampler still rewound to a checkpoint and re-ran it.
+    let totals = [
+        0x3f29d59d8e984a14,
+        0x3f18811c101cc981,
+        0x3ef20d9ff46cb66c,
+        0x3f641d38a00497be,
+        0x3eda40f06c212194,
+        0x3f16622d63c903f2,
+        0x3f3f41f111be5246,
+        0x0000000000000000,
+        0x3f2f24887584e759,
+        0x3ed0cd66ab9a5320,
+        0x3f847ebf55478cb9,
+    ];
+    assert_eq!(price_bits(&killed), (0x3f8b339e42db7398, totals.to_vec()));
 
     let p = killed.evaluate_perplexity();
     assert!(p.is_finite() && p > 1.0, "degraded run broke perplexity: {p}");
@@ -137,8 +165,8 @@ fn kill_without_checkpoint_cadence_rewinds_to_construction() {
     let mut clean =
         DistributedSampler::new(g.clone(), h.clone(), cfg.clone(), DistributedConfig::das5(3))
             .unwrap();
-    // No with_checkpoint_every: the rollback point is the construction
-    // snapshot, so the whole prefix is re-run after the kill.
+    // No with_checkpoint_every: the rollback point is construction, so
+    // the kill re-prices the whole prefix.
     let mut killed = DistributedSampler::new(
         g,
         h,
@@ -146,11 +174,28 @@ fn kill_without_checkpoint_cadence_rewinds_to_construction() {
         DistributedConfig::das5(3).with_faults(FaultConfig::none(1).with_kill(3, 0)),
     )
     .unwrap();
+    let plane = killed.state().pi_row(0).as_ptr();
     clean.run(6);
     killed.run(6);
     assert_eq!(killed.workers(), 2);
     assert_eq!(killed.iteration(), 6);
     assert_same_chain(&clean, &killed);
+    assert_eq!(killed.state().pi_row(0).as_ptr(), plane, "the pi plane moved");
+    // Recorded at commit 53714e8, which re-ran the prefix.
+    let totals = [
+        0x3f2682537afe0262,
+        0x3f0c55d62a78ae9e,
+        0x3ef55cec3691b5bb,
+        0x3f62bfc3ad71f13c,
+        0x3edf111c7ff40156,
+        0x3f13f23cf4747134,
+        0x3f3c899919cf7146,
+        0x0000000000000000,
+        0x3f24c305a3adef91,
+        0x3ed500c05680e860,
+        0x3f847d7550bf0f4f,
+    ];
+    assert_eq!(price_bits(&killed), (0x3f8a989417021f06, totals.to_vec()));
     let (pc, pk) = (clean.evaluate_perplexity(), killed.evaluate_perplexity());
     assert_eq!(pc.to_bits(), pk.to_bits(), "perplexity diverged: {pc} vs {pk}");
 }

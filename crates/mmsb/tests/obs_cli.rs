@@ -1,8 +1,9 @@
 //! End-to-end observability round-trip through the `mmsb` binary:
 //! `simulate --obs-level spans --trace-out --metrics-out` must produce a
 //! chrome-trace file the in-tree parser validates and a metrics snapshot
-//! covering every sampler phase, the DKV ops, and the collectives; and
-//! `train --metrics-out` counts every checkpoint it saves.
+//! covering every sampler phase, the DKV ops, the collectives and its one
+//! checkpoint save; and `train --metrics-out` counts every checkpoint it
+//! saves.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -17,6 +18,7 @@ fn out_path(name: &str) -> PathBuf {
 fn simulate_exports_valid_trace_and_metrics() {
     let trace = out_path("t.json");
     let metrics = out_path("m.json");
+    let ckpt = out_path("c.ckpt");
     let out = Command::new(env!("CARGO_BIN_EXE_mmsb"))
         .args([
             "simulate",
@@ -37,6 +39,8 @@ fn simulate_exports_valid_trace_and_metrics() {
         .arg(&trace)
         .arg("--metrics-out")
         .arg(&metrics)
+        .arg("--checkpoint")
+        .arg(&ckpt)
         .output()
         .expect("run mmsb binary");
     assert!(
@@ -77,7 +81,9 @@ fn simulate_exports_valid_trace_and_metrics() {
         "\"threads\": 4",
         "\"host_cores\":",
         "\"sampler_steps\": 10",
-        "\"checkpoints\": 2",
+        // The save; `--checkpoint-every` is a modelled rollback cadence
+        // and captures nothing.
+        "\"checkpoints\": 1",
         "\"dkv_read_batches\":",
         "\"dkv_write_batches\":",
         "\"comm_collectives\":",
@@ -102,6 +108,7 @@ fn simulate_exports_valid_trace_and_metrics() {
 
     let _ = std::fs::remove_file(&trace);
     let _ = std::fs::remove_file(&metrics);
+    let _ = std::fs::remove_file(&ckpt);
 }
 
 /// `mmsb train --checkpoint-every 30` over 60 iterations saves twice, and

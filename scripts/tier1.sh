@@ -2,7 +2,7 @@
 # Tier-1 gate: the workspace must build, lint clean, and test fully
 # offline — no registry dependencies, no network. Each step runs once:
 # xlint -> doc check (five reference checks, then the no-clock,
-# no-compute and one-cache checks) ->
+# no-compute, one-cache and no-rollback-checkpoint checks) ->
 # build -> clippy -> the whole test suite -> the three --quick gate
 # binaries -> sanitize.sh.
 set -euo pipefail
@@ -125,6 +125,17 @@ while read -r hit; do
     echo "a per-thread graph cache field: $hit"; stale=1
 done < <(grep -rnE '\bgraph_cache[[:space:]]*:' crates/core/src \
     | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//')
+# (9) No rollback checkpoint in the simulated cluster: a worker loss
+# re-prices the held step records at `R - 1` workers, so `distributed.rs`
+# captures no checkpoint (`Checkpoint::capture`) and keeps none (an
+# `Option<Checkpoint>` field) — a live capture copies the model planes
+# at the next step, and restoring one replays steps the chain already
+# ran. Comment lines are skipped.
+src=crates/core/src/sampler/distributed.rs
+while read -r hit; do
+    echo "$src keeps a rollback checkpoint: $hit"; stale=1
+done < <(grep -nE 'Checkpoint::capture|:[[:space:]]*Option<([A-Za-z_]+::)*Checkpoint>' "$src" \
+    | grep -vE '^[0-9]+:[[:space:]]*//')
 [ "$stale" -eq 0 ]
 
 cargo build --release --offline
