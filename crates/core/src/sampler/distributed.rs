@@ -155,11 +155,11 @@ pub struct DistributedSampler {
     sampler: ParallelSampler,
     /// The price of its steps.
     cluster: ClusterModel,
-    /// `records[..held]` are the steps a kill still to come re-prices,
-    /// those of the iterations in `reprice`; the next step writes
-    /// `records[held]`.
-    records: Vec<StepRecord>,
-    held: usize,
+    /// The step just run.
+    record: StepRecord,
+    /// Copies of the steps a kill still to come re-prices: those of the
+    /// iterations in `reprice`.
+    held: Vec<StepRecord>,
     /// From the kill's rollback point to the kill (empty without a kill;
     /// see [`DistributedSampler::with_checkpoint_every`]).
     reprice: Range<u64>,
@@ -243,8 +243,8 @@ impl DistributedSampler {
         let engine = &sampler.engine;
         Ok(Self {
             cluster: ClusterModel::new(dcfg, engine.graph.num_vertices(), engine.config.k),
-            records: vec![StepRecord::new(engine)],
-            held: 0,
+            record: StepRecord::new(engine),
+            held: Vec::new(),
             reprice: dcfg.faults.and_then(|f| f.kill_worker).map_or(0..0, |(kill, _)| 0..kill),
             lost_worker: None,
             sampler,
@@ -312,14 +312,10 @@ impl DistributedSampler {
                 self.degrade(dead);
             }
         }
-        if self.held == self.records.len() {
-            self.records.push(StepRecord::new(&self.sampler.engine));
-        }
-        let record = &mut self.records[self.held];
-        self.sampler.step_recording(Some(record));
-        self.cluster.price(record, &self.sampler.engine.graph);
+        self.sampler.step_recording(Some(&mut self.record));
+        self.cluster.price(&self.record, &self.sampler.engine.graph);
         if self.reprice.contains(&iteration) {
-            self.held += 1;
+            self.held.push(self.record.clone());
         }
     }
 
@@ -340,11 +336,10 @@ impl DistributedSampler {
         self.lost_worker = Some(dead);
         let graph = &self.sampler.engine.graph;
         self.cluster.lose_worker(graph.num_vertices());
-        for record in &self.records[..self.held] {
+        for record in &self.held {
             self.cluster.price(record, graph);
         }
-        self.held = 0;
-        self.records.truncate(1);
+        self.held = Vec::new();
     }
 
     /// Distributed held-out perplexity: the pool driver's
@@ -816,18 +811,18 @@ mod tests {
             let rollback = every.map_or(0, |e| kill / e * e).max(start);
             while s.iteration() < kill {
                 s.step();
-                assert!(s.held as u64 <= bound, "{case}: {} held", s.held);
+                assert!(s.held.len() as u64 <= bound, "{case}: {} held", s.held.len());
             }
-            assert_eq!(s.held as u64, kill - rollback, "{case}");
+            assert_eq!(s.held.len() as u64, kill - rollback, "{case}");
             s.run(3);
-            assert_eq!((s.held, s.records.len()), (0, 1), "{case}: after the kill");
+            assert_eq!(s.held.capacity(), 0, "{case}: records left after the kill");
             assert_eq!(s.lost_worker(), Some(1), "{case}");
         }
         let dcfg = DistributedConfig::das5(3).with_faults(FaultConfig::transient(2));
         let mut s = DistributedSampler::new(g, h, cfg, dcfg).unwrap().with_checkpoint_every(2);
         for _ in 0..6 {
             s.step();
-            assert_eq!((s.held, s.records.len()), (0, 1), "without a kill");
+            assert_eq!(s.held.capacity(), 0, "without a kill");
         }
     }
 

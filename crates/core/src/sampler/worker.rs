@@ -5,7 +5,6 @@
 //! ([`StepRecord`]) and how the batch and the held-out pairs split over
 //! its ranks ([`share`]).
 
-use super::driver::prefix;
 use super::Engine;
 use crate::rngs;
 use mmsb_graph::heldout::HeldOut;
@@ -121,8 +120,9 @@ impl SampledSets {
 /// [`super::driver::step`] when a caller asks: its iteration, batch and
 /// every batch vertex's DKV keys (own row, then sampled neighbors'),
 /// vertex `i`'s in the `stride` slots from `i * stride`, the first its
-/// key count. Sized for the largest batch up front, so it is rewritten
-/// in place.
+/// key count. Reserved for the largest batch up front, so it is rewritten
+/// in place; a clone holds only its own batch.
+#[derive(Clone)]
 pub(crate) struct StepRecord {
     /// The iteration the step ran.
     pub iteration: u64,
@@ -143,7 +143,7 @@ impl StepRecord {
             iteration: 0,
             vertices: Vec::with_capacity(engine.max_batch_vertices()),
             pairs: Vec::with_capacity(engine.max_batch_pairs()),
-            slots: vec![0; engine.max_batch_vertices() * stride],
+            slots: Vec::with_capacity(engine.max_batch_vertices() * stride),
             stride,
         }
     }
@@ -156,8 +156,8 @@ impl StepRecord {
         self.vertices.clone_from(&engine.mb_vertices);
         self.pairs.clear();
         self.pairs.extend(engine.mb.pairs.iter().map(|&(e, _)| e));
-        let slots = prefix(&mut self.slots, self.vertices.len() * self.stride);
-        (self.stride, SharedSlice::new(slots))
+        self.slots.resize(self.vertices.len() * self.stride, 0);
+        (self.stride, SharedSlice::new(&mut self.slots))
     }
 
     /// Batch vertex `i`'s keys, as the step recorded them.
