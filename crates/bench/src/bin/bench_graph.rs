@@ -12,7 +12,7 @@
 //! * `train/sequential`, `train/parallel` — end-to-end SG-MCMC
 //!   iterations on the out-of-core backend through the driver that
 //!   ships (`ParallelSampler`), at one thread (the id every earlier
-//!   line carries) and at `host_cores`, each with the block-cache
+//!   line carries) and at `host_cores`, each with the frame-cache
 //!   misses per step from the obs counters and one held-out perplexity
 //!   evaluation.
 //!
@@ -186,7 +186,7 @@ fn main() {
             "implausible perplexity {perplexity}"
         );
         println!(
-            "{id}: {ips:.2} iters/s on {threads} thread(s) ({} iters in {}), {misses_per_step:.0} block misses/step, heldout perplexity {perplexity:.3}",
+            "{id}: {ips:.2} iters/s on {threads} thread(s) ({} iters in {}), {misses_per_step:.0} frame misses/step, heldout perplexity {perplexity:.3}",
             s.train_iters,
             mmsb_bench::fmt_secs(train_s)
         );

@@ -72,8 +72,9 @@ pub const TIME_TOKENS: &[&str] = &["Instant", "SystemTime"];
 
 /// The designated hot-path modules: the request path of the serving
 /// layer, the sampler's inner step driver and its per-vertex / per-pair
-/// stage functions, the SIMD kernels (the CRC-32 every out-of-core block
-/// load runs included), and the pool's worker loop. These
+/// stage functions, the SIMD kernels (the CRC-32 every out-of-core frame
+/// load runs included), the out-of-core frame cache every staged list is
+/// read through, and the pool's worker loop. These
 /// are the files whose steady state the counting-allocator tests
 /// (`zero_alloc.rs`, `zero_alloc_serve.rs`) pin dynamically; the
 /// hot-path rules pin the same property statically, on every line, on
@@ -91,6 +92,7 @@ pub const HOT_PATHS: &[&str] = &[
     "crates/simd/src/math.rs",
     "crates/simd/src/lanes.rs",
     "crates/pool/src/worker.rs",
+    "crates/ooc/src/cache.rs",
 ];
 
 /// Crates whose computed results feed trained state or published

@@ -1,20 +1,25 @@
-//! Block-read budget of one out-of-core training step (DESIGN.md §15,
+//! Frame-read budget of one out-of-core training step (DESIGN.md §15,
 //! "Access pattern").
 //!
 //! Every edge test on the training path is a lookup in the *anchor's*
 //! decoded list, so a step may open each mini-batch vertex's list once
 //! (the staging) and each stratum anchor's list once (the draw) —
-//! nothing else. The test counts the cache lookups of one cold step
-//! through the obs counters and holds them to exactly that budget.
+//! nothing else. The test counts the cache's frame lookups of one cold
+//! step through the obs counters and holds them to exactly that budget:
+//! the 1 KiB frames those lists span.
 //! Testing `has_edge(a, b)` per sampled neighbour instead (up to 32
 //! foreign lists per vertex, ~N/m per non-link stratum) overshoots it
 //! roughly 30-fold.
 //!
-//! Each block is cached by one region cache only, so a cold step also
-//! loads each block it needs at most once, at one thread and at two:
-//! its misses are at most the distinct blocks its lists span. (With a
-//! cache per thread and one for the master, a block the draw loaded was
-//! loaded again by whichever worker staged the vertex.)
+//! Each frame is cached by one region cache only, so a cold step also
+//! loads each frame it needs at most once, at one thread and at two:
+//! its misses are at most the distinct frames its lists span. (With a
+//! cache per thread and one for the master, a frame the draw loaded was
+//! loaded again by whichever worker staged the vertex.) And a miss reads
+//! a frame, not the block around it: the bytes a cold step reads are at
+//! most the distinct blocks its lists span times the block size, what
+//! reading whole blocks cost. (This fixture's first batch reaches every
+//! frame of its 8-block file, so here the two are equal.)
 //!
 //! One test, in a file of its own: the obs registry is process-global,
 //! and any other out-of-core test running beside it would count too.
@@ -25,18 +30,18 @@ use mmsb_graph::heldout::HeldOut;
 use mmsb_graph::minibatch::{BatchKind, MinibatchSampler, Stratum};
 use mmsb_graph::VertexId;
 use mmsb_obs::{id, ObsConfig, ObsLevel};
+use mmsb_ooc::format::FRAME_SIZE;
 use mmsb_ooc::{write_graph, BuildOptions, GraphBackend, OocGraph};
 use mmsb_rand::Xoshiro256PlusPlus;
 
-/// The blocks the encoded list of `v` touches (none for an isolated
-/// vertex).
-fn blocks_of(file: &OocGraph, v: VertexId) -> std::ops::Range<u64> {
+/// The `unit`-byte units (frames or blocks) the encoded list of `v`
+/// touches (none for an isolated vertex).
+fn units_of(file: &OocGraph, v: VertexId, unit: u64) -> std::ops::Range<u64> {
     let (start, end) = file.list_range(v.0);
-    let bs = u64::from(file.header().block_size);
     if start == end {
         0..0
     } else {
-        start / bs..(end - 1) / bs + 1
+        start / unit..(end - 1) / unit + 1
     }
 }
 
@@ -85,15 +90,19 @@ fn a_step_opens_each_minibatch_list_once() {
     });
     let vertices = mb.vertices();
     let lists: Vec<VertexId> = anchors.chain(vertices.iter().copied()).collect();
+    let (frame, block) = (u64::from(FRAME_SIZE), u64::from(file.header().block_size));
     let budget: u64 = lists
         .iter()
-        .map(|&v| blocks_of(&file, v).end - blocks_of(&file, v).start)
+        .map(|&v| units_of(&file, v, frame).count() as u64)
         .sum();
-    let distinct = lists
-        .iter()
-        .flat_map(|&v| blocks_of(&file, v))
-        .collect::<std::collections::BTreeSet<u64>>()
-        .len() as u64;
+    let distinct_in = |unit: u64| {
+        lists
+            .iter()
+            .flat_map(|&v| units_of(&file, v, unit))
+            .collect::<std::collections::BTreeSet<u64>>()
+            .len() as u64
+    };
+    let (distinct, distinct_blocks) = (distinct_in(frame), distinct_in(block));
 
     let obs = mmsb_obs::init(ObsConfig::at(ObsLevel::Metrics));
     let hits = || obs.metrics.counter_total(id::C_GRAPH_CACHE_HITS);
@@ -127,7 +136,7 @@ fn a_step_opens_each_minibatch_list_once() {
         assert!(used > 0, "the step read nothing through the cache");
         assert!(
             used <= budget,
-            "{threads} threads: step made {used} block lookups; one read per mini-batch \
+            "{threads} threads: step made {used} frame lookups; one read per mini-batch \
              vertex list ({} vertices) and per anchor ({}) allows {budget}",
             vertices.len(),
             strata.len()
@@ -135,7 +144,12 @@ fn a_step_opens_each_minibatch_list_once() {
         assert!(
             missed <= distinct,
             "{threads} threads: a cold step missed {missed} times; its lists span \
-             {distinct} distinct blocks"
+             {distinct} distinct frames"
+        );
+        assert!(
+            missed * frame <= distinct_blocks * block,
+            "{threads} threads: a cold step read {missed} frames of {frame} bytes; whole \
+             blocks would be {distinct_blocks} of {block} bytes"
         );
     }
     mmsb_obs::set_level(ObsLevel::Off);

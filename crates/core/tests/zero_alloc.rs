@@ -5,7 +5,7 @@
 //! writing its DKV key record, then the priced, chunked `pi` load),
 //! warmed `ShardedStore` writes, a warmed out-of-core
 //! [`mmsb_ooc::BlockCache`] read loop, whether every read hits or every
-//! read evicts, reads, CRCs and decodes a block, nor a warmed
+//! read evicts, reads, CRCs and decodes a frame, nor a warmed
 //! out-of-core `step()` at two threads (the draw through the region
 //! caches, the staging fan-out, the phi stage on the staged lists). A checkpoint shares the model planes instead of
 //! copying them: capturing and saving one on a 20 000-vertex, K = 16
@@ -13,7 +13,7 @@
 //! allocates nothing, and a live checkpoint keeps its bytes while the
 //! chain moves on. Every per-iteration buffer is pre-reserved at its hard
 //! upper bound (`Engine::with_backend`, `StepBuffers::new`, `Workspace::new`,
-//! `KeyRecord::new`, the cache's block storage and decode scratch, the
+//! `KeyRecord::new`, the cache's frame storage and decode scratch, the
 //! staged adjacency: the batch's largest possible lists) or
 //! grows to its high-water mark during warm-up (the lockstep driver's
 //! pricing key buffers), the pool publishes jobs as unboxed
@@ -297,8 +297,8 @@ fn steady_state_step_is_allocation_free() {
     );
 
     // ---- out-of-core graph path: warmed BlockCache reads ----
-    // The cache's block storage is sized at construction and the decode
-    // scratch is reserved at `max_degree`, so once every block has been
+    // The cache's frame storage is sized at construction and the decode
+    // scratch is reserved at `max_degree`, so once every frame has been
     // faulted in, neighbor decodes and membership probes must never
     // touch the heap — even though instrumentation (cache counters, the
     // read-latency histogram) stays fully on.
@@ -346,10 +346,11 @@ fn steady_state_step_is_allocation_free() {
     );
 
     // ---- out-of-core graph path: every read a miss ----
-    // The pass above never evicts. `train_ooc` misses ~440 times a step,
-    // so the miss path is pinned too: a 4-block cache is one 4-way set,
-    // and reading lists from more than four distinct blocks round-robin
-    // makes every read evict, `pread` a block, CRC it and decode it.
+    // The pass above never evicts. `train_ooc` misses ~480 frames a step,
+    // so the miss path is pinned too: a 1-block cache at 4 KiB blocks is
+    // four 1 KiB frames, one 4-way set, and reading lists from more than
+    // four distinct frames round-robin makes every read evict, `pread` a
+    // frame, CRC it and decode it.
     let big = generate_planted(
         &PlantedConfig {
             num_vertices: 3000,
@@ -373,26 +374,26 @@ fn steady_state_step_is_allocation_free() {
     )
     .unwrap();
     let ooc = mmsb_ooc::OocGraph::open(&path).unwrap();
-    // One vertex per block, each with its whole list inside that block,
-    // so a read touches exactly one block.
-    let block_size = u64::from(ooc.header().block_size);
+    // One vertex per frame, each with its whole list inside that frame,
+    // so a read touches exactly one frame.
+    let frame_size = u64::from(mmsb_ooc::format::FRAME_SIZE);
     let mut picks: Vec<mmsb_graph::VertexId> = Vec::new();
-    let mut last_block = None;
+    let mut last_frame = None;
     for v in 0..ooc.num_vertices() {
         let (start, end) = ooc.list_range(v);
-        let block = start / block_size;
-        if end > start && (end - 1) / block_size == block && last_block != Some(block) {
-            last_block = Some(block);
+        let frame = start / frame_size;
+        if end > start && (end - 1) / frame_size == frame && last_frame != Some(frame) {
+            last_frame = Some(frame);
             picks.push(mmsb_graph::VertexId(v));
         }
     }
     assert!(
         picks.len() > 4,
-        "need more distinct blocks than ways, got {}",
+        "need more distinct frames than ways, got {}",
         picks.len()
     );
-    let mut cache = mmsb_ooc::BlockCache::for_graph(&ooc, 4, 5);
-    assert_eq!(cache.capacity_blocks(), 4);
+    let mut cache = mmsb_ooc::BlockCache::for_graph(&ooc, 1, 5);
+    assert_eq!(cache.capacity_frames(), 4);
     let obs = mmsb_obs::get().unwrap();
     let misses_before;
     {
@@ -430,8 +431,8 @@ fn steady_state_step_is_allocation_free() {
 
     // ---- out-of-core sampler: the draw, the staging, the phi stage ----
     // Two pool threads over `misses.ooc`: a 4-block share per thread
-    // gives three regions of one 4-way set each, fewer slots than the
-    // file has blocks, so the steps keep evicting. The staged adjacency
+    // gives three regions of 16 frame slots each, fewer slots than the
+    // file has frames, so the steps keep evicting. The staged adjacency
     // was reserved at construction for the largest batch's lists, so
     // once warm a step allocates nothing.
     let (_, big_heldout) = HeldOut::split(&big, 100, &mut rng);

@@ -105,7 +105,18 @@ fn obs_setup(args: &Args) -> Result<ObsOutputs, String> {
             .parse::<ObsLevel>()?
             .max(implied),
     };
-    mmsb::obs::init(ObsConfig::at(level));
+    // The CLI never raises the level after this, so span rings are sized
+    // only when spans are recorded (64 shards × 65,536 slots otherwise
+    // sit in every run's RSS).
+    let span_capacity = if level == ObsLevel::Spans {
+        ObsConfig::default().span_capacity
+    } else {
+        1
+    };
+    mmsb::obs::init(ObsConfig {
+        span_capacity,
+        ..ObsConfig::at(level)
+    });
     Ok(ObsOutputs {
         metrics_out,
         trace_out,
@@ -460,7 +471,11 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
              [--faults SEED] [--kill ITER:RANK] [--checkpoint-every N] \
              [--checkpoint FILE] [--resume FILE] [generator flags] \
              [--simd auto|scalar|sse2|avx2|neon] \
-             [--obs-level off|metrics|spans] [--metrics-out FILE] [--trace-out FILE]"
+             [--obs-level off|metrics|spans] [--metrics-out FILE] [--trace-out FILE]\n\
+             --checkpoint-every N is the modelled rollback cadence of a \
+             --kill (the lost worker's steps since the last multiple of N \
+             are re-priced); it saves nothing and needs --kill. \
+             --checkpoint FILE saves the final model"
         );
         return Ok(());
     }
@@ -497,6 +512,11 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
         );
     }
     let checkpoint_every: u64 = args.parsed("checkpoint-every", 0)?;
+    if checkpoint_every > 0 && args.get("kill").is_none() {
+        return Err("--checkpoint-every is the modelled rollback cadence of a --kill \
+                    and saves nothing: it needs --kill ITER:RANK"
+            .to_string());
+    }
 
     let simd = simd_from_args(args)?;
     let generated = generated_from_args(args)?;

@@ -111,6 +111,57 @@ fn a_kill_the_run_never_reaches_is_rejected() {
     assert!(String::from_utf8_lossy(&out.stdout).contains("worker 1 was lost"));
 }
 
+/// `simulate --checkpoint-every` is the modelled rollback cadence of a
+/// `--kill` and saves nothing, so without a kill it is refused before
+/// training instead of doing nothing.
+#[test]
+fn checkpoint_every_without_a_kill_is_rejected() {
+    let out = Command::new(env!("CARGO_BIN_EXE_mmsb"))
+        .arg("simulate")
+        .args(RUN)
+        .args(["--workers", "3", "--checkpoint-every", "5"])
+        .output()
+        .expect("run mmsb binary");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("rollback cadence of a --kill"), "{stderr}");
+    assert!(out.stdout.is_empty(), "nothing may be trained");
+}
+
+/// A version-1 `.ooc` file (its version word set to 1, the header CRC
+/// recomputed) is refused by `mmsb train` with exit code 1 and the
+/// command that rewrites it.
+#[test]
+fn a_version_1_file_is_refused_naming_mmsb_convert() {
+    let dir = std::env::temp_dir().join(format!("mmsb-driver-cli-v1-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (edges, ooc) = (dir.join("g.txt"), dir.join("g.ooc"));
+    let (edges_s, ooc_s) = (edges.to_str().unwrap(), ooc.to_str().unwrap());
+    for args in [
+        &["generate", "--vertices", "300", "--communities", "6", "--out", edges_s][..],
+        &["convert", "--input", edges_s, "--out", ooc_s, "--block-size", "4096"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_mmsb")).args(args).output().unwrap();
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    }
+    let mut bytes = std::fs::read(&ooc).unwrap();
+    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+    let crc = mmsb::ooc::crc32(&bytes[..56]);
+    bytes[56..60].copy_from_slice(&crc.to_le_bytes());
+    std::fs::write(&ooc, &bytes).unwrap();
+
+    let out = Command::new(env!("CARGO_BIN_EXE_mmsb"))
+        .args(["train", "--graph-format", "ooc", "--input", ooc_s, "--iters", "1"])
+        .output()
+        .expect("run mmsb binary");
+    std::fs::remove_dir_all(&dir).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("unsupported ooc format version 1"), "{stderr}");
+    assert!(stderr.contains("mmsb convert"), "{stderr}");
+    assert!(out.stdout.is_empty(), "nothing may be trained");
+}
+
 /// A block of the `.ooc` file that goes bad after `mmsb train` opened
 /// and verified it ends training with exit code 1 and the read error —
 /// not a panic. The run is long and reads through a one-block share, so

@@ -2,8 +2,8 @@
 //! `simulate --obs-level spans --trace-out --metrics-out` must produce a
 //! chrome-trace file the in-tree parser validates and a metrics snapshot
 //! covering every sampler phase, the DKV ops, the collectives and its one
-//! checkpoint save; and `train --metrics-out` counts every checkpoint it
-//! saves.
+//! checkpoint save; `train --metrics-out` counts every checkpoint it
+//! saves; and the CLI sizes span rings only when it records spans.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -30,8 +30,6 @@ fn simulate_exports_valid_trace_and_metrics() {
             "10",
             "--vertices",
             "300",
-            "--checkpoint-every",
-            "5",
             "--obs-level",
             "spans",
         ])
@@ -81,8 +79,7 @@ fn simulate_exports_valid_trace_and_metrics() {
         "\"threads\": 4",
         "\"host_cores\":",
         "\"sampler_steps\": 10",
-        // The save; `--checkpoint-every` is a modelled rollback cadence
-        // and captures nothing.
+        // The one `--checkpoint` save at the end.
         "\"checkpoints\": 1",
         "\"dkv_read_batches\":",
         "\"dkv_write_batches\":",
@@ -138,4 +135,31 @@ fn train_counts_its_checkpoints() {
     assert!(m.contains("\"checkpoints\": 2"), "{m}");
     let _ = std::fs::remove_file(&ckpt);
     let _ = std::fs::remove_file(&metrics);
+}
+
+/// The span rings are sized at start-up for the level the run records:
+/// one slot a shard unless it records spans (the CLI never raises the
+/// level later), the full 65,536 when it does.
+#[test]
+fn span_rings_are_sized_only_when_spans_are_recorded() {
+    for (level, capacity) in [("metrics", 1), ("spans", 65_536)] {
+        let metrics = out_path(&format!("rings-{level}.json"));
+        let out = Command::new(env!("CARGO_BIN_EXE_mmsb"))
+            .args(["train", "--vertices", "300", "--k", "4", "--iters", "2"])
+            .args(["--obs-level", level])
+            .arg("--metrics-out")
+            .arg(&metrics)
+            .output()
+            .expect("run mmsb binary");
+        assert!(
+            out.status.success(),
+            "mmsb train failed:\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let m = std::fs::read_to_string(&metrics).expect("metrics file written");
+        let field = format!("\"capacity\": {capacity}}}");
+        let spans = m.lines().find(|l| l.contains("\"spans\":")).unwrap_or("");
+        assert!(spans.contains(&field), "--obs-level {level}: {spans}");
+        let _ = std::fs::remove_file(&metrics);
+    }
 }

@@ -17,7 +17,8 @@
 //! fixed-size data blocks.
 //!
 //! Peak memory is the budget (`8 × run_entries` bytes) plus 12 bytes per
-//! vertex (degrees and list lengths) and one data block; peak disk is
+//! vertex (degrees and list lengths), one data block, and the index and
+//! frame CRCs (4 bytes per KiB of data); peak disk is
 //! roughly `16 bytes × E` of temp runs plus the final file, and a build
 //! whose entries fit in one half writes no run file at all.
 //!
@@ -34,7 +35,7 @@ use std::thread::JoinHandle;
 use mmsb_graph::io::{EdgeListLines, IdInterner};
 use mmsb_graph::Graph;
 
-use crate::format::{BlockEntry, Header, DEFAULT_BLOCK_SIZE};
+use crate::format::{BlockEntry, Header, DEFAULT_BLOCK_SIZE, FRAME_SIZE};
 use crate::varint::{gap_code, varint_len, write_varint, MAX_VARINT_BYTES};
 use crate::{crc32, OocError};
 
@@ -323,7 +324,7 @@ impl StreamingBuilder {
         degrees.resize(num_vertices as usize, 0);
         lens.resize(num_vertices as usize, 0);
         drop(merge);
-        let (index, data_len) = pages.finish()?;
+        let (index, frame_crcs, data_len) = pages.finish()?;
 
         let directed: u64 = degrees.iter().map(|&d| d as u64).sum();
         debug_assert_eq!(directed % 2, 0, "adjacency must be symmetric");
@@ -348,6 +349,9 @@ impl StreamingBuilder {
         out.write_all(&header.encode())?;
         for e in &index {
             out.write_all(&e.encode())?;
+        }
+        for crc in &frame_crcs {
+            out.write_all(&crc.to_le_bytes())?;
         }
         let mut varint = Vec::with_capacity(MAX_VARINT_BYTES);
         let values = degrees
@@ -573,7 +577,8 @@ impl Merge {
 }
 
 /// Accumulates gap-coded list bytes into fixed-size blocks, writing each
-/// completed block (and keeping its CRC/index entry) to the data temp file.
+/// completed block (and keeping its index entry and its frames' CRCs) to
+/// the data temp file.
 #[derive(Debug)]
 struct PageWriter {
     out: File,
@@ -582,6 +587,8 @@ struct PageWriter {
     /// Vertex owning the first byte of the current page.
     page_first: u32,
     index: Vec<BlockEntry>,
+    /// CRC-32 of every frame written so far.
+    frame_crcs: Vec<u32>,
     written: u64,
 }
 
@@ -593,6 +600,7 @@ impl PageWriter {
             page: Vec::with_capacity(block_size + MAX_VARINT_BYTES),
             page_first: 0,
             index: Vec::new(),
+            frame_crcs: Vec::new(),
             written: 0,
         }
     }
@@ -618,24 +626,27 @@ impl PageWriter {
         Ok(())
     }
 
-    /// Write the page's first `len` bytes as the next block.
+    /// Write the page's first `len` bytes as the next block. A block is
+    /// a whole number of frames (the last block's last frame may be
+    /// short), so its frames are the file's next ones.
     fn write_block(&mut self, len: usize) -> Result<(), OocError> {
         let block = &self.page[..len];
         self.index.push(BlockEntry {
             first_vertex: self.page_first,
-            crc: crc32(block),
             offset: self.written,
         });
+        self.frame_crcs
+            .extend(block.chunks(FRAME_SIZE as usize).map(crc32));
         self.out.write_all(block)?;
         self.written += len as u64;
         Ok(())
     }
 
-    fn finish(mut self) -> Result<(Vec<BlockEntry>, u64), OocError> {
+    fn finish(mut self) -> Result<(Vec<BlockEntry>, Vec<u32>, u64), OocError> {
         if !self.page.is_empty() {
             self.write_block(self.page.len())?;
         }
-        Ok((self.index, self.written))
+        Ok((self.index, self.frame_crcs, self.written))
     }
 }
 

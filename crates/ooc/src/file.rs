@@ -1,24 +1,28 @@
-//! An opened on-disk graph: resident metadata + verified block reads.
+//! An opened on-disk graph: resident metadata + verified frame and block
+//! reads.
 
 use std::fs::File;
 use std::path::Path;
 
-use crate::format::{BlockEntry, Header, HEADER_LEN, INDEX_ENTRY_LEN};
+use crate::format::{BlockEntry, Header, FRAME_CRC_LEN, FRAME_SIZE, HEADER_LEN, INDEX_ENTRY_LEN};
 use crate::varint::read_varint;
 use crate::{crc32, OocError};
 
 /// A graph opened from the [`crate::format`] file layout.
 ///
-/// Resident state is `O(N + blocks)`: per-vertex degrees, per-vertex byte
-/// offsets (prefix sums of the on-disk length section), and the block
-/// index. Neighbor bytes stay on disk and are read positionally — the
-/// handle is shareable (`&self` reads), so every worker thread can read
-/// through its own [`crate::BlockCache`] concurrently.
+/// Resident state is `O(N + frames)`: per-vertex degrees, per-vertex byte
+/// offsets (prefix sums of the on-disk length section), the block index
+/// and one CRC-32 per 1 KiB frame of the data region (0.4 % of it).
+/// Neighbor bytes stay on disk and are read positionally — the handle is
+/// shareable (`&self` reads), so every worker thread can read through its
+/// own [`crate::BlockCache`] concurrently.
 #[derive(Debug)]
 pub struct OocGraph {
     file: File,
     header: Header,
     index: Vec<BlockEntry>,
+    /// CRC-32 of each [`FRAME_SIZE`] frame of the data region.
+    frame_crcs: Vec<u32>,
     /// Per-vertex degree (`N` entries).
     degrees: Vec<u32>,
     /// Per-vertex byte offset into the data region (`N + 1` entries,
@@ -50,8 +54,8 @@ fn read_exact_at(file: &File, mut buf: &mut [u8], mut off: u64) -> std::io::Resu
 
 impl OocGraph {
     /// Open and validate a graph file: header CRC, index, meta section,
-    /// and file-length consistency. Block CRCs are verified lazily, on
-    /// each block load.
+    /// and file-length consistency. Frame CRCs are verified lazily, on
+    /// each frame load.
     pub fn open<P: AsRef<Path>>(path: P) -> Result<Self, OocError> {
         let file = File::open(path)?;
         let file_len = file.metadata()?.len();
@@ -78,6 +82,13 @@ impl OocGraph {
                 });
             }
         }
+
+        let mut crc_bytes = vec![0u8; header.num_frames() as usize * FRAME_CRC_LEN];
+        read_exact_at(&file, &mut crc_bytes, header.frames_off())?;
+        let frame_crcs = crc_bytes
+            .chunks_exact(FRAME_CRC_LEN)
+            .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+            .collect();
 
         let mut meta = vec![0u8; header.meta_len as usize];
         read_exact_at(&file, &mut meta, header.meta_off())?;
@@ -154,6 +165,7 @@ impl OocGraph {
             file,
             header,
             index,
+            frame_crcs,
             degrees,
             offsets,
             data_off,
@@ -195,9 +207,36 @@ impl OocGraph {
         (self.offsets[v as usize], self.offsets[v as usize + 1])
     }
 
+    /// Read frame `f` into `out` (which must hold at least
+    /// [`Header::frame_len`] bytes) with one positioned read and verify
+    /// its CRC-32. Returns the frame's byte length.
+    pub fn read_frame_into(&self, f: u32, out: &mut [u8]) -> Result<usize, OocError> {
+        let len = self.header.frame_len(f);
+        let buf = &mut out[..len];
+        read_exact_at(
+            &self.file,
+            buf,
+            self.data_off + u64::from(f) * u64::from(FRAME_SIZE),
+        )?;
+        self.check_frame(f, buf)?;
+        Ok(len)
+    }
+
+    /// Compare `bytes`, frame `f` as read, with its stored CRC-32.
+    fn check_frame(&self, f: u32, bytes: &[u8]) -> Result<(), OocError> {
+        if crc32(bytes) != self.frame_crcs[f as usize] {
+            return Err(OocError::ChecksumMismatch {
+                what: "block",
+                block: f / self.header.frames_per_block(),
+                frame: f,
+            });
+        }
+        Ok(())
+    }
+
     /// Read block `b` into `out` (which must hold at least
-    /// [`Header::block_len`] bytes) and verify its CRC-32 against the
-    /// index. Returns the block's byte length.
+    /// [`Header::block_len`] bytes) with one positioned read and verify
+    /// each of its frames' CRC-32s. Returns the block's byte length.
     pub fn read_block_into(&self, b: u32, out: &mut [u8]) -> Result<usize, OocError> {
         let len = self.header.block_len(b);
         let buf = &mut out[..len];
@@ -206,22 +245,20 @@ impl OocGraph {
             buf,
             self.data_off + b as u64 * self.header.block_size as u64,
         )?;
-        if crc32(buf) != self.index[b as usize].crc {
-            return Err(OocError::ChecksumMismatch {
-                what: "block",
-                block: b,
-            });
+        let first = b * self.header.frames_per_block();
+        for (f, frame) in (first..).zip(buf.chunks(FRAME_SIZE as usize)) {
+            self.check_frame(f, frame)?;
         }
         Ok(len)
     }
 
-    /// Verify every data block's CRC-32 in one sequential pass. `open`
-    /// already validates the header, index, and meta; blocks are
-    /// normally checked lazily as the caches load them — which turns
-    /// data-region corruption into an error in the middle of training
-    /// (`ParallelSampler::try_step`). Front-loading the scan makes it a
-    /// startup error instead, at the cost of one full read of the file
-    /// (which also warms the page cache).
+    /// Verify every data frame's CRC-32 in one sequential pass, a block
+    /// a read. `open` already validates the header, index, and meta;
+    /// frames are normally checked lazily as the caches load them —
+    /// which turns data-region corruption into an error in the middle of
+    /// training (`ParallelSampler::try_step`). Front-loading the scan
+    /// makes it a startup error instead, at the cost of one full read of
+    /// the file (which also warms the page cache).
     pub fn verify_blocks(&self) -> Result<(), OocError> {
         let mut buf = vec![0u8; self.header.block_size as usize];
         for b in 0..self.header.num_blocks {

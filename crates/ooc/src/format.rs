@@ -1,23 +1,30 @@
-//! The on-disk graph file format (version 1).
+//! The on-disk graph file format (version 2).
 //!
 //! Layout, in file order (all integers little-endian; see DESIGN.md §15
 //! for the diagram):
 //!
 //! ```text
 //! header   (60 bytes, CRC-32 over its first 56)
-//! index    num_blocks × 16-byte entries { first_vertex, crc32, offset }
+//! index    num_blocks × 12-byte entries { first_vertex, offset }
+//! frames   num_frames × 4-byte CRC-32, one per FRAME_SIZE frame of data
 //! meta     varint degrees[N] ++ varint list_byte_len[N]
 //! data     data_len bytes: concatenated gap-coded neighbor lists,
-//!          addressed in fixed `block_size` blocks (last one short)
+//!          addressed in fixed `block_size` blocks (last one short),
+//!          each block a whole number of 1 KiB frames (last one short)
 //! ```
 //!
 //! The header follows the checkpoint-v1 conventions: an 8-byte magic, an
 //! explicit version word rejected when unknown, and a CRC-32 (the same
 //! [`crate::crc32`] the checkpoint format uses) so truncation or bit
-//! flips fail loudly at open rather than as silent bad graphs. Blocks
-//! carry their own CRC-32 in the index, verified on every cache-miss
-//! load, so a flipped byte anywhere in the data region is detected the
-//! first time the block is touched.
+//! flips fail loudly at open rather than as silent bad graphs. Every
+//! [`FRAME_SIZE`] frame of the data region has its own CRC-32, verified
+//! on every cache-miss load, so a flipped byte anywhere in the data
+//! region is detected the first time its frame is touched, and a miss
+//! reads and checks only the frames the list it decodes spans.
+//!
+//! Version 1 kept one CRC-32 per block in the index. Its files are
+//! refused with [`OocError::UnsupportedVersion`]; `mmsb convert` writes
+//! them anew.
 
 use crate::{crc32, OocError};
 
@@ -25,7 +32,7 @@ use crate::{crc32, OocError};
 pub const MAGIC: [u8; 8] = *b"MMSBOOC1";
 
 /// Current format version.
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
 
 /// Default block size: 64 KiB.
 pub const DEFAULT_BLOCK_SIZE: u32 = 64 * 1024;
@@ -34,7 +41,15 @@ pub const DEFAULT_BLOCK_SIZE: u32 = 64 * 1024;
 pub const HEADER_LEN: usize = 60;
 
 /// Encoded size of one block-index entry.
-pub const INDEX_ENTRY_LEN: usize = 16;
+pub const INDEX_ENTRY_LEN: usize = 12;
+
+/// Bytes per checksummed frame of the data region: the unit a cache miss
+/// reads and verifies. Block sizes are powers of two of at least 4 KiB,
+/// so every block is a whole number of frames.
+pub const FRAME_SIZE: u32 = 1024;
+
+/// Encoded size of one frame CRC.
+pub const FRAME_CRC_LEN: usize = 4;
 
 /// The fixed-size file header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,8 +77,6 @@ pub struct BlockEntry {
     /// blocks owns the follow-on blocks' first bytes too). Diagnostic:
     /// lookups go through the resident offsets, not this field.
     pub first_vertex: u32,
-    /// CRC-32 of the block's bytes.
-    pub crc: u32,
     /// Byte offset of the block within the data region
     /// (`block_index * block_size`; stored explicitly so an index entry
     /// is self-describing).
@@ -107,6 +120,7 @@ impl Header {
             return Err(OocError::ChecksumMismatch {
                 what: "header",
                 block: 0,
+                frame: 0,
             });
         }
         let h = Header {
@@ -137,6 +151,13 @@ impl Header {
                 ),
             });
         }
+        // Frame ids are `u32`s, `u32::MAX` kept free for a cache's
+        // empty way.
+        if self.num_frames() >= u64::from(u32::MAX) {
+            return Err(OocError::Corrupt {
+                reason: format!("data length {} needs too many frames", self.data_len),
+            });
+        }
         Ok(())
     }
 
@@ -146,14 +167,36 @@ impl Header {
         (self.data_len - start).min(self.block_size as u64) as usize
     }
 
+    /// Number of [`FRAME_SIZE`] frames in the data region (the last may
+    /// be short).
+    pub fn num_frames(&self) -> u64 {
+        self.data_len.div_ceil(u64::from(FRAME_SIZE))
+    }
+
+    /// Frames in a whole block.
+    pub fn frames_per_block(&self) -> u32 {
+        self.block_size / FRAME_SIZE
+    }
+
+    /// Byte length of frame `f` (the last frame may be short).
+    pub fn frame_len(&self, f: u32) -> usize {
+        let start = u64::from(f) * u64::from(FRAME_SIZE);
+        (self.data_len - start).min(u64::from(FRAME_SIZE)) as usize
+    }
+
     /// File offset of the block index.
     pub fn index_off(&self) -> u64 {
         HEADER_LEN as u64
     }
 
+    /// File offset of the frame CRC table.
+    pub fn frames_off(&self) -> u64 {
+        self.index_off() + self.num_blocks as u64 * INDEX_ENTRY_LEN as u64
+    }
+
     /// File offset of the meta section.
     pub fn meta_off(&self) -> u64 {
-        self.index_off() + self.num_blocks as u64 * INDEX_ENTRY_LEN as u64
+        self.frames_off() + self.num_frames() * FRAME_CRC_LEN as u64
     }
 
     /// File offset of the data region.
@@ -172,8 +215,7 @@ impl BlockEntry {
     pub fn encode(&self) -> [u8; INDEX_ENTRY_LEN] {
         let mut out = [0u8; INDEX_ENTRY_LEN];
         out[0..4].copy_from_slice(&self.first_vertex.to_le_bytes());
-        out[4..8].copy_from_slice(&self.crc.to_le_bytes());
-        out[8..16].copy_from_slice(&self.offset.to_le_bytes());
+        out[4..12].copy_from_slice(&self.offset.to_le_bytes());
         out
     }
 
@@ -184,8 +226,7 @@ impl BlockEntry {
         }
         Ok(BlockEntry {
             first_vertex: u32::from_le_bytes(bytes[0..4].try_into().unwrap()),
-            crc: u32::from_le_bytes(bytes[4..8].try_into().unwrap()),
-            offset: u64::from_le_bytes(bytes[8..16].try_into().unwrap()),
+            offset: u64::from_le_bytes(bytes[4..12].try_into().unwrap()),
         })
     }
 }
@@ -211,14 +252,16 @@ mod tests {
         let h = header();
         let bytes = h.encode();
         assert_eq!(Header::decode(&bytes).unwrap(), h);
-        assert_eq!(h.file_len(), 60 + 16 + 20 + 31);
+        assert_eq!(h.file_len(), 60 + 12 + 4 + 20 + 31);
         assert_eq!(h.block_len(0), 31);
+        assert_eq!((h.num_frames(), h.frame_len(0)), (1, 31));
     }
 
-    /// Recorded with the byte-at-a-time `crc32`: the format must not move.
+    /// Recorded for version 2 (version 1 was `0xC18D_843F`): the format
+    /// must not move.
     #[test]
     fn header_crc_is_golden() {
-        assert_eq!(header().encode()[56..60], 0xC18D_843Fu32.to_le_bytes());
+        assert_eq!(header().encode()[56..60], 0x875F_B15Bu32.to_le_bytes());
     }
 
     #[test]
@@ -255,6 +298,19 @@ mod tests {
         }
     }
 
+    /// A version-1 header (one CRC per block) is refused by its version
+    /// word, even with a valid CRC, and the error says how to rewrite it.
+    #[test]
+    fn version_1_is_refused_with_the_way_forward() {
+        let mut v1 = header().encode();
+        v1[8..12].copy_from_slice(&1u32.to_le_bytes());
+        let crc = crc32(&v1[..56]);
+        v1[56..60].copy_from_slice(&crc.to_le_bytes());
+        let err = Header::decode(&v1).unwrap_err();
+        assert!(matches!(err, OocError::UnsupportedVersion(1)), "{err:?}");
+        assert!(err.to_string().contains("mmsb convert"), "{err}");
+    }
+
     #[test]
     fn header_rejects_inconsistent_block_count() {
         let mut h = header();
@@ -270,7 +326,6 @@ mod tests {
     fn index_entry_roundtrip() {
         let e = BlockEntry {
             first_vertex: 7,
-            crc: 0xDEAD_BEEF,
             offset: 65536,
         };
         assert_eq!(BlockEntry::decode(&e.encode()).unwrap(), e);
@@ -290,5 +345,9 @@ mod tests {
         assert_eq!(h.block_len(0), 4096);
         assert_eq!(h.block_len(1), 4096);
         assert_eq!(h.block_len(2), 100);
+        assert_eq!(h.frames_per_block(), 4);
+        assert_eq!(h.num_frames(), 9);
+        assert_eq!((h.frame_len(7), h.frame_len(8)), (1024, 100));
+        assert_eq!(h.meta_off(), 60 + 3 * 12 + 9 * 4);
     }
 }

@@ -1,20 +1,20 @@
-//! Region-owned block caches: the sampler's whole out-of-core scratch.
+//! Region-owned frame caches: the sampler's whole out-of-core scratch.
 //!
 //! The file's block range is split into `R` equal, contiguous regions and
-//! each region owns one [`BlockCache`]. A block is only ever cached by
-//! the region it lies in, so a step reads each block it needs at most
-//! once while the block stays cached, whichever thread asks: the master's
-//! draw ([`RoutedReader`]) and the staging fan-out (one part per region,
-//! each on its own cache) share one set of caches instead of each keeping
-//! a copy of the blocks the batch touches.
+//! each region owns one [`BlockCache`]. A frame is only ever cached by
+//! the region its block lies in, so a step reads each frame it needs at
+//! most once while the frame stays cached, whichever thread asks: the
+//! master's draw ([`RoutedReader`]) and the staging fan-out (one part per
+//! region, each on its own cache) share one set of caches instead of each
+//! keeping a copy of the frames the batch touches.
 //!
-//! Like every cache here this is pure scratch: which cache holds a block
+//! Like every cache here this is pure scratch: which cache holds a frame
 //! changes when it is read, never what is decoded.
 
 use mmsb_graph::access::GraphAccess;
 use mmsb_graph::VertexId;
 
-use crate::cache::{decode_list, BlockCache, BlockSource, WAYS};
+use crate::cache::{decode_list, BlockCache, FrameSource, WAYS};
 use crate::file::OocGraph;
 use crate::OocError;
 
@@ -25,15 +25,17 @@ pub struct RegionCaches {
     caches: Vec<BlockCache>,
     /// Blocks in the file the regions split.
     num_blocks: u64,
+    /// Frames in a whole block of that file.
+    frames_per_block: u32,
     /// The routed reader's decoded list (`max_degree` reserved).
     list: Vec<u32>,
 }
 
 impl RegionCaches {
     /// Split `graph`'s blocks into `regions` regions (fewer if the file
-    /// has fewer blocks, or the budget fewer whole sets of ways) sharing
-    /// `budget_blocks` blocks of cache between them. Only a budget below
-    /// one set is rounded up. `seed` parameterizes the set hashes.
+    /// has fewer blocks, or the budget fewer than four blocks a region)
+    /// sharing `budget_blocks` blocks' worth of frame slots between them.
+    /// `seed` parameterizes the set hashes.
     pub fn new(graph: &OocGraph, regions: usize, budget_blocks: usize, seed: u64) -> Self {
         let num_blocks = graph.header().num_blocks as usize;
         let r = regions.min(num_blocks).min(budget_blocks / WAYS).max(1);
@@ -53,6 +55,7 @@ impl RegionCaches {
         Self {
             caches,
             num_blocks: num_blocks as u64,
+            frames_per_block: graph.header().frames_per_block(),
             list: Vec::with_capacity(graph.max_degree() as usize),
         }
     }
@@ -62,7 +65,7 @@ impl RegionCaches {
         self.caches.len()
     }
 
-    /// Block slots over all regions.
+    /// Capacity in blocks over all regions.
     pub fn capacity_blocks(&self) -> usize {
         self.caches.iter().map(BlockCache::capacity_blocks).sum()
     }
@@ -95,7 +98,7 @@ impl RegionCaches {
     }
 
     /// Decode `v`'s list into `out` (exactly `graph.degree(v)` entries),
-    /// each block through its own region's cache.
+    /// each frame through its block's region's cache.
     pub fn decode_routed(
         &mut self,
         graph: &OocGraph,
@@ -105,11 +108,12 @@ impl RegionCaches {
         let mut routed = Routed {
             caches: &mut self.caches,
             num_blocks: self.num_blocks,
+            frames_per_block: self.frames_per_block,
         };
         decode_list(&mut routed, graph, v, out)
     }
 
-    /// A [`GraphAccess`] view routing every block to its region's cache.
+    /// A [`GraphAccess`] view routing every frame to its region's cache.
     pub fn reader<'a>(&'a mut self, graph: &'a OocGraph) -> RoutedReader<'a> {
         RoutedReader {
             graph,
@@ -119,11 +123,12 @@ impl RegionCaches {
     }
 }
 
-/// The regions' caches as one [`BlockSource`]: block `b` through the
-/// cache of the region it lies in.
+/// The regions' caches as one [`FrameSource`]: frame `f` through the
+/// cache of the region its block lies in.
 struct Routed<'c> {
     caches: &'c mut [BlockCache],
     num_blocks: u64,
+    frames_per_block: u32,
 }
 
 /// The region of `regions` equal ones over `num_blocks` blocks that
@@ -132,11 +137,12 @@ fn region_of_block(b: u64, regions: usize, num_blocks: u64) -> usize {
     ((b * regions as u64 / num_blocks.max(1)) as usize).min(regions.saturating_sub(1))
 }
 
-impl BlockSource for Routed<'_> {
-    fn block(&mut self, graph: &OocGraph, b: u32) -> Result<&[u8], OocError> {
-        let r = region_of_block(u64::from(b), self.caches.len(), self.num_blocks);
+impl FrameSource for Routed<'_> {
+    fn frame(&mut self, graph: &OocGraph, f: u32) -> Result<&[u8], OocError> {
+        let b = u64::from(f / self.frames_per_block.max(1));
+        let r = region_of_block(b, self.caches.len(), self.num_blocks);
         match self.caches.get_mut(r) {
-            Some(cache) => BlockSource::block(cache, graph, b),
+            Some(cache) => FrameSource::frame(cache, graph, f),
             None => Err(OocError::Corrupt {
                 reason: format!("block {b} lies in no cached region"),
             }),

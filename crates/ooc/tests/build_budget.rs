@@ -105,8 +105,9 @@ const PER_VERTEX: usize = 59 + 24 + 12;
 
 /// Fixed heap beside the budget: the parser's 8 KiB read buffer and line,
 /// the merge's 8 KiB read buffer, one data block (4 KiB here) being
-/// filled, the output's 8 KiB write buffer, the block index (16 bytes a
-/// block, < 2 KiB here), paths and the spill thread's bookkeeping.
+/// filled, the output's 8 KiB write buffer, the block index (12 bytes a
+/// block) and frame CRCs (4 bytes a KiB of data; < 8 KiB together here,
+/// with the vectors' doubling), paths and the spill thread's bookkeeping.
 const FIXED: usize = 64 << 10;
 
 /// The test graph: ~300k distinct edges over 20k vertices, written as a
@@ -121,9 +122,11 @@ const GRAPH: StreamConfig = StreamConfig {
     seed: 0x0B0D,
 };
 
-/// CRC-32 of the `.ooc` file the pre-budget builder (one in-RAM run, a
-/// binary-heap merge) wrote for [`GRAPH`] at 4 KiB blocks.
-const GOLDEN_CRC: u32 = 0x5850_CB54;
+/// CRC-32 of the version-2 `.ooc` file for [`GRAPH`] at 4 KiB blocks:
+/// the pre-budget builder's data and meta (one in-RAM run, a binary-heap
+/// merge; its version-1 file was `0x5850_CB54`) under the per-frame CRC
+/// table.
+const GOLDEN_CRC: u32 = 0x7CEC_D0A5;
 
 fn scratch_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("mmsb-ooc-budget-{name}-{}", std::process::id()));

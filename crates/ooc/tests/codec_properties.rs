@@ -19,7 +19,12 @@
 //!   and two flip patterns, opening + fully scanning the flipped file
 //!   must error — except in the index's documented-diagnostic
 //!   `first_vertex` field, where the decoded adjacency must still be
-//!   exactly right.
+//!   exactly right,
+//! * frame-sized corruption: a flipped byte fails only the reads of the
+//!   1 KiB frame it lies in, with an error naming that frame, while
+//!   another frame of the same block still decodes,
+//! * a version-1 file is refused by its version word, naming the way to
+//!   rewrite it.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -499,10 +504,14 @@ fn every_flipped_byte_is_detected_or_provably_harmless() {
 
     // The index's `first_vertex` field is documented as diagnostic-only
     // (lookups go through the resident offsets) — the one region where
-    // a flip must instead leave the decoded adjacency bit-exact.
-    let header_len = mmsb_ooc::format::HEADER_LEN;
+    // a flip must instead leave the decoded adjacency bit-exact. Every
+    // other byte of an index entry (its offset), of the frame CRC table
+    // after the index, of the meta and of the data must fail the scan.
+    let (header_len, entry) = (mmsb_ooc::format::HEADER_LEN, mmsb_ooc::format::INDEX_ENTRY_LEN);
     let diagnostic = |i: usize| {
-        i >= header_len && i < header_len + num_blocks as usize * 16 && (i - header_len) % 16 < 4
+        i >= header_len
+            && i < header_len + num_blocks as usize * entry
+            && (i - header_len) % entry < 4
     };
 
     // A single-bit flip is the hardest corruption to notice — anything
@@ -535,4 +544,96 @@ fn every_flipped_byte_is_detected_or_provably_harmless() {
 
     let _ = std::fs::remove_file(&path);
     let _ = std::fs::remove_file(&flipped);
+}
+
+/// A flipped byte fails only its own frame: a list in another frame of
+/// the same block still decodes through a cold cache, and a list in the
+/// flipped frame fails with a checksum error naming it, while the
+/// whole-block read of `verify_blocks` names it too.
+#[test]
+fn a_flipped_frame_fails_only_its_own_lists() {
+    let n: u32 = 400;
+    let edges: Vec<(u32, u32)> = (0..n)
+        .flat_map(|v| (1..=8).map(move |k| (v, (v + k * 3) % n)))
+        .collect();
+    let path = temp_path("frame");
+    let mut builder = StreamingBuilder::new(BuildOptions {
+        block_size: 4096,
+        num_vertices: Some(n),
+        ..BuildOptions::default()
+    })
+    .unwrap();
+    for &(a, b) in &edges {
+        builder.add_edge(a, b).unwrap();
+    }
+    builder.finish(&path).unwrap();
+    let want = full_scan(&path).unwrap();
+
+    let graph = OocGraph::open(&path).unwrap();
+    let (header, frame) = (*graph.header(), u64::from(mmsb_ooc::format::FRAME_SIZE));
+    assert!(header.num_blocks > 1 && header.frames_per_block() == 4);
+    // The lists lying wholly inside frame `f`.
+    let inside = |f: u64| {
+        (0..n).find(|&v| {
+            let (start, end) = graph.list_range(v);
+            end > start && start / frame == f && (end - 1) / frame == f
+        })
+    };
+    // Frame 5 is the second frame of block 1; frame 6 the third.
+    let (bad, good) = (5u64, 6u64);
+    let (bad_v, good_v) = (inside(bad).unwrap(), inside(good).unwrap());
+    drop(graph);
+
+    let mut bytes = std::fs::read(&path).unwrap();
+    let at = (header.data_off() + bad * frame + frame / 2) as usize;
+    bytes[at] ^= 0x40;
+    std::fs::write(&path, &bytes).unwrap();
+
+    let graph = OocGraph::open(&path).unwrap();
+    let mut cache = BlockCache::for_graph(&graph, 4, 3);
+    let mut reader = OocReader::new(&graph, &mut cache);
+    assert_eq!(
+        reader.try_neighbors(VertexId(good_v)).unwrap(),
+        want[good_v as usize].as_slice()
+    );
+    let err = reader.try_neighbors(VertexId(bad_v)).unwrap_err();
+    assert!(
+        matches!(err, OocError::ChecksumMismatch { what: "block", block: 1, frame: 5 }),
+        "{err:?}"
+    );
+    assert!(err.to_string().contains("block 1, frame 5"), "{err}");
+    // A retry reads the frame again and fails again: no bad bytes stay
+    // cached.
+    assert!(reader.try_neighbors(VertexId(bad_v)).is_err());
+    assert!(matches!(
+        graph.verify_blocks(),
+        Err(OocError::ChecksumMismatch { block: 1, frame: 5, .. })
+    ));
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A file whose version word says 1 (the per-block-CRC format), its
+/// header CRC recomputed so only the version is wrong, is refused at
+/// open with the version and the command that rewrites it.
+#[test]
+fn a_version_1_file_is_refused_naming_mmsb_convert() {
+    let path = temp_path("v1");
+    let mut builder = StreamingBuilder::new(BuildOptions {
+        block_size: 4096,
+        ..BuildOptions::default()
+    })
+    .unwrap();
+    for v in 1..50 {
+        builder.add_edge(0, v).unwrap();
+    }
+    builder.finish(&path).unwrap();
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+    let crc = mmsb_ooc::crc32(&bytes[..56]);
+    bytes[56..60].copy_from_slice(&crc.to_le_bytes());
+    std::fs::write(&path, &bytes).unwrap();
+    let err = OocGraph::open(&path).unwrap_err();
+    assert!(matches!(err, OocError::UnsupportedVersion(1)), "{err:?}");
+    assert!(err.to_string().contains("mmsb convert"), "{err}");
+    let _ = std::fs::remove_file(&path);
 }

@@ -2,7 +2,8 @@
 # Tier-1 gate: the workspace must build, lint clean, and test fully
 # offline — no registry dependencies, no network. Each step runs once:
 # xlint -> doc check (five reference checks, then the no-clock,
-# no-compute, one-cache and no-rollback-checkpoint checks) ->
+# no-compute, one-cache, no-rollback-checkpoint and no-whole-block-read
+# checks) ->
 # build -> clippy -> the whole test suite -> the three --quick gate
 # binaries -> sanitize.sh.
 set -euo pipefail
@@ -136,6 +137,16 @@ while read -r hit; do
     echo "$src keeps a rollback checkpoint: $hit"; stale=1
 done < <(grep -nE 'Checkpoint::capture|:[[:space:]]*Option<([A-Za-z_]+::)*Checkpoint>' "$src" \
     | grep -vE '^[0-9]+:[[:space:]]*//')
+# (10) No whole-block read on the cached path: a cache miss reads and
+# verifies only the 1 KiB frames the list it decodes spans, so the frame
+# cache (`crates/ooc/src/cache.rs`), the region caches
+# (`crates/ooc/src/region.rs`) and the sampler (crates/core/src) never
+# name `read_block_into`, which preads and CRCs a whole block for the
+# start-up scan. Comment lines are skipped.
+while read -r hit; do
+    echo "a whole-block read on the cached path: $hit"; stale=1
+done < <(grep -rnw 'read_block_into' crates/ooc/src/cache.rs crates/ooc/src/region.rs \
+    crates/core/src | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//')
 [ "$stale" -eq 0 ]
 
 cargo build --release --offline
