@@ -393,7 +393,7 @@ fn steady_state_step_is_allocation_free() {
         picks.len()
     );
     let mut cache = mmsb_ooc::BlockCache::for_graph(&ooc, 1, 5);
-    assert_eq!(cache.capacity_frames(), 4);
+    assert_eq!(cache.capacity_blocks(), 1);
     let obs = mmsb_obs::get().unwrap();
     let misses_before;
     {

@@ -252,7 +252,9 @@ fn cmd_convert(args: &Args) -> Result<(), String> {
              bounded memory regardless of edge count. Vertex ids are \
              densified to [0, N) in first-seen order; --map writes the \
              `dense original` id pairs. --block-size must be a power of \
-             two >= 4096 (default 65536)"
+             two >= 4096 (default 65536); every 1 KiB frame of a block \
+             carries its own CRC-32 (format version 2: a file from an \
+             older build is refused until it is converted again)"
         );
         return Ok(());
     }
@@ -305,11 +307,13 @@ fn cmd_train(args: &Args) -> Result<(), String> {
              [--simd auto|scalar|sse2|avx2|neon] \
              [--obs-level off|metrics|spans] [--metrics-out FILE] [--trace-out FILE]\n\
              --graph-format ooc trains out-of-core: --input names a file \
-             from `mmsb convert`, adjacency stays on disk behind block \
-             caches of --cache-blocks blocks per pool thread plus one \
-             share more, split over regions of the file (held-out pairs \
-             are sampled by access, links stay in the training graph); a \
-             block read that fails mid-training exits 1\n\
+             from `mmsb convert`, adjacency stays on disk behind caches \
+             of 1 KiB checksummed frames, --cache-blocks blocks' worth per \
+             pool thread plus one share more, split over regions of the \
+             file; a cache miss reads and verifies only the frames its \
+             list spans (held-out pairs are sampled by access, links stay \
+             in the training graph); a frame read that fails \
+             mid-training exits 1\n\
              --driver sequential is --driver parallel at one thread: the \
              same chain; `mmsb simulate` runs the master-worker cluster\n\
              --checkpoint writes the final model as a servable checkpoint \
@@ -349,9 +353,9 @@ fn cmd_train(args: &Args) -> Result<(), String> {
                 .get("input")
                 .ok_or("--graph-format ooc needs --input FILE (from `mmsb convert`)")?;
             let graph = OocGraph::open(path).map_err(|e| format!("{path}: {e}"))?;
-            // Block CRCs are checked on every cache load; front-load the
+            // Frame CRCs are checked on every cache load; front-load the
             // scan so a corrupt file is a startup error, not one after
-            // the set-up. A block that goes bad later still ends
+            // the set-up. A frame that goes bad later still ends
             // training with an error (`try_step`).
             graph.verify_blocks().map_err(|e| format!("{path}: {e}"))?;
             let heldout_links: usize =
@@ -513,9 +517,11 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
     }
     let checkpoint_every: u64 = args.parsed("checkpoint-every", 0)?;
     if checkpoint_every > 0 && args.get("kill").is_none() {
-        return Err("--checkpoint-every is the modelled rollback cadence of a --kill \
-                    and saves nothing: it needs --kill ITER:RANK"
-            .to_string());
+        return Err(
+            "--checkpoint-every is the modelled rollback cadence of a --kill \
+             and saves nothing: it needs --kill ITER:RANK"
+                .to_string(),
+        );
     }
 
     let simd = simd_from_args(args)?;

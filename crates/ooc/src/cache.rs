@@ -96,12 +96,7 @@ impl BlockCache {
     /// The capacity in blocks: frame slots times [`FRAME_SIZE`], over the
     /// block size.
     pub fn capacity_blocks(&self) -> usize {
-        self.capacity_frames() * FRAME / self.block_size
-    }
-
-    /// Total frame slots.
-    pub fn capacity_frames(&self) -> usize {
-        self.sets * WAYS
+        self.sets * WAYS * FRAME / self.block_size
     }
 
     /// Drop all cached frames (keeps the allocations) — the bench uses
@@ -161,7 +156,8 @@ impl BlockCache {
             mmsb_obs::counter_add(obs_id::C_GRAPH_CACHE_EVICTIONS, 1);
         }
         let sw = mmsb_obs::metrics_on().then(mmsb_obs::clock::Stopwatch::start);
-        let res = graph.read_frame_into(frame, &mut self.data[victim * FRAME..(victim + 1) * FRAME]);
+        let res =
+            graph.read_frame_into(frame, &mut self.data[victim * FRAME..(victim + 1) * FRAME]);
         if let Some(sw) = sw {
             mmsb_obs::hist_record_ns(obs_id::H_GRAPH_READ_NS, sw.elapsed_ns());
         }

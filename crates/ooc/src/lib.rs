@@ -49,8 +49,8 @@ mod region;
 pub use backend::{BackendReader, GraphBackend, DEFAULT_CACHE_BLOCKS};
 pub use build::{convert_edge_list, write_graph, BuildOptions, BuildStats, StreamingBuilder};
 pub use cache::BlockCache;
-pub use reader::OocReader;
 pub use file::OocGraph;
+pub use reader::OocReader;
 pub use region::{RegionCaches, RoutedReader};
 /// CRC-32 (IEEE) — `mmsb-simd`'s kernel, behind every header, frame and
 /// checkpoint check of both on-disk formats.

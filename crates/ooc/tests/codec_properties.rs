@@ -507,7 +507,10 @@ fn every_flipped_byte_is_detected_or_provably_harmless() {
     // a flip must instead leave the decoded adjacency bit-exact. Every
     // other byte of an index entry (its offset), of the frame CRC table
     // after the index, of the meta and of the data must fail the scan.
-    let (header_len, entry) = (mmsb_ooc::format::HEADER_LEN, mmsb_ooc::format::INDEX_ENTRY_LEN);
+    let (header_len, entry) = (
+        mmsb_ooc::format::HEADER_LEN,
+        mmsb_ooc::format::INDEX_ENTRY_LEN,
+    );
     let diagnostic = |i: usize| {
         i >= header_len
             && i < header_len + num_blocks as usize * entry
@@ -598,7 +601,14 @@ fn a_flipped_frame_fails_only_its_own_lists() {
     );
     let err = reader.try_neighbors(VertexId(bad_v)).unwrap_err();
     assert!(
-        matches!(err, OocError::ChecksumMismatch { what: "block", block: 1, frame: 5 }),
+        matches!(
+            err,
+            OocError::ChecksumMismatch {
+                what: "block",
+                block: 1,
+                frame: 5
+            }
+        ),
         "{err:?}"
     );
     assert!(err.to_string().contains("block 1, frame 5"), "{err}");
@@ -607,7 +617,11 @@ fn a_flipped_frame_fails_only_its_own_lists() {
     assert!(reader.try_neighbors(VertexId(bad_v)).is_err());
     assert!(matches!(
         graph.verify_blocks(),
-        Err(OocError::ChecksumMismatch { block: 1, frame: 5, .. })
+        Err(OocError::ChecksumMismatch {
+            block: 1,
+            frame: 5,
+            ..
+        })
     ));
     let _ = std::fs::remove_file(&path);
 }
