@@ -176,7 +176,8 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 #                 drain with zero truncation/abort), drain_forced (a
 #                 process of its own: it waits on the global counter)
 #   out-of-core   mmsb-ooc (codec/format properties, every-flipped-byte
-#                 sweep); mmsb-core: backend_determinism, ooc_read_count
+#                 sweep, a flipped frame, the version-1 refusal);
+#                 mmsb-core: backend_determinism, ooc_read_count
 #                 (DESIGN.md §15)
 cargo test -q --offline
 
