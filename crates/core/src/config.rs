@@ -94,7 +94,7 @@ pub struct SamplerConfig {
     /// different backends round differently in the last ulps — force one
     /// for cross-host reproducibility.
     pub simd: SimdPolicy,
-    /// Out-of-core block-cache share (in blocks) per pool thread;
+    /// Out-of-core cache share (in blocks' worth of frames) per pool thread;
     /// ignored by resident backends. A sampler on `T` threads caches
     /// `(T + 1) x graph_cache_blocks` blocks in total, split evenly over
     /// the regions of the file (one cache each). Cache size is pure

@@ -10,7 +10,7 @@
 //!
 //! On an out-of-core graph the step also stages the batch's adjacency
 //! ([`stage_adjacency`]): one part per region of the file, each on that
-//! region's block cache, so `update_phi` reads no block itself.
+//! region's frame cache, so `update_phi` reads no frame itself.
 //!
 //! [`step`] and [`evaluate_perplexity`] time each stage as its phase.
 //! The simulated cluster ([`crate::DistributedSampler`]) runs the very
@@ -119,13 +119,13 @@ fn fan_out<T, F>(
 /// `engine.adjacency`, each decoded once. The batch is sorted, and
 /// vertex order is file order, so each region's vertices are a run of
 /// it: one part per region decodes its run through the region's own
-/// cache, in two passes — first the lists whose blocks the cache still
+/// cache, in two passes — first the lists whose frames the cache still
 /// holds from earlier steps, before any load can evict them, then the
 /// rest. Each pass runs up the run on even iterations and down it on
-/// odd ones, so the blocks one sweep ends on, still in the LRU, are the
+/// odd ones, so the frames one sweep ends on, still in the LRU, are the
 /// ones the next begins with. A list that runs on into a later region is
-/// decoded after the fan-out, each block through its own region's cache,
-/// so no block is cached twice. The first failed read, in region order,
+/// decoded after the fan-out, each frame through its block's region's
+/// cache, so no frame is cached twice. The first failed read, in region order,
 /// is returned.
 // xlint: allow(hot-path-panic) — `spans` holds one entry per region with `lo <= end <= hi <= mb_vertices.len()`, `offsets` one more entry than the batch has vertices, `held` at least one per batch vertex, and parts index only their own region's slots
 fn stage_adjacency(

@@ -27,7 +27,7 @@ pub(crate) const THETA_CHUNK: usize = 1024;
 /// Mini-batch vertices per phi-update chunk.
 pub(crate) const PHI_CHUNK: usize = 8;
 
-/// Regions of an out-of-core file per pool thread: one block cache each,
+/// Regions of an out-of-core file per pool thread: one frame cache each,
 /// and one part each of the staging fan-out.
 pub(crate) const REGIONS_PER_THREAD: usize = 6;
 
@@ -37,7 +37,7 @@ pub(crate) const REGIONS_PER_THREAD: usize = 6;
 /// identity, which is what keeps chains identical across drivers.
 pub(crate) struct Engine {
     pub graph: GraphBackend,
-    /// The out-of-core block caches, one per region of the file (none
+    /// The out-of-core frame caches, one per region of the file (none
     /// for resident backends): the draw and the staging read through
     /// them.
     pub regions: RegionCaches,

@@ -54,10 +54,10 @@ impl ParallelSampler {
     }
 
     /// Build a sampler over either graph backend (resident CSR or the
-    /// out-of-core block-cached format) with an explicit pool size. An
-    /// out-of-core file is read through one block cache per region of the
-    /// file ([`mmsb_ooc::RegionCaches`]), `(threads + 1) x
-    /// graph_cache_blocks` blocks in all; cache state is pure scratch, so
+    /// out-of-core format) with an explicit pool size. An out-of-core
+    /// file is read through one frame cache per region of the file
+    /// ([`mmsb_ooc::RegionCaches`]), `(threads + 1) x graph_cache_blocks`
+    /// blocks' worth of 1 KiB frames in all; cache state is pure scratch, so
     /// the chain is bitwise identical across backends, cache sizes, and
     /// thread counts.
     pub fn with_backend_threads(

@@ -4,10 +4,10 @@
 //! queries: vertex count, degree, a sorted neighbor list, and an edge
 //! membership test. [`GraphAccess`] abstracts exactly those, so the same
 //! sampler code runs against the resident CSR ([`Graph`]) or an
-//! out-of-core block-cached reader (`mmsb-ooc`'s `OocReader`).
+//! out-of-core frame-cached reader (`mmsb-ooc`'s `OocReader`).
 //!
 //! The list- and membership-returning methods take `&mut self`: an
-//! out-of-core reader mutates its block cache on every read. The resident
+//! out-of-core reader mutates its frame cache on every read. The resident
 //! implementation (on `&Graph`) ignores the mutability. Crucially, the
 //! *values* returned never depend on reader state — neighbor lists are
 //! the same sorted, deduplicated ids whichever backend serves them —

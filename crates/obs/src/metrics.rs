@@ -142,11 +142,11 @@ pub mod id {
     /// serve: reload attempts that failed (corrupt/unreadable
     /// checkpoint); the old generation keeps serving.
     pub const C_SERVE_RELOAD_ERRORS: usize = 22;
-    /// ooc: graph block-cache lookups served from a resident block.
+    /// ooc: graph frame-cache lookups served from a cached frame.
     pub const C_GRAPH_CACHE_HITS: usize = 23;
-    /// ooc: graph block-cache lookups that had to read from disk.
+    /// ooc: graph frame-cache lookups that had to read from disk.
     pub const C_GRAPH_CACHE_MISSES: usize = 24;
-    /// ooc: block-cache loads that displaced a resident block.
+    /// ooc: frame-cache loads that displaced a cached frame.
     pub const C_GRAPH_CACHE_EVICTIONS: usize = 25;
     /// Number of counters.
     pub const COUNTER_COUNT: usize = 26;
@@ -219,7 +219,7 @@ pub mod id {
     pub const H_SERVE_COMMUNITY_NS: usize = H_SERVE_EDGE_NS + 1;
     /// serve: every other endpoint's handling latency (ns).
     pub const H_SERVE_OTHER_NS: usize = H_SERVE_COMMUNITY_NS + 1;
-    /// ooc: block read latency on a cache miss (positioned read +
+    /// ooc: frame read latency on a cache miss (positioned read +
     /// CRC verification), ns.
     pub const H_GRAPH_READ_NS: usize = H_SERVE_OTHER_NS + 1;
     /// Number of histograms.
