@@ -7,7 +7,7 @@
 //! 3. DKV chunk granularity: pipelining benefit vs chunk size.
 
 use mmsb::prelude::*;
-use mmsb_bench::{HarnessArgs, TableWriter};
+use mmsb_bench::{simulate, HarnessArgs, TableWriter};
 
 fn training_set(quick: bool) -> (Graph, HeldOut) {
     let mut rng = Xoshiro256PlusPlus::seed_from_u64(0xAB1);
@@ -103,15 +103,7 @@ fn main() {
         for mode in [PipelineMode::Single, PipelineMode::Double] {
             let mut dcfg = DistributedConfig::das5(16).with_pipeline(mode);
             dcfg.chunk_vertices = chunk;
-            let mut s = DistributedSampler::new(
-                train.clone(),
-                heldout.clone(),
-                config.clone(),
-                dcfg,
-            )
-            .unwrap();
-            s.run(dist_iters);
-            times.push(s.virtual_time());
+            times.push(simulate(&train, &heldout, config.clone(), dcfg, dist_iters).virtual_time());
         }
         table.row(&[
             chunk.to_string(),

@@ -10,7 +10,7 @@
 
 use mmsb::netsim::Phase;
 use mmsb::prelude::*;
-use mmsb_bench::{fmt_secs, friendster_standin, HarnessArgs, TableWriter};
+use mmsb_bench::{fmt_secs, stratified_config, friendster_standin, simulate, HarnessArgs, TableWriter};
 
 fn main() {
     let args = HarnessArgs::parse();
@@ -24,13 +24,7 @@ fn main() {
         iters
     );
 
-    let config = SamplerConfig::new(args.pick_usize(64, 16))
-        .with_seed(1)
-        .with_minibatch(Strategy::StratifiedNode {
-            partitions: 32,
-            anchors: args.pick_usize(32, 8),
-        })
-        .with_neighbor_sample(32);
+    let config = stratified_config(args.pick_usize(64, 16), 1, args.pick_usize(32, 8));
 
     let mut table = TableWriter::new(
         &[
@@ -45,15 +39,8 @@ fn main() {
     );
     let mut base_time = None;
     for workers in [8usize, 16, 32, 48, 64] {
-        let mut sampler = DistributedSampler::new(
-            train.clone(),
-            heldout.clone(),
-            config.clone(),
-            DistributedConfig::das5(workers),
-        )
-        .expect("valid configuration");
-        sampler.run(iters);
-        let report = sampler.report();
+        let dcfg = DistributedConfig::das5(workers);
+        let report = simulate(&train, &heldout, config.clone(), dcfg, iters).report();
         let total = report.total_seconds;
         let base = *base_time.get_or_insert(total);
         let draw_deploy = report.phases.total(Phase::DrawMinibatch)

@@ -8,7 +8,7 @@
 //! Ours: the same proportionality (K = 8 x workers), scaled down.
 
 use mmsb::prelude::*;
-use mmsb_bench::{friendster_standin, HarnessArgs, TableWriter};
+use mmsb_bench::{stratified_config, friendster_standin, simulate, HarnessArgs, TableWriter};
 
 fn main() {
     let args = HarnessArgs::parse();
@@ -29,21 +29,8 @@ fn main() {
     let mut base = None;
     for workers in [2usize, 4, 8, 16, 32, 64] {
         let k = k_per_worker * workers;
-        let config = SamplerConfig::new(k)
-            .with_seed(2)
-            .with_minibatch(Strategy::StratifiedNode {
-                partitions: 32,
-                anchors: args.pick_usize(32, 8),
-            })
-            .with_neighbor_sample(32);
-        let mut sampler = DistributedSampler::new(
-            train.clone(),
-            heldout.clone(),
-            config,
-            DistributedConfig::das5(workers),
-        )
-        .expect("valid configuration");
-        sampler.run(iters);
+        let config = stratified_config(k, 2, args.pick_usize(32, 8));
+        let sampler = simulate(&train, &heldout, config, DistributedConfig::das5(workers), iters);
         let per_iter = 1e3 * sampler.virtual_time() / iters as f64;
         let b = *base.get_or_insert(per_iter);
         table.row(&[

@@ -9,7 +9,7 @@
 //! in, where the latency hidden by double buffering grows with K.
 
 use mmsb::prelude::*;
-use mmsb_bench::{fmt_secs, friendster_standin, HarnessArgs, TableWriter};
+use mmsb_bench::{fmt_secs, stratified_config, friendster_standin, simulate, HarnessArgs, TableWriter};
 
 fn main() {
     let args = HarnessArgs::parse();
@@ -32,25 +32,12 @@ fn main() {
         args.csv.clone(),
     );
     for &k in k_sweep {
-        let config = SamplerConfig::new(k)
-            .with_seed(3)
-            .with_minibatch(Strategy::StratifiedNode {
-                partitions: 32,
-                anchors: args.pick_usize(8, 4),
-            })
-            .with_neighbor_sample(32);
+        let config = stratified_config(k, 3, args.pick_usize(8, 4));
         let times: Vec<f64> = [PipelineMode::Single, PipelineMode::Double]
             .into_iter()
             .map(|mode| {
-                let mut sampler = DistributedSampler::new(
-                    train.clone(),
-                    heldout.clone(),
-                    config.clone(),
-                    DistributedConfig::das5(workers).with_pipeline(mode),
-                )
-                .expect("valid configuration");
-                sampler.run(iters);
-                sampler.virtual_time()
+                let dcfg = DistributedConfig::das5(workers).with_pipeline(mode);
+                simulate(&train, &heldout, config.clone(), dcfg, iters).virtual_time()
             })
             .collect();
         let saved = times[0] - times[1];

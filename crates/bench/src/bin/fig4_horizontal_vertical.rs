@@ -11,7 +11,7 @@
 //! counted kernel work.
 
 use mmsb::prelude::*;
-use mmsb_bench::{HarnessArgs, TableWriter};
+use mmsb_bench::{simulate, stratified_config, HarnessArgs, TableWriter};
 
 fn dblp(quick: bool) -> (Graph, HeldOut) {
     let spec = by_name("syn-dblp").expect("stand-in exists");
@@ -28,59 +28,28 @@ fn dblp(quick: bool) -> (Graph, HeldOut) {
     (train, heldout)
 }
 
-/// Time per iteration on a single node with `cores` cores: one simulated
-/// worker whose node model has the given width, with an ideal network (no
-/// wire: all state is local RAM).
-fn single_node_time(
-    train: &Graph,
-    heldout: &HeldOut,
-    k: usize,
-    anchors: usize,
-    cores: usize,
-    iters: u64,
-) -> f64 {
-    let config = SamplerConfig::new(k)
-        .with_seed(5)
-        .with_minibatch(Strategy::StratifiedNode {
-            partitions: 32,
-            anchors,
-        })
-        .with_neighbor_sample(32);
-    let node = NodeComputeModel::hpc_cloud_40().with_cores(cores);
-    let dcfg = DistributedConfig::das5(1)
-        .with_net(NetworkModel::ideal())
-        .with_node(node);
-    let mut sampler =
-        DistributedSampler::new(train.clone(), heldout.clone(), config, dcfg)
-            .expect("valid configuration");
-    sampler.run(iters);
-    sampler.virtual_time() / iters as f64
+/// A single node with `cores` cores: one simulated worker whose node
+/// model has the given width, with an ideal network (no wire: all state
+/// is local RAM).
+fn single_node(cores: usize) -> DistributedConfig {
+    DistributedConfig {
+        net: NetworkModel::ideal(),
+        node: NodeComputeModel::hpc_cloud_40().with_cores(cores),
+        ..DistributedConfig::das5(1)
+    }
 }
 
-fn distributed_time(
+/// Modelled seconds per iteration of the cluster `dcfg`.
+fn time_per_iter(
     train: &Graph,
     heldout: &HeldOut,
     k: usize,
     anchors: usize,
-    workers: usize,
+    dcfg: DistributedConfig,
     iters: u64,
 ) -> f64 {
-    let config = SamplerConfig::new(k)
-        .with_seed(5)
-        .with_minibatch(Strategy::StratifiedNode {
-            partitions: 32,
-            anchors,
-        })
-        .with_neighbor_sample(32);
-    let mut sampler = DistributedSampler::new(
-        train.clone(),
-        heldout.clone(),
-        config,
-        DistributedConfig::das5(workers),
-    )
-    .expect("valid configuration");
-    sampler.run(iters);
-    sampler.virtual_time() / iters as f64
+    let config = stratified_config(k, 5, anchors);
+    simulate(train, heldout, config, dcfg, iters).virtual_time() / iters as f64
 }
 
 fn main() {
@@ -100,9 +69,9 @@ fn main() {
         args.csv.clone(),
     );
     for &k in k_sweep_a {
-        let das5 = single_node_time(&train, &heldout, k, anchors, 16, iters);
-        let cloud16 = single_node_time(&train, &heldout, k, anchors, 16, iters);
-        let cloud40 = single_node_time(&train, &heldout, k, anchors, 40, iters);
+        let das5 = time_per_iter(&train, &heldout, k, anchors, single_node(16), iters);
+        let cloud16 = time_per_iter(&train, &heldout, k, anchors, single_node(16), iters);
+        let cloud40 = time_per_iter(&train, &heldout, k, anchors, single_node(40), iters);
         table.row(&[
             k.to_string(),
             format!("{:.2}", das5 * 1e3),
@@ -124,8 +93,8 @@ fn main() {
         None,
     );
     for &k in k_sweep_b {
-        let vertical = single_node_time(&train, &heldout, k, anchors, 40, iters);
-        let horizontal = distributed_time(&train, &heldout, k, anchors, 64, iters);
+        let vertical = time_per_iter(&train, &heldout, k, anchors, single_node(40), iters);
+        let horizontal = time_per_iter(&train, &heldout, k, anchors, DistributedConfig::das5(64), iters);
         table.row(&[
             k.to_string(),
             format!("{:.2}", vertical * 1e3),

@@ -11,7 +11,7 @@
 
 use mmsb::netsim::Phase;
 use mmsb::prelude::*;
-use mmsb_bench::{friendster_standin, HarnessArgs, TableWriter};
+use mmsb_bench::{stratified_config, friendster_standin, simulate, HarnessArgs, TableWriter};
 
 fn run(
     train: &Graph,
@@ -21,22 +21,9 @@ fn run(
     iters: u64,
     mode: PipelineMode,
 ) -> TraceReport {
-    let config = SamplerConfig::new(k)
-        .with_seed(4)
-        .with_minibatch(Strategy::StratifiedNode {
-            partitions: 32,
-            anchors,
-        })
-        .with_neighbor_sample(32);
-    let mut sampler = DistributedSampler::new(
-        train.clone(),
-        heldout.clone(),
-        config,
-        DistributedConfig::das5(64).with_pipeline(mode),
-    )
-    .expect("valid configuration");
-    sampler.run(iters);
-    sampler.report()
+    let config = stratified_config(k, 4, anchors);
+    let dcfg = DistributedConfig::das5(64).with_pipeline(mode);
+    simulate(train, heldout, config, dcfg, iters).report()
 }
 
 fn main() {

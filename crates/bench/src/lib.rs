@@ -148,6 +148,34 @@ pub fn friendster_standin(quick: bool) -> (Graph, HeldOut, u32) {
     (train, heldout, n)
 }
 
+/// The sampler the cluster figures share: `k` communities, stratified-node
+/// mini-batches of `anchors` anchors over 32 partitions, 32 sampled
+/// neighbours.
+pub fn stratified_config(k: usize, seed: u64, anchors: usize) -> SamplerConfig {
+    SamplerConfig::new(k)
+        .with_seed(seed)
+        .with_minibatch(Strategy::StratifiedNode {
+            partitions: 32,
+            anchors,
+        })
+        .with_neighbor_sample(32)
+}
+
+/// `iters` steps of the simulated cluster `dcfg` on copies of `train`
+/// and `heldout`.
+pub fn simulate(
+    train: &Graph,
+    heldout: &HeldOut,
+    config: SamplerConfig,
+    dcfg: DistributedConfig,
+    iters: u64,
+) -> DistributedSampler {
+    let mut sampler = DistributedSampler::new(train.clone(), heldout.clone(), config, dcfg)
+        .expect("valid configuration");
+    sampler.run(iters);
+    sampler
+}
+
 pub mod timing {
     //! The `BENCH_*.json` line store of the `bench_*` gate binaries: one
     //! JSON object per line, appended in the working directory, every

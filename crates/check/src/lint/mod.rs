@@ -200,7 +200,7 @@ mod tests {
         let vs = lint_file("crates/core/src/sampler/distributed.rs", uses);
         assert!(vs.iter().any(|v| v.rule == "time-confinement"), "{vs:?}");
         let sys = "let t = std::time::SystemTime::now();";
-        let vs = lint_file("crates/dkv/src/pipeline.rs", sys);
+        let vs = lint_file("crates/netsim/src/pipeline.rs", sys);
         assert!(vs.iter().any(|v| v.rule == "time-confinement"), "{vs:?}");
         // The clock crate and the bench harness are the two sanctioned homes.
         assert!(lint_file("crates/obs/src/clock.rs", uses).is_empty());
@@ -291,11 +291,11 @@ mod tests {
 
     #[test]
     fn fault_layer_stays_inside_the_sync_fence() {
-        // The pool's worker loop and the faulting store must stay generic
+        // The pool's worker loop and the fault plan must stay generic
         // over `SyncBackend`: a direct `std::sync` import in either
         // would silently drop them out of the model-checked set.
         let src = "use std::sync::Condvar;";
-        for rel in ["crates/pool/src/worker.rs", "crates/dkv/src/faults.rs"] {
+        for rel in ["crates/pool/src/worker.rs", "crates/netsim/src/fault.rs"] {
             let vs = lint_file(rel, src);
             assert!(
                 vs.iter().any(|v| v.rule == "std-sync-confinement"),
@@ -425,7 +425,7 @@ fn ok<S: SyncBackend>(&self) {
             .iter()
             .all(|v| v.rule != "lock-order"));
         let unknown = "fn f(&self) { let g = self.mystery.lock(); drop(g); }\n";
-        let vs = lint_file("crates/dkv/src/store.rs", unknown);
+        let vs = lint_file("crates/netsim/src/store.rs", unknown);
         assert!(
             vs.iter()
                 .any(|v| v.rule == "lock-order" && v.message.contains("mystery")),
@@ -481,6 +481,6 @@ fn caller<S: SyncBackend>(&self) {
         assert!(lint_file("crates/graph/src/hasher.rs", src).is_empty());
         // Test mods are exempt.
         let test_only = "#[cfg(test)]\nmod tests {\n    use std::collections::HashSet;\n    fn t() { let s: HashSet<u32> = HashSet::new(); drop(s); }\n}\n";
-        assert!(lint_file("crates/dkv/src/partition.rs", test_only).is_empty());
+        assert!(lint_file("crates/netsim/src/partition.rs", test_only).is_empty());
     }
 }

@@ -20,7 +20,7 @@ use super::Violation;
 
 /// Crates that must carry `#![forbid(unsafe_code)]` in their lib root.
 pub const FORBID_CRATES: &[&str] = &[
-    "rand", "graph", "svi", "netsim", "dkv", "bench", "mmsb", "serve",
+    "rand", "graph", "svi", "netsim", "bench", "mmsb", "serve",
 ];
 
 /// Path prefixes (relative to the repo root, `/`-separated) where
@@ -40,7 +40,7 @@ pub const UNSAFE_ALLOWLIST: &[&str] = &[
 ];
 
 /// Within these crates, `std::sync` is confined to the sync module.
-pub const SYNC_CONFINED: &[&str] = &["crates/pool/src", "crates/dkv/src"];
+pub const SYNC_CONFINED: &[&str] = &["crates/pool/src", "crates/netsim/src"];
 pub const SYNC_MODULE: &str = "crates/pool/src/sync";
 
 /// Path prefixes where the wall clock may be named directly. Everyone
@@ -102,7 +102,6 @@ pub const HOT_PATHS: &[&str] = &[
 /// FxHash) stay legal: their iteration order is reproducible.
 pub const HASH_ITER_SCOPE: &[&str] = &[
     "crates/core/src",
-    "crates/dkv/src",
     "crates/netsim/src",
     "crates/simd/src",
     "crates/svi/src",
@@ -112,7 +111,7 @@ pub const HASH_ITER_SCOPE: &[&str] = &[
 pub const LOCK_ORDER_SCOPE: &[&str] = &[
     "crates/pool/src",
     "crates/serve/src",
-    "crates/dkv/src",
+    "crates/netsim/src",
 ];
 
 /// The declared partial order on named locks: a function may only
@@ -251,8 +250,8 @@ root) using `unsafe` must carry it too. This keeps each unsafe operation inside 
     Rule {
         id: "forbid-attr",
         summary: "no-unsafe crates pin that with #![forbid(unsafe_code)]",
-        explain: "The crates that need no unsafe at all (rand, graph, svi, netsim, dkv, bench, \
-mmsb, serve) must pin that with `#![forbid(unsafe_code)]`, so a future `unsafe` block is a \
+        explain: "The crates that need no unsafe at all (rand, graph, svi, netsim, bench, mmsb, \
+serve) must pin that with `#![forbid(unsafe_code)]`, so a future `unsafe` block is a \
 compile error rather than a silent scope creep.",
         scope: Scope::All,
         suppressible: false,
@@ -260,11 +259,12 @@ compile error rather than a silent scope creep.",
     },
     Rule {
         id: "std-sync-confinement",
-        summary: "pool/dkv go through SyncBackend, never std::sync directly",
-        explain: "Inside crates/pool/src and crates/dkv/src, `std::sync` may be named only in the \
-sync module (crates/pool/src/sync/): all other code must go through the `SyncBackend` layer so \
-`mmsb-check` can model it. The failure layer is deliberately inside this fence — the \
-faulting store wrapper may synchronize only through the backend, which is what would let the \
+        summary: "pool/netsim go through SyncBackend, never std::sync directly",
+        explain: "Inside crates/pool/src and crates/netsim/src, `std::sync` may be named only in \
+the sync module (crates/pool/src/sync/): all other code must go through the `SyncBackend` layer \
+so `mmsb-check` can model it. The DKV store and the fault layer are deliberately inside this \
+fence — the sharded store's request path and the fault plan are single-threaded today, and a \
+lock or atomic added to either may come only through the backend, which is what would let the \
 model tests explore its races.",
         scope: Scope::Under(SYNC_CONFINED),
         suppressible: false,
@@ -349,7 +349,7 @@ so. Code under `#[cfg(test)]` is exempt.",
     Rule {
         id: "lock-order",
         summary: "lock acquisitions follow the declared order: state < model_path < current",
-        explain: "In crates/pool, crates/serve, and crates/dkv, every named lock is ranked \
+        explain: "In crates/pool, crates/serve, and crates/netsim, every named lock is ranked \
 (state=0, model_path=1, current=2) and each function must acquire locks in non-decreasing rank \
 — the static form of SnapshotCell's writer-side discipline. The checker extracts per-function \
 acquisition sequences (`S::lock(&…path)` backend calls and `.lock()` method calls), expands \
@@ -367,7 +367,7 @@ explaining the drop. Code under `#[cfg(test)]` is exempt.",
         summary: "no std HashMap/HashSet in result-affecting crates",
         explain: "std's HashMap/HashSet seed their hasher per process (RandomState), so iteration \
 order differs run to run. In the crates whose outputs feed trained state or published artifacts \
-(core, dkv, netsim, simd, svi) that order can leak into float accumulation and break the \
+(core, netsim, simd, svi) that order can leak into float accumulation and break the \
 bitwise-determinism guarantees the seeded-rerun tests pin. Use BTreeMap/BTreeSet (ordered) or \
 `mmsb_graph::FxHashMap`/`FxHashSet` (fixed-seed, reproducible iteration). Code under \
 `#[cfg(test)]` is exempt — test assertions on membership don't feed results.",

@@ -26,15 +26,15 @@
 //!   master–worker execution (paper §III) in lockstep simulation. It is
 //!   a [`ParallelSampler`] plus the price of its steps: each step is the
 //!   pool driver's, which also records every batch vertex's DKV keys,
-//!   and each rank's share of it is then charged to virtual clocks as
-//!   counted work at per-operation prices; communication and RDMA time
-//!   come from the `mmsb-netsim` and `mmsb-dkv` cost models, and
-//!   pipelining (double-buffered `pi` loads, priced by
-//!   `mmsb_dkv::pipeline::price`) can be toggled — reproducing Figures
-//!   1–4 and Table III. No clock is read, so the virtual time is a
-//!   function of (config, seed). It never sends a message and keeps one
-//!   copy of `pi`, the master's state, so the chain is the pool
-//!   driver's, bit for bit, at every worker count.
+//!   and `mmsb-netsim`'s `ClusterModel` then charges each rank's share
+//!   of the record to virtual clocks — counted work at per-operation
+//!   prices, communication and RDMA time from its network and DKV cost
+//!   models, and pipelining (double-buffered `pi` loads, priced by
+//!   `mmsb_netsim::dkv::price`) toggled by [`DistributedConfig`] —
+//!   reproducing Figures 1–4 and Table III. No clock is read, so the
+//!   virtual time is a function of (config, seed). It never sends a
+//!   message and keeps one copy of `pi`, the master's state, so the
+//!   chain is the pool driver's, bit for bit, at every worker count.
 //!
 //! # Quickstart
 //!
@@ -65,7 +65,6 @@ pub mod convergence;
 pub mod eval;
 
 mod checkpoint;
-mod compute_model;
 mod config;
 #[cfg(test)]
 mod kernels;
@@ -78,14 +77,17 @@ mod state;
 mod workspace;
 
 pub use checkpoint::{Checkpoint, CheckpointError, CHECKPOINT_MAGIC, CHECKPOINT_VERSION};
-pub use compute_model::{NodeComputeModel, OpPrices};
 pub use config::{SamplerConfig, StateLayout, StepSize};
 pub use perplexity::{link_probability, PerplexityAccumulator};
 pub use plane::Plane;
 pub use posterior::PosteriorMean;
-pub use sampler::distributed::{DistributedConfig, DistributedSampler};
+pub use sampler::distributed::DistributedSampler;
 pub use sampler::parallel::ParallelSampler;
 pub use state::{ModelState, PHI_MIN};
+
+// The cluster configuration lives with its price in `mmsb-netsim`;
+// re-exported beside the sampler it configures.
+pub use mmsb_netsim::DistributedConfig;
 
 // Re-exported so downstream crates (CLI, benches) can name the kernel
 // backend selection without depending on `mmsb-simd` directly.

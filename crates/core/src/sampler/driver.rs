@@ -18,9 +18,9 @@
 //! keys), and prices the record afterwards, so there is one chain.
 
 use crate::sampler::engine::{Engine, PHI_CHUNK};
-use crate::sampler::worker::StepRecord;
 use crate::workspace::Workspace;
 use crate::CoreError;
+use mmsb_netsim::StepRecord;
 use mmsb_obs::id as obs_id;
 use mmsb_obs::{phase_span, Phase};
 use mmsb_ooc::{GraphBackend, OocError};
@@ -245,7 +245,12 @@ pub(crate) fn step(
     {
         let _p = phase_span(Phase::UpdatePhi);
         let eng = &*engine;
-        let record = record.map(|r| r.begin(eng));
+        let record = record.map(|r| {
+            let vertices = eng.mb_vertices.iter().map(|a| a.0);
+            let pairs = eng.mb.pairs.iter().map(|&(e, _)| [e.lo().0, e.hi().0]);
+            let (stride, slots) = r.begin(eng.iteration, vertices, pairs);
+            (stride, SharedSlice::new(slots))
+        });
         let updates = prefix(&mut bufs.updates, nv * k);
         fan_out(pool, scratch, updates, k, PHI_CHUNK, |ws, _, vs, rows| {
             eng.update_phi(vs.clone(), ws, rows);

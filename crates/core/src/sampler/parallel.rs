@@ -12,7 +12,6 @@
 //! tested against.
 
 use super::driver::{self, StepBuffers};
-use super::worker::StepRecord;
 use super::Engine;
 use crate::checkpoint::Checkpoint;
 use crate::communities::Communities;
@@ -21,6 +20,7 @@ use crate::workspace::Workspace;
 use crate::{CoreError, ModelState};
 use mmsb_graph::heldout::HeldOut;
 use mmsb_graph::Graph;
+use mmsb_netsim::StepRecord;
 use mmsb_obs::id as obs_id;
 use mmsb_ooc::GraphBackend;
 use mmsb_pool::ThreadPool;

@@ -1,27 +1,13 @@
 //! What a worker holds between the two passes of `update_phi`: its
-//! vertices' sampled neighbor sets ([`SampledSets`]), and what the
-//! simulated cluster ([`crate::DistributedSampler`]) reads back from a
-//! step to price it: the step's batch and every batch vertex's DKV keys
-//! ([`StepRecord`]) and how the batch and the held-out pairs split over
-//! its ranks ([`share`]).
+//! vertices' sampled neighbor sets ([`SampledSets`]), which also write
+//! each vertex's DKV keys into the step record the simulated cluster
+//! prices ([`mmsb_netsim::StepRecord`]).
 
-use super::Engine;
 use crate::rngs;
 use mmsb_graph::heldout::HeldOut;
 use mmsb_graph::neighbor::NeighborSampler;
-use mmsb_graph::{Edge, FxHashSet, VertexId};
-use mmsb_pool::SharedSlice;
+use mmsb_graph::{FxHashSet, VertexId};
 use mmsb_rand::Xoshiro256PlusPlus;
-use std::ops::Range;
-
-/// Part `p` of an even contiguous split of `len` items into `parts`
-/// (the first `len % parts` parts get one extra item).
-pub(crate) fn share(len: usize, parts: usize, p: usize) -> Range<usize> {
-    let base = len / parts;
-    let extra = len % parts;
-    let lo = p * base + p.min(extra);
-    lo..lo + base + usize::from(p < extra)
-}
 
 /// Mini-batch vertices with their sampled neighbor sets and streams —
 /// the first pass of every `update_phi`, kept in a
@@ -86,7 +72,7 @@ impl SampledSets {
 
     /// Write each sampled vertex's DKV keys — its key count, then its own
     /// row, then its neighbors' rows — into its `stride` slots of `out`
-    /// (one [`StepRecord`] slot range per vertex, in order).
+    /// (one `StepRecord` slot range per vertex, in order).
     pub fn record_keys(&self, out: &mut [u32], stride: usize) {
         let mut lo = 0;
         let slots = out.chunks_exact_mut(stride);
@@ -113,56 +99,5 @@ impl SampledSets {
     pub fn vertex(&mut self, i: usize) -> (VertexId, &[VertexId], &mut Xoshiro256PlusPlus) {
         let lo = if i == 0 { 0 } else { self.ends[i - 1] };
         (self.ids[i], &self.sets[lo..self.ends[i]], &mut self.rngs[i])
-    }
-}
-
-/// One step as the simulated cluster prices it, written by
-/// [`super::driver::step`] when a caller asks: its iteration, batch and
-/// every batch vertex's DKV keys (own row, then sampled neighbors'),
-/// vertex `i`'s in the `stride` slots from `i * stride`, the first its
-/// key count. Reserved for the largest batch up front, so it is rewritten
-/// in place; a clone holds only its own batch.
-#[derive(Clone)]
-pub(crate) struct StepRecord {
-    /// The iteration the step ran.
-    pub iteration: u64,
-    /// The batch's distinct vertices, in [`Engine::mb_vertices`] order.
-    pub vertices: Vec<VertexId>,
-    /// The batch's pairs.
-    pub pairs: Vec<Edge>,
-    slots: Vec<u32>,
-    /// `neighbor_sample + 2`: the count, the vertex, its neighbors.
-    stride: usize,
-}
-
-impl StepRecord {
-    /// A record for any mini-batch `engine` can draw.
-    pub fn new(engine: &Engine) -> Self {
-        let stride = engine.config.neighbor_sample + 2;
-        Self {
-            iteration: 0,
-            vertices: Vec::with_capacity(engine.max_batch_vertices()),
-            pairs: Vec::with_capacity(engine.max_batch_pairs()),
-            slots: Vec::with_capacity(engine.max_batch_vertices() * stride),
-            stride,
-        }
-    }
-
-    /// Take `engine`'s iteration and freshly drawn batch as the step's;
-    /// the stride and key slots of the batch's vertices, for the phi
-    /// fan-out to fill.
-    pub fn begin(&mut self, engine: &Engine) -> (usize, SharedSlice<'_, u32>) {
-        self.iteration = engine.iteration;
-        self.vertices.clone_from(&engine.mb_vertices);
-        self.pairs.clear();
-        self.pairs.extend(engine.mb.pairs.iter().map(|&(e, _)| e));
-        self.slots.resize(self.vertices.len() * self.stride, 0);
-        (self.stride, SharedSlice::new(&mut self.slots))
-    }
-
-    /// Batch vertex `i`'s keys, as the step recorded them.
-    pub fn keys(&self, i: usize) -> &[u32] {
-        let slot = &self.slots[i * self.stride..(i + 1) * self.stride];
-        &slot[1..=slot[0] as usize]
     }
 }

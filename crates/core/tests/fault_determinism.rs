@@ -15,6 +15,7 @@ use mmsb_core::{DistributedConfig, DistributedSampler, SamplerConfig};
 use mmsb_graph::generate::planted::{generate_planted, PlantedConfig};
 use mmsb_graph::heldout::HeldOut;
 use mmsb_graph::Graph;
+use mmsb_netsim::dkv::PipelineMode;
 use mmsb_netsim::{FaultConfig, Phase};
 use mmsb_rand::Xoshiro256PlusPlus;
 
@@ -220,4 +221,52 @@ fn invalid_kill_targets_are_rejected() {
         DistributedConfig::das5(1).with_faults(FaultConfig::none(1).with_kill(0, 0)),
     )
     .is_err());
+}
+
+/// The fault-free price in both pipeline modes at 1 and 8 workers: the
+/// virtual clock and every phase total after 8 steps and one held-out
+/// evaluation, as bits, recorded at commit 34c233c. Any drift in the
+/// price of a clean step fails here.
+#[test]
+fn fault_free_clock_is_pinned() {
+    let (g, h) = setup(26);
+    let cfg = SamplerConfig::new(4).with_seed(31);
+    let shared_1 = [
+        0x3f241a6e5f3bf73d,
+        0x3ef9791634be161a,
+        0x3f04d246226fba7f,
+        0x3f03f453a46cdc4c,
+        0x3ef42fa7ca9b2e4c,
+        0x3ebfd1aba07974e9,
+        0x3f083abcb9ce3279,
+        0x3ec6403dfb231196,
+        0x3f127476ca61b881,
+    ];
+    let shared_8 = [
+        0x3f241a6e5f3bf73d,
+        0x3f239f2d6b874bcd,
+        0x3ed5e7924ab3b0f8,
+        0x3f4f0a87427f0091,
+        0x3ec53c7e3554d37c,
+        0x3f02684de9c2ad3c,
+        0x3f3338d4e99f94c8,
+        0x3efaa2719d8a5964,
+        0x3f327476ca61b881,
+    ];
+    // (workers, mode, clock, phase totals: the first nine, then
+    // prefetch and recovery).
+    let cases = [
+        (1, PipelineMode::Single, 0x3f39eb31fa90d748, shared_1, 0),
+        (1, PipelineMode::Double, 0x3f338f64450b918c, shared_1, 0x3ef18bf5ecd41834),
+        (8, PipelineMode::Single, 0x3f5ee5bf173bc730, shared_8, 0),
+        (8, PipelineMode::Double, 0x3f59ee8b9de35ecd, shared_8, 0),
+    ];
+    for (workers, mode, clock, shared, prefetch) in cases {
+        let dcfg = DistributedConfig::das5(workers).with_pipeline(mode);
+        let mut s = DistributedSampler::new(g.clone(), h.clone(), cfg.clone(), dcfg).unwrap();
+        s.run(8);
+        s.evaluate_perplexity();
+        let totals = [&shared[..], &[prefetch, 0]].concat();
+        assert_eq!(price_bits(&s), (clock, totals), "{workers} workers, {mode:?}");
+    }
 }

@@ -7,10 +7,10 @@
 //! any number of iterations the sampler state must match bit for bit.
 
 use mmsb_core::{DistributedConfig, DistributedSampler, SamplerConfig};
-use mmsb_dkv::pipeline::PipelineMode;
 use mmsb_graph::generate::planted::{generate_planted, PlantedConfig};
 use mmsb_graph::heldout::HeldOut;
 use mmsb_graph::Graph;
+use mmsb_netsim::dkv::PipelineMode;
 use mmsb_rand::Xoshiro256PlusPlus;
 
 fn setup(seed: u64) -> (Graph, HeldOut) {

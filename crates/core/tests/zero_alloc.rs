@@ -13,7 +13,7 @@
 //! allocates nothing, and a live checkpoint keeps its bytes while the
 //! chain moves on. Every per-iteration buffer is pre-reserved at its hard
 //! upper bound (`Engine::with_backend`, `StepBuffers::new`, `Workspace::new`,
-//! `KeyRecord::new`, the cache's frame storage and decode scratch, the
+//! `StepRecord::with_capacity`, the cache's frame storage and decode scratch, the
 //! staged adjacency: the batch's largest possible lists) or
 //! grows to its high-water mark during warm-up (the lockstep driver's
 //! pricing key buffers), the pool publishes jobs as unboxed
@@ -33,11 +33,10 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use mmsb_core::{
     Backend, DistributedConfig, DistributedSampler, ParallelSampler, SamplerConfig, SimdPolicy,
 };
-use mmsb_dkv::pipeline::PipelineMode;
-use mmsb_dkv::{DkvStore, Partition, ShardedStore};
 use mmsb_graph::generate::planted::{generate_planted, PlantedConfig};
 use mmsb_graph::heldout::HeldOut;
 use mmsb_graph::minibatch::Strategy;
+use mmsb_netsim::dkv::{DkvStore, Partition, PipelineMode, ShardedStore};
 use mmsb_obs::{ObsConfig, ObsLevel};
 use mmsb_rand::Xoshiro256PlusPlus;
 

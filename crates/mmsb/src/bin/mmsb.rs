@@ -146,6 +146,43 @@ fn obs_finish(outputs: &ObsOutputs, threads: usize) -> Result<(), String> {
     Ok(())
 }
 
+/// What `train` and `simulate` set up alike: the obs pipeline, the
+/// seed, and the sampler config at `--k` (default `default_k`) with the
+/// `--simd` backend.
+struct RunSetup {
+    obs: ObsOutputs,
+    seed: u64,
+    config: SamplerConfig,
+}
+
+fn run_setup(args: &Args, default_k: usize) -> Result<RunSetup, String> {
+    let obs = obs_setup(args)?;
+    let seed: u64 = args.parsed("seed", 42)?;
+    let k: usize = args.parsed("k", default_k)?;
+    let simd = simd_from_args(args)?;
+    let config = SamplerConfig::new(k).with_seed(seed).with_simd(simd);
+    Ok(RunSetup { obs, seed, config })
+}
+
+/// The held-out pairs a run sets aside unless told otherwise: one per 50
+/// edges, at least 16.
+fn default_heldout(num_edges: u64) -> usize {
+    (num_edges / 50).max(16) as usize
+}
+
+/// The stream a run's held-out pairs are drawn from.
+fn heldout_rng(seed: u64) -> Xoshiro256PlusPlus {
+    Xoshiro256PlusPlus::seed_from_u64(seed ^ 0x5EED)
+}
+
+/// Save `ckpt` to `path` and say so.
+fn save_checkpoint(ckpt: &Checkpoint, path: &str) -> Result<(), String> {
+    ckpt.save(std::path::Path::new(path))
+        .map_err(|e| e.to_string())?;
+    println!("checkpoint (iteration {}) written to {path}", ckpt.iteration());
+    Ok(())
+}
+
 fn main() -> ExitCode {
     let args = match Args::parse(std::env::args().skip(1)) {
         Ok(a) => a,
@@ -322,7 +359,7 @@ fn cmd_train(args: &Args) -> Result<(), String> {
         );
         return Ok(());
     }
-    let obs_out = obs_setup(args)?;
+    let RunSetup { obs, seed, config } = run_setup(args, 16)?;
     let driver = args.get("driver").unwrap_or("parallel");
     // One driver: `sequential` is its one-thread spelling (inline
     // execution, no pool threads) and yields the same chain.
@@ -331,7 +368,6 @@ fn cmd_train(args: &Args) -> Result<(), String> {
         "parallel" => mmsb::obs::export::host_cores(),
         other => return Err(format!("unknown driver {other:?} (sequential, parallel)")),
     };
-    let seed: u64 = args.parsed("seed", 42)?;
     let cache_blocks: usize = args.parsed("cache-blocks", mmsb::ooc::DEFAULT_CACHE_BLOCKS)?;
     let (backend, heldout, truth) = match args.get("graph-format").unwrap_or("edges") {
         "edges" => {
@@ -342,10 +378,8 @@ fn cmd_train(args: &Args) -> Result<(), String> {
                 let generated = generated_from_args(args)?;
                 (generated.graph, Some(generated.ground_truth))
             };
-            let heldout_links: usize =
-                args.parsed("heldout", ((graph.num_edges() / 50).max(16)) as usize)?;
-            let mut rng = Xoshiro256PlusPlus::seed_from_u64(seed ^ 0x5EED);
-            let (train, heldout) = HeldOut::split(&graph, heldout_links, &mut rng);
+            let links = args.parsed("heldout", default_heldout(graph.num_edges()))?;
+            let (train, heldout) = HeldOut::split(&graph, links, &mut heldout_rng(seed));
             (GraphBackend::Resident(train), heldout, truth)
         }
         "ooc" => {
@@ -358,46 +392,32 @@ fn cmd_train(args: &Args) -> Result<(), String> {
             // the set-up. A frame that goes bad later still ends
             // training with an error (`try_step`).
             graph.verify_blocks().map_err(|e| format!("{path}: {e}"))?;
-            let heldout_links: usize =
-                args.parsed("heldout", ((graph.num_edges() / 50).max(16)) as usize)?;
-            let mut rng = Xoshiro256PlusPlus::seed_from_u64(seed ^ 0x5EED);
+            let links = args.parsed("heldout", default_heldout(graph.num_edges()))?;
             // Out-of-core held-out pairs are sampled by access (links
             // stay in the training adjacency) — removing edges would
             // mean rewriting the on-disk file.
             let mut cache = BlockCache::for_graph(&graph, cache_blocks, seed ^ 0x0C);
             let heldout = HeldOut::sample_observed(
                 mmsb::ooc::OocReader::new(&graph, &mut cache),
-                heldout_links,
-                &mut rng,
+                links,
+                &mut heldout_rng(seed),
             );
             (GraphBackend::OutOfCore(graph), heldout, None)
         }
         other => return Err(format!("--graph-format expects edges/ooc, got {other:?}")),
     };
-    let k: usize = args.parsed("k", 16)?;
+    let k = config.k;
     let iters: u64 = args.parsed("iters", 2000)?;
     let eval_every: u64 = args.parsed("eval-every", 250)?;
     let threshold: f32 = args.parsed("threshold", (0.5 / k as f64) as f32)?;
-    let checkpoint_path = args.get("checkpoint").map(str::to_string);
+    let checkpoint_path = args.get("checkpoint");
     let checkpoint_every: u64 = args.parsed("checkpoint-every", 0)?;
     if checkpoint_every > 0 && checkpoint_path.is_none() {
         return Err("--checkpoint-every needs --checkpoint FILE".to_string());
     }
-    let save_checkpoint = |ckpt: &Checkpoint, iteration: u64| -> Result<(), String> {
-        let path = checkpoint_path.as_deref().expect("gated on --checkpoint");
-        ckpt.save(std::path::Path::new(path))
-            .map_err(|e| e.to_string())?;
-        println!("checkpoint (iteration {iteration}) written to {path}");
-        Ok(())
-    };
-
-    let simd = simd_from_args(args)?;
 
     let num_vertices = backend.num_vertices();
-    let config = SamplerConfig::new(k)
-        .with_seed(seed)
-        .with_simd(simd)
-        .with_graph_cache_blocks(cache_blocks);
+    let config = config.with_graph_cache_blocks(cache_blocks);
     println!(
         "training on {} vertices / {} edges ({}), K = {k}, {iters} iterations, \
          driver = {driver}, simd = {}",
@@ -412,35 +432,21 @@ fn cmd_train(args: &Args) -> Result<(), String> {
 
     let mut s = ParallelSampler::with_backend_threads(backend, heldout, config, threads)
         .map_err(|e| e.to_string())?;
-    // Step to whichever boundary comes first — evaluation or checkpoint —
-    // so both cadences hold without overshooting.
-    let mut done = 0u64;
-    let mut next_eval = eval_every.max(1);
-    let mut next_ckpt = if checkpoint_every > 0 {
-        checkpoint_every
-    } else {
-        u64::MAX
-    };
-    let mut last_saved: Option<u64> = None;
-    while done < iters {
-        let stop = iters.min(next_eval).min(next_ckpt);
-        for _ in done..stop {
-            s.try_step().map_err(|e| e.to_string())?;
-        }
-        done = stop;
-        if done == next_eval || done == iters {
+    // Evaluate every `eval_every` steps and at the end; save every
+    // `checkpoint_every` steps and the final model.
+    for done in 1..=iters {
+        s.try_step().map_err(|e| e.to_string())?;
+        if done % eval_every.max(1) == 0 || done == iters {
             let perplexity = s.evaluate_perplexity();
             println!("iter {done:>7}  perplexity {perplexity:.4}");
-            next_eval = done + eval_every.max(1);
         }
-        if done == next_ckpt {
-            save_checkpoint(&s.checkpoint(), done)?;
-            last_saved = Some(done);
-            next_ckpt = done + checkpoint_every;
+        let due = done < iters && done.checked_rem(checkpoint_every) == Some(0);
+        if let Some(path) = checkpoint_path.filter(|_| due) {
+            save_checkpoint(&s.checkpoint(), path)?;
         }
     }
-    if checkpoint_path.is_some() && last_saved != Some(done) {
-        save_checkpoint(&s.checkpoint(), done)?;
+    if let Some(path) = checkpoint_path {
+        save_checkpoint(&s.checkpoint(), path)?;
     }
 
     let communities = Communities::from_state(s.state(), threshold);
@@ -465,7 +471,7 @@ fn cmd_train(args: &Args) -> Result<(), String> {
         }
         println!("communities written to {out}");
     }
-    obs_finish(&obs_out, mmsb::obs::export::host_cores())
+    obs_finish(&obs, mmsb::obs::export::host_cores())
 }
 
 fn cmd_simulate(args: &Args) -> Result<(), String> {
@@ -483,11 +489,9 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
         );
         return Ok(());
     }
-    let obs_out = obs_setup(args)?;
+    let RunSetup { obs, seed, config } = run_setup(args, 32)?;
     let workers: usize = args.parsed("workers", 16)?;
-    let k: usize = args.parsed("k", 32)?;
     let iters: u64 = args.parsed("iters", 50)?;
-    let seed: u64 = args.parsed("seed", 42)?;
     let pipeline = match args.get("pipeline").unwrap_or("on") {
         "on" | "true" => PipelineMode::Double,
         "off" | "false" => PipelineMode::Single,
@@ -524,12 +528,9 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
         );
     }
 
-    let simd = simd_from_args(args)?;
     let generated = generated_from_args(args)?;
-    let mut rng = Xoshiro256PlusPlus::seed_from_u64(seed ^ 0x5EED);
-    let links = (generated.graph.num_edges() / 50).max(16) as usize;
-    let (train, heldout) = HeldOut::split(&generated.graph, links, &mut rng);
-    let config = SamplerConfig::new(k).with_seed(seed).with_simd(simd);
+    let links = default_heldout(generated.graph.num_edges());
+    let (train, heldout) = HeldOut::split(&generated.graph, links, &mut heldout_rng(seed));
     let backend = config.backend();
     let mut dcfg = DistributedConfig::das5(workers).with_pipeline(pipeline);
     if let Some(fc) = faults {
@@ -580,16 +581,9 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
         );
     }
     if let Some(path) = args.get("checkpoint") {
-        sampler
-            .checkpoint()
-            .save(std::path::Path::new(path))
-            .map_err(|e| e.to_string())?;
-        println!(
-            "checkpoint (iteration {}) written to {path}",
-            sampler.iteration()
-        );
+        save_checkpoint(&sampler.checkpoint(), path)?;
     }
-    obs_finish(&obs_out, workers)
+    obs_finish(&obs, workers)
 }
 
 fn cmd_serve(args: &Args) -> Result<(), String> {

@@ -2,8 +2,9 @@
 //!
 //! One `use mmsb::prelude::*` away from the whole workspace: the a-MMSB
 //! SG-MCMC samplers (`mmsb-core`), the graph substrate (`mmsb-graph`), the
-//! deterministic RNG (`mmsb-rand`), the simulated cluster fabric
-//! (`mmsb-netsim`), the distributed key-value store (`mmsb-dkv`). The
+//! deterministic RNG (`mmsb-rand`), and the price of the simulated
+//! cluster (`mmsb-netsim`: the fabric, the node compute prices and the
+//! distributed key-value store, re-exported as [`dkv`]). The
 //! variational baseline
 //! (`mmsb-svi`) is re-exported as [`svi`] but stays out of the prelude:
 //! it is the oracle the tests compare against, not part of the sampler.
@@ -22,9 +23,9 @@
 #![forbid(unsafe_code)]
 
 pub use mmsb_core as core;
-pub use mmsb_dkv as dkv;
 pub use mmsb_graph as graph;
 pub use mmsb_netsim as netsim;
+pub use mmsb_netsim::dkv;
 pub use mmsb_obs as obs;
 pub use mmsb_ooc as ooc;
 pub use mmsb_pool as pool;
@@ -37,17 +38,19 @@ pub mod prelude {
     pub use mmsb_core::{
         communities::Communities, convergence::PlateauDetector, eval, link_probability,
         Backend, Checkpoint, CheckpointError, DistributedConfig, DistributedSampler,
-        ModelState, NodeComputeModel, ParallelSampler, PerplexityAccumulator, SamplerConfig,
-        SimdPolicy, StateLayout, StepSize,
+        ModelState, ParallelSampler, PerplexityAccumulator, SamplerConfig, SimdPolicy,
+        StateLayout, StepSize,
     };
-    pub use mmsb_dkv::pipeline::PipelineMode;
     pub use mmsb_graph::generate::datasets::{by_name, standins, DatasetSpec};
     pub use mmsb_graph::generate::planted::{generate_planted, PlantedConfig};
     pub use mmsb_graph::generate::{GeneratedGraph, GroundTruth};
     pub use mmsb_graph::heldout::HeldOut;
     pub use mmsb_graph::minibatch::Strategy;
     pub use mmsb_graph::{Graph, GraphBuilder, VertexId};
-    pub use mmsb_netsim::{FaultConfig, FaultPlan, NetworkModel, Phase, RecoveryPolicy, TraceReport};
+    pub use mmsb_netsim::dkv::PipelineMode;
+    pub use mmsb_netsim::{
+        FaultConfig, FaultPlan, NetworkModel, NodeComputeModel, Phase, RecoveryPolicy, TraceReport,
+    };
     pub use mmsb_obs::{ObsConfig, ObsLevel};
     pub use mmsb_ooc::{BlockCache, GraphBackend, OocGraph};
     pub use mmsb_rand::{Rng, RngCore, Xoshiro256PlusPlus};

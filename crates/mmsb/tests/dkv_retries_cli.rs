@@ -7,7 +7,7 @@ use std::process::Command;
 
 fn out_path(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
-    p.push(format!("mmsb-dkv-retries-{}-{name}", std::process::id()));
+    p.push(format!("mmsb-retries-{}-{name}", std::process::id()));
     p
 }
 

@@ -16,7 +16,7 @@
 //! on its keys alone — not on the host or on what else runs beside it;
 //! and it owns no buffers, so it allocates nothing.
 
-use crate::{CostModel, OpObs};
+use crate::dkv::{CostModel, OpObs};
 
 /// Buffering mode of the modelled `pi` load.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -120,8 +120,8 @@ fn chunk_prices<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Partition;
-    use mmsb_netsim::NetworkModel;
+    use crate::dkv::Partition;
+    use crate::NetworkModel;
     use mmsb_rand::{Rng, Xoshiro256PlusPlus};
 
     /// Makespan of a two-stage pipeline with per-chunk `loads` and

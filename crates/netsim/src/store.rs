@@ -1,8 +1,8 @@
 //! The sharded store, the cost model that prices access to it, and the
 //! per-batch instrumentation both share.
 
-use crate::{DkvError, Partition};
-use mmsb_netsim::NetworkModel;
+use crate::dkv::{DkvError, Partition};
+use crate::NetworkModel;
 use mmsb_obs::id as obs_id;
 
 /// Per-batch instrumentation of one DKV read or write: bumps the

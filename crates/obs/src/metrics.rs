@@ -36,7 +36,7 @@ pub enum Phase {
     /// Barrier / synchronization waiting time.
     Barrier,
     /// `pi` load time the double-buffered schedule hid behind compute
-    /// (`mmsb_dkv::pipeline::price` under `PipelineMode::Double`):
+    /// (`mmsb_netsim::dkv::price` under `PipelineMode::Double`):
     /// `LoadPi` + `UpdatePhi` minus the pass's modeled makespan. Recorded
     /// only when pipelined; not part of any rank's clock.
     Prefetch,

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 gate: the workspace must build, lint clean, and test fully
 # offline — no registry dependencies, no network. Each step runs once:
-# xlint -> doc check (five reference checks, then the no-clock,
-# no-compute, one-cache, no-rollback-checkpoint and no-whole-block-read
-# checks) ->
+# xlint -> doc check (five reference checks, then the no-clock-in-the-
+# price, no-compute-in-the-cluster (the lockstep driver's calls and
+# mmsb-netsim's manifest), one-cache, no-rollback-checkpoint and
+# no-whole-block-read checks) ->
 # build -> clippy -> the whole test suite -> the three --quick gate
 # binaries -> sanitize.sh.
 set -euo pipefail
@@ -88,30 +89,34 @@ for doc in README.md DESIGN.md "$skill"; do
             || { echo "$doc names an identifier no crate has: $name"; stale=1; }
     done < <(grep -oE '`[A-Z][a-z0-9]+[A-Z][A-Za-z0-9]*`' "$doc" | tr -d '`' | sort -u)
 done
-# (6) No clock read in the simulated cluster's step: the lockstep driver
-# and the price of its chunked `pi` load charge compute as counted work,
-# and the DKV access record they hold (`OpObs` in the store) is timed by
-# its obs span guard alone, so a clock read (`Stopwatch::start`,
-# `elapsed_secs`, `Instant`, `SystemTime`, `now_ns`) in any of them
-# would put host time back into the virtual clock. Comment lines are
-# skipped.
-for src in crates/core/src/sampler/distributed.rs crates/dkv/src/pipeline.rs \
-    crates/dkv/src/store.rs; do
-    while read -r hit; do
-        echo "$src reads a clock: $hit"; stale=1
-    done < <(grep -nE 'Stopwatch::start|elapsed_secs|Instant|SystemTime|now_ns' "$src" \
-        | grep -vE '^[0-9]+:[[:space:]]*//')
-done
+# (6) No clock read in the price of the simulated cluster: the lockstep
+# driver and everything under crates/netsim/src (the cluster model, the
+# price of the chunked `pi` load, the DKV cost model) charge compute as
+# counted work, and the DKV access record they hold (`OpObs` in the
+# store) is timed by its obs span guard alone, so a clock read
+# (`Stopwatch::start`, `elapsed_secs`, `Instant`, `SystemTime`,
+# `now_ns`) in any of them would put host time back into the virtual
+# clock. Comment lines are skipped.
+while read -r hit; do
+    echo "a clock read in the price: $hit"; stale=1
+done < <(grep -rnE 'Stopwatch::start|elapsed_secs|Instant|SystemTime|now_ns' \
+    crates/netsim/src crates/core/src/sampler/distributed.rs \
+    | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//')
 # (7) No compute in the simulated cluster: `distributed.rs` runs the pool
 # driver's step and only prices it, so a call to a stage of the chain
 # (the `phi` update, the theta gradient or step, the held-out
 # probabilities, the mini-batch draw) or to the pool fan-out there would
-# be a second sampler. Comment lines are skipped.
+# be a second sampler; and the price itself (mmsb-netsim) depends on
+# neither the sampler, the pool nor the graph file, so it cannot run a
+# stage, fan out or read the graph. Comment lines are skipped.
 src=crates/core/src/sampler/distributed.rs
 while read -r hit; do
     echo "$src computes a stage of the chain: $hit"; stale=1
 done < <(grep -nwE 'update_phi|theta_gradient|perplexity_probs_into|apply_phi_updates|apply_theta_update|refresh_minibatch|fan_out' "$src" \
     | grep -vE '^[0-9]+:[[:space:]]*//')
+while read -r hit; do
+    echo "crates/netsim/Cargo.toml depends on the chain: $hit"; stale=1
+done < <(grep -nE '^[[:space:]]*mmsb-(core|pool|ooc)\b' crates/netsim/Cargo.toml)
 # (8) One set of block caches: the engine caches an out-of-core file's
 # blocks by region (`mmsb_ooc::RegionCaches`), each block in one cache,
 # so `workspace.rs` names no `BlockCache` and no file under
@@ -157,11 +162,13 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 #                 admission/drain protocols across bounded-exhaustive
 #                 interleavings + seeded-bug shims), xlint self-tests
 #                 (lexer_prop, xlint_gate, xlint_fixtures)
-#   pipelining    mmsb-dkv: pipeline::tests (price vs its oracle);
+#   pipelining    mmsb-netsim: pipeline::tests (price vs its oracle);
 #                 mmsb-core: pipeline_determinism (Single vs Double
 #                 bitwise), zero_alloc (pool step with and without
 #                 the DKV key record, pricing, warmed ooc cache reads)
-#   failures      mmsb-core: fault_determinism, checkpoint_resume
+#   failures      mmsb-netsim: cluster::tests (the retry loop);
+#                 mmsb-core: fault_determinism (the clock pinned with
+#                 and without faults), checkpoint_resume
 #   SIMD          mmsb-simd (lane parity, exp/log/polar ULP bounds);
 #                 mmsb-core: simd_determinism; mmsb: simd_smoke
 #   obs           mmsb-obs (registry, clock, rings, exporters, trace

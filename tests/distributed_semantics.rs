@@ -57,7 +57,10 @@ fn slower_network_costs_more_virtual_time() {
     let (g, h) = setup(2, 400);
     let mut times = Vec::new();
     for net in [NetworkModel::fdr_infiniband(), NetworkModel::ethernet_10g()] {
-        let dcfg = DistributedConfig::das5(4).with_net(net);
+        let dcfg = DistributedConfig {
+            net,
+            ..DistributedConfig::das5(4)
+        };
         let mut d = DistributedSampler::new(g.clone(), h.clone(), config(8), dcfg).unwrap();
         d.run(6);
         times.push(d.virtual_time());
@@ -71,7 +74,10 @@ fn slower_network_costs_more_virtual_time() {
 #[test]
 fn ideal_network_removes_load_pi_wire_time() {
     let (g, h) = setup(3, 400);
-    let dcfg = DistributedConfig::das5(4).with_net(NetworkModel::ideal());
+    let dcfg = DistributedConfig {
+        net: NetworkModel::ideal(),
+        ..DistributedConfig::das5(4)
+    };
     let mut d = DistributedSampler::new(g.clone(), h.clone(), config(8), dcfg).unwrap();
     d.run(5);
     let ideal_load = d.report().phases.total(Phase::LoadPi);
