@@ -33,7 +33,11 @@ struct Row {
     overhead_ratio: f64,
 }
 
-fn build(workers: usize, faults: Option<FaultConfig>, ckpt_every: Option<u64>) -> DistributedSampler {
+fn build(
+    workers: usize,
+    faults: Option<FaultConfig>,
+    ckpt_every: Option<u64>,
+) -> DistributedSampler {
     let mut rng = Xoshiro256PlusPlus::seed_from_u64(7);
     let generated = generate_planted(
         &PlantedConfig {
@@ -137,7 +141,12 @@ fn main() {
         let row = run_scenario(s);
         println!(
             "{:<36} clean {:>9.4}s  faulty {:>9.4}s  recovery {:>9.4}s ({} events)  x{:.3}",
-            row.id, row.clean_vt, row.faulty_vt, row.recovery_s, row.recovery_events, row.overhead_ratio
+            row.id,
+            row.clean_vt,
+            row.faulty_vt,
+            row.recovery_s,
+            row.recovery_events,
+            row.overhead_ratio
         );
         rows.push(row);
     }

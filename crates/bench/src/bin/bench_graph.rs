@@ -23,8 +23,8 @@
 //! `--quick` shrinks the graph ~50x for CI smoke runs (tier1 runs it);
 //! the committed `BENCH_graph.json` carries the full-scale figures.
 
-use mmsb::prelude::*;
 use mmsb::graph::generate::stream::{for_each_edge, StreamConfig};
+use mmsb::prelude::*;
 use mmsb_bench::timing::{append_json, host_cores};
 use mmsb_ooc::{BuildOptions, OocReader, StreamingBuilder};
 use std::path::Path;
@@ -155,7 +155,11 @@ fn main() {
     let heldout = {
         let mut ho_cache = BlockCache::for_graph(&graph, 256, 2);
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(0xBEEF);
-        HeldOut::sample_observed(OocReader::new(&graph, &mut ho_cache), s.heldout_links, &mut rng)
+        HeldOut::sample_observed(
+            OocReader::new(&graph, &mut ho_cache),
+            s.heldout_links,
+            &mut rng,
+        )
     };
     drop(graph); // each sampler opens its own handle; keep one set of resident metadata
     let config = SamplerConfig::new(s.model_k)

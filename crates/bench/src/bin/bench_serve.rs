@@ -46,8 +46,9 @@ fn train_model(path: &Path, quick: bool) {
         &mut rng,
     );
     let (graph, heldout) = HeldOut::split(&gen.graph, 200, &mut rng);
-    let mut s = ParallelSampler::with_threads(graph, heldout, SamplerConfig::new(K).with_seed(7), 1)
-        .expect("sampler");
+    let mut s =
+        ParallelSampler::with_threads(graph, heldout, SamplerConfig::new(K).with_seed(7), 1)
+            .expect("sampler");
     s.run(if quick { 5 } else { 30 });
     s.checkpoint().save(path).expect("save checkpoint");
 }
@@ -85,12 +86,14 @@ fn main() {
     train_model(&model, quick);
     let handle = ServeHandle::start(&model, &ServeConfig::default()).expect("start server");
     let addr = handle.addr();
-    println!(
-        "serving n={N_VERTICES} k={K} on {addr} (1 worker); pipelining depth {DEPTH}"
-    );
+    println!("serving n={N_VERTICES} k={K} on {addr} (1 worker); pipelining depth {DEPTH}");
 
     let membership = membership_requests();
-    let (total, rounds) = if quick { (20_000usize, 3usize) } else { (200_000, 5) };
+    let (total, rounds) = if quick {
+        (20_000usize, 3usize)
+    } else {
+        (200_000, 5)
+    };
 
     // Warm up the connection scratch and the branch predictors once;
     // each measured round then opens its own fresh connection.
@@ -128,7 +131,10 @@ fn main() {
     );
     assert_eq!(shed.malformed, 0, "overload may shed but never corrupt");
     assert!(shed.shed > 0, "4x overload must shed: {shed:?}");
-    assert!(shed.completed > 0, "admitted clients must be served: {shed:?}");
+    assert!(
+        shed.completed > 0,
+        "admitted clients must be served: {shed:?}"
+    );
     // The point of shedding: accepted requests stay fast even at 4×.
     // Generous bound — the gate is "bounded", not "fast on any host".
     let p99_bound_ns = if quick { 2_000_000_000u64 } else { 250_000_000 };
@@ -157,5 +163,8 @@ fn main() {
     );
     handle.shutdown();
     std::fs::remove_file(&model).ok();
-    println!("\nbench_serve: done (results appended to {})", out.display());
+    println!(
+        "\nbench_serve: done (results appended to {})",
+        out.display()
+    );
 }

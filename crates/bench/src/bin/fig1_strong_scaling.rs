@@ -10,7 +10,9 @@
 
 use mmsb::netsim::Phase;
 use mmsb::prelude::*;
-use mmsb_bench::{fmt_secs, stratified_config, friendster_standin, simulate, HarnessArgs, TableWriter};
+use mmsb_bench::{
+    fmt_secs, friendster_standin, simulate, stratified_config, HarnessArgs, TableWriter,
+};
 
 fn main() {
     let args = HarnessArgs::parse();
@@ -43,8 +45,8 @@ fn main() {
         let report = simulate(&train, &heldout, config.clone(), dcfg, iters).report();
         let total = report.total_seconds;
         let base = *base_time.get_or_insert(total);
-        let draw_deploy = report.phases.total(Phase::DrawMinibatch)
-            + report.phases.total(Phase::DeployMinibatch);
+        let draw_deploy =
+            report.phases.total(Phase::DrawMinibatch) + report.phases.total(Phase::DeployMinibatch);
         let phi_pi = report.phases.total(Phase::SampleNeighbors)
             + report.phases.total(Phase::LoadPi)
             + report.phases.total(Phase::UpdatePhi)

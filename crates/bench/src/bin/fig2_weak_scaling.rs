@@ -8,7 +8,7 @@
 //! Ours: the same proportionality (K = 8 x workers), scaled down.
 
 use mmsb::prelude::*;
-use mmsb_bench::{stratified_config, friendster_standin, simulate, HarnessArgs, TableWriter};
+use mmsb_bench::{friendster_standin, simulate, stratified_config, HarnessArgs, TableWriter};
 
 fn main() {
     let args = HarnessArgs::parse();
@@ -18,9 +18,7 @@ fn main() {
     // Weak scaling sweeps K up to 128 x 64 = 8192; use the quick-size
     // stand-in even for full runs so the N x K state stays within RAM.
     let (train, heldout, _) = friendster_standin(true);
-    println!(
-        "Figure 2 — weak scaling: K = {k_per_worker} x workers, {iters} iterations\n"
-    );
+    println!("Figure 2 — weak scaling: K = {k_per_worker} x workers, {iters} iterations\n");
 
     let mut table = TableWriter::new(
         &["workers", "K", "avg time/iter (ms)", "vs 2 workers"],
@@ -30,7 +28,13 @@ fn main() {
     for workers in [2usize, 4, 8, 16, 32, 64] {
         let k = k_per_worker * workers;
         let config = stratified_config(k, 2, args.pick_usize(32, 8));
-        let sampler = simulate(&train, &heldout, config, DistributedConfig::das5(workers), iters);
+        let sampler = simulate(
+            &train,
+            &heldout,
+            config,
+            DistributedConfig::das5(workers),
+            iters,
+        );
         let per_iter = 1e3 * sampler.virtual_time() / iters as f64;
         let b = *base.get_or_insert(per_iter);
         table.row(&[

@@ -9,7 +9,9 @@
 //! in, where the latency hidden by double buffering grows with K.
 
 use mmsb::prelude::*;
-use mmsb_bench::{fmt_secs, stratified_config, friendster_standin, simulate, HarnessArgs, TableWriter};
+use mmsb_bench::{
+    fmt_secs, friendster_standin, simulate, stratified_config, HarnessArgs, TableWriter,
+};
 
 fn main() {
     let args = HarnessArgs::parse();
@@ -18,9 +20,7 @@ fn main() {
     // K reaches 2048: keep N at the quick scale so the N x K state and
     // the per-iteration compute stay tractable on one machine.
     let (train, heldout, _) = friendster_standin(true);
-    println!(
-        "Figure 3 — pipelining benefit on {workers} workers, {iters} iterations\n"
-    );
+    println!("Figure 3 — pipelining benefit on {workers} workers, {iters} iterations\n");
 
     let k_sweep: &[usize] = if args.quick {
         &[64, 128]

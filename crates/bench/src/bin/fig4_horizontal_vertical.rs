@@ -63,9 +63,18 @@ fn main() {
         "Figure 4a — syn-dblp ({} vertices), single machine, time/iter (ms)\n",
         train.num_vertices()
     );
-    let k_sweep_a: &[usize] = if args.quick { &[16, 32] } else { &[32, 64, 128, 256] };
+    let k_sweep_a: &[usize] = if args.quick {
+        &[16, 32]
+    } else {
+        &[32, 64, 128, 256]
+    };
     let mut table = TableWriter::new(
-        &["K", "16 cores (DAS5 node)", "16 cores (cloud)", "40 cores (cloud)"],
+        &[
+            "K",
+            "16 cores (DAS5 node)",
+            "16 cores (cloud)",
+            "40 cores (cloud)",
+        ],
         args.csv.clone(),
     );
     for &k in k_sweep_a {
@@ -87,14 +96,30 @@ fn main() {
         "\nFigure 4b — syn-friendster ({} vertices), time/iter (ms)\n",
         train.num_vertices()
     );
-    let k_sweep_b: &[usize] = if args.quick { &[16, 32] } else { &[32, 64, 128, 256] };
+    let k_sweep_b: &[usize] = if args.quick {
+        &[16, 32]
+    } else {
+        &[32, 64, 128, 256]
+    };
     let mut table = TableWriter::new(
-        &["K", "40-core machine", "64-node cluster", "cluster advantage"],
+        &[
+            "K",
+            "40-core machine",
+            "64-node cluster",
+            "cluster advantage",
+        ],
         None,
     );
     for &k in k_sweep_b {
         let vertical = time_per_iter(&train, &heldout, k, anchors, single_node(40), iters);
-        let horizontal = time_per_iter(&train, &heldout, k, anchors, DistributedConfig::das5(64), iters);
+        let horizontal = time_per_iter(
+            &train,
+            &heldout,
+            k,
+            anchors,
+            DistributedConfig::das5(64),
+            iters,
+        );
         table.row(&[
             k.to_string(),
             format!("{:.2}", vertical * 1e3),

@@ -39,8 +39,7 @@ fn main() {
         if gen_config.num_vertices > cap {
             let div = gen_config.num_vertices / cap;
             gen_config.num_vertices = cap;
-            gen_config.num_communities =
-                (gen_config.num_communities / div as usize).max(8);
+            gen_config.num_communities = (gen_config.num_communities / div as usize).max(8);
         }
         let generated = {
             let mut rng = Xoshiro256PlusPlus::seed_from_u64(spec.seed);

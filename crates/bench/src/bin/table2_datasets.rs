@@ -46,7 +46,11 @@ fn main() {
             spec.original_edges.to_string(),
             spec.original_communities.to_string(),
             vertices.to_string(),
-            if skip_large { "(skipped)".into() } else { edges.to_string() },
+            if skip_large {
+                "(skipped)".into()
+            } else {
+                edges.to_string()
+            },
             spec.config.num_communities.to_string(),
             format!("{mean_deg:.1}"),
             max_deg.to_string(),

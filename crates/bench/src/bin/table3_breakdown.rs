@@ -11,7 +11,7 @@
 
 use mmsb::netsim::Phase;
 use mmsb::prelude::*;
-use mmsb_bench::{stratified_config, friendster_standin, simulate, HarnessArgs, TableWriter};
+use mmsb_bench::{friendster_standin, simulate, stratified_config, HarnessArgs, TableWriter};
 
 fn run(
     train: &Graph,
@@ -31,12 +31,24 @@ fn main() {
     let iters = args.pick(16, 6);
     let k = args.pick_usize(256, 32);
     let (train, heldout, _) = friendster_standin(args.quick);
-    println!(
-        "Table III — stage breakdown, 64 workers, K = {k}, {iters} iterations (ms/iter)\n"
-    );
+    println!("Table III — stage breakdown, 64 workers, K = {k}, {iters} iterations (ms/iter)\n");
 
-    let single = run(&train, &heldout, k, args.pick_usize(32, 8), iters, PipelineMode::Single);
-    let double = run(&train, &heldout, k, args.pick_usize(32, 8), iters, PipelineMode::Double);
+    let single = run(
+        &train,
+        &heldout,
+        k,
+        args.pick_usize(32, 8),
+        iters,
+        PipelineMode::Single,
+    );
+    let double = run(
+        &train,
+        &heldout,
+        k,
+        args.pick_usize(32, 8),
+        iters,
+        PipelineMode::Double,
+    );
 
     let mut table = TableWriter::new(
         &["iteration stage", "non-pipelined", "pipelined"],

@@ -257,7 +257,9 @@ mod timing_tests {
         let content = std::fs::read_to_string(&path).unwrap();
         let lines: Vec<&str> = content.lines().collect();
         assert_eq!(lines.len(), 2);
-        assert!(lines[0].starts_with("{\"schema\":2,\"suite\":\"s\",\"id\":\"a/b\",\"x\":1.5,\"threads\":4,\"host_cores\":"));
+        assert!(lines[0].starts_with(
+            "{\"schema\":2,\"suite\":\"s\",\"id\":\"a/b\",\"x\":1.5,\"threads\":4,\"host_cores\":"
+        ));
         assert!(lines[0].contains(",\"git_rev\":\"") && lines[0].ends_with("\"}"));
     }
 

@@ -136,8 +136,18 @@ mod tests {
     #[test]
     fn render_round_trips_through_validate() {
         let vs = vec![
-            vio("crates/a/src/x.rs", 3, "hot-path-panic", "`.unwrap()` in hot path"),
-            vio("crates/b/src/y.rs", 7, "lock-order", "quote \" backslash \\ tab\t"),
+            vio(
+                "crates/a/src/x.rs",
+                3,
+                "hot-path-panic",
+                "`.unwrap()` in hot path",
+            ),
+            vio(
+                "crates/b/src/y.rs",
+                7,
+                "lock-order",
+                "quote \" backslash \\ tab\t",
+            ),
         ];
         let doc = render(&vs);
         assert_eq!(validate_schema(&doc), Ok(2));

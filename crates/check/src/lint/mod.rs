@@ -68,7 +68,9 @@ pub fn lint_file(rel: &str, src: &str) -> Vec<Violation> {
     let ids = rules::rule_ids();
     let set = suppress::scan(&comments, &parsed, &ids);
     let mut out = suppress::apply(rel, out, &set, |id| {
-        rules::rule_by_id(id).map(|r| r.suppressible).unwrap_or(false)
+        rules::rule_by_id(id)
+            .map(|r| r.suppressible)
+            .unwrap_or(false)
     });
     out.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
     out
@@ -189,7 +191,10 @@ mod tests {
     fn std_sync_confinement() {
         let src = "use std::sync::Mutex;";
         let vs = lint_file("crates/pool/src/lib.rs", src);
-        assert!(vs.iter().any(|v| v.rule == "std-sync-confinement"), "{vs:?}");
+        assert!(
+            vs.iter().any(|v| v.rule == "std-sync-confinement"),
+            "{vs:?}"
+        );
         assert!(lint_file("crates/pool/src/sync/real.rs", src).is_empty());
         assert!(lint_file("crates/graph/src/lib.rs", src).is_empty());
     }
@@ -260,11 +265,15 @@ mod tests {
             "crates/check/src/lint/mod.rs",
             "crates/obs/src/export.rs",
         ] {
-            assert!(lint_file(rel, uses).is_empty(), "{rel} should be allowlisted");
+            assert!(
+                lint_file(rel, uses).is_empty(),
+                "{rel} should be allowlisted"
+            );
         }
         // Integration tests and #[cfg(test)] code are exempt everywhere.
         assert!(lint_file("crates/serve/tests/e2e.rs", write).is_empty());
-        let test_only = "#[cfg(test)]\nmod tests {\n    fn t() { let _ = std::fs::read(\"x\"); }\n}\n";
+        let test_only =
+            "#[cfg(test)]\nmod tests {\n    fn t() { let _ = std::fs::read(\"x\"); }\n}\n";
         assert!(lint_file("crates/core/src/eval.rs", test_only).is_empty());
         // Comments and strings never trip the token rule.
         let masked = "// std::fs\nlet s = \"std::fs::write\";";
@@ -282,7 +291,8 @@ mod tests {
             "crates/simd/src should be allowlisted: {vs:?}"
         );
         assert!(vs.iter().any(|v| v.rule == "safety-comment"), "{vs:?}");
-        let good = "fn f() {\n    // SAFETY: token proves the feature is present.\n    unsafe { g() }\n}";
+        let good =
+            "fn f() {\n    // SAFETY: token proves the feature is present.\n    unsafe { g() }\n}";
         assert!(lint_file("crates/simd/src/x86.rs", good).is_empty());
         // Outside the crate the allowlist still bites.
         let vs = lint_file("crates/core/src/workspace.rs", good);
@@ -324,9 +334,11 @@ mod tests {
         assert_eq!(panics[0].line, 2);
         assert_eq!(panics[1].line, 3);
         // Same code outside a hot path is fine.
-        assert!(lint_file("crates/core/src/eval.rs", "fn f(v: &[f64]) -> f64 { v[0] }")
-            .iter()
-            .all(|v| v.rule != "hot-path-panic"));
+        assert!(
+            lint_file("crates/core/src/eval.rs", "fn f(v: &[f64]) -> f64 { v[0] }")
+                .iter()
+                .all(|v| v.rule != "hot-path-panic")
+        );
     }
 
     #[test]
@@ -391,7 +403,10 @@ fn kernel(v: &[f64], n: usize) -> f64 {
         assert!(vs.iter().any(|v| v.rule == "unused-suppression"), "{vs:?}");
         let nojust = "// xlint: allow(hot-path-panic)\nfn f(v: &[f64]) -> f64 { v[0] }\n";
         let vs = lint_file("crates/simd/src/lanes.rs", nojust);
-        assert!(vs.iter().any(|v| v.rule == "malformed-suppression"), "{vs:?}");
+        assert!(
+            vs.iter().any(|v| v.rule == "malformed-suppression"),
+            "{vs:?}"
+        );
         // And the violation itself still stands.
         assert!(vs.iter().any(|v| v.rule == "hot-path-panic"), "{vs:?}");
     }

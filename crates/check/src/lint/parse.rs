@@ -622,7 +622,11 @@ mod tests {
         let src = "impl<T: Send> Foo<T> {\n    pub fn go(&self) { }\n    const K: usize = 3;\n}\n";
         let f = parse_src(src);
         assert_eq!(f.items[0].kind, ItemKind::Impl);
-        let kids: Vec<_> = f.items[0].children.iter().map(|i| i.name.as_str()).collect();
+        let kids: Vec<_> = f.items[0]
+            .children
+            .iter()
+            .map(|i| i.name.as_str())
+            .collect();
         assert_eq!(kids, ["go", "K"]);
     }
 
@@ -630,11 +634,7 @@ mod tests {
     fn use_trees_flatten() {
         let src = "use std::sync::{Mutex, atomic::{AtomicBool, Ordering}, Arc as A};\nuse core::arch::*;\nuse std::fmt;\n";
         let f = parse_src(src);
-        let mut paths: Vec<String> = f
-            .items
-            .iter()
-            .flat_map(|i| i.use_paths.clone())
-            .collect();
+        let mut paths: Vec<String> = f.items.iter().flat_map(|i| i.use_paths.clone()).collect();
         paths.sort();
         assert_eq!(
             paths,

@@ -19,9 +19,7 @@ use super::Violation;
 // ---------------------------------------------------------------------
 
 /// Crates that must carry `#![forbid(unsafe_code)]` in their lib root.
-pub const FORBID_CRATES: &[&str] = &[
-    "rand", "graph", "svi", "netsim", "bench", "mmsb", "serve",
-];
+pub const FORBID_CRATES: &[&str] = &["rand", "graph", "svi", "netsim", "bench", "mmsb", "serve"];
 
 /// Path prefixes (relative to the repo root, `/`-separated) where
 /// `unsafe` is permitted. The four test files each install a
@@ -108,11 +106,7 @@ pub const HASH_ITER_SCOPE: &[&str] = &[
 ];
 
 /// Crates whose locks participate in the declared acquisition order.
-pub const LOCK_ORDER_SCOPE: &[&str] = &[
-    "crates/pool/src",
-    "crates/serve/src",
-    "crates/netsim/src",
-];
+pub const LOCK_ORDER_SCOPE: &[&str] = &["crates/pool/src", "crates/serve/src", "crates/netsim/src"];
 
 /// The declared partial order on named locks: a function may only
 /// acquire locks in non-decreasing rank. `state` is the pool's shared
@@ -477,7 +471,13 @@ fn is_path2(toks: &[Tok], k: usize, seg1: &[&str], seg2: &str) -> bool {
         && toks[k + 3].text == seg2
 }
 
-fn push(out: &mut Vec<Violation>, ctx: &FileCtx<'_>, line: usize, rule: &'static str, message: String) {
+fn push(
+    out: &mut Vec<Violation>,
+    ctx: &FileCtx<'_>,
+    line: usize,
+    rule: &'static str,
+    message: String,
+) {
     out.push(Violation {
         file: ctx.rel.to_string(),
         line,
@@ -640,7 +640,10 @@ fn check_deny_attr(files: &[WorkspaceFile], out: &mut Vec<Violation>) {
     // their own crate roots and are checked individually).
     let mut crate_uses: std::collections::BTreeMap<&str, bool> = Default::default();
     for f in files {
-        let Some(krate) = f.rel.strip_prefix("crates/").and_then(|r| r.split('/').next())
+        let Some(krate) = f
+            .rel
+            .strip_prefix("crates/")
+            .and_then(|r| r.split('/').next())
         else {
             continue;
         };
@@ -882,7 +885,11 @@ fn lock_seq(toks: &[Tok], start: usize, end: usize) -> (Vec<Acq>, Vec<(String, u
                                 break;
                             }
                         }
-                        s if ident_like(s) && s.chars().next().is_some_and(|c| c.is_alphabetic() || c == '_') => {
+                        s if ident_like(s)
+                            && s.chars()
+                                .next()
+                                .is_some_and(|c| c.is_alphabetic() || c == '_') =>
+                        {
                             name = Some(s.to_string());
                         }
                         _ => {}
@@ -960,9 +967,7 @@ fn check_lock_order(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
                     ai += 1;
                 } else {
                     let (callee, _) = &calls[ci];
-                    if let Some((_, callee_acqs, _)) =
-                        raw.iter().find(|(n, _, _)| n == callee)
-                    {
+                    if let Some((_, callee_acqs, _)) = raw.iter().find(|(n, _, _)| n == callee) {
                         for a in callee_acqs {
                             seq.push(Acq {
                                 name: a.name.clone(),
@@ -1020,7 +1025,10 @@ fn check_lock_order(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
                     );
                 }
             }
-            prev = Some((rank_of(&a.name).map(|_| a.name.as_str()).unwrap_or(""), rank));
+            prev = Some((
+                rank_of(&a.name).map(|_| a.name.as_str()).unwrap_or(""),
+                rank,
+            ));
         }
     }
 }

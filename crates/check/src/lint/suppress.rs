@@ -272,11 +272,15 @@ fn f(x: &[f64]) -> f64 {
 
     #[test]
     fn non_suppressible_rules_reject_the_waiver() {
-        let src = "// xlint: allow(hot-path-panic) — trying anyway.\nfn f(x: &[f64]) -> f64 { x[0] }\n";
+        let src =
+            "// xlint: allow(hot-path-panic) — trying anyway.\nfn f(x: &[f64]) -> f64 { x[0] }\n";
         let (set, _) = scan_src(src);
         let out = apply("f.rs", vec![vio(2, "hot-path-panic")], &set, |_| false);
         assert!(out.iter().any(|v| v.rule == "hot-path-panic"));
-        let unused: Vec<_> = out.iter().filter(|v| v.rule == "unused-suppression").collect();
+        let unused: Vec<_> = out
+            .iter()
+            .filter(|v| v.rule == "unused-suppression")
+            .collect();
         assert_eq!(unused.len(), 1);
         assert!(unused[0].message.contains("not suppressible"));
     }
@@ -284,9 +288,8 @@ fn f(x: &[f64]) -> f64 {
     #[test]
     fn ascii_separators_accepted() {
         for sep in ["—", "-", "--", ":"] {
-            let src = format!(
-                "// xlint: allow(hot-path-alloc) {sep} setup-time only.\nfn f() {{}}\n"
-            );
+            let src =
+                format!("// xlint: allow(hot-path-alloc) {sep} setup-time only.\nfn f() {{}}\n");
             let (set, _) = scan_src(&src);
             assert_eq!(set.entries.len(), 1, "sep {sep:?}");
             assert_eq!(set.entries[0].justification, "setup-time only.");

@@ -163,7 +163,9 @@ impl SyncBackend for ModelSync {
 
     fn store(atomic: &AtomicUsize, value: usize, _order: Ordering) {
         let (_, tid) = current();
-        atomic.exec.op_atomic(tid, atomic.id, "store", |v| *v = value);
+        atomic
+            .exec
+            .op_atomic(tid, atomic.id, "store", |v| *v = value);
     }
 
     fn fetch_add(atomic: &AtomicUsize, value: usize, _order: Ordering) -> usize {

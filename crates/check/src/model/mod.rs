@@ -42,5 +42,7 @@ mod backend;
 mod clock;
 mod sched;
 
-pub use backend::{join, spawn, AtomicUsize, Condvar, Guard, JoinHandle, ModelSync, Mutex, RaceCell};
+pub use backend::{
+    join, spawn, AtomicUsize, Condvar, Guard, JoinHandle, ModelSync, Mutex, RaceCell,
+};
 pub use sched::{explore, Config, Report, Violation, ViolationKind};

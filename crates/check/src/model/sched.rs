@@ -561,7 +561,11 @@ impl Execution {
                 drop(s);
                 self.freeze();
             }
-            if !self.step(&mut s, tid, &format!("wait cv#{cvid} (releases mutex#{mid})")) {
+            if !self.step(
+                &mut s,
+                tid,
+                &format!("wait cv#{cvid} (releases mutex#{mid})"),
+            ) {
                 drop(s);
                 self.freeze();
             }
@@ -797,7 +801,11 @@ impl Execution {
                 self.yield_point(s, tid);
                 return;
             }
-            if !self.step(&mut s, tid, &format!("join thread [{target_name}] -> blocked")) {
+            if !self.step(
+                &mut s,
+                tid,
+                &format!("join thread [{target_name}] -> blocked"),
+            ) {
                 drop(s);
                 self.freeze();
             }

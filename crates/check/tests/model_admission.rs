@@ -21,7 +21,7 @@
 use std::sync::Arc;
 
 use mmsb_check::model::{self, explore, Config, ModelSync};
-use mmsb_serve::{Admit, AdmissionIn, ConnClose, Lifecycle};
+use mmsb_serve::{AdmissionIn, Admit, ConnClose, Lifecycle};
 
 type Adm = AdmissionIn<ModelSync>;
 

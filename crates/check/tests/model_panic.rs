@@ -59,5 +59,9 @@ fn escaped_thread_panic_is_reported() {
     });
     let v = report.violation.expect("escaped panic must be reported");
     assert_eq!(v.kind, ViolationKind::ThreadPanic);
-    assert!(v.message.contains("escaped"), "payload in message: {}", v.message);
+    assert!(
+        v.message.contains("escaped"),
+        "payload in message: {}",
+        v.message
+    );
 }

@@ -83,7 +83,9 @@ fn rare_interleaving_race_is_still_found() {
         }
         model::join(h);
     });
-    let v = report.violation.expect("the rare interleaving must be explored");
+    let v = report
+        .violation
+        .expect("the rare interleaving must be explored");
     assert_eq!(v.kind, ViolationKind::DataRace);
 }
 
@@ -106,7 +108,10 @@ fn counterexamples_replay_deterministically_from_seed() {
             model::join(h);
         });
         let v = report.violation.expect("unsynchronized pair must race");
-        (report.executions, format!("{:?}: {}\n{}", v.kind, v.message, v.trace))
+        (
+            report.executions,
+            format!("{:?}: {}\n{}", v.kind, v.message, v.trace),
+        )
     }
     let (n1, t1) = run(7);
     let (n2, t2) = run(7);

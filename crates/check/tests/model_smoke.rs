@@ -41,7 +41,11 @@ fn unsynchronized_writes_race() {
     });
     let v = report.violation.expect("unsynchronized writes must race");
     assert_eq!(v.kind, ViolationKind::DataRace);
-    assert!(v.message.contains("shared"), "message names the cell: {}", v.message);
+    assert!(
+        v.message.contains("shared"),
+        "message names the cell: {}",
+        v.message
+    );
 }
 
 #[test]
@@ -81,6 +85,8 @@ fn classic_deadlock_is_caught() {
         }
         model::join(h);
     });
-    let v = report.violation.expect("lock-order inversion must deadlock");
+    let v = report
+        .violation
+        .expect("lock-order inversion must deadlock");
     assert_eq!(v.kind, ViolationKind::Deadlock);
 }

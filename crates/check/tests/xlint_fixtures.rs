@@ -40,7 +40,10 @@ fn hot_path_panic_fixture_pair() {
          \"message\":\"`panic!` in a hot-path module aborts the worker; return an error \
          instead\"}]}"
     );
-    assert_eq!(lint_as("crates/simd/src/math.rs", "hot_path_panic_ok.rs"), EMPTY);
+    assert_eq!(
+        lint_as("crates/simd/src/math.rs", "hot_path_panic_ok.rs"),
+        EMPTY
+    );
 }
 
 #[test]
@@ -61,7 +64,10 @@ fn hot_path_alloc_fixture_pair() {
          \"message\":\"`.collect()` allocates in a hot-path module; write into a caller \
          buffer instead\"}]}"
     );
-    assert_eq!(lint_as("crates/simd/src/math.rs", "hot_path_alloc_ok.rs"), EMPTY);
+    assert_eq!(
+        lint_as("crates/simd/src/math.rs", "hot_path_alloc_ok.rs"),
+        EMPTY
+    );
 }
 
 #[test]
@@ -105,7 +111,10 @@ fn hash_iter_fixture_pair() {
         lint_as("crates/core/src/graph.rs", "hash_iter_bad.rs"),
         expected
     );
-    assert_eq!(lint_as("crates/core/src/graph.rs", "hash_iter_ok.rs"), EMPTY);
+    assert_eq!(
+        lint_as("crates/core/src/graph.rs", "hash_iter_ok.rs"),
+        EMPTY
+    );
 }
 
 #[test]
@@ -132,7 +141,10 @@ fn fs_confinement_fixture_pair() {
     );
     // The conforming twin keeps its tempfile round-trip under
     // `#[cfg(test)]`, which the rule exempts.
-    assert_eq!(lint_as("crates/core/src/eval.rs", "fs_confinement_ok.rs"), EMPTY);
+    assert_eq!(
+        lint_as("crates/core/src/eval.rs", "fs_confinement_ok.rs"),
+        EMPTY
+    );
 }
 
 /// An item-level suppression with a justification waives the fixture's

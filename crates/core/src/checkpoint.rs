@@ -689,6 +689,8 @@ mod tests {
         assert!(CheckpointError::UnsupportedVersion { found: 9 }
             .to_string()
             .contains('9'));
-        assert!(CheckpointError::Io("gone".into()).to_string().contains("gone"));
+        assert!(CheckpointError::Io("gone".into())
+            .to_string()
+            .contains("gone"));
     }
 }

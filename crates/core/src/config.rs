@@ -195,11 +195,9 @@ impl SamplerConfig {
             });
         }
         self.step.validate()?;
-        self.simd
-            .resolve()
-            .map_err(|e| CoreError::InvalidConfig {
-                reason: e.to_string(),
-            })?;
+        self.simd.resolve().map_err(|e| CoreError::InvalidConfig {
+            reason: e.to_string(),
+        })?;
         if num_vertices < 2 {
             return Err(CoreError::GraphTooSmall {
                 reason: format!("{num_vertices} vertices"),

@@ -82,11 +82,7 @@ fn best_match_average(
     }
     nonempty
         .iter()
-        .map(|c| {
-            to.iter()
-                .map(|t| score(c, t))
-                .fold(0.0, f64::max)
-        })
+        .map(|c| to.iter().map(|t| score(c, t)).fold(0.0, f64::max))
         .sum::<f64>()
         / nonempty.len() as f64
 }
@@ -172,11 +168,7 @@ fn conditional_entropy_norm(x: &[Vec<VertexId>], y: &[Vec<VertexId>], n: usize) 
 /// Overlapping normalized mutual information (LFK variant) between a
 /// detected cover and the ground truth, over `num_vertices` vertices:
 /// `1 - (H(X|Y)_norm + H(Y|X)_norm) / 2`. 1.0 means identical covers.
-pub fn overlapping_nmi(
-    detected: &[Vec<VertexId>],
-    truth: &GroundTruth,
-    num_vertices: u32,
-) -> f64 {
+pub fn overlapping_nmi(detected: &[Vec<VertexId>], truth: &GroundTruth, num_vertices: u32) -> f64 {
     let n = num_vertices as usize;
     assert!(n > 0, "need at least one vertex");
     let hxy = conditional_entropy_norm(detected, &truth.communities, n);
@@ -280,7 +272,10 @@ mod tests {
     #[test]
     fn edge_likelihood_collapse_edge_cases() {
         // Full overlap in one community: p = beta exactly.
-        assert_eq!(edge_likelihood(&[1.0, 0.0], &[1.0, 0.0], &[0.8, 0.5], 0.01), 0.8);
+        assert_eq!(
+            edge_likelihood(&[1.0, 0.0], &[1.0, 0.0], &[0.8, 0.5], 0.01),
+            0.8
+        );
         // Disjoint support: only the background rate remains.
         let p = edge_likelihood(&[1.0, 0.0], &[0.0, 1.0], &[0.8, 0.5], 0.01);
         assert!((p - 0.01).abs() < 1e-15);
@@ -310,10 +305,7 @@ mod tests {
         let pi_b = collapsed_pi_row(16, &mut next);
         let beta: Vec<f64> = (0..16).map(|_| next()).collect();
         let p1 = edge_likelihood(&pi_a, &pi_b, &beta, 1e-5);
-        assert_eq!(
-            crate::link_probability(&pi_a, &pi_b, &beta, 1e-5, true),
-            p1
-        );
+        assert_eq!(crate::link_probability(&pi_a, &pi_b, &beta, 1e-5, true), p1);
         assert_eq!(
             crate::link_probability(&pi_a, &pi_b, &beta, 1e-5, false),
             1.0 - p1

@@ -292,7 +292,10 @@ mod theta {
         }
 
         fn beta_of(theta: &[f64]) -> Vec<f64> {
-            theta.chunks_exact(2).map(|t| t[1] / (t[0] + t[1])).collect()
+            theta
+                .chunks_exact(2)
+                .map(|t| t[1] / (t[0] + t[1]))
+                .collect()
         }
 
         fn random_setup(k: usize, seed: u64) -> (Vec<f32>, Vec<f32>, Vec<f64>) {

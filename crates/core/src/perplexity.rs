@@ -60,7 +60,10 @@ impl PerplexityAccumulator {
             "probability vector length mismatch"
         );
         for (s, &p) in self.prob_sums.iter_mut().zip(probs) {
-            assert!((0.0..=1.0).contains(&p) && !p.is_nan(), "bad probability {p}");
+            assert!(
+                (0.0..=1.0).contains(&p) && !p.is_nan(),
+                "bad probability {p}"
+            );
             *s += p;
         }
         self.samples += 1;

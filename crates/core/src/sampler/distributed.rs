@@ -89,7 +89,10 @@ impl DistributedSampler {
             cluster: ClusterModel::new(dcfg, engine.graph.num_vertices(), engine.config.k),
             record: StepRecord::with_capacity(vertices, pairs, engine.config.neighbor_sample),
             held: Vec::new(),
-            reprice: dcfg.faults.and_then(|f| f.kill_worker).map_or(0..0, |(kill, _)| 0..kill),
+            reprice: dcfg
+                .faults
+                .and_then(|f| f.kill_worker)
+                .map_or(0..0, |(kill, _)| 0..kill),
             lost_worker: None,
             sampler,
         })
@@ -157,7 +160,8 @@ impl DistributedSampler {
             }
         }
         self.sampler.step_recording(Some(&mut self.record));
-        self.cluster.price(&self.record, degrees(&self.sampler.engine.graph));
+        self.cluster
+            .price(&self.record, degrees(&self.sampler.engine.graph));
         if self.reprice.contains(&iteration) {
             self.held.push(self.record.clone());
         }
@@ -192,7 +196,8 @@ impl DistributedSampler {
     /// is priced instead, matching the averaging the chain performs.)
     pub fn evaluate_perplexity(&mut self) -> f64 {
         let pairs = self.sampler.engine.heldout.pairs();
-        self.cluster.price_perplexity(pairs, |&(e, _)| [e.lo().0, e.hi().0]);
+        self.cluster
+            .price_perplexity(pairs, |&(e, _)| [e.lo().0, e.hi().0]);
         self.sampler.evaluate_perplexity()
     }
 
@@ -297,9 +302,13 @@ mod tests {
     fn held_records_are_bounded_by_the_rollback_interval() {
         let (g, h) = setup(12);
         let cfg = SamplerConfig::new(3).with_seed(6);
-        let mut clean =
-            DistributedSampler::new(g.clone(), h.clone(), cfg.clone(), DistributedConfig::das5(3))
-                .unwrap();
+        let mut clean = DistributedSampler::new(
+            g.clone(),
+            h.clone(),
+            cfg.clone(),
+            DistributedConfig::das5(3),
+        )
+        .unwrap();
         clean.run(5);
         let at_5 = clean.checkpoint();
         // (kill, cadence, start)
@@ -326,7 +335,11 @@ mod tests {
             let rollback = every.map_or(0, |e| kill / e * e).max(start);
             while s.iteration() < kill {
                 s.step();
-                assert!(s.held.len() as u64 <= bound, "{case}: {} held", s.held.len());
+                assert!(
+                    s.held.len() as u64 <= bound,
+                    "{case}: {} held",
+                    s.held.len()
+                );
             }
             assert_eq!(s.held.len() as u64, kill - rollback, "{case}");
             s.run(3);
@@ -334,7 +347,9 @@ mod tests {
             assert_eq!(s.lost_worker(), Some(1), "{case}");
         }
         let dcfg = DistributedConfig::das5(3).with_faults(FaultConfig::transient(2));
-        let mut s = DistributedSampler::new(g, h, cfg, dcfg).unwrap().with_checkpoint_every(2);
+        let mut s = DistributedSampler::new(g, h, cfg, dcfg)
+            .unwrap()
+            .with_checkpoint_every(2);
         for _ in 0..6 {
             s.step();
             assert_eq!(s.held.capacity(), 0, "without a kill");
@@ -497,7 +512,9 @@ mod tests {
                     .flat_map(|&(e, _)| [e.lo().0, e.hi().0])
                     .collect();
                 cost.read_cost(w, &keys)
-                    + dcfg.node.worker_secs(NodeComputeModel::PRICES.perplexity_pair_k, lens[w] * k)
+                    + dcfg
+                        .node
+                        .worker_secs(NodeComputeModel::PRICES.perplexity_pair_k, lens[w] * k)
             })
             .fold(0.0f64, f64::max);
         let gather = collective::gather(&dcfg.net, r + 1, 14 * 8);
@@ -545,8 +562,10 @@ mod tests {
         )
         .is_err());
         let full = cfg.clone().with_layout(StateLayout::FullPhi);
-        assert!(DistributedSampler::new(g.clone(), h.clone(), full, DistributedConfig::das5(2))
-            .is_err());
+        assert!(
+            DistributedSampler::new(g.clone(), h.clone(), full, DistributedConfig::das5(2))
+                .is_err()
+        );
         let mut bad = DistributedConfig::das5(2);
         bad.chunk_vertices = 0;
         assert!(DistributedSampler::new(g, h, cfg, bad).is_err());
@@ -562,9 +581,13 @@ mod tests {
             .with_seed(2)
             .with_neighbor_sample(48)
             .with_minibatch(mmsb_graph::minibatch::Strategy::RandomPair { size: 96 });
-        let mut d2 =
-            DistributedSampler::new(g.clone(), h.clone(), cfg.clone(), DistributedConfig::das5(2))
-                .unwrap();
+        let mut d2 = DistributedSampler::new(
+            g.clone(),
+            h.clone(),
+            cfg.clone(),
+            DistributedConfig::das5(2),
+        )
+        .unwrap();
         let mut d8 = DistributedSampler::new(g, h, cfg, DistributedConfig::das5(8)).unwrap();
         d2.run(6);
         d8.run(6);

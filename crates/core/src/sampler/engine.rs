@@ -9,8 +9,8 @@ use crate::state::{ModelState, PHI_MIN};
 use crate::workspace::Workspace;
 use crate::CoreError;
 use mmsb_graph::access::mark_links;
-use mmsb_graph::minibatch::{BatchKind, MiniBatch, MinibatchSampler, Strategy};
 use mmsb_graph::heldout::HeldOut;
+use mmsb_graph::minibatch::{BatchKind, MiniBatch, MinibatchSampler, Strategy};
 use mmsb_graph::neighbor::NeighborSampler;
 use mmsb_graph::{Graph, VertexId};
 use mmsb_ooc::{GraphBackend, RegionCaches};
@@ -135,7 +135,11 @@ impl Engine {
     /// Hard upper bound on the number of pairs any mini-batch holds.
     pub fn max_batch_pairs(&self) -> usize {
         let graph = &self.graph;
-        max_batch_pairs(graph.num_vertices(), graph.max_degree(), self.config.minibatch)
+        max_batch_pairs(
+            graph.num_vertices(),
+            graph.max_degree(),
+            self.config.minibatch,
+        )
     }
 
     /// Hard upper bound on the number of vertices any mini-batch can touch

@@ -147,11 +147,7 @@ impl ParallelSampler {
 
     /// Advance to a new training snapshot (same vertex set, evolved edge
     /// set) without discarding the learned state — streaming-data usage.
-    pub fn advance_to_snapshot(
-        &mut self,
-        graph: Graph,
-        heldout: HeldOut,
-    ) -> Result<(), CoreError> {
+    pub fn advance_to_snapshot(&mut self, graph: Graph, heldout: HeldOut) -> Result<(), CoreError> {
         self.engine.replace_graph(graph, heldout)
     }
 
@@ -226,7 +222,11 @@ mod tests {
             let mut par =
                 ParallelSampler::with_threads(g.clone(), h.clone(), cfg.clone(), threads).unwrap();
             par.run(12);
-            assert_eq!(seq.state().theta(), par.state().theta(), "{threads} threads");
+            assert_eq!(
+                seq.state().theta(),
+                par.state().theta(),
+                "{threads} threads"
+            );
             for a in 0..seq.state().n() {
                 assert_eq!(
                     seq.state().pi_row(a),

@@ -71,7 +71,8 @@ fn assert_chain_matches_resident(graph: &Graph, heldout: &HeldOut, cfg: &Sampler
     let iters = 5;
 
     // Resident reference chain.
-    let mut seq = ParallelSampler::with_threads(graph.clone(), heldout.clone(), cfg.clone(), 1).unwrap();
+    let mut seq =
+        ParallelSampler::with_threads(graph.clone(), heldout.clone(), cfg.clone(), 1).unwrap();
     seq.run(iters);
     let (ref_pi, ref_theta) = snapshot(seq.state());
     let ref_ppx = seq.evaluate_perplexity();
@@ -99,7 +100,10 @@ fn assert_chain_matches_resident(graph: &Graph, heldout: &HeldOut, cfg: &Sampler
         s.run(iters);
         let (pi, theta) = snapshot(s.state());
         assert_eq!(ref_pi, pi, "pi diverged at cache_blocks={cache_blocks}");
-        assert_eq!(ref_theta, theta, "theta diverged at cache_blocks={cache_blocks}");
+        assert_eq!(
+            ref_theta, theta,
+            "theta diverged at cache_blocks={cache_blocks}"
+        );
         assert_eq!(
             ref_ppx.to_bits(),
             s.evaluate_perplexity().to_bits(),
@@ -154,10 +158,20 @@ fn power_law_chain_matches_resident_bitwise() {
         },
         &mut rng,
     );
-    assert!(graph.max_degree() > 300, "no hub: max degree {}", graph.max_degree());
+    assert!(
+        graph.max_degree() > 300,
+        "no hub: max degree {}",
+        graph.max_degree()
+    );
     let (graph, heldout) = HeldOut::split(&graph, 80, &mut rng);
     for (tag, strategy) in [
-        ("pl-strat", Strategy::StratifiedNode { partitions: 40, anchors: 64 }),
+        (
+            "pl-strat",
+            Strategy::StratifiedNode {
+                partitions: 40,
+                anchors: 64,
+            },
+        ),
         ("pl-pairs", Strategy::RandomPair { size: 256 }),
     ] {
         let cfg = SamplerConfig::new(6).with_seed(35).with_minibatch(strategy);
@@ -170,7 +184,9 @@ fn power_law_chain_matches_resident_bitwise() {
 #[test]
 fn block_size_never_reaches_the_chain() {
     let (graph, heldout) = setup(52);
-    let cfg = SamplerConfig::new(5).with_seed(37).with_graph_cache_blocks(2);
+    let cfg = SamplerConfig::new(5)
+        .with_seed(37)
+        .with_graph_cache_blocks(2);
     let mut runs = Vec::new();
     for block_size in [4096u32, 16384] {
         let path = temp_file(&format!("bs-{block_size}"));
@@ -184,9 +200,13 @@ fn block_size_never_reaches_the_chain() {
         )
         .unwrap();
         let ooc = OocGraph::open(&path).unwrap();
-        let mut s =
-            ParallelSampler::with_backend_threads(GraphBackend::OutOfCore(ooc), heldout.clone(), cfg.clone(), 1)
-                .unwrap();
+        let mut s = ParallelSampler::with_backend_threads(
+            GraphBackend::OutOfCore(ooc),
+            heldout.clone(),
+            cfg.clone(),
+            1,
+        )
+        .unwrap();
         s.run(4);
         runs.push((snapshot(s.state()), s.evaluate_perplexity().to_bits()));
         let _ = std::fs::remove_file(&path);
@@ -221,14 +241,21 @@ fn a_block_corrupted_mid_training_is_an_error() {
         u64::from(ooc.header().block_size),
         u64::from(ooc.header().num_blocks),
     );
-    let cfg = SamplerConfig::new(5).with_seed(39).with_graph_cache_blocks(1);
+    let cfg = SamplerConfig::new(5)
+        .with_seed(39)
+        .with_graph_cache_blocks(1);
     let mut s =
-        ParallelSampler::with_backend_threads(GraphBackend::OutOfCore(ooc), heldout, cfg, 2).unwrap();
+        ParallelSampler::with_backend_threads(GraphBackend::OutOfCore(ooc), heldout, cfg, 2)
+            .unwrap();
     s.try_step().unwrap();
 
     // Flip one byte of every data block in place: the open handle reads
     // the new bytes.
-    let mut file = std::fs::OpenOptions::new().read(true).write(true).open(&path).unwrap();
+    let mut file = std::fs::OpenOptions::new()
+        .read(true)
+        .write(true)
+        .open(&path)
+        .unwrap();
     for b in 0..blocks {
         let at = data_off + b * block_size;
         let mut byte = [0u8];
@@ -260,6 +287,10 @@ fn a_block_corrupted_mid_training_is_an_error() {
         ),
         "{err:?}"
     );
-    assert!(err.to_string().starts_with("out-of-core read failed: checksum mismatch in block"), "{err}");
+    assert!(
+        err.to_string()
+            .starts_with("out-of-core read failed: checksum mismatch in block"),
+        "{err}"
+    );
     let _ = std::fs::remove_file(&path);
 }

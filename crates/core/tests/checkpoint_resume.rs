@@ -72,7 +72,11 @@ fn kill_and_resume_is_bitwise_identical() {
             "pi diverged at vertex {a}"
         );
     }
-    assert_eq!(full.state().theta(), resumed.state().theta(), "theta diverged");
+    assert_eq!(
+        full.state().theta(),
+        resumed.state().theta(),
+        "theta diverged"
+    );
     assert_eq!(
         p_full.to_bits(),
         p_resumed.to_bits(),
@@ -97,8 +101,7 @@ fn kill_and_resume_is_bitwise_identical() {
 fn corrupting_one_byte_fails_the_checksum() {
     let (g, h) = setup(12);
     let cfg = SamplerConfig::new(3).with_seed(4);
-    let mut s =
-        DistributedSampler::new(g, h, cfg, DistributedConfig::das5(2)).unwrap();
+    let mut s = DistributedSampler::new(g, h, cfg, DistributedConfig::das5(2)).unwrap();
     s.run(3);
     let bytes = s.checkpoint().to_bytes();
 

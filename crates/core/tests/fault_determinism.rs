@@ -44,7 +44,11 @@ fn price_bits(s: &DistributedSampler) -> (u64, Vec<u64>) {
 
 fn assert_same_chain(a: &DistributedSampler, b: &DistributedSampler) {
     for v in 0..a.state().n() {
-        assert_eq!(a.state().pi_row(v), b.state().pi_row(v), "pi diverged at {v}");
+        assert_eq!(
+            a.state().pi_row(v),
+            b.state().pi_row(v),
+            "pi diverged at {v}"
+        );
     }
     assert_eq!(a.state().theta(), b.state().theta(), "theta diverged");
 }
@@ -54,9 +58,13 @@ fn transient_faults_cost_time_but_not_values() {
     let (g, h) = setup(21);
     let cfg = SamplerConfig::new(3).with_seed(13);
 
-    let mut clean =
-        DistributedSampler::new(g.clone(), h.clone(), cfg.clone(), DistributedConfig::das5(4))
-            .unwrap();
+    let mut clean = DistributedSampler::new(
+        g.clone(),
+        h.clone(),
+        cfg.clone(),
+        DistributedConfig::das5(4),
+    )
+    .unwrap();
     let mut faulty = DistributedSampler::new(
         g,
         h,
@@ -71,7 +79,11 @@ fn transient_faults_cost_time_but_not_values() {
     assert_same_chain(&clean, &faulty);
     let pc = clean.evaluate_perplexity();
     let pf = faulty.evaluate_perplexity();
-    assert_eq!(pc.to_bits(), pf.to_bits(), "perplexity diverged: {pc} vs {pf}");
+    assert_eq!(
+        pc.to_bits(),
+        pf.to_bits(),
+        "perplexity diverged: {pc} vs {pf}"
+    );
 
     // The faults must have cost something, and the trace must say where.
     let recovery = faulty.report().phases.total(Phase::Recovery);
@@ -110,21 +122,21 @@ fn killed_worker_degrades_to_survivors_with_the_same_chain() {
     let (g, h) = setup(23);
     let cfg = SamplerConfig::new(3).with_seed(17);
 
-    let mut clean =
-        DistributedSampler::new(g.clone(), h.clone(), cfg.clone(), DistributedConfig::das5(4))
-            .unwrap();
+    let mut clean = DistributedSampler::new(
+        g.clone(),
+        h.clone(),
+        cfg.clone(),
+        DistributedConfig::das5(4),
+    )
+    .unwrap();
     // Worker 2 dies permanently at the start of iteration 5; the step
     // since the iteration-4 rollback point is re-priced on 3 workers,
     // and the run continues there.
     let faults = FaultConfig::none(5).with_kill(5, 2);
-    let mut killed = DistributedSampler::new(
-        g,
-        h,
-        cfg,
-        DistributedConfig::das5(4).with_faults(faults),
-    )
-    .unwrap()
-    .with_checkpoint_every(2);
+    let mut killed =
+        DistributedSampler::new(g, h, cfg, DistributedConfig::das5(4).with_faults(faults))
+            .unwrap()
+            .with_checkpoint_every(2);
     let plane = killed.state().pi_row(0).as_ptr();
 
     clean.run(10);
@@ -132,9 +144,17 @@ fn killed_worker_degrades_to_survivors_with_the_same_chain() {
 
     assert_eq!(killed.workers(), 3, "did not degrade to R - 1 workers");
     assert_eq!(killed.lost_worker(), Some(2));
-    assert_eq!(killed.iteration(), 10, "a kill must not change the step count");
+    assert_eq!(
+        killed.iteration(),
+        10,
+        "a kill must not change the step count"
+    );
     assert_same_chain(&clean, &killed);
-    assert_eq!(killed.state().pi_row(0).as_ptr(), plane, "the pi plane moved");
+    assert_eq!(
+        killed.state().pi_row(0).as_ptr(),
+        plane,
+        "the pi plane moved"
+    );
     // The price of the replay the cluster models, recorded at commit
     // 53714e8, whose sampler still rewound to a checkpoint and re-ran it.
     let totals = [
@@ -153,7 +173,10 @@ fn killed_worker_degrades_to_survivors_with_the_same_chain() {
     assert_eq!(price_bits(&killed), (0x3f8b339e42db7398, totals.to_vec()));
 
     let p = killed.evaluate_perplexity();
-    assert!(p.is_finite() && p > 1.0, "degraded run broke perplexity: {p}");
+    assert!(
+        p.is_finite() && p > 1.0,
+        "degraded run broke perplexity: {p}"
+    );
     assert_eq!(p.to_bits(), clean.evaluate_perplexity().to_bits());
     assert!(killed.report().phases.total(Phase::Recovery) > 0.0);
     assert_eq!(clean.workers(), 4);
@@ -163,9 +186,13 @@ fn killed_worker_degrades_to_survivors_with_the_same_chain() {
 fn kill_without_checkpoint_cadence_rewinds_to_construction() {
     let (g, h) = setup(24);
     let cfg = SamplerConfig::new(3).with_seed(29);
-    let mut clean =
-        DistributedSampler::new(g.clone(), h.clone(), cfg.clone(), DistributedConfig::das5(3))
-            .unwrap();
+    let mut clean = DistributedSampler::new(
+        g.clone(),
+        h.clone(),
+        cfg.clone(),
+        DistributedConfig::das5(3),
+    )
+    .unwrap();
     // No with_checkpoint_every: the rollback point is construction, so
     // the kill re-prices the whole prefix.
     let mut killed = DistributedSampler::new(
@@ -181,7 +208,11 @@ fn kill_without_checkpoint_cadence_rewinds_to_construction() {
     assert_eq!(killed.workers(), 2);
     assert_eq!(killed.iteration(), 6);
     assert_same_chain(&clean, &killed);
-    assert_eq!(killed.state().pi_row(0).as_ptr(), plane, "the pi plane moved");
+    assert_eq!(
+        killed.state().pi_row(0).as_ptr(),
+        plane,
+        "the pi plane moved"
+    );
     // Recorded at commit 53714e8, which re-ran the prefix.
     let totals = [
         0x3f2682537afe0262,
@@ -198,7 +229,11 @@ fn kill_without_checkpoint_cadence_rewinds_to_construction() {
     ];
     assert_eq!(price_bits(&killed), (0x3f8a989417021f06, totals.to_vec()));
     let (pc, pk) = (clean.evaluate_perplexity(), killed.evaluate_perplexity());
-    assert_eq!(pc.to_bits(), pk.to_bits(), "perplexity diverged: {pc} vs {pk}");
+    assert_eq!(
+        pc.to_bits(),
+        pk.to_bits(),
+        "perplexity diverged: {pc} vs {pk}"
+    );
 }
 
 #[test]
@@ -257,7 +292,13 @@ fn fault_free_clock_is_pinned() {
     // prefetch and recovery).
     let cases = [
         (1, PipelineMode::Single, 0x3f39eb31fa90d748, shared_1, 0),
-        (1, PipelineMode::Double, 0x3f338f64450b918c, shared_1, 0x3ef18bf5ecd41834),
+        (
+            1,
+            PipelineMode::Double,
+            0x3f338f64450b918c,
+            shared_1,
+            0x3ef18bf5ecd41834,
+        ),
         (8, PipelineMode::Single, 0x3f5ee5bf173bc730, shared_8, 0),
         (8, PipelineMode::Double, 0x3f59ee8b9de35ecd, shared_8, 0),
     ];
@@ -267,6 +308,10 @@ fn fault_free_clock_is_pinned() {
         s.run(8);
         s.evaluate_perplexity();
         let totals = [&shared[..], &[prefetch, 0]].concat();
-        assert_eq!(price_bits(&s), (clock, totals), "{workers} workers, {mode:?}");
+        assert_eq!(
+            price_bits(&s),
+            (clock, totals),
+            "{workers} workers, {mode:?}"
+        );
     }
 }

@@ -118,8 +118,7 @@ fn a_step_opens_each_minibatch_list_once() {
             threads,
         )
         .unwrap();
-        let pi_before: Vec<Vec<f32>> =
-            (0..n).map(|v| sampler.state().pi_row(v).to_vec()).collect();
+        let pi_before: Vec<Vec<f32>> = (0..n).map(|v| sampler.state().pi_row(v).to_vec()).collect();
         let (hits_before, misses_before) = (hits(), misses());
         sampler.step();
         let missed = misses() - misses_before;

@@ -59,7 +59,11 @@ fn distributed_single_vs_double_is_bitwise_identical() {
             "pi diverged at vertex {a}"
         );
     }
-    assert_eq!(single.state().theta(), double.state().theta(), "theta diverged");
+    assert_eq!(
+        single.state().theta(),
+        double.state().theta(),
+        "theta diverged"
+    );
     let ps = single.evaluate_perplexity();
     let pd = double.evaluate_perplexity();
     assert_eq!(ps, pd, "perplexity diverged: {ps} vs {pd}");

@@ -8,9 +8,7 @@
 //! guarantee is *per backend*: scalar vs SIMD may differ in final-digit
 //! rounding, but one backend at one seed is one chain everywhere.
 
-use mmsb_core::{
-    Backend, ParallelSampler, SamplerConfig, SimdPolicy,
-};
+use mmsb_core::{Backend, ParallelSampler, SamplerConfig, SimdPolicy};
 use mmsb_graph::generate::planted::{generate_planted, PlantedConfig};
 use mmsb_graph::heldout::HeldOut;
 use mmsb_graph::Graph;
@@ -64,8 +62,7 @@ fn forced_backend_chain_is_thread_count_invariant() {
 
         for threads in [2usize, 3, 5] {
             let mut par =
-                ParallelSampler::with_threads(g.clone(), h.clone(), cfg.clone(), threads)
-                    .unwrap();
+                ParallelSampler::with_threads(g.clone(), h.clone(), cfg.clone(), threads).unwrap();
             par.run(6);
             let (pi, theta) = snapshot(par.state());
             assert_eq!(

@@ -43,7 +43,8 @@ fn tree_reduced_theta_matches_sequential_for_any_pool_size() {
         // posterior samples, so the reference must have recorded exactly
         // as many as the sampler it is compared against.
         let mut seq =
-            ParallelSampler::with_threads(graph.clone(), heldout.clone(), config.clone(), 1).unwrap();
+            ParallelSampler::with_threads(graph.clone(), heldout.clone(), config.clone(), 1)
+                .unwrap();
         seq.run(6);
         let mut par =
             ParallelSampler::with_threads(graph.clone(), heldout.clone(), config.clone(), threads)

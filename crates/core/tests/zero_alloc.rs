@@ -327,8 +327,7 @@ fn steady_state_step_is_allocation_free() {
         COUNTING.store(true, Ordering::SeqCst);
         for _ in 0..10 {
             for v in 0..ooc.num_vertices() {
-                edges_seen +=
-                    reader.try_neighbors(mmsb_graph::VertexId(v)).unwrap().len() as u64;
+                edges_seen += reader.try_neighbors(mmsb_graph::VertexId(v)).unwrap().len() as u64;
                 let probe = mmsb_graph::VertexId((v + 1) % ooc.num_vertices());
                 edges_seen +=
                     u64::from(reader.try_has_edge(mmsb_graph::VertexId(v), probe).unwrap());
@@ -423,7 +422,8 @@ fn steady_state_step_is_allocation_free() {
 
     let n = ALLOCS.load(Ordering::SeqCst);
     assert_eq!(
-        n, 0,
+        n,
+        0,
         "evicting out-of-core read loop hit the allocator {n} times over {} misses",
         10 * picks.len()
     );
@@ -438,7 +438,9 @@ fn steady_state_step_is_allocation_free() {
     let mut sampler = ParallelSampler::with_backend_threads(
         mmsb_ooc::GraphBackend::OutOfCore(mmsb_ooc::OocGraph::open(&path).unwrap()),
         big_heldout,
-        SamplerConfig::new(8).with_seed(7).with_graph_cache_blocks(4),
+        SamplerConfig::new(8)
+            .with_seed(7)
+            .with_graph_cache_blocks(4),
         2,
     )
     .unwrap();

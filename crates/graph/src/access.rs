@@ -55,7 +55,11 @@ pub trait GraphAccess {
 /// edge tests go through here.
 pub fn mark_links(anchor_list: &[u32], sampled: &[VertexId], linked: &mut Vec<bool>) {
     linked.clear();
-    linked.extend(sampled.iter().map(|b| anchor_list.binary_search(&b.0).is_ok()));
+    linked.extend(
+        sampled
+            .iter()
+            .map(|b| anchor_list.binary_search(&b.0).is_ok()),
+    );
 }
 
 impl<G: GraphAccess> GraphAccess for &mut G {
@@ -137,7 +141,10 @@ mod tests {
         for a in 0..5 {
             let sampled: Vec<VertexId> = (0..5).filter(|&v| v != a).map(VertexId).collect();
             mark_links(g.neighbors(VertexId(a)), &sampled, &mut linked);
-            let expect: Vec<bool> = sampled.iter().map(|&v| g.has_edge(VertexId(a), v)).collect();
+            let expect: Vec<bool> = sampled
+                .iter()
+                .map(|&v| g.has_edge(VertexId(a), v))
+                .collect();
             assert_eq!(linked, expect, "anchor {a}");
         }
     }

@@ -102,10 +102,7 @@ pub fn generate_chung_lu<R: RngCore>(config: &ChungLuConfig, rng: &mut R) -> Gra
         if a == b {
             continue;
         }
-        if builder
-            .add_edge(VertexId(a), VertexId(b))
-            .unwrap_or(false)
-        {
+        if builder.add_edge(VertexId(a), VertexId(b)).unwrap_or(false) {
             added += 1;
         }
     }

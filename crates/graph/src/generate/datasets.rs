@@ -177,7 +177,10 @@ mod tests {
             (got - target).abs() / target < 0.35,
             "mean degree {got} vs target {target}"
         );
-        assert_eq!(g.ground_truth.num_communities(), spec.config.num_communities);
+        assert_eq!(
+            g.ground_truth.num_communities(),
+            spec.config.num_communities
+        );
         assert!(g.ground_truth.num_communities() > 100);
     }
 

@@ -64,7 +64,10 @@ impl Default for LfrConfig {
 impl LfrConfig {
     fn validate(&self) {
         assert!(self.num_vertices >= 10, "need at least 10 vertices");
-        assert!(self.tau1 > 1.0 && self.tau2 > 1.0, "exponents must exceed 1");
+        assert!(
+            self.tau1 > 1.0 && self.tau2 > 1.0,
+            "exponents must exceed 1"
+        );
         assert!((0.0..1.0).contains(&self.mu), "mu must lie in [0, 1)");
         assert!(
             self.min_degree >= 1 && self.min_degree <= self.max_degree,
@@ -267,7 +270,9 @@ mod tests {
     #[test]
     fn power_law_is_skewed_toward_small_values() {
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(2);
-        let draws: Vec<u32> = (0..20_000).map(|_| power_law(5, 500, 2.5, &mut rng)).collect();
+        let draws: Vec<u32> = (0..20_000)
+            .map(|_| power_law(5, 500, 2.5, &mut rng))
+            .collect();
         let below20 = draws.iter().filter(|&&x| x < 20).count();
         assert!(below20 > 14_000, "only {below20} draws below 20");
     }

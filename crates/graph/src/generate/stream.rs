@@ -186,8 +186,7 @@ mod tests {
         let frac = intra as f64 / cfg.target_edges as f64;
         // Background pairs land in one block ~1/K of the time, so the
         // expected fraction is slightly above intra_fraction.
-        let expected = cfg.intra_fraction
-            + (1.0 - cfg.intra_fraction) / cfg.num_communities as f64;
+        let expected = cfg.intra_fraction + (1.0 - cfg.intra_fraction) / cfg.num_communities as f64;
         assert!(
             (frac - expected).abs() < 0.02,
             "intra fraction {frac} far from {expected}"

@@ -126,7 +126,11 @@ mod tests {
             }
         }
         // 40k keys into 65536 buckets: expect most buckets distinct-ish.
-        assert!(set.len() > 25_000, "only {} distinct low-16 hashes", set.len());
+        assert!(
+            set.len() > 25_000,
+            "only {} distinct low-16 hashes",
+            set.len()
+        );
     }
 
     #[test]

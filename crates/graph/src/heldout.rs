@@ -237,7 +237,7 @@ impl HeldOut {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generate::planted::{PlantedConfig, generate_planted};
+    use crate::generate::planted::{generate_planted, PlantedConfig};
     use crate::GraphBuilder;
     use mmsb_rand::Xoshiro256PlusPlus;
 
@@ -276,7 +276,10 @@ mod tests {
         for &(e, y) in h.pairs() {
             if y {
                 assert!(g.has_edge(e.lo(), e.hi()), "held-out link not in original");
-                assert!(!train.has_edge(e.lo(), e.hi()), "held-out link leaked into training");
+                assert!(
+                    !train.has_edge(e.lo(), e.hi()),
+                    "held-out link leaked into training"
+                );
             } else {
                 assert!(!g.has_edge(e.lo(), e.hi()), "held-out non-link is an edge");
             }

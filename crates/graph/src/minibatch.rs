@@ -125,7 +125,10 @@ impl MinibatchSampler {
     pub fn new(strategy: Strategy) -> Self {
         match strategy {
             Strategy::RandomPair { size } => assert!(size > 0, "mini-batch size must be > 0"),
-            Strategy::StratifiedNode { partitions, anchors } => {
+            Strategy::StratifiedNode {
+                partitions,
+                anchors,
+            } => {
                 assert!(partitions > 0, "partition count must be > 0");
                 assert!(anchors > 0, "anchor count must be > 0");
             }
@@ -176,7 +179,10 @@ impl MinibatchSampler {
             Strategy::RandomPair { size } => {
                 self.sample_random_pairs_into(graph, heldout, size, rng, out);
             }
-            Strategy::StratifiedNode { partitions, anchors } => {
+            Strategy::StratifiedNode {
+                partitions,
+                anchors,
+            } => {
                 self.sample_stratified_into(graph, heldout, partitions, anchors, rng, out);
             }
         }

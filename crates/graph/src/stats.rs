@@ -79,11 +79,7 @@ pub fn local_clustering(graph: &Graph, v: VertexId) -> f64 {
 /// vertices (exact when `samples >= N`). Community-rich graphs score far
 /// above Erdős–Rényi noise at equal density — a quick structural check on
 /// generated stand-ins.
-pub fn mean_clustering<R: mmsb_rand::RngCore>(
-    graph: &Graph,
-    samples: usize,
-    rng: &mut R,
-) -> f64 {
+pub fn mean_clustering<R: mmsb_rand::RngCore>(graph: &Graph, samples: usize, rng: &mut R) -> f64 {
     use mmsb_rand::Rng;
     let n = graph.num_vertices();
     if n == 0 {

@@ -101,9 +101,7 @@ fn obs_setup(args: &Args) -> Result<ObsOutputs, String> {
     };
     let level = match args.get("obs-level") {
         None => implied,
-        Some(v) => v
-            .parse::<ObsLevel>()?
-            .max(implied),
+        Some(v) => v.parse::<ObsLevel>()?.max(implied),
     };
     // The CLI never raises the level after this, so span rings are sized
     // only when spans are recorded (64 shards × 65,536 slots otherwise
@@ -179,7 +177,10 @@ fn heldout_rng(seed: u64) -> Xoshiro256PlusPlus {
 fn save_checkpoint(ckpt: &Checkpoint, path: &str) -> Result<(), String> {
     ckpt.save(std::path::Path::new(path))
         .map_err(|e| e.to_string())?;
-    println!("checkpoint (iteration {}) written to {path}", ckpt.iteration());
+    println!(
+        "checkpoint (iteration {}) written to {path}",
+        ckpt.iteration()
+    );
     Ok(())
 }
 
@@ -299,8 +300,7 @@ fn cmd_convert(args: &Args) -> Result<(), String> {
         .get("input")
         .ok_or("convert needs --input FILE (a SNAP edge list)")?;
     let out = args.get("out").ok_or("convert needs --out FILE")?;
-    let block_size: u32 =
-        args.parsed("block-size", mmsb::ooc::format::DEFAULT_BLOCK_SIZE)?;
+    let block_size: u32 = args.parsed("block-size", mmsb::ooc::format::DEFAULT_BLOCK_SIZE)?;
     let opts = mmsb::ooc::BuildOptions {
         block_size,
         ..Default::default()
@@ -321,14 +321,16 @@ fn cmd_convert(args: &Args) -> Result<(), String> {
         );
     }
     if let Some(map_path) = args.get("map") {
-        let mut f = std::io::BufWriter::new(
-            std::fs::File::create(map_path).map_err(|e| e.to_string())?,
-        );
+        let mut f =
+            std::io::BufWriter::new(std::fs::File::create(map_path).map_err(|e| e.to_string())?);
         writeln!(f, "# dense_id original_id").map_err(|e| e.to_string())?;
         for (dense, original) in mapping.iter().enumerate() {
             writeln!(f, "{dense} {original}").map_err(|e| e.to_string())?;
         }
-        println!("id mapping ({} vertices) written to {map_path}", mapping.len());
+        println!(
+            "id mapping ({} vertices) written to {map_path}",
+            mapping.len()
+        );
     }
     Ok(())
 }
@@ -538,14 +540,12 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
     }
     let mut sampler = match args.get("resume") {
         Some(path) => {
-            let ckpt =
-                Checkpoint::load(std::path::Path::new(path)).map_err(|e| e.to_string())?;
+            let ckpt = Checkpoint::load(std::path::Path::new(path)).map_err(|e| e.to_string())?;
             println!("resuming from {path} at iteration {}", ckpt.iteration());
             DistributedSampler::resume(train, heldout, config, dcfg, &ckpt)
                 .map_err(|e| e.to_string())?
         }
-        None => DistributedSampler::new(train, heldout, config, dcfg)
-            .map_err(|e| e.to_string())?,
+        None => DistributedSampler::new(train, heldout, config, dcfg).map_err(|e| e.to_string())?,
     };
     // A kill fires at the start of its iteration, so one this run never
     // steps would leave the run fault-free without a word.

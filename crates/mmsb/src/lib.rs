@@ -36,10 +36,9 @@ pub use mmsb_svi as svi;
 /// The most commonly used items, re-exported flat.
 pub mod prelude {
     pub use mmsb_core::{
-        communities::Communities, convergence::PlateauDetector, eval, link_probability,
-        Backend, Checkpoint, CheckpointError, DistributedConfig, DistributedSampler,
-        ModelState, ParallelSampler, PerplexityAccumulator, SamplerConfig, SimdPolicy,
-        StateLayout, StepSize,
+        communities::Communities, convergence::PlateauDetector, eval, link_probability, Backend,
+        Checkpoint, CheckpointError, DistributedConfig, DistributedSampler, ModelState,
+        ParallelSampler, PerplexityAccumulator, SamplerConfig, SimdPolicy, StateLayout, StepSize,
     };
     pub use mmsb_graph::generate::datasets::{by_name, standins, DatasetSpec};
     pub use mmsb_graph::generate::planted::{generate_planted, PlantedConfig};

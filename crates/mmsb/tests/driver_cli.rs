@@ -11,7 +11,16 @@ use std::time::Duration;
 
 /// The small planted graph, model and chain every run here trains.
 const RUN: [&str; 10] = [
-    "--vertices", "300", "--communities", "6", "--k", "6", "--iters", "60", "--seed", "9",
+    "--vertices",
+    "300",
+    "--communities",
+    "6",
+    "--k",
+    "6",
+    "--iters",
+    "60",
+    "--seed",
+    "9",
 ];
 
 /// Run `mmsb <command> RUN.. <extra..>`, which must succeed.
@@ -58,7 +67,11 @@ fn unknown_driver_is_rejected_before_training() {
 #[test]
 fn sequential_and_parallel_print_identical_perplexity_traces() {
     let sequential = perplexity_trace("sequential");
-    assert_eq!(sequential.len(), 4, "one line per evaluation: {sequential:?}");
+    assert_eq!(
+        sequential.len(),
+        4,
+        "one line per evaluation: {sequential:?}"
+    );
     assert_eq!(sequential, perplexity_trace("parallel"));
 }
 
@@ -81,7 +94,16 @@ fn simulated_cluster_writes_the_pool_drivers_checkpoint() {
     let trained = checkpoint_bytes("train", &[]);
     for extra in [
         &["--workers", "3"][..],
-        &["--workers", "3", "--faults", "7", "--kill", "20:1", "--checkpoint-every", "5"],
+        &[
+            "--workers",
+            "3",
+            "--faults",
+            "7",
+            "--kill",
+            "20:1",
+            "--checkpoint-every",
+            "5",
+        ],
     ] {
         assert!(
             checkpoint_bytes("simulate", extra) == trained,
@@ -138,11 +160,34 @@ fn a_version_1_file_is_refused_naming_mmsb_convert() {
     let (edges, ooc) = (dir.join("g.txt"), dir.join("g.ooc"));
     let (edges_s, ooc_s) = (edges.to_str().unwrap(), ooc.to_str().unwrap());
     for args in [
-        &["generate", "--vertices", "300", "--communities", "6", "--out", edges_s][..],
-        &["convert", "--input", edges_s, "--out", ooc_s, "--block-size", "4096"],
+        &[
+            "generate",
+            "--vertices",
+            "300",
+            "--communities",
+            "6",
+            "--out",
+            edges_s,
+        ][..],
+        &[
+            "convert",
+            "--input",
+            edges_s,
+            "--out",
+            ooc_s,
+            "--block-size",
+            "4096",
+        ],
     ] {
-        let out = Command::new(env!("CARGO_BIN_EXE_mmsb")).args(args).output().unwrap();
-        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let out = Command::new(env!("CARGO_BIN_EXE_mmsb"))
+            .args(args)
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
     }
     let mut bytes = std::fs::read(&ooc).unwrap();
     bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
@@ -151,13 +196,24 @@ fn a_version_1_file_is_refused_naming_mmsb_convert() {
     std::fs::write(&ooc, &bytes).unwrap();
 
     let out = Command::new(env!("CARGO_BIN_EXE_mmsb"))
-        .args(["train", "--graph-format", "ooc", "--input", ooc_s, "--iters", "1"])
+        .args([
+            "train",
+            "--graph-format",
+            "ooc",
+            "--input",
+            ooc_s,
+            "--iters",
+            "1",
+        ])
         .output()
         .expect("run mmsb binary");
     std::fs::remove_dir_all(&dir).ok();
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "{stderr}");
-    assert!(stderr.contains("unsupported ooc format version 1"), "{stderr}");
+    assert!(
+        stderr.contains("unsupported ooc format version 1"),
+        "{stderr}"
+    );
     assert!(stderr.contains("mmsb convert"), "{stderr}");
     assert!(out.stdout.is_empty(), "nothing may be trained");
 }
@@ -176,15 +232,50 @@ fn a_block_corrupted_mid_training_exits_1_with_the_read_error() {
             .args(args)
             .output()
             .expect("run mmsb binary");
-        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
     };
     let (edges_s, ooc_s) = (edges.to_str().unwrap(), ooc.to_str().unwrap());
-    run(&["generate", "--vertices", "2000", "--communities", "20", "--out", edges_s]);
-    run(&["convert", "--input", edges_s, "--out", ooc_s, "--block-size", "4096"]);
+    run(&[
+        "generate",
+        "--vertices",
+        "2000",
+        "--communities",
+        "20",
+        "--out",
+        edges_s,
+    ]);
+    run(&[
+        "convert",
+        "--input",
+        edges_s,
+        "--out",
+        ooc_s,
+        "--block-size",
+        "4096",
+    ]);
 
     let mut child = Command::new(env!("CARGO_BIN_EXE_mmsb"))
-        .args(["train", "--graph-format", "ooc", "--input", ooc_s, "--cache-blocks", "1"])
-        .args(["--k", "4", "--iters", "100000000", "--eval-every", "100000000"])
+        .args([
+            "train",
+            "--graph-format",
+            "ooc",
+            "--input",
+            ooc_s,
+            "--cache-blocks",
+            "1",
+        ])
+        .args([
+            "--k",
+            "4",
+            "--iters",
+            "100000000",
+            "--eval-every",
+            "100000000",
+        ])
         .args(["--driver", "sequential"])
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
@@ -197,7 +288,11 @@ fn a_block_corrupted_mid_training_exits_1_with_the_read_error() {
     assert!(line.starts_with("training on"), "{line}");
 
     let header = *mmsb::ooc::OocGraph::open(&ooc).unwrap().header();
-    let mut file = std::fs::OpenOptions::new().read(true).write(true).open(&ooc).unwrap();
+    let mut file = std::fs::OpenOptions::new()
+        .read(true)
+        .write(true)
+        .open(&ooc)
+        .unwrap();
     for b in 0..u64::from(header.num_blocks) {
         let at = header.data_off() + b * u64::from(header.block_size);
         let mut byte = [0u8];
@@ -222,7 +317,12 @@ fn a_block_corrupted_mid_training_exits_1_with_the_read_error() {
         std::thread::sleep(Duration::from_millis(20));
     };
     let mut stderr = String::new();
-    child.stderr.take().unwrap().read_to_string(&mut stderr).unwrap();
+    child
+        .stderr
+        .take()
+        .unwrap()
+        .read_to_string(&mut stderr)
+        .unwrap();
     std::fs::remove_dir_all(&dir).ok();
     assert_eq!(status.code(), Some(1), "{stderr}");
     assert!(

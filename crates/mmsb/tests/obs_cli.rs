@@ -51,8 +51,7 @@ fn simulate_exports_valid_trace_and_metrics() {
     let text = std::fs::read_to_string(&trace).expect("trace file written");
     let events = mmsb::obs::export::parse_chrome_trace(&text).expect("trace parses");
     mmsb::obs::export::validate_trace(&events).expect("trace validates");
-    let names: std::collections::HashSet<&str> =
-        events.iter().map(|e| e.name.as_str()).collect();
+    let names: std::collections::HashSet<&str> = events.iter().map(|e| e.name.as_str()).collect();
     for required in [
         "step",
         "draw_minibatch",

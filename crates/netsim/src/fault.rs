@@ -111,7 +111,10 @@ impl FaultConfig {
             assert!((0.0..=1.0).contains(&p), "{name} = {p} outside [0, 1]");
         }
         assert!(self.slow_factor >= 1.0, "slow_factor must be >= 1");
-        assert!(self.straggler_factor >= 1.0, "straggler_factor must be >= 1");
+        assert!(
+            self.straggler_factor >= 1.0,
+            "straggler_factor must be >= 1"
+        );
         assert!(self.delay_seconds >= 0.0, "delay must be non-negative");
     }
 }

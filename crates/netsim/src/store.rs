@@ -167,7 +167,11 @@ impl CostModel {
             // requests are posted back-to-back, and work-request posting
             // overlaps the NIC's DMA transfers, so the steady-state batch
             // cost is the larger of the posting time and the wire time.
-            let lat = if is_read { 2.0 * net.latency } else { net.latency };
+            let lat = if is_read {
+                2.0 * net.latency
+            } else {
+                net.latency
+            };
             let posting = remote as f64 * net.rdma_setup;
             let wire = remote as f64 * bytes as f64 / net.bandwidth;
             t += lat + posting.max(wire);
@@ -352,7 +356,10 @@ mod tests {
         let mut out = vec![0.0; 2];
         assert!(matches!(
             s.read_batch(&[5], &mut out),
-            Err(DkvError::KeyOutOfRange { key: 5, num_keys: 5 })
+            Err(DkvError::KeyOutOfRange {
+                key: 5,
+                num_keys: 5
+            })
         ));
     }
 
@@ -362,7 +369,10 @@ mod tests {
         let mut out = vec![0.0; 3];
         assert!(matches!(
             s.read_batch(&[0], &mut out),
-            Err(DkvError::BufferSizeMismatch { expected: 2, got: 3 })
+            Err(DkvError::BufferSizeMismatch {
+                expected: 2,
+                got: 3
+            })
         ));
     }
 

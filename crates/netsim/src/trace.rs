@@ -78,12 +78,14 @@ impl TraceReport {
 
 impl std::fmt::Display for TraceReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        writeln!(f, "{:<20} {:>12} {:>10}", "stage", "ms/iter", "calls")?;
         writeln!(
             f,
-            "{:<20} {:>12} {:>10}",
-            "stage", "ms/iter", "calls"
+            "{:<20} {:>12.2} {:>10}",
+            "total",
+            self.total_ms_per_iter(),
+            self.iterations
         )?;
-        writeln!(f, "{:<20} {:>12.2} {:>10}", "total", self.total_ms_per_iter(), self.iterations)?;
         for p in Phase::ALL {
             if self.phases.count(p) > 0 {
                 writeln!(

@@ -155,7 +155,11 @@ pub fn parse_chrome_trace(text: &str) -> Result<Vec<TraceEvent>, String> {
 pub fn validate_trace(events: &[TraceEvent]) -> Result<(), String> {
     // Small tolerance: timestamps are ns exported at µs precision.
     const EPS: f64 = 2e-3;
-    let mut tids: Vec<u64> = events.iter().filter(|e| e.ph != 'M').map(|e| e.tid).collect();
+    let mut tids: Vec<u64> = events
+        .iter()
+        .filter(|e| e.ph != 'M')
+        .map(|e| e.tid)
+        .collect();
     tids.sort_unstable();
     tids.dedup();
     for tid in tids {
@@ -317,28 +321,91 @@ mod tests {
     #[test]
     fn validator_rejects_overlap_and_backwards_time() {
         let ok = vec![
-            TraceEvent { name: "outer".into(), ph: 'X', ts_us: 0.0, dur_us: 10.0, pid: 1, tid: 0 },
-            TraceEvent { name: "inner".into(), ph: 'X', ts_us: 2.0, dur_us: 3.0, pid: 1, tid: 0 },
-            TraceEvent { name: "after".into(), ph: 'X', ts_us: 6.0, dur_us: 4.0, pid: 1, tid: 0 },
+            TraceEvent {
+                name: "outer".into(),
+                ph: 'X',
+                ts_us: 0.0,
+                dur_us: 10.0,
+                pid: 1,
+                tid: 0,
+            },
+            TraceEvent {
+                name: "inner".into(),
+                ph: 'X',
+                ts_us: 2.0,
+                dur_us: 3.0,
+                pid: 1,
+                tid: 0,
+            },
+            TraceEvent {
+                name: "after".into(),
+                ph: 'X',
+                ts_us: 6.0,
+                dur_us: 4.0,
+                pid: 1,
+                tid: 0,
+            },
         ];
         validate_trace(&ok).unwrap();
 
         let overlap = vec![
-            TraceEvent { name: "outer".into(), ph: 'X', ts_us: 0.0, dur_us: 10.0, pid: 1, tid: 0 },
-            TraceEvent { name: "poke".into(), ph: 'X', ts_us: 5.0, dur_us: 50.0, pid: 1, tid: 0 },
+            TraceEvent {
+                name: "outer".into(),
+                ph: 'X',
+                ts_us: 0.0,
+                dur_us: 10.0,
+                pid: 1,
+                tid: 0,
+            },
+            TraceEvent {
+                name: "poke".into(),
+                ph: 'X',
+                ts_us: 5.0,
+                dur_us: 50.0,
+                pid: 1,
+                tid: 0,
+            },
         ];
         assert!(validate_trace(&overlap).is_err());
 
         let backwards = vec![
-            TraceEvent { name: "b".into(), ph: 'X', ts_us: 9.0, dur_us: 1.0, pid: 1, tid: 0 },
-            TraceEvent { name: "a".into(), ph: 'X', ts_us: 1.0, dur_us: 1.0, pid: 1, tid: 0 },
+            TraceEvent {
+                name: "b".into(),
+                ph: 'X',
+                ts_us: 9.0,
+                dur_us: 1.0,
+                pid: 1,
+                tid: 0,
+            },
+            TraceEvent {
+                name: "a".into(),
+                ph: 'X',
+                ts_us: 1.0,
+                dur_us: 1.0,
+                pid: 1,
+                tid: 0,
+            },
         ];
         assert!(validate_trace(&backwards).is_err());
 
         // Separate tids are independent timelines.
         let two_tids = vec![
-            TraceEvent { name: "t1".into(), ph: 'X', ts_us: 9.0, dur_us: 1.0, pid: 1, tid: 1 },
-            TraceEvent { name: "t0".into(), ph: 'X', ts_us: 1.0, dur_us: 1.0, pid: 1, tid: 0 },
+            TraceEvent {
+                name: "t1".into(),
+                ph: 'X',
+                ts_us: 9.0,
+                dur_us: 1.0,
+                pid: 1,
+                tid: 1,
+            },
+            TraceEvent {
+                name: "t0".into(),
+                ph: 'X',
+                ts_us: 1.0,
+                dur_us: 1.0,
+                pid: 1,
+                tid: 0,
+            },
         ];
         validate_trace(&two_tids).unwrap();
     }

@@ -168,15 +168,21 @@ fn parse_value(b: &[char], i: &mut usize) -> Result<Json, String> {
                 .map(Json::Num)
                 .map_err(|_| format!("bad number `{text}`"))
         }
-        Some('t') if b.get(*i..*i + 4).map(|s| s.iter().collect::<String>()) == Some("true".into()) => {
+        Some('t')
+            if b.get(*i..*i + 4).map(|s| s.iter().collect::<String>()) == Some("true".into()) =>
+        {
             *i += 4;
             Ok(Json::Bool(true))
         }
-        Some('f') if b.get(*i..*i + 5).map(|s| s.iter().collect::<String>()) == Some("false".into()) => {
+        Some('f')
+            if b.get(*i..*i + 5).map(|s| s.iter().collect::<String>()) == Some("false".into()) =>
+        {
             *i += 5;
             Ok(Json::Bool(false))
         }
-        Some('n') if b.get(*i..*i + 4).map(|s| s.iter().collect::<String>()) == Some("null".into()) => {
+        Some('n')
+            if b.get(*i..*i + 4).map(|s| s.iter().collect::<String>()) == Some("null".into()) =>
+        {
             *i += 4;
             Ok(Json::Null)
         }
@@ -190,14 +196,24 @@ mod tests {
 
     #[test]
     fn strings_decode_characters_and_escapes() {
-        let doc = parse("{\"a\":\"\u{e9}t\u{e9} \\b\\f\\u00e9\",\"a\":[true,null,-1.5e2]}").unwrap();
+        let doc =
+            parse("{\"a\":\"\u{e9}t\u{e9} \\b\\f\\u00e9\",\"a\":[true,null,-1.5e2]}").unwrap();
         // The last of a repeated key wins.
         assert_eq!(
             doc.member("a"),
-            Some(&Json::Arr(vec![Json::Bool(true), Json::Null, Json::Num(-150.0)]))
+            Some(&Json::Arr(vec![
+                Json::Bool(true),
+                Json::Null,
+                Json::Num(-150.0)
+            ]))
         );
-        let Json::Obj(pairs) = &doc else { panic!("not an object") };
-        assert_eq!(pairs[0].1, Json::Str("\u{e9}t\u{e9} \u{8}\u{c}\u{e9}".into()));
+        let Json::Obj(pairs) = &doc else {
+            panic!("not an object")
+        };
+        assert_eq!(
+            pairs[0].1,
+            Json::Str("\u{e9}t\u{e9} \u{8}\u{c}\u{e9}".into())
+        );
         assert_eq!(Json::Null.member("a"), None);
     }
 }

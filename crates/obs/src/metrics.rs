@@ -422,7 +422,9 @@ impl Registry {
     /// Samples in bucket `b` of histogram `h`, merged across shards.
     pub fn hist_bucket(&self, h: usize, b: usize) -> u64 {
         (0..self.shards)
-            .map(|s| self.hists[(s * id::HIST_COUNT + h) * HIST_BUCKETS + b].load(Ordering::Relaxed))
+            .map(|s| {
+                self.hists[(s * id::HIST_COUNT + h) * HIST_BUCKETS + b].load(Ordering::Relaxed)
+            })
             .sum()
     }
 
@@ -523,7 +525,7 @@ mod tests {
         assert_eq!(r.hist_bucket(id::H_STEP_NS, 0), 1); // the zero
         assert_eq!(r.hist_bucket(id::H_STEP_NS, 1), 1); // 1
         assert_eq!(r.hist_bucket(id::H_STEP_NS, 2), 2); // 2, 3
-        // p50 of six samples lands in bucket 2 -> upper edge 4.
+                                                        // p50 of six samples lands in bucket 2 -> upper edge 4.
         assert_eq!(r.hist_quantile_upper_ns(id::H_STEP_NS, 0.5), 4);
         // p100 covers the 1e6 sample: 2^20 = 1048576 >= 1e6.
         assert_eq!(r.hist_quantile_upper_ns(id::H_STEP_NS, 1.0), 1 << 20);
@@ -551,7 +553,10 @@ mod tests {
         assert_eq!(id::SPAN_NAMES.len(), id::SPAN_COUNT);
         assert_eq!(id::HIST_NAMES[id::H_STEP_NS], "step_ns");
         assert_eq!(id::SPAN_NAMES[Phase::UpdatePhi as usize], "update_phi");
-        assert_eq!(id::HIST_NAMES[Phase::Recovery as usize], "phase_recovery_ns");
+        assert_eq!(
+            id::HIST_NAMES[Phase::Recovery as usize],
+            "phase_recovery_ns"
+        );
         assert_eq!(id::SPAN_NAMES[id::S_STEP], "step");
         for (i, p) in Phase::ALL.into_iter().enumerate() {
             assert_eq!(p as usize, i);

@@ -152,11 +152,7 @@ impl SpanSink {
                 });
             }
         }
-        out.sort_by(|a, b| {
-            a.start_ns
-                .cmp(&b.start_ns)
-                .then(b.dur_ns.cmp(&a.dur_ns))
-        });
+        out.sort_by(|a, b| a.start_ns.cmp(&b.start_ns).then(b.dur_ns.cmp(&a.dur_ns)));
         out
     }
 
@@ -248,9 +244,33 @@ mod tests {
         assert_eq!(sink.dropped(), 0);
         let snap = sink.snapshot();
         // Sorted by start; at start=50 the longer (enclosing) span first.
-        assert_eq!(snap[0], SpanRecord { span_id: 1, tid: 0, start_ns: 50, dur_ns: 200 });
-        assert_eq!(snap[1], SpanRecord { span_id: 3, tid: 1, start_ns: 50, dur_ns: 20 });
-        assert_eq!(snap[2], SpanRecord { span_id: 2, tid: 0, start_ns: 100, dur_ns: 10 });
+        assert_eq!(
+            snap[0],
+            SpanRecord {
+                span_id: 1,
+                tid: 0,
+                start_ns: 50,
+                dur_ns: 200
+            }
+        );
+        assert_eq!(
+            snap[1],
+            SpanRecord {
+                span_id: 3,
+                tid: 1,
+                start_ns: 50,
+                dur_ns: 20
+            }
+        );
+        assert_eq!(
+            snap[2],
+            SpanRecord {
+                span_id: 2,
+                tid: 0,
+                start_ns: 100,
+                dur_ns: 10
+            }
+        );
     }
 
     #[test]

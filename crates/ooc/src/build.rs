@@ -135,10 +135,7 @@ impl StreamingBuilder {
                 reason: format!("bad block size {}", opts.block_size),
             });
         }
-        let base = opts
-            .temp_dir
-            .clone()
-            .unwrap_or_else(std::env::temp_dir);
+        let base = opts.temp_dir.clone().unwrap_or_else(std::env::temp_dir);
         let temp_root = base.join(format!(
             "mmsb-ooc-build-{}-{}",
             std::process::id(),

@@ -153,10 +153,7 @@ impl OocGraph {
         }
         if max_degree != header.max_degree {
             return Err(OocError::Corrupt {
-                reason: format!(
-                    "max degree {max_degree} != header {}",
-                    header.max_degree
-                ),
+                reason: format!("max degree {max_degree} != header {}", header.max_degree),
             });
         }
 

@@ -50,11 +50,11 @@ pub use backend::{BackendReader, GraphBackend, DEFAULT_CACHE_BLOCKS};
 pub use build::{convert_edge_list, write_graph, BuildOptions, BuildStats, StreamingBuilder};
 pub use cache::BlockCache;
 pub use file::OocGraph;
-pub use reader::OocReader;
-pub use region::{RegionCaches, RoutedReader};
 /// CRC-32 (IEEE) — `mmsb-simd`'s kernel, behind every header, frame and
 /// checkpoint check of both on-disk formats.
 pub use mmsb_simd::crc32;
+pub use reader::OocReader;
+pub use region::{RegionCaches, RoutedReader};
 
 /// Errors produced while building, opening or reading an on-disk graph.
 #[derive(Debug)]

@@ -132,7 +132,11 @@ pub fn decode_list(bytes: &[u8], degree: u32, out: &mut Vec<u32>) -> Option<usiz
     for i in 0..degree {
         let (raw, next) = read_varint(bytes, pos)?;
         pos = next;
-        let v = if i == 0 { raw } else { prev.checked_add(raw)?.checked_add(1)? };
+        let v = if i == 0 {
+            raw
+        } else {
+            prev.checked_add(raw)?.checked_add(1)?
+        };
         if v > u32::MAX as u64 {
             return None;
         }

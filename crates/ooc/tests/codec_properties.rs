@@ -168,7 +168,11 @@ fn reference(edges: &[(u32, u32)], n: u32) -> Vec<Vec<u32>> {
         }
     }
     (0..n)
-        .map(|v| adj.get(&v).map(|s| s.iter().copied().collect()).unwrap_or_default())
+        .map(|v| {
+            adj.get(&v)
+                .map(|s| s.iter().copied().collect())
+                .unwrap_or_default()
+        })
         .collect()
 }
 
@@ -277,7 +281,10 @@ fn region_caches_decode_every_list_like_one_cache() {
     for (regions, budget) in [(1, 1), (3, 12), (6, 24), (12, 24), (64, 400)] {
         let mut caches = RegionCaches::new(&graph, regions, budget, 5);
         let r_max = caches.regions();
-        assert!((1..=regions.min(blocks)).contains(&r_max), "{regions} regions: {r_max}");
+        assert!(
+            (1..=regions.min(blocks)).contains(&r_max),
+            "{regions} regions: {r_max}"
+        );
         assert!(
             caches.capacity_blocks() <= budget.max(4),
             "{regions} regions share {} slots of a {budget}-block budget",
@@ -296,11 +303,17 @@ fn region_caches_decode_every_list_like_one_cache() {
                 crossing += 1;
             } else {
                 out.fill(0);
-                caches.caches_mut()[r].decode_into(&graph, v, &mut out).unwrap();
+                caches.caches_mut()[r]
+                    .decode_into(&graph, v, &mut out)
+                    .unwrap();
                 assert_eq!(&out, list, "region {r}: vertex {v}");
             }
         }
-        assert!(crossing < r_max, "{crossing} lists cross {} boundaries", r_max - 1);
+        assert!(
+            crossing < r_max,
+            "{crossing} lists cross {} boundaries",
+            r_max - 1
+        );
         let mut reader = caches.reader(&graph);
         for v in (0..n).step_by(7) {
             assert_eq!(reader.neighbors(VertexId(v)), want[v as usize].as_slice());
@@ -455,7 +468,10 @@ fn converted_file_adjacency_is_symmetric() {
         let lists = full_scan(&output).unwrap();
         let mut directed = 0u64;
         for (v, list) in lists.iter().enumerate() {
-            assert!(list.windows(2).all(|w| w[0] < w[1]), "seed {seed}: list {v} unsorted");
+            assert!(
+                list.windows(2).all(|w| w[0] < w[1]),
+                "seed {seed}: list {v} unsorted"
+            );
             for &u in list {
                 assert_ne!(u as usize, v, "seed {seed}: self-loop at {v}");
                 assert!(
@@ -525,10 +541,7 @@ fn every_flipped_byte_is_detected_or_provably_harmless() {
         bytes[i] ^= 0x01;
         std::fs::write(&flipped, &bytes).unwrap();
         match full_scan(&flipped) {
-            Err(_) => assert!(
-                !diagnostic(i),
-                "diagnostic byte {i} must not fail the scan"
-            ),
+            Err(_) => assert!(!diagnostic(i), "diagnostic byte {i} must not fail the scan"),
             Ok(got) => {
                 assert!(diagnostic(i), "flipped byte {i} was silently accepted");
                 assert_eq!(

@@ -292,7 +292,11 @@ impl<'a, T> SharedSlice<'a, T> {
     /// Panics if `lo > hi` or `hi > self.len()`.
     #[allow(clippy::mut_from_ref)]
     pub unsafe fn range(&self, lo: usize, hi: usize) -> &mut [T] {
-        assert!(lo <= hi && hi <= self.len, "range {lo}..{hi} out of {}", self.len);
+        assert!(
+            lo <= hi && hi <= self.len,
+            "range {lo}..{hi} out of {}",
+            self.len
+        );
         // SAFETY: bounds checked above; disjointness from other live
         // borrows is the caller's contract (see `# Safety`).
         unsafe { std::slice::from_raw_parts_mut(self.ptr.add(lo), hi - lo) }
@@ -310,7 +314,10 @@ impl<'a, T> SharedSlice<'a, T> {
 /// # Panics
 /// Panics if `buf` is shorter than `rows * width`.
 pub fn tree_combine_f64(buf: &mut [f64], width: usize, rows: usize) {
-    assert!(buf.len() >= rows * width, "buffer shorter than rows * width");
+    assert!(
+        buf.len() >= rows * width,
+        "buffer shorter than rows * width"
+    );
     let mut gap = 1;
     while gap < rows {
         let mut i = 0;
@@ -489,7 +496,9 @@ mod tests {
     #[test]
     fn tree_combine_matches_manual_tree() {
         // 5 rows of width 2: tree is ((0+1)+(2+3))+4.
-        let rows: Vec<[f64; 2]> = (0..5).map(|i| [i as f64 + 0.25, -(i as f64) * 0.5]).collect();
+        let rows: Vec<[f64; 2]> = (0..5)
+            .map(|i| [i as f64 + 0.25, -(i as f64) * 0.5])
+            .collect();
         let mut buf: Vec<f64> = rows.iter().flatten().copied().collect();
         tree_combine_f64(&mut buf, 2, 5);
         let expect = |c: usize| {

@@ -37,9 +37,7 @@ impl Dirichlet {
         }
         check_positive("alpha", alpha)?;
         let g = Gamma::new(alpha, 1.0)?;
-        Ok(Self {
-            gammas: vec![g; k],
-        })
+        Ok(Self { gammas: vec![g; k] })
     }
 
     /// Dimensionality of the simplex.

@@ -154,6 +154,9 @@ mod tests {
         let mut xs = g.sample_n(&mut r, 100_001);
         xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let median = xs[50_000];
-        assert!((median - std::f64::consts::LN_2).abs() < 0.02, "median={median}");
+        assert!(
+            (median - std::f64::consts::LN_2).abs() < 0.02,
+            "median={median}"
+        );
     }
 }

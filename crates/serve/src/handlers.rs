@@ -83,9 +83,9 @@ fn route(
         }
         ("GET", "/metricsz") => {
             match mmsb_obs::get() {
-                Some(obs) => body.extend_from_slice(
-                    mmsb_obs::export::metrics_text(&obs.metrics).as_bytes(),
-                ),
+                Some(obs) => {
+                    body.extend_from_slice(mmsb_obs::export::metrics_text(&obs.metrics).as_bytes())
+                }
                 None => body.extend_from_slice(b"obs uninitialized (run with --obs-level)\n"),
             }
             (Endpoint::Other, 200)
@@ -153,7 +153,10 @@ fn membership(
         },
     }
     .min(snap.ranked());
-    let _ = write!(body, "{{\"vertex\":{vertex},\"k\":{k},\"generation\":{generation},\"communities\":[");
+    let _ = write!(
+        body,
+        "{{\"vertex\":{vertex},\"k\":{k},\"generation\":{generation},\"communities\":["
+    );
     for (i, &c) in snap.communities_by_weight(vertex)[..k].iter().enumerate() {
         let sep = if i == 0 { "" } else { "," };
         let _ = write!(
@@ -186,7 +189,10 @@ fn edge(
         return (ep, 404);
     }
     let p = snap.edge_likelihood(i, j);
-    let _ = write!(body, "{{\"i\":{i},\"j\":{j},\"p\":{p},\"generation\":{generation}}}");
+    let _ = write!(
+        body,
+        "{{\"i\":{i},\"j\":{j},\"p\":{p},\"generation\":{generation}}}"
+    );
     (ep, 200)
 }
 

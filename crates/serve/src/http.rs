@@ -47,10 +47,7 @@ pub enum Parsed<'a> {
 
 /// Byte-wise ASCII case-insensitive equality.
 fn eq_ignore_case(a: &[u8], b: &[u8]) -> bool {
-    a.len() == b.len()
-        && a.iter()
-            .zip(b)
-            .all(|(x, y)| x.eq_ignore_ascii_case(y))
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.eq_ignore_ascii_case(y))
 }
 
 fn find_header_end(buf: &[u8]) -> Option<usize> {
@@ -72,9 +69,9 @@ pub fn parse_request(buf: &[u8]) -> Parsed<'_> {
         return Parsed::HeadTooLarge;
     }
     let head = &buf[..head_end - 4];
-    let mut lines = head.split(|&b| b == b'\n').map(|l| {
-        l.strip_suffix(b"\r").unwrap_or(l)
-    });
+    let mut lines = head
+        .split(|&b| b == b'\n')
+        .map(|l| l.strip_suffix(b"\r").unwrap_or(l));
     let Some(request_line) = lines.next() else {
         return Parsed::Malformed;
     };
@@ -82,8 +79,7 @@ pub fn parse_request(buf: &[u8]) -> Parsed<'_> {
         return Parsed::Malformed;
     };
     let mut parts = request_line.split(' ');
-    let (Some(method), Some(target), Some(version)) =
-        (parts.next(), parts.next(), parts.next())
+    let (Some(method), Some(target), Some(version)) = (parts.next(), parts.next(), parts.next())
     else {
         return Parsed::Malformed;
     };
@@ -350,14 +346,19 @@ mod tests {
         let mut out = Vec::new();
         write_response_retry_after(&mut out, 503, 2, "application/json", b"{}");
         let text = String::from_utf8(out.clone()).unwrap();
-        assert!(text.starts_with("HTTP/1.1 503 Service Unavailable\r\n"), "{text}");
+        assert!(
+            text.starts_with("HTTP/1.1 503 Service Unavailable\r\n"),
+            "{text}"
+        );
         assert!(text.contains("Retry-After: 2\r\n"), "{text}");
         let (status, len) = parse_response(&out).unwrap();
         assert_eq!((status, len), (503, out.len()));
 
         let mut out = Vec::new();
         write_response_retry_after(&mut out, 429, 1, "application/json", b"{}");
-        assert!(String::from_utf8(out).unwrap().contains("429 Too Many Requests"));
+        assert!(String::from_utf8(out)
+            .unwrap()
+            .contains("429 Too Many Requests"));
 
         for (status, reason) in [
             (408, "Request Timeout"),
@@ -377,10 +378,18 @@ mod tests {
     fn shed_response_is_a_complete_parseable_503() {
         let (status, len) = parse_response(SHED_RESPONSE).unwrap();
         assert_eq!(status, 503);
-        assert_eq!(len, SHED_RESPONSE.len(), "Content-Length must match the body exactly");
+        assert_eq!(
+            len,
+            SHED_RESPONSE.len(),
+            "Content-Length must match the body exactly"
+        );
         let (status, len) = parse_response(TIMEOUT_RESPONSE).unwrap();
         assert_eq!(status, 408);
-        assert_eq!(len, TIMEOUT_RESPONSE.len(), "Content-Length must match the body exactly");
+        assert_eq!(
+            len,
+            TIMEOUT_RESPONSE.len(),
+            "Content-Length must match the body exactly"
+        );
     }
 
     #[test]

@@ -56,11 +56,11 @@ pub mod snapshot;
 mod handlers;
 
 pub use cell::{ReaderCache, SnapshotCell, SnapshotCellIn};
-/// Re-exported so callers (benches, tests, the CLI) can name server
-/// addresses without touching `std::net` themselves — the
-/// `net-confinement` lint keeps socket types to this crate.
-pub use std::net::SocketAddr;
 pub use loadgen::{ChaosKind, ChaosReport, LatencyReport, OverloadReport, ThroughputReport};
 pub use server::{DrainReport, OverloadStats, ServeConfig, ServeError, ServeHandle};
 pub use shed::{Admission, AdmissionIn, Admit, ConnClose, Lifecycle, TokenBucket};
 pub use snapshot::{ModelSnapshot, SnapshotError, TOP_K_CAP};
+/// Re-exported so callers (benches, tests, the CLI) can name server
+/// addresses without touching `std::net` themselves — the
+/// `net-confinement` lint keeps socket types to this crate.
+pub use std::net::SocketAddr;

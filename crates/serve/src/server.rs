@@ -265,8 +265,16 @@ impl ServeHandle {
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let threads = cfg.threads.max(1);
-        let max_conns = if cfg.max_conns == 0 { threads } else { cfg.max_conns };
-        let max_inflight = if cfg.max_inflight == 0 { threads } else { cfg.max_inflight };
+        let max_conns = if cfg.max_conns == 0 {
+            threads
+        } else {
+            cfg.max_conns
+        };
+        let max_inflight = if cfg.max_inflight == 0 {
+            threads
+        } else {
+            cfg.max_inflight
+        };
         let deadline_ms = cfg.deadline_ms.max(1);
         let shared = Arc::new(ServerShared {
             cell: SnapshotCell::new(Arc::new(snap)),
@@ -522,9 +530,7 @@ fn end_outcome(shared: &ServerShared) -> ConnClose {
 fn close_conn(shared: &ServerShared, permit: ConnPermit<'_, RealSync>, how: ConnClose) {
     match how {
         ConnClose::Normal => {}
-        ConnClose::DrainCompleted => {
-            mmsb_obs::counter_add(obs_id::C_SERVE_DRAIN_COMPLETED, 1)
-        }
+        ConnClose::DrainCompleted => mmsb_obs::counter_add(obs_id::C_SERVE_DRAIN_COMPLETED, 1),
         ConnClose::DrainAborted => mmsb_obs::counter_add(obs_id::C_SERVE_DRAIN_ABORTED, 1),
     }
     permit.close(how);

@@ -487,7 +487,8 @@ mod tests {
         );
         let (graph, heldout) = HeldOut::split(&gen.graph, 30, &mut rng);
         let mut s =
-            ParallelSampler::with_threads(graph, heldout, SamplerConfig::new(k).with_seed(seed), 1).unwrap();
+            ParallelSampler::with_threads(graph, heldout, SamplerConfig::new(k).with_seed(seed), 1)
+                .unwrap();
         s.run(15);
         s.checkpoint()
     }
@@ -524,10 +525,7 @@ mod tests {
             let order = snap.communities_by_weight(v);
             assert_eq!(order.len(), snap.k());
             for w in order.windows(2) {
-                let (w0, w1) = (
-                    snap.weight(v, w[0] as usize),
-                    snap.weight(v, w[1] as usize),
-                );
+                let (w0, w1) = (snap.weight(v, w[0] as usize), snap.weight(v, w[1] as usize));
                 assert!(
                     w0 > w1 || (w0 == w1 && w[0] < w[1]),
                     "vertex {v}: ({}, {w0}) before ({}, {w1})",
@@ -547,10 +545,7 @@ mod tests {
             assert_eq!(members.len(), snap.n());
             let mut seen = vec![false; snap.n()];
             for w in members.windows(2) {
-                let (w0, w1) = (
-                    snap.weight(w[0] as usize, c),
-                    snap.weight(w[1] as usize, c),
-                );
+                let (w0, w1) = (snap.weight(w[0] as usize, c), snap.weight(w[1] as usize, c));
                 assert!(w0 > w1 || (w0 == w1 && w[0] < w[1]), "community {c}");
             }
             for &m in members {
@@ -822,7 +817,11 @@ mod tests {
         let (n, k) = (ckpt.n() as usize, ckpt.k());
         let held = ckpt.pi().as_ptr();
         let shared = ModelSnapshot::from_checkpoint(&ckpt, 1e-5, Backend::detect()).unwrap();
-        assert_eq!(shared.pi.as_ptr(), held, "from_checkpoint shares, not copies");
+        assert_eq!(
+            shared.pi.as_ptr(),
+            held,
+            "from_checkpoint shares, not copies"
+        );
         drop(shared);
         let (pi, beta) = ckpt.into_planes();
         assert_eq!(pi.as_ptr(), held, "into_planes moves, not copies");
@@ -947,7 +946,11 @@ mod tests {
 
         let ranges = threads.min(max_ranges(k));
         let ran_on = range_threads(big_n);
-        assert_eq!(ran_on.len(), ranges, "one range per available core, up to the cap");
+        assert_eq!(
+            ran_on.len(),
+            ranges,
+            "one range per available core, up to the cap"
+        );
         assert_eq!(ran_on.iter().collect::<HashSet<_>>().len(), ranges);
         assert!(ran_on.contains(&caller), "the caller runs a range itself");
         assert_eq!(range_threads(small_n), [caller], "small models run inline");

@@ -27,7 +27,8 @@ pub fn train_checkpoint(seed: u64, iters: u64) -> Checkpoint {
     );
     let (graph, heldout) = HeldOut::split(&gen.graph, 20, &mut rng);
     let mut s =
-        ParallelSampler::with_threads(graph, heldout, SamplerConfig::new(K).with_seed(seed), 1).unwrap();
+        ParallelSampler::with_threads(graph, heldout, SamplerConfig::new(K).with_seed(seed), 1)
+            .unwrap();
     s.run(iters);
     s.checkpoint()
 }

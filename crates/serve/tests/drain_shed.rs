@@ -170,8 +170,14 @@ fn graceful_drain_answers_everything_in_flight() {
         total_completed += completed;
     }
     assert!(total_completed > 10, "drain started mid-traffic");
-    assert_eq!(report.aborted, 0, "graceful drain must not abort: {report:?}");
-    assert_eq!(report.completed, 2, "both conns closed at a boundary: {report:?}");
+    assert_eq!(
+        report.aborted, 0,
+        "graceful drain must not abort: {report:?}"
+    );
+    assert_eq!(
+        report.completed, 2,
+        "both conns closed at a boundary: {report:?}"
+    );
     assert!(!report.forced, "{report:?}");
     std::fs::remove_file(&model_path).ok();
 }

@@ -34,7 +34,8 @@ fn train_checkpoint(seed: u64, iters: u64) -> mmsb_core::Checkpoint {
     );
     let (graph, heldout) = HeldOut::split(&gen.graph, 25, &mut rng);
     let mut s =
-        ParallelSampler::with_threads(graph, heldout, SamplerConfig::new(K).with_seed(seed), 1).unwrap();
+        ParallelSampler::with_threads(graph, heldout, SamplerConfig::new(K).with_seed(seed), 1)
+            .unwrap();
     s.run(iters);
     s.checkpoint()
 }
@@ -52,7 +53,10 @@ fn roundtrip(stream: &mut TcpStream, request: &[u8]) -> (u16, String) {
         if let Some((status, total)) = http::parse_response(&buf) {
             assert_eq!(total, buf.len(), "trailing bytes after response");
             let body_start = buf.windows(4).position(|w| w == b"\r\n\r\n").unwrap() + 4;
-            return (status, String::from_utf8(buf[body_start..].to_vec()).unwrap());
+            return (
+                status,
+                String::from_utf8(buf[body_start..].to_vec()).unwrap(),
+            );
         }
         let n = stream.read(&mut chunk).unwrap();
         assert!(n > 0, "server closed mid-response");
@@ -85,7 +89,10 @@ fn serve_end_to_end() {
     let (status, body) = get(&mut stream, "/healthz");
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("\"ok\":true"), "{body}");
-    assert!(body.contains("\"n\":50") && body.contains(&format!("\"k\":{K}")), "{body}");
+    assert!(
+        body.contains("\"n\":50") && body.contains(&format!("\"k\":{K}")),
+        "{body}"
+    );
     assert!(body.contains("\"generation\":0"), "{body}");
 
     // Membership: default k from config, explicit k, over-ask clamps.
@@ -122,7 +129,10 @@ fn serve_end_to_end() {
     // Metrics endpoint renders the obs registry.
     let (status, body) = get(&mut stream, "/metricsz");
     assert_eq!(status, 200);
-    assert!(body.contains("serve"), "metricsz should name serve metrics: {body}");
+    assert!(
+        body.contains("serve"),
+        "metricsz should name serve metrics: {body}"
+    );
 
     // Error paths: bad input, out of range, unknown route, bad method.
     for (path, want) in [

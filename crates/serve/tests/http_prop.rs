@@ -234,7 +234,9 @@ fn gen_request(r: &mut Xoshiro256PlusPlus) -> GenReq {
 fn generated_pipelined_streams_parse_exactly() {
     for iter in 0..300u64 {
         let mut r = Xoshiro256PlusPlus::seed_from_u64(MASTER_SEED.wrapping_add(iter));
-        let reqs: Vec<GenReq> = (0..1 + r.below_usize(3)).map(|_| gen_request(&mut r)).collect();
+        let reqs: Vec<GenReq> = (0..1 + r.below_usize(3))
+            .map(|_| gen_request(&mut r))
+            .collect();
         let stream: Vec<u8> = reqs.iter().flat_map(|q| q.bytes.iter().copied()).collect();
 
         // Walk the pipeline: each request must come back field-exact.
@@ -274,7 +276,9 @@ fn generated_pipelined_streams_parse_exactly() {
 fn mutated_streams_match_the_reference_parser() {
     for iter in 0..300u64 {
         let mut r = Xoshiro256PlusPlus::seed_from_u64(MASTER_SEED.wrapping_add(7_000 + iter));
-        let reqs: Vec<GenReq> = (0..1 + r.below_usize(2)).map(|_| gen_request(&mut r)).collect();
+        let reqs: Vec<GenReq> = (0..1 + r.below_usize(2))
+            .map(|_| gen_request(&mut r))
+            .collect();
         let mut stream: Vec<u8> = reqs.iter().flat_map(|q| q.bytes.iter().copied()).collect();
 
         // Mutate: byte flips, garbage splices, or both.
@@ -360,10 +364,22 @@ fn directed_parser_edges() {
     assert_eq!(classify(http::parse_request(big)), Out::Malformed);
 
     // Exactly over the body cap is 413 material.
-    let over = format!("GET / HTTP/1.1\r\nContent-Length: {}\r\n\r\n", MAX_BODY_BYTES + 1);
-    assert_eq!(classify(http::parse_request(over.as_bytes())), Out::BodyTooLarge);
-    let at = format!("POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n", MAX_BODY_BYTES);
-    assert_eq!(classify(http::parse_request(at.as_bytes())), Out::Incomplete);
+    let over = format!(
+        "GET / HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+        MAX_BODY_BYTES + 1
+    );
+    assert_eq!(
+        classify(http::parse_request(over.as_bytes())),
+        Out::BodyTooLarge
+    );
+    let at = format!(
+        "POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+        MAX_BODY_BYTES
+    );
+    assert_eq!(
+        classify(http::parse_request(at.as_bytes())),
+        Out::Incomplete
+    );
 
     // A terminated head that is itself over the limit: 431, and the
     // reference agrees.

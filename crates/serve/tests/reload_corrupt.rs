@@ -35,7 +35,8 @@ fn train_checkpoint(seed: u64, iters: u64) -> mmsb_core::Checkpoint {
     );
     let (graph, heldout) = HeldOut::split(&gen.graph, 20, &mut rng);
     let mut s =
-        ParallelSampler::with_threads(graph, heldout, SamplerConfig::new(K).with_seed(seed), 1).unwrap();
+        ParallelSampler::with_threads(graph, heldout, SamplerConfig::new(K).with_seed(seed), 1)
+            .unwrap();
     s.run(iters);
     s.checkpoint()
 }
@@ -52,7 +53,10 @@ fn roundtrip(stream: &mut TcpStream, request: &[u8]) -> (u16, String) {
         if let Some((status, total)) = http::parse_response(&buf) {
             assert_eq!(total, buf.len());
             let body_start = buf.windows(4).position(|w| w == b"\r\n\r\n").unwrap() + 4;
-            return (status, String::from_utf8(buf[body_start..].to_vec()).unwrap());
+            return (
+                status,
+                String::from_utf8(buf[body_start..].to_vec()).unwrap(),
+            );
         }
         let n = stream.read(&mut chunk).unwrap();
         assert!(n > 0, "server closed mid-response");
@@ -81,7 +85,11 @@ fn corrupt_checkpoints_never_unseat_the_serving_generation() {
             "flipped byte {i} must fail the reload"
         );
         expected_errors += 1;
-        assert_eq!(handle.generation(), 0, "flipped byte {i} changed generations");
+        assert_eq!(
+            handle.generation(),
+            0,
+            "flipped byte {i} changed generations"
+        );
     }
 
     // Every truncation (sampled stride for speed, plus the hard edges)
@@ -92,7 +100,11 @@ fn corrupt_checkpoints_never_unseat_the_serving_generation() {
         std::fs::write(&model_path, &pristine[..cut]).unwrap();
         assert!(handle.reload().is_err(), "truncation at {cut} must fail");
         expected_errors += 1;
-        assert_eq!(handle.generation(), 0, "truncation at {cut} changed generations");
+        assert_eq!(
+            handle.generation(),
+            0,
+            "truncation at {cut} changed generations"
+        );
     }
 
     // A deleted artifact fails the same way.
@@ -117,7 +129,10 @@ fn corrupt_checkpoints_never_unseat_the_serving_generation() {
 
     // Exact error accounting, and the pristine artifact still reloads.
     let m = &mmsb_obs::get().unwrap().metrics;
-    assert_eq!(m.counter_total(obs_id::C_SERVE_RELOAD_ERRORS), expected_errors);
+    assert_eq!(
+        m.counter_total(obs_id::C_SERVE_RELOAD_ERRORS),
+        expected_errors
+    );
     assert_eq!(m.counter_total(obs_id::C_SERVE_RELOADS), 0);
 
     std::fs::write(&model_path, &pristine).unwrap();

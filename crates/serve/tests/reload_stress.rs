@@ -44,7 +44,8 @@ fn train(n: u32, k: usize, iters: u64, seed: u64) -> Checkpoint {
     );
     let (graph, heldout) = HeldOut::split(&gen.graph, 20, &mut rng);
     let mut s =
-        ParallelSampler::with_threads(graph, heldout, SamplerConfig::new(k).with_seed(seed), 1).unwrap();
+        ParallelSampler::with_threads(graph, heldout, SamplerConfig::new(k).with_seed(seed), 1)
+            .unwrap();
     s.run(iters);
     s.checkpoint()
 }

@@ -72,11 +72,7 @@ fn plane(n: usize, k: usize, seed: u64) -> Vec<f32> {
 /// descending, ties broken by ascending community id.
 fn reference_order(row: &[f32]) -> Vec<u32> {
     let mut order: Vec<u32> = (0..row.len() as u32).collect();
-    order.sort_by(|&x, &y| {
-        row[y as usize]
-            .total_cmp(&row[x as usize])
-            .then(x.cmp(&y))
-    });
+    order.sort_by(|&x, &y| row[y as usize].total_cmp(&row[x as usize]).then(x.cmp(&y)));
     order
 }
 
@@ -90,8 +86,7 @@ fn topk_matches_full_sort_for_all_prefixes() {
             let n = 24;
             let pi = plane(n, cap_k, 0x9e37 + seed * 1031 + cap_k as u64);
             let beta = vec![0.5f64; cap_k];
-            let snap =
-                ModelSnapshot::from_planes(pi.clone(), beta, 1e-5, Backend::Scalar).unwrap();
+            let snap = ModelSnapshot::from_planes(pi.clone(), beta, 1e-5, Backend::Scalar).unwrap();
             assert_eq!((snap.n(), snap.k()), (n, cap_k));
             let ranked = cap_k.min(TOP_K_CAP);
             assert_eq!(snap.ranked(), ranked);
@@ -142,11 +137,7 @@ fn member_lists_match_full_sort_with_vertex_tiebreak() {
     for c in 0..k {
         let col: Vec<f32> = (0..n).map(|v| pi[v * k + c]).collect();
         let mut want: Vec<u32> = (0..n as u32).collect();
-        want.sort_by(|&x, &y| {
-            col[y as usize]
-                .total_cmp(&col[x as usize])
-                .then(x.cmp(&y))
-        });
+        want.sort_by(|&x, &y| col[y as usize].total_cmp(&col[x as usize]).then(x.cmp(&y)));
         assert_eq!(snap.members_by_weight(c), &want[..], "community {c}");
     }
 }

@@ -113,7 +113,8 @@ fn steady_state_queries_are_allocation_free() {
     );
     let (graph, heldout) = HeldOut::split(&gen.graph, 20, &mut rng);
     let mut sampler =
-        ParallelSampler::with_threads(graph, heldout, SamplerConfig::new(k).with_seed(5), 1).unwrap();
+        ParallelSampler::with_threads(graph, heldout, SamplerConfig::new(k).with_seed(5), 1)
+            .unwrap();
     sampler.run(8);
     let model_path =
         std::env::temp_dir().join(format!("mmsb-serve-zeroalloc-{}.ckpt", std::process::id()));

@@ -262,7 +262,10 @@ impl<const W: usize, const FUSED: bool> LaneF64 for Lanes<W, FUSED> {
         core::array::from_fn(|j| {
             debug_assert!(n[j] == n[j].trunc(), "scale_by_pow2 needs integral n");
             let e = (n[j] as i64 + 1023) as u64;
-            debug_assert!((1..=2046).contains(&e), "scale_by_pow2 outside normal range");
+            debug_assert!(
+                (1..=2046).contains(&e),
+                "scale_by_pow2 outside normal range"
+            );
             v[j] * f64::from_bits(e << 52)
         })
     }
@@ -298,7 +301,10 @@ mod tests {
         let unfused = u.fma([a], [b], [c])[0];
         assert_eq!(fused, a.mul_add(b, c));
         assert_eq!(unfused, a * b + c);
-        assert_ne!(fused, unfused, "inputs chosen to expose the double rounding");
+        assert_ne!(
+            fused, unfused,
+            "inputs chosen to expose the double rounding"
+        );
     }
 
     #[test]

@@ -70,6 +70,4 @@ pub use edge::{edge_dots, edge_dots_f32};
 pub use math::{polar_normal, ulp_distance, vexp, vln};
 pub use phi::{phi_gradient, sgrld_step, PhiScratch};
 pub use prefetch::prefetch;
-pub use theta::{
-    theta_accumulate_pair, theta_chunk_begin, theta_chunk_finish, ThetaScratch,
-};
+pub use theta::{theta_accumulate_pair, theta_chunk_begin, theta_chunk_finish, ThetaScratch};

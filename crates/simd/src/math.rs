@@ -447,7 +447,12 @@ mod tests {
         vln_with(Lanes::<1, true>, &pos, &mut l1);
         vln_with(Lanes::<4, true>, &pos, &mut l4);
         for i in 0..pos.len() {
-            assert_eq!(l1[i].to_bits(), l4[i].to_bits(), "ln width divergence at {}", pos[i]);
+            assert_eq!(
+                l1[i].to_bits(),
+                l4[i].to_bits(),
+                "ln width divergence at {}",
+                pos[i]
+            );
         }
     }
 

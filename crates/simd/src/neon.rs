@@ -146,7 +146,10 @@ impl LaneF64 for NeonLanes {
     #[inline(always)]
     fn mantissa_one_two(self, a: float64x2_t) -> float64x2_t {
         let bits = vreinterpretq_u64_f64(a);
-        let m = vorrq_u64(vandq_u64(bits, vdupq_n_u64(MANT_MASK)), vdupq_n_u64(ONE_BITS));
+        let m = vorrq_u64(
+            vandq_u64(bits, vdupq_n_u64(MANT_MASK)),
+            vdupq_n_u64(ONE_BITS),
+        );
         vreinterpretq_f64_u64(m)
     }
 

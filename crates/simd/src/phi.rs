@@ -434,7 +434,15 @@ mod tests {
 
     #[test]
     fn gradient_close_to_legacy_reference_all_widths() {
-        for &(k, n) in &[(1usize, 3usize), (3, 5), (4, 4), (7, 9), (8, 1), (16, 6), (33, 7)] {
+        for &(k, n) in &[
+            (1usize, 3usize),
+            (3, 5),
+            (4, 4),
+            (7, 9),
+            (8, 1),
+            (16, 6),
+            (33, 7),
+        ] {
             let (phi_a, beta, rows, linked) = setup(k, n, (k * 31 + n) as u64);
             let expect = legacy_gradient(&phi_a, &beta, &rows, k, &linked, 1e-4);
             let mut scratch = PhiScratch::new(k);
@@ -442,15 +450,36 @@ mod tests {
                 let mut got = vec![0.0f64; k];
                 match width_tag {
                     0 => phi_gradient_with(
-                        Lanes::<1, false>, &phi_a, &beta, &rows, k, &linked, 1e-4, &mut scratch,
+                        Lanes::<1, false>,
+                        &phi_a,
+                        &beta,
+                        &rows,
+                        k,
+                        &linked,
+                        1e-4,
+                        &mut scratch,
                         &mut got,
                     ),
                     1 => phi_gradient_with(
-                        Lanes::<2, true>, &phi_a, &beta, &rows, k, &linked, 1e-4, &mut scratch,
+                        Lanes::<2, true>,
+                        &phi_a,
+                        &beta,
+                        &rows,
+                        k,
+                        &linked,
+                        1e-4,
+                        &mut scratch,
                         &mut got,
                     ),
                     _ => phi_gradient_with(
-                        Lanes::<4, true>, &phi_a, &beta, &rows, k, &linked, 1e-4, &mut scratch,
+                        Lanes::<4, true>,
+                        &phi_a,
+                        &beta,
+                        &rows,
+                        k,
+                        &linked,
+                        1e-4,
+                        &mut scratch,
                         &mut got,
                     ),
                 }
@@ -495,14 +524,37 @@ mod tests {
         let mut scratch = PhiScratch::new(16);
         let mut reference = vec![0.0f64; 16];
         phi_gradient(
-            Backend::Scalar, &phi_a, &beta, &rows, 16, &linked, 1e-4, &mut scratch, &mut reference,
+            Backend::Scalar,
+            &phi_a,
+            &beta,
+            &rows,
+            16,
+            &linked,
+            1e-4,
+            &mut scratch,
+            &mut reference,
         );
-        for b in [Backend::Sse2, Backend::Avx2, Backend::Neon, Backend::detect()] {
+        for b in [
+            Backend::Sse2,
+            Backend::Avx2,
+            Backend::Neon,
+            Backend::detect(),
+        ] {
             if !b.available() {
                 continue;
             }
             let mut got = vec![0.0f64; 16];
-            phi_gradient(b, &phi_a, &beta, &rows, 16, &linked, 1e-4, &mut scratch, &mut got);
+            phi_gradient(
+                b,
+                &phi_a,
+                &beta,
+                &rows,
+                16,
+                &linked,
+                1e-4,
+                &mut scratch,
+                &mut got,
+            );
             for c in 0..16 {
                 assert!(
                     (got[c] - reference[c]).abs() < 1e-9 * (1.0 + reference[c].abs()),
@@ -528,7 +580,10 @@ mod tests {
             1e-10,
             &mut grad,
         );
-        assert!(grad.iter().all(|&x| x >= 1e-10 && x.is_finite()), "{grad:?}");
+        assert!(
+            grad.iter().all(|&x| x >= 1e-10 && x.is_finite()),
+            "{grad:?}"
+        );
     }
 
     #[test]

@@ -207,13 +207,23 @@ pub fn theta_accumulate_pair(
             unsafe { crate::x86::theta_accumulate_pair_avx2(scratch, pi_a, pi_b, y, weight) }
         }
         #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => {
-            theta_accumulate_pair_with(crate::x86::Sse2Lanes::mint(), scratch, pi_a, pi_b, y, weight)
-        }
+        Backend::Sse2 => theta_accumulate_pair_with(
+            crate::x86::Sse2Lanes::mint(),
+            scratch,
+            pi_a,
+            pi_b,
+            y,
+            weight,
+        ),
         #[cfg(target_arch = "aarch64")]
-        Backend::Neon => {
-            theta_accumulate_pair_with(crate::neon::NeonLanes::mint(), scratch, pi_a, pi_b, y, weight)
-        }
+        Backend::Neon => theta_accumulate_pair_with(
+            crate::neon::NeonLanes::mint(),
+            scratch,
+            pi_a,
+            pi_b,
+            y,
+            weight,
+        ),
         _ => theta_accumulate_pair_with(ScalarLanes::default(), scratch, pi_a, pi_b, y, weight),
     }
 }
@@ -291,13 +301,28 @@ mod tests {
                 for &(y, wt) in &pairs {
                     match width_tag {
                         0 => theta_accumulate_pair_with(
-                            Lanes::<1, false>, &mut scratch, &pi_a, &pi_b, y, wt,
+                            Lanes::<1, false>,
+                            &mut scratch,
+                            &pi_a,
+                            &pi_b,
+                            y,
+                            wt,
                         ),
                         1 => theta_accumulate_pair_with(
-                            Lanes::<2, true>, &mut scratch, &pi_a, &pi_b, y, wt,
+                            Lanes::<2, true>,
+                            &mut scratch,
+                            &pi_a,
+                            &pi_b,
+                            y,
+                            wt,
                         ),
                         _ => theta_accumulate_pair_with(
-                            Lanes::<4, true>, &mut scratch, &pi_a, &pi_b, y, wt,
+                            Lanes::<4, true>,
+                            &mut scratch,
+                            &pi_a,
+                            &pi_b,
+                            y,
+                            wt,
                         ),
                     }
                 }

@@ -354,8 +354,10 @@ impl LaneF64 for Avx2Lanes {
         // SAFETY: `self` proves AVX2 support (integer 256-bit ops).
         unsafe {
             let bits = _mm256_castpd_si256(a);
-            let eb =
-                _mm256_and_si256(_mm256_srli_epi64::<52>(bits), _mm256_set1_epi64x(EXP_SHIFT_MASK));
+            let eb = _mm256_and_si256(
+                _mm256_srli_epi64::<52>(bits),
+                _mm256_set1_epi64x(EXP_SHIFT_MASK),
+            );
             let db = _mm256_or_si256(eb, _mm256_set1_epi64x(MAGIC_BITS));
             _mm256_sub_pd(_mm256_castsi256_pd(db), _mm256_set1_pd(MAGIC_PLUS_BIAS))
         }

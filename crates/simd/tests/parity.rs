@@ -13,8 +13,8 @@ use mmsb_simd::lanes::Lanes;
 use mmsb_simd::phi::{phi_gradient_with, sgrld_step_with};
 use mmsb_simd::theta::theta_accumulate_pair_with;
 use mmsb_simd::{
-    phi_gradient, sgrld_step, theta_accumulate_pair, theta_chunk_begin, theta_chunk_finish,
-    vexp, vln, Backend, PhiScratch, ThetaScratch,
+    phi_gradient, sgrld_step, theta_accumulate_pair, theta_chunk_begin, theta_chunk_finish, vexp,
+    vln, Backend, PhiScratch, ThetaScratch,
 };
 
 const KS: [usize; 7] = [1, 3, 4, 7, 8, 16, 33];
@@ -178,19 +178,42 @@ fn sgrld_step_bitwise_matches_emulation_per_lane_width() {
             let grad0: Vec<f64> = (0..k).map(|_| 10.0 * (g.f64() - 0.5)).collect();
             let args = (0.1, 0.0025, 117.0, 0.070710678, 1e-10);
             let mut hw = grad0.clone();
-            sgrld_step(b, &phi_a, &noise, args.0, args.1, args.2, args.3, args.4, &mut hw);
+            sgrld_step(
+                b, &phi_a, &noise, args.0, args.1, args.2, args.3, args.4, &mut hw,
+            );
             let mut emul = grad0.clone();
             match (b.lanes(), b.fused()) {
                 (2, false) => sgrld_step_with(
-                    Lanes::<2, false>, &phi_a, &noise, args.0, args.1, args.2, args.3, args.4,
+                    Lanes::<2, false>,
+                    &phi_a,
+                    &noise,
+                    args.0,
+                    args.1,
+                    args.2,
+                    args.3,
+                    args.4,
                     &mut emul,
                 ),
                 (2, true) => sgrld_step_with(
-                    Lanes::<2, true>, &phi_a, &noise, args.0, args.1, args.2, args.3, args.4,
+                    Lanes::<2, true>,
+                    &phi_a,
+                    &noise,
+                    args.0,
+                    args.1,
+                    args.2,
+                    args.3,
+                    args.4,
                     &mut emul,
                 ),
                 (4, true) => sgrld_step_with(
-                    Lanes::<4, true>, &phi_a, &noise, args.0, args.1, args.2, args.3, args.4,
+                    Lanes::<4, true>,
+                    &phi_a,
+                    &noise,
+                    args.0,
+                    args.1,
+                    args.2,
+                    args.3,
+                    args.4,
                     &mut emul,
                 ),
                 other => unreachable!("no emulation for backend shape {other:?}"),
@@ -240,15 +263,15 @@ fn theta_chunk_bitwise_matches_emulation_per_lane_width() {
             theta_chunk_begin(&beta, &theta, delta, &mut scratch);
             for (pa, pb, y, wt) in &pairs {
                 match (b.lanes(), b.fused()) {
-                    (2, false) => theta_accumulate_pair_with(
-                        Lanes::<2, false>, &mut scratch, pa, pb, *y, *wt,
-                    ),
-                    (2, true) => theta_accumulate_pair_with(
-                        Lanes::<2, true>, &mut scratch, pa, pb, *y, *wt,
-                    ),
-                    (4, true) => theta_accumulate_pair_with(
-                        Lanes::<4, true>, &mut scratch, pa, pb, *y, *wt,
-                    ),
+                    (2, false) => {
+                        theta_accumulate_pair_with(Lanes::<2, false>, &mut scratch, pa, pb, *y, *wt)
+                    }
+                    (2, true) => {
+                        theta_accumulate_pair_with(Lanes::<2, true>, &mut scratch, pa, pb, *y, *wt)
+                    }
+                    (4, true) => {
+                        theta_accumulate_pair_with(Lanes::<4, true>, &mut scratch, pa, pb, *y, *wt)
+                    }
                     other => unreachable!("no emulation for backend shape {other:?}"),
                 }
             }
@@ -272,7 +295,16 @@ fn theta_chunk_bitwise_matches_emulation_per_lane_width() {
 fn exp_ln_bitwise_match_emulation_per_backend() {
     let mut g = Gen::new(1234);
     let mut xs: Vec<f64> = (0..4097).map(|_| 1400.0 * (g.f64() - 0.5)).collect();
-    xs.extend([0.0, -0.0, 1.0, f64::NAN, f64::INFINITY, 1e-310, 750.0, -750.0]);
+    xs.extend([
+        0.0,
+        -0.0,
+        1.0,
+        f64::NAN,
+        f64::INFINITY,
+        1e-310,
+        750.0,
+        -750.0,
+    ]);
     for b in backends() {
         let mut hw = vec![0.0; xs.len()];
         let mut emul = vec![0.0; xs.len()];

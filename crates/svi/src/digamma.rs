@@ -24,10 +24,9 @@ pub fn digamma(x: f64) -> f64 {
     // Asymptotic expansion: ln x - 1/(2x) - sum B_2n / (2n x^{2n}).
     let inv = 1.0 / x;
     let inv2 = inv * inv;
-    result += x.ln() - 0.5 * inv
-        - inv2
-            * (1.0 / 12.0
-                - inv2 * (1.0 / 120.0 - inv2 * (1.0 / 252.0 - inv2 * (1.0 / 240.0))));
+    result += x.ln()
+        - 0.5 * inv
+        - inv2 * (1.0 / 12.0 - inv2 * (1.0 / 120.0 - inv2 * (1.0 / 252.0 - inv2 * (1.0 / 240.0))));
     result
 }
 

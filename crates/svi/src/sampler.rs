@@ -218,7 +218,11 @@ impl SviSampler {
         }
         for c in 0..k {
             for i in 0..2 {
-                let prior = if i == 0 { self.config.eta.0 } else { self.config.eta.1 };
+                let prior = if i == 0 {
+                    self.config.eta.0
+                } else {
+                    self.config.eta.1
+                };
                 let target = prior + lambda_stats[2 * c + i];
                 let l = &mut self.lambda[2 * c + i];
                 *l = (1.0 - rho) * *l + rho * target;

@@ -48,8 +48,8 @@ fn main() {
 
     // --- SG-MCMC (this paper) --------------------------------------
     let config = SamplerConfig::new(12).with_seed(5).with_minibatch(strategy);
-    let mut mcmc = ParallelSampler::new(train.clone(), heldout.clone(), config)
-        .expect("valid configuration");
+    let mut mcmc =
+        ParallelSampler::new(train.clone(), heldout.clone(), config).expect("valid configuration");
     let mut posterior = PosteriorMean::new(generated.graph.num_vertices(), 12);
     println!("\nSG-MCMC (parallel driver):");
     println!("{:>6}  {:>10}  {:>8}", "iter", "perplexity", "F1");

@@ -38,7 +38,10 @@ fn main() {
             );
             let path = dir.join("synthetic_edges.txt");
             io::save_edge_list(&generated.graph, &path).expect("write edge list");
-            println!("wrote synthetic SNAP-format edge list to {}", path.display());
+            println!(
+                "wrote synthetic SNAP-format edge list to {}",
+                path.display()
+            );
             path
         }
     };
@@ -57,12 +60,12 @@ fn main() {
     let heldout_links = (loaded.graph.num_edges() / 50).max(10) as usize;
     let (train, heldout) = HeldOut::split(&loaded.graph, heldout_links, &mut rng);
     let k = 16;
-    let config = SamplerConfig::new(k).with_seed(1).with_minibatch(
-        Strategy::StratifiedNode {
+    let config = SamplerConfig::new(k)
+        .with_seed(1)
+        .with_minibatch(Strategy::StratifiedNode {
             partitions: 16,
             anchors: 24,
-        },
-    );
+        });
     let mut sampler = ParallelSampler::new(train, heldout, config).expect("valid configuration");
     for round in 1..=5 {
         sampler.run(400);

@@ -45,13 +45,9 @@ fn main() {
         let mut times = Vec::new();
         for mode in [PipelineMode::Single, PipelineMode::Double] {
             let dcfg = DistributedConfig::das5(workers).with_pipeline(mode);
-            let mut sampler = DistributedSampler::new(
-                train.clone(),
-                heldout.clone(),
-                config.clone(),
-                dcfg,
-            )
-            .expect("valid configuration");
+            let mut sampler =
+                DistributedSampler::new(train.clone(), heldout.clone(), config.clone(), dcfg)
+                    .expect("valid configuration");
             sampler.run(iters);
             times.push(sampler.virtual_time());
         }

@@ -37,12 +37,12 @@ fn main() {
 
     // 3. Train. K matches the planted count here; in practice K is a
     //    modeling choice.
-    let config = SamplerConfig::new(8).with_seed(7).with_minibatch(
-        Strategy::StratifiedNode {
+    let config = SamplerConfig::new(8)
+        .with_seed(7)
+        .with_minibatch(Strategy::StratifiedNode {
             partitions: 16,
             anchors: 16,
-        },
-    );
+        });
     let mut sampler =
         ParallelSampler::with_threads(train, heldout, config, 1).expect("valid configuration");
 

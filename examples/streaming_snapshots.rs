@@ -46,12 +46,12 @@ fn main() {
     let first = snapshot(0);
     let mut rng = Xoshiro256PlusPlus::seed_from_u64(77);
     let (train0, held0) = HeldOut::split(&first.graph, 120, &mut rng);
-    let config = SamplerConfig::new(k).with_seed(7).with_minibatch(
-        Strategy::StratifiedNode {
+    let config = SamplerConfig::new(k)
+        .with_seed(7)
+        .with_minibatch(Strategy::StratifiedNode {
             partitions: 16,
             anchors: 16,
-        },
-    );
+        });
     let mut warm =
         ParallelSampler::new(train0, held0, config.clone()).expect("valid configuration");
 
@@ -68,8 +68,8 @@ fn main() {
                 .expect("same vertex set");
         }
         // Cold model: restarted from scratch on every snapshot.
-        let mut cold = ParallelSampler::new(train, heldout, config.clone())
-            .expect("valid configuration");
+        let mut cold =
+            ParallelSampler::new(train, heldout, config.clone()).expect("valid configuration");
 
         for round in 1..=4 {
             warm.run(iters_per_phase / 4);

@@ -40,7 +40,11 @@ fn both_methods_beat_random_initialization() {
         "SG-MCMC did not improve: {mcmc_init} -> {mcmc_final}"
     );
 
-    let mut svi = SviSampler::new(g, h, SviConfig::new(8).with_seed(3).with_minibatch(strategy));
+    let mut svi = SviSampler::new(
+        g,
+        h,
+        SviConfig::new(8).with_seed(3).with_minibatch(strategy),
+    );
     let svi_init = svi.evaluate_perplexity();
     svi.run(2000);
     let svi_final = svi.evaluate_perplexity();
@@ -64,7 +68,11 @@ fn mcmc_recovery_is_at_least_competitive_with_svi() {
     mcmc.run(iters);
     let mcmc_f1 = eval::best_match_f1(&mcmc.communities(0.1).members, &truth);
 
-    let mut svi = SviSampler::new(g, h, SviConfig::new(8).with_seed(5).with_minibatch(strategy));
+    let mut svi = SviSampler::new(
+        g,
+        h,
+        SviConfig::new(8).with_seed(5).with_minibatch(strategy),
+    );
     svi.run(iters);
     let svi_f1 = eval::best_match_f1(&svi.communities(0.1), &truth);
 

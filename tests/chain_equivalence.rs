@@ -23,10 +23,12 @@ fn setup(seed: u64) -> (Graph, HeldOut, GroundTruth) {
 }
 
 fn config() -> SamplerConfig {
-    SamplerConfig::new(5).with_seed(41).with_minibatch(Strategy::StratifiedNode {
-        partitions: 8,
-        anchors: 8,
-    })
+    SamplerConfig::new(5)
+        .with_seed(41)
+        .with_minibatch(Strategy::StratifiedNode {
+            partitions: 8,
+            anchors: 8,
+        })
 }
 
 #[test]
@@ -74,7 +76,11 @@ fn distributed_perplexity_matches_sequential_within_tolerance() {
     seq.run(12);
     dist.run(12);
     let (ps, pd) = (seq.evaluate_perplexity(), dist.evaluate_perplexity());
-    assert_eq!(ps.to_bits(), pd.to_bits(), "perplexity diverged: {ps} vs {pd}");
+    assert_eq!(
+        ps.to_bits(),
+        pd.to_bits(),
+        "perplexity diverged: {ps} vs {pd}"
+    );
 }
 
 /// The chain after `STEPS` iterations and one perplexity evaluation:
@@ -101,11 +107,16 @@ fn one_chain_across_drivers_worker_counts_and_pipeline_modes() {
             chain(s.evaluate_perplexity(), s.checkpoint())
         };
         let reference = pool(1);
-        assert!(pool(2) == reference, "pool driver at 2 threads, {:?}", cfg.minibatch);
+        assert!(
+            pool(2) == reference,
+            "pool driver at 2 threads, {:?}",
+            cfg.minibatch
+        );
         for mode in [PipelineMode::Single, PipelineMode::Double] {
             for workers in [1, 3, 8] {
                 let dcfg = DistributedConfig::das5(workers).with_pipeline(mode);
-                let mut d = DistributedSampler::new(g.clone(), h.clone(), cfg.clone(), dcfg).unwrap();
+                let mut d =
+                    DistributedSampler::new(g.clone(), h.clone(), cfg.clone(), dcfg).unwrap();
                 d.run(STEPS);
                 assert!(
                     chain(d.evaluate_perplexity(), d.checkpoint()) == reference,

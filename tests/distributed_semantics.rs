@@ -95,8 +95,7 @@ fn ideal_network_removes_load_pi_wire_time() {
 #[test]
 fn report_phase_totals_cover_the_pipeline() {
     let (g, h) = setup(4, 400);
-    let mut d =
-        DistributedSampler::new(g, h, config(8), DistributedConfig::das5(4)).unwrap();
+    let mut d = DistributedSampler::new(g, h, config(8), DistributedConfig::das5(4)).unwrap();
     d.run(6);
     d.evaluate_perplexity();
     let report = d.report();
@@ -134,7 +133,11 @@ fn update_phi_dominates_like_the_paper_says() {
     d.run(8);
     let r = d.report();
     let phi_stage = r.phases.total(Phase::LoadPi) + r.phases.total(Phase::UpdatePhi);
-    for other in [Phase::UpdatePi, Phase::UpdateBetaTheta, Phase::SampleNeighbors] {
+    for other in [
+        Phase::UpdatePi,
+        Phase::UpdateBetaTheta,
+        Phase::SampleNeighbors,
+    ] {
         assert!(
             phi_stage > r.phases.total(other),
             "update_phi ({phi_stage}) not dominant over {other:?} ({})",

@@ -34,10 +34,7 @@ fn recovers_strong_planted_communities() {
         "perplexity barely moved: {initial} -> {trained}"
     );
 
-    let f1 = eval::best_match_f1(
-        &sampler.communities(0.1).members,
-        &generated.ground_truth,
-    );
+    let f1 = eval::best_match_f1(&sampler.communities(0.1).members, &generated.ground_truth);
     assert!(f1 > 0.35, "community recovery too weak: F1 = {f1:.3}");
 }
 

@@ -30,7 +30,11 @@ fn dkv_store_rejects_bad_batches_without_mutation() {
         .write_batch(&[1, 99], &[0.0, 0.0, 0.0, 0.0])
         .unwrap_err();
     assert!(matches!(err, DkvError::KeyOutOfRange { key: 99, .. }));
-    assert_eq!(store.read_row(1).unwrap(), vec![5.0, 6.0], "partial write leaked");
+    assert_eq!(
+        store.read_row(1).unwrap(),
+        vec![5.0, 6.0],
+        "partial write leaked"
+    );
 
     // Wrong buffer shape.
     let err = store.write_batch(&[1], &[0.0]).unwrap_err();

@@ -104,7 +104,10 @@ fn collective_costs_are_monotone() {
         let bytes = meta.below(1 << 22) as usize;
         let barrier = collective::barrier;
         assert!(barrier(&net, ranks) >= 0.0, "case {case}");
-        assert!(barrier(&net, 2 * ranks) >= barrier(&net, ranks), "case {case}");
+        assert!(
+            barrier(&net, 2 * ranks) >= barrier(&net, ranks),
+            "case {case}"
+        );
         assert!(
             collective::broadcast(&net, ranks, 2 * bytes)
                 >= collective::broadcast(&net, ranks, bytes),

@@ -54,8 +54,9 @@ fn simd_train_matches_scalar_statistically() {
     );
 
     // Both chains must actually learn...
-    for (backend, (&p0, &p1)) in
-        [Backend::Scalar, widest].iter().zip(initial.iter().zip(&ppx))
+    for (backend, (&p0, &p1)) in [Backend::Scalar, widest]
+        .iter()
+        .zip(initial.iter().zip(&ppx))
     {
         assert!(
             p1 < 0.8 * p0,
