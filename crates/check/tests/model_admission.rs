@@ -12,8 +12,8 @@
 //! * **no lost connections at drain** — an admit racing `begin_drain`
 //!   either refuses or is fully visible to the drainer; the drain's
 //!   quiescence condition is reached in every interleaving;
-//! * **shed correction is exact** — over-cap admits undo their charge,
-//!   so `admitted + shed == attempts` and the gauge never wedges;
+//! * **the lifecycle is monotone** — `begin_drain` racing `force_close`
+//!   never rolls a closed controller back to draining;
 //! * **the checker actually catches bugs** — two seeded-bug negative
 //!   controls (a leaked permit, a double decrement) must each produce a
 //!   violation, so the green runs above mean something.
@@ -21,7 +21,7 @@
 use std::sync::Arc;
 
 use mmsb_check::model::{self, explore, Config, ModelSync};
-use mmsb_serve::{AdmissionIn, Admit, ConnClose, Lifecycle};
+use mmsb_serve::{AdmissionIn, ConnClose, Lifecycle};
 
 type Adm = AdmissionIn<ModelSync>;
 
@@ -34,35 +34,31 @@ fn cfg() -> Config {
     }
 }
 
-/// Two threads admit, serve a request, and release concurrently: in
-/// every interleaving the books balance and the controller is
-/// quiescent after both are joined.
+/// Two threads admit and release concurrently: in every interleaving
+/// the books balance and the controller is quiescent after both are
+/// joined.
 #[test]
 fn concurrent_admits_conserve_slots() {
     let report = explore(&cfg(), || {
-        let adm = Arc::new(Adm::new(2, 2));
+        let adm = Arc::new(Adm::new());
         let worker = {
             let adm = Arc::clone(&adm);
             model::spawn("worker", move || {
-                if let Admit::Admitted(permit) = adm.try_admit() {
-                    let req = adm.begin_request();
-                    drop(req);
+                if let Some(permit) = adm.try_admit() {
                     drop(permit);
                 }
             })
         };
-        if let Admit::Admitted(permit) = adm.try_admit() {
-            let req = adm.begin_request();
-            drop(req);
+        if let Some(permit) = adm.try_admit() {
             permit.close(ConnClose::Normal);
         }
         model::join(worker);
 
         assert!(adm.quiescent(), "slots leaked: {adm:?}");
-        let (admitted, released, shed_conns, shed_requests) = adm.totals();
+        let (admitted, released, shed_conns) = adm.totals();
         assert_eq!(admitted, released, "admit/release books must balance");
-        assert_eq!(admitted, 2, "cap 2 admits both");
-        assert_eq!((shed_conns, shed_requests), (0, 0));
+        assert_eq!(admitted, 2, "an accepting controller admits both");
+        assert_eq!(shed_conns, 0);
     });
     report.assert_ok();
     assert!(report.complete, "protocol should be fully explorable");
@@ -76,7 +72,7 @@ fn concurrent_admits_conserve_slots() {
 #[test]
 fn drain_racing_admit_never_loses_a_connection() {
     let report = explore(&cfg(), || {
-        let adm = Arc::new(Adm::new(4, 4));
+        let adm = Arc::new(Adm::new());
         let drainer = {
             let adm = Arc::clone(&adm);
             model::spawn("drainer", move || {
@@ -84,14 +80,13 @@ fn drain_racing_admit_never_loses_a_connection() {
             })
         };
         let admitted = match adm.try_admit() {
-            Admit::Admitted(permit) => {
+            Some(permit) => {
                 // Slot charged: the drainer must see it until closed.
                 assert!(!adm.quiescent());
                 permit.close(ConnClose::DrainCompleted);
                 true
             }
-            Admit::Shed => panic!("cap 4 cannot shed a single admit"),
-            Admit::Draining => false,
+            None => false,
         };
         model::join(drainer);
 
@@ -99,7 +94,7 @@ fn drain_racing_admit_never_loses_a_connection() {
         // controller is quiescent and stays closed to new work.
         assert!(adm.quiescent(), "drain cannot terminate: {adm:?}");
         assert_eq!(adm.lifecycle(), Lifecycle::Draining);
-        assert!(matches!(adm.try_admit(), Admit::Draining));
+        assert!(adm.try_admit().is_none());
         let (completed, aborted) = adm.drain_counts();
         assert_eq!(aborted, 0);
         assert_eq!(completed, usize::from(admitted));
@@ -111,49 +106,12 @@ fn drain_racing_admit_never_loses_a_connection() {
     assert!(report.executions > 1, "drain/admit must interleave");
 }
 
-/// Two threads fight over a single connection slot: the loser's
-/// corrective decrement must be exact, so `admitted + shed == attempts`
-/// and the slot count never wedges above the cap.
-#[test]
-fn over_cap_shed_correction_is_exact() {
-    let report = explore(&cfg(), || {
-        let adm = Arc::new(Adm::new(1, 4));
-        let rival = {
-            let adm = Arc::clone(&adm);
-            model::spawn("rival", move || {
-                if let Admit::Admitted(permit) = adm.try_admit() {
-                    drop(permit);
-                }
-            })
-        };
-        if let Admit::Admitted(permit) = adm.try_admit() {
-            drop(permit);
-        }
-        model::join(rival);
-
-        assert!(adm.quiescent(), "shed correction leaked a slot: {adm:?}");
-        let (admitted, released, shed_conns, _) = adm.totals();
-        assert_eq!(admitted, released);
-        assert_eq!(
-            admitted + shed_conns,
-            2,
-            "every attempt is admitted or shed, never lost"
-        );
-        assert!(admitted >= 1, "serial losers aside, someone got in");
-        // The slot is free again: the cap was never wedged by the race.
-        assert!(matches!(adm.try_admit(), Admit::Admitted(_)));
-    });
-    report.assert_ok();
-    assert!(report.complete);
-    assert!(report.executions > 1, "cap fight must interleave");
-}
-
 /// Lifecycle is monotone under a drain/force-close race: `begin_drain`
 /// can never roll a `Closed` controller back to `Draining`.
 #[test]
 fn lifecycle_is_monotone_under_races() {
     let report = explore(&cfg(), || {
-        let adm = Arc::new(Adm::new(2, 2));
+        let adm = Arc::new(Adm::new());
         let closer = {
             let adm = Arc::clone(&adm);
             model::spawn("closer", move || {
@@ -167,7 +125,7 @@ fn lifecycle_is_monotone_under_races() {
             Lifecycle::Closed,
             "begin_drain rolled back a force_close"
         );
-        assert!(matches!(adm.try_admit(), Admit::Draining));
+        assert!(adm.try_admit().is_none());
     });
     report.assert_ok();
     assert!(report.complete);
@@ -180,11 +138,11 @@ fn lifecycle_is_monotone_under_races() {
 #[test]
 fn seeded_leaked_permit_is_caught() {
     let report = explore(&cfg(), || {
-        let adm = Arc::new(Adm::new(2, 2));
+        let adm = Arc::new(Adm::new());
         let leaker = {
             let adm = Arc::clone(&adm);
             model::spawn("leaker", move || {
-                if let Admit::Admitted(permit) = adm.try_admit() {
+                if let Some(permit) = adm.try_admit() {
                     // Seeded bug: the slot's decrement never happens.
                     std::mem::forget(permit);
                 }
@@ -206,8 +164,8 @@ fn seeded_leaked_permit_is_caught() {
 #[test]
 fn seeded_double_decrement_is_caught() {
     let report = explore(&cfg(), || {
-        let adm = Arc::new(Adm::new(2, 2));
-        if let Admit::Admitted(permit) = adm.try_admit() {
+        let adm = Arc::new(Adm::new());
+        if let Some(permit) = adm.try_admit() {
             drop(permit); // legitimate release
         }
         // Seeded bug: a second release of the same slot.

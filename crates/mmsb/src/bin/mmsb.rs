@@ -46,6 +46,17 @@ impl Args {
         Ok(Self { command, flags })
     }
 
+    /// Refuse any flag outside `known` (space-separated names) and
+    /// `--help`: a misspelt or retired flag is an error rather than
+    /// silently ignored.
+    fn only(&self, known: &str) -> Result<(), String> {
+        let known = |f: &&String| *f == "help" || known.split_whitespace().any(|k| k == f.as_str());
+        match self.flags.keys().filter(|f| !known(f)).min() {
+            Some(flag) => Err(format!("unknown flag --{flag} for mmsb {}", self.command)),
+            None => Ok(()),
+        }
+    }
+
     fn get(&self, name: &str) -> Option<&str> {
         self.flags.get(name).map(String::as_str)
     }
@@ -63,7 +74,7 @@ impl Args {
 fn usage() -> String {
     "usage: mmsb <datasets|generate|convert|train|simulate|serve> [--flags]\n\
      observability (train/simulate): --obs-level off|metrics|spans \
-     --metrics-out FILE --trace-out FILE\n\
+     --metrics-out FILE --trace-out FILE (serve: --obs-level only)\n\
      run `mmsb <command> --help` for the command's flags"
         .to_string()
 }
@@ -193,7 +204,7 @@ fn main() -> ExitCode {
         }
     };
     let result = match args.command.as_str() {
-        "datasets" => cmd_datasets(),
+        "datasets" => args.only("").and_then(|()| cmd_datasets()),
         "generate" => cmd_generate(&args),
         "convert" => cmd_convert(&args),
         "train" => cmd_train(&args),
@@ -256,6 +267,7 @@ fn generated_from_args(args: &Args) -> Result<GeneratedGraph, String> {
 }
 
 fn cmd_generate(args: &Args) -> Result<(), String> {
+    args.only("dataset vertices communities mean-degree overlap seed out truth")?;
     if args.get("help").is_some() {
         println!(
             "mmsb generate [--dataset NAME | --vertices N --communities K \
@@ -282,6 +294,7 @@ fn cmd_generate(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_convert(args: &Args) -> Result<(), String> {
+    args.only("input out block-size map")?;
     if args.get("help").is_some() {
         println!(
             "mmsb convert --input FILE --out FILE [--block-size BYTES] [--map FILE]\n\
@@ -336,6 +349,11 @@ fn cmd_convert(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_train(args: &Args) -> Result<(), String> {
+    args.only(
+        "input dataset vertices communities mean-degree overlap seed graph-format \
+         cache-blocks k iters driver eval-every heldout threshold out checkpoint \
+         checkpoint-every simd obs-level metrics-out trace-out",
+    )?;
     if args.get("help").is_some() {
         println!(
             "mmsb train [--input FILE | --dataset NAME | generator flags] \
@@ -477,6 +495,10 @@ fn cmd_train(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_simulate(args: &Args) -> Result<(), String> {
+    args.only(
+        "dataset vertices communities mean-degree overlap seed workers k iters pipeline \
+         faults kill checkpoint-every checkpoint resume simd obs-level metrics-out trace-out",
+    )?;
     if args.get("help").is_some() {
         println!(
             "mmsb simulate [--workers R] [--k K] [--iters N] [--pipeline on|off] \
@@ -587,29 +609,25 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_serve(args: &Args) -> Result<(), String> {
+    // No --metrics-out/--trace-out: serve runs until killed, so it never
+    // writes them; its metrics are `GET /metricsz`.
+    args.only("model addr threads delta k simd deadline-ms obs-level")?;
     if args.get("help").is_some() {
         println!(
             "mmsb serve --model FILE [--addr HOST:PORT] [--threads N] \
              [--delta D] [--k K] [--simd auto|scalar|sse2|avx2|neon] \
-             [--max-conns N] [--max-inflight N] [--deadline-ms MS] \
-             [--drain-ms MS] [--keepalive-budget N] [--rate-limit QPS] \
-             [--obs-level off|metrics|spans]\n\
+             [--deadline-ms MS] [--obs-level off|metrics|spans]\n\
              serves a checkpoint (from `mmsb train --checkpoint` or \
-             `mmsb simulate --checkpoint`) over HTTP until killed; \
-             --k is the default top-k for /v1/membership (1..={cap}: a \
+             `mmsb simulate --checkpoint`) over HTTP until killed, with no \
+             drain; --k is the default top-k for /v1/membership (1..={cap}: a \
              snapshot ranks each vertex's {cap} heaviest communities, and \
              a ?k= above min(K, {cap}) is clamped to it), --delta the \
-             Eq. 7 inter-community link probability, --threads the \
-             number of concurrently served connections.\n\
-             overload protection: --max-conns / --max-inflight cap \
-             admitted connections / in-flight requests (0 = auto = \
-             threads; excess traffic gets fast-path 503 + Retry-After), \
-             --deadline-ms bounds each response (across all its partial \
-             writes) and half-received requests (default 5000), --drain-ms is the graceful-drain \
-             budget on shutdown (default 2000), --keepalive-budget \
-             closes a connection after N requests so queued peers get a \
-             turn (0 = unlimited), --rate-limit answers 429 over QPS \
-             requests/second per worker (0 = off).\n\
+             Eq. 7 inter-community link probability.\n\
+             overload protection: --threads workers each serve one \
+             connection at a time; while all of them are busy, queued \
+             connections get a fast-path 503 + Retry-After. --deadline-ms \
+             bounds each response (across all its partial writes) and \
+             half-received requests (default 5000).\n\
              endpoints: GET /healthz | GET /metricsz | \
              GET /v1/membership/VERTEX?k=N | GET /v1/edge/I/J | \
              GET /v1/community/C?min_weight=W | POST /v1/reload",
@@ -629,12 +647,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         delta: args.parsed("delta", 1e-5)?,
         backend,
         default_k: args.parsed("k", 5)?,
-        max_conns: args.parsed("max-conns", 0)?,
-        max_inflight: args.parsed("max-inflight", 0)?,
         deadline_ms: args.parsed("deadline-ms", 5_000)?,
-        drain_ms: args.parsed("drain-ms", 2_000)?,
-        keepalive_budget: args.parsed("keepalive-budget", 0)?,
-        rate_limit: args.parsed("rate-limit", 0)?,
     };
     let handle = mmsb::serve::ServeHandle::start(std::path::Path::new(model), &cfg)
         .map_err(|e| e.to_string())?;

@@ -64,6 +64,29 @@ fn unknown_driver_is_rejected_before_training() {
     assert!(out.stdout.is_empty(), "nothing may be trained");
 }
 
+/// A flag a command does not read (here a typo of `--iters`, and a
+/// flag `datasets` never takes) exits 1 naming it, before any work.
+#[test]
+fn unknown_flags_are_rejected_by_name() {
+    for (args, flag) in [
+        (
+            &["train", "--vertices", "200", "--iters", "1", "--itres", "5"][..],
+            "itres",
+        ),
+        (&["datasets", "--bogus", "1"][..], "bogus"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_mmsb"))
+            .args(args)
+            .output()
+            .expect("run mmsb binary");
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let want = format!("unknown flag --{flag} for mmsb {}", args[0]);
+        assert!(stderr.contains(&want), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}: nothing may run");
+    }
+}
+
 #[test]
 fn sequential_and_parallel_print_identical_perplexity_traces() {
     let sequential = perplexity_trace("sequential");

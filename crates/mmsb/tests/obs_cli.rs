@@ -1,8 +1,8 @@
 //! End-to-end observability round-trip through the `mmsb` binary:
 //! `simulate --obs-level spans --trace-out --metrics-out` must produce a
 //! chrome-trace file the in-tree parser validates and a metrics snapshot
-//! covering every sampler phase, the DKV ops, the collectives and its one
-//! checkpoint save; `train --metrics-out` counts every checkpoint it
+//! covering every sampler phase, the DKV ops (one priced latency per
+//! batch, no span), the collectives and its one checkpoint save; `train --metrics-out` counts every checkpoint it
 //! saves; and the CLI sizes span rings only when it records spans.
 
 use std::path::PathBuf;
@@ -12,6 +12,17 @@ fn out_path(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
     p.push(format!("mmsb-obs-cli-{}-{name}", std::process::id()));
     p
+}
+
+/// The integer after `"{key}": ` (a counter) or `"{key}": {"count": `
+/// (a histogram's count) in a metrics snapshot.
+fn metric(json: &str, key: &str) -> u64 {
+    let at = json.find(&format!("\"{key}\": ")).expect(key) + key.len() + 4;
+    let rest = json[at..].trim_start_matches("{\"count\": ");
+    let end = rest
+        .find(|c: char| !c.is_ascii_digit())
+        .unwrap_or(rest.len());
+    rest[..end].parse().expect(key)
 }
 
 #[test]
@@ -52,15 +63,12 @@ fn simulate_exports_valid_trace_and_metrics() {
     let events = mmsb::obs::export::parse_chrome_trace(&text).expect("trace parses");
     mmsb::obs::export::validate_trace(&events).expect("trace validates");
     let names: std::collections::HashSet<&str> = events.iter().map(|e| e.name.as_str()).collect();
-    for required in [
-        "step",
-        "draw_minibatch",
-        "update_phi",
-        "dkv_read",
-        "dkv_write",
-        "checkpoint",
-    ] {
+    for required in ["step", "draw_minibatch", "update_phi", "checkpoint"] {
         assert!(names.contains(required), "trace has no {required:?} span");
+    }
+    // The price does no I/O, so it opens no DKV span.
+    for priced in ["dkv_read", "dkv_write"] {
+        assert!(!names.contains(priced), "trace times a priced {priced:?}");
     }
     // The virtual-timeline track (re-emitted breakdown) is present.
     assert!(
@@ -95,6 +103,14 @@ fn simulate_exports_valid_trace_and_metrics() {
         "\"spans\":",
     ] {
         assert!(m.contains(field), "metrics snapshot missing {field}:\n{m}");
+    }
+    // A priced DKV access records its modelled time, once per batch.
+    for (hist, batches) in [
+        ("dkv_read_ns", "dkv_read_batches"),
+        ("dkv_write_ns", "dkv_write_batches"),
+    ] {
+        assert!(metric(&m, batches) > 0, "no {batches}:\n{m}");
+        assert_eq!(metric(&m, hist), metric(&m, batches), "{hist}:\n{m}");
     }
     // Phase histograms actually accumulated (counts are per-iteration).
     assert!(

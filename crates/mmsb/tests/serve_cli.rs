@@ -2,7 +2,9 @@
 //! snapshot ranks at most 16 communities per vertex: `--k 0` (every
 //! plain membership query answered with an empty list) and `--k 17`
 //! (silently answered with 16) are refused at start-up with a non-zero
-//! exit, while `--k 16` serves.
+//! exit, while `--k 16` serves. A flag `serve` does not read — the
+//! retired overload knobs, and the export files a server that runs until
+//! killed never writes — exits 1 naming it.
 
 use std::io::{BufRead as _, BufReader};
 use std::path::PathBuf;
@@ -69,4 +71,30 @@ fn serve_refuses_a_default_k_the_snapshot_cannot_serve() {
     server.wait().unwrap();
     assert!(first.starts_with("serving "), "{first}");
     std::fs::remove_file(&model).ok();
+}
+
+#[test]
+fn serve_refuses_flags_it_does_not_read() {
+    for flag in [
+        "max-conns",
+        "max-inflight",
+        "keepalive-budget",
+        "rate-limit",
+        "drain-ms",
+        "metrics-out",
+        "trace-out",
+    ] {
+        // Exits before the model is read, so it need not exist.
+        let out = mmsb()
+            .args(["serve", "--model", "missing.ckpt", "--addr", "127.0.0.1:0"])
+            .args([&format!("--{flag}"), "5"])
+            .output()
+            .expect("run mmsb serve");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "--{flag}: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown flag --{flag} for mmsb serve")),
+            "--{flag}: {stderr}"
+        );
+    }
 }

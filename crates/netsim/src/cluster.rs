@@ -383,10 +383,8 @@ impl ClusterModel {
             let compute = node.worker_secs(prices.apply_vertex_k, vs.len() * k);
             self.keys.clear();
             self.keys.extend_from_slice(&step.vertices[vs]);
-            let wire = {
-                let _obs = OpObs::write(&self.keys);
-                self.cost.write_cost(w, &self.keys)
-            };
+            let wire = self.cost.write_cost(w, &self.keys);
+            OpObs::priced_write(&self.keys, wire);
             // A failed write is re-issued whole (writes are idempotent row
             // overwrites); only its modeled time is paid, its backoff
             // jittered at a site mixed from its rank and iteration.

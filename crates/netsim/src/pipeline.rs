@@ -52,8 +52,8 @@ impl PipelineRun {
 /// Price rank `rank`'s pass over `keys`, where item `i` owns
 /// `keys[ends[i - 1]..ends[i]]` (`ends` is non-decreasing and ends at
 /// `keys.len()`). Items are grouped into chunks of `chunk_items`; each
-/// chunk's keys are recorded as one DKV read ([`OpObs`]) and priced with
-/// [`CostModel::read_cost`], and its compute is `key_secs` per key. The
+/// chunk's keys are priced with [`CostModel::read_cost`] and recorded as
+/// one DKV read at that price ([`OpObs::priced_read`]), and its compute is `key_secs` per key. The
 /// makespan is, with `compute_{-1} = 0`:
 ///
 /// * `Single`: `Σ (load_i + compute_i)`;
@@ -109,10 +109,8 @@ fn chunk_prices<'a>(
         let end = chunk_ends[chunk_ends.len() - 1];
         let chunk = &keys[start..end];
         start = end;
-        let load = {
-            let _obs = OpObs::read(chunk);
-            cost.read_cost(rank, chunk)
-        };
+        let load = cost.read_cost(rank, chunk);
+        OpObs::priced_read(chunk, load);
         (load, chunk.len() as f64 * key_secs)
     })
 }

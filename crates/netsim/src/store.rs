@@ -6,11 +6,13 @@ use crate::NetworkModel;
 use mmsb_obs::id as obs_id;
 
 /// Per-batch instrumentation of one DKV read or write: bumps the
-/// batch/key counters at open and, when dropped, records the latency
-/// histogram (and a span at spans level) from its one span guard,
-/// covering every return path. The store's `read_batch`/`write_batch`
-/// hold one across the copy; the simulated cluster holds one across each
-/// access it prices. Pure atomics — allocation-free, as
+/// batch/key counters and fills the latency histogram. The store's
+/// `read_batch`/`write_batch` hold an [`OpObs::read`]/[`OpObs::write`]
+/// guard across the copy, which records the histogram (and a span at
+/// spans level) when dropped, covering every return path. The simulated
+/// cluster does no I/O to time: it records each access it prices with
+/// [`OpObs::priced_read`]/[`OpObs::priced_write`], the modelled seconds
+/// in the histogram and no span. Pure atomics — allocation-free, as
 /// `crates/core/tests/zero_alloc.rs` verifies.
 pub struct OpObs {
     _span: mmsb_obs::Span,
@@ -19,8 +21,7 @@ pub struct OpObs {
 impl OpObs {
     /// Open the record of a read of `keys`.
     pub fn read(keys: &[u32]) -> Self {
-        mmsb_obs::counter_add(obs_id::C_DKV_READ_BATCHES, 1);
-        mmsb_obs::counter_add(obs_id::C_DKV_READ_KEYS, keys.len() as u64);
+        count_batch(obs_id::C_DKV_READ_BATCHES, obs_id::C_DKV_READ_KEYS, keys);
         Self {
             _span: mmsb_obs::timed_span(obs_id::S_DKV_READ, obs_id::H_DKV_READ_NS),
         }
@@ -28,12 +29,32 @@ impl OpObs {
 
     /// Open the record of a write of `keys`.
     pub fn write(keys: &[u32]) -> Self {
-        mmsb_obs::counter_add(obs_id::C_DKV_WRITE_BATCHES, 1);
-        mmsb_obs::counter_add(obs_id::C_DKV_WRITE_KEYS, keys.len() as u64);
+        count_batch(obs_id::C_DKV_WRITE_BATCHES, obs_id::C_DKV_WRITE_KEYS, keys);
         Self {
             _span: mmsb_obs::timed_span(obs_id::S_DKV_WRITE, obs_id::H_DKV_WRITE_NS),
         }
     }
+
+    /// Record a read of `keys` that the simulated cluster priced at
+    /// `secs` of modelled time.
+    pub fn priced_read(keys: &[u32], secs: f64) {
+        count_batch(obs_id::C_DKV_READ_BATCHES, obs_id::C_DKV_READ_KEYS, keys);
+        mmsb_obs::hist_record_secs(obs_id::H_DKV_READ_NS, secs);
+    }
+
+    /// Record a write of `keys` that the simulated cluster priced at
+    /// `secs` of modelled time.
+    pub fn priced_write(keys: &[u32], secs: f64) {
+        count_batch(obs_id::C_DKV_WRITE_BATCHES, obs_id::C_DKV_WRITE_KEYS, keys);
+        mmsb_obs::hist_record_secs(obs_id::H_DKV_WRITE_NS, secs);
+    }
+}
+
+/// Bump the batch counter `batches` once and the key counter `key_count`
+/// by the batch's keys.
+fn count_batch(batches: usize, key_count: usize, keys: &[u32]) {
+    mmsb_obs::counter_add(batches, 1);
+    mmsb_obs::counter_add(key_count, keys.len() as u64);
 }
 
 /// The store interface: batched reads and writes of fixed-size `f32` rows.

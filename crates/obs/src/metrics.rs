@@ -124,32 +124,28 @@ pub mod id {
     pub const C_SERVE_RELOADS: usize = 14;
     /// serve: TCP connections accepted.
     pub const C_SERVE_CONNS: usize = 15;
-    /// serve: connections refused with a fast-path 503 (over the
-    /// admitted-connection cap, or pending behind saturated workers).
+    /// serve: queued connections refused with the fast-path 503 while
+    /// every worker held a connection.
     pub const C_SERVE_SHED_CONNS: usize = 16;
-    /// serve: requests answered 503 because the in-flight cap was hit.
-    pub const C_SERVE_SHED_REQUESTS: usize = 17;
-    /// serve: requests answered 429 by the per-worker token bucket.
-    pub const C_SERVE_RATE_LIMITED: usize = 18;
     /// serve: connections closed by a deadline (slow-loris partial
     /// head, never-sent first request, or a response write timeout).
-    pub const C_SERVE_DEADLINE_CLOSES: usize = 19;
+    pub const C_SERVE_DEADLINE_CLOSES: usize = 17;
     /// serve: connections that completed cleanly during a drain (all
     /// buffered requests answered, closed at a request boundary).
-    pub const C_SERVE_DRAIN_COMPLETED: usize = 20;
+    pub const C_SERVE_DRAIN_COMPLETED: usize = 18;
     /// serve: connections force-closed after the drain deadline.
-    pub const C_SERVE_DRAIN_ABORTED: usize = 21;
+    pub const C_SERVE_DRAIN_ABORTED: usize = 19;
     /// serve: reload attempts that failed (corrupt/unreadable
     /// checkpoint); the old generation keeps serving.
-    pub const C_SERVE_RELOAD_ERRORS: usize = 22;
+    pub const C_SERVE_RELOAD_ERRORS: usize = 20;
     /// ooc: graph frame-cache lookups served from a cached frame.
-    pub const C_GRAPH_CACHE_HITS: usize = 23;
+    pub const C_GRAPH_CACHE_HITS: usize = 21;
     /// ooc: graph frame-cache lookups that had to read from disk.
-    pub const C_GRAPH_CACHE_MISSES: usize = 24;
+    pub const C_GRAPH_CACHE_MISSES: usize = 22;
     /// ooc: frame-cache loads that displaced a cached frame.
-    pub const C_GRAPH_CACHE_EVICTIONS: usize = 25;
+    pub const C_GRAPH_CACHE_EVICTIONS: usize = 23;
     /// Number of counters.
-    pub const COUNTER_COUNT: usize = 26;
+    pub const COUNTER_COUNT: usize = 24;
 
     /// Counter names, indexed by counter id (export order).
     pub const COUNTER_NAMES: [&str; COUNTER_COUNT] = [
@@ -170,8 +166,6 @@ pub mod id {
         "serve_reloads",
         "serve_conns",
         "serve_shed_conns",
-        "serve_shed_requests",
-        "serve_rate_limited",
         "serve_deadline_closes",
         "serve_drain_completed",
         "serve_drain_aborted",
@@ -186,16 +180,13 @@ pub mod id {
     pub const G_WORKERS: usize = 0;
     /// Current [`crate::ObsLevel`] as its integer value.
     pub const G_OBS_LEVEL: usize = 1;
-    /// serve: requests currently being handled.
-    pub const G_SERVE_INFLIGHT: usize = 2;
     /// serve: connections currently admitted (holding a permit).
-    pub const G_SERVE_CONNS_OPEN: usize = 3;
+    pub const G_SERVE_CONNS_OPEN: usize = 2;
     /// Number of gauges.
-    pub const GAUGE_COUNT: usize = 4;
+    pub const GAUGE_COUNT: usize = 3;
 
     /// Gauge names, indexed by gauge id.
-    pub const GAUGE_NAMES: [&str; GAUGE_COUNT] =
-        ["workers", "obs_level", "serve_inflight", "serve_conns_open"];
+    pub const GAUGE_NAMES: [&str; GAUGE_COUNT] = ["workers", "obs_level", "serve_conns_open"];
 
     // --- histograms -------------------------------------------------
     // Histogram `phase as usize` is the phase's wall time (ns).

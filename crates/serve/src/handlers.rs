@@ -45,7 +45,6 @@ pub(crate) fn handle(
     out: &mut Vec<u8>,
 ) -> bool {
     let mut span = mmsb_obs::timed_span(obs_id::S_SERVE_REQUEST, Endpoint::Other.hist());
-    mmsb_obs::gauge_set(obs_id::G_SERVE_INFLIGHT, shared.adm.inflight() as u64);
 
     shared.cell.refresh(cache);
     body.clear();

@@ -161,7 +161,6 @@ fn reason(status: u16) -> &'static str {
         405 => "Method Not Allowed",
         408 => "Request Timeout",
         413 => "Content Too Large",
-        429 => "Too Many Requests",
         431 => "Request Header Fields Too Large",
         500 => "Internal Server Error",
         503 => "Service Unavailable",
@@ -183,30 +182,10 @@ pub fn write_response(out: &mut Vec<u8>, status: u16, content_type: &str, body: 
     out.extend_from_slice(body);
 }
 
-/// Like [`write_response`], with a `Retry-After: {secs}` header — the
-/// overload-shedding statuses (429/503) tell well-behaved clients when
-/// to come back instead of letting them hammer the accept queue.
-pub fn write_response_retry_after(
-    out: &mut Vec<u8>,
-    status: u16,
-    retry_after_secs: u32,
-    content_type: &str,
-    body: &[u8],
-) {
-    use std::io::Write as _;
-    let _ = write!(
-        out,
-        "HTTP/1.1 {status} {}\r\nRetry-After: {retry_after_secs}\r\nContent-Type: \
-         {content_type}\r\nContent-Length: {}\r\n\r\n",
-        reason(status),
-        body.len()
-    );
-    out.extend_from_slice(body);
-}
-
-/// The canned fast-path 503 written to connections refused by the
-/// admission controller before any parsing happens. A `const` so the
-/// shed path costs one `write` and zero allocations.
+/// The canned fast-path 503 + `Retry-After` written to queued
+/// connections that every worker is too busy to serve, before any
+/// parsing happens. A `const` so the shed path costs one `write` and
+/// zero allocations.
 pub const SHED_RESPONSE: &[u8] = b"HTTP/1.1 503 Service Unavailable\r\nRetry-After: 1\r\n\
     Connection: close\r\nContent-Type: application/json\r\nContent-Length: 26\r\n\r\n\
     {\"error\":\"over capacity\"}\n";
@@ -343,24 +322,18 @@ mod tests {
 
     #[test]
     fn retry_after_responses_parse_and_name_their_reason() {
-        let mut out = Vec::new();
-        write_response_retry_after(&mut out, 503, 2, "application/json", b"{}");
-        let text = String::from_utf8(out.clone()).unwrap();
+        // The one Retry-After response is the sweep's canned 503.
+        let text = std::str::from_utf8(SHED_RESPONSE).unwrap();
         assert!(
             text.starts_with("HTTP/1.1 503 Service Unavailable\r\n"),
             "{text}"
         );
-        assert!(text.contains("Retry-After: 2\r\n"), "{text}");
-        let (status, len) = parse_response(&out).unwrap();
-        assert_eq!((status, len), (503, out.len()));
-
-        let mut out = Vec::new();
-        write_response_retry_after(&mut out, 429, 1, "application/json", b"{}");
-        assert!(String::from_utf8(out)
-            .unwrap()
-            .contains("429 Too Many Requests"));
+        assert!(text.contains("Retry-After: 1\r\n"), "{text}");
+        let (status, len) = parse_response(SHED_RESPONSE).unwrap();
+        assert_eq!((status, len), (503, SHED_RESPONSE.len()));
 
         for (status, reason) in [
+            (503, "Service Unavailable"),
             (408, "Request Timeout"),
             (413, "Content Too Large"),
             (431, "Request Header Fields Too Large"),

@@ -34,6 +34,16 @@
 //! [`mmsb_pool::SyncBackend`], so `mmsb-check` model-checks the same
 //! code production runs.
 //!
+//! # Overload
+//!
+//! [`ServeConfig::threads`] is the one limit: each worker serves one
+//! connection to its end, one request at a time, so at most `threads`
+//! connections and requests are live. While every worker holds a
+//! connection, busy workers answer queued ones with a canned fast-path
+//! 503 ([`shed`]); deadlines bound how long a misbehaving peer holds a
+//! worker, and [`ServeHandle::drain`] stops admission, finishes what
+//! is buffered and force-closes what outlives its budget.
+//!
 //! # Performance envelope
 //!
 //! One server thread sustains ≥100k membership queries/sec over
@@ -58,7 +68,7 @@ mod handlers;
 pub use cell::{ReaderCache, SnapshotCell, SnapshotCellIn};
 pub use loadgen::{ChaosKind, ChaosReport, LatencyReport, OverloadReport, ThroughputReport};
 pub use server::{DrainReport, OverloadStats, ServeConfig, ServeError, ServeHandle};
-pub use shed::{Admission, AdmissionIn, Admit, ConnClose, Lifecycle, TokenBucket};
+pub use shed::{Admission, AdmissionIn, ConnClose, Lifecycle};
 pub use snapshot::{ModelSnapshot, SnapshotError, TOP_K_CAP};
 /// Re-exported so callers (benches, tests, the CLI) can name server
 /// addresses without touching `std::net` themselves — the

@@ -24,7 +24,7 @@
 //!   budget — the server must never let one pin a worker.
 //! * [`overload`] — N client threads hammering serially at a server
 //!   provisioned for fewer, measuring the split between completed
-//!   (200), shed (503/429), and errored exchanges plus the latency
+//!   (200), shed (503), and errored exchanges plus the latency
 //!   quantiles of the *accepted* requests. `bench_serve` drives this at
 //!   4× capacity and gates on bounded accepted-p99.
 //! * [`connect_flood`] — open-and-hold raw connections, for the
@@ -416,7 +416,7 @@ pub fn connect_flood(addr: SocketAddr, conns: usize) -> usize {
 pub struct OverloadReport {
     /// Exchanges that completed with HTTP 200.
     pub completed: u64,
-    /// Exchanges shed by the server (503 or 429).
+    /// Exchanges shed by the server (the fast-path 503).
     pub shed: u64,
     /// Exchanges ended by a connection error (reset, unexpected EOF).
     pub io_errors: u64,
@@ -467,7 +467,7 @@ fn overload_exchange(
                     report.completed += 1;
                     times.push(sw.elapsed_ns());
                 }
-                503 | 429 => report.shed += 1,
+                503 => report.shed += 1,
                 _ => report.malformed += 1,
             }
             // The fast-path shed response closes the connection.

@@ -14,19 +14,18 @@
 //!
 //! # Overload protection
 //!
-//! The listener is permanently non-blocking; idle workers poll accept
-//! (1 ms), so no worker is ever parked in an unbounded syscall and
-//! shutdown needs no wake-up trick (the old one-dummy-connect-per-
-//! worker protocol raced a full backlog and could strand a worker).
-//! Every accepted socket passes [`Admission::try_admit`]; over-cap
-//! connections get the canned fast-path 503 + `Retry-After`
-//! ([`http::SHED_RESPONSE`]) and a graceful close. When every serving
-//! slot is busy, workers also *sweep* the backlog at request-batch
-//! boundaries and shed the queued connections instead of letting them
-//! starve. Per-request in-flight caps and an optional per-worker token
-//! bucket answer 503/429 without dropping the connection; write
-//! timeouts plus a receive deadline on partially-read requests bound
-//! how long any misbehaving peer (slow-loris, never-read, dead socket,
+//! The worker count is the one limit: a worker serves one connection to
+//! its end, one request at a time, so at most `threads` connections and
+//! `threads` requests are live. The listener is permanently
+//! non-blocking; idle workers poll accept (1 ms), so no worker is ever
+//! parked in an unbounded syscall and shutdown needs no wake-up trick.
+//! Every accepted socket takes an [`Admission::try_admit`] permit. When
+//! every worker holds a connection, workers *sweep* the backlog at
+//! request-batch boundaries and answer the queued connections with the
+//! canned fast-path 503 + `Retry-After` ([`http::SHED_RESPONSE`]) and a
+//! graceful close instead of letting them starve. Write timeouts plus a
+//! receive deadline on partially-read requests bound how long any
+//! misbehaving peer (slow-loris, never-read, dead socket,
 //! connect-and-idle) can hold a worker.
 //!
 //! # Drain
@@ -37,11 +36,13 @@
 //! (counted *completed*); connections still open when the drain budget
 //! expires are force-closed (counted *aborted*). The exact accounting
 //! comes back in [`DrainReport`] and is published through `mmsb-obs`.
+//! [`ServeHandle::shutdown`] and dropping the handle drain with a
+//! 2 000 ms budget.
 
 use crate::cell::SnapshotCell;
 use crate::handlers;
 use crate::http::{self, Parsed};
-use crate::shed::{Admission, Admit, ConnClose, ConnPermit, Lifecycle, TokenBucket};
+use crate::shed::{Admission, ConnClose, ConnPermit, Lifecycle};
 use crate::snapshot::{ModelSnapshot, SnapshotError, TOP_K_CAP};
 use mmsb_core::Checkpoint;
 use mmsb_obs::clock::Stopwatch;
@@ -60,7 +61,9 @@ pub struct ServeConfig {
     /// Bind address, e.g. `127.0.0.1:7070`; port 0 picks an ephemeral
     /// port (read it back from [`ServeHandle::addr`]).
     pub addr: String,
-    /// Worker threads (= concurrently served connections), minimum 1.
+    /// Worker threads, minimum 1: the concurrently served connections,
+    /// and the open-connection count past which queued connections are
+    /// shed with the fast-path 503.
     pub threads: usize,
     /// Inter-community link probability for Eq. 7. Not stored in the
     /// checkpoint artifact — defaults to the sampler default `1e-5`.
@@ -70,14 +73,6 @@ pub struct ServeConfig {
     /// `k` used by membership queries that omit `?k=`; must lie in
     /// `1..=TOP_K_CAP` ([`ServeHandle::start`] refuses it otherwise).
     pub default_k: usize,
-    /// Maximum concurrently admitted connections; `0` = auto
-    /// (= `threads`, one per serving slot). Connections over the cap
-    /// get the fast-path 503 + `Retry-After`.
-    pub max_conns: usize,
-    /// Maximum concurrently processed requests; `0` = auto
-    /// (= `threads`). Requests over the cap are answered 503 +
-    /// `Retry-After` without closing the connection.
-    pub max_inflight: usize,
     /// Per-connection I/O deadline in milliseconds: bounds each
     /// response (one budget across all the partial writes it takes, so
     /// a peer reading a few bytes at a time cannot stretch it), and
@@ -86,18 +81,6 @@ pub struct ServeConfig {
     /// request) may dawdle before the connection is closed with 408.
     /// Idle established keep-alive connections are exempt.
     pub deadline_ms: u64,
-    /// Graceful-drain budget in milliseconds: how long
-    /// [`ServeHandle::shutdown`] waits for open connections to finish
-    /// before force-closing them.
-    pub drain_ms: u64,
-    /// Requests served on one keep-alive connection before the server
-    /// closes it (after responding) so queued connections get a turn;
-    /// `0` = unlimited. This is the head-of-line starvation bound.
-    pub keepalive_budget: u64,
-    /// Per-worker token-bucket rate limit in requests/second (burst =
-    /// one second's worth); `0` = off. Over-rate requests are answered
-    /// 429 + `Retry-After`. The global limit is `rate_limit × threads`.
-    pub rate_limit: u64,
 }
 
 impl Default for ServeConfig {
@@ -108,12 +91,7 @@ impl Default for ServeConfig {
             delta: 1e-5,
             backend: Backend::detect(),
             default_k: 5,
-            max_conns: 0,
-            max_inflight: 0,
             deadline_ms: 5_000,
-            drain_ms: 2_000,
-            keepalive_budget: 0,
-            rate_limit: 0,
         }
     }
 }
@@ -164,14 +142,12 @@ pub(crate) struct ServerShared {
     backend: Backend,
     pub(crate) default_k: usize,
     /// Admission / drain accounting shared by every worker.
-    pub(crate) adm: Admission,
+    adm: Admission,
     /// Serving slots; the sweep sheds when this many conns are open.
     threads: usize,
     /// Response-write timeout and partial-request receive deadline.
     deadline: Duration,
     deadline_ns: u64,
-    keepalive_budget: u64,
-    rate_limit: u64,
 }
 
 impl ServerShared {
@@ -230,20 +206,21 @@ pub struct OverloadStats {
     pub admitted: usize,
     /// Connections refused with the fast-path 503.
     pub shed_conns: usize,
-    /// Requests refused 503 at the in-flight cap.
-    pub shed_requests: usize,
     /// Drain accounting so far: connections closed cleanly.
     pub drain_completed: usize,
     /// Drain accounting so far: connections force-closed.
     pub drain_aborted: usize,
 }
 
+/// Drain budget of [`ServeHandle::shutdown`] and of dropping the handle,
+/// in milliseconds.
+const SHUTDOWN_DRAIN_MS: u64 = 2_000;
+
 /// A running server. Dropping the handle drains and shuts down.
 pub struct ServeHandle {
     addr: SocketAddr,
     shared: Arc<ServerShared>,
     threads: usize,
-    drain_ms: u64,
     driver: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -265,16 +242,6 @@ impl ServeHandle {
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let threads = cfg.threads.max(1);
-        let max_conns = if cfg.max_conns == 0 {
-            threads
-        } else {
-            cfg.max_conns
-        };
-        let max_inflight = if cfg.max_inflight == 0 {
-            threads
-        } else {
-            cfg.max_inflight
-        };
         let deadline_ms = cfg.deadline_ms.max(1);
         let shared = Arc::new(ServerShared {
             cell: SnapshotCell::new(Arc::new(snap)),
@@ -282,12 +249,10 @@ impl ServeHandle {
             delta: cfg.delta,
             backend: cfg.backend,
             default_k: cfg.default_k,
-            adm: Admission::new(max_conns, max_inflight),
+            adm: Admission::new(),
             threads,
             deadline: Duration::from_millis(deadline_ms),
             deadline_ns: deadline_ms.saturating_mul(1_000_000),
-            keepalive_budget: cfg.keepalive_budget,
-            rate_limit: cfg.rate_limit,
         });
         let worker_shared = Arc::clone(&shared);
         let driver = std::thread::Builder::new()
@@ -302,7 +267,6 @@ impl ServeHandle {
             addr,
             shared,
             threads,
-            drain_ms: cfg.drain_ms,
             driver: Some(driver),
         })
     }
@@ -326,12 +290,11 @@ impl ServeHandle {
 
     /// Current overload counters.
     pub fn overload_stats(&self) -> OverloadStats {
-        let (admitted, _released, shed_conns, shed_requests) = self.shared.adm.totals();
+        let (admitted, _released, shed_conns) = self.shared.adm.totals();
         let (drain_completed, drain_aborted) = self.shared.adm.drain_counts();
         OverloadStats {
             admitted,
             shed_conns,
-            shed_requests,
             drain_completed,
             drain_aborted,
         }
@@ -350,10 +313,9 @@ impl ServeHandle {
         self.drain_impl(drain_ms)
     }
 
-    /// Drain with the configured `drain_ms` budget and shut down.
+    /// Drain with a 2 000 ms budget and shut down.
     pub fn shutdown(mut self) {
-        let budget = self.drain_ms;
-        self.drain_impl(budget);
+        self.drain_impl(SHUTDOWN_DRAIN_MS);
     }
 
     fn drain_impl(&mut self, drain_ms: u64) -> DrainReport {
@@ -388,8 +350,7 @@ impl ServeHandle {
 
 impl Drop for ServeHandle {
     fn drop(&mut self) {
-        let budget = self.drain_ms;
-        self.drain_impl(budget);
+        self.drain_impl(SHUTDOWN_DRAIN_MS);
     }
 }
 
@@ -418,21 +379,19 @@ const ACCEPT_POLL: Duration = Duration::from_millis(1);
 const SWEEP_MAX: usize = 8;
 
 fn accept_loop(listener: &TcpListener, shared: &Arc<ServerShared>) {
-    let mut bucket = TokenBucket::new(shared.rate_limit);
     loop {
         if shared.adm.lifecycle() != Lifecycle::Accepting {
             return;
         }
         match listener.accept() {
             Ok((stream, _peer)) => match shared.adm.try_admit() {
-                Admit::Admitted(permit) => {
+                Some(permit) => {
                     mmsb_obs::counter_add(obs_id::C_SERVE_CONNS, 1);
-                    serve_connection(stream, shared, permit, listener, &mut bucket);
+                    serve_connection(stream, shared, permit, listener);
                 }
-                Admit::Shed => shed_conn(stream),
                 // A drain began since the last lifecycle check: the
                 // socket is dropped unserved and the loop exits.
-                Admit::Draining => return,
+                None => return,
             },
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(ACCEPT_POLL);
@@ -444,8 +403,8 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<ServerShared>) {
     }
 }
 
-/// Write the canned fast-path 503 to a connection that never got an
-/// admission slot, then close gracefully.
+/// Write the canned fast-path 503 to a queued connection that no worker
+/// is free to serve, then close gracefully.
 fn shed_conn(mut stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_write_timeout(Some(Duration::from_millis(50)));
@@ -538,7 +497,7 @@ fn close_conn(shared: &ServerShared, permit: ConnPermit<'_, RealSync>, how: Conn
 }
 
 /// Serve one admitted connection until it closes, errors, hits its
-/// deadline or budget, or a drain ends it.
+/// deadline, or a drain ends it.
 ///
 /// All scratch is allocated here, once: requests are parsed in place
 /// from `rbuf`, every buffered (pipelined) request is handled, and the
@@ -548,7 +507,6 @@ fn serve_connection(
     shared: &ServerShared,
     permit: ConnPermit<'_, RealSync>,
     listener: &TcpListener,
-    bucket: &mut TokenBucket,
 ) {
     mmsb_obs::gauge_set(obs_id::G_SERVE_CONNS_OPEN, shared.adm.conns() as u64);
     if stream.set_nodelay(true).is_err()
@@ -562,7 +520,7 @@ fn serve_connection(
     let mut filled = 0usize;
     let mut body = Vec::with_capacity(16 * 1024);
     let mut out = Vec::with_capacity(64 * 1024);
-    let mut served: u64 = 0;
+    let mut served_one = false;
     // Armed while a request is partially received (or the connection
     // has yet to complete its first request); `None` on idle
     // established keep-alive connections, which may idle freely.
@@ -578,56 +536,10 @@ fn serve_connection(
                 Parsed::Complete { request, consumed } => {
                     consumed_total += consumed;
                     pending = None;
-                    served += 1;
-                    if !bucket.try_take() {
-                        http::write_response_retry_after(
-                            &mut out,
-                            429,
-                            1,
-                            "application/json",
-                            b"{\"error\":\"rate limited\"}",
-                        );
-                        mmsb_obs::counter_add(obs_id::C_SERVE_RATE_LIMITED, 1);
-                        mmsb_obs::counter_add(obs_id::C_SERVE_REQUESTS, 1);
-                        mmsb_obs::counter_add(obs_id::C_SERVE_ERRORS, 1);
-                        if !request.keep_alive {
-                            close = true;
-                            break;
-                        }
-                        continue;
-                    }
-                    match shared.adm.begin_request() {
-                        Some(req_permit) => {
-                            let keep =
-                                handlers::handle(shared, &mut cache, &request, &mut body, &mut out);
-                            drop(req_permit);
-                            mmsb_obs::gauge_set(
-                                obs_id::G_SERVE_INFLIGHT,
-                                shared.adm.inflight() as u64,
-                            );
-                            if !keep {
-                                close = true;
-                                break;
-                            }
-                        }
-                        None => {
-                            // Over the in-flight cap: shed the request,
-                            // keep the connection.
-                            http::write_response_retry_after(
-                                &mut out,
-                                503,
-                                1,
-                                "application/json",
-                                b"{\"error\":\"over capacity\"}",
-                            );
-                            mmsb_obs::counter_add(obs_id::C_SERVE_SHED_REQUESTS, 1);
-                            mmsb_obs::counter_add(obs_id::C_SERVE_REQUESTS, 1);
-                            mmsb_obs::counter_add(obs_id::C_SERVE_ERRORS, 1);
-                            if !request.keep_alive {
-                                close = true;
-                                break;
-                            }
-                        }
+                    served_one = true;
+                    if !handlers::handle(shared, &mut cache, &request, &mut body, &mut out) {
+                        close = true;
+                        break;
                     }
                 }
                 Parsed::Incomplete => break,
@@ -673,11 +585,6 @@ fn serve_connection(
             rbuf.copy_within(consumed_total..filled, 0);
             filled -= consumed_total;
         }
-        if shared.keepalive_budget > 0 && served >= shared.keepalive_budget {
-            // Budget spent: close after responding so queued
-            // connections get this slot.
-            close = true;
-        }
 
         let life = shared.adm.lifecycle();
         if life == Lifecycle::Closed {
@@ -712,7 +619,7 @@ fn serve_connection(
         // Receive deadline: a half-sent request (slow-loris) or a
         // connection that never completed its first request may not
         // dawdle past the deadline.
-        if filled > 0 || served == 0 {
+        if filled > 0 || !served_one {
             let sw = pending.get_or_insert_with(Stopwatch::start);
             if sw.elapsed_ns() >= shared.deadline_ns {
                 let _ = stream.write_all(http::TIMEOUT_RESPONSE);

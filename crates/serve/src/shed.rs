@@ -1,40 +1,36 @@
-//! Admission control, load shedding, and the two-phase drain protocol.
+//! Connection admission, load shedding, and the two-phase drain protocol.
 //!
-//! The serving layer's overload story lives here. [`AdmissionIn`] is a
-//! wait-free accounting core shared by every worker:
+//! Each of the server's `threads` workers serves one connection at a
+//! time, one request at a time, so at most `threads` connections and
+//! `threads` requests are ever live: the worker count is the one limit.
+//! [`AdmissionIn`] is the wait-free accounting core every worker shares:
 //!
-//! * **Connection cap** — [`AdmissionIn::try_admit`] charges one slot
-//!   with a single `fetch_add`; an over-cap admit corrects itself with
-//!   one `fetch_sub` and reports [`Admit::Shed`], which the server
-//!   turns into the canned fast-path 503 (`http::SHED_RESPONSE`).
-//!   Admitted connections hold an RAII [`ConnPermit`], so a slot can
-//!   never leak or be double-released by construction.
-//! * **In-flight cap** — [`AdmissionIn::begin_request`] bounds requests
-//!   being processed the same way; over-cap requests are answered 503 +
-//!   `Retry-After` without closing the connection.
-//! * **Lifecycle** — one atomic ([`Lifecycle`]): `Accepting` →
-//!   `Draining` (stop admitting, finish buffered work, close at request
-//!   boundaries) → `Closed` (force-close stragglers). The transition is
-//!   monotone; [`AdmissionIn::try_admit`] re-checks the lifecycle
-//!   *after* charging its slot so a drain that races an admit either
-//!   refuses the connection or observes its slot charged — a connection
-//!   can never be admitted-but-invisible to the drainer.
+//! * **Connection permits** — [`AdmissionIn::try_admit`] charges one
+//!   slot with a single `fetch_add`. Admitted connections hold an RAII
+//!   [`ConnPermit`], so a slot can never leak or be double-released by
+//!   construction.
+//! * **Shedding** — when [`AdmissionIn::saturated`] says every worker
+//!   holds a connection, a busy worker sweeps the kernel backlog and
+//!   answers the queued connections with the canned fast-path 503
+//!   (`http::SHED_RESPONSE`), counted by [`AdmissionIn::count_shed_conn`].
+//! * **Lifecycle** — one pair of set-only flags ([`Lifecycle`]):
+//!   `Accepting` → `Draining` (stop admitting, finish buffered work,
+//!   close at request boundaries) → `Closed` (force-close stragglers).
+//!   The transition is monotone; [`AdmissionIn::try_admit`] re-checks
+//!   the lifecycle *after* charging its slot so a drain that races an
+//!   admit either refuses the connection or observes its slot charged —
+//!   a connection can never be admitted-but-invisible to the drainer.
 //! * **Exact drain accounting** — connections closed during a drain are
 //!   counted completed (clean, at a request boundary) or aborted
 //!   (force-closed); the server publishes both through `mmsb-obs` and
-//!   `bench_serve` records them as `serve_drain` lines.
+//!   returns them in its `DrainReport`.
 //!
 //! Everything is generic over [`SyncBackend`]: production uses
 //! [`Admission`] (= `RealSync`), and `crates/check/tests/model_admission.rs`
 //! runs the *same* code on the model scheduler, exploring every
-//! interleaving of admit / shed / release / drain — including a seeded
-//! missing-decrement negative control that the checker must catch.
-//!
-//! [`TokenBucket`] is the optional per-worker rate limiter: purely
-//! local (no contention), refilled from the workspace clock
-//! (`mmsb_obs::clock`), answering 429 + `Retry-After` when empty.
+//! interleaving of admit / release / drain — including seeded-bug
+//! negative controls that the checker must catch.
 
-use mmsb_obs::clock;
 use mmsb_pool::{RealSync, SyncBackend};
 use std::sync::atomic::Ordering;
 
@@ -42,7 +38,7 @@ use std::sync::atomic::Ordering;
 /// `Accepting → Draining → Closed`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Lifecycle {
-    /// Normal operation: connections are admitted up to the caps.
+    /// Normal operation: connections are admitted.
     Accepting,
     /// Phase one of a drain: no new admissions; open connections finish
     /// the requests they have buffered and close at the next request
@@ -59,16 +55,6 @@ pub enum Lifecycle {
 // `begin_drain` / `force_close` interleaving (found by the model
 // checker). A flag that is only ever set is monotone by construction.
 
-/// Outcome of [`AdmissionIn::try_admit`].
-pub enum Admit<'a, S: SyncBackend> {
-    /// The connection is in; the permit releases its slot on drop.
-    Admitted(ConnPermit<'a, S>),
-    /// Over the connection cap — answer the fast-path 503 and close.
-    Shed,
-    /// The server is draining or closed — do not serve.
-    Draining,
-}
-
 /// Admission / drain accounting, generic over the sync backend so the
 /// protocol can be model-checked. All hot-path operations are single
 /// uncontended-in-the-common-case atomic RMWs — wait-free, no locks,
@@ -76,8 +62,6 @@ pub enum Admit<'a, S: SyncBackend> {
 pub struct AdmissionIn<S: SyncBackend> {
     /// Connections currently holding a permit.
     conns: S::AtomicUsize,
-    /// Requests currently being processed.
-    inflight: S::AtomicUsize,
     /// Set-only flag: a drain has begun (phase one or later).
     draining: S::AtomicUsize,
     /// Set-only flag: phase two (force-close) has begun.
@@ -88,36 +72,33 @@ pub struct AdmissionIn<S: SyncBackend> {
     released_total: S::AtomicUsize,
     /// Connections refused with the fast-path 503.
     shed_conns: S::AtomicUsize,
-    /// Requests refused 503 at the in-flight cap.
-    shed_requests: S::AtomicUsize,
     /// Connections closed cleanly during a drain.
     drain_completed: S::AtomicUsize,
     /// Connections force-closed by phase two of a drain.
     drain_aborted: S::AtomicUsize,
-    max_conns: usize,
-    max_inflight: usize,
 }
 
 /// [`AdmissionIn`] on the production (`std::sync`) backend.
 pub type Admission = AdmissionIn<RealSync>;
 
+impl<S: SyncBackend> Default for AdmissionIn<S> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl<S: SyncBackend> AdmissionIn<S> {
-    /// An accepting controller with the given caps (both clamped to at
-    /// least 1 — a cap of zero would refuse every connection forever).
-    pub fn new(max_conns: usize, max_inflight: usize) -> Self {
+    /// An accepting controller with no connection open.
+    pub fn new() -> Self {
         Self {
             conns: S::atomic_usize(0),
-            inflight: S::atomic_usize(0),
             draining: S::atomic_usize(0),
             closed: S::atomic_usize(0),
             admitted_total: S::atomic_usize(0),
             released_total: S::atomic_usize(0),
             shed_conns: S::atomic_usize(0),
-            shed_requests: S::atomic_usize(0),
             drain_completed: S::atomic_usize(0),
             drain_aborted: S::atomic_usize(0),
-            max_conns: max_conns.max(1),
-            max_inflight: max_inflight.max(1),
         }
     }
 
@@ -138,55 +119,40 @@ impl<S: SyncBackend> AdmissionIn<S> {
         S::load(&self.draining, Ordering::Acquire) == 0
     }
 
-    /// Try to admit one connection. Wait-free: one `fetch_add` plus at
-    /// most one corrective `fetch_sub`. The lifecycle is re-checked
-    /// *after* the slot is charged, so a concurrent [`Self::begin_drain`]
-    /// either sees the slot (and waits for its release) or this call
-    /// sees the drain (and refuses) — never neither.
-    pub fn try_admit(&self) -> Admit<'_, S> {
+    /// Try to admit one connection; `None` means the server is draining
+    /// or closed and the connection must not be served. Wait-free: one
+    /// `fetch_add` plus at most one corrective `fetch_sub`. The
+    /// lifecycle is re-checked *after* the slot is charged, so a
+    /// concurrent [`Self::begin_drain`] either sees the slot (and waits
+    /// for its release) or this call sees the drain (and refuses) —
+    /// never neither.
+    pub fn try_admit(&self) -> Option<ConnPermit<'_, S>> {
         if !self.accepting() {
-            return Admit::Draining;
+            return None;
         }
-        let prev = S::fetch_add(&self.conns, 1, Ordering::AcqRel);
-        if prev >= self.max_conns {
-            S::fetch_sub(&self.conns, 1, Ordering::AcqRel);
-            S::fetch_add(&self.shed_conns, 1, Ordering::Relaxed);
-            return Admit::Shed;
-        }
+        S::fetch_add(&self.conns, 1, Ordering::AcqRel);
         if !self.accepting() {
             // A drain began between the first check and the charge;
             // undo and refuse so "stop accepting" is exact.
             S::fetch_sub(&self.conns, 1, Ordering::AcqRel);
-            return Admit::Draining;
+            return None;
         }
         S::fetch_add(&self.admitted_total, 1, Ordering::Relaxed);
-        Admit::Admitted(ConnPermit { adm: Some(self) })
+        Some(ConnPermit { adm: Some(self) })
     }
 
     /// Whether a pending (kernel-queued) connection should be shed by a
-    /// busy worker's sweep: true when every admissible slot is taken,
-    /// so nobody will serve it promptly.
-    pub fn saturated(&self, serving_capacity: usize) -> bool {
-        S::load(&self.conns, Ordering::Acquire) >= self.max_conns.min(serving_capacity.max(1))
+    /// busy worker's sweep: true when all `threads` workers hold a
+    /// connection, so nobody will serve it promptly.
+    pub fn saturated(&self, threads: usize) -> bool {
+        self.conns() >= threads
     }
 
-    /// Count one fast-path 503 written by an accept/sweep path that
+    /// Count one fast-path 503 written by the sweep to a connection that
     /// never held a permit (the kernel accepted the socket; we refuse
     /// it before parsing).
     pub fn count_shed_conn(&self) {
         S::fetch_add(&self.shed_conns, 1, Ordering::Relaxed);
-    }
-
-    /// Charge one in-flight request, or refuse (the caller answers 503
-    /// + `Retry-After` and keeps the connection).
-    pub fn begin_request(&self) -> Option<RequestPermit<'_, S>> {
-        let prev = S::fetch_add(&self.inflight, 1, Ordering::AcqRel);
-        if prev >= self.max_inflight {
-            S::fetch_sub(&self.inflight, 1, Ordering::AcqRel);
-            S::fetch_add(&self.shed_requests, 1, Ordering::Relaxed);
-            return None;
-        }
-        Some(RequestPermit { adm: self })
     }
 
     /// Enter phase one of a drain: stop admitting. Idempotent; a later
@@ -208,24 +174,19 @@ impl<S: SyncBackend> AdmissionIn<S> {
         S::load(&self.conns, Ordering::Acquire)
     }
 
-    /// Requests currently being processed.
-    pub fn inflight(&self) -> usize {
-        S::load(&self.inflight, Ordering::Acquire)
-    }
-
-    /// True when no connection or request holds a slot — the drain
-    /// termination condition.
+    /// True when no connection holds a slot — the drain termination
+    /// condition (every live request is served on a connection that
+    /// holds one).
     pub fn quiescent(&self) -> bool {
-        self.conns() == 0 && self.inflight() == 0
+        self.conns() == 0
     }
 
-    /// `(admitted, released, shed_conns, shed_requests)` running totals.
-    pub fn totals(&self) -> (usize, usize, usize, usize) {
+    /// `(admitted, released, shed_conns)` running totals.
+    pub fn totals(&self) -> (usize, usize, usize) {
         (
             S::load(&self.admitted_total, Ordering::Acquire),
             S::load(&self.released_total, Ordering::Acquire),
             S::load(&self.shed_conns, Ordering::Acquire),
-            S::load(&self.shed_requests, Ordering::Acquire),
         )
     }
 
@@ -256,9 +217,6 @@ impl<S: SyncBackend> std::fmt::Debug for AdmissionIn<S> {
         f.debug_struct("Admission")
             .field("lifecycle", &self.lifecycle())
             .field("conns", &self.conns())
-            .field("inflight", &self.inflight())
-            .field("max_conns", &self.max_conns)
-            .field("max_inflight", &self.max_inflight)
             .finish()
     }
 }
@@ -273,7 +231,7 @@ pub struct ConnPermit<'a, S: SyncBackend> {
 /// How an admitted connection ended, for exact drain accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConnClose {
-    /// Closed during normal operation (peer close, error, budget, …).
+    /// Closed during normal operation (peer close, error, deadline, …).
     Normal,
     /// Closed cleanly at a request boundary during a drain.
     DrainCompleted,
@@ -307,79 +265,31 @@ impl<S: SyncBackend> Drop for ConnPermit<'_, S> {
     }
 }
 
-/// RAII in-flight request slot; releases on drop.
-pub struct RequestPermit<'a, S: SyncBackend> {
-    adm: &'a AdmissionIn<S>,
-}
-
-impl<S: SyncBackend> Drop for RequestPermit<'_, S> {
-    fn drop(&mut self) {
-        S::fetch_sub(&self.adm.inflight, 1, Ordering::AcqRel);
-    }
-}
-
-/// A worker-local token bucket: `rate` tokens per second, burst equal
-/// to one second's worth. `rate == 0` disables the limiter (every take
-/// succeeds). Worker-local means no atomics and no contention — the
-/// global limit is `rate × workers`.
-#[derive(Debug)]
-pub struct TokenBucket {
-    rate: u64,
-    tokens: f64,
-    last_ns: u64,
-}
-
-impl TokenBucket {
-    /// A full bucket refilling at `rate` requests/second.
-    pub fn new(rate: u64) -> Self {
-        Self {
-            rate,
-            tokens: rate as f64,
-            last_ns: clock::now_ns(),
-        }
-    }
-
-    /// Take one token; `false` means "answer 429".
-    pub fn try_take(&mut self) -> bool {
-        if self.rate == 0 {
-            return true;
-        }
-        let now = clock::now_ns();
-        let dt = now.saturating_sub(self.last_ns) as f64 / 1e9;
-        self.last_ns = now;
-        self.tokens = (self.tokens + dt * self.rate as f64).min(self.rate as f64);
-        if self.tokens >= 1.0 {
-            self.tokens -= 1.0;
-            true
-        } else {
-            false
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     type Adm = Admission;
 
+    /// Admission itself never refuses an accepting server; the sweep
+    /// sheds once `threads` connections are open, and a release makes
+    /// room again.
     #[test]
     fn admits_up_to_cap_then_sheds() {
-        let adm = Adm::new(2, 8);
-        let a = match adm.try_admit() {
-            Admit::Admitted(p) => p,
-            _ => panic!("first admit"),
-        };
-        let b = match adm.try_admit() {
-            Admit::Admitted(p) => p,
-            _ => panic!("second admit"),
-        };
-        assert!(matches!(adm.try_admit(), Admit::Shed));
+        let threads = 2;
+        let adm = Adm::new();
+        let a = adm.try_admit().expect("first admit");
+        assert!(!adm.saturated(threads));
+        let b = adm.try_admit().expect("second admit");
+        assert!(adm.saturated(threads));
         assert_eq!(adm.conns(), 2);
+        adm.count_shed_conn();
         drop(a);
-        assert!(matches!(adm.try_admit(), Admit::Admitted(_)));
+        assert!(!adm.saturated(threads));
+        let c = adm.try_admit().expect("a released slot admits again");
         drop(b);
-        let (admitted, released, shed, _) = adm.totals();
+        drop(c);
+        let (admitted, released, shed) = adm.totals();
         assert_eq!(admitted, 3);
         assert_eq!(released, 3);
         assert_eq!(shed, 1);
@@ -387,27 +297,12 @@ mod tests {
     }
 
     #[test]
-    fn inflight_cap_sheds_requests_not_connections() {
-        let adm = Adm::new(4, 1);
-        let _c = adm.try_admit();
-        let r1 = adm.begin_request().expect("first request fits");
-        assert!(adm.begin_request().is_none(), "cap 1: second request shed");
-        drop(r1);
-        assert!(adm.begin_request().is_some());
-        let (.., shed_requests) = adm.totals();
-        assert_eq!(shed_requests, 1);
-    }
-
-    #[test]
     fn drain_refuses_new_admits_and_counts_outcomes() {
-        let adm = Adm::new(4, 4);
-        let p = match adm.try_admit() {
-            Admit::Admitted(p) => p,
-            _ => panic!("admit"),
-        };
+        let adm = Adm::new();
+        let p = adm.try_admit().expect("admit");
         adm.begin_drain();
         assert_eq!(adm.lifecycle(), Lifecycle::Draining);
-        assert!(matches!(adm.try_admit(), Admit::Draining));
+        assert!(adm.try_admit().is_none());
         assert!(!adm.quiescent());
         p.close(ConnClose::DrainCompleted);
         assert!(adm.quiescent());
@@ -421,54 +316,15 @@ mod tests {
 
     #[test]
     fn permit_drop_and_close_both_release_exactly_once() {
-        let adm = Adm::new(2, 2);
-        match adm.try_admit() {
-            Admit::Admitted(p) => p.close(ConnClose::DrainAborted),
-            _ => panic!("admit"),
-        }
+        let adm = Adm::new();
+        adm.try_admit()
+            .expect("admit")
+            .close(ConnClose::DrainAborted);
         assert_eq!(adm.conns(), 0);
         assert_eq!(adm.drain_counts(), (0, 1));
-        match adm.try_admit() {
-            Admit::Admitted(p) => drop(p),
-            _ => panic!("admit"),
-        }
+        drop(adm.try_admit().expect("admit"));
         assert_eq!(adm.conns(), 0);
-        let (admitted, released, ..) = adm.totals();
+        let (admitted, released, _) = adm.totals();
         assert_eq!((admitted, released), (2, 2));
-    }
-
-    #[test]
-    fn saturation_tracks_the_effective_capacity() {
-        let adm = Adm::new(8, 8);
-        assert!(!adm.saturated(2));
-        let _a = adm.try_admit();
-        let _b = adm.try_admit();
-        // Cap is 8 but only 2 workers serve: 2 open conns saturate.
-        assert!(adm.saturated(2));
-        assert!(!adm.saturated(3));
-    }
-
-    #[test]
-    fn token_bucket_rate_zero_is_unlimited() {
-        let mut b = TokenBucket::new(0);
-        for _ in 0..10_000 {
-            assert!(b.try_take());
-        }
-    }
-
-    #[test]
-    fn token_bucket_exhausts_and_refills() {
-        let mut b = TokenBucket::new(50);
-        let mut granted = 0;
-        for _ in 0..200 {
-            if b.try_take() {
-                granted += 1;
-            }
-        }
-        // Burst is one second's worth; a tight loop cannot earn many
-        // refill tokens, so roughly the burst is granted.
-        assert!((50..100).contains(&granted), "granted {granted}");
-        std::thread::sleep(std::time::Duration::from_millis(100));
-        assert!(b.try_take(), "0.1s at 50/s refills at least one token");
     }
 }

@@ -1,5 +1,5 @@
-//! Admission + drain against a live server: over-cap connections get
-//! the fast-path 503 and graceful drain answers everything in flight
+//! Admission + drain against a live server: connections past the
+//! worker count get the fast-path 503 and graceful drain answers everything in flight
 //! with zero client-visible errors. (`drain_forced.rs` covers the
 //! expired budget.)
 
@@ -27,48 +27,63 @@ fn read_response(stream: &mut TcpStream) -> (u16, usize) {
     }
 }
 
+/// The worker count is the server's one limit. With `threads`
+/// connections held open, connection `threads + 1` is swept with the
+/// canned 503, nothing past `threads` is ever admitted, and the held
+/// connections keep working.
 #[test]
 fn over_cap_connections_get_fast_path_503() {
-    let model_path = tmp_model("shed");
-    train_checkpoint(17, 6).save(&model_path).unwrap();
-    let handle = ServeHandle::start(
-        &model_path,
-        &ServeConfig {
-            threads: 1,
-            max_conns: 1,
-            ..ServeConfig::default()
-        },
-    )
-    .unwrap();
+    for threads in [1, 2] {
+        let model_path = tmp_model(&format!("shed-{threads}"));
+        train_checkpoint(17, 6).save(&model_path).unwrap();
+        let handle = ServeHandle::start(
+            &model_path,
+            &ServeConfig {
+                threads,
+                ..ServeConfig::default()
+            },
+        )
+        .unwrap();
 
-    // Conn A occupies the single slot and proves it works.
-    let mut a = TcpStream::connect(handle.addr()).unwrap();
-    a.write_all(b"GET /healthz HTTP/1.1\r\n\r\n").unwrap();
-    let (status, _) = read_response(&mut a);
-    assert_eq!(status, 200);
+        // `threads` connections occupy every worker and prove they work.
+        let mut held: Vec<TcpStream> = (0..threads)
+            .map(|_| {
+                let mut conn = TcpStream::connect(handle.addr()).unwrap();
+                conn.write_all(b"GET /healthz HTTP/1.1\r\n\r\n").unwrap();
+                let (status, _) = read_response(&mut conn);
+                assert_eq!(status, 200);
+                conn
+            })
+            .collect();
 
-    // Conn B must be swept with the canned 503 + Retry-After while A
-    // idles — the worker sheds from the backlog at batch boundaries.
-    let mut b = TcpStream::connect(handle.addr()).unwrap();
-    b.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-    b.write_all(b"GET /healthz HTTP/1.1\r\n\r\n").unwrap();
-    let (status, _) = read_response(&mut b);
-    assert_eq!(status, 503, "over-cap connection must be shed");
-    // And the shed conn is closed after the response.
-    let mut rest = Vec::new();
-    b.read_to_end(&mut rest).unwrap();
-    assert!(rest.is_empty(), "shed close must not trail bytes");
+        // One more must be swept with the canned 503 + Retry-After while
+        // the held ones idle — busy workers shed from the backlog.
+        let mut extra = TcpStream::connect(handle.addr()).unwrap();
+        extra
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        extra.write_all(b"GET /healthz HTTP/1.1\r\n\r\n").unwrap();
+        let (status, _) = read_response(&mut extra);
+        assert_eq!(status, 503, "connection {} must be shed", threads + 1);
+        // And the shed conn is closed after the response.
+        let mut rest = Vec::new();
+        extra.read_to_end(&mut rest).unwrap();
+        assert!(rest.is_empty(), "shed close must not trail bytes");
 
-    // Conn A is unaffected.
-    a.write_all(b"GET /healthz HTTP/1.1\r\n\r\n").unwrap();
-    let (status, _) = read_response(&mut a);
-    assert_eq!(status, 200);
+        // The held connections are unaffected.
+        for conn in &mut held {
+            conn.write_all(b"GET /healthz HTTP/1.1\r\n\r\n").unwrap();
+            let (status, _) = read_response(conn);
+            assert_eq!(status, 200);
+        }
 
-    let stats = handle.overload_stats();
-    assert!(stats.shed_conns >= 1, "{stats:?}");
-    assert_eq!(stats.admitted, 1, "{stats:?}");
-    handle.shutdown();
-    std::fs::remove_file(&model_path).ok();
+        let stats = handle.overload_stats();
+        assert!(stats.shed_conns >= 1, "{stats:?}");
+        assert_eq!(stats.admitted, threads, "{stats:?}");
+        assert!(handle.conns_open() <= threads, "{stats:?}");
+        handle.shutdown();
+        std::fs::remove_file(&model_path).ok();
+    }
 }
 
 #[test]

@@ -171,8 +171,8 @@ fn serve_end_to_end() {
     std::fs::remove_file(&model_path).ok();
 
     // The obs story: requests, connections and reloads were counted,
-    // per-endpoint latency histograms saw traffic, and nothing is
-    // still in flight.
+    // per-endpoint latency histograms saw traffic, and no connection
+    // is still open.
     let m = &mmsb_obs::get().unwrap().metrics;
     assert!(m.counter_total(obs_id::C_SERVE_REQUESTS) >= 15);
     assert!(m.counter_total(obs_id::C_SERVE_CONNS) >= 1);
@@ -182,5 +182,5 @@ fn serve_end_to_end() {
     assert!(m.hist_count(obs_id::H_SERVE_EDGE_NS) >= 2);
     assert!(m.hist_count(obs_id::H_SERVE_COMMUNITY_NS) >= 2);
     assert!(m.hist_count(obs_id::H_SERVE_OTHER_NS) >= 4);
-    assert_eq!(m.gauge(obs_id::G_SERVE_INFLIGHT), 0);
+    assert_eq!(m.gauge(obs_id::G_SERVE_CONNS_OPEN), 0);
 }

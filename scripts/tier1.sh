@@ -4,7 +4,7 @@
 # xlint -> doc check (five reference checks, then the no-clock-in-the-
 # price, no-compute-in-the-cluster (the lockstep driver's calls and
 # mmsb-netsim's manifest), one-cache, no-rollback-checkpoint and
-# no-whole-block-read checks) ->
+# no-whole-block-read checks) -> rustfmt check ->
 # build -> clippy -> the whole test suite -> the three --quick gate
 # binaries -> sanitize.sh.
 set -euo pipefail
@@ -92,8 +92,9 @@ done
 # (6) No clock read in the price of the simulated cluster: the lockstep
 # driver and everything under crates/netsim/src (the cluster model, the
 # price of the chunked `pi` load, the DKV cost model) charge compute as
-# counted work, and the DKV access record they hold (`OpObs` in the
-# store) is timed by its obs span guard alone, so a clock read
+# counted work and record each priced DKV access at its priced time
+# (`OpObs::priced_read`/`priced_write`, no span; only the store's real
+# copy is timed, by the obs span guard of `OpObs`), so a clock read
 # (`Stopwatch::start`, `elapsed_secs`, `Instant`, `SystemTime`,
 # `now_ns`) in any of them would put host time back into the virtual
 # clock. Comment lines are skipped.
@@ -154,13 +155,19 @@ done < <(grep -rnw 'read_block_into' crates/ooc/src/cache.rs crates/ooc/src/regi
     crates/core/src | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//')
 [ "$stale" -eq 0 ]
 
+# The tree is rustfmt-clean, so a change formats the lines it writes
+# without reformatting lines it did not.
+cargo fmt --all --check
+
 cargo build --release --offline
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
 # The whole workspace, once. Which suite pins which contract:
 #   concurrency   mmsb-check: tests/model_*.rs (pool, snapshot cell,
-#                 admission/drain protocols across bounded-exhaustive
-#                 interleavings + seeded-bug shims), xlint self-tests
+#                 admission/drain protocol — slot conservation, admit
+#                 racing drain, monotone lifecycle — across
+#                 bounded-exhaustive interleavings + seeded-bug shims),
+#                 xlint self-tests
 #                 (lexer_prop, xlint_gate, xlint_fixtures)
 #   pipelining    mmsb-netsim: pipeline::tests (price vs its oracle);
 #                 mmsb-core: pipeline_determinism (Single vs Double
@@ -172,16 +179,21 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 #   SIMD          mmsb-simd (lane parity, exp/log/polar ULP bounds);
 #                 mmsb-core: simd_determinism; mmsb: simd_smoke
 #   obs           mmsb-obs (registry, clock, rings, exporters, trace
-#                 round-trip); mmsb: obs_cli
+#                 round-trip); mmsb: obs_cli (a priced DKV access is one
+#                 histogram sample a batch, no span)
+#   CLI           mmsb: driver_cli, serve_cli (a flag a command does not
+#                 read exits 1 naming it)
 #   serving       mmsb-serve: e2e, reload_stress, zero_alloc_serve,
 #                 reload_footprint (a reload holds at most one more
 #                 snapshot + the file), topk_property + snapshot::tests
 #                 (snapshot build vs its oracles), membership_cap (the
 #                 16-community cap over the socket), reload_corrupt,
 #                 http_prop, write_deadline (one budget per response)
-#   overload      mmsb-serve: chaos, drain_shed (fast-path 503, graceful
-#                 drain with zero truncation/abort), drain_forced (a
-#                 process of its own: it waits on the global counter)
+#   overload      mmsb-serve: chaos, drain_shed (at 1 and 2 workers,
+#                 connection threads+1 gets the sweep's fast-path 503 and
+#                 no more than threads are admitted; graceful drain with
+#                 zero truncation/abort), drain_forced (a process of its
+#                 own: it waits on the global counter)
 #   out-of-core   mmsb-ooc (codec/format properties, every-flipped-byte
 #                 sweep, a flipped frame, the version-1 refusal);
 #                 mmsb-core: backend_determinism, ooc_read_count
