@@ -43,11 +43,17 @@ impl fmt::Display for Violation {
     }
 }
 
-/// Lint one file: run every in-scope per-file rule, then apply inline
+/// Lint one file: run every per-file rule, then apply inline
 /// suppressions (which may add `malformed-suppression` /
 /// `unused-suppression` findings of their own). `rel` is the
 /// repo-relative `/`-separated path.
 pub fn lint_file(rel: &str, src: &str) -> Vec<Violation> {
+    lint_source(rel, src).0
+}
+
+/// [`lint_file`], plus the file's summary for the workspace-level rules,
+/// read off the same tokens.
+fn lint_source(rel: &str, src: &str) -> (Vec<Violation>, WorkspaceFile) {
     let (toks, comments) = lexer::lex_full(src);
     let parsed = parse::parse(&toks);
     let lines: Vec<&str> = src.lines().collect();
@@ -60,10 +66,9 @@ pub fn lint_file(rel: &str, src: &str) -> Vec<Violation> {
     let mut out = Vec::new();
     for rule in rules::registry() {
         if let Check::File(check) = rule.check {
-            if rule.scope.applies(rel) {
-                check(&ctx, &mut out);
-            }
+            check(&ctx, &mut out);
         }
+        rules::check_placement(rule.id, &ctx, &mut out);
     }
     let ids = rules::rule_ids();
     let set = suppress::scan(&comments, &parsed, &ids);
@@ -73,18 +78,13 @@ pub fn lint_file(rel: &str, src: &str) -> Vec<Violation> {
             .unwrap_or(false)
     });
     out.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
-    out
-}
-
-/// Does this source use `unsafe` as code (not counting fn-pointer
-/// types, which introduce no unsafe operations at the use site)?
-pub(crate) fn uses_unsafe(src: &str) -> bool {
-    let toks = lexer::lex(src);
-    toks.iter().enumerate().any(|(k, t)| {
-        t.text == "unsafe"
-            && !(toks.get(k + 1).map(|t| t.text.as_str()) == Some("fn")
-                && toks.get(k + 2).map(|t| t.text.as_str()) == Some("("))
-    })
+    let summary = WorkspaceFile {
+        rel: rel.to_string(),
+        uses_unsafe: !rules::unsafe_sites(&toks).is_empty(),
+        has_deny: src.contains("#![deny(unsafe_op_in_unsafe_fn)]"),
+        has_forbid: src.contains("#![forbid(unsafe_code)]"),
+    };
+    (out, summary)
 }
 
 fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
@@ -134,13 +134,9 @@ pub fn lint_workspace(root: &Path) -> Vec<Violation> {
             });
             continue;
         };
-        out.extend(lint_file(&rel, &src));
-        summaries.push(WorkspaceFile {
-            rel,
-            uses_unsafe: uses_unsafe(&src),
-            has_deny: src.contains("#![deny(unsafe_op_in_unsafe_fn)]"),
-            has_forbid: src.contains("#![forbid(unsafe_code)]"),
-        });
+        let (violations, summary) = lint_source(&rel, &src);
+        out.extend(violations);
+        summaries.push(summary);
     }
 
     for rule in rules::registry() {
@@ -160,8 +156,9 @@ mod tests {
     #[test]
     fn fn_pointer_type_is_exempt() {
         let src = "struct T { call: unsafe fn(*mut ()) }";
-        assert!(lint_file("crates/pool/src/x.rs", src).is_empty());
-        assert!(!uses_unsafe(src));
+        let (violations, summary) = lint_source("crates/pool/src/x.rs", src);
+        assert!(violations.is_empty(), "{violations:?}");
+        assert!(!summary.uses_unsafe);
     }
 
     #[test]
@@ -187,97 +184,118 @@ mod tests {
         assert!(vs.iter().any(|v| v.rule == "unsafe-allowlist"), "{vs:?}");
     }
 
+    const TIME: &str = "use std::time::Instant;";
+    const SYSTIME: &str = "let t = std::time::SystemTime::now();";
+    const ARCH: &str = "use core::arch::x86_64::*;";
+    const DETECT: &str = "if std::arch::is_x86_feature_detected!(\"avx2\") {}";
+    const NET: &str = "use std::net::TcpListener;";
+    const CONNECT: &str = "let s = std::net::TcpStream::connect(addr);";
+    const FS: &str = "use std::fs;";
+    const FS_WRITE: &str = "fn f() { std::fs::write(\"x\", b\"y\").unwrap(); }";
+    /// Every placement name, but in comments and strings only.
+    const MASKED: &str = "// Instant core::arch std::net std::fs now_ns BlockCache\n\
+        let s = \"SystemTime std::arch std::net::TcpStream std::fs::write read_block_into\";\n\
+        fn f() -> Checkpoint { g(\"Checkpoint::capture\") } // Option<Checkpoint>";
+    const DIST: &str = "crates/core/src/sampler/distributed.rs";
+
+    /// Lint each `(path, source, flagged)` case as if `source` lived at
+    /// `path`: it reports `rule` when `flagged`, and nothing otherwise.
+    fn placement(rule: &str, cases: &[(&str, &str, bool)]) {
+        for (rel, src, flagged) in cases {
+            let vs = lint_file(rel, src);
+            if *flagged {
+                assert!(vs.iter().any(|v| v.rule == rule), "{rel}: {vs:?}");
+            } else {
+                assert!(vs.is_empty(), "{rel} should be clean: {vs:?}");
+            }
+        }
+    }
+
     #[test]
     fn std_sync_confinement() {
         let src = "use std::sync::Mutex;";
-        let vs = lint_file("crates/pool/src/lib.rs", src);
-        assert!(
-            vs.iter().any(|v| v.rule == "std-sync-confinement"),
-            "{vs:?}"
+        placement(
+            "std-sync-confinement",
+            &[
+                ("crates/pool/src/lib.rs", src, true),
+                // The pool's worker loop and the fault plan stay generic
+                // over `SyncBackend`: a direct `std::sync` import in either
+                // would silently drop them out of the model-checked set.
+                ("crates/pool/src/worker.rs", src, true),
+                ("crates/netsim/src/fault.rs", src, true),
+                ("crates/pool/src/sync/real.rs", src, false),
+                ("crates/graph/src/lib.rs", src, false),
+            ],
         );
-        assert!(lint_file("crates/pool/src/sync/real.rs", src).is_empty());
-        assert!(lint_file("crates/graph/src/lib.rs", src).is_empty());
     }
 
     #[test]
     fn time_confinement() {
-        let uses = "use std::time::Instant;";
-        let vs = lint_file("crates/core/src/sampler/distributed.rs", uses);
-        assert!(vs.iter().any(|v| v.rule == "time-confinement"), "{vs:?}");
-        let sys = "let t = std::time::SystemTime::now();";
-        let vs = lint_file("crates/netsim/src/pipeline.rs", sys);
-        assert!(vs.iter().any(|v| v.rule == "time-confinement"), "{vs:?}");
-        // The clock crate and the bench harness are the two sanctioned homes.
-        assert!(lint_file("crates/obs/src/clock.rs", uses).is_empty());
-        assert!(lint_file("crates/bench/src/timing.rs", uses).is_empty());
-        // Comments and strings never trip the token rule.
-        let masked = "// Instant\nlet s = \"SystemTime\";";
-        assert!(lint_file("crates/graph/src/lib.rs", masked).is_empty());
+        placement(
+            "time-confinement",
+            &[
+                (DIST, TIME, true),
+                ("crates/netsim/src/pipeline.rs", SYSTIME, true),
+                // The clock crate and the bench harness are the two homes.
+                ("crates/obs/src/clock.rs", TIME, false),
+                ("crates/bench/src/timing.rs", TIME, false),
+                ("crates/graph/src/lib.rs", MASKED, false),
+            ],
+        );
     }
 
     #[test]
     fn arch_confinement() {
-        let uses = "use core::arch::x86_64::*;";
-        let vs = lint_file("crates/core/src/sampler/stage.rs", uses);
-        assert!(vs.iter().any(|v| v.rule == "arch-confinement"), "{vs:?}");
-        let detect = "if std::arch::is_x86_feature_detected!(\"avx2\") {}";
-        let vs = lint_file("crates/bench/src/bin/bench_phi.rs", detect);
-        assert!(vs.iter().any(|v| v.rule == "arch-confinement"), "{vs:?}");
-        // The SIMD crate is the one sanctioned home — src and tests alike.
-        assert!(lint_file("crates/simd/src/x86.rs", uses).is_empty());
-        assert!(lint_file("crates/simd/tests/parity.rs", detect).is_empty());
-        // Comments and strings never trip the token rule.
-        let masked = "// core::arch\nlet s = \"std::arch\";";
-        assert!(lint_file("crates/graph/src/lib.rs", masked).is_empty());
+        placement(
+            "arch-confinement",
+            &[
+                ("crates/core/src/sampler/stage.rs", ARCH, true),
+                ("crates/bench/src/bin/bench_phi.rs", DETECT, true),
+                // The SIMD crate is the one home — src and tests alike.
+                ("crates/simd/src/x86.rs", ARCH, false),
+                ("crates/simd/tests/parity.rs", DETECT, false),
+                ("crates/graph/src/lib.rs", MASKED, false),
+            ],
+        );
     }
 
     #[test]
     fn net_confinement() {
-        let uses = "use std::net::TcpListener;";
-        let vs = lint_file("crates/core/src/sampler/distributed.rs", uses);
-        assert!(vs.iter().any(|v| v.rule == "net-confinement"), "{vs:?}");
-        let connect = "let s = std::net::TcpStream::connect(addr);";
-        let vs = lint_file("crates/bench/src/bin/bench_serve.rs", connect);
-        assert!(vs.iter().any(|v| v.rule == "net-confinement"), "{vs:?}");
-        // The serving crate is the one sanctioned home — src and tests.
-        assert!(lint_file("crates/serve/src/server.rs", uses).is_empty());
-        assert!(lint_file("crates/serve/tests/e2e.rs", connect).is_empty());
-        // Comments and strings never trip the token rule.
-        let masked = "// std::net\nlet s = \"std::net::TcpStream\";";
-        assert!(lint_file("crates/graph/src/lib.rs", masked).is_empty());
+        placement(
+            "net-confinement",
+            &[
+                (DIST, NET, true),
+                ("crates/bench/src/bin/bench_serve.rs", CONNECT, true),
+                // The serving crate is the one home — src and tests.
+                ("crates/serve/src/server.rs", NET, false),
+                ("crates/serve/tests/e2e.rs", CONNECT, false),
+                ("crates/graph/src/lib.rs", MASKED, false),
+            ],
+        );
     }
 
     #[test]
     fn fs_confinement() {
-        let uses = "use std::fs;";
-        let vs = lint_file("crates/core/src/sampler/distributed.rs", uses);
-        assert!(vs.iter().any(|v| v.rule == "fs-confinement"), "{vs:?}");
-        let write = "fn f() { std::fs::write(\"x\", b\"y\").unwrap(); }";
-        let vs = lint_file("crates/serve/src/reload.rs", write);
-        assert!(vs.iter().any(|v| v.rule == "fs-confinement"), "{vs:?}");
-        // The sanctioned persistence layers pass.
-        for rel in [
-            "crates/ooc/src/file.rs",
-            "crates/graph/src/io.rs",
-            "crates/core/src/checkpoint.rs",
-            "crates/bench/src/bin/bench_graph.rs",
-            "crates/mmsb/src/bin/mmsb.rs",
-            "crates/check/src/lint/mod.rs",
-            "crates/obs/src/export.rs",
-        ] {
-            assert!(
-                lint_file(rel, uses).is_empty(),
-                "{rel} should be allowlisted"
-            );
-        }
-        // Integration tests and #[cfg(test)] code are exempt everywhere.
-        assert!(lint_file("crates/serve/tests/e2e.rs", write).is_empty());
-        let test_only =
-            "#[cfg(test)]\nmod tests {\n    fn t() { let _ = std::fs::read(\"x\"); }\n}\n";
-        assert!(lint_file("crates/core/src/eval.rs", test_only).is_empty());
-        // Comments and strings never trip the token rule.
-        let masked = "// std::fs\nlet s = \"std::fs::write\";";
-        assert!(lint_file("crates/core/src/eval.rs", masked).is_empty());
+        let test_only = "#[cfg(test)]\nmod t {\n    fn t() { let _ = std::fs::read(\"x\"); }\n}\n";
+        placement(
+            "fs-confinement",
+            &[
+                (DIST, FS, true),
+                ("crates/serve/src/reload.rs", FS_WRITE, true),
+                // The sanctioned persistence layers.
+                ("crates/ooc/src/file.rs", FS, false),
+                ("crates/graph/src/io.rs", FS, false),
+                ("crates/core/src/checkpoint.rs", FS, false),
+                ("crates/bench/src/bin/bench_graph.rs", FS, false),
+                ("crates/mmsb/src/bin/mmsb.rs", FS, false),
+                ("crates/check/src/lint/mod.rs", FS, false),
+                ("crates/obs/src/export.rs", FS, false),
+                // Integration tests and #[cfg(test)] code, everywhere.
+                ("crates/serve/tests/e2e.rs", FS_WRITE, false),
+                ("crates/core/src/eval.rs", test_only, false),
+                ("crates/core/src/eval.rs", MASKED, false),
+            ],
+        );
     }
 
     #[test]
@@ -297,21 +315,6 @@ mod tests {
         // Outside the crate the allowlist still bites.
         let vs = lint_file("crates/core/src/workspace.rs", good);
         assert!(vs.iter().any(|v| v.rule == "unsafe-allowlist"), "{vs:?}");
-    }
-
-    #[test]
-    fn fault_layer_stays_inside_the_sync_fence() {
-        // The pool's worker loop and the fault plan must stay generic
-        // over `SyncBackend`: a direct `std::sync` import in either
-        // would silently drop them out of the model-checked set.
-        let src = "use std::sync::Condvar;";
-        for rel in ["crates/pool/src/worker.rs", "crates/netsim/src/fault.rs"] {
-            let vs = lint_file(rel, src);
-            assert!(
-                vs.iter().any(|v| v.rule == "std-sync-confinement"),
-                "{rel}: {vs:?}"
-            );
-        }
     }
 
     // ----- new-rule unit coverage (fixtures assert exact JSON) -----
@@ -486,16 +489,41 @@ fn caller<S: SyncBackend>(&self) {
 
     #[test]
     fn hash_iter_flags_in_scope_and_spares_fx_and_tests() {
-        let src = "use std::collections::HashMap;\nfn f() { let m: HashMap<u32, u32> = HashMap::new(); drop(m); }\n";
-        let vs = lint_file("crates/core/src/eval.rs", src);
-        assert!(vs.iter().any(|v| v.rule == "hash-iter"), "{vs:?}");
-        // FxHash types are deterministic and stay legal.
+        let map = "use std::collections::HashMap;\nfn f() { let m: HashMap<u32, u32> = HashMap::new(); drop(m); }\n";
         let fx = "use mmsb_graph::FxHashMap;\nfn f() { let m: FxHashMap<u32, u32> = FxHashMap::default(); drop(m); }\n";
-        assert!(lint_file("crates/core/src/eval.rs", fx).is_empty());
-        // Out of scope: the graph crate hosts the hasher itself.
-        assert!(lint_file("crates/graph/src/hasher.rs", src).is_empty());
-        // Test mods are exempt.
         let test_only = "#[cfg(test)]\nmod tests {\n    use std::collections::HashSet;\n    fn t() { let s: HashSet<u32> = HashSet::new(); drop(s); }\n}\n";
-        assert!(lint_file("crates/netsim/src/partition.rs", test_only).is_empty());
+        placement(
+            "hash-iter",
+            &[
+                ("crates/core/src/eval.rs", map, true),
+                // FxHash types stay legal, the graph crate hosts the
+                // hasher itself, and test mods are exempt.
+                ("crates/core/src/eval.rs", fx, false),
+                ("crates/graph/src/hasher.rs", map, false),
+                ("crates/netsim/src/partition.rs", test_only, false),
+            ],
+        );
+    }
+
+    #[test]
+    fn layer_boundary() {
+        let cache = "use mmsb_ooc::BlockCache;";
+        let read = "f.read_block_into(b, &mut v)?;";
+        let clock_in_test = "#[cfg(test)]\nmod t { fn t() { now_ns(); } }";
+        let field = "struct D { c: Option<crate::checkpoint::Checkpoint> }";
+        placement(
+            "layer-boundary",
+            &[
+                // Each row binds its own files, test code included.
+                ("crates/core/src/workspace.rs", cache, true),
+                ("crates/ooc/src/cache.rs", cache, false),
+                ("crates/ooc/src/region.rs", read, true),
+                ("crates/ooc/src/file.rs", read, false),
+                ("crates/netsim/src/dkv.rs", clock_in_test, true),
+                (DIST, field, true),
+                (DIST, MASKED, false),
+                ("crates/netsim/src/cluster.rs", MASKED, false),
+            ],
+        );
     }
 }

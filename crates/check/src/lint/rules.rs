@@ -1,16 +1,17 @@
 //! The rule registry: every lint this analyzer runs, as data.
 //!
 //! Each [`Rule`] bundles an id, a one-line summary (the README table),
-//! a long explanation (`xlint --explain <rule>`), a path scope, a
-//! suppressibility flag, and its checker. Adding a rule means adding
-//! one table entry and one function — the driver in `mod.rs` and the
-//! suppression engine need no changes.
+//! a long explanation (`xlint --explain <rule>`), a suppressibility
+//! flag, and its checker. Adding a rule means adding
+//! one table entry and one function — or, for a rule about which names
+//! may appear in which files, rows of [`PLACEMENTS`] — the driver in
+//! `mod.rs` and the suppression engine need no changes.
 //!
-//! Policy tables (allowlists, confinement prefixes, the lock order,
+//! Policy tables (allowlists, the placement rows, the lock order,
 //! hot-path module list) live at the top of this file so a policy
 //! change is a one-table diff.
 
-use super::lexer::Tok;
+use super::lexer::{lex, Tok};
 use super::parse::ParsedFile;
 use super::Violation;
 
@@ -37,25 +38,14 @@ pub const UNSAFE_ALLOWLIST: &[&str] = &[
     "crates/check/tests",
 ];
 
-/// Within these crates, `std::sync` is confined to the sync module.
-pub const SYNC_CONFINED: &[&str] = &["crates/pool/src", "crates/netsim/src"];
+/// The pool's sync module: the one home of `std::sync` in pool and netsim,
+/// and the lock layer's own implementation.
 pub const SYNC_MODULE: &str = "crates/pool/src/sync";
 
-/// Path prefixes where the wall clock may be named directly. Everyone
-/// else goes through `mmsb_obs::clock`.
-pub const TIME_ALLOWED: &[&str] = &["crates/obs", "crates/bench"];
-/// Path prefix where `core::arch` / `std::arch` may be named. Everyone
-/// else consumes SIMD through `mmsb-simd`'s safe dispatchers.
-pub const ARCH_ALLOWED: &str = "crates/simd";
-/// Path prefix where `std::net` may be named. Everyone else drives a
-/// server through `mmsb-serve`'s public API.
-pub const NET_ALLOWED: &str = "crates/serve";
 /// Path prefixes where `std::fs` may be named: the sanctioned
 /// persistence layers (out-of-core graph files, the edge-list reader,
 /// checkpointing, obs export), the harnesses whose whole job is files
-/// (bench, CLI), and the analyzer's own workspace walk. Integration
-/// tests (`tests/` files) and `#[cfg(test)]` code are exempt
-/// everywhere — tempfile round-trips are how persistence is tested.
+/// (bench, CLI), and the analyzer's own workspace walk.
 pub const FS_ALLOWED: &[&str] = &[
     "crates/ooc/src",
     "crates/graph/src/io.rs",
@@ -65,8 +55,213 @@ pub const FS_ALLOWED: &[&str] = &[
     "crates/check/src/lint",
     "crates/obs/src/export.rs",
 ];
-/// Clock-type tokens the time-confinement rule forbids elsewhere.
-pub const TIME_TOKENS: &[&str] = &["Instant", "SystemTime"];
+
+/// A prefix of every path: the row applies everywhere but its `except`.
+const EVERYWHERE: &[&str] = &[""];
+/// The lockstep driver of the simulated cluster (paper §III).
+const DISTRIBUTED: &str = "crates/core/src/sampler/distributed.rs";
+
+/// One row of the placement table: names a set of files may not name.
+pub struct Place {
+    /// The rule a match is reported under.
+    pub rule: &'static str,
+    /// Token patterns: an identifier (`Instant`), a path (`std::fs`) or
+    /// a short token run (`graph_cache:`), where `*` stands for any path
+    /// qualifier (`a::b::`, or none). Comments and literals never match.
+    pub names: &'static [&'static str],
+    /// The row applies to files under one of these path prefixes…
+    pub within: &'static [&'static str],
+    /// …and under none of these.
+    pub except: &'static [&'static str],
+    /// `tests/` files and `#[cfg(test)]` code are exempt.
+    pub tests_exempt: bool,
+    /// The violation message; `{}` is the matched text.
+    pub message: &'static str,
+}
+
+/// Which names may appear in which files: every confinement rule and
+/// every boundary of the paper's layering, as data. The rules' `--explain`
+/// texts give each row's reason.
+pub const PLACEMENTS: &[Place] = &[
+    Place {
+        rule: "std-sync-confinement",
+        names: &["std::sync"],
+        within: &["crates/pool/src", "crates/netsim/src"],
+        except: &[SYNC_MODULE],
+        tests_exempt: false,
+        message: "direct `std::sync` reference outside the sync module; go \
+                  through `mmsb_pool::sync` (SyncBackend or the re-exports in \
+                  `sync::real`) so the protocol stays model-checkable",
+    },
+    Place {
+        rule: "time-confinement",
+        names: &["Instant", "SystemTime"],
+        within: EVERYWHERE,
+        except: &["crates/obs", "crates/bench"],
+        tests_exempt: false,
+        message: "`{}` named outside crates/obs and crates/bench; read time \
+                  through `mmsb_obs::clock` (Stopwatch / now_ns) so the shared \
+                  anchor and the obs off-level guarantees hold",
+    },
+    Place {
+        rule: "arch-confinement",
+        names: &["core::arch", "std::arch"],
+        within: EVERYWHERE,
+        except: &["crates/simd"],
+        tests_exempt: false,
+        message: "`{}` named outside crates/simd; call intrinsics through \
+                  `mmsb_simd`'s safe dispatchers so every unsafe lane operation \
+                  stays behind the proof-token model and its parity tests",
+    },
+    Place {
+        rule: "net-confinement",
+        names: &["std::net"],
+        within: EVERYWHERE,
+        except: &["crates/serve"],
+        tests_exempt: false,
+        message: "`std::net` named outside crates/serve; drive a server \
+                  through `mmsb_serve` (ServeHandle, loadgen) so real \
+                  socket I/O stays in one crate with one shutdown protocol",
+    },
+    Place {
+        rule: "fs-confinement",
+        names: &["std::fs"],
+        within: EVERYWHERE,
+        except: FS_ALLOWED,
+        tests_exempt: true,
+        message: "`std::fs` named outside the sanctioned persistence layers; \
+                  route durable bytes through mmsb_ooc / graph::io / Checkpoint \
+                  / obs export, or extend FS_ALLOWED in \
+                  crates/check/src/lint/rules.rs",
+    },
+    Place {
+        rule: "hash-iter",
+        names: &["HashMap", "HashSet"],
+        within: &[
+            "crates/core/src",
+            "crates/netsim/src",
+            "crates/simd/src",
+            "crates/svi/src",
+        ],
+        except: &[],
+        tests_exempt: true,
+        message: "std `{}` in a result-affecting crate: its per-process hasher seed \
+                  makes iteration order nondeterministic; use BTreeMap/BTreeSet or \
+                  `mmsb_graph::FxHashMap`/`FxHashSet`",
+    },
+    Place {
+        rule: "hot-path-panic",
+        names: &[".unwrap", ".expect"],
+        within: HOT_PATHS,
+        except: &[],
+        tests_exempt: true,
+        message: "`{}()` in a hot-path module can panic; handle the error or \
+                  prove it impossible and suppress with justification",
+    },
+    Place {
+        rule: "hot-path-panic",
+        names: &["panic!", "todo!", "unimplemented!", "unreachable!"],
+        within: HOT_PATHS,
+        except: &[],
+        tests_exempt: true,
+        message: "`{}` in a hot-path module aborts the worker; return an error \
+                  instead",
+    },
+    Place {
+        rule: "hot-path-alloc",
+        names: &[
+            "Vec::new",
+            "Vec::with_capacity",
+            "Vec::from",
+            "Box::new",
+            "String::new",
+            "String::with_capacity",
+            "String::from",
+            "vec!",
+            "format!",
+        ],
+        within: HOT_PATHS,
+        except: &[],
+        tests_exempt: true,
+        message: "`{}` allocates in a hot-path module; reuse a preallocated \
+                  buffer, or suppress if this is setup-time construction",
+    },
+    Place {
+        rule: "hot-path-alloc",
+        names: &[".collect", ".to_vec", ".to_string", ".to_owned"],
+        within: HOT_PATHS,
+        except: &[],
+        tests_exempt: true,
+        message: "`{}()` allocates in a hot-path module; write into a caller \
+                  buffer instead",
+    },
+    Place {
+        rule: "layer-boundary",
+        names: &[
+            "Stopwatch::start",
+            "elapsed_secs",
+            "Instant",
+            "SystemTime",
+            "now_ns",
+        ],
+        within: &["crates/netsim/src", DISTRIBUTED],
+        except: &[],
+        tests_exempt: false,
+        message: "`{}`: a clock read in the price of the simulated cluster",
+    },
+    Place {
+        rule: "layer-boundary",
+        names: &[
+            "update_phi",
+            "theta_gradient",
+            "perplexity_probs_into",
+            "apply_phi_updates",
+            "apply_theta_update",
+            "refresh_minibatch",
+            "fan_out",
+        ],
+        within: &[DISTRIBUTED],
+        except: &[],
+        tests_exempt: false,
+        message: "`{}`: the lockstep driver computes a stage of the chain",
+    },
+    Place {
+        rule: "layer-boundary",
+        names: &["BlockCache"],
+        within: &["crates/core/src/workspace.rs"],
+        except: &[],
+        tests_exempt: false,
+        message: "`{}`: the sampler workspace names a block cache",
+    },
+    Place {
+        rule: "layer-boundary",
+        names: &["graph_cache:"],
+        within: &["crates/core/src"],
+        except: &[],
+        tests_exempt: false,
+        message: "`{}` field: a per-thread graph cache beside the region caches",
+    },
+    Place {
+        rule: "layer-boundary",
+        names: &["Checkpoint::capture", "Option<*Checkpoint>"],
+        within: &[DISTRIBUTED],
+        except: &[],
+        tests_exempt: false,
+        message: "`{}`: the lockstep driver keeps a rollback checkpoint",
+    },
+    Place {
+        rule: "layer-boundary",
+        names: &["read_block_into"],
+        within: &[
+            "crates/ooc/src/cache.rs",
+            "crates/ooc/src/region.rs",
+            "crates/core/src",
+        ],
+        except: &[],
+        tests_exempt: false,
+        message: "`{}`: a whole-block read on the cached path",
+    },
+];
 
 /// The designated hot-path modules: the request path of the serving
 /// layer, the sampler's inner step driver and its per-vertex / per-pair
@@ -91,18 +286,6 @@ pub const HOT_PATHS: &[&str] = &[
     "crates/simd/src/lanes.rs",
     "crates/pool/src/worker.rs",
     "crates/ooc/src/cache.rs",
-];
-
-/// Crates whose computed results feed trained state or published
-/// artifacts — where `HashMap`/`HashSet` iteration order (randomized
-/// per process by std's `RandomState`) could silently break bitwise
-/// determinism. `mmsb_graph::FxHashMap`/`FxHashSet` (fixed-seed
-/// FxHash) stay legal: their iteration order is reproducible.
-pub const HASH_ITER_SCOPE: &[&str] = &[
-    "crates/core/src",
-    "crates/netsim/src",
-    "crates/simd/src",
-    "crates/svi/src",
 ];
 
 /// Crates whose locks participate in the declared acquisition order.
@@ -144,30 +327,15 @@ pub struct WorkspaceFile {
     pub has_forbid: bool,
 }
 
-/// Where a rule runs.
-pub enum Scope {
-    /// Every file (the rule gates itself on the policy tables).
-    All,
-    /// Only files under one of these path prefixes.
-    Under(&'static [&'static str]),
-}
-
-impl Scope {
-    /// Does the rule run on `rel`?
-    pub fn applies(&self, rel: &str) -> bool {
-        match self {
-            Scope::All => true,
-            Scope::Under(prefixes) => prefixes.iter().any(|p| rel.starts_with(p)),
-        }
-    }
-}
-
 /// A rule's checker.
 pub enum Check {
-    /// Runs once per file in scope.
+    /// Runs once per file (gating itself on the policy tables).
     File(fn(&FileCtx<'_>, &mut Vec<Violation>)),
     /// Runs once over the whole workspace file list.
     Workspace(fn(&[WorkspaceFile], &mut Vec<Violation>)),
+    /// Only the rule's rows of [`PLACEMENTS`], which carry their own
+    /// paths (every rule's rows run, by [`check_placement`]).
+    Place,
     /// Emitted by the driver or the suppression engine, not a checker.
     Meta,
 }
@@ -180,8 +348,6 @@ pub struct Rule {
     pub summary: &'static str,
     /// Long-form rationale for `--explain <rule>`.
     pub explain: &'static str,
-    /// Path scope.
-    pub scope: Scope,
     /// May an inline `// xlint: allow(...)` waive this rule?
     pub suppressible: bool,
     /// The checker.
@@ -204,7 +370,7 @@ pub fn rule_ids() -> Vec<&'static str> {
     REGISTRY.iter().map(|r| r.id).collect()
 }
 
-static REGISTRY: [Rule; 16] = [
+static REGISTRY: [Rule; 17] = [
     Rule {
         id: "safety-comment",
         summary: "every unsafe site carries a `// SAFETY:` justification",
@@ -213,7 +379,6 @@ justified: a `// SAFETY:` comment on the same line or within the six preceding l
 `unsafe fn`) a `# Safety` section in the contiguous doc comment directly above. `unsafe fn(...)` \
 function-pointer *types* are exempt — they declare no new obligation site. The comment is the \
 reviewer's proof obligation: it must say which invariant makes the operation sound.",
-        scope: Scope::All,
         suppressible: false,
         check: Check::File(check_safety_comment),
     },
@@ -226,7 +391,6 @@ crates/core/src/sampler/driver.rs, the counting-allocator tests, and the checker
 backend + protocol ports. Extending the allowlist is a reviewed table edit in \
 crates/check/src/lint/rules.rs, never an inline waiver — which is why this rule is not \
 suppressible.",
-        scope: Scope::All,
         suppressible: false,
         check: Check::File(check_unsafe_allowlist),
     },
@@ -237,7 +401,6 @@ suppressible.",
 `#![deny(unsafe_op_in_unsafe_fn)]` in its root, and every integration-test file (its own crate \
 root) using `unsafe` must carry it too. This keeps each unsafe operation inside an explicit \
 `unsafe {}` with its own SAFETY comment, instead of inheriting a whole-function blanket.",
-        scope: Scope::All,
         suppressible: false,
         check: Check::Workspace(check_deny_attr),
     },
@@ -247,7 +410,6 @@ root) using `unsafe` must carry it too. This keeps each unsafe operation inside 
         explain: "The crates that need no unsafe at all (rand, graph, svi, netsim, bench, mmsb, \
 serve) must pin that with `#![forbid(unsafe_code)]`, so a future `unsafe` block is a \
 compile error rather than a silent scope creep.",
-        scope: Scope::All,
         suppressible: false,
         check: Check::Workspace(check_forbid_attr),
     },
@@ -260,9 +422,8 @@ so `mmsb-check` can model it. The DKV store and the fault layer are deliberately
 fence — the sharded store's request path and the fault plan are single-threaded today, and a \
 lock or atomic added to either may come only through the backend, which is what would let the \
 model tests explore its races.",
-        scope: Scope::Under(SYNC_CONFINED),
         suppressible: false,
-        check: Check::File(check_sync_confinement),
+        check: Check::Place,
     },
     Rule {
         id: "time-confinement",
@@ -271,9 +432,8 @@ model tests explore its races.",
 crates/bench. Everything else reads the clock through `mmsb_obs::clock` (Stopwatch, now_ns), so \
 instrumentation shares one anchor, the off level provably never touches the clock, and the \
 virtual-time simulation never silently mixes in wall-clock reads.",
-        scope: Scope::All,
         suppressible: false,
-        check: Check::File(check_time_confinement),
+        check: Check::Place,
     },
     Rule {
         id: "arch-confinement",
@@ -281,9 +441,8 @@ virtual-time simulation never silently mixes in wall-clock reads.",
         explain: "`core::arch` / `std::arch` (intrinsics, feature detection) may be named only \
 under crates/simd. All other crates consume SIMD through `mmsb-simd`'s safe dispatchers, which \
 keeps every intrinsic behind one crate's proof-token safety model and its bitwise-parity tests.",
-        scope: Scope::All,
         suppressible: false,
-        check: Check::File(check_arch_confinement),
+        check: Check::Place,
     },
     Rule {
         id: "net-confinement",
@@ -292,9 +451,8 @@ keeps every intrinsic behind one crate's proof-token safety model and its bitwis
 (src and tests alike). Every other crate talks to a server through `mmsb-serve`'s public API — \
 ServeHandle, loadgen — so there is exactly one place where real I/O happens, one shutdown \
 protocol, and the simulated transports can never silently grow a real socket.",
-        scope: Scope::All,
         suppressible: false,
-        check: Check::File(check_net_confinement),
+        check: Check::Place,
     },
     Rule {
         id: "fs-confinement",
@@ -308,9 +466,8 @@ filesystem and a stray temp file can never leak into a hot loop. Integration tes
 `#[cfg(test)]` code are exempt — tempfile round-trips are how the persistence layers are \
 tested. Extending the allowlist is a reviewed table edit (FS_ALLOWED in \
 crates/check/src/lint/rules.rs), never an inline waiver.",
-        scope: Scope::All,
         suppressible: false,
-        check: Check::File(check_fs_confinement),
+        check: Check::Place,
     },
     Rule {
         id: "hot-path-panic",
@@ -322,9 +479,8 @@ can panic on out-of-bounds). Return errors, use `get`/checked splits, or — whe
 bounded by construction — suppress with the proof in the justification: \
 `// xlint: allow(hot-path-panic) — <why the index is in bounds>`. Code under `#[cfg(test)]` is \
 exempt.",
-        scope: Scope::Under(HOT_PATHS),
         suppressible: true,
-        check: Check::File(check_hot_path_panic),
+        check: Check::File(check_hot_path_index),
     },
     Rule {
         id: "hot-path-alloc",
@@ -336,9 +492,8 @@ paths they exercise; this rule pins it statically for every line. Flags `Vec::ne
 `format!`, `.collect()`, `.to_vec()`, `.to_string()`, `.to_owned()`. Setup-time allocation \
 (buffer construction before the loop) is legitimate — suppress it with a justification saying \
 so. Code under `#[cfg(test)]` is exempt.",
-        scope: Scope::Under(HOT_PATHS),
         suppressible: true,
-        check: Check::File(check_hot_path_alloc),
+        check: Check::Place,
     },
     Rule {
         id: "lock-order",
@@ -352,7 +507,6 @@ same-file callees one level, and flags rank inversions and locks missing from th
 Token-level limits: it cannot see guard drops, so a sequential re-acquire looks like nesting — \
 equal ranks are allowed, and a deliberate drop-then-lock-lower pattern needs a suppression \
 explaining the drop. Code under `#[cfg(test)]` is exempt.",
-        scope: Scope::Under(LOCK_ORDER_SCOPE),
         suppressible: true,
         check: Check::File(check_lock_order),
     },
@@ -365,9 +519,34 @@ order differs run to run. In the crates whose outputs feed trained state or publ
 bitwise-determinism guarantees the seeded-rerun tests pin. Use BTreeMap/BTreeSet (ordered) or \
 `mmsb_graph::FxHashMap`/`FxHashSet` (fixed-seed, reproducible iteration). Code under \
 `#[cfg(test)]` is exempt — test assertions on membership don't feed results.",
-        scope: Scope::Under(HASH_ITER_SCOPE),
         suppressible: true,
-        check: Check::File(check_hash_iter),
+        check: Check::Place,
+    },
+    Rule {
+        id: "layer-boundary",
+        summary: "the simulated cluster prices the step record: no clock, no second chain",
+        explain: "The paper's layering (§III), as placement rows; test code is not exempt. \
+(1) No clock read (`Stopwatch::start`, `elapsed_secs`, `Instant`, `SystemTime`, `now_ns`) in \
+crates/netsim/src or the lockstep driver (crates/core/src/sampler/distributed.rs): the price \
+charges compute as counted work and records each priced DKV access at its priced time \
+(`OpObs::priced_read`/`priced_write`), so a clock read would put host time into the virtual \
+clock. (2) No stage of the chain (`update_phi`, `theta_gradient`, `perplexity_probs_into`, \
+`apply_phi_updates`, `apply_theta_update`, `refresh_minibatch`) and no pool `fan_out` named in \
+the lockstep driver: it runs the pool driver's step and only prices it, so a stage there would be \
+a second sampler. (3) One set of block caches: the engine caches an out-of-core file's blocks by \
+region (`RegionCaches`), each block in one cache, so crates/core/src/workspace.rs names no \
+`BlockCache` and no file under crates/core/src has a `graph_cache:` field; a cache per thread \
+beside the region caches would load the blocks a step needs twice. (4) No rollback checkpoint in \
+the lockstep driver (`Checkpoint::capture`, `Option<Checkpoint>` by any path): a worker loss \
+re-prices the held step records at R - 1 workers, while a live capture copies the model planes \
+at the next step and restoring one replays steps the chain already ran. (5) No whole-block read \
+on the cached path: a cache miss reads and verifies only the 1 KiB frames its list spans, so the \
+frame cache (crates/ooc/src/cache.rs), the region caches (crates/ooc/src/region.rs) and the \
+sampler (crates/core/src) never name `read_block_into`, the start-up scan's pread and CRC of a \
+whole block. The price's manifest (crates/netsim/Cargo.toml names no mmsb-core, mmsb-pool or \
+mmsb-ooc) is checked by scripts/tier1.sh: xlint reads no manifests.",
+        suppressible: false,
+        check: Check::Place,
     },
     Rule {
         id: "malformed-suppression",
@@ -376,7 +555,6 @@ bitwise-determinism guarantees the seeded-rerun tests pin. Use BTreeMap/BTreeSet
 justification>` is itself an error: a typo'd marker would otherwise silently suppress nothing \
 (or look like it suppresses something). The justification is mandatory — every waiver carries \
 its reason in the diff forever.",
-        scope: Scope::All,
         suppressible: false,
         check: Check::Meta,
     },
@@ -388,7 +566,6 @@ moved) and the waiver now documents a violation that does not exist, rotting int
 confidence. The analyzer tracks which suppressions fired and fails on the ones that did not. \
 Also raised when a waiver names a non-suppressible rule — those policies are changed by editing \
 the tables in crates/check/src/lint/rules.rs, not inline.",
-        scope: Scope::All,
         suppressible: false,
         check: Check::Meta,
     },
@@ -398,7 +575,6 @@ the tables in crates/check/src/lint/rules.rs, not inline.",
         explain: "Raised when a .rs file under crates/ cannot be read during the workspace walk. \
 An unreadable file is a file the analyzer cannot vouch for, so it fails loudly instead of \
 skipping.",
-        scope: Scope::All,
         suppressible: false,
         check: Check::Meta,
     },
@@ -410,7 +586,7 @@ skipping.",
 
 /// `unsafe` sites in the token stream, with a human label. Skips
 /// `unsafe fn(...)` function-pointer types (no obligation site).
-fn unsafe_sites(toks: &[Tok]) -> Vec<(usize, &'static str)> {
+pub(crate) fn unsafe_sites(toks: &[Tok]) -> Vec<(usize, &'static str)> {
     let mut out = Vec::new();
     for (k, t) in toks.iter().enumerate() {
         if t.text != "unsafe" {
@@ -462,13 +638,55 @@ fn has_safety_near(lines: &[&str], line: usize) -> bool {
     false
 }
 
-/// Does `toks[k..]` start the 4-token path `seg1 :: seg2`?
-fn is_path2(toks: &[Tok], k: usize, seg1: &[&str], seg2: &str) -> bool {
-    k + 3 < toks.len()
-        && seg1.contains(&toks[k].text.as_str())
-        && toks[k + 1].text == ":"
-        && toks[k + 2].text == ":"
-        && toks[k + 3].text == seg2
+/// Is `rel` under one of these path prefixes?
+fn under(rel: &str, prefixes: &[&str]) -> bool {
+    prefixes.iter().any(|p| rel.starts_with(p))
+}
+
+/// The end of `pat` matched at `toks[k..]`, if it matches there. A `*`
+/// in `pat` takes any run of `ident ::` qualifiers.
+fn match_at(toks: &[Tok], mut k: usize, pat: &[Tok]) -> Option<usize> {
+    for p in pat {
+        if p.text == "*" {
+            while toks.get(k).is_some_and(|t| ident_like(&t.text))
+                && toks.get(k + 1).is_some_and(|t| t.text == ":")
+                && toks.get(k + 2).is_some_and(|t| t.text == ":")
+            {
+                k += 3;
+            }
+        } else if toks.get(k)?.text == p.text {
+            k += 1;
+        } else {
+            return None;
+        }
+    }
+    Some(k)
+}
+
+/// The placement checker: each row of `rule` in [`PLACEMENTS`] that
+/// applies to this file, matched at every token in source order.
+pub fn check_placement(rule: &'static str, ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
+    let in_tests = ctx.rel.contains("/tests/");
+    let rows: Vec<(&Place, Vec<Vec<Tok>>)> = PLACEMENTS
+        .iter()
+        .filter(|p| p.rule == rule && under(ctx.rel, p.within) && !under(ctx.rel, p.except))
+        .filter(|p| !(p.tests_exempt && in_tests))
+        .map(|p| (p, p.names.iter().map(|n| lex(n)).collect()))
+        .collect();
+    for k in 0..ctx.toks.len() {
+        for (place, names) in &rows {
+            if place.tests_exempt && ctx.parsed.test_mask[k] {
+                continue;
+            }
+            for name in names {
+                if let Some(end) = match_at(ctx.toks, k, name) {
+                    let text: String = ctx.toks[k..end].iter().map(|t| t.text.as_str()).collect();
+                    let message = place.message.replace("{}", &text);
+                    push(out, ctx, ctx.toks[k].line, rule, message);
+                }
+            }
+        }
+    }
 }
 
 fn push(
@@ -509,7 +727,7 @@ fn check_safety_comment(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
 }
 
 fn check_unsafe_allowlist(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
-    if UNSAFE_ALLOWLIST.iter().any(|p| ctx.rel.starts_with(p)) {
+    if under(ctx.rel, UNSAFE_ALLOWLIST) {
         return;
     }
     for (k, what) in unsafe_sites(ctx.toks) {
@@ -524,114 +742,6 @@ fn check_unsafe_allowlist(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
                  with a documented invariant"
             ),
         );
-    }
-}
-
-fn check_time_confinement(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
-    if TIME_ALLOWED.iter().any(|p| ctx.rel.starts_with(p)) {
-        return;
-    }
-    for t in ctx.toks {
-        if TIME_TOKENS.contains(&t.text.as_str()) {
-            push(
-                out,
-                ctx,
-                t.line,
-                "time-confinement",
-                format!(
-                    "`{}` named outside crates/obs and crates/bench; read time \
-                     through `mmsb_obs::clock` (Stopwatch / now_ns) so the shared \
-                     anchor and the obs off-level guarantees hold",
-                    t.text
-                ),
-            );
-        }
-    }
-}
-
-fn check_arch_confinement(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
-    if ctx.rel.starts_with(ARCH_ALLOWED) {
-        return;
-    }
-    for k in 0..ctx.toks.len() {
-        if is_path2(ctx.toks, k, &["core", "std"], "arch") {
-            push(
-                out,
-                ctx,
-                ctx.toks[k].line,
-                "arch-confinement",
-                format!(
-                    "`{}::arch` named outside crates/simd; call intrinsics through \
-                     `mmsb_simd`'s safe dispatchers so every unsafe lane operation \
-                     stays behind the proof-token model and its parity tests",
-                    ctx.toks[k].text
-                ),
-            );
-        }
-    }
-}
-
-fn check_net_confinement(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
-    if ctx.rel.starts_with(NET_ALLOWED) {
-        return;
-    }
-    for k in 0..ctx.toks.len() {
-        if is_path2(ctx.toks, k, &["std"], "net") {
-            push(
-                out,
-                ctx,
-                ctx.toks[k].line,
-                "net-confinement",
-                "`std::net` named outside crates/serve; drive a server \
-                 through `mmsb_serve` (ServeHandle, loadgen) so real \
-                 socket I/O stays in one crate with one shutdown protocol"
-                    .to_string(),
-            );
-        }
-    }
-}
-
-fn check_fs_confinement(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
-    if FS_ALLOWED.iter().any(|p| ctx.rel.starts_with(p)) || ctx.rel.contains("/tests/") {
-        return;
-    }
-    for k in 0..ctx.toks.len() {
-        if ctx.parsed.test_mask[k] {
-            continue;
-        }
-        if is_path2(ctx.toks, k, &["std"], "fs") {
-            push(
-                out,
-                ctx,
-                ctx.toks[k].line,
-                "fs-confinement",
-                "`std::fs` named outside the sanctioned persistence layers; \
-                 route durable bytes through mmsb_ooc / graph::io / Checkpoint \
-                 / obs export, or extend FS_ALLOWED in \
-                 crates/check/src/lint/rules.rs"
-                    .to_string(),
-            );
-        }
-    }
-}
-
-fn check_sync_confinement(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
-    if ctx.rel.starts_with(SYNC_MODULE) {
-        return;
-    }
-    for k in 0..ctx.toks.len() {
-        if is_path2(ctx.toks, k, &["std"], "sync") {
-            push(
-                out,
-                ctx,
-                ctx.toks[k].line,
-                "std-sync-confinement",
-                "direct `std::sync` reference outside the sync module; go \
-                 through `mmsb_pool::sync` (SyncBackend or the re-exports in \
-                 `sync::real`) so the protocol stays model-checkable"
-                    .to_string(),
-            );
-        }
     }
 }
 
@@ -704,9 +814,6 @@ fn check_forbid_attr(files: &[WorkspaceFile], out: &mut Vec<Violation>) {
 // New semantic rules.
 // ---------------------------------------------------------------------
 
-/// Macros whose expansion is a panic.
-const PANIC_MACROS: &[&str] = &["panic", "todo", "unimplemented", "unreachable"];
-
 /// Keywords that can directly precede `[` without it being an index
 /// expression (slice patterns, array expressions in statements).
 const NON_INDEX_PRECEDERS: &[&str] = &[
@@ -721,130 +828,28 @@ fn ident_like(s: &str) -> bool {
         .unwrap_or(false)
 }
 
-fn check_hot_path_panic(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
-    let toks = ctx.toks;
-    for k in 0..toks.len() {
-        if ctx.parsed.test_mask[k] {
-            continue;
-        }
-        let t = &toks[k];
-        let next = toks.get(k + 1).map(|t| t.text.as_str()).unwrap_or("");
-        if (t.text == "unwrap" || t.text == "expect")
-            && next == "("
-            && k > 0
-            && toks[k - 1].text == "."
-        {
-            push(
-                out,
-                ctx,
-                t.line,
-                "hot-path-panic",
-                format!(
-                    "`.{}()` in a hot-path module can panic; handle the error or \
-                     prove it impossible and suppress with justification",
-                    t.text
-                ),
-            );
-        } else if PANIC_MACROS.contains(&t.text.as_str()) && next == "!" {
-            push(
-                out,
-                ctx,
-                t.line,
-                "hot-path-panic",
-                format!(
-                    "`{}!` in a hot-path module aborts the worker; return an error \
-                     instead",
-                    t.text
-                ),
-            );
-        } else if t.text == "[" && k > 0 {
-            let prev = toks[k - 1].text.as_str();
-            // A lifetime before `[` is a slice type (`&'a [T]`).
-            let indexes = (ident_like(prev) || prev == ")" || prev == "]")
-                && !prev.starts_with('\'')
-                && !NON_INDEX_PRECEDERS.contains(&prev);
-            if indexes {
-                push(
-                    out,
-                    ctx,
-                    t.line,
-                    "hot-path-panic",
-                    format!(
-                        "slice indexing after `{prev}` in a hot-path module panics on \
-                         out-of-bounds; use `get`, restructure, or suppress with a \
-                         bounds proof"
-                    ),
-                );
-            }
-        }
+/// Slice indexing, the hot-path panic no name shows: `[` after an
+/// expression-like token that is not a keyword.
+fn check_hot_path_index(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
+    if !under(ctx.rel, HOT_PATHS) {
+        return;
     }
-}
-
-/// `(owner path, method set)` for allocating associated-fn calls.
-const ALLOC_PATHS: &[(&str, &[&str])] = &[
-    ("Vec", &["new", "with_capacity", "from"]),
-    ("Box", &["new"]),
-    ("String", &["new", "with_capacity", "from"]),
-];
-/// Allocating macros.
-const ALLOC_MACROS: &[&str] = &["vec", "format"];
-/// Allocating method calls (flagged after a `.`).
-const ALLOC_METHODS: &[&str] = &["collect", "to_vec", "to_string", "to_owned"];
-
-fn check_hot_path_alloc(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
-    let toks = ctx.toks;
-    for k in 0..toks.len() {
-        if ctx.parsed.test_mask[k] {
-            continue;
-        }
-        let t = &toks[k];
-        let next = toks.get(k + 1).map(|t| t.text.as_str()).unwrap_or("");
-        for (owner, methods) in ALLOC_PATHS {
-            if t.text == *owner {
-                for m in *methods {
-                    if is_path2(toks, k, &[owner], m) {
-                        push(
-                            out,
-                            ctx,
-                            t.line,
-                            "hot-path-alloc",
-                            format!(
-                                "`{owner}::{m}` allocates in a hot-path module; reuse a \
-                                 preallocated buffer, or suppress if this is setup-time \
-                                 construction"
-                            ),
-                        );
-                    }
-                }
-            }
-        }
-        if ALLOC_MACROS.contains(&t.text.as_str()) && next == "!" {
+    for k in 1..ctx.toks.len() {
+        let prev = ctx.toks[k - 1].text.as_str();
+        // A lifetime before `[` is a slice type (`&'a [T]`).
+        let indexes = (ident_like(prev) || prev == ")" || prev == "]")
+            && !prev.starts_with('\'')
+            && !NON_INDEX_PRECEDERS.contains(&prev);
+        if ctx.toks[k].text == "[" && indexes && !ctx.parsed.test_mask[k] {
             push(
                 out,
                 ctx,
-                t.line,
-                "hot-path-alloc",
+                ctx.toks[k].line,
+                "hot-path-panic",
                 format!(
-                    "`{}!` allocates in a hot-path module; reuse a preallocated \
-                     buffer, or suppress if this is setup-time construction",
-                    t.text
-                ),
-            );
-        }
-        if ALLOC_METHODS.contains(&t.text.as_str())
-            && k > 0
-            && toks[k - 1].text == "."
-            && (next == "(" || next == ":")
-        {
-            push(
-                out,
-                ctx,
-                t.line,
-                "hot-path-alloc",
-                format!(
-                    "`.{}()` allocates in a hot-path module; write into a caller \
-                     buffer instead",
-                    t.text
+                    "slice indexing after `{prev}` in a hot-path module panics on \
+                     out-of-bounds; use `get`, restructure, or suppress with a \
+                     bounds proof"
                 ),
             );
         }
@@ -922,8 +927,9 @@ fn lock_seq(toks: &[Tok], start: usize, end: usize) -> (Vec<Acq>, Vec<(String, u
 }
 
 fn check_lock_order(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
-    if ctx.rel.starts_with(SYNC_MODULE) {
-        return; // the lock layer's own implementation
+    // The sync module is the lock layer's own implementation.
+    if !under(ctx.rel, LOCK_ORDER_SCOPE) || ctx.rel.starts_with(SYNC_MODULE) {
+        return;
     }
     let rank_of = |name: &str| LOCK_RANKS.iter().find(|(n, _)| *n == name).map(|(_, r)| *r);
 
@@ -1029,28 +1035,6 @@ fn check_lock_order(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
                 rank_of(&a.name).map(|_| a.name.as_str()).unwrap_or(""),
                 rank,
             ));
-        }
-    }
-}
-
-fn check_hash_iter(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
-    for (k, t) in ctx.toks.iter().enumerate() {
-        if ctx.parsed.test_mask[k] {
-            continue;
-        }
-        if t.text == "HashMap" || t.text == "HashSet" {
-            push(
-                out,
-                ctx,
-                t.line,
-                "hash-iter",
-                format!(
-                    "std `{}` in a result-affecting crate: its per-process hasher seed \
-                     makes iteration order nondeterministic; use BTreeMap/BTreeSet or \
-                     `mmsb_graph::FxHashMap`/`FxHashSet`",
-                    t.text
-                ),
-            );
         }
     }
 }

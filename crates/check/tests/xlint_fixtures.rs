@@ -1,7 +1,7 @@
-//! Fixture gate for the four item-level rules (ISSUE satellite 3): one
-//! violating and one conforming fixture per rule, with the violating
-//! side pinned to the *exact* `--json` document — file, line, rule, and
-//! message text. A wording or line-attribution drift in any rule fails
+//! Fixture gate for the item-level rules and the placement rules that
+//! carry fixtures: one violating and one conforming fixture per rule,
+//! with the violating side pinned to the *exact* `--json` document —
+//! file, line, rule, and message text. A wording or line-attribution drift in any rule fails
 //! here, not in a downstream consumer.
 
 use std::path::Path;
@@ -145,6 +145,45 @@ fn fs_confinement_fixture_pair() {
         lint_as("crates/core/src/eval.rs", "fs_confinement_ok.rs"),
         EMPTY
     );
+}
+
+#[test]
+fn layer_boundary_fixture_pair() {
+    let entry = |line: usize, message: &str| {
+        format!(
+            "{{\"file\":\"crates/core/src/sampler/distributed.rs\",\"line\":{line},\
+             \"rule\":\"layer-boundary\",\"message\":\"{message}\"}}"
+        )
+    };
+    let clock = "`now_ns`: a clock read in the price of the simulated cluster";
+    let stage = |name: &str| format!("`{name}`: the lockstep driver computes a stage of the chain");
+    let rollback =
+        |name: &str| format!("`{name}`: the lockstep driver keeps a rollback checkpoint");
+    let expected = format!(
+        "{{\"version\":1,\"count\":8,\"violations\":[{}]}}",
+        [
+            entry(
+                5,
+                "`graph_cache:` field: a per-thread graph cache beside the region caches"
+            ),
+            entry(6, &rollback("Option<crate::checkpoint::Checkpoint>")),
+            entry(11, clock),
+            entry(12, &stage("refresh_minibatch")),
+            entry(13, &stage("update_phi")),
+            entry(14, &rollback("Checkpoint::capture")),
+            entry(
+                15,
+                "`read_block_into`: a whole-block read on the cached path"
+            ),
+            entry(16, clock),
+        ]
+        .join(",")
+    );
+    let rel = "crates/core/src/sampler/distributed.rs";
+    assert_eq!(lint_as(rel, "layer_boundary_bad.rs"), expected);
+    // The conforming twin names the same words only in strings and
+    // trailing comments.
+    assert_eq!(lint_as(rel, "layer_boundary_ok.rs"), EMPTY);
 }
 
 /// An item-level suppression with a justification waives the fixture's

@@ -149,22 +149,40 @@ impl DistributedSampler {
 
     /// Run one full iteration: absorb a worker loss due now, run the pool
     /// driver's step (recording it), then price it.
+    ///
+    /// # Panics
+    /// Panics if an out-of-core block read fails;
+    /// [`DistributedSampler::try_step`] returns the error instead.
     pub fn step(&mut self) {
+        if let Err(e) = self.try_step() {
+            panic!("{e}");
+        }
+    }
+
+    /// [`DistributedSampler::step`], or the out-of-core read error
+    /// ([`CoreError::Graph`]) that stopped the pool driver's step before
+    /// it changed any state (see [`ParallelSampler::try_step`]). A failed
+    /// step touches no price: it is neither priced nor held, a worker
+    /// loss due at it is not absorbed, and the virtual time stays put.
+    pub fn try_step(&mut self) -> Result<(), CoreError> {
+        let iteration = self.sampler.iteration();
+        self.sampler.try_step_recording(Some(&mut self.record))?;
         // Permanent worker loss fires at the start of its iteration: the
         // master detects the dead rank and re-partitions over the
-        // survivors before drawing anything.
-        let iteration = self.sampler.iteration();
+        // survivors before drawing anything, so the step is priced at
+        // `R - 1`. (The worker count never changes what the step
+        // computes, so the pool driver may run it first.)
         if self.lost_worker.is_none() {
             if let Some(dead) = self.cluster.kill_at(iteration) {
                 self.degrade(dead);
             }
         }
-        self.sampler.step_recording(Some(&mut self.record));
         self.cluster
             .price(&self.record, degrees(&self.sampler.engine.graph));
         if self.reprice.contains(&iteration) {
             self.held.push(self.record.clone());
         }
+        Ok(())
     }
 
     /// Run `iterations` more iterations.

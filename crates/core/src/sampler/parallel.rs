@@ -95,7 +95,9 @@ impl ParallelSampler {
     /// Panics if an out-of-core block read fails;
     /// [`ParallelSampler::try_step`] returns the error instead.
     pub fn step(&mut self) {
-        self.step_recording(None);
+        if let Err(e) = self.try_step() {
+            panic!("{e}");
+        }
     }
 
     /// Run one full iteration, or return the out-of-core read error
@@ -106,15 +108,12 @@ impl ParallelSampler {
         self.try_step_recording(None)
     }
 
-    /// [`ParallelSampler::step`], writing the batch and each batch
+    /// [`ParallelSampler::try_step`], writing the batch and each batch
     /// vertex's DKV keys into `record` when one is given.
-    pub(super) fn step_recording(&mut self, record: Option<&mut StepRecord>) {
-        if let Err(e) = self.try_step_recording(record) {
-            panic!("{e}");
-        }
-    }
-
-    fn try_step_recording(&mut self, record: Option<&mut StepRecord>) -> Result<(), CoreError> {
+    pub(super) fn try_step_recording(
+        &mut self,
+        record: Option<&mut StepRecord>,
+    ) -> Result<(), CoreError> {
         driver::step(
             &mut self.engine,
             &self.pool,

@@ -19,12 +19,13 @@
 
 use std::path::PathBuf;
 
-use mmsb_core::{ParallelSampler, SamplerConfig};
+use mmsb_core::{DistributedSampler, ParallelSampler, SamplerConfig};
 use mmsb_graph::generate::chunglu::{generate_chung_lu, ChungLuConfig};
 use mmsb_graph::generate::planted::{generate_planted, PlantedConfig};
 use mmsb_graph::heldout::HeldOut;
 use mmsb_graph::minibatch::Strategy;
 use mmsb_graph::Graph;
+use mmsb_netsim::DistributedConfig;
 use mmsb_ooc::{write_graph, BuildOptions, GraphBackend, OocGraph};
 use mmsb_rand::Xoshiro256PlusPlus;
 
@@ -214,83 +215,126 @@ fn block_size_never_reaches_the_chain() {
     assert_eq!(runs[0], runs[1], "block size leaked into the chain");
 }
 
+/// The drivers a failed out-of-core read must stop cleanly: the pool
+/// driver, and the lockstep distributed driver that prices its steps.
+trait TryStep {
+    fn try_step(&mut self) -> Result<(), mmsb_core::CoreError>;
+    /// Iteration, `theta` and virtual time: what a failed step leaves as
+    /// it found them.
+    fn progress(&self) -> (u64, Vec<f64>, u64);
+}
+
+impl TryStep for ParallelSampler {
+    fn try_step(&mut self) -> Result<(), mmsb_core::CoreError> {
+        ParallelSampler::try_step(self)
+    }
+    fn progress(&self) -> (u64, Vec<f64>, u64) {
+        (self.iteration(), self.state().theta().to_vec(), 0)
+    }
+}
+
+impl TryStep for DistributedSampler {
+    fn try_step(&mut self) -> Result<(), mmsb_core::CoreError> {
+        DistributedSampler::try_step(self)
+    }
+    fn progress(&self) -> (u64, Vec<f64>, u64) {
+        let time = self.virtual_time().to_bits();
+        (self.iteration(), self.state().theta().to_vec(), time)
+    }
+}
+
+/// Builds one driver over the corrupted file.
+type MakeDriver = fn(GraphBackend, HeldOut, SamplerConfig) -> Box<dyn TryStep>;
+
 /// A block that goes bad on disk after the file was opened (and
 /// verified) is found by the CRC check of the load that reads it: with a
 /// one-block budget every step reloads blocks, so `try_step` soon
 /// returns the read error instead of panicking, and before it changes
-/// the model.
+/// the model — or, for the distributed driver, the virtual time.
 #[test]
 fn a_block_corrupted_mid_training_is_an_error() {
     use std::io::{Seek, SeekFrom, Write};
 
-    let (graph, heldout) = setup(54);
-    let path = temp_file("corrupt");
-    write_graph(
-        &graph,
-        &path,
-        BuildOptions {
-            block_size: 4096,
-            ..BuildOptions::default()
-        },
-    )
-    .unwrap();
-    let ooc = OocGraph::open(&path).unwrap();
-    ooc.verify_blocks().unwrap();
-    let (data_off, block_size, blocks) = (
-        ooc.header().data_off(),
-        u64::from(ooc.header().block_size),
-        u64::from(ooc.header().num_blocks),
-    );
-    let cfg = SamplerConfig::new(5)
-        .with_seed(39)
-        .with_graph_cache_blocks(1);
-    let mut s =
-        ParallelSampler::with_backend_threads(GraphBackend::OutOfCore(ooc), heldout, cfg, 2)
-            .unwrap();
-    s.try_step().unwrap();
-
-    // Flip one byte of every data block in place: the open handle reads
-    // the new bytes.
-    let mut file = std::fs::OpenOptions::new()
-        .read(true)
-        .write(true)
-        .open(&path)
+    let drivers: [(&str, MakeDriver); 2] = [
+        ("pool", |g, h, cfg| {
+            Box::new(ParallelSampler::with_backend_threads(g, h, cfg, 2).unwrap())
+        }),
+        ("distributed", |g, h, cfg| {
+            let dcfg = DistributedConfig::das5(2);
+            Box::new(DistributedSampler::with_backend(g, h, cfg, dcfg).unwrap())
+        }),
+    ];
+    for (name, driver) in drivers {
+        let (graph, heldout) = setup(54);
+        let path = temp_file(&format!("corrupt-{name}"));
+        write_graph(
+            &graph,
+            &path,
+            BuildOptions {
+                block_size: 4096,
+                ..BuildOptions::default()
+            },
+        )
         .unwrap();
-    for b in 0..blocks {
-        let at = data_off + b * block_size;
-        let mut byte = [0u8];
-        file.seek(SeekFrom::Start(at)).unwrap();
-        std::io::Read::read_exact(&mut file, &mut byte).unwrap();
-        file.seek(SeekFrom::Start(at)).unwrap();
-        file.write_all(&[byte[0] ^ 0x5A]).unwrap();
-    }
-    file.sync_all().unwrap();
+        let ooc = OocGraph::open(&path).unwrap();
+        ooc.verify_blocks().unwrap();
+        let (data_off, block_size, blocks) = (
+            ooc.header().data_off(),
+            u64::from(ooc.header().block_size),
+            u64::from(ooc.header().num_blocks),
+        );
+        let cfg = SamplerConfig::new(5)
+            .with_seed(39)
+            .with_graph_cache_blocks(1);
+        let mut s = driver(GraphBackend::OutOfCore(ooc), heldout, cfg);
+        s.try_step().unwrap();
 
-    let err = (0..20)
-        .find_map(|_| {
-            let before = (s.iteration(), s.state().theta().to_vec());
-            let res = s.try_step();
-            if res.is_err() {
-                assert_eq!(
-                    before,
-                    (s.iteration(), s.state().theta().to_vec()),
-                    "a failed step changed the model"
-                );
-            }
-            res.err()
-        })
-        .expect("no step read a corrupted block");
-    assert!(
-        matches!(
-            err,
-            mmsb_core::CoreError::Graph(mmsb_ooc::OocError::ChecksumMismatch { what: "block", .. })
-        ),
-        "{err:?}"
-    );
-    assert!(
-        err.to_string()
-            .starts_with("out-of-core read failed: checksum mismatch in block"),
-        "{err}"
-    );
-    let _ = std::fs::remove_file(&path);
+        // Flip one byte of every data block in place: the open handle
+        // reads the new bytes.
+        let mut file = std::fs::OpenOptions::new()
+            .read(true)
+            .write(true)
+            .open(&path)
+            .unwrap();
+        for b in 0..blocks {
+            let at = data_off + b * block_size;
+            let mut byte = [0u8];
+            file.seek(SeekFrom::Start(at)).unwrap();
+            std::io::Read::read_exact(&mut file, &mut byte).unwrap();
+            file.seek(SeekFrom::Start(at)).unwrap();
+            file.write_all(&[byte[0] ^ 0x5A]).unwrap();
+        }
+        file.sync_all().unwrap();
+
+        let err = (0..20)
+            .find_map(|_| {
+                let before = s.progress();
+                let res = s.try_step();
+                if res.is_err() {
+                    assert_eq!(
+                        before,
+                        s.progress(),
+                        "{name}: a failed step changed the model"
+                    );
+                }
+                res.err()
+            })
+            .unwrap_or_else(|| panic!("{name}: no step read a corrupted block"));
+        assert!(
+            matches!(
+                err,
+                mmsb_core::CoreError::Graph(mmsb_ooc::OocError::ChecksumMismatch {
+                    what: "block",
+                    ..
+                })
+            ),
+            "{name}: {err:?}"
+        );
+        assert!(
+            err.to_string()
+                .starts_with("out-of-core read failed: checksum mismatch in block"),
+            "{name}: {err}"
+        );
+        let _ = std::fs::remove_file(&path);
+    }
 }

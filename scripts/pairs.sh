@@ -54,7 +54,11 @@ done
 
 parent_rev=$(git rev-parse --short "$parent_arg^{commit}")
 change_rev=$(git rev-parse --short HEAD)
-[ -z "$(git status --porcelain --untracked-files=no)" ] || change_rev="$change_rev-dirty"
+# Dirty only where the benchmark builds from: this script's own append to
+# BENCH_pairs.json and the rewritten benchmark/Cargo.lock do not count.
+built_from=(crates benchmark/src benchmark/run.sh benchmark/Cargo.toml Cargo.toml Cargo.lock)
+[ -z "$(git status --porcelain --untracked-files=no -- "${built_from[@]}")" ] \
+    || change_rev="$change_rev-dirty"
 scratch="${scratch:-$(mktemp -d)}"
 mkdir -p "$scratch"
 scratch=$(cd "$scratch" && pwd)
