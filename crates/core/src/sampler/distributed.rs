@@ -186,6 +186,9 @@ impl DistributedSampler {
     }
 
     /// Run `iterations` more iterations.
+    ///
+    /// # Panics
+    /// As [`DistributedSampler::step`].
     pub fn run(&mut self, iterations: u64) {
         for _ in 0..iterations {
             self.step();
