@@ -128,6 +128,7 @@ mod tests {
         Violation {
             file: file.to_string(),
             line,
+            column: 0,
             rule,
             message: msg.to_string(),
         }

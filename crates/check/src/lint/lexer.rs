@@ -2,7 +2,7 @@
 //!
 //! Strips comments and string/char literals, and returns the remaining
 //! code tokens (identifiers and single-char punctuation) with 1-based
-//! line numbers. Comments are returned on the side — the suppression
+//! line and column numbers. Comments are returned on the side — the suppression
 //! engine reads `// xlint: allow(...)` markers from them, which keeps
 //! suppression syntax inside string literals inert.
 //!
@@ -24,6 +24,8 @@
 pub struct Tok {
     /// 1-based source line.
     pub line: usize,
+    /// 1-based column of the token's first character, counted in chars.
+    pub col: usize,
     /// Identifier text or single-character punctuation.
     pub text: String,
 }
@@ -125,12 +127,14 @@ pub fn lex_full(src: &str) -> (Vec<Tok>, Vec<Comment>) {
                 if i > start + 1 {
                     toks.push(Tok {
                         line,
+                        col: col_at(&b, start),
                         text: b[start..i].iter().collect(),
                     });
                 }
             }
         } else if c.is_alphabetic() || c == '_' {
             let start = i;
+            let col = col_at(&b, start);
             while i < n && (b[i].is_alphanumeric() || b[i] == '_') {
                 i += 1;
             }
@@ -140,7 +144,11 @@ pub fn lex_full(src: &str) -> (Vec<Tok>, Vec<Comment>) {
             if (ident == "r" || ident == "b" || ident == "br") && (at(i) == '"' || at(i) == '#') {
                 if ident == "b" && at(i) == '#' {
                     // `b#` is not a string prefix; emit the ident.
-                    toks.push(Tok { line, text: ident });
+                    toks.push(Tok {
+                        line,
+                        col,
+                        text: ident,
+                    });
                     continue;
                 }
                 if ident == "b" && at(i) == '"' {
@@ -158,7 +166,11 @@ pub fn lex_full(src: &str) -> (Vec<Tok>, Vec<Comment>) {
                 }
                 if at(i) != '"' {
                     // `r#ident` (raw identifier) — emit as ident.
-                    toks.push(Tok { line, text: ident });
+                    toks.push(Tok {
+                        line,
+                        col,
+                        text: ident,
+                    });
                     continue;
                 }
                 i += 1;
@@ -181,19 +193,29 @@ pub fn lex_full(src: &str) -> (Vec<Tok>, Vec<Comment>) {
                     }
                 }
             } else {
-                toks.push(Tok { line, text: ident });
+                toks.push(Tok {
+                    line,
+                    col,
+                    text: ident,
+                });
             }
         } else if c.is_whitespace() {
             i += 1;
         } else {
             toks.push(Tok {
                 line,
+                col: col_at(&b, i),
                 text: c.to_string(),
             });
             i += 1;
         }
     }
     (toks, comments)
+}
+
+/// 1-based column of `b[i]`: its distance from the last newline before it.
+fn col_at(b: &[char], i: usize) -> usize {
+    i - b[..i].iter().rposition(|&c| c == '\n').map_or(0, |p| p + 1) + 1
 }
 
 /// Scan the remainder of a `"`-quoted (or `b"`-quoted) literal whose

@@ -29,8 +29,19 @@ pub struct Violation {
     /// Repo-relative, `/`-separated path.
     pub file: String,
     pub line: usize,
+    /// 1-based column of the token the finding points at; 0 when it
+    /// names a whole line or file. Orders findings within a line; the
+    /// reports print only the line.
+    pub column: usize,
     pub rule: &'static str,
     pub message: String,
+}
+
+impl Violation {
+    /// Report order: source order by file, line and column, then rule.
+    fn order(&self) -> (&str, usize, usize, &str) {
+        (&self.file, self.line, self.column, self.rule)
+    }
 }
 
 impl fmt::Display for Violation {
@@ -77,7 +88,7 @@ fn lint_source(rel: &str, src: &str) -> (Vec<Violation>, WorkspaceFile) {
             .map(|r| r.suppressible)
             .unwrap_or(false)
     });
-    out.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
+    out.sort_by(|a, b| a.order().cmp(&b.order()));
     let summary = WorkspaceFile {
         rel: rel.to_string(),
         uses_unsafe: !rules::unsafe_sites(&toks).is_empty(),
@@ -129,6 +140,7 @@ pub fn lint_workspace(root: &Path) -> Vec<Violation> {
             out.push(Violation {
                 file: rel,
                 line: 1,
+                column: 0,
                 rule: "io",
                 message: "unreadable source file".to_string(),
             });
@@ -145,7 +157,7 @@ pub fn lint_workspace(root: &Path) -> Vec<Violation> {
         }
     }
 
-    out.sort_by_key(|v| (v.file.clone(), v.line));
+    out.sort_by(|a, b| a.order().cmp(&b.order()));
     out
 }
 
@@ -336,6 +348,17 @@ mod tests {
         assert_eq!(panics.len(), 2, "{vs:?}");
         assert_eq!(panics[0].line, 2);
         assert_eq!(panics[1].line, 3);
+        // Two findings on one line list in source order, whichever
+        // checker emitted them first.
+        let vs = lint_file(
+            "crates/simd/src/phi.rs",
+            "fn g(w: &[f64]) -> f64 { w.get(0).unwrap()[0] }\n",
+        );
+        let panics: Vec<_> = vs.iter().filter(|v| v.rule == "hot-path-panic").collect();
+        assert_eq!(panics.len(), 2, "{vs:?}");
+        assert!(panics[0].message.contains(".unwrap()"), "{vs:?}");
+        assert!(panics[1].message.contains("slice indexing"), "{vs:?}");
+        assert!(panics[0].column < panics[1].column, "{vs:?}");
         // Same code outside a hot path is fine.
         assert!(
             lint_file("crates/core/src/eval.rs", "fn f(v: &[f64]) -> f64 { v[0] }")
@@ -464,7 +487,7 @@ fn caller<S: SyncBackend>(&self) {
     drop(slot);
 }
 ";
-        // caller: current (rank 2) then callee's current (rank 2) — equal
+        // caller: current (rank 1) then callee's current (rank 1) — equal
         // ranks pass. But locking state after calling take_current fails:
         let vs = lint_file("crates/serve/src/cell.rs", src);
         assert!(vs.iter().all(|v| v.rule != "lock-order"), "{vs:?}");

@@ -294,10 +294,9 @@ pub const LOCK_ORDER_SCOPE: &[&str] = &["crates/pool/src", "crates/serve/src", "
 /// The declared partial order on named locks: a function may only
 /// acquire locks in non-decreasing rank. `state` is the pool's shared
 /// scheduling state (innermost critical sections, held across condvar
-/// waits); `model_path` is the serve reload path; `current` is the
-/// `SnapshotCell` slot — the writer-side publish discipline says it is
-/// taken last, after any reload bookkeeping.
-pub const LOCK_RANKS: &[(&str, u32)] = &[("state", 0), ("model_path", 1), ("current", 2)];
+/// waits); `current` is the `SnapshotCell` slot — the writer-side
+/// publish discipline says it is taken last.
+pub const LOCK_RANKS: &[(&str, u32)] = &[("state", 0), ("current", 1)];
 
 // ---------------------------------------------------------------------
 // Rule plumbing.
@@ -497,9 +496,9 @@ so. Code under `#[cfg(test)]` is exempt.",
     },
     Rule {
         id: "lock-order",
-        summary: "lock acquisitions follow the declared order: state < model_path < current",
+        summary: "lock acquisitions follow the declared order: state < current",
         explain: "In crates/pool, crates/serve, and crates/netsim, every named lock is ranked \
-(state=0, model_path=1, current=2) and each function must acquire locks in non-decreasing rank \
+(state=0, current=1) and each function must acquire locks in non-decreasing rank \
 — the static form of SnapshotCell's writer-side discipline. The checker extracts per-function \
 acquisition sequences (`S::lock(&…path)` backend calls and `.lock()` method calls), expands \
 same-file callees one level, and flags rank inversions and locks missing from the table \
@@ -682,23 +681,25 @@ pub fn check_placement(rule: &'static str, ctx: &FileCtx<'_>, out: &mut Vec<Viol
                 if let Some(end) = match_at(ctx.toks, k, name) {
                     let text: String = ctx.toks[k..end].iter().map(|t| t.text.as_str()).collect();
                     let message = place.message.replace("{}", &text);
-                    push(out, ctx, ctx.toks[k].line, rule, message);
+                    push(out, ctx, &ctx.toks[k], rule, message);
                 }
             }
         }
     }
 }
 
+/// Record a finding of `rule` at token `at`.
 fn push(
     out: &mut Vec<Violation>,
     ctx: &FileCtx<'_>,
-    line: usize,
+    at: &Tok,
     rule: &'static str,
     message: String,
 ) {
     out.push(Violation {
         file: ctx.rel.to_string(),
-        line,
+        line: at.line,
+        column: at.col,
         rule,
         message,
     });
@@ -710,12 +711,11 @@ fn push(
 
 fn check_safety_comment(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
     for (k, what) in unsafe_sites(ctx.toks) {
-        let line = ctx.toks[k].line;
-        if !has_safety_near(ctx.lines, line) {
+        if !has_safety_near(ctx.lines, ctx.toks[k].line) {
             push(
                 out,
                 ctx,
-                line,
+                &ctx.toks[k],
                 "safety-comment",
                 format!(
                     "{what} without a `// SAFETY:` comment (or `# Safety` doc section) \
@@ -734,7 +734,7 @@ fn check_unsafe_allowlist(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
         push(
             out,
             ctx,
-            ctx.toks[k].line,
+            &ctx.toks[k],
             "unsafe-allowlist",
             format!(
                 "{what} outside the unsafe allowlist; move the unsafety into \
@@ -763,6 +763,7 @@ fn check_deny_attr(files: &[WorkspaceFile], out: &mut Vec<Violation>) {
             out.push(Violation {
                 file: f.rel.clone(),
                 line: 1,
+                column: 0,
                 rule: "deny-attr",
                 message: "file uses unsafe but is missing \
                           `#![deny(unsafe_op_in_unsafe_fn)]` (integration tests and \
@@ -780,6 +781,7 @@ fn check_deny_attr(files: &[WorkspaceFile], out: &mut Vec<Violation>) {
             out.push(Violation {
                 file: rel,
                 line: 1,
+                column: 0,
                 rule: "deny-attr",
                 message: format!(
                     "crate `{krate}` uses unsafe but its root is missing \
@@ -800,6 +802,7 @@ fn check_forbid_attr(files: &[WorkspaceFile], out: &mut Vec<Violation>) {
             out.push(Violation {
                 file: rel,
                 line: 1,
+                column: 0,
                 rule: "forbid-attr",
                 message: format!(
                     "crate `{krate}` needs no unsafe and must pin that with \
@@ -844,7 +847,7 @@ fn check_hot_path_index(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
             push(
                 out,
                 ctx,
-                ctx.toks[k].line,
+                &ctx.toks[k],
                 "hot-path-panic",
                 format!(
                     "slice indexing after `{prev}` in a hot-path module panics on \
@@ -860,7 +863,8 @@ fn check_hot_path_index(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
 struct Acq {
     /// Last path segment of the locked field — the lock's name.
     name: String,
-    line: usize,
+    /// Token index of the acquisition, or of the call that expands to it.
+    at: usize,
     /// Set when the acquisition came from a one-level callee expansion.
     via: Option<String>,
 }
@@ -904,14 +908,14 @@ fn lock_seq(toks: &[Tok], start: usize, end: usize) -> (Vec<Acq>, Vec<(String, u
                 if let Some(name) = name {
                     acqs.push(Acq {
                         name,
-                        line: t.line,
+                        at: k,
                         via: None,
                     });
                 }
             } else if k >= 2 && toks[k - 1].text == "." && ident_like(&toks[k - 2].text) {
                 acqs.push(Acq {
                     name: toks[k - 2].text.clone(),
-                    line: t.line,
+                    at: k,
                     via: None,
                 });
             }
@@ -957,7 +961,10 @@ fn check_lock_order(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
             let mut ai = 0;
             let mut ci = 0;
             while ai < acqs.len() || ci < calls.len() {
-                let a_line = acqs.get(ai).map(|a| a.line).unwrap_or(usize::MAX);
+                let a_line = acqs
+                    .get(ai)
+                    .map(|a| ctx.toks[a.at].line)
+                    .unwrap_or(usize::MAX);
                 let c_tok = calls.get(ci).map(|(_, k)| *k).unwrap_or(usize::MAX);
                 let c_line = calls
                     .get(ci)
@@ -967,7 +974,7 @@ fn check_lock_order(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
                     let a = &acqs[ai];
                     seq.push(Acq {
                         name: a.name.clone(),
-                        line: a.line,
+                        at: a.at,
                         via: None,
                     });
                     ai += 1;
@@ -977,7 +984,7 @@ fn check_lock_order(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
                         for a in callee_acqs {
                             seq.push(Acq {
                                 name: a.name.clone(),
-                                line: ctx.toks[c_tok].line,
+                                at: c_tok,
                                 via: Some(callee.clone()),
                             });
                         }
@@ -999,7 +1006,7 @@ fn check_lock_order(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
                 push(
                     out,
                     ctx,
-                    a.line,
+                    &ctx.toks[a.at],
                     "lock-order",
                     format!(
                         "fn `{fn_name}` acquires lock `{}`{via} which is not in the \
@@ -1020,12 +1027,12 @@ fn check_lock_order(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
                     push(
                         out,
                         ctx,
-                        a.line,
+                        &ctx.toks[a.at],
                         "lock-order",
                         format!(
                             "fn `{fn_name}` acquires `{}` (rank {rank}){via} after \
                              `{pname}` (rank {prank}); the declared order is \
-                             state < model_path < current",
+                             state < current",
                             a.name
                         ),
                     );

@@ -159,6 +159,7 @@ pub fn apply(
         violations.push(Violation {
             file: rel.to_string(),
             line: *line,
+            column: 0,
             rule: "malformed-suppression",
             message: why.clone(),
         });
@@ -183,6 +184,7 @@ pub fn apply(
         violations.push(Violation {
             file: rel.to_string(),
             line: s.line,
+            column: 0,
             rule: "unused-suppression",
             message: why,
         });
@@ -208,6 +210,7 @@ mod tests {
         Violation {
             file: "f.rs".into(),
             line,
+            column: 0,
             rule,
             message: String::new(),
         }

@@ -1,4 +1,4 @@
-//! Fixture: acquires `state` (rank 0) while holding `current` (rank 2)
+//! Fixture: acquires `state` (rank 0) while holding `current` (rank 1)
 //! — an inversion of the declared partial order.
 
 use crate::sync::Mutex;

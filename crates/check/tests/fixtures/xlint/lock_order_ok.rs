@@ -1,5 +1,5 @@
 //! Fixture: the conforming twin of `lock_order_bad.rs` — acquisitions
-//! follow the declared partial order `state < model_path < current`.
+//! follow the declared partial order `state < current`.
 
 use crate::sync::Mutex;
 

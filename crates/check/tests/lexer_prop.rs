@@ -6,8 +6,8 @@
 //! are known by construction — raw strings of every hash depth, byte
 //! strings, plain and escaped char literals, lifetimes, nested block
 //! comments, and string literals with embedded and escaped newlines.
-//! The lexer must reproduce the predicted `(line, text)` token stream
-//! and comment list exactly.
+//! The lexer must reproduce the predicted `(line, col, text)` token
+//! stream and comment list exactly.
 //!
 //! Seeds are fixed (`MASTER_SEED` + iteration index through
 //! `Xoshiro256PlusPlus`), so a failure reproduces deterministically;
@@ -39,24 +39,31 @@ impl Gen {
         }
     }
 
+    /// 1-based column the next pushed character will have.
+    fn col(&self) -> usize {
+        self.src.chars().rev().take_while(|&c| c != '\n').count() + 1
+    }
+
     fn ident(&mut self, r: &mut impl RngCore) {
         self.uniq += 1;
         let name = format!("w{}_{}", self.uniq, r.below(100));
-        self.src.push_str(&name);
-        self.src.push(' ');
         self.toks.push(Tok {
             line: self.line,
-            text: name,
+            col: self.col(),
+            text: name.clone(),
         });
+        self.src.push_str(&name);
+        self.src.push(' ');
     }
 
     fn punct(&mut self, r: &mut impl RngCore) {
         let c = [';', ',', '{', '}', '(', ')', '=', '+'][r.below_usize(8)];
-        self.src.push(c);
         self.toks.push(Tok {
             line: self.line,
+            col: self.col(),
             text: c.to_string(),
         });
+        self.src.push(c);
     }
 
     fn newline(&mut self) {
@@ -164,11 +171,17 @@ impl Gen {
     /// `hot-path-panic` must not read as indexing.
     fn lifetime(&mut self, r: &mut impl RngCore) {
         let slice = r.below(2) == 1;
+        let col = self.col();
         self.src
             .push_str(if slice { "&'alive [" } else { "&'alive " });
-        for text in ["&", "'alive"].into_iter().chain(slice.then_some("[")) {
+        // `&` at +0, `'alive` at +1, `[` at +8 (after the space).
+        for (text, at) in [("&", 0), ("'alive", 1)]
+            .into_iter()
+            .chain(slice.then_some(("[", 8)))
+        {
             self.toks.push(Tok {
                 line: self.line,
+                col: col + at,
                 text: text.to_string(),
             });
         }

@@ -76,8 +76,8 @@ fn lock_order_fixture_pair() {
         lint_as("crates/pool/src/lib.rs", "lock_order_bad.rs"),
         "{\"version\":1,\"count\":1,\"violations\":[\
          {\"file\":\"crates/pool/src/lib.rs\",\"line\":14,\"rule\":\"lock-order\",\
-         \"message\":\"fn `swapped` acquires `state` (rank 0) after `current` (rank 2); \
-         the declared order is state < model_path < current\"}]}"
+         \"message\":\"fn `swapped` acquires `state` (rank 0) after `current` (rank 1); \
+         the declared order is state < current\"}]}"
     );
     assert_eq!(lint_as("crates/pool/src/lib.rs", "lock_order_ok.rs"), EMPTY);
 }

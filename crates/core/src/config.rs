@@ -219,7 +219,7 @@ impl SamplerConfig {
 /// backend-generic unit tests iterate over.
 #[cfg(test)]
 pub(crate) fn available_backends() -> Vec<Backend> {
-    [Backend::Scalar, Backend::Sse2, Backend::Avx2, Backend::Neon]
+    [Backend::Scalar, Backend::Avx2, Backend::Neon]
         .into_iter()
         .filter(|b| b.available())
         .collect()

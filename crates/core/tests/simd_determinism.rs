@@ -33,7 +33,7 @@ fn setup(seed: u64) -> (Graph, HeldOut) {
 /// Every backend that will dispatch for real on this host; scalar is
 /// always first so the test is meaningful even without SIMD hardware.
 fn backends() -> Vec<Backend> {
-    [Backend::Scalar, Backend::Sse2, Backend::Avx2, Backend::Neon]
+    [Backend::Scalar, Backend::Avx2, Backend::Neon]
         .into_iter()
         .filter(|b| b.available())
         .collect()

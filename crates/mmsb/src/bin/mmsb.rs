@@ -361,7 +361,7 @@ fn cmd_train(args: &Args) -> Result<(), String> {
              [--k K] [--iters N] [--driver sequential|parallel] [--eval-every N] \
              [--heldout L] [--seed S] [--threshold T] [--out FILE] \
              [--checkpoint FILE] [--checkpoint-every N] \
-             [--simd auto|scalar|sse2|avx2|neon] \
+             [--simd auto|scalar|avx2|neon] \
              [--obs-level off|metrics|spans] [--metrics-out FILE] [--trace-out FILE]\n\
              --graph-format ooc trains out-of-core: --input names a file \
              from `mmsb convert`, adjacency stays on disk behind caches \
@@ -504,7 +504,7 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
             "mmsb simulate [--workers R] [--k K] [--iters N] [--pipeline on|off] \
              [--faults SEED] [--kill ITER:RANK] [--checkpoint-every N] \
              [--checkpoint FILE] [--resume FILE] [generator flags] \
-             [--simd auto|scalar|sse2|avx2|neon] \
+             [--simd auto|scalar|avx2|neon] \
              [--obs-level off|metrics|spans] [--metrics-out FILE] [--trace-out FILE]\n\
              --checkpoint-every N is the modelled rollback cadence of a \
              --kill (the lost worker's steps since the last multiple of N \
@@ -615,7 +615,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     if args.get("help").is_some() {
         println!(
             "mmsb serve --model FILE [--addr HOST:PORT] [--threads N] \
-             [--delta D] [--k K] [--simd auto|scalar|sse2|avx2|neon] \
+             [--delta D] [--k K] [--simd auto|scalar|avx2|neon] \
              [--deadline-ms MS] [--obs-level off|metrics|spans]\n\
              serves a checkpoint (from `mmsb train --checkpoint` or \
              `mmsb simulate --checkpoint`) over HTTP until killed, with no \

@@ -64,6 +64,20 @@ fn unknown_driver_is_rejected_before_training() {
     assert!(out.stdout.is_empty(), "nothing may be trained");
 }
 
+/// `--simd` takes only the backends the kernel layer has; a retired
+/// one (SSE2) exits 1 listing them, before training.
+#[test]
+fn unknown_simd_backend_is_rejected_before_training() {
+    let out = Command::new(env!("CARGO_BIN_EXE_mmsb"))
+        .args(["train", "--vertices", "300", "--simd", "sse2"])
+        .output()
+        .expect("run mmsb binary");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("auto, scalar, avx2, or neon"), "{stderr}");
+    assert!(out.stdout.is_empty(), "nothing may be trained");
+}
+
 /// A flag a command does not read (here a typo of `--iters`, and a
 /// flag `datasets` never takes) exits 1 naming it, before any work.
 #[test]

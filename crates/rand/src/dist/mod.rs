@@ -6,13 +6,11 @@
 
 mod beta;
 mod dirichlet;
-mod exponential;
 mod gamma;
 mod normal;
 
 pub use beta::Beta;
 pub use dirichlet::Dirichlet;
-pub use exponential::Exponential;
 pub use gamma::Gamma;
 pub use normal::Normal;
 

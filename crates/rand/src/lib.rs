@@ -11,8 +11,9 @@
 //!   with `jump`/`long_jump` for creating independent streams),
 //! * [`Rng`] — convenience extension methods (floats, ranges, shuffling,
 //!   sampling without replacement),
-//! * distribution samplers in [`dist`]: Normal, Gamma, Beta, Dirichlet,
-//!   Exponential and Bernoulli — everything the a-MMSB sampler needs.
+//! * distribution samplers in [`dist`]: Normal, Gamma, Beta and Dirichlet
+//!   (Bernoulli trials are [`Rng::bernoulli`]) — everything the a-MMSB
+//!   sampler needs.
 //!
 //! # Example
 //!

@@ -52,7 +52,7 @@ use mmsb_simd::Backend;
 use std::io::{Read as _, Write as _};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Server configuration.
@@ -137,7 +137,7 @@ pub(crate) struct ServerShared {
     /// The published model.
     pub(crate) cell: SnapshotCell<ModelSnapshot>,
     /// Where [`ServerShared::reload`] re-reads the checkpoint from.
-    model_path: Mutex<PathBuf>,
+    model_path: PathBuf,
     delta: f64,
     backend: Backend,
     pub(crate) default_k: usize,
@@ -170,8 +170,7 @@ impl ServerShared {
     }
 
     fn reload_inner(&self) -> Result<usize, ServeError> {
-        let path = self.model_path.lock().expect("model path lock").clone();
-        let snap = load_snapshot(&path, self.delta, self.backend)?;
+        let snap = load_snapshot(&self.model_path, self.delta, self.backend)?;
         Ok(self.cell.publish(Arc::new(snap)))
     }
 }
@@ -245,7 +244,7 @@ impl ServeHandle {
         let deadline_ms = cfg.deadline_ms.max(1);
         let shared = Arc::new(ServerShared {
             cell: SnapshotCell::new(Arc::new(snap)),
-            model_path: Mutex::new(model_path.to_path_buf()),
+            model_path: model_path.to_path_buf(),
             delta: cfg.delta,
             backend: cfg.backend,
             default_k: cfg.default_k,

@@ -559,7 +559,7 @@ mod tests {
     fn all_backends_agree_on_edge_likelihood() {
         let ckpt = trained_checkpoint(5, 23);
         let reference = ModelSnapshot::from_checkpoint(&ckpt, 1e-4, Backend::Scalar).unwrap();
-        for b in [Backend::Sse2, Backend::Avx2, Backend::Neon] {
+        for b in [Backend::Avx2, Backend::Neon] {
             if !b.available() {
                 continue;
             }
@@ -759,7 +759,7 @@ mod tests {
     #[test]
     fn every_plane_matches_the_comparator_build_at_every_range_count() {
         let threads = mmsb_obs::export::host_cores();
-        let backends: Vec<Backend> = [Backend::Scalar, Backend::Sse2, Backend::Avx2, Backend::Neon]
+        let backends: Vec<Backend> = [Backend::Scalar, Backend::Avx2, Backend::Neon]
             .into_iter()
             .filter(|b| b.available())
             .collect();

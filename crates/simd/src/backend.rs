@@ -16,8 +16,6 @@ use core::str::FromStr;
 pub enum Backend {
     /// Portable scalar arithmetic (one lane, unfused).
     Scalar,
-    /// x86_64 SSE2: two f64 lanes, unfused multiply-add.
-    Sse2,
     /// x86_64 AVX2 + FMA: four f64 lanes, fused multiply-add.
     Avx2,
     /// aarch64 NEON: two f64 lanes, fused multiply-add.
@@ -25,7 +23,8 @@ pub enum Backend {
 }
 
 impl Backend {
-    /// Pick the widest backend the running CPU supports.
+    /// Pick the widest backend the running CPU supports: AVX2 + FMA on
+    /// x86_64 when detected, NEON on aarch64, scalar otherwise.
     pub fn detect() -> Backend {
         #[cfg(target_arch = "x86_64")]
         {
@@ -34,8 +33,6 @@ impl Backend {
             {
                 return Backend::Avx2;
             }
-            // SSE2 is part of the x86_64 baseline.
-            return Backend::Sse2;
         }
         #[cfg(target_arch = "aarch64")]
         {
@@ -50,8 +47,6 @@ impl Backend {
     pub fn available(self) -> bool {
         match self {
             Backend::Scalar => true,
-            #[cfg(target_arch = "x86_64")]
-            Backend::Sse2 => true,
             #[cfg(target_arch = "x86_64")]
             Backend::Avx2 => {
                 std::arch::is_x86_feature_detected!("avx2")
@@ -68,7 +63,7 @@ impl Backend {
     pub fn lanes(self) -> usize {
         match self {
             Backend::Scalar => 1,
-            Backend::Sse2 | Backend::Neon => 2,
+            Backend::Neon => 2,
             Backend::Avx2 => 4,
         }
     }
@@ -82,7 +77,6 @@ impl Backend {
     pub fn name(self) -> &'static str {
         match self {
             Backend::Scalar => "scalar",
-            Backend::Sse2 => "sse2",
             Backend::Avx2 => "avx2",
             Backend::Neon => "neon",
         }
@@ -148,11 +142,10 @@ impl FromStr for SimdPolicy {
         match s {
             "auto" => Ok(SimdPolicy::Auto),
             "scalar" => Ok(SimdPolicy::Force(Backend::Scalar)),
-            "sse2" => Ok(SimdPolicy::Force(Backend::Sse2)),
             "avx2" => Ok(SimdPolicy::Force(Backend::Avx2)),
             "neon" => Ok(SimdPolicy::Force(Backend::Neon)),
             other => Err(format!(
-                "unknown simd backend `{other}` (expected auto, scalar, sse2, avx2, or neon)"
+                "unknown simd backend `{other}` (expected auto, scalar, avx2, or neon)"
             )),
         }
     }
@@ -199,21 +192,21 @@ mod tests {
 
     #[test]
     fn policy_parses_round_trip() {
-        for s in ["auto", "scalar", "sse2", "avx2", "neon"] {
+        for s in ["auto", "scalar", "avx2", "neon"] {
             let p: SimdPolicy = s.parse().unwrap();
             assert_eq!(p.name(), s);
         }
         assert!("avx512".parse::<SimdPolicy>().is_err());
+        let err = "sse2".parse::<SimdPolicy>().unwrap_err();
+        assert!(err.contains("auto, scalar, avx2, or neon"), "{err}");
     }
 
     #[test]
     fn lanes_and_fusedness_match_contract() {
         assert_eq!(Backend::Scalar.lanes(), 1);
-        assert_eq!(Backend::Sse2.lanes(), 2);
         assert_eq!(Backend::Avx2.lanes(), 4);
         assert_eq!(Backend::Neon.lanes(), 2);
         assert!(!Backend::Scalar.fused());
-        assert!(!Backend::Sse2.fused());
         assert!(Backend::Avx2.fused());
         assert!(Backend::Neon.fused());
     }

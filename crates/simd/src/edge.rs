@@ -131,8 +131,6 @@ pub fn edge_dots_with<L: LaneF64, R: EdgeRows>(l: L, rows: R) -> (f64, f64) {
 #[inline(always)]
 fn portable<R: EdgeRows>(backend: Backend, rows: R) -> (f64, f64) {
     match backend {
-        #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => edge_dots_with(crate::x86::Sse2Lanes::mint(), rows),
         #[cfg(target_arch = "aarch64")]
         Backend::Neon => edge_dots_with(crate::neon::NeonLanes::mint(), rows),
         _ => edge_dots_with(ScalarLanes::default(), rows),
@@ -227,7 +225,7 @@ mod tests {
     fn dispatched_backends_agree_with_scalar() {
         let (pi_a, pib_a, pi_b) = setup(19, 42);
         let (rs, rl) = edge_dots(Backend::Scalar, &pi_a, &pib_a, &pi_b);
-        for b in [Backend::Sse2, Backend::Avx2, Backend::Neon] {
+        for b in [Backend::Avx2, Backend::Neon] {
             if !b.available() {
                 continue;
             }
@@ -268,7 +266,7 @@ mod tests {
 
     #[test]
     fn f32_rows_match_the_widened_planes_bit_for_bit() {
-        let backends: Vec<Backend> = [Backend::Scalar, Backend::Sse2, Backend::Avx2, Backend::Neon]
+        let backends: Vec<Backend> = [Backend::Scalar, Backend::Avx2, Backend::Neon]
             .into_iter()
             .filter(|b| b.available())
             .collect();

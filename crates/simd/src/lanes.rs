@@ -3,10 +3,10 @@
 //! [`LaneF64`] is a *token trait*: a value of an implementing type is
 //! proof that the instruction set it names is safe to execute on the
 //! running CPU. Intrinsic-backed tokens ([`crate::x86::Avx2Lanes`],
-//! [`crate::x86::Sse2Lanes`], [`crate::neon::NeonLanes`]) are only
-//! minted behind runtime feature detection (or inside the
-//! `#[target_feature]` kernel shims the detected dispatch reaches), so
-//! the trait methods themselves stay safe to call.
+//! [`crate::neon::NeonLanes`]) are only minted behind runtime feature
+//! detection (or inside the `#[target_feature]` kernel shims the
+//! detected dispatch reaches), so the trait methods themselves stay
+//! safe to call.
 //!
 //! [`Lanes<W, FUSED>`] is the portable pure-`f64` model of a `W`-wide
 //! register. It is both the always-available scalar fallback
@@ -32,9 +32,10 @@
 //! # Fusedness
 //!
 //! `FUSED` records whether [`LaneF64::fma`] contracts `a * b + c` into
-//! one rounding (AVX2+FMA, NEON) or performs two (`SSE2`, which has no
-//! FMA). The scalar tail helper [`sfma`] follows the same flag so tail
-//! elements round exactly like their vectorized siblings.
+//! one rounding (AVX2+FMA, NEON) or performs two (the scalar backend,
+//! `Lanes<1, false>`, which needs no hardware or libm `fma`). The
+//! scalar tail helper [`sfma`] follows the same flag so tail elements
+//! round exactly like their vectorized siblings.
 
 /// Elementwise `f64` lane operations plus the documented horizontal sum.
 ///
@@ -79,15 +80,10 @@ pub trait LaneF64: Copy {
     fn gt(self, a: Self::V, b: Self::V) -> Self::V;
     /// Bitwise select: `(mask & t) | (!mask & f)` per lane.
     fn select(self, mask: Self::V, t: Self::V, f: Self::V) -> Self::V;
-    /// Lane-wise round to nearest integer, ties to even.
-    fn round_ties_even(self, a: Self::V) -> Self::V;
     /// Unbiased binary exponent of each (positive, normal) lane, as f64.
     fn exponent_unbiased(self, a: Self::V) -> Self::V;
     /// Mantissa of each (positive, normal) lane, rescaled into `[1, 2)`.
     fn mantissa_one_two(self, a: Self::V) -> Self::V;
-    /// `v * 2^n` per lane; `n` holds integral f64 values with
-    /// `n + 1023` in `[1, 2046]` (normal-range scaling only).
-    fn scale_by_pow2(self, v: Self::V, n: Self::V) -> Self::V;
 
     /// All-zero lanes.
     #[inline(always)]
@@ -235,11 +231,6 @@ impl<const W: usize, const FUSED: bool> LaneF64 for Lanes<W, FUSED> {
     }
 
     #[inline(always)]
-    fn round_ties_even(self, a: [f64; W]) -> [f64; W] {
-        core::array::from_fn(|j| a[j].round_ties_even())
-    }
-
-    #[inline(always)]
     fn exponent_unbiased(self, a: [f64; W]) -> [f64; W] {
         // Mirrors the integer sequence of the intrinsic backends: shift
         // the biased exponent down, OR it into the 2^52 magic mantissa,
@@ -255,19 +246,6 @@ impl<const W: usize, const FUSED: bool> LaneF64 for Lanes<W, FUSED> {
     #[inline(always)]
     fn mantissa_one_two(self, a: [f64; W]) -> [f64; W] {
         core::array::from_fn(|j| f64::from_bits((a[j].to_bits() & MANT_MASK) | ONE_BITS))
-    }
-
-    #[inline(always)]
-    fn scale_by_pow2(self, v: [f64; W], n: [f64; W]) -> [f64; W] {
-        core::array::from_fn(|j| {
-            debug_assert!(n[j] == n[j].trunc(), "scale_by_pow2 needs integral n");
-            let e = (n[j] as i64 + 1023) as u64;
-            debug_assert!(
-                (1..=2046).contains(&e),
-                "scale_by_pow2 outside normal range"
-            );
-            v[j] * f64::from_bits(e << 52)
-        })
     }
 }
 
@@ -316,15 +294,6 @@ mod tests {
             let m = l.mantissa_one_two(v)[0];
             assert!((1.0..2.0).contains(&m), "m = {m}");
             assert_eq!(m * 2f64.powi(e as i32), x, "x = {x}");
-        }
-    }
-
-    #[test]
-    fn scale_by_pow2_matches_powi() {
-        let l: Lanes<2, true> = Lanes;
-        for (v, n) in [(1.5, 10.0), (0.999, -100.0), (1.0, 0.0), (1.25, 1000.0)] {
-            let got = l.scale_by_pow2(l.splat(v), l.splat(n))[0];
-            assert_eq!(got, v * 2f64.powi(n as i32));
         }
     }
 

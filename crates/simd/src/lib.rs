@@ -14,7 +14,6 @@
 //! | backend | arch | lanes (f64) | fma | availability |
 //! |---------|------|-------------|-----|--------------|
 //! | `scalar` | any | 1 | unfused | always |
-//! | `sse2` | x86_64 | 2 | unfused | baseline |
 //! | `avx2` | x86_64 | 4 | fused | runtime-detected (AVX2 + FMA) |
 //! | `neon` | aarch64 | 2 | fused | baseline |
 //!
@@ -22,10 +21,11 @@
 //! widest detected backend, `Force` demands one and fails loudly if
 //! the host cannot run it. [`Backend`] values are then passed to the
 //! kernel entry points ([`phi_gradient`], [`sgrld_step`],
-//! [`theta_accumulate_pair`], [`vexp`], [`vln`]), which re-verify
-//! availability before entering any `#[target_feature]` code — a
-//! stale or forged value degrades to the scalar path, never to
-//! undefined behaviour.
+//! [`theta_accumulate_pair`], [`edge_dots`], [`polar_normal`],
+//! [`vln`]), which re-verify availability before entering any
+//! `#[target_feature]` code — a stale or forged value degrades to the
+//! scalar path, never to undefined behaviour. An x86_64 host without
+//! AVX2 + FMA runs the scalar backend.
 //!
 //! # Determinism contract
 //!
@@ -67,7 +67,7 @@ mod x86;
 pub use backend::{Backend, PolicyError, SimdPolicy};
 pub use crc::{crc32, crc32_update};
 pub use edge::{edge_dots, edge_dots_f32};
-pub use math::{polar_normal, ulp_distance, vexp, vln};
+pub use math::{polar_normal, ulp_distance, vln};
 pub use phi::{phi_gradient, sgrld_step, PhiScratch};
 pub use prefetch::prefetch;
 pub use theta::{theta_accumulate_pair, theta_chunk_begin, theta_chunk_finish, ThetaScratch};

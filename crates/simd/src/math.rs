@@ -1,69 +1,37 @@
-//! Vectorized `exp`/`ln` (polynomial approximation) with scalar-`std`
-//! fixup for special values.
+//! Vectorized `ln` (polynomial approximation) with scalar-`std` fixup
+//! for special values, and the polar-method normal finish built on it.
 //!
-//! # Algorithms
+//! # Algorithm
 //!
-//! **exp** — Cody–Waite range reduction `x = n·ln2 + r` with
-//! `n = round(x·log2 e)` and the split constant `ln2 = LN2_HI + LN2_LO`
-//! (`LN2_HI` has 21 trailing zero bits, so `n·LN2_HI` is exact for
-//! `|n| < 2^21`), giving `|r| ≤ ln2/2`. `e^r` is a degree-13 Taylor
-//! polynomial evaluated by Horner's rule (truncation error
-//! `≈ r^14/14! ≤ 5·10^{-18}`, under half an ulp), then scaled by `2^n`
-//! through direct exponent-field construction. The vector path covers
-//! `|x| < 700`; every other input (overflow, subnormal results, NaN,
-//! ±inf) is recomputed with scalar `f64::exp`.
-//!
-//! **ln** — decompose `x = m·2^e` with `m ∈ [1, 2)` by bit
-//! manipulation, fold `m > √2` into `m/2, e+1` so `m ∈ [√2/2, √2]`,
-//! then `ln m = 2 atanh(s)` with `s = (m-1)/(m+1)`, `|s| ≤ 0.172`:
-//! a degree-10 odd polynomial in `z = s²` (truncation error
+//! Decompose `x = m·2^e` with `m ∈ [1, 2)` by bit manipulation, fold
+//! `m > √2` into `m/2, e+1` so `m ∈ [√2/2, √2]`, then
+//! `ln m = 2 atanh(s)` with `s = (m-1)/(m+1)`, `|s| ≤ 0.172`: a
+//! degree-10 odd polynomial in `z = s²` (truncation error
 //! `≈ z^11/23 ≤ 3·10^{-18}` relative). Both `m - 1` and the final
-//! `e·LN2_HI` step are exact, so there is no cancellation blow-up near
-//! `x = 1`. The vector path covers normal positive finite inputs;
-//! zero, negatives, subnormals, ±inf and NaN are recomputed with
-//! scalar `f64::ln`.
+//! `e·LN2_HI` step are exact (`LN2_HI` has 21 trailing zero bits and
+//! `|e| < 2^11`), so there is no cancellation blow-up near `x = 1`.
+//! The vector path covers normal positive finite inputs; zero,
+//! negatives, subnormals, ±inf and NaN are recomputed with scalar
+//! `f64::ln`.
 //!
 //! # Accuracy and determinism
 //!
 //! Elementwise only — no horizontal operations — so results are
 //! *lane-width invariant*: every fused backend (AVX2, NEON, the fused
 //! emulations, and the fused scalar tail) produces identical bits, and
-//! likewise every unfused backend (SSE2, `Lanes<_, false>`).
+//! likewise every unfused one (the scalar backend, `Lanes<_, false>`).
 //! Bounded-ULP tests against `std` pin the error at ≤ 2 ulp (fused)
-//! and ≤ 4 ulp (unfused) on both functions; `tests/ulp.rs` sweeps the
-//! bound per available backend.
+//! and ≤ 4 ulp (unfused); `tests/ulp.rs` sweeps the bound per
+//! available backend.
 
 use crate::backend::Backend;
 use crate::lanes::{sfma, LaneF64, ScalarLanes};
 
-const LOG2E: f64 = std::f64::consts::LOG2_E;
 /// High half of ln 2 (21 trailing zero bits: `0x3FE62E42FEE00000`).
 const LN2_HI: f64 = 6.931_471_803_691_238e-1;
 /// Low half of ln 2 (`0x3DEA39EF35793C76`).
 const LN2_LO: f64 = 1.908_214_929_270_587_7e-10;
 const SQRT_2: f64 = std::f64::consts::SQRT_2;
-/// Vector-safe input range for exp: results stay normal and `2^n`
-/// stays inside the exponent-construction domain.
-const EXP_SAFE: f64 = 700.0;
-
-/// Taylor coefficients `1/k!`, `k = 0..=13`.
-const EXP_C: [f64; 14] = [
-    1.0,
-    1.0,
-    1.0 / 2.0,
-    1.0 / 6.0,
-    1.0 / 24.0,
-    1.0 / 120.0,
-    1.0 / 720.0,
-    1.0 / 5040.0,
-    1.0 / 40320.0,
-    1.0 / 362_880.0,
-    1.0 / 3_628_800.0,
-    1.0 / 39_916_800.0,
-    1.0 / 479_001_600.0,
-    1.0 / 6_227_020_800.0,
-];
-
 /// atanh series coefficients `1/(2j+1)`, `j = 1..=10`.
 const LN_C: [f64; 10] = [
     1.0 / 3.0,
@@ -77,23 +45,6 @@ const LN_C: [f64; 10] = [
     1.0 / 19.0,
     1.0 / 21.0,
 ];
-
-/// Scalar mirror of the vector exp formula (same ops, same fusedness),
-/// used for tail elements. Caller guarantees `|x| < EXP_SAFE`.
-// xlint: allow(hot-path-panic) — EXP_C is indexed only with constant literals smaller than the table length
-#[inline(always)]
-fn exp_mirror<L: LaneF64>(x: f64) -> f64 {
-    let n = (x * LOG2E).round_ties_even();
-    let r = sfma::<L>(n, -LN2_HI, x);
-    let r = sfma::<L>(n, -LN2_LO, r);
-    let mut p = EXP_C[13];
-    let mut i = 13;
-    while i > 0 {
-        i -= 1;
-        p = sfma::<L>(p, r, EXP_C[i]);
-    }
-    p * f64::from_bits(((n as i64 + 1023) as u64) << 52)
-}
 
 /// Scalar mirror of the vector ln formula. Caller guarantees `x` is a
 /// positive normal finite value.
@@ -118,52 +69,6 @@ fn ln_mirror<L: LaneF64>(x: f64) -> f64 {
     let t = s * z * p;
     let lnm = 2.0 * (s + t);
     sfma::<L>(e, LN2_LO, sfma::<L>(e, LN2_HI, lnm))
-}
-
-/// Width-generic `out[i] = exp(x[i])`; see the module docs.
-// xlint: allow(hot-path-panic) — x/out lengths are asserted equal on entry, loops stop before that length, and EXP_C is indexed with constant literals inside the table
-#[inline(always)]
-pub fn vexp_with<L: LaneF64>(l: L, x: &[f64], out: &mut [f64]) {
-    assert_eq!(x.len(), out.len(), "exp buffer length mismatch");
-    let n = x.len();
-    let w = L::LANES;
-    let vrange = l.splat(EXP_SAFE);
-    let vlog2e = l.splat(LOG2E);
-    let vnh = l.splat(-LN2_HI);
-    let vnl = l.splat(-LN2_LO);
-    let mut c = 0;
-    while c + w <= n {
-        let raw = l.load(x, c);
-        // Out-of-range / NaN lanes run the pipeline on a harmless 0.0
-        // (mask is false for NaN) and are rewritten by the fixup sweep.
-        let v = l.select(l.gt(vrange, l.abs(raw)), raw, l.zero());
-        let nn = l.round_ties_even(l.mul(v, vlog2e));
-        let r = l.fma(nn, vnh, v);
-        let r = l.fma(nn, vnl, r);
-        let mut p = l.splat(EXP_C[13]);
-        let mut i = 13;
-        while i > 0 {
-            i -= 1;
-            p = l.fma(p, r, l.splat(EXP_C[i]));
-        }
-        l.store(l.scale_by_pow2(p, nn), out, c);
-        c += w;
-    }
-    while c < n {
-        out[c] = if x[c].abs() < EXP_SAFE {
-            exp_mirror::<L>(x[c])
-        } else {
-            x[c].exp()
-        };
-        c += 1;
-    }
-    // Fixup sweep: rewrite every lane the vector path cannot represent
-    // (large magnitudes, ±inf, and NaN — which fails the `<` compare).
-    for (o, &xi) in out.iter_mut().zip(x) {
-        if xi.is_nan() || xi.abs() >= EXP_SAFE {
-            *o = xi.exp();
-        }
-    }
 }
 
 /// Width-generic `out[i] = ln(x[i])`; see the module docs.
@@ -264,28 +169,9 @@ pub fn polar_normal(backend: Backend, u: &[f64], s: &[f64], out: &mut [f64]) {
             // the running CPU, discharging the target-feature contract.
             unsafe { crate::x86::polar_normal_avx2(u, s, out) }
         }
-        #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => polar_normal_with(crate::x86::Sse2Lanes::mint(), u, s, out),
         #[cfg(target_arch = "aarch64")]
         Backend::Neon => polar_normal_with(crate::neon::NeonLanes::mint(), u, s, out),
         _ => polar_normal_with(ScalarLanes::default(), u, s, out),
-    }
-}
-
-/// Backend-dispatched [`vexp_with`].
-pub fn vexp(backend: Backend, x: &[f64], out: &mut [f64]) {
-    match backend {
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 if backend.available() => {
-            // SAFETY: availability of avx2+fma was just re-verified on
-            // the running CPU, discharging the target-feature contract.
-            unsafe { crate::x86::vexp_avx2(x, out) }
-        }
-        #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => vexp_with(crate::x86::Sse2Lanes::mint(), x, out),
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon => vexp_with(crate::neon::NeonLanes::mint(), x, out),
-        _ => vexp_with(ScalarLanes::default(), x, out),
     }
 }
 
@@ -298,8 +184,6 @@ pub fn vln(backend: Backend, x: &[f64], out: &mut [f64]) {
             // the running CPU, discharging the target-feature contract.
             unsafe { crate::x86::vln_avx2(x, out) }
         }
-        #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => vln_with(crate::x86::Sse2Lanes::mint(), x, out),
         #[cfg(target_arch = "aarch64")]
         Backend::Neon => vln_with(crate::neon::NeonLanes::mint(), x, out),
         _ => vln_with(ScalarLanes::default(), x, out),
@@ -349,28 +233,6 @@ mod tests {
     }
 
     #[test]
-    fn exp_ulp_bound_fused_and_unfused() {
-        let xs = sweep();
-        let mut out = vec![0.0; xs.len()];
-        vexp_with(Lanes::<4, true>, &xs, &mut out);
-        for (&x, &got) in xs.iter().zip(&out) {
-            let want = x.exp();
-            if want.is_normal() {
-                let d = ulp_distance(got, want);
-                assert!(d <= 2, "fused exp({x}) = {got} vs {want}: {d} ulp");
-            }
-        }
-        vexp_with(Lanes::<2, false>, &xs, &mut out);
-        for (&x, &got) in xs.iter().zip(&out) {
-            let want = x.exp();
-            if want.is_normal() {
-                let d = ulp_distance(got, want);
-                assert!(d <= 4, "unfused exp({x}) = {got} vs {want}: {d} ulp");
-            }
-        }
-    }
-
-    #[test]
     fn ln_ulp_bound_fused_and_unfused() {
         let xs: Vec<f64> = sweep().into_iter().filter(|&x| x > 0.0).collect();
         let mut out = vec![0.0; xs.len()];
@@ -403,17 +265,9 @@ mod tests {
             800.0,
             -800.0,
         ];
-        let mut eout = vec![0.0; xs.len()];
         let mut lout = vec![0.0; xs.len()];
-        vexp(Backend::detect(), &xs, &mut eout);
         vln(Backend::detect(), &xs, &mut lout);
         for (i, &x) in xs.iter().enumerate() {
-            assert!(
-                eout[i] == x.exp() || (eout[i].is_nan() && x.exp().is_nan()),
-                "exp({x}) = {} vs {}",
-                eout[i],
-                x.exp()
-            );
             assert!(
                 lout[i] == x.ln() || (lout[i].is_nan() && x.ln().is_nan()),
                 "ln({x}) = {} vs {}",
@@ -426,30 +280,16 @@ mod tests {
     #[test]
     fn lane_width_invariance_when_fused() {
         // No horizontal ops: every fused width must agree bitwise.
-        let xs = sweep();
-        let mut w1 = vec![0.0; xs.len()];
-        let mut w2 = vec![0.0; xs.len()];
-        let mut w4 = vec![0.0; xs.len()];
-        vexp_with(Lanes::<1, true>, &xs, &mut w1);
-        vexp_with(Lanes::<2, true>, &xs, &mut w2);
-        vexp_with(Lanes::<4, true>, &xs, &mut w4);
-        for i in 0..xs.len() {
-            assert!(
-                w1[i].to_bits() == w2[i].to_bits() && w2[i].to_bits() == w4[i].to_bits()
-                    || (w1[i].is_nan() && w2[i].is_nan() && w4[i].is_nan()),
-                "exp width divergence at x = {}",
-                xs[i]
-            );
-        }
-        let pos: Vec<f64> = xs.into_iter().filter(|&x| x > 0.0).collect();
+        let pos: Vec<f64> = sweep().into_iter().filter(|&x| x > 0.0).collect();
         let mut l1 = vec![0.0; pos.len()];
+        let mut l2 = vec![0.0; pos.len()];
         let mut l4 = vec![0.0; pos.len()];
         vln_with(Lanes::<1, true>, &pos, &mut l1);
+        vln_with(Lanes::<2, true>, &pos, &mut l2);
         vln_with(Lanes::<4, true>, &pos, &mut l4);
         for i in 0..pos.len() {
-            assert_eq!(
-                l1[i].to_bits(),
-                l4[i].to_bits(),
+            assert!(
+                l1[i].to_bits() == l2[i].to_bits() && l2[i].to_bits() == l4[i].to_bits(),
                 "ln width divergence at {}",
                 pos[i]
             );
@@ -524,14 +364,13 @@ mod tests {
         // of its width/fusedness (the reference the contract names).
         let mut got = vec![0.0; us.len()];
         let mut want = vec![0.0; us.len()];
-        for b in [Backend::Scalar, Backend::Sse2, Backend::Avx2, Backend::Neon] {
+        for b in [Backend::Scalar, Backend::Avx2, Backend::Neon] {
             if !b.available() {
                 continue;
             }
             polar_normal(b, &us, &ss, &mut got);
             match (b.lanes(), b.fused()) {
                 (1, false) => polar_normal_with(Lanes::<1, false>, &us, &ss, &mut want),
-                (2, false) => polar_normal_with(Lanes::<2, false>, &us, &ss, &mut want),
                 (2, true) => polar_normal_with(Lanes::<2, true>, &us, &ss, &mut want),
                 (4, true) => polar_normal_with(Lanes::<4, true>, &us, &ss, &mut want),
                 other => unreachable!("no backend has shape {other:?}"),

@@ -4,12 +4,11 @@
 //! Rust aarch64 target enables statically, so the token is freely
 //! mintable and the non-pointer intrinsics are safe calls; the only
 //! `unsafe` here is raw-pointer loads/stores, bounded by slice
-//! subranges exactly like the x86 backends.
+//! subranges exactly like the x86 backend.
 //!
 //! The horizontal sum is the width-2 butterfly (`v0 + v1`), matching
 //! `Lanes<2, true>`; `fma` fuses (`vfmaq_f64`), so NEON pairs with the
-//! *fused* width-2 emulation, unlike SSE2 which pairs with the unfused
-//! one.
+//! *fused* width-2 emulation.
 
 #![cfg(target_arch = "aarch64")]
 
@@ -130,11 +129,6 @@ impl LaneF64 for NeonLanes {
     }
 
     #[inline(always)]
-    fn round_ties_even(self, a: float64x2_t) -> float64x2_t {
-        vrndnq_f64(a)
-    }
-
-    #[inline(always)]
     fn exponent_unbiased(self, a: float64x2_t) -> float64x2_t {
         // Biased exponent as a small integer; the u64 -> f64 convert is
         // exact for values < 2^53, matching the emulation bitwise.
@@ -151,15 +145,5 @@ impl LaneF64 for NeonLanes {
             vdupq_n_u64(ONE_BITS),
         );
         vreinterpretq_f64_u64(m)
-    }
-
-    #[inline(always)]
-    fn scale_by_pow2(self, v: float64x2_t, n: float64x2_t) -> float64x2_t {
-        // n is integral with n + 1023 in [1, 2046]; build 2^n bits
-        // directly in the exponent field.
-        let ni = vcvtq_s64_f64(n);
-        let biased = vaddq_s64(ni, vdupq_n_s64(1023));
-        let factor = vreinterpretq_f64_s64(vshlq_n_s64::<52>(biased));
-        vmulq_f64(v, factor)
     }
 }

@@ -270,18 +270,6 @@ pub fn phi_gradient(
                 )
             }
         }
-        #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => phi_gradient_with(
-            crate::x86::Sse2Lanes::mint(),
-            phi_a,
-            beta,
-            rows,
-            stride,
-            linked,
-            delta,
-            scratch,
-            out,
-        ),
         #[cfg(target_arch = "aarch64")]
         Backend::Neon => phi_gradient_with(
             crate::neon::NeonLanes::mint(),
@@ -339,18 +327,6 @@ pub fn sgrld_step(
                 )
             }
         }
-        #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => sgrld_step_with(
-            crate::x86::Sse2Lanes::mint(),
-            phi_a,
-            noise,
-            alpha,
-            half_eps,
-            grad_scale,
-            noise_scale,
-            floor,
-            grad,
-        ),
         #[cfg(target_arch = "aarch64")]
         Backend::Neon => sgrld_step_with(
             crate::neon::NeonLanes::mint(),
@@ -534,12 +510,7 @@ mod tests {
             &mut scratch,
             &mut reference,
         );
-        for b in [
-            Backend::Sse2,
-            Backend::Avx2,
-            Backend::Neon,
-            Backend::detect(),
-        ] {
+        for b in [Backend::Avx2, Backend::Neon, Backend::detect()] {
             if !b.available() {
                 continue;
             }

@@ -206,15 +206,6 @@ pub fn theta_accumulate_pair(
             // the running CPU, discharging the target-feature contract.
             unsafe { crate::x86::theta_accumulate_pair_avx2(scratch, pi_a, pi_b, y, weight) }
         }
-        #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => theta_accumulate_pair_with(
-            crate::x86::Sse2Lanes::mint(),
-            scratch,
-            pi_a,
-            pi_b,
-            y,
-            weight,
-        ),
         #[cfg(target_arch = "aarch64")]
         Backend::Neon => theta_accumulate_pair_with(
             crate::neon::NeonLanes::mint(),
@@ -351,7 +342,7 @@ mod tests {
         theta_accumulate_pair(Backend::Scalar, &mut scratch, &pi_a, &pi_b, false, 2.0);
         let mut reference = vec![0.0f64; 2 * k];
         theta_chunk_finish(&scratch, &mut reference);
-        for b in [Backend::Sse2, Backend::Avx2, Backend::Neon] {
+        for b in [Backend::Avx2, Backend::Neon] {
             if !b.available() {
                 continue;
             }

@@ -13,8 +13,8 @@ use mmsb_simd::lanes::Lanes;
 use mmsb_simd::phi::{phi_gradient_with, sgrld_step_with};
 use mmsb_simd::theta::theta_accumulate_pair_with;
 use mmsb_simd::{
-    phi_gradient, sgrld_step, theta_accumulate_pair, theta_chunk_begin, theta_chunk_finish, vexp,
-    vln, Backend, PhiScratch, ThetaScratch,
+    phi_gradient, sgrld_step, theta_accumulate_pair, theta_chunk_begin, theta_chunk_finish, vln,
+    Backend, PhiScratch, ThetaScratch,
 };
 
 const KS: [usize; 7] = [1, 3, 4, 7, 8, 16, 33];
@@ -59,7 +59,7 @@ fn phi_case(k: usize, degree: usize, seed: u64) -> PhiCase {
 /// on this host. Each runs the *same* generic kernel, once through the
 /// backend dispatcher (intrinsics) and once through `Lanes<W, FUSED>`.
 fn backends() -> Vec<Backend> {
-    [Backend::Sse2, Backend::Avx2, Backend::Neon]
+    [Backend::Avx2, Backend::Neon]
         .into_iter()
         .filter(|b| b.available())
         .collect()
@@ -68,17 +68,6 @@ fn backends() -> Vec<Backend> {
 fn emulated_phi(b: Backend, case: &PhiCase, k: usize, scratch: &mut PhiScratch) -> Vec<f64> {
     let mut out = vec![0.0f64; k];
     match (b.lanes(), b.fused()) {
-        (2, false) => phi_gradient_with(
-            Lanes::<2, false>,
-            &case.phi_a,
-            &case.beta,
-            &case.rows,
-            k,
-            &case.linked,
-            1e-4,
-            scratch,
-            &mut out,
-        ),
         (2, true) => phi_gradient_with(
             Lanes::<2, true>,
             &case.phi_a,
@@ -183,17 +172,6 @@ fn sgrld_step_bitwise_matches_emulation_per_lane_width() {
             );
             let mut emul = grad0.clone();
             match (b.lanes(), b.fused()) {
-                (2, false) => sgrld_step_with(
-                    Lanes::<2, false>,
-                    &phi_a,
-                    &noise,
-                    args.0,
-                    args.1,
-                    args.2,
-                    args.3,
-                    args.4,
-                    &mut emul,
-                ),
                 (2, true) => sgrld_step_with(
                     Lanes::<2, true>,
                     &phi_a,
@@ -263,9 +241,6 @@ fn theta_chunk_bitwise_matches_emulation_per_lane_width() {
             theta_chunk_begin(&beta, &theta, delta, &mut scratch);
             for (pa, pb, y, wt) in &pairs {
                 match (b.lanes(), b.fused()) {
-                    (2, false) => {
-                        theta_accumulate_pair_with(Lanes::<2, false>, &mut scratch, pa, pb, *y, *wt)
-                    }
                     (2, true) => {
                         theta_accumulate_pair_with(Lanes::<2, true>, &mut scratch, pa, pb, *y, *wt)
                     }
@@ -308,24 +283,8 @@ fn exp_ln_bitwise_match_emulation_per_backend() {
     for b in backends() {
         let mut hw = vec![0.0; xs.len()];
         let mut emul = vec![0.0; xs.len()];
-        vexp(b, &xs, &mut hw);
-        match (b.lanes(), b.fused()) {
-            (2, false) => mmsb_simd::math::vexp_with(Lanes::<2, false>, &xs, &mut emul),
-            (2, true) => mmsb_simd::math::vexp_with(Lanes::<2, true>, &xs, &mut emul),
-            (4, true) => mmsb_simd::math::vexp_with(Lanes::<4, true>, &xs, &mut emul),
-            other => unreachable!("no emulation for backend shape {other:?}"),
-        }
-        for (i, &x) in xs.iter().enumerate() {
-            assert!(
-                hw[i].to_bits() == emul[i].to_bits() || (hw[i].is_nan() && emul[i].is_nan()),
-                "{b} exp({x}): {} vs {}",
-                hw[i],
-                emul[i]
-            );
-        }
         vln(b, &xs, &mut hw);
         match (b.lanes(), b.fused()) {
-            (2, false) => mmsb_simd::math::vln_with(Lanes::<2, false>, &xs, &mut emul),
             (2, true) => mmsb_simd::math::vln_with(Lanes::<2, true>, &xs, &mut emul),
             (4, true) => mmsb_simd::math::vln_with(Lanes::<4, true>, &xs, &mut emul),
             other => unreachable!("no emulation for backend shape {other:?}"),

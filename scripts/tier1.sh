@@ -117,7 +117,7 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 #   failures      mmsb-netsim: cluster::tests (the retry loop);
 #                 mmsb-core: fault_determinism (the clock pinned with
 #                 and without faults), checkpoint_resume
-#   SIMD          mmsb-simd (lane parity, exp/log/polar ULP bounds);
+#   SIMD          mmsb-simd (lane parity, log/polar ULP bounds);
 #                 mmsb-core: simd_determinism; mmsb: simd_smoke
 #   obs           mmsb-obs (registry, clock, rings, exporters, trace
 #                 round-trip); mmsb: obs_cli (a priced DKV access is one
