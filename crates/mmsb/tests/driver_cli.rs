@@ -64,8 +64,8 @@ fn unknown_driver_is_rejected_before_training() {
     assert!(out.stdout.is_empty(), "nothing may be trained");
 }
 
-/// `--simd` takes only the backends the kernel layer has; a retired
-/// one (SSE2) exits 1 listing them, before training.
+/// `--simd` takes only the backends the kernel layer has; any other
+/// name exits 1 listing them, before training.
 #[test]
 fn unknown_simd_backend_is_rejected_before_training() {
     let out = Command::new(env!("CARGO_BIN_EXE_mmsb"))
