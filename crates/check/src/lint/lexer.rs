@@ -2,9 +2,9 @@
 //!
 //! Strips comments and string/char literals, and returns the remaining
 //! code tokens (identifiers and single-char punctuation) with 1-based
-//! line and column numbers. Comments are returned on the side — the suppression
-//! engine reads `// xlint: allow(...)` markers from them, which keeps
-//! suppression syntax inside string literals inert.
+//! line and column numbers. Comments are returned on the side — the
+//! suppression engine reads `// xlint: allow(...)` markers from them,
+//! which keeps suppression syntax inside string literals inert.
 //!
 //! Fidelity notes (pinned by the seeded property suite in
 //! `tests/lexer_prop.rs`):
