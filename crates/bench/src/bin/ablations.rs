@@ -1,10 +1,8 @@
 //! Ablations for the design choices DESIGN.md calls out.
 //!
-//! 1. State layout: `pi + sum(phi)` (the paper's memory-saving choice)
-//!    vs storing full `phi` — memory and accuracy impact.
-//! 2. Mini-batch strategy: stratified random-node vs uniform random-pair —
+//! 1. Mini-batch strategy: stratified random-node vs uniform random-pair —
 //!    convergence per iteration.
-//! 3. DKV chunk granularity: pipelining benefit vs chunk size.
+//! 2. DKV chunk granularity: pipelining benefit vs chunk size.
 
 use mmsb::prelude::*;
 use mmsb_bench::{simulate, HarnessArgs, TableWriter};
@@ -33,35 +31,9 @@ fn main() {
     let iters = args.pick(1500, 150);
     let (train, heldout) = training_set(args.quick);
 
-    // ---- 1. State layout -------------------------------------------
-    println!("Ablation 1 — state layout (paper §III-A)\n");
-    let mut table = TableWriter::new(
-        &["layout", "state bytes", "final perplexity"],
-        args.csv.clone(),
-    );
-    for layout in [StateLayout::PiSumPhi, StateLayout::FullPhi] {
-        let config = SamplerConfig::new(12)
-            .with_seed(9)
-            .with_layout(layout)
-            .with_minibatch(Strategy::StratifiedNode {
-                partitions: 16,
-                anchors: 16,
-            });
-        let mut s =
-            ParallelSampler::with_threads(train.clone(), heldout.clone(), config, 1).unwrap();
-        s.run(iters);
-        let perp = s.evaluate_perplexity();
-        table.row(&[
-            format!("{layout:?}"),
-            s.state().memory_bytes().to_string(),
-            format!("{perp:.4}"),
-        ]);
-    }
-    table.finish();
-
-    // ---- 2. Mini-batch strategy -------------------------------------
-    println!("\nAblation 2 — mini-batch strategy\n");
-    let mut table = TableWriter::new(&["strategy", "final perplexity"], None);
+    // ---- 1. Mini-batch strategy -------------------------------------
+    println!("Ablation 1 — mini-batch strategy\n");
+    let mut table = TableWriter::new(&["strategy", "final perplexity"], args.csv.clone());
     for (name, strategy) in [
         (
             "stratified (m=16, anchors=16)",
@@ -87,8 +59,8 @@ fn main() {
     }
     table.finish();
 
-    // ---- 3. Chunk granularity ---------------------------------------
-    println!("\nAblation 3 — DKV chunk size vs pipelining benefit (16 workers)\n");
+    // ---- 2. Chunk granularity ---------------------------------------
+    println!("\nAblation 2 — DKV chunk size vs pipelining benefit (16 workers)\n");
     let mut table = TableWriter::new(
         &["chunk vertices", "single (s)", "double (s)", "saved (%)"],
         None,
@@ -116,8 +88,7 @@ fn main() {
     }
     table.finish();
     println!(
-        "\nreading: PiSumPhi halves state memory with negligible accuracy cost; \
-         multi-anchor stratified batches converge per-iteration like large uniform \
+        "\nreading: multi-anchor stratified batches converge per-iteration like large uniform \
          batches but focus compute on links; mid-sized chunks pipeline best (tiny \
          chunks pay per-batch latency, huge chunks leave nothing to overlap)."
     );

@@ -1,7 +1,7 @@
 //! Checkpoint/restore of the full sampler chain state.
 //!
 //! A checkpoint captures everything the chain's future depends on — the
-//! state arrays (`pi`, `sum(phi)`, optionally full `phi`), `theta`/`beta`,
+//! state arrays (`pi` and `sum(phi)`), `theta`/`beta`,
 //! both master RNG streams, the iteration counter, and the running
 //! perplexity accumulator — so a killed run restored from disk continues
 //! producing the *bitwise-identical* trajectory the uninterrupted run
@@ -15,7 +15,7 @@
 //! ```text
 //! magic     8  b"MMSBCKP1"
 //! version   u32
-//! layout    u8              0 = PiSumPhi, 1 = FullPhi
+//! layout    u8              always 0: the `pi ++ sum(phi)` state
 //! n         u32
 //! k         u64
 //! seed      u64
@@ -26,7 +26,6 @@
 //! theta_rng 4 x u64
 //! pi        n*k x f32
 //! phi_sum   n x f32
-//! phi       (n*k | 0) x f64 present only for FullPhi
 //! theta     2k x f64
 //! beta      k x f64
 //! probs     pairs x f64     perplexity probability sums
@@ -43,7 +42,7 @@
 //! # Memory
 //!
 //! A checkpoint holds no copy of the model. Capturing one shares the
-//! live `pi`, `sum(phi)` and `phi` [`Plane`]s (a reference-count bump
+//! live `pi` and `sum(phi)` [`Plane`]s (a reference-count bump
 //! each) and copies only the small state (`theta`, `beta`, the
 //! perplexity sums). The sampler's next write to a plane copies it if
 //! the checkpoint is still alive then; a checkpoint that is saved and
@@ -51,7 +50,6 @@
 //! through a 64 KiB buffer, so a capture-and-save of an `N x K` model
 //! allocates a few KiB plus the buffer, not `4·N·(K+1)` bytes.
 
-use crate::config::StateLayout;
 use crate::perplexity::PerplexityAccumulator;
 use crate::plane::Plane;
 use crate::sampler::Engine;
@@ -65,6 +63,9 @@ use std::path::Path;
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"MMSBCKP1";
 /// Current format version.
 pub const CHECKPOINT_VERSION: u32 = 1;
+/// The layout tag every checkpoint carries at byte 12: the state is `pi`
+/// plus `sum(phi)`. A file with any other tag is refused.
+const LAYOUT_TAG: u8 = 0;
 
 /// Errors from checkpoint encoding, decoding, and file I/O.
 #[derive(Debug)]
@@ -83,7 +84,8 @@ pub enum CheckpointError {
     /// The file ended before the declared payload.
     Truncated,
     /// The checkpoint is internally valid but does not fit the sampler it
-    /// was offered to (different graph size, `k`, seed, or layout).
+    /// was offered to (different graph size, `k` or seed), or carries a
+    /// layout tag other than 0.
     Mismatch {
         /// Explanation of the mismatch.
         reason: String,
@@ -213,7 +215,6 @@ impl<'a> Cursor<'a> {
 /// A restorable snapshot of the sampler chain.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Checkpoint {
-    layout: StateLayout,
     n: u32,
     k: usize,
     seed: u64,
@@ -222,7 +223,6 @@ pub struct Checkpoint {
     theta_rng: [u64; 4],
     pi: Plane<f32>,
     phi_sum: Plane<f32>,
-    phi: Plane<f64>,
     theta: Vec<f64>,
     beta: Vec<f64>,
     prob_sums: Vec<f64>,
@@ -232,10 +232,9 @@ pub struct Checkpoint {
 impl Checkpoint {
     /// Snapshot `engine`'s full chain state, sharing its planes.
     pub(crate) fn capture(engine: &Engine) -> Self {
-        let (pi, phi_sum, phi) = engine.state.planes();
+        let (pi, phi_sum) = engine.state.planes();
         let (prob_sums, samples) = engine.perplexity.snapshot();
         Self {
-            layout: engine.state.layout(),
             n: engine.state.n(),
             k: engine.state.k(),
             seed: engine.config.seed,
@@ -244,7 +243,6 @@ impl Checkpoint {
             theta_rng: engine.theta_rng.state(),
             pi: pi.clone(),
             phi_sum: phi_sum.clone(),
-            phi: phi.clone(),
             theta: engine.state.theta().to_vec(),
             beta: engine.state.beta().to_vec(),
             prob_sums: prob_sums.to_vec(),
@@ -255,19 +253,14 @@ impl Checkpoint {
     /// Install this snapshot into `engine`, rewinding (or fast-forwarding)
     /// it to the captured point of the chain.
     pub(crate) fn install(&self, engine: &mut Engine) -> Result<(), CoreError> {
-        if engine.state.n() != self.n
-            || engine.state.k() != self.k
-            || engine.state.layout() != self.layout
-        {
+        if engine.state.n() != self.n || engine.state.k() != self.k {
             return Err(CoreError::Checkpoint(CheckpointError::Mismatch {
                 reason: format!(
-                    "sampler has n={} k={} {:?}, checkpoint has n={} k={} {:?}",
+                    "sampler has n={} k={}, checkpoint has n={} k={}",
                     engine.state.n(),
                     engine.state.k(),
-                    engine.state.layout(),
                     self.n,
-                    self.k,
-                    self.layout
+                    self.k
                 ),
             }));
         }
@@ -288,13 +281,9 @@ impl Checkpoint {
                 ),
             }));
         }
-        engine.state.copy_from_flat_arrays(
-            &self.pi,
-            &self.phi_sum,
-            &self.phi,
-            &self.theta,
-            &self.beta,
-        )?;
+        engine
+            .state
+            .copy_from_flat_arrays(&self.pi, &self.phi_sum, &self.theta, &self.beta)?;
         engine.master_rng = Xoshiro256PlusPlus::from_state(self.master_rng);
         engine.theta_rng = Xoshiro256PlusPlus::from_state(self.theta_rng);
         engine.perplexity =
@@ -321,11 +310,6 @@ impl Checkpoint {
     /// Number of communities in the captured model.
     pub fn k(&self) -> usize {
         self.k
-    }
-
-    /// The state layout the chain ran under.
-    pub fn layout(&self) -> StateLayout {
-        self.layout
     }
 
     /// The captured memberships, flat row-major `n x k` (vertex-major).
@@ -362,7 +346,7 @@ impl Checkpoint {
             + 4
             + 8 * (5 + 8)
             + 4 * (self.pi.len() + self.phi_sum.len())
-            + 8 * (self.phi.len() + self.theta.len() + self.beta.len() + self.prob_sums.len())
+            + 8 * (self.theta.len() + self.beta.len() + self.prob_sums.len())
             + 4
     }
 
@@ -373,10 +357,7 @@ impl Checkpoint {
         let mut w = CrcWriter { inner: out, crc: 0 };
         w.write_all(&CHECKPOINT_MAGIC)?;
         w.write_all(&CHECKPOINT_VERSION.to_le_bytes())?;
-        w.write_all(&[match self.layout {
-            StateLayout::PiSumPhi => 0,
-            StateLayout::FullPhi => 1,
-        }])?;
+        w.write_all(&[LAYOUT_TAG])?;
         w.write_all(&self.n.to_le_bytes())?;
         let header = [
             self.k as u64,
@@ -390,7 +371,7 @@ impl Checkpoint {
         put_le(&mut w, &self.theta_rng, u64::to_le_bytes)?;
         put_le(&mut w, &self.pi, f32::to_le_bytes)?;
         put_le(&mut w, &self.phi_sum, f32::to_le_bytes)?;
-        for plane in [&self.phi[..], &self.theta, &self.beta, &self.prob_sums] {
+        for plane in [&self.theta, &self.beta, &self.prob_sums] {
             put_le(&mut w, plane, f64::to_le_bytes)?;
         }
         let CrcWriter { mut inner, crc } = w;
@@ -429,15 +410,12 @@ impl Checkpoint {
         if version != CHECKPOINT_VERSION {
             return Err(CheckpointError::UnsupportedVersion { found: version });
         }
-        let layout = match c.u8()? {
-            0 => StateLayout::PiSumPhi,
-            1 => StateLayout::FullPhi,
-            l => {
-                return Err(CheckpointError::Mismatch {
-                    reason: format!("unknown layout tag {l}"),
-                })
-            }
-        };
+        let tag = c.u8()?;
+        if tag != LAYOUT_TAG {
+            return Err(CheckpointError::Mismatch {
+                reason: format!("unknown layout tag {tag}"),
+            });
+        }
         let n = c.u32()?;
         let k = usize::try_from(c.u64()?).map_err(|_| CheckpointError::Truncated)?;
         let seed = c.u64()?;
@@ -451,10 +429,6 @@ impl Checkpoint {
             .ok_or(CheckpointError::Truncated)?;
         let pi = Plane::from(c.f32s(nk)?);
         let phi_sum = Plane::from(c.f32s(n as usize)?);
-        let phi = Plane::from(match layout {
-            StateLayout::FullPhi => c.f64s(nk)?,
-            StateLayout::PiSumPhi => Vec::new(),
-        });
         let theta = c.f64s(2 * k)?;
         let beta = c.f64s(k)?;
         let prob_sums = c.f64s(pairs)?;
@@ -464,7 +438,6 @@ impl Checkpoint {
             });
         }
         Ok(Self {
-            layout,
             n,
             k,
             seed,
@@ -473,7 +446,6 @@ impl Checkpoint {
             theta_rng,
             pi,
             phi_sum,
-            phi,
             theta,
             beta,
             prob_sums,
@@ -531,7 +503,6 @@ mod tests {
 
     fn sample_checkpoint() -> Checkpoint {
         Checkpoint {
-            layout: StateLayout::PiSumPhi,
             n: 3,
             k: 2,
             seed: 7,
@@ -540,7 +511,6 @@ mod tests {
             theta_rng: [5, 6, 7, 8],
             pi: vec![0.5, 0.5, 0.25, 0.75, 1.0, 0.0].into(),
             phi_sum: vec![1.5, 2.5, 3.5].into(),
-            phi: Vec::new().into(),
             theta: vec![1.0, 2.0, 3.0, 4.0],
             beta: vec![0.5, 0.25],
             prob_sums: vec![0.9, 0.8],
@@ -565,15 +535,14 @@ mod tests {
         assert_eq!(bytes[221..], 0x3EA4_2A63u32.to_le_bytes());
     }
 
-    /// A checkpoint of `n` vertices and `k` communities in `layout`, every
-    /// plane filled with distinct values and perplexity sums present.
-    fn filled_checkpoint(layout: StateLayout, n: u32, k: usize) -> Checkpoint {
+    /// A checkpoint of `n` vertices and `k` communities, every plane
+    /// filled with distinct values and perplexity sums present.
+    fn filled_checkpoint(n: u32, k: usize) -> Checkpoint {
         let nk = n as usize * k;
         let ramp = |len: usize, scale: f64| -> Vec<f64> {
             (0..len).map(|i| (i as f64 + 0.5) * scale).collect()
         };
         Checkpoint {
-            layout,
             n,
             k,
             seed: 11,
@@ -592,10 +561,6 @@ mod tests {
                     .map(|v| v as f32)
                     .collect::<Vec<_>>(),
             ),
-            phi: Plane::from(match layout {
-                StateLayout::FullPhi => ramp(nk, 1e-4),
-                StateLayout::PiSumPhi => Vec::new(),
-            }),
             theta: ramp(2 * k, 0.5),
             beta: ramp(k, 0.01),
             prob_sums: ramp(123, 0.003),
@@ -604,22 +569,20 @@ mod tests {
     }
 
     /// `save` streams the file through a buffer with a running CRC; it
-    /// must hold exactly `to_bytes()`, for both layouts and at sizes whose
-    /// planes span many encode chunks.
+    /// must hold exactly `to_bytes()`, at sizes whose planes span many
+    /// encode chunks.
     #[test]
     fn saved_file_equals_to_bytes() {
         let dir = std::env::temp_dir().join(format!("mmsb-ckpt-save-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        for layout in [StateLayout::PiSumPhi, StateLayout::FullPhi] {
-            for k in [1, 16, 64] {
-                let ck = filled_checkpoint(layout, 301, k);
-                let path = dir.join(format!("{layout:?}-{k}.ckpt"));
-                ck.save(&path).unwrap();
-                let bytes = ck.to_bytes();
-                assert_eq!(bytes.len(), ck.encoded_len(), "{layout:?} k={k}");
-                assert!(std::fs::read(&path).unwrap() == bytes, "{layout:?} k={k}");
-                assert_eq!(Checkpoint::load(&path).unwrap(), ck, "{layout:?} k={k}");
-            }
+        for k in [1, 16, 64] {
+            let ck = filled_checkpoint(301, k);
+            let path = dir.join(format!("{k}.ckpt"));
+            ck.save(&path).unwrap();
+            let bytes = ck.to_bytes();
+            assert_eq!(bytes.len(), ck.encoded_len(), "k={k}");
+            assert!(std::fs::read(&path).unwrap() == bytes, "k={k}");
+            assert_eq!(Checkpoint::load(&path).unwrap(), ck, "k={k}");
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -659,6 +622,13 @@ mod tests {
         }
     }
 
+    /// Recompute the trailing CRC after an edit, so only the edit is bad.
+    fn reseal(bytes: &mut [u8]) {
+        let body_len = bytes.len() - 4;
+        let crc = crc32(&bytes[..body_len]).to_le_bytes();
+        bytes[body_len..].copy_from_slice(&crc);
+    }
+
     #[test]
     fn wrong_magic_and_version_are_distinguished() {
         let mut bytes = sample_checkpoint().to_bytes();
@@ -669,15 +639,23 @@ mod tests {
         ));
 
         let mut bytes = sample_checkpoint().to_bytes();
-        // Bump the version *and* re-seal the CRC so only the version is bad.
         bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
-        let body_len = bytes.len() - 4;
-        let crc = crc32(&bytes[..body_len]).to_le_bytes();
-        bytes[body_len..].copy_from_slice(&crc);
+        reseal(&mut bytes);
         assert!(matches!(
             Checkpoint::from_bytes(&bytes),
             Err(CheckpointError::UnsupportedVersion { found: 99 })
         ));
+
+        // Byte 12 is the layout tag; only 0 is a checkpoint.
+        let mut bytes = sample_checkpoint().to_bytes();
+        bytes[12] = 1;
+        reseal(&mut bytes);
+        match Checkpoint::from_bytes(&bytes) {
+            Err(CheckpointError::Mismatch { reason }) => {
+                assert!(reason.contains("layout tag 1"), "{reason}")
+            }
+            other => panic!("layout tag 1 accepted or misread: {other:?}"),
+        }
     }
 
     #[test]

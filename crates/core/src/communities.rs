@@ -55,20 +55,11 @@ impl Communities {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::StateLayout;
     use mmsb_rand::Xoshiro256PlusPlus;
 
     fn state_with_rows(rows: &[[f64; 3]]) -> ModelState {
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(1);
-        let mut s = ModelState::init(
-            rows.len() as u32,
-            3,
-            StateLayout::PiSumPhi,
-            0.5,
-            (1.0, 1.0),
-            &mut rng,
-        )
-        .unwrap();
+        let mut s = ModelState::init(rows.len() as u32, 3, 0.5, (1.0, 1.0), &mut rng).unwrap();
         for (a, row) in rows.iter().enumerate() {
             s.set_phi_row(a as u32, row);
         }

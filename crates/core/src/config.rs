@@ -50,19 +50,6 @@ impl StepSize {
     }
 }
 
-/// How the per-vertex state is laid out (paper §III-A ablation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StateLayout {
-    /// Store `pi` (f32) plus `sum(phi)` and recompute `phi = pi * sum` on
-    /// demand — the paper's choice: halves memory at the cost of one
-    /// multiply per element and f32 rounding of the chain state.
-    PiSumPhi,
-    /// Store the full `phi` matrix in f64. Twice the memory (and 2x again
-    /// for f64), exact chain state. Only available to single-node
-    /// samplers; the distributed DKV path always uses [`Self::PiSumPhi`].
-    FullPhi,
-}
-
 /// Full sampler configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SamplerConfig {
@@ -82,8 +69,6 @@ pub struct SamplerConfig {
     pub neighbor_sample: usize,
     /// Master RNG seed; all randomness derives from it.
     pub seed: u64,
-    /// State layout.
-    pub layout: StateLayout,
     /// Kernel backend selection for the phi/theta hot path.
     ///
     /// `Auto` (the default) picks the widest SIMD backend the host
@@ -120,7 +105,6 @@ impl SamplerConfig {
             },
             neighbor_sample: 32,
             seed: 42,
-            layout: StateLayout::PiSumPhi,
             simd: SimdPolicy::Auto,
             graph_cache_blocks: mmsb_ooc::DEFAULT_CACHE_BLOCKS,
         }
@@ -141,12 +125,6 @@ impl SamplerConfig {
     /// Set the neighbor-sample size `|V_n|`.
     pub fn with_neighbor_sample(mut self, n: usize) -> Self {
         self.neighbor_sample = n;
-        self
-    }
-
-    /// Set the state layout.
-    pub fn with_layout(mut self, layout: StateLayout) -> Self {
-        self.layout = layout;
         self
     }
 
@@ -289,11 +267,9 @@ mod tests {
         let c = SamplerConfig::new(4)
             .with_seed(9)
             .with_neighbor_sample(16)
-            .with_layout(StateLayout::FullPhi)
             .with_simd(SimdPolicy::Force(Backend::Scalar));
         assert_eq!(c.seed, 9);
         assert_eq!(c.neighbor_sample, 16);
-        assert_eq!(c.layout, StateLayout::FullPhi);
         assert_eq!(c.simd, SimdPolicy::Force(Backend::Scalar));
         assert_eq!(c.backend(), Backend::Scalar);
     }

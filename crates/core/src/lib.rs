@@ -70,17 +70,15 @@ mod config;
 mod kernels;
 mod perplexity;
 mod plane;
-mod posterior;
 mod rngs;
 mod sampler;
 mod state;
 mod workspace;
 
 pub use checkpoint::{Checkpoint, CheckpointError, CHECKPOINT_MAGIC, CHECKPOINT_VERSION};
-pub use config::{SamplerConfig, StateLayout, StepSize};
+pub use config::{SamplerConfig, StepSize};
 pub use perplexity::{link_probability, PerplexityAccumulator};
 pub use plane::Plane;
-pub use posterior::PosteriorMean;
 pub use sampler::distributed::DistributedSampler;
 pub use sampler::parallel::ParallelSampler;
 pub use state::{ModelState, PHI_MIN};

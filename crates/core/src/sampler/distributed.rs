@@ -12,7 +12,7 @@
 use super::parallel::ParallelSampler;
 use crate::checkpoint::Checkpoint;
 use crate::communities::Communities;
-use crate::config::{SamplerConfig, StateLayout};
+use crate::config::SamplerConfig;
 use crate::{CoreError, ModelState};
 use mmsb_graph::heldout::HeldOut;
 use mmsb_graph::{Graph, VertexId};
@@ -42,8 +42,7 @@ pub struct DistributedSampler {
 }
 
 impl DistributedSampler {
-    /// Build a distributed sampler. The state layout must be
-    /// [`StateLayout::PiSumPhi`] (the DKV row format).
+    /// Build a distributed sampler.
     pub fn new(
         graph: Graph,
         heldout: HeldOut,
@@ -77,11 +76,6 @@ impl DistributedSampler {
     ) -> Result<Self, CoreError> {
         dcfg.validate()
             .map_err(|reason| CoreError::InvalidConfig { reason })?;
-        if config.layout != StateLayout::PiSumPhi {
-            return Err(CoreError::InvalidConfig {
-                reason: "distributed sampler requires the PiSumPhi layout".into(),
-            });
-        }
         let sampler = ParallelSampler::with_backend_threads(graph, heldout, config, threads)?;
         let engine = &sampler.engine;
         let (vertices, pairs) = (engine.max_batch_vertices(), engine.max_batch_pairs());
@@ -582,11 +576,6 @@ mod tests {
             DistributedConfig::das5(0)
         )
         .is_err());
-        let full = cfg.clone().with_layout(StateLayout::FullPhi);
-        assert!(
-            DistributedSampler::new(g.clone(), h.clone(), full, DistributedConfig::das5(2))
-                .is_err()
-        );
         let mut bad = DistributedConfig::das5(2);
         bad.chunk_vertices = 0;
         assert!(DistributedSampler::new(g, h, cfg, bad).is_err());

@@ -87,7 +87,6 @@ impl Engine {
         let state = ModelState::init(
             graph.num_vertices(),
             config.k,
-            config.layout,
             config.alpha,
             config.eta,
             &mut init,

@@ -4,10 +4,9 @@
 //! `theta` is `K x 2` and `beta` is `K` (the small, global state). For the
 //! largest configuration the paper could not afford to keep both `pi` and
 //! `phi`, storing `pi` plus `sum(phi)` instead and recomputing
-//! `phi = pi * sum(phi)` (§III-A). [`ModelState`] implements both layouts
-//! behind one accessor pair so the trade-off is benchmarkable.
+//! `phi = pi * sum(phi)` (§III-A). [`ModelState`] keeps that layout: the
+//! `phi` rows of a batch are rebuilt from it when they are needed.
 
-use crate::config::StateLayout;
 use crate::plane::Plane;
 use crate::CoreError;
 use mmsb_rand::dist::{Gamma, Sample};
@@ -27,14 +26,11 @@ pub const PHI_MIN: f64 = 1e-10;
 pub struct ModelState {
     n: u32,
     k: usize,
-    layout: StateLayout,
     /// `N x K` row-major, rows sum to 1 (f32, as in the paper's DKV
     /// rows), starting on a cache-line boundary.
     pi: Plane<f32>,
-    /// `N` row sums of `phi` (PiSumPhi layout).
+    /// `N` row sums of `phi`.
     phi_sum: Plane<f32>,
-    /// `N x K` full phi (FullPhi layout; empty otherwise).
-    phi: Plane<f64>,
     /// `K x 2` flat: `theta[2k]` is the non-link mass, `theta[2k + 1]` the
     /// link mass, so `beta_k = theta[2k+1] / (theta[2k] + theta[2k+1])`.
     theta: Vec<f64>,
@@ -48,10 +44,8 @@ impl Clone for ModelState {
         Self {
             n: self.n,
             k: self.k,
-            layout: self.layout,
             pi: self.pi.deep_clone(),
             phi_sum: self.phi_sum.deep_clone(),
-            phi: self.phi.deep_clone(),
             theta: self.theta.clone(),
             beta: self.beta.clone(),
         }
@@ -67,7 +61,6 @@ impl ModelState {
     pub fn init<R: RngCore>(
         n: u32,
         k: usize,
-        layout: StateLayout,
         alpha: f64,
         eta: (f64, f64),
         rng: &mut R,
@@ -90,11 +83,7 @@ impl ModelState {
         let nk = n as usize * k;
         let mut pi = Plane::zeroed(nk);
         let mut phi_sum = Plane::zeroed(n as usize);
-        let mut phi = Plane::zeroed(match layout {
-            StateLayout::FullPhi => nk,
-            StateLayout::PiSumPhi => 0,
-        });
-        let (pi_mut, phi_sum_mut, phi_mut) = (pi.make_mut(), phi_sum.make_mut(), phi.make_mut());
+        let (pi_mut, phi_sum_mut) = (pi.make_mut(), phi_sum.make_mut());
         let mut row = vec![0.0f64; k];
         for a in 0..n as usize {
             let mut sum = 0.0f64;
@@ -107,9 +96,6 @@ impl ModelState {
             for (j, &x) in row.iter().enumerate() {
                 pi_mut[a * k + j] = (x / sum) as f32;
             }
-            if layout == StateLayout::FullPhi {
-                phi_mut[a * k..(a + 1) * k].copy_from_slice(&row);
-            }
         }
 
         let mut theta = vec![0.0f64; 2 * k];
@@ -120,10 +106,8 @@ impl ModelState {
         let mut state = Self {
             n,
             k,
-            layout,
             pi,
             phi_sum,
-            phi,
             theta,
             beta: vec![0.0; k],
         };
@@ -141,11 +125,6 @@ impl ModelState {
         self.k
     }
 
-    /// The configured layout.
-    pub fn layout(&self) -> StateLayout {
-        self.layout
-    }
-
     /// The normalized membership row of vertex `a`.
     #[inline]
     pub fn pi_row(&self, a: u32) -> &[f32] {
@@ -153,28 +132,21 @@ impl ModelState {
         &self.pi[i..i + self.k]
     }
 
-    /// Reconstruct the `phi` row of vertex `a` into `out` (f64).
+    /// Reconstruct the `phi` row of vertex `a` into `out` (f64):
+    /// `phi = pi * sum(phi)`, clamped to [`PHI_MIN`].
     ///
     /// # Panics
     /// Panics if `out.len() != k`.
     pub fn phi_row(&self, a: u32, out: &mut [f64]) {
         assert_eq!(out.len(), self.k, "phi row buffer has wrong length");
-        match self.layout {
-            StateLayout::PiSumPhi => {
-                let sum = self.phi_sum[a as usize] as f64;
-                for (o, &p) in out.iter_mut().zip(self.pi_row(a)) {
-                    *o = (p as f64 * sum).max(PHI_MIN);
-                }
-            }
-            StateLayout::FullPhi => {
-                let i = a as usize * self.k;
-                out.copy_from_slice(&self.phi[i..i + self.k]);
-            }
+        let sum = self.phi_sum[a as usize] as f64;
+        for (o, &p) in out.iter_mut().zip(self.pi_row(a)) {
+            *o = (p as f64 * sum).max(PHI_MIN);
         }
     }
 
-    /// Install a new `phi` row for vertex `a`, updating `pi` (and
-    /// `sum(phi)` / `phi` per layout).
+    /// Install a new `phi` row for vertex `a`, updating `pi` and
+    /// `sum(phi)`.
     ///
     /// # Panics
     /// Panics if `new_phi.len() != k` or any entry is non-positive/NaN.
@@ -191,12 +163,8 @@ impl ModelState {
     /// Panics if a row's length is not `k` or any entry is
     /// non-positive/NaN.
     pub fn set_phi_rows<'r>(&mut self, rows: impl IntoIterator<Item = (u32, &'r [f64])>) {
-        let (k, layout) = (self.k, self.layout);
-        let (pi, phi_sum, phi) = (
-            self.pi.make_mut(),
-            self.phi_sum.make_mut(),
-            self.phi.make_mut(),
-        );
+        let k = self.k;
+        let (pi, phi_sum) = (self.pi.make_mut(), self.phi_sum.make_mut());
         for (a, new_phi) in rows {
             assert_eq!(new_phi.len(), k, "phi row has wrong length");
             let sum: f64 = new_phi.iter().sum();
@@ -210,9 +178,6 @@ impl ModelState {
                 pi[i + j] = (x / sum) as f32;
             }
             phi_sum[a as usize] = sum as f32;
-            if layout == StateLayout::FullPhi {
-                phi[i..i + k].copy_from_slice(new_phi);
-            }
         }
     }
 
@@ -241,16 +206,10 @@ impl ModelState {
         }
     }
 
-    /// Approximate heap footprint of the per-vertex state in bytes.
-    pub fn memory_bytes(&self) -> usize {
-        self.pi.len() * 4 + self.phi_sum.len() * 4 + self.phi.len() * 8
-    }
-
-    /// The state planes, in checkpoint order: `(pi, phi_sum, phi)`.
-    /// `phi` is empty for [`StateLayout::PiSumPhi`]. A checkpoint clones
-    /// them to share them.
-    pub(crate) fn planes(&self) -> (&Plane<f32>, &Plane<f32>, &Plane<f64>) {
-        (&self.pi, &self.phi_sum, &self.phi)
+    /// The state planes, in checkpoint order: `(pi, phi_sum)`. A
+    /// checkpoint clones them to share them.
+    pub(crate) fn planes(&self) -> (&Plane<f32>, &Plane<f32>) {
+        (&self.pi, &self.phi_sum)
     }
 
     /// Overwrite this state with checkpointed arrays, copying into the
@@ -263,26 +222,20 @@ impl ModelState {
         &mut self,
         pi: &[f32],
         phi_sum: &[f32],
-        phi: &[f64],
         theta: &[f64],
         beta: &[f64],
     ) -> Result<(), CoreError> {
         if pi.len() != self.pi.len()
             || phi_sum.len() != self.phi_sum.len()
-            || phi.len() != self.phi.len()
             || theta.len() != self.theta.len()
             || beta.len() != self.beta.len()
         {
             return Err(CoreError::InvalidConfig {
-                reason: format!(
-                    "checkpoint arrays do not match n={} k={} layout={:?}",
-                    self.n, self.k, self.layout
-                ),
+                reason: format!("checkpoint arrays do not match n={} k={}", self.n, self.k),
             });
         }
         self.pi.make_mut().copy_from_slice(pi);
         self.phi_sum.make_mut().copy_from_slice(phi_sum);
-        self.phi.make_mut().copy_from_slice(phi);
         self.theta.copy_from_slice(theta);
         self.beta.copy_from_slice(beta);
         Ok(())
@@ -294,26 +247,24 @@ mod tests {
     use super::*;
     use mmsb_rand::Xoshiro256PlusPlus;
 
-    fn state(layout: StateLayout) -> ModelState {
+    fn state() -> ModelState {
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(1);
-        ModelState::init(50, 4, layout, 0.5, (1.0, 1.0), &mut rng).unwrap()
+        ModelState::init(50, 4, 0.5, (1.0, 1.0), &mut rng).unwrap()
     }
 
     #[test]
     fn init_produces_normalized_pi() {
-        for layout in [StateLayout::PiSumPhi, StateLayout::FullPhi] {
-            let s = state(layout);
-            for a in 0..50 {
-                let sum: f32 = s.pi_row(a).iter().sum();
-                assert!((sum - 1.0).abs() < 1e-5, "{layout:?} a={a} sum={sum}");
-                assert!(s.pi_row(a).iter().all(|&p| p > 0.0));
-            }
+        let s = state();
+        for a in 0..50 {
+            let sum: f32 = s.pi_row(a).iter().sum();
+            assert!((sum - 1.0).abs() < 1e-5, "a={a} sum={sum}");
+            assert!(s.pi_row(a).iter().all(|&p| p > 0.0));
         }
     }
 
     #[test]
     fn beta_consistent_with_theta() {
-        let mut s = state(StateLayout::PiSumPhi);
+        let mut s = state();
         for c in 0..4 {
             let t0 = s.theta()[2 * c];
             let t1 = s.theta()[2 * c + 1];
@@ -327,19 +278,8 @@ mod tests {
     }
 
     #[test]
-    fn phi_roundtrip_full_layout_is_exact() {
-        let mut s = state(StateLayout::FullPhi);
-        let new_phi = vec![0.5, 1.5, 2.0, 4.0];
-        s.set_phi_row(7, &new_phi);
-        let mut got = vec![0.0; 4];
-        s.phi_row(7, &mut got);
-        assert_eq!(got, new_phi);
-        assert!((s.pi_row(7)[3] - 0.5).abs() < 1e-6);
-    }
-
-    #[test]
     fn phi_roundtrip_pisum_layout_is_close() {
-        let mut s = state(StateLayout::PiSumPhi);
+        let mut s = state();
         let new_phi = vec![0.5, 1.5, 2.0, 4.0];
         s.set_phi_row(7, &new_phi);
         let mut got = vec![0.0; 4];
@@ -350,26 +290,19 @@ mod tests {
     }
 
     #[test]
-    fn memory_accounting_reflects_layout() {
-        let slim = state(StateLayout::PiSumPhi);
-        let fat = state(StateLayout::FullPhi);
-        assert!(fat.memory_bytes() > 2 * slim.memory_bytes());
-    }
-
-    #[test]
     #[should_panic(expected = "invalid sum")]
     fn set_phi_rejects_nan() {
-        let mut s = state(StateLayout::PiSumPhi);
+        let mut s = state();
         s.set_phi_row(0, &[f64::NAN, 1.0, 1.0, 1.0]);
     }
 
     #[test]
     fn rejects_zero_dims() {
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(1);
-        assert!(ModelState::init(0, 4, StateLayout::PiSumPhi, 0.5, (1.0, 1.0), &mut rng).is_err());
-        assert!(ModelState::init(5, 0, StateLayout::PiSumPhi, 0.5, (1.0, 1.0), &mut rng).is_err());
-        assert!(ModelState::init(5, 4, StateLayout::PiSumPhi, 0.5, (0.0, 1.0), &mut rng).is_err());
-        assert!(ModelState::init(5, 4, StateLayout::PiSumPhi, 0.0, (1.0, 1.0), &mut rng).is_err());
+        assert!(ModelState::init(0, 4, 0.5, (1.0, 1.0), &mut rng).is_err());
+        assert!(ModelState::init(5, 0, 0.5, (1.0, 1.0), &mut rng).is_err());
+        assert!(ModelState::init(5, 4, 0.5, (0.0, 1.0), &mut rng).is_err());
+        assert!(ModelState::init(5, 4, 0.0, (1.0, 1.0), &mut rng).is_err());
     }
 
     fn assert_rows_aligned(s: &ModelState, tag: &str) {
@@ -384,29 +317,26 @@ mod tests {
     #[test]
     fn pi_rows_are_cache_line_aligned() {
         for k in [16, 64] {
-            for layout in [StateLayout::PiSumPhi, StateLayout::FullPhi] {
-                let mut rng = Xoshiro256PlusPlus::seed_from_u64(k as u64);
-                let s = ModelState::init(37, k, layout, 0.5, (1.0, 1.0), &mut rng).unwrap();
-                assert_rows_aligned(&s, &format!("init k={k} {layout:?}"));
-                let c = s.clone();
-                assert_rows_aligned(&c, &format!("clone k={k} {layout:?}"));
-                assert_ne!(c.planes().0.as_ptr(), s.planes().0.as_ptr());
-                assert_eq!(c.planes(), s.planes());
-            }
+            let mut rng = Xoshiro256PlusPlus::seed_from_u64(k as u64);
+            let s = ModelState::init(37, k, 0.5, (1.0, 1.0), &mut rng).unwrap();
+            assert_rows_aligned(&s, &format!("init k={k}"));
+            let c = s.clone();
+            assert_rows_aligned(&c, &format!("clone k={k}"));
+            assert_ne!(c.planes().0.as_ptr(), s.planes().0.as_ptr());
+            assert_eq!(c.planes(), s.planes());
         }
     }
 
     #[test]
     fn copy_from_flat_arrays_rejects_wrong_lengths() {
-        let mut s = state(StateLayout::PiSumPhi);
-        let other = state(StateLayout::PiSumPhi);
-        let (pi, phi_sum, phi) = other.planes();
+        let mut s = state();
+        let other = state();
+        let (pi, phi_sum) = other.planes();
         let (theta, beta) = (other.theta().to_vec(), other.beta().to_vec());
         assert!(s
-            .copy_from_flat_arrays(&pi[1..], phi_sum, phi, &theta, &beta)
+            .copy_from_flat_arrays(&pi[1..], phi_sum, &theta, &beta)
             .is_err());
-        s.copy_from_flat_arrays(pi, phi_sum, phi, &theta, &beta)
-            .unwrap();
+        s.copy_from_flat_arrays(pi, phi_sum, &theta, &beta).unwrap();
         assert_eq!(s.planes(), other.planes());
     }
 
@@ -414,8 +344,8 @@ mod tests {
     fn init_is_deterministic() {
         let mut r1 = Xoshiro256PlusPlus::seed_from_u64(2);
         let mut r2 = Xoshiro256PlusPlus::seed_from_u64(2);
-        let a = ModelState::init(10, 3, StateLayout::PiSumPhi, 0.5, (1.0, 1.0), &mut r1).unwrap();
-        let b = ModelState::init(10, 3, StateLayout::PiSumPhi, 0.5, (1.0, 1.0), &mut r2).unwrap();
+        let a = ModelState::init(10, 3, 0.5, (1.0, 1.0), &mut r1).unwrap();
+        let b = ModelState::init(10, 3, 0.5, (1.0, 1.0), &mut r2).unwrap();
         assert_eq!(a.pi_row(5), b.pi_row(5));
         assert_eq!(a.theta(), b.theta());
     }

@@ -139,7 +139,7 @@ fn format_header_is_stable() {
         u32::from_le_bytes(bytes[8..12].try_into().unwrap()),
         CHECKPOINT_VERSION
     );
-    assert_eq!(bytes[12], 0, "PiSumPhi layout tag");
+    assert_eq!(bytes[12], 0, "layout tag");
     assert_eq!(u32::from_le_bytes(bytes[13..17].try_into().unwrap()), n);
     assert_eq!(
         u64::from_le_bytes(bytes[17..25].try_into().unwrap()),

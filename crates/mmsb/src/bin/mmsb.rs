@@ -19,6 +19,36 @@ use mmsb::prelude::*;
 use std::collections::HashMap;
 use std::io::Write as _;
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
+
+/// Set once stdout is found closed (a reader such as `head` has gone):
+/// later output is dropped and the command runs to its end.
+static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
+
+/// Write `text` to stdout, the one path every line of output takes. A
+/// closed pipe stops the printing but not the command, so a run still
+/// writes its files and exits 0; any other write error is the command's
+/// error.
+fn emit(text: std::fmt::Arguments) -> Result<(), String> {
+    if STDOUT_CLOSED.load(Ordering::Relaxed) {
+        return Ok(());
+    }
+    let mut out = std::io::stdout().lock();
+    match out.write_fmt(text).and_then(|()| out.flush()) {
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => {
+            STDOUT_CLOSED.store(true, Ordering::Relaxed);
+            Ok(())
+        }
+        written => written.map_err(|e| format!("stdout: {e}")),
+    }
+}
+
+/// `println!` through [`emit`], returning its error from the caller.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        emit(format_args!("{}\n", format_args!($($arg)*)))?
+    };
+}
 
 /// Minimal `--flag value` parser: positional subcommand + flag map.
 struct Args {
@@ -141,7 +171,7 @@ fn obs_finish(outputs: &ObsOutputs, threads: usize) -> Result<(), String> {
     if let Some(path) = &outputs.trace_out {
         mmsb::obs::export::write_chrome_trace(std::path::Path::new(path), &obs.spans)
             .map_err(|e| format!("--trace-out {path}: {e}"))?;
-        println!(
+        outln!(
             "chrome trace ({} spans, {} dropped) written to {path}",
             obs.spans.len(),
             obs.spans.dropped()
@@ -150,7 +180,7 @@ fn obs_finish(outputs: &ObsOutputs, threads: usize) -> Result<(), String> {
     if let Some(path) = &outputs.metrics_out {
         let json = mmsb::obs::export::metrics_json(&obs.metrics, Some(&obs.spans), threads);
         std::fs::write(path, json).map_err(|e| format!("--metrics-out {path}: {e}"))?;
-        println!("metrics snapshot written to {path}");
+        outln!("metrics snapshot written to {path}");
     }
     Ok(())
 }
@@ -188,7 +218,7 @@ fn heldout_rng(seed: u64) -> Xoshiro256PlusPlus {
 fn save_checkpoint(ckpt: &Checkpoint, path: &str) -> Result<(), String> {
     ckpt.save(std::path::Path::new(path))
         .map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "checkpoint (iteration {}) written to {path}",
         ckpt.iteration()
     );
@@ -222,14 +252,21 @@ fn main() -> ExitCode {
 }
 
 fn cmd_datasets() -> Result<(), String> {
-    println!(
+    outln!(
         "{:<18} {:>14} {:>14} {:>12}   description",
-        "stand-in", "orig vertices", "orig edges", "divisor"
+        "stand-in",
+        "orig vertices",
+        "orig edges",
+        "divisor"
     );
     for s in standins() {
-        println!(
+        outln!(
             "{:<18} {:>14} {:>14} {:>12}   {}",
-            s.name, s.original_vertices, s.original_edges, s.scale_divisor, s.description
+            s.name,
+            s.original_vertices,
+            s.original_edges,
+            s.scale_divisor,
+            s.description
         );
     }
     Ok(())
@@ -269,7 +306,7 @@ fn generated_from_args(args: &Args) -> Result<GeneratedGraph, String> {
 fn cmd_generate(args: &Args) -> Result<(), String> {
     args.only("dataset vertices communities mean-degree overlap seed out truth")?;
     if args.get("help").is_some() {
-        println!(
+        outln!(
             "mmsb generate [--dataset NAME | --vertices N --communities K \
              --mean-degree D --overlap O --seed S] --out FILE [--truth FILE]"
         );
@@ -278,14 +315,14 @@ fn cmd_generate(args: &Args) -> Result<(), String> {
     let out = args.get("out").ok_or("generate needs --out FILE")?;
     let generated = generated_from_args(args)?;
     io::save_edge_list(&generated.graph, out).map_err(|e| e.to_string())?;
-    println!("{}", summarize(out, &generated.graph));
+    outln!("{}", summarize(out, &generated.graph));
     if let Some(truth_path) = args.get("truth") {
         let mut f = std::fs::File::create(truth_path).map_err(|e| e.to_string())?;
         for members in &generated.ground_truth.communities {
             let line: Vec<String> = members.iter().map(|v| v.0.to_string()).collect();
             writeln!(f, "{}", line.join(" ")).map_err(|e| e.to_string())?;
         }
-        println!(
+        outln!(
             "wrote {} ground-truth communities to {truth_path}",
             generated.ground_truth.num_communities()
         );
@@ -296,7 +333,7 @@ fn cmd_generate(args: &Args) -> Result<(), String> {
 fn cmd_convert(args: &Args) -> Result<(), String> {
     args.only("input out block-size map")?;
     if args.get("help").is_some() {
-        println!(
+        outln!(
             "mmsb convert --input FILE --out FILE [--block-size BYTES] [--map FILE]\n\
              converts a SNAP-format edge list into the compressed on-disk \
              graph (`--graph-format ooc` for `mmsb train`), streaming: \
@@ -320,7 +357,7 @@ fn cmd_convert(args: &Args) -> Result<(), String> {
     };
     let (stats, mapping) =
         mmsb::ooc::convert_edge_list(input, out, opts).map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "{out}: {} vertices, {} edges, {} bytes ({:.3} bytes/edge; raw pairs: 8.0)",
         stats.num_vertices,
         stats.num_edges,
@@ -328,9 +365,10 @@ fn cmd_convert(args: &Args) -> Result<(), String> {
         stats.bytes_per_edge()
     );
     if stats.self_loops_dropped + stats.duplicates_dropped > 0 {
-        println!(
+        outln!(
             "dropped {} self-loops, {} duplicate edges",
-            stats.self_loops_dropped, stats.duplicates_dropped
+            stats.self_loops_dropped,
+            stats.duplicates_dropped
         );
     }
     if let Some(map_path) = args.get("map") {
@@ -340,7 +378,7 @@ fn cmd_convert(args: &Args) -> Result<(), String> {
         for (dense, original) in mapping.iter().enumerate() {
             writeln!(f, "{dense} {original}").map_err(|e| e.to_string())?;
         }
-        println!(
+        outln!(
             "id mapping ({} vertices) written to {map_path}",
             mapping.len()
         );
@@ -355,7 +393,7 @@ fn cmd_train(args: &Args) -> Result<(), String> {
          checkpoint-every simd obs-level metrics-out trace-out",
     )?;
     if args.get("help").is_some() {
-        println!(
+        outln!(
             "mmsb train [--input FILE | --dataset NAME | generator flags] \
              [--graph-format edges|ooc] [--cache-blocks N] \
              [--k K] [--iters N] [--driver sequential|parallel] [--eval-every N] \
@@ -438,7 +476,7 @@ fn cmd_train(args: &Args) -> Result<(), String> {
 
     let num_vertices = backend.num_vertices();
     let config = config.with_graph_cache_blocks(cache_blocks);
-    println!(
+    outln!(
         "training on {} vertices / {} edges ({}), K = {k}, {iters} iterations, \
          driver = {driver}, simd = {}",
         backend.num_vertices(),
@@ -458,7 +496,7 @@ fn cmd_train(args: &Args) -> Result<(), String> {
         s.try_step().map_err(|e| e.to_string())?;
         if done % eval_every.max(1) == 0 || done == iters {
             let perplexity = s.evaluate_perplexity();
-            println!("iter {done:>7}  perplexity {perplexity:.4}");
+            outln!("iter {done:>7}  perplexity {perplexity:.4}");
         }
         let due = done < iters && done.checked_rem(checkpoint_every) == Some(0);
         if let Some(path) = checkpoint_path.filter(|_| due) {
@@ -470,14 +508,14 @@ fn cmd_train(args: &Args) -> Result<(), String> {
     }
 
     let communities = Communities::from_state(s.state(), threshold);
-    println!(
+    outln!(
         "detected {} non-empty communities (threshold {threshold})",
         communities.num_nonempty()
     );
     if let Some(truth) = truth {
         let f1 = eval::best_match_f1(&communities.members, &truth);
         let nmi = eval::overlapping_nmi(&communities.members, &truth, num_vertices);
-        println!("recovery vs planted truth: F1 {f1:.3}, overlapping NMI {nmi:.3}");
+        outln!("recovery vs planted truth: F1 {f1:.3}, overlapping NMI {nmi:.3}");
     }
     if let Some(out) = args.get("out") {
         let mut f = std::fs::File::create(out).map_err(|e| e.to_string())?;
@@ -489,7 +527,7 @@ fn cmd_train(args: &Args) -> Result<(), String> {
             let line: Vec<String> = members.iter().map(|v| v.0.to_string()).collect();
             writeln!(f, "{c}\t{}", line.join(" ")).map_err(|e| e.to_string())?;
         }
-        println!("communities written to {out}");
+        outln!("communities written to {out}");
     }
     obs_finish(&obs, mmsb::obs::export::host_cores())
 }
@@ -500,7 +538,7 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
          faults kill checkpoint-every checkpoint resume simd obs-level metrics-out trace-out",
     )?;
     if args.get("help").is_some() {
-        println!(
+        outln!(
             "mmsb simulate [--workers R] [--k K] [--iters N] [--pipeline on|off] \
              [--faults SEED] [--kill ITER:RANK] [--checkpoint-every N] \
              [--checkpoint FILE] [--resume FILE] [generator flags] \
@@ -563,7 +601,7 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
     let mut sampler = match args.get("resume") {
         Some(path) => {
             let ckpt = Checkpoint::load(std::path::Path::new(path)).map_err(|e| e.to_string())?;
-            println!("resuming from {path} at iteration {}", ckpt.iteration());
+            outln!("resuming from {path} at iteration {}", ckpt.iteration());
             DistributedSampler::resume(train, heldout, config, dcfg, &ckpt)
                 .map_err(|e| e.to_string())?
         }
@@ -585,7 +623,7 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
     }
     sampler.run(iters);
     let perplexity = sampler.evaluate_perplexity();
-    println!(
+    outln!(
         "simulated {workers}-worker cluster, {iters} iterations, pipeline {:?}, simd {backend}:\n",
         pipeline
     );
@@ -593,11 +631,11 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
     // Re-emit the virtual-time phase breakdown as obs spans so a
     // --trace-out file shows the same stage boundaries as the printout.
     mmsb::netsim::obs_bridge::emit_trace_as_spans(&report);
-    print!("{report}");
-    println!("\nvirtual time: {:.4} s", sampler.virtual_time());
-    println!("held-out perplexity: {perplexity:.4}");
+    emit(format_args!("{report}"))?;
+    outln!("\nvirtual time: {:.4} s", sampler.virtual_time());
+    outln!("held-out perplexity: {perplexity:.4}");
     if let Some(dead) = sampler.lost_worker() {
-        println!(
+        outln!(
             "worker {dead} was lost; finished degraded on {} workers",
             sampler.workers()
         );
@@ -613,7 +651,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     // writes them; its metrics are `GET /metricsz`.
     args.only("model addr threads delta k simd deadline-ms obs-level")?;
     if args.get("help").is_some() {
-        println!(
+        outln!(
             "mmsb serve --model FILE [--addr HOST:PORT] [--threads N] \
              [--delta D] [--k K] [--simd auto|scalar|avx2|neon] \
              [--deadline-ms MS] [--obs-level off|metrics|spans]\n\
@@ -651,14 +689,14 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     };
     let handle = mmsb::serve::ServeHandle::start(std::path::Path::new(model), &cfg)
         .map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "serving {model} at http://{} — {} worker thread(s), simd {backend}, \
          generation {}",
         handle.addr(),
         cfg.threads.max(1),
         handle.generation()
     );
-    println!(
+    outln!(
         "endpoints: /healthz /metricsz /v1/membership/{{v}}?k= \
          /v1/edge/{{i}}/{{j}} /v1/community/{{c}}?min_weight= (POST) /v1/reload"
     );

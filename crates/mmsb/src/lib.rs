@@ -38,7 +38,7 @@ pub mod prelude {
     pub use mmsb_core::{
         communities::Communities, convergence::PlateauDetector, eval, link_probability, Backend,
         Checkpoint, CheckpointError, DistributedConfig, DistributedSampler, ModelState,
-        ParallelSampler, PerplexityAccumulator, SamplerConfig, SimdPolicy, StateLayout, StepSize,
+        ParallelSampler, PerplexityAccumulator, SamplerConfig, SimdPolicy, StepSize,
     };
     pub use mmsb_graph::generate::datasets::{by_name, standins, DatasetSpec};
     pub use mmsb_graph::generate::planted::{generate_planted, PlantedConfig};

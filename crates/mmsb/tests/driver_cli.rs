@@ -3,7 +3,8 @@
 //! print byte-identical perplexity traces. `mmsb simulate` runs the same
 //! chain on a simulated cluster: its checkpoint is byte-identical to
 //! `train`'s, across a worker loss too. Out-of-core training that meets
-//! a bad block mid-run exits 1 with the read error.
+//! a bad block mid-run exits 1 with the read error. A closed stdout ends
+//! the printing, not the run.
 
 use std::io::{BufRead, BufReader, Read, Seek, SeekFrom, Write};
 use std::process::{Command, Output, Stdio};
@@ -124,6 +125,38 @@ fn checkpoint_bytes(command: &str, extra: &[&str]) -> Vec<u8> {
     let bytes = std::fs::read(&path).expect("read checkpoint");
     std::fs::remove_file(&path).ok();
     bytes
+}
+
+/// A reader that closes stdout early (`mmsb train | head -1`) stops the
+/// printing, not the run: the command still writes its checkpoint, the
+/// same bytes as a run whose stdout stays open, and exits 0 without a
+/// panic.
+#[test]
+fn a_closed_stdout_ends_the_printing_not_the_run() {
+    let path = std::env::temp_dir().join(format!(
+        "mmsb-driver-cli-{}-closed-stdout.ckpt",
+        std::process::id()
+    ));
+    let mut child = Command::new(env!("CARGO_BIN_EXE_mmsb"))
+        .arg("train")
+        .args(RUN)
+        .arg("--checkpoint")
+        .arg(&path)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn mmsb binary");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("wait for mmsb");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    let written = std::fs::read(&path).expect("the run wrote its checkpoint");
+    std::fs::remove_file(&path).ok();
+    assert!(
+        written == checkpoint_bytes("train", &[]),
+        "a closed stdout changed the checkpoint"
+    );
 }
 
 #[test]

@@ -126,10 +126,6 @@ const SIGN_MASK: u64 = 0x8000_0000_0000_0000;
 const EXP_MASK: u64 = 0x7ff0_0000_0000_0000;
 const MANT_MASK: u64 = 0x000f_ffff_ffff_ffff;
 const ONE_BITS: u64 = 0x3ff0_0000_0000_0000;
-/// `2^52` as float bits; OR-ing a value `< 2^52` into the mantissa and
-/// subtracting `2^52` converts that integer to f64 exactly.
-const MAGIC_BITS: u64 = 0x4330_0000_0000_0000;
-const MAGIC: f64 = 4_503_599_627_370_496.0; // 2^52
 
 // xlint: allow(hot-path-panic) — lane values are [f64; W] arrays indexed by j in 0..W loops (in bounds by construction); slice load/store follow the trait contract i + LANES <= len upheld by every caller's loop bound
 impl<const W: usize, const FUSED: bool> LaneF64 for Lanes<W, FUSED> {
@@ -238,7 +234,6 @@ impl<const W: usize, const FUSED: bool> LaneF64 for Lanes<W, FUSED> {
         // `as f64` conversion here produces identical bits.
         core::array::from_fn(|j| {
             let eb = ((a[j].to_bits() & EXP_MASK) >> 52) as f64;
-            let _ = MAGIC_BITS; // documented counterpart of the OR trick
             eb - 1023.0
         })
     }
@@ -248,11 +243,6 @@ impl<const W: usize, const FUSED: bool> LaneF64 for Lanes<W, FUSED> {
         core::array::from_fn(|j| f64::from_bits((a[j].to_bits() & MANT_MASK) | ONE_BITS))
     }
 }
-
-/// Elementwise conversions are exact, so `MAGIC`-based integer-to-f64
-/// tricks and direct casts agree bitwise; keep the constant referenced.
-#[allow(dead_code)]
-const _ASSERT_MAGIC: () = assert!(MAGIC == (1u64 << 52) as f64);
 
 #[cfg(test)]
 mod tests {

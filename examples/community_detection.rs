@@ -10,7 +10,6 @@
 //! paper's node-level OpenMP layer), compares against the SVI baseline the
 //! paper cites, and reports recovery quality for both.
 
-use mmsb::core::PosteriorMean;
 use mmsb::prelude::*;
 use mmsb::svi::{SviConfig, SviSampler};
 
@@ -50,24 +49,14 @@ fn main() {
     let config = SamplerConfig::new(12).with_seed(5).with_minibatch(strategy);
     let mut mcmc =
         ParallelSampler::new(train.clone(), heldout.clone(), config).expect("valid configuration");
-    let mut posterior = PosteriorMean::new(generated.graph.num_vertices(), 12);
     println!("\nSG-MCMC (parallel driver):");
     println!("{:>6}  {:>10}  {:>8}", "iter", "perplexity", "F1");
-    for round in 0..8 {
+    for _ in 0..8 {
         mcmc.run(400);
         let perplexity = mcmc.evaluate_perplexity();
         let f1 = f1_of(&mcmc.communities(0.08).members, truth);
         println!("{:>6}  {:>10.4}  {:>8.3}", mcmc.iteration(), perplexity, f1);
-        if round >= 4 {
-            // Average the tail of the chain for the final extraction.
-            posterior.record(mcmc.state());
-        }
     }
-    let averaged_f1 = f1_of(&posterior.communities(0.08).members, truth);
-    println!(
-        "posterior-averaged extraction over the last {} samples: F1 {averaged_f1:.3}",
-        posterior.samples()
-    );
 
     // --- SVI baseline (the SVB family the paper compares against) ---
     let mut svi = SviSampler::new(

@@ -54,7 +54,7 @@ done
 # in a name some `fn`/`struct`/`enum`/`trait`/`const`/`mod`/`type` under
 # crates/ defines.
 crate_roots="mmsb|(mmsb_)?($(ls crates | paste -sd '|'))"
-for doc in README.md DESIGN.md "$skill"; do
+for doc in README.md DESIGN.md EXPERIMENTS.md "$skill"; do
     while read -r path; do
         git grep -qwE "(fn|struct|enum|trait|const|mod|type) ${path##*::}" -- crates \
             || { echo "$doc names an item that does not exist: $path"; stale=1; }
@@ -67,7 +67,7 @@ done
 # variant, must name a `fn`/`const` some file under crates/ defines —
 # or, for a lower-case item, a `pub item:` field (`Type::field` is how
 # the docs name a public field, e.g. `BuildOptions::run_entries`).
-for doc in README.md DESIGN.md "$skill"; do
+for doc in README.md DESIGN.md EXPERIMENTS.md "$skill"; do
     while read -r path; do
         git grep -qwE "(struct|enum|trait|type) ${path%%::*}" -- crates || continue
         item=${path#*::}
@@ -79,9 +79,10 @@ for doc in README.md DESIGN.md "$skill"; do
 done
 # (5) Every back-ticked CamelCase identifier (`FooBar`: two or more
 # capitalised humps, the whole back-ticked span) in README.md,
-# DESIGN.md and the verify skill must occur as a word in some
-# crates/**/*.rs — a type the docs name is a type the code still has.
-for doc in README.md DESIGN.md "$skill"; do
+# DESIGN.md, EXPERIMENTS.md and the verify skill must occur as a word in
+# some crates/**/*.rs — a type the docs name is a type the code still
+# has.
+for doc in README.md DESIGN.md EXPERIMENTS.md "$skill"; do
     while read -r name; do
         git grep -qw "$name" -- 'crates/*.rs' \
             || { echo "$doc names an identifier no crate has: $name"; stale=1; }

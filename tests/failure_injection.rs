@@ -65,16 +65,6 @@ fn sampler_construction_rejects_inconsistent_setups() {
     let bad = SamplerConfig::new(3).with_neighbor_sample(60);
     assert!(ParallelSampler::with_threads(train.clone(), heldout.clone(), bad, 1).is_err());
 
-    // Distributed sampler with FullPhi layout (no DKV row format).
-    let full = SamplerConfig::new(3).with_layout(StateLayout::FullPhi);
-    assert!(DistributedSampler::new(
-        train.clone(),
-        heldout.clone(),
-        full,
-        DistributedConfig::das5(2)
-    )
-    .is_err());
-
     // Zero workers.
     assert!(DistributedSampler::new(
         train,
