@@ -19,7 +19,7 @@ pub const PHI_MIN: f64 = 1e-10;
 
 /// Full parameter state of the a-MMSB sampler.
 ///
-/// The three per-vertex planes are [`Plane`]s: a [`crate::Checkpoint`]
+/// The two per-vertex planes are [`Plane`]s: a [`crate::Checkpoint`]
 /// shares them, and the first write after a capture copies a plane only
 /// while that checkpoint is alive. `Clone` is a deep copy.
 #[derive(Debug)]
