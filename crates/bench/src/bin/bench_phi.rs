@@ -83,9 +83,10 @@ fn measure_obs_levels(g: &Graph, h: &HeldOut, quick: bool) -> [Spread; 3] {
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let out = Path::new("BENCH_phi.json");
-    // Size the obs storage up front (level off); the measurement flips
-    // levels in place.
-    mmsb::obs::init(ObsConfig::at(ObsLevel::Off));
+    // Size the obs storage up front for spans, then record nothing; the
+    // measurement flips levels in place.
+    mmsb::obs::init(ObsConfig::at(ObsLevel::Spans));
+    mmsb::obs::set_level(ObsLevel::Off);
     let (g, h) = build(quick);
 
     let [off, metrics, spans] = measure_obs_levels(&g, &h, quick);

@@ -11,14 +11,26 @@ pub struct Communities {
 }
 
 impl Communities {
+    /// Whether `threshold` can extract communities: it must lie in
+    /// `[0, 1)`.
+    pub fn check_threshold(threshold: f32) -> Result<(), String> {
+        if (0.0..1.0).contains(&threshold) {
+            Ok(())
+        } else {
+            Err(format!("threshold {threshold} outside [0, 1)"))
+        }
+    }
+
     /// Threshold-extract communities: vertex `a` belongs to community `k`
     /// iff `pi_a[k] > threshold`. The conventional threshold for a
     /// `K`-community model is a multiple of the uniform mass `1/K`.
+    ///
+    /// # Panics
+    /// Panics if [`Communities::check_threshold`] refuses `threshold`.
     pub fn from_state(state: &ModelState, threshold: f32) -> Self {
-        assert!(
-            (0.0..1.0).contains(&threshold),
-            "threshold {threshold} outside [0, 1)"
-        );
+        if let Err(e) = Self::check_threshold(threshold) {
+            panic!("{e}");
+        }
         let mut members = vec![Vec::new(); state.k()];
         for a in 0..state.n() {
             for (c, &p) in state.pi_row(a).iter().enumerate() {

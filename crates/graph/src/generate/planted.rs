@@ -31,24 +31,62 @@ pub struct PlantedConfig {
     pub background_degree: f64,
 }
 
+/// A [`PlantedConfig`] field outside its range.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PlantedConfigError {
+    /// The field, as [`PlantedConfig`] names it.
+    pub field: &'static str,
+    /// The range it must lie in.
+    pub rule: &'static str,
+}
+
+impl std::fmt::Display for PlantedConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.rule)
+    }
+}
+
 impl PlantedConfig {
-    /// Validate parameter sanity.
-    ///
-    /// # Panics
-    /// Panics on inconsistent parameters (zero sizes, negative degrees).
-    fn validate(&self) {
-        assert!(self.num_vertices >= 2, "need at least 2 vertices");
-        assert!(self.num_communities >= 1, "need at least 1 community");
-        assert!(
-            self.mean_community_size >= 2.0,
-            "communities must average >= 2 members"
-        );
-        assert!(self.internal_degree >= 0.0, "negative internal degree");
-        assert!(self.background_degree >= 0.0, "negative background degree");
-        assert!(
-            self.memberships_per_vertex > 0.0,
-            "memberships_per_vertex must be positive"
-        );
+    /// The first field outside its range, if any: at least 2 vertices and
+    /// 1 community, positive memberships per vertex, communities of at
+    /// least 2 members on average, degrees not negative (nor NaN).
+    pub fn check(&self) -> Result<(), PlantedConfigError> {
+        let rules = [
+            (
+                self.num_vertices >= 2,
+                "num_vertices",
+                "need at least 2 vertices",
+            ),
+            (
+                self.num_communities >= 1,
+                "num_communities",
+                "need at least 1 community",
+            ),
+            (
+                self.memberships_per_vertex > 0.0,
+                "memberships_per_vertex",
+                "memberships per vertex must be > 0",
+            ),
+            (
+                self.mean_community_size >= 2.0,
+                "mean_community_size",
+                "communities must average >= 2 members",
+            ),
+            (
+                self.internal_degree >= 0.0,
+                "internal_degree",
+                "internal degree must be >= 0",
+            ),
+            (
+                self.background_degree >= 0.0,
+                "background_degree",
+                "background degree must be >= 0",
+            ),
+        ];
+        match rules.into_iter().find(|&(ok, ..)| !ok) {
+            Some((_, field, rule)) => Err(PlantedConfigError { field, rule }),
+            None => Ok(()),
+        }
     }
 }
 
@@ -117,8 +155,13 @@ fn invert_pair_index(t: u64, s: u64) -> u64 {
 /// Generate a graph with planted overlapping communities.
 ///
 /// Deterministic given the RNG state. See [`PlantedConfig`] for knobs.
+///
+/// # Panics
+/// Panics on inconsistent parameters ([`PlantedConfig::check`]).
 pub fn generate_planted<R: RngCore>(config: &PlantedConfig, rng: &mut R) -> GeneratedGraph {
-    config.validate();
+    if let Err(e) = config.check() {
+        panic!("{e}");
+    }
     let n = config.num_vertices;
     let mut builder = GraphBuilder::new(n);
 

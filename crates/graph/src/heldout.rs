@@ -40,6 +40,32 @@ struct PartnerIndex {
 }
 
 impl HeldOut {
+    /// Whether `num_links` links and as many non-links can be held out of
+    /// a graph of `num_vertices` vertices and `num_edges` edges: at least
+    /// two vertices, at most `num_edges` links, and at most as many
+    /// non-links as the graph has unlinked pairs. The error says which
+    /// bound `num_links` breaks.
+    pub fn check_size(num_vertices: u32, num_edges: u64, num_links: usize) -> Result<(), String> {
+        let n = u64::from(num_vertices);
+        let links = num_links as u64;
+        if n < 2 {
+            return Err(format!("need at least two vertices, the graph has {n}"));
+        }
+        if links > num_edges {
+            return Err(format!(
+                "cannot hold out {num_links} links from a graph with {num_edges} edges"
+            ));
+        }
+        let non_edges = (n * (n - 1) / 2).saturating_sub(num_edges);
+        if links > non_edges {
+            return Err(format!(
+                "graph too dense to sample {num_links} held-out non-links: it has \
+                 {non_edges} unlinked pairs"
+            ));
+        }
+        Ok(())
+    }
+
     /// Split `graph` into a training graph and a held-out set with
     /// `num_links` linked pairs and `num_links` non-linked pairs.
     ///
@@ -47,17 +73,12 @@ impl HeldOut {
     ///
     /// # Panics
     /// Panics if `num_links > |E|` or if the graph is too dense to supply
-    /// enough non-links (needs `num_links <= num_pairs - |E|`).
+    /// enough non-links (needs `num_links <= num_pairs - |E|`): the
+    /// bounds of [`HeldOut::check_size`].
     pub fn split<R: RngCore>(graph: &Graph, num_links: usize, rng: &mut R) -> (Graph, HeldOut) {
-        assert!(
-            (num_links as u64) <= graph.num_edges(),
-            "cannot hold out {num_links} links from a graph with {} edges",
-            graph.num_edges()
-        );
-        assert!(
-            (num_links as u64) <= graph.num_pairs() - graph.num_edges(),
-            "graph too dense to sample {num_links} held-out non-links"
-        );
+        if let Err(e) = Self::check_size(graph.num_vertices(), graph.num_edges(), num_links) {
+            panic!("{e}");
+        }
 
         // `edges()` walks the CSR in ascending packed order, so after the
         // held-out links are dropped the rest is still sorted and unique.
@@ -73,7 +94,6 @@ impl HeldOut {
         let mut drawn = FxHashSet::default();
 
         let n = graph.num_vertices();
-        assert!(n >= 2, "need at least two vertices");
         let mut non_links = 0usize;
         while non_links < num_links {
             let a = VertexId(rng.below(n as u64) as u32);
@@ -123,23 +143,17 @@ impl HeldOut {
     ///
     /// # Panics
     /// Panics if the graph has no edges (or too few to supply
-    /// `num_links` distinct ones), or is too dense for the non-links.
+    /// `num_links` distinct ones), or is too dense for the non-links: the
+    /// bounds of [`HeldOut::check_size`].
     pub fn sample_observed<G: GraphAccess, R: RngCore>(
         mut graph: G,
         num_links: usize,
         rng: &mut R,
     ) -> HeldOut {
-        assert!(
-            (num_links as u64) <= graph.num_edges(),
-            "cannot hold out {num_links} links from a graph with {} edges",
-            graph.num_edges()
-        );
-        assert!(
-            (num_links as u64) <= graph.num_pairs() - graph.num_edges(),
-            "graph too dense to sample {num_links} held-out non-links"
-        );
+        if let Err(e) = Self::check_size(graph.num_vertices(), graph.num_edges(), num_links) {
+            panic!("{e}");
+        }
         let n = graph.num_vertices();
-        assert!(n >= 2, "need at least two vertices");
         let max_degree = graph.max_degree() as u64;
 
         let mut drawn = FxHashSet::default();

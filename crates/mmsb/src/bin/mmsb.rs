@@ -144,18 +144,7 @@ fn obs_setup(args: &Args) -> Result<ObsOutputs, String> {
         None => implied,
         Some(v) => v.parse::<ObsLevel>()?.max(implied),
     };
-    // The CLI never raises the level after this, so span rings are sized
-    // only when spans are recorded (64 shards × 65,536 slots otherwise
-    // sit in every run's RSS).
-    let span_capacity = if level == ObsLevel::Spans {
-        ObsConfig::default().span_capacity
-    } else {
-        1
-    };
-    mmsb::obs::init(ObsConfig {
-        span_capacity,
-        ..ObsConfig::at(level)
-    });
+    mmsb::obs::init(ObsConfig::at(level));
     Ok(ObsOutputs {
         metrics_out,
         trace_out,
@@ -207,6 +196,18 @@ fn run_setup(args: &Args, default_k: usize) -> Result<RunSetup, String> {
 /// edges, at least 16.
 fn default_heldout(num_edges: u64) -> usize {
     (num_edges / 50).max(16) as usize
+}
+
+/// The held-out links `--heldout` asks for (by default
+/// [`default_heldout`]), refused unless a graph of `num_vertices`
+/// vertices and `num_edges` edges can supply them and as many non-links.
+fn heldout_links(args: &Args, num_vertices: u32, num_edges: u64) -> Result<usize, String> {
+    let links = args.parsed("heldout", default_heldout(num_edges))?;
+    HeldOut::check_size(num_vertices, num_edges, links).map_err(|e| match args.get("heldout") {
+        Some(_) => format!("--heldout {links}: {e}"),
+        None => format!("--heldout defaults to {links} (one per 50 edges, at least 16): {e}"),
+    })?;
+    Ok(links)
 }
 
 /// The stream a run's held-out pairs are drawn from.
@@ -299,6 +300,17 @@ fn generated_from_args(args: &Args) -> Result<GeneratedGraph, String> {
         internal_degree: 0.8 * mean_degree / overlap,
         background_degree: 0.2 * mean_degree,
     };
+    config.check().map_err(|e| {
+        let flag = match e.field {
+            "num_vertices" => format!("--vertices {vertices}"),
+            "num_communities" => format!("--communities {communities}"),
+            "memberships_per_vertex" => format!("--overlap {overlap}"),
+            // Both degrees scale with --mean-degree; the community size
+            // is at least 4 here.
+            _ => format!("--mean-degree {mean_degree}"),
+        };
+        format!("{flag}: {e}")
+    })?;
     let mut rng = Xoshiro256PlusPlus::seed_from_u64(seed);
     Ok(generate_planted(&config, &mut rng))
 }
@@ -351,6 +363,7 @@ fn cmd_convert(args: &Args) -> Result<(), String> {
         .ok_or("convert needs --input FILE (a SNAP edge list)")?;
     let out = args.get("out").ok_or("convert needs --out FILE")?;
     let block_size: u32 = args.parsed("block-size", mmsb::ooc::format::DEFAULT_BLOCK_SIZE)?;
+    mmsb::ooc::format::check_block_size(block_size).map_err(|e| format!("--block-size: {e}"))?;
     let opts = mmsb::ooc::BuildOptions {
         block_size,
         ..Default::default()
@@ -436,7 +449,7 @@ fn cmd_train(args: &Args) -> Result<(), String> {
                 let generated = generated_from_args(args)?;
                 (generated.graph, Some(generated.ground_truth))
             };
-            let links = args.parsed("heldout", default_heldout(graph.num_edges()))?;
+            let links = heldout_links(args, graph.num_vertices(), graph.num_edges())?;
             let (train, heldout) = HeldOut::split(&graph, links, &mut heldout_rng(seed));
             (GraphBackend::Resident(train), heldout, truth)
         }
@@ -450,7 +463,7 @@ fn cmd_train(args: &Args) -> Result<(), String> {
             // the set-up. A frame that goes bad later still ends
             // training with an error (`try_step`).
             graph.verify_blocks().map_err(|e| format!("{path}: {e}"))?;
-            let links = args.parsed("heldout", default_heldout(graph.num_edges()))?;
+            let links = heldout_links(args, graph.num_vertices(), graph.num_edges())?;
             // Out-of-core held-out pairs are sampled by access (links
             // stay in the training adjacency) — removing edges would
             // mean rewriting the on-disk file.
@@ -468,6 +481,7 @@ fn cmd_train(args: &Args) -> Result<(), String> {
     let iters: u64 = args.parsed("iters", 2000)?;
     let eval_every: u64 = args.parsed("eval-every", 250)?;
     let threshold: f32 = args.parsed("threshold", (0.5 / k as f64) as f32)?;
+    Communities::check_threshold(threshold).map_err(|e| format!("--threshold: {e}"))?;
     let checkpoint_path = args.get("checkpoint");
     let checkpoint_every: u64 = args.parsed("checkpoint-every", 0)?;
     if checkpoint_every > 0 && checkpoint_path.is_none() {
@@ -591,7 +605,11 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
     }
 
     let generated = generated_from_args(args)?;
-    let links = default_heldout(generated.graph.num_edges());
+    let graph = &generated.graph;
+    let links = default_heldout(graph.num_edges());
+    HeldOut::check_size(graph.num_vertices(), graph.num_edges(), links).map_err(|e| {
+        format!("the generated graph cannot supply its {links} held-out links: {e}")
+    })?;
     let (train, heldout) = HeldOut::split(&generated.graph, links, &mut heldout_rng(seed));
     let backend = config.backend();
     let mut dcfg = DistributedConfig::das5(workers).with_pipeline(pipeline);

@@ -120,10 +120,19 @@ impl Default for ObsConfig {
 }
 
 impl ObsConfig {
-    /// Default sizing at the given level.
+    /// Default sizing for `level`: below [`ObsLevel::Spans`], which
+    /// records no span, each shard's ring holds one record. The first
+    /// [`init`] sizes the rings for good, so a caller that raises the
+    /// level to `Spans` later initializes at `Spans` and then lowers it.
     pub fn at(level: ObsLevel) -> Self {
+        let span_capacity = if level == ObsLevel::Spans {
+            Self::default().span_capacity
+        } else {
+            1
+        };
         Self {
             level,
+            span_capacity,
             ..Self::default()
         }
     }
@@ -274,7 +283,9 @@ mod tests {
         counter_add(id::C_DKV_READ_BATCHES, 1);
         drop(span(id::S_STEP));
 
-        let obs = init(ObsConfig::at(ObsLevel::Metrics));
+        // Sized for spans, recording metrics only.
+        let obs = init(ObsConfig::at(ObsLevel::Spans));
+        set_level(ObsLevel::Metrics);
         counter_add(id::C_DKV_READ_BATCHES, 2);
         hist_record_secs(id::H_STEP_NS, 1e-6);
         gauge_set(id::G_WORKERS, 7);

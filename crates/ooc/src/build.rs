@@ -35,7 +35,7 @@ use std::thread::JoinHandle;
 use mmsb_graph::io::{EdgeListLines, IdInterner};
 use mmsb_graph::Graph;
 
-use crate::format::{BlockEntry, Header, DEFAULT_BLOCK_SIZE, FRAME_SIZE};
+use crate::format::{check_block_size, BlockEntry, Header, DEFAULT_BLOCK_SIZE, FRAME_SIZE};
 use crate::varint::{gap_code, varint_len, write_varint, MAX_VARINT_BYTES};
 use crate::{crc32, OocError};
 
@@ -130,11 +130,7 @@ pub struct StreamingBuilder {
 impl StreamingBuilder {
     /// Create a builder; its temp directory is created immediately.
     pub fn new(opts: BuildOptions) -> Result<Self, OocError> {
-        if !opts.block_size.is_power_of_two() || opts.block_size < 4096 {
-            return Err(OocError::Corrupt {
-                reason: format!("bad block size {}", opts.block_size),
-            });
-        }
+        check_block_size(opts.block_size).map_err(|reason| OocError::Corrupt { reason })?;
         let base = opts.temp_dir.clone().unwrap_or_else(std::env::temp_dir);
         let temp_root = base.join(format!(
             "mmsb-ooc-build-{}-{}",

@@ -12,6 +12,11 @@
 //! seed decorrelates set indices from the sequential frame ids a CSR
 //! produces), and within a set the least-recently-used way is evicted.
 //!
+//! A list is decoded from one contiguous slice by
+//! [`crate::varint::decode_list`]: straight from its cached frame, or,
+//! for a list that spans frames, from a copy of its bytes in scratch the
+//! cache reserves when it is built.
+//!
 //! Cache state is pure scratch. A hit and a miss return the same bytes —
 //! frames are immutable and CRC-verified on load — so cache size,
 //! eviction order and the seed can never perturb a sampling chain.
@@ -20,7 +25,7 @@ use mmsb_obs::id as obs_id;
 
 use crate::file::OocGraph;
 use crate::format::FRAME_SIZE;
-use crate::varint::VarintState;
+use crate::varint::{self, MAX_ID_BYTES};
 use crate::OocError;
 
 /// Tag value of an empty way.
@@ -51,6 +56,8 @@ pub struct BlockCache {
     data: Vec<u8>,
     /// Decode scratch: the most recently decoded neighbor list.
     pub(crate) list: Vec<u32>,
+    /// Copy scratch: the bytes of a list that spans frames.
+    spill: Vec<u8>,
 }
 
 impl BlockCache {
@@ -58,9 +65,10 @@ impl BlockCache {
     /// `block_size` bytes, as frames, rounded up to whole 4-way sets. The
     /// seed parameterizes the set hash.
     ///
-    /// `max_degree` sizes the decode scratch of [`crate::OocReader`] so
-    /// its steady-state reads never reallocate.
-    // xlint: allow(hot-path-alloc) — setup-time construction: the tags, stamps, frame storage and decode scratch are allocated once here and reused by every read
+    /// `max_degree` sizes the decode scratch of [`crate::OocReader`] and
+    /// the copy scratch of a list that spans frames, so steady-state reads
+    /// never reallocate.
+    // xlint: allow(hot-path-alloc) — setup-time construction: the tags, stamps, frame storage and both scratches are allocated once here and reused by every read
     pub fn new(capacity_blocks: usize, block_size: usize, seed: u64, max_degree: u32) -> Self {
         assert!(block_size > 0, "block size must be positive");
         let frames = (capacity_blocks * block_size).div_ceil(FRAME);
@@ -80,6 +88,7 @@ impl BlockCache {
             tick: 0,
             data: vec![0; sets * WAYS * FRAME],
             list: Vec::with_capacity(max_degree as usize),
+            spill: spill_for(max_degree),
         }
     }
 
@@ -181,8 +190,20 @@ impl BlockCache {
         v: u32,
         out: &mut [u32],
     ) -> Result<(), OocError> {
-        decode_list(self, graph, v, out)
+        // The copy scratch leaves the cache for the decode (a move, no
+        // allocation) so the cache can lend frames while it fills.
+        let mut spill = std::mem::take(&mut self.spill);
+        let res = decode_list(self, &mut spill, graph, v, out);
+        self.spill = spill;
+        res
     }
+}
+
+/// The copy scratch for lists of up to `max_degree` ids: a valid list
+/// takes at most `MAX_ID_BYTES` bytes an id.
+// xlint: allow(hot-path-alloc) — setup-time construction, called when a cache is built
+pub(crate) fn spill_for(max_degree: u32) -> Vec<u8> {
+    Vec::with_capacity(max_degree as usize * MAX_ID_BYTES)
 }
 
 /// The frames the encoded list of `v` spans (none for an isolated
@@ -217,12 +238,16 @@ impl FrameSource for BlockCache {
 }
 
 /// Decode `v`'s neighbor list into `out` (exactly `graph.degree(v)`
-/// entries), walking its byte range frame by frame from `src` (lists
-/// and even single varints may straddle frame boundaries;
-/// [`VarintState`] carries the partial accumulator across them).
+/// entries) with [`varint::decode_list`], taking each frame it spans from
+/// `src` in order: straight from the frame when the list lies in one,
+/// else (an empty list too) from `spill`, into which its bytes are copied
+/// frame by frame. A list longer than `MAX_ID_BYTES` bytes an id is
+/// refused before any copy, so `spill` never grows past [`spill_for`]
+/// the max degree.
 // xlint: allow(hot-path-alloc) — the `format!` builds the error of a list that fails to decode, once, on the way out; a list that decodes allocates nothing
 pub(crate) fn decode_list<S: FrameSource>(
     src: &mut S,
+    spill: &mut Vec<u8>,
     graph: &OocGraph,
     v: u32,
     out: &mut [u32],
@@ -230,39 +255,25 @@ pub(crate) fn decode_list<S: FrameSource>(
     let corrupt = || OocError::Corrupt {
         reason: format!("malformed neighbor list for vertex {v}"),
     };
-    if out.len() != graph.degree(v) as usize {
-        return Err(corrupt());
-    }
     let (start, end) = graph.list_range(v);
-    let fs = u64::from(FRAME_SIZE);
-    let mut off = (start % fs) as usize;
-    let mut remaining = (end - start) as usize;
-    let mut st = VarintState::default();
-    let mut prev = 0u64;
-    let mut n = 0;
-    for f in frames_of(graph, v) {
-        let bytes = src.frame(graph, f)?;
-        let take = remaining.min(bytes.len().saturating_sub(off));
-        for &byte in bytes.get(off..off + take).ok_or_else(corrupt)? {
-            if let Some(raw) = st.feed(byte).map_err(|_| corrupt())? {
-                let id = if n == 0 {
-                    raw
-                } else {
-                    prev.checked_add(raw)
-                        .and_then(|x| x.checked_add(1))
-                        .ok_or_else(corrupt)?
-                };
-                let slot = out.get_mut(n).ok_or_else(corrupt)?;
-                *slot = u32::try_from(id).map_err(|_| corrupt())?;
-                n += 1;
-                prev = id;
-            }
-        }
-        remaining -= take;
-        off = 0;
-    }
-    if remaining > 0 || st.mid_varint() || n != out.len() {
+    if out.len() != graph.degree(v) as usize || end - start > (out.len() * MAX_ID_BYTES) as u64 {
         return Err(corrupt());
     }
-    Ok(())
+    let len = (end - start) as usize;
+    let mut off = (start % u64::from(FRAME_SIZE)) as usize;
+    let frames = frames_of(graph, v);
+    let bytes = if frames.len() == 1 {
+        let frame = src.frame(graph, frames.start)?;
+        frame.get(off..off + len).ok_or_else(corrupt)?
+    } else {
+        spill.clear();
+        for f in frames {
+            let frame = src.frame(graph, f)?;
+            let take = (len - spill.len()).min(frame.len().saturating_sub(off));
+            spill.extend_from_slice(frame.get(off..off + take).ok_or_else(corrupt)?);
+            off = 0;
+        }
+        spill.as_slice()
+    };
+    varint::decode_list(bytes, out).ok_or_else(corrupt)
 }

@@ -51,6 +51,18 @@ pub const FRAME_SIZE: u32 = 1024;
 /// Encoded size of one frame CRC.
 pub const FRAME_CRC_LEN: usize = 4;
 
+/// Whether `block_size` is one a file may use: a power of two of at
+/// least 4 KiB, so every block is a whole number of frames.
+pub fn check_block_size(block_size: u32) -> Result<(), String> {
+    if block_size.is_power_of_two() && block_size >= 4096 {
+        Ok(())
+    } else {
+        Err(format!(
+            "block size {block_size} is not a power of two >= 4096"
+        ))
+    }
+}
+
 /// The fixed-size file header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Header {
@@ -137,11 +149,7 @@ impl Header {
     }
 
     fn validate(&self) -> Result<(), OocError> {
-        if !self.block_size.is_power_of_two() || self.block_size < 4096 {
-            return Err(OocError::Corrupt {
-                reason: format!("bad block size {}", self.block_size),
-            });
-        }
+        check_block_size(self.block_size).map_err(|reason| OocError::Corrupt { reason })?;
         let expect_blocks = self.data_len.div_ceil(self.block_size as u64);
         if expect_blocks != self.num_blocks as u64 {
             return Err(OocError::Corrupt {

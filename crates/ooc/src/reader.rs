@@ -6,7 +6,7 @@
 use mmsb_graph::access::GraphAccess;
 use mmsb_graph::VertexId;
 
-use crate::cache::{decode_list, BlockCache};
+use crate::cache::BlockCache;
 use crate::file::OocGraph;
 use crate::OocError;
 
@@ -39,7 +39,7 @@ impl<'a> OocReader<'a> {
         // allocation) so the cache can lend frames while it fills.
         let mut list = std::mem::take(&mut self.cache.list);
         list.resize(self.graph.degree(v.0) as usize, 0);
-        let res = decode_list(self.cache, self.graph, v.0, &mut list);
+        let res = self.cache.decode_into(self.graph, v.0, &mut list);
         self.cache.list = list;
         res?;
         Ok(&self.cache.list)

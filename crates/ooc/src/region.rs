@@ -14,12 +14,12 @@
 use mmsb_graph::access::GraphAccess;
 use mmsb_graph::VertexId;
 
-use crate::cache::{decode_list, BlockCache, FrameSource, WAYS};
+use crate::cache::{decode_list, spill_for, BlockCache, FrameSource, WAYS};
 use crate::file::OocGraph;
 use crate::OocError;
 
 /// One [`BlockCache`] per region of a file's block range, plus the
-/// master's decode scratch.
+/// master's decode and copy scratch.
 #[derive(Debug, Default)]
 pub struct RegionCaches {
     caches: Vec<BlockCache>,
@@ -29,6 +29,8 @@ pub struct RegionCaches {
     frames_per_block: u32,
     /// The routed reader's decoded list (`max_degree` reserved).
     list: Vec<u32>,
+    /// The routed decode's copy of a list that spans frames.
+    spill: Vec<u8>,
 }
 
 impl RegionCaches {
@@ -41,22 +43,14 @@ impl RegionCaches {
         let r = regions.min(num_blocks).min(budget_blocks / WAYS).max(1);
         let per_region = (budget_blocks / r / WAYS * WAYS).max(1);
         let caches = (0..r as u64)
-            .map(|i| {
-                // The regions decode into caller buffers, never into a
-                // cache's own scratch: reserve none.
-                BlockCache::new(
-                    per_region,
-                    graph.header().block_size as usize,
-                    seed ^ (i + 1),
-                    0,
-                )
-            })
+            .map(|i| BlockCache::for_graph(graph, per_region, seed ^ (i + 1)))
             .collect();
         Self {
             caches,
             num_blocks: num_blocks as u64,
             frames_per_block: graph.header().frames_per_block(),
             list: Vec::with_capacity(graph.max_degree() as usize),
+            spill: spill_for(graph.max_degree()),
         }
     }
 
@@ -110,7 +104,7 @@ impl RegionCaches {
             num_blocks: self.num_blocks,
             frames_per_block: self.frames_per_block,
         };
-        decode_list(&mut routed, graph, v, out)
+        decode_list(&mut routed, &mut self.spill, graph, v, out)
     }
 
     /// A [`GraphAccess`] view routing every frame to its region's cache.

@@ -8,10 +8,10 @@
 //! assignment makes most gaps small, which is where the ≤ 60%-of-raw
 //! compression target comes from (DESIGN.md §15).
 //!
-//! Decoding must work on lists that straddle 64 KiB block boundaries, so
-//! the decoder here is expressed as a resumable accumulator
-//! ([`VarintState`]) fed one byte at a time; [`decode_list`] wraps it for
-//! the contiguous case.
+//! [`decode_list`] is the one decoder of list bytes, and it reads one
+//! contiguous slice. The frame caches decode a list that spans 1 KiB
+//! frames of a `.ooc` file from a copy of its bytes, which
+//! [`MAX_ID_BYTES`] bounds.
 
 /// Upper bound on the encoded size of one `u64` varint.
 pub const MAX_VARINT_BYTES: usize = 10;
@@ -30,69 +30,28 @@ pub fn write_varint(buf: &mut Vec<u8>, mut v: u64) {
     }
 }
 
-/// Resumable LEB128 decoder: feed bytes, get a value when one completes.
-///
-/// The state survives across block boundaries, which is how lists that
-/// straddle blocks are decoded without copying bytes into a staging
-/// buffer.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct VarintState {
-    acc: u64,
-    shift: u32,
-}
+/// Upper bound on the encoded size of one id or gap of a list: a `u32`
+/// takes at most 5 LEB128 bytes, so a valid list of `d` ids takes at
+/// most `d * MAX_ID_BYTES`.
+pub const MAX_ID_BYTES: usize = 5;
 
-/// The error [`VarintState::feed`] reports: an encoding that does not
-/// fit a `u64` (overlong or overflowing).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct VarintOverflow;
-
-impl std::fmt::Display for VarintOverflow {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("varint does not fit in 64 bits")
-    }
-}
-
-impl std::error::Error for VarintOverflow {}
-
-impl VarintState {
-    /// Feed one byte; returns the decoded value if this byte completes a
-    /// varint, or an error on overflow (more than [`MAX_VARINT_BYTES`]
-    /// bytes / bits past 64).
-    #[inline]
-    pub fn feed(&mut self, byte: u8) -> Result<Option<u64>, VarintOverflow> {
-        if self.shift >= 64 || (self.shift == 63 && (byte & 0x7e) != 0) {
-            return Err(VarintOverflow);
-        }
-        self.acc |= ((byte & 0x7f) as u64) << self.shift;
-        if byte & 0x80 == 0 {
-            let v = self.acc;
-            self.acc = 0;
-            self.shift = 0;
-            Ok(Some(v))
-        } else {
-            self.shift += 7;
-            Ok(None)
-        }
-    }
-
-    /// Whether the decoder is mid-varint (a continuation byte was fed but
-    /// the terminating byte has not arrived).
-    #[inline]
-    pub fn mid_varint(&self) -> bool {
-        self.shift != 0 || self.acc != 0
-    }
-}
-
-/// Decode one varint from `bytes[pos..]`; returns `(value, next_pos)`.
+/// Decode one varint from `bytes[pos..]`; returns `(value, next_pos)`, or
+/// `None` for a truncated encoding or one that does not fit a `u64` (the
+/// tenth byte may only carry bit 63).
 #[inline]
 pub fn read_varint(bytes: &[u8], mut pos: usize) -> Option<(u64, usize)> {
-    let mut st = VarintState::default();
-    while pos < bytes.len() {
-        match st.feed(bytes[pos]) {
-            Ok(Some(v)) => return Some((v, pos + 1)),
-            Ok(None) => pos += 1,
-            Err(VarintOverflow) => return None,
+    let mut acc = 0u64;
+    let mut shift = 0u32;
+    while let Some(&byte) = bytes.get(pos) {
+        if shift == 63 && byte > 1 {
+            return None;
         }
+        acc |= u64::from(byte & 0x7f) << shift;
+        pos += 1;
+        if byte & 0x80 == 0 {
+            return Some((acc, pos));
+        }
+        shift += 7;
     }
     None
 }
@@ -123,27 +82,24 @@ pub fn encode_list(buf: &mut Vec<u8>, list: &[u32]) {
     }
 }
 
-/// Decode a gap-coded list of `degree` ids from `bytes`, appending to
-/// `out`. Returns the number of bytes consumed, or `None` if `bytes` is
-/// malformed (truncated, overlong, or an id overflowing `u32`).
-pub fn decode_list(bytes: &[u8], degree: u32, out: &mut Vec<u32>) -> Option<usize> {
+/// Decode the gap-coded list in `bytes` into `out`, exactly `out.len()`
+/// ids. Returns `None` if `bytes` is malformed: truncated or one id
+/// short, overlong, an id overflowing `u32`, or bytes left over.
+#[inline]
+pub fn decode_list(bytes: &[u8], out: &mut [u32]) -> Option<()> {
     let mut pos = 0usize;
-    let mut prev = 0u64;
-    for i in 0..degree {
+    let mut prev = None;
+    for slot in out.iter_mut() {
         let (raw, next) = read_varint(bytes, pos)?;
         pos = next;
-        let v = if i == 0 {
-            raw
-        } else {
-            prev.checked_add(raw)?.checked_add(1)?
+        let v = match prev {
+            None => raw,
+            Some(p) => raw.checked_add(p)?.checked_add(1)?,
         };
-        if v > u32::MAX as u64 {
-            return None;
-        }
-        out.push(v as u32);
-        prev = v;
+        *slot = u32::try_from(v).ok()?;
+        prev = Some(v);
     }
-    Some(pos)
+    (pos == bytes.len()).then_some(())
 }
 
 /// Exact encoded byte length of a list without materializing the bytes.
@@ -186,6 +142,9 @@ mod tests {
             write_varint(&mut buf, v);
             assert_eq!(buf.len() as u64, varint_len(v), "len of {v}");
             assert!(buf.len() <= MAX_VARINT_BYTES);
+            if v <= u64::from(u32::MAX) {
+                assert!(buf.len() <= MAX_ID_BYTES, "{v} takes {} bytes", buf.len());
+            }
             let (back, used) = read_varint(&buf, 0).unwrap();
             assert_eq!(back, v);
             assert_eq!(used, buf.len());
@@ -221,10 +180,15 @@ mod tests {
         // the single byte 0x00.
         assert_eq!(buf.len(), list.len());
         assert_eq!(buf.len() as u64, encoded_len(&list));
-        let mut out = Vec::new();
-        let used = decode_list(&buf, list.len() as u32, &mut out).unwrap();
-        assert_eq!(used, buf.len());
+        let mut out = vec![0; list.len()];
+        assert_eq!(decode_list(&buf, &mut out), Some(()));
         assert_eq!(out, list);
+
+        // A trailing byte past the last id, and a list one id short.
+        buf.push(0);
+        assert_eq!(decode_list(&buf, &mut out), None);
+        buf.truncate(list.len() - 1);
+        assert_eq!(decode_list(&buf, &mut out), None);
     }
 
     #[test]
@@ -232,15 +196,12 @@ mod tests {
         let mut buf = Vec::new();
         encode_list(&mut buf, &[]);
         assert!(buf.is_empty());
-        let mut out = Vec::new();
-        assert_eq!(decode_list(&buf, 0, &mut out), Some(0));
-        assert!(out.is_empty());
+        assert_eq!(decode_list(&buf, &mut []), Some(()));
 
         let list = [0u32, u32::MAX];
-        buf.clear();
         encode_list(&mut buf, &list);
-        out.clear();
-        decode_list(&buf, 2, &mut out).unwrap();
+        let mut out = [0; 2];
+        assert_eq!(decode_list(&buf, &mut out), Some(()));
         assert_eq!(out, list);
     }
 
@@ -250,7 +211,6 @@ mod tests {
         let mut buf = Vec::new();
         write_varint(&mut buf, u32::MAX as u64);
         write_varint(&mut buf, 0); // next id would be u32::MAX + 1
-        let mut out = Vec::new();
-        assert_eq!(decode_list(&buf, 2, &mut out), None);
+        assert_eq!(decode_list(&buf, &mut [0; 2]), None);
     }
 }

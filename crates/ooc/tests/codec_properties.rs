@@ -2,12 +2,14 @@
 //!
 //! * 300 seeded adversarial neighbor lists — isolated vertices, dense
 //!   runs pinned at the `u32` boundary, full-id-space gaps, max-degree
-//!   hubs — round-tripped through the contiguous codec, the resumable
-//!   block-straddling decoder, and the prefix-truncation rejection path,
+//!   hubs — round-tripped through the list decoder and its
+//!   prefix-truncation rejection path,
 //! * builder round-trips over random multigraph inputs (duplicates,
 //!   self-loops, trailing isolated vertices, hub vertices, run spills
 //!   small enough to force real k-way merges), read back through a
-//!   minimum-size cache so evictions happen constantly,
+//!   minimum-size cache so evictions happen constantly — one of them
+//!   wide enough that lists span frames and frame boundaries split
+//!   3-byte varints, so both the in-frame and the copied decode run,
 //! * region caches: every list decodes the same through its region's
 //!   cache, block by block through each block's region, and through the
 //!   routed reader, at every region count and budget; regions follow
@@ -30,7 +32,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
 use mmsb_graph::{GraphAccess, VertexId};
-use mmsb_ooc::varint::{decode_list, encode_list, encoded_len, VarintState};
+use mmsb_ooc::format::FRAME_SIZE;
+use mmsb_ooc::varint::{decode_list, encode_list, encoded_len, gap_code, varint_len};
 use mmsb_ooc::{
     convert_edge_list, BlockCache, BuildOptions, OocError, OocGraph, OocReader, RegionCaches,
     StreamingBuilder,
@@ -85,28 +88,16 @@ fn adversarial_list(seed: u64) -> Vec<u32> {
     }
 }
 
-/// Decode with the resumable [`VarintState`], feeding the bytes in
-/// `chunk`-sized pieces — the block-straddle path, without a file.
-fn decode_chunked(bytes: &[u8], degree: usize, chunk: usize) -> Vec<u32> {
-    let mut st = VarintState::default();
-    let mut out = Vec::new();
-    let mut prev = 0u64;
-    for piece in bytes.chunks(chunk.max(1)) {
-        for &b in piece {
-            if let Some(raw) = st.feed(b).expect("valid encoding") {
-                let id = if out.is_empty() { raw } else { prev + raw + 1 };
-                out.push(u32::try_from(id).expect("id fits u32"));
-                prev = id;
-            }
-        }
-    }
-    assert!(!st.mid_varint(), "decoder left mid-varint");
-    assert_eq!(out.len(), degree);
-    out
+/// The encoded length of each id of `list`, in order.
+fn varint_lens(list: &[u32]) -> impl Iterator<Item = u64> + '_ {
+    let mut prev = None;
+    list.iter()
+        .map(move |&v| varint_len(gap_code(prev.replace(v), v)))
 }
 
 #[test]
 fn codec_roundtrip_300_adversarial_seeds() {
+    let mut five_byte_ids = 0;
     for seed in 0..300u64 {
         let list = adversarial_list(seed);
         let mut buf = Vec::new();
@@ -117,40 +108,29 @@ fn codec_roundtrip_300_adversarial_seeds() {
             "seed {seed}: encoded_len disagrees with encode_list"
         );
 
-        // Contiguous decode.
-        let mut out = Vec::new();
-        let used = decode_list(&buf, list.len() as u32, &mut out)
-            .unwrap_or_else(|| panic!("seed {seed}: decode failed"));
-        assert_eq!(used, buf.len(), "seed {seed}: trailing bytes");
-        assert_eq!(out, list, "seed {seed}: contiguous roundtrip");
-
-        // Resumable decode across every interesting chunking, including
-        // the worst case of one byte per "block".
-        if !buf.is_empty() {
-            let mut rng = Xoshiro256PlusPlus::seed_from_u64(seed ^ 0x5EED);
-            for chunk in [1, 2, 7, 1 + rng.below(buf.len() as u64) as usize] {
-                assert_eq!(
-                    decode_chunked(&buf, list.len(), chunk),
-                    list,
-                    "seed {seed}: chunked roundtrip at chunk {chunk}"
-                );
-            }
-        }
+        let mut out = vec![0; list.len()];
+        assert_eq!(
+            decode_list(&buf, &mut out),
+            Some(()),
+            "seed {seed}: decode failed"
+        );
+        assert_eq!(out, list, "seed {seed}: roundtrip");
+        five_byte_ids += varint_lens(&list).filter(|&n| n == 5).count();
 
         // Every strict prefix of the encoding must be rejected (bounded
         // to short encodings to keep the suite fast; longer lists hit
-        // the same resumable decoder).
+        // the same decoder).
         if buf.len() <= 96 && !list.is_empty() {
             for cut in 0..buf.len() {
-                let mut out = Vec::new();
                 assert_eq!(
-                    decode_list(&buf[..cut], list.len() as u32, &mut out),
+                    decode_list(&buf[..cut], &mut out),
                     None,
                     "seed {seed}: truncated prefix of {cut} bytes decoded"
                 );
             }
         }
     }
+    assert!(five_byte_ids > 0, "no list carries a 5-byte id");
 }
 
 fn temp_path(tag: &str) -> PathBuf {
@@ -178,9 +158,17 @@ fn reference(edges: &[(u32, u32)], n: u32) -> Vec<Vec<u32>> {
 
 #[test]
 fn builder_roundtrip_adversarial_graphs() {
-    for seed in 0..40u64 {
+    for seed in 0..=40u64 {
+        // Seed 40 is wide: 65,536 vertices of sparse uniform pairs, so
+        // most first ids and many gaps take 3 bytes, and a hub on every
+        // 16th vertex whose list spans more frames than the cache holds.
+        let wide = seed == 40;
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(seed);
-        let n = 2 + rng.below(178) as u32;
+        let n = if wide {
+            1 << 16
+        } else {
+            2 + rng.below(178) as u32
+        };
         // Declare trailing isolated vertices beyond the max used id.
         let declared = n + rng.below(8) as u32;
 
@@ -189,7 +177,10 @@ fn builder_roundtrip_adversarial_graphs() {
             // Hub: vertex 0 adjacent to everything — the max-degree row.
             edges.extend((1..n).map(|v| (0, v)));
         }
-        for _ in 0..rng.below(500) {
+        if wide {
+            edges.extend((16..n).step_by(16).map(|v| (0, v)));
+        }
+        for _ in 0..if wide { 2 * n as u64 } else { rng.below(500) } {
             // Uniform pairs, self-loops included on purpose.
             edges.push((rng.below(n as u64) as u32, rng.below(n as u64) as u32));
         }
@@ -206,7 +197,7 @@ fn builder_roundtrip_adversarial_graphs() {
             // Tiny run buffer: most seeds spill several sorted runs, so
             // the k-way merge path is exercised, not just the single-run
             // fast case.
-            run_entries: 128,
+            run_entries: if wide { 1 << 16 } else { 128 },
             num_vertices: Some(declared),
             ..BuildOptions::default()
         })
@@ -243,6 +234,28 @@ fn builder_roundtrip_adversarial_graphs() {
                 want[a as usize].binary_search(&b).is_ok(),
                 "seed {seed}: probe {probe} ({a}, {b})"
             );
+        }
+        if wide {
+            // The frames the widest list spans, and whether a frame
+            // boundary falls after the first byte of some 3-byte varint
+            // and after the second byte of another.
+            let frame = u64::from(FRAME_SIZE);
+            let (mut widest, mut split) = (0, [false; 2]);
+            for v in 0..n {
+                let (mut at, end) = graph.list_range(v);
+                if end > at {
+                    widest = widest.max((end - 1) / frame - at / frame + 1);
+                }
+                for len in varint_lens(&want[v as usize]) {
+                    if len == 3 {
+                        split[0] |= (at + 1) % frame == 0;
+                        split[1] |= (at + 2) % frame == 0;
+                    }
+                    at += len;
+                }
+            }
+            assert!(widest >= 2, "no list spans two frames");
+            assert_eq!(split, [true; 2], "3-byte varints split after byte 1, 2");
         }
         let _ = std::fs::remove_file(&path);
     }

@@ -137,7 +137,9 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 #                 zero truncation/abort), drain_forced (a process of its
 #                 own: it waits on the global counter)
 #   out-of-core   mmsb-ooc (codec/format properties, every-flipped-byte
-#                 sweep, a flipped frame, the version-1 refusal);
+#                 sweep, a flipped frame, the version-1 refusal, lists
+#                 that span frames and frame seams that split a 3-byte
+#                 varint, decoded under constant eviction);
 #                 mmsb-core: backend_determinism, ooc_read_count
 #                 (DESIGN.md §15)
 cargo test -q --offline
