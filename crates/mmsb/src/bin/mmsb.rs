@@ -480,6 +480,11 @@ fn cmd_train(args: &Args) -> Result<(), String> {
     let k = config.k;
     let iters: u64 = args.parsed("iters", 2000)?;
     let eval_every: u64 = args.parsed("eval-every", 250)?;
+    // The sampler checks its config again when built; checking it first
+    // keeps a bad `--k` from reading as a bad default `--threshold`.
+    config
+        .validate(backend.num_vertices())
+        .map_err(|e| e.to_string())?;
     let threshold: f32 = args.parsed("threshold", (0.5 / k as f64) as f32)?;
     Communities::check_threshold(threshold).map_err(|e| format!("--threshold: {e}"))?;
     let checkpoint_path = args.get("checkpoint");
@@ -610,7 +615,7 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
     HeldOut::check_size(graph.num_vertices(), graph.num_edges(), links).map_err(|e| {
         format!("the generated graph cannot supply its {links} held-out links: {e}")
     })?;
-    let (train, heldout) = HeldOut::split(&generated.graph, links, &mut heldout_rng(seed));
+    let (train, heldout) = HeldOut::split(graph, links, &mut heldout_rng(seed));
     let backend = config.backend();
     let mut dcfg = DistributedConfig::das5(workers).with_pipeline(pipeline);
     if let Some(fc) = faults {

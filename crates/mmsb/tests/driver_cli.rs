@@ -225,9 +225,10 @@ fn checkpoint_every_without_a_kill_is_rejected() {
 /// command that rewrites it.
 /// A set-up value out of its range — a held-out set the graph cannot
 /// supply (given, or the default of at least 16 links), a generator
-/// parameter, a community threshold, a block size — exits 1 before any
-/// training or output, with one `error:` line naming the flag and its
-/// limit, and no panic.
+/// parameter, a community threshold, `--k 0` (whose default threshold
+/// would be infinite), a block size — exits 1 before any training or
+/// output, with one `error:` line naming the flag and its limit, and no
+/// panic.
 #[test]
 fn out_of_range_set_up_values_exit_1_naming_the_flag() {
     let dir = std::env::temp_dir().join(format!("mmsb-driver-cli-range-{}", std::process::id()));
@@ -276,6 +277,10 @@ fn out_of_range_set_up_values_exit_1_naming_the_flag() {
                 "2",
             ],
             "--threshold: threshold 2 outside [0, 1)",
+        ),
+        (
+            vec!["train", "--vertices", "300", "--iters", "2", "--k", "0"],
+            "invalid config: k must be at least 1",
         ),
         (
             vec![
