@@ -233,100 +233,74 @@ fn checkpoint_every_without_a_kill_is_rejected() {
 fn out_of_range_set_up_values_exit_1_naming_the_flag() {
     let dir = std::env::temp_dir().join(format!("mmsb-driver-cli-range-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let (edges, ooc, out_file) = (dir.join("e4.txt"), dir.join("e4.ooc"), dir.join("out"));
-    std::fs::write(&edges, "0\t1\n1\t2\n2\t3\n3\t0\n").unwrap();
-    let (edges, ooc, out_file) = (
-        edges.to_str().unwrap(),
-        ooc.to_str().unwrap(),
-        out_file.to_str().unwrap(),
-    );
-    let convert = Command::new(env!("CARGO_BIN_EXE_mmsb"))
-        .args(["convert", "--input", edges, "--out", ooc])
-        .args(["--block-size", "4096"])
-        .output()
-        .unwrap();
+    std::fs::write(dir.join("e4.txt"), "0\t1\n1\t2\n2\t3\n3\t0\n").unwrap();
+    let d = dir.to_str().unwrap();
+    let run = |args: &str| {
+        Command::new(env!("CARGO_BIN_EXE_mmsb"))
+            .args(args.split_whitespace())
+            .output()
+            .expect("run mmsb binary")
+    };
+    let convert = run(&format!(
+        "convert --input {d}/e4.txt --out {d}/e4.ooc --block-size 4096"
+    ));
     assert!(convert.status.success(), "{convert:?}");
 
-    let train_edges = ["train", "--input", edges, "--k", "2"];
-    let train_ooc = ["train", "--graph-format", "ooc", "--input", ooc, "--k", "2"];
-    let default = "--heldout defaults to 16 (one per 50 edges, at least 16): \
-                   cannot hold out 16 links from a graph with 4 edges";
-    let cases: Vec<(Vec<&str>, &str)> = vec![
+    let links = |n| format!("cannot hold out {n} links from a graph with 4 edges");
+    let default = format!(
+        "--heldout defaults to 16 (one per 50 edges, at least 16): {}",
+        links(16)
+    );
+    let (edges, ooc) = (
+        format!("--input {d}/e4.txt --k 2"),
+        format!("--graph-format ooc --input {d}/e4.ooc --k 2"),
+    );
+    let mut cases = vec![
         (
-            [&train_edges[..], &["--heldout", "100"]].concat(),
-            "--heldout 100: cannot hold out 100 links from a graph with 4 edges",
+            format!("train {edges} --heldout 100"),
+            format!("--heldout 100: {}", links(100)),
         ),
         (
-            [&train_ooc[..], &["--heldout", "100"]].concat(),
-            "--heldout 100: cannot hold out 100 links from a graph with 4 edges",
+            format!("train {ooc} --heldout 100"),
+            format!("--heldout 100: {}", links(100)),
         ),
         (
-            [&train_edges[..], &["--heldout", "3"]].concat(),
-            "--heldout 3: graph too dense to sample 3 held-out non-links: it has 2 unlinked pairs",
+            format!("train {edges} --heldout 3"),
+            "--heldout 3: graph too dense to sample 3 held-out non-links: it has 2 unlinked pairs"
+                .into(),
         ),
-        (train_edges.to_vec(), default),
-        (train_ooc.to_vec(), default),
+        (format!("train {edges}"), default.clone()),
+        (format!("train {ooc}"), default),
         (
-            vec![
-                "train",
-                "--vertices",
-                "300",
-                "--iters",
-                "2",
-                "--threshold",
-                "2",
-            ],
-            "--threshold: threshold 2 outside [0, 1)",
+            "train --vertices 300 --iters 2 --threshold 2".into(),
+            "--threshold: threshold 2 outside [0, 1)".into(),
         ),
         (
-            vec!["train", "--vertices", "300", "--iters", "2", "--k", "0"],
-            "invalid config: k must be at least 1",
+            "train --vertices 300 --iters 2 --k 0".into(),
+            "invalid config: k must be at least 1".into(),
         ),
         (
-            vec![
-                "convert",
-                "--input",
-                edges,
-                "--out",
-                out_file,
-                "--block-size",
-                "100",
-            ],
-            "--block-size: block size 100 is not a power of two >= 4096",
+            format!("convert --input {d}/e4.txt --out {d}/out --block-size 100"),
+            "--block-size: block size 100 is not a power of two >= 4096".into(),
         ),
     ];
-    let mut cases: Vec<(Vec<&str>, String)> = cases
-        .into_iter()
-        .map(|(args, want)| (args, want.to_string()))
-        .collect();
-    for command in [
-        &["train"][..],
-        &["simulate"],
-        &["generate", "--out", out_file],
-    ] {
-        for (flag, value, limit) in [
-            ("--vertices", "1", "need at least 2 vertices"),
-            ("--communities", "0", "need at least 1 community"),
-            ("--mean-degree", "-1", "internal degree must be >= 0"),
-            ("--overlap", "0", "memberships per vertex must be > 0"),
+    for command in ["train", "simulate", &format!("generate --out {d}/out")] {
+        for (flag, limit) in [
+            ("--vertices 1", "need at least 2 vertices"),
+            ("--communities 0", "need at least 1 community"),
+            ("--mean-degree -1", "internal degree must be >= 0"),
+            ("--overlap 0", "memberships per vertex must be > 0"),
         ] {
-            let want = format!("{flag} {value}: {limit}");
-            cases.push(([command, &[flag, value]].concat(), want));
+            cases.push((format!("{command} {flag}"), format!("{flag}: {limit}")));
         }
     }
     for (args, want) in cases {
-        let out = Command::new(env!("CARGO_BIN_EXE_mmsb"))
-            .args(&args)
-            .output()
-            .expect("run mmsb binary");
+        let out = run(&args);
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
-        assert_eq!(stderr, format!("error: {want}\n"), "{args:?}");
-        assert!(out.stdout.is_empty(), "{args:?}: nothing may run");
-        assert!(
-            !std::path::Path::new(out_file).exists(),
-            "{args:?} wrote {out_file}"
-        );
+        assert_eq!(out.status.code(), Some(1), "{args}: {stderr}");
+        assert_eq!(stderr, format!("error: {want}\n"), "{args}");
+        assert!(out.stdout.is_empty(), "{args}: nothing may run");
+        assert!(!dir.join("out").exists(), "{args} wrote {d}/out");
     }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -65,10 +65,9 @@ impl BlockCache {
     /// `block_size` bytes, as frames, rounded up to whole 4-way sets. The
     /// seed parameterizes the set hash.
     ///
-    /// `max_degree` sizes the decode scratch of [`crate::OocReader`] and
-    /// the copy scratch of a list that spans frames, so steady-state reads
-    /// never reallocate.
-    // xlint: allow(hot-path-alloc) — setup-time construction: the tags, stamps, frame storage and both scratches are allocated once here and reused by every read
+    /// `max_degree` sizes the copy scratch of a list that spans frames,
+    /// so steady-state decodes never reallocate.
+    // xlint: allow(hot-path-alloc) — setup-time construction: the tags, stamps, frame storage and copy scratch are allocated once here and reused by every read
     pub fn new(capacity_blocks: usize, block_size: usize, seed: u64, max_degree: u32) -> Self {
         assert!(block_size > 0, "block size must be positive");
         let frames = (capacity_blocks * block_size).div_ceil(FRAME);
@@ -87,19 +86,19 @@ impl BlockCache {
             stamps: vec![0; sets * WAYS],
             tick: 0,
             data: vec![0; sets * WAYS * FRAME],
-            list: Vec::with_capacity(max_degree as usize),
+            list: Vec::new(),
             spill: spill_for(max_degree),
         }
     }
 
-    /// A cache sized for `graph` (its block size and max degree).
+    /// A cache sized for `graph` (its block size and max degree), with
+    /// the decode scratch [`crate::OocReader`] reads into reserved too.
     pub fn for_graph(graph: &OocGraph, capacity_blocks: usize, seed: u64) -> Self {
-        Self::new(
-            capacity_blocks,
-            graph.header().block_size as usize,
-            seed,
-            graph.max_degree(),
-        )
+        let max_degree = graph.max_degree();
+        let block_size = graph.header().block_size as usize;
+        let mut cache = Self::new(capacity_blocks, block_size, seed, max_degree);
+        cache.list.reserve(max_degree as usize);
+        cache
     }
 
     /// The capacity in blocks: frame slots times [`FRAME_SIZE`], over the

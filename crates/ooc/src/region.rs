@@ -43,7 +43,10 @@ impl RegionCaches {
         let r = regions.min(num_blocks).min(budget_blocks / WAYS).max(1);
         let per_region = (budget_blocks / r / WAYS * WAYS).max(1);
         let caches = (0..r as u64)
-            .map(|i| BlockCache::for_graph(graph, per_region, seed ^ (i + 1)))
+            .map(|i| {
+                let block_size = graph.header().block_size as usize;
+                BlockCache::new(per_region, block_size, seed ^ (i + 1), graph.max_degree())
+            })
             .collect();
         Self {
             caches,
